@@ -195,10 +195,7 @@ func benchOptions(algo seqmine.Algorithm) seqmine.Options {
 	opts := seqmine.DefaultOptions()
 	opts.Algorithm = algo
 	opts.Workers = benchScale.Workers
-	opts.SpillThreshold = 0
-	opts.SendBufferBytes = 0
-	opts.CompressSpill = false
-	opts.Prefilter = false
+	opts.Knobs = seqmine.Knobs{}
 	return opts
 }
 

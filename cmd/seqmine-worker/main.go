@@ -34,6 +34,7 @@ import (
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 	"seqmine/internal/transport"
 )
@@ -43,7 +44,6 @@ func main() {
 	listen := flag.String("listen", ":9090", "control HTTP listen address")
 	dataListen := flag.String("data-listen", ":9190", "shuffle (TCP transport) listen address")
 	dataAdvertise := flag.String("data-advertise", "", "shuffle address advertised to peers (default: the data listener's address)")
-	spillDir := flag.String("spill-dir", "", "directory for shuffle spill segments of jobs that enable spilling (default: system temp dir)")
 	datasetCache := flag.Int("dataset-cache", cluster.DefaultStoreEntries, "datasets held in this worker's shared dataset store (LRU-evicted beyond it)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this extra address (empty = disabled)")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error or off")
@@ -56,14 +56,11 @@ func main() {
 	pattern := flag.String("pattern", "", "pattern expression (submit mode)")
 	sigma := flag.Int64("sigma", 2, "minimum support threshold (submit mode)")
 	algorithm := flag.String("algorithm", "dcand", "algorithm: dseq or dcand (submit mode)")
-	spillThreshold := flag.Int64("spill-threshold", 0, "shuffle bytes each worker holds in memory before spilling to disk (0 = never spill, submit mode)")
-	sendBuffer := flag.Int64("send-buffer", 0, "per-peer streaming send-buffer bytes on each worker (0 = barrier mode, submit mode)")
-	sendBufferMax := flag.Int64("send-buffer-max", 0, "adaptive send-buffer bound in bytes on each worker (0 or <= -send-buffer = fixed buffers, submit mode)")
-	compressSpill := flag.Bool("compress-spill", false, "DEFLATE-compress the workers' spill segments (submit mode)")
-	prefilter := flag.Bool("prefilter", false, "workers skip sequences with no accepting run via a cheap two-pass reachability scan before mining (output is identical either way, submit mode)")
-	taskRetries := flag.Int("task-retries", 2, "failed attempts relaunched on surviving workers before the job fails (negative = no retries, submit mode)")
-	speculativeAfter := flag.Duration("speculative-after", 0, "launch a speculative duplicate attempt when the running attempt exceeds this (0 = no speculation, submit mode)")
-	taskPartitions := flag.Int("task-partitions", 0, "per-partition tasks the input is decomposed into (0 = one per live worker, submit mode)")
+	// The query plan of submit mode; -spill-dir doubles as this worker's spill
+	// directory in worker mode.
+	var p plan.Plan
+	p.Knobs.BindFlags(flag.CommandLine)
+	flag.IntVar(&p.TaskPartitions, "task-partitions", 0, "per-partition tasks the input is decomposed into (0 = one per live worker, submit mode)")
 	top := flag.Int("top", 25, "print only the top-k frequent sequences (0 = all, submit mode)")
 	showMetrics := flag.Bool("metrics", true, "print shuffle/runtime metrics (submit mode)")
 	traceOut := flag.String("trace-out", "", "write the job's merged trace as Chrome trace-event JSON to this file (submit mode)")
@@ -77,16 +74,11 @@ func main() {
 	obs.SetDefaultLogger(obs.NewLogger(os.Stderr, lvl))
 
 	if *submit {
-		runSubmit(submitConfig{
-			workers: *workers, data: *data, hierarchy: *hierarchy,
-			pattern: *pattern, sigma: *sigma, algorithm: *algorithm,
-			spillThreshold: *spillThreshold, sendBuffer: *sendBuffer, sendBufferMax: *sendBufferMax, compressSpill: *compressSpill, prefilter: *prefilter,
-			taskRetries: *taskRetries, speculativeAfter: *speculativeAfter, taskPartitions: *taskPartitions,
-			top: *top, showMetrics: *showMetrics, traceOut: *traceOut,
-		})
+		p.Algorithm = plan.Algorithm(strings.ToLower(*algorithm))
+		runSubmit(p, *workers, *data, *hierarchy, *pattern, *sigma, *top, *showMetrics, *traceOut)
 		return
 	}
-	runWorker(*listen, *dataListen, *dataAdvertise, *spillDir, *debugAddr, *datasetCache)
+	runWorker(*listen, *dataListen, *dataAdvertise, p.SpillTmpDir, *debugAddr, *datasetCache)
 }
 
 // runWorker serves the control API and the shuffle fabric until SIGINT/TERM.
@@ -141,84 +133,62 @@ func runWorker(listen, dataListen, dataAdvertise, spillDir, debugAddr string, da
 	}
 }
 
-// submitConfig carries the coordinator CLI's flags.
-type submitConfig struct {
-	workers, data, hierarchy, pattern, algorithm string
-	sigma, spillThreshold, sendBuffer            int64
-	sendBufferMax                                int64
-	compressSpill, prefilter                     bool
-	taskRetries, taskPartitions                  int
-	speculativeAfter                             time.Duration
-	top                                          int
-	showMetrics                                  bool
-	traceOut                                     string
-}
-
 // runSubmit coordinates one distributed job and prints the merged result.
-func runSubmit(sc submitConfig) {
+func runSubmit(p plan.Plan, workers, data, hierarchy, pattern string, sigma int64, top int, showMetrics bool, traceOut string) {
 	var urls []string
-	for _, u := range strings.Split(sc.workers, ",") {
+	for _, u := range strings.Split(workers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			urls = append(urls, u)
 		}
 	}
-	if len(urls) == 0 || sc.data == "" || sc.pattern == "" {
+	if len(urls) == 0 || data == "" || pattern == "" {
 		fmt.Fprintln(os.Stderr, "seqmine-worker: -submit requires -workers, -data and -pattern")
 		flag.Usage()
 		os.Exit(2)
 	}
-	algo := strings.ToLower(sc.algorithm)
-	if algo != cluster.AlgoDSeq && algo != cluster.AlgoDCand {
-		fmt.Fprintf(os.Stderr, "seqmine-worker: algorithm %q cannot run distributed (want dseq or dcand)\n", sc.algorithm)
+	if p.Algorithm != plan.AlgoDSeq && p.Algorithm != plan.AlgoDCand {
+		fmt.Fprintf(os.Stderr, "seqmine-worker: algorithm %q cannot run distributed (want dseq or dcand)\n", p.Algorithm)
 		os.Exit(2)
 	}
 
-	db, err := seqdb.ReadFiles(sc.data, sc.hierarchy)
+	db, err := seqdb.ReadFiles(data, hierarchy)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d sequences, %d dictionary items\n", db.NumSequences(), db.Dict.Size())
 
-	copts := cluster.DefaultOptions()
-	copts.SpillThresholdBytes = sc.spillThreshold
-	copts.SendBufferBytes = sc.sendBuffer
-	copts.SendBufferMaxBytes = sc.sendBufferMax
-	copts.CompressSpill = sc.compressSpill
-	copts.Prefilter = sc.prefilter
-	copts.ApplyRetryKnobs(sc.taskRetries, sc.speculativeAfter)
-	copts.TaskPartitions = sc.taskPartitions
 	coord := &cluster.Coordinator{Workers: urls}
 	// A local recorder collects the coordinator's spans plus every worker's
 	// shipped spans, so -trace-out captures the whole distributed job.
 	rec := obs.NewRecorder("submit", 0)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	start := time.Now()
-	res, err := coord.Mine(ctx, db, sc.pattern, sc.sigma, algo, copts)
+	res, err := coord.Mine(ctx, db, pattern, sigma, p)
 	if err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
-	if sc.traceOut != "" {
+	if traceOut != "" {
 		buf, err := obs.ChromeTrace(rec.TraceSpans(res.TraceID))
 		if err == nil {
-			err = os.WriteFile(sc.traceOut, buf, 0o644)
+			err = os.WriteFile(traceOut, buf, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seqmine-worker: writing trace: %v\n", err)
 		} else {
-			fmt.Printf("trace %s written to %s\n", res.TraceID, sc.traceOut)
+			fmt.Printf("trace %s written to %s\n", res.TraceID, traceOut)
 		}
 	}
 
-	fmt.Printf("%d frequent sequences (algorithm %s, sigma %d)\n", len(res.Patterns), algo, sc.sigma)
+	fmt.Printf("%d frequent sequences (algorithm %s, sigma %d)\n", len(res.Patterns), p.Algorithm, sigma)
 	limit := len(res.Patterns)
-	if sc.top > 0 && sc.top < limit {
-		limit = sc.top
+	if top > 0 && top < limit {
+		limit = top
 	}
-	for _, p := range res.Patterns[:limit] {
-		fmt.Printf("%8d  %s\n", p.Freq, db.Dict.DecodeString(p.Items))
+	for _, pat := range res.Patterns[:limit] {
+		fmt.Printf("%8d  %s\n", pat.Freq, db.Dict.DecodeString(pat.Items))
 	}
-	if sc.showMetrics {
+	if showMetrics {
 		m := res.Metrics
 		fmt.Printf("%d workers, wall %v, map time %v, reduce time %v, shuffle %d records / %d bytes on the wire (%d read) over %d partitions\n",
 			len(urls), elapsed.Round(time.Millisecond), m.MapTime, m.ReduceTime,

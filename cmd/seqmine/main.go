@@ -24,15 +24,9 @@ func main() {
 	sigma := flag.Int64("sigma", 2, "minimum support threshold")
 	algorithm := flag.String("algorithm", "dseq", "algorithm: dfs, count, dseq, dcand, naive, seminaive")
 	workers := flag.Int("workers", 0, "number of workers (0 = all CPUs)")
-	spillThreshold := flag.Int64("spill-threshold", 0, "shuffle bytes held in memory before spilling to disk (distributed algorithms; 0 = never spill)")
-	spillDir := flag.String("spill-dir", "", "directory for shuffle spill segments (default: system temp dir)")
-	sendBuffer := flag.Int64("send-buffer", 0, "per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode)")
-	sendBufferMax := flag.Int64("send-buffer-max", 0, "adaptive send-buffer bound in bytes: destinations that keep filling their share grow their buffer up to this bound (0 or <= -send-buffer = fixed buffers)")
-	compressSpill := flag.Bool("compress-spill", false, "DEFLATE-compress shuffle spill segments")
-	prefilter := flag.Bool("prefilter", false, "skip sequences with no accepting run via a cheap two-pass reachability scan before mining (output is identical either way)")
+	opts := seqmine.DefaultOptions()
+	opts.Knobs.BindFlags(flag.CommandLine)
 	clusterWorkers := flag.String("cluster", "", "comma-separated seqmine-worker control URLs: run dseq/dcand on this cluster with the fault-tolerant scheduler instead of in-process")
-	taskRetries := flag.Int("task-retries", 0, "cluster runs: failed attempts relaunched on surviving workers (0 = default of 2, negative = no retries)")
-	speculativeAfter := flag.Duration("speculative-after", 0, "cluster runs: launch a speculative duplicate attempt when the running attempt exceeds this (0 = no speculation)")
 	top := flag.Int("top", 25, "print only the top-k frequent sequences (0 = all)")
 	showMetrics := flag.Bool("metrics", true, "print shuffle/runtime metrics for distributed algorithms")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error or off")
@@ -71,22 +65,13 @@ func main() {
 	}
 	fmt.Printf("loaded %d sequences, %d dictionary items\n", db.NumSequences(), db.Dict.Size())
 
-	opts := seqmine.DefaultOptions()
 	opts.Algorithm = algo
 	opts.Workers = *workers
-	opts.SpillThreshold = *spillThreshold
-	opts.SpillTmpDir = *spillDir
-	opts.SendBufferBytes = *sendBuffer
-	opts.SendBufferMaxBytes = *sendBufferMax
-	opts.CompressSpill = *compressSpill
-	opts.Prefilter = *prefilter
 	for _, u := range strings.Split(*clusterWorkers, ",") {
 		if u = strings.TrimSpace(u); u != "" {
 			opts.ClusterWorkers = append(opts.ClusterWorkers, u)
 		}
 	}
-	opts.TaskRetries = *taskRetries
-	opts.SpeculativeAfter = *speculativeAfter
 	result, err := seqmine.Mine(db, *pattern, *sigma, opts)
 	if err != nil {
 		fatal(err)

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/service"
 )
 
@@ -47,14 +48,8 @@ func main() {
 	catalogDir := flag.String("catalog-dir", "", "persistent dataset catalog directory: registrations survive restarts and may be shared by replicas (empty = in-memory only)")
 	timeout := flag.Duration("timeout", 0, "default per-query deadline (0 = none)")
 	clusterWorkers := flag.String("cluster", "", "comma-separated seqmine-worker control URLs used by queries with \"distributed\": true")
-	spillThreshold := flag.Int64("spill-threshold", 0, "default shuffle bytes a query holds in memory before spilling to disk (0 = never spill; queries override with \"spill_threshold_bytes\")")
-	spillDir := flag.String("spill-dir", "", "directory for shuffle spill segments (default: system temp dir)")
-	sendBuffer := flag.Int64("send-buffer", 0, "default per-peer streaming send-buffer bytes (0 = barrier-mode shuffles; queries override with \"send_buffer_bytes\")")
-	sendBufferMax := flag.Int64("send-buffer-max", 0, "default adaptive send-buffer bound in bytes (0 or <= -send-buffer = fixed buffers; queries override with \"send_buffer_max_bytes\")")
-	compressSpill := flag.Bool("compress-spill", false, "DEFLATE-compress shuffle spill segments by default (queries override either way with the tri-state \"compress_spill\")")
-	prefilter := flag.Bool("prefilter", false, "enable the two-pass reachability prefilter by default: skip sequences with no accepting run before mining (output is identical either way; queries opt in with \"prefilter\")")
-	taskRetries := flag.Int("task-retries", 0, "default retry budget of cluster queries: failed attempts relaunched on surviving workers (0 = built-in default of 2, negative = no retries; queries override with \"task_retries\")")
-	speculativeAfter := flag.Duration("speculative-after", 0, "launch a speculative duplicate attempt when a cluster query's attempt runs longer than this (0 = no speculation; queries override with \"speculative_after_ms\")")
+	var knobs plan.Knobs // the daemon defaults; queries override them per request
+	knobs.BindFlags(flag.CommandLine)
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error or off")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof profiling endpoints on this extra address (empty = disabled)")
 	traceBuffer := flag.Int("trace-buffer", 0, "trace spans retained for GET /debug/trace/{id} (0 = default)")
@@ -102,25 +97,18 @@ func main() {
 		defer catalog.Close()
 	}
 	svc := service.New(service.Config{
-		CacheSize:          *cacheSize,
-		Workers:            *workers,
-		MaxConcurrent:      inflight,
-		QueueDepth:         *queueDepth,
-		ResultCacheSize:    *resultCache,
-		Auth:               auth,
-		Catalog:            catalog,
-		DefaultTimeout:     *timeout,
-		ClusterWorkers:     clusterURLs,
-		SpillThreshold:     *spillThreshold,
-		SpillTmpDir:        *spillDir,
-		SendBufferBytes:    *sendBuffer,
-		SendBufferMaxBytes: *sendBufferMax,
-		CompressSpill:      *compressSpill,
-		Prefilter:          *prefilter,
-		TaskRetries:        *taskRetries,
-		SpeculativeAfter:   *speculativeAfter,
-		Obs:                obs.NewRegistry(),
-		Recorder:           obs.NewRecorder("seqmined", *traceBuffer),
+		CacheSize:       *cacheSize,
+		Workers:         *workers,
+		MaxConcurrent:   inflight,
+		QueueDepth:      *queueDepth,
+		ResultCacheSize: *resultCache,
+		Auth:            auth,
+		Catalog:         catalog,
+		DefaultTimeout:  *timeout,
+		ClusterWorkers:  clusterURLs,
+		Knobs:           knobs,
+		Obs:             obs.NewRegistry(),
+		Recorder:        obs.NewRecorder("seqmined", *traceBuffer),
 	})
 	if catalog != nil {
 		n, err := svc.RestoreCatalog()

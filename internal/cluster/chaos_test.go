@@ -19,6 +19,7 @@ import (
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/paperex"
+	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
 
@@ -104,8 +105,8 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 			Workers:           urls,
 			HeartbeatInterval: 100 * time.Millisecond,
 		}
-		opts := cluster.DefaultOptions()
-		res, err := coord.Mine(context.Background(), db, expr, sigma, cluster.AlgoDSeq, opts)
+		opts := plan.Plan{Algorithm: plan.AlgoDSeq}
+		res, err := coord.Mine(context.Background(), db, expr, sigma, opts)
 		if err != nil {
 			t.Fatalf("Mine with a dying worker: %v", err)
 		}
@@ -170,7 +171,7 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 	db := paperDatabase(t)
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
 
-	first, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+	first, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
 		t.Fatalf("first Mine: %v", err)
 	}
@@ -181,7 +182,7 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 		t.Fatalf("first run should not hit the store: %+v", storeStats(first))
 	}
 
-	second, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+	second, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
 		t.Fatalf("second Mine: %v", err)
 	}
@@ -194,7 +195,7 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 
 	// A different coordinator instance hits the same worker-side store.
 	fresh := &cluster.Coordinator{Workers: coord.Workers}
-	third, err := fresh.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+	third, err := fresh.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
 		t.Fatalf("third Mine: %v", err)
 	}
@@ -225,9 +226,9 @@ func TestCoordinatorSpeculativeAttempt(t *testing.T) {
 	}
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
-	opts := cluster.DefaultOptions()
+	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
 	opts.SpeculativeAfterMS = 1
-	res, err := coord.Mine(context.Background(), db, expr, sigma, cluster.AlgoDSeq, opts)
+	res, err := coord.Mine(context.Background(), db, expr, sigma, opts)
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}
@@ -252,9 +253,9 @@ func TestCoordinatorTaskPartitions(t *testing.T) {
 	want, _ := dseq.Mine(f, db.Sequences, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 2)}
-	opts := cluster.DefaultOptions()
+	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
 	opts.TaskPartitions = 7
-	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, opts)
+	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, opts)
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}
@@ -329,7 +330,7 @@ func TestHeartbeatDetectsStalledWorker(t *testing.T) {
 		HeartbeatMisses:   2,
 	}
 	start := time.Now()
-	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
 		t.Fatalf("Mine with a stalled worker: %v", err)
 	}

@@ -24,112 +24,12 @@
 package cluster
 
 import (
-	"time"
-
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
-
-// AlgoDSeq and AlgoDCand are the algorithms that can run on the cluster.
-const (
-	AlgoDSeq  = "dseq"
-	AlgoDCand = "dcand"
-)
-
-// Options carries the paper's per-algorithm enhancement toggles plus the
-// local engine parallelism of each worker.
-type Options struct {
-	// D-SEQ toggles.
-	UseGrid            bool `json:"use_grid"`
-	Rewrite            bool `json:"rewrite"`
-	EarlyStopping      bool `json:"early_stopping"`
-	AggregateSequences bool `json:"aggregate_sequences"`
-	// D-CAND toggles.
-	MinimizeNFAs  bool `json:"minimize_nfas"`
-	AggregateNFAs bool `json:"aggregate_nfas"`
-	// Prefilter enables the two-pass reachability prefilter on the workers'
-	// map phase (dseq.Options.Prefilter / dcand.Options.Prefilter); mining
-	// output is byte-identical with and without it.
-	Prefilter bool `json:"prefilter,omitempty"`
-	// Per-worker engine parallelism (0 = all CPUs of the worker).
-	MapWorkers    int `json:"map_workers,omitempty"`
-	ReduceWorkers int `json:"reduce_workers,omitempty"`
-	// SpillThresholdBytes bounds each worker's in-memory shuffle footprint:
-	// past it, shuffle partitions spill to sorted temp-file segments that
-	// the reduce phase merge-streams, so partitions larger than worker
-	// memory still complete. 0 keeps the shuffle in memory.
-	SpillThresholdBytes int64 `json:"spill_threshold_bytes,omitempty"`
-	// SpillTmpDir is where workers create spill segments; empty uses each
-	// worker's default (its -spill-dir flag, else the system temp dir).
-	SpillTmpDir string `json:"spill_tmp_dir,omitempty"`
-	// SendBufferBytes, when > 0, switches each worker to the streaming
-	// pipelined shuffle: map workers emit into bounded per-peer send buffers
-	// drained over the TCP fabric while mapping continues, overlapping map
-	// compute with network transfer. 0 keeps the phase-synchronous barrier.
-	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
-	// SendBufferMaxBytes, when > SendBufferBytes, lets each worker's
-	// streaming shuffle grow a destination's send buffer adaptively up to
-	// this bound; 0 (or <= SendBufferBytes) keeps the buffers fixed.
-	SendBufferMaxBytes int64 `json:"send_buffer_max_bytes,omitempty"`
-	// CompressSpill compresses the workers' spill segments (receive-side
-	// runs and map-side send overflow) with DEFLATE.
-	CompressSpill bool `json:"compress_spill,omitempty"`
-
-	// MaxRetries is the scheduler's retry budget: how many failed attempts
-	// it relaunches (on the surviving workers, under a fresh attempt epoch)
-	// before the job as a whole fails. Negative disables retries.
-	MaxRetries int `json:"max_retries,omitempty"`
-	// SpeculativeAfterMS launches one speculative second attempt when the
-	// running attempt has not completed this many milliseconds after its
-	// launch (straggler mitigation; the first attempt to complete wins and
-	// the other is canceled). At most one speculative attempt per job.
-	// 0 disables speculation.
-	SpeculativeAfterMS int64 `json:"speculative_after_ms,omitempty"`
-	// TaskPartitions is the number of per-partition tasks the input is
-	// decomposed into; 0 uses one task per live worker. More tasks than
-	// workers gives the scheduler finer rebalancing units on retry.
-	TaskPartitions int `json:"task_partitions,omitempty"`
-}
-
-// DefaultOptions enables every enhancement, mirroring the single-process
-// defaults, with a retry budget of 2.
-func DefaultOptions() Options {
-	return Options{
-		UseGrid:            true,
-		Rewrite:            true,
-		EarlyStopping:      true,
-		AggregateSequences: true,
-		MinimizeNFAs:       true,
-		AggregateNFAs:      true,
-		MaxRetries:         2,
-	}
-}
-
-// ApplyRetryKnobs maps the sentinel convention shared by the CLIs and the
-// service layer onto the scheduler knobs: taskRetries > 0 sets the retry
-// budget, negative disables retries, 0 keeps the scheduler's default budget;
-// speculativeAfter > 0 enables speculation at that threshold (sub-millisecond
-// values clamp to 1ms), <= 0 disables it.
-func (o *Options) ApplyRetryKnobs(taskRetries int, speculativeAfter time.Duration) {
-	switch {
-	case taskRetries > 0:
-		o.MaxRetries = taskRetries
-	case taskRetries < 0:
-		o.MaxRetries = 0
-	default:
-		o.MaxRetries = DefaultOptions().MaxRetries
-	}
-	if speculativeAfter > 0 {
-		o.SpeculativeAfterMS = speculativeAfter.Milliseconds()
-		if o.SpeculativeAfterMS == 0 {
-			o.SpeculativeAfterMS = 1 // sub-millisecond but positive
-		}
-	} else {
-		o.SpeculativeAfterMS = 0
-	}
-}
 
 // JobSpec is the unit of work POSTed to one worker: everything the worker
 // needs to run its share of one job attempt and find its peers. The input
@@ -145,8 +45,6 @@ type JobSpec struct {
 	// shuffle fabric by their epoch, and workers refuse connections from
 	// epochs older than the newest one they have opened.
 	Epoch int `json:"epoch"`
-	// Algorithm is AlgoDSeq or AlgoDCand.
-	Algorithm string `json:"algorithm"`
 	// Peer is this worker's index; DataPeers[Peer] is its shuffle address.
 	Peer int `json:"peer"`
 	// DataPeers are the shuffle (transport.Node) addresses of all peers.
@@ -166,8 +64,13 @@ type JobSpec struct {
 	// attempt (may be empty: the worker then only reduces the pivot keys it
 	// owns).
 	Partitions []int `json:"partitions"`
-	// Options are the algorithm toggles.
-	Options Options `json:"options"`
+	// Plan is the query plan by value, exactly as the coordinator received
+	// it: the algorithm (plan.AlgoDSeq or plan.AlgoDCand), the prefilter flag
+	// and the shuffle bounds configure this worker's engine; the scheduler
+	// policy rides along unused. The plan's two process-local fields (Workers,
+	// SpillTmpDir) do not serialize, so the worker sizes its own engine and
+	// spills into its own -spill-dir.
+	Plan plan.Plan `json:"plan"`
 }
 
 // JobResult is one worker's share of one attempt's output.

@@ -14,6 +14,7 @@ import (
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/paperex"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 	"seqmine/internal/transport"
 )
@@ -49,7 +50,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 
 	t.Run("dcand", func(t *testing.T) {
 		want, _ := dcand.Mine(f, db.Sequences, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{})
-		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDCand, cluster.DefaultOptions())
+		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDCand})
 		if err != nil {
 			t.Fatalf("Mine: %v", err)
 		}
@@ -70,7 +71,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 
 	t.Run("dseq", func(t *testing.T) {
 		want, _ := dseq.Mine(f, db.Sequences, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
-		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 		if err != nil {
 			t.Fatalf("Mine: %v", err)
 		}
@@ -86,7 +87,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 func TestCoordinatorRejectsBadAlgorithm(t *testing.T) {
 	db := paperDatabase(t)
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 2)}
-	if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, "naive", cluster.DefaultOptions()); err == nil {
+	if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoNaive}); err == nil {
 		t.Fatal("expected an error for a non-distributable algorithm")
 	}
 }
@@ -94,7 +95,7 @@ func TestCoordinatorRejectsBadAlgorithm(t *testing.T) {
 func TestCoordinatorNoWorkers(t *testing.T) {
 	db := paperDatabase(t)
 	coord := &cluster.Coordinator{}
-	if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDCand, cluster.DefaultOptions()); err == nil {
+	if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDCand}); err == nil {
 		t.Fatal("expected an error with no workers")
 	}
 }
@@ -112,8 +113,8 @@ func TestCoordinatorManyWorkersRandomDB(t *testing.T) {
 	want := miner.PatternsToMap(db.Dict, miner.MineDFS(f, miner.Weighted(db.Sequences), sigma, miner.DFSOptions{}))
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 4)}
-	for _, algo := range []string{cluster.AlgoDSeq, cluster.AlgoDCand} {
-		res, err := coord.Mine(context.Background(), db, expr, sigma, algo, cluster.DefaultOptions())
+	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
+		res, err := coord.Mine(context.Background(), db, expr, sigma, plan.Plan{Algorithm: algo})
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
@@ -160,18 +161,19 @@ func TestCoordinatorSpillMatchesInProcess(t *testing.T) {
 	f := fst.MustCompile(expr, db.Dict)
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
-	opts := cluster.DefaultOptions()
-	opts.SpillThresholdBytes = 2048
-	for _, algo := range []string{cluster.AlgoDSeq, cluster.AlgoDCand} {
-		res, err := coord.Mine(context.Background(), db, expr, sigma, algo, opts)
+	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
+	opts.SpillThreshold = 2048
+	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
+		opts.Algorithm = algo
+		res, err := coord.Mine(context.Background(), db, expr, sigma, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 		var want []miner.Pattern
 		switch algo {
-		case cluster.AlgoDSeq:
+		case plan.AlgoDSeq:
 			want, _ = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
-		case cluster.AlgoDCand:
+		case plan.AlgoDCand:
 			want, _ = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), mapreduce.Config{})
 		}
 		if len(want) == 0 {
@@ -217,28 +219,29 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 	f := fst.MustCompile(expr, db.Dict)
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
-	variants := map[string]cluster.Options{}
-	streaming := cluster.DefaultOptions()
+	variants := map[string]plan.Plan{}
+	var streaming plan.Plan
 	streaming.SendBufferBytes = 1024
 	variants["streaming"] = streaming
 	everything := streaming
-	everything.SpillThresholdBytes = 2048
+	everything.SpillThreshold = 2048
 	everything.CompressSpill = true
 	variants["streaming+spill+deflate"] = everything
 
-	for _, algo := range []string{cluster.AlgoDSeq, cluster.AlgoDCand} {
+	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
 		var want []miner.Pattern
 		switch algo {
-		case cluster.AlgoDSeq:
+		case plan.AlgoDSeq:
 			want, _ = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
-		case cluster.AlgoDCand:
+		case plan.AlgoDCand:
 			want, _ = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), mapreduce.Config{})
 		}
 		if len(want) == 0 {
 			t.Fatalf("%s: reference run found no patterns", algo)
 		}
 		for name, opts := range variants {
-			res, err := coord.Mine(context.Background(), db, expr, sigma, algo, opts)
+			opts.Algorithm = algo
+			res, err := coord.Mine(context.Background(), db, expr, sigma, opts)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", algo, name, err)
 			}
@@ -254,7 +257,7 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 					t.Errorf("%s/%s: worker %d streamed no batches", algo, name, p)
 				}
 			}
-			if opts.SpillThresholdBytes > 0 && res.Metrics.SpilledBytes == 0 {
+			if opts.SpillThreshold > 0 && res.Metrics.SpilledBytes == 0 {
 				t.Errorf("%s/%s: expected cluster-wide spilling, got %+v", algo, name, res.Metrics)
 			}
 		}

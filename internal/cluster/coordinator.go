@@ -19,6 +19,7 @@ import (
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 )
 
@@ -153,8 +154,11 @@ func (w *workerRef) markDead() bool {
 }
 
 // Mine runs one distributed job over the database with the scheduler
-// described on Coordinator. algorithm is AlgoDSeq or AlgoDCand.
-func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression string, sigma int64, algorithm string, opts Options) (*Result, error) {
+// described on Coordinator. p is the query plan: its Algorithm must be
+// plan.AlgoDSeq or plan.AlgoDCand, its retry budget, speculation threshold
+// and TaskPartitions drive the scheduler, and the whole plan is shipped to
+// the workers in every JobSpec.
+func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression string, sigma int64, p plan.Plan) (*Result, error) {
 	if len(c.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers configured")
 	}
@@ -170,7 +174,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		log = obs.DefaultLogger()
 	}
 	ctx, mineSpan := obs.StartSpan(ctx, "cluster.mine",
-		obs.String("algorithm", algorithm), obs.Int("sigma", sigma),
+		obs.String("algorithm", string(p.Algorithm)), obs.Int("sigma", sigma),
 		obs.Int("workers", int64(len(c.Workers))))
 	defer mineSpan.End()
 	ctx, cancel := context.WithCancel(ctx)
@@ -242,7 +246,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 
 	// Decompose into per-partition tasks. The partition count is fixed for
 	// the whole job, so task identity survives gang changes across attempts.
-	numTasks := opts.TaskPartitions
+	numTasks := p.TaskPartitions
 	if numTasks <= 0 {
 		numTasks = len(live)
 	}
@@ -262,15 +266,14 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		numTasks:  numTasks,
 		datasetID: datasetID,
 		bundle:    data,
-		algorithm: algorithm,
 		expr:      expression,
 		sigma:     sigma,
-		opts:      opts,
+		plan:      p,
 		res:       res,
 		log:       log,
 		attemptHist: c.Obs.Histogram("seqmine_task_attempt_seconds",
 			"Duration of cluster job attempts (gang launch to last member response).",
-			obs.DurationBuckets, "algorithm", algorithm),
+			obs.DurationBuckets, "algorithm", string(p.Algorithm)),
 		hbHist: c.Obs.Histogram("seqmine_heartbeat_rtt_seconds",
 			"Round-trip time of successful worker heartbeat probes.", obs.DurationBuckets),
 	}
@@ -369,10 +372,9 @@ type scheduler struct {
 	numTasks  int
 	datasetID string
 	bundle    []byte
-	algorithm string
 	expr      string
 	sigma     int64
-	opts      Options
+	plan      plan.Plan
 	res       *Result
 
 	log         *obs.Logger
@@ -430,10 +432,7 @@ func (s *scheduler) heartbeatMisses() int {
 // run launches attempts until one succeeds, the retry budget is exhausted,
 // or the context ends.
 func (s *scheduler) run() (*Result, error) {
-	maxRetries := s.opts.MaxRetries
-	if maxRetries < 0 {
-		maxRetries = 0
-	}
+	maxRetries := s.plan.RetryBudget()
 	// Every attempt posts exactly one outcome; the channel is sized for the
 	// worst case (initial + retries + one speculative) so posts never block
 	// even after the scheduler has returned.
@@ -463,10 +462,10 @@ func (s *scheduler) run() (*Result, error) {
 	)
 	armSpec := func() {
 		specC = nil
-		if s.opts.SpeculativeAfterMS <= 0 || specUsed {
+		if s.plan.SpeculativeAfterMS <= 0 || specUsed {
 			return
 		}
-		d := time.Duration(s.opts.SpeculativeAfterMS) * time.Millisecond
+		d := time.Duration(s.plan.SpeculativeAfterMS) * time.Millisecond
 		if specTimer == nil {
 			specTimer = time.NewTimer(d)
 		} else {
@@ -627,7 +626,6 @@ func (s *scheduler) launch() error {
 			spec := JobSpec{
 				JobID:         s.jobID,
 				Epoch:         epoch,
-				Algorithm:     s.algorithm,
 				Peer:          gi,
 				DataPeers:     dataPeers,
 				Expression:    s.expr,
@@ -635,7 +633,7 @@ func (s *scheduler) launch() error {
 				DatasetID:     s.datasetID,
 				NumPartitions: s.numTasks,
 				Partitions:    parts[gi],
-				Options:       s.opts,
+				Plan:          s.plan,
 			}
 			wg.Add(1)
 			go func(gi int, spec JobSpec) {

@@ -13,6 +13,7 @@ import (
 	"seqmine/internal/cluster"
 	"seqmine/internal/obs"
 	"seqmine/internal/paperex"
+	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
 
@@ -69,7 +70,7 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	rec := obs.NewRecorder("coordinator", 0)
 	ctx := obs.WithRecorder(context.Background(), rec)
 	coord := &cluster.Coordinator{Workers: urls, Obs: obs.NewRegistry()}
-	res, err := coord.Mine(ctx, db, paperex.PatternExpression, paperex.Sigma, cluster.AlgoDSeq, cluster.DefaultOptions())
+	res, err := coord.Mine(ctx, db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}

@@ -15,6 +15,7 @@ import (
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
 
@@ -40,9 +41,8 @@ type Worker struct {
 	// serving to change its capacity.
 	Store *Store
 
-	// SpillDir is the default directory for shuffle spill segments of jobs
-	// that enable spilling without naming a directory; empty uses the
-	// system temp directory.
+	// SpillDir is the directory for shuffle spill segments of jobs that
+	// enable spilling; empty uses the system temp directory.
 	SpillDir string
 
 	// Rec records the worker's trace spans (job runs, engine stages,
@@ -77,7 +77,7 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	}
 	ctx, span := obs.StartSpan(ctx, "worker.run",
 		obs.String("job", spec.JobID), obs.Int("epoch", int64(spec.Epoch)),
-		obs.Int("peer", int64(spec.Peer)), obs.String("algorithm", spec.Algorithm))
+		obs.Int("peer", int64(spec.Peer)), obs.String("algorithm", string(spec.Plan.Algorithm)))
 	defer func() {
 		if err != nil {
 			span.SetAttr("error", err.Error())
@@ -109,44 +109,22 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	stopCancel := context.AfterFunc(ctx, func() { bx.Close() })
 	defer stopCancel()
 
-	spillDir := spec.Options.SpillTmpDir
-	if spillDir == "" {
-		spillDir = w.SpillDir
-	}
-	cfg := mapreduce.Config{
-		MapWorkers:    spec.Options.MapWorkers,
-		ReduceWorkers: spec.Options.ReduceWorkers,
-		Context:       ctx,
-		Obs:           w.Obs,
-		Shuffle: mapreduce.ShuffleConfig{
-			SpillThreshold:     spec.Options.SpillThresholdBytes,
-			TmpDir:             spillDir,
-			SendBufferBytes:    spec.Options.SendBufferBytes,
-			SendBufferMaxBytes: spec.Options.SendBufferMaxBytes,
-			Compression:        spec.Options.CompressSpill,
-		},
-	}
+	cfg := w.engineConfig(ctx, spec.Plan)
 	var (
 		patterns []miner.Pattern
 		metrics  mapreduce.Metrics
 	)
-	switch spec.Algorithm {
-	case AlgoDSeq:
-		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, dseq.Options{
-			UseGrid:       spec.Options.UseGrid,
-			Rewrite:       spec.Options.Rewrite,
-			EarlyStopping: spec.Options.EarlyStopping,
-			Aggregate:     spec.Options.AggregateSequences,
-			Prefilter:     spec.Options.Prefilter,
-		}, cfg, bx)
-	case AlgoDCand:
-		patterns, metrics, err = dcand.MinePeer(f, split, spec.Sigma, dcand.Options{
-			Minimize:  spec.Options.MinimizeNFAs,
-			Aggregate: spec.Options.AggregateNFAs,
-			Prefilter: spec.Options.Prefilter,
-		}, cfg, bx)
+	switch spec.Plan.Algorithm {
+	case plan.AlgoDSeq:
+		o := dseq.DefaultOptions()
+		o.Prefilter = spec.Plan.Prefilter
+		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, o, cfg, bx)
+	case plan.AlgoDCand:
+		o := dcand.DefaultOptions()
+		o.Prefilter = spec.Plan.Prefilter
+		patterns, metrics, err = dcand.MinePeer(f, split, spec.Sigma, o, cfg, bx)
 	default:
-		err = permanentError{fmt.Errorf("cluster: algorithm %q cannot run distributed (want %s or %s)", spec.Algorithm, AlgoDSeq, AlgoDCand)}
+		err = permanentError{fmt.Errorf("cluster: algorithm %q cannot run distributed (want %s or %s)", spec.Plan.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)}
 	}
 	if err != nil {
 		return nil, err
@@ -161,7 +139,7 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 			stats[sp.Peer].OverflowSegments = sp.OverflowSegments
 		}
 	}
-	w.observeStages(spec.Algorithm, metrics)
+	w.observeStages(string(spec.Plan.Algorithm), metrics)
 	result = &JobResult{
 		Epoch:       spec.Epoch,
 		Patterns:    patterns,
@@ -179,6 +157,26 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 		result.Spans = w.Rec.TraceSpans(trace)
 	}
 	return result, nil
+}
+
+// engineConfig is the worker's engine configuration for a job: the plan's
+// shuffle bounds verbatim, spilling into this worker's own directory. The
+// engine's parallelism is left at its default (all of this worker's CPUs).
+func (w *Worker) engineConfig(ctx context.Context, p plan.Plan) mapreduce.Config {
+	cfg := mapreduce.Config{Context: ctx, Obs: w.Obs, Shuffle: p.ShuffleConfig}
+	cfg.Shuffle.SpillTmpDir = w.SpillDir
+	return cfg
+}
+
+// decodeSpec reads a POSTed job spec strictly: a field this worker does not
+// know (a coordinator of another version shipping a retired or future knob)
+// is an error naming the field, not an option silently dropped.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
 }
 
 // observeStages feeds one finished run's engine metrics into the worker's
@@ -318,8 +316,8 @@ func (w *Worker) Handler() http.Handler {
 		}{ID: id})
 	})
 	mux.HandleFunc("POST /run", func(rw http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		if err := json.NewDecoder(http.MaxBytesReader(rw, r.Body, maxSpecBodyBytes)).Decode(&spec); err != nil {
+		spec, err := decodeSpec(http.MaxBytesReader(rw, r.Body, maxSpecBodyBytes))
+		if err != nil {
 			writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
 			return
 		}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"seqmine/internal/cluster"
+	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
 
@@ -73,7 +74,7 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 	w, srv, id := startWorkerWithStore(t)
 	addr := w.Node().Addr()
 	valid := cluster.JobSpec{
-		JobID: "job-w", Algorithm: cluster.AlgoDSeq, Peer: 0, DataPeers: []string{addr},
+		JobID: "job-w", Plan: plan.Plan{Algorithm: plan.AlgoDSeq}, Peer: 0, DataPeers: []string{addr},
 		Expression: "(.)", Sigma: 1, DatasetID: id, NumPartitions: 1, Partitions: []int{0},
 	}
 
@@ -90,7 +91,7 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 		{"zero partition count", func(s *cluster.JobSpec) { s.NumPartitions = 0 }, http.StatusBadRequest},
 		{"partition out of range", func(s *cluster.JobSpec) { s.Partitions = []int{3} }, http.StatusBadRequest},
 		{"bad expression", func(s *cluster.JobSpec) { s.Expression = "((" }, http.StatusBadRequest},
-		{"bad algorithm", func(s *cluster.JobSpec) { s.Algorithm = "naive" }, http.StatusBadRequest},
+		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoNaive }, http.StatusBadRequest},
 		{"unknown dataset", func(s *cluster.JobSpec) { s.DatasetID = "sha256-feed" }, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -111,6 +112,30 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 	status, msg := postRun(t, srv, valid)
 	if status != http.StatusOK {
 		t.Fatalf("valid spec: status %d (%s)", status, msg)
+	}
+}
+
+// TestWorkerRejectsUnknownSpecFields: a spec carrying a field this worker
+// does not know — a coordinator/worker version skew, e.g. a retired ablation
+// toggle or the coordinator-side spill directory — is a permanent 400 naming
+// the field, never a silently ignored option.
+func TestWorkerRejectsUnknownSpecFields(t *testing.T) {
+	_, srv, id := startWorkerWithStore(t)
+	for _, field := range []string{"use_grid", "spill_tmp_dir"} {
+		body := `{"job_id":"job-u","peer":0,"data_peers":["x"],"expression":"(.)","sigma":1,"dataset_id":"` + id +
+			`","num_partitions":1,"partitions":[0],"plan":{"algorithm":"dseq","` + field + `":true}}`
+		resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var je struct {
+			Error string `json:"error"`
+		}
+		_ = json.NewDecoder(resp.Body).Decode(&je)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(je.Error, field) {
+			t.Errorf("%s: status %d, error %q; want 400 naming the field", field, resp.StatusCode, je.Error)
+		}
 	}
 }
 
@@ -181,7 +206,7 @@ func TestWorkerDatasetEndpoints(t *testing.T) {
 func TestWorkerRunUnknownDatasetTyped(t *testing.T) {
 	w, _, _ := startWorkerWithStore(t)
 	_, err := w.Run(context.Background(), cluster.JobSpec{
-		JobID: "job-x", Algorithm: cluster.AlgoDSeq, Peer: 0, DataPeers: []string{w.Node().Addr()},
+		JobID: "job-x", Plan: plan.Plan{Algorithm: plan.AlgoDSeq}, Peer: 0, DataPeers: []string{w.Node().Addr()},
 		Expression: "(.)", Sigma: 1, DatasetID: "sha256-missing", NumPartitions: 1, Partitions: []int{0},
 	})
 	if !errors.Is(err, cluster.ErrUnknownDataset) {

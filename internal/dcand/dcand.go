@@ -35,15 +35,6 @@ type Options struct {
 	// enumeration for sequences without any accepting run. Such sequences
 	// produce no NFAs, so the mined output is byte-identical either way.
 	Prefilter bool
-	// Spill bounds the shuffle's memory: past Spill.SpillThreshold buffered
-	// bytes a peer spills sorted runs to temp-file segments (the same NFA
-	// wire encoding the TCP shuffle uses) that the reduce phase
-	// merge-streams, and with Spill.SendBufferBytes > 0 map workers stream
-	// through bounded per-peer send buffers instead of a phase barrier
-	// (optionally compressing segments with Spill.Compression). The zero
-	// value keeps the shuffle in memory behind the barrier. When set it
-	// overrides the engine config's Shuffle field.
-	Spill mapreduce.ShuffleConfig
 }
 
 // DefaultOptions enables minimization and aggregation.
@@ -140,16 +131,16 @@ func recordSize(k dict.ItemID, v value) int {
 
 // Mine runs D-CAND on the database and returns all frequent sequences
 // together with the engine metrics. It panics on failure; a run can only
-// fail when the shuffle is bounded (Options.Spill / cfg.Shuffle), so callers
+// fail when the shuffle is bounded (cfg.Shuffle), so callers
 // that bound it should prefer MineLocal.
 func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-	return dminer.Mine("dcand", db, cfg, opts.Spill, buildJob(f, sigma, opts))
+	return dminer.Mine("dcand", db, cfg, buildJob(f, sigma, opts))
 }
 
 // MineLocal is Mine with error reporting: bounded-shuffle failures (the only
 // way an in-process run can fail) are returned instead of panicking.
 func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MineLocal(db, cfg, opts.Spill, buildJob(f, sigma, opts))
+	return dminer.MineLocal(db, cfg, buildJob(f, sigma, opts))
 }
 
 // MinePeer runs this process's share of a distributed D-CAND job: split is
@@ -159,7 +150,7 @@ func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg ma
 // equals Mine's output on the whole database. Metrics are local to this
 // peer, with ShuffleBytes measuring real transport traffic.
 func MinePeer(f *fst.FST, split [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config, bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MinePeer(split, cfg, opts.Spill, buildJob(f, sigma, opts), codec(), bx)
+	return dminer.MinePeer(split, cfg, buildJob(f, sigma, opts), codec(), bx)
 }
 
 // buildJob assembles the one-round BSP job of D-CAND.

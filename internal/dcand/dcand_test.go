@@ -166,9 +166,8 @@ func TestDCandSpillEquivalence(t *testing.T) {
 	}
 
 	const threshold = 1024
-	opts := dcand.DefaultOptions()
-	opts.Spill = mapreduce.ShuffleConfig{SpillThreshold: threshold, TmpDir: t.TempDir()}
-	got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, opts, cfg)
+	cfg.Shuffle = mapreduce.ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
+	got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatalf("MineLocal: %v", err)
 	}
@@ -206,13 +205,12 @@ func TestDCandStreamingEquivalence(t *testing.T) {
 	cases := map[string]mapreduce.ShuffleConfig{
 		"streaming":               {SendBufferBytes: 512},
 		"streaming+spill":         {SendBufferBytes: 512, SpillThreshold: 1024},
-		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, Compression: true},
+		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, CompressSpill: true},
 	}
 	for name, sc := range cases {
-		sc.TmpDir = t.TempDir()
-		opts := dcand.DefaultOptions()
-		opts.Spill = sc
-		got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, opts, cfg)
+		sc.SpillTmpDir = t.TempDir()
+		cfg.Shuffle = sc
+		got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

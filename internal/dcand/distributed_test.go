@@ -37,8 +37,8 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 		addrs[i] = node.Addr()
 	}
 
-	opts := dcand.DefaultOptions()
-	opts.Spill = mapreduce.ShuffleConfig{SpillThreshold: 1, TmpDir: t.TempDir()}
+	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+		Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -61,7 +61,7 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 					local []miner.Pattern
 					m     mapreduce.Metrics
 				)
-				local, m, err = dcand.MinePeer(f, split, paperex.Sigma, opts, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, bx)
+				local, m, err = dcand.MinePeer(f, split, paperex.Sigma, dcand.DefaultOptions(), cfg, bx)
 				mu.Lock()
 				union = append(union, local...)
 				spilled += m.SpilledBytes

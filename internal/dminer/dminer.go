@@ -1,10 +1,7 @@
 // Package dminer holds the engine-facing scaffolding shared by the
 // distributed miners (internal/dseq, internal/dcand, internal/naive): the
-// Mine/MineLocal/MinePeer run wrappers, the per-call shuffle-config override
-// and the fingerprint-grouping combiner. The packages used to carry
-// near-identical copies of this plumbing, so every new shuffle knob (spill
-// thresholds, streaming send buffers, segment compression) had to be
-// threaded three times; now it is threaded once here.
+// Mine/MineLocal/MinePeer run wrappers and the fingerprint-grouping combiner.
+// The shuffle bounds travel in exactly one place, mapreduce.Config.Shuffle.
 package dminer
 
 import (
@@ -14,22 +11,12 @@ import (
 	"seqmine/internal/miner"
 )
 
-// ApplyShuffle lets a per-call ShuffleConfig (the miners' Options.Spill)
-// override the engine config's shuffle bounds. The zero value leaves the
-// engine config untouched.
-func ApplyShuffle(cfg mapreduce.Config, sc mapreduce.ShuffleConfig) mapreduce.Config {
-	if sc != (mapreduce.ShuffleConfig{}) {
-		cfg.Shuffle = sc
-	}
-	return cfg
-}
-
 // Mine runs the job on the in-process engine and panics on failure. A run
 // can only fail when the shuffle is bounded (spilling or streaming), so
 // callers that bound it should prefer MineLocal. name prefixes the panic
 // message ("dseq", "dcand", ...).
-func Mine[I any, K comparable, V any](name string, inputs []I, cfg mapreduce.Config, sc mapreduce.ShuffleConfig, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics) {
-	out, metrics, err := MineLocal(inputs, cfg, sc, job)
+func Mine[I any, K comparable, V any](name string, inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics) {
+	out, metrics, err := MineLocal(inputs, cfg, job)
 	if err != nil {
 		panic(name + ": " + err.Error())
 	}
@@ -38,8 +25,8 @@ func Mine[I any, K comparable, V any](name string, inputs []I, cfg mapreduce.Con
 
 // MineLocal runs the job on the in-process engine and returns the sorted
 // patterns with error reporting.
-func MineLocal[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, sc mapreduce.ShuffleConfig, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics, error) {
-	out, metrics, err := mapreduce.RunLocal(inputs, ApplyShuffle(cfg, sc), job)
+func MineLocal[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics, error) {
+	out, metrics, err := mapreduce.RunLocal(inputs, cfg, job)
 	if err != nil {
 		return nil, metrics, err
 	}
@@ -50,9 +37,9 @@ func MineLocal[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, sc 
 // MinePeer runs this process's share of a distributed job over the wire
 // fabric bx, adapting it with the job's codec. The returned patterns are
 // those of the partitions this peer owns, sorted like MineLocal's.
-func MinePeer[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, sc mapreduce.ShuffleConfig, job mapreduce.Job[I, K, V, miner.Pattern], codec mapreduce.FrameCodec[K, V], bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
+func MinePeer[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern], codec mapreduce.FrameCodec[K, V], bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
 	ex := mapreduce.NewFrameExchange(bx, codec)
-	out, metrics, err := mapreduce.RunExchange(inputs, ApplyShuffle(cfg, sc), job, ex)
+	out, metrics, err := mapreduce.RunExchange(inputs, cfg, job, ex)
 	if err != nil {
 		return nil, metrics, err
 	}

@@ -45,20 +45,9 @@ func countJob(sigma int64) mapreduce.Job[int, int, int64, miner.Pattern] {
 
 var countInputs = []int{3, 1, 2, 3, 3, 2, 1, 3}
 
-func TestApplyShuffle(t *testing.T) {
-	base := mapreduce.Config{MapWorkers: 2, Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 7}}
-	if got := ApplyShuffle(base, mapreduce.ShuffleConfig{}); got.Shuffle.SpillThreshold != 7 {
-		t.Errorf("zero override must keep the engine config, got %+v", got.Shuffle)
-	}
-	override := mapreduce.ShuffleConfig{SendBufferBytes: 9, Compression: true}
-	if got := ApplyShuffle(base, override); got.Shuffle != override {
-		t.Errorf("override not applied: %+v", got.Shuffle)
-	}
-}
-
 func TestMineLocalSortsPatterns(t *testing.T) {
-	out, metrics, err := MineLocal(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2},
-		mapreduce.ShuffleConfig{SendBufferBytes: 4}, countJob(2))
+	out, metrics, err := MineLocal(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+		Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 4}}, countJob(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +60,7 @@ func TestMineLocalSortsPatterns(t *testing.T) {
 		t.Errorf("MineLocal = %+v, want %+v", out, want)
 	}
 	if metrics.StreamedBatches == 0 {
-		t.Error("the streaming override should have streamed batches")
+		t.Error("the streaming config should have streamed batches")
 	}
 }
 
@@ -87,11 +76,11 @@ func TestMinePanicsOnFailure(t *testing.T) {
 	}()
 	job := countJob(1)
 	job.Codec = nil
-	Mine("testminer", countInputs, mapreduce.Config{}, mapreduce.ShuffleConfig{SpillThreshold: 1}, job)
+	Mine("testminer", countInputs, mapreduce.Config{Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1}}, job)
 }
 
 func TestMineReturnsOutput(t *testing.T) {
-	out, _ := Mine("testminer", countInputs, mapreduce.Config{}, mapreduce.ShuffleConfig{}, countJob(4))
+	out, _ := Mine("testminer", countInputs, mapreduce.Config{}, countJob(4))
 	if len(out) != 1 || out[0].Freq != 4 {
 		t.Errorf("Mine = %+v, want the single frequent item", out)
 	}
@@ -111,7 +100,7 @@ func (soloFabric) WireBytesOut() int64    { return 0 }
 func TestMinePeerSinglePeer(t *testing.T) {
 	job := countJob(2)
 	out, metrics, err := MinePeer(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2},
-		mapreduce.ShuffleConfig{}, job, *job.Codec, soloFabric{})
+		job, *job.Codec, soloFabric{})
 	if err != nil {
 		t.Fatal(err)
 	}

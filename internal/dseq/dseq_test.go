@@ -143,9 +143,8 @@ func TestDSeqSpillEquivalence(t *testing.T) {
 	}
 
 	const threshold = 1024
-	opts := dseq.DefaultOptions()
-	opts.Spill = mapreduce.ShuffleConfig{SpillThreshold: threshold, TmpDir: t.TempDir()}
-	got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, opts, cfg)
+	cfg.Shuffle = mapreduce.ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
+	got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	if err != nil {
 		t.Fatalf("MineLocal: %v", err)
 	}
@@ -183,13 +182,12 @@ func TestDSeqStreamingEquivalence(t *testing.T) {
 	cases := map[string]mapreduce.ShuffleConfig{
 		"streaming":               {SendBufferBytes: 512},
 		"streaming+spill":         {SendBufferBytes: 512, SpillThreshold: 1024},
-		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, Compression: true},
+		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, CompressSpill: true},
 	}
 	for name, sc := range cases {
-		sc.TmpDir = t.TempDir()
-		opts := dseq.DefaultOptions()
-		opts.Spill = sc
-		got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, opts, cfg)
+		sc.SpillTmpDir = t.TempDir()
+		cfg.Shuffle = sc
+		got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

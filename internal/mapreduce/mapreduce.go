@@ -107,7 +107,7 @@ type Metrics struct {
 	// SpilledBytes is the number of shuffle bytes this peer wrote to on-disk
 	// spill segments — receive-side sorted runs plus map-side send-buffer
 	// overflow (0 when the whole shuffle fit in memory). With
-	// ShuffleConfig.Compression it is the compressed on-disk size.
+	// ShuffleConfig.CompressSpill it is the compressed on-disk size.
 	SpilledBytes int64
 	// SpillCount is the number of spill segments written.
 	SpillCount int64

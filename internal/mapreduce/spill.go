@@ -30,18 +30,21 @@ func spillSegmentHist(reg *obs.Registry) *obs.Histogram {
 // bounds the receive side (spilling overflow to disk); SendBufferBytes bounds
 // the map side and switches the engine to the streaming pipelined shuffle.
 // The zero value keeps the whole shuffle in memory with a phase-synchronous
-// barrier (the historical behavior).
+// barrier (the historical behavior). This is the one declaration of the
+// shuffle knobs: internal/plan embeds it by value into the query plan, so the
+// JSON tags are the field names of POST /mine and of the worker job spec.
 type ShuffleConfig struct {
 	// SpillThreshold is the number of buffered shuffle bytes a peer holds in
 	// memory before it spills a sorted run to a temp-file segment; <= 0
 	// disables spilling. Sizes are measured with the job's SizeOf function
 	// (or the codec's exact record size when SizeOf is nil), i.e. in wire
 	// bytes, not Go heap bytes.
-	SpillThreshold int64
-	// TmpDir is the directory spill segments are created under; empty uses
-	// the system temp directory. Each job creates (and removes) its own
-	// subdirectory.
-	TmpDir string
+	SpillThreshold int64 `json:"spill_threshold_bytes,omitempty"`
+	// SpillTmpDir is the directory spill segments are created under; empty
+	// uses the system temp directory. Each job creates (and removes) its own
+	// subdirectory. It names a path on this process's filesystem, so it is
+	// never serialized: a cluster worker spills into its own -spill-dir.
+	SpillTmpDir string `json:"-"`
 	// SendBufferBytes, when > 0, enables the streaming pipelined shuffle: map
 	// workers emit into bounded per-peer send buffers (partial combine runs
 	// on every flush) that dedicated sender goroutines drain over the
@@ -51,7 +54,7 @@ type ShuffleConfig struct {
 	// sender is still busy, the flushed run overflows to an on-disk segment
 	// the sender drains later, so a slow network never stalls map compute
 	// and never grows sender memory. Requires the job to carry a Codec.
-	SendBufferBytes int64
+	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
 	// SendBufferMaxBytes, when > SendBufferBytes, lets the streaming shuffle
 	// grow a destination's send buffer adaptively: a peer whose buffer keeps
 	// flushing at full occupancy while its sender keeps up (no overflow to
@@ -59,11 +62,11 @@ type ShuffleConfig struct {
 	// SendBufferBytes, so the configured value stays the floor and
 	// SendBufferMaxBytes the ceiling of per-peer sender memory. 0 (or any
 	// value <= SendBufferBytes) disables adaptation.
-	SendBufferMaxBytes int64
-	// Compression compresses spill segments (receive-side runs and map-side
+	SendBufferMaxBytes int64 `json:"send_buffer_max_bytes,omitempty"`
+	// CompressSpill compresses spill segments (receive-side runs and map-side
 	// send overflow) with DEFLATE. Metrics.SpilledBytes then reports the
 	// compressed on-disk size.
-	Compression bool
+	CompressSpill bool `json:"compress_spill,omitempty"`
 }
 
 // Enabled reports whether the configuration asks for spilling.
@@ -72,6 +75,12 @@ func (c ShuffleConfig) Enabled() bool { return c.SpillThreshold > 0 }
 // Streaming reports whether the configuration asks for the streaming
 // pipelined shuffle.
 func (c ShuffleConfig) Streaming() bool { return c.SendBufferBytes > 0 }
+
+// Adaptive reports whether streaming send buffers may grow past
+// SendBufferBytes; a bound at or below the floor means fixed buffers.
+func (c ShuffleConfig) Adaptive() bool {
+	return c.Streaming() && c.SendBufferMaxBytes > c.SendBufferBytes
+}
 
 const (
 	// maxSpillFrame bounds one segment frame on read-back (corruption
@@ -227,7 +236,7 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 	}
 	start := time.Now()
 	if a.dir == "" {
-		dir, err := os.MkdirTemp(a.cfg.TmpDir, "seqmine-spill-")
+		dir, err := os.MkdirTemp(a.cfg.SpillTmpDir, "seqmine-spill-")
 		if err != nil {
 			return fmt.Errorf("mapreduce: creating spill directory: %w", err)
 		}
@@ -236,7 +245,7 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 	memKeys := a.sortedRun()
 	rawKeys := a.sortedRawKeys()
 
-	sink, err := newSegmentSink(a.dir, len(a.segs), a.cfg.Compression)
+	sink, err := newSegmentSink(a.dir, len(a.segs), a.cfg.CompressSpill)
 	if err != nil {
 		return err
 	}
@@ -448,7 +457,7 @@ func (a *shuffleAccumulator[K, V]) merge(fn func(K, []V) error) error {
 	h := &mergeHeap[K, V]{}
 	readers := make([]*segmentReader[K, V], len(a.segs))
 	for i, f := range a.segs {
-		r, err := openSegment(a.codec, f, a.cfg.Compression)
+		r, err := openSegment(a.codec, f, a.cfg.CompressSpill)
 		if err != nil {
 			return err
 		}

@@ -100,7 +100,7 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 	codec := testCodec()
 	acc := newShuffleAccumulator[string, int](context.Background(),
-		ShuffleConfig{SpillThreshold: 1 << 20, TmpDir: t.TempDir()}, nil, &codec, nil)
+		ShuffleConfig{SpillThreshold: 1 << 20, SpillTmpDir: t.TempDir()}, nil, &codec, nil)
 	defer acc.cleanup()
 	acc.combine = func(_ string, vs []int) []int {
 		s := 0
@@ -242,7 +242,7 @@ func TestStreamingAdaptiveMatchesBarrier(t *testing.T) {
 	sort.Strings(want)
 
 	cfg := Config{MapWorkers: 3, ReduceWorkers: 3,
-		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SendBufferMaxBytes: bufMax, TmpDir: t.TempDir()}}
+		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SendBufferMaxBytes: bufMax, SpillTmpDir: t.TempDir()}}
 	got, metrics := Run(inputs, cfg, job)
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {

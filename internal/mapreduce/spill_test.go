@@ -48,7 +48,7 @@ func TestRunSpillEquivalence(t *testing.T) {
 	}
 
 	const threshold = 256
-	cfg.Shuffle = ShuffleConfig{SpillThreshold: threshold, TmpDir: t.TempDir()}
+	cfg.Shuffle = ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
 	got, metrics := Run(inputs, cfg, spillWordCountJob())
 	sort.Strings(got)
 
@@ -93,7 +93,7 @@ func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 		}
 		go func(p int, split []string) {
 			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SpillThreshold: 512, TmpDir: t.TempDir()}}
+				Shuffle: ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir()}}
 			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, group[p])
 			done <- p
 		}(p, split)
@@ -129,7 +129,7 @@ func TestSpillCompression(t *testing.T) {
 
 	var plain, compressed Metrics
 	for _, compress := range []bool{false, true} {
-		cfg.Shuffle = ShuffleConfig{SpillThreshold: 512, TmpDir: t.TempDir(), Compression: compress}
+		cfg.Shuffle = ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir(), CompressSpill: compress}
 		got, metrics := Run(inputs, cfg, spillWordCountJob())
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
@@ -169,7 +169,7 @@ func TestSpillSingleHotKey(t *testing.T) {
 	}
 	job.Combine = nil // keep every record so the hot key has 4000 values
 	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-		Shuffle: ShuffleConfig{SpillThreshold: 128, TmpDir: t.TempDir()}}
+		Shuffle: ShuffleConfig{SpillThreshold: 128, SpillTmpDir: t.TempDir()}}
 	out, metrics := Run(lines, cfg, job)
 	if len(out) != 1 || out[0] != "hot=4000" {
 		t.Fatalf("got %v, want [hot=4000]", out)
@@ -305,7 +305,7 @@ func TestSpillPreservesEmptyValueKeys(t *testing.T) {
 	sort.Strings(want)
 
 	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-		Shuffle: ShuffleConfig{SpillThreshold: 256, TmpDir: t.TempDir()}}
+		Shuffle: ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
 	got, metrics := Run(inputs, cfg, job)
 	sort.Strings(got)
 	if metrics.SpillCount == 0 {

@@ -60,7 +60,7 @@ func BenchmarkShuffleSpine(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			acc := newShuffleAccumulator[string, int](nil,
-				ShuffleConfig{SpillThreshold: 1 << 30, TmpDir: dir}, nil, &codec, nil)
+				ShuffleConfig{SpillThreshold: 1 << 30, SpillTmpDir: dir}, nil, &codec, nil)
 			for _, batch := range batches[:len(batches)/2] {
 				if err := acc.add(batch); err != nil {
 					b.Fatal(err)
@@ -83,7 +83,7 @@ func BenchmarkShuffleSpine(b *testing.B) {
 
 	b.Run("merge", func(b *testing.B) {
 		acc := newShuffleAccumulator[string, int](nil,
-			ShuffleConfig{SpillThreshold: 1 << 30, TmpDir: b.TempDir()}, nil, &codec, nil)
+			ShuffleConfig{SpillThreshold: 1 << 30, SpillTmpDir: b.TempDir()}, nil, &codec, nil)
 		defer acc.cleanup()
 		third := len(batches) / 3
 		fill := func(lo, hi int) {

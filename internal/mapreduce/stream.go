@@ -217,7 +217,7 @@ func newStreamShuffle[K comparable, V any](cfg Config, job jobShape[K, V], acc *
 		segHist: spillSegmentHist(cfg.Obs),
 	}
 	s.maxShardCap = s.shardCap
-	if cfg.Shuffle.SendBufferMaxBytes > cfg.Shuffle.SendBufferBytes {
+	if cfg.Shuffle.Adaptive() {
 		s.maxShardCap = cfg.Shuffle.SendBufferMaxBytes / int64(nshards)
 	}
 	self := ex.Self()
@@ -410,7 +410,7 @@ func (st *destSendState[K, V]) spillRun(batches []KeyBatch[K, V]) error {
 	s := st.owner
 	start := time.Now()
 	s.dirOnce.Do(func() {
-		dir, err := os.MkdirTemp(s.cfg.TmpDir, "seqmine-sendspill-")
+		dir, err := os.MkdirTemp(s.cfg.SpillTmpDir, "seqmine-sendspill-")
 		if err != nil {
 			s.dirErr = fmt.Errorf("mapreduce: creating send-overflow directory: %w", err)
 			return
@@ -422,7 +422,7 @@ func (st *destSendState[K, V]) spillRun(batches []KeyBatch[K, V]) error {
 	}
 	st.spillMu.Lock()
 	defer st.spillMu.Unlock()
-	sink, err := newSegmentSink(s.dir, int(st.spillCount), s.cfg.Compression)
+	sink, err := newSegmentSink(s.dir, int(st.spillCount), s.cfg.CompressSpill)
 	if err != nil {
 		return err
 	}
@@ -491,7 +491,7 @@ func (st *destSendState[K, V]) runSender(ex Exchange[K, V]) {
 		if failed {
 			return
 		}
-		r, err := openSegment(s.codec, f, s.cfg.Compression)
+		r, err := openSegment(s.codec, f, s.cfg.CompressSpill)
 		if err != nil {
 			s.fail(err)
 			failed = true

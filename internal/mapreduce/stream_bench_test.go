@@ -27,7 +27,7 @@ func BenchmarkShuffleOverlapTCP(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sc := mode.shuffle
-			sc.TmpDir = b.TempDir()
+			sc.SpillTmpDir = b.TempDir()
 			for i := 0; i < b.N; i++ {
 				runOverlapJob(b, fmt.Sprintf("overlap-%s-%d", mode.name, i), sc)
 			}
@@ -178,7 +178,7 @@ func BenchmarkStreamEmitContention(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			cfg := mapreduce.Config{MapWorkers: workers, ReduceWorkers: 2,
-				Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32 << 10, TmpDir: b.TempDir()}}
+				Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32 << 10, SpillTmpDir: b.TempDir()}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				group := mapreduce.NewLoopbackGroup[int, []byte](2)

@@ -16,7 +16,7 @@ import (
 func streamingConfig(t *testing.T, sendBuffer int64) Config {
 	t.Helper()
 	return Config{MapWorkers: 3, ReduceWorkers: 3,
-		Shuffle: ShuffleConfig{SendBufferBytes: sendBuffer, TmpDir: t.TempDir()}}
+		Shuffle: ShuffleConfig{SendBufferBytes: sendBuffer, SpillTmpDir: t.TempDir()}}
 }
 
 // TestStreamingMatchesBarrier is the core equivalence property: for random
@@ -34,7 +34,7 @@ func TestStreamingMatchesBarrier(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		for _, buffer := range []int64{64, 512, 1 << 20} {
 			cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
-				Shuffle: ShuffleConfig{SendBufferBytes: buffer, TmpDir: t.TempDir()}}
+				Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
 			got, metrics := Run(inputs, cfg, job)
 			sort.Strings(got)
 			if !reflect.DeepEqual(got, want) {
@@ -125,7 +125,7 @@ func TestStreamingMultiPeerLoopback(t *testing.T) {
 		go func(p int, split []string) {
 			defer wg.Done()
 			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SendBufferBytes: 256, TmpDir: t.TempDir()}}
+				Shuffle: ShuffleConfig{SendBufferBytes: 256, SpillTmpDir: t.TempDir()}}
 			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, group[p])
 		}(p, split)
 	}
@@ -162,8 +162,8 @@ func TestStreamingWithSpillAndCompression(t *testing.T) {
 	var plain, compressed Metrics
 	for _, compress := range []bool{false, true} {
 		sc := base
-		sc.Compression = compress
-		sc.TmpDir = t.TempDir()
+		sc.CompressSpill = compress
+		sc.SpillTmpDir = t.TempDir()
 		cfg := Config{MapWorkers: 3, ReduceWorkers: 3, Shuffle: sc}
 		got, metrics := Run(inputs, cfg, job)
 		sort.Strings(got)
@@ -226,7 +226,7 @@ func TestStreamingBackpressureOverflowsToDisk(t *testing.T) {
 		go func(p int, split []string) {
 			defer wg.Done()
 			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SendBufferBytes: 64, TmpDir: t.TempDir()}}
+				Shuffle: ShuffleConfig{SendBufferBytes: 64, SpillTmpDir: t.TempDir()}}
 			ex := &gatedExchange[string, int]{Exchange: group[p], gate: gate}
 			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, ex)
 		}(p, split)
@@ -333,7 +333,7 @@ func TestRunExchangeCancel(t *testing.T) {
 			}
 			var sc ShuffleConfig
 			if streaming {
-				sc = ShuffleConfig{SendBufferBytes: 128, TmpDir: t.TempDir()}
+				sc = ShuffleConfig{SendBufferBytes: 128, SpillTmpDir: t.TempDir()}
 			}
 			errs := make([]error, 2)
 			var wg sync.WaitGroup
@@ -392,7 +392,7 @@ func TestStreamEmitShardedByWorker(t *testing.T) {
 	defer func() { testSendBufferProbe = nil }()
 
 	cfg := Config{MapWorkers: 8, ReduceWorkers: 2,
-		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, TmpDir: t.TempDir()}}
+		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: t.TempDir()}}
 	got, metrics := Run(inputs, cfg, job)
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {

@@ -190,7 +190,7 @@ func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 			defer bx.Close()
 			ex := mapreduce.NewFrameExchange(bx, codec)
 			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 256, TmpDir: t.TempDir()}}
+				Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
 			local, metrics, err := mapreduce.RunExchange(inputs, cfg, job, ex)
 			mu.Lock()
 			out = append(out, local...)

@@ -62,18 +62,13 @@ func codec() mapreduce.FrameCodec[string, int64] {
 	}
 }
 
-// Options configures the baselines' shuffle. Unlike D-SEQ/D-CAND the
-// baselines have no algorithmic enhancement toggles; the struct exists so
-// the shuffle knobs thread through the same way.
+// Options configures the baselines. Unlike D-SEQ/D-CAND they have no
+// algorithmic enhancement toggles. (Bounding the shuffle through cfg.Shuffle
+// matters particularly here: SendBufferBytes bounds the map-side combine,
+// whose candidate groups are otherwise proportional to the whole map output —
+// the combiner then runs per send-buffer flush instead of over one unbounded
+// map per worker.)
 type Options struct {
-	// Spill bounds the shuffle's memory exactly like dseq.Options.Spill /
-	// dcand.Options.Spill. Spill.SendBufferBytes is particularly relevant
-	// here: it bounds the baselines' map-side combine, whose candidate
-	// groups are otherwise proportional to the whole map output — the
-	// combiner then runs per send-buffer flush instead of over one unbounded
-	// map per worker. The zero value keeps the shuffle in memory behind the
-	// barrier. When set it overrides the engine config's Shuffle field.
-	Spill mapreduce.ShuffleConfig
 	// Prefilter enables the two-pass trick of the paper: map workers run a
 	// cheap backward reachability scan (fst.Flat.CanAccept) and skip the
 	// candidate enumeration for sequences without any accepting run. Such
@@ -81,21 +76,21 @@ type Options struct {
 	Prefilter bool
 }
 
-// DefaultOptions keeps the shuffle unbounded (the historical behavior).
+// DefaultOptions leaves the prefilter off.
 func DefaultOptions() Options { return Options{} }
 
 // Mine runs the baseline on the database and returns the frequent sequences
 // together with the engine metrics. It panics on failure; a run can only
-// fail when the shuffle is bounded (Options.Spill / cfg.Shuffle), so callers
+// fail when the shuffle is bounded (cfg.Shuffle), so callers
 // that bound it should prefer MineLocal.
 func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-	return dminer.Mine("naive", db, cfg, opts.Spill, buildJob(f, sigma, variant, opts))
+	return dminer.Mine("naive", db, cfg, buildJob(f, sigma, variant, opts))
 }
 
 // MineLocal is Mine with error reporting: bounded-shuffle failures (the only
 // way an in-process run can fail) are returned instead of panicking.
 func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MineLocal(db, cfg, opts.Spill, buildJob(f, sigma, variant, opts))
+	return dminer.MineLocal(db, cfg, buildJob(f, sigma, variant, opts))
 }
 
 // buildJob assembles the word-count style BSP job of the baselines.

@@ -106,8 +106,9 @@ func TestNaiveStreamingEquivalence(t *testing.T) {
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
 		want, _ := naive.Mine(f, db, paperex.Sigma, variant, naive.DefaultOptions(), mapreduce.Config{})
-		opts := naive.Options{Spill: mapreduce.ShuffleConfig{SendBufferBytes: 32, TmpDir: t.TempDir()}}
-		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, opts, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+			Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32, SpillTmpDir: t.TempDir()}}
+		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, naive.DefaultOptions(), cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -129,7 +130,7 @@ func TestNaiveSpillEquivalence(t *testing.T) {
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
 		want, _ := naive.Mine(f, db, paperex.Sigma, variant, naive.DefaultOptions(), mapreduce.Config{})
 		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
-			Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, TmpDir: t.TempDir()}}
+			Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
 		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, naive.DefaultOptions(), cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)

@@ -1,0 +1,176 @@
+// Package plan is the one declaration of a query's execution knobs. Every
+// layer — the seqmine library, the seqmined daemon's defaults, a POST /mine
+// body, the executor, the cluster coordinator and the job spec a worker
+// receives — holds these structs by value, so a knob is declared, defaulted,
+// flag-bound and serialized exactly once, here. The JSON tags are the field
+// names of both the HTTP API and the coordinator→worker wire.
+//
+// The paper's Fig. 10 ablation toggles are deliberately not part of the plan:
+// production always mines with dseq.DefaultOptions / dcand.DefaultOptions,
+// and the toggles live only in those packages for internal/experiments and
+// the equivalence tests.
+package plan
+
+import (
+	"flag"
+	"fmt"
+	"strings"
+	"time"
+
+	"seqmine/internal/mapreduce"
+)
+
+// Algorithm names a mining backend. The string values double as the wire
+// format of the HTTP API and the job spec.
+type Algorithm string
+
+const (
+	AlgoDFS       Algorithm = "dfs"
+	AlgoCount     Algorithm = "count"
+	AlgoDSeq      Algorithm = "dseq"
+	AlgoDCand     Algorithm = "dcand"
+	AlgoNaive     Algorithm = "naive"
+	AlgoSemiNaive Algorithm = "seminaive"
+)
+
+// ParseAlgorithm validates an algorithm name; the empty string selects DSeq.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch a := Algorithm(strings.ToLower(s)); a {
+	case "":
+		return AlgoDSeq, nil
+	case AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
+		return a, nil
+	default:
+		return "", fmt.Errorf("unknown algorithm %q", s)
+	}
+}
+
+// DefaultTaskRetries is the cluster scheduler's built-in retry budget, used
+// when neither the query nor the daemon sets TaskRetries.
+const DefaultTaskRetries = 2
+
+// Knobs are the inheritable execution knobs: everything a daemon can default
+// (its flags) and a query can override (its POST /mine fields). For the
+// numeric knobs 0 means "unset" and a negative value means "off, even if a
+// default says otherwise"; see Merge.
+type Knobs struct {
+	// Prefilter enables the paper's two-pass trick on every backend: a cheap
+	// backward reachability scan over the flattened FST rejects input
+	// sequences without any accepting run before the expensive per-sequence
+	// work (full simulation, pivot analysis or candidate enumeration). Mined
+	// output is byte-identical with and without it.
+	Prefilter bool `json:"prefilter,omitempty"`
+
+	// ShuffleConfig bounds the distributed backends' shuffle: when it spills
+	// to disk and whether it streams through bounded send buffers. The
+	// sequential backends (dfs, count) do not shuffle and ignore it.
+	mapreduce.ShuffleConfig
+
+	// TaskRetries is the cluster scheduler's retry budget: how many failed
+	// attempts it relaunches on the surviving workers before the job fails.
+	// 0 falls through to DefaultTaskRetries, negative disables retries.
+	// In-process runs never retry and ignore it.
+	TaskRetries int `json:"task_retries,omitempty"`
+	// SpeculativeAfterMS launches one speculative duplicate attempt when a
+	// cluster job's running attempt exceeds this many milliseconds (straggler
+	// mitigation; the first attempt to finish wins). <= 0 disables
+	// speculation.
+	SpeculativeAfterMS int64 `json:"speculative_after_ms,omitempty"`
+}
+
+// Plan is one query's complete execution plan: what to run plus the knobs.
+type Plan struct {
+	// Algorithm selects the backend miner; empty means D-SEQ.
+	Algorithm Algorithm `json:"algorithm,omitempty"`
+	// Workers bounds the worker pool mining the query in this process; 0 uses
+	// all CPUs. It is never serialized: cluster workers size their own
+	// engines.
+	Workers int `json:"-"`
+	// Shards is the number of database partitions for the sequential backends
+	// (dfs, count); 0 means one shard per worker. The distributed backends
+	// partition internally (by pivot item) and ignore it.
+	Shards int `json:"shards,omitempty"`
+	// TaskPartitions is the number of per-partition tasks a cluster job is
+	// decomposed into; 0 uses one task per live worker. More tasks than
+	// workers gives the scheduler finer rebalancing units on retry.
+	TaskPartitions int `json:"task_partitions,omitempty"`
+
+	Knobs
+}
+
+// Merge returns k with every unset knob taken from the defaults d. It is the
+// one precedence rule of the system (query > daemon default > built-in): 0,
+// "" and false inherit d's value, anything else wins. A negative value is
+// therefore never overwritten, and every consumer reads <= 0 as "off", so
+// negative forces spilling, streaming, retries or speculation off regardless
+// of d. Merge is idempotent and chains.
+func (k Knobs) Merge(d Knobs) Knobs {
+	k.Prefilter = k.Prefilter || d.Prefilter
+	k.CompressSpill = k.CompressSpill || d.CompressSpill
+	inherit(&k.SpillThreshold, d.SpillThreshold)
+	inherit(&k.SpillTmpDir, d.SpillTmpDir)
+	inherit(&k.SendBufferBytes, d.SendBufferBytes)
+	inherit(&k.SendBufferMaxBytes, d.SendBufferMaxBytes)
+	inherit(&k.TaskRetries, d.TaskRetries)
+	inherit(&k.SpeculativeAfterMS, d.SpeculativeAfterMS)
+	return k
+}
+
+func inherit[T comparable](v *T, def T) {
+	var unset T
+	if *v == unset {
+		*v = def
+	}
+}
+
+// RetryBudget is the number of relaunches the scheduler may spend on the job:
+// TaskRetries when positive, none when negative, DefaultTaskRetries when
+// nobody set it.
+func (k Knobs) RetryBudget() int {
+	switch {
+	case k.TaskRetries > 0:
+		return k.TaskRetries
+	case k.TaskRetries < 0:
+		return 0
+	default:
+		return DefaultTaskRetries
+	}
+}
+
+// BindFlags declares the knobs' command-line flags on fs, storing into k.
+// seqmine, seqmined and seqmine-worker all call it, so a flag has one name,
+// one default and one help text everywhere; each usage string names the
+// POST /mine field that overrides the flag per query.
+func (k *Knobs) BindFlags(fs *flag.FlagSet) {
+	fs.BoolVar(&k.Prefilter, "prefilter", false, `skip sequences with no accepting run via a cheap two-pass reachability scan before mining; output is identical either way (per query: "prefilter")`)
+	fs.Int64Var(&k.SpillThreshold, "spill-threshold", 0, `shuffle bytes a peer holds in memory before spilling sorted runs to disk (distributed algorithms; 0 = never spill; per query: "spill_threshold_bytes", negative = in memory)`)
+	fs.StringVar(&k.SpillTmpDir, "spill-dir", "", "directory for shuffle spill segments of this process (default: system temp dir)")
+	fs.Int64Var(&k.SendBufferBytes, "send-buffer", 0, `per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode; per query: "send_buffer_bytes", negative = barrier)`)
+	fs.Int64Var(&k.SendBufferMaxBytes, "send-buffer-max", 0, `adaptive send-buffer bound in bytes: destinations that keep filling their share grow their buffer up to this bound (0 or <= -send-buffer = fixed buffers; per query: "send_buffer_max_bytes")`)
+	fs.BoolVar(&k.CompressSpill, "compress-spill", false, `DEFLATE-compress shuffle spill segments (per query: "compress_spill")`)
+	fs.IntVar(&k.TaskRetries, "task-retries", 0, `cluster runs: failed attempts relaunched on surviving workers (0 = built-in 2, negative = no retries; per query: "task_retries")`)
+	fs.Var(millisFlag{&k.SpeculativeAfterMS}, "speculative-after", "cluster runs: launch a speculative duplicate attempt when the running attempt exceeds this `duration` (0 = no speculation; per query: \"speculative_after_ms\")")
+}
+
+// millisFlag parses a duration flag ("250ms", "2s") into the plan's integer
+// milliseconds.
+type millisFlag struct{ ms *int64 }
+
+func (f millisFlag) String() string {
+	if f.ms == nil {
+		return "0s"
+	}
+	return (time.Duration(*f.ms) * time.Millisecond).String()
+}
+
+func (f millisFlag) Set(s string) error {
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*f.ms = d.Milliseconds()
+	if d > 0 && *f.ms == 0 {
+		*f.ms = 1 // sub-millisecond but positive: still "on"
+	}
+	return nil
+}

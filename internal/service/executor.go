@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strings"
 	"sync"
-	"time"
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/dcand"
@@ -17,121 +15,36 @@ import (
 	"seqmine/internal/miner"
 	"seqmine/internal/naive"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 )
 
-// Algorithm names a mining backend. The string values double as the wire
-// format of the HTTP API.
-type Algorithm string
+// Algorithm names a mining backend; see plan.Algorithm. The string values
+// double as the wire format of the HTTP API.
+type Algorithm = plan.Algorithm
 
 const (
-	AlgoDFS       Algorithm = "dfs"
-	AlgoCount     Algorithm = "count"
-	AlgoDSeq      Algorithm = "dseq"
-	AlgoDCand     Algorithm = "dcand"
-	AlgoNaive     Algorithm = "naive"
-	AlgoSemiNaive Algorithm = "seminaive"
+	AlgoDFS       = plan.AlgoDFS
+	AlgoCount     = plan.AlgoCount
+	AlgoDSeq      = plan.AlgoDSeq
+	AlgoDCand     = plan.AlgoDCand
+	AlgoNaive     = plan.AlgoNaive
+	AlgoSemiNaive = plan.AlgoSemiNaive
 )
 
-// ParseAlgorithm validates an algorithm name; the empty string selects DSeq.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	switch a := Algorithm(strings.ToLower(s)); a {
-	case "":
-		return AlgoDSeq, nil
-	case AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
-		return a, nil
-	default:
-		return "", fmt.Errorf("unknown algorithm %q", s)
-	}
-}
-
-// ExecOptions configures one query's execution. The zero value mines with
-// D-SEQ and none of the paper's enhancements enabled, mirroring the root
-// package's Options; start from DefaultExecOptions for the recommended
-// configuration.
+// ExecOptions configures one query's execution: the query plan by value (see
+// plan.Plan for every knob and its zero-value meaning) plus the two things
+// that cannot travel in a plan. Through Service.Mine, unset knobs inherit the
+// daemon defaults (Config.Knobs); Execute takes the plan as given. The zero
+// value mines with D-SEQ, in memory, behind the phase barrier.
 type ExecOptions struct {
-	// Algorithm selects the backend miner; empty means D-SEQ.
-	Algorithm Algorithm
-	// Workers bounds the worker pool mining the query; 0 uses all CPUs.
-	Workers int
-	// Shards is the number of database partitions for the sequential
-	// backends (dfs, count); 0 means one shard per worker. The distributed
-	// backends partition internally (by pivot item) and ignore it.
-	Shards int
-
-	// D-SEQ toggles (defaults on when zero-valued via DefaultExecOptions).
-	UseGrid            bool
-	Rewrite            bool
-	EarlyStopping      bool
-	AggregateSequences bool
-	// D-CAND toggles.
-	MinimizeNFAs  bool
-	AggregateNFAs bool
-
-	// Prefilter enables the paper's two-pass trick on every backend: a cheap
-	// backward reachability scan rejects input sequences without any
-	// accepting run before the expensive per-sequence work (full simulation,
-	// pivot analysis, or candidate enumeration). Mining output is
-	// byte-identical with and without it. Off by default.
-	Prefilter bool
-
-	// SpillThreshold bounds the in-memory shuffle footprint of the
-	// distributed backends, in bytes per peer: past it, shuffle partitions
-	// spill to sorted temp-file segments that the reduce phase
-	// merge-streams, so shuffles larger than memory still complete.
-	// 0 inherits the service default (Config.SpillThreshold) when run
-	// through Service.Mine; <= 0 at Execute time keeps the shuffle in
-	// memory. The sequential backends (dfs, count) do not shuffle and
-	// ignore it.
-	SpillThreshold int64
-	// SpillTmpDir is where spill segments are created for in-process runs;
-	// empty uses the system temp directory. It is a daemon-local path and is
-	// never shipped to cluster workers — they spill into their own
-	// -spill-dir.
-	SpillTmpDir string
-	// SendBufferBytes, when > 0, switches the distributed backends to the
-	// streaming pipelined shuffle: map workers emit into bounded per-peer
-	// send buffers drained while mapping continues, overlapping map compute
-	// with transfer and bounding map-side memory. 0 inherits the service
-	// default (Config.SendBufferBytes) when run through Service.Mine; <= 0
-	// at Execute time keeps the phase-synchronous barrier.
-	SendBufferBytes int64
-	// SendBufferMaxBytes, when > SendBufferBytes, lets the streaming
-	// shuffle grow a destination's send buffer adaptively up to this
-	// bound. 0 inherits the service default (Config.SendBufferMaxBytes)
-	// when run through Service.Mine; <= SendBufferBytes at Execute time
-	// keeps the buffers fixed.
-	SendBufferMaxBytes int64
-	// CompressSpill compresses spill segments (receive-side runs and
-	// map-side send overflow) with DEFLATE; SpilledBytes then reports the
-	// compressed on-disk size.
-	CompressSpill bool
-	// CompressSpillSet marks CompressSpill as an explicit per-query choice:
-	// when set, Service.Mine honors CompressSpill verbatim (including false
-	// overriding a daemon-wide -compress-spill default) instead of merging
-	// it with the service default. The HTTP API sets it whenever the request
-	// body carries a "compress_spill" field (tri-state *bool).
-	CompressSpillSet bool
-
-	// TaskRetries is the cluster scheduler's retry budget: how many failed
-	// attempts it relaunches on the surviving workers before the job fails.
-	// 0 inherits the service default (Config.TaskRetries) when run through
-	// Service.Mine, falling back to the scheduler's built-in budget of 2;
-	// negative disables retries. In-process backends never retry and ignore
-	// it.
-	TaskRetries int
-	// SpeculativeAfter launches one speculative duplicate attempt when a
-	// cluster job's running attempt exceeds this duration (straggler
-	// mitigation; first attempt to finish wins). 0 inherits the service
-	// default (Config.SpeculativeAfter); negative disables speculation.
-	SpeculativeAfter time.Duration
-	// TaskPartitions is the number of per-partition tasks a cluster job is
-	// decomposed into; 0 uses one task per live worker.
-	TaskPartitions int
+	plan.Plan
 
 	// Cluster, when non-nil, runs the distributed backends (dseq, dcand)
 	// across remote worker processes over the TCP shuffle transport instead
-	// of the in-process BSP engine.
+	// of the in-process BSP engine. The plan is shipped to the workers as is,
+	// minus the two process-local fields (Workers, SpillTmpDir): workers size
+	// their own engines and spill into their own -spill-dir.
 	Cluster *ClusterOptions
 
 	// Obs receives the execution's registry metrics: the in-process engine's
@@ -153,18 +66,9 @@ type ClusterOptions struct {
 	Expression string
 }
 
-// DefaultExecOptions mirrors seqmine.DefaultOptions: D-SEQ with every
-// enhancement enabled.
+// DefaultExecOptions mirrors seqmine.DefaultOptions: D-SEQ, every knob unset.
 func DefaultExecOptions() ExecOptions {
-	return ExecOptions{
-		Algorithm:          AlgoDSeq,
-		UseGrid:            true,
-		Rewrite:            true,
-		EarlyStopping:      true,
-		AggregateSequences: true,
-		MinimizeNFAs:       true,
-		AggregateNFAs:      true,
-	}
+	return ExecOptions{Plan: plan.Plan{Algorithm: AlgoDSeq}}
 }
 
 // ExecStats describes how a query was executed.
@@ -294,7 +198,7 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	cfg := mapreduce.Config{
 		MapWorkers:    workers,
 		ReduceWorkers: workers,
-		Shuffle:       opts.shuffleConfig(),
+		Shuffle:       opts.ShuffleConfig,
 		Context:       ctx,
 		Obs:           opts.Obs,
 	}
@@ -305,23 +209,17 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	)
 	switch opts.Algorithm {
 	case "", AlgoDSeq:
-		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, dseq.Options{
-			UseGrid:       opts.UseGrid,
-			Rewrite:       opts.Rewrite,
-			EarlyStopping: opts.EarlyStopping,
-			Aggregate:     opts.AggregateSequences,
-			Prefilter:     opts.Prefilter,
-		}, cfg)
+		o := dseq.DefaultOptions()
+		o.Prefilter = opts.Prefilter
+		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, o, cfg)
 	case AlgoDCand:
-		patterns, metrics, err = dcand.MineLocal(f, db.Sequences, sigma, dcand.Options{
-			Minimize:  opts.MinimizeNFAs,
-			Aggregate: opts.AggregateNFAs,
-			Prefilter: opts.Prefilter,
-		}, cfg)
+		o := dcand.DefaultOptions()
+		o.Prefilter = opts.Prefilter
+		patterns, metrics, err = dcand.MineLocal(f, db.Sequences, sigma, o, cfg)
 	case AlgoNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.Naive, naive.Options{Spill: cfg.Shuffle, Prefilter: opts.Prefilter}, cfg)
+		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.Naive, naive.Options{Prefilter: opts.Prefilter}, cfg)
 	case AlgoSemiNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.SemiNaive, naive.Options{Spill: cfg.Shuffle, Prefilter: opts.Prefilter}, cfg)
+		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.SemiNaive, naive.Options{Prefilter: opts.Prefilter}, cfg)
 	}
 	if err != nil {
 		return nil, metrics, ExecStats{}, err
@@ -329,74 +227,24 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	return patterns, metrics, ExecStats{Shards: 1}, nil
 }
 
-// shuffleConfig maps the spill/streaming options to the engine's shuffle
-// bounds.
-func (o ExecOptions) shuffleConfig() mapreduce.ShuffleConfig {
-	var sc mapreduce.ShuffleConfig
-	if o.SpillThreshold > 0 {
-		sc.SpillThreshold = o.SpillThreshold
-	}
-	if o.SendBufferBytes > 0 {
-		sc.SendBufferBytes = o.SendBufferBytes
-		if o.SendBufferMaxBytes > o.SendBufferBytes {
-			sc.SendBufferMaxBytes = o.SendBufferMaxBytes
-		}
-	}
-	if sc == (mapreduce.ShuffleConfig{}) {
-		return sc
-	}
-	sc.TmpDir = o.SpillTmpDir
-	sc.Compression = o.CompressSpill
-	return sc
-}
-
 // mineCluster fans a distributed backend out across worker processes: the
 // coordinator splits the database over the configured workers, which shuffle
 // among themselves over the TCP transport and return their pivot partitions'
 // patterns. The merged metrics report real socket traffic as ShuffleBytes.
 func mineCluster(ctx context.Context, db *seqdb.Database, sigma int64, opts ExecOptions) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
-	var algo string
-	switch opts.Algorithm {
-	case "", AlgoDSeq:
-		algo = cluster.AlgoDSeq
-	case AlgoDCand:
-		algo = cluster.AlgoDCand
+	p := opts.Plan
+	switch p.Algorithm {
+	case "":
+		p.Algorithm = AlgoDSeq
+	case AlgoDSeq, AlgoDCand:
 	default:
-		return nil, mapreduce.Metrics{}, ExecStats{}, fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", opts.Algorithm, AlgoDSeq, AlgoDCand)
+		return nil, mapreduce.Metrics{}, ExecStats{}, fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", p.Algorithm, AlgoDSeq, AlgoDCand)
 	}
 	if opts.Cluster.Expression == "" {
 		return nil, mapreduce.Metrics{}, ExecStats{}, fmt.Errorf("cluster execution requires the pattern expression")
 	}
-	copts := cluster.Options{
-		UseGrid:            opts.UseGrid,
-		Rewrite:            opts.Rewrite,
-		EarlyStopping:      opts.EarlyStopping,
-		AggregateSequences: opts.AggregateSequences,
-		MinimizeNFAs:       opts.MinimizeNFAs,
-		AggregateNFAs:      opts.AggregateNFAs,
-		Prefilter:          opts.Prefilter,
-		TaskPartitions:     opts.TaskPartitions,
-	}
-	if opts.SpillThreshold > 0 {
-		copts.SpillThresholdBytes = opts.SpillThreshold
-		// SpillTmpDir is deliberately NOT forwarded: it names a path on the
-		// daemon's filesystem (often the -spill-dir service default), which
-		// is meaningless on remote workers. Left empty in the JobSpec, each
-		// worker spills into its own -spill-dir (or system temp dir).
-	}
-	if opts.SendBufferBytes > 0 {
-		copts.SendBufferBytes = opts.SendBufferBytes
-		if opts.SendBufferMaxBytes > opts.SendBufferBytes {
-			copts.SendBufferMaxBytes = opts.SendBufferMaxBytes
-		}
-	}
-	copts.CompressSpill = opts.CompressSpill
-	// Retry/speculation knobs: 0 means "unset" all the way down (Service.Mine
-	// resolves it to the daemon default first, which may itself be 0), so the
-	// scheduler's built-in budget applies; negative is the explicit "off".
-	copts.ApplyRetryKnobs(opts.TaskRetries, opts.SpeculativeAfter)
 	coord := &cluster.Coordinator{Workers: opts.Cluster.Workers, Obs: opts.Obs}
-	res, err := coord.Mine(ctx, db, opts.Cluster.Expression, sigma, algo, copts)
+	res, err := coord.Mine(ctx, db, opts.Cluster.Expression, sigma, p)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, ExecStats{}, err
 	}

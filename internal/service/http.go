@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 )
 
@@ -38,47 +39,28 @@ type MineRequest struct {
 	// Distributed runs the query on the daemon's default worker cluster
 	// (seqmined -cluster); an error if none is configured.
 	Distributed bool `json:"distributed,omitempty"`
-	// SpillThresholdBytes bounds the in-memory shuffle footprint per peer
-	// for the distributed algorithms: past it, shuffle partitions spill to
-	// disk and are merge-streamed into the reducers. 0 uses the daemon
-	// default (-spill-threshold); a negative value forces in-memory
-	// shuffles for this query.
-	SpillThresholdBytes int64 `json:"spill_threshold_bytes,omitempty"`
-	// SendBufferBytes switches the distributed algorithms to the streaming
-	// pipelined shuffle with the given per-peer send-buffer bound. 0 uses
-	// the daemon default (-send-buffer); a negative value forces the
-	// phase-synchronous barrier for this query.
-	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
-	// SendBufferMaxBytes, when greater than the effective send-buffer
-	// size, lets the streaming shuffle grow a destination's send buffer
-	// adaptively up to this bound. 0 uses the daemon default
-	// (-send-buffer-max); values <= the send-buffer size keep the buffers
-	// fixed.
-	SendBufferMaxBytes int64 `json:"send_buffer_max_bytes,omitempty"`
-	// CompressSpill is tri-state: absent inherits the daemon default
-	// (-compress-spill), true compresses this query's spill segments with
-	// DEFLATE, false keeps them uncompressed even when the daemon default
-	// is on (compression only changes the on-disk segment representation,
-	// never results).
-	CompressSpill *bool `json:"compress_spill,omitempty"`
-	// TaskRetries is the cluster scheduler's retry budget for this query:
-	// how many failed attempts are relaunched on the surviving workers.
-	// 0 uses the daemon default (-task-retries); a negative value disables
-	// retries for this query.
-	TaskRetries int `json:"task_retries,omitempty"`
-	// SpeculativeAfterMS launches a speculative duplicate attempt when the
-	// running attempt of a cluster query exceeds this many milliseconds.
-	// 0 uses the daemon default (-speculative-after); a negative value
-	// disables speculation for this query.
-	SpeculativeAfterMS int64 `json:"speculative_after_ms,omitempty"`
 	// TaskPartitions decomposes a cluster query into this many per-partition
 	// tasks; 0 uses one task per live worker.
 	TaskPartitions int `json:"task_partitions,omitempty"`
-	// Prefilter enables the two-pass reachability prefilter for this query:
-	// sequences with no accepting run are skipped before the expensive mining
-	// phase. Output is byte-identical either way; absent or false inherits the
-	// daemon default (-prefilter).
-	Prefilter bool `json:"prefilter,omitempty"`
+	// Knobs are the per-query overrides of the daemon defaults, under the
+	// field names plan.Knobs declares (prefilter, spill_threshold_bytes,
+	// send_buffer_bytes, send_buffer_max_bytes, compress_spill, task_retries,
+	// speculative_after_ms): 0 / absent inherits the daemon default (the
+	// flag of the same name), a negative number forces the feature off for
+	// this query, and the booleans are OR-ed with the daemon default.
+	plan.Knobs
+}
+
+// toPlan validates the request's algorithm and assembles the query plan.
+func (r MineRequest) toPlan() (plan.Plan, error) {
+	algo, err := plan.ParseAlgorithm(r.Algorithm)
+	return plan.Plan{
+		Algorithm:      algo,
+		Workers:        r.Workers,
+		Shards:         r.Shards,
+		TaskPartitions: r.TaskPartitions,
+		Knobs:          r.Knobs,
+	}, err
 }
 
 // MinePattern is one mined pattern on the wire.
@@ -170,26 +152,12 @@ func NewHandler(s *Service) http.Handler {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
 			return
 		}
-		algo, err := ParseAlgorithm(req.Algorithm)
+		p, err := req.toPlan()
 		if err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		opts := DefaultExecOptions()
-		opts.Algorithm = algo
-		opts.Workers = req.Workers
-		opts.Shards = req.Shards
-		opts.SpillThreshold = req.SpillThresholdBytes
-		opts.SendBufferBytes = req.SendBufferBytes
-		opts.SendBufferMaxBytes = req.SendBufferMaxBytes
-		if req.CompressSpill != nil {
-			opts.CompressSpill = *req.CompressSpill
-			opts.CompressSpillSet = true
-		}
-		opts.TaskRetries = req.TaskRetries
-		opts.SpeculativeAfter = time.Duration(req.SpeculativeAfterMS) * time.Millisecond
-		opts.TaskPartitions = req.TaskPartitions
-		opts.Prefilter = req.Prefilter
+		opts := ExecOptions{Plan: p}
 		switch {
 		case len(req.ClusterWorkers) > 0:
 			opts.Cluster = &ClusterOptions{Workers: req.ClusterWorkers}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,7 +13,7 @@ import (
 	"testing"
 
 	"seqmine/internal/paperex"
-	"seqmine/internal/seqdb"
+	"seqmine/internal/plan"
 	"seqmine/internal/service"
 )
 
@@ -308,13 +307,9 @@ func TestMineSpillThresholdOverHTTP(t *testing.T) {
 
 	want := paperex.ExpectedFrequent()
 	var out service.MineResponse
-	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
-		Dataset:             "ex",
-		Pattern:             paperex.PatternExpression,
-		Sigma:               paperex.Sigma,
-		Algorithm:           "dseq",
-		SpillThresholdBytes: 1, // every record spills on the tiny example
-	}, &out)
+	req := service.MineRequest{Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: "dseq"}
+	req.SpillThreshold = 1 // every record spills on the tiny example
+	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", req, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /mine: status %d", resp.StatusCode)
 	}
@@ -339,13 +334,9 @@ func TestMineStreamingOverHTTP(t *testing.T) {
 
 	want := paperex.ExpectedFrequent()
 	var out service.MineResponse
-	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
-		Dataset:         "ex",
-		Pattern:         paperex.PatternExpression,
-		Sigma:           paperex.Sigma,
-		Algorithm:       "dseq",
-		SendBufferBytes: 32, // tiny buffer: every few records flush and stream
-	}, &out)
+	req := service.MineRequest{Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: "dseq"}
+	req.SendBufferBytes = 32 // tiny buffer: every few records flush and stream
+	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", req, &out)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /mine: status %d", resp.StatusCode)
 	}
@@ -370,63 +361,6 @@ func TestMineStreamingOverHTTP(t *testing.T) {
 	}
 }
 
-// TestMineCompressSpillTriState pins the tri-state "compress_spill" body
-// field: absent inherits the daemon-wide default, true forces compression,
-// and false opts a query out of a daemon that compresses by default (the
-// ROADMAP follow-up). Opting out must yield strictly larger on-disk spill
-// volume on redundant data.
-func TestMineCompressSpillTriState(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	d, seqs := paperex.RandomDatabase(rng, 400, 9)
-	svc := service.New(service.Config{
-		CompressSpill:  true, // daemon-wide -compress-spill
-		SpillThreshold: 2048,
-		SpillTmpDir:    t.TempDir(),
-	})
-	if _, err := svc.RegisterDataset("rnd", &seqdb.Database{Dict: d, Sequences: seqs}); err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(service.NewHandler(svc))
-	t.Cleanup(srv.Close)
-
-	mine := func(t *testing.T, compress *bool) service.MineResponse {
-		t.Helper()
-		var out service.MineResponse
-		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
-			Dataset:       "rnd",
-			Pattern:       "[.*(.)]{1,3}.*",
-			Sigma:         10,
-			Algorithm:     "dseq",
-			CompressSpill: compress,
-		}, &out)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /mine: status %d", resp.StatusCode)
-		}
-		if out.Metrics.MapReduce.SpilledBytes == 0 {
-			t.Fatalf("query did not spill; the tri-state has nothing to observe: %+v", out.Metrics.MapReduce)
-		}
-		return out
-	}
-	boolPtr := func(b bool) *bool { return &b }
-
-	inherited := mine(t, nil)           // daemon default: compressed
-	optedOut := mine(t, boolPtr(false)) // explicit opt-out: raw segments
-	explicit := mine(t, boolPtr(true))  // explicit opt-in: compressed
-
-	if optedOut.Metrics.MapReduce.SpilledBytes <= inherited.Metrics.MapReduce.SpilledBytes {
-		t.Errorf("opt-out spilled %d bytes, inherited-compression spilled %d — opting out should write more",
-			optedOut.Metrics.MapReduce.SpilledBytes, inherited.Metrics.MapReduce.SpilledBytes)
-	}
-	if optedOut.Metrics.MapReduce.SpilledBytes <= explicit.Metrics.MapReduce.SpilledBytes {
-		t.Errorf("opt-out spilled %d bytes, explicit-compression spilled %d — opting out should write more",
-			optedOut.Metrics.MapReduce.SpilledBytes, explicit.Metrics.MapReduce.SpilledBytes)
-	}
-	// All three rode the same query; patterns must be identical regardless.
-	if !reflect.DeepEqual(inherited.Patterns, optedOut.Patterns) || !reflect.DeepEqual(inherited.Patterns, explicit.Patterns) {
-		t.Error("compression choice changed the mined patterns")
-	}
-}
-
 // TestMineClusterSchedulerOverHTTP drives the task-based cluster scheduler
 // through the wire API: attempt/retry counters and dataset-store accounting
 // must appear per query and in the GET /metrics totals, and a resubmission
@@ -445,8 +379,8 @@ func TestMineClusterSchedulerOverHTTP(t *testing.T) {
 			Sigma:          paperex.Sigma,
 			Algorithm:      "dseq",
 			ClusterWorkers: workers,
-			TaskRetries:    1,
 			TaskPartitions: 5,
+			Knobs:          plan.Knobs{TaskRetries: 1},
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /mine: status %d", resp.StatusCode)
@@ -501,7 +435,7 @@ func TestMinePrefilterOverHTTP(t *testing.T) {
 			Pattern:   paperex.PatternExpression,
 			Sigma:     paperex.Sigma,
 			Algorithm: algo,
-			Prefilter: true,
+			Knobs:     plan.Knobs{Prefilter: true},
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /mine (%s, prefilter): status %d", algo, resp.StatusCode)

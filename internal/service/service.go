@@ -29,6 +29,7 @@ import (
 	"seqmine/internal/fst"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 )
 
@@ -71,43 +72,10 @@ type Config struct {
 	// Queries that request distributed execution without naming workers use
 	// it (see the HTTP API's "distributed" flag).
 	ClusterWorkers []string
-	// SpillThreshold is the default shuffle spill threshold in bytes per
-	// peer applied to queries that do not set their own (see
-	// ExecOptions.SpillThreshold); 0 keeps shuffles in memory.
-	SpillThreshold int64
-	// SpillTmpDir is the default directory for shuffle spill segments;
-	// empty uses the system temp directory.
-	SpillTmpDir string
-	// SendBufferBytes is the default streaming send-buffer size in bytes
-	// per peer applied to queries that do not set their own (see
-	// ExecOptions.SendBufferBytes); 0 keeps the phase-synchronous barrier.
-	SendBufferBytes int64
-	// SendBufferMaxBytes is the default adaptive send-buffer bound applied
-	// to queries that do not set their own (see
-	// ExecOptions.SendBufferMaxBytes); 0 (or <= the effective
-	// SendBufferBytes) keeps the buffers fixed.
-	SendBufferMaxBytes int64
-	// CompressSpill compresses spill segments with DEFLATE by default.
-	// Queries opt in or out per request with the tri-state "compress_spill"
-	// body field (ExecOptions.CompressSpillSet); a query that says nothing
-	// inherits this default.
-	CompressSpill bool
-	// Prefilter enables the two-pass reachability prefilter by default for
-	// queries that do not request it themselves (ExecOptions.Prefilter).
-	// Mining output is byte-identical either way, so a simple opt-in default
-	// suffices (no tri-state needed).
-	Prefilter bool
-	// TaskRetries is the default retry budget of cluster-executed queries
-	// that do not set their own (see ExecOptions.TaskRetries): how many
-	// failed attempts the scheduler relaunches on the surviving workers.
-	// 0 falls through to the scheduler's built-in budget of 2; negative
-	// disables retries by default.
-	TaskRetries int
-	// SpeculativeAfter is the default straggler threshold of
-	// cluster-executed queries: a speculative duplicate attempt launches
-	// when the running attempt exceeds it. 0 disables speculation by
-	// default.
-	SpeculativeAfter time.Duration
+	// Knobs are the daemon defaults of the inheritable execution knobs
+	// (prefilter, shuffle bounds, retry and speculation policy): a query's
+	// unset knobs inherit them (plan.Knobs.Merge).
+	plan.Knobs
 	// Obs is the metrics registry the service's instruments live on:
 	// query/error counters, the seqmine_query_stage_seconds stage-latency
 	// histograms, and — because Mine threads it into the executor and the
@@ -298,9 +266,8 @@ type Query struct {
 	Expression string
 	// Sigma is the minimum support threshold (> 0).
 	Sigma int64
-	// Options configures the execution; the zero value mines with D-SEQ
-	// and no enhancements (see DefaultExecOptions for the recommended
-	// configuration).
+	// Options configures the execution; the zero value mines with D-SEQ and
+	// inherits every daemon default.
 	Options ExecOptions
 	// Timeout overrides the service default deadline for this query; 0
 	// keeps the default.
@@ -353,30 +320,7 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	if opts.Workers <= 0 {
 		opts.Workers = s.cfg.Workers
 	}
-	if opts.SpillThreshold == 0 {
-		opts.SpillThreshold = s.cfg.SpillThreshold
-	}
-	if opts.SpillTmpDir == "" {
-		opts.SpillTmpDir = s.cfg.SpillTmpDir
-	}
-	if opts.SendBufferBytes == 0 {
-		opts.SendBufferBytes = s.cfg.SendBufferBytes
-	}
-	if opts.SendBufferMaxBytes == 0 {
-		opts.SendBufferMaxBytes = s.cfg.SendBufferMaxBytes
-	}
-	if !opts.CompressSpillSet && !opts.CompressSpill {
-		opts.CompressSpill = s.cfg.CompressSpill
-	}
-	if !opts.Prefilter {
-		opts.Prefilter = s.cfg.Prefilter
-	}
-	if opts.TaskRetries == 0 {
-		opts.TaskRetries = s.cfg.TaskRetries
-	}
-	if opts.SpeculativeAfter == 0 {
-		opts.SpeculativeAfter = s.cfg.SpeculativeAfter
-	}
+	opts.Knobs = opts.Knobs.Merge(s.cfg.Knobs)
 	if opts.Obs == nil {
 		opts.Obs = s.cfg.Obs
 	}

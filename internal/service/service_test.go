@@ -12,6 +12,7 @@ import (
 	"seqmine/internal/fst"
 	"seqmine/internal/miner"
 	"seqmine/internal/paperex"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 	"seqmine/internal/service"
 )
@@ -158,7 +159,10 @@ func TestCacheHitMetrics(t *testing.T) {
 // dataset, every result checked against the sequential reference, and the
 // compiled-pattern cache must compile each distinct expression exactly once.
 func TestConcurrentQueries(t *testing.T) {
-	svc, db := newTestService(t, service.Config{MaxConcurrent: 4})
+	// The queue is sized for the whole burst: this test is about FST-cache
+	// singleflight and cross-algorithm agreement, not load shedding (the
+	// default queue of 4×MaxConcurrent would shed part of it).
+	svc, db := newTestService(t, service.Config{MaxConcurrent: 4, QueueDepth: 24})
 	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
 	want := miner.PatternsToMap(db.Dict, miner.MineCount(f, miner.Weighted(db.Sequences), paperex.Sigma))
 
@@ -353,14 +357,19 @@ func TestSpillThresholdThroughService(t *testing.T) {
 	}
 }
 
-// TestServiceDefaultSpillThreshold checks that Config.SpillThreshold applies
-// to queries that do not set their own, and that a negative query threshold
-// opts back out.
-func TestServiceDefaultSpillThreshold(t *testing.T) {
+// TestServiceDefaultKnobs checks the wiring of the daemon defaults: the
+// service's Config.Knobs reach the engine for queries that set nothing, and
+// a negative per-query value opts back out. (The precedence rule itself is
+// table-tested once, on plan.Knobs.Merge.)
+func TestServiceDefaultKnobs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, seqs := paperex.RandomDatabase(rng, 200, 9)
 	db := &seqdb.Database{Dict: d, Sequences: seqs}
-	svc := service.New(service.Config{SpillThreshold: 512, SpillTmpDir: t.TempDir()})
+	var defaults plan.Knobs
+	defaults.SpillThreshold = 512
+	defaults.SendBufferBytes = 128
+	defaults.SpillTmpDir = t.TempDir()
+	svc := service.New(service.Config{Knobs: defaults})
 	if _, err := svc.RegisterDataset("rnd", db); err != nil {
 		t.Fatal(err)
 	}
@@ -369,17 +378,18 @@ func TestServiceDefaultSpillThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Metrics.MapReduce.SpilledBytes == 0 {
-		t.Error("expected the service default threshold to trigger spilling")
+	if m := resp.Metrics.MapReduce; m.SpilledBytes == 0 || m.StreamedBatches == 0 {
+		t.Errorf("expected the service defaults to trigger spilling and streaming, got %+v", m)
 	}
 
-	q.Options.SpillThreshold = -1 // explicit opt-out
+	q.Options.SpillThreshold = -1 // explicit opt-outs
+	q.Options.SendBufferBytes = -1
 	resp, err = svc.Mine(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Metrics.MapReduce.SpilledBytes != 0 {
-		t.Error("a negative query threshold must disable the service default")
+	if m := resp.Metrics.MapReduce; m.SpilledBytes != 0 || m.StreamedBatches != 0 {
+		t.Errorf("negative query knobs must disable the service defaults, got %+v", m)
 	}
 }
 
@@ -436,39 +446,9 @@ func TestStreamingThroughService(t *testing.T) {
 	}
 }
 
-// TestServiceDefaultSendBuffer checks that Config.SendBufferBytes applies to
-// queries that do not set their own, and that a negative query value opts
-// back out to the barrier shuffle.
-func TestServiceDefaultSendBuffer(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d, seqs := paperex.RandomDatabase(rng, 80, 6)
-	db := &seqdb.Database{Dict: d, Sequences: seqs}
-	svc := service.New(service.Config{SendBufferBytes: 128, SpillTmpDir: t.TempDir()})
-	if _, err := svc.RegisterDataset("rnd", db); err != nil {
-		t.Fatal(err)
-	}
-	q := service.Query{Dataset: "rnd", Expression: "[.*(.)]{1,3}.*", Sigma: 5, Options: service.DefaultExecOptions()}
-	resp, err := svc.Mine(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Metrics.MapReduce.StreamedBatches == 0 {
-		t.Error("expected the service default send buffer to enable streaming")
-	}
-
-	q.Options.SendBufferBytes = -1 // explicit opt-out
-	resp, err = svc.Mine(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Metrics.MapReduce.StreamedBatches != 0 {
-		t.Error("a negative send buffer must force the barrier shuffle")
-	}
-}
-
 // TestPrefilterThroughService checks that the two-pass reachability prefilter
 // never changes service results, whether requested per query
-// (ExecOptions.Prefilter) or enabled as the daemon default (Config.Prefilter),
+// (Plan.Prefilter) or enabled as the daemon default (Config.Knobs),
 // on every algorithm the service exposes.
 func TestPrefilterThroughService(t *testing.T) {
 	algos := []service.Algorithm{
@@ -477,7 +457,7 @@ func TestPrefilterThroughService(t *testing.T) {
 	}
 
 	plain, _ := newTestService(t, service.Config{})
-	defaulted, _ := newTestService(t, service.Config{Prefilter: true})
+	defaulted, _ := newTestService(t, service.Config{Knobs: plan.Knobs{Prefilter: true}})
 	for _, algo := range algos {
 		want := mineViaService(t, plain, algo, 0, paperex.Sigma)
 

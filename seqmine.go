@@ -37,6 +37,7 @@ import (
 	"seqmine/internal/fst"
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
+	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
 	"seqmine/internal/service"
 )
@@ -102,6 +103,15 @@ func (a Algorithm) String() string {
 	}
 }
 
+// Knobs are the execution knobs shared by every layer of the system — the
+// reachability prefilter, the shuffle bounds (SpillThreshold, SpillTmpDir,
+// SendBufferBytes, SendBufferMaxBytes, CompressSpill) and the cluster
+// scheduler's TaskRetries / SpeculativeAfterMS. They are declared once, in
+// internal/plan, under the same names the CLIs' flags and the daemon's
+// POST /mine fields use; the zero value mines in memory behind the phase
+// barrier with the scheduler's built-in retry budget.
+type Knobs = plan.Knobs
+
 // Options configures Mine.
 type Options struct {
 	// Algorithm selects the miner (default D-SEQ).
@@ -109,51 +119,6 @@ type Options struct {
 	// Workers is the parallelism of the distributed algorithms (map and
 	// reduce workers); 0 uses all CPUs.
 	Workers int
-
-	// UseGrid enables the position–state grid during D-SEQ pivot search.
-	UseGrid bool
-	// Rewrite enables D-SEQ's sequence rewriting.
-	Rewrite bool
-	// EarlyStopping enables D-SEQ's local-mining early-stopping heuristic.
-	EarlyStopping bool
-	// AggregateSequences merges identical rewritten sequences per partition.
-	AggregateSequences bool
-
-	// MinimizeNFAs enables D-CAND's NFA minimization.
-	MinimizeNFAs bool
-	// AggregateNFAs enables D-CAND's combiner aggregation of identical NFAs.
-	AggregateNFAs bool
-
-	// Prefilter enables the two-pass reachability prefilter: a cheap backward
-	// scan over the flattened FST skips input sequences that cannot produce
-	// any accepting run before the expensive mining phase. Works with every
-	// algorithm; mined output is byte-identical with and without it.
-	Prefilter bool
-
-	// SpillThreshold bounds the in-memory shuffle footprint of the
-	// distributed algorithms, in bytes: past it, shuffle partitions spill
-	// to sorted temp-file segments and the reduce phase merge-streams
-	// them, so datasets whose shuffle exceeds RAM still mine. 0 keeps the
-	// shuffle in memory.
-	SpillThreshold int64
-	// SpillTmpDir is where spill segments are created; empty uses the
-	// system temp directory.
-	SpillTmpDir string
-	// SendBufferBytes, when > 0, switches the distributed algorithms to the
-	// streaming pipelined shuffle: map workers emit into bounded per-peer
-	// send buffers drained while mapping continues, so shuffle transfer
-	// overlaps map compute and map-side memory is capped. 0 keeps the
-	// phase-synchronous barrier.
-	SendBufferBytes int64
-	// SendBufferMaxBytes, when > SendBufferBytes, lets the streaming
-	// shuffle grow a destination's send buffer adaptively: a destination
-	// that keeps filling its share while its sender keeps up doubles its
-	// buffer, up to this bound. 0 (or <= SendBufferBytes) keeps buffers
-	// fixed at SendBufferBytes.
-	SendBufferMaxBytes int64
-	// CompressSpill compresses spill segments with DEFLATE.
-	CompressSpill bool
-
 	// ClusterWorkers, when non-empty, runs the distributed algorithms
 	// (DSeq, DCand) across these seqmine-worker processes (control URLs)
 	// with the fault-tolerant cluster scheduler instead of the in-process
@@ -161,26 +126,17 @@ type Options struct {
 	// store and failed or straggling attempts are retried on the surviving
 	// workers.
 	ClusterWorkers []string
-	// TaskRetries is the cluster scheduler's retry budget (cluster runs
-	// only); 0 uses the default of 2, negative disables retries.
-	TaskRetries int
-	// SpeculativeAfter launches one speculative duplicate attempt when a
-	// cluster run's attempt exceeds this duration; 0 disables speculation.
-	SpeculativeAfter time.Duration
+
+	// Knobs tune the execution; through Service.Mine, unset knobs inherit
+	// the service's defaults (ServiceOptions.Knobs).
+	Knobs
 }
 
-// DefaultOptions returns the recommended configuration: D-SEQ with all
-// enhancements enabled and one worker per CPU.
+// DefaultOptions returns the recommended configuration: D-SEQ with one
+// worker per CPU. (The paper's enhancements — grid, rewriting, early
+// stopping, NFA minimization and aggregation — are always on.)
 func DefaultOptions() Options {
-	return Options{
-		Algorithm:          DSeq,
-		UseGrid:            true,
-		Rewrite:            true,
-		EarlyStopping:      true,
-		AggregateSequences: true,
-		MinimizeNFAs:       true,
-		AggregateNFAs:      true,
-	}
+	return Options{Algorithm: DSeq}
 }
 
 // Result is the outcome of a mining run.
@@ -239,7 +195,7 @@ func Mine(db *Database, expression string, sigma int64, opts Options) (*Result, 
 // The backend dispatch is shared with the service layer (internal/service);
 // the sequential algorithms run unsharded here, exactly as in the paper.
 func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Result, error) {
-	eo := opts.execOptions(1)
+	eo := opts.query(1)
 	if eo.Cluster != nil {
 		eo.Cluster.Expression = c.expression
 	}
@@ -250,28 +206,15 @@ func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Re
 	return &Result{Patterns: patterns, Metrics: metrics}, nil
 }
 
-// execOptions maps Options to the service layer's execution options. shards
+// query assembles the service layer's query plan from the options. shards
 // fixes the partition count of the sequential backends (1 = unsharded).
-func (o Options) execOptions(shards int) service.ExecOptions {
-	eo := service.ExecOptions{
-		Algorithm:          o.Algorithm.serviceName(),
-		Workers:            o.Workers,
-		Shards:             shards,
-		UseGrid:            o.UseGrid,
-		Rewrite:            o.Rewrite,
-		EarlyStopping:      o.EarlyStopping,
-		AggregateSequences: o.AggregateSequences,
-		MinimizeNFAs:       o.MinimizeNFAs,
-		AggregateNFAs:      o.AggregateNFAs,
-		Prefilter:          o.Prefilter,
-		SpillThreshold:     o.SpillThreshold,
-		SpillTmpDir:        o.SpillTmpDir,
-		SendBufferBytes:    o.SendBufferBytes,
-		SendBufferMaxBytes: o.SendBufferMaxBytes,
-		CompressSpill:      o.CompressSpill,
-		TaskRetries:        o.TaskRetries,
-		SpeculativeAfter:   o.SpeculativeAfter,
-	}
+func (o Options) query(shards int) service.ExecOptions {
+	eo := service.ExecOptions{Plan: plan.Plan{
+		Algorithm: o.Algorithm.serviceName(),
+		Workers:   o.Workers,
+		Shards:    shards,
+		Knobs:     o.Knobs,
+	}}
 	if len(o.ClusterWorkers) > 0 {
 		eo.Cluster = &service.ClusterOptions{Workers: o.ClusterWorkers}
 	}
@@ -295,8 +238,9 @@ func PatternsAsMap(db *Database, ps []Pattern) map[string]int64 {
 // Table IV.
 func CountMatches(db *Database, c *Constraint) int {
 	n := 0
+	flat := c.fst.Flatten()
 	for _, T := range db.Sequences {
-		if c.fst.Accepts(T) {
+		if flat.CanAccept(T) {
 			n++
 		}
 	}
@@ -338,31 +282,10 @@ type ServiceOptions struct {
 	// ClusterWorkers are the control URLs of a default worker cluster for
 	// queries that request distributed execution.
 	ClusterWorkers []string
-	// TaskRetries is the default retry budget of cluster-executed queries;
-	// 0 uses the scheduler's built-in budget of 2, negative disables.
-	TaskRetries int
-	// SpeculativeAfter is the default straggler threshold for speculative
-	// re-execution of cluster-executed queries; 0 disables speculation.
-	SpeculativeAfter time.Duration
-	// SpillThreshold is the default shuffle spill threshold in bytes per
-	// peer for queries that do not set their own; 0 keeps shuffles in
-	// memory.
-	SpillThreshold int64
-	// SpillTmpDir is where shuffle spill segments are created; empty uses
-	// the system temp directory.
-	SpillTmpDir string
-	// SendBufferBytes is the default streaming send-buffer size in bytes
-	// per peer for queries that do not set their own; 0 keeps the
-	// phase-synchronous barrier.
-	SendBufferBytes int64
-	// SendBufferMaxBytes is the default adaptive send-buffer bound for
-	// queries that do not set their own; see Options.SendBufferMaxBytes.
-	SendBufferMaxBytes int64
-	// CompressSpill compresses spill segments with DEFLATE by default.
-	CompressSpill bool
-	// Prefilter enables the two-pass reachability prefilter by default for
-	// queries that do not request it themselves.
-	Prefilter bool
+	// Knobs are the service-wide defaults of the execution knobs: a query's
+	// unset knobs (0, "", false) inherit them, a negative per-query value
+	// turns the feature off regardless.
+	Knobs
 }
 
 // Service is a long-lived, concurrency-safe mining service: it holds named
@@ -377,21 +300,14 @@ type Service struct {
 // NewService creates a mining service.
 func NewService(opts ServiceOptions) *Service {
 	return &Service{inner: service.New(service.Config{
-		CacheSize:          opts.CacheSize,
-		Workers:            opts.Workers,
-		MaxConcurrent:      opts.MaxConcurrent,
-		QueueDepth:         opts.QueueDepth,
-		ResultCacheSize:    opts.ResultCacheSize,
-		DefaultTimeout:     opts.DefaultTimeout,
-		ClusterWorkers:     opts.ClusterWorkers,
-		SpillThreshold:     opts.SpillThreshold,
-		SpillTmpDir:        opts.SpillTmpDir,
-		SendBufferBytes:    opts.SendBufferBytes,
-		SendBufferMaxBytes: opts.SendBufferMaxBytes,
-		CompressSpill:      opts.CompressSpill,
-		Prefilter:          opts.Prefilter,
-		TaskRetries:        opts.TaskRetries,
-		SpeculativeAfter:   opts.SpeculativeAfter,
+		CacheSize:       opts.CacheSize,
+		Workers:         opts.Workers,
+		MaxConcurrent:   opts.MaxConcurrent,
+		QueueDepth:      opts.QueueDepth,
+		ResultCacheSize: opts.ResultCacheSize,
+		DefaultTimeout:  opts.DefaultTimeout,
+		ClusterWorkers:  opts.ClusterWorkers,
+		Knobs:           opts.Knobs,
 	})}
 }
 
@@ -419,7 +335,7 @@ func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma in
 		Dataset:    dataset,
 		Expression: expression,
 		Sigma:      sigma,
-		Options:    opts.execOptions(0),
+		Options:    opts.query(0),
 	})
 	if err != nil {
 		return nil, QueryMetrics{}, err

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"seqmine"
+	"seqmine/internal/datagen"
+	"seqmine/internal/fst"
 	"seqmine/internal/paperex"
 )
 
@@ -107,6 +109,41 @@ func TestCompileConstraintAndMatches(t *testing.T) {
 	// DecodePattern renders item names.
 	if s := seqmine.DecodePattern(db, res.Patterns[0]); s == "" {
 		t.Error("DecodePattern returned an empty string")
+	}
+}
+
+// TestCountMatchesFlatSweep pins CountMatches (which simulates the flat FST's
+// O(states) reachability check) against the pointer FST's full accept matrix,
+// sequence by sequence, on generated data where some sequences match and
+// some do not.
+func TestCountMatchesFlatSweep(t *testing.T) {
+	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 400, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, expr := range []string{".*ENTITY (VERB+ NOUN+? PREP?) ENTITY.*", "(.^){2,4} NOUN"} {
+		f := fst.MustCompile(expr, db.Dict)
+		flat := f.Flatten()
+		want := 0
+		for i, T := range db.Sequences {
+			acc := f.Accepts(T)
+			if acc != flat.CanAccept(T) {
+				t.Fatalf("%q: sequence %d: Accepts = %v, CanAccept = %v", expr, i, acc, !acc)
+			}
+			if acc {
+				want++
+			}
+		}
+		c, err := seqmine.CompileConstraint(db, expr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := seqmine.CountMatches(db, c); got != want {
+			t.Errorf("%q: CountMatches = %d, want %d", expr, got, want)
+		}
+		if want == 0 || want == len(db.Sequences) {
+			t.Errorf("%q: %d of %d sequences match; the sweep needs both outcomes", expr, want, len(db.Sequences))
+		}
 	}
 }
 
