@@ -378,10 +378,14 @@ func (r *Report) Format(w io.Writer, maxRatio float64) {
 }
 
 // mapPhaseBench reports whether name is one of the map-side kernel benchmarks
-// (pivot analysis and candidate counting) that the CI step summary calls out
-// in their own table section, separate from the end-to-end runs.
+// (pivot analysis, candidate counting, D-CAND's run walk and candidate-NFA
+// build) that the CI step summary calls out in their own table section,
+// separate from the end-to-end runs.
 func mapPhaseBench(name string) bool {
-	for _, prefix := range []string{"BenchmarkPivotAnalyze", "BenchmarkAnalyze", "BenchmarkMineCount"} {
+	for _, prefix := range []string{
+		"BenchmarkPivotAnalyze", "BenchmarkAnalyze", "BenchmarkMineCount",
+		"BenchmarkDCandMap", "BenchmarkForEachRun", "BenchmarkBuilderAddPath", "BenchmarkMinimize", "BenchmarkSerialize",
+	} {
 		if strings.HasPrefix(name, prefix) {
 			return true
 		}

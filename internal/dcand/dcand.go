@@ -10,6 +10,7 @@ package dcand
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"seqmine/internal/dict"
@@ -80,45 +81,134 @@ func codec() mapreduce.FrameCodec[dict.ItemID, value] {
 			}
 			v.weight = int64(weight)
 			v.data = append([]byte(nil), data[pos:pos+int(n)]...)
+			// Wire and spill bytes enter the process here: a torn or hostile
+			// NFA must fail the job, not reach the reducer.
+			if err := nfa.Validate(v.data); err != nil {
+				return v, 0, err
+			}
 			return v, pos + int(n), nil
 		},
 	}
 }
 
+// pivotTrie is the candidate trie of one pivot item of the sequence being
+// mapped, with the memo that makes insertion incremental: the trie state after
+// each output set of the last run inserted, and that run's number.
+type pivotTrie struct {
+	nfa.Builder
+	pivot   dict.ItemID
+	lastRun int32
+	path    []int32 // path[j]: state after the run's first j sets; path[0] is the root
+}
+
 // mapScratch is the pooled per-call working memory of the map phase. The run
-// enumeration is the hot loop of D-CAND: every accepting run filters its
-// output sets, merges pivots and cuts one path per pivot, so all of that
-// works out of reused buffers. Filtered sets and per-pivot paths are regions
-// of one append-only arena (items) — a reallocation while appending leaves
-// earlier regions intact in the old backing array, exactly like the pivot
-// grid's arena. Builders are recycled across sequences via nfa.Builder.Reset,
-// which is safe because every NFA a builder produced is serialized before the
-// builder returns to the free list.
+// enumeration is the hot loop of D-CAND, and consecutive runs of the DFS
+// share a prefix of output sets, so everything derived from a prefix is kept
+// per depth and only the changed tail is redone: acc holds the ⊕-fold of the
+// first j sets as regions of one append-only arena (acc[accEnd[j]:accEnd[j+1]],
+// like the pivot grid's), stamp[j] the first run that saw set j, and each
+// pivot's trie remembers where its last insertion went. Tries are recycled
+// across sequences through Builder.Reset.
 type mapScratch struct {
-	builders map[dict.ItemID]*nfa.Builder
-	free     []*nfa.Builder
-	merge    pivot.MergeScratch
-	filtered [][]dict.ItemID
-	path     [][]dict.ItemID
-	items    []dict.ItemID
+	tries  []*pivotTrie // of the current sequence, in first-seen order
+	free   []*pivotTrie
+	slot   []int32 // pivot fid -> index into tries + 1; cleared after each sequence
+	acc    []dict.ItemID
+	accEnd []int32
+	stamp  []int32
+	run    int32
+	wire   []byte // the sequence's serialized NFAs back to back, ends[i] closing the i-th
+	ends   []int
 }
 
-var mapScratchPool = sync.Pool{New: func() any {
-	return &mapScratch{builders: map[dict.ItemID]*nfa.Builder{}}
-}}
+var mapScratchPool = sync.Pool{New: func() any { return new(mapScratch) }}
 
-func (sc *mapScratch) getBuilder() *nfa.Builder {
-	if n := len(sc.free); n > 0 {
-		b := sc.free[n-1]
-		sc.free = sc.free[:n-1]
-		return b
+// trieFor returns the trie of pivot k, starting one on first sight.
+func (sc *mapScratch) trieFor(k dict.ItemID) *pivotTrie {
+	if int(k) >= len(sc.slot) {
+		sc.slot = append(sc.slot, make([]int32, int(k)+1-len(sc.slot))...)
 	}
-	return nfa.NewBuilder()
+	if i := sc.slot[k]; i != 0 {
+		return sc.tries[i-1]
+	}
+	var pt *pivotTrie
+	if n := len(sc.free); n > 0 {
+		pt, sc.free = sc.free[n-1], sc.free[:n-1]
+	} else {
+		pt = &pivotTrie{path: []int32{0}}
+	}
+	pt.Reset()
+	pt.pivot, pt.lastRun = k, 0
+	sc.tries = append(sc.tries, pt)
+	sc.slot[k] = int32(len(sc.tries))
+	return pt
 }
 
-func (sc *mapScratch) putBuilder(b *nfa.Builder) {
-	b.Reset()
-	sc.free = append(sc.free, b)
+// addRun inserts one accepting run — its frequent output sets, the first
+// shared of them unchanged since the previous run — into the trie of each of
+// its pivot items (Theorem 1), cut down to the items <= the pivot.
+func (sc *mapScratch) addRun(outputs [][]dict.ItemID, shared int) bool {
+	sc.run++
+	sc.acc = sc.acc[:sc.accEnd[shared+1]]
+	sc.accEnd = sc.accEnd[:shared+2]
+	sc.stamp = sc.stamp[:shared]
+	for j := shared; j < len(outputs); j++ {
+		prev := sc.acc[sc.accEnd[j]:sc.accEnd[j+1]]
+		sc.acc = pivot.AppendMerge(sc.acc, prev, outputs[j])
+		sc.accEnd = append(sc.accEnd, int32(len(sc.acc)))
+		sc.stamp = append(sc.stamp, sc.run)
+	}
+	n := len(outputs)
+	pivots := sc.acc[sc.accEnd[n]:sc.accEnd[n+1]]
+	if pivots[0] == dict.None {
+		pivots = pivots[1:] // ε: the run also generates the empty candidate
+	}
+	for _, k := range pivots {
+		pt := sc.trieFor(k)
+		// Sets stamped no later than the trie's last run were part of it.
+		j := n
+		for j > 0 && sc.stamp[j-1] > pt.lastRun {
+			j--
+		}
+		q := pt.path[j]
+		pt.path = pt.path[:j+1]
+		for ; j < n; j++ {
+			set := outputs[j]
+			cut := len(set)
+			for set[cut-1] > k {
+				cut--
+			}
+			q = pt.Step(q, set[:cut])
+			pt.path = append(pt.path, q)
+		}
+		pt.SetFinal(q)
+		pt.lastRun = sc.run
+	}
+	return true
+}
+
+// emitAll serializes the tries of the finished sequence and recycles them.
+// The records of one sequence share a single exact-size allocation, made
+// here and owned by the emitted values alone: nothing pooled aliases it.
+func (sc *mapScratch) emitAll(minimize bool, emit func(dict.ItemID, value)) {
+	sc.wire, sc.ends = sc.wire[:0], sc.ends[:0]
+	for _, pt := range sc.tries {
+		automaton := pt.Trie()
+		if minimize {
+			automaton = pt.Minimize()
+		}
+		sc.wire = automaton.AppendSerialized(sc.wire)
+		sc.ends = append(sc.ends, len(sc.wire))
+		sc.slot[pt.pivot] = 0
+	}
+	data := slices.Clone(sc.wire)
+	off := 0
+	for i, pt := range sc.tries {
+		emit(pt.pivot, value{data: data[off:sc.ends[i]:sc.ends[i]], weight: 1})
+		off = sc.ends[i]
+	}
+	sc.free = append(sc.free, sc.tries...)
+	sc.tries = sc.tries[:0]
 }
 
 // recordSize is the exact single-record wire size of (k, v), replacing the
@@ -155,111 +245,31 @@ func MinePeer(f *fst.FST, split [][]dict.ItemID, sigma int64, opts Options, cfg 
 
 // buildJob assembles the one-round BSP job of D-CAND.
 func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern] {
-	d := f.Dict()
-	var flat *fst.Flat
-	if opts.Prefilter {
-		flat = f.Flatten()
-	}
-	// For frequency-sorted dictionaries (every Builder-built dictionary) the
-	// per-output frequency check is one compare against the largest frequent
-	// fid, hoisted out of the run enumeration.
-	byFid := sigma > 0 && d.FrequencySorted()
-	var limit dict.ItemID
-	if byFid {
-		limit = d.MaxFrequentFid(sigma)
-	}
-	frequent := func(w dict.ItemID) bool {
-		if byFid {
-			return w <= limit
-		}
-		return d.IsFrequent(w, sigma)
-	}
-
+	flat := f.Flatten()
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(dict.ItemID, value)) {
-			if flat != nil && !flat.CanAccept(T) {
+			if opts.Prefilter && !flat.CanAccept(T) {
 				return
 			}
 			sc := mapScratchPool.Get().(*mapScratch)
-			f.ForEachRun(T, func(outputs [][]dict.ItemID) bool {
-				// Filter infrequent items from the output sets; skip the run
-				// if a position retains no output choice.
-				sc.filtered = sc.filtered[:0]
-				sc.items = sc.items[:0]
-				for _, set := range outputs {
-					if set == nil {
-						sc.filtered = append(sc.filtered, nil)
-						continue
-					}
-					off := len(sc.items)
-					for _, w := range set {
-						if frequent(w) {
-							sc.items = append(sc.items, w)
-						}
-					}
-					if len(sc.items) == off {
-						return true // no Gσ candidate passes through this run
-					}
-					sc.filtered = append(sc.filtered, sc.items[off:len(sc.items):len(sc.items)])
-				}
-				// Pivot items of the run (Theorem 1).
-				pivots := sc.merge.MergeAll(sc.filtered)
-				for _, k := range pivots {
-					mark := len(sc.items)
-					sc.path = sc.path[:0]
-					for _, set := range sc.filtered {
-						if set == nil {
-							continue
-						}
-						off := len(sc.items)
-						for _, w := range set {
-							if w <= k {
-								sc.items = append(sc.items, w)
-							}
-						}
-						if len(sc.items) > off {
-							sc.path = append(sc.path, sc.items[off:len(sc.items):len(sc.items)])
-						}
-					}
-					if len(sc.path) > 0 {
-						b := sc.builders[k]
-						if b == nil {
-							b = sc.getBuilder()
-							sc.builders[k] = b
-						}
-						// AddPath copies the labels into the builder's own
-						// arena, so the path regions are free to be reused.
-						b.AddPath(sc.path)
-					}
-					sc.items = sc.items[:mark]
-				}
-				return true
-			})
-			for k, b := range sc.builders {
-				var automaton *nfa.NFA
-				if opts.Minimize {
-					automaton = b.Minimize()
-				} else {
-					automaton = b.Trie()
-				}
-				emit(k, value{data: automaton.Serialize(), weight: 1})
-				sc.putBuilder(b)
-			}
-			clear(sc.builders)
+			sc.run = 0
+			sc.acc = append(sc.acc[:0], dict.None)
+			sc.accEnd = append(sc.accEnd[:0], 0, 1)
+			flat.ForEachRun(T, sigma, sc.addRun)
+			sc.emitAll(opts.Minimize, emit)
 			mapScratchPool.Put(sc)
 		},
 		Reduce: func(k dict.ItemID, vs []value, emit func(miner.Pattern)) {
-			weighted := make([]nfa.Weighted, 0, len(vs))
+			fo := nfa.AcquireForest()
 			for _, v := range vs {
-				automaton, err := nfa.Deserialize(v.data)
-				if err != nil {
-					continue // cannot happen for locally produced data
+				// Local values come from Serialize and foreign bytes were
+				// validated by the codec, so a decode failure is a bug.
+				if err := fo.Add(v.data, v.weight); err != nil {
+					panic(fmt.Sprintf("dcand: NFA of pivot %d passed validation but does not decode: %v", k, err))
 				}
-				weighted = append(weighted, nfa.Weighted{N: automaton, Weight: v.weight})
 			}
-			for _, p := range nfa.MinePartition(weighted, sigma, k) {
-				emit(p)
-			}
+			fo.Mine(sigma, k, emit)
+			fo.Release()
 		},
 		Hash:   func(k dict.ItemID) uint64 { return mapreduce.HashUint64(uint64(k)) },
 		SizeOf: recordSize,

@@ -1,7 +1,10 @@
 package dcand_test
 
 import (
+	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -10,6 +13,7 @@ import (
 	"seqmine/internal/fst"
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
+	"seqmine/internal/nfa"
 	"seqmine/internal/paperex"
 	"seqmine/internal/transport"
 )
@@ -89,5 +93,55 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 	}
 	if spilled <= 0 {
 		t.Errorf("expected spilling at a 1-byte threshold, got %d spilled bytes", spilled)
+	}
+}
+
+// tornPeer is a two-peer fabric whose remote side delivers one prepared frame
+// and hangs up.
+type tornPeer struct {
+	frames [][]byte
+}
+
+func (p *tornPeer) NumPeers() int          { return 2 }
+func (p *tornPeer) Self() int              { return 0 }
+func (p *tornPeer) Send(int, []byte) error { return nil }
+func (p *tornPeer) CloseSend() error       { return nil }
+func (p *tornPeer) WireBytesOut() int64    { return 0 }
+func (p *tornPeer) Recv() ([]byte, error) {
+	if len(p.frames) == 0 {
+		return nil, io.EOF
+	}
+	frame := p.frames[0]
+	p.frames = p.frames[1:]
+	return frame, nil
+}
+
+// TestDCandMinePeerRejectsCorruptNFA: a well-formed shuffle frame that
+// carries a torn or cyclic NFA must fail the job with an error naming the
+// pivot — the parent skipped such records and returned undercounted supports.
+func TestDCandMinePeerRejectsCorruptNFA(t *testing.T) {
+	d := paperex.Dict()
+	f := fst.MustCompile(paperex.PatternExpression, d)
+	db := paperex.DB(d)
+	for name, c := range map[string]struct {
+		nfa    []byte
+		cyclic bool
+	}{
+		"torn":   {nfa: []byte{0x00, 0x01}}, // a label of one item, cut before the item
+		"cyclic": {nfa: []byte{0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00}, cyclic: true},
+	} {
+		// pivot 3, one value: weight 1, length-prefixed NFA bytes.
+		frame := append([]byte{0x03, 0x01, 0x01, byte(len(c.nfa))}, c.nfa...)
+		for _, shuffle := range []mapreduce.ShuffleConfig{{}, {SpillThreshold: 1, SpillTmpDir: t.TempDir()}} {
+			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2, Shuffle: shuffle}
+			got, _, err := dcand.MinePeer(f, db, paperex.Sigma, dcand.DefaultOptions(), cfg, &tornPeer{frames: [][]byte{frame}})
+			if err == nil {
+				t.Fatalf("%s: MinePeer accepted the frame and returned %v", name, got)
+			}
+			if got != nil || !strings.Contains(err.Error(), "key 3") || errors.Is(err, nfa.ErrCyclic) != c.cyclic {
+				t.Errorf("%s: MinePeer = %v, %v; want no patterns and an error naming key 3 (ErrCyclic: %v)",
+					name, got, err, c.cyclic)
+			}
+		}
 	}
 }

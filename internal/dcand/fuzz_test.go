@@ -6,10 +6,13 @@ import (
 
 	"seqmine/internal/dict"
 	"seqmine/internal/mapreduce"
+	"seqmine/internal/nfa"
 )
 
 // FuzzNFABatchCodec checks the D-CAND shuffle codec: arbitrary frames must
-// fail cleanly, and decoded frames must re-encode to the same bytes.
+// fail cleanly, decoded frames must re-encode to the same bytes, and no NFA
+// that the reducer could not decode gets past the codec — a torn or cyclic
+// automaton inside a well-formed frame is a decode error.
 func FuzzNFABatchCodec(f *testing.F) {
 	c := codec()
 	seed := c.EncodeBatch(nil, mapreduce.KeyBatch[dict.ItemID, value]{
@@ -22,6 +25,8 @@ func FuzzNFABatchCodec(f *testing.F) {
 	f.Add(seed)
 	f.Add([]byte{})
 	f.Add([]byte{0x03, 0x01, 0x01, 0xff})
+	f.Add([]byte{0x03, 0x01, 0x01, 0x02, 0x00, 0x01})                               // torn NFA
+	f.Add([]byte{0x03, 0x01, 0x01, 0x07, 0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00}) // cyclic NFA
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		b, err := c.DecodeBatch(frame)
 		if err != nil {
@@ -40,6 +45,9 @@ func FuzzNFABatchCodec(f *testing.F) {
 		}
 		// The honest SizeOf must equal the actual encoding of each record.
 		for _, v := range b.Values {
+			if err := nfa.Validate(v.data); err != nil {
+				t.Fatalf("the codec let NFA %x through: %v", v.data, err)
+			}
 			single := c.EncodeBatch(nil, mapreduce.KeyBatch[dict.ItemID, value]{Key: b.Key, Values: []value{v}})
 			if got := recordSize(b.Key, v); got != len(single) {
 				t.Fatalf("recordSize = %d, actual encoding = %d bytes", got, len(single))

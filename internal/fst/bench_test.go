@@ -64,10 +64,11 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 
 func BenchmarkForEachRun(b *testing.B) {
 	d, db := benchSequences(200, 10)
-	f := fst.MustCompile(paperex.PatternExpression, d)
+	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.ForEachRun(db[i%len(db)], func([][]dict.ItemID) bool { return true })
+		flat.ForEachRun(db[i%len(db)], paperex.Sigma, func([][]dict.ItemID, int) bool { return true })
 	}
 }
 

@@ -7,14 +7,20 @@ import (
 	"seqmine/internal/dict"
 )
 
-// enumScratch is the pooled working memory of ForEachDistinctCandidate: the
-// reachability bitset rows, the DFS prefix buffer and the per-sequence dedup
-// table. The dedup table is an open-addressing hash set over item slices
+// enumScratch is the pooled working memory of the flat DFS walks
+// (ForEachDistinctCandidate, ForEachRun): the reachability bitset rows, the
+// DFS prefix buffer, the per-sequence dedup table and the run walker's output
+// stack. The dedup table is an open-addressing hash set over item slices
 // stored back-to-back in one arena, with generation-stamped slots so clearing
 // it between sequences is a counter increment, not a memset.
 type enumScratch struct {
 	reach  []uint64
 	prefix []dict.ItemID
+
+	// ForEachRun: the output sets of the current run prefix (ε positions
+	// skipped) and the backing store that turns single outputs into sets.
+	sets [][]dict.ItemID
+	ones []dict.ItemID
 
 	arena   []dict.ItemID
 	entries []enumEntry
@@ -122,20 +128,26 @@ func (fl *Flat) ForEachDistinctCandidate(T []dict.ItemID, sigma int64, emit func
 	}
 	sv := fl.Sigma(sigma)
 	sc := enumPool.Get().(*enumScratch)
+	sc.reset()
+	if sc.accepts(fl, T) {
+		w := enumWalk{fl: fl, sv: sv, T: T, sc: sc, emit: emit, words: fl.words}
+		w.rec(0, fl.initial)
+	}
+	enumPool.Put(sc)
+}
+
+// accepts fills sc.reach with the accept matrix of T and reports whether the
+// initial state can reach acceptance at all.
+func (sc *enumScratch) accepts(fl *Flat, T []dict.ItemID) bool {
 	need := (len(T) + 1) * fl.words
 	if cap(sc.reach) < need {
 		sc.reach = make([]uint64, need)
 	}
 	sc.reach = sc.reach[:need]
 	clear(sc.reach)
-	sc.reset()
 	fl.AcceptBits(T, sc.reach)
 	init := uint(fl.initial)
-	if sc.reach[init>>6]&(1<<(init&63)) != 0 {
-		w := enumWalk{fl: fl, sv: sv, T: T, sc: sc, emit: emit, words: fl.words}
-		w.rec(0, fl.initial)
-	}
-	enumPool.Put(sc)
+	return sc.reach[init>>6]&(1<<(init&63)) != 0
 }
 
 func (w *enumWalk) rec(pos, q int) {
@@ -180,5 +192,77 @@ func (w *enumWalk) rec(pos, q int) {
 				return
 			}
 		}
+	}
+}
+
+// runWalk is the explicit state of one flat run enumeration.
+type runWalk struct {
+	fl      *Flat
+	sv      *SigmaView
+	T       []dict.ItemID
+	sc      *enumScratch
+	fn      func([][]dict.ItemID, int) bool
+	shared  int
+	stopped bool
+}
+
+// ForEachRun enumerates the accepting runs of the flat FST on T that can
+// generate Gσ candidates and calls fn with each run's output sets in position
+// order, ε positions skipped. Output sets are truncated to their items
+// frequent at sigma (sigma <= 0 keeps everything), and a transition whose
+// outputs are all infrequent prunes its whole DFS subtree. shared is the
+// number of leading sets unchanged since the previous call (0 on the first):
+// the DFS reports runs prefix by prefix, so a caller that keeps per-prefix
+// state only redoes the tail. outputs and its single-item sets are scratch
+// backed and valid only during the call; fn may return false to stop.
+func (fl *Flat) ForEachRun(T []dict.ItemID, sigma int64, fn func(outputs [][]dict.ItemID, shared int) bool) {
+	if len(T) == 0 {
+		return
+	}
+	sv := fl.Sigma(sigma)
+	sc := enumPool.Get().(*enumScratch)
+	if sc.accepts(fl, T) {
+		// One slot per position: ones must not move while sets point into it.
+		sc.ones, sc.sets = slices.Grow(sc.ones[:0], len(T))[:len(T)], sc.sets[:0]
+		w := runWalk{fl: fl, sv: sv, T: T, sc: sc, fn: fn}
+		w.rec(0, fl.initial)
+	}
+	enumPool.Put(sc)
+}
+
+func (w *runWalk) rec(pos, q int) {
+	if pos == len(w.T) {
+		// Only states on an accepting path are entered, so q is final here.
+		if !w.fn(w.sc.sets, w.shared) {
+			w.stopped = true
+		}
+		w.shared = len(w.sc.sets)
+		return
+	}
+	t := w.T[pos]
+	next := w.sc.reach[(pos+1)*w.fl.words:]
+	lo, hi := w.fl.TransitionsOf(q)
+	for tr := int(lo); tr < int(hi) && !w.stopped; tr++ {
+		to := uint(w.fl.To(tr))
+		if next[to>>6]&(1<<(to&63)) == 0 || !w.fl.Matches(tr, t) {
+			continue
+		}
+		single, set, ok := w.sv.OutputsFor(tr, t)
+		if !ok {
+			continue
+		}
+		if set == nil && single == dict.None {
+			w.rec(pos+1, int(to))
+			continue
+		}
+		depth := len(w.sc.sets)
+		if set == nil {
+			w.sc.ones[depth] = single
+			set = w.sc.ones[depth : depth+1 : depth+1]
+		}
+		w.sc.sets = append(w.sc.sets, set)
+		w.rec(pos+1, int(to))
+		w.sc.sets = w.sc.sets[:depth]
+		w.shared = min(w.shared, depth)
 	}
 }

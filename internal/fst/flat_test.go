@@ -2,6 +2,7 @@ package fst_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -145,6 +146,70 @@ func TestFlatEquivalence(t *testing.T) {
 			if got, want := flat.CanAccept(T), f.Accepts(T); got != want {
 				t.Fatalf("%q: CanAccept(%v) = %v, want %v", pat, T, got, want)
 			}
+			for _, sigma := range []int64{0, 2, 4} {
+				checkRuns(t, pat, f, T, sigma)
+			}
+		}
+	}
+}
+
+// checkRuns asserts runs ≡ runs: the flat walker must report, in the same
+// order, exactly the pointer-FST oracle's accepting runs with ε positions
+// dropped, every output set cut down to its items frequent at sigma and runs
+// that lose a whole set removed. shared must never overstate the prefix a
+// run has in common with the one reported before it.
+func checkRuns(t *testing.T, pat string, f *fst.FST, T []dict.ItemID, sigma int64) {
+	t.Helper()
+	d := f.Dict()
+	var want [][][]dict.ItemID
+	f.ForEachRun(T, func(outputs [][]dict.ItemID) bool {
+		run := [][]dict.ItemID{}
+		for _, set := range outputs {
+			if set == nil {
+				continue
+			}
+			var kept []dict.ItemID
+			for _, w := range set {
+				if sigma <= 0 || d.IsFrequent(w, sigma) {
+					kept = append(kept, w)
+				}
+			}
+			if kept == nil {
+				return true
+			}
+			run = append(run, kept)
+		}
+		want = append(want, run)
+		return true
+	})
+	var got [][][]dict.ItemID
+	f.Flatten().ForEachRun(T, sigma, func(outputs [][]dict.ItemID, shared int) bool {
+		run := make([][]dict.ItemID, len(outputs))
+		for i, set := range outputs {
+			run[i] = append([]dict.ItemID(nil), set...)
+		}
+		if len(got) == 0 && shared != 0 {
+			t.Fatalf("%q sigma %d: first run reports shared = %d (T=%v)", pat, sigma, shared, T)
+		}
+		if len(got) > 0 {
+			prev := got[len(got)-1]
+			if shared > len(prev) || shared > len(run) || !reflect.DeepEqual(prev[:shared], run[:shared]) {
+				t.Fatalf("%q sigma %d: shared = %d overstates the common prefix of %v and %v (T=%v)",
+					pat, sigma, shared, prev, run, T)
+			}
+		}
+		got = append(got, run)
+		return true
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%q sigma %d: flat runs %v, pointer runs %v (T=%v)", pat, sigma, got, want, T)
+	}
+	// Early stop: the walk ends with the call that returns false.
+	if len(want) > 1 {
+		calls := 0
+		f.Flatten().ForEachRun(T, sigma, func([][]dict.ItemID, int) bool { calls++; return false })
+		if calls != 1 {
+			t.Fatalf("%q: walk continued for %d calls after fn returned false", pat, calls)
 		}
 	}
 }
@@ -173,7 +238,9 @@ func TestCanAcceptEmpty(t *testing.T) {
 // FuzzFlatEquivalence derives a sequence from the fuzz input and cross-checks
 // the flattened simulation primitives against the pointer FST on every test
 // pattern: the prefilter must agree with Accepts and the bitset accept matrix
-// with AcceptMatrix. Any divergence is a miscompiled flat table.
+// with AcceptMatrix, and the flat run walker must enumerate the pointer FST's
+// runs (on a prefix of the input: loose patterns have a run per position
+// subset). Any divergence is a miscompiled flat table.
 func FuzzFlatEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{})
@@ -208,6 +275,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 					}
 				}
 			}
+			checkRuns(t, flatTestPatterns[i], fm, T[:min(len(T), 10)], int64(len(data)%4))
 		}
 	})
 }

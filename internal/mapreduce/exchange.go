@@ -253,7 +253,7 @@ func (c FrameCodec[K, V]) decodeBatchKeyed(frame []byte) (KeyBatch[K, V], int, e
 	for i := uint64(0); i < count; i++ {
 		v, np, err := c.ReadValue(frame, pos)
 		if err != nil {
-			return b, 0, err
+			return b, 0, fmt.Errorf("mapreduce: decoding a value of key %v: %w", k, err)
 		}
 		pos = np
 		b.Values = append(b.Values, v)

@@ -336,7 +336,7 @@ func (a *shuffleAccumulator[K, V]) materializeRaw() error {
 		}
 		vs, err = a.codec.appendValues(vs, g.vals, total)
 		if err != nil {
-			return fmt.Errorf("mapreduce: decoding shuffled values: %w", err)
+			return fmt.Errorf("mapreduce: decoding shuffled values of key %v: %w", k, err)
 		}
 		a.mem[k] = vs
 	}
@@ -566,7 +566,7 @@ func (a *shuffleAccumulator[K, V]) assembleGroup(keyBytes []byte, entries []merg
 		var err error
 		values, err = a.codec.appendValues(values, e.raw, e.count)
 		if err != nil {
-			return key, nil, fmt.Errorf("mapreduce: decoding shuffled values: %w", err)
+			return key, nil, fmt.Errorf("mapreduce: decoding shuffled values of key %v: %w", key, err)
 		}
 	}
 	return key, values, nil

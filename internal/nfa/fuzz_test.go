@@ -2,31 +2,47 @@ package nfa
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"seqmine/internal/dict"
+	"seqmine/internal/miner"
 )
 
 // FuzzDeserialize feeds arbitrary bytes into the NFA codec. Garbage must
-// fail cleanly (no panic, no unbounded allocation); any input that decodes
-// must reach a serialization fixed point: Serialize(Deserialize(x)) is
-// canonical, so re-decoding and re-encoding it reproduces the same bytes.
-// (Accepted() is not compared here because arbitrary input may encode cyclic
-// automata, on which language enumeration would not terminate.)
+// fail cleanly (no panic, no unbounded allocation) and exactly when the
+// oracle decoder rejects it or the automaton is cyclic; any input that
+// decodes must reach a serialization fixed point — Serialize(Deserialize(x))
+// is canonical, so re-decoding and re-encoding it reproduces the same bytes —
+// and, being acyclic, must mine to the oracle miner's answer.
 func FuzzDeserialize(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
+	f.Add([]byte{0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00}) // 0 -> 1 -> 0
 	b := NewBuilder()
 	b.AddPath([][]dict.ItemID{{1, 2}, {3}})
 	b.AddPath([][]dict.ItemID{{1}, {3}})
 	f.Add(b.Minimize().Serialize())
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 48 {
+			data = data[:48] // a DAG of n edges can accept 2^(n/2) sequences
+		}
 		n, err := Deserialize(data)
+		want, oracleErr := oracleDeserialize(data)
 		if err != nil {
+			if oracleErr == nil && err != ErrCyclic {
+				t.Fatalf("Deserialize(%x) = %v, the oracle decodes it", data, err)
+			}
 			return
 		}
+		if oracleErr != nil {
+			t.Fatalf("Deserialize(%x) succeeded, the oracle says %v", data, oracleErr)
+		}
 		canonical := n.Serialize()
+		if oracleBytes := want.Serialize(); !bytes.Equal(canonical, oracleBytes) {
+			t.Fatalf("re-serialized %x\n  flat: %x\noracle: %x", data, canonical, oracleBytes)
+		}
 		n2, err := Deserialize(canonical)
 		if err != nil {
 			t.Fatalf("re-deserialize failed: %v (bytes %x)", err, canonical)
@@ -34,54 +50,162 @@ func FuzzDeserialize(f *testing.F) {
 		if again := n2.Serialize(); !bytes.Equal(again, canonical) {
 			t.Fatalf("serialization is not a fixed point:\n first %x\nsecond %x", canonical, again)
 		}
+		got := MinePartition([]Weighted{{N: n, Weight: 2}, {N: n2, Weight: 1}}, 2, dict.None)
+		ref := oracleMinePartition([]oracleWeighted{{N: want, Weight: 2}, {N: want, Weight: 1}}, 2, dict.None)
+		if !reflect.DeepEqual(got, ref) {
+			t.Fatalf("mining %x: forest %v, oracle %v", data, got, ref)
+		}
 	})
 }
 
-// FuzzBuilderRoundTrip derives a set of trie paths from the fuzz input,
-// builds both the plain trie and the minimized NFA, and checks that the
-// accepted language survives Serialize/Deserialize unchanged.
-func FuzzBuilderRoundTrip(f *testing.F) {
-	f.Add([]byte{1, 2, 0, 3})
-	f.Add([]byte{5, 5, 5, 0, 5, 5})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 64 {
-			data = data[:64] // keep language enumeration cheap
-		}
-		// Interpret the bytes as paths: 0 terminates a path, the low bits of
-		// every other byte pick an item and whether the output set has one or
-		// two items.
-		b := NewBuilder()
-		var path [][]dict.ItemID
-		flush := func() {
-			if len(path) > 0 {
-				b.AddPath(path)
-				path = nil
+// checkAgainstOracle derives weighted path sets from data — 0 (or the sixth
+// set) ends a path, 0xff ends an automaton, the low bits of every other byte pick an item and
+// whether the output set has one or two items — and holds the flat kernels to
+// the oracle: trie and minimized automata serialize to the oracle's bytes,
+// the accepted language survives the wire, and the forest miner, fed the
+// serialized bytes or the in-memory automata, agrees with the oracle miner
+// and with brute-force counting over Accepted().
+func checkAgainstOracle(t *testing.T, data []byte) {
+	t.Helper()
+	b, ob := NewBuilder(), newOracleBuilder()
+	var (
+		path     [][]dict.ItemID
+		weighted []Weighted
+		oracle   []oracleWeighted
+		wire     [][]byte
+		counts   = map[string]int64{}
+		seqs     = map[string][]dict.ItemID{}
+	)
+	flushPath := func() {
+		b.AddPath(path)
+		ob.AddPath(path)
+		path = path[:0]
+	}
+	flushAutomaton := func() {
+		flushPath()
+		weight := int64(len(weighted)%3 + 1)
+		for _, minimize := range []bool{false, true} {
+			n, on := b.Trie(), ob.Trie()
+			if minimize {
+				n, on = b.Minimize(), ob.Minimize()
+			}
+			got, want := n.Serialize(), on.Serialize()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("minimize=%v: serialized %x, oracle %x", minimize, got, want)
+			}
+			if n.NumStates() != on.NumStates() || n.NumEdges() != on.NumEdges() {
+				t.Fatalf("minimize=%v: %d states %d edges, oracle %d and %d", minimize,
+					n.NumStates(), n.NumEdges(), on.NumStates(), on.NumEdges())
+			}
+			decoded, err := Deserialize(got)
+			if err != nil {
+				t.Fatalf("Deserialize(Serialize): %v", err)
+			}
+			if lang := decoded.Accepted(); !reflect.DeepEqual(lang, on.Accepted()) {
+				t.Fatalf("accepted language changed over the wire:\n got %v\nwant %v", lang, on.Accepted())
+			}
+			if minimize {
+				// The builders are reused below, so mine private copies.
+				weighted = append(weighted, Weighted{N: decoded, Weight: weight})
+				oracle = append(oracle, oracleWeighted{N: on, Weight: weight})
+				wire = append(wire, got)
+				for _, seq := range on.Accepted() {
+					counts[labelKey(seq)] += weight
+					seqs[labelKey(seq)] = seq
+				}
 			}
 		}
-		for _, c := range data {
-			if c == 0 {
-				flush()
-				continue
-			}
+		b.Reset()
+		ob = newOracleBuilder()
+	}
+	for _, c := range data {
+		switch c {
+		case 0:
+			flushPath()
+		case 0xff:
+			flushAutomaton()
+		default:
 			item := dict.ItemID(c&0x0f) + 1
 			set := []dict.ItemID{item}
 			if c&0x10 != 0 {
 				set = append(set, item+1)
 			}
-			path = append(path, set)
+			if path = append(path, set); len(path) == 6 {
+				flushPath() // a path of n two-item sets accepts 2^n sequences
+			}
 		}
-		flush()
+	}
+	flushAutomaton()
 
-		for _, n := range []*NFA{b.Trie(), b.Minimize()} {
-			want := n.Accepted()
-			decoded, err := Deserialize(n.Serialize())
-			if err != nil {
-				t.Fatalf("Deserialize(Serialize): %v", err)
-			}
-			if got := decoded.Accepted(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("accepted language changed over the wire:\n got %v\nwant %v", got, want)
+	sigma := int64(len(data)%3 + 1)
+	for _, pivot := range []dict.ItemID{dict.None, 3} {
+		var brute []miner.Pattern
+		for key, freq := range counts {
+			if freq >= sigma && (pivot == dict.None || containsItem(seqs[key], pivot)) {
+				brute = append(brute, miner.Pattern{Items: seqs[key], Freq: freq})
 			}
 		}
+		miner.SortPatterns(brute)
+		want := oracleMinePartition(oracle, sigma, pivot)
+		if len(want) == 0 {
+			want = nil
+		}
+		if !reflect.DeepEqual(brute, want) {
+			t.Fatalf("oracle miner %v, brute force %v", want, brute)
+		}
+		if got := MinePartition(weighted, sigma, pivot); !reflect.DeepEqual(got, want) {
+			t.Fatalf("sigma %d pivot %d: MinePartition %v, oracle %v", sigma, pivot, got, want)
+		}
+		fo := AcquireForest()
+		for i, data := range wire {
+			if err := fo.Add(data, weighted[i].Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var got []miner.Pattern
+		fo.Mine(sigma, pivot, func(p miner.Pattern) { got = append(got, p) })
+		fo.Release()
+		miner.SortPatterns(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sigma %d pivot %d: forest over wire bytes %v, oracle %v", sigma, pivot, got, want)
+		}
+	}
+}
+
+// FuzzBuilderRoundTrip fuzzes checkAgainstOracle.
+func FuzzBuilderRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 3})
+	f.Add([]byte{5, 5, 5, 0, 5, 5})
+	f.Add([]byte{})
+	f.Add([]byte{1, 0x12, 3, 0, 1, 3, 0xff, 1, 2, 3, 0, 2, 3, 0xff, 0x11, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64 {
+			data = data[:64] // keep language enumeration cheap
+		}
+		checkAgainstOracle(t, data)
 	})
+}
+
+// TestFlatKernelsMatchOracle runs the fuzz property over random inputs, large
+// partitions included (the radix-sorted expansion needs 128 keys to start).
+func TestFlatKernelsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		size := rng.Intn(64)
+		if trial%10 == 0 {
+			size = 2000
+		}
+		data := make([]byte, size)
+		for i := range data {
+			switch r := rng.Intn(12); {
+			case r < 2:
+				data[i] = 0
+			case r == 2 && size > 64:
+				data[i] = 0xff
+			default:
+				data[i] = byte(rng.Intn(6)) | byte(rng.Intn(2))<<4
+			}
+		}
+		checkAgainstOracle(t, data)
+	}
 }

@@ -1,6 +1,7 @@
 package nfa_test
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -151,6 +152,19 @@ func TestDeserializeErrors(t *testing.T) {
 			t.Errorf("case %d: expected error for %v", i, data)
 		}
 	}
+	// 0 -{1}-> 1 -{1}-> 0: a target-given edge back to an ancestor. Mining a
+	// cycle would recurse until the stack is gone, so decoding rejects it.
+	for _, cyclic := range [][]byte{
+		{0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00},
+		{0x02, 0x01, 0x01, 0x00}, // self loop on the root
+	} {
+		if _, err := nfa.Deserialize(cyclic); !errors.Is(err, nfa.ErrCyclic) {
+			t.Errorf("Deserialize(%x) = %v, want ErrCyclic", cyclic, err)
+		}
+		if err := nfa.Validate(cyclic); !errors.Is(err, nfa.ErrCyclic) {
+			t.Errorf("Validate(%x) = %v, want ErrCyclic", cyclic, err)
+		}
+	}
 }
 
 func TestMinePartitionCounting(t *testing.T) {
@@ -268,4 +282,59 @@ func languageOf(n *nfa.NFA) map[string]bool {
 		out[key] = true
 	}
 	return out
+}
+
+// TestSteadyStateAllocations pins the flat kernels' allocation behaviour: a
+// warm Builder takes paths, minimizes and serializes into a caller's buffer
+// without allocating, and decoding plus mining a partition in a pooled Forest
+// allocates nothing beyond the emitted patterns' item slices.
+func TestSteadyStateAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	paths := benchPaths(64)
+	b := nfa.NewBuilder()
+	var wire []byte
+	build := func() {
+		b.Reset()
+		for _, p := range paths {
+			b.AddPath(p)
+		}
+		wire = b.Minimize().AppendSerialized(wire[:0])
+		wire = b.Trie().AppendSerialized(wire[:0])
+	}
+	build()
+	if allocs := testing.AllocsPerRun(50, build); allocs != 0 {
+		t.Errorf("warm AddPath+Minimize+Trie+AppendSerialized: %v allocs per run, want 0", allocs)
+	}
+
+	var partition [][]byte
+	for i := 0; i < 32; i++ {
+		b.Reset()
+		for _, p := range paths[i : i+16] {
+			b.AddPath(p)
+		}
+		partition = append(partition, b.Minimize().Serialize())
+	}
+	patterns := 0
+	count := func(miner.Pattern) { patterns++ }
+	mine := func() {
+		patterns = 0
+		fo := nfa.AcquireForest()
+		for i, data := range partition {
+			if err := fo.Add(data, int64(i%5+1)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fo.Mine(3, dict.None, count)
+		fo.Release()
+	}
+	mine()
+	if patterns == 0 {
+		t.Fatal("the partition has no frequent candidate; the pin is vacuous")
+	}
+	// +1: a garbage collection inside the window empties the pool once.
+	if allocs := testing.AllocsPerRun(50, mine); allocs > float64(patterns)+1 {
+		t.Errorf("decode+mine: %v allocs per run for %d emitted patterns", allocs, patterns)
+	}
 }

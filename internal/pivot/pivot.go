@@ -105,16 +105,23 @@ func (ms *MergeScratch) MergeAll(sets [][]dict.ItemID) []dict.ItemID {
 		if len(s) == 0 {
 			s = epsSet
 		}
-		minU, minQ := acc[0], s[0]
-		buf = appendUnion(buf[:0], suffixFrom(acc, minQ), suffixFrom(s, minU))
+		buf = AppendMerge(buf[:0], acc, s)
 		acc, buf = buf, acc
 	}
 	ms.a, ms.b = acc, buf
 	return dropEps(acc)
 }
 
+// AppendMerge appends U ⊕ Q to dst and returns the extended slice. u and q
+// must be non-empty sorted sets, with ε spelled dict.None. dst may be an
+// append-only arena that u lives in: appending never touches existing
+// elements, and a reallocation leaves u intact in the old backing array.
+func AppendMerge(dst, u, q []dict.ItemID) []dict.ItemID {
+	return appendUnion(dst, suffixFrom(u, q[0]), suffixFrom(q, u[0]))
+}
+
 // appendUnion appends the sorted duplicate-free union of a and b to dst. dst
-// must not alias a or b.
+// must not overlap the elements of a or b.
 func appendUnion(dst, a, b []dict.ItemID) []dict.ItemID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -151,10 +158,8 @@ func DefaultOptions() Options { return Options{UseGrid: true} }
 // Searcher performs pivot search for one compiled constraint and threshold.
 // It is safe for concurrent use.
 type Searcher struct {
-	fst   *fst.FST
 	flat  *fst.Flat
 	sv    *fst.SigmaView
-	dict  *dict.Dictionary
 	sigma int64
 	opts  Options
 }
@@ -162,7 +167,7 @@ type Searcher struct {
 // NewSearcher returns a Searcher for the constraint and minimum support.
 func NewSearcher(f *fst.FST, sigma int64, opts Options) *Searcher {
 	fl := f.Flatten()
-	return &Searcher{fst: f, flat: fl, sv: fl.Sigma(sigma), dict: f.Dict(), sigma: sigma, opts: opts}
+	return &Searcher{flat: fl, sv: fl.Sigma(sigma), sigma: sigma, opts: opts}
 }
 
 // Analysis is the result of analyzing one input sequence.
@@ -201,52 +206,18 @@ func (s *Searcher) Analyze(T []dict.ItemID) *Analysis {
 	return s.analyzeRuns(T)
 }
 
-// analyzeRuns computes K(T) by enumerating all accepting runs (no grid).
+// analyzeRuns computes K(T) by enumerating all accepting runs (no grid) and
+// applying Theorem 1 to each run's frequent output sets.
 func (s *Searcher) analyzeRuns(T []dict.ItemID) *Analysis {
 	a := &Analysis{n: len(T)}
-	pivotSet := map[dict.ItemID]bool{}
-	s.fst.ForEachRun(T, func(outputs [][]dict.ItemID) bool {
-		acc := []dict.ItemID{dict.None}
-		for _, set := range outputs {
-			filtered := s.filterOutputs(set)
-			if filtered == nil {
-				if set != nil {
-					// All output choices at this position are infrequent: the
-					// run produces no Gσ candidates.
-					return true
-				}
-				filtered = []dict.ItemID{dict.None}
-			}
-			acc = Merge(acc, filtered)
-		}
-		for _, w := range dropEps(acc) {
-			pivotSet[w] = true
-		}
+	var ms MergeScratch
+	s.flat.ForEachRun(T, s.sigma, func(outputs [][]dict.ItemID, _ int) bool {
+		a.Pivots = append(a.Pivots, ms.MergeAll(outputs)...)
 		return true
 	})
-	for w := range pivotSet {
-		a.Pivots = append(a.Pivots, w)
-	}
 	slices.Sort(a.Pivots)
+	a.Pivots = dedupSorted(a.Pivots)
 	return a
-}
-
-// filterOutputs drops infrequent items from an output set. It returns nil if
-// nothing remains (for a nil input set — ε — it also returns nil).
-func (s *Searcher) filterOutputs(set []dict.ItemID) []dict.ItemID {
-	if set == nil {
-		return nil
-	}
-	out := make([]dict.ItemID, 0, len(set))
-	for _, w := range set {
-		if s.dict.IsFrequent(w, s.sigma) {
-			out = append(out, w)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // gridScratch is the pooled per-call working memory of analyzeGrid: the bitset

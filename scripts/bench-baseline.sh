@@ -17,10 +17,18 @@
 #   - internal/pivot:     the pivot search, including BenchmarkPivotAnalyze_T3
 #                         (grid and run-enumeration over the AMZN-F T3
 #                         workload — the per-sequence D-SEQ map kernel)
+#   - internal/fst:       compile and the flat simulation kernels
+#                         (BenchmarkForEachRun is D-CAND's run walk)
+#   - internal/nfa:       D-CAND's candidate NFAs: trie build, minimize,
+#                         serialize (map side), deserialize, mine (reduce side)
+#   - internal/dcand:     BenchmarkDCandMap_T3, the per-sequence D-CAND map
+#                         kernel over the same AMZN-F T3 workload
 #
 # The map-phase kernels (BenchmarkPivotAnalyze*, BenchmarkAnalyze*,
-# BenchmarkMineCount*) are called out in their own table section of the CI
-# bench-compare step summary (benchcmp.FormatMarkdown).
+# BenchmarkMineCount*, BenchmarkDCandMap*, BenchmarkForEachRun,
+# BenchmarkBuilderAddPath, BenchmarkMinimize, BenchmarkSerialize) are called
+# out in their own table section of the CI bench-compare step summary
+# (benchcmp.FormatMarkdown).
 #
 # BenchmarkCalibration is recorded alongside them for machine-speed
 # normalization; it is excluded from the gate's geomean.
@@ -53,7 +61,8 @@ echo "== running tier-1 benchmarks (-benchtime=$benchtime -count=$count -cpu 2 -
 go test -run '^$' -bench '^(BenchmarkAlgorithms_N1|BenchmarkAlgorithms_T3|BenchmarkCalibration|BenchmarkSpanOverhead)$' \
     -benchtime="$benchtime" -count="$count" -cpu 2 -benchmem . | tee "$out"
 go test -run '^$' -bench . -benchtime="$benchtime" -count="$count" -cpu 2 -benchmem \
-    ./internal/mapreduce ./internal/miner ./internal/pivot | tee -a "$out"
+    ./internal/mapreduce ./internal/miner ./internal/pivot \
+    ./internal/fst ./internal/nfa ./internal/dcand | tee -a "$out"
 
 # Record the recording environment alongside the command so a future reader
 # can judge whether a drift is machine or code: kernel, CPU model and count,
