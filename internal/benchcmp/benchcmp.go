@@ -25,11 +25,9 @@ import (
 	"strings"
 )
 
-// Baseline is the committed benchmark reference (BENCH_baseline.json).
-//
-// Schema 1 records ns/op samples only. Schema 2 adds the allocation metrics
-// of `go test -benchmem` (B/op, allocs/op); readers accept both, so a
-// schema-1 baseline still gates time until it is re-recorded.
+// Baseline is the committed benchmark reference (BENCH_baseline.json):
+// schema 2, ns/op samples plus the allocation metrics of `go test -benchmem`
+// (B/op, allocs/op).
 type Baseline struct {
 	// Schema versions the file format.
 	Schema int `json:"schema"`
@@ -41,11 +39,11 @@ type Baseline struct {
 	// stripped) to its ns/op samples.
 	Benchmarks map[string][]float64 `json:"benchmarks"`
 	// BytesPerOp maps the normalized benchmark name to its B/op samples
-	// (schema 2; informational, not gated).
+	// (informational, not gated).
 	BytesPerOp map[string][]float64 `json:"bytes_per_op,omitempty"`
 	// AllocsPerOp maps the normalized benchmark name to its allocs/op
-	// samples (schema 2; gated like time, but without calibration because
-	// allocation counts are machine-independent).
+	// samples (gated like time, but without calibration because allocation
+	// counts are machine-independent).
 	AllocsPerOp map[string][]float64 `json:"allocs_per_op,omitempty"`
 	// Tolerance maps a normalized benchmark name to its own time-ratio
 	// gate. A toleranced benchmark is excluded from both geomeans (its
@@ -180,10 +178,10 @@ type Report struct {
 	// CalibrationScale is the machine-speed factor divided out of every
 	// time ratio (1 when no calibration benchmark was present on both sides).
 	CalibrationScale float64 `json:"calibration_scale"`
-	// AllocResults holds the compared allocs/op benchmarks (schema-2
-	// baselines only), sorted by descending ratio. Allocation counts are
-	// machine-independent, so no calibration applies; ratios are smoothed as
-	// (current+1)/(baseline+1) so zero-alloc benchmarks stay well-defined.
+	// AllocResults holds the compared allocs/op benchmarks, sorted by
+	// descending ratio. Allocation counts are machine-independent, so no
+	// calibration applies; ratios are smoothed as (current+1)/(baseline+1) so
+	// zero-alloc benchmarks stay well-defined.
 	AllocResults []Result `json:"allocs,omitempty"`
 	// AllocGeomean is the geometric mean of the smoothed allocation ratios
 	// (0 when the baseline carries no allocation samples).
@@ -280,20 +278,16 @@ func (r *Report) GateFailures() []string {
 	return fails
 }
 
-// CompareFull is Compare plus the allocation gate of schema-2 baselines: when
-// the baseline carries allocs/op samples, the current run's allocs/op are
-// compared benchmark by benchmark (no calibration — allocation counts do not
-// depend on machine speed) and their +1-smoothed geomean lands in
-// Report.AllocGeomean. A baseline benchmark with allocation samples whose
-// current run lacks them (the run skipped -benchmem) is reported missing so
-// the gate refuses partial comparisons. Schema-1 baselines gate time only.
+// CompareFull is Compare plus the allocation gate: the current run's
+// allocs/op are compared benchmark by benchmark with the baseline's (no
+// calibration — allocation counts do not depend on machine speed) and their
+// +1-smoothed geomean lands in Report.AllocGeomean. A baseline benchmark with
+// allocation samples whose current run lacks them (the run skipped -benchmem)
+// is reported missing so the gate refuses partial comparisons.
 func CompareFull(baseline *Baseline, current *Samples, calibration string) (*Report, error) {
 	rep, err := Compare(baseline, current.Ns, calibration)
 	if err != nil {
 		return nil, err
-	}
-	if len(baseline.AllocsPerOp) == 0 {
-		return rep, nil
 	}
 	logSum, n := 0.0, 0
 	for name, baseSamples := range baseline.AllocsPerOp {
@@ -490,8 +484,9 @@ func ReadBaseline(r io.Reader) (*Baseline, error) {
 	case b.Schema > 2:
 		return nil, fmt.Errorf("benchcmp: baseline schema %d is newer than this benchgate understands (max 2); "+
 			"update the tool or re-record the baseline with `benchgate record`", b.Schema)
-	case b.Schema != 1 && b.Schema != 2:
-		return nil, fmt.Errorf("benchcmp: unsupported baseline schema %d; re-record with `benchgate record`", b.Schema)
+	case b.Schema != 2:
+		return nil, fmt.Errorf("benchcmp: baseline schema %d is no longer supported (this benchgate reads schema 2); "+
+			"re-record it with `benchgate record`", b.Schema)
 	}
 	if len(b.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchcmp: baseline (schema %d) holds no benchmarks; re-record with `benchgate record`", b.Schema)

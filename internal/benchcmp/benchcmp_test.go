@@ -53,7 +53,7 @@ func TestMedian(t *testing.T) {
 }
 
 func baseline(benches map[string][]float64) *benchcmp.Baseline {
-	return &benchcmp.Baseline{Schema: 1, Benchmarks: benches}
+	return &benchcmp.Baseline{Schema: 2, Benchmarks: benches}
 }
 
 func TestCompareGate(t *testing.T) {
@@ -181,7 +181,7 @@ func TestBaselineRoundTripAndEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := &benchcmp.Baseline{Schema: 1, Command: "test", GoVersion: "go0.0", Benchmarks: samples}
+	b := &benchcmp.Baseline{Schema: 2, Command: "test", GoVersion: "go0.0", Benchmarks: samples}
 	var buf bytes.Buffer
 	if err := benchcmp.WriteBaseline(&buf, b); err != nil {
 		t.Fatal(err)
@@ -209,8 +209,14 @@ func TestBaselineRoundTripAndEmit(t *testing.T) {
 		}
 	}
 
-	if _, err := benchcmp.ReadBaseline(strings.NewReader(`{"schema":99}`)); err == nil {
-		t.Error("expected an error for an unsupported schema")
+	// A stale or foreign file must say what to do about it.
+	for _, tc := range []struct{ name, file, want string }{
+		{"retired time-only schema", `{"schema":1,"benchmarks":{"BenchmarkA":[1]}}`, "re-record"},
+		{"future schema", `{"schema":99}`, "newer than this benchgate"},
+	} {
+		if _, err := benchcmp.ReadBaseline(strings.NewReader(tc.file)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
@@ -310,15 +316,6 @@ func TestCompareFullAllocGate(t *testing.T) {
 	}
 	if len(rep.MissingInCurrent) != 2 {
 		t.Errorf("MissingInCurrent = %v, want both alloc entries", rep.MissingInCurrent)
-	}
-
-	// Schema-1 baselines gate time only.
-	rep, err = benchcmp.CompareFull(baseline(map[string][]float64{"BenchmarkA": {100}}), cur, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.AllocGeomean != 0 || len(rep.AllocResults) != 0 {
-		t.Errorf("schema-1 baseline produced an alloc gate: %+v", rep)
 	}
 }
 

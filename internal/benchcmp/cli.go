@@ -112,7 +112,7 @@ func runCompare(args []string, stdin io.Reader, stdout io.Writer) error {
 	fs := flag.NewFlagSet("compare", flag.ContinueOnError)
 	baselinePath := fs.String("baseline", "BENCH_baseline.json", "baseline file to compare against")
 	maxRatio := fs.Float64("max-ratio", 1.15, "fail when the geomean time ratio exceeds this bound")
-	maxAllocRatio := fs.Float64("max-alloc-ratio", 1.15, "fail when the geomean allocs/op ratio exceeds this bound (schema-2 baselines)")
+	maxAllocRatio := fs.Float64("max-alloc-ratio", 1.15, "fail when the geomean allocs/op ratio exceeds this bound")
 	calibration := fs.String("calibration", "BenchmarkCalibration", "machine-speed calibration benchmark (excluded from the geomean; empty disables)")
 	summaryPath := fs.String("summary", "", "append the comparison as a markdown table to this file (e.g. $GITHUB_STEP_SUMMARY; empty disables)")
 	jsonPath := fs.String("json", "", "write the raw comparison report as JSON to this file (empty disables)")

@@ -117,11 +117,11 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 
 // TestWorkerRejectsUnknownSpecFields: a spec carrying a field this worker
 // does not know — a coordinator/worker version skew, e.g. a retired ablation
-// toggle or the coordinator-side spill directory — is a permanent 400 naming
+// toggle or knob, or the coordinator-side spill directory — is a permanent 400 naming
 // the field, never a silently ignored option.
 func TestWorkerRejectsUnknownSpecFields(t *testing.T) {
 	_, srv, id := startWorkerWithStore(t)
-	for _, field := range []string{"use_grid", "spill_tmp_dir"} {
+	for _, field := range []string{"use_grid", "spill_tmp_dir", "send_buffer_max_bytes"} {
 		body := `{"job_id":"job-u","peer":0,"data_peers":["x"],"expression":"(.)","sigma":1,"dataset_id":"` + id +
 			`","num_partitions":1,"partitions":[0],"plan":{"algorithm":"dseq","` + field + `":true}}`
 		resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))

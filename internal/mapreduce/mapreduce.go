@@ -31,19 +31,21 @@ type Config struct {
 	// Shuffle bounds the memory of the shuffle: past Shuffle.SpillThreshold
 	// buffered bytes, partitions spill to sorted temp-file segments that the
 	// reduce phase merge-streams (receive side), and with
-	// Shuffle.SendBufferBytes > 0 map workers stream through bounded
-	// per-peer send buffers instead of a phase barrier (map side). Both
-	// require the job to carry a Codec. The zero value keeps everything in
-	// memory and shuffles after the map barrier.
+	// Shuffle.SendBufferBytes > 0 the map workers' per-peer send buffers are
+	// bounded and stream while the map runs (map side). Both require the job
+	// to carry a Codec. The zero value keeps everything in memory and sends
+	// nothing before the map phase has ended.
 	Shuffle ShuffleConfig
 	// Context, when non-nil, aborts the job cooperatively: map workers stop
-	// consuming inputs at input granularity, the shuffle barrier still
-	// completes (peers receive this peer's end frame, so a canceled peer
-	// never wedges the others), the reduce phase is skipped and the run
-	// returns the context's error. A re-executed task can therefore restart
-	// promptly without leaking goroutines or CPU into the dead attempt. On a
-	// wire exchange the caller should additionally close the exchange on
-	// cancellation so a barrier blocked on a dead peer fails fast.
+	// consuming inputs at input granularity, what the send buffers still
+	// hold is dropped, the shuffle barrier still completes (peers receive
+	// this peer's end frame, so a canceled peer never wedges the others —
+	// they see only what left before the cancellation), the reduce phase is
+	// skipped and the run returns the context's error. A re-executed task
+	// can therefore restart promptly without leaking goroutines or CPU into
+	// the dead attempt. On a wire exchange the caller should additionally
+	// close the exchange on cancellation so a barrier blocked on a dead peer
+	// fails fast.
 	//
 	// Context also carries the job's observability state (internal/obs): a
 	// recorder attached with obs.WithRecorder receives mapreduce.run /
@@ -212,9 +214,9 @@ func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job 
 	// itself); it is bounded by the spill threshold. The receiver drains the
 	// exchange into it concurrently with the senders, so bounded transports
 	// can apply backpressure without deadlock. It starts before the map
-	// phase: peers running a streaming shuffle deliver while this peer still
-	// maps, and even in barrier mode a peer that finishes mapping early may
-	// start sending.
+	// phase: peers with bounded send buffers deliver while this peer still
+	// maps, and even with unbounded ones a peer that finishes mapping early
+	// starts sending.
 	//
 	// When the exchange can surface raw frames (a wire exchange with a
 	// codec), the receiver never decodes: frames are grouped by their
@@ -228,72 +230,34 @@ func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job 
 	go pprof.Do(runCtx, pprof.Labels("seqmine_stage", "shuffle_recv"), func(context.Context) {
 		var accErr error
 		for {
+			var (
+				frame []byte
+				b     KeyBatch[K, V]
+				err   error
+			)
 			if rawRecv {
-				frame, err := frames.RecvFrame()
-				if err == io.EOF {
-					recvDone <- accErr
-					return
-				}
-				if err != nil {
-					if accErr == nil {
-						accErr = err
-					}
-					recvDone <- accErr
-					return
-				}
-				if accErr != nil {
-					continue // keep draining so remote senders are not wedged
-				}
-				accErr = acc.addRaw(frame)
-				continue
-			}
-			b, err := ex.Recv()
-			if err == io.EOF {
-				recvDone <- accErr
-				return
+				frame, err = frames.RecvFrame()
+			} else {
+				b, err = ex.Recv()
 			}
 			if err != nil {
-				if accErr == nil {
+				if err != io.EOF && accErr == nil {
 					accErr = err
 				}
 				recvDone <- accErr
 				return
 			}
-			if accErr != nil {
-				continue // keep draining so remote senders are not wedged
+			switch {
+			case accErr != nil: // keep draining so remote senders are not wedged
+			case rawRecv:
+				accErr = acc.addRaw(frame)
+			default:
+				accErr = acc.add(b)
 			}
-			accErr = acc.add(b)
 		}
 	})
 
-	// ---- Map + shuffle (up to the end-frame barrier) ----------------------
-	// On a wire exchange the SizeOf estimate would be discarded in favor of
-	// the measured byte count, so the send paths skip computing it.
-	_, wire := ex.(WireMetrics)
-	var (
-		mapEnd     time.Time
-		shuffleErr error
-	)
-	if cfg.Shuffle.Streaming() {
-		mapEnd, shuffleErr = runStreamingMapShuffle(inputs, cfg, job, ex, acc, recvDone, wire, &metrics)
-	} else {
-		mapEnd, shuffleErr = runBarrierMapShuffle(inputs, cfg, job, ex, acc, recvDone, wire, &metrics)
-	}
-	// The map and shuffle phases are recorded retroactively from the metrics
-	// the engine already measures (the span is free when nothing listens). In
-	// barrier mode the shuffle follows the map phase; streaming overlaps it.
-	mapStart := mapEnd.Add(-metrics.MapTime)
-	obs.Observe(runCtx, "mapreduce.map", mapStart, metrics.MapTime,
-		obs.Int("records_out", metrics.MapOutputRecords))
-	shuffleStart := mapEnd
-	if cfg.Shuffle.Streaming() {
-		shuffleStart = mapStart
-	}
-	shuffleAttrs := []obs.Attr{obs.Int("records", metrics.ShuffleRecords)}
-	if shuffleErr != nil {
-		shuffleAttrs = append(shuffleAttrs, obs.String("error", shuffleErr.Error()))
-	}
-	obs.Observe(runCtx, "mapreduce.shuffle", shuffleStart, metrics.ShuffleTime, shuffleAttrs...)
+	mapEnd, shuffleErr := runMapShuffle(inputs, cfg, job, ex, acc, recvDone, &metrics)
 	if shuffleErr != nil {
 		metrics.ReduceTime = time.Since(mapEnd)
 		return nil, metrics, shuffleErr
@@ -333,107 +297,20 @@ func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job 
 	return out, metrics, nil
 }
 
-// runBarrierMapShuffle is the historical phase-synchronous path: every map
-// worker accumulates all of its groups, and nothing is sent until the whole
-// map phase has finished. It returns when the shuffle barrier is complete
-// (own sends flushed, every remote end frame received).
-func runBarrierMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], ex Exchange[K, V], acc *shuffleAccumulator[K, V], recvDone <-chan error, wire bool, metrics *Metrics) (time.Time, error) {
-	npeers, self := ex.NumPeers(), ex.Self()
-	ctx := cfg.Context
-	mapStart := time.Now()
-	type workerState struct {
-		groups  map[K][]V
-		emitted int64
-	}
-	workers := make([]workerState, cfg.MapWorkers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.MapWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			state := &workers[w]
-			state.groups = make(map[K][]V)
-			emit := func(k K, v V) {
-				state.groups[k] = append(state.groups[k], v)
-				state.emitted++
-			}
-			for i := w; i < len(inputs) && ctx.Err() == nil; i += cfg.MapWorkers {
-				job.Map(inputs[i], emit)
-			}
-			if job.Combine != nil {
-				for k, vs := range state.groups {
-					state.groups[k] = job.Combine(k, vs)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	mapEnd := time.Now()
-	metrics.MapTime = mapEnd.Sub(mapStart)
-
-	// Route each combined batch to the peer owning its key. Batches this
-	// peer owns bypass the exchange entirely and go straight into the
-	// accumulator: self-delivery is bounded by the spill buffer
-	// (Config.Shuffle), not by a queue that could wedge or grow.
-	// A canceled job skips the routing but still runs the barrier below, so
-	// remote peers get this peer's end frame instead of a wedged shuffle.
-	sendErr := ctx.Err()
-	for w := range workers {
-		metrics.MapOutputRecords += workers[w].emitted
-		for k, vs := range workers[w].groups {
-			metrics.ShuffleRecords += int64(len(vs))
-			switch {
-			case wire:
-			case job.SizeOf != nil:
-				for _, v := range vs {
-					metrics.ShuffleBytes += int64(job.SizeOf(k, v))
-				}
-			default:
-				metrics.ShuffleBytes += int64(len(vs))
-			}
-			if sendErr == nil {
-				dst := 0
-				if npeers > 1 {
-					dst = int(job.Hash(k) % uint64(npeers))
-				}
-				var err error
-				if dst == self {
-					err = acc.add(KeyBatch[K, V]{Key: k, Values: vs})
-				} else {
-					err = ex.Send(dst, KeyBatch[K, V]{Key: k, Values: vs})
-				}
-				if err != nil {
-					sendErr = err
-				}
-			}
-		}
-		workers[w].groups = nil
-	}
-	if err := ex.CloseSend(); err != nil && sendErr == nil {
-		sendErr = err
-	}
-	if err := <-recvDone; err != nil && sendErr == nil {
-		sendErr = err
-	}
-	metrics.ShuffleTime = time.Since(mapEnd)
-	return mapEnd, sendErr
-}
-
-// runStreamingMapShuffle is the pipelined path (ShuffleConfig.SendBufferBytes
-// > 0): map workers emit into bounded per-peer send buffers drained by
-// dedicated sender goroutines while mapping continues, so network transfer
-// overlaps map compute (see stream.go). It returns when the shuffle barrier
-// is complete.
-func runStreamingMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], ex Exchange[K, V], acc *shuffleAccumulator[K, V], recvDone <-chan error, wire bool, metrics *Metrics) (time.Time, error) {
+// runMapShuffle maps the local inputs and carries every emitted record to the
+// peer owning its key over the send path (stream.go): map workers emit into
+// their own per-peer buffers, which are combined and handed off when they
+// reach their share of Shuffle.SendBufferBytes and, for the rest, once the map
+// phase has ended. It returns the end of the map phase once the shuffle
+// barrier is complete (own sends flushed, every remote end frame received).
+func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], ex Exchange[K, V], acc *shuffleAccumulator[K, V], recvDone <-chan error, metrics *Metrics) (time.Time, error) {
 	npeers := ex.NumPeers()
 	ctx := cfg.Context
-	ss := newStreamShuffle(cfg, jobShape[K, V]{
-		combine: job.Combine,
-		sizeOf:  job.SizeOf,
-		codec:   job.Codec,
-		wire:    wire,
-	}, acc, ex)
-	defer ss.cleanup()
+	// On a wire exchange the SizeOf estimate would be discarded in favor of
+	// the measured byte count, so the send path skips computing it.
+	_, wire := ex.(WireMetrics)
+	sp := newSendPath(cfg, job, wire, acc, ex)
+	defer sp.cleanup()
 
 	mapStart := time.Now()
 	emitted := make([]int64, cfg.MapWorkers)
@@ -442,16 +319,22 @@ func runStreamingMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg C
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			bufs := sp.bufs[w]
+			var n int64
 			emit := func(k K, v V) {
-				emitted[w]++
+				n++
 				dst := 0
 				if npeers > 1 {
 					dst = int(job.Hash(k) % uint64(npeers))
 				}
-				ss.emit(w, dst, k, v)
+				sp.add(&bufs[dst], dst, k, v)
 			}
 			for i := w; i < len(inputs) && ctx.Err() == nil; i += cfg.MapWorkers {
 				job.Map(inputs[i], emit)
+			}
+			emitted[w] = n
+			for dst := range bufs {
+				sp.seal(&bufs[dst])
 			}
 		}(w)
 	}
@@ -462,22 +345,38 @@ func runStreamingMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg C
 		metrics.MapOutputRecords += n
 	}
 
-	// Final flush, join the senders, then the end-frame barrier. All three
+	// Final hand-off, join the senders, then the end-frame barrier. All three
 	// steps run even after an error (or cancellation) so remote peers are
 	// never wedged.
-	streamErr := ss.finish()
-	if err := ctx.Err(); err != nil && streamErr == nil {
-		streamErr = err
+	err := sp.finish()
+	if cerr := ctx.Err(); cerr != nil && err == nil {
+		err = cerr
 	}
-	if err := ex.CloseSend(); err != nil && streamErr == nil {
-		streamErr = err
+	if cerr := ex.CloseSend(); cerr != nil && err == nil {
+		err = cerr
 	}
-	if err := <-recvDone; err != nil && streamErr == nil {
-		streamErr = err
+	if rerr := <-recvDone; rerr != nil && err == nil {
+		err = rerr
 	}
-	metrics.ShuffleTime = time.Since(mapStart)
-	ss.fold(metrics)
-	return mapEnd, streamErr
+	// With bounded buffers the shuffle runs alongside the map phase — that
+	// overlap is the point; unbounded, nothing leaves before the map ends.
+	shuffleStart := mapEnd
+	if cfg.Shuffle.Streaming() {
+		shuffleStart = mapStart
+	}
+	metrics.ShuffleTime = time.Since(shuffleStart)
+	sp.fold(metrics)
+
+	// The phases are recorded retroactively from the times the engine
+	// already measures (the spans are free when nothing listens).
+	obs.Observe(ctx, "mapreduce.map", mapStart, metrics.MapTime,
+		obs.Int("records_out", metrics.MapOutputRecords))
+	shuffleAttrs := []obs.Attr{obs.Int("records", metrics.ShuffleRecords)}
+	if err != nil {
+		shuffleAttrs = append(shuffleAttrs, obs.String("error", err.Error()))
+	}
+	obs.Observe(ctx, "mapreduce.shuffle", shuffleStart, metrics.ShuffleTime, shuffleAttrs...)
+	return mapEnd, err
 }
 
 // reduceInMemory is the historical reduce path: the whole shuffle fit in

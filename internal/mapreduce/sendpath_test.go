@@ -1,0 +1,328 @@
+package mapreduce
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"seqmine/internal/transport"
+)
+
+// oracleResult is what the sequential reference below computes for a job.
+type oracleResult struct {
+	out                    []string // sorted
+	mapRecords, partitions int64
+	// Post-combine volume of a run with unbounded send buffers: every map
+	// worker of every peer combines each of its keys exactly once.
+	shuffleRecords, shuffleBytes int64
+}
+
+// oracle is a sequential map → group → reduce of the job over the peers'
+// input splits. It shares no code with the engine (no send path, exchange or
+// accumulator), so the engine's one map/shuffle path is not its own
+// reference. Reduce sees the raw, uncombined values.
+func oracle(job Job[string, string, int, string], splits [][]string, workers int) oracleResult {
+	var r oracleResult
+	all := make(map[string][]int)
+	for _, split := range splits {
+		for w := 0; w < workers; w++ {
+			groups := make(map[string][]int)
+			for i := w; i < len(split); i += workers {
+				job.Map(split[i], func(k string, v int) {
+					groups[k] = append(groups[k], v)
+					all[k] = append(all[k], v)
+					r.mapRecords++
+				})
+			}
+			for k, vs := range groups {
+				if job.Combine != nil {
+					vs = job.Combine(k, vs)
+				}
+				r.shuffleRecords += int64(len(vs))
+				for _, v := range vs {
+					r.shuffleBytes += int64(job.SizeOf(k, v))
+				}
+			}
+		}
+	}
+	r.partitions = int64(len(all))
+	for k, vs := range all {
+		job.Reduce(k, vs, func(o string) { r.out = append(r.out, o) })
+	}
+	sort.Strings(r.out)
+	return r
+}
+
+// wantOutput is the oracle's sorted job output for a single-peer run.
+func wantOutput(job Job[string, string, int, string], inputs []string) []string {
+	return oracle(job, [][]string{inputs}, 1).out
+}
+
+// splitInputs deals the inputs round-robin to n peers.
+func splitInputs(inputs []string, n int) [][]string {
+	splits := make([][]string, n)
+	for i, in := range inputs {
+		splits[i%n] = append(splits[i%n], in)
+	}
+	return splits
+}
+
+// runGroup executes the job on every peer of the group (peer p maps
+// splits[p]) and returns the sorted union of the outputs with the per-peer
+// metrics and errors.
+func runGroup(job Job[string, string, int, string], group []Exchange[string, int], splits [][]string, cfg func(p int) Config) ([]string, []Metrics, []error) {
+	results := make([][]string, len(group))
+	metrics := make([]Metrics, len(group))
+	errs := make([]error, len(group))
+	var wg sync.WaitGroup
+	for p := range group {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			results[p], metrics[p], errs[p] = RunExchange(splits[p], cfg(p), job, group[p])
+		}(p)
+	}
+	wg.Wait()
+	var out []string
+	for _, r := range results {
+		out = append(out, r...)
+	}
+	sort.Strings(out)
+	return out, metrics, errs
+}
+
+// TestSendPathMatchesOracle is the core equivalence property: whatever the
+// worker count and the send-buffer capacity — unbounded included — the engine
+// must produce the sequential oracle's output and exact record counts.
+func TestSendPathMatchesOracle(t *testing.T) {
+	inputs := spillInputs(200)
+	job := spillWordCountJob()
+	for _, workers := range []int{1, 2, 4} {
+		want := oracle(job, [][]string{inputs}, workers)
+		for _, buffer := range []int64{-1, 0, 3, 64, 512, 1 << 20} {
+			cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
+				Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
+			got, metrics := Run(inputs, cfg, job)
+			sort.Strings(got)
+			if !reflect.DeepEqual(got, want.out) {
+				t.Errorf("workers=%d buffer=%d: output differs from the oracle", workers, buffer)
+			}
+			if metrics.MapOutputRecords != want.mapRecords || metrics.Partitions != want.partitions {
+				t.Errorf("workers=%d buffer=%d: MapOutputRecords/Partitions = %d/%d, want %d/%d", workers, buffer,
+					metrics.MapOutputRecords, metrics.Partitions, want.mapRecords, want.partitions)
+			}
+			if metrics.ShuffleBytes <= 0 || metrics.ShuffleTime <= 0 {
+				t.Errorf("workers=%d buffer=%d: shuffle metrics not populated: %+v", workers, buffer, metrics)
+			}
+			if buffer <= 0 {
+				if metrics.StreamedBatches != 0 {
+					t.Errorf("workers=%d buffer=%d: unbounded run reported streamed batches: %+v", workers, buffer, metrics)
+				}
+				if metrics.ShuffleRecords != want.shuffleRecords || metrics.ShuffleBytes != want.shuffleBytes {
+					t.Errorf("workers=%d buffer=%d: ShuffleRecords/Bytes = %d/%d, want %d/%d", workers, buffer,
+						metrics.ShuffleRecords, metrics.ShuffleBytes, want.shuffleRecords, want.shuffleBytes)
+				}
+				continue
+			}
+			if metrics.StreamedBatches == 0 {
+				t.Errorf("workers=%d buffer=%d: expected streamed batches", workers, buffer)
+			}
+			// Per-flush combining merges duplicates within a buffer only, so
+			// the communicated records lie between the unbounded run's and
+			// the raw map output.
+			if metrics.ShuffleRecords > want.mapRecords || metrics.ShuffleRecords < want.shuffleRecords {
+				t.Errorf("workers=%d buffer=%d: implausible ShuffleRecords %d (map output %d, fully combined %d)",
+					workers, buffer, metrics.ShuffleRecords, want.mapRecords, want.shuffleRecords)
+			}
+		}
+	}
+}
+
+// TestMetricsContract pins what the benchmark and the cluster worker read off
+// Metrics, on every kind of exchange: an unbounded run reports no streaming
+// or spilling activity and a shuffle that starts when the map ends, a bounded
+// run reports streamed batches, both agree with the oracle on the
+// capacity-independent counts, and the unbounded run's shuffle volume is the
+// oracle's post-combine volume exactly.
+func TestMetricsContract(t *testing.T) {
+	inputs := spillInputs(200)
+	job := spillWordCountJob()
+	const workers = 2
+	for _, topo := range []struct {
+		name  string
+		peers int
+		tcp   bool
+	}{{"loopback-1", 1, false}, {"loopback-3", 3, false}, {"tcp-2", 2, true}} {
+		t.Run(topo.name, func(t *testing.T) {
+			splits := splitInputs(inputs, topo.peers)
+			want := oracle(job, splits, workers)
+			run := func(name string, sc ShuffleConfig) Metrics {
+				group := NewLoopbackGroup[string, int](topo.peers)
+				if topo.tcp {
+					group = tcpGroup(t, name, topo.peers)
+				}
+				out, metrics, errs := runGroup(job, group, splits, func(int) Config {
+					return Config{MapWorkers: workers, ReduceWorkers: workers, Shuffle: sc}
+				})
+				for p, err := range errs {
+					if err != nil {
+						t.Fatalf("%s: peer %d: %v", name, p, err)
+					}
+				}
+				if !reflect.DeepEqual(out, want.out) {
+					t.Errorf("%s: output differs from the oracle", name)
+				}
+				var total Metrics
+				for _, m := range metrics {
+					if m.RemoteShuffle != topo.tcp {
+						t.Errorf("%s: RemoteShuffle = %v on a tcp=%v exchange", name, m.RemoteShuffle, topo.tcp)
+					}
+					if !sc.Streaming() && (m.StreamedBatches != 0 || m.SpillCount != 0 || m.SpilledBytes != 0 ||
+						m.SendOverflowSegments != 0 || len(m.StreamPeers) != 0 || m.ShuffleTime > m.ReduceTime) {
+						t.Errorf("%s: unbounded run reports streaming activity or an early shuffle: %+v", name, m)
+					}
+					total.MapOutputRecords += m.MapOutputRecords
+					total.Partitions += m.Partitions
+					total.ShuffleRecords += m.ShuffleRecords
+					total.ShuffleBytes += m.ShuffleBytes
+					total.StreamedBatches += m.StreamedBatches
+				}
+				if total.MapOutputRecords != want.mapRecords || total.Partitions != want.partitions {
+					t.Errorf("%s: MapOutputRecords/Partitions = %d/%d, want %d/%d", name,
+						total.MapOutputRecords, total.Partitions, want.mapRecords, want.partitions)
+				}
+				return total
+			}
+			unbounded := run("unbounded", ShuffleConfig{})
+			bounded := run("bounded", ShuffleConfig{SendBufferBytes: 256, SpillTmpDir: t.TempDir()})
+			if bounded.StreamedBatches == 0 {
+				t.Error("bounded run reported no streamed batches")
+			}
+			if unbounded.ShuffleRecords != want.shuffleRecords {
+				t.Errorf("unbounded ShuffleRecords = %d, want the oracle's post-combine %d",
+					unbounded.ShuffleRecords, want.shuffleRecords)
+			}
+			if !topo.tcp && unbounded.ShuffleBytes != want.shuffleBytes {
+				t.Errorf("unbounded ShuffleBytes = %d, want the oracle's post-combine %d",
+					unbounded.ShuffleBytes, want.shuffleBytes)
+			}
+			if topo.tcp && unbounded.ShuffleBytes <= 0 {
+				t.Error("wire run measured no transport bytes")
+			}
+		})
+	}
+}
+
+// tcpGroup connects n transport nodes on loopback TCP and returns one frame
+// exchange per peer; everything is closed when the test ends.
+func tcpGroup(t *testing.T, jobID string, n int) []Exchange[string, int] {
+	t.Helper()
+	nodes := make([]*transport.Node, n)
+	addrs := make([]string, n)
+	for i := range nodes {
+		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
+		}
+		t.Cleanup(func() { node.Close() })
+		nodes[i], addrs[i] = node, node.Addr()
+	}
+	group := make([]Exchange[string, int], n)
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for p := range nodes {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			bx, err := nodes[p].OpenExchange(jobID, p, addrs)
+			if err != nil {
+				errs[p] = err
+				return
+			}
+			group[p] = NewFrameExchange[string, int](bx, testCodec())
+		}(p)
+	}
+	wg.Wait()
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: OpenExchange: %v", p, err)
+		}
+	}
+	return group
+}
+
+// failingExchange rejects every Send, like a peer whose connection broke.
+type failingExchange[K comparable, V any] struct{ Exchange[K, V] }
+
+var errInjectedSend = errors.New("injected send failure")
+
+func (failingExchange[K, V]) Send(int, KeyBatch[K, V]) error { return errInjectedSend }
+
+// TestSendPathLeavesNoGoroutines: the send path starts one sender goroutine
+// per remote peer whatever the buffer capacity. They, the receiver and the
+// map workers must all have exited when RunExchange returns — on success,
+// after a send error and after a cancellation.
+func TestSendPathLeavesNoGoroutines(t *testing.T) {
+	inputs := spillInputs(120)
+	job := spillWordCountJob()
+	for _, outcome := range []string{"ok", "send-error", "cancelled"} {
+		for _, buffer := range []int64{0, 128} {
+			t.Run(fmt.Sprintf("%s/buffer=%d", outcome, buffer), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				group := NewLoopbackGroup[string, int](2)
+				j := job
+				switch outcome {
+				case "send-error":
+					group[0] = failingExchange[string, int]{group[0]}
+				case "cancelled":
+					var mapped atomic.Int64
+					j.Map = func(in string, emit func(string, int)) {
+						if mapped.Add(1) == 30 {
+							cancel()
+						}
+						job.Map(in, emit)
+					}
+				}
+				_, _, errs := runGroup(j, group, splitInputs(inputs, 2), func(p int) Config {
+					cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
+						Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
+					if p == 0 {
+						cfg.Context = ctx
+					}
+					return cfg
+				})
+				var want error
+				switch outcome {
+				case "send-error":
+					want = errInjectedSend
+				case "cancelled":
+					want = context.Canceled
+				}
+				if !errors.Is(errs[0], want) {
+					t.Errorf("peer 0 returned %v, want %v", errs[0], want)
+				}
+				if errs[1] != nil {
+					t.Errorf("peer 1 failed: %v", errs[1])
+				}
+				deadline := time.Now().Add(10 * time.Second)
+				for runtime.NumGoroutine() > before {
+					if time.Now().After(deadline) {
+						buf := make([]byte, 1<<16)
+						n := runtime.Stack(buf, true)
+						t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
+					}
+					time.Sleep(10 * time.Millisecond)
+				}
+			})
+		}
+	}
+}

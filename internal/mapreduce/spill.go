@@ -28,11 +28,11 @@ func spillSegmentHist(reg *obs.Registry) *obs.Histogram {
 
 // ShuffleConfig bounds the memory footprint of the shuffle. SpillThreshold
 // bounds the receive side (spilling overflow to disk); SendBufferBytes bounds
-// the map side and switches the engine to the streaming pipelined shuffle.
-// The zero value keeps the whole shuffle in memory with a phase-synchronous
-// barrier (the historical behavior). This is the one declaration of the
-// shuffle knobs: internal/plan embeds it by value into the query plan, so the
-// JSON tags are the field names of POST /mine and of the worker job spec.
+// the map-side send buffers. The zero value keeps the whole shuffle in memory
+// and sends nothing before the map phase has ended. This is the one
+// declaration of the shuffle knobs: internal/plan embeds it by value into the
+// query plan, so the JSON tags are the field names of POST /mine and of the
+// worker job spec.
 type ShuffleConfig struct {
 	// SpillThreshold is the number of buffered shuffle bytes a peer holds in
 	// memory before it spills a sorted run to a temp-file segment; <= 0
@@ -45,24 +45,16 @@ type ShuffleConfig struct {
 	// subdirectory. It names a path on this process's filesystem, so it is
 	// never serialized: a cluster worker spills into its own -spill-dir.
 	SpillTmpDir string `json:"-"`
-	// SendBufferBytes, when > 0, enables the streaming pipelined shuffle: map
-	// workers emit into bounded per-peer send buffers (partial combine runs
-	// on every flush) that dedicated sender goroutines drain over the
-	// exchange while mapping continues, so network transfer overlaps map
-	// compute. Each peer's buffer holds at most SendBufferBytes (plus one
-	// record), measured like SpillThreshold; when the buffer is full and the
-	// sender is still busy, the flushed run overflows to an on-disk segment
-	// the sender drains later, so a slow network never stalls map compute
-	// and never grows sender memory. Requires the job to carry a Codec.
+	// SendBufferBytes is the capacity of a peer's send buffer toward one
+	// destination, measured like SpillThreshold. When > 0 the shuffle streams:
+	// a map worker whose share of the buffer is full combines it and hands it
+	// to the destination's sender while mapping continues, so network
+	// transfer overlaps map compute; when the sender is still busy, the run
+	// overflows to an on-disk segment the sender drains later, so a slow
+	// network never stalls map compute and never grows sender memory.
+	// Requires the job to carry a Codec. <= 0 means the buffers never fill:
+	// everything is handed off once, after the map phase (barrier mode).
 	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
-	// SendBufferMaxBytes, when > SendBufferBytes, lets the streaming shuffle
-	// grow a destination's send buffer adaptively: a peer whose buffer keeps
-	// flushing at full occupancy while its sender keeps up (no overflow to
-	// disk) doubles its share, up to this bound. Buffers start at
-	// SendBufferBytes, so the configured value stays the floor and
-	// SendBufferMaxBytes the ceiling of per-peer sender memory. 0 (or any
-	// value <= SendBufferBytes) disables adaptation.
-	SendBufferMaxBytes int64 `json:"send_buffer_max_bytes,omitempty"`
 	// CompressSpill compresses spill segments (receive-side runs and map-side
 	// send overflow) with DEFLATE. Metrics.SpilledBytes then reports the
 	// compressed on-disk size.
@@ -72,15 +64,9 @@ type ShuffleConfig struct {
 // Enabled reports whether the configuration asks for spilling.
 func (c ShuffleConfig) Enabled() bool { return c.SpillThreshold > 0 }
 
-// Streaming reports whether the configuration asks for the streaming
-// pipelined shuffle.
+// Streaming reports whether the send buffers are bounded, i.e. whether data
+// leaves a peer while it still maps.
 func (c ShuffleConfig) Streaming() bool { return c.SendBufferBytes > 0 }
-
-// Adaptive reports whether streaming send buffers may grow past
-// SendBufferBytes; a bound at or below the floor means fixed buffers.
-func (c ShuffleConfig) Adaptive() bool {
-	return c.Streaming() && c.SendBufferMaxBytes > c.SendBufferBytes
-}
 
 const (
 	// maxSpillFrame bounds one segment frame on read-back (corruption

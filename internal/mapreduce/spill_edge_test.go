@@ -8,7 +8,6 @@ import (
 	"io"
 	"reflect"
 	"sort"
-	"sync/atomic"
 	"testing"
 )
 
@@ -169,89 +168,5 @@ func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 	}
 	if !sort.StringsAreSorted(order) {
 		t.Fatalf("merge delivered keys out of encoded order: %v", order)
-	}
-}
-
-// TestSendBufferAdaptiveGrowth unit-tests noteFullFlush: the per-destination
-// shard share doubles only after sendBufferGrowthFlushes consecutive
-// capacity-triggered flushes with the sender keeping up, a lagging sender
-// resets the streak, growth clamps at maxShardCap, and a configuration
-// without headroom disables adaptation entirely.
-func TestSendBufferAdaptiveGrowth(t *testing.T) {
-	s := &streamShuffle[string, int]{shardCap: 64, maxShardCap: 256}
-	st := &destSendState[string, int]{owner: s}
-	st.shardCap.Store(s.shardCap)
-
-	for i := 0; i < sendBufferGrowthFlushes-1; i++ {
-		st.noteFullFlush()
-	}
-	if got := st.shardCap.Load(); got != 64 {
-		t.Fatalf("shardCap grew after %d flushes: %d", sendBufferGrowthFlushes-1, got)
-	}
-	// A lagging flush resets the streak: the next three flushes must not grow.
-	st.lagging.Store(true)
-	st.noteFullFlush()
-	st.lagging.Store(false)
-	for i := 0; i < sendBufferGrowthFlushes-1; i++ {
-		st.noteFullFlush()
-	}
-	if got := st.shardCap.Load(); got != 64 {
-		t.Fatalf("shardCap grew across a lagging reset: %d", got)
-	}
-	st.noteFullFlush() // completes the streak
-	if got := st.shardCap.Load(); got != 128 {
-		t.Fatalf("shardCap after one growth = %d, want 128", got)
-	}
-	for i := 0; i < 2*sendBufferGrowthFlushes; i++ {
-		st.noteFullFlush()
-	}
-	if got := st.shardCap.Load(); got != 256 {
-		t.Fatalf("shardCap did not clamp at maxShardCap: %d", got)
-	}
-
-	fixed := &streamShuffle[string, int]{shardCap: 64, maxShardCap: 64}
-	stFixed := &destSendState[string, int]{owner: fixed}
-	stFixed.shardCap.Store(fixed.shardCap)
-	for i := 0; i < 3*sendBufferGrowthFlushes; i++ {
-		stFixed.noteFullFlush()
-	}
-	if got := stFixed.shardCap.Load(); got != 64 {
-		t.Fatalf("adaptation ran without headroom: shardCap = %d", got)
-	}
-}
-
-// TestStreamingAdaptiveMatchesBarrier runs the streaming shuffle with
-// adaptive send buffers enabled end to end: output stays byte-identical to
-// the barrier shuffle and occupancy stays within the adaptive bound.
-func TestStreamingAdaptiveMatchesBarrier(t *testing.T) {
-	const bufCap, bufMax = 64, 2048
-	var max atomic.Int64
-	testSendBufferProbe = func(_ int, occupancy int64) {
-		for {
-			cur := max.Load()
-			if occupancy <= cur || max.CompareAndSwap(cur, occupancy) {
-				return
-			}
-		}
-	}
-	defer func() { testSendBufferProbe = nil }()
-
-	inputs := spillInputs(200)
-	job := spillWordCountJob()
-	want, _ := Run(inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
-	sort.Strings(want)
-
-	cfg := Config{MapWorkers: 3, ReduceWorkers: 3,
-		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SendBufferMaxBytes: bufMax, SpillTmpDir: t.TempDir()}}
-	got, metrics := Run(inputs, cfg, job)
-	sort.Strings(got)
-	if !reflect.DeepEqual(got, want) {
-		t.Error("adaptive streaming output differs from barrier output")
-	}
-	if metrics.StreamedBatches == 0 {
-		t.Fatal("expected streamed batches")
-	}
-	if got := max.Load(); got > bufMax {
-		t.Errorf("send-buffer occupancy reached %d bytes, adaptive bound is %d", got, bufMax)
 	}
 }

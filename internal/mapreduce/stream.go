@@ -30,77 +30,68 @@ const sendOverflowGrace = 100 * time.Millisecond
 // queue — or the end of the map phase, which drains them unconditionally.
 const senderIdleCheck = 20 * time.Millisecond
 
-// sendBufferGrowthFlushes is how many consecutive capacity-triggered flushes
-// a destination absorbs — with its sender keeping up — before the adaptive
-// send buffer (ShuffleConfig.SendBufferMaxBytes) doubles its share. Flushing
-// at full occupancy that often means the buffer, not the network, is the
-// bottleneck: bigger buffers mean fewer, larger flushes and better combining.
-const sendBufferGrowthFlushes = 4
-
-// This file implements the streaming pipelined shuffle
-// (ShuffleConfig.SendBufferBytes > 0): instead of accumulating the whole map
-// output and shuffling after a phase barrier, map workers emit into bounded
-// per-peer send buffers that dedicated sender goroutines drain over the
-// exchange while mapping continues. Network transfer therefore overlaps map
-// compute, and a peer's sender memory is capped by SendBufferBytes per peer:
+// This file implements the send path, the one way a key's records travel
+// from the map workers to the peer that reduces the key:
 //
-//   - each destination's buffer is sharded across the map workers (worker w
-//     owns shard w mod nshards), so emits from different map workers do not
-//     serialize on one mutex; each shard holds SendBufferBytes/nshards, so
-//     the per-destination total still respects the cap;
-//   - a shard that reaches its share is flushed — the combiner runs on the
-//     buffered groups (partial combine; the reducers merge the partial
-//     results exactly like batches from different peers), and the combined
-//     batches are handed to the destination's sender goroutine;
-//   - when the sender is still busy with the previous run (the network is
-//     applying backpressure), the flushed run overflows to an on-disk
-//     segment in the FrameCodec wire encoding — the same machinery the
-//     receive side spills with — and the sender replays those segments as
-//     the network catches up, so map compute never stalls and sender memory
-//     never grows;
-//   - batches this peer owns flush into the shuffle accumulator, which is
-//     itself bounded by the spill threshold.
+//	buffer → combine → queue → sender
 //
-// Streaming and barrier mode produce identical mining results: the reduce
-// phase sees the same multiset of values per key either way, only grouped
-// into different partial batches.
+//   - every map worker owns one buffer per destination peer, so emits never
+//     synchronize;
+//   - a buffer's capacity is the worker's share of
+//     ShuffleConfig.SendBufferBytes, or unbounded when that is <= 0. A full
+//     buffer is flushed: the combiner runs on the buffered groups (a partial
+//     combine; the reducers merge partial results exactly like batches from
+//     different peers) and the run is handed to the destination's sender
+//     goroutine, so network transfer overlaps map compute. What a buffer
+//     still holds when its worker runs out of input is combined there and
+//     handed off once the whole map phase has ended — for an unbounded buffer
+//     that is the only hand-off, so nothing leaves before the map ends (the
+//     barrier shuffle);
+//   - when the sender is still busy with earlier runs (the network is
+//     applying backpressure), a flushed run overflows to an on-disk segment in
+//     the FrameCodec wire encoding — the same machinery the receive side
+//     spills with — and the sender replays those segments as the network
+//     catches up, so map compute never stalls and sender memory never grows;
+//   - runs this peer owns go into the shuffle accumulator, which is itself
+//     bounded by the spill threshold;
+//   - a cancelled or failed run drops what it still buffers: only the end
+//     frames follow, so the other peers complete their barrier.
+//
+// A destination's buffered bytes therefore never exceed SendBufferBytes plus
+// one record per map worker (a record larger than the worker's whole share
+// still has to be buffered once). The reduce phase sees the same multiset of
+// values per key whatever the capacity, only grouped into different partial
+// batches, so mining results do not depend on it.
 
 // testSendBufferProbe, when non-nil, observes the per-peer send-buffer
-// occupancy (in accounted bytes, summed over the destination's shards) after
-// every emit. Tests use it to assert the SendBufferBytes bound; it must be
-// set before the job starts and not changed while one runs.
+// occupancy (in accounted bytes, summed over the map workers' buffers) after
+// every emit into a bounded buffer. Tests use it to assert the
+// SendBufferBytes bound; it must be set before the job starts and not changed
+// while one runs.
 var testSendBufferProbe func(peer int, occupancyBytes int64)
 
-// jobShape is the slice of Job the streaming shuffle needs, avoiding a type
-// parameter tangle with the job's input and output types.
-type jobShape[K comparable, V any] struct {
+// sendPath is the per-RunExchange state of the send path.
+type sendPath[K comparable, V any] struct {
+	cfg     ShuffleConfig
+	bounded bool  // buffers have a capacity (cfg.Streaming())
+	share   int64 // one map worker's byte share of SendBufferBytes
 	combine func(K, []V) []V
-	sizeOf  func(K, V) int
-	codec   *FrameCodec[K, V]
-	wire    bool // ShuffleBytes comes from WireMetrics, skip the estimate
-}
+	// sizeOf prices a record for the buffer bound and for the ShuffleBytes
+	// estimate; nil (unbounded runs of jobs without SizeOf) counts one byte
+	// per record.
+	sizeOf func(K, V) int
+	codec  *FrameCodec[K, V]
+	wire   bool // ShuffleBytes comes from WireMetrics, skip the estimate
+	self   int
 
-// streamShuffle is the per-RunExchange state of the streaming shuffle.
-type streamShuffle[K comparable, V any] struct {
-	cfg      ShuffleConfig
-	combine  func(K, []V) []V
-	sizeOf   func(K, V) int
-	codec    *FrameCodec[K, V]
-	wire     bool
-	nshards  int
-	shardCap int64 // initial per-shard byte share of SendBufferBytes
-	// maxShardCap bounds the adaptive per-shard share
-	// (SendBufferMaxBytes/nshards); equal to shardCap when adaptation is
-	// disabled.
-	maxShardCap int64
+	acc   *shuffleAccumulator[K, V]
+	dests []*destSendState[K, V]
+	bufs  [][]sendBuffer[K, V] // [map worker][destination]
 
-	acc    *shuffleAccumulator[K, V]
-	dests  []*destSendState[K, V]
-	shards []*sendShard[K, V] // dst*nshards + (worker mod nshards)
-
-	// ctx carries the job's trace recorder (overflow-spill spans); occHist
-	// observes per-destination buffer occupancy at flush time and segHist the
-	// overflow-segment sizes. All no-ops when observability is not wired up.
+	// ctx cancels the run and carries its trace recorder (overflow-spill
+	// spans); occHist observes per-destination buffer occupancy at flush time
+	// and segHist the overflow-segment sizes (no-ops when observability is
+	// not wired up).
 	ctx     context.Context
 	occHist *obs.Histogram
 	segHist *obs.Histogram
@@ -110,303 +101,243 @@ type streamShuffle[K comparable, V any] struct {
 	dirErr  error
 
 	senders sync.WaitGroup
-	err     atomic.Value // first sender/flush error, wrapped in errBox
+	err     atomic.Pointer[error] // first sender/flush error
 }
 
-type errBox struct{ err error }
+// runStats counts one or more combined runs: key batches, records and (on
+// non-wire exchanges) their estimated bytes.
+type runStats struct{ batches, records, sizeBytes int64 }
+
+func (r *runStats) add(o runStats) {
+	r.batches += o.batches
+	r.records += o.records
+	r.sizeBytes += o.sizeBytes
+}
+
+// sendBuffer is one map worker's buffer toward one destination. Only its
+// worker touches it during the map phase; finish and fold read it after the
+// workers have joined.
+type sendBuffer[K comparable, V any] struct {
+	groups map[K][]V
+	bytes  int64    // accounted size of groups (bounded buffers only)
+	held   runStats // groups once sealed: combined, not yet handed off
+	sent   runStats // everything handed off so far
+}
 
 // destSendState is the per-destination half of the send path: the sender
-// queue, the overflow segments and the accounting the shards share.
+// queue, the overflow segments and what the workers' buffers share.
 type destSendState[K comparable, V any] struct {
-	owner *streamShuffle[K, V]
+	owner *sendPath[K, V]
 	dst   int
-	self  bool
 
-	// dead: a sender/flush error was recorded; drop further data.
-	dead atomic.Bool
 	// lagging: a flush timed the grace out; overflow goes straight to disk.
 	lagging atomic.Bool
-	// occupancy is the summed buffered bytes across the destination's shards
-	// (the quantity SendBufferBytes bounds; observed by the test probe).
+	// occupancy is the summed buffered bytes across the map workers' buffers
+	// toward this destination (the quantity SendBufferBytes bounds).
 	occupancy atomic.Int64
-	// shardCap is this destination's current per-shard byte share; starts at
-	// the owner's shardCap and doubles (up to maxShardCap) after
-	// sendBufferGrowthFlushes consecutive capacity flushes with the sender
-	// keeping up (see noteFullFlush).
-	shardCap atomic.Int64
-	// capFlushes counts the consecutive capacity-triggered flushes feeding
-	// the adaptive growth decision.
-	capFlushes atomic.Int32
-	// free recycles flushed batch slices from the sender back to the flush
-	// path (bounded; misses fall back to allocation).
-	free chan []KeyBatch[K, V]
+	// free recycles the group maps of consumed runs back to the flush path
+	// (bounded; misses fall back to allocation).
+	free chan map[K][]V
 
-	// queue hands flushed runs to the sender goroutine (remote peers only).
-	// Its small capacity absorbs scheduler jitter — the sender losing the
-	// CPU for a couple of timeslices must not stall the map workers or send
-	// runs to disk. Flushes beyond a full queue overflow to disk after the
-	// grace, so in-flight sender memory stays a small constant multiple of
+	// queue hands flushed runs to the sender goroutine (nil for this peer
+	// itself). Its small capacity absorbs scheduler jitter — the sender losing
+	// the CPU for a couple of timeslices must not stall the map workers or
+	// send runs to disk. Flushes beyond a full queue overflow to disk after
+	// the grace, so in-flight sender memory stays a small constant multiple of
 	// SendBufferBytes per peer.
-	queue chan []KeyBatch[K, V]
+	queue chan map[K][]V
 
-	// overflow segments, completed and not yet sent (remote peers only),
-	// guarded by spillMu.
+	// overflow segments, completed and not yet sent, guarded by spillMu.
 	spillMu      sync.Mutex
 	segs         []*os.File
 	spilledBytes int64
 	spillCount   int64
 	buf          []byte // scratch encode buffer for overflow segments
-
-	// accounting, folded into Metrics after the barrier.
-	records   atomic.Int64 // post-combine records flushed (ShuffleRecords share)
-	batches   atomic.Int64 // flushed batches (StreamedBatches share)
-	sizeBytes atomic.Int64 // SizeOf estimate of flushed records (non-wire runs)
 }
 
-// sendShard is one slice of one destination's send buffer. With nshards >=
-// MapWorkers exactly one map worker fills each shard and emits never contend;
-// when SendBufferBytes is smaller than the worker count, several workers
-// share a shard (worker w uses shard w mod nshards). The mutex guards groups
-// in both cases — finish() also flushes every shard from the engine
-// goroutine. groups == nil marks a shard killed by a flush error.
-type sendShard[K comparable, V any] struct {
-	dest *destSendState[K, V]
-
-	mu     sync.Mutex
-	groups map[K][]V
-	bytes  int64
-}
-
-// newStreamShuffle prepares the send states and starts one sender goroutine
-// per remote peer. cfg.MapWorkers fixes the shard count: one shard per map
-// worker (capped so every shard keeps a byte of budget when SendBufferBytes
-// is smaller than the worker count).
-func newStreamShuffle[K comparable, V any](cfg Config, job jobShape[K, V], acc *shuffleAccumulator[K, V], ex Exchange[K, V]) *streamShuffle[K, V] {
-	sizeOf := job.sizeOf
-	if sizeOf == nil {
-		sizeOf = job.codec.RecordSize
-	}
-	nshards := cfg.MapWorkers
-	if nshards < 1 {
-		nshards = 1
-	}
-	if int64(nshards) > cfg.Shuffle.SendBufferBytes {
-		nshards = int(cfg.Shuffle.SendBufferBytes)
-		if nshards < 1 {
-			nshards = 1
-		}
-	}
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	s := &streamShuffle[K, V]{
-		cfg:      cfg.Shuffle,
-		combine:  job.combine,
-		sizeOf:   sizeOf,
-		codec:    job.codec,
-		wire:     job.wire,
-		nshards:  nshards,
-		shardCap: cfg.Shuffle.SendBufferBytes / int64(nshards),
-		acc:      acc,
-		dests:    make([]*destSendState[K, V], ex.NumPeers()),
-		shards:   make([]*sendShard[K, V], ex.NumPeers()*nshards),
-		ctx:      ctx,
+// newSendPath prepares the buffers and starts one sender goroutine per remote
+// peer.
+func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], wire bool, acc *shuffleAccumulator[K, V], ex Exchange[K, V]) *sendPath[K, V] {
+	s := &sendPath[K, V]{
+		cfg:     cfg.Shuffle,
+		bounded: cfg.Shuffle.Streaming(),
+		share:   cfg.Shuffle.SendBufferBytes / int64(cfg.MapWorkers),
+		combine: job.Combine,
+		sizeOf:  job.SizeOf,
+		codec:   job.Codec,
+		wire:    wire,
+		self:    ex.Self(),
+		acc:     acc,
+		dests:   make([]*destSendState[K, V], ex.NumPeers()),
+		bufs:    make([][]sendBuffer[K, V], cfg.MapWorkers),
+		ctx:     cfg.Context,
 		occHist: cfg.Obs.Histogram("seqmine_send_buffer_occupancy_bytes",
 			"Per-destination streaming send-buffer occupancy, observed at each flush.", obs.ByteBuckets),
 		segHist: spillSegmentHist(cfg.Obs),
 	}
-	s.maxShardCap = s.shardCap
-	if cfg.Shuffle.Adaptive() {
-		s.maxShardCap = cfg.Shuffle.SendBufferMaxBytes / int64(nshards)
+	if s.sizeOf == nil && s.bounded {
+		s.sizeOf = job.Codec.RecordSize
 	}
-	self := ex.Self()
-	for p := range s.dests {
-		st := &destSendState[K, V]{owner: s, dst: p, self: p == self,
-			free: make(chan []KeyBatch[K, V], 8)}
-		st.shardCap.Store(s.shardCap)
-		s.dests[p] = st
-		for i := 0; i < nshards; i++ {
-			s.shards[p*nshards+i] = &sendShard[K, V]{dest: st, groups: make(map[K][]V)}
+	for w := range s.bufs {
+		s.bufs[w] = make([]sendBuffer[K, V], len(s.dests))
+		for dst := range s.bufs[w] {
+			s.bufs[w][dst].groups = make(map[K][]V)
 		}
-		if p == self {
+	}
+	for p := range s.dests {
+		st := &destSendState[K, V]{owner: s, dst: p, free: make(chan map[K][]V, 8)}
+		s.dests[p] = st
+		if p == s.self {
 			continue
 		}
-		st.queue = make(chan []KeyBatch[K, V], 4)
+		st.queue = make(chan map[K][]V, 4)
 		s.senders.Add(1)
-		go pprof.Do(ctx, pprof.Labels("seqmine_stage", "shuffle_send", "peer", strconv.Itoa(p)),
+		go pprof.Do(s.ctx, pprof.Labels("seqmine_stage", "shuffle_send", "peer", strconv.Itoa(p)),
 			func(context.Context) { st.runSender(ex) })
 	}
 	return s
 }
 
-// getBatches returns a recycled batch slice for one flush, or a fresh one.
-func (st *destSendState[K, V]) getBatches(n int) []KeyBatch[K, V] {
+// getGroups returns a recycled (empty) group map, or a fresh one.
+func (st *destSendState[K, V]) getGroups() map[K][]V {
 	select {
-	case b := <-st.free:
-		return b
+	case g := <-st.free:
+		return g
 	default:
-		return make([]KeyBatch[K, V], 0, n)
+		return make(map[K][]V)
 	}
 }
 
-// putBatches recycles a fully consumed batch slice. References to keys and
-// value slices are dropped first so recycling never retains shuffle data.
-func (st *destSendState[K, V]) putBatches(b []KeyBatch[K, V]) {
-	clear(b)
+// putGroups recycles the map of a fully consumed run. It is cleared, not
+// reallocated: the buckets are reused by the next fill, and recycling never
+// retains shuffle data.
+func (st *destSendState[K, V]) putGroups(g map[K][]V) {
+	clear(g)
 	select {
-	case st.free <- b[:0]:
+	case st.free <- g:
 	default:
 	}
 }
 
-// noteFullFlush records one capacity-triggered flush for the adaptive send
-// buffer. After sendBufferGrowthFlushes in a row — none of which found the
-// sender lagging — the destination's per-shard share doubles, up to
-// maxShardCap. A lagging sender resets the streak: a buffer that overflows
-// to disk is bounded by the network, and growing it would only grow the
-// overflow.
-func (st *destSendState[K, V]) noteFullFlush() {
-	s := st.owner
-	if s.maxShardCap <= s.shardCap {
-		return // adaptation disabled
-	}
-	if st.lagging.Load() {
-		st.capFlushes.Store(0)
-		return
-	}
-	if st.capFlushes.Add(1) < sendBufferGrowthFlushes {
-		return
-	}
-	st.capFlushes.Store(0)
-	cur := st.shardCap.Load()
-	next := cur * 2
-	if next > s.maxShardCap {
-		next = s.maxShardCap
-	}
-	if next > cur {
-		st.shardCap.Store(next)
-	}
+// lost reports whether the run can no longer succeed — it was cancelled or a
+// flush or sender failed. What is still buffered is then dropped.
+func (s *sendPath[K, V]) lost() bool {
+	return s.ctx.Err() != nil || s.err.Load() != nil
 }
 
-// emit routes one record from map worker w into the owning peer's send-buffer
-// shard, flushing the shard first when adding the record would exceed its
-// share (so per-destination occupancy stays within SendBufferBytes, plus one
-// record per shard when a single record is larger than the shard's share).
-func (s *streamShuffle[K, V]) emit(w, dst int, k K, v V) {
-	st := s.dests[dst]
-	if st.dead.Load() {
-		return
-	}
-	sh := s.shards[dst*s.nshards+w%s.nshards]
-	sz := int64(s.sizeOf(k, v))
-	sh.mu.Lock()
-	if sh.groups == nil {
-		// A worker sharing this shard hit a flush error while we were
-		// blocked on the mutex; the destination is dead.
-		sh.mu.Unlock()
-		return
-	}
-	if sh.bytes > 0 && sh.bytes+sz > st.shardCap.Load() {
-		if err := sh.flushLocked(false); err != nil {
-			st.dead.Store(true)
-			sh.groups = nil
-			sh.mu.Unlock()
-			s.fail(err)
-			return
+// add buffers one record of map worker w (b is the worker's buffer toward
+// dst), flushing the buffer first when the record would exceed the worker's
+// share.
+func (s *sendPath[K, V]) add(b *sendBuffer[K, V], dst int, k K, v V) {
+	if s.bounded {
+		st := s.dests[dst]
+		sz := int64(s.sizeOf(k, v))
+		if b.bytes > 0 && b.bytes+sz > s.share {
+			s.flush(b, st)
 		}
-		st.noteFullFlush()
+		b.bytes += sz
+		occupancy := st.occupancy.Add(sz)
+		if testSendBufferProbe != nil {
+			testSendBufferProbe(dst, occupancy)
+		}
 	}
-	sh.groups[k] = append(sh.groups[k], v)
-	sh.bytes += sz
-	st.occupancy.Add(sz)
-	if testSendBufferProbe != nil {
-		testSendBufferProbe(dst, st.occupancy.Load())
-	}
-	sh.mu.Unlock()
+	b.groups[k] = append(b.groups[k], v)
 }
 
-// flushLocked combines the shard's buffered groups and hands them off:
-// self-owned batches go to the shuffle accumulator, remote batches to the
-// destination's sender queue, or — when the sender is busy and this is not
-// the final flush — to an overflow segment on disk. Callers hold sh.mu; the
-// handoff may block on the queue (grace wait), which is exactly the
-// backpressure a full buffer means for this map worker — the other workers'
-// shards stay available.
-func (sh *sendShard[K, V]) flushLocked(final bool) error {
-	if len(sh.groups) == 0 {
-		return nil
-	}
-	st := sh.dest
-	s := st.owner
-	s.occHist.Observe(float64(st.occupancy.Load()))
-	batches := st.getBatches(len(sh.groups))
-	var records, sizeBytes int64
-	for k, vs := range sh.groups {
+// seal combines what the buffer holds. A map worker seals its buffers when it
+// runs out of input, so the final combine is part of the (parallel) map phase;
+// finish hands the sealed runs off.
+func (s *sendPath[K, V]) seal(b *sendBuffer[K, V]) {
+	b.held = runStats{batches: int64(len(b.groups))}
+	for k, vs := range b.groups {
 		if s.combine != nil {
 			vs = s.combine(k, vs)
+			b.groups[k] = vs
 		}
-		records += int64(len(vs))
-		if !s.wire {
+		b.held.records += int64(len(vs))
+		switch {
+		case s.wire:
+		case s.sizeOf != nil:
 			for _, v := range vs {
-				sizeBytes += int64(s.sizeOf(k, v))
+				b.held.sizeBytes += int64(s.sizeOf(k, v))
 			}
+		default:
+			b.held.sizeBytes += int64(len(vs))
 		}
-		batches = append(batches, KeyBatch[K, V]{Key: k, Values: vs})
 	}
-	st.records.Add(records)
-	st.sizeBytes.Add(sizeBytes)
-	st.batches.Add(int64(len(batches)))
-	st.occupancy.Add(-sh.bytes)
-	// The map is cleared, not reallocated: its buckets are reused by the
-	// next fill (the value slices were handed off in batches).
-	clear(sh.groups)
-	sh.bytes = 0
+}
 
-	if st.self {
-		for _, b := range batches {
-			if err := s.acc.add(b); err != nil {
+// flush empties a full buffer while its worker is still mapping.
+func (s *sendPath[K, V]) flush(b *sendBuffer[K, V], st *destSendState[K, V]) {
+	s.occHist.Observe(float64(st.occupancy.Load()))
+	st.occupancy.Add(-b.bytes)
+	b.bytes = 0
+	if s.lost() {
+		clear(b.groups)
+		return
+	}
+	s.seal(b)
+	if err := s.handOff(b, st, false); err != nil {
+		s.fail(err)
+	}
+	b.groups = st.getGroups()
+}
+
+// handOff passes the buffer's sealed groups on: to the shuffle accumulator
+// when this peer owns them, else to the destination's sender queue, or — when
+// the sender is busy and the map is still running — to an overflow segment on
+// disk. The handoff may block on the queue (grace wait), which is exactly the
+// backpressure a full buffer means for this map worker; the other workers own
+// their buffers and keep going. The group map belongs to the receiver
+// afterwards.
+func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V], final bool) error {
+	b.sent.add(b.held)
+	groups := b.groups
+	if st.queue == nil {
+		for k, vs := range groups {
+			if err := s.acc.add(KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
 				return err
 			}
 		}
-		st.putBatches(batches)
+		if !final { // after the map nothing refills it
+			st.putGroups(groups)
+		}
 		return nil
 	}
 	if final {
-		st.queue <- batches // mapping is done; blocking costs nothing
+		st.queue <- groups // mapping is done; blocking costs nothing
 		return nil
 	}
 	select {
-	case st.queue <- batches:
+	case st.queue <- groups:
 		st.lagging.Store(false)
 		return nil
 	default:
 	}
 	if !st.lagging.Load() {
-		// Give the sender a short grace before paying disk. The wait holds
-		// only this shard's mutex, so it stalls exactly the map worker whose
-		// buffer is full; the sender never needs the mutex to drain the
-		// queue, so it can free a slot (and end the wait) meanwhile.
+		// Give the sender a short grace before paying disk: it never needs
+		// anything this worker holds to drain the queue, so it can free a slot
+		// (and end the wait) meanwhile.
 		timer := time.NewTimer(sendOverflowGrace)
 		defer timer.Stop()
 		select {
-		case st.queue <- batches:
+		case st.queue <- groups:
 			return nil
 		case <-timer.C:
 			st.lagging.Store(true)
 		}
 	}
-	if err := st.spillRun(batches); err != nil {
+	if err := st.spillRun(groups); err != nil {
 		return err
 	}
-	st.putBatches(batches)
+	st.putGroups(groups)
 	return nil
 }
 
 // spillRun writes one flushed run to a fresh overflow segment the sender
 // replays later. Runs are unsorted — unlike receive-side segments they are
 // never merged, only replayed — so the write is a straight encode.
-func (st *destSendState[K, V]) spillRun(batches []KeyBatch[K, V]) error {
+func (st *destSendState[K, V]) spillRun(groups map[K][]V) error {
 	s := st.owner
 	start := time.Now()
 	s.dirOnce.Do(func() {
@@ -427,8 +358,8 @@ func (st *destSendState[K, V]) spillRun(batches []KeyBatch[K, V]) error {
 		return err
 	}
 	w := segmentWriter[K, V]{codec: s.codec, bw: sink.bw, vbuf: st.buf}
-	for _, b := range batches {
-		if err := w.writeKey(s.codec.AppendKey(nil, b.Key), b.Values); err != nil {
+	for k, vs := range groups {
+		if err := w.writeKey(s.codec.AppendKey(nil, k), vs); err != nil {
 			sink.abort()
 			return fmt.Errorf("mapreduce: writing send-overflow segment: %w", err)
 		}
@@ -444,6 +375,13 @@ func (st *destSendState[K, V]) spillRun(batches []KeyBatch[K, V]) error {
 	obs.Observe(s.ctx, "mapreduce.spill", start, time.Since(start),
 		obs.Int("bytes", sink.cw.n), obs.Int("dst", int64(st.dst)))
 	return nil
+}
+
+// hasSegments reports whether overflow segments wait to be replayed.
+func (st *destSendState[K, V]) hasSegments() bool {
+	st.spillMu.Lock()
+	defer st.spillMu.Unlock()
+	return len(st.segs) > 0
 }
 
 // popSegment takes the oldest unsent overflow segment, if any.
@@ -470,17 +408,17 @@ func (st *destSendState[K, V]) runSender(ex Exchange[K, V]) {
 	// read → send with no decode→re-encode round trip.
 	frames, _ := ex.(FrameSender)
 	failed := false
-	send := func(batches []KeyBatch[K, V]) {
-		for _, b := range batches {
+	send := func(groups map[K][]V) {
+		for k, vs := range groups {
 			if failed {
 				break
 			}
-			if err := ex.Send(st.dst, b); err != nil {
+			if err := ex.Send(st.dst, KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
 				s.fail(err)
 				failed = true
 			}
 		}
-		st.putBatches(batches)
+		st.putGroups(groups)
 	}
 	replaySegment := func(f *os.File) {
 		name := f.Name()
@@ -545,88 +483,72 @@ func (st *destSendState[K, V]) runSender(ex Exchange[K, V]) {
 		// (stalled flushes → more spill → more replay). Segments are
 		// replayed only after the queue has stayed idle for a beat — the
 		// network has genuinely caught up — or when the map is done.
-		select {
-		case batches, ok := <-st.queue:
-			if !ok {
-				drainSegments()
-				return
-			}
-			send(batches)
-			continue
-		default:
+		var idle <-chan time.Time
+		if st.hasSegments() {
+			idle = time.After(senderIdleCheck)
 		}
-		idle := time.NewTimer(senderIdleCheck)
 		select {
-		case batches, ok := <-st.queue:
-			idle.Stop()
+		case groups, ok := <-st.queue:
 			if !ok {
 				drainSegments()
 				return
 			}
-			send(batches)
-		case <-idle.C:
-			if f := st.popSegment(); f != nil {
-				replaySegment(f)
-			} else {
-				batches, ok := <-st.queue
-				if !ok {
-					drainSegments()
-					return
-				}
-				send(batches)
-			}
+			send(groups)
+		case <-idle:
+			replaySegment(st.popSegment())
 		}
 	}
 }
 
-// finish flushes every shard, joins the senders and returns the first
-// streaming error. After finish, CloseSend forms the barrier as usual.
-func (s *streamShuffle[K, V]) finish() error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		var err error
-		if sh.groups != nil {
-			err = sh.flushLocked(true)
+// finish hands off what the map workers' sealed buffers still hold (nothing
+// when the run is lost), joins the senders and returns the first send-path
+// error. It runs after the map workers have joined; CloseSend then forms the
+// barrier as usual.
+func (s *sendPath[K, V]) finish() error {
+	for dst, st := range s.dests {
+		for w := range s.bufs {
+			b := &s.bufs[w][dst]
+			if len(b.groups) == 0 || s.lost() {
+				continue
+			}
+			if err := s.handOff(b, st, true); err != nil {
+				s.fail(err)
+			}
 		}
-		if err != nil {
-			sh.dest.dead.Store(true)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			s.fail(err)
-		}
-	}
-	for _, st := range s.dests {
 		if st.queue != nil {
 			close(st.queue)
 		}
 	}
 	s.senders.Wait()
-	if b, ok := s.err.Load().(errBox); ok {
-		return b.err
+	if err := s.err.Load(); err != nil {
+		return *err
 	}
 	return nil
 }
 
-// fold adds the streaming counters to the job metrics. Call after finish.
-func (s *streamShuffle[K, V]) fold(metrics *Metrics) {
-	for _, st := range s.dests {
-		batches := st.batches.Load()
-		metrics.ShuffleRecords += st.records.Load()
-		metrics.StreamedBatches += batches
+// fold adds the send path's counters to the job metrics. Call after finish.
+func (s *sendPath[K, V]) fold(metrics *Metrics) {
+	for dst, st := range s.dests {
+		var sent runStats
+		for w := range s.bufs {
+			sent.add(s.bufs[w][dst].sent)
+		}
+		metrics.ShuffleRecords += sent.records
+		metrics.ShuffleBytes += sent.sizeBytes
 		st.spillMu.Lock()
 		spilledBytes, spillCount := st.spilledBytes, st.spillCount
 		st.spillMu.Unlock()
 		metrics.SpilledBytes += spilledBytes
 		metrics.SpillCount += spillCount
 		metrics.SendOverflowSegments += spillCount
-		if !s.wire {
-			metrics.ShuffleBytes += st.sizeBytes.Load()
+		if !s.bounded {
+			continue
 		}
-		if !st.self && (batches > 0 || spillCount > 0) {
+		metrics.StreamedBatches += sent.batches
+		if dst != s.self && (sent.batches > 0 || spillCount > 0) {
 			metrics.StreamPeers = append(metrics.StreamPeers, PeerStreamStats{
-				Peer:             st.dst,
-				StreamedBatches:  batches,
+				Peer:             dst,
+				StreamedBatches:  sent.batches,
 				OverflowSegments: spillCount,
 			})
 		}
@@ -635,7 +557,7 @@ func (s *streamShuffle[K, V]) fold(metrics *Metrics) {
 
 // cleanup removes overflow segments that were never replayed (error paths)
 // and the overflow directory. Safe to call when nothing overflowed.
-func (s *streamShuffle[K, V]) cleanup() {
+func (s *sendPath[K, V]) cleanup() {
 	for _, st := range s.dests {
 		st.spillMu.Lock()
 		for _, f := range st.segs {
@@ -649,7 +571,7 @@ func (s *streamShuffle[K, V]) cleanup() {
 	}
 }
 
-// fail records the first streaming error.
-func (s *streamShuffle[K, V]) fail(err error) {
-	s.err.CompareAndSwap(nil, errBox{err})
+// fail records the first send-path error.
+func (s *sendPath[K, V]) fail(err error) {
+	s.err.CompareAndSwap(nil, &err)
 }

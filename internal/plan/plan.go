@@ -110,7 +110,6 @@ func (k Knobs) Merge(d Knobs) Knobs {
 	inherit(&k.SpillThreshold, d.SpillThreshold)
 	inherit(&k.SpillTmpDir, d.SpillTmpDir)
 	inherit(&k.SendBufferBytes, d.SendBufferBytes)
-	inherit(&k.SendBufferMaxBytes, d.SendBufferMaxBytes)
 	inherit(&k.TaskRetries, d.TaskRetries)
 	inherit(&k.SpeculativeAfterMS, d.SpeculativeAfterMS)
 	return k
@@ -146,7 +145,6 @@ func (k *Knobs) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&k.SpillThreshold, "spill-threshold", 0, `shuffle bytes a peer holds in memory before spilling sorted runs to disk (distributed algorithms; 0 = never spill; per query: "spill_threshold_bytes", negative = in memory)`)
 	fs.StringVar(&k.SpillTmpDir, "spill-dir", "", "directory for shuffle spill segments of this process (default: system temp dir)")
 	fs.Int64Var(&k.SendBufferBytes, "send-buffer", 0, `per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode; per query: "send_buffer_bytes", negative = barrier)`)
-	fs.Int64Var(&k.SendBufferMaxBytes, "send-buffer-max", 0, `adaptive send-buffer bound in bytes: destinations that keep filling their share grow their buffer up to this bound (0 or <= -send-buffer = fixed buffers; per query: "send_buffer_max_bytes")`)
 	fs.BoolVar(&k.CompressSpill, "compress-spill", false, `DEFLATE-compress shuffle spill segments (per query: "compress_spill")`)
 	fs.IntVar(&k.TaskRetries, "task-retries", 0, `cluster runs: failed attempts relaunched on surviving workers (0 = built-in 2, negative = no retries; per query: "task_retries")`)
 	fs.Var(millisFlag{&k.SpeculativeAfterMS}, "speculative-after", "cluster runs: launch a speculative duplicate attempt when the running attempt exceeds this `duration` (0 = no speculation; per query: \"speculative_after_ms\")")

@@ -12,9 +12,9 @@ import (
 	"seqmine/internal/mapreduce"
 )
 
-func knobs(spill, send, sendMax int64, retries int, specMS int64) Knobs {
+func knobs(spill, send int64, retries int, specMS int64) Knobs {
 	return Knobs{
-		ShuffleConfig:      mapreduce.ShuffleConfig{SpillThreshold: spill, SendBufferBytes: send, SendBufferMaxBytes: sendMax},
+		ShuffleConfig:      mapreduce.ShuffleConfig{SpillThreshold: spill, SendBufferBytes: send},
 		TaskRetries:        retries,
 		SpeculativeAfterMS: specMS,
 	}
@@ -22,10 +22,9 @@ func knobs(spill, send, sendMax int64, retries int, specMS int64) Knobs {
 
 // TestMerge is the one table of the precedence rule (query > daemon default >
 // built-in): a set value wins, zero inherits, negative stays negative — which
-// every consumer reads as "off" — and an adaptive bound at or below the send
-// buffer means fixed buffers.
+// every consumer reads as "off".
 func TestMerge(t *testing.T) {
-	daemon := knobs(4096, 256, 1024, 5, 300)
+	daemon := knobs(4096, 256, 5, 300)
 	daemon.SpillTmpDir = "/daemon/spill"
 
 	cases := []struct {
@@ -33,7 +32,6 @@ func TestMerge(t *testing.T) {
 		query, defaults    Knobs
 		want               Knobs
 		spills, streams    bool
-		adaptive           bool
 		retries            int
 		speculates         bool
 		prefilter, deflate bool
@@ -42,22 +40,15 @@ func TestMerge(t *testing.T) {
 			want: Knobs{}, retries: DefaultTaskRetries},
 		{name: "zero inherits every daemon default",
 			defaults: daemon, want: daemon,
-			spills: true, streams: true, adaptive: true, retries: 5, speculates: true},
+			spills: true, streams: true, retries: 5, speculates: true},
 		{name: "query value wins",
-			query: knobs(99, 77, 88, 1, 10), defaults: daemon,
-			want:   withDir(knobs(99, 77, 88, 1, 10), "/daemon/spill"),
-			spills: true, streams: true, adaptive: true, retries: 1, speculates: true},
+			query: knobs(99, 77, 1, 10), defaults: daemon,
+			want:   withDir(knobs(99, 77, 1, 10), "/daemon/spill"),
+			spills: true, streams: true, retries: 1, speculates: true},
 		{name: "negative turns spill, streaming, retries and speculation off",
-			query: knobs(-1, -1, 0, -1, -1), defaults: daemon,
-			want:    withDir(knobs(-1, -1, 1024, -1, -1), "/daemon/spill"),
+			query: knobs(-1, -1, -1, -1), defaults: daemon,
+			want:    withDir(knobs(-1, -1, -1, -1), "/daemon/spill"),
 			retries: 0},
-		{name: "inherited bound at or below the query's send buffer: fixed buffers",
-			query: knobs(0, 2048, 0, 0, 0), defaults: daemon,
-			want:   withDir(knobs(4096, 2048, 1024, 5, 300), "/daemon/spill"),
-			spills: true, streams: true, adaptive: false, retries: 5, speculates: true},
-		{name: "bound without streaming is inert",
-			query: knobs(0, 0, 1<<20, 0, 0),
-			want:  knobs(0, 0, 1<<20, 0, 0), retries: DefaultTaskRetries},
 		{name: "booleans are OR-ed: the daemon default switches them on",
 			defaults: Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
 			want:     Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
@@ -69,7 +60,7 @@ func TestMerge(t *testing.T) {
 		{name: "the query's own spill directory wins",
 			query: withDir(Knobs{}, "/query"), defaults: daemon,
 			want:   withDir(daemon, "/query"),
-			spills: true, streams: true, adaptive: true, retries: 5, speculates: true},
+			spills: true, streams: true, retries: 5, speculates: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -80,9 +71,8 @@ func TestMerge(t *testing.T) {
 			if again := got.Merge(tc.defaults); again != got {
 				t.Errorf("Merge is not idempotent: %+v then %+v", got, again)
 			}
-			if got.Enabled() != tc.spills || got.Streaming() != tc.streams || got.Adaptive() != tc.adaptive {
-				t.Errorf("spills/streams/adaptive = %v/%v/%v, want %v/%v/%v",
-					got.Enabled(), got.Streaming(), got.Adaptive(), tc.spills, tc.streams, tc.adaptive)
+			if got.Enabled() != tc.spills || got.Streaming() != tc.streams {
+				t.Errorf("spills/streams = %v/%v, want %v/%v", got.Enabled(), got.Streaming(), tc.spills, tc.streams)
 			}
 			if got.RetryBudget() != tc.retries {
 				t.Errorf("RetryBudget = %d, want %d", got.RetryBudget(), tc.retries)
@@ -126,7 +116,7 @@ func TestBindFlags(t *testing.T) {
 		t.Errorf("flag defaults = %+v, want the zero Knobs", k)
 	}
 	err := fs.Parse([]string{"-prefilter", "-spill-threshold", "4096", "-spill-dir", "/tmp/s",
-		"-send-buffer", "256", "-send-buffer-max", "1024", "-compress-spill",
+		"-send-buffer", "256", "-compress-spill",
 		"-task-retries", "-1", "-speculative-after", "1500ms"})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +124,7 @@ func TestBindFlags(t *testing.T) {
 	want := Knobs{
 		Prefilter: true,
 		ShuffleConfig: mapreduce.ShuffleConfig{SpillThreshold: 4096, SpillTmpDir: "/tmp/s",
-			SendBufferBytes: 256, SendBufferMaxBytes: 1024, CompressSpill: true},
+			SendBufferBytes: 256, CompressSpill: true},
 		TaskRetries:        -1,
 		SpeculativeAfterMS: 1500,
 	}

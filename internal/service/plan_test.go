@@ -11,7 +11,9 @@ import (
 // TestMineRequestGolden pins the public wire format: a POST /mine body using
 // every field name the API has ever documented must keep decoding to the same
 // request and the same query plan. (The decode is lenient — unknown fields are
-// ignored — unlike the internal coordinator→worker job spec.)
+// ignored — unlike the internal coordinator→worker job spec. That covers
+// "send_buffer_max_bytes", the retired adaptive-buffer bound: old clients may
+// keep sending it, and it no longer reaches the plan.)
 func TestMineRequestGolden(t *testing.T) {
 	const body = `{
 		"dataset": "nyt", "pattern": "(.){2,4}", "sigma": 100,
@@ -44,10 +46,9 @@ func TestMineRequestGolden(t *testing.T) {
 		Knobs: plan.Knobs{
 			Prefilter: true,
 			ShuffleConfig: mapreduce.ShuffleConfig{
-				SpillThreshold:     4096,
-				SendBufferBytes:    256,
-				SendBufferMaxBytes: 1024,
-				CompressSpill:      true,
+				SpillThreshold:  4096,
+				SendBufferBytes: 256,
+				CompressSpill:   true,
 			},
 			TaskRetries:        -1,
 			SpeculativeAfterMS: 250,
