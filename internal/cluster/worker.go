@@ -116,9 +116,7 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	)
 	switch spec.Plan.Algorithm {
 	case plan.AlgoDSeq:
-		o := dseq.DefaultOptions()
-		o.Prefilter = spec.Plan.Prefilter
-		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, o, cfg, bx)
+		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
 	case plan.AlgoDCand:
 		o := dcand.DefaultOptions()
 		o.Prefilter = spec.Plan.Prefilter

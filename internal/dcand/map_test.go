@@ -74,7 +74,19 @@ func oracleMap(f *fst.FST, sigma int64, minimize bool, T []dict.ItemID) []string
 		}
 	}
 	if len(T) > 0 {
-		reach = f.AcceptMatrix(T)
+		reach = make([][]bool, len(T)+1)
+		for i := len(T); i >= 0; i-- {
+			reach[i] = make([]bool, f.NumStates())
+			for q := range reach[i] {
+				if i == len(T) {
+					reach[i][q] = f.IsFinal(q)
+					continue
+				}
+				for _, tr := range f.Transitions(q) {
+					reach[i][q] = reach[i][q] || reach[i+1][tr.To] && tr.Label.Matches(d, T[i])
+				}
+			}
+		}
 		rec(0, f.Initial())
 	}
 	var records []string

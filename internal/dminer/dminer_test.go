@@ -130,3 +130,41 @@ func TestGroupCombiner(t *testing.T) {
 		t.Errorf("GroupCombiner on a single value = %+v, want it unchanged", single)
 	}
 }
+
+// TestGroupCombinerSteadyState pins the combiner at zero allocations once its
+// scratch is warm, for a large group followed by small ones (the table is
+// sized per call, not kept at the largest size seen).
+func TestGroupCombinerSteadyState(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	type rec struct {
+		key    [4]byte
+		weight int64
+	}
+	combine := GroupCombiner[int](
+		func(buf []byte, r rec) []byte { return append(buf, r.key[:]...) },
+		func(dst *rec, src rec) { dst.weight += src.weight },
+	)
+	group := func(n, distinct int) []rec {
+		vs := make([]rec, n)
+		for i := range vs {
+			vs[i] = rec{key: [4]byte{byte(i % distinct), byte(i % distinct >> 8)}, weight: 1}
+		}
+		return vs
+	}
+	large, small := group(5000, 700), group(9, 4)
+	buf := make([]rec, len(large))
+	pass := func() {
+		if got := combine(0, buf[:copy(buf, large)]); len(got) != 700 || got[3].weight != 8 {
+			t.Fatalf("large group combined to %d values (weight %d), want 700 (8)", len(got), got[3].weight)
+		}
+		if got := combine(0, buf[:copy(buf, small)]); len(got) != 4 || got[0].weight != 3 {
+			t.Fatalf("small group combined to %d values (weight %d), want 4 (3)", len(got), got[0].weight)
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(20, pass); allocs > 0 {
+		t.Errorf("warm GroupCombiner: %v allocs per pass, want 0", allocs)
+	}
+}

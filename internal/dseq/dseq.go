@@ -33,11 +33,6 @@ type Options struct {
 	// Aggregate merges identical (rewritten) sequences sent to the same
 	// partition by a map worker into a single weighted record.
 	Aggregate bool
-	// Prefilter enables the two-pass trick of the paper: map workers run a
-	// cheap backward reachability scan (fst.Flat.CanAccept) and skip the full
-	// pivot analysis for sequences without any accepting run. Such sequences
-	// have no pivots, so the mined output is byte-identical either way.
-	Prefilter bool
 }
 
 // DefaultOptions enables all enhancements.
@@ -136,16 +131,8 @@ func MinePeer(f *fst.FST, split [][]dict.ItemID, sigma int64, opts Options, cfg 
 // buildJob assembles the one-round BSP job of D-SEQ.
 func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern] {
 	searcher := pivot.NewSearcher(f, sigma, pivot.Options{UseGrid: opts.UseGrid})
-	var flat *fst.Flat
-	if opts.Prefilter {
-		flat = f.Flatten()
-	}
-
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(dict.ItemID, value)) {
-			if flat != nil && !flat.CanAccept(T) {
-				return
-			}
 			analysis := searcher.Analyze(T)
 			for _, k := range analysis.Pivots {
 				rho := T
@@ -159,7 +146,6 @@ func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID
 			patterns := miner.MineDFS(f, vs, sigma, miner.DFSOptions{
 				Pivot:         k,
 				EarlyStopping: opts.EarlyStopping,
-				Prefilter:     opts.Prefilter,
 			})
 			for _, p := range patterns {
 				emit(p)

@@ -5,10 +5,7 @@ import (
 	"testing"
 
 	"seqmine/internal/dict"
-	"seqmine/internal/fst"
 	"seqmine/internal/mapreduce"
-	"seqmine/internal/miner"
-	"seqmine/internal/paperex"
 )
 
 // FuzzSequenceBatchCodec checks the D-SEQ shuffle codec: arbitrary frames
@@ -46,56 +43,6 @@ func FuzzSequenceBatchCodec(f *testing.F) {
 			single := c.EncodeBatch(nil, mapreduce.KeyBatch[dict.ItemID, value]{Key: b.Key, Values: []value{v}})
 			if got := recordSize(b.Key, v); got != len(single) {
 				t.Fatalf("recordSize = %d, actual encoding = %d bytes", got, len(single))
-			}
-		}
-	})
-}
-
-// FuzzPrefilterEquivalence derives a small database from the fuzz input and
-// cross-checks the flattened two-pass prefilter against the original pointer
-// simulation end to end: a D-SEQ run with Options.Prefilter must produce
-// exactly the pattern set of the unfiltered run. Any divergence means the
-// flat reachability scan (fst.Flat.CanAccept) disagrees with the FST it was
-// flattened from.
-func FuzzPrefilterEquivalence(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 0, 4, 5})
-	f.Add([]byte{})
-	f.Add([]byte{7, 7, 7, 0, 7, 0, 1, 2})
-	d := paperex.Dict()
-	fm := fst.MustCompile(paperex.PatternExpression, d)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 48 {
-			data = data[:48]
-		}
-		// 0 terminates a sequence; other bytes pick items of the vocabulary.
-		var db [][]dict.ItemID
-		var seq []dict.ItemID
-		for _, c := range data {
-			if c == 0 {
-				db = append(db, seq)
-				seq = nil
-				continue
-			}
-			seq = append(seq, dict.ItemID(int(c)%d.Size()+1))
-		}
-		db = append(db, seq)
-
-		cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
-		plain := DefaultOptions()
-		pre := DefaultOptions()
-		pre.Prefilter = true
-		for _, sigma := range []int64{1, 2} {
-			want, _, err := MineLocal(fm, db, sigma, plain, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := MineLocal(fm, db, sigma, pre, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(miner.PatternsToMap(d, got), miner.PatternsToMap(d, want)) {
-				t.Fatalf("sigma %d: prefiltered D-SEQ differs:\n got %v\nwant %v (db=%v)",
-					sigma, miner.PatternsToMap(d, got), miner.PatternsToMap(d, want), db)
 			}
 		}
 	})

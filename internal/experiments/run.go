@@ -188,11 +188,15 @@ func TableIV(ds *Datasets) (Table, error) {
 		matched := 0
 		sampled := 0
 		truncatedAny := false
+		flat := f.Flatten()
 		for i := 0; i < len(db.Sequences); i += step {
-			T := db.Sequences[i]
 			sampled++
-			n, truncated := f.CountCandidatesUpTo(T, c.Sigma, perSeqCap)
-			truncatedAny = truncatedAny || truncated
+			n := 0
+			flat.ForEachDistinctCandidate(db.Sequences[i], c.Sigma, func([]dict.ItemID) bool {
+				n++
+				return n < perSeqCap
+			})
+			truncatedAny = truncatedAny || n == perSeqCap
 			if n > 0 {
 				matched++
 				counts = append(counts, n)

@@ -44,15 +44,6 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-func BenchmarkAcceptMatrix(b *testing.B) {
-	d, db := benchSequences(200, 12)
-	f := fst.MustCompile(paperex.PatternExpression, d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.AcceptMatrix(db[i%len(db)])
-	}
-}
-
 func BenchmarkEnumerateCandidates(b *testing.B) {
 	d, db := benchSequences(200, 10)
 	f := fst.MustCompile(paperex.PatternExpression, d)
@@ -72,40 +63,25 @@ func BenchmarkForEachRun(b *testing.B) {
 	}
 }
 
-func BenchmarkAccepts(b *testing.B) {
-	d, db := benchSequences(200, 12)
-	f := fst.MustCompile(".*(.^)[.{0,1}(.^)]{1,4}.*", d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Accepts(db[i%len(db)])
-	}
-}
-
-// BenchmarkFlatAcceptBits measures the flattened backward reachability pass
-// over the bitset accept matrix — the per-sequence precomputation of the
-// rewritten DESQ-DFS hot path. The caller-provided dst keeps it to one
-// amortized allocation, which the report pins.
-func BenchmarkFlatAcceptBits(b *testing.B) {
+// BenchmarkReach measures the fused backward reachability pass — accept and
+// finish matrices in one sweep, the per-sequence set-up of DESQ-DFS — into a
+// reused, never-zeroed buffer.
+func BenchmarkReach(b *testing.B) {
 	d, db := benchSequences(200, 12)
 	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
-	var dst []uint64
+	buf := make([]uint64, 2*13*flat.Words())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		T := db[i%len(db)]
 		n := (len(T) + 1) * flat.Words()
-		if cap(dst) < n {
-			dst = make([]uint64, n)
-		}
-		clear(dst[:n])
-		flat.AcceptBits(T, dst[:n])
+		flat.Reach(T, buf[:n], buf[n:2*n])
 	}
 }
 
-// BenchmarkCanAccept measures the two-pass reachability prefilter: the
-// O(states)-space scan that decides whether a sequence has any accepting run
-// at all. It must stay allocation-free (pooled scratch) because every input
-// sequence of a prefiltered run pays it.
+// BenchmarkCanAccept measures the two-row reachability verdict: does the
+// sequence have any accepting run at all. It must stay allocation-free because
+// every input sequence of a prefiltered run pays it.
 func BenchmarkCanAccept(b *testing.B) {
 	d, db := benchSequences(200, 12)
 	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()

@@ -140,14 +140,8 @@ func (fl *Flat) ForEachDistinctCandidate(T []dict.ItemID, sigma int64, emit func
 // initial state can reach acceptance at all.
 func (sc *enumScratch) accepts(fl *Flat, T []dict.ItemID) bool {
 	need := (len(T) + 1) * fl.words
-	if cap(sc.reach) < need {
-		sc.reach = make([]uint64, need)
-	}
-	sc.reach = sc.reach[:need]
-	clear(sc.reach)
-	fl.AcceptBits(T, sc.reach)
-	init := uint(fl.initial)
-	return sc.reach[init>>6]&(1<<(init&63)) != 0
+	sc.reach = slices.Grow(sc.reach[:0], need)[:need]
+	return fl.Reach(T, sc.reach, nil)
 }
 
 func (w *enumWalk) rec(pos, q int) {
@@ -161,13 +155,12 @@ func (w *enumWalk) rec(pos, q int) {
 	}
 	t := w.T[pos]
 	next := w.sc.reach[(pos+1)*w.words:]
-	lo, hi := w.fl.TransitionsOf(q)
-	for tr := int(lo); tr < int(hi); tr++ {
+	for _, tr := range w.fl.Firing(q, t) {
 		if w.stopped {
 			return
 		}
 		to := uint(w.fl.To(tr))
-		if next[to>>6]&(1<<(to&63)) == 0 || !w.fl.Matches(tr, t) {
+		if next[to>>6]&(1<<(to&63)) == 0 {
 			continue
 		}
 		single, set, ok := w.sv.OutputsFor(tr, t)
@@ -241,10 +234,12 @@ func (w *runWalk) rec(pos, q int) {
 	}
 	t := w.T[pos]
 	next := w.sc.reach[(pos+1)*w.fl.words:]
-	lo, hi := w.fl.TransitionsOf(q)
-	for tr := int(lo); tr < int(hi) && !w.stopped; tr++ {
+	for _, tr := range w.fl.Firing(q, t) {
+		if w.stopped {
+			return
+		}
 		to := uint(w.fl.To(tr))
-		if next[to>>6]&(1<<(to&63)) == 0 || !w.fl.Matches(tr, t) {
+		if next[to>>6]&(1<<(to&63)) == 0 {
 			continue
 		}
 		single, set, ok := w.sv.OutputsFor(tr, t)

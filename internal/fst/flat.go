@@ -1,20 +1,28 @@
 package fst
 
 import (
+	"math/bits"
 	"sync"
 
 	"seqmine/internal/dict"
 )
 
-// Flat is the flattened, simulation-oriented form of a compiled FST: the
-// per-state transition lists are laid out as contiguous int32 arrays walked by
-// offset, label matching is precomputed into per-transition item bitsets (one
-// bit test instead of a binary search over ancestor lists per position), and
-// the output behaviour of every transition is pre-classified so the common
-// single-item outputs need no slice allocation at simulation time. State sets
-// are represented as bitsets ([]uint64 rows of Words() words), which keeps a
-// whole accept matrix row in one or two machine words for the small automata
-// pattern expressions compile to.
+// Flat is the flattened, simulation-oriented form of a compiled FST. The
+// per-state transition lists are contiguous int32 arrays, the output behaviour
+// of every transition is pre-classified so the common single-item outputs need
+// no slice allocation, and "which transitions fire on item t" is answered by
+// one step table instead of a label test per transition:
+//
+//   - items are grouped into match-equivalence classes — two items share a
+//     class iff no label of this FST tells them apart (classOf);
+//   - per (class, state q) the table holds the bitset of predecessor states
+//     (those with a matching transition into q), the same restricted to
+//     ε-output transitions, and the list of q's own matching transitions.
+//
+// State sets are bitsets ([]uint64 rows of Words() words). Every reachability
+// pass of the system runs backward, so one step is an OR of the predecessor
+// sets of the states still live (Reach), and the DFS walks iterate only
+// transitions that fire (Firing).
 //
 // A Flat is immutable after construction and safe for concurrent use; obtain
 // one with FST.Flatten, which builds it once per FST and caches it.
@@ -33,14 +41,21 @@ type Flat struct {
 	outKind []uint8
 	// item is the label's referenced item for constant outputs and upTo sets.
 	item []dict.ItemID
-	// match is the per-transition bitset of accepted input items (bit t set
-	// iff the label matches item t); nil means the label matches every item
-	// (an unrestricted dot).
-	match [][]uint64
 	// upTo holds, for outUpTo transitions, the precomputed output set per
 	// input item (anc(t) ∩ desc(w)); nil entries mean the label does not
-	// match that item. Indexed like match by transition, then by item fid.
+	// match that item. Indexed by transition, then by item fid.
 	upTo [][][]dict.ItemID
+
+	// The step table. classOf maps an item fid to its class (nil when the FST
+	// has only dots: every item is in class 0); cell (c, q) is index
+	// c*numStates+q. pred holds 2*words words per cell: the bitset of
+	// states with a transition into q that matches class c, then the same over
+	// ε-output transitions only. fire[fireOff[cell]:fireOff[cell+1]] lists
+	// q's transitions that match c, in transition order.
+	classOf []int32
+	pred    []uint64
+	fireOff []int32
+	fire    []int32
 
 	// sigmaViews caches the frequency-filtered views built by Sigma, one per
 	// minimum support threshold.
@@ -89,21 +104,104 @@ func newFlat(f *FST) *Flat {
 	fl.to = make([]int32, 0, total)
 	fl.outKind = make([]uint8, 0, total)
 	fl.item = make([]dict.ItemID, 0, total)
-	fl.match = make([][]uint64, 0, total)
 	fl.upTo = make([][][]dict.ItemID, 0, total)
 	vocab := f.dict.Size()
+	// tests are the distinct item tests of the labels; testOf names each
+	// transition's test, -1 for a dot, which matches every item.
+	var tests []itemTest
+	testOf := make([]int32, 0, total)
 	for q := 0; q < n; q++ {
 		fl.off[q] = int32(len(fl.to))
 		for _, tr := range f.trans[q] {
 			fl.to = append(fl.to, int32(tr.To))
 			fl.outKind = append(fl.outKind, classifyOutput(tr.Label))
 			fl.item = append(fl.item, tr.Label.Item)
-			fl.match = append(fl.match, matchBitset(f.dict, tr.Label, vocab))
 			fl.upTo = append(fl.upTo, upToSets(f.dict, tr.Label, vocab))
+			testOf = append(testOf, testIndex(&tests, tr.Label))
 		}
 	}
 	fl.off[n] = int32(len(fl.to))
+	fl.buildStepTable(tests, testOf, vocab)
 	return fl
+}
+
+// itemTest is the input side of an item label: which items it matches,
+// whatever it outputs.
+type itemTest struct {
+	item  dict.ItemID
+	exact bool
+}
+
+func (it itemTest) passes(d *dict.Dictionary, t dict.ItemID) bool {
+	return t == it.item || !it.exact && d.IsA(t, it.item)
+}
+
+// testIndex returns the index in tests of label l's item test, appending it
+// when new; -1 for a dot.
+func testIndex(tests *[]itemTest, l Label) int32 {
+	if l.Kind == KindDot {
+		return -1
+	}
+	test := itemTest{item: l.Item, exact: l.Exact}
+	for i, have := range *tests {
+		if have == test {
+			return int32(i)
+		}
+	}
+	*tests = append(*tests, test)
+	return int32(len(*tests) - 1)
+}
+
+// buildStepTable groups the items 0..vocab into classes by the set of tests
+// they pass — at most min(vocab+1, 2^len(tests)) classes, numbered in order of
+// first appearance — and fills in the per-(class, state) masks and firing
+// lists. Fid 0 (dict.None) passes no test, so class 0 is "only dots match".
+func (fl *Flat) buildStepTable(tests []itemTest, testOf []int32, vocab int) {
+	fl.fireOff = []int32{0}
+	passed := make([]byte, (len(tests)+7)/8)
+	if len(tests) == 0 {
+		fl.addClass(passed, testOf)
+		return
+	}
+	fl.classOf = make([]int32, vocab+1)
+	classes := map[string]int32{}
+	for t := 0; t <= vocab; t++ {
+		clear(passed)
+		for i, test := range tests {
+			if test.passes(fl.dict, dict.ItemID(t)) {
+				passed[i>>3] |= 1 << (uint(i) & 7)
+			}
+		}
+		c, ok := classes[string(passed)]
+		if !ok {
+			c = int32(len(classes))
+			classes[string(passed)] = c
+			fl.addClass(passed, testOf)
+		}
+		fl.classOf[t] = c
+	}
+}
+
+// addClass appends the step-table cells of a new class whose items pass
+// exactly the tests set in passed.
+func (fl *Flat) addClass(passed []byte, testOf []int32) {
+	w := fl.words
+	base := len(fl.pred)
+	fl.pred = append(fl.pred, make([]uint64, fl.numStates*2*w)...)
+	for q := 0; q < fl.numStates; q++ {
+		for tr := fl.off[q]; tr < fl.off[q+1]; tr++ {
+			if i := testOf[tr]; i >= 0 && passed[i>>3]&(1<<(uint(i)&7)) == 0 {
+				continue
+			}
+			fl.fire = append(fl.fire, tr)
+			cell := base + int(fl.to[tr])*2*w + q>>6
+			fl.pred[cell] |= 1 << (uint(q) & 63)
+			if fl.outKind[tr] == outNone {
+				fl.pred[cell+w] |= 1 << (uint(q) & 63)
+			}
+		}
+		fl.fireOff = append(fl.fireOff, int32(len(fl.fire)))
+	}
 }
 
 // classifyOutput maps a label to its output behaviour class, mirroring
@@ -125,25 +223,6 @@ func classifyOutput(l Label) uint8 {
 	default:
 		return outInput
 	}
-}
-
-// matchBitset precomputes which input items a label matches; nil means all.
-func matchBitset(d *dict.Dictionary, l Label, vocab int) []uint64 {
-	if l.Kind == KindDot {
-		return nil
-	}
-	bits := make([]uint64, (vocab+1+63)/64)
-	if l.Exact {
-		t := l.Item
-		bits[uint(t)>>6] |= 1 << (uint(t) & 63)
-		return bits
-	}
-	for t := dict.ItemID(1); int(t) <= vocab; t++ {
-		if d.IsA(t, l.Item) {
-			bits[uint(t)>>6] |= 1 << (uint(t) & 63)
-		}
-	}
-	return bits
 }
 
 // upToSets precomputes the outUpTo output sets per input item.
@@ -177,108 +256,89 @@ func (fl *Flat) IsFinal(q int) bool {
 	return fl.finalBits[uint(q)>>6]&(1<<(uint(q)&63)) != 0
 }
 
-// Matches reports whether transition tr accepts input item t.
-func (fl *Flat) Matches(tr int, t dict.ItemID) bool {
-	m := fl.match[tr]
-	return m == nil || m[uint(t)>>6]&(1<<(uint(t)&63)) != 0
+// class returns the first step-table cell of item t's class.
+func (fl *Flat) class(t dict.ItemID) int {
+	if fl.classOf == nil {
+		return 0
+	}
+	return int(fl.classOf[t]) * fl.numStates
 }
 
-// AcceptBits computes the accept matrix of T as bitset rows: bit q of row i
-// (dst[i*Words():]) is set iff the remaining input T[i:] can be consumed from
-// state q ending in a final state — the flat form of FST.AcceptMatrix. dst
-// must have (len(T)+1)*Words() zeroed words; it is returned for convenience.
-func (fl *Flat) AcceptBits(T []dict.ItemID, dst []uint64) []uint64 {
-	return fl.reachBits(T, dst, false)
+// Firing returns the transitions of state q that match input item t, in
+// transition order. The slice is shared and must not be modified.
+func (fl *Flat) Firing(q int, t dict.ItemID) []int32 {
+	cell := fl.class(t) + q
+	return fl.fire[fl.fireOff[cell]:fl.fireOff[cell+1]]
 }
 
-// FinishBits computes the finishable matrix of T as bitset rows: bit q of row
-// i is set iff the remaining input can be consumed from state q ending in a
-// final state while producing no further output (ε-output transitions only).
-// dst must have (len(T)+1)*Words() zeroed words.
-func (fl *Flat) FinishBits(T []dict.ItemID, dst []uint64) []uint64 {
-	return fl.reachBits(T, dst, true)
-}
-
-func (fl *Flat) reachBits(T []dict.ItemID, dst []uint64, epsOnly bool) []uint64 {
+// Reach is the one backward reachability pass every simulator starts from. It
+// fills accept with the accept matrix of T as bitset rows — bit q of row i
+// (accept[i*Words():]) is set iff T[i:] can be consumed from state q ending
+// in a final state — and reports whether the initial state accepts T. accept
+// holds either all len(T)+1 rows or, for a caller that only wants the
+// verdict, two rows that the pass alternates between. A non-nil finish (all
+// rows) receives the finishable matrix in the same pass: bit q of row i is
+// set iff T[i:] can be consumed from q into a final state over ε-output
+// transitions only. Every word of a row is written, so the buffers need not
+// be zeroed; the pass stops at the first position no state accepts from, and
+// after a false result the matrices are only partly filled.
+func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 	n, w := len(T), fl.words
-	copy(dst[n*w:(n+1)*w], fl.finalBits)
+	rowMask := -1 // row i lives at (i&rowMask)*w
+	if len(accept) < (n+1)*w {
+		rowMask = 1
+	}
+	copy(accept[(n&rowMask)*w:][:w], fl.finalBits)
+	if finish != nil {
+		copy(finish[n*w:][:w], fl.finalBits)
+	}
 	for i := n - 1; i >= 0; i-- {
-		t := T[i]
-		row := dst[i*w : (i+1)*w]
-		next := dst[(i+1)*w : (i+2)*w]
-		for q := 0; q < fl.numStates; q++ {
-			for tr := fl.off[q]; tr < fl.off[q+1]; tr++ {
-				if epsOnly && fl.outKind[tr] != outNone {
-					continue
-				}
-				to := uint(fl.to[tr])
-				if next[to>>6]&(1<<(to&63)) != 0 && fl.Matches(int(tr), t) {
-					row[uint(q)>>6] |= 1 << (uint(q) & 63)
-					break
-				}
-			}
-		}
-	}
-	return dst
-}
-
-// acceptScratch pools the two-row scratch of CanAccept so the prefilter pass
-// allocates nothing in steady state.
-var acceptScratch = sync.Pool{New: func() any { return new([]uint64) }}
-
-// CanAccept reports whether the FST has at least one accepting run for T,
-// without materializing the full accept matrix: it runs the same backward
-// reachability scan as AcceptBits but keeps only two bitset rows, so the pass
-// is O(states) space and allocation free in steady state. It is the cheap
-// first pass of the paper's two-pass prefilter: a sequence that cannot reach
-// acceptance can produce no candidate subsequences (and therefore no pivot
-// items), so full simulation can skip it.
-func (fl *Flat) CanAccept(T []dict.ItemID) bool {
-	w := fl.words
-	if len(T) == 0 {
-		return fl.IsFinal(fl.initial)
-	}
-	bufp := acceptScratch.Get().(*[]uint64)
-	buf := *bufp
-	if cap(buf) < 2*w {
-		buf = make([]uint64, 2*w)
-	}
-	buf = buf[:2*w]
-	cur, next := buf[:w], buf[w:2*w]
-	copy(next, fl.finalBits)
-	for i := len(T) - 1; i >= 0; i-- {
-		t := T[i]
-		clear(cur)
-		any := false
-		for q := 0; q < fl.numStates; q++ {
-			for tr := fl.off[q]; tr < fl.off[q+1]; tr++ {
-				to := uint(fl.to[tr])
-				if next[to>>6]&(1<<(to&63)) != 0 && fl.Matches(int(tr), t) {
-					cur[uint(q)>>6] |= 1 << (uint(q) & 63)
-					any = true
-					break
-				}
-			}
-		}
-		if !any {
-			*bufp = buf
-			acceptScratch.Put(bufp)
+		pred := fl.pred[fl.class(T[i])*2*w:]
+		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*w:][:w], accept[(i&rowMask)*w:][:w]) == 0 {
 			return false
 		}
-		cur, next = next, cur
+		if finish != nil {
+			pullBack(pred[w:], 2*w, finish[(i+1)*w:][:w], finish[i*w:][:w])
+		}
 	}
-	q := uint(fl.initial)
-	ok := next[q>>6]&(1<<(q&63)) != 0
-	*bufp = buf
-	acceptScratch.Put(bufp)
-	return ok
+	return accept[uint(fl.initial)>>6]&(1<<(uint(fl.initial)&63)) != 0
+}
+
+// pullBack is one backward step: row becomes the union of the predecessor
+// sets of the states in next, where state q's set is pred[q*stride:][:len(row)].
+// It returns the OR of row's words (zero iff no state is left).
+func pullBack(pred []uint64, stride int, next, row []uint64) (live uint64) {
+	for j := range row {
+		var r uint64
+		for k, word := range next {
+			for ; word != 0; word &= word - 1 {
+				r |= pred[(k<<6+bits.TrailingZeros64(word))*stride+j]
+			}
+		}
+		row[j] = r
+		live |= r
+	}
+	return live
+}
+
+// CanAccept reports whether the FST has at least one accepting run for T: the
+// Reach pass over two rows on the stack, so it allocates nothing (up to 256
+// states). A sequence that cannot reach acceptance produces no candidate
+// subsequences and therefore no pivot items.
+func (fl *Flat) CanAccept(T []dict.ItemID) bool {
+	var stack [8]uint64
+	rows := stack[:]
+	if 2*fl.words > len(stack) {
+		rows = make([]uint64, 2*fl.words)
+	}
+	return fl.Reach(T, rows[:2*fl.words], nil)
 }
 
 // OutputsFor returns the output set of transition tr for input item t, in one
 // of two forms: a single output item (set == nil), or a shared sorted set that
-// must not be modified. Both results are zero for ε-output transitions. The
-// caller must have checked Matches(tr, t).
-func (fl *Flat) OutputsFor(tr int, t dict.ItemID) (single dict.ItemID, set []dict.ItemID) {
+// must not be modified. Both results are zero for ε-output transitions. tr
+// must be one of Firing(q, t).
+func (fl *Flat) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, set []dict.ItemID) {
 	switch fl.outKind[tr] {
 	case outNone:
 		return dict.None, nil
@@ -296,11 +356,5 @@ func (fl *Flat) OutputsFor(tr int, t dict.ItemID) (single dict.ItemID, set []dic
 // NumTransitions returns the total number of transitions in the flat table.
 func (fl *Flat) NumTransitions() int { return len(fl.to) }
 
-// TransitionsOf returns the half-open transition index range of state q.
-func (fl *Flat) TransitionsOf(q int) (lo, hi int32) { return fl.off[q], fl.off[q+1] }
-
 // To returns the target state of transition tr.
-func (fl *Flat) To(tr int) int32 { return fl.to[tr] }
-
-// ProducesOutput reports whether transition tr can produce output.
-func (fl *Flat) ProducesOutput(tr int) bool { return fl.outKind[tr] != outNone }
+func (fl *Flat) To(tr int32) int32 { return fl.to[tr] }

@@ -3,6 +3,7 @@ package fst_test
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -21,45 +22,11 @@ var flatTestPatterns = []string{
 	"(A^).*",
 }
 
-// finishMatrixRef computes the ε-output-only backward reachability matrix
-// with the pointer representation: bit [i][q] iff T[i:] can be consumed from
-// q into a final state using only transitions that produce no output. It is
-// the independent reference for Flat.FinishBits.
-func finishMatrixRef(f *fst.FST, T []dict.ItemID) [][]bool {
-	d := f.Dict()
-	n := len(T)
-	m := make([][]bool, n+1)
-	for i := range m {
-		m[i] = make([]bool, f.NumStates())
-	}
-	for q := 0; q < f.NumStates(); q++ {
-		m[n][q] = f.IsFinal(q)
-	}
-	for i := n - 1; i >= 0; i-- {
-		for q := 0; q < f.NumStates(); q++ {
-			for _, tr := range f.Transitions(q) {
-				if tr.Label.ProducesOutput() {
-					continue
-				}
-				if m[i+1][tr.To] && tr.Label.Matches(d, T[i]) {
-					m[i][q] = true
-					break
-				}
-			}
-		}
-	}
-	return m
-}
-
-func bitsRow(dst []uint64, words, i, q int) bool {
-	return dst[i*words+q>>6]&(1<<(uint(q)&63)) != 0
-}
-
 // TestFlatEquivalence cross-checks every Flat operation against the pointer
-// FST it was flattened from, on random sequences: the bitset accept matrix
-// against AcceptMatrix, the ε-only finish matrix against an independent
-// reference, the two-row CanAccept prefilter against Accepts, and per-
-// transition matching and outputs against the Label methods.
+// FST it was flattened from, on random sequences: the firing lists and
+// outputs against the Label methods, the fused Reach pass against the
+// pointer accept and finish matrices, the two-row CanAccept against Accepts,
+// and the run walk against the pointer run enumeration.
 func TestFlatEquivalence(t *testing.T) {
 	d := paperex.Dict()
 	rng := rand.New(rand.NewSource(11))
@@ -70,49 +37,31 @@ func TestFlatEquivalence(t *testing.T) {
 			flat.NumTransitions() != f.NumTransitions() || flat.Dict() != d {
 			t.Fatalf("%q: flat shape differs from the FST", pat)
 		}
+		fst.CheckStepTable(t, pat, f) // the firing lists are complete and exact
+		lo := 0                       // flat index of state q's first transition
 		for q := 0; q < f.NumStates(); q++ {
 			if flat.IsFinal(q) != f.IsFinal(q) {
 				t.Fatalf("%q: IsFinal(%d) mismatch", pat, q)
 			}
-			lo, hi := flat.TransitionsOf(q)
 			trans := f.Transitions(q)
-			if int(hi-lo) != len(trans) {
-				t.Fatalf("%q: state %d has %d flat transitions, want %d", pat, q, hi-lo, len(trans))
-			}
-			for i, tr := range trans {
-				fi := int(lo) + i
-				if int(flat.To(fi)) != tr.To {
-					t.Fatalf("%q: transition target mismatch at state %d", pat, q)
-				}
-				if flat.ProducesOutput(fi) != tr.Label.ProducesOutput() {
-					t.Fatalf("%q: ProducesOutput mismatch at state %d", pat, q)
-				}
-				for item := dict.ItemID(1); int(item) <= d.Size(); item++ {
-					if flat.Matches(fi, item) != tr.Label.Matches(d, item) {
-						t.Fatalf("%q: Matches(%d, %v) mismatch", pat, fi, item)
-					}
-					if !tr.Label.Matches(d, item) {
-						continue
+			for item := dict.ItemID(1); int(item) <= d.Size(); item++ {
+				for _, fi := range flat.Firing(q, item) {
+					tr := trans[int(fi)-lo]
+					if int(flat.To(fi)) != tr.To {
+						t.Fatalf("%q: transition target mismatch at state %d", pat, q)
 					}
 					want := tr.Label.Outputs(d, item)
 					single, set := flat.OutputsFor(fi, item)
-					var got []dict.ItemID
-					switch {
-					case single != dict.None:
+					got := set
+					if single != dict.None {
 						got = []dict.ItemID{single}
-					default:
-						got = set
 					}
-					if len(got) != len(want) {
+					if !slices.Equal(got, want) {
 						t.Fatalf("%q: OutputsFor(%d, %v) = %v, want %v", pat, fi, item, got, want)
-					}
-					for j := range got {
-						if got[j] != want[j] {
-							t.Fatalf("%q: OutputsFor(%d, %v) = %v, want %v", pat, fi, item, got, want)
-						}
 					}
 				}
 			}
+			lo += len(trans)
 		}
 
 		for trial := 0; trial < 50; trial++ {
@@ -120,32 +69,7 @@ func TestFlatEquivalence(t *testing.T) {
 			for j := range T {
 				T[j] = dict.ItemID(rng.Intn(d.Size()) + 1)
 			}
-			words := flat.Words()
-			accept := make([]uint64, (len(T)+1)*words)
-			flat.AcceptBits(T, accept)
-			ref := f.AcceptMatrix(T)
-			for i := 0; i <= len(T); i++ {
-				for q := 0; q < f.NumStates(); q++ {
-					if bitsRow(accept, words, i, q) != ref[i][q] {
-						t.Fatalf("%q: AcceptBits[%d][%d] = %v, want %v (T=%v)",
-							pat, i, q, !ref[i][q], ref[i][q], T)
-					}
-				}
-			}
-			finish := make([]uint64, (len(T)+1)*words)
-			flat.FinishBits(T, finish)
-			fref := finishMatrixRef(f, T)
-			for i := 0; i <= len(T); i++ {
-				for q := 0; q < f.NumStates(); q++ {
-					if bitsRow(finish, words, i, q) != fref[i][q] {
-						t.Fatalf("%q: FinishBits[%d][%d] = %v, want %v (T=%v)",
-							pat, i, q, !fref[i][q], fref[i][q], T)
-					}
-				}
-			}
-			if got, want := flat.CanAccept(T), f.Accepts(T); got != want {
-				t.Fatalf("%q: CanAccept(%v) = %v, want %v", pat, T, got, want)
-			}
+			fst.CheckReach(t, pat, f, T)
 			for _, sigma := range []int64{0, 2, 4} {
 				checkRuns(t, pat, f, T, sigma)
 			}
@@ -237,8 +161,8 @@ func TestCanAcceptEmpty(t *testing.T) {
 
 // FuzzFlatEquivalence derives a sequence from the fuzz input and cross-checks
 // the flattened simulation primitives against the pointer FST on every test
-// pattern: the prefilter must agree with Accepts and the bitset accept matrix
-// with AcceptMatrix, and the flat run walker must enumerate the pointer FST's
+// pattern: CanAccept must agree with Accepts and the Reach matrices with
+// AcceptMatrix and FinishMatrix, and the flat run walker must enumerate the pointer FST's
 // runs (on a prefix of the input: loose patterns have a run per position
 // subset). Any divergence is a miscompiled flat table.
 func FuzzFlatEquivalence(f *testing.F) {
@@ -259,22 +183,7 @@ func FuzzFlatEquivalence(f *testing.F) {
 			T[i] = dict.ItemID(int(c)%d.Size() + 1)
 		}
 		for i, fm := range fsts {
-			flat := fm.Flatten()
-			if got, want := flat.CanAccept(T), fm.Accepts(T); got != want {
-				t.Fatalf("%q: CanAccept = %v, Accepts = %v (T=%v)", flatTestPatterns[i], got, want, T)
-			}
-			words := flat.Words()
-			accept := make([]uint64, (len(T)+1)*words)
-			flat.AcceptBits(T, accept)
-			ref := fm.AcceptMatrix(T)
-			for pos := 0; pos <= len(T); pos++ {
-				for q := 0; q < fm.NumStates(); q++ {
-					if bitsRow(accept, words, pos, q) != ref[pos][q] {
-						t.Fatalf("%q: AcceptBits[%d][%d] disagrees with AcceptMatrix (T=%v)",
-							flatTestPatterns[i], pos, q, T)
-					}
-				}
-			}
+			fst.CheckReach(t, flatTestPatterns[i], fm, T)
 			checkRuns(t, flatTestPatterns[i], fm, T[:min(len(T), 10)], int64(len(data)%4))
 		}
 	})

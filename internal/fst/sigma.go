@@ -129,8 +129,8 @@ func (sv *SigmaView) Frequent(w dict.ItemID) bool {
 // shared sorted set that must not be modified. ε transitions return
 // (None, nil, true); ok is false when the transition produces output but no
 // output item is frequent — such an edge cannot contribute Gσ candidates and
-// must be skipped. The caller must have checked Flat.Matches(tr, t).
-func (sv *SigmaView) OutputsFor(tr int, t dict.ItemID) (single dict.ItemID, set []dict.ItemID, ok bool) {
+// must be skipped. tr must be one of Flat.Firing(q, t).
+func (sv *SigmaView) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, set []dict.ItemID, ok bool) {
 	fl := sv.fl
 	switch fl.outKind[tr] {
 	case outNone:

@@ -49,18 +49,6 @@ func BenchmarkMineCount(b *testing.B) {
 	}
 }
 
-// BenchmarkMineDFSPrefilter measures DESQ-DFS with the two-pass reachability
-// prefilter, which pre-screens every sequence with fst.Flat.CanAccept before
-// the projected-database machinery touches it.
-func BenchmarkMineDFSPrefilter(b *testing.B) {
-	_, f, db := benchDatabase(500, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		miner.MineDFS(f, db, 5, miner.DFSOptions{Prefilter: true})
-	}
-}
-
 // BenchmarkMineDFSPivot measures pivot-restricted local mining as used by the
 // D-SEQ reduce phase, with and without early stopping.
 func BenchmarkMineDFSPivot(b *testing.B) {

@@ -286,25 +286,20 @@ type DFSOptions struct {
 	// the last position at which the pivot can still be produced. It has no
 	// effect when Pivot is zero.
 	EarlyStopping bool
-	// Prefilter enables the paper's two-pass trick: a cheap two-row backward
-	// reachability scan (fst.Flat.CanAccept) rejects sequences without any
-	// accepting run before the per-sequence accept/finish matrices are built.
-	// Output is byte-identical either way — such sequences contribute no
-	// candidates and no pivots — the pass only avoids the full simulation
-	// set-up for them.
-	Prefilter bool
 }
 
 // MineDFS implements DESQ-DFS, the pattern-growth miner. It reports every
 // subsequence S with fπ(S) >= sigma, subject to the pivot restriction in
 // opts.
 //
-// The implementation works entirely on the flattened FST form (fst.Flat):
-// per-sequence accept/finish matrices are bitsets, simulation snapshots are
-// packed (pos, state) cells in int32 arrays, per-expansion projected databases
-// are flat int32 buffers, and all per-call scratch comes from a sync.Pool —
+// The implementation works entirely on the flattened FST form (fst.Flat): one
+// fst.Flat.Reach pass per sequence yields its accept and finish bitset
+// matrices (and rejects sequences without an accepting run), simulation
+// snapshots are packed (pos, state) cells in int32 arrays, per-expansion
+// projected databases are flat int32 buffers, and all of it — the matrices of
+// the whole database included, carved from one arena — is pooled scratch.
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
-// mining allocates only the per-sequence matrices and the reported patterns.
+// mining allocates only the reported patterns.
 func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []Pattern {
 	fl := f.Flatten()
 	d := f.Dict()
@@ -314,7 +309,6 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 		db:    db,
 		sigma: sigma,
 		opts:  opts,
-		cache: make([]seqCache, len(db)),
 		words: fl.Words(),
 	}
 	if n := fl.NumStates(); n > 1 {
@@ -335,13 +329,13 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 	return out
 }
 
-// seqCache holds the per-sequence bitset matrices used during mining. Rows are
-// words-sized bitsets over states; row i covers the input suffix T[i:].
+// seqCache holds the per-sequence bitset matrices used during mining, both
+// slices of dfsScratch.arena. Rows are words-sized bitsets over states; row i
+// covers the input suffix T[i:]. Sequences without an accepting run have none.
 type seqCache struct {
 	accept    []uint64 // accepting-reachable coordinates (any outputs)
 	finish    []uint64 // reachable end-of-input via ε-output transitions only
 	lastPivot int32    // last position that can produce the pivot item (-1 if none)
-	ready     bool
 }
 
 // maxStampCells caps the size of the epoch-stamped snapshot-dedup array (16MB
@@ -357,7 +351,8 @@ type dfsScratch struct {
 	snapStamp []uint32           // per-cell generation stamps (snapshot dedup)
 	snapSeen  map[int32]struct{} // fallback when the cell space exceeds maxStampCells
 	stack     []int32            // DFS traversal stack of cells
-	keys      []uint64           // packed (item<<32 | cell) targets of one sequence
+	arena     []uint64           // accept and finish matrices of every accepted sequence
+	cache     []seqCache         // per input sequence, slices of arena
 	itemGen   uint32
 	itemStamp []uint32 // per-item generation; itemSlot valid iff stamp == itemGen
 	itemSlot  []int32
@@ -389,7 +384,6 @@ type dfsMiner struct {
 	db    []WeightedSequence
 	sigma int64
 	opts  DFSOptions
-	cache []seqCache
 	out   []Pattern
 
 	words     int         // bitset words per matrix row
@@ -425,21 +419,29 @@ func (m *dfsMiner) run() []Pattern {
 		sc.itemGen = 0
 	}
 
+	// One Reach pass per sequence fills its two matrices at the arena's tail;
+	// the space is kept only if the sequence has an accepting run.
+	need := 0
+	for i := range m.db {
+		need += 2 * (len(m.db[i].Items) + 1) * m.words
+	}
+	sc.arena = slices.Grow(sc.arena[:0], need)[:need]
+	sc.cache = slices.Grow(sc.cache[:0], len(m.db))[:len(m.db)]
 	sc.rootProj = sc.rootProj[:0]
 	initCell := int32(m.flat.Initial()) // pos 0 → cell = state
-	initState := m.flat.Initial()
+	used := 0
 	for i := range m.db {
 		T := m.db[i].Items
-		if len(T) == 0 {
+		rows := (len(T) + 1) * m.words
+		c := seqCache{accept: sc.arena[used : used+rows], finish: sc.arena[used+rows : used+2*rows], lastPivot: -1}
+		if len(T) == 0 || !m.flat.Reach(T, c.accept, c.finish) {
 			continue
 		}
-		if m.opts.Prefilter && !m.flat.CanAccept(T) {
-			continue // sequence has no accepting run at all
+		used += 2 * rows
+		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
+			c.lastPivot = int32(m.lastPivotPosition(T))
 		}
-		c := m.cacheFor(i)
-		if c.accept[initState>>6]&(1<<(uint(initState)&63)) == 0 {
-			continue // sequence has no accepting run at all
-		}
+		sc.cache[i] = c
 		sc.rootProj = append(sc.rootProj, int32(i), 1, initCell)
 	}
 	if m.prefixSupport(sc.rootProj) >= m.sigma {
@@ -449,42 +451,16 @@ func (m *dfsMiner) run() []Pattern {
 	return m.out
 }
 
-func (m *dfsMiner) cacheFor(i int) *seqCache {
-	c := &m.cache[i]
-	if c.ready {
-		return c
-	}
-	T := m.db[i].Items
-	rows := (len(T) + 1) * m.words
-	buf := make([]uint64, 2*rows)
-	c.accept = m.flat.AcceptBits(T, buf[:rows])
-	c.finish = m.flat.FinishBits(T, buf[rows:])
-	c.lastPivot = -1
-	if m.opts.Pivot != dict.None {
-		c.lastPivot = int32(m.lastPivotPosition(T))
-	}
-	c.ready = true
-	return c
-}
-
-// lastPivotPosition returns the last position of T at which some transition
-// can output the pivot item (conservatively ignoring states), or -1.
+// lastPivotPosition returns the last position of T whose item has the pivot
+// among its ancestors, or -1. Every output of a transition is an ancestor of
+// its input item, so no later position can produce the pivot.
 func (m *dfsMiner) lastPivotPosition(T []dict.ItemID) int {
-	last := -1
-	nt := m.flat.NumTransitions()
-	for i, t := range T {
-		for tr := 0; tr < nt; tr++ {
-			if !m.flat.ProducesOutput(tr) || !m.flat.Matches(tr, t) {
-				continue
-			}
-			single, set := m.flat.OutputsFor(tr, t)
-			if single == m.opts.Pivot || containsItem(set, m.opts.Pivot) {
-				last = i
-				break
-			}
+	for i := len(T) - 1; i >= 0; i-- {
+		if m.dict.HasAncestor(T[i], m.opts.Pivot) {
+			return i
 		}
 	}
-	return last
+	return -1
 }
 
 // prefixSupport sums the weights of the sequences present in the projected
@@ -507,7 +483,7 @@ func (m *dfsMiner) completeSupport(proj []int32) int64 {
 	for i := 0; i < len(proj); {
 		seq := proj[i]
 		n := int(proj[i+1])
-		c := &m.cache[seq]
+		c := &m.sc.cache[seq]
 		for k := 0; k < n; k++ {
 			cell := proj[i+2+k]
 			pos := int(cell >> sb)
@@ -569,7 +545,6 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 	}
 	fr := &sc.frames[depth]
 	fr.order = fr.order[:0]
-	used := int32(0)
 
 	hasPivot := m.opts.Pivot != dict.None && containsItem(prefix, m.opts.Pivot)
 	earlyStop := m.opts.EarlyStopping && m.opts.Pivot != dict.None && !hasPivot
@@ -579,7 +554,6 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		clear(sc.itemStamp)
 		sc.itemGen = 1
 	}
-	itemGen := sc.itemGen
 
 	sb := m.stateBits
 	mask := int32(1)<<sb - 1
@@ -591,7 +565,7 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		snaps := proj[pi+2 : pi+2+nsn]
 		pi += 2 + nsn
 
-		c := &m.cache[seq]
+		c := &sc.cache[seq]
 		T := m.db[seq].Items
 
 		if sc.snapStamp != nil {
@@ -613,9 +587,9 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 			}
 		}
 
-		// Simulate: follow ε-output transitions, collect output targets as
-		// packed (item, cell) keys.
-		sc.keys = sc.keys[:0]
+		// Simulate: follow ε-output transitions and scatter every output
+		// target into the projected database of its item. A cell reached
+		// twice is stored twice; the next level's markSnap drops the repeat.
 		for len(sc.stack) > 0 {
 			cell := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
@@ -623,77 +597,26 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 			if pos >= len(T) {
 				continue
 			}
-			q := int(cell & mask)
 			t := T[pos]
 			nextRow := c.accept[(pos+1)*W:]
-			lo, hi := m.flat.TransitionsOf(q)
-			for tr := lo; tr < hi; tr++ {
-				to := m.flat.To(int(tr))
+			for _, tr := range m.flat.Firing(int(cell&mask), t) {
+				to := m.flat.To(tr)
 				if nextRow[uint32(to)>>6]&(1<<(uint32(to)&63)) == 0 {
 					continue // target cannot reach acceptance
 				}
-				if !m.flat.Matches(int(tr), t) {
-					continue
-				}
 				nextCell := int32(pos+1)<<sb | to
-				single, set := m.flat.OutputsFor(int(tr), t)
-				if single == dict.None && set == nil {
+				single, set := m.flat.OutputsFor(tr, t)
+				if single != dict.None {
+					m.project(fr, single, seq, nextCell)
+				} else if set == nil {
 					if m.markSnap(nextCell) {
 						sc.stack = append(sc.stack, nextCell)
 					}
-					continue
-				}
-				if single != dict.None {
-					if m.expandable(single) {
-						sc.keys = append(sc.keys, uint64(single)<<32|uint64(uint32(nextCell)))
-					}
-					continue
 				}
 				for _, w := range set {
-					if m.expandable(w) {
-						sc.keys = append(sc.keys, uint64(w)<<32|uint64(uint32(nextCell)))
-					}
+					m.project(fr, w, seq, nextCell)
 				}
 			}
-		}
-		if len(sc.keys) == 0 {
-			continue
-		}
-
-		// Sorting the packed keys both deduplicates (item, cell) targets and
-		// hands each expansion its snapshots grouped per item.
-		slices.Sort(sc.keys)
-		prev := ^uint64(0)
-		for _, k := range sc.keys {
-			if k == prev {
-				continue
-			}
-			prev = k
-			w := dict.ItemID(k >> 32)
-			var slot int32
-			if sc.itemStamp[w] != itemGen {
-				sc.itemStamp[w] = itemGen
-				slot = used
-				sc.itemSlot[w] = slot
-				used++
-				fr.order = append(fr.order, uint64(w)<<32|uint64(uint32(slot)))
-				for len(fr.exps) <= int(slot) {
-					fr.exps = append(fr.exps, expBuf{})
-				}
-				e := &fr.exps[slot]
-				e.buf = e.buf[:0]
-				e.lastSeq = -1
-			} else {
-				slot = sc.itemSlot[w]
-			}
-			e := &fr.exps[slot]
-			if e.lastSeq != seq {
-				e.lastSeq = seq
-				e.countIdx = int32(len(e.buf) + 1)
-				e.buf = append(e.buf, seq, 0)
-			}
-			e.buf = append(e.buf, int32(uint32(k)))
-			e.buf[e.countIdx]++
 		}
 	}
 
@@ -709,6 +632,34 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		sc.prefix = append(sc.prefix[:depth], w)
 		m.expand(depth+1, e.buf)
 	}
+}
+
+// project appends cell to sequence seq's snapshots in the projected database
+// of expansion item w at frame fr, opening the item's buffer on first use.
+func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
+	if !m.expandable(w) {
+		return
+	}
+	sc := m.sc
+	if sc.itemStamp[w] != sc.itemGen {
+		sc.itemStamp[w] = sc.itemGen
+		slot := len(fr.order)
+		sc.itemSlot[w] = int32(slot)
+		fr.order = append(fr.order, uint64(w)<<32|uint64(slot))
+		if len(fr.exps) <= slot {
+			fr.exps = append(fr.exps, expBuf{})
+		}
+		fr.exps[slot].buf = fr.exps[slot].buf[:0]
+		fr.exps[slot].lastSeq = -1
+	}
+	e := &fr.exps[sc.itemSlot[w]]
+	if e.lastSeq != seq {
+		e.lastSeq = seq
+		e.countIdx = int32(len(e.buf) + 1)
+		e.buf = append(e.buf, seq, 0)
+	}
+	e.buf = append(e.buf, cell)
+	e.buf[e.countIdx]++
 }
 
 func containsItem(seq []dict.ItemID, w dict.ItemID) bool {

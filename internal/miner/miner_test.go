@@ -1,6 +1,7 @@
 package miner_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -220,8 +221,10 @@ func TestEarlyStoppingPreservesResults(t *testing.T) {
 }
 
 // TestPrefilterPreservesResults: the two-pass reachability prefilter skips
-// sequences without accepting runs before mining; it must never change the
-// output of any miner, for any pattern, threshold or pivot restriction.
+// sequences without accepting runs before candidate enumeration; it must
+// never change the output of the counting miners, for any pattern or
+// threshold. (DESQ-DFS has no such option: its one Reach pass per sequence is
+// the prefilter.)
 func TestPrefilterPreservesResults(t *testing.T) {
 	d := paperex.Dict()
 	patterns := []string{
@@ -235,11 +238,6 @@ func TestPrefilterPreservesResults(t *testing.T) {
 		for trial := 0; trial < 4; trial++ {
 			db := miner.Weighted(randomDB(rng, d, 12, 6))
 			for _, sigma := range []int64{1, 2} {
-				plainDFS := miner.PatternsToMap(d, miner.MineDFS(f, db, sigma, miner.DFSOptions{}))
-				preDFS := miner.PatternsToMap(d, miner.MineDFS(f, db, sigma, miner.DFSOptions{Prefilter: true}))
-				if !reflect.DeepEqual(plainDFS, preDFS) {
-					t.Fatalf("pattern %q sigma %d: prefiltered DFS %v != plain %v", pat, sigma, preDFS, plainDFS)
-				}
 				plainCount := miner.PatternsToMap(d, miner.MineCount(f, db, sigma))
 				preCount := miner.PatternsToMap(d, miner.MineCountOpts(f, db, sigma, miner.CountOptions{Prefilter: true}))
 				if !reflect.DeepEqual(plainCount, preCount) {
@@ -255,15 +253,32 @@ func TestPrefilterPreservesResults(t *testing.T) {
 					t.Fatalf("pattern %q sigma %d: prefiltered SupportOf differs", pat, sigma)
 				}
 			}
-			for pivot := dict.ItemID(1); int(pivot) <= d.Size(); pivot++ {
-				plain := miner.PatternsToMap(d, miner.MineDFS(f, db, 2, miner.DFSOptions{Pivot: pivot, EarlyStopping: true}))
-				pre := miner.PatternsToMap(d, miner.MineDFS(f, db, 2, miner.DFSOptions{Pivot: pivot, EarlyStopping: true, Prefilter: true}))
-				if !reflect.DeepEqual(plain, pre) {
-					t.Fatalf("pattern %q pivot %s: prefilter changed the pivot partition: %v vs %v",
-						pat, d.Name(pivot), pre, plain)
-				}
-			}
 		}
+	}
+}
+
+// TestMineDFSPartitionAllocations pins the set-up cost of mining one pivot
+// partition, the call D-SEQ's reducer makes per pivot: with the per-sequence
+// matrices carved from pooled scratch, a warm call allocates for the patterns
+// it reports (one item slice each, plus the result slice's growth and the
+// sort) and nothing per input sequence.
+func TestMineDFSPartitionAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	d, f, _ := runningExample(t)
+	db := miner.Weighted(randomDB(rand.New(rand.NewSource(3)), d, 400, 8))
+	opts := miner.DFSOptions{Pivot: d.MustFid("a1"), EarlyStopping: true}
+	patterns := len(miner.MineDFS(f, db, 2, opts))
+	if patterns == 0 {
+		t.Fatal("the partition reports no pattern; the pin is vacuous")
+	}
+	allocs := testing.AllocsPerRun(20, func() { miner.MineDFS(f, db, 2, opts) })
+	// bits.Len: append doublings of the result slice; 6: the miner itself,
+	// the sort's closure and swapper, and a pool emptied by a collection.
+	if limit := float64(patterns + bits.Len(uint(patterns)) + 6); allocs > limit {
+		t.Errorf("MineDFS over %d sequences: %.0f allocs per call for %d patterns, want <= %.0f",
+			len(db), allocs, patterns, limit)
 	}
 }
 

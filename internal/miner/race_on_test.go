@@ -1,0 +1,7 @@
+//go:build race
+
+package miner_test
+
+// raceEnabled: the race detector makes sync.Pool drop items at random, so the
+// steady-state allocation pin cannot hold under it.
+const raceEnabled = true

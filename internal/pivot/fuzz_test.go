@@ -21,22 +21,33 @@ var fuzzPatterns = []string{
 	"(A^).*",
 }
 
-// referenceGrid is the pre-refactor position–state grid, map backed: K(i, q)
-// sets live in per-state maps, frequent-output filtering runs per edge against
-// the dictionary, and set union goes through fresh slices. It exists purely as
-// the differential oracle for the arena-backed analyzeGrid.
+// referenceGrid is the pre-refactor position–state grid on the pointer FST,
+// map backed: reachability and edge matching go label by label through
+// fst.Label, K(i, q) sets live in per-state maps, frequent-output filtering
+// runs per edge against the dictionary, and set union goes through fresh
+// slices. It exists purely as the differential oracle for the arena-backed
+// analyzeGrid and shares nothing with the step table it runs on.
 func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.ItemID, ranges map[dict.ItemID][2]int) {
 	d := f.Dict()
-	fl := f.Flatten()
 	n := len(T)
 	if n == 0 {
 		return nil, nil
 	}
-	words := fl.Words()
-	reach := make([]uint64, (n+1)*words)
-	fl.AcceptBits(T, reach)
-	init := fl.Initial()
-	if reach[uint(init)>>6]&(1<<(uint(init)&63)) == 0 {
+	reach := make([][]bool, n+1)
+	for i := n; i >= 0; i-- {
+		reach[i] = make([]bool, f.NumStates())
+		for q := range reach[i] {
+			if i == n {
+				reach[i][q] = f.IsFinal(q)
+				continue
+			}
+			for _, tr := range f.Transitions(q) {
+				reach[i][q] = reach[i][q] || reach[i+1][tr.To] && tr.Label.Matches(d, T[i])
+			}
+		}
+	}
+	init := f.Initial()
+	if !reach[0][init] {
 		return nil, nil
 	}
 
@@ -45,27 +56,21 @@ func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.Item
 	minOutput := make([]dict.ItemID, n)
 	for i := 0; i < n; i++ {
 		t := T[i]
-		row := reach[(i+1)*words:]
 		next := map[int][]dict.ItemID{}
-		for q := 0; q < fl.NumStates(); q++ {
+		for q := 0; q < f.NumStates(); q++ {
 			K, ok := cur[q]
 			if !ok {
 				continue
 			}
-			lo, hi := fl.TransitionsOf(q)
-			for tr := int(lo); tr < int(hi); tr++ {
-				to := int(fl.To(tr))
-				if row[uint(to)>>6]&(1<<(uint(to)&63)) == 0 || !fl.Matches(tr, t) {
+			for _, tr := range f.Transitions(q) {
+				to := tr.To
+				if !reach[i+1][to] || !tr.Label.Matches(d, t) {
 					continue
 				}
 				merged := K
-				if fl.ProducesOutput(tr) {
-					single, set := fl.OutputsFor(tr, t)
-					if set == nil {
-						set = []dict.ItemID{single}
-					}
+				if tr.Label.ProducesOutput() {
 					var outs []dict.ItemID
-					for _, w := range set {
+					for _, w := range tr.Label.Outputs(d, t) {
 						if sigma <= 0 || d.IsFrequent(w, sigma) {
 							outs = append(outs, w)
 						}
@@ -94,7 +99,7 @@ func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.Item
 	}
 
 	for q, K := range cur {
-		if fl.IsFinal(q) {
+		if f.IsFinal(q) {
 			pivots = append(pivots, dropEps(K)...)
 		}
 	}

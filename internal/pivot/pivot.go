@@ -7,8 +7,9 @@
 // the basis of the sequence rewriting ρk(T) of Sec. V-B.
 //
 // The grid runs entirely on the flattened FST form (fst.Flat): reachability is
-// a bitset accept matrix, transitions are walked by index in the flat int32
-// table, frequent-output filtering is precomputed per (FST, σ) in an
+// the bitset accept matrix of fst.Flat.Reach, each coordinate walks only the
+// transitions that fire on its item (fst.Flat.Firing), frequent-output
+// filtering is precomputed per (FST, σ) in an
 // fst.SigmaView, and the per-state pivot sets K(i, q) live as (offset, length)
 // regions of one pooled arena — steady-state analysis allocates only the
 // Analysis result itself.
@@ -243,11 +244,7 @@ var gridPool = sync.Pool{New: func() any { return new(gridScratch) }}
 
 func (sc *gridScratch) prepare(n, words, numStates int) {
 	need := (n + 1) * words
-	if cap(sc.reach) < need {
-		sc.reach = make([]uint64, need)
-	}
-	sc.reach = sc.reach[:need]
-	clear(sc.reach)
+	sc.reach = slices.Grow(sc.reach[:0], need)[:need]
 	sc.arena = sc.arena[:0]
 	if cap(sc.curOff) < numStates {
 		sc.curOff = make([]int32, numStates)
@@ -328,9 +325,8 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	numStates := fl.NumStates()
 	sc := gridPool.Get().(*gridScratch)
 	sc.prepare(n, words, numStates)
-	fl.AcceptBits(T, sc.reach)
 	init := fl.Initial()
-	if sc.reach[uint(init)>>6]&(1<<(uint(init)&63)) == 0 {
+	if !fl.Reach(T, sc.reach, nil) {
 		gridPool.Put(sc)
 		return a
 	}
@@ -346,10 +342,9 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 			if ko < 0 {
 				continue
 			}
-			lo, hi := fl.TransitionsOf(q)
-			for tr := int(lo); tr < int(hi); tr++ {
+			for _, tr := range fl.Firing(q, t) {
 				to := int(fl.To(tr))
-				if next[uint(to)>>6]&(1<<(uint(to)&63)) == 0 || !fl.Matches(tr, t) {
+				if next[uint(to)>>6]&(1<<(uint(to)&63)) == 0 {
 					continue
 				}
 				single, set, ok := s.sv.OutputsFor(tr, t)

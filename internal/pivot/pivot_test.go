@@ -82,9 +82,10 @@ func TestMergeCommutativeAssociative(t *testing.T) {
 // bruteForcePivots computes K(T) from the candidate subsequences directly.
 func bruteForcePivots(f *fst.FST, T []dict.ItemID, sigma int64) []dict.ItemID {
 	set := map[dict.ItemID]bool{}
-	for _, cand := range f.EnumerateCandidates(T, sigma) {
+	f.Flatten().ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
 		set[dict.PivotOf(cand)] = true
-	}
+		return true
+	})
 	out := make([]dict.ItemID, 0, len(set))
 	for w := range set {
 		out = append(out, w)
@@ -277,11 +278,12 @@ func TestRewritePreservesPivotCandidates(t *testing.T) {
 
 func pivotCandidates(f *fst.FST, T []dict.ItemID, sigma int64, k dict.ItemID) map[string]bool {
 	out := map[string]bool{}
-	for _, cand := range f.EnumerateCandidates(T, sigma) {
+	f.Flatten().ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
 		if dict.PivotOf(cand) == k {
 			out[f.Dict().DecodeString(cand)] = true
 		}
-	}
+		return true
+	})
 	return out
 }
 

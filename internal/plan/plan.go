@@ -54,11 +54,13 @@ const DefaultTaskRetries = 2
 // numeric knobs 0 means "unset" and a negative value means "off, even if a
 // default says otherwise"; see Merge.
 type Knobs struct {
-	// Prefilter enables the paper's two-pass trick on every backend: a cheap
+	// Prefilter enables the paper's two-pass trick on the enumerating
+	// backends (DESQ-COUNT, NAIVE/SEMI-NAIVE, D-CAND's map): a two-row
 	// backward reachability scan over the flattened FST rejects input
-	// sequences without any accepting run before the expensive per-sequence
-	// work (full simulation, pivot analysis or candidate enumeration). Mined
-	// output is byte-identical with and without it.
+	// sequences without any accepting run before candidate or run
+	// enumeration. DESQ-DFS and D-SEQ reject them in the one reachability
+	// pass they make anyway and ignore the knob. Mined output is
+	// byte-identical with and without it.
 	Prefilter bool `json:"prefilter,omitempty"`
 
 	// ShuffleConfig bounds the distributed backends' shuffle: when it spills

@@ -209,9 +209,7 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	)
 	switch opts.Algorithm {
 	case "", AlgoDSeq:
-		o := dseq.DefaultOptions()
-		o.Prefilter = opts.Prefilter
-		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, o, cfg)
+		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	case AlgoDCand:
 		o := dcand.DefaultOptions()
 		o.Prefilter = opts.Prefilter
@@ -346,7 +344,7 @@ func mineShardDirect(ctx context.Context, f *fst.FST, part []miner.WeightedSeque
 	}
 	switch algo {
 	case AlgoDFS:
-		return miner.MineDFS(f, part, sigma, miner.DFSOptions{Prefilter: prefilter}), nil
+		return miner.MineDFS(f, part, sigma, miner.DFSOptions{}), nil
 	case AlgoCount:
 		return miner.MineCountOpts(f, part, sigma, miner.CountOptions{Prefilter: prefilter}), nil
 	default:

@@ -194,7 +194,7 @@ func (n *Node) acceptLoop() {
 // handleInbound validates a peer connection's handshake and hands it to the
 // attempt's Exchange, waiting (bounded) for the attempt to be opened locally.
 // Connections from epochs older than the newest locally-opened epoch of the
-// job are refused outright: they belong to a dead attempt.
+// job are refused outright, before the ack: they belong to a dead attempt.
 func (n *Node) handleInbound(conn net.Conn) {
 	defer n.wg.Done()
 	cr := &countingReader{r: conn}
@@ -205,11 +205,6 @@ func (n *Node) handleInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	if _, err := conn.Write([]byte{protocolVersion}); err != nil { // ack
-		conn.Close()
-		return
-	}
-	_ = conn.SetDeadline(time.Time{})
 
 	n.mu.Lock()
 	if n.closed {
@@ -235,6 +230,16 @@ func (n *Node) handleInbound(conn net.Conn) {
 		fam.epochs[epoch] = entry
 	}
 	n.mu.Unlock()
+
+	// Ack only now that the connection is bound to its attempt's entry: the
+	// dialer's OpenExchange returns on the ack, and a newer epoch opened here
+	// after that must not mistake this connection for a zombie.
+	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
+		conn.Close()
+		n.dropIfUnopened(jobID, epoch, entry)
+		return
+	}
+	_ = conn.SetDeadline(time.Time{})
 
 	timer := time.NewTimer(n.cfg.AdoptTimeout)
 	defer timer.Stop()
