@@ -65,8 +65,8 @@ type JobSpec struct {
 	// owns).
 	Partitions []int `json:"partitions"`
 	// Plan is the query plan by value, exactly as the coordinator received
-	// it: the algorithm (plan.AlgoDSeq or plan.AlgoDCand), the prefilter flag
-	// and the shuffle bounds configure this worker's engine; the scheduler
+	// it: the algorithm (plan.AlgoDSeq or plan.AlgoDCand) and the shuffle
+	// bounds configure this worker's engine; the scheduler
 	// policy rides along unused. The plan's two process-local fields (Workers,
 	// SpillTmpDir) do not serialize, so the worker sizes its own engine and
 	// spills into its own -spill-dir.
@@ -87,7 +87,7 @@ type JobResult struct {
 	// sockets.
 	WireBytesIn int64 `json:"wire_bytes_in"`
 	// PeerStats breaks the shuffle traffic down per remote peer, including
-	// the streaming shuffle's per-destination batch/overflow counters.
+	// the streaming shuffle's per-destination batch counter.
 	PeerStats []transport.PeerStats `json:"peer_stats"`
 	// Spans are the worker-local trace spans of this run's trace (the run
 	// itself, its engine stages, and transport sends/receives), shipped back

@@ -859,7 +859,6 @@ func (s *scheduler) merge(a *attempt) *Result {
 		res.Metrics.SpilledBytes += m.SpilledBytes
 		res.Metrics.SpillCount += m.SpillCount
 		res.Metrics.StreamedBatches += m.StreamedBatches
-		res.Metrics.SendOverflowSegments += m.SendOverflowSegments
 	}
 	miner.SortPatterns(res.Patterns)
 	return res

@@ -118,23 +118,20 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	case plan.AlgoDSeq:
 		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
 	case plan.AlgoDCand:
-		o := dcand.DefaultOptions()
-		o.Prefilter = spec.Plan.Prefilter
-		patterns, metrics, err = dcand.MinePeer(f, split, spec.Sigma, o, cfg, bx)
+		patterns, metrics, err = dcand.MinePeer(f, split, spec.Sigma, dcand.DefaultOptions(), cfg, bx)
 	default:
 		err = permanentError{fmt.Errorf("cluster: algorithm %q cannot run distributed (want %s or %s)", spec.Plan.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)}
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Copy the streaming shuffle's per-destination counters onto the
+	// Copy the streaming shuffle's per-destination counter onto the
 	// transport's per-peer stats rows, so the job result reports one
 	// per-peer breakdown.
 	stats := bx.Stats()
 	for _, sp := range metrics.StreamPeers {
 		if sp.Peer >= 0 && sp.Peer < len(stats) {
 			stats[sp.Peer].StreamedBatches = sp.StreamedBatches
-			stats[sp.Peer].OverflowSegments = sp.OverflowSegments
 		}
 	}
 	w.observeStages(string(spec.Plan.Algorithm), metrics)

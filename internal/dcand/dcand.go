@@ -31,11 +31,6 @@ type Options struct {
 	// Aggregate enables the combiner that merges identical serialized NFAs
 	// into a single weighted NFA.
 	Aggregate bool
-	// Prefilter enables the two-pass trick of the paper: map workers run a
-	// cheap backward reachability scan (fst.Flat.CanAccept) and skip the run
-	// enumeration for sequences without any accepting run. Such sequences
-	// produce no NFAs, so the mined output is byte-identical either way.
-	Prefilter bool
 }
 
 // DefaultOptions enables minimization and aggregation.
@@ -248,9 +243,6 @@ func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID
 	flat := f.Flatten()
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(dict.ItemID, value)) {
-			if opts.Prefilter && !flat.CanAccept(T) {
-				return
-			}
 			sc := mapScratchPool.Get().(*mapScratch)
 			sc.run = 0
 			sc.acc = append(sc.acc[:0], dict.None)

@@ -46,11 +46,11 @@ func standardAlgos() []algoSpec {
 	return []algoSpec{
 		{name: "Naive", skipLoose: true,
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return naive.Mine(f, db, sigma, naive.Naive, naive.DefaultOptions(), cfg)
+				return naive.Mine(f, db, sigma, naive.Naive, cfg)
 			}},
 		{name: "SemiNaive", skipLoose: true,
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return naive.Mine(f, db, sigma, naive.SemiNaive, naive.DefaultOptions(), cfg)
+				return naive.Mine(f, db, sigma, naive.SemiNaive, cfg)
 			}},
 		{name: "D-SEQ",
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {

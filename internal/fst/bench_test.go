@@ -81,7 +81,7 @@ func BenchmarkReach(b *testing.B) {
 
 // BenchmarkCanAccept measures the two-row reachability verdict: does the
 // sequence have any accepting run at all. It must stay allocation-free because
-// every input sequence of a prefiltered run pays it.
+// callers pay it once per input sequence.
 func BenchmarkCanAccept(b *testing.B) {
 	d, db := benchSequences(200, 12)
 	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()

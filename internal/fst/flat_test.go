@@ -147,7 +147,7 @@ func TestFlattenCached(t *testing.T) {
 	}
 }
 
-// TestCanAcceptEmpty pins the empty-sequence semantics of the prefilter: an
+// TestCanAcceptEmpty pins the empty-sequence semantics of CanAccept: an
 // empty input is acceptable iff the initial state is final, matching Accepts.
 func TestCanAcceptEmpty(t *testing.T) {
 	d := paperex.Dict()

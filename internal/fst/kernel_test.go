@@ -209,7 +209,7 @@ func TestKernelMatchesLabelReference(t *testing.T) {
 }
 
 // TestCanAcceptDoesNotAllocate pins the two-row verdict at zero allocations:
-// every input sequence of a prefiltered run pays it.
+// callers pay it once per input sequence.
 func TestCanAcceptDoesNotAllocate(t *testing.T) {
 	d := paperex.Dict()
 	fl := MustCompile(paperex.PatternExpression, d).Flatten()

@@ -168,8 +168,34 @@ func (c FrameCodec[K, V]) EncodeBatch(buf []byte, b KeyBatch[K, V]) []byte {
 // DecodeBatch decodes one frame produced by EncodeBatch. Trailing bytes are
 // an error.
 func (c FrameCodec[K, V]) DecodeBatch(frame []byte) (KeyBatch[K, V], error) {
-	b, _, err := c.decodeBatchKeyed(frame)
-	return b, err
+	var b KeyBatch[K, V]
+	k, pos, err := c.ReadKey(frame, 0)
+	if err != nil {
+		return b, err
+	}
+	b.Key = k
+	count, pos, err := ReadUvarint(frame, pos)
+	if err != nil {
+		return b, err
+	}
+	// Every value occupies at least one byte, so a count larger than the
+	// remaining payload is corrupt (and would otherwise allocate unboundedly).
+	if count > uint64(len(frame)-pos) {
+		return b, fmt.Errorf("mapreduce: batch claims %d values in %d bytes", count, len(frame)-pos)
+	}
+	b.Values = make([]V, 0, count)
+	for i := uint64(0); i < count; i++ {
+		v, np, err := c.ReadValue(frame, pos)
+		if err != nil {
+			return b, fmt.Errorf("mapreduce: decoding a value of key %v: %w", k, err)
+		}
+		pos = np
+		b.Values = append(b.Values, v)
+	}
+	if pos != len(frame) {
+		return b, fmt.Errorf("mapreduce: %d trailing bytes after batch", len(frame)-pos)
+	}
+	return b, nil
 }
 
 // frameHeader is the parsed prefix of one encoded batch frame: the encoded-key
@@ -227,41 +253,6 @@ func (c FrameCodec[K, V]) appendValues(vals []V, raw []byte, count int) ([]V, er
 		return vals, fmt.Errorf("mapreduce: %d trailing bytes after %d values", len(raw)-pos, count)
 	}
 	return vals, nil
-}
-
-// decodeBatchKeyed is DecodeBatch returning also the length of the frame's
-// encoded-key prefix, so callers that need the raw key bytes (the spill
-// merge orders runs by them) decode each frame exactly once.
-func (c FrameCodec[K, V]) decodeBatchKeyed(frame []byte) (KeyBatch[K, V], int, error) {
-	var b KeyBatch[K, V]
-	k, keyLen, err := c.ReadKey(frame, 0)
-	if err != nil {
-		return b, 0, err
-	}
-	b.Key = k
-	pos := keyLen
-	count, pos, err := ReadUvarint(frame, pos)
-	if err != nil {
-		return b, 0, err
-	}
-	// Every value occupies at least one byte, so a count larger than the
-	// remaining payload is corrupt (and would otherwise allocate unboundedly).
-	if count > uint64(len(frame)-pos) {
-		return b, 0, fmt.Errorf("mapreduce: batch claims %d values in %d bytes", count, len(frame)-pos)
-	}
-	b.Values = make([]V, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, np, err := c.ReadValue(frame, pos)
-		if err != nil {
-			return b, 0, fmt.Errorf("mapreduce: decoding a value of key %v: %w", k, err)
-		}
-		pos = np
-		b.Values = append(b.Values, v)
-	}
-	if pos != len(frame) {
-		return b, 0, fmt.Errorf("mapreduce: %d trailing bytes after batch", len(frame)-pos)
-	}
-	return b, keyLen, nil
 }
 
 // RecordSize returns the exact encoded size of a single-record batch for
@@ -341,27 +332,7 @@ type FrameSource interface {
 	RecvFrame() ([]byte, error)
 }
 
-// FrameSender is implemented by exchanges that accept pre-encoded batch
-// frames. The streaming shuffle uses it to relay send-overflow segments —
-// whose on-disk record form is exactly the wire form — without the
-// decode→re-encode round trip of Send.
-type FrameSender interface {
-	// SendFrame routes one EncodeBatch-form frame to peer dst. The frame is
-	// not retained after the call returns.
-	SendFrame(dst int, frame []byte) error
-}
-
 func (e *frameExchange[K, V]) RecvFrame() ([]byte, error) { return e.bx.Recv() }
-
-func (e *frameExchange[K, V]) SendFrame(dst int, frame []byte) error {
-	if dst == e.bx.Self() {
-		return errors.New("mapreduce: self-delivery must be short-circuited by the caller")
-	}
-	if dst < 0 || dst >= len(e.peers) {
-		return fmt.Errorf("mapreduce: send to unknown peer %d of %d", dst, len(e.peers))
-	}
-	return e.bx.Send(dst, frame)
-}
 
 // ---------------------------------------------------------------------------
 // Wire primitives shared by the codecs

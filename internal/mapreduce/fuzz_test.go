@@ -35,7 +35,7 @@ func FuzzSpillSegmentReader(f *testing.F) {
 		decFrames := 0
 		var decErr error
 		for {
-			keyBytes, batch, err := r.next()
+			keyBytes, batch, err := nextBatch(r)
 			if err != nil {
 				decErr = err
 				break
@@ -126,7 +126,7 @@ func FuzzSpillSegmentRoundTrip(f *testing.F) {
 		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(buf.Bytes())), maxSpillFrame)
 		var got []int
 		for {
-			_, batch, err := r.next()
+			_, batch, err := nextBatch(r)
 			if err == io.EOF {
 				break
 			}

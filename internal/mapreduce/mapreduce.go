@@ -107,23 +107,22 @@ type Metrics struct {
 	// single key (partition skew indicator).
 	MaxPartitionRecords int64
 	// SpilledBytes is the number of shuffle bytes this peer wrote to on-disk
-	// spill segments — receive-side sorted runs plus map-side send-buffer
-	// overflow (0 when the whole shuffle fit in memory). With
-	// ShuffleConfig.CompressSpill it is the compressed on-disk size.
+	// spill segments, the receive side's sorted runs (0 when the whole shuffle
+	// fit in memory). With ShuffleConfig.CompressSpill it is the compressed
+	// on-disk size.
 	SpilledBytes int64
 	// SpillCount is the number of spill segments written.
 	SpillCount int64
 	// StreamedBatches counts the key batches flushed out of the bounded
 	// per-peer send buffers by the streaming shuffle (0 in barrier mode).
 	StreamedBatches int64
-	// SendOverflowSegments counts the flushed runs the streaming shuffle
-	// pushed to on-disk overflow segments because a sender lagged (a subset
-	// of SpillCount; 0 in barrier mode or when the network kept up).
+	// SendOverflowSegments is always 0: only benchmark/probes.go still reads
+	// it, and it leaves with the [benchmark] PR that drops
+	// mapreduce.overflow_segments.
 	SendOverflowSegments int64
-	// StreamPeers breaks StreamedBatches and SendOverflowSegments down per
-	// destination peer (remote destinations only; empty in barrier mode).
-	// The cluster worker copies these counters into the per-peer transport
-	// stats of its job result.
+	// StreamPeers breaks StreamedBatches down per destination peer (remote
+	// destinations only; empty in barrier mode). The cluster worker copies
+	// the counter into the per-peer transport stats of its job result.
 	StreamPeers []PeerStreamStats `json:"stream_peers,omitempty"`
 }
 
@@ -134,9 +133,6 @@ type PeerStreamStats struct {
 	Peer int `json:"peer"`
 	// StreamedBatches counts key batches flushed toward the peer.
 	StreamedBatches int64 `json:"streamed_batches"`
-	// OverflowSegments counts flushed runs that overflowed to disk because
-	// the peer's sender lagged.
-	OverflowSegments int64 `json:"overflow_segments"`
 }
 
 // Total returns the total wall-clock time of the job.
@@ -169,8 +165,8 @@ type Job[I any, K comparable, V any, O any] struct {
 // reduce outputs (in unspecified order) together with execution metrics. The
 // shuffle runs over the in-process loopback exchange (zero-copy). Run panics
 // on failure; an in-process run can only fail when Config.Shuffle bounds the
-// shuffle (a misconfigured job or disk errors while spilling or streaming) —
-// callers that enable those should prefer RunLocal and handle the error.
+// shuffle (a misconfigured job or disk errors while spilling) — callers that
+// enable those should prefer RunLocal and handle the error.
 func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O]) ([]O, Metrics) {
 	out, metrics, err := RunLocal(inputs, cfg, job)
 	if err != nil {
@@ -275,14 +271,8 @@ func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job 
 		metrics.ReduceTime = time.Since(mapEnd)
 		return nil, metrics, err
 	}
-	var out []O
-	var reduceErr error
 	reduceStart := time.Now()
-	if acc.spilled() {
-		out, reduceErr = reduceStreaming(cfg, job, acc, &metrics)
-	} else {
-		out, reduceErr = reduceInMemory(cfg, job, acc, &metrics)
-	}
+	out, reduceErr := reduce(cfg, job, acc, &metrics)
 	obs.Observe(runCtx, "mapreduce.reduce", reduceStart, time.Since(reduceStart),
 		obs.Int("partitions", metrics.Partitions))
 	metrics.ReduceTime = time.Since(mapEnd)
@@ -310,7 +300,6 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 	// the measured byte count, so the send path skips computing it.
 	_, wire := ex.(WireMetrics)
 	sp := newSendPath(cfg, job, wire, acc, ex)
-	defer sp.cleanup()
 
 	mapStart := time.Now()
 	emitted := make([]int64, cfg.MapWorkers)
@@ -379,66 +368,17 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 	return mapEnd, err
 }
 
-// reduceInMemory is the historical reduce path: the whole shuffle fit in
-// memory, so keys are bucketed across the reduce workers by hash. Raw groups
-// (encoded wire frames) are decoded here — once per group, after the
-// barrier — and a job combiner runs once more over each fully assembled
-// group, merging the equal-key records different peers and workers shipped
-// (the combiner contract, reduce∘combine == reduce, keeps output identical).
-func reduceInMemory[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], metrics *Metrics) ([]O, error) {
-	if err := acc.materializeRaw(); err != nil {
-		return nil, err
-	}
-	merged := acc.mem
-	metrics.Partitions = int64(len(merged))
-	for _, vs := range merged {
-		if int64(len(vs)) > metrics.MaxPartitionRecords {
-			metrics.MaxPartitionRecords = int64(len(vs))
-		}
-	}
-	buckets := make([][]K, cfg.ReduceWorkers)
-	for k := range merged {
-		b := 0
-		if job.Hash != nil {
-			b = int(job.Hash(k) % uint64(cfg.ReduceWorkers))
-		}
-		buckets[b] = append(buckets[b], k)
-	}
-	outs := make([][]O, cfg.ReduceWorkers)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.ReduceWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pprof.Do(cfg.Context, pprof.Labels("seqmine_stage", "reduce"), func(context.Context) {
-				emit := func(o O) { outs[w] = append(outs[w], o) }
-				for _, k := range buckets[w] {
-					if cfg.Context.Err() != nil {
-						return // canceled: the caller discards the output
-					}
-					vs := merged[k]
-					if job.Combine != nil && len(vs) > 1 {
-						vs = job.Combine(k, vs)
-					}
-					job.Reduce(k, vs, emit)
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	var out []O
-	for _, os := range outs {
-		out = append(out, os...)
-	}
-	return out, nil
-}
-
-// reduceStreaming reduces a spilled shuffle: a k-way merge over the on-disk
-// segments and the final in-memory run feeds one key group at a time to the
-// reduce workers through a bounded channel, so this peer never materializes
-// its full partition set — memory is bounded by the spill threshold plus the
-// in-flight groups.
-func reduceStreaming[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], metrics *Metrics) ([]O, error) {
+// reduce runs the one reduce loop: cfg.ReduceWorkers goroutines pull key
+// groups from one feeder through a bounded channel, so a heavy partition
+// occupies one worker while the others keep pulling. The feeder is the k-way
+// merge over the on-disk segments and the final in-memory run when the shuffle
+// spilled — this peer then never materializes its full partition set; memory
+// is bounded by the spill threshold plus the in-flight groups — and a walk of
+// the in-memory groups otherwise. Either way a job combiner runs once more
+// over each fully assembled group, merging the equal-key records different
+// peers and workers shipped (the combiner contract, reduce∘combine == reduce,
+// keeps output identical).
+func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], metrics *Metrics) ([]O, error) {
 	groups := make(chan KeyBatch[K, V], cfg.ReduceWorkers)
 	outs := make([][]O, cfg.ReduceWorkers)
 	var wg sync.WaitGroup
@@ -458,11 +398,15 @@ func reduceStreaming[I any, K comparable, V any, O any](cfg Config, job Job[I, K
 			})
 		}(w)
 	}
-	var mergeErr error
+	feed := acc.walk
+	if acc.spilled() {
+		feed = acc.merge
+	}
+	var feedErr error
 	pprof.Do(cfg.Context, pprof.Labels("seqmine_stage", "shuffle_merge"), func(context.Context) {
-		mergeErr = acc.merge(func(k K, vs []V) error {
+		feedErr = feed(func(k K, vs []V) error {
 			if err := cfg.Context.Err(); err != nil {
-				return err
+				return err // canceled: the caller discards the output
 			}
 			metrics.Partitions++
 			if int64(len(vs)) > metrics.MaxPartitionRecords {
@@ -474,8 +418,8 @@ func reduceStreaming[I any, K comparable, V any, O any](cfg Config, job Job[I, K
 	})
 	close(groups)
 	wg.Wait()
-	if mergeErr != nil {
-		return nil, mergeErr
+	if feedErr != nil {
+		return nil, feedErr
 	}
 	var out []O
 	for _, os := range outs {

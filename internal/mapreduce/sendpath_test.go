@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"sort"
@@ -99,49 +100,96 @@ func runGroup(job Job[string, string, int, string], group []Exchange[string, int
 }
 
 // TestSendPathMatchesOracle is the core equivalence property: whatever the
-// worker count and the send-buffer capacity — unbounded included — the engine
-// must produce the sequential oracle's output and exact record counts.
+// worker count, the send-buffer capacity — unbounded included — and the spill
+// threshold (off: the reduce loop walks the in-memory groups; a few hundred
+// bytes: it is fed by the k-way merge), the engine must produce the sequential
+// oracle's output and exact record counts.
 func TestSendPathMatchesOracle(t *testing.T) {
 	inputs := spillInputs(200)
 	job := spillWordCountJob()
 	for _, workers := range []int{1, 2, 4} {
 		want := oracle(job, [][]string{inputs}, workers)
 		for _, buffer := range []int64{-1, 0, 3, 64, 512, 1 << 20} {
-			cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
-				Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
-			got, metrics := Run(inputs, cfg, job)
-			sort.Strings(got)
-			if !reflect.DeepEqual(got, want.out) {
-				t.Errorf("workers=%d buffer=%d: output differs from the oracle", workers, buffer)
-			}
-			if metrics.MapOutputRecords != want.mapRecords || metrics.Partitions != want.partitions {
-				t.Errorf("workers=%d buffer=%d: MapOutputRecords/Partitions = %d/%d, want %d/%d", workers, buffer,
-					metrics.MapOutputRecords, metrics.Partitions, want.mapRecords, want.partitions)
-			}
-			if metrics.ShuffleBytes <= 0 || metrics.ShuffleTime <= 0 {
-				t.Errorf("workers=%d buffer=%d: shuffle metrics not populated: %+v", workers, buffer, metrics)
-			}
-			if buffer <= 0 {
-				if metrics.StreamedBatches != 0 {
-					t.Errorf("workers=%d buffer=%d: unbounded run reported streamed batches: %+v", workers, buffer, metrics)
+			for _, threshold := range []int64{0, 300} {
+				name := fmt.Sprintf("workers=%d buffer=%d threshold=%d", workers, buffer, threshold)
+				cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
+					Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillThreshold: threshold, SpillTmpDir: t.TempDir()}}
+				got, metrics := Run(inputs, cfg, job)
+				sort.Strings(got)
+				if !reflect.DeepEqual(got, want.out) {
+					t.Errorf("%s: output differs from the oracle", name)
 				}
-				if metrics.ShuffleRecords != want.shuffleRecords || metrics.ShuffleBytes != want.shuffleBytes {
-					t.Errorf("workers=%d buffer=%d: ShuffleRecords/Bytes = %d/%d, want %d/%d", workers, buffer,
-						metrics.ShuffleRecords, metrics.ShuffleBytes, want.shuffleRecords, want.shuffleBytes)
+				if metrics.MapOutputRecords != want.mapRecords || metrics.Partitions != want.partitions {
+					t.Errorf("%s: MapOutputRecords/Partitions = %d/%d, want %d/%d", name,
+						metrics.MapOutputRecords, metrics.Partitions, want.mapRecords, want.partitions)
 				}
-				continue
-			}
-			if metrics.StreamedBatches == 0 {
-				t.Errorf("workers=%d buffer=%d: expected streamed batches", workers, buffer)
-			}
-			// Per-flush combining merges duplicates within a buffer only, so
-			// the communicated records lie between the unbounded run's and
-			// the raw map output.
-			if metrics.ShuffleRecords > want.mapRecords || metrics.ShuffleRecords < want.shuffleRecords {
-				t.Errorf("workers=%d buffer=%d: implausible ShuffleRecords %d (map output %d, fully combined %d)",
-					workers, buffer, metrics.ShuffleRecords, want.mapRecords, want.shuffleRecords)
+				if metrics.ShuffleBytes <= 0 || metrics.ShuffleTime <= 0 {
+					t.Errorf("%s: shuffle metrics not populated: %+v", name, metrics)
+				}
+				if spilled := metrics.SpillCount > 0; spilled != (threshold > 0) {
+					t.Errorf("%s: SpillCount = %d, so the wrong feeder ran", name, metrics.SpillCount)
+				}
+				if buffer <= 0 {
+					if metrics.StreamedBatches != 0 {
+						t.Errorf("%s: unbounded run reported streamed batches: %+v", name, metrics)
+					}
+					if metrics.ShuffleRecords != want.shuffleRecords || metrics.ShuffleBytes != want.shuffleBytes {
+						t.Errorf("%s: ShuffleRecords/Bytes = %d/%d, want %d/%d", name,
+							metrics.ShuffleRecords, metrics.ShuffleBytes, want.shuffleRecords, want.shuffleBytes)
+					}
+					continue
+				}
+				if metrics.StreamedBatches == 0 {
+					t.Errorf("%s: expected streamed batches", name)
+				}
+				// Per-flush combining merges duplicates within a buffer only, so
+				// the communicated records lie between the unbounded run's and
+				// the raw map output.
+				if metrics.ShuffleRecords > want.mapRecords || metrics.ShuffleRecords < want.shuffleRecords {
+					t.Errorf("%s: implausible ShuffleRecords %d (map output %d, fully combined %d)",
+						name, metrics.ShuffleRecords, want.mapRecords, want.shuffleRecords)
+				}
 			}
 		}
+	}
+}
+
+// TestReduceCancel cancels the run from inside a reduce call, once with the
+// in-memory walk feeding the reduce loop and once with the k-way merge: the run
+// must return the context's error with the reduce workers joined and the spill
+// segments removed.
+func TestReduceCancel(t *testing.T) {
+	inputs := spillInputs(200)
+	for _, threshold := range []int64{0, 300} {
+		t.Run(fmt.Sprintf("threshold=%d", threshold), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			job := spillWordCountJob()
+			var reduced atomic.Int64
+			job.Reduce = func(string, []int, func(string)) {
+				if reduced.Add(1) == 10 {
+					cancel()
+				}
+			}
+			dir := t.TempDir()
+			cfg := Config{MapWorkers: 2, ReduceWorkers: 2, Context: ctx,
+				Shuffle: ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: dir}}
+			out, metrics, err := RunLocal(inputs, cfg, job)
+			if !errors.Is(err, context.Canceled) || out != nil {
+				t.Errorf("cancelled reduce returned %d outputs, err %v; want none, context.Canceled", len(out), err)
+			}
+			if spilled := metrics.SpillCount > 0; spilled != (threshold > 0) {
+				t.Errorf("SpillCount = %d, so the wrong feeder ran", metrics.SpillCount)
+			}
+			if n := reduced.Load(); n >= oracle(spillWordCountJob(), [][]string{inputs}, 1).partitions {
+				t.Errorf("all %d partitions were reduced after the cancellation", n)
+			}
+			if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+				t.Errorf("%d entries left under SpillTmpDir (err %v)", len(entries), err)
+			}
+			waitForGoroutines(t, before)
+		})
 	}
 }
 
@@ -185,7 +233,7 @@ func TestMetricsContract(t *testing.T) {
 						t.Errorf("%s: RemoteShuffle = %v on a tcp=%v exchange", name, m.RemoteShuffle, topo.tcp)
 					}
 					if !sc.Streaming() && (m.StreamedBatches != 0 || m.SpillCount != 0 || m.SpilledBytes != 0 ||
-						m.SendOverflowSegments != 0 || len(m.StreamPeers) != 0 || m.ShuffleTime > m.ReduceTime) {
+						len(m.StreamPeers) != 0 || m.ShuffleTime > m.ReduceTime) {
 						t.Errorf("%s: unbounded run reports streaming activity or an early shuffle: %+v", name, m)
 					}
 					total.MapOutputRecords += m.MapOutputRecords
@@ -268,11 +316,13 @@ func (failingExchange[K, V]) Send(int, KeyBatch[K, V]) error { return errInjecte
 // TestSendPathLeavesNoGoroutines: the send path starts one sender goroutine
 // per remote peer whatever the buffer capacity. They, the receiver and the
 // map workers must all have exited when RunExchange returns — on success,
-// after a send error and after a cancellation.
+// after a send error, after a cancellation, and after a cancellation that
+// lands while a stalled peer has hand-offs blocked behind a full sender queue
+// (mid-map when bounded, after the map when not).
 func TestSendPathLeavesNoGoroutines(t *testing.T) {
 	inputs := spillInputs(120)
 	job := spillWordCountJob()
-	for _, outcome := range []string{"ok", "send-error", "cancelled"} {
+	for _, outcome := range []string{"ok", "send-error", "cancelled", "stalled-cancelled"} {
 		for _, buffer := range []int64{0, 128} {
 			t.Run(fmt.Sprintf("%s/buffer=%d", outcome, buffer), func(t *testing.T) {
 				before := runtime.NumGoroutine()
@@ -280,6 +330,7 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 				defer cancel()
 				group := NewLoopbackGroup[string, int](2)
 				j := job
+				workers := 2
 				switch outcome {
 				case "send-error":
 					group[0] = failingExchange[string, int]{group[0]}
@@ -291,21 +342,35 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 						}
 						job.Map(in, emit)
 					}
+				case "stalled-cancelled":
+					// Eight workers: at least six runs head for peer 1 even
+					// unbounded — one wedged in Send, four queued, the rest
+					// blocked in their hand-off when the cancellation lands.
+					workers = 8
+					gate, entered := make(chan struct{}), make(chan struct{}, 1)
+					group[0] = &gatedExchange[string, int]{Exchange: group[0], gate: gate, entered: entered}
+					go func() {
+						<-entered
+						time.Sleep(20 * time.Millisecond) // let the queue fill
+						cancel()
+						time.Sleep(20 * time.Millisecond)
+						close(gate) // the caller closing the exchange of a dead attempt
+					}()
 				}
 				_, _, errs := runGroup(j, group, splitInputs(inputs, 2), func(p int) Config {
-					cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
+					cfg := Config{MapWorkers: workers, ReduceWorkers: 2,
 						Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
 					if p == 0 {
 						cfg.Context = ctx
 					}
 					return cfg
 				})
-				var want error
+				want := context.Canceled
 				switch outcome {
+				case "ok":
+					want = nil
 				case "send-error":
 					want = errInjectedSend
-				case "cancelled":
-					want = context.Canceled
 				}
 				if !errors.Is(errs[0], want) {
 					t.Errorf("peer 0 returned %v, want %v", errs[0], want)
@@ -313,16 +378,70 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 				if errs[1] != nil {
 					t.Errorf("peer 1 failed: %v", errs[1])
 				}
-				deadline := time.Now().Add(10 * time.Second)
-				for runtime.NumGoroutine() > before {
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<16)
-						n := runtime.Stack(buf, true)
-						t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
-					}
-					time.Sleep(10 * time.Millisecond)
-				}
+				waitForGoroutines(t, before)
 			})
 		}
+	}
+}
+
+// waitForGoroutines fails the test unless the goroutine count falls back to
+// the level recorded before the code under test ran.
+func waitForGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked: %d -> %d\n%s", before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestBlockedHandOffObservesCancel drives the send path directly so the
+// moment a blocked hand-off gives up is observable: with peer 1 wedged in its
+// first Send and its four-slot queue full, the sixth hand-off — mid-map for a
+// bounded buffer, after the map for an unbounded one — must record the
+// context's error as soon as the run is cancelled, while the peer is still
+// stalled; finish then reports it and joins the senders once Send returns.
+func TestBlockedHandOffObservesCancel(t *testing.T) {
+	job := spillWordCountJob()
+	for _, buffer := range []int64{0, 6 * 4} {
+		t.Run(fmt.Sprintf("buffer=%d", buffer), func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			gate := make(chan struct{})
+			ex := &gatedExchange[string, int]{Exchange: NewLoopbackGroup[string, int](2)[0], gate: gate}
+			cfg := Config{MapWorkers: 6, Context: ctx, Shuffle: ShuffleConfig{SendBufferBytes: buffer}}
+			sp := newSendPath(cfg, job, false, newShuffleAccumulator(ctx, cfg.Shuffle, nil, job.Codec, job.SizeOf), ex)
+			done := make(chan error, 1)
+			go func() {
+				for w := range sp.bufs { // bounded: the second record flushes the first
+					sp.add(&sp.bufs[w][1], 1, "word000", 1)
+					sp.add(&sp.bufs[w][1], 1, "word001", 1)
+					sp.seal(&sp.bufs[w][1])
+				}
+				done <- sp.finish()
+			}()
+			queue := sp.dests[1].queue
+			for deadline := time.Now().Add(10 * time.Second); len(queue) < cap(queue); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the stalled peer's sender queue never filled")
+				}
+			}
+			cancel()
+			for deadline := time.Now().Add(10 * time.Second); sp.err.Load() == nil; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("blocked hand-off did not give up after the cancellation")
+				}
+			}
+			close(gate)
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Errorf("finish returned %v, want context.Canceled", err)
+			}
+			waitForGoroutines(t, before)
+		})
 	}
 }

@@ -18,18 +18,10 @@ import (
 	"seqmine/internal/obs"
 )
 
-// spillSegmentHist is the histogram of on-disk spill-segment sizes, shared by
-// receive-side sorted runs and map-side send overflow. Nil registry → nil
-// histogram → no-op observes.
-func spillSegmentHist(reg *obs.Registry) *obs.Histogram {
-	return reg.Histogram("seqmine_spill_segment_bytes",
-		"Size in bytes of shuffle spill segments written to disk.", obs.ByteBuckets)
-}
-
 // ShuffleConfig bounds the memory footprint of the shuffle. SpillThreshold
-// bounds the receive side (spilling overflow to disk); SendBufferBytes bounds
-// the map-side send buffers. The zero value keeps the whole shuffle in memory
-// and sends nothing before the map phase has ended. This is the one
+// bounds the receive side (spilling what exceeds it to disk); SendBufferBytes
+// bounds the map-side send buffers. The zero value keeps the whole shuffle in
+// memory and sends nothing before the map phase has ended. This is the one
 // declaration of the shuffle knobs: internal/plan embeds it by value into the
 // query plan, so the JSON tags are the field names of POST /mine and of the
 // worker job spec.
@@ -49,15 +41,14 @@ type ShuffleConfig struct {
 	// destination, measured like SpillThreshold. When > 0 the shuffle streams:
 	// a map worker whose share of the buffer is full combines it and hands it
 	// to the destination's sender while mapping continues, so network
-	// transfer overlaps map compute; when the sender is still busy, the run
-	// overflows to an on-disk segment the sender drains later, so a slow
-	// network never stalls map compute and never grows sender memory.
-	// Requires the job to carry a Codec. <= 0 means the buffers never fill:
-	// everything is handed off once, after the map phase (barrier mode).
+	// transfer overlaps map compute; when the sender is still busy and its
+	// short queue is full, the hand-off blocks (backpressure), so a slow peer
+	// never grows sender memory. Requires the job to carry a Codec. <= 0 means
+	// the buffers never fill: everything is handed off once, after the map
+	// phase (barrier mode).
 	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
-	// CompressSpill compresses spill segments (receive-side runs and map-side
-	// send overflow) with DEFLATE. Metrics.SpilledBytes then reports the
-	// compressed on-disk size.
+	// CompressSpill compresses spill segments with DEFLATE.
+	// Metrics.SpilledBytes then reports the compressed on-disk size.
 	CompressSpill bool `json:"compress_spill,omitempty"`
 }
 
@@ -99,7 +90,7 @@ const (
 // without decoding a single record, and stay encoded through spilling and
 // the k-way merge until a fully assembled group reaches the reduce
 // callback. A key may legitimately appear in both runs (a peer owns part of
-// its own partition); the merge and the in-memory reduce reunite them.
+// its own partition); merge and walk reunite them.
 type shuffleAccumulator[K comparable, V any] struct {
 	codec  *FrameCodec[K, V]
 	cfg    ShuffleConfig
@@ -107,7 +98,7 @@ type shuffleAccumulator[K comparable, V any] struct {
 	// combine, when non-nil, is the job's combiner. The accumulator applies
 	// it to the decoded run before spilling (cross-flush external combine:
 	// equal keys re-delivered across buffers collapse before paying disk);
-	// the reduce paths apply it once more on fully assembled groups.
+	// the reduce loop applies it once more on fully assembled groups.
 	combine func(K, []V) []V
 
 	// ctx carries the job's trace recorder (spill spans); segHist observes
@@ -150,7 +141,10 @@ func newShuffleAccumulator[K comparable, V any](ctx context.Context, cfg Shuffle
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	a := &shuffleAccumulator[K, V]{codec: codec, cfg: cfg, mem: make(map[K][]V), ctx: ctx, segHist: spillSegmentHist(reg)}
+	a := &shuffleAccumulator[K, V]{codec: codec, cfg: cfg, mem: make(map[K][]V), ctx: ctx,
+		// Nil registry → nil histogram → no-op observes.
+		segHist: reg.Histogram("seqmine_spill_segment_bytes",
+			"Size in bytes of shuffle spill segments written to disk.", obs.ByteBuckets)}
 	if cfg.Enabled() {
 		if sizeOf == nil {
 			sizeOf = codec.RecordSize
@@ -298,14 +292,11 @@ func (a *shuffleAccumulator[K, V]) sortedRawKeys() []string {
 	return keys
 }
 
-// materializeRaw decodes the raw run into the decoded run, merging groups of
-// keys present in both. The in-memory reduce path calls it once after the
-// barrier: every group is decoded exactly once, into a slice sized for its
-// full value count.
-func (a *shuffleAccumulator[K, V]) materializeRaw() error {
-	if len(a.raw) == 0 {
-		return nil
-	}
+// walk feeds every key group of a shuffle that never spilled to fn. The raw
+// run is first decoded into the decoded run, merging groups of keys present in
+// both: every group is decoded exactly once, after the barrier, into a slice
+// sized for its full value count.
+func (a *shuffleAccumulator[K, V]) walk(fn func(K, []V) error) error {
 	for ks, g := range a.raw {
 		a.buf = append(a.buf[:0], ks...)
 		k, _, err := a.codec.ReadKey(a.buf, 0)
@@ -327,6 +318,11 @@ func (a *shuffleAccumulator[K, V]) materializeRaw() error {
 		a.mem[k] = vs
 	}
 	a.raw = nil
+	for k, vs := range a.mem {
+		if err := fn(k, vs); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -729,8 +725,8 @@ func (w *segmentWriter[K, V]) writeRawGroup(key string, g *rawGroup) error {
 	return nil
 }
 
-// segmentReader streams the frames of one spill segment back as decoded
-// batches. It is robust against corrupt input (truncated prefixes, oversized
+// segmentReader streams the frames of one spill segment back, values still
+// encoded. It is robust against corrupt input (truncated prefixes, oversized
 // frames, trailing garbage) and never allocates more than maxFrame per frame,
 // so it can also be driven by the fuzzer.
 type segmentReader[K comparable, V any] struct {
@@ -744,21 +740,6 @@ func newSegmentReader[K comparable, V any](codec *FrameCodec[K, V], br *bufio.Re
 		maxFrame = maxSpillFrame
 	}
 	return &segmentReader[K, V]{codec: codec, br: br, maxFrame: maxFrame}
-}
-
-// next returns the next batch and its encoded key (for merge ordering). It
-// returns io.EOF at a clean end of the segment.
-func (r *segmentReader[K, V]) next() ([]byte, KeyBatch[K, V], error) {
-	var zero KeyBatch[K, V]
-	frame, err := r.readFrame()
-	if err != nil {
-		return nil, zero, err
-	}
-	batch, keyLen, err := r.codec.decodeBatchKeyed(frame)
-	if err != nil {
-		return nil, zero, err
-	}
-	return frame[:keyLen], batch, nil
 }
 
 // nextRaw returns the next frame's encoded key, still-encoded value bytes

@@ -19,7 +19,7 @@ func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 	codec := testCodec()
 	t.Run("plain", func(t *testing.T) {
 		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(nil)), maxSpillFrame)
-		if _, _, err := r.next(); err != io.EOF {
+		if _, _, err := nextBatch(r); err != io.EOF {
 			t.Fatalf("next on empty segment: %v, want io.EOF", err)
 		}
 		rr := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(nil)), maxSpillFrame)
@@ -36,7 +36,7 @@ func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := newSegmentReader(&codec, bufio.NewReader(flate.NewReader(bytes.NewReader(buf.Bytes()))), maxSpillFrame)
-		if _, _, err := r.next(); err != io.EOF {
+		if _, _, err := nextBatch(r); err != io.EOF {
 			t.Fatalf("next on empty compressed segment: %v, want io.EOF", err)
 		}
 	})
@@ -72,7 +72,7 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 		r := newSegmentReader(&codec, bufio.NewReader(flate.NewReader(bytes.NewReader(full[:cut]))), maxSpillFrame)
 		frames := 0
 		for {
-			_, batch, err := r.next()
+			_, batch, err := nextBatch(r)
 			if err == io.EOF {
 				t.Fatalf("cut=%d: torn compressed segment ended with a clean io.EOF after %d frames", cut, frames)
 			}

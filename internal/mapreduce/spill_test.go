@@ -182,6 +182,22 @@ func TestSpillSingleHotKey(t *testing.T) {
 	}
 }
 
+// nextBatch reads a segment's next frame the way the k-way merge consumes it
+// (nextRaw, then the codec's key and value decoders) and returns the decoded
+// batch with its encoded key.
+func nextBatch[K comparable, V any](r *segmentReader[K, V]) ([]byte, KeyBatch[K, V], error) {
+	var b KeyBatch[K, V]
+	keyBytes, raw, count, err := r.nextRaw()
+	if err != nil {
+		return nil, b, err
+	}
+	if b.Key, _, err = r.codec.ReadKey(keyBytes, 0); err != nil {
+		return nil, b, err
+	}
+	b.Values, err = r.codec.appendValues(make([]V, 0, count), raw, count)
+	return keyBytes, b, err
+}
+
 func TestSegmentWriterReaderRoundTrip(t *testing.T) {
 	codec := testCodec()
 	var buf bytes.Buffer
@@ -204,7 +220,7 @@ func TestSegmentWriterReaderRoundTrip(t *testing.T) {
 	r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(buf.Bytes())), maxSpillFrame)
 	var got []KeyBatch[string, int]
 	for {
-		keyBytes, b, err := r.next()
+		keyBytes, b, err := nextBatch(r)
 		if err == io.EOF {
 			break
 		}
@@ -245,7 +261,7 @@ func TestSegmentReaderCorrupt(t *testing.T) {
 	for name, data := range cases {
 		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(data)), 1<<20)
 		for {
-			_, _, err := r.next()
+			_, _, err := nextBatch(r)
 			if err == io.EOF {
 				t.Errorf("%s: reader reported a clean EOF on corrupt input", name)
 				break
@@ -264,7 +280,7 @@ func TestSegmentReaderDefaultMaxFrame(t *testing.T) {
 	if r.maxFrame != maxSpillFrame {
 		t.Errorf("default maxFrame = %d, want %d", r.maxFrame, maxSpillFrame)
 	}
-	if _, _, err := r.next(); err != io.EOF {
+	if _, _, err := nextBatch(r); err != io.EOF {
 		t.Errorf("empty segment: err = %v, want io.EOF", err)
 	}
 }

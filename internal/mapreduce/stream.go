@@ -2,33 +2,13 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"os"
 	"runtime/pprof"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"seqmine/internal/obs"
 )
-
-// sendOverflowGrace is how long a flush with a full sender queue waits for
-// the sender before overflowing the run to disk. A full queue usually means
-// the sender goroutine merely lost a scheduling race (or the box is briefly
-// oversubscribed), not that the network stalled; paying disk for that would
-// be far more expensive than the wait. Once a flush does time out, the peer
-// is marked lagging and further overflow goes to disk immediately (no
-// repeated stalls) until the sender catches up.
-const sendOverflowGrace = 100 * time.Millisecond
-
-// senderIdleCheck is how long the sender waits on an empty queue before
-// replaying an overflow segment. Replaying while the map workers are still
-// producing turns one overflow into a spiral (the replay blocks the queue,
-// stalling flushes into more spill), so segments wait for a genuinely idle
-// queue — or the end of the map phase, which drains them unconditionally.
-const senderIdleCheck = 20 * time.Millisecond
 
 // This file implements the send path, the one way a key's records travel
 // from the map workers to the peer that reduces the key:
@@ -48,18 +28,18 @@ const senderIdleCheck = 20 * time.Millisecond
 //     that is the only hand-off, so nothing leaves before the map ends (the
 //     barrier shuffle);
 //   - when the sender is still busy with earlier runs (the network is
-//     applying backpressure), a flushed run overflows to an on-disk segment in
-//     the FrameCodec wire encoding — the same machinery the receive side
-//     spills with — and the sender replays those segments as the network
-//     catches up, so map compute never stalls and sender memory never grows;
+//     applying backpressure) and its short queue is full, the hand-off blocks:
+//     a slow peer slows the map workers that produce for it, and sender memory
+//     never grows;
 //   - runs this peer owns go into the shuffle accumulator, which is itself
 //     bounded by the spill threshold;
 //   - a cancelled or failed run drops what it still buffers: only the end
 //     frames follow, so the other peers complete their barrier.
 //
-// A destination's buffered bytes therefore never exceed SendBufferBytes plus
-// one record per map worker (a record larger than the worker's whole share
-// still has to be buffered once). The reduce phase sees the same multiset of
+// Because the hand-off blocks, a destination's buffered bytes never exceed
+// SendBufferBytes plus one record per map worker (a record larger than the
+// worker's whole share still has to be buffered once), plus the constant four
+// queued runs of its sender. The reduce phase sees the same multiset of
 // values per key whatever the capacity, only grouped into different partial
 // batches, so mining results do not depend on it.
 
@@ -72,15 +52,13 @@ var testSendBufferProbe func(peer int, occupancyBytes int64)
 
 // sendPath is the per-RunExchange state of the send path.
 type sendPath[K comparable, V any] struct {
-	cfg     ShuffleConfig
-	bounded bool  // buffers have a capacity (cfg.Streaming())
+	bounded bool  // buffers have a capacity (ShuffleConfig.Streaming())
 	share   int64 // one map worker's byte share of SendBufferBytes
 	combine func(K, []V) []V
 	// sizeOf prices a record for the buffer bound and for the ShuffleBytes
 	// estimate; nil (unbounded runs of jobs without SizeOf) counts one byte
 	// per record.
 	sizeOf func(K, V) int
-	codec  *FrameCodec[K, V]
 	wire   bool // ShuffleBytes comes from WireMetrics, skip the estimate
 	self   int
 
@@ -88,17 +66,10 @@ type sendPath[K comparable, V any] struct {
 	dests []*destSendState[K, V]
 	bufs  [][]sendBuffer[K, V] // [map worker][destination]
 
-	// ctx cancels the run and carries its trace recorder (overflow-spill
-	// spans); occHist observes per-destination buffer occupancy at flush time
-	// and segHist the overflow-segment sizes (no-ops when observability is
-	// not wired up).
+	// ctx cancels the run; occHist observes per-destination buffer occupancy
+	// at flush time (a no-op when observability is not wired up).
 	ctx     context.Context
 	occHist *obs.Histogram
-	segHist *obs.Histogram
-
-	dir     string // lazily created overflow-segment directory
-	dirOnce sync.Once
-	dirErr  error
 
 	senders sync.WaitGroup
 	err     atomic.Pointer[error] // first sender/flush error
@@ -125,13 +96,11 @@ type sendBuffer[K comparable, V any] struct {
 }
 
 // destSendState is the per-destination half of the send path: the sender
-// queue, the overflow segments and what the workers' buffers share.
+// queue and what the workers' buffers share.
 type destSendState[K comparable, V any] struct {
 	owner *sendPath[K, V]
 	dst   int
 
-	// lagging: a flush timed the grace out; overflow goes straight to disk.
-	lagging atomic.Bool
 	// occupancy is the summed buffered bytes across the map workers' buffers
 	// toward this destination (the quantity SendBufferBytes bounds).
 	occupancy atomic.Int64
@@ -141,30 +110,20 @@ type destSendState[K comparable, V any] struct {
 
 	// queue hands flushed runs to the sender goroutine (nil for this peer
 	// itself). Its small capacity absorbs scheduler jitter — the sender losing
-	// the CPU for a couple of timeslices must not stall the map workers or
-	// send runs to disk. Flushes beyond a full queue overflow to disk after
-	// the grace, so in-flight sender memory stays a small constant multiple of
-	// SendBufferBytes per peer.
+	// the CPU for a couple of timeslices must not stall the map workers.
+	// Hand-offs beyond a full queue block, so in-flight sender memory stays a
+	// small constant multiple of SendBufferBytes per peer.
 	queue chan map[K][]V
-
-	// overflow segments, completed and not yet sent, guarded by spillMu.
-	spillMu      sync.Mutex
-	segs         []*os.File
-	spilledBytes int64
-	spillCount   int64
-	buf          []byte // scratch encode buffer for overflow segments
 }
 
 // newSendPath prepares the buffers and starts one sender goroutine per remote
 // peer.
 func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], wire bool, acc *shuffleAccumulator[K, V], ex Exchange[K, V]) *sendPath[K, V] {
 	s := &sendPath[K, V]{
-		cfg:     cfg.Shuffle,
 		bounded: cfg.Shuffle.Streaming(),
 		share:   cfg.Shuffle.SendBufferBytes / int64(cfg.MapWorkers),
 		combine: job.Combine,
 		sizeOf:  job.SizeOf,
-		codec:   job.Codec,
 		wire:    wire,
 		self:    ex.Self(),
 		acc:     acc,
@@ -173,7 +132,6 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 		ctx:     cfg.Context,
 		occHist: cfg.Obs.Histogram("seqmine_send_buffer_occupancy_bytes",
 			"Per-destination streaming send-buffer occupancy, observed at each flush.", obs.ByteBuckets),
-		segHist: spillSegmentHist(cfg.Obs),
 	}
 	if s.sizeOf == nil && s.bounded {
 		s.sizeOf = job.Codec.RecordSize
@@ -277,21 +235,19 @@ func (s *sendPath[K, V]) flush(b *sendBuffer[K, V], st *destSendState[K, V]) {
 		return
 	}
 	s.seal(b)
-	if err := s.handOff(b, st, false); err != nil {
+	if err := s.handOff(b, st); err != nil {
 		s.fail(err)
 	}
 	b.groups = st.getGroups()
 }
 
-// handOff passes the buffer's sealed groups on: to the shuffle accumulator
-// when this peer owns them, else to the destination's sender queue, or — when
-// the sender is busy and the map is still running — to an overflow segment on
-// disk. The handoff may block on the queue (grace wait), which is exactly the
-// backpressure a full buffer means for this map worker; the other workers own
-// their buffers and keep going. The group map belongs to the receiver
-// afterwards.
-func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V], final bool) error {
-	b.sent.add(b.held)
+// handOff passes the buffer's sealed groups on, mid-map and after the map
+// alike: to the shuffle accumulator when this peer owns them, else to the
+// destination's sender queue. A full queue blocks the hand-off until the
+// sender frees a slot or the run is cancelled — exactly the backpressure a slow
+// peer means for this map worker; the other workers own their buffers and keep
+// going. The group map belongs to the receiver afterwards.
+func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V]) error {
 	groups := b.groups
 	if st.queue == nil {
 		for k, vs := range groups {
@@ -299,204 +255,35 @@ func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V], f
 				return err
 			}
 		}
-		if !final { // after the map nothing refills it
-			st.putGroups(groups)
-		}
-		return nil
-	}
-	if final {
-		st.queue <- groups // mapping is done; blocking costs nothing
-		return nil
-	}
-	select {
-	case st.queue <- groups:
-		st.lagging.Store(false)
-		return nil
-	default:
-	}
-	if !st.lagging.Load() {
-		// Give the sender a short grace before paying disk: it never needs
-		// anything this worker holds to drain the queue, so it can free a slot
-		// (and end the wait) meanwhile.
-		timer := time.NewTimer(sendOverflowGrace)
-		defer timer.Stop()
+		st.putGroups(groups)
+	} else {
 		select {
 		case st.queue <- groups:
-			return nil
-		case <-timer.C:
-			st.lagging.Store(true)
+		case <-s.ctx.Done():
+			return s.ctx.Err()
 		}
 	}
-	if err := st.spillRun(groups); err != nil {
-		return err
-	}
-	st.putGroups(groups)
+	b.sent.add(b.held)
 	return nil
 }
 
-// spillRun writes one flushed run to a fresh overflow segment the sender
-// replays later. Runs are unsorted — unlike receive-side segments they are
-// never merged, only replayed — so the write is a straight encode.
-func (st *destSendState[K, V]) spillRun(groups map[K][]V) error {
-	s := st.owner
-	start := time.Now()
-	s.dirOnce.Do(func() {
-		dir, err := os.MkdirTemp(s.cfg.SpillTmpDir, "seqmine-sendspill-")
-		if err != nil {
-			s.dirErr = fmt.Errorf("mapreduce: creating send-overflow directory: %w", err)
-			return
-		}
-		s.dir = dir
-	})
-	if s.dirErr != nil {
-		return s.dirErr
-	}
-	st.spillMu.Lock()
-	defer st.spillMu.Unlock()
-	sink, err := newSegmentSink(s.dir, int(st.spillCount), s.cfg.CompressSpill)
-	if err != nil {
-		return err
-	}
-	w := segmentWriter[K, V]{codec: s.codec, bw: sink.bw, vbuf: st.buf}
-	for k, vs := range groups {
-		if err := w.writeKey(s.codec.AppendKey(nil, k), vs); err != nil {
-			sink.abort()
-			return fmt.Errorf("mapreduce: writing send-overflow segment: %w", err)
-		}
-	}
-	if err := sink.finish(); err != nil {
-		return err
-	}
-	st.buf = w.vbuf
-	st.segs = append(st.segs, sink.f)
-	st.spilledBytes += sink.cw.n
-	st.spillCount++
-	s.segHist.Observe(float64(sink.cw.n))
-	obs.Observe(s.ctx, "mapreduce.spill", start, time.Since(start),
-		obs.Int("bytes", sink.cw.n), obs.Int("dst", int64(st.dst)))
-	return nil
-}
-
-// hasSegments reports whether overflow segments wait to be replayed.
-func (st *destSendState[K, V]) hasSegments() bool {
-	st.spillMu.Lock()
-	defer st.spillMu.Unlock()
-	return len(st.segs) > 0
-}
-
-// popSegment takes the oldest unsent overflow segment, if any.
-func (st *destSendState[K, V]) popSegment() *os.File {
-	st.spillMu.Lock()
-	defer st.spillMu.Unlock()
-	if len(st.segs) == 0 {
-		return nil
-	}
-	f := st.segs[0]
-	st.segs = st.segs[1:]
-	return f
-}
-
-// runSender drains the peer's queue and overflow segments over the exchange
-// until the queue is closed and every segment is replayed. On a send error
-// it keeps consuming (discarding) so flushes never block against a dead
-// peer; the error surfaces after the barrier.
+// runSender sends the peer's queued runs over the exchange until the queue is
+// closed. Once the run is lost (a send failed, or it was cancelled) it keeps
+// consuming but discards, so hand-offs never block against a dead peer; the
+// error surfaces after the barrier.
 func (st *destSendState[K, V]) runSender(ex Exchange[K, V]) {
 	s := st.owner
 	defer s.senders.Done()
-	// A FrameSender exchange relays overflow segments as raw frames: the
-	// on-disk record form is exactly the EncodeBatch wire form, so replay is
-	// read → send with no decode→re-encode round trip.
-	frames, _ := ex.(FrameSender)
-	failed := false
-	send := func(groups map[K][]V) {
-		for k, vs := range groups {
-			if failed {
-				break
-			}
-			if err := ex.Send(st.dst, KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
-				s.fail(err)
-				failed = true
+	for groups := range st.queue {
+		if !s.lost() {
+			for k, vs := range groups {
+				if err := ex.Send(st.dst, KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
+					s.fail(err)
+					break
+				}
 			}
 		}
 		st.putGroups(groups)
-	}
-	replaySegment := func(f *os.File) {
-		name := f.Name()
-		defer func() {
-			f.Close()
-			os.Remove(name)
-		}()
-		if failed {
-			return
-		}
-		r, err := openSegment(s.codec, f, s.cfg.CompressSpill)
-		if err != nil {
-			s.fail(err)
-			failed = true
-			return
-		}
-		for !failed {
-			if frames != nil {
-				frame, err := r.readFrame()
-				if err == io.EOF {
-					return
-				}
-				if err != nil {
-					s.fail(fmt.Errorf("mapreduce: replaying send-overflow segment: %w", err))
-					failed = true
-					return
-				}
-				if err := frames.SendFrame(st.dst, frame); err != nil {
-					s.fail(err)
-					failed = true
-				}
-				continue
-			}
-			_, b, err := r.next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				s.fail(fmt.Errorf("mapreduce: replaying send-overflow segment: %w", err))
-				failed = true
-				return
-			}
-			if err := ex.Send(st.dst, b); err != nil {
-				s.fail(err)
-				failed = true
-			}
-		}
-	}
-	drainSegments := func() {
-		for {
-			f := st.popSegment()
-			if f == nil {
-				return
-			}
-			replaySegment(f)
-		}
-	}
-	for {
-		// Strictly prefer queued in-memory runs: replaying a segment blocks
-		// the queue for its whole duration, and doing that while the map
-		// workers are still producing turns one overflow into a spiral
-		// (stalled flushes → more spill → more replay). Segments are
-		// replayed only after the queue has stayed idle for a beat — the
-		// network has genuinely caught up — or when the map is done.
-		var idle <-chan time.Time
-		if st.hasSegments() {
-			idle = time.After(senderIdleCheck)
-		}
-		select {
-		case groups, ok := <-st.queue:
-			if !ok {
-				drainSegments()
-				return
-			}
-			send(groups)
-		case <-idle:
-			replaySegment(st.popSegment())
-		}
 	}
 }
 
@@ -511,7 +298,7 @@ func (s *sendPath[K, V]) finish() error {
 			if len(b.groups) == 0 || s.lost() {
 				continue
 			}
-			if err := s.handOff(b, st, true); err != nil {
+			if err := s.handOff(b, st); err != nil {
 				s.fail(err)
 			}
 		}
@@ -528,46 +315,20 @@ func (s *sendPath[K, V]) finish() error {
 
 // fold adds the send path's counters to the job metrics. Call after finish.
 func (s *sendPath[K, V]) fold(metrics *Metrics) {
-	for dst, st := range s.dests {
+	for dst := range s.dests {
 		var sent runStats
 		for w := range s.bufs {
 			sent.add(s.bufs[w][dst].sent)
 		}
 		metrics.ShuffleRecords += sent.records
 		metrics.ShuffleBytes += sent.sizeBytes
-		st.spillMu.Lock()
-		spilledBytes, spillCount := st.spilledBytes, st.spillCount
-		st.spillMu.Unlock()
-		metrics.SpilledBytes += spilledBytes
-		metrics.SpillCount += spillCount
-		metrics.SendOverflowSegments += spillCount
 		if !s.bounded {
 			continue
 		}
 		metrics.StreamedBatches += sent.batches
-		if dst != s.self && (sent.batches > 0 || spillCount > 0) {
-			metrics.StreamPeers = append(metrics.StreamPeers, PeerStreamStats{
-				Peer:             dst,
-				StreamedBatches:  sent.batches,
-				OverflowSegments: spillCount,
-			})
+		if dst != s.self && sent.batches > 0 {
+			metrics.StreamPeers = append(metrics.StreamPeers, PeerStreamStats{Peer: dst, StreamedBatches: sent.batches})
 		}
-	}
-}
-
-// cleanup removes overflow segments that were never replayed (error paths)
-// and the overflow directory. Safe to call when nothing overflowed.
-func (s *sendPath[K, V]) cleanup() {
-	for _, st := range s.dests {
-		st.spillMu.Lock()
-		for _, f := range st.segs {
-			f.Close()
-		}
-		st.segs = nil
-		st.spillMu.Unlock()
-	}
-	if s.dir != "" {
-		os.RemoveAll(s.dir)
 	}
 }
 

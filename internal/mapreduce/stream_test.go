@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"sync"
@@ -20,11 +21,10 @@ func streamingConfig(t *testing.T, sendBuffer int64) Config {
 		Shuffle: ShuffleConfig{SendBufferBytes: sendBuffer, SpillTmpDir: t.TempDir()}}
 }
 
-// TestStreamingSendBufferBound asserts the acceptance criterion directly:
-// per-peer send-buffer occupancy never exceeds SendBufferBytes.
-func TestStreamingSendBufferBound(t *testing.T) {
-	const bufCap = 256
-	var max atomic.Int64
+// probeMaxOccupancy installs testSendBufferProbe for the test and returns the
+// largest per-destination occupancy it has seen.
+func probeMaxOccupancy(t *testing.T) *atomic.Int64 {
+	max := new(atomic.Int64)
 	testSendBufferProbe = func(_ int, occupancy int64) {
 		for {
 			cur := max.Load()
@@ -33,7 +33,15 @@ func TestStreamingSendBufferBound(t *testing.T) {
 			}
 		}
 	}
-	defer func() { testSendBufferProbe = nil }()
+	t.Cleanup(func() { testSendBufferProbe = nil })
+	return max
+}
+
+// TestStreamingSendBufferBound asserts the acceptance criterion directly:
+// per-peer send-buffer occupancy never exceeds SendBufferBytes.
+func TestStreamingSendBufferBound(t *testing.T) {
+	const bufCap = 256
+	max := probeMaxOccupancy(t)
 
 	inputs := spillInputs(150)
 	job := spillWordCountJob()
@@ -141,68 +149,67 @@ func TestStreamingWithSpillAndCompression(t *testing.T) {
 }
 
 // gatedExchange blocks every Send until the gate channel is closed,
-// simulating a network that has stalled completely: the per-peer sender
-// goroutines wedge on their first frame, so full send buffers must overflow
-// to map-side spill segments instead of stalling the map workers forever.
+// simulating a peer that has stalled completely: the per-peer sender
+// goroutines wedge on their first frame, their short queues fill, and the map
+// workers' hand-offs block behind them.
 type gatedExchange[K comparable, V any] struct {
 	Exchange[K, V]
-	gate <-chan struct{}
+	gate    <-chan struct{}
+	entered chan<- struct{} // optional: signalled (never blocking) when a Send starts waiting
 }
 
 func (g *gatedExchange[K, V]) Send(dst int, b KeyBatch[K, V]) error {
+	select {
+	case g.entered <- struct{}{}:
+	default:
+	}
 	<-g.gate
 	return g.Exchange.Send(dst, b)
 }
 
-// TestStreamingBackpressureOverflowsToDisk pins the bounded-memory claim: a
-// sender that cannot keep up must push flushed runs to disk instead of
-// stalling map workers or growing the buffer, and the replayed segments must
-// still produce identical output once the network recovers.
-func TestStreamingBackpressureOverflowsToDisk(t *testing.T) {
+// TestStreamingBackpressureBlocks pins the bounded-memory claim: against a
+// sender that cannot keep up the map workers wait — nothing goes to disk, no
+// buffer grows past its bound — and the output is the oracle's once the peer
+// recovers.
+func TestStreamingBackpressureBlocks(t *testing.T) {
 	inputs := spillInputs(120)
 	job := spillWordCountJob()
 	want := wantOutput(job, inputs)
+	const bufCap, workers = 64, 2
+	max := probeMaxOccupancy(t)
 
 	gate := make(chan struct{})
 	group := NewLoopbackGroup[string, int](2)
-	results := make([][]string, len(group))
-	metricses := make([]Metrics, len(group))
-	errs := make([]error, len(group))
-	var wg sync.WaitGroup
+	dirs := make([]string, len(group))
 	for p := range group {
-		var split []string
-		for i := p; i < len(inputs); i += len(group) {
-			split = append(split, inputs[i])
-		}
-		wg.Add(1)
-		go func(p int, split []string) {
-			defer wg.Done()
-			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SendBufferBytes: 64, SpillTmpDir: t.TempDir()}}
-			ex := &gatedExchange[string, int]{Exchange: group[p], gate: gate}
-			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, ex)
-		}(p, split)
+		group[p] = &gatedExchange[string, int]{Exchange: group[p], gate: gate}
+		dirs[p] = t.TempDir()
 	}
-	// Leave the network stalled long enough for the map phases (fast) plus
-	// the overflow grace to elapse, then let the senders drain everything.
-	time.Sleep(4 * sendOverflowGrace)
-	close(gate)
-	wg.Wait()
-	var out []string
-	var spilled int64
+	// Leave the peers stalled far longer than the (fast) map phases need to
+	// fill every queue, then let the senders drain.
+	time.AfterFunc(400*time.Millisecond, func() { close(gate) })
+	out, metrics, errs := runGroup(job, group, splitInputs(inputs, 2), func(p int) Config {
+		return Config{MapWorkers: workers, ReduceWorkers: 2,
+			Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: dirs[p]}}
+	})
 	for p := range group {
 		if errs[p] != nil {
 			t.Fatalf("peer %d: %v", p, errs[p])
 		}
-		out = append(out, results[p]...)
-		spilled += metricses[p].SpilledBytes
+		if metrics[p].SpilledBytes != 0 || metrics[p].SpillCount != 0 {
+			t.Errorf("peer %d wrote to disk under backpressure: %+v", p, metrics[p])
+		}
+		if entries, err := os.ReadDir(dirs[p]); err != nil || len(entries) != 0 {
+			t.Errorf("peer %d left %d entries under SpillTmpDir (err %v)", p, len(entries), err)
+		}
 	}
-	sort.Strings(out)
 	if !reflect.DeepEqual(out, want) {
 		t.Error("backpressured bounded-buffer output differs from the oracle")
 	}
-	if spilled == 0 {
-		t.Error("expected map-side send overflow to spill under backpressure")
+	record := int64(job.SizeOf("word000", 1))
+	if got := max.Load(); got == 0 || got > bufCap+workers*record {
+		t.Errorf("send-buffer occupancy reached %d bytes, want within (0, %d + one %d-byte record per map worker]",
+			got, bufCap, record)
 	}
 }
 
@@ -343,16 +350,7 @@ func TestStreamEmitShardedByWorker(t *testing.T) {
 	want := wantOutput(job, inputs)
 
 	const bufCap = 1 << 10
-	var max atomic.Int64
-	testSendBufferProbe = func(_ int, occupancy int64) {
-		for {
-			cur := max.Load()
-			if occupancy <= cur || max.CompareAndSwap(cur, occupancy) {
-				return
-			}
-		}
-	}
-	defer func() { testSendBufferProbe = nil }()
+	max := probeMaxOccupancy(t)
 
 	cfg := Config{MapWorkers: 8, ReduceWorkers: 2,
 		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: t.TempDir()}}

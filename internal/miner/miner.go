@@ -74,28 +74,14 @@ func lessSeq(a, b []dict.ItemID) bool {
 	return len(a) < len(b)
 }
 
-// CountOptions configures MineCount and SupportOf.
-type CountOptions struct {
-	// Prefilter enables the two-pass trick: a cheap backward reachability scan
-	// (fst.Flat.CanAccept) skips sequences without any accepting run before
-	// the full candidate enumeration. Output is identical either way, since
-	// such sequences contribute no candidates.
-	Prefilter bool
-}
-
 // MineCount implements DESQ-COUNT: it enumerates Gσπ(T) for every input
 // sequence, sums the weights per candidate, and reports the candidates whose
-// support reaches sigma.
+// support reaches sigma. The counting loop runs entirely on the flat FST form:
+// candidates are enumerated by Flat.ForEachDistinctCandidate (scratch-backed,
+// deduplicated per sequence) and aggregated in a pooled open-addressing table
+// over interned item slices, so steady-state counting allocates only arena
+// growth and the reported patterns.
 func MineCount(f *fst.FST, db []WeightedSequence, sigma int64) []Pattern {
-	return MineCountOpts(f, db, sigma, CountOptions{})
-}
-
-// MineCountOpts is MineCount with options. The counting loop runs entirely on
-// the flat FST form: candidates are enumerated by Flat.ForEachDistinctCandidate
-// (scratch-backed, deduplicated per sequence) and aggregated in a pooled
-// open-addressing table over interned item slices, so steady-state counting
-// allocates only arena growth and the reported patterns.
-func MineCountOpts(f *fst.FST, db []WeightedSequence, sigma int64, opts CountOptions) []Pattern {
 	fl := f.Flatten()
 	tab := candPool.Get().(*candTable)
 	tab.reset()
@@ -106,9 +92,6 @@ func MineCountOpts(f *fst.FST, db []WeightedSequence, sigma int64, opts CountOpt
 		return true
 	}
 	for _, ws := range db {
-		if opts.Prefilter && !fl.CanAccept(ws.Items) {
-			continue
-		}
 		weight = ws.Weight
 		fl.ForEachDistinctCandidate(ws.Items, sigma, add)
 	}
@@ -136,16 +119,11 @@ func Key(seq []dict.ItemID) string { return dict.PackKey(seq) }
 // threshold to obtain a candidate superset, phase two calls SupportOf per
 // partition and sums the returned counts. sigma is used only for the global
 // item-frequency pruning of candidate generation and must be the global
-// threshold.
+// threshold. Like MineCount, the counting loop runs on the flat candidate
+// enumeration: the candidate set is interned into a pooled open-addressing
+// table once up front and each enumerated candidate is matched against it
+// without forming a string key.
 func SupportOf(f *fst.FST, db []WeightedSequence, sigma int64, candidates map[string]bool) map[string]int64 {
-	return SupportOfOpts(f, db, sigma, candidates, CountOptions{})
-}
-
-// SupportOfOpts is SupportOf with options. Like MineCountOpts, the counting
-// loop runs on the flat candidate enumeration: the candidate set is interned
-// into a pooled open-addressing table once up front and each enumerated
-// candidate is matched against it without forming a string key.
-func SupportOfOpts(f *fst.FST, db []WeightedSequence, sigma int64, candidates map[string]bool, opts CountOptions) map[string]int64 {
 	fl := f.Flatten()
 	tab := candPool.Get().(*candTable)
 	tab.reset()
@@ -171,9 +149,6 @@ func SupportOfOpts(f *fst.FST, db []WeightedSequence, sigma int64, candidates ma
 		return true
 	}
 	for _, ws := range db {
-		if opts.Prefilter && !fl.CanAccept(ws.Items) {
-			continue
-		}
 		weight = ws.Weight
 		fl.ForEachDistinctCandidate(ws.Items, sigma, add)
 	}

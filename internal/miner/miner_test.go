@@ -220,43 +220,6 @@ func TestEarlyStoppingPreservesResults(t *testing.T) {
 	}
 }
 
-// TestPrefilterPreservesResults: the two-pass reachability prefilter skips
-// sequences without accepting runs before candidate enumeration; it must
-// never change the output of the counting miners, for any pattern or
-// threshold. (DESQ-DFS has no such option: its one Reach pass per sequence is
-// the prefilter.)
-func TestPrefilterPreservesResults(t *testing.T) {
-	d := paperex.Dict()
-	patterns := []string{
-		paperex.PatternExpression,
-		"[.*(.)]{1,3}.*",
-		".*(d) .* (b).*",
-	}
-	rng := rand.New(rand.NewSource(23))
-	for _, pat := range patterns {
-		f := fst.MustCompile(pat, d)
-		for trial := 0; trial < 4; trial++ {
-			db := miner.Weighted(randomDB(rng, d, 12, 6))
-			for _, sigma := range []int64{1, 2} {
-				plainCount := miner.PatternsToMap(d, miner.MineCount(f, db, sigma))
-				preCount := miner.PatternsToMap(d, miner.MineCountOpts(f, db, sigma, miner.CountOptions{Prefilter: true}))
-				if !reflect.DeepEqual(plainCount, preCount) {
-					t.Fatalf("pattern %q sigma %d: prefiltered COUNT %v != plain %v", pat, sigma, preCount, plainCount)
-				}
-				enc := map[string]bool{}
-				for _, p := range miner.MineCount(f, db, sigma) {
-					enc[string(miner.Key(p.Items))] = true
-				}
-				plainSup := miner.SupportOf(f, db, sigma, enc)
-				preSup := miner.SupportOfOpts(f, db, sigma, enc, miner.CountOptions{Prefilter: true})
-				if !reflect.DeepEqual(plainSup, preSup) {
-					t.Fatalf("pattern %q sigma %d: prefiltered SupportOf differs", pat, sigma)
-				}
-			}
-		}
-	}
-}
-
 // TestMineDFSPartitionAllocations pins the set-up cost of mining one pivot
 // partition, the call D-SEQ's reducer makes per pivot: with the per-sequence
 // matrices carved from pooled scratch, a warm call allocates for the patterns

@@ -62,39 +62,26 @@ func codec() mapreduce.FrameCodec[string, int64] {
 	}
 }
 
-// Options configures the baselines. Unlike D-SEQ/D-CAND they have no
+// Mine runs the baseline on the database and returns the frequent sequences
+// together with the engine metrics. Unlike D-SEQ/D-CAND the baselines have no
 // algorithmic enhancement toggles. (Bounding the shuffle through cfg.Shuffle
 // matters particularly here: SendBufferBytes bounds the map-side combine,
 // whose candidate groups are otherwise proportional to the whole map output —
 // the combiner then runs per send-buffer flush instead of over one unbounded
-// map per worker.)
-type Options struct {
-	// Prefilter enables the two-pass trick of the paper: map workers run a
-	// cheap backward reachability scan (fst.Flat.CanAccept) and skip the
-	// candidate enumeration for sequences without any accepting run. Such
-	// sequences produce no candidates, so the output is identical either way.
-	Prefilter bool
-}
-
-// DefaultOptions leaves the prefilter off.
-func DefaultOptions() Options { return Options{} }
-
-// Mine runs the baseline on the database and returns the frequent sequences
-// together with the engine metrics. It panics on failure; a run can only
-// fail when the shuffle is bounded (cfg.Shuffle), so callers
-// that bound it should prefer MineLocal.
-func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-	return dminer.Mine("naive", db, cfg, buildJob(f, sigma, variant, opts))
+// map per worker.) It panics on failure; a run can only fail when the shuffle
+// is bounded (cfg.Shuffle), so callers that bound it should prefer MineLocal.
+func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
+	return dminer.Mine("naive", db, cfg, buildJob(f, sigma, variant))
 }
 
 // MineLocal is Mine with error reporting: bounded-shuffle failures (the only
 // way an in-process run can fail) are returned instead of panicking.
-func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MineLocal(db, cfg, buildJob(f, sigma, variant, opts))
+func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
+	return dminer.MineLocal(db, cfg, buildJob(f, sigma, variant))
 }
 
 // buildJob assembles the word-count style BSP job of the baselines.
-func buildJob(f *fst.FST, sigma int64, variant Variant, opts Options) mapreduce.Job[[]dict.ItemID, string, int64, miner.Pattern] {
+func buildJob(f *fst.FST, sigma int64, variant Variant) mapreduce.Job[[]dict.ItemID, string, int64, miner.Pattern] {
 	genSigma := int64(0)
 	if variant == SemiNaive {
 		genSigma = sigma
@@ -102,9 +89,6 @@ func buildJob(f *fst.FST, sigma int64, variant Variant, opts Options) mapreduce.
 	flat := f.Flatten()
 	job := mapreduce.Job[[]dict.ItemID, string, int64, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(string, int64)) {
-			if opts.Prefilter && !flat.CanAccept(T) {
-				return
-			}
 			// The flat enumerator deduplicates per sequence, so each distinct
 			// candidate is emitted exactly once — the same multiset of records
 			// EnumerateCandidates produced, without materializing the list.

@@ -37,7 +37,7 @@ func TestNaiveRunningExample(t *testing.T) {
 	db := paperex.DB(d)
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		got, metrics := naive.Mine(f, db, paperex.Sigma, variant, naive.DefaultOptions(), cfg)
+		got, metrics := naive.Mine(f, db, paperex.Sigma, variant, cfg)
 		if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 			t.Errorf("%v = %v, want %v", variant, m, paperex.ExpectedFrequent())
 		}
@@ -52,8 +52,8 @@ func TestSemiNaiveShufflesLess(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
-	_, naiveMetrics := naive.Mine(f, db, paperex.Sigma, naive.Naive, naive.DefaultOptions(), cfg)
-	_, semiMetrics := naive.Mine(f, db, paperex.Sigma, naive.SemiNaive, naive.DefaultOptions(), cfg)
+	_, naiveMetrics := naive.Mine(f, db, paperex.Sigma, naive.Naive, cfg)
+	_, semiMetrics := naive.Mine(f, db, paperex.Sigma, naive.SemiNaive, cfg)
 	// T2 and T4 generate candidates with infrequent items which SEMI-NAIVE
 	// never communicates.
 	if semiMetrics.MapOutputRecords >= naiveMetrics.MapOutputRecords {
@@ -86,7 +86,7 @@ func TestNaiveMatchesSequential(t *testing.T) {
 			for _, sigma := range []int64{1, 2, 3} {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-					got, _ := naive.Mine(f, db, sigma, variant, naive.DefaultOptions(), cfg)
+					got, _ := naive.Mine(f, db, sigma, variant, cfg)
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("%v pattern %q sigma %d: %v != %v", variant, pat, sigma, m, want)
 					}
@@ -105,10 +105,10 @@ func TestNaiveStreamingEquivalence(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		want, _ := naive.Mine(f, db, paperex.Sigma, variant, naive.DefaultOptions(), mapreduce.Config{})
+		want, _ := naive.Mine(f, db, paperex.Sigma, variant, mapreduce.Config{})
 		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32, SpillTmpDir: t.TempDir()}}
-		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, naive.DefaultOptions(), cfg)
+		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -128,10 +128,10 @@ func TestNaiveSpillEquivalence(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		want, _ := naive.Mine(f, db, paperex.Sigma, variant, naive.DefaultOptions(), mapreduce.Config{})
+		want, _ := naive.Mine(f, db, paperex.Sigma, variant, mapreduce.Config{})
 		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
-		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, naive.DefaultOptions(), cfg)
+		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}

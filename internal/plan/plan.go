@@ -54,15 +54,6 @@ const DefaultTaskRetries = 2
 // numeric knobs 0 means "unset" and a negative value means "off, even if a
 // default says otherwise"; see Merge.
 type Knobs struct {
-	// Prefilter enables the paper's two-pass trick on the enumerating
-	// backends (DESQ-COUNT, NAIVE/SEMI-NAIVE, D-CAND's map): a two-row
-	// backward reachability scan over the flattened FST rejects input
-	// sequences without any accepting run before candidate or run
-	// enumeration. DESQ-DFS and D-SEQ reject them in the one reachability
-	// pass they make anyway and ignore the knob. Mined output is
-	// byte-identical with and without it.
-	Prefilter bool `json:"prefilter,omitempty"`
-
 	// ShuffleConfig bounds the distributed backends' shuffle: when it spills
 	// to disk and whether it streams through bounded send buffers. The
 	// sequential backends (dfs, count) do not shuffle and ignore it.
@@ -107,7 +98,6 @@ type Plan struct {
 // negative forces spilling, streaming, retries or speculation off regardless
 // of d. Merge is idempotent and chains.
 func (k Knobs) Merge(d Knobs) Knobs {
-	k.Prefilter = k.Prefilter || d.Prefilter
 	k.CompressSpill = k.CompressSpill || d.CompressSpill
 	inherit(&k.SpillThreshold, d.SpillThreshold)
 	inherit(&k.SpillTmpDir, d.SpillTmpDir)
@@ -143,7 +133,6 @@ func (k Knobs) RetryBudget() int {
 // one default and one help text everywhere; each usage string names the
 // POST /mine field that overrides the flag per query.
 func (k *Knobs) BindFlags(fs *flag.FlagSet) {
-	fs.BoolVar(&k.Prefilter, "prefilter", false, `skip sequences with no accepting run via a cheap two-pass reachability scan before mining; output is identical either way (per query: "prefilter")`)
 	fs.Int64Var(&k.SpillThreshold, "spill-threshold", 0, `shuffle bytes a peer holds in memory before spilling sorted runs to disk (distributed algorithms; 0 = never spill; per query: "spill_threshold_bytes", negative = in memory)`)
 	fs.StringVar(&k.SpillTmpDir, "spill-dir", "", "directory for shuffle spill segments of this process (default: system temp dir)")
 	fs.Int64Var(&k.SendBufferBytes, "send-buffer", 0, `per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode; per query: "send_buffer_bytes", negative = barrier)`)

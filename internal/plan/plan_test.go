@@ -28,13 +28,12 @@ func TestMerge(t *testing.T) {
 	daemon.SpillTmpDir = "/daemon/spill"
 
 	cases := []struct {
-		name               string
-		query, defaults    Knobs
-		want               Knobs
-		spills, streams    bool
-		retries            int
-		speculates         bool
-		prefilter, deflate bool
+		name            string
+		query, defaults Knobs
+		want            Knobs
+		spills, streams bool
+		retries         int
+		speculates      bool
 	}{
 		{name: "nothing set anywhere: in memory, barrier, built-in retry budget",
 			want: Knobs{}, retries: DefaultTaskRetries},
@@ -50,13 +49,13 @@ func TestMerge(t *testing.T) {
 			want:    withDir(knobs(-1, -1, -1, -1), "/daemon/spill"),
 			retries: 0},
 		{name: "booleans are OR-ed: the daemon default switches them on",
-			defaults: Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			want:     Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			retries:  DefaultTaskRetries, prefilter: true, deflate: true},
+			defaults: Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
+			want:     Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
+			retries:  DefaultTaskRetries},
 		{name: "booleans are OR-ed: the query switches them on",
-			query:   Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			want:    Knobs{Prefilter: true, ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			retries: DefaultTaskRetries, prefilter: true, deflate: true},
+			query:   Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
+			want:    Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
+			retries: DefaultTaskRetries},
 		{name: "the query's own spill directory wins",
 			query: withDir(Knobs{}, "/query"), defaults: daemon,
 			want:   withDir(daemon, "/query"),
@@ -79,9 +78,6 @@ func TestMerge(t *testing.T) {
 			}
 			if (got.SpeculativeAfterMS > 0) != tc.speculates {
 				t.Errorf("SpeculativeAfterMS = %d, want speculation %v", got.SpeculativeAfterMS, tc.speculates)
-			}
-			if got.Prefilter != tc.prefilter || got.CompressSpill != tc.deflate {
-				t.Errorf("prefilter/compress = %v/%v, want %v/%v", got.Prefilter, got.CompressSpill, tc.prefilter, tc.deflate)
 			}
 		})
 	}
@@ -115,14 +111,13 @@ func TestBindFlags(t *testing.T) {
 	if k != (Knobs{}) {
 		t.Errorf("flag defaults = %+v, want the zero Knobs", k)
 	}
-	err := fs.Parse([]string{"-prefilter", "-spill-threshold", "4096", "-spill-dir", "/tmp/s",
+	err := fs.Parse([]string{"-spill-threshold", "4096", "-spill-dir", "/tmp/s",
 		"-send-buffer", "256", "-compress-spill",
 		"-task-retries", "-1", "-speculative-after", "1500ms"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Knobs{
-		Prefilter: true,
 		ShuffleConfig: mapreduce.ShuffleConfig{SpillThreshold: 4096, SpillTmpDir: "/tmp/s",
 			SendBufferBytes: 256, CompressSpill: true},
 		TaskRetries:        -1,
@@ -137,6 +132,13 @@ func TestBindFlags(t *testing.T) {
 	}
 	if err := fs.Parse([]string{"-speculative-after", "soon"}); err == nil {
 		t.Error("a malformed duration must be rejected")
+	}
+	// Retired knobs: all three CLIs bind exactly these flags, so they all
+	// reject the old names.
+	for _, retired := range []string{"-prefilter", "-send-buffer-max"} {
+		if err := fs.Parse([]string{retired}); err == nil {
+			t.Errorf("the retired flag %s must be rejected", retired)
+		}
 	}
 }
 

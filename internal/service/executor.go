@@ -120,9 +120,10 @@ type ClusterStats struct {
 //
 // Cancellation: the job runs in a goroutine and the call returns ctx.Err()
 // as soon as the context is done. Shard workers notice cancellation at shard
-// boundaries and stop early; a backend in the middle of a shard (or a BSP
-// round, which is not interruptible) finishes that unit in the background and
-// its result is dropped.
+// boundaries and the BSP engine at input granularity in the map phase and
+// between key groups in the reduce phase (mapreduce.Config.Context); the unit
+// in flight — one shard, one map input, one reduce call — finishes in the
+// background and its result is dropped.
 func Execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	return execute(ctx, f, db, sigma, opts, nil)
 }
@@ -211,13 +212,11 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	case "", AlgoDSeq:
 		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	case AlgoDCand:
-		o := dcand.DefaultOptions()
-		o.Prefilter = opts.Prefilter
-		patterns, metrics, err = dcand.MineLocal(f, db.Sequences, sigma, o, cfg)
+		patterns, metrics, err = dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	case AlgoNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.Naive, naive.Options{Prefilter: opts.Prefilter}, cfg)
+		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.Naive, cfg)
 	case AlgoSemiNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.SemiNaive, naive.Options{Prefilter: opts.Prefilter}, cfg)
+		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.SemiNaive, cfg)
 	}
 	if err != nil {
 		return nil, metrics, ExecStats{}, err
@@ -274,7 +273,7 @@ func mineSharded(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int6
 	}
 	if shards <= 1 {
 		// Single shard: run the backend directly with the global threshold.
-		patterns, err := mineShardDirect(ctx, f, miner.Weighted(db.Sequences), sigma, opts.Algorithm, opts.Prefilter)
+		patterns, err := mineShardDirect(ctx, f, miner.Weighted(db.Sequences), sigma, opts.Algorithm)
 		return patterns, mapreduce.Metrics{}, ExecStats{Shards: 1}, err
 	}
 
@@ -290,7 +289,7 @@ func mineSharded(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int6
 		if local < 1 {
 			local = 1
 		}
-		ps, err := mineShardDirect(ctx, f, miner.Weighted(parts[i]), local, opts.Algorithm, opts.Prefilter)
+		ps, err := mineShardDirect(ctx, f, miner.Weighted(parts[i]), local, opts.Algorithm)
 		partials[i] = ps
 		return err
 	})
@@ -315,7 +314,7 @@ func mineSharded(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int6
 	// parallel and summed.
 	counts := make([]map[string]int64, len(parts))
 	err = runPool(ctx, workers, len(parts), func(i int) error {
-		counts[i] = miner.SupportOfOpts(f, miner.Weighted(parts[i]), sigma, candidates, miner.CountOptions{Prefilter: opts.Prefilter})
+		counts[i] = miner.SupportOf(f, miner.Weighted(parts[i]), sigma, candidates)
 		return nil
 	})
 	if err != nil {
@@ -338,7 +337,7 @@ func mineSharded(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int6
 }
 
 // mineShardDirect runs a sequential backend on one partition.
-func mineShardDirect(ctx context.Context, f *fst.FST, part []miner.WeightedSequence, sigma int64, algo Algorithm, prefilter bool) ([]miner.Pattern, error) {
+func mineShardDirect(ctx context.Context, f *fst.FST, part []miner.WeightedSequence, sigma int64, algo Algorithm) ([]miner.Pattern, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -346,7 +345,7 @@ func mineShardDirect(ctx context.Context, f *fst.FST, part []miner.WeightedSeque
 	case AlgoDFS:
 		return miner.MineDFS(f, part, sigma, miner.DFSOptions{}), nil
 	case AlgoCount:
-		return miner.MineCountOpts(f, part, sigma, miner.CountOptions{Prefilter: prefilter}), nil
+		return miner.MineCount(f, part, sigma), nil
 	default:
 		return nil, fmt.Errorf("algorithm %q is not a sequential backend", algo)
 	}

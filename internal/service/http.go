@@ -43,11 +43,11 @@ type MineRequest struct {
 	// tasks; 0 uses one task per live worker.
 	TaskPartitions int `json:"task_partitions,omitempty"`
 	// Knobs are the per-query overrides of the daemon defaults, under the
-	// field names plan.Knobs declares (prefilter, spill_threshold_bytes,
+	// field names plan.Knobs declares (spill_threshold_bytes,
 	// send_buffer_bytes, compress_spill, task_retries, speculative_after_ms):
-	// 0 / absent inherits the daemon default (the
-	// flag of the same name), a negative number forces the feature off for
-	// this query, and the booleans are OR-ed with the daemon default.
+	// 0 / absent inherits the daemon default (the flag of the same name), a
+	// negative number forces the feature off for this query, and the boolean
+	// is OR-ed with the daemon default.
 	plan.Knobs
 }
 

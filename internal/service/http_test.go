@@ -419,33 +419,3 @@ func TestMineClusterSchedulerOverHTTP(t *testing.T) {
 		t.Errorf("GET /metrics cluster totals not aggregated: %+v", snap)
 	}
 }
-
-// TestMinePrefilterOverHTTP checks the prefilter request field end to end:
-// the same query with "prefilter": true must return exactly the patterns of
-// the plain run on every algorithm.
-func TestMinePrefilterOverHTTP(t *testing.T) {
-	srv, _ := newTestServer(t)
-	putExampleDataset(t, srv, "ex")
-
-	want := paperex.ExpectedFrequent()
-	for _, algo := range []string{"dfs", "count", "dseq", "dcand"} {
-		var out service.MineResponse
-		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
-			Dataset:   "ex",
-			Pattern:   paperex.PatternExpression,
-			Sigma:     paperex.Sigma,
-			Algorithm: algo,
-			Knobs:     plan.Knobs{Prefilter: true},
-		}, &out)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /mine (%s, prefilter): status %d", algo, resp.StatusCode)
-		}
-		got := map[string]int64{}
-		for _, p := range out.Patterns {
-			got[strings.Join(p.Items, " ")] = p.Freq
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: prefiltered patterns = %v, want %v", algo, got, want)
-		}
-	}
-}

@@ -49,25 +49,24 @@ func (m QueryMetrics) Total() time.Duration { return m.CompileTime + m.MineTime 
 // its query count — visible as a cache hit rate above 1 or patterns with
 // zero queries.)
 type aggregator struct {
-	mu               sync.Mutex
-	queries          uint64
-	errors           uint64
-	active           int64
-	patterns         uint64
-	cacheHits        uint64
-	resultCacheHits  uint64
-	compileTimeNS    int64
-	mineTimeNS       int64
-	spilledBytes     int64
-	spillCount       int64
-	streamedBatches  int64
-	overflowSegments int64
-	attempts         int64
-	retries          int64
-	speculative      int64
-	storeHits        int64
-	storeMisses      int64
-	storePutBytes    int64
+	mu              sync.Mutex
+	queries         uint64
+	errors          uint64
+	active          int64
+	patterns        uint64
+	cacheHits       uint64
+	resultCacheHits uint64
+	compileTimeNS   int64
+	mineTimeNS      int64
+	spilledBytes    int64
+	spillCount      int64
+	streamedBatches int64
+	attempts        int64
+	retries         int64
+	speculative     int64
+	storeHits       int64
+	storeMisses     int64
+	storePutBytes   int64
 }
 
 func (a *aggregator) record(m QueryMetrics) {
@@ -86,7 +85,6 @@ func (a *aggregator) record(m QueryMetrics) {
 	a.spilledBytes += m.MapReduce.SpilledBytes
 	a.spillCount += m.MapReduce.SpillCount
 	a.streamedBatches += m.MapReduce.StreamedBatches
-	a.overflowSegments += m.MapReduce.SendOverflowSegments
 	if c := m.Exec.Cluster; c != nil {
 		a.attempts += int64(c.Attempts)
 		a.retries += int64(c.Retries)
@@ -122,13 +120,12 @@ type Snapshot struct {
 	ResultCacheHits uint64        `json:"result_cache_hits"`
 	CompileTime     time.Duration `json:"compile_time_total_ns"`
 	MineTime        time.Duration `json:"mine_time_total_ns"`
-	// SpilledBytes/SpillCount/StreamedBatches/SendOverflowSegments total the
+	// SpilledBytes/SpillCount/StreamedBatches total the
 	// shuffle's disk and streaming activity across all served queries
 	// (per-query values live in each response's MapReduce metrics).
-	SpilledBytes         int64 `json:"spilled_bytes_total"`
-	SpillCount           int64 `json:"spill_count_total"`
-	StreamedBatches      int64 `json:"streamed_batches_total"`
-	SendOverflowSegments int64 `json:"send_overflow_segments_total"`
+	SpilledBytes    int64 `json:"spilled_bytes_total"`
+	SpillCount      int64 `json:"spill_count_total"`
+	StreamedBatches int64 `json:"streamed_batches_total"`
 	// ClusterAttempts/ClusterRetries/SpeculativeAttempts total the cluster
 	// scheduler's fault-tolerance activity, and DatasetStoreHits/Misses/
 	// PutBytes its dataset-store traffic, across all cluster-executed
@@ -168,7 +165,6 @@ func (a *aggregator) snapshot() Snapshot {
 		SpilledBytes:         a.spilledBytes,
 		SpillCount:           a.spillCount,
 		StreamedBatches:      a.streamedBatches,
-		SendOverflowSegments: a.overflowSegments,
 		ClusterAttempts:      a.attempts,
 		ClusterRetries:       a.retries,
 		SpeculativeAttempts:  a.speculative,

@@ -11,9 +11,10 @@ import (
 // TestMineRequestGolden pins the public wire format: a POST /mine body using
 // every field name the API has ever documented must keep decoding to the same
 // request and the same query plan. (The decode is lenient — unknown fields are
-// ignored — unlike the internal coordinator→worker job spec. That covers
-// "send_buffer_max_bytes", the retired adaptive-buffer bound: old clients may
-// keep sending it, and it no longer reaches the plan.)
+// ignored — unlike the internal coordinator→worker job spec. That covers the
+// retired knobs "send_buffer_max_bytes" (the adaptive-buffer bound) and
+// "prefilter": old clients may keep sending them, and they no longer reach
+// the plan.)
 func TestMineRequestGolden(t *testing.T) {
 	const body = `{
 		"dataset": "nyt", "pattern": "(.){2,4}", "sigma": 100,
@@ -44,7 +45,6 @@ func TestMineRequestGolden(t *testing.T) {
 		Shards:         5,
 		TaskPartitions: 7,
 		Knobs: plan.Knobs{
-			Prefilter: true,
 			ShuffleConfig: mapreduce.ShuffleConfig{
 				SpillThreshold:  4096,
 				SendBufferBytes: 256,

@@ -2,12 +2,14 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/miner"
+	"seqmine/internal/plan"
 )
 
 func rkey(expr string) resultKey {
@@ -159,6 +161,53 @@ func TestResultKeyDistinguishesParameters(t *testing.T) {
 			t.Fatalf("key %+v hit the cache; generation/sigma/algorithm must partition entries", k)
 		} else {
 			c.resolve(k, fl, cachedResult{}, nil)
+		}
+	}
+}
+
+// planFieldsOutsideResultKey lists every field of the query plan that
+// resultKey leaves out, with the reason it cannot change a query's answer.
+// Algorithm is the one plan field in the key.
+var planFieldsOutsideResultKey = map[string]string{
+	"Workers":            "parallelism of this process",
+	"Shards":             "two-phase sharded mining recounts exact global support",
+	"TaskPartitions":     "granularity of the cluster scheduler's tasks",
+	"SpillThreshold":     "where the shuffle buffers; the reduce loop sees the same groups",
+	"SpillTmpDir":        "a directory",
+	"SendBufferBytes":    "when the shuffle sends; partial combines merge like batches from different peers",
+	"CompressSpill":      "segment encoding on disk",
+	"TaskRetries":        "scheduler policy",
+	"SpeculativeAfterMS": "scheduler policy",
+}
+
+// TestResultKeyCoversPlan walks plan.Plan by reflection (through the embedded
+// Knobs and ShuffleConfig): a field that is neither in resultKey nor on the
+// cannot-change-the-answer list fails, so an answer-changing plan field cannot
+// be added without the cache key learning it.
+func TestResultKeyCoversPlan(t *testing.T) {
+	if _, ok := reflect.TypeOf(resultKey{}).FieldByName("algorithm"); !ok {
+		t.Error("resultKey no longer carries the plan's algorithm")
+	}
+	seen := map[string]bool{}
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			switch {
+			case f.Anonymous:
+				walk(f.Type)
+			case f.Name == "Algorithm": // in the key
+			case planFieldsOutsideResultKey[f.Name] == "":
+				t.Errorf("plan field %s is neither part of resultKey nor listed as unable to change the answer", f.Name)
+			default:
+				seen[f.Name] = true
+			}
+		}
+	}
+	walk(reflect.TypeOf(plan.Plan{}))
+	for name := range planFieldsOutsideResultKey {
+		if !seen[name] {
+			t.Errorf("stale entry: the plan has no field %s", name)
 		}
 	}
 }

@@ -445,40 +445,3 @@ func TestStreamingThroughService(t *testing.T) {
 		t.Error("GET /metrics totals: spill metrics not aggregated")
 	}
 }
-
-// TestPrefilterThroughService checks that the two-pass reachability prefilter
-// never changes service results, whether requested per query
-// (Plan.Prefilter) or enabled as the daemon default (Config.Knobs),
-// on every algorithm the service exposes.
-func TestPrefilterThroughService(t *testing.T) {
-	algos := []service.Algorithm{
-		service.AlgoDFS, service.AlgoCount,
-		service.AlgoDSeq, service.AlgoDCand, service.AlgoNaive, service.AlgoSemiNaive,
-	}
-
-	plain, _ := newTestService(t, service.Config{})
-	defaulted, _ := newTestService(t, service.Config{Knobs: plan.Knobs{Prefilter: true}})
-	for _, algo := range algos {
-		want := mineViaService(t, plain, algo, 0, paperex.Sigma)
-
-		opts := service.DefaultExecOptions()
-		opts.Algorithm = algo
-		opts.Prefilter = true
-		resp, err := plain.Mine(context.Background(), service.Query{
-			Dataset:    "ex",
-			Expression: paperex.PatternExpression,
-			Sigma:      paperex.Sigma,
-			Options:    opts,
-		})
-		if err != nil {
-			t.Fatalf("%s with prefilter: %v", algo, err)
-		}
-		if got := miner.PatternsToMap(resp.Dict, resp.Patterns); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: per-query prefilter changed results:\n got %v\nwant %v", algo, got, want)
-		}
-
-		if got := mineViaService(t, defaulted, algo, 0, paperex.Sigma); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: Config.Prefilter default changed results:\n got %v\nwant %v", algo, got, want)
-		}
-	}
-}

@@ -302,13 +302,11 @@ type PeerStats struct {
 	FramesOut int64  `json:"frames_out"`
 	BytesIn   int64  `json:"bytes_in"`
 	FramesIn  int64  `json:"frames_in"`
-	// StreamedBatches and OverflowSegments are the streaming shuffle's
-	// per-destination counters (key batches flushed toward this peer, and
-	// flushed runs that overflowed to disk because the sender lagged). They
-	// are engine-level counts: the transport does not fill them itself — the
-	// cluster worker copies them in from the engine metrics after a run.
-	StreamedBatches  int64 `json:"streamed_batches,omitempty"`
-	OverflowSegments int64 `json:"overflow_segments,omitempty"`
+	// StreamedBatches is the streaming shuffle's per-destination counter (key
+	// batches flushed toward this peer). It is an engine-level count: the
+	// transport does not fill it itself — the cluster worker copies it in from
+	// the engine metrics after a run.
+	StreamedBatches int64 `json:"streamed_batches,omitempty"`
 }
 
 // PeerError is the failure of one peer's connection within an exchange. It

@@ -72,8 +72,9 @@ cpu_model=$(awk -F': ' '/model name/ {print $2; exit}' /proc/cpuinfo 2>/dev/null
 env_note="GOMAXPROCS=$GOMAXPROCS cpus=$cpus cpu=\"$cpu_model\" kernel=$(uname -sr)"
 
 # The TCP shuffle-overlap benchmarks are wall-clock dominated (real sockets,
-# idle-gated overflow replay) and their medians swing 2-3x between identical
-# runs; they get their own wide per-benchmark gates instead of polluting the
+# three iterations per sample on a host that slows in spells) and their
+# samples swing 2-3x between identical runs — 140-380 ms for streaming at one
+# commit; they get their own wide per-benchmark gates instead of polluting the
 # geomeans.
 echo "== recording BENCH_baseline.json"
 go run ./cmd/benchgate record \

@@ -104,10 +104,9 @@ func (a Algorithm) String() string {
 }
 
 // Knobs are the execution knobs shared by every layer of the system — the
-// reachability prefilter, the shuffle bounds (SpillThreshold, SpillTmpDir,
-// SendBufferBytes, CompressSpill) and the cluster scheduler's TaskRetries /
-// SpeculativeAfterMS. They are declared once, in
-// internal/plan, under the same names the CLIs' flags and the daemon's
+// shuffle bounds (SpillThreshold, SpillTmpDir, SendBufferBytes,
+// CompressSpill) and the cluster scheduler's TaskRetries /
+// SpeculativeAfterMS. They are declared once, in internal/plan, under the same names the CLIs' flags and the daemon's
 // POST /mine fields use; the zero value mines in memory behind the phase
 // barrier with the scheduler's built-in retry budget.
 type Knobs = plan.Knobs
