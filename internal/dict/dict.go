@@ -515,10 +515,8 @@ func (b *Builder) Build() (*Dictionary, error) {
 }
 
 // AppendPackedKey appends the canonical packed encoding of a fid sequence to
-// buf: four little-endian bytes per item. It is the one sequence-key encoding
-// shared by pattern merging (miner.Key), the combiner fingerprints of the
-// distributed miners and the candidate interning of DESQ-COUNT; keeping a
-// single encoder means keys computed in different layers always compare equal.
+// buf: four little-endian bytes per item, the fingerprint the distributed
+// miners' combiners group equal sequences by.
 func AppendPackedKey(buf []byte, seq []ItemID) []byte {
 	for _, v := range seq {
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
@@ -526,30 +524,8 @@ func AppendPackedKey(buf []byte, seq []ItemID) []byte {
 	return buf
 }
 
-// PackKey returns the canonical packed key of a fid sequence (see
-// AppendPackedKey) as a string, suitable for use as a map key.
-func PackKey(seq []ItemID) string {
-	return string(AppendPackedKey(make([]byte, 0, len(seq)*4), seq))
-}
-
-// UnpackKey decodes a key produced by PackKey back into the fid sequence. A
-// key whose length is not a multiple of four returns nil (no valid sequence
-// encodes to it).
-func UnpackKey(key string) []ItemID {
-	if len(key)%4 != 0 {
-		return nil
-	}
-	out := make([]ItemID, len(key)/4)
-	for i := range out {
-		out[i] = ItemID(key[4*i]) | ItemID(key[4*i+1])<<8 | ItemID(key[4*i+2])<<16 | ItemID(key[4*i+3])<<24
-	}
-	return out
-}
-
 // HashItems is the canonical hash of a fid sequence, an FNV-1a style fold
-// over the item values. It hashes exactly the information PackKey encodes, so
-// open-addressing tables keyed by item slices and string maps keyed by PackKey
-// agree on candidate identity.
+// over the item values, for open-addressing tables keyed by item slices.
 func HashItems(seq []ItemID) uint64 {
 	h := uint64(14695981039346656037)
 	for _, v := range seq {

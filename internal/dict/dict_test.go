@@ -2,6 +2,7 @@ package dict_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"sort"
 	"testing"
@@ -376,9 +377,9 @@ func TestParentsAndNumSequences(t *testing.T) {
 	}
 }
 
-// TestPackKeyRoundTrip pins the canonical packed sequence-key encoding shared
-// by the miner's pattern keys, the D-SEQ combiner fingerprints and the flat
-// candidate tables: 4 bytes little endian per item, loss-free round trip.
+// TestPackKeyRoundTrip pins the packed sequence-key encoding of the D-SEQ
+// combiner fingerprints: 4 bytes little endian per item, loss-free, appended
+// behind what the buffer already holds.
 func TestPackKeyRoundTrip(t *testing.T) {
 	seqs := [][]dict.ItemID{
 		nil,
@@ -387,28 +388,15 @@ func TestPackKeyRoundTrip(t *testing.T) {
 		{0x01020304, 0x7fffffff, 0},
 	}
 	for _, seq := range seqs {
-		key := dict.PackKey(seq)
-		if len(key) != 4*len(seq) {
-			t.Fatalf("PackKey(%v): %d bytes, want %d", seq, len(key), 4*len(seq))
+		key := dict.AppendPackedKey([]byte("x"), seq)
+		if len(key) != 1+4*len(seq) || key[0] != 'x' {
+			t.Fatalf("AppendPackedKey(\"x\", %v) = %q, want \"x\" and %d more bytes", seq, key, 4*len(seq))
 		}
-		got := dict.UnpackKey(key)
-		if len(seq) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("UnpackKey of empty key = %v", got)
+		for i, want := range seq {
+			if got := dict.ItemID(binary.LittleEndian.Uint32(key[1+4*i:])); got != want {
+				t.Fatalf("round trip of %v: item %d = %d", seq, i, got)
 			}
-			continue
 		}
-		if !reflect.DeepEqual(got, seq) {
-			t.Fatalf("round trip of %v = %v", seq, got)
-		}
-	}
-	if got := dict.UnpackKey("abc"); got != nil {
-		t.Errorf("UnpackKey of a non-multiple-of-4 key = %v, want nil", got)
-	}
-	// AppendPackedKey appends behind existing bytes.
-	buf := dict.AppendPackedKey([]byte("x"), []dict.ItemID{7})
-	if string(buf) != "x"+dict.PackKey([]dict.ItemID{7}) {
-		t.Errorf("AppendPackedKey did not append: %q", buf)
 	}
 }
 

@@ -25,7 +25,7 @@ var enumPatterns = []string{
 func enumOracle(f *FST, T []dict.ItemID, sigma int64) [][]dict.ItemID {
 	set := map[string][]dict.ItemID{}
 	f.enumerateLimited(T, sigma, func(cand []dict.ItemID) bool {
-		key := dict.PackKey(cand)
+		key := string(dict.AppendPackedKey(nil, cand))
 		if _, ok := set[key]; !ok {
 			set[key] = append([]dict.ItemID(nil), cand...)
 		}

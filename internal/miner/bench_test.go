@@ -1,6 +1,7 @@
 package miner_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -45,7 +46,7 @@ func BenchmarkMineCount(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		miner.MineCount(f, db, 5)
+		miner.MineCount(context.Background(), f, db, 5, 1)
 	}
 }
 

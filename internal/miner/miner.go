@@ -12,10 +12,13 @@
 package miner
 
 import (
+	"cmp"
+	"context"
 	"math/bits"
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/fst"
@@ -81,92 +84,76 @@ func lessSeq(a, b []dict.ItemID) bool {
 // deduplicated per sequence) and aggregated in a pooled open-addressing table
 // over interned item slices, so steady-state counting allocates only arena
 // growth and the reported patterns.
-func MineCount(f *fst.FST, db []WeightedSequence, sigma int64) []Pattern {
+//
+// With workers > 1 the database is counted on that many contiguous sequence
+// ranges, one goroutine and one table each, and the tables are summed into the
+// first before the sigma filter: one exact phase, the same answer. ctx is
+// checked every 1,024 sequences; a cancelled call returns nil.
+func MineCount(ctx context.Context, f *fst.FST, db []WeightedSequence, sigma int64, workers int) []Pattern {
 	fl := f.Flatten()
-	tab := candPool.Get().(*candTable)
-	tab.reset()
-	var weight int64
-	add := func(cand []dict.ItemID) bool {
-		i, _ := tab.intern(cand)
-		tab.entries[i].count += weight
-		return true
-	}
-	for _, ws := range db {
-		weight = ws.Weight
-		fl.ForEachDistinctCandidate(ws.Items, sigma, add)
-	}
-	var out []Pattern
-	for i := range tab.entries {
-		e := &tab.entries[i]
-		if e.count >= sigma {
-			items := append([]dict.ItemID(nil), tab.arena[e.off:e.off+e.n]...)
-			out = append(out, Pattern{Items: items, Freq: e.count})
+	workers = max(1, min(workers, len(db)))
+	tabs := make([]*candTable, workers)
+	fanOut(workers, func(r int) {
+		tab := candPool.Get().(*candTable)
+		tab.reset()
+		tabs[r] = tab
+		var weight int64
+		add := func(cand []dict.ItemID) bool {
+			i, _ := tab.intern(cand)
+			tab.entries[i].count += weight
+			return true
 		}
+		for i, ws := range db[r*len(db)/workers : (r+1)*len(db)/workers] {
+			if i&1023 == 1023 && ctx.Err() != nil {
+				return
+			}
+			weight = ws.Weight
+			fl.ForEachDistinctCandidate(ws.Items, sigma, add)
+		}
+	})
+	var out []Pattern
+	if ctx.Err() == nil {
+		tab := tabs[0]
+		for _, other := range tabs[1:] {
+			for _, e := range other.entries {
+				i, _ := tab.intern(other.arena[e.off : e.off+e.n])
+				tab.entries[i].count += e.count
+			}
+		}
+		for i := range tab.entries {
+			e := &tab.entries[i]
+			if e.count >= sigma {
+				items := append([]dict.ItemID(nil), tab.arena[e.off:e.off+e.n]...)
+				out = append(out, Pattern{Items: items, Freq: e.count})
+			}
+		}
+		SortPatterns(out)
 	}
-	SortPatterns(out)
-	candPool.Put(tab)
+	for _, tab := range tabs {
+		candPool.Put(tab)
+	}
 	return out
 }
 
-// Key returns a compact string key identifying a pattern, suitable for use as
-// a map key when merging partial results across database partitions. It is the
-// canonical packed encoding of dict.PackKey; dict.UnpackKey decodes it.
-func Key(seq []dict.ItemID) string { return dict.PackKey(seq) }
-
-// SupportOf computes the exact support in db of every pattern present in the
-// candidates set (keyed by Key). It is the counting phase of two-phase
-// partitioned mining: phase one mines each partition with a scaled-down local
-// threshold to obtain a candidate superset, phase two calls SupportOf per
-// partition and sums the returned counts. sigma is used only for the global
-// item-frequency pruning of candidate generation and must be the global
-// threshold. Like MineCount, the counting loop runs on the flat candidate
-// enumeration: the candidate set is interned into a pooled open-addressing
-// table once up front and each enumerated candidate is matched against it
-// without forming a string key.
-func SupportOf(f *fst.FST, db []WeightedSequence, sigma int64, candidates map[string]bool) map[string]int64 {
-	fl := f.Flatten()
-	tab := candPool.Get().(*candTable)
-	tab.reset()
-	keys := make([]string, 0, len(candidates))
-	for key, want := range candidates {
-		if !want {
-			continue
-		}
-		if i, inserted := tab.intern(dict.UnpackKey(key)); inserted {
-			for len(keys) <= i {
-				keys = append(keys, "")
-			}
-			keys[i] = key
-		}
+// fanOut runs fn(0) … fn(n-1) on n goroutines, the caller's being the first,
+// and returns when all of them have.
+func fanOut(n int, fn func(r int)) {
+	var wg sync.WaitGroup
+	for r := 1; r < n; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fn(r)
+		}()
 	}
-	hit := make([]bool, len(tab.entries))
-	var weight int64
-	add := func(cand []dict.ItemID) bool {
-		if i := tab.find(cand); i >= 0 {
-			tab.entries[i].count += weight
-			hit[i] = true
-		}
-		return true
-	}
-	for _, ws := range db {
-		weight = ws.Weight
-		fl.ForEachDistinctCandidate(ws.Items, sigma, add)
-	}
-	counts := make(map[string]int64, len(tab.entries))
-	for i := range tab.entries {
-		if hit[i] {
-			counts[keys[i]] = tab.entries[i].count
-		}
-	}
-	candPool.Put(tab)
-	return counts
+	fn(0)
+	wg.Wait()
 }
 
 // candTable is an open-addressing hash table from candidate item sequences to
 // weighted counts. Candidates are interned back-to-back in one arena and slots
 // hold entry indices, so lookups and counting allocate nothing beyond arena
-// growth; keys are hashed with dict.HashItems, the slice-level twin of the
-// packed string keys (dict.PackKey) used across partition boundaries.
+// growth; keys are hashed with dict.HashItems.
 type candTable struct {
 	arena   []dict.ItemID
 	entries []candEntry
@@ -188,22 +175,6 @@ func (ct *candTable) reset() {
 		ct.slots = make([]int32, 256)
 	} else {
 		clear(ct.slots)
-	}
-}
-
-// find returns the entry index of cand, or -1 when absent.
-func (ct *candTable) find(cand []dict.ItemID) int {
-	h := dict.HashItems(cand)
-	mask := uint64(len(ct.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := ct.slots[i]
-		if s == 0 {
-			return -1
-		}
-		e := &ct.entries[s-1]
-		if e.hash == h && slices.Equal(ct.arena[e.off:e.off+e.n], cand) {
-			return int(s - 1)
-		}
 	}
 }
 
@@ -261,6 +232,27 @@ type DFSOptions struct {
 	// the last position at which the pivot can still be produced. It has no
 	// effect when Pivot is zero.
 	EarlyStopping bool
+	// Workers > 1 mines on that many goroutines (see MineDFS), with the
+	// single-threaded result; <= 1 is single-threaded.
+	Workers int
+	// Context, when non-nil, cancels the call: it is checked every 1,024
+	// sequences of the set-up and of a scan, before every task and at every
+	// prefix. A cancelled MineDFS returns nil.
+	Context context.Context
+	// Split, when non-nil, receives how the call was divided among workers.
+	Split *SplitStats
+}
+
+// SplitStats describes how a miner divided one call among its workers.
+type SplitStats struct {
+	// Workers is the number of goroutines that mined.
+	Workers int `json:"workers"`
+	// Tasks is the number of first-level subtrees a parallel MineDFS mined as
+	// tasks, and LargestTaskShare the largest one's projected database as a
+	// fraction of all of theirs: near 1, one subtree bounds the call. Both are
+	// 0 for MineCount and for a single-threaded MineDFS.
+	Tasks            int     `json:"tasks"`
+	LargestTaskShare float64 `json:"largest_task_share"`
 }
 
 // MineDFS implements DESQ-DFS, the pattern-growth miner. It reports every
@@ -275,6 +267,15 @@ type DFSOptions struct {
 // the whole database included, carved from one arena — is pooled scratch.
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
 // mining allocates only the reported patterns.
+//
+// With opts.Workers > 1 the set-up and the root scan run on contiguous
+// sequence ranges, one goroutine each, writing disjoint regions of the arena.
+// An item's projected database is then the ranges' buffers in range order,
+// which is sequence order, so supports and snapshots are exactly the
+// single-threaded miner's. The first-level subtrees that reach sigma are
+// tasks, pulled largest projected database first from one counter; they share
+// only read-only state. SortPatterns is a total order on distinct patterns, so
+// the concatenated outputs sort to the single-threaded result.
 func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []Pattern {
 	fl := f.Flatten()
 	d := f.Dict()
@@ -298,14 +299,40 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 			m.limit = opts.Pivot
 		}
 	}
-	m.sc = scratchPool.Get().(*dfsScratch)
-	out := m.run()
-	scratchPool.Put(m.sc)
+	if opts.Context != nil {
+		m.done = opts.Context.Done()
+	}
+	workers := max(1, min(opts.Workers, len(db)))
+	split := SplitStats{Workers: workers}
+	sh := sharedPool.Get().(*dfsShared)
+	sh.layOut(m, workers)
+	var out []Pattern
+	if workers > 1 {
+		out = sh.runParallel(&split)
+	} else {
+		w := &sh.miners[0]
+		if w.setUp(); w.prefixSupport(w.sc.rootProj) >= sigma {
+			w.expand(0, w.sc.rootProj)
+		}
+		out = w.out
+	}
+	for i := range sh.miners {
+		scratchPool.Put(sh.miners[i].sc)
+	}
+	clear(sh.miners) // the pool must not keep the caller's database alive
+	sharedPool.Put(sh)
+	if opts.Split != nil {
+		*opts.Split = split
+	}
+	if m.stopped() {
+		return nil
+	}
+	SortPatterns(out)
 	return out
 }
 
 // seqCache holds the per-sequence bitset matrices used during mining, both
-// slices of dfsScratch.arena. Rows are words-sized bitsets over states; row i
+// slices of dfsShared.arena. Rows are words-sized bitsets over states; row i
 // covers the input suffix T[i:]. Sequences without an accepting run have none.
 type seqCache struct {
 	accept    []uint64 // accepting-reachable coordinates (any outputs)
@@ -317,7 +344,28 @@ type seqCache struct {
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
 const maxStampCells = 1 << 22
 
-// dfsScratch is the pooled per-call working memory of the miner: everything
+// dfsShared is the pooled state of one MineDFS call that all of its workers
+// see: written range by range during the set-up and by the calling goroutine
+// alone during the merge, read-only while the tasks run.
+type dfsShared struct {
+	arena  []uint64     // accept and finish matrices of every accepted sequence
+	cache  []seqCache   // per input sequence, slices of arena
+	miners []dfsMiner   // one per worker; worker r sets up db[lo:hi)
+	roots  []rootItem   // the ranges' first items, then the tasks, largest first
+	level1 []int32      // the tasks' projected databases, back to back
+	next   atomic.Int64 // index of the next task to pull
+}
+
+// rootItem is a first item with a projected database: one range's part of
+// it, a buffer of that range's root frame, or as a task all of it, in level1.
+type rootItem struct {
+	item dict.ItemID
+	buf  []int32
+}
+
+var sharedPool = sync.Pool{New: func() any { return new(dfsShared) }}
+
+// dfsScratch is the pooled per-worker working memory of the miner: everything
 // the expansion loop needs that is not per-sequence or per-output. Slices keep
 // their capacity across MineDFS calls; generation counters make stale stamp
 // contents harmless.
@@ -326,8 +374,6 @@ type dfsScratch struct {
 	snapStamp []uint32           // per-cell generation stamps (snapshot dedup)
 	snapSeen  map[int32]struct{} // fallback when the cell space exceeds maxStampCells
 	stack     []int32            // DFS traversal stack of cells
-	arena     []uint64           // accept and finish matrices of every accepted sequence
-	cache     []seqCache         // per input sequence, slices of arena
 	itemGen   uint32
 	itemStamp []uint32 // per-item generation; itemSlot valid iff stamp == itemGen
 	itemSlot  []int32
@@ -339,7 +385,7 @@ type dfsScratch struct {
 // frame is the per-recursion-depth expansion scratch: the distinct expansion
 // items found at this depth and one projected-database buffer per item.
 type frame struct {
-	order []uint64 // packed (item<<32 | slot), sorted ascending before recursion
+	order []uint64 // packed (item<<32 | slot), sorted ascending by scan
 	exps  []expBuf
 }
 
@@ -353,62 +399,165 @@ type expBuf struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(dfsScratch) }}
 
+// dfsMiner is one worker of a MineDFS call. The fields up to sh are the same
+// in every worker of the call; the rest is the worker's own.
 type dfsMiner struct {
 	flat  *fst.Flat
 	dict  *dict.Dictionary
 	db    []WeightedSequence
 	sigma int64
 	opts  DFSOptions
-	out   []Pattern
+	done  <-chan struct{} // opts.Context's, nil without one
 
 	words     int         // bitset words per matrix row
 	stateBits uint        // cell = pos<<stateBits | state
 	limit     dict.ItemID // expansion items must be <= limit (frequency ∧ pivot)
 	useLimit  bool
+	sh        *dfsShared // arena and cache
 
-	sc *dfsScratch
+	lo, hi int // the sequence range this worker sets up
+	base   int // where the range's matrices start in the arena
+	sc     *dfsScratch
+	out    []Pattern
 }
 
-func (m *dfsMiner) run() []Pattern {
-	sc := m.sc
-	maxLen := 0
-	for i := range m.db {
-		if l := len(m.db[i].Items); l > maxLen {
-			maxLen = l
+// layOut sizes the arena and cache for m's database and gives every worker its
+// copy of m, a scratch, a contiguous sequence range and the range's arena
+// offset: the prefix sum of the earlier ranges' needs, so set-ups do not meet.
+func (sh *dfsShared) layOut(m *dfsMiner, workers int) {
+	m.sh = sh
+	sh.miners = slices.Grow(sh.miners[:0], workers)[:workers]
+	sh.cache = slices.Grow(sh.cache[:0], len(m.db))[:len(m.db)]
+	need, maxLen := 0, 0
+	for r := range sh.miners {
+		w := &sh.miners[r]
+		*w = *m
+		w.lo, w.hi, w.base = r*len(m.db)/workers, (r+1)*len(m.db)/workers, need
+		for _, ws := range m.db[w.lo:w.hi] {
+			need += 2 * (len(ws.Items) + 1) * m.words
+			maxLen = max(maxLen, len(ws.Items))
 		}
 	}
-	if cells := (maxLen + 1) << m.stateBits; cells <= maxStampCells {
-		if len(sc.snapStamp) < cells {
-			sc.snapStamp = make([]uint32, cells)
-			sc.snapGen = 0
+	sh.arena = slices.Grow(sh.arena[:0], need)[:need]
+	vocab := m.dict.Size() + 1
+	cells := (maxLen + 1) << m.stateBits
+	for r := range sh.miners {
+		sc := scratchPool.Get().(*dfsScratch)
+		sh.miners[r].sc = sc
+		if cells <= maxStampCells {
+			if len(sc.snapStamp) < cells {
+				sc.snapStamp = make([]uint32, cells)
+				sc.snapGen = 0
+			}
+		} else {
+			sc.snapStamp = nil
+			if sc.snapSeen == nil {
+				sc.snapSeen = make(map[int32]struct{})
+			}
 		}
-	} else {
-		sc.snapStamp = nil
-		if sc.snapSeen == nil {
-			sc.snapSeen = make(map[int32]struct{})
+		if len(sc.itemStamp) < vocab {
+			sc.itemStamp = make([]uint32, vocab)
+			sc.itemSlot = make([]int32, vocab)
+			sc.itemGen = 0
 		}
+		sc.rootProj = sc.rootProj[:0]
 	}
-	if vocab := m.dict.Size() + 1; len(sc.itemStamp) < vocab {
-		sc.itemStamp = make([]uint32, vocab)
-		sc.itemSlot = make([]int32, vocab)
-		sc.itemGen = 0
+}
+
+// runParallel is the miner on len(sh.miners) > 1 workers; see MineDFS.
+func (sh *dfsShared) runParallel(split *SplitStats) []Pattern {
+	fanOut(len(sh.miners), func(r int) {
+		w := &sh.miners[r]
+		w.setUp()
+		if !w.stopped() {
+			w.scan(0, w.sc.rootProj)
+		}
+	})
+	m := &sh.miners[0]
+	if m.stopped() {
+		return nil
 	}
 
-	// One Reach pass per sequence fills its two matrices at the arena's tail;
-	// the space is kept only if the sequence has an accepting run.
-	need := 0
-	for i := range m.db {
-		need += 2 * (len(m.db[i].Items) + 1) * m.words
+	// Merge the ranges' first items: sorted by item, ties in range order, an
+	// item's projected database is its run of buffers copied back to back into
+	// level1 (sized up front, so that it does not move) and is a task if the
+	// run's supports add up to sigma. Tasks overwrite the roots already read.
+	sh.roots = sh.roots[:0]
+	total := 0
+	for r := range sh.miners {
+		fr := &sh.miners[r].sc.frames[0]
+		for _, p := range fr.order {
+			buf := fr.exps[uint32(p)].buf
+			sh.roots = append(sh.roots, rootItem{item: dict.ItemID(p >> 32), buf: buf})
+			total += len(buf)
+		}
 	}
-	sc.arena = slices.Grow(sc.arena[:0], need)[:need]
-	sc.cache = slices.Grow(sc.cache[:0], len(m.db))[:len(m.db)]
-	sc.rootProj = sc.rootProj[:0]
+	slices.SortStableFunc(sh.roots, func(a, b rootItem) int { return cmp.Compare(a.item, b.item) })
+	sh.level1 = slices.Grow(sh.level1[:0], total)
+	tasks := sh.roots[:0]
+	for i := 0; i < len(sh.roots); {
+		item, off, support := sh.roots[i].item, len(sh.level1), int64(0)
+		for ; i < len(sh.roots) && sh.roots[i].item == item; i++ {
+			support += m.prefixSupport(sh.roots[i].buf)
+			sh.level1 = append(sh.level1, sh.roots[i].buf...)
+		}
+		if support >= m.sigma {
+			tasks = append(tasks, rootItem{item: item, buf: sh.level1[off:]})
+		} else {
+			sh.level1 = sh.level1[:off]
+		}
+	}
+	if len(tasks) == 0 {
+		return nil
+	}
+	slices.SortFunc(tasks, func(a, b rootItem) int { return cmp.Compare(len(b.buf), len(a.buf)) })
+	split.Tasks = len(tasks)
+	split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(len(sh.level1))
+
+	sh.next.Store(0)
+	fanOut(min(len(sh.miners), len(tasks)), func(r int) {
+		w := &sh.miners[r]
+		for !w.stopped() {
+			i := int(sh.next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
+			}
+			w.sc.prefix = append(w.sc.prefix[:0], tasks[i].item)
+			w.expand(1, tasks[i].buf)
+		}
+	})
+	out := m.out
+	for r := 1; r < len(sh.miners); r++ {
+		out = append(out, sh.miners[r].out...)
+	}
+	return out
+}
+
+// stopped reports whether the call's context has been cancelled.
+func (m *dfsMiner) stopped() bool {
+	select {
+	case <-m.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// setUp runs one Reach pass per sequence of the worker's range, filling the
+// sequence's two matrices at the tail of the range's arena region (the space
+// is kept only if the sequence has an accepting run), and collects the root
+// projected database of the range.
+func (m *dfsMiner) setUp() {
+	sc := m.sc
 	initCell := int32(m.flat.Initial()) // pos 0 → cell = state
-	used := 0
-	for i := range m.db {
+	used := m.base
+	for i := m.lo; i < m.hi; i++ {
+		if i&1023 == 1023 && m.stopped() {
+			return
+		}
 		T := m.db[i].Items
 		rows := (len(T) + 1) * m.words
-		c := seqCache{accept: sc.arena[used : used+rows], finish: sc.arena[used+rows : used+2*rows], lastPivot: -1}
+		c := seqCache{accept: m.sh.arena[used : used+rows], finish: m.sh.arena[used+rows : used+2*rows], lastPivot: -1}
 		if len(T) == 0 || !m.flat.Reach(T, c.accept, c.finish) {
 			continue
 		}
@@ -416,14 +565,9 @@ func (m *dfsMiner) run() []Pattern {
 		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
 			c.lastPivot = int32(m.lastPivotPosition(T))
 		}
-		sc.cache[i] = c
+		m.sh.cache[i] = c
 		sc.rootProj = append(sc.rootProj, int32(i), 1, initCell)
 	}
-	if m.prefixSupport(sc.rootProj) >= m.sigma {
-		m.expand(0, sc.rootProj)
-	}
-	SortPatterns(m.out)
-	return m.out
 }
 
 // lastPivotPosition returns the last position of T whose item has the pivot
@@ -458,7 +602,7 @@ func (m *dfsMiner) completeSupport(proj []int32) int64 {
 	for i := 0; i < len(proj); {
 		seq := proj[i]
 		n := int(proj[i+1])
-		c := &m.sc.cache[seq]
+		c := &m.sh.cache[seq]
 		for k := 0; k < n; k++ {
 			cell := proj[i+2+k]
 			pos := int(cell >> sb)
@@ -500,14 +644,15 @@ func (m *dfsMiner) markSnap(cell int32) bool {
 	return true
 }
 
-// expand recursively grows the prefix (sc.prefix[:depth]) by one output item
-// at a time.
+// expand reports the prefix (sc.prefix[:depth]) if it is a frequent (pivot)
+// sequence and recursively grows it by one output item at a time.
 func (m *dfsMiner) expand(depth int, proj []int32) {
+	if m.stopped() {
+		return
+	}
 	sc := m.sc
-	prefix := sc.prefix[:depth]
-
-	// Report the prefix if it is a frequent (pivot) sequence.
 	if depth > 0 {
+		prefix := sc.prefix[:depth]
 		if m.opts.Pivot == dict.None || containsItem(prefix, m.opts.Pivot) {
 			if freq := m.completeSupport(proj); freq >= m.sigma {
 				m.out = append(m.out, Pattern{Items: append([]dict.ItemID(nil), prefix...), Freq: freq})
@@ -515,13 +660,32 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		}
 	}
 
+	// Recurse on sufficiently supported expansions, in ascending item order.
+	fr := m.scan(depth, proj)
+	for _, p := range fr.order {
+		w := dict.ItemID(p >> 32)
+		e := &fr.exps[uint32(p)]
+		if m.prefixSupport(e.buf) < m.sigma {
+			continue
+		}
+		sc.prefix = append(sc.prefix[:depth], w)
+		m.expand(depth+1, e.buf)
+	}
+}
+
+// scan simulates every snapshot of proj, the projected database of the prefix
+// sc.prefix[:depth], one output item further and returns the depth's frame:
+// the distinct expansion items in ascending order, each with its projected
+// database.
+func (m *dfsMiner) scan(depth int, proj []int32) *frame {
+	sc := m.sc
 	for len(sc.frames) <= depth {
 		sc.frames = append(sc.frames, frame{})
 	}
 	fr := &sc.frames[depth]
 	fr.order = fr.order[:0]
 
-	hasPivot := m.opts.Pivot != dict.None && containsItem(prefix, m.opts.Pivot)
+	hasPivot := m.opts.Pivot != dict.None && containsItem(sc.prefix[:depth], m.opts.Pivot)
 	earlyStop := m.opts.EarlyStopping && m.opts.Pivot != dict.None && !hasPivot
 
 	sc.itemGen++
@@ -534,13 +698,16 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 	mask := int32(1)<<sb - 1
 	W := m.words
 
-	for pi := 0; pi < len(proj); {
+	for pi, n := 0, 0; pi < len(proj); n++ {
+		if n&1023 == 1023 && m.stopped() {
+			break // the caller drops the partial frame
+		}
 		seq := proj[pi]
 		nsn := int(proj[pi+1])
 		snaps := proj[pi+2 : pi+2+nsn]
 		pi += 2 + nsn
 
-		c := &sc.cache[seq]
+		c := &m.sh.cache[seq]
 		T := m.db[seq].Items
 
 		if sc.snapStamp != nil {
@@ -595,18 +762,8 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		}
 	}
 
-	// Recurse on sufficiently supported expansions, in ascending item order
-	// for deterministic output.
 	slices.Sort(fr.order)
-	for _, p := range fr.order {
-		w := dict.ItemID(p >> 32)
-		e := &fr.exps[uint32(p)]
-		if m.prefixSupport(e.buf) < m.sigma {
-			continue
-		}
-		sc.prefix = append(sc.prefix[:depth], w)
-		m.expand(depth+1, e.buf)
-	}
+	return fr
 }
 
 // project appends cell to sequence seq's snapshots in the projected database

@@ -1,6 +1,7 @@
 package miner_test
 
 import (
+	"context"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -21,7 +22,7 @@ func runningExample(t *testing.T) (*dict.Dictionary, *fst.FST, [][]dict.ItemID) 
 
 func TestMineCountRunningExample(t *testing.T) {
 	d, f, db := runningExample(t)
-	got := miner.PatternsToMap(d, miner.MineCount(f, miner.Weighted(db), paperex.Sigma))
+	got := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), paperex.Sigma, 1))
 	if !reflect.DeepEqual(got, paperex.ExpectedFrequent()) {
 		t.Errorf("MineCount = %v, want %v", got, paperex.ExpectedFrequent())
 	}
@@ -39,7 +40,7 @@ func TestMineDFSSigmaOne(t *testing.T) {
 	// With sigma=1 every candidate of every sequence is frequent; DESQ-DFS and
 	// DESQ-COUNT must agree exactly.
 	d, f, db := runningExample(t)
-	want := miner.PatternsToMap(d, miner.MineCount(f, miner.Weighted(db), 1))
+	want := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), 1, 1))
 	got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), 1, miner.DFSOptions{}))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sigma=1 mismatch:\n got %v\nwant %v", got, want)
@@ -95,7 +96,7 @@ func TestMineDFSWeighted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("weighted MineDFS = %v, want %v", got, want)
 	}
-	gotCount := miner.PatternsToMap(d, miner.MineCount(f, weighted, paperex.Sigma))
+	gotCount := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, weighted, paperex.Sigma, 1))
 	if !reflect.DeepEqual(gotCount, want) {
 		t.Errorf("weighted MineCount = %v, want %v", gotCount, want)
 	}
@@ -165,7 +166,7 @@ func TestMineDFSMatchesMineCountRandom(t *testing.T) {
 		for trial := 0; trial < 6; trial++ {
 			db := randomDB(rng, d, 12, 6)
 			for _, sigma := range []int64{1, 2, 3} {
-				want := miner.PatternsToMap(d, miner.MineCount(f, miner.Weighted(db), sigma))
+				want := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), sigma, 1))
 				got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("pattern %q sigma %d: DFS %v != COUNT %v (db=%v)", pat, sigma, got, want, db)
@@ -242,40 +243,5 @@ func TestMineDFSPartitionAllocations(t *testing.T) {
 	if limit := float64(patterns + bits.Len(uint(patterns)) + 6); allocs > limit {
 		t.Errorf("MineDFS over %d sequences: %.0f allocs per call for %d patterns, want <= %.0f",
 			len(db), allocs, patterns, limit)
-	}
-}
-
-// TestSupportOfWeighted pins the aggregation semantics of the flat counting
-// path: weights of duplicate generated candidates sum per sequence weight, a
-// candidate touched only by zero-weight sequences still appears (with count
-// 0), candidates never generated stay absent, and want=false entries are
-// excluded from the query.
-func TestSupportOfWeighted(t *testing.T) {
-	d, f, db := runningExample(t)
-	weighted := miner.Weighted(db)
-	weighted[0].Weight = 0 // T1 contributes structure but no support
-	weighted[4].Weight = 3 // T5 counts three times
-
-	enc := func(names ...string) string {
-		seq, err := d.EncodeSequence(names)
-		if err != nil {
-			t.Fatalf("encode %v: %v", names, err)
-		}
-		return miner.Key(seq)
-	}
-	a1b := enc("a1", "b")
-	t1only := enc("a1", "c", "d", "c", "b")
-	absent := enc("b")
-	excluded := enc("a1", "a1", "b")
-	cands := map[string]bool{a1b: true, t1only: true, absent: true, excluded: false}
-
-	// sigma=1: no output filtering, so the expectations follow Fig. 1 directly.
-	got := miner.SupportOf(f, weighted, 1, cands)
-	want := map[string]int64{
-		a1b:    4, // T2 (1) + T5 (3); T1 has weight 0
-		t1only: 0, // generated only by the zero-weight T1
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("SupportOf = %v, want %v", got, want)
 	}
 }

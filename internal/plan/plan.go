@@ -79,9 +79,7 @@ type Plan struct {
 	// all CPUs. It is never serialized: cluster workers size their own
 	// engines.
 	Workers int `json:"-"`
-	// Shards is the number of database partitions for the sequential backends
-	// (dfs, count); 0 means one shard per worker. The distributed backends
-	// partition internally (by pivot item) and ignore it.
+	// Shards is never read; it leaves with the [benchmark] PR that stops setting it.
 	Shards int `json:"shards,omitempty"`
 	// TaskPartitions is the number of per-partition tasks a cluster job is
 	// decomposed into; 0 uses one task per live worker. More tasks than

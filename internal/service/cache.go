@@ -12,7 +12,7 @@ import (
 // of the key so replacing a dataset under the same name invalidates its
 // cached FSTs (they become unreachable and age out of the LRU). The pattern
 // expression fully determines the FST for a given dictionary; mining options
-// (algorithm, workers, sharding) do not affect compilation and are therefore
+// (algorithm, workers) do not affect compilation and are therefore
 // not part of the key.
 type cacheKey struct {
 	dataset    string

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/dcand"
-	"seqmine/internal/dict"
 	"seqmine/internal/dseq"
 	"seqmine/internal/fst"
 	"seqmine/internal/mapreduce"
@@ -73,12 +71,15 @@ func DefaultExecOptions() ExecOptions {
 
 // ExecStats describes how a query was executed.
 type ExecStats struct {
-	// Shards is the number of database partitions mined (1 when the backend
-	// ran unpartitioned).
+	// Shards is 1 for an in-process run and the number of worker processes
+	// for a cluster run.
 	Shards int `json:"shards"`
-	// Candidates is the size of the candidate superset produced by phase one
-	// of two-phase sharded mining (0 for unpartitioned backends).
+	// Candidates is always 0; it leaves with the [benchmark] PR that stops reading it.
 	Candidates int `json:"candidates"`
+	// SplitStats is how the miner divided the work in this process: workers,
+	// and for a parallel dfs its first-level tasks and the largest one's share.
+	// Zero for a cluster run, whose workers size their own engines.
+	miner.SplitStats
 	// Cluster carries the scheduler's attempt/retry and dataset-store
 	// accounting for cluster-executed queries (nil otherwise).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
@@ -106,24 +107,19 @@ type ClusterStats struct {
 	StorePutBytes int64 `json:"store_put_bytes"`
 }
 
-// Execute runs one mining job. The sequential backends (dfs, count) run as a
-// two-phase partitioned job over a bounded worker pool: phase one mines every
-// shard with a proportionally scaled local threshold (SON-style — any
-// globally frequent pattern is locally frequent in at least one shard), phase
-// two recounts the exact global support of the candidate superset and filters
-// by sigma, so the result is identical to the sequential miner on the whole
-// database. (Phase two counts by candidate enumeration, DESQ-COUNT style, so
-// for very loose constraints on long sequences Shards=1 or a distributed
-// backend is the better choice.) The distributed backends (dseq, dcand,
-// naive, seminaive) already partition internally by pivot item and run on the
-// in-process BSP engine with Workers map/reduce workers.
+// Execute runs one mining job. The sequential backends (dfs, count) mine the
+// whole database on Workers goroutines with the miner's own parallelism (see
+// miner.MineDFS) and return the single-threaded miner's result. The
+// distributed backends (dseq, dcand, naive, seminaive) partition by pivot item
+// and run on the in-process BSP engine with Workers map/reduce workers.
 //
 // Cancellation: the job runs in a goroutine and the call returns ctx.Err()
-// as soon as the context is done. Shard workers notice cancellation at shard
-// boundaries and the BSP engine at input granularity in the map phase and
-// between key groups in the reduce phase (mapreduce.Config.Context); the unit
-// in flight — one shard, one map input, one reduce call — finishes in the
-// background and its result is dropped.
+// as soon as the context is done. The sequential miners check the context
+// every 1,024 sequences of set-up or counting and before growing each prefix,
+// the BSP engine at input granularity in the map phase and between key groups
+// in the reduce phase (mapreduce.Config.Context); the unit in flight — one
+// prefix's scan, one map input, one reduce call — finishes in the background
+// and its result is dropped.
 func Execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	return execute(ctx, f, db, sigma, opts, nil)
 }
@@ -167,7 +163,7 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 				// metrics as cluster metrics.
 				r.err = fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", opts.Algorithm, AlgoDSeq, AlgoDCand)
 			} else {
-				r.patterns, r.metrics, r.stats, r.err = mineSharded(ctx, f, db, sigma, opts, workers)
+				r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, opts.Algorithm, workers)
 			}
 		case "", AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
 			if opts.Cluster != nil {
@@ -221,7 +217,7 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	if err != nil {
 		return nil, metrics, ExecStats{}, err
 	}
-	return patterns, metrics, ExecStats{Shards: 1}, nil
+	return patterns, metrics, ExecStats{Shards: 1, SplitStats: miner.SplitStats{Workers: workers}}, nil
 }
 
 // mineCluster fans a distributed backend out across worker processes: the
@@ -261,149 +257,20 @@ func mineCluster(ctx context.Context, db *seqdb.Database, sigma int64, opts Exec
 	return res.Patterns, res.Metrics, stats, nil
 }
 
-// mineSharded is the two-phase partitioned executor for the sequential
-// backends.
-func mineSharded(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, workers int) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = workers
+// mineSequential runs DESQ-DFS or DESQ-COUNT over the whole database on
+// workers goroutines; the parallelism is the miner's own (miner.MineDFS).
+func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, algo Algorithm, workers int) ([]miner.Pattern, ExecStats, error) {
+	seqs := miner.Weighted(db.Sequences)
+	stats := ExecStats{Shards: 1}
+	var patterns []miner.Pattern
+	if algo == AlgoCount {
+		patterns = miner.MineCount(ctx, f, seqs, sigma, workers)
+		stats.Workers = max(1, min(workers, len(seqs)))
+	} else {
+		patterns = miner.MineDFS(f, seqs, sigma, miner.DFSOptions{Workers: workers, Context: ctx, Split: &stats.SplitStats})
 	}
-	if shards > len(db.Sequences) {
-		shards = len(db.Sequences)
-	}
-	if shards <= 1 {
-		// Single shard: run the backend directly with the global threshold.
-		patterns, err := mineShardDirect(ctx, f, miner.Weighted(db.Sequences), sigma, opts.Algorithm)
-		return patterns, mapreduce.Metrics{}, ExecStats{Shards: 1}, err
-	}
-
-	parts := splitSequences(db.Sequences, shards)
-	total := int64(len(db.Sequences))
-
-	// Phase 1: mine each shard with the scaled local threshold. A pattern
-	// with global support >= sigma has support >= ceil(sigma*|shard|/|db|)
-	// in at least one shard, so the union is a superset of the answer.
-	partials := make([][]miner.Pattern, len(parts))
-	err := runPool(ctx, workers, len(parts), func(i int) error {
-		local := (sigma*int64(len(parts[i])) + total - 1) / total
-		if local < 1 {
-			local = 1
-		}
-		ps, err := mineShardDirect(ctx, f, miner.Weighted(parts[i]), local, opts.Algorithm)
-		partials[i] = ps
-		return err
-	})
-	if err != nil {
-		return nil, mapreduce.Metrics{}, ExecStats{}, err
-	}
-
-	candidates := make(map[string]bool)
-	shapes := make(map[string][]dict.ItemID)
-	for _, ps := range partials {
-		for _, p := range ps {
-			k := miner.Key(p.Items)
-			if !candidates[k] {
-				candidates[k] = true
-				shapes[k] = p.Items
-			}
-		}
-	}
-	stats := ExecStats{Shards: len(parts), Candidates: len(candidates)}
-
-	// Phase 2: exact support of every candidate, counted per shard in
-	// parallel and summed.
-	counts := make([]map[string]int64, len(parts))
-	err = runPool(ctx, workers, len(parts), func(i int) error {
-		counts[i] = miner.SupportOf(f, miner.Weighted(parts[i]), sigma, candidates)
-		return nil
-	})
-	if err != nil {
-		return nil, mapreduce.Metrics{}, stats, err
-	}
-	totals := make(map[string]int64, len(candidates))
-	for _, m := range counts {
-		for k, c := range m {
-			totals[k] += c
-		}
-	}
-	var out []miner.Pattern
-	for k, c := range totals {
-		if c >= sigma {
-			out = append(out, miner.Pattern{Items: shapes[k], Freq: c})
-		}
-	}
-	miner.SortPatterns(out)
-	return out, mapreduce.Metrics{}, stats, nil
-}
-
-// mineShardDirect runs a sequential backend on one partition.
-func mineShardDirect(ctx context.Context, f *fst.FST, part []miner.WeightedSequence, sigma int64, algo Algorithm) ([]miner.Pattern, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, ExecStats{}, err
 	}
-	switch algo {
-	case AlgoDFS:
-		return miner.MineDFS(f, part, sigma, miner.DFSOptions{}), nil
-	case AlgoCount:
-		return miner.MineCount(f, part, sigma), nil
-	default:
-		return nil, fmt.Errorf("algorithm %q is not a sequential backend", algo)
-	}
-}
-
-// splitSequences partitions the database round-robin into n parts so skewed
-// prefixes (e.g. sorted inputs) spread evenly.
-func splitSequences(seqs [][]dict.ItemID, n int) [][][]dict.ItemID {
-	parts := make([][][]dict.ItemID, n)
-	for i, s := range seqs {
-		parts[i%n] = append(parts[i%n], s)
-	}
-	return parts
-}
-
-// runPool executes tasks 0..n-1 on at most workers goroutines (strided
-// assignment, like the mapreduce engine's map phase), stopping early on the
-// first error or context cancellation.
-func runPool(ctx context.Context, workers, n int, task func(i int) error) error {
-	if workers > n {
-		workers = n
-	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	failed := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return firstErr != nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < n; i += workers {
-				if failed() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				if err := task(i); err != nil {
-					fail(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return firstErr
+	return patterns, stats, nil
 }

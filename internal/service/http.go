@@ -29,8 +29,9 @@ type MineRequest struct {
 	Sigma     int64  `json:"sigma"`
 	Algorithm string `json:"algorithm,omitempty"` // dfs|count|dseq|dcand|naive|seminaive; default dseq
 	Workers   int    `json:"workers,omitempty"`
-	Shards    int    `json:"shards,omitempty"`
-	TimeoutMS int64  `json:"timeout_ms,omitempty"`
+	// Shards is ignored; it leaves with the [benchmark] PR that stops sending it.
+	Shards    int   `json:"shards,omitempty"`
+	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Limit truncates the response to the top-k patterns (0 = all).
 	Limit int `json:"limit,omitempty"`
 	// ClusterWorkers runs a dseq/dcand query across these worker processes
@@ -57,7 +58,6 @@ func (r MineRequest) toPlan() (plan.Plan, error) {
 	return plan.Plan{
 		Algorithm:      algo,
 		Workers:        r.Workers,
-		Shards:         r.Shards,
 		TaskPartitions: r.TaskPartitions,
 		Knobs:          r.Knobs,
 	}, err

@@ -92,7 +92,8 @@ func TestMineEndToEnd(t *testing.T) {
 			Pattern:   paperex.PatternExpression,
 			Sigma:     paperex.Sigma,
 			Algorithm: algo,
-			Shards:    3,
+			Workers:   3,
+			Shards:    3, // accepted, ignored
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /mine (%s): status %d", algo, resp.StatusCode)

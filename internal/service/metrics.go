@@ -31,10 +31,10 @@ type QueryMetrics struct {
 	MineTime time.Duration `json:"mine_time_ns"`
 	// Patterns is the number of frequent sequences found.
 	Patterns int `json:"patterns"`
-	// Exec describes the partitioned execution.
+	// Exec describes how the work was split.
 	Exec ExecStats `json:"exec"`
 	// MapReduce carries the BSP engine metrics for distributed backends
-	// (zero for the sharded sequential backends).
+	// (zero for the sequential backends).
 	MapReduce mapreduce.Metrics `json:"mapreduce"`
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,5 +164,42 @@ func TestMetricsPrometheusOverHTTP(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("JSON metrics registry lacks populated stage histograms: %s", b)
+	}
+}
+
+// TestExecuteSpanSaysHowTheQueryWasSplit: a dfs query on two workers reports
+// its workers, first-level tasks and the largest task's share in the exec
+// block of the response metrics and, identically, on its service.execute span.
+func TestExecuteSpanSaysHowTheQueryWasSplit(t *testing.T) {
+	srv, rec := newObsServer(t)
+	putExampleDataset(t, srv, "ex")
+	var out service.MineResponse
+	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
+		Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: "dfs", Workers: 2,
+	}, &out)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /mine: status %d", resp.StatusCode)
+	}
+	exec := out.Metrics.Exec
+	if exec.Workers != 2 || exec.Tasks == 0 || exec.LargestTaskShare <= 0 || exec.LargestTaskShare > 1 {
+		t.Fatalf("exec = %+v, want 2 workers, some tasks and a share in (0, 1]", exec)
+	}
+	want := map[string]string{
+		"workers":            strconv.Itoa(exec.Workers),
+		"tasks":              strconv.Itoa(exec.Tasks),
+		"largest_task_share": strconv.FormatFloat(exec.LargestTaskShare, 'f', 3, 64),
+	}
+	for _, sp := range rec.TraceSpans(out.TraceID) {
+		if sp.Name != "service.execute" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if v, ok := want[a.Key]; ok && v == a.Value {
+				delete(want, a.Key)
+			}
+		}
+	}
+	if len(want) != 0 {
+		t.Errorf("service.execute span lacks %v", want)
 	}
 }

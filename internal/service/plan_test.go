@@ -12,9 +12,9 @@ import (
 // every field name the API has ever documented must keep decoding to the same
 // request and the same query plan. (The decode is lenient — unknown fields are
 // ignored — unlike the internal coordinator→worker job spec. That covers the
-// retired knobs "send_buffer_max_bytes" (the adaptive-buffer bound) and
-// "prefilter": old clients may keep sending them, and they no longer reach
-// the plan.)
+// retired knobs "send_buffer_max_bytes" (the adaptive-buffer bound),
+// "prefilter" and "shards" (the two-phase executor's partition count): old
+// clients may keep sending them, and they no longer reach the plan.)
 func TestMineRequestGolden(t *testing.T) {
 	const body = `{
 		"dataset": "nyt", "pattern": "(.){2,4}", "sigma": 100,
@@ -42,7 +42,6 @@ func TestMineRequestGolden(t *testing.T) {
 	want := plan.Plan{
 		Algorithm:      plan.AlgoDCand,
 		Workers:        3,
-		Shards:         5,
 		TaskPartitions: 7,
 		Knobs: plan.Knobs{
 			ShuffleConfig: mapreduce.ShuffleConfig{

@@ -13,7 +13,7 @@ import (
 // can never serve stale patterns. The algorithm is included defensively:
 // every backend is tested to produce identical pattern sets, but a cached
 // answer must never paper over a divergence bug between backends. Execution
-// knobs (workers, shards, spill, streaming, cluster) provably do
+// knobs (workers, spill, streaming, cluster) provably do
 // not affect the answer — equivalence is CI-gated at every level, and
 // TestResultKeyCoversPlan fails on a plan field nobody classified — and are
 // deliberately not part of the key, so a cached in-process answer serves a

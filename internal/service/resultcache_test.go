@@ -170,7 +170,7 @@ func TestResultKeyDistinguishesParameters(t *testing.T) {
 // Algorithm is the one plan field in the key.
 var planFieldsOutsideResultKey = map[string]string{
 	"Workers":            "parallelism of this process",
-	"Shards":             "two-phase sharded mining recounts exact global support",
+	"Shards":             "never read: the two-phase executor it sized is gone",
 	"TaskPartitions":     "granularity of the cluster scheduler's tasks",
 	"SpillThreshold":     "where the shuffle buffers; the reduce loop sees the same groups",
 	"SpillTmpDir":        "a directory",

@@ -7,10 +7,9 @@
 //   - a compiled-pattern cache, an LRU over compiled FSTs keyed by (dataset
 //     generation, pattern expression) with singleflight deduplication so
 //     concurrent identical queries compile once;
-//   - a partitioned query executor that shards the database over a bounded
-//     worker pool for the sequential backends (exact two-phase SON-style
-//     mining) and drives the BSP engine for the distributed ones, under a
-//     per-query context deadline;
+//   - a query executor that runs the sequential backends with the miner's
+//     own parallelism and drives the BSP engine for the distributed ones,
+//     under a per-query context deadline;
 //   - per-query and aggregate metrics (compile/mine time, cache hit rate,
 //     patterns found) in the idiom of mapreduce.Metrics.
 //
@@ -294,7 +293,7 @@ type Response struct {
 
 // Mine serves one query: it leases the dataset, obtains the compiled FST from
 // the compiled-pattern cache (compiling at most once across concurrent
-// identical queries), runs the partitioned executor and records metrics.
+// identical queries), runs the executor and records metrics.
 func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	if q.Expression == "" {
 		return nil, s.fail(fmt.Errorf("empty pattern expression"))
@@ -444,7 +443,9 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	m.MineTime = time.Since(mineStart)
 	s.stageHist("mine").Observe(m.MineTime.Seconds())
 	obs.Observe(ctx, "service.execute", mineStart, m.MineTime,
-		obs.String("algorithm", string(m.Algorithm)))
+		obs.String("algorithm", string(m.Algorithm)),
+		obs.Int("workers", int64(exec.Workers)), obs.Int("tasks", int64(exec.Tasks)),
+		obs.String("largest_task_share", strconv.FormatFloat(exec.LargestTaskShare, 'f', 3, 64)))
 	if err != nil {
 		return nil, fail(err)
 	}

@@ -37,11 +37,10 @@ func newTestService(t *testing.T, cfg service.Config) (*service.Service, *seqdb.
 	return svc, db
 }
 
-func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, shards int, sigma int64) map[string]int64 {
+func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, sigma int64) map[string]int64 {
 	t.Helper()
 	opts := service.DefaultExecOptions()
 	opts.Algorithm = algo
-	opts.Shards = shards
 	resp, err := svc.Mine(context.Background(), service.Query{
 		Dataset:    "ex",
 		Expression: paperex.PatternExpression,
@@ -49,61 +48,63 @@ func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, 
 		Options:    opts,
 	})
 	if err != nil {
-		t.Fatalf("Mine(%s, shards=%d, sigma=%d): %v", algo, shards, sigma, err)
+		t.Fatalf("Mine(%s, sigma=%d): %v", algo, sigma, err)
 	}
 	return miner.PatternsToMap(resp.Dict, resp.Patterns)
 }
 
-// TestShardedMatchesSequential is the core exactness property of the
-// partitioned executor: for every shard count, two-phase sharded mining must
-// return exactly the patterns of the sequential miner on the whole database.
-func TestShardedMatchesSequential(t *testing.T) {
-	svc, db := newTestService(t, service.Config{})
-	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	for _, sigma := range []int64{1, 2, 3} {
-		want := miner.PatternsToMap(db.Dict, miner.MineCount(f, miner.Weighted(db.Sequences), sigma))
-		for _, algo := range []service.Algorithm{service.AlgoDFS, service.AlgoCount} {
-			for _, shards := range []int{1, 2, 3, 5, 8} {
-				got := mineViaService(t, svc, algo, shards, sigma)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s shards=%d sigma=%d:\n got %v\nwant %v", algo, shards, sigma, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestShardedMatchesSequentialRandom repeats the exactness check on larger
-// random databases and several pattern expressions.
-func TestShardedMatchesSequentialRandom(t *testing.T) {
+// TestWorkersMatchSequential is the exactness property of the executor's
+// sequential backends: dfs and count on 1, 2 and 4 workers must return the
+// single-threaded miner's patterns in the single-threaded miner's order, and
+// say how the query was split.
+func TestWorkersMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, seqs := paperex.RandomDatabase(rng, 300, 9)
-	db := &seqdb.Database{Dict: d, Sequences: seqs}
+	fixtures := []struct {
+		name     string
+		db       *seqdb.Database
+		patterns []string
+		sigmas   []int64
+	}{
+		{"ex", exampleDB(t), []string{paperex.PatternExpression}, []int64{1, 2, 3}},
+		{"rnd", &seqdb.Database{Dict: d, Sequences: seqs},
+			[]string{paperex.PatternExpression, "[.*(.)]{1,3}.*", ".*(A^)[.{0,1}(.)]{1,2}.*"}, []int64{2, 5, 20}},
+	}
 	svc := service.New(service.Config{})
-	if _, err := svc.RegisterDataset("rnd", db); err != nil {
-		t.Fatal(err)
-	}
-	patterns := []string{
-		paperex.PatternExpression,
-		"[.*(.)]{1,3}.*",
-		".*(A^)[.{0,1}(.)]{1,2}.*",
-	}
-	for _, pat := range patterns {
-		f := fst.MustCompile(pat, d)
-		for _, sigma := range []int64{2, 5, 20} {
-			want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(seqs), sigma, miner.DFSOptions{}))
-			opts := service.DefaultExecOptions()
-			opts.Algorithm = service.AlgoDFS
-			opts.Shards = 4
-			resp, err := svc.Mine(context.Background(), service.Query{
-				Dataset: "rnd", Expression: pat, Sigma: sigma, Options: opts,
-			})
-			if err != nil {
-				t.Fatalf("pattern %q sigma %d: %v", pat, sigma, err)
-			}
-			got := miner.PatternsToMap(d, resp.Patterns)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("pattern %q sigma %d: sharded %v != sequential %v", pat, sigma, got, want)
+	for _, fx := range fixtures {
+		if _, err := svc.RegisterDataset(fx.name, fx.db); err != nil {
+			t.Fatal(err)
+		}
+		for _, pat := range fx.patterns {
+			f := fst.MustCompile(pat, fx.db.Dict)
+			for _, sigma := range fx.sigmas {
+				want := miner.MineDFS(f, miner.Weighted(fx.db.Sequences), sigma, miner.DFSOptions{})
+				for _, algo := range []service.Algorithm{service.AlgoDFS, service.AlgoCount} {
+					for _, workers := range []int{1, 2, 4} {
+						opts := service.DefaultExecOptions()
+						opts.Algorithm = algo
+						opts.Workers = workers
+						resp, err := svc.Mine(context.Background(), service.Query{
+							Dataset: fx.name, Expression: pat, Sigma: sigma, Options: opts,
+						})
+						if err != nil {
+							t.Fatalf("%s %q sigma %d %s workers %d: %v", fx.name, pat, sigma, algo, workers, err)
+						}
+						if len(want) == 0 && len(resp.Patterns) == 0 {
+							continue
+						}
+						if !reflect.DeepEqual(resp.Patterns, want) {
+							t.Errorf("%s %q sigma %d %s workers %d:\n got %v\nwant %v", fx.name, pat, sigma, algo, workers, resp.Patterns, want)
+						}
+						exec := resp.Metrics.Exec
+						if exec.Shards != 1 || exec.Candidates != 0 || exec.Workers != workers {
+							t.Errorf("%s workers %d: exec = %+v", algo, workers, exec)
+						}
+						if split := exec.Tasks > 0 && exec.LargestTaskShare > 0 && exec.LargestTaskShare <= 1; split != (algo == service.AlgoDFS && workers > 1) {
+							t.Errorf("%s workers %d: exec = %+v, want tasks and a share in (0, 1] exactly for parallel dfs", algo, workers, exec)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -115,7 +116,7 @@ func TestDistributedBackends(t *testing.T) {
 	svc, _ := newTestService(t, service.Config{})
 	want := paperex.ExpectedFrequent()
 	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoNaive, service.AlgoSemiNaive} {
-		got := mineViaService(t, svc, algo, 0, paperex.Sigma)
+		got := mineViaService(t, svc, algo, paperex.Sigma)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s = %v, want %v", algo, got, want)
 		}
@@ -155,7 +156,7 @@ func TestCacheHitMetrics(t *testing.T) {
 }
 
 // TestConcurrentQueries exercises the service from many goroutines (run
-// under -race): a mix of algorithms and shard counts against the same
+// under -race): a mix of algorithms and worker counts against the same
 // dataset, every result checked against the sequential reference, and the
 // compiled-pattern cache must compile each distinct expression exactly once.
 func TestConcurrentQueries(t *testing.T) {
@@ -164,7 +165,7 @@ func TestConcurrentQueries(t *testing.T) {
 	// default queue of 4×MaxConcurrent would shed part of it).
 	svc, db := newTestService(t, service.Config{MaxConcurrent: 4, QueueDepth: 24})
 	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	want := miner.PatternsToMap(db.Dict, miner.MineCount(f, miner.Weighted(db.Sequences), paperex.Sigma))
+	want := miner.PatternsToMap(db.Dict, miner.MineCount(context.Background(), f, miner.Weighted(db.Sequences), paperex.Sigma, 1))
 
 	algos := []service.Algorithm{service.AlgoDFS, service.AlgoCount, service.AlgoDSeq, service.AlgoDCand}
 	const n = 24
@@ -176,7 +177,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			opts := service.DefaultExecOptions()
 			opts.Algorithm = algos[i%len(algos)]
-			opts.Shards = 1 + i%4
+			opts.Workers = 1 + i%4
 			resp, err := svc.Mine(context.Background(), service.Query{
 				Dataset:    "ex",
 				Expression: paperex.PatternExpression,

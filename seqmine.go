@@ -19,7 +19,7 @@
 //
 // For repeated queries, NewService returns a long-lived mining service with
 // a dataset registry, a compiled-pattern cache (identical queries compile the
-// FST once) and a partitioned executor; the seqmined daemon (cmd/seqmined)
+// FST once) and a parallel executor; the seqmined daemon (cmd/seqmined)
 // exposes the same service over HTTP.
 //
 // See the examples directory for complete programs and DESIGN.md for the
@@ -115,8 +115,9 @@ type Knobs = plan.Knobs
 type Options struct {
 	// Algorithm selects the miner (default D-SEQ).
 	Algorithm Algorithm
-	// Workers is the parallelism of the distributed algorithms (map and
-	// reduce workers); 0 uses all CPUs.
+	// Workers is the parallelism of every algorithm (map and reduce workers
+	// of the distributed ones, mining goroutines of DFS and Count); 0 uses
+	// all CPUs.
 	Workers int
 	// ClusterWorkers, when non-empty, runs the distributed algorithms
 	// (DSeq, DCand) across these seqmine-worker processes (control URLs)
@@ -191,10 +192,11 @@ func Mine(db *Database, expression string, sigma int64, opts Options) (*Result, 
 }
 
 // MineConstraint mines the database with a previously compiled constraint.
-// The backend dispatch is shared with the service layer (internal/service);
-// the sequential algorithms run unsharded here, exactly as in the paper.
+// The backend dispatch is shared with the service layer (internal/service):
+// DESQ-DFS and DESQ-COUNT mine on opts.Workers goroutines and return exactly
+// the single-threaded result.
 func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Result, error) {
-	eo := opts.query(1)
+	eo := opts.query()
 	if eo.Cluster != nil {
 		eo.Cluster.Expression = c.expression
 	}
@@ -205,13 +207,11 @@ func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Re
 	return &Result{Patterns: patterns, Metrics: metrics}, nil
 }
 
-// query assembles the service layer's query plan from the options. shards
-// fixes the partition count of the sequential backends (1 = unsharded).
-func (o Options) query(shards int) service.ExecOptions {
+// query assembles the service layer's query plan from the options.
+func (o Options) query() service.ExecOptions {
 	eo := service.ExecOptions{Plan: plan.Plan{
 		Algorithm: o.Algorithm.serviceName(),
 		Workers:   o.Workers,
-		Shards:    shards,
 		Knobs:     o.Knobs,
 	}}
 	if len(o.ClusterWorkers) > 0 {
@@ -247,7 +247,7 @@ func CountMatches(db *Database, c *Constraint) int {
 }
 
 // QueryMetrics describes the execution of one service query (compile/mine
-// time, cache hit, shard counts).
+// time, cache hit, how the work was split).
 type QueryMetrics = service.QueryMetrics
 
 // ServiceMetrics is a snapshot of a service's aggregate metrics (queries
@@ -290,7 +290,7 @@ type ServiceOptions struct {
 // Service is a long-lived, concurrency-safe mining service: it holds named
 // datasets, caches compiled FSTs across queries (with singleflight
 // deduplication of concurrent identical compilations) and mines queries over
-// a partitioned executor. It is the library-level counterpart of the
+// a parallel executor. It is the library-level counterpart of the
 // seqmined daemon.
 type Service struct {
 	inner *service.Service
@@ -327,14 +327,14 @@ func (s *Service) LoadDataset(name, sequencesPath, hierarchyPath string) error {
 func (s *Service) RemoveDataset(name string) bool { return s.inner.RemoveDataset(name) }
 
 // Mine runs one query against a registered dataset. Repeated queries with
-// the same expression reuse the cached compiled FST; execution is partitioned
-// over the service's worker pool and honors ctx cancellation and deadlines.
+// the same expression reuse the cached compiled FST; execution runs on the
+// service's worker pool and honors ctx cancellation and deadlines.
 func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma int64, opts Options) (*Result, QueryMetrics, error) {
 	resp, err := s.inner.Mine(ctx, service.Query{
 		Dataset:    dataset,
 		Expression: expression,
 		Sigma:      sigma,
-		Options:    opts.query(0),
+		Options:    opts.query(),
 	})
 	if err != nil {
 		return nil, QueryMetrics{}, err
