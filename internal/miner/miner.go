@@ -19,6 +19,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/fst"
@@ -247,10 +248,11 @@ type DFSOptions struct {
 type SplitStats struct {
 	// Workers is the number of goroutines that mined.
 	Workers int `json:"workers"`
-	// Tasks is the number of first-level subtrees a parallel MineDFS mined as
-	// tasks, and LargestTaskShare the largest one's projected database as a
-	// fraction of all of theirs: near 1, one subtree bounds the call. Both are
-	// 0 for MineCount and for a single-threaded MineDFS.
+	// Tasks is the number of first-level subtrees a parallel MineDFS or a
+	// Prepared.Mine mined as tasks, and LargestTaskShare the largest one's
+	// projected database as a fraction of all of theirs: near 1, one subtree
+	// bounds the call. Both are 0 for MineCount and for a single-threaded
+	// MineDFS.
 	Tasks            int     `json:"tasks"`
 	LargestTaskShare float64 `json:"largest_task_share"`
 }
@@ -268,18 +270,47 @@ type SplitStats struct {
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
 // mining allocates only the reported patterns.
 //
-// With opts.Workers > 1 the set-up and the root scan run on contiguous
-// sequence ranges, one goroutine each, writing disjoint regions of the arena.
-// An item's projected database is then the ranges' buffers in range order,
-// which is sequence order, so supports and snapshots are exactly the
-// single-threaded miner's. The first-level subtrees that reach sigma are
-// tasks, pulled largest projected database first from one counter; they share
-// only read-only state. SortPatterns is a total order on distinct patterns, so
-// the concatenated outputs sort to the single-threaded result.
+// With opts.Workers > 1 the call is the two halves of a Prepared run back to
+// back in the pooled state (see Prepare and Prepared.Mine): the set-up and the
+// root scan on contiguous sequence ranges, one goroutine each, writing disjoint
+// regions of the arena; the merge of the ranges' first items; and the
+// first-level subtrees that reach sigma as tasks. The result is exactly the
+// single-threaded miner's, order included.
 func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []Pattern {
+	m := newMiner(f, db, sigma, opts)
+	workers := max(1, min(opts.Workers, len(db)))
+	split := SplitStats{Workers: workers}
+	sh := sharedPool.Get().(*dfsShared)
+	sh.layOut(&m, workers)
+	var out []Pattern
+	if workers > 1 {
+		if sh.prepare(&sh.dfsState) {
+			out = sh.mine(&sh.dfsState, &split)
+		}
+	} else {
+		w := &sh.miners[0]
+		if w.setUp(); w.prefixSupport(w.sc.rootProj) >= sigma {
+			w.expand(0, w.sc.rootProj)
+		}
+		out = w.out
+	}
+	sh.release()
+	if opts.Split != nil {
+		*opts.Split = split
+	}
+	if m.stopped() {
+		return nil
+	}
+	SortPatterns(out)
+	return out
+}
+
+// newMiner returns the miner of f over db at sigma under opts, without shared
+// state, range or scratch: what layOut copies to every worker.
+func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) dfsMiner {
 	fl := f.Flatten()
 	d := f.Dict()
-	m := &dfsMiner{
+	m := dfsMiner{
 		flat:  fl,
 		dict:  d,
 		db:    db,
@@ -302,27 +333,98 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 	if opts.Context != nil {
 		m.done = opts.Context.Done()
 	}
-	workers := max(1, min(opts.Workers, len(db)))
-	split := SplitStats{Workers: workers}
+	return m
+}
+
+// Prepared is the part of DESQ-DFS over one FST and one unweighted database
+// that does not depend on sigma, kept: the weight-1 view of the sequences, the
+// matrices of the accepted ones at the size they use, and every first item's
+// projected database with its support. It is immutable: any number of Mine
+// calls at any sigma may run on it at once.
+type Prepared struct {
+	m     dfsMiner // the template of every Mine call's workers; m.sh is &state
+	state dfsState
+	cells int // the position×state space of the longest sequence
+	bytes int64
+}
+
+// Prepare builds the Prepared of f over seqs on workers goroutines: the
+// range-parallel set-up, root scan and merge of a parallel MineDFS, with the
+// root scan's frequency cut open (sigma 1). An item's projected database does
+// not depend on which other items pass the cut, so a first item that reaches a
+// later sigma has exactly the one a root scan cut at that sigma would give it.
+// ctx is checked every 1,024 sequences; a cancelled call returns nil.
+func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int) *Prepared {
+	p := &Prepared{m: newMiner(f, Weighted(seqs), 1, DFSOptions{})}
+	p.m.done = ctx.Done()
 	sh := sharedPool.Get().(*dfsShared)
-	sh.layOut(m, workers)
-	var out []Pattern
-	if workers > 1 {
-		out = sh.runParallel(&split)
-	} else {
-		w := &sh.miners[0]
-		if w.setUp(); w.prefixSupport(w.sc.rootProj) >= sigma {
-			w.expand(0, w.sc.rootProj)
+	p.cells = sh.layOut(&p.m, max(1, min(workers, len(seqs))))
+	ok := sh.prepare(&p.state)
+	if ok {
+		p.retainMatrices(sh)
+	}
+	sh.release()
+	if !ok {
+		return nil
+	}
+	p.m.sh, p.m.done = &p.state, nil
+	st := &p.state
+	p.bytes = int64(8*cap(st.arena) + 4*cap(st.level1) + cap(st.roots)*int(unsafe.Sizeof(rootItem{})) +
+		len(seqs)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{})))
+	return p
+}
+
+// retainMatrices copies the matrices of the accepted sequences — the ranges'
+// root projected databases — out of the pooled arena, which reserves room for
+// every sequence, into one of the size they use, and points p's cache at them.
+func (p *Prepared) retainMatrices(sh *dfsShared) {
+	n := 0
+	for r := range sh.miners {
+		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
+			n += 2 * len(sh.cache[proj[0]].accept)
 		}
-		out = w.out
 	}
-	for i := range sh.miners {
-		scratchPool.Put(sh.miners[i].sc)
+	arena := make([]uint64, 0, n)
+	cache := make([]seqCache, len(sh.cache))
+	for r := range sh.miners {
+		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
+			c := sh.cache[proj[0]]
+			rows := len(c.accept)
+			arena = append(append(arena, c.accept...), c.finish...)
+			c.accept, c.finish = arena[len(arena)-2*rows:len(arena)-rows], arena[len(arena)-rows:]
+			cache[proj[0]] = c
+		}
 	}
-	clear(sh.miners) // the pool must not keep the caller's database alive
-	sharedPool.Put(sh)
-	if opts.Split != nil {
-		*opts.Split = split
+	p.state.arena, p.state.cache = arena, cache
+}
+
+// Bytes is the memory p retains, for a cache's budget.
+func (p *Prepared) Bytes() int64 { return p.bytes }
+
+// Mine returns what MineDFS(f, Weighted(seqs), sigma, DFSOptions{}) returns,
+// order included: the first items whose support reaches sigma are the tasks,
+// largest first, of up to workers goroutines with pooled scratch of their own
+// over p's read-only state. split, when non-nil, receives how the call was
+// divided. ctx is checked before every task and at every prefix; a cancelled
+// call returns nil.
+func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *SplitStats) []Pattern {
+	m := p.m
+	m.sigma, m.done = sigma, ctx.Done()
+	if m.useLimit {
+		m.limit = m.dict.MaxFrequentFid(sigma)
+	}
+	workers = max(1, min(workers, len(m.db)))
+	sh := sharedPool.Get().(*dfsShared)
+	sh.miners = slices.Grow(sh.miners[:0], workers)[:workers]
+	for r := range sh.miners {
+		sh.miners[r] = m
+	}
+	sh.arm(p.cells)
+	st := SplitStats{Workers: workers}
+	out := sh.mine(&p.state, &st)
+	sh.release()
+	if split != nil {
+		*split = st
 	}
 	if m.stopped() {
 		return nil
@@ -344,23 +446,34 @@ type seqCache struct {
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
 const maxStampCells = 1 << 22
 
-// dfsShared is the pooled state of one MineDFS call that all of its workers
-// see: written range by range during the set-up and by the calling goroutine
-// alone during the merge, read-only while the tasks run.
+// dfsState is what the set-up, the root scan and the merge of a parallel call
+// build and its tasks only read: pooled with the dfsShared of a one-shot
+// MineDFS, a Prepared's own when it is kept.
+type dfsState struct {
+	arena  []uint64   // accept and finish matrices of every accepted sequence
+	cache  []seqCache // per input sequence, slices of arena
+	roots  []rootItem // the first items, largest projected database first
+	level1 []int32    // the roots' projected databases, back to back
+}
+
+// dfsShared is the pooled state of one call: a MineDFS's dfsState — written
+// range by range during the set-up and by the calling goroutine alone during
+// the merge, read-only while the tasks run; idle under a Prepared.Mine — and
+// the call's workers and tasks.
 type dfsShared struct {
-	arena  []uint64     // accept and finish matrices of every accepted sequence
-	cache  []seqCache   // per input sequence, slices of arena
+	dfsState
 	miners []dfsMiner   // one per worker; worker r sets up db[lo:hi)
-	roots  []rootItem   // the ranges' first items, then the tasks, largest first
-	level1 []int32      // the tasks' projected databases, back to back
+	tasks  []rootItem   // the roots that reach the call's sigma, in their order
 	next   atomic.Int64 // index of the next task to pull
 }
 
 // rootItem is a first item with a projected database: one range's part of
-// it, a buffer of that range's root frame, or as a task all of it, in level1.
+// it, a buffer of that range's root frame, or once merged all of it, in
+// level1, with the weight of the sequences in it.
 type rootItem struct {
-	item dict.ItemID
-	buf  []int32
+	item    dict.ItemID
+	buf     []int32
+	support int64
 }
 
 var sharedPool = sync.Pool{New: func() any { return new(dfsShared) }}
@@ -413,7 +526,7 @@ type dfsMiner struct {
 	stateBits uint        // cell = pos<<stateBits | state
 	limit     dict.ItemID // expansion items must be <= limit (frequency ∧ pivot)
 	useLimit  bool
-	sh        *dfsShared // arena and cache
+	sh        *dfsState // arena and cache
 
 	lo, hi int // the sequence range this worker sets up
 	base   int // where the range's matrices start in the arena
@@ -424,8 +537,9 @@ type dfsMiner struct {
 // layOut sizes the arena and cache for m's database and gives every worker its
 // copy of m, a scratch, a contiguous sequence range and the range's arena
 // offset: the prefix sum of the earlier ranges' needs, so set-ups do not meet.
-func (sh *dfsShared) layOut(m *dfsMiner, workers int) {
-	m.sh = sh
+// It returns the position×state space the scratches were sized for.
+func (sh *dfsShared) layOut(m *dfsMiner, workers int) int {
+	m.sh = &sh.dfsState
 	sh.miners = slices.Grow(sh.miners[:0], workers)[:workers]
 	sh.cache = slices.Grow(sh.cache[:0], len(m.db))[:len(m.db)]
 	need, maxLen := 0, 0
@@ -439,8 +553,15 @@ func (sh *dfsShared) layOut(m *dfsMiner, workers int) {
 		}
 	}
 	sh.arena = slices.Grow(sh.arena[:0], need)[:need]
-	vocab := m.dict.Size() + 1
 	cells := (maxLen + 1) << m.stateBits
+	sh.arm(cells)
+	return cells
+}
+
+// arm gives every worker a pooled scratch fit for sequences of cells
+// (position, state) pairs and the workers' dictionary.
+func (sh *dfsShared) arm(cells int) {
+	vocab := sh.miners[0].dict.Size() + 1
 	for r := range sh.miners {
 		sc := scratchPool.Get().(*dfsScratch)
 		sh.miners[r].sc = sc
@@ -464,8 +585,21 @@ func (sh *dfsShared) layOut(m *dfsMiner, workers int) {
 	}
 }
 
-// runParallel is the miner on len(sh.miners) > 1 workers; see MineDFS.
-func (sh *dfsShared) runParallel(split *SplitStats) []Pattern {
+// release returns the workers' scratches and sh to their pools.
+func (sh *dfsShared) release() {
+	for i := range sh.miners {
+		scratchPool.Put(sh.miners[i].sc)
+	}
+	// The pool must not keep the caller's database or a Prepared alive.
+	clear(sh.miners)
+	clear(sh.tasks)
+	sharedPool.Put(sh)
+}
+
+// prepare is the half of the parallel miner that sigma enters only through the
+// root scan's frequency cut: every worker's set-up and root scan of its range
+// in sh, then the merge of the ranges' first items into dst. False: cancelled.
+func (sh *dfsShared) prepare(dst *dfsState) bool {
 	fanOut(len(sh.miners), func(r int) {
 		w := &sh.miners[r]
 		w.setUp()
@@ -475,44 +609,61 @@ func (sh *dfsShared) runParallel(split *SplitStats) []Pattern {
 	})
 	m := &sh.miners[0]
 	if m.stopped() {
-		return nil
+		return false
 	}
 
 	// Merge the ranges' first items: sorted by item, ties in range order, an
 	// item's projected database is its run of buffers copied back to back into
-	// level1 (sized up front, so that it does not move) and is a task if the
-	// run's supports add up to sigma. Tasks overwrite the roots already read.
-	sh.roots = sh.roots[:0]
+	// level1 (sized up front, so that it does not move), its support the sum of
+	// theirs. Merged roots overwrite the ranges' roots already read.
+	dst.roots = dst.roots[:0]
 	total := 0
 	for r := range sh.miners {
 		fr := &sh.miners[r].sc.frames[0]
 		for _, p := range fr.order {
 			buf := fr.exps[uint32(p)].buf
-			sh.roots = append(sh.roots, rootItem{item: dict.ItemID(p >> 32), buf: buf})
+			dst.roots = append(dst.roots, rootItem{item: dict.ItemID(p >> 32), buf: buf})
 			total += len(buf)
 		}
 	}
-	slices.SortStableFunc(sh.roots, func(a, b rootItem) int { return cmp.Compare(a.item, b.item) })
-	sh.level1 = slices.Grow(sh.level1[:0], total)
-	tasks := sh.roots[:0]
-	for i := 0; i < len(sh.roots); {
-		item, off, support := sh.roots[i].item, len(sh.level1), int64(0)
-		for ; i < len(sh.roots) && sh.roots[i].item == item; i++ {
-			support += m.prefixSupport(sh.roots[i].buf)
-			sh.level1 = append(sh.level1, sh.roots[i].buf...)
+	slices.SortStableFunc(dst.roots, func(a, b rootItem) int { return cmp.Compare(a.item, b.item) })
+	dst.level1 = slices.Grow(dst.level1[:0], total)
+	merged := dst.roots[:0]
+	for i := 0; i < len(dst.roots); {
+		root := rootItem{item: dst.roots[i].item}
+		off := len(dst.level1)
+		for ; i < len(dst.roots) && dst.roots[i].item == root.item; i++ {
+			root.support += m.prefixSupport(dst.roots[i].buf)
+			dst.level1 = append(dst.level1, dst.roots[i].buf...)
 		}
-		if support >= m.sigma {
-			tasks = append(tasks, rootItem{item: item, buf: sh.level1[off:]})
-		} else {
-			sh.level1 = sh.level1[:off]
+		root.buf = dst.level1[off:]
+		merged = append(merged, root)
+	}
+	dst.roots = merged
+	slices.SortFunc(dst.roots, func(a, b rootItem) int { return cmp.Compare(len(b.buf), len(a.buf)) })
+	return true
+}
+
+// mine is the half that depends on sigma: the roots of st whose support
+// reaches it (and that pass the workers' frequency and pivot cut) are tasks,
+// pulled in st's order, largest first, from one counter by sh's workers, which
+// share only st, read-only. SortPatterns is a total order on distinct
+// patterns, so the concatenated outputs sort to the single-threaded result.
+func (sh *dfsShared) mine(st *dfsState, split *SplitStats) []Pattern {
+	m := &sh.miners[0]
+	tasks, total := sh.tasks[:0], 0
+	for _, root := range st.roots {
+		if root.support >= m.sigma && m.expandable(root.item) {
+			tasks = append(tasks, root)
+			total += len(root.buf)
 		}
 	}
+	sh.tasks = tasks
 	if len(tasks) == 0 {
 		return nil
 	}
-	slices.SortFunc(tasks, func(a, b rootItem) int { return cmp.Compare(len(b.buf), len(a.buf)) })
 	split.Tasks = len(tasks)
-	split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(len(sh.level1))
+	split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(total)
 
 	sh.next.Store(0)
 	fanOut(min(len(sh.miners), len(tasks)), func(r int) {

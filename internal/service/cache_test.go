@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -20,26 +21,26 @@ func key(expr string) cacheKey {
 
 func TestCacheLRUEviction(t *testing.T) {
 	f := testFST(t)
-	c := newFSTCache(2)
+	c := newFSTCache(2, nil)
 	compiles := 0
 	compile := func() (*fst.FST, error) { compiles++; return f, nil }
 
 	for _, expr := range []string{"p1", "p2"} {
-		if _, hit, err := c.get(key(expr), compile); err != nil || hit {
+		if _, hit, err := c.get(context.Background(), key(expr), compile); err != nil || hit {
 			t.Fatalf("first get(%s): hit=%v err=%v", expr, hit, err)
 		}
 	}
 	// Touch p1 so p2 becomes the LRU entry, then insert p3 to evict p2.
-	if _, hit, _ := c.get(key("p1"), compile); !hit {
+	if _, hit, _ := c.get(context.Background(), key("p1"), compile); !hit {
 		t.Fatal("get(p1) should hit")
 	}
-	if _, hit, _ := c.get(key("p3"), compile); hit {
+	if _, hit, _ := c.get(context.Background(), key("p3"), compile); hit {
 		t.Fatal("get(p3) should miss")
 	}
-	if _, hit, _ := c.get(key("p1"), compile); !hit {
+	if _, hit, _ := c.get(context.Background(), key("p1"), compile); !hit {
 		t.Fatal("p1 should still be cached")
 	}
-	if _, hit, _ := c.get(key("p2"), compile); hit {
+	if _, hit, _ := c.get(context.Background(), key("p2"), compile); hit {
 		t.Fatal("p2 should have been evicted")
 	}
 	st := c.stats()
@@ -56,7 +57,7 @@ func TestCacheLRUEviction(t *testing.T) {
 
 func TestCacheSingleflight(t *testing.T) {
 	f := testFST(t)
-	c := newFSTCache(8)
+	c := newFSTCache(8, nil)
 	var compiles atomic.Int64
 	release := make(chan struct{})
 	compile := func() (*fst.FST, error) {
@@ -73,7 +74,7 @@ func TestCacheSingleflight(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			started <- struct{}{}
-			got, _, err := c.get(key("shared"), compile)
+			got, _, err := c.get(context.Background(), key("shared"), compile)
 			if err != nil || got != f {
 				t.Errorf("get = %v, %v", got, err)
 			}
@@ -99,9 +100,9 @@ func TestCacheSingleflight(t *testing.T) {
 
 func TestCacheErrorNotCached(t *testing.T) {
 	d := paperex.Dict()
-	c := newFSTCache(4)
+	c := newFSTCache(4, nil)
 	bad := func() (*fst.FST, error) { return fst.Compile("(((", d) }
-	if _, _, err := c.get(key("bad"), bad); err == nil {
+	if _, _, err := c.get(context.Background(), key("bad"), bad); err == nil {
 		t.Fatal("expected compile error")
 	}
 	if st := c.stats(); st.Size != 0 {
@@ -109,25 +110,25 @@ func TestCacheErrorNotCached(t *testing.T) {
 	}
 	// A later attempt compiles again (and may succeed).
 	good := func() (*fst.FST, error) { return fst.Compile(paperex.PatternExpression, d) }
-	if _, hit, err := c.get(key("bad"), good); err != nil || hit {
+	if _, hit, err := c.get(context.Background(), key("bad"), good); err != nil || hit {
 		t.Fatalf("retry after error: hit=%v err=%v", hit, err)
 	}
 }
 
 func TestCacheInvalidateDataset(t *testing.T) {
 	f := testFST(t)
-	c := newFSTCache(8)
+	c := newFSTCache(8, nil)
 	compile := func() (*fst.FST, error) { return f, nil }
-	c.get(cacheKey{dataset: "a", generation: 1, expression: "p"}, compile)
-	c.get(cacheKey{dataset: "b", generation: 1, expression: "p"}, compile)
+	c.get(context.Background(), cacheKey{dataset: "a", generation: 1, expression: "p"}, compile)
+	c.get(context.Background(), cacheKey{dataset: "b", generation: 1, expression: "p"}, compile)
 	c.invalidateDataset("a")
 	if st := c.stats(); st.Size != 1 {
 		t.Fatalf("size after invalidate = %d, want 1", st.Size)
 	}
-	if _, hit, _ := c.get(cacheKey{dataset: "b", generation: 1, expression: "p"}, compile); !hit {
+	if _, hit, _ := c.get(context.Background(), cacheKey{dataset: "b", generation: 1, expression: "p"}, compile); !hit {
 		t.Error("dataset b entry should survive invalidation of a")
 	}
-	if _, hit, _ := c.get(cacheKey{dataset: "a", generation: 1, expression: "p"}, compile); hit {
+	if _, hit, _ := c.get(context.Background(), cacheKey{dataset: "a", generation: 1, expression: "p"}, compile); hit {
 		t.Error("dataset a entry should be gone")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"time"
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/dcand"
@@ -64,6 +65,19 @@ type ClusterOptions struct {
 	Expression string
 }
 
+// The values of ExecStats.Prepared.
+const (
+	PreparedHit   = "hit"
+	PreparedBuilt = "built"
+	PreparedNone  = "none"
+)
+
+// preparedSource is how a Service hands execute the prepared DESQ-DFS state of
+// the query's (dataset generation, expression): it returns the state, building
+// it on workers goroutines when no query has yet, and whether this call built
+// it.
+type preparedSource func(ctx context.Context, workers int) (p *miner.Prepared, built bool, err error)
+
 // DefaultExecOptions mirrors seqmine.DefaultOptions: D-SEQ, every knob unset.
 func DefaultExecOptions() ExecOptions {
 	return ExecOptions{Plan: plan.Plan{Algorithm: AlgoDSeq}}
@@ -80,6 +94,14 @@ type ExecStats struct {
 	// and for a parallel dfs its first-level tasks and the largest one's share.
 	// Zero for a cluster run, whose workers size their own engines.
 	miner.SplitStats
+	// Prepared says what the query reused of the work sigma does not change:
+	// "hit" — a dfs query mined the prepared DESQ-DFS state an earlier or
+	// concurrent query of the same (dataset generation, expression) built;
+	// "built" — it built that state itself, in PrepareMS milliseconds of its
+	// mine time; "none" — count, the distributed backends, the cluster, a
+	// result-cache hit and Execute outside a Service have no such state.
+	Prepared  string  `json:"prepared"`
+	PrepareMS float64 `json:"prepare_ms,omitempty"`
 	// Cluster carries the scheduler's attempt/retry and dataset-store
 	// accounting for cluster-executed queries (nil otherwise).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
@@ -121,15 +143,17 @@ type ClusterStats struct {
 // prefix's scan, one map input, one reduce call — finishes in the background
 // and its result is dropped.
 func Execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
-	return execute(ctx, f, db, sigma, opts, nil)
+	return execute(ctx, f, db, sigma, opts, nil, nil)
 }
 
-// execute is Execute with a completion hook: onDone (when non-nil) is called
-// exactly once, after the mining goroutine has actually finished — even when
-// the call itself returned early on context cancellation. Callers use it to
-// hold resources (concurrency slots, dataset leases) for the true lifetime
-// of the work rather than the lifetime of the request.
-func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, onDone func()) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
+// execute is Execute with a completion hook and a source of prepared state.
+// onDone (when non-nil) is called exactly once, after the mining goroutine has
+// actually finished — even when the call itself returned early on context
+// cancellation. Callers use it to hold resources (concurrency slots, dataset
+// leases) for the true lifetime of the work rather than the lifetime of the
+// request. With prepared non-nil a dfs query is "get or build the state, mine
+// it at sigma"; with nil (Execute) it is the pooled one-shot miner.MineDFS.
+func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, onDone func(), prepared preparedSource) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	fail := func(err error) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 		if onDone != nil {
 			onDone()
@@ -163,7 +187,7 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 				// metrics as cluster metrics.
 				r.err = fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", opts.Algorithm, AlgoDSeq, AlgoDCand)
 			} else {
-				r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, opts.Algorithm, workers)
+				r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, opts.Algorithm, workers, prepared)
 			}
 		case "", AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
 			if opts.Cluster != nil {
@@ -173,6 +197,9 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 			}
 		default:
 			r.err = fmt.Errorf("unknown algorithm %q", opts.Algorithm)
+		}
+		if r.stats.Prepared == "" {
+			r.stats.Prepared = PreparedNone
 		}
 		ch <- r
 		if onDone != nil {
@@ -258,16 +285,30 @@ func mineCluster(ctx context.Context, db *seqdb.Database, sigma int64, opts Exec
 }
 
 // mineSequential runs DESQ-DFS or DESQ-COUNT over the whole database on
-// workers goroutines; the parallelism is the miner's own (miner.MineDFS).
-func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, algo Algorithm, workers int) ([]miner.Pattern, ExecStats, error) {
-	seqs := miner.Weighted(db.Sequences)
+// workers goroutines; the parallelism is the miner's own (miner.MineDFS). A dfs
+// query with a prepared source mines the source's state at sigma instead of
+// setting the database up again.
+func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, algo Algorithm, workers int, prepared preparedSource) ([]miner.Pattern, ExecStats, error) {
 	stats := ExecStats{Shards: 1}
 	var patterns []miner.Pattern
-	if algo == AlgoCount {
-		patterns = miner.MineCount(ctx, f, seqs, sigma, workers)
-		stats.Workers = max(1, min(workers, len(seqs)))
-	} else {
-		patterns = miner.MineDFS(f, seqs, sigma, miner.DFSOptions{Workers: workers, Context: ctx, Split: &stats.SplitStats})
+	switch {
+	case algo == AlgoCount:
+		patterns = miner.MineCount(ctx, f, miner.Weighted(db.Sequences), sigma, workers)
+		stats.Workers = max(1, min(workers, len(db.Sequences)))
+	case prepared != nil:
+		start := time.Now()
+		p, built, err := prepared(ctx, workers)
+		if err != nil {
+			return nil, ExecStats{}, err
+		}
+		stats.Prepared = PreparedHit
+		if built {
+			stats.Prepared = PreparedBuilt
+			stats.PrepareMS = float64(time.Since(start)) / float64(time.Millisecond)
+		}
+		patterns = p.Mine(ctx, sigma, workers, &stats.SplitStats)
+	default:
+		patterns = miner.MineDFS(f, miner.Weighted(db.Sequences), sigma, miner.DFSOptions{Workers: workers, Context: ctx, Split: &stats.SplitStats})
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, ExecStats{}, err

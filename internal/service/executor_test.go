@@ -19,7 +19,8 @@ import (
 // cancelled 10 ms in returns the context's error, and its mining goroutine —
 // which holds the admission slot and the dataset lease until onDone — ends
 // well before the mining would have, leaving no goroutine behind. (Under the
-// two-phase executor a cancelled query mined to the end.)
+// two-phase executor a cancelled query mined to the end.) So does a dfs query
+// of a Service cancelled while it builds the prepared state (cancelledPrepare).
 func TestCancelledSequentialQueryReleasesPromptly(t *testing.T) {
 	d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(11)), 40000, 10)
 	db := &seqdb.Database{Dict: d, Sequences: seqs}
@@ -41,7 +42,7 @@ func TestCancelledSequentialQueryReleasesPromptly(t *testing.T) {
 			done := make(chan time.Time, 1)
 			start = time.Now()
 			time.AfterFunc(10*time.Millisecond, cancel)
-			_, _, _, err := execute(ctx, f, db, 2, opts, func() { done <- time.Now() })
+			_, _, _, err := execute(ctx, f, db, 2, opts, func() { done <- time.Now() }, nil)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("cancelled query returned %v, want context.Canceled", err)
 			}
@@ -53,6 +54,7 @@ func TestCancelledSequentialQueryReleasesPromptly(t *testing.T) {
 			waitForGoroutines(t, before)
 		})
 	}
+	t.Run("dfs-prepare", cancelledPrepare)
 }
 
 // waitForGoroutines fails the test unless the goroutine count falls back to

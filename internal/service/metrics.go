@@ -130,13 +130,15 @@ type Snapshot struct {
 	// scheduler's fault-tolerance activity, and DatasetStoreHits/Misses/
 	// PutBytes its dataset-store traffic, across all cluster-executed
 	// queries.
-	ClusterAttempts      int64      `json:"cluster_attempts_total"`
-	ClusterRetries       int64      `json:"cluster_retries_total"`
-	SpeculativeAttempts  int64      `json:"speculative_attempts_total"`
-	DatasetStoreHits     int64      `json:"dataset_store_hits_total"`
-	DatasetStoreMisses   int64      `json:"dataset_store_misses_total"`
-	DatasetStorePutBytes int64      `json:"dataset_store_put_bytes_total"`
-	Cache                cacheStats `json:"compiled_pattern_cache"`
+	ClusterAttempts      int64 `json:"cluster_attempts_total"`
+	ClusterRetries       int64 `json:"cluster_retries_total"`
+	SpeculativeAttempts  int64 `json:"speculative_attempts_total"`
+	DatasetStoreHits     int64 `json:"dataset_store_hits_total"`
+	DatasetStoreMisses   int64 `json:"dataset_store_misses_total"`
+	DatasetStorePutBytes int64 `json:"dataset_store_put_bytes_total"`
+	// Cache reports the compiled-pattern cache's entries and, under the
+	// prepared_* keys, the prepared DESQ-DFS states they hold.
+	Cache fstCacheStats `json:"compiled_pattern_cache"`
 	// ResultCache reports the result cache's occupancy and hit counters
 	// (all-zero when result caching is disabled).
 	ResultCache cacheStats `json:"result_cache"`

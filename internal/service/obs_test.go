@@ -203,3 +203,74 @@ func TestExecuteSpanSaysHowTheQueryWasSplit(t *testing.T) {
 		t.Errorf("service.execute span lacks %v", want)
 	}
 }
+
+// TestQuerySaysWhatItReused: the exec block of the response metrics and the
+// service.execute span say whether a query built the prepared DESQ-DFS state
+// (with prepare_ms), mined one an earlier query built, or has none; cache_hit
+// keeps meaning the FST alone; and /metrics totals the states kept, in JSON and
+// as seqmine_prepared_* series.
+func TestQuerySaysWhatItReused(t *testing.T) {
+	srv, rec := newObsServer(t)
+	putExampleDataset(t, srv, "ex")
+	for _, c := range []struct {
+		algo     string
+		sigma    int64
+		prepared string
+		fstHit   bool
+	}{
+		{"dfs", 2, service.PreparedBuilt, false},
+		{"dfs", 3, service.PreparedHit, true},
+		{"dfs", 1, service.PreparedHit, true},
+		{"count", 2, service.PreparedNone, true},
+		{"dseq", 2, service.PreparedNone, true},
+	} {
+		var out service.MineResponse
+		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
+			Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: c.sigma, Algorithm: c.algo, Workers: 2,
+		}, &out)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST /mine %s sigma %d: status %d", c.algo, c.sigma, resp.StatusCode)
+		}
+		exec := out.Metrics.Exec
+		if exec.Prepared != c.prepared || (exec.PrepareMS > 0) != (c.prepared == service.PreparedBuilt) || out.Metrics.CacheHit != c.fstHit {
+			t.Errorf("%s sigma %d: prepared %q, prepare_ms %v, cache_hit %v; want %q, %v",
+				c.algo, c.sigma, exec.Prepared, exec.PrepareMS, out.Metrics.CacheHit, c.prepared, c.fstHit)
+		}
+		attrs := map[string]string{}
+		for _, sp := range rec.TraceSpans(out.TraceID) {
+			if sp.Name == "service.execute" {
+				for _, a := range sp.Attrs {
+					attrs[a.Key] = a.Value
+				}
+			}
+		}
+		if _, timed := attrs["prepare_ms"]; attrs["prepared"] != c.prepared || timed != (c.prepared == service.PreparedBuilt) {
+			t.Errorf("%s sigma %d: service.execute span says %v, want prepared=%s", c.algo, c.sigma, attrs, c.prepared)
+		}
+	}
+
+	var snap struct {
+		Cache    map[string]float64  `json:"compiled_pattern_cache"`
+		Registry []obs.SnapshotEntry `json:"registry"`
+	}
+	if resp := doJSON(t, http.MethodGet, srv.URL+"/metrics", nil, &snap); resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
+	}
+	if c := snap.Cache; c["prepared_entries"] != 1 || c["prepared_bytes"] <= 0 || c["prepared_builds"] != 1 ||
+		c["prepared_hits"] != 2 || c["prepared_evictions"] != 0 || c["size"] != 1 || c["misses"] != 1 {
+		t.Errorf("compiled_pattern_cache = %v", c)
+	}
+	series := map[string]obs.SnapshotEntry{}
+	for _, e := range snap.Registry {
+		series[e.Name] = e
+	}
+	for name, want := range map[string]int64{"seqmine_prepared_entries": 1, "seqmine_prepared_bytes": int64(snap.Cache["prepared_bytes"]),
+		"seqmine_prepared_builds_total": 1, "seqmine_prepared_hits_total": 2, "seqmine_prepared_evictions_total": 0} {
+		if e, ok := series[name]; !ok || e.Value != want {
+			t.Errorf("registry series %s = %+v (present %v), want %d", name, e, ok, want)
+		}
+	}
+	if typ := series["seqmine_prepared_bytes"].Type; typ != "gauge" {
+		t.Errorf("seqmine_prepared_bytes is a %q, want a gauge", typ)
+	}
+}

@@ -2,6 +2,7 @@ package service
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"seqmine/internal/dict"
@@ -43,7 +44,7 @@ type resultCache struct {
 	capacity int
 	ll       *list.List
 	items    map[resultKey]*list.Element
-	inflight map[resultKey]*resultFlight
+	inflight map[resultKey]*flight[cachedResult]
 
 	hits, shared, misses, evictions uint64
 }
@@ -51,12 +52,6 @@ type resultCache struct {
 type resultEntry struct {
 	key resultKey
 	res cachedResult
-}
-
-type resultFlight struct {
-	done chan struct{}
-	res  cachedResult
-	err  error
 }
 
 // newResultCache builds a cache of the given entry capacity; <= 0 disables
@@ -69,7 +64,7 @@ func newResultCache(capacity int) *resultCache {
 		capacity: capacity,
 		ll:       list.New(),
 		items:    make(map[resultKey]*list.Element),
-		inflight: make(map[resultKey]*resultFlight),
+		inflight: make(map[resultKey]*flight[cachedResult]),
 	}
 }
 
@@ -77,49 +72,54 @@ func newResultCache(capacity int) *resultCache {
 // key. Outcomes:
 //
 //   - cached answer: (res, true, nil, nil) — serve it;
-//   - someone else is mining it: blocks, then (res, true, nil, err) with
-//     their outcome;
+//   - someone else is mining it: blocks until they are done or ctx ends, then
+//     (res, true, nil, err) with their outcome or ctx's error — unless their
+//     own context ended, in which case lookup starts over (see flight);
 //   - the caller should mine: (_, false, flight, nil) — mine, then call
 //     resolve(flight, ...) exactly once.
-func (c *resultCache) lookup(key resultKey) (cachedResult, bool, *resultFlight, error) {
+func (c *resultCache) lookup(ctx context.Context, key resultKey) (cachedResult, bool, *flight[cachedResult], error) {
 	if c == nil {
 		return cachedResult{}, false, nil, nil
 	}
-	c.mu.Lock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		res := el.Value.(*resultEntry).res
-		c.mu.Unlock()
-		return res, true, nil, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
+	for {
+		c.mu.Lock()
+		if el, ok := c.items[key]; ok {
+			c.ll.MoveToFront(el)
+			c.hits++
+			res := el.Value.(*resultEntry).res
+			c.mu.Unlock()
+			return res, true, nil, nil
+		}
+		fl, ok := c.inflight[key]
+		if !ok {
+			fl = newFlight[cachedResult]()
+			c.inflight[key] = fl
+			c.misses++
+			c.mu.Unlock()
+			return cachedResult{}, false, fl, nil
+		}
 		c.shared++
 		c.mu.Unlock()
-		<-fl.done
-		return fl.res, true, nil, fl.err
+		if res, retry, err := fl.wait(ctx); !retry {
+			return res, true, nil, err
+		}
 	}
-	fl := &resultFlight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.misses++
-	c.mu.Unlock()
-	return cachedResult{}, false, fl, nil
 }
 
 // resolve completes a flight: a successful answer is inserted into the LRU,
-// an error is delivered to waiters but not cached.
-func (c *resultCache) resolve(key resultKey, fl *resultFlight, res cachedResult, err error) {
+// an error is delivered to waiters but not cached — and not even delivered
+// when it is the end of the owner's own context (see flight).
+func (c *resultCache) resolve(key resultKey, fl *flight[cachedResult], res cachedResult, err error) {
 	if c == nil || fl == nil {
 		return
 	}
-	fl.res, fl.err = res, err
-	close(fl.done)
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if err == nil {
 		c.insert(key, res)
 	}
 	c.mu.Unlock()
+	fl.resolve(res, err)
 }
 
 // insert adds an entry, evicting from the LRU tail. Callers hold c.mu.

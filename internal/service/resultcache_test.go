@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -21,7 +22,7 @@ func TestResultCacheNilDisabled(t *testing.T) {
 	if got := newResultCache(0); got != nil {
 		t.Fatalf("newResultCache(0) = %v, want nil", got)
 	}
-	if _, hit, fl, err := c.lookup(rkey("a")); hit || fl != nil || err != nil {
+	if _, hit, fl, err := c.lookup(context.Background(), rkey("a")); hit || fl != nil || err != nil {
 		t.Fatalf("nil cache lookup = hit=%v flight=%v err=%v, want all-miss", hit, fl, err)
 	}
 	c.resolve(rkey("a"), nil, cachedResult{}, nil) // must not panic
@@ -33,13 +34,13 @@ func TestResultCacheNilDisabled(t *testing.T) {
 
 func TestResultCacheHitAfterResolve(t *testing.T) {
 	c := newResultCache(4)
-	_, hit, fl, _ := c.lookup(rkey("a"))
+	_, hit, fl, _ := c.lookup(context.Background(), rkey("a"))
 	if hit || fl == nil {
 		t.Fatalf("first lookup: hit=%v flight=%v, want miss with flight", hit, fl)
 	}
 	want := cachedResult{patterns: []miner.Pattern{{Items: []dict.ItemID{1}, Freq: 3}}}
 	c.resolve(rkey("a"), fl, want, nil)
-	res, hit, fl2, err := c.lookup(rkey("a"))
+	res, hit, fl2, err := c.lookup(context.Background(), rkey("a"))
 	if !hit || fl2 != nil || err != nil {
 		t.Fatalf("second lookup: hit=%v flight=%v err=%v, want cached hit", hit, fl2, err)
 	}
@@ -54,7 +55,7 @@ func TestResultCacheHitAfterResolve(t *testing.T) {
 
 func TestResultCacheSingleflightShares(t *testing.T) {
 	c := newResultCache(4)
-	_, _, fl, _ := c.lookup(rkey("a"))
+	_, _, fl, _ := c.lookup(context.Background(), rkey("a"))
 	if fl == nil {
 		t.Fatal("leader got no flight")
 	}
@@ -65,7 +66,7 @@ func TestResultCacheSingleflightShares(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func() {
 			started.Done()
-			res, hit, wfl, err := c.lookup(rkey("a"))
+			res, hit, wfl, err := c.lookup(context.Background(), rkey("a"))
 			if !hit || wfl != nil || err != nil {
 				panic(fmt.Sprintf("waiter: hit=%v flight=%v err=%v", hit, wfl, err))
 			}
@@ -88,10 +89,10 @@ func TestResultCacheSingleflightShares(t *testing.T) {
 
 func TestResultCacheErrorNotCached(t *testing.T) {
 	c := newResultCache(4)
-	_, _, fl, _ := c.lookup(rkey("a"))
+	_, _, fl, _ := c.lookup(context.Background(), rkey("a"))
 	done := make(chan error, 1)
 	go func() {
-		_, _, _, err := c.lookup(rkey("a")) // piggybacks on the flight
+		_, _, _, err := c.lookup(context.Background(), rkey("a")) // piggybacks on the flight
 		done <- err
 	}()
 	// Wait until the waiter has attached to the flight (SharedIn counts the
@@ -105,7 +106,7 @@ func TestResultCacheErrorNotCached(t *testing.T) {
 		t.Fatalf("waiter error = %v, want the leader's error", err)
 	}
 	// The error was not cached: the next lookup mines afresh.
-	_, hit, fl2, err := c.lookup(rkey("a"))
+	_, hit, fl2, err := c.lookup(context.Background(), rkey("a"))
 	if hit || fl2 == nil || err != nil {
 		t.Fatalf("post-error lookup: hit=%v flight=%v err=%v, want a fresh miss", hit, fl2, err)
 	}
@@ -115,10 +116,10 @@ func TestResultCacheErrorNotCached(t *testing.T) {
 func TestResultCacheLRUEviction(t *testing.T) {
 	c := newResultCache(2)
 	for _, expr := range []string{"a", "b", "c"} {
-		_, _, fl, _ := c.lookup(rkey(expr))
+		_, _, fl, _ := c.lookup(context.Background(), rkey(expr))
 		c.resolve(rkey(expr), fl, cachedResult{}, nil)
 	}
-	if _, hit, fl, _ := c.lookup(rkey("a")); hit {
+	if _, hit, fl, _ := c.lookup(context.Background(), rkey("a")); hit {
 		t.Fatal("oldest entry should have been evicted")
 	} else {
 		c.resolve(rkey("a"), fl, cachedResult{}, nil)
@@ -132,16 +133,16 @@ func TestResultCacheInvalidateDataset(t *testing.T) {
 	c := newResultCache(8)
 	other := resultKey{dataset: "other", generation: 1, expression: "a", sigma: 2, algorithm: AlgoDSeq}
 	for _, k := range []resultKey{rkey("a"), rkey("b"), other} {
-		_, _, fl, _ := c.lookup(k)
+		_, _, fl, _ := c.lookup(context.Background(), k)
 		c.resolve(k, fl, cachedResult{}, nil)
 	}
 	c.invalidateDataset("ds")
-	if _, hit, fl, _ := c.lookup(rkey("a")); hit {
+	if _, hit, fl, _ := c.lookup(context.Background(), rkey("a")); hit {
 		t.Fatal("invalidated entry still served")
 	} else {
 		c.resolve(rkey("a"), fl, cachedResult{}, nil)
 	}
-	if _, hit, _, _ := c.lookup(other); !hit {
+	if _, hit, _, _ := c.lookup(context.Background(), other); !hit {
 		t.Fatal("unrelated dataset's entry was dropped")
 	}
 }
@@ -149,7 +150,7 @@ func TestResultCacheInvalidateDataset(t *testing.T) {
 func TestResultKeyDistinguishesParameters(t *testing.T) {
 	c := newResultCache(8)
 	base := rkey("a")
-	_, _, fl, _ := c.lookup(base)
+	_, _, fl, _ := c.lookup(context.Background(), base)
 	c.resolve(base, fl, cachedResult{}, nil)
 	variants := []resultKey{
 		{dataset: "ds", generation: 2, expression: "a", sigma: 2, algorithm: AlgoDSeq},
@@ -157,7 +158,7 @@ func TestResultKeyDistinguishesParameters(t *testing.T) {
 		{dataset: "ds", generation: 1, expression: "a", sigma: 2, algorithm: AlgoDCand},
 	}
 	for _, k := range variants {
-		if _, hit, fl, _ := c.lookup(k); hit {
+		if _, hit, fl, _ := c.lookup(context.Background(), k); hit {
 			t.Fatalf("key %+v hit the cache; generation/sigma/algorithm must partition entries", k)
 		} else {
 			c.resolve(k, fl, cachedResult{}, nil)

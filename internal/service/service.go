@@ -117,7 +117,7 @@ func New(cfg Config) *Service {
 	return &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(),
-		cache:   newFSTCache(cfg.CacheSize),
+		cache:   newFSTCache(cfg.CacheSize, cfg.Obs),
 		results: newResultCache(cfg.ResultCacheSize),
 		adm:     newAdmission(cfg.MaxConcurrent, queueDepth, cfg.Obs),
 	}
@@ -363,14 +363,15 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	rkey := resultKey{dataset: ds.Name, generation: ds.Gen, expression: q.Expression,
 		sigma: q.Sigma, algorithm: m.Algorithm}
 	lookupStart := time.Now()
-	var flight *resultFlight
-	if cached, hit, fl, err := s.results.lookup(rkey); hit || err != nil {
+	var owned *flight[cachedResult] // the result flight this query must resolve
+	if cached, hit, fl, err := s.results.lookup(ctx, rkey); hit || err != nil {
 		ds.Release()
 		if err != nil {
 			return nil, fail(err)
 		}
 		m.ResultCacheHit = true
 		m.CacheHit = true // the FST never needed compiling either
+		m.Exec.Prepared = PreparedNone
 		m.MineTime = time.Since(lookupStart)
 		m.Patterns = len(cached.patterns)
 		s.agg.record(m)
@@ -383,13 +384,13 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 		return &Response{Patterns: cached.patterns, Dict: cached.dict, Metrics: m, TraceID: span.TraceID()}, nil
 	} else if fl != nil {
 		// This query now owns the flight: every return path below must
-		// resolve it exactly once or concurrent identical queries would block
-		// forever. All error returns run through fail (wrapped here); the one
+		// resolve it exactly once or concurrent identical queries would wait
+		// out their own deadlines. All error returns run through fail (wrapped here); the one
 		// success return resolves with the answer.
-		flight = fl
+		owned = fl
 		origFail := fail
 		fail = func(err error) error {
-			s.results.resolve(rkey, flight, cachedResult{}, err)
+			s.results.resolve(rkey, owned, cachedResult{}, err)
 			return origFail(err)
 		}
 		s.cfg.Obs.Counter("seqmine_result_cache_misses_total",
@@ -425,7 +426,7 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 
 	key := cacheKey{dataset: ds.Name, generation: ds.Gen, expression: q.Expression}
 	compileStart := time.Now()
-	f, hit, err := s.cache.get(key, func() (*fst.FST, error) {
+	f, hit, err := s.cache.get(ctx, key, func() (*fst.FST, error) {
 		return fst.Compile(q.Expression, ds.DB.Dict)
 	})
 	m.CompileTime = time.Since(compileStart)
@@ -439,21 +440,28 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	}
 
 	mineStart := time.Now()
-	patterns, mrm, exec, err := execute(ctx, f, ds.DB, q.Sigma, opts, cleanup)
+	patterns, mrm, exec, err := execute(ctx, f, ds.DB, q.Sigma, opts, cleanup,
+		func(ctx context.Context, workers int) (*miner.Prepared, bool, error) {
+			return s.cache.prepared(ctx, key, f, ds.DB.Sequences, workers)
+		})
 	m.MineTime = time.Since(mineStart)
 	s.stageHist("mine").Observe(m.MineTime.Seconds())
-	obs.Observe(ctx, "service.execute", mineStart, m.MineTime,
-		obs.String("algorithm", string(m.Algorithm)),
+	attrs := []obs.Attr{obs.String("algorithm", string(m.Algorithm)),
 		obs.Int("workers", int64(exec.Workers)), obs.Int("tasks", int64(exec.Tasks)),
-		obs.String("largest_task_share", strconv.FormatFloat(exec.LargestTaskShare, 'f', 3, 64)))
+		obs.String("largest_task_share", strconv.FormatFloat(exec.LargestTaskShare, 'f', 3, 64)),
+		obs.String("prepared", exec.Prepared)}
+	if exec.Prepared == PreparedBuilt {
+		attrs = append(attrs, obs.String("prepare_ms", strconv.FormatFloat(exec.PrepareMS, 'f', 3, 64)))
+	}
+	obs.Observe(ctx, "service.execute", mineStart, m.MineTime, attrs...)
 	if err != nil {
 		return nil, fail(err)
 	}
 	m.Patterns = len(patterns)
 	m.Exec = exec
 	m.MapReduce = mrm
-	if flight != nil {
-		s.results.resolve(rkey, flight, cachedResult{patterns: patterns, dict: ds.DB.Dict}, nil)
+	if owned != nil {
+		s.results.resolve(rkey, owned, cachedResult{patterns: patterns, dict: ds.DB.Dict}, nil)
 	}
 	s.agg.record(m)
 	s.cfg.Obs.Counter("seqmine_queries_total",

@@ -100,8 +100,10 @@ func TestWorkersMatchSequential(t *testing.T) {
 						if exec.Shards != 1 || exec.Candidates != 0 || exec.Workers != workers {
 							t.Errorf("%s workers %d: exec = %+v", algo, workers, exec)
 						}
-						if split := exec.Tasks > 0 && exec.LargestTaskShare > 0 && exec.LargestTaskShare <= 1; split != (algo == service.AlgoDFS && workers > 1) {
-							t.Errorf("%s workers %d: exec = %+v, want tasks and a share in (0, 1] exactly for parallel dfs", algo, workers, exec)
+						// Through a Service dfs mines a prepared state by tasks on
+						// any number of workers.
+						if split := exec.Tasks > 0 && exec.LargestTaskShare > 0 && exec.LargestTaskShare <= 1; split != (algo == service.AlgoDFS) {
+							t.Errorf("%s workers %d: exec = %+v, want tasks and a share in (0, 1] exactly for dfs", algo, workers, exec)
 						}
 					}
 				}
