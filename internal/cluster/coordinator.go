@@ -16,6 +16,7 @@ import (
 	"time"
 	"weak"
 
+	"seqmine/internal/lru"
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
@@ -60,9 +61,8 @@ type Coordinator struct {
 // bundleRef caches one database's encoded bundle so resubmissions skip
 // re-encoding (the network already skips re-shipping via the store probe).
 type bundleRef struct {
-	data    []byte
-	id      string
-	lastUse uint64
+	data []byte
+	id   string
 }
 
 // bundleCache is shared by all coordinators of the process (the service
@@ -71,11 +71,7 @@ type bundleRef struct {
 // one (e.g. a daemon re-registering a dataset) is not pinned in memory — a
 // GC cleanup drops an entry as soon as its database is collected, and live
 // entries are LRU-evicted beyond the (tiny) capacity.
-var bundleCache = struct {
-	sync.Mutex
-	entries map[weak.Pointer[seqdb.Database]]*bundleRef
-	clock   uint64
-}{entries: map[weak.Pointer[seqdb.Database]]*bundleRef{}}
+var bundleCache = lru.New[weak.Pointer[seqdb.Database], bundleRef](maxBundleCache, nil)
 
 // maxBundleCache bounds the process-wide bundle cache.
 const maxBundleCache = 8
@@ -210,7 +206,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 	}
 
 	// Push the dataset bundle to every live worker that does not hold it.
-	data, datasetID, err := c.bundleFor(db)
+	data, datasetID, err := bundleFor(ctx, db)
 	if err != nil {
 		return nil, err
 	}
@@ -300,38 +296,21 @@ func liveWorkers(pool []*workerRef) []*workerRef {
 }
 
 // bundleFor returns the (cached) encoded bundle of db.
-func (c *Coordinator) bundleFor(db *seqdb.Database) ([]byte, string, error) {
+func bundleFor(ctx context.Context, db *seqdb.Database) ([]byte, string, error) {
 	key := weak.Make(db)
-	bundleCache.Lock()
-	if ref, ok := bundleCache.entries[key]; ok {
-		bundleCache.clock++
-		ref.lastUse = bundleCache.clock
-		data, id := ref.data, ref.id
-		bundleCache.Unlock()
-		return data, id, nil
-	}
-	bundleCache.Unlock()
-	data, id, err := EncodeBundle(db)
-	if err != nil {
-		return nil, "", err
-	}
-	bundleCache.Lock()
-	if _, ok := bundleCache.entries[key]; !ok {
-		for len(bundleCache.entries) >= maxBundleCache {
-			evictOldestLocked(bundleCache.entries, func(r *bundleRef) uint64 { return r.lastUse })
+	ref, _, err := bundleCache.Get(ctx, key, func() (bundleRef, error) {
+		data, id, err := EncodeBundle(db)
+		if err != nil {
+			return bundleRef{}, err
 		}
-		bundleCache.clock++
-		bundleCache.entries[key] = &bundleRef{data: data, id: id, lastUse: bundleCache.clock}
 		// Drop the entry as soon as the database itself is collected, so an
 		// idle daemon does not pin dead bundles until the next cluster query.
 		runtime.AddCleanup(db, func(k weak.Pointer[seqdb.Database]) {
-			bundleCache.Lock()
-			delete(bundleCache.entries, k)
-			bundleCache.Unlock()
+			bundleCache.Remove(func(key weak.Pointer[seqdb.Database], _ bundleRef) bool { return key == k })
 		}, key)
-	}
-	bundleCache.Unlock()
-	return data, id, nil
+		return bundleRef{data: data, id: id}, nil
+	})
+	return ref.data, ref.id, err
 }
 
 // ensureDataset makes one worker hold the bundle: a cheap presence probe,

@@ -1,14 +1,15 @@
 package cluster
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strings"
-	"sync"
 
 	"seqmine/internal/dict"
+	"seqmine/internal/lru"
 	"seqmine/internal/seqdb"
 )
 
@@ -130,20 +131,14 @@ func DecodeBundle(data []byte) (*seqdb.Database, error) {
 }
 
 // Store is a worker's slice of the shared dataset store: decoded bundles in
-// an LRU keyed by content id. All methods are safe for concurrent use.
+// an lru.Cache keyed by content id. All methods are safe for concurrent use.
 type Store struct {
-	mu      sync.Mutex
-	max     int
-	seq     uint64
-	entries map[string]*storeEntry
-
-	hits, misses int64
+	c *lru.Cache[string, storeEntry]
 }
 
 type storeEntry struct {
-	db      *seqdb.Database
-	bytes   int64
-	lastUse uint64
+	db    *seqdb.Database
+	bytes int64
 }
 
 // DefaultStoreEntries is the dataset capacity of a worker's store when none
@@ -151,89 +146,42 @@ type storeEntry struct {
 const DefaultStoreEntries = 16
 
 // NewStore creates a store holding at most maxEntries decoded datasets
-// (<= 0 uses DefaultStoreEntries). Eviction is LRU by last Get/Put.
+// (<= 0 uses DefaultStoreEntries). Eviction is LRU by last Get/Has/Put.
 func NewStore(maxEntries int) *Store {
 	if maxEntries <= 0 {
 		maxEntries = DefaultStoreEntries
 	}
-	return &Store{max: maxEntries, entries: map[string]*storeEntry{}}
+	return &Store{c: lru.New[string, storeEntry](maxEntries, nil)}
 }
 
 // Get returns the decoded dataset for id, if present, bumping its recency.
 func (s *Store) Get(id string) (*seqdb.Database, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[id]
-	if !ok {
-		s.misses++
-		return nil, false
-	}
-	s.seq++
-	e.lastUse = s.seq
-	s.hits++
-	return e.db, true
+	e, ok := s.c.Lookup(id)
+	return e.db, ok
 }
 
-// Has reports whether id is present without counting a hit or miss.
+// Has reports whether id is present.
 func (s *Store) Has(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.entries[id]
+	_, ok := s.c.Lookup(id)
 	return ok
 }
 
-// Put verifies data against id, decodes it and stores the dataset. Storing an
-// id that is already present is a cheap no-op (the bundle is immutable).
+// Put verifies data against id, decodes it and stores the dataset. The bundle
+// is immutable, so storing an id that is already present is a cheap no-op, and
+// concurrent Puts of one id decode it once.
 func (s *Store) Put(id string, data []byte) error {
 	if got := BundleID(data); got != id {
 		return fmt.Errorf("cluster: bundle content hash %s does not match id %s", got, id)
 	}
-	if s.Has(id) {
-		return nil
-	}
-	db, err := DecodeBundle(data)
-	if err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.entries[id]; ok {
-		return nil
-	}
-	s.seq++
-	s.entries[id] = &storeEntry{db: db, bytes: int64(len(data)), lastUse: s.seq}
-	for len(s.entries) > s.max {
-		evictOldestLocked(s.entries, func(e *storeEntry) uint64 { return e.lastUse })
-	}
-	return nil
-}
-
-// evictOldestLocked removes the entry with the smallest recency stamp from
-// m. Shared by the dataset store and the coordinator's bundle cache; callers
-// hold the respective lock, and the maps are tiny (a linear scan beats a
-// heap at these sizes).
-func evictOldestLocked[K comparable, V any](m map[K]V, lastUse func(V) uint64) {
-	var oldestKey K
-	var oldest uint64
-	first := true
-	for k, v := range m {
-		if first || lastUse(v) < oldest {
-			first = false
-			oldest = lastUse(v)
-			oldestKey = k
-		}
-	}
-	if !first {
-		delete(m, oldestKey)
-	}
+	_, _, err := s.c.Get(context.Background(), id, func() (storeEntry, error) {
+		db, err := DecodeBundle(data)
+		return storeEntry{db: db, bytes: int64(len(data))}, err
+	})
+	return err
 }
 
 // Len returns the number of stored datasets.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.entries)
-}
+func (s *Store) Len() int { return s.c.Stats().Size }
 
 // StoreInfo describes one stored dataset.
 type StoreInfo struct {
@@ -242,20 +190,12 @@ type StoreInfo struct {
 	Bytes     int64  `json:"bytes"`
 }
 
-// List returns the stored datasets (unordered).
+// List returns the stored datasets, least recently used first.
 func (s *Store) List() []StoreInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]StoreInfo, 0, len(s.entries))
-	for id, e := range s.entries {
+	out := []StoreInfo{}
+	s.c.Walk(func(id string, e storeEntry) bool {
 		out = append(out, StoreInfo{ID: id, Sequences: len(e.db.Sequences), Bytes: e.bytes})
-	}
+		return true
+	})
 	return out
-}
-
-// Stats returns the lookup hit/miss counters.
-func (s *Store) Stats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
 }

@@ -1,11 +1,20 @@
 package cluster
 
 import (
+	"bytes"
+	"context"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+	"weak"
 
 	"seqmine/internal/paperex"
 	"seqmine/internal/seqdb"
+	"seqmine/internal/transport"
 )
 
 func testDB(t *testing.T) *seqdb.Database {
@@ -138,8 +147,126 @@ func TestStoreLRUEviction(t *testing.T) {
 	if infos := s.List(); len(infos) != 2 {
 		t.Errorf("List returned %d entries, want 2", len(infos))
 	}
-	hits, misses := s.Stats()
-	if hits == 0 {
-		t.Errorf("expected lookup hits, got hits=%d misses=%d", hits, misses)
+	if st := s.c.Stats(); st.Misses != 3 || st.Evictions != 1 {
+		t.Errorf("store cache = %+v, want 3 decodes and 1 eviction", st)
+	}
+}
+
+// TestConcurrentPutsDecodeOnce: N concurrent PUT /datasets/{id} of one bundle
+// all answer 200 and the worker decodes the bundle once.
+func TestConcurrentPutsDecodeOnce(t *testing.T) {
+	node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	w := NewWorker(node)
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	raw := make([][]string, 20000)
+	for i := range raw {
+		raw[i] = []string{"a", "b", "c", "a", "b"}
+	}
+	db, err := seqdb.Build(raw, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, id, err := EncodeBundle(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const n = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	status := make(chan int, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, err := http.NewRequest(http.MethodPut, srv.URL+"/datasets/"+id, bytes.NewReader(data))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			<-start
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			resp.Body.Close()
+			status <- resp.StatusCode
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(status)
+	for code := range status {
+		if code != http.StatusOK {
+			t.Errorf("PUT: status %d, want 200", code)
+		}
+	}
+	if st := w.Store.c.Stats(); st.Misses != 1 || st.Hits+st.SharedIn != n-1 || st.Size != 1 {
+		t.Errorf("store cache = %+v, want one decode shared by %d PUTs", st, n)
+	}
+}
+
+// TestBundleCacheEncodesOnce: a resubmitted database is encoded once, and
+// however many live databases are submitted the cache holds at most
+// maxBundleCache bundles.
+func TestBundleCacheEncodesOnce(t *testing.T) {
+	ctx := context.Background()
+	db := testDB(t)
+	before := bundleCache.Stats()
+	d1, id1, err := bundleFor(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, id2, err := bundleFor(ctx, db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := bundleCache.Stats(); st.Misses != before.Misses+1 || st.Hits != before.Hits+1 {
+		t.Errorf("bundle cache %+v after %+v, want one encode and one hit", st, before)
+	}
+	if id1 != id2 || &d1[0] != &d2[0] {
+		t.Error("the resubmission did not get the cached bundle")
+	}
+
+	dbs := make([]*seqdb.Database, 2*maxBundleCache)
+	for i := range dbs {
+		dbs[i] = testDB(t)
+		if _, _, err := bundleFor(ctx, dbs[i]); err != nil {
+			t.Fatal(err)
+		}
+		if size := bundleCache.Stats().Size; size > maxBundleCache {
+			t.Fatalf("bundle cache holds %d bundles, want at most %d", size, maxBundleCache)
+		}
+	}
+	if st := bundleCache.Stats(); st.Size != maxBundleCache {
+		t.Errorf("bundle cache holds %d bundles of %d live databases, want %d", st.Size, len(dbs), maxBundleCache)
+	}
+	runtime.KeepAlive(dbs)
+}
+
+// TestBundleCacheDropsReleasedDatabase: once the program drops a database,
+// the GC cleanup removes its bundle.
+func TestBundleCacheDropsReleasedDatabase(t *testing.T) {
+	key := func() weak.Pointer[seqdb.Database] {
+		db := testDB(t)
+		if _, _, err := bundleFor(context.Background(), db); err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(db)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		runtime.GC()
+		if _, ok := bundleCache.Lookup(key); !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the bundle of a released database is still cached")
+		}
 	}
 }

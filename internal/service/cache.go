@@ -1,14 +1,12 @@
 package service
 
 import (
-	"container/list"
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/fst"
+	"seqmine/internal/lru"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
 )
@@ -32,24 +30,15 @@ type cacheKey struct {
 // expression) pairs.
 const preparedBudget = 64 << 20
 
-// fstCache is an LRU cache of compiled FSTs with singleflight deduplication:
-// concurrent lookups of the same key while a compile is in flight block and
-// share the one result instead of compiling again. An entry also carries the
-// prepared DESQ-DFS state of its (dataset generation, expression) once a dfs
-// query has built it, charged against one byte budget across the cache.
+// fstCache is the compiled-pattern cache: an lru.Cache of compiled FSTs whose
+// entries also carry the prepared DESQ-DFS state of their (dataset generation,
+// expression) once a dfs query has built it, charged against one byte budget
+// across the cache.
 type fstCache struct {
-	mu       sync.Mutex
-	capacity int
-	budget   int64      // preparedBudget; tests lower it
-	ll       *list.List // front = most recently used
-	items    map[cacheKey]*list.Element
-	inflight map[cacheKey]*flight[*fst.FST]
+	entries *lru.Cache[cacheKey, *cacheEntry]
 
-	hits      uint64 // served from cache without waiting
-	shared    uint64 // served by waiting on an in-flight compile
-	misses    uint64 // triggered a compile
-	evictions uint64
-
+	mu     sync.Mutex // guards every entry's prepared fields and the accounting below
+	budget int64      // preparedBudget; tests lower it
 	preparedStats
 	// registry mirrors of the five (nil-safe).
 	prepEntriesGauge, prepBytesGauge             *obs.Gauge
@@ -66,65 +55,31 @@ type preparedStats struct {
 }
 
 type cacheEntry struct {
-	key        cacheKey
 	fst        *fst.FST
-	prep       *miner.Prepared          // nil until built, and again once evicted
-	prepFlight *flight[*miner.Prepared] // the build in progress, if any
-}
-
-// flight is one computation in progress that concurrent callers of a cache
-// share. Compiled FSTs, prepared states and results follow one rule: a waiter
-// watches its own context as well as the flight, and an owner that ended in
-// its own cancellation or deadline leaves nothing behind — neither a value nor
-// a cached error — so waiters whose contexts are live go round again and one
-// of them becomes the owner.
-type flight[T any] struct {
-	done chan struct{}
-	val  T
-	err  error
-}
-
-func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})} }
-
-// resolve publishes the owner's outcome to the waiters. The owner takes the
-// flight out of its cache first, so that a waiter going round again does not
-// find it.
-func (fl *flight[T]) resolve(val T, err error) {
-	fl.val, fl.err = val, err
-	close(fl.done)
-}
-
-// wait returns the owner's outcome — retry, and nothing else, when that is the
-// end of the owner's own context — or ctx's error as soon as ctx ends.
-func (fl *flight[T]) wait(ctx context.Context) (val T, retry bool, err error) {
-	select {
-	case <-fl.done:
-		if errors.Is(fl.err, context.Canceled) || errors.Is(fl.err, context.DeadlineExceeded) {
-			return val, true, nil
-		}
-		return fl.val, false, fl.err
-	case <-ctx.Done():
-		return val, false, ctx.Err()
-	}
+	prep       *miner.Prepared              // nil until built, and again once dropped
+	prepFlight *lru.Flight[*miner.Prepared] // the build in progress, if any
+	gone       bool                         // evicted or invalidated: retains no state
 }
 
 func newFSTCache(capacity int, reg *obs.Registry) *fstCache {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	return &fstCache{
-		capacity: capacity,
-		budget:   preparedBudget,
-		ll:       list.New(),
-		items:    make(map[cacheKey]*list.Element),
-		inflight: make(map[cacheKey]*flight[*fst.FST]),
-
+	c := &fstCache{
+		budget:           preparedBudget,
 		prepEntriesGauge: reg.Gauge("seqmine_prepared_entries", "Compiled-pattern cache entries holding a prepared DESQ-DFS state."),
 		prepBytesGauge:   reg.Gauge("seqmine_prepared_bytes", "Bytes of prepared DESQ-DFS states retained."),
 		prepHitsCtr:      reg.Counter("seqmine_prepared_hits_total", "dfs queries that mined a prepared state built by an earlier or concurrent query."),
 		prepBuildsCtr:    reg.Counter("seqmine_prepared_builds_total", "Prepared DESQ-DFS states built."),
 		prepEvictionsCtr: reg.Counter("seqmine_prepared_evictions_total", "Prepared DESQ-DFS states dropped for the byte budget or with an evicted entry."),
 	}
+	c.entries = lru.New(capacity, func(_ cacheKey, e *cacheEntry) {
+		c.mu.Lock()
+		e.gone = true
+		c.dropPrepared(e, true)
+		c.mu.Unlock()
+	})
+	return c
 }
 
 // get returns the compiled FST for key, calling compile at most once across
@@ -132,69 +87,14 @@ func newFSTCache(capacity int, reg *obs.Registry) *fstCache {
 // caller was served without compiling itself (a cache hit or a shared
 // in-flight result).
 func (c *fstCache) get(ctx context.Context, key cacheKey, compile func() (*fst.FST, error)) (*fst.FST, bool, error) {
-	for {
-		c.mu.Lock()
-		if el, ok := c.items[key]; ok {
-			c.ll.MoveToFront(el)
-			c.hits++
-			f := el.Value.(*cacheEntry).fst
-			c.mu.Unlock()
-			return f, true, nil
-		}
-		fl, ok := c.inflight[key]
-		if !ok {
-			break
-		}
-		c.shared++
-		c.mu.Unlock()
-		if f, retry, err := fl.wait(ctx); !retry {
-			return f, true, err
-		}
+	e, shared, err := c.entries.Get(ctx, key, func() (*cacheEntry, error) {
+		f, err := compile()
+		return &cacheEntry{fst: f}, err
+	})
+	if err != nil {
+		return nil, shared, err
 	}
-	fl := newFlight[*fst.FST]()
-	c.inflight[key] = fl
-	c.misses++
-	c.mu.Unlock()
-
-	// A panicking compile must still resolve the flight, or every waiter on
-	// this key (each holding a concurrency slot and dataset lease) would
-	// block until its deadline; it is reported as an error instead.
-	var f *fst.FST
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				f, err = nil, fmt.Errorf("compiling pattern: panic: %v", r)
-			}
-		}()
-		f, err = compile()
-	}()
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.insert(key, f)
-	}
-	c.mu.Unlock()
-	fl.resolve(f, err)
-	return f, false, err
-}
-
-// insert adds an entry, evicting from the LRU tail. Callers hold c.mu.
-func (c *fstCache) insert(key cacheKey, f *fst.FST) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).fst = f
-		return
-	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, fst: f})
-	for c.ll.Len() > c.capacity {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.items, tail.Value.(*cacheEntry).key)
-		c.evictions++
-		c.dropPrepared(tail.Value.(*cacheEntry), true)
-	}
+	return e.fst, shared, nil
 }
 
 // prepared returns the prepared DESQ-DFS state of key's entry — the state of f
@@ -206,17 +106,15 @@ func (c *fstCache) insert(key cacheKey, f *fst.FST) {
 // retained. Nothing is reference-counted: a state a query is mining stays
 // alive through that query's pointer and is collected after it.
 func (c *fstCache) prepared(ctx context.Context, key cacheKey, f *fst.FST, seqs [][]dict.ItemID, workers int) (p *miner.Prepared, built bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, false, err
+	}
 	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		c.mu.Lock()
-		el := c.items[key]
-		if el == nil { // evicted or invalidated since get: build for this query alone
-			c.mu.Unlock()
+		e, ok := c.entries.Lookup(key)
+		if !ok { // evicted or invalidated since get: build for this query alone
 			return c.prepare(ctx, nil, f, seqs, workers)
 		}
-		e := el.Value.(*cacheEntry)
+		c.mu.Lock()
 		if p := e.prep; p != nil {
 			c.prepHit()
 			c.mu.Unlock()
@@ -224,12 +122,12 @@ func (c *fstCache) prepared(ctx context.Context, key cacheKey, f *fst.FST, seqs 
 		}
 		fl := e.prepFlight
 		if fl == nil {
-			e.prepFlight = newFlight[*miner.Prepared]()
+			e.prepFlight = lru.NewFlight[*miner.Prepared]()
 			c.mu.Unlock()
-			return c.prepare(ctx, el, f, seqs, workers)
+			return c.prepare(ctx, e, f, seqs, workers)
 		}
 		c.mu.Unlock()
-		if p, retry, err := fl.wait(ctx); !retry {
+		if p, retry, err := fl.Wait(ctx); !retry {
 			if err == nil {
 				c.mu.Lock()
 				c.prepHit()
@@ -240,10 +138,10 @@ func (c *fstCache) prepared(ctx context.Context, key cacheKey, f *fst.FST, seqs 
 	}
 }
 
-// prepare builds a state as the owner of el's flight (el is nil for a caller
-// whose entry left the cache), retains it if el is still cached and the state
+// prepare builds a state as the owner of e's flight (e is nil for a caller
+// whose entry left the cache), retains it if e is still cached and the state
 // fits the budget, and resolves the flight.
-func (c *fstCache) prepare(ctx context.Context, el *list.Element, f *fst.FST, seqs [][]dict.ItemID, workers int) (*miner.Prepared, bool, error) {
+func (c *fstCache) prepare(ctx context.Context, e *cacheEntry, f *fst.FST, seqs [][]dict.ItemID, workers int) (*miner.Prepared, bool, error) {
 	p := miner.Prepare(ctx, f, seqs, workers)
 	var err error
 	if p == nil {
@@ -254,17 +152,16 @@ func (c *fstCache) prepare(ctx context.Context, el *list.Element, f *fst.FST, se
 		c.PreparedBuilds++
 		c.prepBuildsCtr.Inc()
 	}
-	var fl *flight[*miner.Prepared]
-	if el != nil {
-		e := el.Value.(*cacheEntry)
+	var fl *lru.Flight[*miner.Prepared]
+	if e != nil {
 		fl, e.prepFlight = e.prepFlight, nil
-		if p != nil && c.items[e.key] == el && p.Bytes() <= c.budget {
-			c.retain(el, p)
+		if p != nil && !e.gone && p.Bytes() <= c.budget {
+			c.retain(e, p)
 		}
 	}
 	c.mu.Unlock()
 	if fl != nil {
-		fl.resolve(p, err)
+		fl.Resolve(p, err)
 	}
 	return p, p != nil, err
 }
@@ -275,18 +172,22 @@ func (c *fstCache) prepHit() {
 	c.prepHitsCtr.Inc()
 }
 
-// retain puts p, which fits the budget, on el's entry and takes the prepared
-// states of the least recently used other entries until the sum fits too.
-// Callers hold c.mu.
-func (c *fstCache) retain(el *list.Element, p *miner.Prepared) {
-	el.Value.(*cacheEntry).prep = p
+// retain puts p, which fits the budget, on e and takes the prepared states of
+// the least recently used other entries until the sum fits too. Callers hold
+// c.mu.
+func (c *fstCache) retain(e *cacheEntry, p *miner.Prepared) {
+	e.prep = p
 	c.PreparedEntries++
 	c.PreparedBytes += p.Bytes()
-	for v := c.ll.Back(); v != nil && c.PreparedBytes > c.budget; v = v.Prev() {
-		if v != el {
-			c.dropPrepared(v.Value.(*cacheEntry), true)
+	c.entries.Walk(func(_ cacheKey, v *cacheEntry) bool {
+		if c.PreparedBytes <= c.budget {
+			return false
 		}
-	}
+		if v != e {
+			c.dropPrepared(v, true)
+		}
+		return true
+	})
 	c.prepEntriesGauge.Set(int64(c.PreparedEntries))
 	c.prepBytesGauge.Set(c.PreparedBytes)
 }
@@ -310,52 +211,28 @@ func (c *fstCache) dropPrepared(e *cacheEntry, evicted bool) {
 }
 
 // invalidateDataset drops every cached FST belonging to the named dataset
-// (any generation). Entries would age out anyway once unreachable; this frees
-// them eagerly when a dataset is unregistered.
+// (any generation), and their prepared states. Entries would age out anyway
+// once unreachable; this frees them eagerly when a dataset is replaced or
+// unregistered.
 func (c *fstCache) invalidateDataset(name string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; {
-		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.dataset == name {
-			c.ll.Remove(el)
-			delete(c.items, e.key)
-			c.dropPrepared(e, false)
-		}
-		el = next
+	for _, e := range c.entries.Remove(func(k cacheKey, _ *cacheEntry) bool { return k.dataset == name }) {
+		e.gone = true
+		c.dropPrepared(e, false)
 	}
-}
-
-// cacheStats is a point-in-time snapshot of the cache counters.
-type cacheStats struct {
-	Size      int    `json:"size"`
-	Capacity  int    `json:"capacity"`
-	Hits      uint64 `json:"hits"`
-	SharedIn  uint64 `json:"shared_inflight"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
 }
 
 // fstCacheStats is a snapshot of the compiled-pattern cache's entry counters
 // and prepared-state accounting.
 type fstCacheStats struct {
-	cacheStats
+	lru.Stats
 	preparedStats
 }
 
 func (c *fstCache) stats() fstCacheStats {
+	st := c.entries.Stats()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return fstCacheStats{
-		cacheStats: cacheStats{
-			Size:      c.ll.Len(),
-			Capacity:  c.capacity,
-			Hits:      c.hits,
-			SharedIn:  c.shared,
-			Misses:    c.misses,
-			Evictions: c.evictions,
-		},
-		preparedStats: c.preparedStats,
-	}
+	return fstCacheStats{Stats: st, preparedStats: c.preparedStats}
 }

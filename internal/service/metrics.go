@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"seqmine/internal/lru"
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/obs"
 )
@@ -141,7 +142,7 @@ type Snapshot struct {
 	Cache fstCacheStats `json:"compiled_pattern_cache"`
 	// ResultCache reports the result cache's occupancy and hit counters
 	// (all-zero when result caching is disabled).
-	ResultCache cacheStats `json:"result_cache"`
+	ResultCache lru.Stats `json:"result_cache"`
 	// Admission reports the admission gate's live and cumulative load
 	// counters (all-zero when MaxConcurrent is 0, i.e. admission disabled).
 	Admission admissionStats `json:"admission"`

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -141,6 +142,30 @@ func TestMetricsPrometheusOverHTTP(t *testing.T) {
 		if stats.SeriesByName[want] == 0 {
 			t.Errorf("exposition missing %s (series: %v)", want, stats.SeriesByName)
 		}
+	}
+	// The admission gate exports exactly these samples, one series per
+	// question (no second gauge of the slots in use).
+	admission := map[string]int{}
+	for name, n := range stats.SeriesByName {
+		if strings.HasPrefix(name, "seqmine_admission_") || name == "seqmine_active_queries" {
+			admission[name] = n
+		}
+	}
+	histogram := len(obs.DurationBuckets) + 1 // the buckets and +Inf
+	if want := map[string]int{
+		"seqmine_admission_inflight":                   1,
+		"seqmine_admission_queue_depth":                1,
+		"seqmine_admission_queue_depth_max":            1,
+		"seqmine_admission_admitted_total":             1,
+		"seqmine_admission_shed_total":                 2, // reason="queue_full", "tenant_quota"
+		"seqmine_admission_wait_seconds_bucket":        histogram,
+		"seqmine_admission_wait_seconds_sum":           1,
+		"seqmine_admission_wait_seconds_count":         1,
+		"seqmine_admission_retry_after_seconds_bucket": histogram,
+		"seqmine_admission_retry_after_seconds_sum":    1,
+		"seqmine_admission_retry_after_seconds_count":  1,
+	}; !reflect.DeepEqual(admission, want) {
+		t.Errorf("admission samples = %v, want %v", admission, want)
 	}
 
 	// The JSON default now carries the same series in flattened form.

@@ -40,10 +40,10 @@ func await(t *testing.T, what string, cond func() bool) {
 
 // building reports whether a prepared-state build of key is in flight.
 func (c *fstCache) building(key cacheKey) bool {
+	e, ok := c.entries.Lookup(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el := c.items[key]
-	return el != nil && el.Value.(*cacheEntry).prepFlight != nil
+	return ok && e.prepFlight != nil
 }
 
 func dfsQuery(dataset, expr string, sigma int64, workers int) Query {
@@ -139,14 +139,22 @@ func TestWaiterLeavesOnItsOwnDeadline(t *testing.T) {
 	})
 	t.Run("result", func(t *testing.T) {
 		c := newResultCache(4)
-		_, _, fl, _ := c.lookup(context.Background(), rkey("a"))
+		release, owner := make(chan struct{}), make(chan error, 1)
+		go func() {
+			_, _, err := c.Get(context.Background(), rkey("a"), func() (cachedResult, error) { <-release; return cachedResult{}, nil })
+			owner <- err
+		}()
+		await(t, "the owner to mine", func() bool { return c.Stats().Misses == 1 })
 		ctx, cancel := short()
 		defer cancel()
-		if _, _, wfl, err := c.lookup(ctx, rkey("a")); !errors.Is(err, context.DeadlineExceeded) || wfl != nil {
-			t.Errorf("waiter returned flight %v, err %v, want its own deadline", wfl, err)
+		if _, shared, err := c.Get(ctx, rkey("a"), nil); !errors.Is(err, context.DeadlineExceeded) || !shared {
+			t.Errorf("waiter returned shared %v, err %v, want its own deadline", shared, err)
 		}
-		c.resolve(rkey("a"), fl, cachedResult{}, nil)
-		if _, hit, _, err := c.lookup(context.Background(), rkey("a")); !hit || err != nil {
+		close(release)
+		if err := <-owner; err != nil {
+			t.Errorf("owner: %v", err)
+		}
+		if _, hit, err := c.Get(context.Background(), rkey("a"), nil); !hit || err != nil {
 			t.Errorf("after the owner resolved: hit %v, err %v", hit, err)
 		}
 	})
@@ -232,7 +240,7 @@ func TestWaiterOutlivesCancelledOwner(t *testing.T) {
 			_, err := svc.Mine(ownerCtx, q)
 			owner <- err
 		}()
-		await(t, "the owner to mine", func() bool { return svc.results.stats().Misses == 1 })
+		await(t, "the owner to mine", func() bool { return svc.results.Stats().Misses == 1 })
 		waiter := make(chan *Response, 1)
 		go func() {
 			resp, err := svc.Mine(context.Background(), q)
@@ -241,7 +249,7 @@ func TestWaiterOutlivesCancelledOwner(t *testing.T) {
 			}
 			waiter <- resp
 		}()
-		await(t, "the waiter to join the flight", func() bool { return svc.results.stats().SharedIn == 1 })
+		await(t, "the waiter to join the flight", func() bool { return svc.results.Stats().SharedIn == 1 })
 		cancel()
 		if err := <-owner; !errors.Is(err, context.Canceled) {
 			t.Fatalf("owner returned %v, want context.Canceled", err)

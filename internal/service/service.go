@@ -26,6 +26,7 @@ import (
 
 	"seqmine/internal/dict"
 	"seqmine/internal/fst"
+	"seqmine/internal/lru"
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
 	"seqmine/internal/plan"
@@ -95,7 +96,7 @@ type Service struct {
 	cfg     Config
 	reg     *Registry
 	cache   *fstCache
-	results *resultCache // nil when ResultCacheSize == 0
+	results *lru.Cache[resultKey, cachedResult] // nil when ResultCacheSize <= 0
 	adm     *admission
 	agg     aggregator
 }
@@ -175,10 +176,17 @@ func (s *Service) RegisterDatasetAs(name string, db *seqdb.Database, tenant *Ten
 	}
 	gen, err := s.reg.RegisterOwned(name, db, owner)
 	if err == nil && gen > 1 {
-		s.cache.invalidateDataset(name)
-		s.results.invalidateDataset(name)
+		s.invalidateDataset(name)
 	}
 	return gen, err
+}
+
+// invalidateDataset drops the cached FSTs, prepared states and results of
+// every generation of the named dataset. Replacement bumps the generation, so
+// stale keys are unreachable anyway; this frees their memory eagerly.
+func (s *Service) invalidateDataset(name string) {
+	s.cache.invalidateDataset(name)
+	s.results.Remove(func(k resultKey, _ cachedResult) bool { return k.dataset == name })
 }
 
 // checkDatasetQuota enforces a tenant's MaxDatasets bound. Replacing a
@@ -224,8 +232,7 @@ func (s *Service) RemoveDatasetAs(name string, tenant *Tenant) (bool, error) {
 	}
 	ok := s.reg.Unregister(name)
 	if ok {
-		s.cache.invalidateDataset(name)
-		s.results.invalidateDataset(name)
+		s.invalidateDataset(name)
 		if s.cfg.Catalog != nil {
 			if err := s.cfg.Catalog.Delete(name); err != nil {
 				return true, fmt.Errorf("unpersisting dataset %q: %w", name, err)
@@ -359,57 +366,55 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 
 	// Result cache: a hit (or piggybacking on an identical in-flight query)
 	// serves the answer without consuming an admission slot — the cheap path
-	// that keeps repeated analyst queries off the mining pool entirely.
+	// that keeps repeated analyst queries off the mining pool entirely. A miss
+	// mines under the flight, which resolves with whatever mine returns.
 	rkey := resultKey{dataset: ds.Name, generation: ds.Gen, expression: q.Expression,
 		sigma: q.Sigma, algorithm: m.Algorithm}
 	lookupStart := time.Now()
-	var owned *flight[cachedResult] // the result flight this query must resolve
-	if cached, hit, fl, err := s.results.lookup(ctx, rkey); hit || err != nil {
-		ds.Release()
-		if err != nil {
-			return nil, fail(err)
+	res, shared, err := s.results.Get(ctx, rkey, func() (cachedResult, error) {
+		if s.results != nil {
+			s.cfg.Obs.Counter("seqmine_result_cache_misses_total",
+				"Queries that missed the result cache and mined.").Inc()
 		}
+		return s.mine(ctx, ds, q, opts, &m) // takes over the dataset lease
+	})
+	if shared {
+		ds.Release()
+	}
+	if err != nil {
+		return nil, fail(err)
+	}
+	if shared {
 		m.ResultCacheHit = true
 		m.CacheHit = true // the FST never needed compiling either
 		m.Exec.Prepared = PreparedNone
 		m.MineTime = time.Since(lookupStart)
-		m.Patterns = len(cached.patterns)
-		s.agg.record(m)
 		s.cfg.Obs.Counter("seqmine_result_cache_hits_total",
 			"Queries served from the result cache (including shared in-flight answers).").Inc()
-		s.cfg.Obs.Counter("seqmine_queries_total",
-			"Queries served successfully.", "algorithm", string(m.Algorithm)).Inc()
 		span.SetAttr("result_cache_hit", "true")
-		span.SetAttrInt("patterns", int64(m.Patterns))
-		return &Response{Patterns: cached.patterns, Dict: cached.dict, Metrics: m, TraceID: span.TraceID()}, nil
-	} else if fl != nil {
-		// This query now owns the flight: every return path below must
-		// resolve it exactly once or concurrent identical queries would wait
-		// out their own deadlines. All error returns run through fail (wrapped here); the one
-		// success return resolves with the answer.
-		owned = fl
-		origFail := fail
-		fail = func(err error) error {
-			s.results.resolve(rkey, owned, cachedResult{}, err)
-			return origFail(err)
-		}
-		s.cfg.Obs.Counter("seqmine_result_cache_misses_total",
-			"Queries that missed the result cache and mined.").Inc()
 	}
+	m.Patterns = len(res.patterns)
+	s.agg.record(m)
+	s.cfg.Obs.Counter("seqmine_queries_total",
+		"Queries served successfully.", "algorithm", string(m.Algorithm)).Inc()
+	span.SetAttrInt("patterns", int64(m.Patterns))
+	return &Response{Patterns: res.patterns, Dict: res.dict, Metrics: m, TraceID: span.TraceID()}, nil
+}
 
+// mine answers a query the result cache does not hold: admission, compile,
+// execute. It writes the stage metrics into m and releases ds when the mining
+// work has ended, which may be after mine returned on ctx.
+func (s *Service) mine(ctx context.Context, ds *Dataset, q Query, opts ExecOptions, m *QueryMetrics) (cachedResult, error) {
 	// Admission: the bounded queue and the tenant's in-flight quota. Shed
 	// queries error with OverloadError (HTTP 429 + Retry-After).
-	tenant := TenantFrom(ctx)
 	admitStart := time.Now()
-	release, err := s.adm.acquire(ctx, tenant)
+	release, err := s.adm.acquire(ctx, TenantFrom(ctx))
 	if err != nil {
 		ds.Release()
-		return nil, fail(err)
+		return cachedResult{}, err
 	}
 	s.stageHist("queue").Observe(time.Since(admitStart).Seconds())
 	s.agg.addActive(1)
-	activeGauge := s.cfg.Obs.Gauge("seqmine_active_queries", "Queries currently holding a mining slot.")
-	activeGauge.Add(1)
 	served := time.Now()
 
 	// The admission slot, active counter and dataset lease are held for the
@@ -419,7 +424,6 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	cleanup := func() {
 		ds.Release()
 		s.agg.addActive(-1)
-		activeGauge.Add(-1)
 		s.adm.done(time.Since(served))
 		release()
 	}
@@ -436,7 +440,7 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 		obs.String("cache_hit", strconv.FormatBool(hit)))
 	if err != nil {
 		cleanup()
-		return nil, fail(fmt.Errorf("compiling %q: %w", q.Expression, err))
+		return cachedResult{}, fmt.Errorf("compiling %q: %w", q.Expression, err)
 	}
 
 	mineStart := time.Now()
@@ -455,19 +459,11 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	}
 	obs.Observe(ctx, "service.execute", mineStart, m.MineTime, attrs...)
 	if err != nil {
-		return nil, fail(err)
+		return cachedResult{}, err
 	}
-	m.Patterns = len(patterns)
 	m.Exec = exec
 	m.MapReduce = mrm
-	if owned != nil {
-		s.results.resolve(rkey, owned, cachedResult{patterns: patterns, dict: ds.DB.Dict}, nil)
-	}
-	s.agg.record(m)
-	s.cfg.Obs.Counter("seqmine_queries_total",
-		"Queries served successfully.", "algorithm", string(m.Algorithm)).Inc()
-	span.SetAttrInt("patterns", int64(m.Patterns))
-	return &Response{Patterns: patterns, Dict: ds.DB.Dict, Metrics: m, TraceID: span.TraceID()}, nil
+	return cachedResult{patterns: patterns, dict: ds.DB.Dict}, nil
 }
 
 // stageHist returns the stage-latency histogram series for one serving
@@ -492,7 +488,7 @@ func (s *Service) Decode(dataset string, p miner.Pattern) (string, error) {
 func (s *Service) Metrics() Snapshot {
 	snap := s.agg.snapshot()
 	snap.Cache = s.cache.stats()
-	snap.ResultCache = s.results.stats()
+	snap.ResultCache = s.results.Stats()
 	snap.Admission = s.adm.stats()
 	snap.Datasets = s.reg.List()
 	snap.Registry = s.cfg.Obs.Snapshot()

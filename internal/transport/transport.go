@@ -540,7 +540,9 @@ func (e *Exchange) dialPeer(p int) error {
 		return fmt.Errorf("handshake ack version %d, want %d", ack[0], protocolVersion)
 	}
 	_ = conn.SetDeadline(time.Time{})
+	e.mu.Lock() // fail may walk e.outs while other peers are still dialing
 	e.outs[p] = &outConn{conn: conn, bw: bw}
+	e.mu.Unlock()
 	return nil
 }
 
@@ -666,10 +668,8 @@ func (e *Exchange) Send(dst int, frame []byte) error {
 		return oc.err
 	}
 	if err := writeFrame(oc.bw, frame); err != nil {
-		perr := &PeerError{Peer: dst, Err: fmt.Errorf("sending: %w", err)}
-		oc.err = perr
-		e.fail(perr)
-		return perr
+		oc.err = e.writeFailed(dst, "sending", err)
+		return oc.err
 	}
 	e.stats[dst].framesOut.Add(1)
 	return nil
@@ -693,7 +693,7 @@ func (e *Exchange) CloseSend() error {
 				err = oc.bw.Flush()
 			}
 			if err != nil {
-				err = &PeerError{Peer: p, Err: fmt.Errorf("closing send: %w", err)}
+				err = e.writeFailed(p, "closing send", err)
 			}
 			oc.err = err
 		}
@@ -794,9 +794,10 @@ func (e *Exchange) Close() error {
 	e.closed = true
 	close(e.closedCh)
 	ins := append([]net.Conn(nil), e.ins...)
+	outs := append([]*outConn(nil), e.outs...)
 	e.mu.Unlock()
 
-	for _, oc := range e.outs {
+	for _, oc := range outs {
 		if oc != nil {
 			oc.conn.Close()
 		}
@@ -810,14 +811,28 @@ func (e *Exchange) Close() error {
 	return nil
 }
 
-// fail records the first error and wakes every blocked Recv.
+// fail records the first error and wakes every blocked Recv and Send: a past
+// write deadline cuts short a Send blocked on a live peer that stopped reading
+// (its own exchange failed), which would otherwise wait forever.
 func (e *Exchange) fail(err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.err == nil {
 		e.err = err
 		close(e.failed)
+		for _, oc := range e.outs {
+			if oc != nil {
+				_ = oc.conn.SetWriteDeadline(time.Now())
+			}
+		}
 	}
+}
+
+// writeFailed fails the exchange with a PeerError naming p and returns the
+// exchange's first failure, so a write cut short by fail reports its cause.
+func (e *Exchange) writeFailed(p int, op string, err error) error {
+	e.fail(&PeerError{Peer: p, Err: fmt.Errorf("%s: %w", op, err)})
+	return e.Err()
 }
 
 // countingWriter forwards writes and adds the written byte counts to its

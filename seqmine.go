@@ -328,7 +328,9 @@ func (s *Service) RemoveDataset(name string) bool { return s.inner.RemoveDataset
 
 // Mine runs one query against a registered dataset. Repeated queries with
 // the same expression reuse the cached compiled FST; execution runs on the
-// service's worker pool and honors ctx cancellation and deadlines.
+// service's worker pool and honors ctx cancellation and deadlines. The
+// returned patterns are the caller's own: editing them cannot change what the
+// result cache serves the next identical query.
 func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma int64, opts Options) (*Result, QueryMetrics, error) {
 	resp, err := s.inner.Mine(ctx, service.Query{
 		Dataset:    dataset,
@@ -339,7 +341,22 @@ func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma in
 	if err != nil {
 		return nil, QueryMetrics{}, err
 	}
-	return &Result{Patterns: resp.Patterns, Metrics: resp.Metrics.MapReduce}, resp.Metrics, nil
+	return &Result{Patterns: clonePatterns(resp.Patterns), Metrics: resp.Metrics.MapReduce}, resp.Metrics, nil
+}
+
+// clonePatterns copies ps, with one backing array for all of their items.
+func clonePatterns(ps []Pattern) []Pattern {
+	n := 0
+	for _, p := range ps {
+		n += len(p.Items)
+	}
+	items := make([]dict.ItemID, 0, n)
+	out := make([]Pattern, len(ps))
+	for i, p := range ps {
+		items = append(items, p.Items...)
+		out[i] = Pattern{Items: items[len(items)-len(p.Items) : len(items) : len(items)], Freq: p.Freq}
+	}
+	return out
 }
 
 // Metrics returns a snapshot of the service's aggregate metrics.

@@ -264,3 +264,38 @@ func TestServiceMine(t *testing.T) {
 		t.Error("mining a removed dataset should fail")
 	}
 }
+
+// TestServiceMineReturnsCallersOwnPatterns: a library caller that edits the
+// patterns Mine returned does not change what the result cache serves the
+// next identical query.
+func TestServiceMineReturnsCallersOwnPatterns(t *testing.T) {
+	db := runningExampleDB(t)
+	svc := seqmine.NewService(seqmine.ServiceOptions{ResultCacheSize: 8})
+	if err := svc.RegisterDatabase("ex", db); err != nil {
+		t.Fatal(err)
+	}
+	opts := seqmine.DefaultOptions()
+	first, _, err := svc.Mine(context.Background(), "ex", paperex.PatternExpression, paperex.Sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := first.Patterns[0]
+	if len(p.Items) < 2 || p.Items[0] == p.Items[1] {
+		t.Fatalf("the test needs a first pattern of two distinct items, got %v", p)
+	}
+	want := seqmine.PatternsAsMap(db, first.Patterns)
+	p.Freq = -42
+	p.Items[0] = p.Items[1]
+	first.Patterns[0] = p
+
+	second, qm, err := svc.Mine(context.Background(), "ex", paperex.PatternExpression, paperex.Sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !qm.ResultCacheHit {
+		t.Fatal("the repeated query missed the result cache")
+	}
+	if got := seqmine.PatternsAsMap(db, second.Patterns); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the caller edited its answer the cache serves %v, want %v", got, want)
+	}
+}
