@@ -225,7 +225,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 				Context:       mode.ctx,
 			}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := dseq.MineLocal(f, ds.NYT.Sequences, 3, dseq.DefaultOptions(), cfg); err != nil {
+				if _, _, err := dseq.Mine(f, ds.NYT.Sequences, 3, dseq.DefaultOptions(), cfg, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

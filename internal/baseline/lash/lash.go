@@ -34,9 +34,10 @@ type Constraint struct {
 // blank marks rewritten-away positions; it never matches an item.
 const blank = dict.None
 
-// Mine runs the distributed specialized miner and returns the frequent
-// sequences together with the engine metrics.
-func Mine(d *dict.Dictionary, db [][]dict.ItemID, sigma int64, c Constraint, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
+// Mine runs the distributed specialized miner, alone in this process, and
+// returns the frequent sequences together with the engine metrics. The job has
+// no codec, so the run fails when cfg bounds the shuffle.
+func Mine(d *dict.Dictionary, db [][]dict.ItemID, sigma int64, c Constraint, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
 	if c.MinLength <= 0 {
 		c.MinLength = 1
 	}
@@ -54,9 +55,12 @@ func Mine(d *dict.Dictionary, db [][]dict.ItemID, sigma int64, c Constraint, cfg
 		Hash:   func(k dict.ItemID) uint64 { return mapreduce.HashUint64(uint64(k)) },
 		SizeOf: func(_ dict.ItemID, seq []dict.ItemID) int { return 2*len(seq) + 2 },
 	}
-	out, metrics := mapreduce.Run(db, cfg, job)
+	out, metrics, err := mapreduce.Run(db, cfg, job, nil)
+	if err != nil {
+		return nil, metrics, err
+	}
 	miner.SortPatterns(out)
-	return out, metrics
+	return out, metrics, nil
 }
 
 // MineSequential mines the whole database on a single core (no partitioning).

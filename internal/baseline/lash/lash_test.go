@@ -69,7 +69,10 @@ func TestLashMatchesDSeq(t *testing.T) {
 				}
 				f := fst.MustCompile(pattern, d)
 				for _, sigma := range []int64{2, 3} {
-					wantPatterns, _ := dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg)
+					wantPatterns, _, err := dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
 					want := miner.PatternsToMap(d, wantPatterns)
 					c := lash.Constraint{MaxGap: gamma, MaxLength: lambda, MinLength: 2, Hierarchy: hier}
 					gotSeq := miner.PatternsToMap(d, lash.MineSequential(d, db, sigma, c))
@@ -77,7 +80,10 @@ func TestLashMatchesDSeq(t *testing.T) {
 						t.Fatalf("trial %d hier=%v gamma=%d sigma=%d: sequential LASH %v != D-SEQ %v",
 							trial, hier, gamma, sigma, gotSeq, want)
 					}
-					gotDist, _ := lash.Mine(d, db, sigma, c, cfg)
+					gotDist, _, err := lash.Mine(d, db, sigma, c, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if m := miner.PatternsToMap(d, gotDist); !reflect.DeepEqual(m, want) {
 						t.Fatalf("trial %d hier=%v gamma=%d sigma=%d: distributed LASH %v != D-SEQ %v",
 							trial, hier, gamma, sigma, m, want)
@@ -97,7 +103,10 @@ func TestLashOnAmazonData(t *testing.T) {
 	}
 	c := lash.Constraint{MaxGap: 1, MaxLength: 3, MinLength: 2, Hierarchy: true}
 	want := miner.PatternsToMap(db.Dict, lash.MineSequential(db.Dict, db.Sequences, 10, c))
-	got, metrics := lash.Mine(db.Dict, db.Sequences, 10, c, mapreduce.Config{MapWorkers: 4, ReduceWorkers: 4})
+	got, metrics, err := lash.Mine(db.Dict, db.Sequences, 10, c, mapreduce.Config{MapWorkers: 4, ReduceWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m := miner.PatternsToMap(db.Dict, got); !reflect.DeepEqual(m, want) {
 		t.Fatalf("distributed %v != sequential %v", m, want)
 	}
@@ -114,7 +123,10 @@ func TestLashRewriteDropsIrrelevantItems(t *testing.T) {
 	d := paperex.Dict()
 	db := paperex.DB(d)
 	c := lash.Constraint{MaxGap: 1, MaxLength: 3, MinLength: 2, Hierarchy: true}
-	_, metrics := lash.Mine(d, db, 2, c, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1})
+	_, metrics, err := lash.Mine(d, db, 2, c, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var rawBytes int64
 	for _, T := range db {
 		rawBytes += int64(2*len(T) + 2)

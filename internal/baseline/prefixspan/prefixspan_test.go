@@ -76,7 +76,10 @@ func TestPrefixSpanMatchesDSeq(t *testing.T) {
 		d, db := paperex.RandomDatabase(rng, 20, 5)
 		f := fst.MustCompile("[.*(.)]{1,3}.*", d) // T1 with lambda = 3
 		for _, sigma := range []int64{2, 3} {
-			wantPatterns, _ := dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg)
+			wantPatterns, _, err := dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			want := miner.PatternsToMap(d, wantPatterns)
 			for _, workers := range []int{1, 4} {
 				got := miner.PatternsToMap(d, prefixspan.Mine(d, db, sigma, prefixspan.Options{MaxLength: 3, Workers: workers}))

@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,9 +16,7 @@ import (
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/datagen"
-	"seqmine/internal/dseq"
 	"seqmine/internal/fst"
-	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
 	"seqmine/internal/paperex"
 	"seqmine/internal/plan"
@@ -71,7 +71,7 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 	}
 	const expr, sigma = "[.*(.)]{1,3}.*", int64(20)
 	f := fst.MustCompile(expr, db.Dict)
-	want, _ := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
+	want := inProcess(t, plan.AlgoDSeq, f, db, sigma)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns")
 	}
@@ -164,6 +164,91 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 	}
 }
 
+// scriptedWorker answers the control API from a script instead of mining. Its
+// /run fails with a 500 naming peer accuse while the gang contains a dying
+// worker, and returns an empty result otherwise; a dying worker goes down as
+// it answers its first /run (503 on every request afterwards, /healthz
+// included, like a process mid-kill).
+type scriptedWorker struct {
+	addr   string // the advertised shuffle address, never dialled
+	accuse int
+	dying  bool
+	down   atomic.Bool
+}
+
+func (w *scriptedWorker) handler(gangHasDying func(dataPeers []string) bool) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
+		_ = json.NewEncoder(rw).Encode(cluster.HealthResponse{Status: "ok", DataAddr: w.addr})
+	})
+	mux.HandleFunc("GET /datasets/{id}", func(rw http.ResponseWriter, r *http.Request) {
+		_, _ = rw.Write([]byte(`{}`))
+	})
+	mux.HandleFunc("POST /run", func(rw http.ResponseWriter, r *http.Request) {
+		var spec cluster.JobSpec
+		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.down.Store(w.dying)
+		if gangHasDying(spec.DataPeers) {
+			rw.WriteHeader(http.StatusInternalServerError)
+			fmt.Fprintf(rw, `{"error":"transport: peer %d failed: receiving: EOF","failed_peer":%d}`, w.accuse, w.accuse)
+			return
+		}
+		_ = json.NewEncoder(rw).Encode(cluster.JobResult{Epoch: spec.Epoch})
+	})
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if w.down.Load() {
+			http.Error(rw, "killed", http.StatusServiceUnavailable)
+			return
+		}
+		mux.ServeHTTP(rw, r)
+	})
+}
+
+// TestHearsayDoesNotEvictHealthyWorker replays the cascade behind the
+// TestChaosKillWorkerMidShuffle flake deterministically: the dying worker
+// takes its peers' shuffles down with it, and every member's report accuses a
+// different peer — a three-way tie whose lowest index is a healthy worker.
+// Reports are hearsay: the scheduler must evict only the member that no
+// longer answers /healthz and win on the two healthy workers at the first
+// retry.
+func TestHearsayDoesNotEvictHealthyWorker(t *testing.T) {
+	workers := []*scriptedWorker{
+		{addr: "peer-0", accuse: 1},
+		{addr: "peer-1", accuse: 2},
+		{addr: "peer-2", accuse: 0, dying: true},
+	}
+	gangHasDying := func(dataPeers []string) bool {
+		for _, addr := range dataPeers {
+			for _, w := range workers {
+				if w.addr == addr && w.dying {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	urls := make([]string, len(workers))
+	for i, w := range workers {
+		srv := httptest.NewServer(w.handler(gangHasDying))
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	coord := &cluster.Coordinator{Workers: urls, HeartbeatInterval: time.Hour}
+	res, err := coord.Mine(context.Background(), paperDatabase(t), paperex.PatternExpression, paperex.Sigma,
+		plan.Plan{Algorithm: plan.AlgoDSeq})
+	if err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+	if !reflect.DeepEqual(res.DeadWorkers, []string{urls[2]}) || res.Retries != 1 || res.WinningEpoch != 1 ||
+		len(res.PerWorker) != 2 {
+		t.Errorf("dead workers %v, retries %d, winning epoch %d, gang of %d; want only %s dead, 1 retry, epoch 1, gang of 2",
+			res.DeadWorkers, res.Retries, res.WinningEpoch, len(res.PerWorker), urls[2])
+	}
+}
+
 // TestCoordinatorResubmissionShipsNoBytes pins the dataset-store acceptance
 // criterion: a second job against the same database must find the bundle on
 // every worker and ship zero sequence bytes.
@@ -220,7 +305,7 @@ func TestCoordinatorSpeculativeAttempt(t *testing.T) {
 	}
 	const expr, sigma = "[.*(.)]{1,3}.*", int64(15)
 	f := fst.MustCompile(expr, db.Dict)
-	want, _ := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
+	want := inProcess(t, plan.AlgoDSeq, f, db, sigma)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns")
 	}
@@ -250,7 +335,7 @@ func TestCoordinatorSpeculativeAttempt(t *testing.T) {
 func TestCoordinatorTaskPartitions(t *testing.T) {
 	db := paperDatabase(t)
 	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	want, _ := dseq.Mine(f, db.Sequences, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
+	want := inProcess(t, plan.AlgoDSeq, f, db, paperex.Sigma)
 
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 2)}
 	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
@@ -311,7 +396,7 @@ func (h *hangWorker) handler() http.Handler {
 func TestHeartbeatDetectsStalledWorker(t *testing.T) {
 	db := paperDatabase(t)
 	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	want, _ := dseq.Mine(f, db.Sequences, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
+	want := inProcess(t, plan.AlgoDSeq, f, db, paperex.Sigma)
 
 	urls := startWorkers(t, 2)
 	node, err := transport.NewNode("127.0.0.1:0", transport.Config{})

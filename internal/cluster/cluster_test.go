@@ -43,13 +43,34 @@ func paperDatabase(t *testing.T) *seqdb.Database {
 	return &seqdb.Database{Dict: d, Sequences: paperex.DB(d)}
 }
 
+// inProcess is the single-process answer a cluster job must reproduce.
+func inProcess(t *testing.T, algo plan.Algorithm, f *fst.FST, db *seqdb.Database, sigma int64) []miner.Pattern {
+	t.Helper()
+	var (
+		want []miner.Pattern
+		err  error
+	)
+	switch algo {
+	case plan.AlgoDSeq:
+		want, _, err = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{}, nil)
+	case plan.AlgoDCand:
+		want, _, err = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), mapreduce.Config{}, nil)
+	default:
+		t.Fatalf("no in-process reference for %s", algo)
+	}
+	if err != nil {
+		t.Fatalf("in-process %s: %v", algo, err)
+	}
+	return want
+}
+
 func TestCoordinatorMatchesInProcess(t *testing.T) {
 	db := paperDatabase(t)
 	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
 	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
 
 	t.Run("dcand", func(t *testing.T) {
-		want, _ := dcand.Mine(f, db.Sequences, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{})
+		want := inProcess(t, plan.AlgoDCand, f, db, paperex.Sigma)
 		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDCand})
 		if err != nil {
 			t.Fatalf("Mine: %v", err)
@@ -70,7 +91,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 	})
 
 	t.Run("dseq", func(t *testing.T) {
-		want, _ := dseq.Mine(f, db.Sequences, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
+		want := inProcess(t, plan.AlgoDSeq, f, db, paperex.Sigma)
 		res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 		if err != nil {
 			t.Fatalf("Mine: %v", err)
@@ -169,13 +190,7 @@ func TestCoordinatorSpillMatchesInProcess(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
-		var want []miner.Pattern
-		switch algo {
-		case plan.AlgoDSeq:
-			want, _ = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
-		case plan.AlgoDCand:
-			want, _ = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), mapreduce.Config{})
-		}
+		want := inProcess(t, algo, f, db, sigma)
 		if len(want) == 0 {
 			t.Fatalf("%s: reference run found no patterns", algo)
 		}
@@ -229,13 +244,7 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 	variants["streaming+spill+deflate"] = everything
 
 	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
-		var want []miner.Pattern
-		switch algo {
-		case plan.AlgoDSeq:
-			want, _ = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), mapreduce.Config{})
-		case plan.AlgoDCand:
-			want, _ = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), mapreduce.Config{})
-		}
+		want := inProcess(t, algo, f, db, sigma)
 		if len(want) == 0 {
 			t.Fatalf("%s: reference run found no patterns", algo)
 		}

@@ -359,6 +359,7 @@ type scheduler struct {
 	log         *obs.Logger
 	attemptHist *obs.Histogram
 	hbHist      *obs.Histogram
+	probeClient *http.Client // health probes: heartbeats and blame checks
 
 	epoch    int
 	outcomes chan *attempt
@@ -417,6 +418,7 @@ func (s *scheduler) run() (*Result, error) {
 	// even after the scheduler has returned.
 	s.outcomes = make(chan *attempt, maxRetries+3)
 	s.running = map[int]*attempt{}
+	s.probeClient = &http.Client{Timeout: 2 * s.heartbeatInterval()}
 
 	// The heartbeat loop is joined before run returns: its probe goroutines
 	// touch res.DeadWorkers, which the caller reads as soon as Mine returns.
@@ -641,22 +643,19 @@ func (s *scheduler) launch() error {
 }
 
 // classify condenses a finished attempt's per-member errors into one outcome.
-// Blame for a failed attempt is assigned by evidence strength: a member whose
-// own control request failed at the transport level is known dead first hand,
-// whereas a failed_peer report is hearsay — a healthy member whose shuffle
-// stream broke may be seeing the cascade of another member aborting, not the
-// root cause. Direct evidence therefore outranks the reports, and among
-// reports the most-accused peer wins, so a single cascaded broken pipe cannot
-// evict a healthy survivor from the pool.
+// Only first-hand evidence removes a worker from the pool: missed heartbeats,
+// its own control request failing at the transport level, or a failed health
+// probe. A failed_peer report is hearsay — a healthy member whose shuffle
+// stream broke may be seeing the cascade of another member aborting, and it
+// names whichever connection closed first — so an attempt that failed on
+// reports alone blames the first member that no longer answers /healthz, and
+// nobody when they all answer.
 func (s *scheduler) classify(a *attempt, errs []error) {
 	if dead := a.heartbeatDeath(); dead != nil {
 		a.err = fmt.Errorf("worker %s stopped answering heartbeats", dead.url)
 		a.failed = dead
 		return
 	}
-	votes := make([]int, len(a.gang))
-	reportErr := make([]error, len(a.gang))
-	reporter := make([]int, len(a.gang))
 	for gi, err := range errs {
 		if err == nil {
 			continue
@@ -677,34 +676,20 @@ func (s *scheduler) classify(a *attempt, errs []error) {
 			}
 			continue
 		}
-		switch {
-		case herr.status == http.StatusBadRequest:
+		switch herr.status {
+		case http.StatusBadRequest:
 			a.permanent = true
 			a.err = fmt.Errorf("worker %d (%s): %w", gi, a.gang[gi].url, err)
 			return
-		case herr.status == http.StatusNotFound:
+		case http.StatusNotFound:
 			if a.repush == nil {
 				a.repush = a.gang[gi]
 			}
-		case herr.failedPeer >= 0 && herr.failedPeer < len(a.gang):
-			if reportErr[herr.failedPeer] == nil {
-				reportErr[herr.failedPeer] = err
-				reporter[herr.failedPeer] = gi
-			}
-			votes[herr.failedPeer]++
 		}
 	}
-	if a.failed == nil {
-		accused := -1
-		for peer, n := range votes {
-			if n > 0 && (accused < 0 || n > votes[accused]) {
-				accused = peer
-			}
-		}
-		if accused >= 0 {
-			a.failed = a.gang[accused]
-			a.err = fmt.Errorf("worker %d (%s) reports peer %d (%s) dead: %w",
-				reporter[accused], a.gang[reporter[accused]].url, accused, a.gang[accused].url, reportErr[accused])
+	if a.failed == nil && a.err != nil {
+		if a.failed = s.firstUnhealthy(a.gang); a.failed != nil {
+			a.err = fmt.Errorf("worker %s fails its health probe after: %w", a.failed.url, a.err)
 		}
 	}
 	if a.err == nil && s.ctx.Err() != nil {
@@ -712,14 +697,38 @@ func (s *scheduler) classify(a *attempt, errs []error) {
 	}
 }
 
+// firstUnhealthy probes every gang member once, concurrently, and returns the
+// first in gang order that does not answer — nil when all answer or the job
+// was cancelled, since a cancelled probe says nothing about the worker.
+func (s *scheduler) firstUnhealthy(gang []*workerRef) *workerRef {
+	failed := make([]bool, len(gang))
+	var wg sync.WaitGroup
+	for i, ws := range gang {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var health HealthResponse
+			failed[i] = getJSON(s.ctx, s.probeClient, ws.url+"/healthz", &health) != nil
+		}()
+	}
+	wg.Wait()
+	if s.ctx.Err() != nil {
+		return nil
+	}
+	for i, f := range failed {
+		if f {
+			return gang[i]
+		}
+	}
+	return nil
+}
+
 // heartbeatLoop probes the live pool members while the job runs; a member
 // that misses enough consecutive probes is declared dead and every running
 // attempt containing it is aborted (which surfaces as that attempt's failure
 // and triggers the retry path).
 func (s *scheduler) heartbeatLoop(ctx context.Context) {
-	interval := s.heartbeatInterval()
-	probeClient := &http.Client{Timeout: interval * 2}
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(s.heartbeatInterval())
 	defer ticker.Stop()
 	for {
 		select {
@@ -734,7 +743,7 @@ func (s *scheduler) heartbeatLoop(ctx context.Context) {
 				defer wg.Done()
 				var health HealthResponse
 				start := time.Now()
-				err := getJSON(ctx, probeClient, ws.url+"/healthz", &health)
+				err := getJSON(ctx, s.probeClient, ws.url+"/healthz", &health)
 				rtt := time.Since(start)
 				if ctx.Err() != nil {
 					return // shutting down: a canceled probe is not a miss
@@ -856,11 +865,10 @@ func newJobID() (string, error) {
 }
 
 // httpStatusError is a non-200 control-plane response, with the worker's
-// structured error body when it sent one.
+// structured error message when it sent one.
 type httpStatusError struct {
-	status     int
-	msg        string
-	failedPeer int // -1 when the body named no failed peer
+	status int
+	msg    string
 }
 
 func (e *httpStatusError) Error() string { return e.msg }
@@ -896,13 +904,10 @@ func doJSON(client *http.Client, req *http.Request, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		herr := &httpStatusError{status: resp.StatusCode, failedPeer: -1}
+		herr := &httpStatusError{status: resp.StatusCode}
 		var je jsonError
 		if json.Unmarshal(msg, &je) == nil && je.Error != "" {
 			herr.msg = fmt.Sprintf("%s: %s", resp.Status, je.Error)
-			if je.FailedPeer >= 0 {
-				herr.failedPeer = je.FailedPeer
-			}
 		} else {
 			herr.msg = fmt.Sprintf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))
 		}

@@ -116,9 +116,9 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	)
 	switch spec.Plan.Algorithm {
 	case plan.AlgoDSeq:
-		patterns, metrics, err = dseq.MinePeer(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
+		patterns, metrics, err = dseq.Mine(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
 	case plan.AlgoDCand:
-		patterns, metrics, err = dcand.MinePeer(f, split, spec.Sigma, dcand.DefaultOptions(), cfg, bx)
+		patterns, metrics, err = dcand.Mine(f, split, spec.Sigma, dcand.DefaultOptions(), cfg, bx)
 	default:
 		err = permanentError{fmt.Errorf("cluster: algorithm %q cannot run distributed (want %s or %s)", spec.Plan.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)}
 	}
@@ -360,9 +360,11 @@ func writeRunError(rw http.ResponseWriter, err error) {
 type jsonError struct {
 	Error string `json:"error"`
 	// FailedPeer is the peer index whose shuffle connection caused the
-	// failure; -1 when the failure was not a peer death. The field is always
-	// written (no omitempty): 0 is a valid peer index, so absence must not
-	// be confusable with it.
+	// failure; -1 when the failure was not a peer death. It is a diagnostic:
+	// the coordinator treats it as hearsay and removes a worker only on
+	// first-hand evidence (scheduler.classify). The field is always written
+	// (no omitempty): 0 is a valid peer index, so absence must not be
+	// confusable with it.
 	FailedPeer int `json:"failed_peer"`
 }
 

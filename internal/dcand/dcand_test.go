@@ -14,11 +14,21 @@ import (
 	"seqmine/internal/paperex"
 )
 
+// mine runs D-CAND alone in the process and fails the test on error.
+func mine(t testing.TB, f *fst.FST, db [][]dict.ItemID, sigma int64, opts dcand.Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
+	t.Helper()
+	patterns, metrics, err := dcand.Mine(f, db, sigma, opts, cfg, nil)
+	if err != nil {
+		t.Fatalf("dcand.Mine: %v", err)
+	}
+	return patterns, metrics
+}
+
 func TestDCandRunningExample(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	got, metrics := dcand.Mine(f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+	got, metrics := mine(t, f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
 	if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 		t.Errorf("D-CAND = %v, want %v", m, paperex.ExpectedFrequent())
 	}
@@ -45,8 +55,8 @@ func TestDCandAggregationReducesShuffle(t *testing.T) {
 	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
 	withAgg := dcand.DefaultOptions()
 	noAgg := dcand.Options{Minimize: true, Aggregate: false}
-	res1, m1 := dcand.Mine(f, db, 2, withAgg, cfg)
-	res2, m2 := dcand.Mine(f, db, 2, noAgg, cfg)
+	res1, m1 := mine(t, f, db, 2, withAgg, cfg)
+	res2, m2 := mine(t, f, db, 2, noAgg, cfg)
 	if !reflect.DeepEqual(miner.PatternsToMap(d, res1), miner.PatternsToMap(d, res2)) {
 		t.Fatalf("aggregation changed results: %v vs %v", res1, res2)
 	}
@@ -75,8 +85,8 @@ func TestDCandMinimizeReducesShuffle(t *testing.T) {
 		db = append(db, t1)
 	}
 	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
-	res1, m1 := dcand.Mine(f, db, paperex.Sigma, dcand.Options{Minimize: true, Aggregate: false}, cfg)
-	res2, m2 := dcand.Mine(f, db, paperex.Sigma, dcand.Options{Minimize: false, Aggregate: false}, cfg)
+	res1, m1 := mine(t, f, db, paperex.Sigma, dcand.Options{Minimize: true, Aggregate: false}, cfg)
+	res2, m2 := mine(t, f, db, paperex.Sigma, dcand.Options{Minimize: false, Aggregate: false}, cfg)
 	if !reflect.DeepEqual(miner.PatternsToMap(d, res1), miner.PatternsToMap(d, res2)) {
 		t.Fatalf("minimization changed results")
 	}
@@ -93,7 +103,7 @@ func TestDCandOptionCombinations(t *testing.T) {
 	for _, minimize := range []bool{false, true} {
 		for _, agg := range []bool{false, true} {
 			opts := dcand.Options{Minimize: minimize, Aggregate: agg}
-			got, _ := dcand.Mine(f, db, paperex.Sigma, opts, mapreduce.Config{MapWorkers: 3, ReduceWorkers: 2})
+			got, _ := mine(t, f, db, paperex.Sigma, opts, mapreduce.Config{MapWorkers: 3, ReduceWorkers: 2})
 			if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 				t.Errorf("options %+v: %v, want %v", opts, m, want)
 			}
@@ -127,7 +137,7 @@ func TestDCandMatchesSequential(t *testing.T) {
 			for _, sigma := range []int64{1, 2, 4} {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, workers := range []int{1, 4} {
-					got, _ := dcand.Mine(f, db, sigma, dcand.DefaultOptions(),
+					got, _ := mine(t, f, db, sigma, dcand.DefaultOptions(),
 						mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers})
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("pattern %q sigma %d workers %d: D-CAND %v != sequential %v",
@@ -142,7 +152,7 @@ func TestDCandMatchesSequential(t *testing.T) {
 func TestDCandEmptyDatabase(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
-	got, metrics := dcand.Mine(f, nil, 1, dcand.DefaultOptions(), mapreduce.Config{})
+	got, metrics := mine(t, f, nil, 1, dcand.DefaultOptions(), mapreduce.Config{})
 	if len(got) != 0 || metrics.ShuffleRecords != 0 {
 		t.Errorf("empty database: got %v, metrics %+v", got, metrics)
 	}
@@ -160,16 +170,16 @@ func TestDCandSpillEquivalence(t *testing.T) {
 	const sigma = 30
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
 
-	want, wantMetrics := dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
+	want, wantMetrics := mine(t, f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")
 	}
 
 	const threshold = 1024
 	cfg.Shuffle = mapreduce.ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
-	got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
+	got, metrics, err := dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg, nil)
 	if err != nil {
-		t.Fatalf("MineLocal: %v", err)
+		t.Fatalf("Mine: %v", err)
 	}
 
 	if !reflect.DeepEqual(got, want) {
@@ -197,7 +207,7 @@ func TestDCandStreamingEquivalence(t *testing.T) {
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
-	want, _ := dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
+	want, _ := mine(t, f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")
 	}
@@ -210,7 +220,7 @@ func TestDCandStreamingEquivalence(t *testing.T) {
 	for name, sc := range cases {
 		sc.SpillTmpDir = t.TempDir()
 		cfg.Shuffle = sc
-		got, metrics, err := dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
+		got, metrics, err := dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -26,7 +26,7 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	want, _ := dcand.Mine(f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{})
+	want, _ := mine(t, f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{})
 
 	const npeers = 3
 	nodes := make([]*transport.Node, npeers)
@@ -65,7 +65,7 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 					local []miner.Pattern
 					m     mapreduce.Metrics
 				)
-				local, m, err = dcand.MinePeer(f, split, paperex.Sigma, dcand.DefaultOptions(), cfg, bx)
+				local, m, err = dcand.Mine(f, split, paperex.Sigma, dcand.DefaultOptions(), cfg, bx)
 				mu.Lock()
 				union = append(union, local...)
 				spilled += m.SpilledBytes
@@ -134,12 +134,12 @@ func TestDCandMinePeerRejectsCorruptNFA(t *testing.T) {
 		frame := append([]byte{0x03, 0x01, 0x01, byte(len(c.nfa))}, c.nfa...)
 		for _, shuffle := range []mapreduce.ShuffleConfig{{}, {SpillThreshold: 1, SpillTmpDir: t.TempDir()}} {
 			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2, Shuffle: shuffle}
-			got, _, err := dcand.MinePeer(f, db, paperex.Sigma, dcand.DefaultOptions(), cfg, &tornPeer{frames: [][]byte{frame}})
+			got, _, err := dcand.Mine(f, db, paperex.Sigma, dcand.DefaultOptions(), cfg, &tornPeer{frames: [][]byte{frame}})
 			if err == nil {
-				t.Fatalf("%s: MinePeer accepted the frame and returned %v", name, got)
+				t.Fatalf("%s: Mine accepted the frame and returned %v", name, got)
 			}
 			if got != nil || !strings.Contains(err.Error(), "key 3") || errors.Is(err, nfa.ErrCyclic) != c.cyclic {
-				t.Errorf("%s: MinePeer = %v, %v; want no patterns and an error naming key 3 (ErrCyclic: %v)",
+				t.Errorf("%s: Mine = %v, %v; want no patterns and an error naming key 3 (ErrCyclic: %v)",
 					name, got, err, c.cyclic)
 			}
 		}

@@ -1,6 +1,6 @@
 // Package dminer holds the engine-facing scaffolding shared by the
-// distributed miners (internal/dseq, internal/dcand, internal/naive): the
-// Mine/MineLocal/MinePeer run wrappers and the fingerprint-grouping combiner.
+// distributed miners (internal/dseq, internal/dcand, internal/naive): the one
+// Mine run wrapper and the fingerprint-grouping combiner.
 // The shuffle bounds travel in exactly one place, mapreduce.Config.Shuffle.
 package dminer
 
@@ -15,35 +15,11 @@ import (
 	"seqmine/internal/miner"
 )
 
-// Mine runs the job on the in-process engine and panics on failure. A run
-// can only fail when the shuffle is bounded (spilling or streaming), so
-// callers that bound it should prefer MineLocal. name prefixes the panic
-// message ("dseq", "dcand", ...).
-func Mine[I any, K comparable, V any](name string, inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics) {
-	out, metrics, err := MineLocal(inputs, cfg, job)
-	if err != nil {
-		panic(name + ": " + err.Error())
-	}
-	return out, metrics
-}
-
-// MineLocal runs the job on the in-process engine and returns the sorted
-// patterns with error reporting.
-func MineLocal[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern]) ([]miner.Pattern, mapreduce.Metrics, error) {
-	out, metrics, err := mapreduce.RunLocal(inputs, cfg, job)
-	if err != nil {
-		return nil, metrics, err
-	}
-	miner.SortPatterns(out)
-	return out, metrics, nil
-}
-
-// MinePeer runs this process's share of a distributed job over the wire
-// fabric bx, adapting it with the job's codec. The returned patterns are
-// those of the partitions this peer owns, sorted like MineLocal's.
-func MinePeer[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern], codec mapreduce.FrameCodec[K, V], bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
-	ex := mapreduce.NewFrameExchange(bx, codec)
-	out, metrics, err := mapreduce.RunExchange(inputs, cfg, job, ex)
+// Mine runs the job on the engine — alone in this process when bx is nil, as
+// one peer of the wire fabric bx otherwise (see mapreduce.Run) — and returns
+// the patterns of the partitions this process reduces, sorted.
+func Mine[I any, K comparable, V any](inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, miner.Pattern], bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
+	out, metrics, err := mapreduce.Run(inputs, cfg, job, bx)
 	if err != nil {
 		return nil, metrics, err
 	}

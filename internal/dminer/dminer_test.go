@@ -3,7 +3,6 @@ package dminer
 import (
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -46,8 +45,8 @@ func countJob(sigma int64) mapreduce.Job[int, int, int64, miner.Pattern] {
 var countInputs = []int{3, 1, 2, 3, 3, 2, 1, 3}
 
 func TestMineLocalSortsPatterns(t *testing.T) {
-	out, metrics, err := MineLocal(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
-		Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 4}}, countJob(2))
+	out, metrics, err := Mine(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+		Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 4}}, countJob(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,37 +56,31 @@ func TestMineLocalSortsPatterns(t *testing.T) {
 		{Items: []dict.ItemID{2}, Freq: 2},
 	}
 	if !reflect.DeepEqual(out, want) {
-		t.Errorf("MineLocal = %+v, want %+v", out, want)
+		t.Errorf("Mine = %+v, want %+v", out, want)
 	}
 	if metrics.StreamedBatches == 0 {
 		t.Error("the streaming config should have streamed batches")
 	}
 }
 
-func TestMinePanicsOnFailure(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected a panic for a bounded shuffle without a codec")
-		}
-		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "testminer: ") {
-			t.Errorf("panic %v should carry the miner name", r)
-		}
-	}()
+func TestMineReportsFailure(t *testing.T) {
 	job := countJob(1)
 	job.Codec = nil
-	Mine("testminer", countInputs, mapreduce.Config{Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1}}, job)
-}
-
-func TestMineReturnsOutput(t *testing.T) {
-	out, _ := Mine("testminer", countInputs, mapreduce.Config{}, countJob(4))
-	if len(out) != 1 || out[0].Freq != 4 {
-		t.Errorf("Mine = %+v, want the single frequent item", out)
+	out, _, err := Mine(countInputs, mapreduce.Config{Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1}}, job, nil)
+	if err == nil || out != nil {
+		t.Fatalf("bounded shuffle without a codec: Mine = %v, %v; want no patterns and an error", out, err)
 	}
 }
 
-// soloFabric is a single-peer ByteExchange: MinePeer over it reduces every
-// key locally, which exercises the frame-adapter wiring without a network.
+func TestMineReturnsOutput(t *testing.T) {
+	out, _, err := Mine(countInputs, mapreduce.Config{}, countJob(4), nil)
+	if err != nil || len(out) != 1 || out[0].Freq != 4 {
+		t.Errorf("Mine = %+v, %v; want the single frequent item", out, err)
+	}
+}
+
+// soloFabric is a single-peer ByteExchange: Mine over it reduces every key
+// locally, which exercises the wire-exchange wiring without a network.
 type soloFabric struct{}
 
 func (soloFabric) NumPeers() int          { return 1 }
@@ -99,16 +92,15 @@ func (soloFabric) WireBytesOut() int64    { return 0 }
 
 func TestMinePeerSinglePeer(t *testing.T) {
 	job := countJob(2)
-	out, metrics, err := MinePeer(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2},
-		job, *job.Codec, soloFabric{})
+	out, metrics, err := Mine(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, job, soloFabric{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(out) != 3 {
-		t.Errorf("MinePeer = %+v, want 3 patterns", out)
+		t.Errorf("Mine = %+v, want 3 patterns", out)
 	}
 	if !metrics.RemoteShuffle {
-		t.Error("wire metrics should be reported for a frame exchange")
+		t.Error("wire metrics should be reported for a wire exchange")
 	}
 }
 

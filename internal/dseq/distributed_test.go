@@ -21,7 +21,7 @@ func TestDSeqMinePeerMatchesMine(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	want, _ := dseq.Mine(f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
+	want, _ := mine(t, f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{})
 
 	const npeers = 3
 	nodes := make([]*transport.Node, npeers)
@@ -58,7 +58,7 @@ func TestDSeqMinePeerMatchesMine(t *testing.T) {
 					local []miner.Pattern
 					m     mapreduce.Metrics
 				)
-				local, m, err = dseq.MinePeer(f, split, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, bx)
+				local, m, err = dseq.Mine(f, split, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, bx)
 				mu.Lock()
 				union = append(union, local...)
 				wireOut += m.ShuffleBytes

@@ -104,28 +104,15 @@ func recordSize(k dict.ItemID, v value) int {
 	return size
 }
 
-// Mine runs D-SEQ on the database and returns all frequent sequences together
-// with the engine metrics. It panics on failure; a run can only fail when the
-// shuffle is bounded (cfg.Shuffle), so callers that bound it
-// should prefer MineLocal.
-func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-	return dminer.Mine("dseq", db, cfg, buildJob(f, sigma, opts))
-}
-
-// MineLocal is Mine with error reporting: bounded-shuffle failures (the only
-// way an in-process run can fail) are returned instead of panicking.
-func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MineLocal(db, cfg, buildJob(f, sigma, opts))
-}
-
-// MinePeer runs this process's share of a distributed D-SEQ job: split is the
-// local input partition and bx the wire fabric connecting the participating
-// processes (internal/transport). The returned patterns are those of the
-// pivot partitions this peer owns; the union over all peers equals Mine's
-// output on the whole database. Metrics are local to this peer, with
-// ShuffleBytes measuring real transport traffic.
-func MinePeer(f *fst.FST, split [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config, bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MinePeer(split, cfg, buildJob(f, sigma, opts), codec(), bx)
+// Mine runs D-SEQ and returns the frequent sequences together with the
+// engine metrics. With bx nil it mines db alone in this process. Otherwise db
+// is this process's input split and bx the wire fabric connecting the
+// participating processes (internal/transport): the returned patterns are
+// those of the pivot partitions this peer owns — the union over all peers
+// equals the single-process output — and the metrics are local to this peer,
+// with ShuffleBytes measuring real transport traffic.
+func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapreduce.Config, bx mapreduce.ByteExchange) ([]miner.Pattern, mapreduce.Metrics, error) {
+	return dminer.Mine(db, cfg, buildJob(f, sigma, opts), bx)
 }
 
 // buildJob assembles the one-round BSP job of D-SEQ.

@@ -14,11 +14,21 @@ import (
 	"seqmine/internal/paperex"
 )
 
+// mine runs D-SEQ alone in the process and fails the test on error.
+func mine(t testing.TB, f *fst.FST, db [][]dict.ItemID, sigma int64, opts dseq.Options, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
+	t.Helper()
+	patterns, metrics, err := dseq.Mine(f, db, sigma, opts, cfg, nil)
+	if err != nil {
+		t.Fatalf("dseq.Mine: %v", err)
+	}
+	return patterns, metrics
+}
+
 func TestDSeqRunningExample(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	got, metrics := dseq.Mine(f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+	got, metrics := mine(t, f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
 	if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 		t.Errorf("D-SEQ = %v, want %v", m, paperex.ExpectedFrequent())
 	}
@@ -42,8 +52,8 @@ func TestDSeqRewriteReducesShuffle(t *testing.T) {
 	withRewrite.Aggregate = false
 	noRewrite := withRewrite
 	noRewrite.Rewrite = false
-	_, m1 := dseq.Mine(f, db, paperex.Sigma, withRewrite, cfg)
-	_, m2 := dseq.Mine(f, db, paperex.Sigma, noRewrite, cfg)
+	_, m1 := mine(t, f, db, paperex.Sigma, withRewrite, cfg)
+	_, m2 := mine(t, f, db, paperex.Sigma, noRewrite, cfg)
 	// Rewriting trims the two leading "e e" items of T2 for partition a1.
 	if m1.ShuffleBytes >= m2.ShuffleBytes {
 		t.Errorf("rewriting should reduce shuffle size: %d vs %d", m1.ShuffleBytes, m2.ShuffleBytes)
@@ -61,7 +71,7 @@ func TestDSeqOptionCombinations(t *testing.T) {
 			for _, early := range []bool{false, true} {
 				for _, agg := range []bool{false, true} {
 					opts := dseq.Options{UseGrid: grid, Rewrite: rewrite, EarlyStopping: early, Aggregate: agg}
-					got, _ := dseq.Mine(f, db, paperex.Sigma, opts, cfg)
+					got, _ := mine(t, f, db, paperex.Sigma, opts, cfg)
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Errorf("options %+v: %v, want %v", opts, m, want)
 					}
@@ -98,7 +108,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 			for _, sigma := range []int64{1, 2, 4} {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, workers := range []int{1, 4} {
-					got, _ := dseq.Mine(f, db, sigma, dseq.DefaultOptions(),
+					got, _ := mine(t, f, db, sigma, dseq.DefaultOptions(),
 						mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers})
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("pattern %q sigma %d workers %d: D-SEQ %v != sequential %v",
@@ -107,7 +117,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 				}
 				// Ablation variants must not change the result either.
 				minimal := dseq.Options{UseGrid: false, Rewrite: false, EarlyStopping: false, Aggregate: false}
-				got, _ := dseq.Mine(f, db, sigma, minimal, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+				got, _ := mine(t, f, db, sigma, minimal, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
 				if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 					t.Fatalf("pattern %q sigma %d minimal options: %v != %v", pat, sigma, m, want)
 				}
@@ -119,7 +129,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 func TestDSeqEmptyDatabase(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
-	got, metrics := dseq.Mine(f, nil, 1, dseq.DefaultOptions(), mapreduce.Config{})
+	got, metrics := mine(t, f, nil, 1, dseq.DefaultOptions(), mapreduce.Config{})
 	if len(got) != 0 || metrics.ShuffleRecords != 0 {
 		t.Errorf("empty database: got %v, metrics %+v", got, metrics)
 	}
@@ -137,16 +147,16 @@ func TestDSeqSpillEquivalence(t *testing.T) {
 	const sigma = 30
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
 
-	want, wantMetrics := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+	want, wantMetrics := mine(t, f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")
 	}
 
 	const threshold = 1024
 	cfg.Shuffle = mapreduce.ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
-	got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+	got, metrics, err := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 	if err != nil {
-		t.Fatalf("MineLocal: %v", err)
+		t.Fatalf("Mine: %v", err)
 	}
 
 	if !reflect.DeepEqual(got, want) {
@@ -174,7 +184,7 @@ func TestDSeqStreamingEquivalence(t *testing.T) {
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
-	want, _ := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+	want, _ := mine(t, f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")
 	}
@@ -187,7 +197,7 @@ func TestDSeqStreamingEquivalence(t *testing.T) {
 	for name, sc := range cases {
 		sc.SpillTmpDir = t.TempDir()
 		cfg.Shuffle = sc
-		got, metrics, err := dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+		got, metrics, err := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -46,19 +46,19 @@ func standardAlgos() []algoSpec {
 	return []algoSpec{
 		{name: "Naive", skipLoose: true,
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return naive.Mine(f, db, sigma, naive.Naive, cfg)
+				return must(naive.Mine(f, db, sigma, naive.Naive, cfg))
 			}},
 		{name: "SemiNaive", skipLoose: true,
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return naive.Mine(f, db, sigma, naive.SemiNaive, cfg)
+				return must(naive.Mine(f, db, sigma, naive.SemiNaive, cfg))
 			}},
 		{name: "D-SEQ",
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg)
+				return must(dseq.Mine(f, db, sigma, dseq.DefaultOptions(), cfg, nil))
 			}},
 		{name: "D-CAND",
 			run: func(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-				return dcand.Mine(f, db, sigma, dcand.DefaultOptions(), cfg)
+				return must(dcand.Mine(f, db, sigma, dcand.DefaultOptions(), cfg, nil))
 			}},
 	}
 }
@@ -70,6 +70,15 @@ func (s algoSpec) exec(f *fst.FST, db [][]dict.ItemID, sigma int64, cfg mapreduc
 	start := time.Now()
 	patterns, metrics := s.run(f, db, sigma, cfg)
 	return runResult{patterns: patterns, metrics: metrics, elapsed: time.Since(start)}
+}
+
+// must unwraps a mining run. The experiments run every miner alone in this
+// process with an unbounded shuffle, which cannot fail.
+func must(patterns []miner.Pattern, metrics mapreduce.Metrics, err error) ([]miner.Pattern, mapreduce.Metrics) {
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return patterns, metrics
 }
 
 func (ds *Datasets) config() mapreduce.Config {
@@ -126,7 +135,7 @@ func TableIII(ds *Datasets) (Table, error) {
 		if err != nil {
 			return t, fmt.Errorf("%s: %w", c.Name, err)
 		}
-		patterns, _ := dseq.Mine(f, db.Sequences, c.Sigma, dseq.DefaultOptions(), cfg)
+		patterns, _ := must(dseq.Mine(f, db.Sequences, c.Sigma, dseq.DefaultOptions(), cfg, nil))
 		t.Add(c.Name, c.Dataset, c.Expression, fmt.Sprint(len(patterns)), examplePatterns(db.Dict, patterns, 3))
 	}
 	return t, nil
@@ -341,7 +350,7 @@ func Fig10a(ds *Datasets) (Table, error) {
 		var baseline int
 		for i, v := range variants {
 			start := time.Now()
-			patterns, metrics := dseq.Mine(f, db.Sequences, c.Sigma, v.opts, cfg)
+			patterns, metrics := must(dseq.Mine(f, db.Sequences, c.Sigma, v.opts, cfg, nil))
 			elapsed := time.Since(start)
 			if i == 0 {
 				baseline = len(patterns)
@@ -386,7 +395,7 @@ func Fig10b(ds *Datasets) (Table, error) {
 		var baseline int
 		for i, v := range variants {
 			start := time.Now()
-			patterns, metrics := dcand.Mine(f, db.Sequences, c.Sigma, v.opts, cfg)
+			patterns, metrics := must(dcand.Mine(f, db.Sequences, c.Sigma, v.opts, cfg, nil))
 			elapsed := time.Since(start)
 			if i == 0 {
 				baseline = len(patterns)
@@ -408,10 +417,10 @@ func Fig10b(ds *Datasets) (Table, error) {
 func scalabilityRun(f *fst.FST, seqs [][]dict.ItemID, sigma int64, workers int) (time.Duration, time.Duration) {
 	cfg := mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}
 	s1 := time.Now()
-	dseq.Mine(f, seqs, sigma, dseq.DefaultOptions(), cfg)
+	must(dseq.Mine(f, seqs, sigma, dseq.DefaultOptions(), cfg, nil))
 	d1 := time.Since(s1)
 	s2 := time.Now()
-	dcand.Mine(f, seqs, sigma, dcand.DefaultOptions(), cfg)
+	must(dcand.Mine(f, seqs, sigma, dcand.DefaultOptions(), cfg, nil))
 	d2 := time.Since(s2)
 	return d1, d2
 }
@@ -521,11 +530,11 @@ func TableV(ds *Datasets) (Table, error) {
 		d0 := time.Since(s0)
 
 		s1 := time.Now()
-		p1, _ := dseq.Mine(f, db.Sequences, c.Sigma, dseq.DefaultOptions(), cfg)
+		p1, _ := must(dseq.Mine(f, db.Sequences, c.Sigma, dseq.DefaultOptions(), cfg, nil))
 		d1 := time.Since(s1)
 
 		s2 := time.Now()
-		p2, _ := dcand.Mine(f, db.Sequences, c.Sigma, dcand.DefaultOptions(), cfg)
+		p2, _ := must(dcand.Mine(f, db.Sequences, c.Sigma, dcand.DefaultOptions(), cfg, nil))
 		d2 := time.Since(s2)
 
 		if len(seq) != len(p1) || len(seq) != len(p2) {
@@ -595,15 +604,15 @@ func Fig12(ds *Datasets) (Table, error) {
 		constraint := lash.Constraint{MaxGap: c.gamma, MaxLength: c.lambda, MinLength: 2, Hierarchy: c.hierarchy}
 
 		s0 := time.Now()
-		p0, _ := lash.Mine(c.db.Dict, c.db.Sequences, c.sigma, constraint, cfg)
+		p0, _ := must(lash.Mine(c.db.Dict, c.db.Sequences, c.sigma, constraint, cfg))
 		d0 := time.Since(s0)
 
 		s1 := time.Now()
-		p1, _ := dseq.Mine(f, c.db.Sequences, c.sigma, dseq.DefaultOptions(), cfg)
+		p1, _ := must(dseq.Mine(f, c.db.Sequences, c.sigma, dseq.DefaultOptions(), cfg, nil))
 		d1 := time.Since(s1)
 
 		s2 := time.Now()
-		p2, _ := dcand.Mine(f, c.db.Sequences, c.sigma, dcand.DefaultOptions(), cfg)
+		p2, _ := must(dcand.Mine(f, c.db.Sequences, c.sigma, dcand.DefaultOptions(), cfg, nil))
 		d2 := time.Since(s2)
 
 		if len(p0) != len(p1) || len(p0) != len(p2) {
@@ -659,11 +668,11 @@ func Fig13(ds *Datasets) (Table, error) {
 		d0 := time.Since(s0)
 
 		s1 := time.Now()
-		p1, _ := lash.Mine(db.Dict, db.Sequences, sigma, constraint, cfg)
+		p1, _ := must(lash.Mine(db.Dict, db.Sequences, sigma, constraint, cfg))
 		d1 := time.Since(s1)
 
 		s2 := time.Now()
-		p2, _ := dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+		p2, _ := must(dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil))
 		d2 := time.Since(s2)
 
 		if len(p0) != len(p1) || len(p0) != len(p2) {

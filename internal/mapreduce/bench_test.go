@@ -35,7 +35,9 @@ func BenchmarkWordCount(b *testing.B) {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			cfg := mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}
 			for i := 0; i < b.N; i++ {
-				mapreduce.Run(lines, cfg, wordCountJob())
+				if _, _, err := mapreduce.Run(lines, cfg, wordCountJob(), nil); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -67,7 +69,9 @@ func BenchmarkCombine(b *testing.B) {
 	b.Run("with-combiner", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			mapreduce.Run(lines, cfg, wordCountJob())
+			if _, _, err := mapreduce.Run(lines, cfg, wordCountJob(), nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("without-combiner", func(b *testing.B) {
@@ -75,7 +79,9 @@ func BenchmarkCombine(b *testing.B) {
 		job := wordCountJob()
 		job.Combine = nil
 		for i := 0; i < b.N; i++ {
-			mapreduce.Run(lines, cfg, job)
+			if _, _, err := mapreduce.Run(lines, cfg, job, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"reflect"
@@ -44,65 +45,64 @@ var wordCountInputs = []string{
 	"a fox a dog a quick brown fox",
 }
 
-// runPeers executes the job across the given exchanges (one goroutine per
-// peer, round-robin input split) and returns the union of the local outputs.
-func runPeers(t *testing.T, job Job[string, string, int, string], group []Exchange[string, int]) []string {
+// runAlone runs the job as the only peer of the process, failing the test on
+// error.
+func runAlone(t testing.TB, inputs []string, cfg Config, job Job[string, string, int, string]) ([]string, Metrics) {
 	t.Helper()
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		out  []string
-		errs []error
-	)
-	for p := range group {
-		var split []string
-		for i := p; i < len(wordCountInputs); i += len(group) {
-			split = append(split, wordCountInputs[i])
-		}
-		wg.Add(1)
-		go func(p int, split []string) {
-			defer wg.Done()
-			local, _, err := RunExchange(split, Config{MapWorkers: 2, ReduceWorkers: 2}, job, group[p])
-			mu.Lock()
-			out = append(out, local...)
-			if err != nil {
-				errs = append(errs, err)
-			}
-			mu.Unlock()
-		}(p, split)
+	out, metrics, err := Run(inputs, cfg, job, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		t.Fatalf("RunExchange: %v", err)
-	}
-	sort.Strings(out)
-	return out
+	return out, metrics
 }
 
 func TestRunExchangeMultiPeerLoopback(t *testing.T) {
-	job := wordCountJob()
-	want, _ := Run(wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	job := spillWordCountJob()
+	want, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
 	sort.Strings(want)
 
-	got := runPeers(t, job, NewLoopbackGroup[string, int](3))
+	got, _, errs := runGroup(job, newMemFabric(3), splitInputs(wordCountInputs, 3), func(int) Config {
+		return Config{MapWorkers: 2, ReduceWorkers: 2}
+	})
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("peer %d: %v", p, err)
+		}
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("multi-peer output differs:\n got %v\nwant %v", got, want)
 	}
 }
 
 func TestRunExchangeRequiresHash(t *testing.T) {
-	job := wordCountJob()
+	job := spillWordCountJob()
 	job.Hash = nil
-	group := NewLoopbackGroup[string, int](2)
-	_, _, err := RunExchange(wordCountInputs, Config{}, job, group[0])
-	if err == nil {
-		t.Fatal("expected error for multi-peer job without Hash")
+	_, _, err := Run(wordCountInputs, Config{}, job, newMemFabric(2)[0])
+	if !errors.Is(err, errPeersNeedHash) {
+		t.Fatalf("multi-peer job without Hash: err = %v, want %v", err, errPeersNeedHash)
 	}
 }
 
-// memFabric is an in-memory ByteExchange used to test the frame adapter
-// without a real network. Frames are copied on Send (the contract allows the
-// caller to reuse the buffer) and byte counts include a mock frame header.
+// TestRunPeersRequireCodec: frames cannot cross a wire exchange without a
+// codec, so a codec-less multi-peer run fails up front with the typed error,
+// while a codec-less run alone in the process (what internal/baseline/lash
+// does) still works.
+func TestRunPeersRequireCodec(t *testing.T) {
+	job := wordCountJob() // no codec
+	if _, _, err := Run(wordCountInputs, Config{}, job, newMemFabric(2)[0]); !errors.Is(err, errShuffleNeedsCodec) {
+		t.Fatalf("codec-less multi-peer run: err = %v, want %v", err, errShuffleNeedsCodec)
+	}
+	got, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	sort.Strings(got)
+	if want := wantOutput(job, wordCountInputs); !reflect.DeepEqual(got, want) {
+		t.Errorf("codec-less run alone = %v, want %v", got, want)
+	}
+}
+
+// memFabric is the in-memory ByteExchange of the multi-peer tests: peers of
+// one group are connected by channels, without a real network. Frames are
+// copied on Send (the contract allows the caller to reuse the buffer) and byte
+// counts include a mock frame header.
 type memFabric struct {
 	self    int
 	inboxes []chan []byte
@@ -111,12 +111,12 @@ type memFabric struct {
 	out     int64
 }
 
-func newMemFabric(n int) []*memFabric {
+func newMemFabric(n int) []ByteExchange {
 	inboxes := make([]chan []byte, n)
 	for i := range inboxes {
 		inboxes[i] = make(chan []byte, 1024)
 	}
-	peers := make([]*memFabric, n)
+	peers := make([]ByteExchange, n)
 	for i := range peers {
 		peers[i] = &memFabric{self: i, inboxes: inboxes, open: n - 1}
 	}
@@ -189,26 +189,100 @@ func testCodec() FrameCodec[string, int] {
 	}
 }
 
+// TestRunExchangeOverFrameFabric: on a wire exchange, ShuffleBytes is what
+// the fabric counted as written, and RemoteShuffle says so.
 func TestRunExchangeOverFrameFabric(t *testing.T) {
-	job := wordCountJob()
-	want, _ := Run(wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	job := spillWordCountJob()
+	want, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
 	sort.Strings(want)
 
-	fabrics := newMemFabric(3)
-	group := make([]Exchange[string, int], len(fabrics))
-	for i, f := range fabrics {
-		group[i] = NewFrameExchange(f, testCodec())
-	}
-	got := runPeers(t, job, group)
+	group := newMemFabric(3)
+	got, metrics, errs := runGroup(job, group, splitInputs(wordCountInputs, len(group)), func(int) Config {
+		return Config{MapWorkers: 2, ReduceWorkers: 2}
+	})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("frame-fabric output differs:\n got %v\nwant %v", got, want)
 	}
 	var total int64
-	for _, f := range fabrics {
-		total += f.WireBytesOut()
+	for p, m := range metrics {
+		if errs[p] != nil {
+			t.Fatalf("peer %d: %v", p, errs[p])
+		}
+		if !m.RemoteShuffle || m.ShuffleBytes != group[p].WireBytesOut() {
+			t.Errorf("peer %d: RemoteShuffle %v, ShuffleBytes %d; want true, the fabric's %d",
+				p, m.RemoteShuffle, m.ShuffleBytes, group[p].WireBytesOut())
+		}
+		total += m.ShuffleBytes
 	}
 	if total <= 0 {
 		t.Error("expected wire bytes on the fabric")
+	}
+}
+
+// recordingFabric keeps a copy of every frame its peer sends, per
+// destination.
+type recordingFabric struct {
+	ByteExchange
+	mu   sync.Mutex
+	sent map[int][]string
+}
+
+func (r *recordingFabric) Send(dst int, frame []byte) error {
+	r.mu.Lock()
+	r.sent[dst] = append(r.sent[dst], string(frame))
+	r.mu.Unlock()
+	return r.ByteExchange.Send(dst, frame)
+}
+
+// TestSentFramesAreEncodedBatches pins the wire format, which is what keeps
+// transport byte counts comparable across versions: on an unbounded shuffle
+// every map worker sends each of its keys owned by another peer as exactly one
+// frame, EncodeBatch of the key and its combined values — with and without a
+// combiner, so a batch carries one value or many.
+func TestSentFramesAreEncodedBatches(t *testing.T) {
+	inputs := spillInputs(60)
+	const peers, workers = 3, 2
+	splits := splitInputs(inputs, peers)
+	combined, raw := spillWordCountJob(), spillWordCountJob()
+	raw.Combine = nil
+	for _, job := range []Job[string, string, int, string]{combined, raw} {
+		group := newMemFabric(peers)
+		recorders := make([]*recordingFabric, peers)
+		for p := range group {
+			recorders[p] = &recordingFabric{ByteExchange: group[p], sent: map[int][]string{}}
+			group[p] = recorders[p]
+		}
+		_, _, errs := runGroup(job, group, splits, func(int) Config {
+			return Config{MapWorkers: workers, ReduceWorkers: 2}
+		})
+		for p, split := range splits {
+			if errs[p] != nil {
+				t.Fatalf("peer %d: %v", p, errs[p])
+			}
+			want := map[int][]string{}
+			for w := 0; w < workers; w++ {
+				groups := map[string][]int{}
+				for i := w; i < len(split); i += workers {
+					job.Map(split[i], func(k string, v int) { groups[k] = append(groups[k], v) })
+				}
+				for k, vs := range groups {
+					if dst := int(job.Hash(k) % peers); dst != p {
+						if job.Combine != nil {
+							vs = job.Combine(k, vs)
+						}
+						frame := job.Codec.EncodeBatch(nil, KeyBatch[string, int]{Key: k, Values: vs})
+						want[dst] = append(want[dst], string(frame))
+					}
+				}
+			}
+			for dst := range want {
+				sort.Strings(want[dst])
+				sort.Strings(recorders[p].sent[dst])
+			}
+			if !reflect.DeepEqual(recorders[p].sent, want) {
+				t.Errorf("combiner %v: peer %d sent frames that are not the encoded batches", job.Combine != nil, p)
+			}
+		}
 	}
 }
 

@@ -1,7 +1,8 @@
-// Package mapreduce provides a small in-process bulk synchronous parallel
-// engine with exactly one round of communication: a map phase over input
-// splits, an optional per-worker combine, a hash-partitioned shuffle and a
-// reduce phase over partitions. It stands in for the Spark/MapReduce clusters
+// Package mapreduce provides a small bulk synchronous parallel engine with
+// exactly one round of communication: a map phase over input splits, an
+// optional per-worker combine, a hash-partitioned shuffle and a reduce phase
+// over partitions. One call, Run, executes a job alone in the process or as
+// one peer of a wire exchange. It stands in for the Spark/MapReduce clusters
 // used in the paper; the distributed FSM algorithms (D-SEQ, D-CAND, NAIVE,
 // SEMI-NAIVE) are expressed against this engine exactly as in Alg. 1 of the
 // paper. The engine instruments shuffle volume and per-stage wall-clock
@@ -96,7 +97,7 @@ type Metrics struct {
 	// ShuffleBytes is the serialized size of the communicated records. On an
 	// in-process run it is estimated by the job's SizeOf function; on a wire
 	// exchange it is the actual number of bytes written to the transport
-	// (see WireMetrics).
+	// (ByteExchange.WireBytesOut).
 	ShuffleBytes int64
 	// RemoteShuffle reports whether ShuffleBytes measured real transport
 	// traffic rather than the SizeOf estimate.
@@ -155,111 +156,76 @@ type Job[I any, K comparable, V any, O any] struct {
 	// SizeOf estimates the serialized size of one key/value pair in bytes for
 	// the shuffle-size metric. When nil, every record counts one byte.
 	SizeOf func(K, V) int
-	// Codec serializes keys and values. It is required for spilling
-	// (Config.Shuffle) — spill segments use the same wire encoding a remote
-	// shuffle would — and optional otherwise.
+	// Codec serializes keys and values. It is required on more than one peer
+	// and for a bounded shuffle (Config.Shuffle) — spill segments use the same
+	// wire encoding as the remote shuffle — and optional otherwise.
 	Codec *FrameCodec[K, V]
 }
 
-// Run executes the job on the given inputs and returns the concatenated
-// reduce outputs (in unspecified order) together with execution metrics. The
-// shuffle runs over the in-process loopback exchange (zero-copy). Run panics
-// on failure; an in-process run can only fail when Config.Shuffle bounds the
-// shuffle (a misconfigured job or disk errors while spilling) — callers that
-// enable those should prefer RunLocal and handle the error.
-func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O]) ([]O, Metrics) {
-	out, metrics, err := RunLocal(inputs, cfg, job)
-	if err != nil {
-		panic("mapreduce: in-process run failed: " + err.Error())
-	}
-	return out, metrics
-}
-
-// RunLocal is Run with error reporting: identical execution, but spill
-// failures (the only way an in-process run can fail) are returned instead of
-// panicking.
-func RunLocal[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O]) ([]O, Metrics, error) {
-	return RunExchange(inputs, cfg, job, NewLoopbackGroup[K, V](1)[0])
-}
-
-// RunExchange executes this peer's share of the job: it maps the local
-// inputs, routes every combined batch through the exchange to the peer that
-// owns the batch's key (job.Hash modulo the peer count) and reduces the keys
-// it receives. The returned outputs are the local partition's share of the
-// job output; on a single-peer exchange they are the complete output.
+// Run executes this peer's share of the job: it maps the local inputs,
+// carries every combined batch to the peer that owns the batch's key
+// (job.Hash modulo the peer count) and reduces the keys it owns.
 //
-// With more than one peer, every peer must call RunExchange with the same
-// job over its own input split; job.Hash is then mandatory so key ownership
-// is consistent across peers.
-func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], ex Exchange[K, V]) ([]O, Metrics, error) {
+// A nil bx means this process is the only peer: every batch goes straight into
+// the shuffle accumulator, zero-copy, and the outputs are the whole job's.
+// Otherwise every peer of bx calls Run with the same job over its own input
+// split; job.Hash and job.Codec are then mandatory, batches for other peers
+// are encoded by one sender goroutine per destination, received frames stay
+// encoded until the reduce callback, and the outputs are the local
+// partitions' share of the job output.
+func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], bx ByteExchange) ([]O, Metrics, error) {
 	cfg = cfg.normalized()
 	var metrics Metrics
-	npeers := ex.NumPeers()
+	self, npeers := peersOf(bx)
 	if npeers > 1 && job.Hash == nil {
-		return nil, metrics, errors.New("mapreduce: multi-peer jobs require a Hash function")
+		return nil, metrics, errPeersNeedHash
 	}
-	if (cfg.Shuffle.Enabled() || cfg.Shuffle.Streaming()) && job.Codec == nil {
+	if (npeers > 1 || cfg.Shuffle.Enabled() || cfg.Shuffle.Streaming()) && job.Codec == nil {
 		return nil, metrics, errShuffleNeedsCodec
 	}
 	runCtx, runSpan := obs.StartSpan(cfg.Context, "mapreduce.run",
-		obs.Int("peer", int64(ex.Self())), obs.Int("peers", int64(npeers)))
+		obs.Int("peer", int64(self)), obs.Int("peers", int64(npeers)))
 	cfg.Context = runCtx
 	defer runSpan.End()
 
-	// The accumulator gathers the key batches this peer receives (or owns
-	// itself); it is bounded by the spill threshold. The receiver drains the
-	// exchange into it concurrently with the senders, so bounded transports
-	// can apply backpressure without deadlock. It starts before the map
-	// phase: peers with bounded send buffers deliver while this peer still
-	// maps, and even with unbounded ones a peer that finishes mapping early
-	// starts sending.
-	//
-	// When the exchange can surface raw frames (a wire exchange with a
-	// codec), the receiver never decodes: frames are grouped by their
-	// encoded-key prefix and values stay encoded until the reduce callback.
+	// The accumulator gathers the key batches this peer owns, its own and the
+	// frames the other peers send; it is bounded by the spill threshold. On a
+	// wire exchange a receiver goroutine drains the exchange into it
+	// concurrently with the senders, so bounded transports can apply
+	// backpressure without deadlock. It starts before the map phase: peers
+	// with bounded send buffers deliver while this peer still maps, and even
+	// with unbounded ones a peer that finishes mapping early starts sending.
 	acc := newShuffleAccumulator(runCtx, cfg.Shuffle, cfg.Obs, job.Codec, job.SizeOf)
 	acc.combine = job.Combine
 	defer acc.cleanup()
-	frames, rawRecv := ex.(FrameSource)
-	rawRecv = rawRecv && job.Codec != nil
-	recvDone := make(chan error, 1)
-	go pprof.Do(runCtx, pprof.Labels("seqmine_stage", "shuffle_recv"), func(context.Context) {
-		var accErr error
-		for {
-			var (
-				frame []byte
-				b     KeyBatch[K, V]
-				err   error
-			)
-			if rawRecv {
-				frame, err = frames.RecvFrame()
-			} else {
-				b, err = ex.Recv()
-			}
-			if err != nil {
-				if err != io.EOF && accErr == nil {
-					accErr = err
+	var recvDone chan error
+	if bx != nil {
+		recvDone = make(chan error, 1)
+		go pprof.Do(runCtx, pprof.Labels("seqmine_stage", "shuffle_recv"), func(context.Context) {
+			var accErr error
+			for {
+				frame, err := bx.Recv()
+				if err != nil {
+					if err != io.EOF && accErr == nil {
+						accErr = err
+					}
+					recvDone <- accErr
+					return
 				}
-				recvDone <- accErr
-				return
+				if accErr == nil { // after an error, keep draining so remote senders are not wedged
+					accErr = acc.addRaw(frame)
+				}
 			}
-			switch {
-			case accErr != nil: // keep draining so remote senders are not wedged
-			case rawRecv:
-				accErr = acc.addRaw(frame)
-			default:
-				accErr = acc.add(b)
-			}
-		}
-	})
+		})
+	}
 
-	mapEnd, shuffleErr := runMapShuffle(inputs, cfg, job, ex, acc, recvDone, &metrics)
+	mapEnd, shuffleErr := runMapShuffle(inputs, cfg, job, bx, acc, recvDone, &metrics)
 	if shuffleErr != nil {
 		metrics.ReduceTime = time.Since(mapEnd)
 		return nil, metrics, shuffleErr
 	}
-	if wm, ok := ex.(WireMetrics); ok {
-		metrics.ShuffleBytes = wm.WireBytesOut()
+	if bx != nil {
+		metrics.ShuffleBytes = bx.WireBytesOut()
 		metrics.RemoteShuffle = true
 	}
 	accSpilled, accCount := acc.stats()
@@ -293,13 +259,10 @@ func RunExchange[I any, K comparable, V any, O any](inputs []I, cfg Config, job 
 // reach their share of Shuffle.SendBufferBytes and, for the rest, once the map
 // phase has ended. It returns the end of the map phase once the shuffle
 // barrier is complete (own sends flushed, every remote end frame received).
-func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], ex Exchange[K, V], acc *shuffleAccumulator[K, V], recvDone <-chan error, metrics *Metrics) (time.Time, error) {
-	npeers := ex.NumPeers()
+func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], bx ByteExchange, acc *shuffleAccumulator[K, V], recvDone <-chan error, metrics *Metrics) (time.Time, error) {
 	ctx := cfg.Context
-	// On a wire exchange the SizeOf estimate would be discarded in favor of
-	// the measured byte count, so the send path skips computing it.
-	_, wire := ex.(WireMetrics)
-	sp := newSendPath(cfg, job, wire, acc, ex)
+	sp := newSendPath(cfg, job, acc, bx)
+	npeers := len(sp.dests)
 
 	mapStart := time.Now()
 	emitted := make([]int64, cfg.MapWorkers)
@@ -341,11 +304,13 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 	if cerr := ctx.Err(); cerr != nil && err == nil {
 		err = cerr
 	}
-	if cerr := ex.CloseSend(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if rerr := <-recvDone; rerr != nil && err == nil {
-		err = rerr
+	if bx != nil {
+		if cerr := bx.CloseSend(); cerr != nil && err == nil {
+			err = cerr
+		}
+		if rerr := <-recvDone; rerr != nil && err == nil {
+			err = rerr
+		}
 	}
 	// With bounded buffers the shuffle runs alongside the map phase — that
 	// overlap is the point; unbounded, nothing leaves before the map ends.
@@ -367,6 +332,19 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 	obs.Observe(ctx, "mapreduce.shuffle", shuffleStart, metrics.ShuffleTime, shuffleAttrs...)
 	return mapEnd, err
 }
+
+// peersOf returns this peer's index and the peer count of bx; a nil bx is the
+// single peer 0.
+func peersOf(bx ByteExchange) (self, npeers int) {
+	if bx == nil {
+		return 0, 1
+	}
+	return bx.Self(), bx.NumPeers()
+}
+
+// errPeersNeedHash rejects a multi-peer job that cannot assign key ownership
+// consistently across the peers.
+var errPeersNeedHash = errors.New("mapreduce: multi-peer jobs require a Hash function")
 
 // reduce runs the one reduce loop: cfg.ReduceWorkers goroutines pull key
 // groups from one feeder through a bounded channel, so a heavy partition

@@ -39,6 +39,17 @@ func wordCountJob() mapreduce.Job[string, string, int64, [2]string] {
 	}
 }
 
+// runAlone runs the job as the only peer of the process, failing the test on
+// error.
+func runAlone[I any, K comparable, V any, O any](t *testing.T, inputs []I, cfg mapreduce.Config, job mapreduce.Job[I, K, V, O]) ([]O, mapreduce.Metrics) {
+	t.Helper()
+	out, metrics, err := mapreduce.Run(inputs, cfg, job, nil)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return out, metrics
+}
+
 func TestWordCount(t *testing.T) {
 	lines := []string{
 		"the quick brown fox",
@@ -46,7 +57,7 @@ func TestWordCount(t *testing.T) {
 		"the quick dog",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		out, metrics := mapreduce.Run(lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
+		out, metrics := runAlone(t, lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
 		got := map[string]string{}
 		for _, kv := range out {
 			got[kv[0]] = kv[1]
@@ -80,10 +91,10 @@ func TestCombinerReducesShuffle(t *testing.T) {
 		lines[i] = "alpha beta"
 	}
 	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
-	_, with := mapreduce.Run(lines, cfg, wordCountJob())
+	_, with := runAlone(t, lines, cfg, wordCountJob())
 	job := wordCountJob()
 	job.Combine = nil
-	_, without := mapreduce.Run(lines, cfg, job)
+	_, without := runAlone(t, lines, cfg, job)
 	if with.ShuffleRecords != 2 {
 		t.Errorf("with combiner: ShuffleRecords = %d, want 2", with.ShuffleRecords)
 	}
@@ -99,7 +110,7 @@ func TestNilHashAndSize(t *testing.T) {
 	job := wordCountJob()
 	job.Hash = nil
 	job.SizeOf = nil
-	out, metrics := mapreduce.Run([]string{"a b a"}, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 4}, job)
+	out, metrics := runAlone(t, []string{"a b a"}, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 4}, job)
 	if len(out) != 2 {
 		t.Errorf("expected 2 outputs, got %v", out)
 	}
@@ -110,7 +121,7 @@ func TestNilHashAndSize(t *testing.T) {
 }
 
 func TestEmptyInput(t *testing.T) {
-	out, metrics := mapreduce.Run(nil, mapreduce.Config{}, wordCountJob())
+	out, metrics := runAlone(t, nil, mapreduce.Config{}, wordCountJob())
 	if len(out) != 0 || metrics.ShuffleRecords != 0 || metrics.Partitions != 0 {
 		t.Errorf("empty input should produce nothing: %v %+v", out, metrics)
 	}
@@ -132,10 +143,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			lines[i] = strings.Join(parts, " ")
 		}
-		ref, _ := mapreduce.Run(lines, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}, wordCountJob())
+		ref, _ := runAlone(t, lines, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}, wordCountJob())
 		refSorted := renderKV(ref)
 		for _, workers := range []int{2, 3, 8} {
-			got, _ := mapreduce.Run(lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
+			got, _ := runAlone(t, lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
 			if !reflect.DeepEqual(renderKV(got), refSorted) {
 				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, renderKV(got), refSorted)
 			}

@@ -76,9 +76,10 @@ func splitInputs(inputs []string, n int) [][]string {
 }
 
 // runGroup executes the job on every peer of the group (peer p maps
-// splits[p]) and returns the sorted union of the outputs with the per-peer
-// metrics and errors.
-func runGroup(job Job[string, string, int, string], group []Exchange[string, int], splits [][]string, cfg func(p int) Config) ([]string, []Metrics, []error) {
+// splits[p]; a group of one nil exchange is a run alone in the process) and
+// returns the sorted union of the outputs with the per-peer metrics and
+// errors.
+func runGroup(job Job[string, string, int, string], group []ByteExchange, splits [][]string, cfg func(p int) Config) ([]string, []Metrics, []error) {
 	results := make([][]string, len(group))
 	metrics := make([]Metrics, len(group))
 	errs := make([]error, len(group))
@@ -87,7 +88,7 @@ func runGroup(job Job[string, string, int, string], group []Exchange[string, int
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], metrics[p], errs[p] = RunExchange(splits[p], cfg(p), job, group[p])
+			results[p], metrics[p], errs[p] = Run(splits[p], cfg(p), job, group[p])
 		}(p)
 	}
 	wg.Wait()
@@ -114,7 +115,7 @@ func TestSendPathMatchesOracle(t *testing.T) {
 				name := fmt.Sprintf("workers=%d buffer=%d threshold=%d", workers, buffer, threshold)
 				cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
 					Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillThreshold: threshold, SpillTmpDir: t.TempDir()}}
-				got, metrics := Run(inputs, cfg, job)
+				got, metrics := runAlone(t, inputs, cfg, job)
 				sort.Strings(got)
 				if !reflect.DeepEqual(got, want.out) {
 					t.Errorf("%s: output differs from the oracle", name)
@@ -175,7 +176,7 @@ func TestReduceCancel(t *testing.T) {
 			dir := t.TempDir()
 			cfg := Config{MapWorkers: 2, ReduceWorkers: 2, Context: ctx,
 				Shuffle: ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: dir}}
-			out, metrics, err := RunLocal(inputs, cfg, job)
+			out, metrics, err := Run(inputs, cfg, job, nil)
 			if !errors.Is(err, context.Canceled) || out != nil {
 				t.Errorf("cancelled reduce returned %d outputs, err %v; want none, context.Canceled", len(out), err)
 			}
@@ -194,11 +195,13 @@ func TestReduceCancel(t *testing.T) {
 }
 
 // TestMetricsContract pins what the benchmark and the cluster worker read off
-// Metrics, on every kind of exchange: an unbounded run reports no streaming
+// Metrics, alone in the process (loopback-1) and on every kind of exchange
+// (loopback-3 is the in-memory fabric): an unbounded run reports no streaming
 // or spilling activity and a shuffle that starts when the map ends, a bounded
 // run reports streamed batches, both agree with the oracle on the
-// capacity-independent counts, and the unbounded run's shuffle volume is the
-// oracle's post-combine volume exactly.
+// capacity-independent counts, the unbounded run's records are the oracle's
+// post-combine records exactly, and its bytes are the oracle's post-combine
+// volume alone and each fabric's wire count on an exchange.
 func TestMetricsContract(t *testing.T) {
 	inputs := spillInputs(200)
 	job := spillWordCountJob()
@@ -212,10 +215,14 @@ func TestMetricsContract(t *testing.T) {
 			splits := splitInputs(inputs, topo.peers)
 			want := oracle(job, splits, workers)
 			run := func(name string, sc ShuffleConfig) Metrics {
-				group := NewLoopbackGroup[string, int](topo.peers)
-				if topo.tcp {
+				group := []ByteExchange{nil}
+				switch {
+				case topo.tcp:
 					group = tcpGroup(t, name, topo.peers)
+				case topo.peers > 1:
+					group = newMemFabric(topo.peers)
 				}
+				remote := group[0] != nil
 				out, metrics, errs := runGroup(job, group, splits, func(int) Config {
 					return Config{MapWorkers: workers, ReduceWorkers: workers, Shuffle: sc}
 				})
@@ -228,9 +235,13 @@ func TestMetricsContract(t *testing.T) {
 					t.Errorf("%s: output differs from the oracle", name)
 				}
 				var total Metrics
-				for _, m := range metrics {
-					if m.RemoteShuffle != topo.tcp {
-						t.Errorf("%s: RemoteShuffle = %v on a tcp=%v exchange", name, m.RemoteShuffle, topo.tcp)
+				for p, m := range metrics {
+					if m.RemoteShuffle != remote {
+						t.Errorf("%s: RemoteShuffle = %v, want %v", name, m.RemoteShuffle, remote)
+					}
+					if remote && m.ShuffleBytes != group[p].WireBytesOut() {
+						t.Errorf("%s: peer %d ShuffleBytes = %d, want the exchange's wire count %d",
+							name, p, m.ShuffleBytes, group[p].WireBytesOut())
 					}
 					if !sc.Streaming() && (m.StreamedBatches != 0 || m.SpillCount != 0 || m.SpilledBytes != 0 ||
 						len(m.StreamPeers) != 0 || m.ShuffleTime > m.ReduceTime) {
@@ -257,20 +268,20 @@ func TestMetricsContract(t *testing.T) {
 				t.Errorf("unbounded ShuffleRecords = %d, want the oracle's post-combine %d",
 					unbounded.ShuffleRecords, want.shuffleRecords)
 			}
-			if !topo.tcp && unbounded.ShuffleBytes != want.shuffleBytes {
+			if topo.peers == 1 && unbounded.ShuffleBytes != want.shuffleBytes {
 				t.Errorf("unbounded ShuffleBytes = %d, want the oracle's post-combine %d",
 					unbounded.ShuffleBytes, want.shuffleBytes)
 			}
-			if topo.tcp && unbounded.ShuffleBytes <= 0 {
+			if topo.peers > 1 && unbounded.ShuffleBytes <= 0 {
 				t.Error("wire run measured no transport bytes")
 			}
 		})
 	}
 }
 
-// tcpGroup connects n transport nodes on loopback TCP and returns one frame
+// tcpGroup connects n transport nodes on loopback TCP and returns one
 // exchange per peer; everything is closed when the test ends.
-func tcpGroup(t *testing.T, jobID string, n int) []Exchange[string, int] {
+func tcpGroup(t *testing.T, jobID string, n int) []ByteExchange {
 	t.Helper()
 	nodes := make([]*transport.Node, n)
 	addrs := make([]string, n)
@@ -282,7 +293,7 @@ func tcpGroup(t *testing.T, jobID string, n int) []Exchange[string, int] {
 		t.Cleanup(func() { node.Close() })
 		nodes[i], addrs[i] = node, node.Addr()
 	}
-	group := make([]Exchange[string, int], n)
+	group := make([]ByteExchange, n)
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for p := range nodes {
@@ -294,7 +305,7 @@ func tcpGroup(t *testing.T, jobID string, n int) []Exchange[string, int] {
 				errs[p] = err
 				return
 			}
-			group[p] = NewFrameExchange[string, int](bx, testCodec())
+			group[p] = bx
 		}(p)
 	}
 	wg.Wait()
@@ -307,15 +318,15 @@ func tcpGroup(t *testing.T, jobID string, n int) []Exchange[string, int] {
 }
 
 // failingExchange rejects every Send, like a peer whose connection broke.
-type failingExchange[K comparable, V any] struct{ Exchange[K, V] }
+type failingExchange struct{ ByteExchange }
 
 var errInjectedSend = errors.New("injected send failure")
 
-func (failingExchange[K, V]) Send(int, KeyBatch[K, V]) error { return errInjectedSend }
+func (failingExchange) Send(int, []byte) error { return errInjectedSend }
 
 // TestSendPathLeavesNoGoroutines: the send path starts one sender goroutine
 // per remote peer whatever the buffer capacity. They, the receiver and the
-// map workers must all have exited when RunExchange returns — on success,
+// map workers must all have exited when Run returns — on success,
 // after a send error, after a cancellation, and after a cancellation that
 // lands while a stalled peer has hand-offs blocked behind a full sender queue
 // (mid-map when bounded, after the map when not).
@@ -328,12 +339,12 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 				before := runtime.NumGoroutine()
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				group := NewLoopbackGroup[string, int](2)
+				group := newMemFabric(2)
 				j := job
 				workers := 2
 				switch outcome {
 				case "send-error":
-					group[0] = failingExchange[string, int]{group[0]}
+					group[0] = failingExchange{group[0]}
 				case "cancelled":
 					var mapped atomic.Int64
 					j.Map = func(in string, emit func(string, int)) {
@@ -348,7 +359,7 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 					// blocked in their hand-off when the cancellation lands.
 					workers = 8
 					gate, entered := make(chan struct{}), make(chan struct{}, 1)
-					group[0] = &gatedExchange[string, int]{Exchange: group[0], gate: gate, entered: entered}
+					group[0] = &gatedExchange{ByteExchange: group[0], gate: gate, entered: entered}
 					go func() {
 						<-entered
 						time.Sleep(20 * time.Millisecond) // let the queue fill
@@ -413,9 +424,9 @@ func TestBlockedHandOffObservesCancel(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			gate := make(chan struct{})
-			ex := &gatedExchange[string, int]{Exchange: NewLoopbackGroup[string, int](2)[0], gate: gate}
+			ex := &gatedExchange{ByteExchange: newMemFabric(2)[0], gate: gate}
 			cfg := Config{MapWorkers: 6, Context: ctx, Shuffle: ShuffleConfig{SendBufferBytes: buffer}}
-			sp := newSendPath(cfg, job, false, newShuffleAccumulator(ctx, cfg.Shuffle, nil, job.Codec, job.SizeOf), ex)
+			sp := newSendPath(cfg, job, newShuffleAccumulator(ctx, cfg.Shuffle, nil, job.Codec, job.SizeOf), ex)
 			done := make(chan error, 1)
 			go func() {
 				for w := range sp.bufs { // bounded: the second record flushes the first

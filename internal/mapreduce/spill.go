@@ -79,13 +79,13 @@ const (
 // in-memory group-by; past it, the current run is sorted by encoded key and
 // written to a temp-file segment in the FrameCodec wire encoding, and the
 // reduce phase streams a k-way merge over the segments plus the final
-// in-memory run. add and addRaw are safe for concurrent use (the engine's
-// sender and receiver both feed it); merge and cleanup are called after the
+// in-memory run. add and addRaw are safe for concurrent use (the map workers'
+// hand-offs and the receiver both feed it); merge and cleanup are called after the
 // shuffle barrier, single-goroutine.
 //
-// The accumulator holds two kinds of runs. Decoded batches (self-delivered
-// and loopback batches, which are zero-copy Go values) group into mem.
-// Encoded frames from a wire exchange group into raw, keyed by the frame's
+// The accumulator holds two kinds of runs. Decoded batches (the ones this
+// peer owns itself, which are zero-copy Go values) group into mem. Encoded
+// frames from a wire exchange group into raw, keyed by the frame's
 // encoded-key prefix: the value bytes of equal-key frames are concatenated
 // without decoding a single record, and stay encoded through spilling and
 // the k-way merge until a fully assembled group reaches the reduce
@@ -134,7 +134,7 @@ type rawChunk struct {
 	count int
 }
 
-// newShuffleAccumulator builds the accumulator for one RunExchange call.
+// newShuffleAccumulator builds the accumulator for one Run call.
 // codec may be nil when cfg does not enable spilling; ctx and reg carry the
 // optional observability state (trace recorder and metric registry).
 func newShuffleAccumulator[K comparable, V any](ctx context.Context, cfg ShuffleConfig, reg *obs.Registry, codec *FrameCodec[K, V], sizeOf func(K, V) int) *shuffleAccumulator[K, V] {
@@ -782,6 +782,6 @@ func (r *segmentReader[K, V]) readFrame() ([]byte, error) {
 	return frame, nil
 }
 
-// errShuffleNeedsCodec is returned when spilling or streaming is requested
-// for a job that cannot serialize its records.
-var errShuffleNeedsCodec = errors.New("mapreduce: ShuffleConfig.SpillThreshold and SendBufferBytes require a job Codec to serialize shuffle records")
+// errShuffleNeedsCodec is returned when a multi-peer run, spilling or
+// streaming is requested for a job that cannot serialize its records.
+var errShuffleNeedsCodec = errors.New("mapreduce: multi-peer runs, ShuffleConfig.SpillThreshold and SendBufferBytes require a job Codec to serialize shuffle records")

@@ -91,7 +91,7 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 
 // TestSpillCrossBufferRawChunksThreeFlushes drives the accumulator the way a
 // streaming shuffle does when one hot key keeps arriving across buffer
-// flushes: decoded loopback batches and raw wire frames for the same key land
+// flushes: decoded self-owned batches and raw wire frames for the same key land
 // in three separate runs (two spilled, one left in memory). The merge must
 // deliver the key exactly once, with the per-spill external combine collapsing
 // each decoded run and the raw chunks preserved byte-for-byte in

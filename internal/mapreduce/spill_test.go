@@ -41,7 +41,7 @@ func spillInputs(lines int) []string {
 func TestRunSpillEquivalence(t *testing.T) {
 	inputs := spillInputs(300)
 	cfg := Config{MapWorkers: 3, ReduceWorkers: 3}
-	want, wantMetrics := Run(inputs, cfg, spillWordCountJob())
+	want, wantMetrics := runAlone(t, inputs, cfg, spillWordCountJob())
 	sort.Strings(want)
 	if wantMetrics.SpilledBytes != 0 || wantMetrics.SpillCount != 0 {
 		t.Fatalf("in-memory run reported spilling: %+v", wantMetrics)
@@ -49,7 +49,7 @@ func TestRunSpillEquivalence(t *testing.T) {
 
 	const threshold = 256
 	cfg.Shuffle = ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: t.TempDir()}
-	got, metrics := Run(inputs, cfg, spillWordCountJob())
+	got, metrics := runAlone(t, inputs, cfg, spillWordCountJob())
 	sort.Strings(got)
 
 	if !reflect.DeepEqual(got, want) {
@@ -74,41 +74,20 @@ func TestRunSpillEquivalence(t *testing.T) {
 func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 	inputs := spillInputs(200)
 	job := spillWordCountJob()
-	want, _ := Run(inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
 	sort.Strings(want)
 
-	group := NewLoopbackGroup[string, int](3)
-	var (
-		out     []string
-		spilled int64
-	)
-	results := make([][]string, len(group))
-	metricses := make([]Metrics, len(group))
-	errs := make([]error, len(group))
-	done := make(chan int, len(group))
-	for p := range group {
-		var split []string
-		for i := p; i < len(inputs); i += len(group) {
-			split = append(split, inputs[i])
-		}
-		go func(p int, split []string) {
-			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir()}}
-			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, group[p])
-			done <- p
-		}(p, split)
-	}
-	for range group {
-		<-done
-	}
-	for p := range group {
+	out, metrics, errs := runGroup(job, newMemFabric(3), splitInputs(inputs, 3), func(int) Config {
+		return Config{MapWorkers: 2, ReduceWorkers: 2,
+			Shuffle: ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir()}}
+	})
+	var spilled int64
+	for p, m := range metrics {
 		if errs[p] != nil {
 			t.Fatalf("peer %d: %v", p, errs[p])
 		}
-		out = append(out, results[p]...)
-		spilled += metricses[p].SpilledBytes
+		spilled += m.SpilledBytes
 	}
-	sort.Strings(out)
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("multi-peer spilled output differs from single-process in-memory output")
 	}
@@ -124,13 +103,13 @@ func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 func TestSpillCompression(t *testing.T) {
 	inputs := spillInputs(300)
 	cfg := Config{MapWorkers: 3, ReduceWorkers: 3}
-	want, _ := Run(inputs, cfg, spillWordCountJob())
+	want, _ := runAlone(t, inputs, cfg, spillWordCountJob())
 	sort.Strings(want)
 
 	var plain, compressed Metrics
 	for _, compress := range []bool{false, true} {
 		cfg.Shuffle = ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir(), CompressSpill: compress}
-		got, metrics := Run(inputs, cfg, spillWordCountJob())
+		got, metrics := runAlone(t, inputs, cfg, spillWordCountJob())
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("compression=%v: spilled output differs from in-memory output", compress)
@@ -153,7 +132,7 @@ func TestSpillCompression(t *testing.T) {
 func TestSpillRequiresCodec(t *testing.T) {
 	job := wordCountJob() // no codec
 	cfg := Config{Shuffle: ShuffleConfig{SpillThreshold: 1}}
-	_, _, err := RunLocal(wordCountInputs, cfg, job)
+	_, _, err := Run(wordCountInputs, cfg, job, nil)
 	if err == nil {
 		t.Fatal("expected an error for spilling without a codec")
 	}
@@ -170,7 +149,7 @@ func TestSpillSingleHotKey(t *testing.T) {
 	job.Combine = nil // keep every record so the hot key has 4000 values
 	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
 		Shuffle: ShuffleConfig{SpillThreshold: 128, SpillTmpDir: t.TempDir()}}
-	out, metrics := Run(lines, cfg, job)
+	out, metrics := runAlone(t, lines, cfg, job)
 	if len(out) != 1 || out[0] != "hot=4000" {
 		t.Fatalf("got %v, want [hot=4000]", out)
 	}
@@ -317,12 +296,12 @@ func TestSpillPreservesEmptyValueKeys(t *testing.T) {
 		emit(fmt.Sprintf("%s/%d", k, len(vs)))
 	}
 	inputs := spillInputs(200)
-	want, _ := Run(inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
 	sort.Strings(want)
 
 	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
 		Shuffle: ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
-	got, metrics := Run(inputs, cfg, job)
+	got, metrics := runAlone(t, inputs, cfg, job)
 	sort.Strings(got)
 	if metrics.SpillCount == 0 {
 		t.Fatal("expected spilling")

@@ -50,7 +50,7 @@ import (
 // while one runs.
 var testSendBufferProbe func(peer int, occupancyBytes int64)
 
-// sendPath is the per-RunExchange state of the send path.
+// sendPath is the per-Run state of the send path.
 type sendPath[K comparable, V any] struct {
 	bounded bool  // buffers have a capacity (ShuffleConfig.Streaming())
 	share   int64 // one map worker's byte share of SendBufferBytes
@@ -59,7 +59,7 @@ type sendPath[K comparable, V any] struct {
 	// estimate; nil (unbounded runs of jobs without SizeOf) counts one byte
 	// per record.
 	sizeOf func(K, V) int
-	wire   bool // ShuffleBytes comes from WireMetrics, skip the estimate
+	wire   bool // ShuffleBytes comes from ByteExchange.WireBytesOut, skip the estimate
 	self   int
 
 	acc   *shuffleAccumulator[K, V]
@@ -76,7 +76,7 @@ type sendPath[K comparable, V any] struct {
 }
 
 // runStats counts one or more combined runs: key batches, records and (on
-// non-wire exchanges) their estimated bytes.
+// single-process runs) their estimated bytes.
 type runStats struct{ batches, records, sizeBytes int64 }
 
 func (r *runStats) add(o runStats) {
@@ -117,17 +117,18 @@ type destSendState[K comparable, V any] struct {
 }
 
 // newSendPath prepares the buffers and starts one sender goroutine per remote
-// peer.
-func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], wire bool, acc *shuffleAccumulator[K, V], ex Exchange[K, V]) *sendPath[K, V] {
+// peer of bx (none when bx is nil).
+func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], bx ByteExchange) *sendPath[K, V] {
+	self, npeers := peersOf(bx)
 	s := &sendPath[K, V]{
 		bounded: cfg.Shuffle.Streaming(),
 		share:   cfg.Shuffle.SendBufferBytes / int64(cfg.MapWorkers),
 		combine: job.Combine,
 		sizeOf:  job.SizeOf,
-		wire:    wire,
-		self:    ex.Self(),
+		wire:    bx != nil,
+		self:    self,
 		acc:     acc,
-		dests:   make([]*destSendState[K, V], ex.NumPeers()),
+		dests:   make([]*destSendState[K, V], npeers),
 		bufs:    make([][]sendBuffer[K, V], cfg.MapWorkers),
 		ctx:     cfg.Context,
 		occHist: cfg.Obs.Histogram("seqmine_send_buffer_occupancy_bytes",
@@ -151,7 +152,7 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 		st.queue = make(chan map[K][]V, 4)
 		s.senders.Add(1)
 		go pprof.Do(s.ctx, pprof.Labels("seqmine_stage", "shuffle_send", "peer", strconv.Itoa(p)),
-			func(context.Context) { st.runSender(ex) })
+			func(context.Context) { st.runSender(bx, job.Codec) })
 	}
 	return s
 }
@@ -267,17 +268,21 @@ func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V]) e
 	return nil
 }
 
-// runSender sends the peer's queued runs over the exchange until the queue is
-// closed. Once the run is lost (a send failed, or it was cancelled) it keeps
-// consuming but discards, so hand-offs never block against a dead peer; the
-// error surfaces after the barrier.
-func (st *destSendState[K, V]) runSender(ex Exchange[K, V]) {
+// runSender encodes the peer's queued runs, one frame per key batch, and sends
+// them over the exchange until the queue is closed. It is the destination's
+// only writer, so one encode buffer serves the whole run. Once the run is lost
+// (a send failed, or it was cancelled) it keeps consuming but discards, so
+// hand-offs never block against a dead peer; the error surfaces after the
+// barrier.
+func (st *destSendState[K, V]) runSender(bx ByteExchange, codec *FrameCodec[K, V]) {
 	s := st.owner
 	defer s.senders.Done()
+	var frame []byte
 	for groups := range st.queue {
 		if !s.lost() {
 			for k, vs := range groups {
-				if err := ex.Send(st.dst, KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
+				frame = codec.EncodeBatch(frame[:0], KeyBatch[K, V]{Key: k, Values: vs})
+				if err := bx.Send(st.dst, frame); err != nil {
 					s.fail(err)
 					break
 				}

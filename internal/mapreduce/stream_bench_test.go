@@ -1,11 +1,10 @@
-package mapreduce_test
+package mapreduce
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 
-	"seqmine/internal/mapreduce"
 	"seqmine/internal/transport"
 )
 
@@ -20,10 +19,10 @@ import (
 func BenchmarkShuffleOverlapTCP(b *testing.B) {
 	for _, mode := range []struct {
 		name    string
-		shuffle mapreduce.ShuffleConfig
+		shuffle ShuffleConfig
 	}{
 		{name: "barrier"},
-		{name: "streaming", shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 64 << 10}},
+		{name: "streaming", shuffle: ShuffleConfig{SendBufferBytes: 64 << 10}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			sc := mode.shuffle
@@ -36,19 +35,19 @@ func BenchmarkShuffleOverlapTCP(b *testing.B) {
 }
 
 // overlapCodec moves int keys and fixed-size byte payloads.
-func overlapCodec() mapreduce.FrameCodec[int, []byte] {
-	return mapreduce.FrameCodec[int, []byte]{
-		AppendKey: func(buf []byte, k int) []byte { return mapreduce.AppendUvarint(buf, uint64(k)) },
+func overlapCodec() FrameCodec[int, []byte] {
+	return FrameCodec[int, []byte]{
+		AppendKey: func(buf []byte, k int) []byte { return AppendUvarint(buf, uint64(k)) },
 		ReadKey: func(data []byte, pos int) (int, int, error) {
-			v, pos, err := mapreduce.ReadUvarint(data, pos)
+			v, pos, err := ReadUvarint(data, pos)
 			return int(v), pos, err
 		},
 		AppendValue: func(buf []byte, v []byte) []byte {
-			buf = mapreduce.AppendUvarint(buf, uint64(len(v)))
+			buf = AppendUvarint(buf, uint64(len(v)))
 			return append(buf, v...)
 		},
 		ReadValue: func(data []byte, pos int) ([]byte, int, error) {
-			n, pos, err := mapreduce.ReadUvarint(data, pos)
+			n, pos, err := ReadUvarint(data, pos)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -60,7 +59,7 @@ func overlapCodec() mapreduce.FrameCodec[int, []byte] {
 	}
 }
 
-func runOverlapJob(b *testing.B, jobID string, sc mapreduce.ShuffleConfig) {
+func runOverlapJob(b *testing.B, jobID string, sc ShuffleConfig) {
 	b.Helper()
 	const (
 		npeers        = 2
@@ -82,7 +81,7 @@ func runOverlapJob(b *testing.B, jobID string, sc mapreduce.ShuffleConfig) {
 	}
 
 	codec := overlapCodec()
-	job := mapreduce.Job[int, int, []byte, int]{
+	job := Job[int, int, []byte, int]{
 		Map: func(base int, emit func(int, []byte)) {
 			payload := make([]byte, payloadSize)
 			for r := 0; r < recordsPerMap; r++ {
@@ -90,7 +89,7 @@ func runOverlapJob(b *testing.B, jobID string, sc mapreduce.ShuffleConfig) {
 				// NFA construction.
 				x := uint64(base*recordsPerMap + r)
 				for s := 0; s < spinPerRecord; s++ {
-					x = mapreduce.HashUint64(x)
+					x = HashUint64(x)
 				}
 				payload[0] = byte(x)
 				emit(base*recordsPerMap+r, payload)
@@ -128,12 +127,11 @@ func runOverlapJob(b *testing.B, jobID string, sc mapreduce.ShuffleConfig) {
 				return
 			}
 			defer bx.Close()
-			ex := mapreduce.NewFrameExchange(bx, codec)
 			// One map worker: the contrast under test is whether the shuffle
-			// (sender, remote decode and accumulate) can use the remaining
-			// cores while the map core is busy.
-			cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 2, Shuffle: sc}
-			out, _, err := mapreduce.RunExchange(inputs, cfg, job, ex)
+			// (sender, remote accumulate) can use the remaining cores while
+			// the map core is busy.
+			cfg := Config{MapWorkers: 1, ReduceWorkers: 2, Shuffle: sc}
+			out, _, err := Run(inputs, cfg, job, bx)
 			errs[p] = err
 			counts[p] = len(out)
 		}(p, inputs)
@@ -160,7 +158,7 @@ func runOverlapJob(b *testing.B, jobID string, sc mapreduce.ShuffleConfig) {
 func BenchmarkStreamEmitContention(b *testing.B) {
 	codec := overlapCodec()
 	payload := make([]byte, 16)
-	job := mapreduce.Job[int, int, []byte, int]{
+	job := Job[int, int, []byte, int]{
 		Map: func(base int, emit func(int, []byte)) {
 			for r := 0; r < 64; r++ {
 				emit(base*64+r, payload)
@@ -177,11 +175,11 @@ func BenchmarkStreamEmitContention(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := mapreduce.Config{MapWorkers: workers, ReduceWorkers: 2,
-				Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32 << 10, SpillTmpDir: b.TempDir()}}
+			cfg := Config{MapWorkers: workers, ReduceWorkers: 2,
+				Shuffle: ShuffleConfig{SendBufferBytes: 32 << 10, SpillTmpDir: b.TempDir()}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				group := mapreduce.NewLoopbackGroup[int, []byte](2)
+				group := newMemFabric(2)
 				var wg sync.WaitGroup
 				for p := range group {
 					wg.Add(1)
@@ -191,7 +189,7 @@ func BenchmarkStreamEmitContention(b *testing.B) {
 						if p == 0 {
 							split = inputs
 						}
-						if _, _, err := mapreduce.RunExchange(split, cfg, job, group[p]); err != nil {
+						if _, _, err := Run(split, cfg, job, group[p]); err != nil {
 							b.Error(err)
 						}
 					}(p)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -47,7 +46,7 @@ func TestStreamingSendBufferBound(t *testing.T) {
 	job := spillWordCountJob()
 	want := wantOutput(job, inputs)
 
-	got, metrics := Run(inputs, streamingConfig(t, bufCap), job)
+	got, metrics := runAlone(t, inputs, streamingConfig(t, bufCap), job)
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("bounded-buffer output differs from the oracle")
@@ -66,42 +65,24 @@ func TestStreamingSendBufferBound(t *testing.T) {
 	}
 }
 
-// TestStreamingMultiPeerLoopback checks equivalence across a 3-peer loopback
-// group with streaming enabled on every peer.
+// TestStreamingMultiPeerLoopback checks equivalence across a 3-peer in-memory
+// fabric with streaming enabled on every peer.
 func TestStreamingMultiPeerLoopback(t *testing.T) {
 	inputs := spillInputs(200)
 	job := spillWordCountJob()
 	want := wantOutput(job, inputs)
 
-	group := NewLoopbackGroup[string, int](3)
-	results := make([][]string, len(group))
-	metricses := make([]Metrics, len(group))
-	errs := make([]error, len(group))
-	var wg sync.WaitGroup
-	for p := range group {
-		var split []string
-		for i := p; i < len(inputs); i += len(group) {
-			split = append(split, inputs[i])
-		}
-		wg.Add(1)
-		go func(p int, split []string) {
-			defer wg.Done()
-			cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: ShuffleConfig{SendBufferBytes: 256, SpillTmpDir: t.TempDir()}}
-			results[p], metricses[p], errs[p] = RunExchange(split, cfg, job, group[p])
-		}(p, split)
-	}
-	wg.Wait()
-	var out []string
+	out, metrics, errs := runGroup(job, newMemFabric(3), splitInputs(inputs, 3), func(int) Config {
+		return Config{MapWorkers: 2, ReduceWorkers: 2,
+			Shuffle: ShuffleConfig{SendBufferBytes: 256, SpillTmpDir: t.TempDir()}}
+	})
 	var streamed int64
-	for p := range group {
+	for p, m := range metrics {
 		if errs[p] != nil {
 			t.Fatalf("peer %d: %v", p, errs[p])
 		}
-		out = append(out, results[p]...)
-		streamed += metricses[p].StreamedBatches
+		streamed += m.StreamedBatches
 	}
-	sort.Strings(out)
 	if !reflect.DeepEqual(out, want) {
 		t.Error("multi-peer bounded-buffer output differs from the oracle")
 	}
@@ -126,7 +107,7 @@ func TestStreamingWithSpillAndCompression(t *testing.T) {
 		sc.CompressSpill = compress
 		sc.SpillTmpDir = t.TempDir()
 		cfg := Config{MapWorkers: 3, ReduceWorkers: 3, Shuffle: sc}
-		got, metrics := Run(inputs, cfg, job)
+		got, metrics := runAlone(t, inputs, cfg, job)
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("compression=%v: bounded-shuffle output differs from the oracle", compress)
@@ -152,19 +133,19 @@ func TestStreamingWithSpillAndCompression(t *testing.T) {
 // simulating a peer that has stalled completely: the per-peer sender
 // goroutines wedge on their first frame, their short queues fill, and the map
 // workers' hand-offs block behind them.
-type gatedExchange[K comparable, V any] struct {
-	Exchange[K, V]
+type gatedExchange struct {
+	ByteExchange
 	gate    <-chan struct{}
 	entered chan<- struct{} // optional: signalled (never blocking) when a Send starts waiting
 }
 
-func (g *gatedExchange[K, V]) Send(dst int, b KeyBatch[K, V]) error {
+func (g *gatedExchange) Send(dst int, frame []byte) error {
 	select {
 	case g.entered <- struct{}{}:
 	default:
 	}
 	<-g.gate
-	return g.Exchange.Send(dst, b)
+	return g.ByteExchange.Send(dst, frame)
 }
 
 // TestStreamingBackpressureBlocks pins the bounded-memory claim: against a
@@ -179,10 +160,10 @@ func TestStreamingBackpressureBlocks(t *testing.T) {
 	max := probeMaxOccupancy(t)
 
 	gate := make(chan struct{})
-	group := NewLoopbackGroup[string, int](2)
+	group := newMemFabric(2)
 	dirs := make([]string, len(group))
 	for p := range group {
-		group[p] = &gatedExchange[string, int]{Exchange: group[p], gate: gate}
+		group[p] = &gatedExchange{ByteExchange: group[p], gate: gate}
 		dirs[p] = t.TempDir()
 	}
 	// Leave the peers stalled far longer than the (fast) map phases need to
@@ -217,7 +198,7 @@ func TestStreamingBackpressureBlocks(t *testing.T) {
 func TestStreamingRequiresCodec(t *testing.T) {
 	job := wordCountJob() // no codec
 	cfg := Config{Shuffle: ShuffleConfig{SendBufferBytes: 64}}
-	_, _, err := RunLocal(wordCountInputs, cfg, job)
+	_, _, err := Run(wordCountInputs, cfg, job, nil)
 	if err == nil {
 		t.Fatal("expected an error for streaming without a codec")
 	}
@@ -225,7 +206,7 @@ func TestStreamingRequiresCodec(t *testing.T) {
 
 // TestStreamingEmptyInput: no emits, no flushes, no batches — and no hang.
 func TestStreamingEmptyInput(t *testing.T) {
-	out, metrics := Run(nil, streamingConfig(t, 128), spillWordCountJob())
+	out, metrics := runAlone(t, nil, streamingConfig(t, 128), spillWordCountJob())
 	if len(out) != 0 || metrics.StreamedBatches != 0 || metrics.ShuffleRecords != 0 {
 		t.Errorf("empty streaming input should produce nothing: %v %+v", out, metrics)
 	}
@@ -248,7 +229,7 @@ func TestStreamingPreservesEmptyValueKeys(t *testing.T) {
 	inputs := spillInputs(150)
 	want := wantOutput(job, inputs)
 
-	got, metrics := Run(inputs, streamingConfig(t, 128), job)
+	got, metrics := runAlone(t, inputs, streamingConfig(t, 128), job)
 	sort.Strings(got)
 	if metrics.StreamedBatches == 0 {
 		t.Fatal("expected streamed batches")
@@ -302,7 +283,7 @@ func TestRunExchangeCancel(t *testing.T) {
 			go func() {
 				defer close(done)
 				// Peer 0 maps everything and is canceled; peer 1 only reduces.
-				_, metrics, errs = runGroup(canceling, NewLoopbackGroup[string, int](2), [][]string{inputs, nil},
+				_, metrics, errs = runGroup(canceling, newMemFabric(2), [][]string{inputs, nil},
 					func(p int) Config {
 						cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
 							Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
@@ -354,7 +335,7 @@ func TestStreamEmitShardedByWorker(t *testing.T) {
 
 	cfg := Config{MapWorkers: 8, ReduceWorkers: 2,
 		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: t.TempDir()}}
-	got, metrics := Run(inputs, cfg, job)
+	got, metrics := runAlone(t, inputs, cfg, job)
 	sort.Strings(got)
 	if !reflect.DeepEqual(got, want) {
 		t.Error("sharded bounded-buffer output differs from the oracle")

@@ -11,11 +11,10 @@ import (
 )
 
 // TestRunExchangeManyKeysOverTransport shuffles thousands of tiny batches
-// across three real TCP peers. Regression test for a deadlock in the frame
-// adapter's self-delivery path: with more than an inbox's worth of
-// self-owned keys and remote frames small enough to sit in the connections'
-// write buffers, a bounded self queue wedged sender and receiver against
-// each other.
+// across three real TCP peers. Regression test for a deadlock in an earlier
+// self-delivery path: with more than an inbox's worth of self-owned keys and
+// remote frames small enough to sit in the connections' write buffers, a
+// bounded self queue wedged sender and receiver against each other.
 func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 	const (
 		npeers = 3
@@ -61,7 +60,8 @@ func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 			}
 			emit(fmt.Sprintf("%d=%d", k, sum))
 		},
-		Hash: func(k int) uint64 { return mapreduce.HashUint64(uint64(k)) },
+		Hash:  func(k int) uint64 { return mapreduce.HashUint64(uint64(k)) },
+		Codec: &codec,
 	}
 
 	var (
@@ -87,8 +87,7 @@ func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 				return
 			}
 			defer bx.Close()
-			ex := mapreduce.NewFrameExchange(bx, codec)
-			local, _, err := mapreduce.RunExchange(inputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, job, ex)
+			local, _, err := mapreduce.Run(inputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, job, bx)
 			mu.Lock()
 			out = append(out, local...)
 			if err != nil {
@@ -99,7 +98,7 @@ func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 	}
 	wg.Wait()
 	for _, err := range fails {
-		t.Fatalf("RunExchange: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(out) != nkeys {
 		t.Fatalf("got %d reduced keys, want %d", len(out), nkeys)
@@ -188,10 +187,9 @@ func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 				return
 			}
 			defer bx.Close()
-			ex := mapreduce.NewFrameExchange(bx, codec)
 			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
 				Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
-			local, metrics, err := mapreduce.RunExchange(inputs, cfg, job, ex)
+			local, metrics, err := mapreduce.Run(inputs, cfg, job, bx)
 			mu.Lock()
 			out = append(out, local...)
 			spilled += metrics.SpilledBytes
@@ -209,7 +207,7 @@ func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 		t.Fatal("skewed shuffle did not complete within 60s (self-delivery deadlock?)")
 	}
 	for _, err := range fails {
-		t.Fatalf("RunExchange: %v", err)
+		t.Fatalf("Run: %v", err)
 	}
 	if len(out) != nkeys {
 		t.Fatalf("got %d reduced keys, want %d", len(out), nkeys)

@@ -62,22 +62,15 @@ func codec() mapreduce.FrameCodec[string, int64] {
 	}
 }
 
-// Mine runs the baseline on the database and returns the frequent sequences
-// together with the engine metrics. Unlike D-SEQ/D-CAND the baselines have no
-// algorithmic enhancement toggles. (Bounding the shuffle through cfg.Shuffle
-// matters particularly here: SendBufferBytes bounds the map-side combine,
-// whose candidate groups are otherwise proportional to the whole map output —
-// the combiner then runs per send-buffer flush instead of over one unbounded
-// map per worker.) It panics on failure; a run can only fail when the shuffle
-// is bounded (cfg.Shuffle), so callers that bound it should prefer MineLocal.
-func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
-	return dminer.Mine("naive", db, cfg, buildJob(f, sigma, variant))
-}
-
-// MineLocal is Mine with error reporting: bounded-shuffle failures (the only
-// way an in-process run can fail) are returned instead of panicking.
-func MineLocal(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-	return dminer.MineLocal(db, cfg, buildJob(f, sigma, variant))
+// Mine runs the baseline on the database, alone in this process, and returns
+// the frequent sequences together with the engine metrics. Unlike
+// D-SEQ/D-CAND the baselines have no algorithmic enhancement toggles.
+// (Bounding the shuffle through cfg.Shuffle matters particularly here:
+// SendBufferBytes bounds the map-side combine, whose candidate groups are
+// otherwise proportional to the whole map output — the combiner then runs per
+// send-buffer flush instead of over one unbounded map per worker.)
+func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, variant Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
+	return dminer.Mine(db, cfg, buildJob(f, sigma, variant), nil)
 }
 
 // buildJob assembles the word-count style BSP job of the baselines.

@@ -13,6 +13,16 @@ import (
 	"seqmine/internal/paperex"
 )
 
+// mine runs the baseline alone in the process and fails the test on error.
+func mine(t testing.TB, f *fst.FST, db [][]dict.ItemID, sigma int64, variant naive.Variant, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics) {
+	t.Helper()
+	patterns, metrics, err := naive.Mine(f, db, sigma, variant, cfg)
+	if err != nil {
+		t.Fatalf("naive.Mine: %v", err)
+	}
+	return patterns, metrics
+}
+
 func TestEncodeDecodeSequence(t *testing.T) {
 	cases := [][]dict.ItemID{
 		nil,
@@ -37,7 +47,7 @@ func TestNaiveRunningExample(t *testing.T) {
 	db := paperex.DB(d)
 	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		got, metrics := naive.Mine(f, db, paperex.Sigma, variant, cfg)
+		got, metrics := mine(t, f, db, paperex.Sigma, variant, cfg)
 		if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 			t.Errorf("%v = %v, want %v", variant, m, paperex.ExpectedFrequent())
 		}
@@ -52,8 +62,8 @@ func TestSemiNaiveShufflesLess(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
-	_, naiveMetrics := naive.Mine(f, db, paperex.Sigma, naive.Naive, cfg)
-	_, semiMetrics := naive.Mine(f, db, paperex.Sigma, naive.SemiNaive, cfg)
+	_, naiveMetrics := mine(t, f, db, paperex.Sigma, naive.Naive, cfg)
+	_, semiMetrics := mine(t, f, db, paperex.Sigma, naive.SemiNaive, cfg)
 	// T2 and T4 generate candidates with infrequent items which SEMI-NAIVE
 	// never communicates.
 	if semiMetrics.MapOutputRecords >= naiveMetrics.MapOutputRecords {
@@ -86,7 +96,7 @@ func TestNaiveMatchesSequential(t *testing.T) {
 			for _, sigma := range []int64{1, 2, 3} {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-					got, _ := naive.Mine(f, db, sigma, variant, cfg)
+					got, _ := mine(t, f, db, sigma, variant, cfg)
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("%v pattern %q sigma %d: %v != %v", variant, pat, sigma, m, want)
 					}
@@ -105,10 +115,10 @@ func TestNaiveStreamingEquivalence(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		want, _ := naive.Mine(f, db, paperex.Sigma, variant, mapreduce.Config{})
+		want, _ := mine(t, f, db, paperex.Sigma, variant, mapreduce.Config{})
 		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32, SpillTmpDir: t.TempDir()}}
-		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, cfg)
+		got, metrics, err := naive.Mine(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}
@@ -128,10 +138,10 @@ func TestNaiveSpillEquivalence(t *testing.T) {
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
-		want, _ := naive.Mine(f, db, paperex.Sigma, variant, mapreduce.Config{})
+		want, _ := mine(t, f, db, paperex.Sigma, variant, mapreduce.Config{})
 		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
-		got, metrics, err := naive.MineLocal(f, db, paperex.Sigma, variant, cfg)
+		got, metrics, err := naive.Mine(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", variant, err)
 		}

@@ -179,24 +179,16 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	ch := make(chan jobResult, 1)
 	go func() {
 		var r jobResult
-		switch opts.Algorithm {
-		case AlgoDFS, AlgoCount:
-			if opts.Cluster != nil {
-				// Reject rather than silently running locally: the caller
-				// asked for cluster execution and would misread the local
-				// metrics as cluster metrics.
-				r.err = fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", opts.Algorithm, AlgoDSeq, AlgoDCand)
-			} else {
-				r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, opts.Algorithm, workers, prepared)
-			}
-		case "", AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
-			if opts.Cluster != nil {
-				r.patterns, r.metrics, r.stats, r.err = mineCluster(ctx, db, sigma, opts)
-			} else {
-				r.patterns, r.metrics, r.stats, r.err = mineDistributed(ctx, f, db, sigma, opts, workers)
-			}
+		// mineCluster and mineDistributed each check alone which algorithms
+		// they run: a cluster rejects the rest rather than silently running
+		// them locally.
+		switch a := opts.Algorithm; {
+		case opts.Cluster != nil:
+			r.patterns, r.metrics, r.stats, r.err = mineCluster(ctx, db, sigma, opts)
+		case a == AlgoDFS, a == AlgoCount:
+			r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, a, workers, prepared)
 		default:
-			r.err = fmt.Errorf("unknown algorithm %q", opts.Algorithm)
+			r.patterns, r.metrics, r.stats, r.err = mineDistributed(ctx, f, db, sigma, opts, workers)
 		}
 		if r.stats.Prepared == "" {
 			r.stats.Prepared = PreparedNone
@@ -214,10 +206,11 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	}
 }
 
-// mineDistributed runs one of the BSP algorithms whole-database. The context
-// is threaded into the engine for cooperative cancellation and trace-span
-// recording (the mapreduce.run span and its stage children parent under the
-// caller's service.mine span when the context carries a recorder).
+// mineDistributed runs one of the BSP algorithms whole-database and rejects
+// any other algorithm name. The context is threaded into the engine for
+// cooperative cancellation and trace-span recording (the mapreduce.run span
+// and its stage children parent under the caller's service.mine span when the
+// context carries a recorder).
 func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, workers int) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	cfg := mapreduce.Config{
 		MapWorkers:    workers,
@@ -233,13 +226,15 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 	)
 	switch opts.Algorithm {
 	case "", AlgoDSeq:
-		patterns, metrics, err = dseq.MineLocal(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
+		patterns, metrics, err = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 	case AlgoDCand:
-		patterns, metrics, err = dcand.MineLocal(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
+		patterns, metrics, err = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg, nil)
 	case AlgoNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.Naive, cfg)
+		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.Naive, cfg)
 	case AlgoSemiNaive:
-		patterns, metrics, err = naive.MineLocal(f, db.Sequences, sigma, naive.SemiNaive, cfg)
+		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.SemiNaive, cfg)
+	default:
+		err = fmt.Errorf("unknown algorithm %q", opts.Algorithm)
 	}
 	if err != nil {
 		return nil, metrics, ExecStats{}, err
