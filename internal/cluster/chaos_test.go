@@ -297,7 +297,10 @@ func storeStats(r *cluster.Result) map[string]int64 {
 
 // TestCoordinatorSpeculativeAttempt: with an aggressive speculation
 // threshold, a second attempt races the first; whichever completes first
-// wins and the result is still exactly the single-process pattern set.
+// wins and the result is still exactly the single-process pattern set. The
+// race is made certain, not left to the job outlasting the threshold: every
+// worker holds its first /run (the first attempt's) until a second /run (the
+// speculative attempt's) has reached some worker.
 func TestCoordinatorSpeculativeAttempt(t *testing.T) {
 	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 150, Seed: 3})
 	if err != nil {
@@ -310,7 +313,26 @@ func TestCoordinatorSpeculativeAttempt(t *testing.T) {
 		t.Fatal("reference run found no patterns")
 	}
 
-	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
+	speculating := make(chan struct{})
+	var opened sync.Once
+	gate := func(inner http.Handler) http.Handler {
+		var first atomic.Bool
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost && r.URL.Path == "/run" {
+				if first.CompareAndSwap(false, true) {
+					select {
+					case <-speculating:
+					case <-r.Context().Done():
+						return
+					}
+				} else {
+					opened.Do(func() { close(speculating) })
+				}
+			}
+			inner.ServeHTTP(rw, r)
+		})
+	}
+	coord := &cluster.Coordinator{Workers: startWrappedWorkers(t, 3, gate)}
 	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
 	opts.SpeculativeAfterMS = 1
 	res, err := coord.Mine(context.Background(), db, expr, sigma, opts)

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -23,6 +24,13 @@ import (
 // control HTTP server, and returns their control URLs.
 func startWorkers(t *testing.T, n int) []string {
 	t.Helper()
+	return startWrappedWorkers(t, n, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrappedWorkers is startWorkers with every worker's control API served
+// through wrap.
+func startWrappedWorkers(t *testing.T, n int, wrap func(http.Handler) http.Handler) []string {
+	t.Helper()
 	urls := make([]string, n)
 	for i := 0; i < n; i++ {
 		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
@@ -30,7 +38,7 @@ func startWorkers(t *testing.T, n int) []string {
 			t.Fatalf("NewNode: %v", err)
 		}
 		t.Cleanup(func() { node.Close() })
-		srv := httptest.NewServer(cluster.NewWorker(node).Handler())
+		srv := httptest.NewServer(wrap(cluster.NewWorker(node).Handler()))
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}

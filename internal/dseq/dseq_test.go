@@ -60,6 +60,47 @@ func TestDSeqRewriteReducesShuffle(t *testing.T) {
 	}
 }
 
+// TestDSeqRewriteKeepsTailFinalsCannotAbsorb: in "(A) B .*|(A) (B)" the final
+// state after (B) consumes nothing, so cutting "A B C" after its last relevant
+// position B would hand partition A the candidate "A B", which "A B C" does
+// not have. D-SEQ must agree with the sequential miners.
+func TestDSeqRewriteKeepsTailFinalsCannotAbsorb(t *testing.T) {
+	b := dict.NewBuilder()
+	for _, item := range []string{"A", "B", "C"} {
+		b.AddItem(item)
+	}
+	raw := [][]string{{"A", "B", "C"}, {"A", "B", "C"}, {"A", "B", "C"}, {"B"}, {"B"}, {"B"}}
+	for _, s := range raw {
+		b.AddSequence(s)
+	}
+	d, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := make([][]dict.ItemID, len(raw))
+	for i, s := range raw {
+		if db[i], err = d.EncodeSequence(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f := fst.MustCompile("(A) B .*|(A) (B)", d)
+	if f.Flatten().FinalsAbsorb() {
+		t.Fatal("the final state after (B) has no transition; FinalsAbsorb must be false")
+	}
+	want := map[string]int64{"A": 3}
+	if got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), 2, miner.DFSOptions{})); !reflect.DeepEqual(got, want) {
+		t.Fatalf("MineDFS = %v, want %v", got, want)
+	}
+	for _, rewrite := range []bool{true, false} {
+		opts := dseq.DefaultOptions()
+		opts.Rewrite = rewrite
+		got, _ := mine(t, f, db, 2, opts, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+		if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
+			t.Errorf("rewrite %v: D-SEQ = %v, want %v", rewrite, m, want)
+		}
+	}
+}
+
 func TestDSeqOptionCombinations(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)

@@ -33,8 +33,12 @@ func TestConstraintDefinitions(t *testing.T) {
 		if c.Sigma < 2 {
 			t.Errorf("%s: sigma %d too small", c.Name, c.Sigma)
 		}
-		if _, err := c.Compile(ds); err != nil {
+		f, err := c.Compile(ds)
+		if err != nil {
 			t.Errorf("%s: %v", c.Name, err)
+		} else if !f.Flatten().FinalsAbsorb() {
+			// Every Table III expression ends in .*: D-SEQ cuts the tail.
+			t.Errorf("%s: final states do not absorb the tail", c.Name)
 		}
 		if c.DB(ds) == nil {
 			t.Errorf("%s: no dataset", c.Name)

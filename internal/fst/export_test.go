@@ -1,0 +1,8 @@
+package fst
+
+// The generators of kernel_test.go, for the tests of package fst_test, which
+// may import the packages built on fst.
+var (
+	RandomDict = randomDict
+	RandomExpr = randomExpr
+)

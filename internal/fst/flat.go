@@ -17,7 +17,8 @@ import (
 //     class iff no label of this FST tells them apart (classOf);
 //   - per (class, state q) the table holds the bitset of predecessor states
 //     (those with a matching transition into q), the same restricted to
-//     ε-output transitions, and the list of q's own matching transitions.
+//     ε-output and to output transitions, and the list of q's own matching
+//     transitions.
 //
 // State sets are bitsets ([]uint64 rows of Words() words). Every reachability
 // pass of the system runs backward, so one step is an OR of the predecessor
@@ -50,12 +51,19 @@ type Flat struct {
 	// has only dots: every item is in class 0); cell (c, q) is index
 	// c*numStates+q. pred holds 2*words words per cell: the bitset of
 	// states with a transition into q that matches class c, then the same over
-	// ε-output transitions only. fire[fireOff[cell]:fireOff[cell+1]] lists
-	// q's transitions that match c, in transition order.
+	// ε-output transitions only. outPred holds words words per cell: the same
+	// over output transitions only, apart so that pred's stride stays what
+	// Reach reads. fire[fireOff[cell]:fireOff[cell+1]] lists q's transitions
+	// that match c, in transition order.
 	classOf []int32
 	pred    []uint64
+	outPred []uint64
 	fireOff []int32
 	fire    []int32
+
+	// absorbing: every final state consumes any input over ε-output
+	// transitions into final states (see FinalsAbsorb).
+	absorbing bool
 
 	// sigmaViews caches the frequency-filtered views built by Sigma, one per
 	// minimum support threshold.
@@ -122,6 +130,7 @@ func newFlat(f *FST) *Flat {
 	}
 	fl.off[n] = int32(len(fl.to))
 	fl.buildStepTable(tests, testOf, vocab)
+	fl.absorbing = fl.finalsAbsorb()
 	return fl
 }
 
@@ -186,8 +195,9 @@ func (fl *Flat) buildStepTable(tests []itemTest, testOf []int32, vocab int) {
 // exactly the tests set in passed.
 func (fl *Flat) addClass(passed []byte, testOf []int32) {
 	w := fl.words
-	base := len(fl.pred)
+	base, outBase := len(fl.pred), len(fl.outPred)
 	fl.pred = append(fl.pred, make([]uint64, fl.numStates*2*w)...)
+	fl.outPred = append(fl.outPred, make([]uint64, fl.numStates*w)...)
 	for q := 0; q < fl.numStates; q++ {
 		for tr := fl.off[q]; tr < fl.off[q+1]; tr++ {
 			if i := testOf[tr]; i >= 0 && passed[i>>3]&(1<<(uint(i)&7)) == 0 {
@@ -198,10 +208,31 @@ func (fl *Flat) addClass(passed []byte, testOf []int32) {
 			fl.pred[cell] |= 1 << (uint(q) & 63)
 			if fl.outKind[tr] == outNone {
 				fl.pred[cell+w] |= 1 << (uint(q) & 63)
+			} else {
+				fl.outPred[outBase+int(fl.to[tr])*w+q>>6] |= 1 << (uint(q) & 63)
 			}
 		}
 		fl.fireOff = append(fl.fireOff, int32(len(fl.fire)))
 	}
+}
+
+// finalsAbsorb decides FinalsAbsorb. It asks for the greatest set of final
+// states in which every state has, for every item class, an ε-output
+// transition back into the set; that set is all final states iff the final
+// states themselves qualify, so one check per class decides it: the
+// ε-predecessors of the final states must cover them.
+func (fl *Flat) finalsAbsorb() bool {
+	w := fl.words
+	row := make([]uint64, w)
+	for c := 0; c < len(fl.pred)/(2*w*fl.numStates); c++ {
+		pullBack(fl.pred[c*fl.numStates*2*w+w:], 2*w, fl.finalBits, row)
+		for j, final := range fl.finalBits {
+			if final&^row[j] != 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // classifyOutput maps a label to its output behaviour class, mirroring
@@ -256,6 +287,12 @@ func (fl *Flat) IsFinal(q int) bool {
 	return fl.finalBits[uint(q)>>6]&(1<<(uint(q)&63)) != 0
 }
 
+// FinalsAbsorb reports whether every final state can consume any input,
+// producing no output, and end in a final state. Then a run that ends in a
+// final state extends over any further input with its output unchanged, which
+// is what makes cutting a sequence's irrelevant tail sound (D-SEQ's ρk).
+func (fl *Flat) FinalsAbsorb() bool { return fl.absorbing }
+
 // class returns the first step-table cell of item t's class.
 func (fl *Flat) class(t dict.ItemID) int {
 	if fl.classOf == nil {
@@ -304,6 +341,28 @@ func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 	return accept[uint(fl.initial)>>6]&(1<<(uint(fl.initial)&63)) != 0
 }
 
+// Productive fills prod, all len(T)+1 rows, from the accept matrix that a
+// successful Reach left in accept (all rows): bit q of row i is set iff an
+// ε-output path from state q at position i reaches an output transition whose
+// target accepts the rest of T — iff a run from there can still output an
+// item. It is one more backward pass,
+//
+//	prod[n] = ∅,  prod[i] = pullBack_out(accept[i+1]) ∪ pullBack_ε(prod[i+1]),
+//
+// and accept = prod ∪ finish row by row: an accepting run either outputs
+// nothing or reaches its first output over ε-output transitions. Every word
+// of prod is written.
+func (fl *Flat) Productive(T []dict.ItemID, accept, prod []uint64) {
+	n, w := len(T), fl.words
+	clear(prod[n*w:][:w])
+	for i := n - 1; i >= 0; i-- {
+		c := fl.class(T[i])
+		row := prod[i*w:][:w]
+		pullBack(fl.outPred[c*w:], w, accept[(i+1)*w:][:w], row)
+		orPullBack(fl.pred[c*2*w+w:], 2*w, prod[(i+1)*w:][:w], row)
+	}
+}
+
 // pullBack is one backward step: row becomes the union of the predecessor
 // sets of the states in next, where state q's set is pred[q*stride:][:len(row)].
 // It returns the OR of row's words (zero iff no state is left).
@@ -319,6 +378,19 @@ func pullBack(pred []uint64, stride int, next, row []uint64) (live uint64) {
 		live |= r
 	}
 	return live
+}
+
+// orPullBack is pullBack adding to row instead of overwriting it.
+func orPullBack(pred []uint64, stride int, next, row []uint64) {
+	for j := range row {
+		r := row[j]
+		for k, word := range next {
+			for ; word != 0; word &= word - 1 {
+				r |= pred[(k<<6+bits.TrailingZeros64(word))*stride+j]
+			}
+		}
+		row[j] = r
+	}
 }
 
 // CanAccept reports whether the FST has at least one accepting run for T: the

@@ -15,9 +15,10 @@ import (
 // of it: one Label.Matches test per transition, the loop the kernel replaced.
 
 // CheckStepTable compares the step table of f's Flat against per-transition
-// label matching, item by item: the firing list of every state, both
-// predecessor masks of every state, and the class partition itself (two items
-// share a class iff every label treats them alike).
+// label matching, item by item: the firing list of every state, the three
+// predecessor masks of every state (any, ε-output and output transitions),
+// and the class partition itself (two items share a class iff every label
+// treats them alike).
 func CheckStepTable(t *testing.T, name string, f *FST) {
 	t.Helper()
 	fl, d := f.Flatten(), f.dict
@@ -27,7 +28,8 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 	labels := map[Label]bool{}
 	for item := dict.ItemID(0); int(item) <= d.Size(); item++ {
 		var sig strings.Builder
-		want := make([]uint64, fl.numStates*2*w) // predecessor masks, laid out like fl.pred
+		want := make([]uint64, fl.numStates*2*w)  // predecessor masks, laid out like fl.pred
+		wantOut := make([]uint64, fl.numStates*w) // laid out like fl.outPred
 		tr := int32(0)
 		for q := 0; q < fl.numStates; q++ {
 			firing := fl.Firing(q, item)
@@ -43,6 +45,8 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 					want[cell] |= 1 << (uint(q) & 63)
 					if !edge.Label.Captured {
 						want[cell+w] |= 1 << (uint(q) & 63)
+					} else {
+						wantOut[edge.To*w+q>>6] |= 1 << (uint(q) & 63)
 					}
 				} else {
 					sig.WriteByte('0')
@@ -57,6 +61,12 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: item %d: predecessor mask word %d = %#x, want %#x", name, item, i, got[i], want[i])
+			}
+		}
+		gotOut := fl.outPred[fl.class(item)*w:][:len(wantOut)]
+		for i := range wantOut {
+			if gotOut[i] != wantOut[i] {
+				t.Fatalf("%s: item %d: output predecessor mask word %d = %#x, want %#x", name, item, i, gotOut[i], wantOut[i])
 			}
 		}
 		c := fl.class(item)
@@ -79,8 +89,10 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 
 // CheckReach holds one fused Reach pass, the accept-only pass and CanAccept to
 // the pointer matrices: the verdict always, and every accept and finish row
-// when the sequence is accepted (a rejected sequence's rows are never read).
-// The buffers start dirty — Reach must write every word itself.
+// when the sequence is accepted (a rejected sequence's rows are never read) —
+// and then the Productive pass over those accept rows to ProductiveMatrix,
+// with accept = prod ∪ finish row by row. The buffers start dirty — the
+// passes must write every word themselves.
 func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	t.Helper()
 	fl := f.Flatten()
@@ -88,8 +100,9 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	accept := make([]uint64, (len(T)+1)*w)
 	finish := make([]uint64, (len(T)+1)*w)
 	alone := make([]uint64, (len(T)+1)*w)
+	prod := make([]uint64, (len(T)+1)*w)
 	for i := range accept {
-		accept[i], finish[i], alone[i] = ^uint64(0), ^uint64(0), ^uint64(0)
+		accept[i], finish[i], alone[i], prod[i] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	}
 	ref, fref := f.AcceptMatrix(T), f.FinishMatrix(T)
 	want := ref[0][f.initial]
@@ -105,6 +118,8 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	if !want {
 		return
 	}
+	fl.Productive(T, accept, prod)
+	pref := f.ProductiveMatrix(T)
 	bit := func(rows []uint64, i, q int) bool { return rows[i*w+q>>6]&(1<<(uint(q)&63)) != 0 }
 	for i := 0; i <= len(T); i++ {
 		for q := 0; q < f.numStates; q++ {
@@ -113,6 +128,12 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 			}
 			if bit(finish, i, q) != fref[i][q] {
 				t.Fatalf("%s: finish[%d][%d] = %v, want %v (T=%v)", name, i, q, !fref[i][q], fref[i][q], T)
+			}
+			if bit(prod, i, q) != pref[i][q] {
+				t.Fatalf("%s: prod[%d][%d] = %v, want %v (T=%v)", name, i, q, !pref[i][q], pref[i][q], T)
+			}
+			if ref[i][q] != (pref[i][q] || fref[i][q]) {
+				t.Fatalf("%s: accept[%d][%d] = %v, but prod %v and finish %v (T=%v)", name, i, q, ref[i][q], pref[i][q], fref[i][q], T)
 			}
 		}
 	}

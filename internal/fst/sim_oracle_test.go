@@ -169,6 +169,45 @@ func (f *FST) FinishMatrix(T []dict.ItemID) [][]bool {
 	return m
 }
 
+// ProductiveMatrix is the definition the prod rows of Flat.Productive are
+// held to, walked on the pointer FST: m[i][q] is true iff some path of
+// ε-output transitions from state q at position i reaches an output
+// transition whose target accepts the rest of T. The walk follows every such
+// path depth first, remembering the coordinates it has settled.
+func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
+	accept := f.AcceptMatrix(T)
+	settled := map[[2]int]bool{}
+	var walk func(pos, q int) bool
+	walk = func(pos, q int) bool {
+		if pos == len(T) {
+			return false
+		}
+		if v, ok := settled[[2]int{pos, q}]; ok {
+			return v
+		}
+		found := false
+		for _, tr := range f.trans[q] {
+			if !tr.Label.Matches(f.dict, T[pos]) {
+				continue
+			}
+			if tr.Label.ProducesOutput() && accept[pos+1][tr.To] || !tr.Label.ProducesOutput() && walk(pos+1, tr.To) {
+				found = true
+				break
+			}
+		}
+		settled[[2]int{pos, q}] = found
+		return found
+	}
+	m := make([][]bool, len(T)+1)
+	for i := range m {
+		m[i] = make([]bool, f.numStates)
+		for q := range m[i] {
+			m[i][q] = walk(i, q)
+		}
+	}
+	return m
+}
+
 // Accepts reports whether the FST has at least one accepting run for T, i.e.
 // whether T matches the subsequence constraint at all.
 func (f *FST) Accepts(T []dict.ItemID) bool {

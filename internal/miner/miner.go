@@ -263,7 +263,9 @@ type SplitStats struct {
 //
 // The implementation works entirely on the flattened FST form (fst.Flat): one
 // fst.Flat.Reach pass per sequence yields its accept and finish bitset
-// matrices (and rejects sequences without an accepting run), simulation
+// matrices (and rejects sequences without an accepting run) and one
+// fst.Flat.Productive pass its prod matrix, the snapshots that can still
+// emit — the only ones a scan walks; simulation
 // snapshots are packed (pos, state) cells in int32 arrays, per-expansion
 // projected databases are flat int32 buffers, and all of it — the matrices of
 // the whole database included, carved from one arena — is pooled scratch.
@@ -381,7 +383,7 @@ func (p *Prepared) retainMatrices(sh *dfsShared) {
 	n := 0
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
-			n += 2 * len(sh.cache[proj[0]].accept)
+			n += matrices * len(sh.cache[proj[0]].accept)
 		}
 	}
 	arena := make([]uint64, 0, n)
@@ -389,9 +391,9 @@ func (p *Prepared) retainMatrices(sh *dfsShared) {
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
 			c := sh.cache[proj[0]]
-			rows := len(c.accept)
-			arena = append(append(arena, c.accept...), c.finish...)
-			c.accept, c.finish = arena[len(arena)-2*rows:len(arena)-rows], arena[len(arena)-rows:]
+			rows, at := len(c.accept), len(arena)
+			arena = append(append(append(arena, c.accept...), c.finish...), c.prod...)
+			c.accept, c.finish, c.prod = arena[at:at+rows], arena[at+rows:at+2*rows], arena[at+2*rows:]
 			cache[proj[0]] = c
 		}
 	}
@@ -433,14 +435,18 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 	return out
 }
 
-// seqCache holds the per-sequence bitset matrices used during mining, both
+// seqCache holds the per-sequence bitset matrices used during mining, all
 // slices of dfsShared.arena. Rows are words-sized bitsets over states; row i
 // covers the input suffix T[i:]. Sequences without an accepting run have none.
 type seqCache struct {
 	accept    []uint64 // accepting-reachable coordinates (any outputs)
 	finish    []uint64 // reachable end-of-input via ε-output transitions only
+	prod      []uint64 // can still output an item (fst.Flat.Productive)
 	lastPivot int32    // last position that can produce the pivot item (-1 if none)
 }
+
+// matrices is the number of a seqCache's matrices: accept, finish and prod.
+const matrices = 3
 
 // maxStampCells caps the size of the epoch-stamped snapshot-dedup array (16MB
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
@@ -450,7 +456,7 @@ const maxStampCells = 1 << 22
 // build and its tasks only read: pooled with the dfsShared of a one-shot
 // MineDFS, a Prepared's own when it is kept.
 type dfsState struct {
-	arena  []uint64   // accept and finish matrices of every accepted sequence
+	arena  []uint64   // accept, finish and prod matrices of every accepted sequence
 	cache  []seqCache // per input sequence, slices of arena
 	roots  []rootItem // the first items, largest projected database first
 	level1 []int32    // the roots' projected databases, back to back
@@ -548,7 +554,7 @@ func (sh *dfsShared) layOut(m *dfsMiner, workers int) int {
 		*w = *m
 		w.lo, w.hi, w.base = r*len(m.db)/workers, (r+1)*len(m.db)/workers, need
 		for _, ws := range m.db[w.lo:w.hi] {
-			need += 2 * (len(ws.Items) + 1) * m.words
+			need += matrices * (len(ws.Items) + 1) * m.words
 			maxLen = max(maxLen, len(ws.Items))
 		}
 	}
@@ -694,10 +700,10 @@ func (m *dfsMiner) stopped() bool {
 	}
 }
 
-// setUp runs one Reach pass per sequence of the worker's range, filling the
-// sequence's two matrices at the tail of the range's arena region (the space
-// is kept only if the sequence has an accepting run), and collects the root
-// projected database of the range.
+// setUp runs one Reach and one Productive pass per sequence of the worker's
+// range, filling the sequence's matrices at the tail of the range's arena
+// region (the space is kept only if the sequence has an accepting run), and
+// collects the root projected database of the range.
 func (m *dfsMiner) setUp() {
 	sc := m.sc
 	initCell := int32(m.flat.Initial()) // pos 0 → cell = state
@@ -708,11 +714,13 @@ func (m *dfsMiner) setUp() {
 		}
 		T := m.db[i].Items
 		rows := (len(T) + 1) * m.words
-		c := seqCache{accept: m.sh.arena[used : used+rows], finish: m.sh.arena[used+rows : used+2*rows], lastPivot: -1}
+		c := seqCache{accept: m.sh.arena[used : used+rows], finish: m.sh.arena[used+rows : used+2*rows],
+			prod: m.sh.arena[used+2*rows : used+3*rows], lastPivot: -1}
 		if len(T) == 0 || !m.flat.Reach(T, c.accept, c.finish) {
 			continue
 		}
-		used += 2 * rows
+		m.flat.Productive(T, c.accept, c.prod)
+		used += matrices * rows
 		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
 			c.lastPivot = int32(m.lastPivotPosition(T))
 		}
@@ -875,7 +883,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 			if earlyStop && c.lastPivot >= 0 && cell>>sb > c.lastPivot {
 				continue // this snapshot can no longer produce the pivot
 			}
-			if m.markSnap(cell) {
+			if q := uint32(cell & mask); c.prod[int(cell>>sb)*W+int(q>>6)]&(1<<(q&63)) != 0 && m.markSnap(cell) {
 				sc.stack = append(sc.stack, cell)
 			}
 		}
@@ -883,18 +891,19 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 		// Simulate: follow ε-output transitions and scatter every output
 		// target into the projected database of its item. A cell reached
 		// twice is stored twice; the next level's markSnap drops the repeat.
+		// Only productive cells are pushed — a cell whose prod bit is clear
+		// projects nothing and leads only to such cells — so no popped cell
+		// sits at the end of T (prod's last row is empty).
 		for len(sc.stack) > 0 {
 			cell := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
 			pos := int(cell >> sb)
-			if pos >= len(T) {
-				continue
-			}
 			t := T[pos]
-			nextRow := c.accept[(pos+1)*W:]
+			nextRow, nextProd := c.accept[(pos+1)*W:], c.prod[(pos+1)*W:]
 			for _, tr := range m.flat.Firing(int(cell&mask), t) {
 				to := m.flat.To(tr)
-				if nextRow[uint32(to)>>6]&(1<<(uint32(to)&63)) == 0 {
+				bit := uint64(1) << (uint32(to) & 63)
+				if nextRow[uint32(to)>>6]&bit == 0 {
 					continue // target cannot reach acceptance
 				}
 				nextCell := int32(pos+1)<<sb | to
@@ -902,7 +911,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 				if single != dict.None {
 					m.project(fr, single, seq, nextCell)
 				} else if set == nil {
-					if m.markSnap(nextCell) {
+					if nextProd[uint32(to)>>6]&bit != 0 && m.markSnap(nextCell) {
 						sc.stack = append(sc.stack, nextCell)
 					}
 				}

@@ -447,6 +447,11 @@ func unionSorted(a, b []dict.ItemID) []dict.ItemID {
 // Rewrite returns ρk(T): the input sequence restricted to the range between
 // the first and last relevant position for pivot k (Sec. V-B). The result
 // aliases T's backing array.
+//
+// The tail is cut only when the FST's final states absorb any input
+// (fst.Flat.FinalsAbsorb). Otherwise a run on the cut sequence may end in a
+// final state that cannot consume the cut positions, and the partition would
+// count a candidate that T does not have.
 func (s *Searcher) Rewrite(T []dict.ItemID, a *Analysis, k dict.ItemID) []dict.ItemID {
 	if a == nil || !a.haveRel || len(T) == 0 {
 		return T
@@ -454,6 +459,9 @@ func (s *Searcher) Rewrite(T []dict.ItemID, a *Analysis, k dict.ItemID) []dict.I
 	first, last := a.Range(k)
 	if first < 0 || last >= len(T) || first > last {
 		return T
+	}
+	if !s.flat.FinalsAbsorb() {
+		return T[first:]
 	}
 	return T[first : last+1]
 }

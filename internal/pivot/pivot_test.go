@@ -244,36 +244,77 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestRewritePreservesPivotCandidates: for every pivot k of a random sequence
-// T, the pivot-k candidates of Gσπ(T) and Gσπ(ρk(T)) must coincide.
+// rewritePatterns are the expressions the rewrite is held to candidates on:
+// final states that absorb any tail (every one ending in .*), a branch that
+// stops in a final state right after a position the other branch makes
+// relevant, and no trailing .* at all.
+var rewritePatterns = []string{
+	paperex.PatternExpression,
+	"[.*(.)]{1,3}.*",
+	".*(A^)[.{0,1}(.^)]{1,2}.*",
+	"(a1) b .*|(a1) (b)",
+	"[(A^) [c|d] .*|(A^) (.)]",
+	".*(A^)[.{0,1}(.^)]{1,2}",
+}
+
+// checkRewrite asserts that for every pivot k of T, the pivot-k candidates of
+// Gσπ(T) and Gσπ(ρk(T)) coincide: D-SEQ's partition k counts T's support.
+func checkRewrite(t *testing.T, pat string, f *fst.FST, sigma int64, T []dict.ItemID) {
+	t.Helper()
+	d := f.Dict()
+	s := pivot.NewSearcher(f, sigma, pivot.DefaultOptions())
+	a := s.Analyze(T)
+	for _, k := range a.Pivots {
+		rho := s.Rewrite(T, a, k)
+		if got, want := pivotCandidates(f, rho, sigma, k), pivotCandidates(f, T, sigma, k); !reflect.DeepEqual(got, want) {
+			t.Fatalf("pattern %q σ=%d T=%v pivot %s: ρk(T)=%v changed pivot candidates\n got %v\nwant %v",
+				pat, sigma, d.DecodeSequence(T), d.Name(k), d.DecodeSequence(rho), got, want)
+		}
+	}
+}
+
+// TestRewritePreservesPivotCandidates runs checkRewrite on random sequences.
 func TestRewritePreservesPivotCandidates(t *testing.T) {
 	d := paperex.Dict()
-	patterns := []string{
-		paperex.PatternExpression,
-		"[.*(.)]{1,3}.*",
-		".*(A^)[.{0,1}(.^)]{1,2}.*",
-	}
 	rng := rand.New(rand.NewSource(23))
-	for _, pat := range patterns {
+	for _, pat := range rewritePatterns {
 		f := fst.MustCompile(pat, d)
-		s := pivot.NewSearcher(f, paperex.Sigma, pivot.DefaultOptions())
 		for trial := 0; trial < 150; trial++ {
-			n := rng.Intn(8)
-			T := make([]dict.ItemID, n)
+			T := make([]dict.ItemID, rng.Intn(8))
 			for i := range T {
 				T[i] = dict.ItemID(rng.Intn(d.Size()) + 1)
 			}
-			a := s.Analyze(T)
-			for _, k := range a.Pivots {
-				want := pivotCandidates(f, T, paperex.Sigma, k)
-				got := pivotCandidates(f, s.Rewrite(T, a, k), paperex.Sigma, k)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("pattern %q T=%v pivot %s: rewrite changed pivot candidates\n got %v\nwant %v",
-						pat, d.DecodeSequence(T), d.Name(k), got, want)
-				}
-			}
+			checkRewrite(t, pat, f, paperex.Sigma, T)
 		}
 	}
+}
+
+// FuzzRewriteKeepsPivotCandidates runs checkRewrite on fuzzed sequences and
+// thresholds.
+func FuzzRewriteKeepsPivotCandidates(f *testing.F) {
+	f.Add([]byte{3, 0, 4, 3, 0, 4}, int64(1)) // a1 b c a1 b c: a cut tail over-counts "a1 b"
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7}, int64(2))
+	f.Add([]byte{}, int64(0))
+	d := paperex.Dict()
+	fsts := make([]*fst.FST, len(rewritePatterns))
+	for i, pat := range rewritePatterns {
+		fsts[i] = fst.MustCompile(pat, d)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, sigma int64) {
+		if len(data) > 12 {
+			data = data[:12]
+		}
+		if sigma < 0 || sigma > 8 {
+			sigma = paperex.Sigma
+		}
+		T := make([]dict.ItemID, len(data))
+		for i, c := range data {
+			T[i] = dict.ItemID(int(c)%d.Size() + 1)
+		}
+		for i, fm := range fsts {
+			checkRewrite(t, rewritePatterns[i], fm, sigma, T)
+		}
+	})
 }
 
 func pivotCandidates(f *fst.FST, T []dict.ItemID, sigma int64, k dict.ItemID) map[string]bool {
