@@ -142,31 +142,6 @@ func BenchmarkFig13_MLlibSetting(b *testing.B) {
 	runTable(b, experiments.Fig13)
 }
 
-// --- Calibration --------------------------------------------------------------
-
-// BenchmarkCalibration is a fixed, dataset-independent, single-threaded CPU
-// workload. The CI bench-compare gate (cmd/benchgate) uses it to normalize
-// machine speed between the committed BENCH_baseline.json and the runner
-// executing the comparison; it is excluded from the regression geomean. The
-// mixer is inlined (splitmix64 finalizer constants) rather than calling any
-// repo code on purpose: if it shared code with the gated hot paths, a real
-// regression there would inflate the calibration scale and divide itself
-// out of every ratio.
-func BenchmarkCalibration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		var acc uint64
-		for j := uint64(0); j < 1<<22; j++ {
-			x := j + 0x9e3779b97f4a7c15
-			x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-			x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-			acc ^= x ^ (x >> 31)
-		}
-		if acc == 42 {
-			b.Fatal("unreachable; keeps the loop from being optimized away")
-		}
-	}
-}
-
 // --- Component micro-benchmarks ----------------------------------------------
 
 // BenchmarkAlgorithms_N1 measures one end-to-end run per algorithm on the
@@ -187,10 +162,10 @@ func BenchmarkAlgorithms_N1(b *testing.B) {
 	}
 }
 
-// benchOptions pins every knob that could change what the gated benchmarks
-// measure: the spill and streaming shuffle paths are explicitly disabled (not
-// just left to defaults) so a future default change cannot silently alter the
-// committed baseline's meaning.
+// benchOptions pins every knob that could change what the end-to-end
+// benchmarks measure: the spill and streaming shuffle paths are explicitly
+// disabled (not just left to defaults) so a future default change cannot
+// silently alter what two runs of a benchmark compare.
 func benchOptions(algo seqmine.Algorithm) seqmine.Options {
 	opts := seqmine.DefaultOptions()
 	opts.Algorithm = algo
@@ -202,9 +177,8 @@ func benchOptions(algo seqmine.Algorithm) seqmine.Options {
 // BenchmarkSpanOverhead measures the tracing layer's cost on the D-SEQ hot
 // path: the identical mine with no recorder on the context — StartSpan takes
 // the nil fast path everywhere — versus a recorder attached and every engine
-// span recorded. The "off" variant rides the CI bench-compare gate like any
-// other benchmark, and the published off/on pair pins the budget: recording
-// must stay within 2% of the untraced run.
+// span recorded. The off/on pair pins the budget: recording must stay within
+// 2% of the untraced run.
 func BenchmarkSpanOverhead(b *testing.B) {
 	ds := benchDatasets(b)
 	f, err := fst.Compile(".*ENTITY (VERB+ NOUN+? PREP?) ENTITY.*", ds.NYT.Dict)

@@ -41,7 +41,6 @@ func main() {
 	cacheSize := flag.Int("cache-size", 128, "compiled-pattern cache capacity (entries)")
 	workers := flag.Int("workers", 0, "default per-query worker pool size (0 = all CPUs)")
 	maxConcurrent := flag.Int("max-concurrent", 0, "maximum queries mining at once (0 = unbounded)")
-	maxInflight := flag.Int("max-inflight", 0, "alias of -max-concurrent (the admission gate's in-flight bound)")
 	queueDepth := flag.Int("queue-depth", 0, "queries that may wait for a mining slot before shedding with 429 (0 = 4x the in-flight bound, negative = no waiting room)")
 	resultCache := flag.Int("result-cache", 1024, "result cache capacity (entries), keyed by dataset generation, pattern, sigma and algorithm (0 = disabled)")
 	apiKeys := flag.String("api-keys", "", "JSON file of API keys ([{\"key\":...,\"tenant\":...,\"max_inflight\":...,\"max_datasets\":...}]); empty = no authentication")
@@ -72,10 +71,6 @@ func main() {
 			}
 		}
 	}
-	inflight := *maxConcurrent
-	if inflight == 0 {
-		inflight = *maxInflight
-	}
 	var auth *service.Authenticator
 	if *apiKeys != "" {
 		keys, err := service.LoadAPIKeys(*apiKeys)
@@ -99,7 +94,7 @@ func main() {
 	svc := service.New(service.Config{
 		CacheSize:       *cacheSize,
 		Workers:         *workers,
-		MaxConcurrent:   inflight,
+		MaxConcurrent:   *maxConcurrent,
 		QueueDepth:      *queueDepth,
 		ResultCacheSize: *resultCache,
 		Auth:            auth,

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"seqmine/internal/cluster"
+	"seqmine/internal/obs"
+	"seqmine/internal/paperex"
 	"seqmine/internal/plan"
 	"seqmine/internal/transport"
 )
@@ -199,6 +201,43 @@ func TestWorkerDatasetEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if health.Datasets != 1 || health.DataAddr == "" {
 		t.Errorf("healthz = %+v", health)
+	}
+}
+
+// TestWorkerPrometheusOverHTTP serves a worker with a metrics registry, runs
+// one job through it and scrapes GET /metrics?format=prometheus: the text must
+// be a valid exposition carrying the job's stage-latency histogram and its
+// jobs counter.
+func TestWorkerPrometheusOverHTTP(t *testing.T) {
+	node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { node.Close() })
+	w := cluster.NewWorker(node)
+	w.Obs = obs.NewRegistry()
+	srv := httptest.NewServer(w.Handler())
+	t.Cleanup(srv.Close)
+
+	coord := &cluster.Coordinator{Workers: []string{srv.URL}}
+	if _, err := coord.Mine(context.Background(), paperDatabase(t), paperex.PatternExpression, paperex.Sigma,
+		plan.Plan{Algorithm: plan.AlgoDSeq}); err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stats, err := obs.ValidateExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("worker exposition invalid: %v", err)
+	}
+	for _, want := range []string{"seqmine_worker_stage_seconds_count", "seqmine_worker_jobs_total"} {
+		if stats.SeriesByName[want] == 0 {
+			t.Errorf("worker exposition lacks %s (series: %v)", want, stats.SeriesByName)
+		}
 	}
 }
 

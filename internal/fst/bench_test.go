@@ -79,6 +79,59 @@ func BenchmarkReach(b *testing.B) {
 	}
 }
 
+// TestReachDoesNotAllocate pins BenchmarkReach's pass at zero allocations:
+// the matrices go into the caller's buffer.
+func TestReachDoesNotAllocate(t *testing.T) {
+	d, db := benchSequences(200, 12)
+	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	buf := make([]uint64, 2*13*flat.Words())
+	if n := testing.AllocsPerRun(20, func() {
+		for _, T := range db {
+			n := (len(T) + 1) * flat.Words()
+			flat.Reach(T, buf[:n], buf[n:2*n])
+		}
+	}); n != 0 {
+		t.Fatalf("Reach allocates %.0f times per database pass, want 0", n)
+	}
+}
+
+// TestWalksDoNotAllocate pins the two DFS walks over the pooled enumScratch
+// at zero allocations per warm pass over the fixture of BenchmarkForEachRun
+// and BenchmarkEnumerateCandidates: the rows, prefix, run stack and dedup
+// table all come from the pool.
+func TestWalksDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	d, db := benchSequences(200, 10)
+	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	runs, cands := 0, 0
+	for _, T := range db {
+		flat.ForEachRun(T, paperex.Sigma, func([][]dict.ItemID, int) bool { runs++; return true })
+		flat.ForEachDistinctCandidate(T, paperex.Sigma, func([]dict.ItemID) bool { cands++; return true })
+	}
+	if runs == 0 || cands == 0 {
+		t.Fatalf("%d runs, %d candidates; the pins are vacuous", runs, cands)
+	}
+	walks := map[string]func([]dict.ItemID){
+		"ForEachRun": func(T []dict.ItemID) {
+			flat.ForEachRun(T, paperex.Sigma, func([][]dict.ItemID, int) bool { return true })
+		},
+		"ForEachDistinctCandidate": func(T []dict.ItemID) {
+			flat.ForEachDistinctCandidate(T, paperex.Sigma, func([]dict.ItemID) bool { return true })
+		},
+	}
+	for name, walk := range walks {
+		if n := testing.AllocsPerRun(20, func() {
+			for _, T := range db {
+				walk(T)
+			}
+		}); n != 0 {
+			t.Errorf("%s allocates %.0f times per database pass, want 0", name, n)
+		}
+	}
+}
+
 // BenchmarkCanAccept measures the two-row reachability verdict: does the
 // sequence have any accepting run at all. It must stay allocation-free because
 // callers pay it once per input sequence.

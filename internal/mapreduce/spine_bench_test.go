@@ -24,8 +24,24 @@ func spineWorkload() ([]KeyBatch[string, int], [][]byte) {
 	return batches, frames
 }
 
+// TestEncodeBatchDoesNotAllocate pins the encode stage of BenchmarkShuffleSpine
+// at zero allocations per pass: a sender encodes every combined batch into one
+// reused frame buffer.
+func TestEncodeBatchDoesNotAllocate(t *testing.T) {
+	codec := testCodec()
+	batches, _ := spineWorkload()
+	var buf []byte
+	if n := testing.AllocsPerRun(20, func() {
+		for _, batch := range batches {
+			buf = codec.EncodeBatch(buf[:0], batch)
+		}
+	}); n != 0 {
+		t.Fatalf("EncodeBatch allocates %.0f times per pass over %d batches, want 0", n, len(batches))
+	}
+}
+
 // BenchmarkShuffleSpine measures the shuffle/reduce spine stage by stage with
-// -benchmem, so the allocation gate locks in the encoded-byte design: encode
+// allocations reported, to show the cost of the encoded-byte design: encode
 // into a reused buffer, receive-side grouping by encoded key without decoding,
 // the sort+spill of one full run, and the k-way merge over spilled segments
 // plus the final in-memory runs.

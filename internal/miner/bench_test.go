@@ -28,9 +28,10 @@ func benchDatabase(n, maxLen int) (*dict.Dictionary, *fst.FST, []miner.WeightedS
 }
 
 // BenchmarkMineDFS measures the pattern-growth miner (DESQ-DFS). Allocations
-// are reported and gated: the flattened hot path must stay arena-backed, so a
-// change that reintroduces per-snapshot or per-state-set heap traffic shows
-// up as an allocs/op regression even when time happens to absorb it.
+// are reported because the flattened hot path must stay arena-backed: a change
+// that reintroduces per-snapshot or per-state-set heap traffic shows up in
+// allocs/op even when time happens to absorb it (the miner's allocation pins
+// fail on it).
 func BenchmarkMineDFS(b *testing.B) {
 	_, f, db := benchDatabase(500, 10)
 	b.ReportAllocs()
@@ -47,6 +48,24 @@ func BenchmarkMineCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		miner.MineCount(context.Background(), f, db, 5, 1)
+	}
+}
+
+// TestMineCountAllocations pins a warm sequential MineCount on the fixture of
+// BenchmarkMineCount, which reports no pattern: the table comes from the pool
+// and every sequence's candidates from the pooled walk, so what is left is the
+// fixed cost of the call — the table slice and the fan-out's closures.
+func TestMineCountAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	_, f, db := benchDatabase(500, 10)
+	ctx := context.Background()
+	if n := len(miner.MineCount(ctx, f, db, 5, 1)); n != 0 {
+		t.Fatalf("%d patterns at sigma 5; the fixed cost below assumes none", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { miner.MineCount(ctx, f, db, 5, 1) }); n > 4 {
+		t.Errorf("MineCount over %d sequences allocates %.0f times per call, want <= 4", len(db), n)
 	}
 }
 

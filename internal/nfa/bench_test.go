@@ -93,6 +93,28 @@ func BenchmarkDeserialize(b *testing.B) {
 	}
 }
 
+// TestCodecAllocations pins the codec on the fixture of BenchmarkSerialize and
+// BenchmarkDeserialize: serializing into a reused buffer allocates nothing,
+// and decoding allocates the NFA and its fixed set of flat arrays, however
+// many states and edges it has (the decoding forest is pooled).
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	n := buildBenchNFA(64)
+	buf := n.Serialize()
+	if allocs := testing.AllocsPerRun(50, func() { buf = n.AppendSerialized(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendSerialized allocates %.0f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, err := nfa.Deserialize(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 8 {
+		t.Errorf("Deserialize allocates %.0f times per call, want <= 8", allocs)
+	}
+}
+
 func BenchmarkMinePartition(b *testing.B) {
 	var weighted []nfa.Weighted
 	for i := 0; i < 32; i++ {

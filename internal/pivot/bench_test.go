@@ -77,6 +77,57 @@ func BenchmarkMerge(b *testing.B) {
 	}
 }
 
+// TestSearcherAllocations pins the warm kernels on the fixture of
+// BenchmarkAnalyzeGrid and BenchmarkRewrite: a grid analysis allocates its
+// Analysis and, when T has pivots, the pivot slice and the one backing array
+// of the relevance ranges — the grid itself is pooled; a rewrite allocates
+// nothing (it aliases T).
+func TestSearcherAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool is lossy under the race detector")
+	}
+	_, f, db := benchWorkload(200, 12)
+	s := pivot.NewSearcher(f, paperex.Sigma, pivot.DefaultOptions())
+	analyses := make([]*pivot.Analysis, len(db))
+	want := len(db)
+	for i, T := range db {
+		analyses[i] = s.Analyze(T)
+		if len(analyses[i].Pivots) > 0 {
+			want += 2
+		}
+	}
+	if want == len(db) {
+		t.Fatal("no sequence has a pivot; the pins are vacuous")
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for _, T := range db {
+			s.Analyze(T)
+		}
+	}); n > float64(want) {
+		t.Errorf("Analyze allocates %.0f times per database pass, want <= %d", n, want)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i, T := range db {
+			for _, k := range analyses[i].Pivots {
+				s.Rewrite(T, analyses[i], k)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Rewrite allocates %.0f times per database pass, want 0", n)
+	}
+}
+
+// TestMergeAllocatesOnlyItsResult pins BenchmarkMerge's call at one
+// allocation, the returned set.
+func TestMergeAllocatesOnlyItsResult(t *testing.T) {
+	d := paperex.Dict()
+	u := []dict.ItemID{d.MustFid("b"), d.MustFid("c")}
+	q := []dict.ItemID{d.MustFid("d"), d.MustFid("a1")}
+	if n := testing.AllocsPerRun(100, func() { pivot.Merge(u, q) }); n != 1 {
+		t.Fatalf("Merge allocates %.0f times per call, want 1", n)
+	}
+}
+
 var (
 	t3Once sync.Once
 	t3FST  *fst.FST

@@ -1,0 +1,7 @@
+//go:build race
+
+package pivot_test
+
+// raceEnabled: the race detector makes sync.Pool drop items at random, so the
+// steady-state allocation pins cannot hold under it.
+const raceEnabled = true

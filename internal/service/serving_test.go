@@ -1,15 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"seqmine/internal/datagen"
+	"seqmine/internal/experiments"
+	"seqmine/internal/obs"
 	"seqmine/internal/paperex"
 )
 
@@ -76,6 +83,132 @@ func TestMineShedsOverHTTP(t *testing.T) {
 	}
 	if snap := svc.Metrics(); snap.Admission.ShedQueueFull != 1 {
 		t.Fatalf("admission stats = %+v, want 1 queue-full shed", snap.Admission)
+	}
+}
+
+// TestOverloadContractOverHTTP drives a service with two mining slots and a
+// four-deep queue from 16 closed-loop clients for about a second, with the
+// result cache off so every request mines. The service must degrade the
+// contract, not the answers: every response is a 200 whose patterns and
+// total are byte-identical to the unloaded answer, or a 429 with a
+// whole-second Retry-After of at least 1; some request sheds; every shed the
+// clients saw is counted; and the Prometheus exposition validates with the
+// queue watermark within its bound and the shedding visible.
+func TestOverloadContractOverHTTP(t *testing.T) {
+	const slots, queue, clients = 2, 4, 16
+	svc := New(Config{MaxConcurrent: slots, QueueDepth: queue, ResultCacheSize: 0, Obs: obs.NewRegistry()})
+	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 400, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.RegisterDataset("nyt", db); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+
+	// answer is the part of a /mine body that must not depend on load.
+	type answer struct {
+		Patterns json.RawMessage `json:"patterns"`
+		Total    int             `json:"total"`
+	}
+	exprs := []string{experiments.N1Expr, experiments.N2Expr, experiments.T2Expr(0, 5)}
+	bodies := make([]string, len(exprs))
+	unloaded := make([]answer, len(exprs))
+	// One kept-alive connection per client: thousands of sheds a second would
+	// otherwise each open a socket.
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: clients}}
+	defer client.CloseIdleConnections()
+	mine := func(i int) (*http.Response, []byte, error) {
+		resp, err := client.Post(srv.URL+"/mine", "application/json", strings.NewReader(bodies[i]))
+		if err != nil {
+			return nil, nil, err
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		return resp, b, err
+	}
+	for i, expr := range exprs {
+		b, _ := json.Marshal(MineRequest{Dataset: "nyt", Pattern: expr, Sigma: 10})
+		bodies[i] = string(b)
+		resp, body, err := mine(i)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("unloaded %s: %v %v %s", expr, err, resp, body)
+		}
+		if err := json.Unmarshal(body, &unloaded[i]); err != nil || unloaded[i].Total == 0 {
+			t.Fatalf("unloaded %s: total %d (%v); the identity check is vacuous", expr, unloaded[i].Total, err)
+		}
+	}
+
+	var (
+		ok, shed atomic.Int64
+		wg       sync.WaitGroup
+	)
+	deadline := time.Now().Add(time.Second)
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := c; time.Now().Before(deadline); n++ {
+				i := n % len(exprs)
+				resp, body, err := mine(i)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				switch resp.StatusCode {
+				case http.StatusOK:
+					var got answer
+					if err := json.Unmarshal(body, &got); err != nil || got.Total != unloaded[i].Total ||
+						!bytes.Equal(got.Patterns, unloaded[i].Patterns) {
+						t.Errorf("%s under load: total %d (%v), answer differs from the unloaded one",
+							exprs[i], got.Total, err)
+						return
+					}
+					ok.Add(1)
+				case http.StatusTooManyRequests:
+					ra := resp.Header.Get("Retry-After")
+					if secs, err := strconv.Atoi(ra); err != nil || secs < 1 {
+						t.Errorf("429 with Retry-After %q, want a whole number of seconds >= 1", ra)
+						return
+					}
+					shed.Add(1)
+				default:
+					t.Errorf("status %d under load: %s", resp.StatusCode, body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	answers, sheds := ok.Load(), shed.Load()
+	t.Logf("%d answers, %d sheds", answers, sheds)
+	if sheds == 0 {
+		t.Fatalf("%d answers and no shed: %d clients never overloaded %d slots + %d queue", answers, clients, slots, queue)
+	}
+	adm := svc.Metrics().Admission
+	if adm.ShedQueueFull != sheds || adm.Admitted != answers+int64(len(exprs)) {
+		t.Errorf("admission counted %d admitted, %d shed; clients saw %d answers (+%d unloaded), %d sheds",
+			adm.Admitted, adm.ShedQueueFull, answers, len(exprs), sheds)
+	}
+
+	resp, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	stats, err := obs.ValidateExposition(resp.Body)
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	if got, present := stats.MaxByName["seqmine_admission_queue_depth_max"]; !present || got > queue {
+		t.Errorf("seqmine_admission_queue_depth_max = %g (present %v), want <= %d", got, present, queue)
+	}
+	if got := stats.MaxByName["seqmine_admission_shed_total"]; got < 1 {
+		t.Errorf("seqmine_admission_shed_total = %g, want >= 1", got)
 	}
 }
 
