@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,9 +145,8 @@ func (d *Dictionary) HasAncestor(item, anc ItemID) bool {
 	if !d.Contains(item) || !d.Contains(anc) {
 		return false
 	}
-	as := d.ancestors[item]
-	i := sort.Search(len(as), func(i int) bool { return as[i] >= anc })
-	return i < len(as) && as[i] == anc
+	_, found := slices.BinarySearch(d.ancestors[item], anc)
+	return found
 }
 
 // IsA is an alias for HasAncestor: IsA(t, w) reports whether t is w or a

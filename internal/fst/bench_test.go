@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"seqmine/internal/datagen"
 	"seqmine/internal/dict"
+	"seqmine/internal/experiments"
 	"seqmine/internal/fst"
 	"seqmine/internal/paperex"
 )
@@ -63,35 +65,133 @@ func BenchmarkForEachRun(b *testing.B) {
 	}
 }
 
-// BenchmarkReach measures the fused backward reachability pass — accept and
-// finish matrices in one sweep, the per-sequence set-up of DESQ-DFS — into a
-// reused, never-zeroed buffer.
-func BenchmarkReach(b *testing.B) {
+// reachFixture is an FST and the sequences its backward passes run over.
+type reachFixture struct {
+	name string
+	flat *fst.Flat
+	db   [][]dict.ItemID
+}
+
+// reachFixtures are the running example's expression on random sequences
+// over its vocabulary, and a dot-only loose constraint, T2(0,5), on
+// ClueWeb-like sentences: every state of the second is live at most
+// positions.
+func reachFixtures(tb testing.TB) []reachFixture {
 	d, db := benchSequences(200, 12)
-	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
-	buf := make([]uint64, 2*13*flat.Words())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		T := db[i%len(db)]
-		n := (len(T) + 1) * flat.Words()
-		flat.Reach(T, buf[:n], buf[n:2*n])
+	cw, err := datagen.ClueWeb(datagen.ClueWebConfig{NumSentences: 200, Seed: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []reachFixture{
+		{"paperex", fst.MustCompile(paperex.PatternExpression, d).Flatten(), db},
+		{"T2(0,5)-clueweb", fst.MustCompile(experiments.T2Expr(0, 5), cw.Dict).Flatten(), cw.Sequences},
+	}
+}
+
+// buffer returns a never-zeroed buffer for the accept and finish (or prod)
+// matrices of the fixture's longest sequence.
+func (fx reachFixture) buffer() []uint64 {
+	n := 0
+	for _, T := range fx.db {
+		n = max(n, len(T))
+	}
+	return make([]uint64, 2*(n+1)*fx.flat.Words())
+}
+
+// positions is the number of items in the sequences of db.
+func positions(db [][]dict.ItemID) int {
+	n := 0
+	for _, T := range db {
+		n += len(T)
+	}
+	return n
+}
+
+// BenchmarkReach measures the backward reachability pass — accept and finish
+// matrices, the per-sequence set-up of DESQ-DFS — into a reused, never-zeroed
+// buffer, in ns per sequence position.
+func BenchmarkReach(b *testing.B) {
+	for _, fx := range reachFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			buf := fx.buffer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, T := range fx.db {
+					n := (len(T) + 1) * fx.flat.Words()
+					fx.flat.Reach(T, buf[:n], buf[n:2*n])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(fx.db)), "ns/pos")
+		})
+	}
+}
+
+// acceptRows returns the all-rows accept matrix of each accepted sequence of
+// the fixture, and those sequences.
+func (fx reachFixture) acceptRows() ([][]uint64, [][]dict.ItemID) {
+	var rows [][]uint64
+	var seqs [][]dict.ItemID
+	for _, T := range fx.db {
+		accept := make([]uint64, (len(T)+1)*fx.flat.Words())
+		if fx.flat.Reach(T, accept, nil) {
+			rows, seqs = append(rows, accept), append(seqs, T)
+		}
+	}
+	return rows, seqs
+}
+
+// BenchmarkProductive measures the productive pass over the accept rows of
+// the fixtures' accepted sequences, in ns per position of those sequences.
+func BenchmarkProductive(b *testing.B) {
+	for _, fx := range reachFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			rows, seqs := fx.acceptRows()
+			prod := fx.buffer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, T := range seqs {
+					fx.flat.Productive(T, rows[j], prod)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(seqs)), "ns/pos")
+		})
 	}
 }
 
 // TestReachDoesNotAllocate pins BenchmarkReach's pass at zero allocations:
 // the matrices go into the caller's buffer.
 func TestReachDoesNotAllocate(t *testing.T) {
-	d, db := benchSequences(200, 12)
-	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
-	buf := make([]uint64, 2*13*flat.Words())
-	if n := testing.AllocsPerRun(20, func() {
-		for _, T := range db {
-			n := (len(T) + 1) * flat.Words()
-			flat.Reach(T, buf[:n], buf[n:2*n])
+	for _, fx := range reachFixtures(t) {
+		buf := fx.buffer()
+		if n := testing.AllocsPerRun(20, func() {
+			for _, T := range fx.db {
+				n := (len(T) + 1) * fx.flat.Words()
+				fx.flat.Reach(T, buf[:n], buf[n:2*n])
+			}
+		}); n != 0 {
+			t.Fatalf("%s: Reach allocates %.0f times per database pass, want 0", fx.name, n)
 		}
-	}); n != 0 {
-		t.Fatalf("Reach allocates %.0f times per database pass, want 0", n)
+	}
+}
+
+// TestProductiveDoesNotAllocate pins BenchmarkProductive's pass at zero
+// allocations: prod goes into the caller's buffer.
+func TestProductiveDoesNotAllocate(t *testing.T) {
+	for _, fx := range reachFixtures(t) {
+		rows, seqs := fx.acceptRows()
+		if len(seqs) == 0 {
+			t.Fatalf("%s: no sequence accepted; the pin is vacuous", fx.name)
+		}
+		prod := fx.buffer()
+		if n := testing.AllocsPerRun(20, func() {
+			for j, T := range seqs {
+				fx.flat.Productive(T, rows[j], prod)
+			}
+		}); n != 0 {
+			t.Fatalf("%s: Productive allocates %.0f times per database pass, want 0", fx.name, n)
+		}
 	}
 }
 

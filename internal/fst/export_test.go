@@ -6,3 +6,7 @@ var (
 	RandomDict = randomDict
 	RandomExpr = randomExpr
 )
+
+// HasByteTable reports whether Reach and Productive step fl on its
+// byte-sliced table.
+func HasByteTable(fl *Flat) bool { return fl.byteTab != nil }

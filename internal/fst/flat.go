@@ -25,6 +25,12 @@ import (
 // sets of the states still live (Reach), and the DFS walks iterate only
 // transitions that fire (Firing).
 //
+// When a row is one word (≤ 64 states), Reach and Productive do not visit
+// live states one by one: a byte-sliced table (byteTab) holds the union of
+// the masks of every 8-state group's subsets, so a step is one probe per
+// byte of the row, at most ⌈states/8⌉, however many states are live. It is
+// exact, since a union distributes over the bytes.
+//
 // A Flat is immutable after construction and safe for concurrent use; obtain
 // one with FST.Flatten, which builds it once per FST and caches it.
 type Flat struct {
@@ -60,6 +66,14 @@ type Flat struct {
 	outPred []uint64
 	fireOff []int32
 	fire    []int32
+
+	// The byte-sliced step table of a one-word FST (nil otherwise; see
+	// buildByteTab). Class c's block starts at c*3*byteKind and holds three
+	// kinds of byteKind = ⌈numStates/8⌉·256 words each: the predecessor
+	// masks of pred, those of pred's ε-output half, those of outPred. Entry
+	// j*256+v of a kind is the union of its masks of the states 8j+b, b ∈ v.
+	byteTab  []uint64
+	byteKind int
 
 	// absorbing: every final state consumes any input over ε-output
 	// transitions into final states (see FinalsAbsorb).
@@ -130,6 +144,7 @@ func newFlat(f *FST) *Flat {
 	}
 	fl.off[n] = int32(len(fl.to))
 	fl.buildStepTable(tests, testOf, vocab)
+	fl.buildByteTab()
 	fl.absorbing = fl.finalsAbsorb()
 	return fl
 }
@@ -216,6 +231,48 @@ func (fl *Flat) addClass(passed []byte, testOf []int32) {
 	}
 }
 
+// maxByteTabWords caps the byte-sliced table at 256 KiB per Flat, the size
+// of a core's L2 cache on common hardware: a step that misses cache loses
+// what the table saves. The table holds classes × ⌈states/8⌉ × 768 words, so
+// the cap is only reached by expressions listing dozens of distinct items;
+// the paper's expressions need 768–5,376 words.
+const maxByteTabWords = 1 << 15
+
+// buildByteTab builds the byte-sliced step table when a row is one word and
+// the table fits maxByteTabWords: entry v of a chunk is entry v&(v-1) plus
+// the mask of the state of v's lowest bit.
+func (fl *Flat) buildByteTab() {
+	n, classes := fl.numStates, fl.numClasses()
+	k := (n + 7) / 8 * 256
+	if fl.words != 1 || classes*3*k > maxByteTabWords {
+		return
+	}
+	fl.byteTab, fl.byteKind = make([]uint64, classes*3*k), k
+	kinds := [3]struct {
+		masks  []uint64
+		stride int
+	}{{fl.pred, 2}, {fl.pred[1:], 2}, {fl.outPred, 1}}
+	for c := 0; c < classes; c++ {
+		for kind, src := range kinds {
+			tab := fl.byteTab[(3*c+kind)*k:][:k]
+			for i := range tab {
+				v := i & 0xff // chunk i>>8, value v; entry 0 of a chunk stays empty
+				if v == 0 {
+					continue
+				}
+				r := tab[i&^0xff|v&(v-1)]
+				if q := i>>8<<3 + bits.TrailingZeros8(uint8(v)); q < n {
+					r |= src.masks[(c*n+q)*src.stride]
+				}
+				tab[i] = r
+			}
+		}
+	}
+}
+
+// numClasses returns the number of item classes of the step table.
+func (fl *Flat) numClasses() int { return (len(fl.fireOff) - 1) / fl.numStates }
+
 // finalsAbsorb decides FinalsAbsorb. It asks for the greatest set of final
 // states in which every state has, for every item class, an ε-output
 // transition back into the set; that set is all final states iff the final
@@ -224,7 +281,7 @@ func (fl *Flat) addClass(passed []byte, testOf []int32) {
 func (fl *Flat) finalsAbsorb() bool {
 	w := fl.words
 	row := make([]uint64, w)
-	for c := 0; c < len(fl.pred)/(2*w*fl.numStates); c++ {
+	for c := 0; c < fl.numClasses(); c++ {
 		pullBack(fl.pred[c*fl.numStates*2*w+w:], 2*w, fl.finalBits, row)
 		for j, final := range fl.finalBits {
 			if final&^row[j] != 0 {
@@ -314,16 +371,20 @@ func (fl *Flat) Firing(q int, t dict.ItemID) []int32 {
 // in a final state — and reports whether the initial state accepts T. accept
 // holds either all len(T)+1 rows or, for a caller that only wants the
 // verdict, two rows that the pass alternates between. A non-nil finish (all
-// rows) receives the finishable matrix in the same pass: bit q of row i is
-// set iff T[i:] can be consumed from q into a final state over ε-output
-// transitions only. Every word of a row is written, so the buffers need not
-// be zeroed; the pass stops at the first position no state accepts from, and
-// after a false result the matrices are only partly filled.
+// rows) receives the finishable matrix too: bit q of row i is set iff T[i:]
+// can be consumed from q into a final state over ε-output transitions only.
+// Every word of a row is written, so the buffers need not be zeroed; the pass
+// stops at the first position no state accepts from, and after a false
+// result the matrices are only partly filled. On the byte-sliced table the
+// finish rows are a second pass, run only for an accepted T.
 func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 	n, w := len(T), fl.words
 	rowMask := -1 // row i lives at (i&rowMask)*w
 	if len(accept) < (n+1)*w {
 		rowMask = 1
+	}
+	if fl.byteTab != nil {
+		return fl.reachBytes(T, accept, finish, rowMask)
 	}
 	copy(accept[(n&rowMask)*w:][:w], fl.finalBits)
 	if finish != nil {
@@ -341,6 +402,43 @@ func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 	return accept[uint(fl.initial)>>6]&(1<<(uint(fl.initial)&63)) != 0
 }
 
+// reachBytes is Reach on the byte-sliced table, where every row is one word:
+// the accept pass, then — only for an accepted T — the finish pass.
+func (fl *Flat) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask int) bool {
+	n := len(T)
+	accept[n&rowMask] = fl.finalBits[0]
+	if fl.pullBytes(T, accept, rowMask, 0) >= 0 {
+		return false
+	}
+	if finish != nil {
+		finish[n] = fl.finalBits[0]
+		if i := fl.pullBytes(T, finish, -1, 1); i > 0 {
+			clear(finish[:i]) // nothing precedes an empty row
+		}
+	}
+	return accept[0]&(1<<uint(fl.initial)) != 0
+}
+
+// pullBytes is one backward pass over T on the given kind of the byte-sliced
+// table, from row len(T) already in rows (row i lives at rows[i&rowMask]). It
+// stops at the first empty row and returns its position, -1 if there is none.
+func (fl *Flat) pullBytes(T []dict.ItemID, rows []uint64, rowMask, kind int) int {
+	tab, classOf, k := fl.byteTab, fl.classOf, fl.byteKind
+	x := rows[len(T)&rowMask]
+	for i := len(T) - 1; i >= 0; i-- {
+		at := kind * k
+		if classOf != nil {
+			at += int(classOf[T[i]]) * 3 * k
+		}
+		if x = lookup(tab, at, x); x == 0 {
+			rows[i&rowMask] = 0
+			return i
+		}
+		rows[i&rowMask] = x
+	}
+	return -1
+}
+
 // Productive fills prod, all len(T)+1 rows, from the accept matrix that a
 // successful Reach left in accept (all rows): bit q of row i is set iff an
 // ε-output path from state q at position i reaches an output transition whose
@@ -355,12 +453,36 @@ func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 func (fl *Flat) Productive(T []dict.ItemID, accept, prod []uint64) {
 	n, w := len(T), fl.words
 	clear(prod[n*w:][:w])
+	if tab, classOf, k := fl.byteTab, fl.classOf, fl.byteKind; tab != nil {
+		p := uint64(0)
+		for i := n - 1; i >= 0; i-- {
+			at := k
+			if classOf != nil {
+				at += int(classOf[T[i]]) * 3 * k
+			}
+			p = lookup(tab, at+k, accept[i+1]) | lookup(tab, at, p)
+			prod[i] = p
+		}
+		return
+	}
 	for i := n - 1; i >= 0; i-- {
 		c := fl.class(T[i])
 		row := prod[i*w:][:w]
 		pullBack(fl.outPred[c*w:], w, accept[(i+1)*w:][:w], row)
 		orPullBack(fl.pred[c*2*w+w:], 2*w, prod[(i+1)*w:][:w], row)
 	}
+}
+
+// lookup is one backward step on the kind of the byte-sliced table that
+// starts at tab[at]: the union of the predecessor masks of the states in row
+// x, one probe per byte of x.
+func lookup(tab []uint64, at int, x uint64) uint64 {
+	r := tab[at+int(x&0xff)]
+	for x >>= 8; x != 0; x >>= 8 {
+		at += 256
+		r |= tab[at+int(x&0xff)]
+	}
+	return r
 }
 
 // pullBack is one backward step: row becomes the union of the predecessor

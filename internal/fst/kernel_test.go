@@ -18,7 +18,9 @@ import (
 // label matching, item by item: the firing list of every state, the three
 // predecessor masks of every state (any, ε-output and output transitions),
 // and the class partition itself (two items share a class iff every label
-// treats them alike).
+// treats them alike). Then the byte-sliced table: present iff a row is one
+// word and it fits maxByteTabWords, and every entry the OR of the masks of
+// the states its byte names.
 func CheckStepTable(t *testing.T, name string, f *FST) {
 	t.Helper()
 	fl, d := f.Flatten(), f.dict
@@ -84,6 +86,45 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 	}
 	if bound := len(labels); classes > d.Size()+1 || bound < 30 && classes > 1<<bound {
 		t.Fatalf("%s: %d classes exceed min(vocab+1 = %d, 2^%d labels)", name, classes, d.Size()+1, bound)
+	}
+	checkByteTab(t, name, fl, classes)
+}
+
+// checkByteTab holds the byte-sliced table to the predecessor masks that
+// CheckStepTable has just checked.
+func checkByteTab(t *testing.T, name string, fl *Flat, classes int) {
+	t.Helper()
+	n, chunks := fl.numStates, (fl.numStates+7)/8
+	if want := fl.words == 1 && classes*chunks*3*256 <= maxByteTabWords; (fl.byteTab != nil) != want {
+		t.Fatalf("%s: %d states, %d classes: byte table built = %v, want %v", name, n, classes, fl.byteTab != nil, want)
+	}
+	if fl.byteTab == nil {
+		return
+	}
+	if len(fl.byteTab) != classes*3*chunks*256 || fl.byteKind != chunks*256 {
+		t.Fatalf("%s: byte table of %d words, kind %d; want %d, %d", name, len(fl.byteTab), fl.byteKind, classes*3*chunks*256, chunks*256)
+	}
+	for c := 0; c < classes; c++ {
+		masks := [3]func(q int) uint64{
+			func(q int) uint64 { return fl.pred[(c*n+q)*2] },
+			func(q int) uint64 { return fl.pred[(c*n+q)*2+1] },
+			func(q int) uint64 { return fl.outPred[c*n+q] },
+		}
+		for kind, mask := range masks {
+			for j := 0; j < chunks; j++ {
+				for v := 0; v < 256; v++ {
+					var want uint64
+					for b := 0; b < 8; b++ {
+						if q := 8*j + b; v&(1<<b) != 0 && q < n {
+							want |= mask(q)
+						}
+					}
+					if got := fl.byteTab[(3*c+kind)*fl.byteKind+j*256+v]; got != want {
+						t.Fatalf("%s: byte table class %d kind %d chunk %d entry %#x = %#x, want %#x", name, c, kind, j, v, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -198,22 +239,35 @@ func randomExpr(rng *rand.Rand, d *dict.Dictionary, depth int) string {
 
 // TestKernelMatchesLabelReference runs the reference against the kernel over
 // random hierarchies × generated expressions, plus expressions wide enough
-// that a state set needs several words.
+// that a state set needs several words and alternations of so many distinct
+// items that a one-word FST's byte table would pass maxByteTabWords. Each of
+// the three step paths must be taken at least 3 times.
 func TestKernelMatchesLabelReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	wide := 0
+	var byteTab, overCap, wide int
 	for trial := 0; trial < 60; trial++ {
 		d := randomDict(t, rng, 4+rng.Intn(30))
 		expr := ".*" + randomExpr(rng, d, 4) + ".*"
-		if trial%10 == 0 { // more than 64 states: words > 1
+		switch trial % 10 {
+		case 3, 7: // no trailing gap: finish rows can empty before row 0
+			expr = ".*" + randomExpr(rng, d, 4)
+		case 0: // more than 64 states: words > 1
 			expr = fmt.Sprintf(".*[%s]{1,70} [%s]?.*", randomExpr(rng, d, 2), randomExpr(rng, d, 1))
+		case 5: // one item test per item: a class per item
+			d = randomDict(t, rng, 50+rng.Intn(20))
+			expr = ".*" + manyItems(rng, d) + " " + randomExpr(rng, d, 2) + ".*"
 		}
 		f, err := Compile(expr, d)
 		if err != nil {
 			t.Fatalf("generated expression %q does not compile: %v", expr, err)
 		}
-		if f.Flatten().words > 1 {
+		switch fl := f.Flatten(); {
+		case fl.words > 1:
 			wide++
+		case fl.byteTab == nil:
+			overCap++
+		default:
+			byteTab++
 		}
 		CheckStepTable(t, expr, f)
 		for s := 0; s < 25; s++ {
@@ -224,9 +278,22 @@ func TestKernelMatchesLabelReference(t *testing.T) {
 			CheckReach(t, expr, f, T)
 		}
 	}
-	if wide < 3 {
-		t.Fatalf("only %d automata had more than 64 states; the multi-word path went untested", wide)
+	if byteTab < 3 || overCap < 3 || wide < 3 {
+		t.Fatalf("automata per step path: %d byte table, %d one-word over the cap, %d multi-word; want ≥ 3 each", byteTab, overCap, wide)
 	}
+}
+
+// manyItems returns an alternation of every item of d, each captured or not,
+// plain, exact or generalizing at random.
+func manyItems(rng *rand.Rand, d *dict.Dictionary) string {
+	alts := make([]string, d.Size())
+	for i := range alts {
+		alts[i] = d.Name(dict.ItemID(i+1)) + []string{"", "=", "^"}[rng.Intn(3)]
+		if rng.Intn(2) == 0 {
+			alts[i] = "(" + alts[i] + ")"
+		}
+	}
+	return "[" + strings.Join(alts, "|") + "]"
 }
 
 // TestCanAcceptDoesNotAllocate pins the two-row verdict at zero allocations:
