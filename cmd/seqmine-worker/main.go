@@ -60,7 +60,6 @@ func main() {
 	// directory in worker mode.
 	var p plan.Plan
 	p.Knobs.BindFlags(flag.CommandLine)
-	flag.IntVar(&p.TaskPartitions, "task-partitions", 0, "per-partition tasks the input is decomposed into (0 = one per live worker, submit mode)")
 	top := flag.Int("top", 25, "print only the top-k frequent sequences (0 = all, submit mode)")
 	showMetrics := flag.Bool("metrics", true, "print shuffle/runtime metrics (submit mode)")
 	traceOut := flag.String("trace-out", "", "write the job's merged trace as Chrome trace-event JSON to this file (submit mode)")
@@ -193,8 +192,8 @@ func runSubmit(p plan.Plan, workers, data, hierarchy, pattern string, sigma int6
 		fmt.Printf("%d workers, wall %v, map time %v, reduce time %v, shuffle %d records / %d bytes on the wire (%d read) over %d partitions\n",
 			len(urls), elapsed.Round(time.Millisecond), m.MapTime, m.ReduceTime,
 			m.ShuffleRecords, m.ShuffleBytes, res.WireBytesIn, m.Partitions)
-		fmt.Printf("scheduler: %d tasks, %d attempts, %d retries, %d speculative, %d dead workers (winning epoch %d)\n",
-			res.Tasks, res.Attempts, res.Retries, res.SpeculativeAttempts, len(res.DeadWorkers), res.WinningEpoch)
+		fmt.Printf("scheduler: %d tasks, %d attempts, %d retries, %d dead workers\n",
+			res.Tasks, res.Attempts, res.Retries, len(res.DeadWorkers))
 		fmt.Printf("dataset store: %d hits, %d misses, %d bytes pushed\n",
 			res.StoreHits, res.StoreMisses, res.StorePutBytes)
 		if m.StreamedBatches > 0 {

@@ -4,12 +4,12 @@
 // over the pool of live workers, pushes the input database once per worker
 // into a content-addressed dataset store (job specs then reference a
 // dataset id plus a partition assignment instead of inlining sequences), and
-// drives attempts of the job through a heartbeat/liveness loop — a worker
-// that dies or stalls mid-shuffle fails only its attempt, which the scheduler
-// retries (or speculatively re-executes) on the surviving workers under a
-// fresh attempt epoch. Only the first successful attempt's results are
-// merged; the epoch in the shuffle handshake makes duplicate or zombie
-// attempts idempotent (internal/transport refuses frames from stale epochs).
+// drives attempts of the job, one at a time, through a heartbeat/liveness
+// loop — a worker that dies or stalls mid-shuffle fails only its attempt,
+// which the scheduler retries on the surviving workers under a fresh attempt
+// epoch. Only the successful attempt's results are merged; the epoch in the
+// shuffle handshake makes zombie attempts harmless (internal/transport
+// refuses frames from stale epochs).
 // The data plane is the TCP shuffle fabric of internal/transport: during the
 // job the workers exchange serialized sequence/NFA frames directly with each
 // other, so the coordinator never touches shuffle traffic.

@@ -11,6 +11,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,12 +26,12 @@ import (
 )
 
 // Coordinator schedules mining jobs across a pool of worker processes. One
-// job runs as a sequence of attempts: each attempt gang-schedules every
-// pending per-partition task over the live workers and runs one BSP round;
-// a worker death or straggle fails only that attempt, and the scheduler
-// relaunches (or speculatively duplicates) it under a fresh epoch on the
-// surviving workers. The input database travels through the workers' shared
-// dataset store, pushed at most once per worker per dataset.
+// job runs as a sequence of attempts, one in flight at a time: each attempt
+// gang-schedules every per-partition task over the live workers and runs one
+// BSP round; a worker death fails only that attempt, and the scheduler
+// relaunches it under a fresh epoch on the surviving workers. The input
+// database travels through the workers' shared dataset store, pushed at most
+// once per worker per dataset.
 type Coordinator struct {
 	// Workers are the control URLs of the worker processes
 	// ("http://host:port"), one per pool member.
@@ -100,17 +101,13 @@ type Result struct {
 	PerWorker []JobResult
 
 	// Tasks is the number of per-partition tasks the job was decomposed
-	// into.
+	// into: one per worker live at the start.
 	Tasks int
-	// Attempts is the number of attempts launched (>= 1).
+	// Attempts is the number of attempts launched (>= 1); the last one won,
+	// under epoch Attempts-1.
 	Attempts int
 	// Retries is the number of attempts relaunched after a failure.
 	Retries int
-	// SpeculativeAttempts counts attempts launched against a straggling (not
-	// failed) attempt.
-	SpeculativeAttempts int
-	// WinningEpoch is the epoch of the attempt whose results were merged.
-	WinningEpoch int
 	// DeadWorkers are the control URLs of pool members declared dead during
 	// the job.
 	DeadWorkers []string
@@ -151,9 +148,8 @@ func (w *workerRef) markDead() bool {
 
 // Mine runs one distributed job over the database with the scheduler
 // described on Coordinator. p is the query plan: its Algorithm must be
-// plan.AlgoDSeq or plan.AlgoDCand, its retry budget, speculation threshold
-// and TaskPartitions drive the scheduler, and the whole plan is shipped to
-// the workers in every JobSpec.
+// plan.AlgoDSeq or plan.AlgoDCand, its retry budget drives the scheduler,
+// and the whole plan is shipped to the workers in every JobSpec.
 func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression string, sigma int64, p plan.Plan) (*Result, error) {
 	if len(c.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers configured")
@@ -240,13 +236,10 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		return nil, fmt.Errorf("cluster: no worker accepted the dataset bundle")
 	}
 
-	// Decompose into per-partition tasks. The partition count is fixed for
-	// the whole job, so task identity survives gang changes across attempts.
-	numTasks := p.TaskPartitions
-	if numTasks <= 0 {
-		numTasks = len(live)
-	}
-	res.Tasks = numTasks
+	// One per-partition task per live worker. The partition count is fixed
+	// for the whole job, so task identity survives gang changes across
+	// attempts: a retry on fewer survivors gives some of them several tasks.
+	res.Tasks = len(live)
 
 	jobID, err := newJobID()
 	if err != nil {
@@ -256,10 +249,9 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		coord:     c,
 		client:    client,
 		ctx:       ctx,
-		cancel:    cancel,
 		pool:      pool,
 		jobID:     jobID,
-		numTasks:  numTasks,
+		numTasks:  res.Tasks,
 		datasetID: datasetID,
 		bundle:    data,
 		expr:      expression,
@@ -344,7 +336,6 @@ type scheduler struct {
 	coord  *Coordinator
 	client *http.Client
 	ctx    context.Context
-	cancel context.CancelFunc
 	pool   []*workerRef
 
 	jobID     string
@@ -361,13 +352,12 @@ type scheduler struct {
 	hbHist      *obs.Histogram
 	probeClient *http.Client // health probes: heartbeats and blame checks
 
-	epoch    int
 	outcomes chan *attempt
 
-	// smu guards running and res.DeadWorkers, which the heartbeat goroutine
-	// touches concurrently with the scheduling loop.
+	// smu guards res.Attempts, res.DeadWorkers and current, which the
+	// heartbeat goroutine touches concurrently with the scheduling loop.
 	smu     sync.Mutex
-	running map[int]*attempt
+	current *attempt // the latest attempt launched
 }
 
 // attempt is one gang execution of all tasks.
@@ -413,11 +403,10 @@ func (s *scheduler) heartbeatMisses() int {
 // or the context ends.
 func (s *scheduler) run() (*Result, error) {
 	maxRetries := s.plan.RetryBudget()
-	// Every attempt posts exactly one outcome; the channel is sized for the
-	// worst case (initial + retries + one speculative) so posts never block
-	// even after the scheduler has returned.
-	s.outcomes = make(chan *attempt, maxRetries+3)
-	s.running = map[int]*attempt{}
+	// Every attempt posts exactly one outcome, and the next attempt launches
+	// only after it has: one slot lets the attempt in flight post even after
+	// the scheduler has returned on cancellation.
+	s.outcomes = make(chan *attempt, 1)
 	s.probeClient = &http.Client{Timeout: 2 * s.heartbeatInterval()}
 
 	// The heartbeat loop is joined before run returns: its probe goroutines
@@ -433,59 +422,20 @@ func (s *scheduler) run() (*Result, error) {
 		<-hbDone
 	}()
 
-	// The speculation timer measures the *current* attempt: it is re-armed on
-	// every launch, so a retry does not inherit the previous attempt's clock.
-	// One speculative attempt per job.
-	var (
-		specTimer *time.Timer
-		specC     <-chan time.Time
-		specUsed  bool
-	)
-	armSpec := func() {
-		specC = nil
-		if s.plan.SpeculativeAfterMS <= 0 || specUsed {
-			return
-		}
-		d := time.Duration(s.plan.SpeculativeAfterMS) * time.Millisecond
-		if specTimer == nil {
-			specTimer = time.NewTimer(d)
-		} else {
-			if !specTimer.Stop() {
-				select {
-				case <-specTimer.C:
-				default:
-				}
-			}
-			specTimer.Reset(d)
-		}
-		specC = specTimer.C
-	}
-	defer func() {
-		if specTimer != nil {
-			specTimer.Stop()
-		}
-	}()
-
 	if err := s.launch(); err != nil {
 		return nil, err
 	}
-	armSpec()
 
 	for {
 		select {
 		case a := <-s.outcomes:
-			s.smu.Lock()
-			delete(s.running, a.epoch)
-			s.smu.Unlock()
 			if a.err == nil {
-				s.cancel() // supersede the losing attempts, stop heartbeats
 				return s.merge(a), nil
 			}
 			if s.ctx.Err() != nil {
 				return nil, s.ctx.Err()
 			}
 			if a.permanent {
-				s.cancel()
 				s.log.Error("job failed permanently", obs.String("job", s.jobID),
 					obs.Int("epoch", int64(a.epoch)), obs.String("error", a.err.Error()))
 				return nil, fmt.Errorf("cluster: %w", a.err)
@@ -506,15 +456,7 @@ func (s *scheduler) run() (*Result, error) {
 					s.res.StorePutBytes += putBytes
 				}
 			}
-			if s.runningCount() > 0 {
-				// A concurrent attempt (the speculative race's sibling) is
-				// still in flight and may yet win: its failure, not this one,
-				// decides whether the job needs a relaunch. Losing a
-				// duplicate costs no retry budget.
-				continue
-			}
 			if s.res.Retries >= maxRetries {
-				s.cancel()
 				s.log.Error("retry budget exhausted", obs.String("job", s.jobID),
 					obs.Int("attempts", int64(s.res.Attempts)), obs.String("error", a.err.Error()))
 				return nil, fmt.Errorf("cluster: job failed after %d attempts (%d retries): %w",
@@ -527,25 +469,10 @@ func (s *scheduler) run() (*Result, error) {
 			if err := s.launch(); err != nil {
 				return nil, fmt.Errorf("cluster: relaunching after %w: %v", a.err, err)
 			}
-			armSpec()
-		case <-specC:
-			specC = nil
-			if s.runningCount() == 1 && len(liveWorkers(s.pool)) > 0 {
-				if err := s.launch(); err == nil {
-					s.res.SpeculativeAttempts++
-					specUsed = true
-				}
-			}
 		case <-s.ctx.Done():
 			return nil, s.ctx.Err()
 		}
 	}
-}
-
-func (s *scheduler) runningCount() int {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	return len(s.running)
 }
 
 // latestEpoch is the most recently launched attempt epoch (-1 before the
@@ -553,7 +480,7 @@ func (s *scheduler) runningCount() int {
 func (s *scheduler) latestEpoch() int {
 	s.smu.Lock()
 	defer s.smu.Unlock()
-	return s.epoch - 1
+	return s.res.Attempts - 1
 }
 
 func (s *scheduler) addDeadWorker(ws *workerRef) {
@@ -570,13 +497,13 @@ func (s *scheduler) launch() error {
 	if len(gang) == 0 {
 		return fmt.Errorf("no live workers remain")
 	}
-	// The heartbeat loop reads the latest epoch for its log lines, so the
-	// counter is guarded even though only the run loop launches.
+	// Attempt k runs under epoch k. The heartbeat loop reads the latest epoch
+	// for its log lines, so the counter is guarded even though only the run
+	// loop launches.
 	s.smu.Lock()
-	epoch := s.epoch
-	s.epoch++
-	s.smu.Unlock()
+	epoch := s.res.Attempts
 	s.res.Attempts++
+	s.smu.Unlock()
 
 	dataPeers := make([]string, len(gang))
 	for i, ws := range gang {
@@ -593,7 +520,7 @@ func (s *scheduler) launch() error {
 	actx, acancel := context.WithCancel(sctx)
 	a := &attempt{epoch: epoch, gang: gang, cancel: acancel, results: make([]JobResult, len(gang))}
 	s.smu.Lock()
-	s.running[epoch] = a
+	s.current = a
 	s.smu.Unlock()
 	s.log.Info("attempt launched", obs.String("job", s.jobID), obs.Int("epoch", int64(epoch)),
 		obs.Int("gang", int64(len(gang))), obs.Int("tasks", int64(s.numTasks)))
@@ -637,7 +564,7 @@ func (s *scheduler) launch() error {
 			aspan.SetAttr("error", a.err.Error())
 		}
 		aspan.End()
-		s.outcomes <- a // buffered for the worst case; never blocks
+		s.outcomes <- a // the one slot is free: the previous outcome was received
 	}()
 	return nil
 }
@@ -666,7 +593,7 @@ func (s *scheduler) classify(a *attempt, errs []error) {
 		var herr *httpStatusError
 		if !errors.As(err, &herr) {
 			if errors.Is(err, context.Canceled) {
-				// Our own cancellation (supersede or shutdown), not a death.
+				// Our own cancellation (heartbeat abort or shutdown), not a death.
 				continue
 			}
 			// Transport-level failure: the worker itself is unreachable.
@@ -724,9 +651,9 @@ func (s *scheduler) firstUnhealthy(gang []*workerRef) *workerRef {
 }
 
 // heartbeatLoop probes the live pool members while the job runs; a member
-// that misses enough consecutive probes is declared dead and every running
-// attempt containing it is aborted (which surfaces as that attempt's failure
-// and triggers the retry path).
+// that misses enough consecutive probes is declared dead and the attempt in
+// flight is aborted if it contains it (which surfaces as that attempt's
+// failure and triggers the retry path).
 func (s *scheduler) heartbeatLoop(ctx context.Context) {
 	ticker := time.NewTicker(s.heartbeatInterval())
 	defer ticker.Stop()
@@ -786,33 +713,25 @@ func (s *scheduler) heartbeatLoop(ctx context.Context) {
 	}
 }
 
-// onHeartbeatDeath aborts every running attempt that contains the dead
+// onHeartbeatDeath aborts the attempt in flight if it contains the dead
 // worker.
 func (s *scheduler) onHeartbeatDeath(ws *workerRef) {
 	s.smu.Lock()
 	s.res.DeadWorkers = append(s.res.DeadWorkers, ws.url)
-	running := make([]*attempt, 0, len(s.running))
-	for _, a := range s.running {
-		running = append(running, a)
-	}
+	a := s.current
 	s.smu.Unlock()
-	for _, a := range running {
-		for _, member := range a.gang {
-			if member == ws {
-				a.mu.Lock()
-				a.hbDead = ws
-				a.mu.Unlock()
-				a.cancel()
-				break
-			}
-		}
+	if a == nil || !slices.Contains(a.gang, ws) {
+		return
 	}
+	a.mu.Lock()
+	a.hbDead = ws
+	a.mu.Unlock()
+	a.cancel()
 }
 
 // merge folds the winning attempt into the job result.
 func (s *scheduler) merge(a *attempt) *Result {
 	res := s.res
-	res.WinningEpoch = a.epoch
 	res.PerWorker = a.results
 	res.Metrics.RemoteShuffle = true
 	// Fold the workers' span records into the coordinator's recorder: the

@@ -18,8 +18,8 @@ import (
 // bundle (dictionary text plus varint-encoded sequences); its id is the
 // SHA-256 of the bundle bytes. Workers hold decoded bundles in a small LRU
 // keyed by id, and job specs reference the id plus a partition assignment
-// instead of inlining the split — so a resubmission, a retry or a speculative
-// re-execution against an already-pushed dataset ships zero sequence bytes.
+// instead of inlining the split — so a resubmission or a retry against an
+// already-pushed dataset ships zero sequence bytes.
 
 // bundleMagic versions the bundle encoding.
 const bundleMagic = "SQDS1\n"

@@ -123,7 +123,8 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 // the field, never a silently ignored option.
 func TestWorkerRejectsUnknownSpecFields(t *testing.T) {
 	_, srv, id := startWorkerWithStore(t)
-	for _, field := range []string{"use_grid", "spill_tmp_dir", "send_buffer_max_bytes", "prefilter"} {
+	for _, field := range []string{"use_grid", "spill_tmp_dir", "send_buffer_max_bytes", "prefilter",
+		"speculative_after_ms", "task_partitions"} {
 		body := `{"job_id":"job-u","peer":0,"data_peers":["x"],"expression":"(.)","sigma":1,"dataset_id":"` + id +
 			`","num_partitions":1,"partitions":[0],"plan":{"algorithm":"dseq","` + field + `":true}}`
 		resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"strings"
-	"time"
 
 	"seqmine/internal/mapreduce"
 )
@@ -64,11 +63,6 @@ type Knobs struct {
 	// 0 falls through to DefaultTaskRetries, negative disables retries.
 	// In-process runs never retry and ignore it.
 	TaskRetries int `json:"task_retries,omitempty"`
-	// SpeculativeAfterMS launches one speculative duplicate attempt when a
-	// cluster job's running attempt exceeds this many milliseconds (straggler
-	// mitigation; the first attempt to finish wins). <= 0 disables
-	// speculation.
-	SpeculativeAfterMS int64 `json:"speculative_after_ms,omitempty"`
 }
 
 // Plan is one query's complete execution plan: what to run plus the knobs.
@@ -81,10 +75,6 @@ type Plan struct {
 	Workers int `json:"-"`
 	// Shards is never read; it leaves with the [benchmark] PR that stops setting it.
 	Shards int `json:"shards,omitempty"`
-	// TaskPartitions is the number of per-partition tasks a cluster job is
-	// decomposed into; 0 uses one task per live worker. More tasks than
-	// workers gives the scheduler finer rebalancing units on retry.
-	TaskPartitions int `json:"task_partitions,omitempty"`
 
 	Knobs
 }
@@ -93,15 +83,14 @@ type Plan struct {
 // one precedence rule of the system (query > daemon default > built-in): 0,
 // "" and false inherit d's value, anything else wins. A negative value is
 // therefore never overwritten, and every consumer reads <= 0 as "off", so
-// negative forces spilling, streaming, retries or speculation off regardless
-// of d. Merge is idempotent and chains.
+// negative forces spilling, streaming or retries off regardless of d. Merge
+// is idempotent and chains.
 func (k Knobs) Merge(d Knobs) Knobs {
 	k.CompressSpill = k.CompressSpill || d.CompressSpill
 	inherit(&k.SpillThreshold, d.SpillThreshold)
 	inherit(&k.SpillTmpDir, d.SpillTmpDir)
 	inherit(&k.SendBufferBytes, d.SendBufferBytes)
 	inherit(&k.TaskRetries, d.TaskRetries)
-	inherit(&k.SpeculativeAfterMS, d.SpeculativeAfterMS)
 	return k
 }
 
@@ -136,28 +125,4 @@ func (k *Knobs) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&k.SendBufferBytes, "send-buffer", 0, `per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode; per query: "send_buffer_bytes", negative = barrier)`)
 	fs.BoolVar(&k.CompressSpill, "compress-spill", false, `DEFLATE-compress shuffle spill segments (per query: "compress_spill")`)
 	fs.IntVar(&k.TaskRetries, "task-retries", 0, `cluster runs: failed attempts relaunched on surviving workers (0 = built-in 2, negative = no retries; per query: "task_retries")`)
-	fs.Var(millisFlag{&k.SpeculativeAfterMS}, "speculative-after", "cluster runs: launch a speculative duplicate attempt when the running attempt exceeds this `duration` (0 = no speculation; per query: \"speculative_after_ms\")")
-}
-
-// millisFlag parses a duration flag ("250ms", "2s") into the plan's integer
-// milliseconds.
-type millisFlag struct{ ms *int64 }
-
-func (f millisFlag) String() string {
-	if f.ms == nil {
-		return "0s"
-	}
-	return (time.Duration(*f.ms) * time.Millisecond).String()
-}
-
-func (f millisFlag) Set(s string) error {
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return err
-	}
-	*f.ms = d.Milliseconds()
-	if d > 0 && *f.ms == 0 {
-		*f.ms = 1 // sub-millisecond but positive: still "on"
-	}
-	return nil
 }

@@ -12,11 +12,10 @@ import (
 	"seqmine/internal/mapreduce"
 )
 
-func knobs(spill, send int64, retries int, specMS int64) Knobs {
+func knobs(spill, send int64, retries int) Knobs {
 	return Knobs{
-		ShuffleConfig:      mapreduce.ShuffleConfig{SpillThreshold: spill, SendBufferBytes: send},
-		TaskRetries:        retries,
-		SpeculativeAfterMS: specMS,
+		ShuffleConfig: mapreduce.ShuffleConfig{SpillThreshold: spill, SendBufferBytes: send},
+		TaskRetries:   retries,
 	}
 }
 
@@ -24,7 +23,7 @@ func knobs(spill, send int64, retries int, specMS int64) Knobs {
 // built-in): a set value wins, zero inherits, negative stays negative — which
 // every consumer reads as "off".
 func TestMerge(t *testing.T) {
-	daemon := knobs(4096, 256, 5, 300)
+	daemon := knobs(4096, 256, 5)
 	daemon.SpillTmpDir = "/daemon/spill"
 
 	cases := []struct {
@@ -33,20 +32,19 @@ func TestMerge(t *testing.T) {
 		want            Knobs
 		spills, streams bool
 		retries         int
-		speculates      bool
 	}{
 		{name: "nothing set anywhere: in memory, barrier, built-in retry budget",
 			want: Knobs{}, retries: DefaultTaskRetries},
 		{name: "zero inherits every daemon default",
 			defaults: daemon, want: daemon,
-			spills: true, streams: true, retries: 5, speculates: true},
+			spills: true, streams: true, retries: 5},
 		{name: "query value wins",
-			query: knobs(99, 77, 1, 10), defaults: daemon,
-			want:   withDir(knobs(99, 77, 1, 10), "/daemon/spill"),
-			spills: true, streams: true, retries: 1, speculates: true},
-		{name: "negative turns spill, streaming, retries and speculation off",
-			query: knobs(-1, -1, -1, -1), defaults: daemon,
-			want:    withDir(knobs(-1, -1, -1, -1), "/daemon/spill"),
+			query: knobs(99, 77, 1), defaults: daemon,
+			want:   withDir(knobs(99, 77, 1), "/daemon/spill"),
+			spills: true, streams: true, retries: 1},
+		{name: "negative turns spill, streaming and retries off",
+			query: knobs(-1, -1, -1), defaults: daemon,
+			want:    withDir(knobs(-1, -1, -1), "/daemon/spill"),
 			retries: 0},
 		{name: "booleans are OR-ed: the daemon default switches them on",
 			defaults: Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
@@ -59,7 +57,7 @@ func TestMerge(t *testing.T) {
 		{name: "the query's own spill directory wins",
 			query: withDir(Knobs{}, "/query"), defaults: daemon,
 			want:   withDir(daemon, "/query"),
-			spills: true, streams: true, retries: 5, speculates: true},
+			spills: true, streams: true, retries: 5},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -75,9 +73,6 @@ func TestMerge(t *testing.T) {
 			}
 			if got.RetryBudget() != tc.retries {
 				t.Errorf("RetryBudget = %d, want %d", got.RetryBudget(), tc.retries)
-			}
-			if (got.SpeculativeAfterMS > 0) != tc.speculates {
-				t.Errorf("SpeculativeAfterMS = %d, want speculation %v", got.SpeculativeAfterMS, tc.speculates)
 			}
 		})
 	}
@@ -113,29 +108,21 @@ func TestBindFlags(t *testing.T) {
 	}
 	err := fs.Parse([]string{"-spill-threshold", "4096", "-spill-dir", "/tmp/s",
 		"-send-buffer", "256", "-compress-spill",
-		"-task-retries", "-1", "-speculative-after", "1500ms"})
+		"-task-retries", "-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Knobs{
 		ShuffleConfig: mapreduce.ShuffleConfig{SpillThreshold: 4096, SpillTmpDir: "/tmp/s",
 			SendBufferBytes: 256, CompressSpill: true},
-		TaskRetries:        -1,
-		SpeculativeAfterMS: 1500,
+		TaskRetries: -1,
 	}
 	if k != want {
 		t.Errorf("parsed knobs = %+v\nwant %+v", k, want)
 	}
-	// A positive sub-millisecond threshold must still switch speculation on.
-	if err := fs.Parse([]string{"-speculative-after", "200us"}); err != nil || k.SpeculativeAfterMS != 1 {
-		t.Errorf("-speculative-after 200us = %d ms (%v), want 1", k.SpeculativeAfterMS, err)
-	}
-	if err := fs.Parse([]string{"-speculative-after", "soon"}); err == nil {
-		t.Error("a malformed duration must be rejected")
-	}
 	// Retired knobs: all three CLIs bind exactly these flags, so they all
 	// reject the old names.
-	for _, retired := range []string{"-prefilter", "-send-buffer-max"} {
+	for _, retired := range []string{"-prefilter", "-send-buffer-max", "-speculative-after", "-task-partitions"} {
 		if err := fs.Parse([]string{retired}); err == nil {
 			t.Errorf("the retired flag %s must be rejected", retired)
 		}
@@ -163,7 +150,7 @@ func jsonFields(t reflect.Type) []string {
 // one declaration: every flag BindFlags declares and every JSON field of
 // Plan must have a row, and a row naming a flag or field that no longer
 // exists fails. Rows for flags a single CLI declares itself (-algorithm,
-// -workers, -task-partitions) pass through their HTTP field.
+// -workers) pass through their HTTP field.
 func TestREADMEQueryPlanTable(t *testing.T) {
 	readme, err := os.ReadFile("../../README.md")
 	if err != nil {

@@ -113,11 +113,9 @@ type ClusterStats struct {
 	// Tasks is the number of per-partition tasks of the job.
 	Tasks int `json:"tasks"`
 	// Attempts is the number of attempts launched (>= 1); Retries counts
-	// relaunches after failures and SpeculativeAttempts counts straggler
-	// races.
-	Attempts            int `json:"attempts"`
-	Retries             int `json:"retries"`
-	SpeculativeAttempts int `json:"speculative_attempts"`
+	// relaunches after failures.
+	Attempts int `json:"attempts"`
+	Retries  int `json:"retries"`
 	// DeadWorkers is how many pool members were declared dead during the
 	// job.
 	DeadWorkers int `json:"dead_workers"`
@@ -266,14 +264,13 @@ func mineCluster(ctx context.Context, db *seqdb.Database, sigma int64, opts Exec
 	stats := ExecStats{
 		Shards: len(opts.Cluster.Workers),
 		Cluster: &ClusterStats{
-			Tasks:               res.Tasks,
-			Attempts:            res.Attempts,
-			Retries:             res.Retries,
-			SpeculativeAttempts: res.SpeculativeAttempts,
-			DeadWorkers:         len(res.DeadWorkers),
-			StoreHits:           res.StoreHits,
-			StoreMisses:         res.StoreMisses,
-			StorePutBytes:       res.StorePutBytes,
+			Tasks:         res.Tasks,
+			Attempts:      res.Attempts,
+			Retries:       res.Retries,
+			DeadWorkers:   len(res.DeadWorkers),
+			StoreHits:     res.StoreHits,
+			StoreMisses:   res.StoreMisses,
+			StorePutBytes: res.StorePutBytes,
 		},
 	}
 	return res.Patterns, res.Metrics, stats, nil

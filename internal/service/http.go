@@ -40,12 +40,9 @@ type MineRequest struct {
 	// Distributed runs the query on the daemon's default worker cluster
 	// (seqmined -cluster); an error if none is configured.
 	Distributed bool `json:"distributed,omitempty"`
-	// TaskPartitions decomposes a cluster query into this many per-partition
-	// tasks; 0 uses one task per live worker.
-	TaskPartitions int `json:"task_partitions,omitempty"`
 	// Knobs are the per-query overrides of the daemon defaults, under the
 	// field names plan.Knobs declares (spill_threshold_bytes,
-	// send_buffer_bytes, compress_spill, task_retries, speculative_after_ms):
+	// send_buffer_bytes, compress_spill, task_retries):
 	// 0 / absent inherits the daemon default (the flag of the same name), a
 	// negative number forces the feature off for this query, and the boolean
 	// is OR-ed with the daemon default.
@@ -56,10 +53,9 @@ type MineRequest struct {
 func (r MineRequest) toPlan() (plan.Plan, error) {
 	algo, err := plan.ParseAlgorithm(r.Algorithm)
 	return plan.Plan{
-		Algorithm:      algo,
-		Workers:        r.Workers,
-		TaskPartitions: r.TaskPartitions,
-		Knobs:          r.Knobs,
+		Algorithm: algo,
+		Workers:   r.Workers,
+		Knobs:     r.Knobs,
 	}, err
 }
 

@@ -380,7 +380,6 @@ func TestMineClusterSchedulerOverHTTP(t *testing.T) {
 			Sigma:          paperex.Sigma,
 			Algorithm:      "dseq",
 			ClusterWorkers: workers,
-			TaskPartitions: 5,
 			Knobs:          plan.Knobs{TaskRetries: 1},
 		}, &out)
 		if resp.StatusCode != http.StatusOK {
@@ -402,7 +401,7 @@ func TestMineClusterSchedulerOverHTTP(t *testing.T) {
 	if cs == nil {
 		t.Fatal("cluster query response carries no ClusterStats")
 	}
-	if cs.Attempts < 1 || cs.Tasks != 5 || cs.StoreMisses != 3 || cs.StorePutBytes == 0 {
+	if cs.Attempts < 1 || cs.Tasks != 3 || cs.StoreMisses != 3 || cs.StorePutBytes == 0 {
 		t.Errorf("first cluster run stats = %+v", cs)
 	}
 

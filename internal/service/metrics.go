@@ -64,7 +64,6 @@ type aggregator struct {
 	streamedBatches int64
 	attempts        int64
 	retries         int64
-	speculative     int64
 	storeHits       int64
 	storeMisses     int64
 	storePutBytes   int64
@@ -89,7 +88,6 @@ func (a *aggregator) record(m QueryMetrics) {
 	if c := m.Exec.Cluster; c != nil {
 		a.attempts += int64(c.Attempts)
 		a.retries += int64(c.Retries)
-		a.speculative += int64(c.SpeculativeAttempts)
 		a.storeHits += int64(c.StoreHits)
 		a.storeMisses += int64(c.StoreMisses)
 		a.storePutBytes += c.StorePutBytes
@@ -127,13 +125,12 @@ type Snapshot struct {
 	SpilledBytes    int64 `json:"spilled_bytes_total"`
 	SpillCount      int64 `json:"spill_count_total"`
 	StreamedBatches int64 `json:"streamed_batches_total"`
-	// ClusterAttempts/ClusterRetries/SpeculativeAttempts total the cluster
-	// scheduler's fault-tolerance activity, and DatasetStoreHits/Misses/
+	// ClusterAttempts/ClusterRetries total the cluster scheduler's
+	// fault-tolerance activity, and DatasetStoreHits/Misses/
 	// PutBytes its dataset-store traffic, across all cluster-executed
 	// queries.
 	ClusterAttempts      int64 `json:"cluster_attempts_total"`
 	ClusterRetries       int64 `json:"cluster_retries_total"`
-	SpeculativeAttempts  int64 `json:"speculative_attempts_total"`
 	DatasetStoreHits     int64 `json:"dataset_store_hits_total"`
 	DatasetStoreMisses   int64 `json:"dataset_store_misses_total"`
 	DatasetStorePutBytes int64 `json:"dataset_store_put_bytes_total"`
@@ -170,7 +167,6 @@ func (a *aggregator) snapshot() Snapshot {
 		StreamedBatches:      a.streamedBatches,
 		ClusterAttempts:      a.attempts,
 		ClusterRetries:       a.retries,
-		SpeculativeAttempts:  a.speculative,
 		DatasetStoreHits:     a.storeHits,
 		DatasetStoreMisses:   a.storeMisses,
 		DatasetStorePutBytes: a.storePutBytes,

@@ -13,8 +13,10 @@ import (
 // request and the same query plan. (The decode is lenient — unknown fields are
 // ignored — unlike the internal coordinator→worker job spec. That covers the
 // retired knobs "send_buffer_max_bytes" (the adaptive-buffer bound),
-// "prefilter" and "shards" (the two-phase executor's partition count): old
-// clients may keep sending them, and they no longer reach the plan.)
+// "prefilter", "shards" (the two-phase executor's partition count),
+// "speculative_after_ms" (speculative attempts) and "task_partitions" (tasks
+// per cluster job): old clients may keep sending them, and they no longer
+// reach the plan.)
 func TestMineRequestGolden(t *testing.T) {
 	const body = `{
 		"dataset": "nyt", "pattern": "(.){2,4}", "sigma": 100,
@@ -40,17 +42,15 @@ func TestMineRequestGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := plan.Plan{
-		Algorithm:      plan.AlgoDCand,
-		Workers:        3,
-		TaskPartitions: 7,
+		Algorithm: plan.AlgoDCand,
+		Workers:   3,
 		Knobs: plan.Knobs{
 			ShuffleConfig: mapreduce.ShuffleConfig{
 				SpillThreshold:  4096,
 				SendBufferBytes: 256,
 				CompressSpill:   true,
 			},
-			TaskRetries:        -1,
-			SpeculativeAfterMS: 250,
+			TaskRetries: -1,
 		},
 	}
 	if got != want {

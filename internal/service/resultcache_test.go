@@ -84,15 +84,13 @@ func TestResultKeyDistinguishesParameters(t *testing.T) {
 // resultKey leaves out, with the reason it cannot change a query's answer.
 // Algorithm is the one plan field in the key.
 var planFieldsOutsideResultKey = map[string]string{
-	"Workers":            "parallelism of this process",
-	"Shards":             "never read: the two-phase executor it sized is gone",
-	"TaskPartitions":     "granularity of the cluster scheduler's tasks",
-	"SpillThreshold":     "where the shuffle buffers; the reduce loop sees the same groups",
-	"SpillTmpDir":        "a directory",
-	"SendBufferBytes":    "when the shuffle sends; partial combines merge like batches from different peers",
-	"CompressSpill":      "segment encoding on disk",
-	"TaskRetries":        "scheduler policy",
-	"SpeculativeAfterMS": "scheduler policy",
+	"Workers":         "parallelism of this process",
+	"Shards":          "never read: the two-phase executor it sized is gone",
+	"SpillThreshold":  "where the shuffle buffers; the reduce loop sees the same groups",
+	"SpillTmpDir":     "a directory",
+	"SendBufferBytes": "when the shuffle sends; partial combines merge like batches from different peers",
+	"CompressSpill":   "segment encoding on disk",
+	"TaskRetries":     "scheduler policy",
 }
 
 // TestResultKeyCoversPlan walks plan.Plan by reflection (through the embedded

@@ -73,7 +73,7 @@ type Config struct {
 	// it (see the HTTP API's "distributed" flag).
 	ClusterWorkers []string
 	// Knobs are the daemon defaults of the inheritable execution knobs
-	// (shuffle bounds, retry and speculation policy): a query's
+	// (shuffle bounds, retry policy): a query's
 	// unset knobs inherit them (plan.Knobs.Merge).
 	plan.Knobs
 	// Obs is the metrics registry the service's instruments live on:

@@ -16,11 +16,10 @@ import (
 //	| uvarint epoch | uvarint len(trace) | trace
 //
 // and the acceptor answers with a single ack byte (the protocol version).
-// The epoch is the job's attempt number: a retried or speculatively
-// re-executed job reuses its job id with a higher epoch, and the acceptor
-// refuses connections from epochs older than the newest one it has opened
-// locally, so frames of a dead attempt can never mix into its successor's
-// shuffle. The trace field carries the dialer's distributed-tracing context
+// The epoch is the job's attempt number: a retried job reuses its job id
+// with a higher epoch, and the acceptor refuses connections from epochs older
+// than the newest one it has opened locally, so frames of a dead attempt can
+// never mix into its successor's shuffle. The trace field carries the dialer's distributed-tracing context
 // (internal/obs wire form: 8 bytes trace id + 8 bytes parent span id) so the
 // receive side of a shuffle stream can be recorded under the same trace as
 // the sender; it is empty when the dialer traces nothing. After the

@@ -414,13 +414,14 @@ func TestAbruptPeerDisconnectFailsLivePeers(t *testing.T) {
 }
 
 // TestExchangeEpochsIsolated runs two epochs of the same job id concurrently
-// (the speculative re-execution shape): frames must never cross epochs.
+// (a retry opening while a zombie of the failed attempt still runs): frames
+// must never cross epochs.
 func TestExchangeEpochsIsolated(t *testing.T) {
 	nodes, addrs := testCluster(t, 2)
 
-	// Open the epochs in scheduler order — the running attempt (epoch 0)
-	// exists on every worker before the speculative attempt (epoch 1) opens;
-	// both then run concurrently.
+	// Open the epochs in scheduler order — the failed attempt (epoch 0)
+	// exists on every worker before its retry (epoch 1) opens; both then run
+	// concurrently.
 	exs := make(map[[2]int]*Exchange)
 	for _, epoch := range []int{0, 1} {
 		var openWG sync.WaitGroup

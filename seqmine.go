@@ -105,9 +105,9 @@ func (a Algorithm) String() string {
 
 // Knobs are the execution knobs shared by every layer of the system — the
 // shuffle bounds (SpillThreshold, SpillTmpDir, SendBufferBytes,
-// CompressSpill) and the cluster scheduler's TaskRetries /
-// SpeculativeAfterMS. They are declared once, in internal/plan, under the same names the CLIs' flags and the daemon's
-// POST /mine fields use; the zero value mines in memory behind the phase
+// CompressSpill) and the cluster scheduler's TaskRetries. They are declared
+// once, in internal/plan, under the same names the CLIs' flags and the
+// daemon's POST /mine fields use; the zero value mines in memory behind the phase
 // barrier with the scheduler's built-in retry budget.
 type Knobs = plan.Knobs
 
@@ -123,8 +123,7 @@ type Options struct {
 	// (DSeq, DCand) across these seqmine-worker processes (control URLs)
 	// with the fault-tolerant cluster scheduler instead of the in-process
 	// engine: the input is pushed once per worker into the shared dataset
-	// store and failed or straggling attempts are retried on the surviving
-	// workers.
+	// store and failed attempts are retried on the surviving workers.
 	ClusterWorkers []string
 
 	// Knobs tune the execution; through Service.Mine, unset knobs inherit
