@@ -182,17 +182,17 @@ func (sc *mapScratch) addRun(outputs [][]dict.ItemID, shared int) bool {
 	return true
 }
 
-// emitAll serializes the tries of the finished sequence and recycles them.
-// The records of one sequence share a single exact-size allocation, made
-// here and owned by the emitted values alone: nothing pooled aliases it.
+// emitAll serializes the tries of the finished sequence (minimized, or in CSR
+// form only when shipped as plain tries) and recycles them. The sequence's
+// records share one exact-size allocation that nothing pooled aliases.
 func (sc *mapScratch) emitAll(minimize bool, emit func(dict.ItemID, value)) {
 	sc.wire, sc.ends = sc.wire[:0], sc.ends[:0]
 	for _, pt := range sc.tries {
-		automaton := pt.Trie()
+		automaton := pt.Trie
 		if minimize {
-			automaton = pt.Minimize()
+			automaton = pt.Minimize
 		}
-		sc.wire = automaton.AppendSerialized(sc.wire)
+		sc.wire = automaton().AppendSerialized(sc.wire)
 		sc.ends = append(sc.ends, len(sc.wire))
 		sc.slot[pt.pivot] = 0
 	}

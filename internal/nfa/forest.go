@@ -1,6 +1,7 @@
 package nfa
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -19,13 +20,34 @@ type Forest struct {
 	owner  []int32 // per state: its automaton
 	dec    decoder
 
-	// Mine state. levels[d] is the expansion buffer of recursion depth d.
-	sigma  int64
-	pivot  dict.ItemID
-	emit   func(miner.Pattern)
-	prefix []dict.ItemID
-	levels [][]uint64
-	tmp    []uint64 // radix sort scratch
+	// Mine state. Each expand call takes a new generation gen and has seen a
+	// state iff its stamp is gen, an item iff items holds it at gen with its
+	// slot in frames[depth].exps (ids come off the wire: hash, never index).
+	sigma      int64
+	pivot      dict.ItemID
+	emit       func(miner.Pattern)
+	prefix     []dict.ItemID
+	gen        uint32
+	items      []itemEntry // open addressing, over twice the distinct items
+	stateStamp []uint32    // per state
+	frames     []frame     // per recursion depth
+}
+
+type itemEntry struct{ item, gen, slot uint32 }
+
+// frame is the expansion scratch of one recursion depth: the distinct items
+// leaving the depth's projection and each item's projection.
+type frame struct {
+	order []uint64 // item<<32 | slot, sorted once the projection is scanned
+	exps  []expBuf
+}
+
+// expBuf is the projection of prefix+item: target states grouped by automaton
+// in ascending order, possibly repeated, and the weight of those automata.
+type expBuf struct {
+	states    []int32
+	lastOwner int32
+	support   int64
 }
 
 var forestPool = sync.Pool{New: func() any { return new(Forest) }}
@@ -83,117 +105,95 @@ func (f *Forest) addNFA(n *NFA, weight int64) {
 // once per candidate. When pivot is non-zero, only candidates containing the
 // pivot item are reported.
 //
-// A projection is a sorted slice of keys item<<32|state sharing one item: the
-// states its prefix can be in, which sorting groups by automaton. Expanding
-// collects the key of every (label item, target) pair leaving those states
-// into the depth's buffer and sorts it; duplicates collapse, each item's run
-// of keys is its child projection in place, and its support is the weight of
-// the distinct automata in the run. No hashing, and no allocation once the
-// buffers are warm, beyond the emitted patterns.
+// A projection lists the states a prefix can be in, grouped by automaton in
+// ascending order. Expanding scatters the target of every (label item,
+// target) pair leaving them into the item's buffer, like DESQ-DFS's
+// dfsMiner.project; edges stay within their automaton, so a buffer is a
+// projection again, whose support grows by an automaton's weight whenever its
+// last owner changes. Repeated states are skipped at the next depth; only a
+// depth's distinct items are sorted. Warm buffers allocate only the patterns.
 func (f *Forest) Mine(sigma int64, pivot dict.ItemID, emit func(miner.Pattern)) {
 	f.sigma, f.pivot, f.emit = sigma, pivot, emit
-	if len(f.levels) == 0 {
-		f.levels = append(f.levels, nil)
+	f.stateStamp = grow(f.stateStamp, len(f.final))
+	if len(f.labels) > 0 { // without edges nothing is looked up
+		distinct := min(len(f.labels), int(slices.Max(f.labels))+1) // at most
+		f.items = grow(f.items, 2<<bits.Len(uint(distinct)))
 	}
-	proj := f.levels[0][:0]
-	for _, r := range f.roots {
-		proj = append(proj, uint64(r))
+	f.expand(0, f.roots)
+}
+
+// grow returns s, or if it is shorter than n a zeroed slice of max(n, 2·len(s)).
+func grow[T any](s []T, n int) []T {
+	if len(s) < n {
+		s = make([]T, max(n, 2*len(s)))
 	}
-	f.levels[0] = proj
-	f.expand(1, proj)
+	return s
 }
 
 // expand reports the current prefix if the automata with a final state in proj
 // reach sigma, then grows it by every item whose projection does.
-func (f *Forest) expand(depth int, proj []uint64) {
-	if depth >= len(f.levels) {
-		f.levels = append(f.levels, nil)
+func (f *Forest) expand(depth int, proj []int32) {
+	if f.gen++; f.gen == 0 {
+		clear(f.items)
+		clear(f.stateStamp)
+		f.gen = 1
 	}
-	keys := f.levels[depth][:0]
+	mask := len(f.items) - 1
+	if depth == len(f.frames) {
+		f.frames = append(f.frames, frame{})
+	}
+	fr := &f.frames[depth]
+	fr.order = fr.order[:0]
 	var freq int64
 	last := int32(-1)
-	for _, key := range proj {
-		q := uint32(key)
-		if o := f.owner[q]; f.final[q] && o != last {
+	for _, q := range proj {
+		if f.stateStamp[q] == f.gen {
+			continue
+		}
+		f.stateStamp[q] = f.gen
+		o := f.owner[q]
+		if f.final[q] && o != last {
 			freq += f.weight[o]
 			last = o
 		}
 		for e := f.edgeOff[q]; e < f.edgeOff[q+1]; e++ {
-			to := uint64(f.to[e])
+			to := f.to[e]
 			for _, w := range f.label(e) {
-				keys = append(keys, uint64(w)<<32|to)
+				i := int(uint64(w)*0x9e3779b97f4a7c15>>32) & mask
+				for f.items[i].gen == f.gen && f.items[i].item != uint32(w) {
+					i = (i + 1) & mask
+				}
+				it := &f.items[i]
+				if it.gen != f.gen {
+					*it = itemEntry{uint32(w), f.gen, uint32(len(fr.order))}
+					fr.order = append(fr.order, uint64(w)<<32|uint64(it.slot))
+					if int(it.slot) == len(fr.exps) {
+						fr.exps = append(fr.exps, expBuf{})
+					}
+					fr.exps[it.slot] = expBuf{states: fr.exps[it.slot].states[:0], lastOwner: -1}
+				}
+				x := &fr.exps[it.slot]
+				if x.lastOwner != o {
+					x.lastOwner = o
+					x.support += f.weight[o]
+				}
+				x.states = append(x.states, to)
 			}
 		}
 	}
-	if freq >= f.sigma && len(f.prefix) > 0 && (f.pivot == dict.None || slices.Contains(f.prefix, f.pivot)) {
+	if freq >= f.sigma && depth > 0 && (f.pivot == dict.None || slices.Contains(f.prefix, f.pivot)) {
 		f.emit(miner.Pattern{Items: slices.Clone(f.prefix), Freq: freq})
 	}
 
-	keys = f.sortKeys(keys)
-	f.levels[depth] = keys
-	for i := 0; i < len(keys); {
-		item := keys[i] >> 32
-		var support int64
-		last := int32(-1)
-		end := i // keys[i:end] is the item's deduplicated projection
-		j := i
-		for ; j < len(keys) && keys[j]>>32 == item; j++ {
-			if j > i && keys[j] == keys[j-1] {
-				continue
-			}
-			keys[end] = keys[j]
-			end++
-			if o := f.owner[uint32(keys[j])]; o != last {
-				support += f.weight[o]
-				last = o
-			}
-		}
-		if support >= f.sigma {
-			f.prefix = append(f.prefix, dict.ItemID(item))
-			f.expand(depth+1, keys[i:end])
+	// Deeper calls may move f.frames but leave this depth's buffers alone.
+	slices.Sort(fr.order)
+	for _, key := range fr.order {
+		if x := &fr.exps[uint32(key)]; x.support >= f.sigma {
+			f.prefix = append(f.prefix, dict.ItemID(key>>32))
+			f.expand(depth+1, x.states)
 			f.prefix = f.prefix[:len(f.prefix)-1]
 		}
-		i = j
 	}
-}
-
-// sortKeys sorts keys ascending and returns the sorted slice: keys itself, or
-// f.tmp when the radix passes end there (the two then swap roles). Large
-// buffers — the root level holds every automaton's first edges — get an LSD
-// radix sort over the bytes in which the keys differ at all.
-func (f *Forest) sortKeys(keys []uint64) []uint64 {
-	if len(keys) < 128 {
-		slices.Sort(keys)
-		return keys
-	}
-	or, and := uint64(0), ^uint64(0)
-	for _, k := range keys {
-		or |= k
-		and &= k
-	}
-	tmp := resize(f.tmp, len(keys))
-	for shift := 0; shift < 64; shift += 8 {
-		if (or^and)>>shift&0xff == 0 {
-			continue
-		}
-		var count [256]int
-		for _, k := range keys {
-			count[k>>shift&0xff]++
-		}
-		sum := 0
-		for b, c := range count {
-			count[b] = sum
-			sum += c
-		}
-		for _, k := range keys {
-			b := k >> shift & 0xff
-			tmp[count[b]] = k
-			count[b]++
-		}
-		keys, tmp = tmp, keys
-	}
-	f.tmp = tmp
-	return keys
 }
 
 // Weighted is an NFA together with the number of input sequences that sent

@@ -164,10 +164,35 @@ func checkAgainstOracle(t *testing.T, data []byte) {
 		}
 		var got []miner.Pattern
 		fo.Mine(sigma, pivot, func(p miner.Pattern) { got = append(got, p) })
+		checkSupports(t, fo)
 		fo.Release()
 		miner.SortPatterns(got)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("sigma %d pivot %d: forest over wire bytes %v, oracle %v", sigma, pivot, got, want)
+		}
+	}
+}
+
+// checkSupports holds the support of every item of fo's root expansion,
+// which its last Mine left in frames[0], to its definition: the weight of the
+// distinct automata owning the item's target states. The answers cannot show
+// an inflated support, which only prunes less. (Deeper frames may still hold
+// an earlier partition's expansions.)
+func checkSupports(t *testing.T, fo *Forest) {
+	t.Helper()
+	fr := fo.frames[0]
+	for _, key := range fr.order {
+		x := fr.exps[uint32(key)]
+		owners := map[int32]bool{}
+		var want int64
+		for _, q := range x.states {
+			if o := fo.owner[q]; !owners[o] {
+				owners[o] = true
+				want += fo.weight[o]
+			}
+		}
+		if x.support != want {
+			t.Fatalf("root item %d: support %d, want %d", key>>32, x.support, want)
 		}
 	}
 }
@@ -187,7 +212,8 @@ func FuzzBuilderRoundTrip(f *testing.F) {
 }
 
 // TestFlatKernelsMatchOracle runs the fuzz property over random inputs, large
-// partitions included (the radix-sorted expansion needs 128 keys to start).
+// partitions included: every tenth input has 2000 bytes, some 170 automata
+// in one partition, so each item's buffer collects targets from many owners.
 func TestFlatKernelsMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 300; trial++ {
@@ -207,5 +233,91 @@ func TestFlatKernelsMatchOracle(t *testing.T) {
 			}
 		}
 		checkAgainstOracle(t, data)
+	}
+}
+
+// TestForestReuseAcrossPartitions mines partitions of very different shapes
+// in turn through the pool — large ones (item ids in the thousands, dozens of
+// automata) and tiny ones (a few states, small ids) — and holds each answer to
+// the oracle: no stamp, slot, last owner or buffer a forest keeps across
+// Release may leak into the next partition. Some partitions are mined a
+// second time across the generation counter's wrap, which must clear stamps.
+func TestForestReuseAcrossPartitions(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	partition := func(automata, paths int, lo, span dict.ItemID) ([][]byte, []oracleWeighted) {
+		var wire [][]byte
+		var oracle []oracleWeighted
+		b := NewBuilder()
+		for range automata {
+			b.Reset()
+			ob := newOracleBuilder()
+			for range 1 + rng.Intn(paths) {
+				path := make([][]dict.ItemID, 1+rng.Intn(4))
+				for j := range path {
+					w := lo + dict.ItemID(rng.Intn(int(span)))
+					path[j] = []dict.ItemID{w}
+					if rng.Intn(3) == 0 {
+						path[j] = append(path[j], w+1)
+					}
+				}
+				b.AddPath(path)
+				ob.AddPath(path)
+			}
+			wire = append(wire, b.Minimize().Serialize())
+			oracle = append(oracle, oracleWeighted{N: ob.Minimize(), Weight: int64(1 + rng.Intn(3))})
+		}
+		return wire, oracle
+	}
+	var prev *Forest
+	reused, patterns := 0, 0
+	const rounds = 40
+	for round := range rounds {
+		wire, oracle := partition(2+rng.Intn(2), 3, 1, 4)
+		pivot := dict.ItemID(2)
+		if round%2 == 0 {
+			wire, oracle = partition(40+rng.Intn(20), 8, 1000+dict.ItemID(rng.Intn(3000)), 6)
+			pivot = oracle[0].N.Accepted()[0][0]
+		}
+		if round%5 == 4 {
+			pivot = dict.None
+		}
+		fo := AcquireForest()
+		if fo == prev {
+			reused++
+		}
+		prev = fo
+		for i, data := range wire {
+			if err := fo.Add(data, oracle[i].Weight); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := oracleMinePartition(oracle, 2, pivot)
+		if len(want) == 0 {
+			want = nil
+		}
+		gens := []uint32{fo.gen}
+		if round%7 == 3 {
+			// Mine twice from the wrap: both passes run the same
+			// generations, so the second meets every stamp of the first
+			// unless the wrap clears them.
+			gens = []uint32{^uint32(0), ^uint32(0)}
+		}
+		for _, gen := range gens {
+			fo.gen = gen
+			var got []miner.Pattern
+			fo.Mine(2, pivot, func(p miner.Pattern) { got = append(got, p) })
+			checkSupports(t, fo)
+			miner.SortPatterns(got)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d (%d automata, pivot %d, generation %d): forest %v, oracle %v", round, len(wire), pivot, gen, got, want)
+			}
+		}
+		fo.Release()
+		patterns += len(want)
+	}
+	// Under the race detector the pool drops forests at random, so only some
+	// rounds reuse one; any reuse suffices to catch stale state.
+	if reused == 0 || patterns < rounds {
+		t.Fatalf("%d of %d forests reused, %d patterns: the test is vacuous", reused, rounds, patterns)
 	}
 }
