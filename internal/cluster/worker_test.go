@@ -93,6 +93,7 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 		{"zero partition count", func(s *cluster.JobSpec) { s.NumPartitions = 0 }, http.StatusBadRequest},
 		{"partition out of range", func(s *cluster.JobSpec) { s.Partitions = []int{3} }, http.StatusBadRequest},
 		{"bad expression", func(s *cluster.JobSpec) { s.Expression = "((" }, http.StatusBadRequest},
+		{"expression past the state bound", func(s *cluster.JobSpec) { s.Expression = "(.{0,60}){0,60}" }, http.StatusBadRequest},
 		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoNaive }, http.StatusBadRequest},
 		{"unknown dataset", func(s *cluster.JobSpec) { s.DatasetID = "sha256-feed" }, http.StatusNotFound},
 	}

@@ -52,7 +52,7 @@ func TestNYTGenerator(t *testing.T) {
 		}
 		matched := 0
 		for _, T := range db.Sequences {
-			if f.Flatten().CanAccept(T) {
+			if f.CanAccept(T) {
 				matched++
 			}
 		}
@@ -115,7 +115,7 @@ func TestAmazonGenerator(t *testing.T) {
 		}
 		matched := 0
 		for _, T := range db.Sequences {
-			if f.Flatten().CanAccept(T) {
+			if f.CanAccept(T) {
 				matched++
 			}
 		}

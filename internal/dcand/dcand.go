@@ -227,14 +227,13 @@ func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapredu
 
 // buildJob assembles the one-round BSP job of D-CAND.
 func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern] {
-	flat := f.Flatten()
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(dict.ItemID, value)) {
 			sc := mapScratchPool.Get().(*mapScratch)
 			sc.run = 0
 			sc.acc = append(sc.acc[:0], dict.None)
 			sc.accEnd = append(sc.accEnd[:0], 0, 1)
-			flat.ForEachRun(T, sigma, sc.addRun)
+			f.ForEachRun(T, sigma, sc.addRun)
 			sc.emitAll(opts.Minimize, emit)
 			mapScratchPool.Put(sc)
 		},

@@ -14,8 +14,8 @@ import (
 )
 
 // oracleMap is the parent commit's map function: enumerate every accepting
-// run on the pointer FST, drop infrequent output items (and runs that lose a
-// whole set) in the callback, fold ⊕ over the run for its pivots, and AddPath
+// run on the label-level graph, drop infrequent output items (and runs that
+// lose a whole set) in the callback, fold ⊕ over the run for its pivots, and AddPath
 // one cut path per run and pivot into a fresh trie. It returns the sequence's
 // records as "pivot:bytes" strings, sorted.
 func oracleMap(f *fst.FST, sigma int64, minimize bool, T []dict.ItemID) []string {

@@ -84,7 +84,7 @@ func TestDSeqRewriteKeepsTailFinalsCannotAbsorb(t *testing.T) {
 		}
 	}
 	f := fst.MustCompile("(A) B .*|(A) (B)", d)
-	if f.Flatten().FinalsAbsorb() {
+	if f.FinalsAbsorb() {
 		t.Fatal("the final state after (B) has no transition; FinalsAbsorb must be false")
 	}
 	want := map[string]int64{"A": 3}

@@ -197,11 +197,10 @@ func TableIV(ds *Datasets) (Table, error) {
 		matched := 0
 		sampled := 0
 		truncatedAny := false
-		flat := f.Flatten()
 		for i := 0; i < len(db.Sequences); i += step {
 			sampled++
 			n := 0
-			flat.ForEachDistinctCandidate(db.Sequences[i], c.Sigma, func([]dict.ItemID) bool {
+			f.ForEachDistinctCandidate(db.Sequences[i], c.Sigma, func([]dict.ItemID) bool {
 				n++
 				return n < perSeqCap
 			})

@@ -57,7 +57,7 @@ func BenchmarkEnumerateCandidates(b *testing.B) {
 
 func BenchmarkForEachRun(b *testing.B) {
 	d, db := benchSequences(200, 10)
-	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	flat := fst.MustCompile(paperex.PatternExpression, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +68,7 @@ func BenchmarkForEachRun(b *testing.B) {
 // reachFixture is an FST and the sequences its backward passes run over.
 type reachFixture struct {
 	name string
-	flat *fst.Flat
+	flat *fst.FST
 	db   [][]dict.ItemID
 }
 
@@ -83,8 +83,8 @@ func reachFixtures(tb testing.TB) []reachFixture {
 		tb.Fatal(err)
 	}
 	return []reachFixture{
-		{"paperex", fst.MustCompile(paperex.PatternExpression, d).Flatten(), db},
-		{"T2(0,5)-clueweb", fst.MustCompile(experiments.T2Expr(0, 5), cw.Dict).Flatten(), cw.Sequences},
+		{"paperex", fst.MustCompile(paperex.PatternExpression, d), db},
+		{"T2(0,5)-clueweb", fst.MustCompile(experiments.T2Expr(0, 5), cw.Dict), cw.Sequences},
 	}
 }
 
@@ -204,7 +204,7 @@ func TestWalksDoNotAllocate(t *testing.T) {
 		t.Skip("sync.Pool is lossy under the race detector")
 	}
 	d, db := benchSequences(200, 10)
-	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	flat := fst.MustCompile(paperex.PatternExpression, d)
 	runs, cands := 0, 0
 	for _, T := range db {
 		flat.ForEachRun(T, paperex.Sigma, func([][]dict.ItemID, int) bool { runs++; return true })
@@ -237,7 +237,7 @@ func TestWalksDoNotAllocate(t *testing.T) {
 // callers pay it once per input sequence.
 func BenchmarkCanAccept(b *testing.B) {
 	d, db := benchSequences(200, 12)
-	flat := fst.MustCompile(paperex.PatternExpression, d).Flatten()
+	flat := fst.MustCompile(paperex.PatternExpression, d)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -7,7 +7,7 @@ import (
 	"seqmine/internal/dict"
 )
 
-// enumScratch is the pooled working memory of the flat DFS walks
+// enumScratch is the pooled working memory of the DFS walks
 // (ForEachDistinctCandidate, ForEachRun): the reachability bitset rows, the
 // DFS prefix buffer, the per-sequence dedup table and the run walker's output
 // stack. The dedup table is an open-addressing hash set over item slices
@@ -103,10 +103,10 @@ func (sc *enumScratch) grow() {
 	}
 }
 
-// enumWalk is the explicit state of one flat candidate enumeration, kept in a
+// enumWalk is the explicit state of one candidate enumeration, kept in a
 // struct so the recursion shares it without per-call closure allocations.
 type enumWalk struct {
-	fl      *Flat
+	f       *FST
 	sv      *SigmaView
 	T       []dict.ItemID
 	sc      *enumScratch
@@ -116,37 +116,37 @@ type enumWalk struct {
 }
 
 // ForEachDistinctCandidate enumerates the distinct candidate subsequences
-// generated by the accepting runs of the flat FST on T — Gσπ(T) for sigma > 0,
+// generated by the accepting runs of the FST on T — Gσπ(T) for sigma > 0,
 // the full Gπ(T) otherwise — invoking emit once per candidate in DFS discovery
 // order. The slice passed to emit is scratch-backed and only valid during the
 // call; emit may return false to stop early. The empty candidate is never
 // reported. Reachability rows, the recursion prefix and the dedup table all
 // come from a pooled arena, so steady-state the walk allocates nothing.
-func (fl *Flat) ForEachDistinctCandidate(T []dict.ItemID, sigma int64, emit func(cand []dict.ItemID) bool) {
+func (f *FST) ForEachDistinctCandidate(T []dict.ItemID, sigma int64, emit func(cand []dict.ItemID) bool) {
 	if len(T) == 0 {
 		return
 	}
-	sv := fl.Sigma(sigma)
+	sv := f.Sigma(sigma)
 	sc := enumPool.Get().(*enumScratch)
 	sc.reset()
-	if sc.accepts(fl, T) {
-		w := enumWalk{fl: fl, sv: sv, T: T, sc: sc, emit: emit, words: fl.words}
-		w.rec(0, fl.initial)
+	if sc.accepts(f, T) {
+		w := enumWalk{f: f, sv: sv, T: T, sc: sc, emit: emit, words: f.words}
+		w.rec(0, f.initial)
 	}
 	enumPool.Put(sc)
 }
 
 // accepts fills sc.reach with the accept matrix of T and reports whether the
 // initial state can reach acceptance at all.
-func (sc *enumScratch) accepts(fl *Flat, T []dict.ItemID) bool {
-	need := (len(T) + 1) * fl.words
+func (sc *enumScratch) accepts(f *FST, T []dict.ItemID) bool {
+	need := (len(T) + 1) * f.words
 	sc.reach = slices.Grow(sc.reach[:0], need)[:need]
-	return fl.Reach(T, sc.reach, nil)
+	return f.Reach(T, sc.reach, nil)
 }
 
 func (w *enumWalk) rec(pos, q int) {
 	if pos == len(w.T) {
-		if w.fl.IsFinal(q) && len(w.sc.prefix) > 0 && !w.sc.seen(w.sc.prefix) {
+		if w.f.IsFinal(q) && len(w.sc.prefix) > 0 && !w.sc.seen(w.sc.prefix) {
 			if !w.emit(w.sc.prefix) {
 				w.stopped = true
 			}
@@ -155,11 +155,11 @@ func (w *enumWalk) rec(pos, q int) {
 	}
 	t := w.T[pos]
 	next := w.sc.reach[(pos+1)*w.words:]
-	for _, tr := range w.fl.Firing(q, t) {
+	for _, tr := range w.f.Firing(q, t) {
 		if w.stopped {
 			return
 		}
-		to := uint(w.fl.To(tr))
+		to := uint(w.f.To(tr))
 		if next[to>>6]&(1<<(to&63)) == 0 {
 			continue
 		}
@@ -188,9 +188,9 @@ func (w *enumWalk) rec(pos, q int) {
 	}
 }
 
-// runWalk is the explicit state of one flat run enumeration.
+// runWalk is the explicit state of one run enumeration.
 type runWalk struct {
-	fl      *Flat
+	f       *FST
 	sv      *SigmaView
 	T       []dict.ItemID
 	sc      *enumScratch
@@ -199,7 +199,7 @@ type runWalk struct {
 	stopped bool
 }
 
-// ForEachRun enumerates the accepting runs of the flat FST on T that can
+// ForEachRun enumerates the accepting runs of the FST on T that can
 // generate Gσ candidates and calls fn with each run's output sets in position
 // order, ε positions skipped. Output sets are truncated to their items
 // frequent at sigma (sigma <= 0 keeps everything), and a transition whose
@@ -208,17 +208,17 @@ type runWalk struct {
 // the DFS reports runs prefix by prefix, so a caller that keeps per-prefix
 // state only redoes the tail. outputs and its single-item sets are scratch
 // backed and valid only during the call; fn may return false to stop.
-func (fl *Flat) ForEachRun(T []dict.ItemID, sigma int64, fn func(outputs [][]dict.ItemID, shared int) bool) {
+func (f *FST) ForEachRun(T []dict.ItemID, sigma int64, fn func(outputs [][]dict.ItemID, shared int) bool) {
 	if len(T) == 0 {
 		return
 	}
-	sv := fl.Sigma(sigma)
+	sv := f.Sigma(sigma)
 	sc := enumPool.Get().(*enumScratch)
-	if sc.accepts(fl, T) {
+	if sc.accepts(f, T) {
 		// One slot per position: ones must not move while sets point into it.
 		sc.ones, sc.sets = slices.Grow(sc.ones[:0], len(T))[:len(T)], sc.sets[:0]
-		w := runWalk{fl: fl, sv: sv, T: T, sc: sc, fn: fn}
-		w.rec(0, fl.initial)
+		w := runWalk{f: f, sv: sv, T: T, sc: sc, fn: fn}
+		w.rec(0, f.initial)
 	}
 	enumPool.Put(sc)
 }
@@ -233,12 +233,12 @@ func (w *runWalk) rec(pos, q int) {
 		return
 	}
 	t := w.T[pos]
-	next := w.sc.reach[(pos+1)*w.fl.words:]
-	for _, tr := range w.fl.Firing(q, t) {
+	next := w.sc.reach[(pos+1)*w.f.words:]
+	for _, tr := range w.f.Firing(q, t) {
 		if w.stopped {
 			return
 		}
-		to := uint(w.fl.To(tr))
+		to := uint(w.f.To(tr))
 		if next[to>>6]&(1<<(to&63)) == 0 {
 			continue
 		}

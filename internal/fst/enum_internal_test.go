@@ -20,7 +20,7 @@ var enumPatterns = []string{
 	"(A^).*",
 }
 
-// enumOracle collects the distinct candidates of the pointer-walking
+// enumOracle collects the distinct candidates of the label-level
 // simulation — the pre-flattening reference the flat enumeration must match.
 func enumOracle(f *FST, T []dict.ItemID, sigma int64) [][]dict.ItemID {
 	set := map[string][]dict.ItemID{}
@@ -41,7 +41,7 @@ func enumOracle(f *FST, T []dict.ItemID, sigma int64) [][]dict.ItemID {
 
 // TestFlatEnumerationMatchesPointerOracle cross-checks the flat candidate
 // enumeration (SigmaView filtering, pooled scratch, open-addressing dedup)
-// against the pointer-walking oracle on the running example and random
+// against the label-level oracle on the running example and random
 // sequences, for unfiltered and filtered thresholds, including the early-stop
 // truncation semantics of CountCandidatesUpTo.
 func TestFlatEnumerationMatchesPointerOracle(t *testing.T) {
@@ -89,7 +89,7 @@ func TestFlatEnumerationMatchesPointerOracle(t *testing.T) {
 // returns the cached view on later calls, with sigma <= 0 collapsing to one
 // unfiltered view.
 func TestSigmaViewCached(t *testing.T) {
-	fl := MustCompile(paperex.PatternExpression, paperex.Dict()).Flatten()
+	fl := MustCompile(paperex.PatternExpression, paperex.Dict())
 	if fl.Sigma(2) != fl.Sigma(2) {
 		t.Fatal("Sigma(2) must return the cached view")
 	}

@@ -7,11 +7,12 @@ import (
 	"seqmine/internal/dict"
 )
 
-// Flat is the flattened, simulation-oriented form of a compiled FST. The
-// per-state transition lists are contiguous int32 arrays, the output behaviour
-// of every transition is pre-classified so the common single-item outputs need
-// no slice allocation, and "which transitions fire on item t" is answered by
-// one step table instead of a label test per transition:
+// FST is a compiled pattern expression: a finite state transducer over the
+// item vocabulary of a Dictionary, in the flat form every simulator runs on.
+// The per-state transition lists are contiguous int32 arrays, the output
+// behaviour of every transition is pre-classified so the common single-item
+// outputs need no slice allocation, and "which transitions fire on item t" is
+// answered by one step table instead of a label test per transition:
 //
 //   - items are grouped into match-equivalence classes — two items share a
 //     class iff no label of this FST tells them apart (classOf);
@@ -31,9 +32,10 @@ import (
 // byte of the row, at most ⌈states/8⌉, however many states are live. It is
 // exact, since a union distributes over the bytes.
 //
-// A Flat is immutable after construction and safe for concurrent use; obtain
-// one with FST.Flatten, which builds it once per FST and caches it.
-type Flat struct {
+// The label-level graph the tables are built from stays behind them as the
+// reference of Transitions; no simulator reads it. An FST is immutable after
+// Compile and safe for concurrent use.
+type FST struct {
 	dict      *dict.Dictionary
 	numStates int
 	initial   int
@@ -83,6 +85,8 @@ type Flat struct {
 	// minimum support threshold.
 	sigmaMu    sync.Mutex
 	sigmaViews map[int64]*SigmaView
+
+	g *graph // the label-level reference behind Transitions
 }
 
 // Output behaviour classes of a transition, precomputed from its Label.
@@ -97,56 +101,53 @@ const (
 	// generalization); the set is the dictionary's shared ancestor slice.
 	outAncestors
 	// outUpTo outputs anc(t) ∩ desc(item) (captured generalization below a
-	// hierarchy item); sets are precomputed per input item in Flat.upTo.
+	// hierarchy item); sets are precomputed per input item in FST.upTo.
 	outUpTo
 )
 
-// Flatten returns the flattened form of the FST, building it on first use.
-func (f *FST) Flatten() *Flat {
-	f.flatOnce.Do(func() { f.flat = newFlat(f) })
-	return f.flat
-}
-
-func newFlat(f *FST) *Flat {
-	n := f.numStates
-	fl := &Flat{
-		dict:      f.dict,
+// newFST builds the tables of graph g over dictionary d.
+func newFST(g *graph, d *dict.Dictionary) *FST {
+	n := len(g.final)
+	f := &FST{
+		g:         g,
+		dict:      d,
 		numStates: n,
-		initial:   f.initial,
+		initial:   g.initial,
 		words:     (n + 63) / 64,
 		finalBits: make([]uint64, (n+63)/64),
 		off:       make([]int32, n+1),
 	}
+	total := 0
 	for q := 0; q < n; q++ {
-		if f.final[q] {
-			fl.finalBits[q>>6] |= 1 << (uint(q) & 63)
+		if g.final[q] {
+			f.finalBits[q>>6] |= 1 << (uint(q) & 63)
 		}
+		total += len(g.trans[q])
 	}
-	total := f.NumTransitions()
-	fl.to = make([]int32, 0, total)
-	fl.outKind = make([]uint8, 0, total)
-	fl.item = make([]dict.ItemID, 0, total)
-	fl.upTo = make([][][]dict.ItemID, 0, total)
-	vocab := f.dict.Size()
+	f.to = make([]int32, 0, total)
+	f.outKind = make([]uint8, 0, total)
+	f.item = make([]dict.ItemID, 0, total)
+	f.upTo = make([][][]dict.ItemID, 0, total)
+	vocab := d.Size()
 	// tests are the distinct item tests of the labels; testOf names each
 	// transition's test, -1 for a dot, which matches every item.
 	var tests []itemTest
 	testOf := make([]int32, 0, total)
 	for q := 0; q < n; q++ {
-		fl.off[q] = int32(len(fl.to))
-		for _, tr := range f.trans[q] {
-			fl.to = append(fl.to, int32(tr.To))
-			fl.outKind = append(fl.outKind, classifyOutput(tr.Label))
-			fl.item = append(fl.item, tr.Label.Item)
-			fl.upTo = append(fl.upTo, upToSets(f.dict, tr.Label, vocab))
+		f.off[q] = int32(len(f.to))
+		for _, tr := range g.trans[q] {
+			f.to = append(f.to, int32(tr.To))
+			f.outKind = append(f.outKind, classifyOutput(tr.Label))
+			f.item = append(f.item, tr.Label.Item)
+			f.upTo = append(f.upTo, upToSets(d, tr.Label, vocab))
 			testOf = append(testOf, testIndex(&tests, tr.Label))
 		}
 	}
-	fl.off[n] = int32(len(fl.to))
-	fl.buildStepTable(tests, testOf, vocab)
-	fl.buildByteTab()
-	fl.absorbing = fl.finalsAbsorb()
-	return fl
+	f.off[n] = int32(len(f.to))
+	f.buildStepTable(tests, testOf, vocab)
+	f.buildByteTab()
+	f.absorbing = f.finalsAbsorb()
+	return f
 }
 
 // itemTest is the input side of an item label: which items it matches,
@@ -180,19 +181,19 @@ func testIndex(tests *[]itemTest, l Label) int32 {
 // they pass — at most min(vocab+1, 2^len(tests)) classes, numbered in order of
 // first appearance — and fills in the per-(class, state) masks and firing
 // lists. Fid 0 (dict.None) passes no test, so class 0 is "only dots match".
-func (fl *Flat) buildStepTable(tests []itemTest, testOf []int32, vocab int) {
-	fl.fireOff = []int32{0}
+func (f *FST) buildStepTable(tests []itemTest, testOf []int32, vocab int) {
+	f.fireOff = []int32{0}
 	passed := make([]byte, (len(tests)+7)/8)
 	if len(tests) == 0 {
-		fl.addClass(passed, testOf)
+		f.addClass(passed, testOf)
 		return
 	}
-	fl.classOf = make([]int32, vocab+1)
+	f.classOf = make([]int32, vocab+1)
 	classes := map[string]int32{}
 	for t := 0; t <= vocab; t++ {
 		clear(passed)
 		for i, test := range tests {
-			if test.passes(fl.dict, dict.ItemID(t)) {
+			if test.passes(f.dict, dict.ItemID(t)) {
 				passed[i>>3] |= 1 << (uint(i) & 7)
 			}
 		}
@@ -200,38 +201,38 @@ func (fl *Flat) buildStepTable(tests []itemTest, testOf []int32, vocab int) {
 		if !ok {
 			c = int32(len(classes))
 			classes[string(passed)] = c
-			fl.addClass(passed, testOf)
+			f.addClass(passed, testOf)
 		}
-		fl.classOf[t] = c
+		f.classOf[t] = c
 	}
 }
 
 // addClass appends the step-table cells of a new class whose items pass
 // exactly the tests set in passed.
-func (fl *Flat) addClass(passed []byte, testOf []int32) {
-	w := fl.words
-	base, outBase := len(fl.pred), len(fl.outPred)
-	fl.pred = append(fl.pred, make([]uint64, fl.numStates*2*w)...)
-	fl.outPred = append(fl.outPred, make([]uint64, fl.numStates*w)...)
-	for q := 0; q < fl.numStates; q++ {
-		for tr := fl.off[q]; tr < fl.off[q+1]; tr++ {
+func (f *FST) addClass(passed []byte, testOf []int32) {
+	w := f.words
+	base, outBase := len(f.pred), len(f.outPred)
+	f.pred = append(f.pred, make([]uint64, f.numStates*2*w)...)
+	f.outPred = append(f.outPred, make([]uint64, f.numStates*w)...)
+	for q := 0; q < f.numStates; q++ {
+		for tr := f.off[q]; tr < f.off[q+1]; tr++ {
 			if i := testOf[tr]; i >= 0 && passed[i>>3]&(1<<(uint(i)&7)) == 0 {
 				continue
 			}
-			fl.fire = append(fl.fire, tr)
-			cell := base + int(fl.to[tr])*2*w + q>>6
-			fl.pred[cell] |= 1 << (uint(q) & 63)
-			if fl.outKind[tr] == outNone {
-				fl.pred[cell+w] |= 1 << (uint(q) & 63)
+			f.fire = append(f.fire, tr)
+			cell := base + int(f.to[tr])*2*w + q>>6
+			f.pred[cell] |= 1 << (uint(q) & 63)
+			if f.outKind[tr] == outNone {
+				f.pred[cell+w] |= 1 << (uint(q) & 63)
 			} else {
-				fl.outPred[outBase+int(fl.to[tr])*w+q>>6] |= 1 << (uint(q) & 63)
+				f.outPred[outBase+int(f.to[tr])*w+q>>6] |= 1 << (uint(q) & 63)
 			}
 		}
-		fl.fireOff = append(fl.fireOff, int32(len(fl.fire)))
+		f.fireOff = append(f.fireOff, int32(len(f.fire)))
 	}
 }
 
-// maxByteTabWords caps the byte-sliced table at 256 KiB per Flat, the size
+// maxByteTabWords caps the byte-sliced table at 256 KiB per FST, the size
 // of a core's L2 cache on common hardware: a step that misses cache loses
 // what the table saves. The table holds classes × ⌈states/8⌉ × 768 words, so
 // the cap is only reached by expressions listing dozens of distinct items;
@@ -241,20 +242,20 @@ const maxByteTabWords = 1 << 15
 // buildByteTab builds the byte-sliced step table when a row is one word and
 // the table fits maxByteTabWords: entry v of a chunk is entry v&(v-1) plus
 // the mask of the state of v's lowest bit.
-func (fl *Flat) buildByteTab() {
-	n, classes := fl.numStates, fl.numClasses()
+func (f *FST) buildByteTab() {
+	n, classes := f.numStates, f.numClasses()
 	k := (n + 7) / 8 * 256
-	if fl.words != 1 || classes*3*k > maxByteTabWords {
+	if f.words != 1 || classes*3*k > maxByteTabWords {
 		return
 	}
-	fl.byteTab, fl.byteKind = make([]uint64, classes*3*k), k
+	f.byteTab, f.byteKind = make([]uint64, classes*3*k), k
 	kinds := [3]struct {
 		masks  []uint64
 		stride int
-	}{{fl.pred, 2}, {fl.pred[1:], 2}, {fl.outPred, 1}}
+	}{{f.pred, 2}, {f.pred[1:], 2}, {f.outPred, 1}}
 	for c := 0; c < classes; c++ {
 		for kind, src := range kinds {
-			tab := fl.byteTab[(3*c+kind)*k:][:k]
+			tab := f.byteTab[(3*c+kind)*k:][:k]
 			for i := range tab {
 				v := i & 0xff // chunk i>>8, value v; entry 0 of a chunk stays empty
 				if v == 0 {
@@ -271,19 +272,19 @@ func (fl *Flat) buildByteTab() {
 }
 
 // numClasses returns the number of item classes of the step table.
-func (fl *Flat) numClasses() int { return (len(fl.fireOff) - 1) / fl.numStates }
+func (f *FST) numClasses() int { return (len(f.fireOff) - 1) / f.numStates }
 
 // finalsAbsorb decides FinalsAbsorb. It asks for the greatest set of final
 // states in which every state has, for every item class, an ε-output
 // transition back into the set; that set is all final states iff the final
 // states themselves qualify, so one check per class decides it: the
 // ε-predecessors of the final states must cover them.
-func (fl *Flat) finalsAbsorb() bool {
-	w := fl.words
+func (f *FST) finalsAbsorb() bool {
+	w := f.words
 	row := make([]uint64, w)
-	for c := 0; c < fl.numClasses(); c++ {
-		pullBack(fl.pred[c*fl.numStates*2*w+w:], 2*w, fl.finalBits, row)
-		for j, final := range fl.finalBits {
+	for c := 0; c < f.numClasses(); c++ {
+		pullBack(f.pred[c*f.numStates*2*w+w:], 2*w, f.finalBits, row)
+		for j, final := range f.finalBits {
 			if final&^row[j] != 0 {
 				return false
 			}
@@ -327,42 +328,47 @@ func upToSets(d *dict.Dictionary, l Label, vocab int) [][]dict.ItemID {
 	return sets
 }
 
+// Transitions returns the outgoing transitions of state q at the label
+// level, the reference the tables are checked against. The returned slice
+// must not be modified.
+func (f *FST) Transitions(q int) []Transition { return f.g.trans[q] }
+
 // Dict returns the dictionary the FST was compiled against.
-func (fl *Flat) Dict() *dict.Dictionary { return fl.dict }
+func (f *FST) Dict() *dict.Dictionary { return f.dict }
 
 // NumStates returns the number of states.
-func (fl *Flat) NumStates() int { return fl.numStates }
+func (f *FST) NumStates() int { return f.numStates }
 
 // Initial returns the initial state.
-func (fl *Flat) Initial() int { return fl.initial }
+func (f *FST) Initial() int { return f.initial }
 
 // Words returns the number of uint64 words of one state-set bitset row.
-func (fl *Flat) Words() int { return fl.words }
+func (f *FST) Words() int { return f.words }
 
 // IsFinal reports whether state q is final.
-func (fl *Flat) IsFinal(q int) bool {
-	return fl.finalBits[uint(q)>>6]&(1<<(uint(q)&63)) != 0
+func (f *FST) IsFinal(q int) bool {
+	return f.finalBits[uint(q)>>6]&(1<<(uint(q)&63)) != 0
 }
 
 // FinalsAbsorb reports whether every final state can consume any input,
 // producing no output, and end in a final state. Then a run that ends in a
 // final state extends over any further input with its output unchanged, which
 // is what makes cutting a sequence's irrelevant tail sound (D-SEQ's ρk).
-func (fl *Flat) FinalsAbsorb() bool { return fl.absorbing }
+func (f *FST) FinalsAbsorb() bool { return f.absorbing }
 
 // class returns the first step-table cell of item t's class.
-func (fl *Flat) class(t dict.ItemID) int {
-	if fl.classOf == nil {
+func (f *FST) class(t dict.ItemID) int {
+	if f.classOf == nil {
 		return 0
 	}
-	return int(fl.classOf[t]) * fl.numStates
+	return int(f.classOf[t]) * f.numStates
 }
 
 // Firing returns the transitions of state q that match input item t, in
 // transition order. The slice is shared and must not be modified.
-func (fl *Flat) Firing(q int, t dict.ItemID) []int32 {
-	cell := fl.class(t) + q
-	return fl.fire[fl.fireOff[cell]:fl.fireOff[cell+1]]
+func (f *FST) Firing(q int, t dict.ItemID) []int32 {
+	cell := f.class(t) + q
+	return f.fire[f.fireOff[cell]:f.fireOff[cell+1]]
 }
 
 // Reach is the one backward reachability pass every simulator starts from. It
@@ -377,21 +383,21 @@ func (fl *Flat) Firing(q int, t dict.ItemID) []int32 {
 // stops at the first position no state accepts from, and after a false
 // result the matrices are only partly filled. On the byte-sliced table the
 // finish rows are a second pass, run only for an accepted T.
-func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
-	n, w := len(T), fl.words
+func (f *FST) Reach(T []dict.ItemID, accept, finish []uint64) bool {
+	n, w := len(T), f.words
 	rowMask := -1 // row i lives at (i&rowMask)*w
 	if len(accept) < (n+1)*w {
 		rowMask = 1
 	}
-	if fl.byteTab != nil {
-		return fl.reachBytes(T, accept, finish, rowMask)
+	if f.byteTab != nil {
+		return f.reachBytes(T, accept, finish, rowMask)
 	}
-	copy(accept[(n&rowMask)*w:][:w], fl.finalBits)
+	copy(accept[(n&rowMask)*w:][:w], f.finalBits)
 	if finish != nil {
-		copy(finish[n*w:][:w], fl.finalBits)
+		copy(finish[n*w:][:w], f.finalBits)
 	}
 	for i := n - 1; i >= 0; i-- {
-		pred := fl.pred[fl.class(T[i])*2*w:]
+		pred := f.pred[f.class(T[i])*2*w:]
 		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*w:][:w], accept[(i&rowMask)*w:][:w]) == 0 {
 			return false
 		}
@@ -399,31 +405,31 @@ func (fl *Flat) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 			pullBack(pred[w:], 2*w, finish[(i+1)*w:][:w], finish[i*w:][:w])
 		}
 	}
-	return accept[uint(fl.initial)>>6]&(1<<(uint(fl.initial)&63)) != 0
+	return accept[uint(f.initial)>>6]&(1<<(uint(f.initial)&63)) != 0
 }
 
 // reachBytes is Reach on the byte-sliced table, where every row is one word:
 // the accept pass, then — only for an accepted T — the finish pass.
-func (fl *Flat) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask int) bool {
+func (f *FST) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask int) bool {
 	n := len(T)
-	accept[n&rowMask] = fl.finalBits[0]
-	if fl.pullBytes(T, accept, rowMask, 0) >= 0 {
+	accept[n&rowMask] = f.finalBits[0]
+	if f.pullBytes(T, accept, rowMask, 0) >= 0 {
 		return false
 	}
 	if finish != nil {
-		finish[n] = fl.finalBits[0]
-		if i := fl.pullBytes(T, finish, -1, 1); i > 0 {
+		finish[n] = f.finalBits[0]
+		if i := f.pullBytes(T, finish, -1, 1); i > 0 {
 			clear(finish[:i]) // nothing precedes an empty row
 		}
 	}
-	return accept[0]&(1<<uint(fl.initial)) != 0
+	return accept[0]&(1<<uint(f.initial)) != 0
 }
 
 // pullBytes is one backward pass over T on the given kind of the byte-sliced
 // table, from row len(T) already in rows (row i lives at rows[i&rowMask]). It
 // stops at the first empty row and returns its position, -1 if there is none.
-func (fl *Flat) pullBytes(T []dict.ItemID, rows []uint64, rowMask, kind int) int {
-	tab, classOf, k := fl.byteTab, fl.classOf, fl.byteKind
+func (f *FST) pullBytes(T []dict.ItemID, rows []uint64, rowMask, kind int) int {
+	tab, classOf, k := f.byteTab, f.classOf, f.byteKind
 	x := rows[len(T)&rowMask]
 	for i := len(T) - 1; i >= 0; i-- {
 		at := kind * k
@@ -450,10 +456,10 @@ func (fl *Flat) pullBytes(T []dict.ItemID, rows []uint64, rowMask, kind int) int
 // and accept = prod ∪ finish row by row: an accepting run either outputs
 // nothing or reaches its first output over ε-output transitions. Every word
 // of prod is written.
-func (fl *Flat) Productive(T []dict.ItemID, accept, prod []uint64) {
-	n, w := len(T), fl.words
+func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64) {
+	n, w := len(T), f.words
 	clear(prod[n*w:][:w])
-	if tab, classOf, k := fl.byteTab, fl.classOf, fl.byteKind; tab != nil {
+	if tab, classOf, k := f.byteTab, f.classOf, f.byteKind; tab != nil {
 		p := uint64(0)
 		for i := n - 1; i >= 0; i-- {
 			at := k
@@ -466,10 +472,10 @@ func (fl *Flat) Productive(T []dict.ItemID, accept, prod []uint64) {
 		return
 	}
 	for i := n - 1; i >= 0; i-- {
-		c := fl.class(T[i])
+		c := f.class(T[i])
 		row := prod[i*w:][:w]
-		pullBack(fl.outPred[c*w:], w, accept[(i+1)*w:][:w], row)
-		orPullBack(fl.pred[c*2*w+w:], 2*w, prod[(i+1)*w:][:w], row)
+		pullBack(f.outPred[c*w:], w, accept[(i+1)*w:][:w], row)
+		orPullBack(f.pred[c*2*w+w:], 2*w, prod[(i+1)*w:][:w], row)
 	}
 }
 
@@ -519,36 +525,36 @@ func orPullBack(pred []uint64, stride int, next, row []uint64) {
 // Reach pass over two rows on the stack, so it allocates nothing (up to 256
 // states). A sequence that cannot reach acceptance produces no candidate
 // subsequences and therefore no pivot items.
-func (fl *Flat) CanAccept(T []dict.ItemID) bool {
+func (f *FST) CanAccept(T []dict.ItemID) bool {
 	var stack [8]uint64
 	rows := stack[:]
-	if 2*fl.words > len(stack) {
-		rows = make([]uint64, 2*fl.words)
+	if 2*f.words > len(stack) {
+		rows = make([]uint64, 2*f.words)
 	}
-	return fl.Reach(T, rows[:2*fl.words], nil)
+	return f.Reach(T, rows[:2*f.words], nil)
 }
 
 // OutputsFor returns the output set of transition tr for input item t, in one
 // of two forms: a single output item (set == nil), or a shared sorted set that
 // must not be modified. Both results are zero for ε-output transitions. tr
 // must be one of Firing(q, t).
-func (fl *Flat) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, set []dict.ItemID) {
-	switch fl.outKind[tr] {
+func (f *FST) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, set []dict.ItemID) {
+	switch f.outKind[tr] {
 	case outNone:
 		return dict.None, nil
 	case outInput:
 		return t, nil
 	case outConst:
-		return fl.item[tr], nil
+		return f.item[tr], nil
 	case outAncestors:
-		return dict.None, fl.dict.Ancestors(t)
+		return dict.None, f.dict.Ancestors(t)
 	default:
-		return dict.None, fl.upTo[tr][t]
+		return dict.None, f.upTo[tr][t]
 	}
 }
 
-// NumTransitions returns the total number of transitions in the flat table.
-func (fl *Flat) NumTransitions() int { return len(fl.to) }
+// NumTransitions returns the total number of transitions.
+func (f *FST) NumTransitions() int { return len(f.to) }
 
 // To returns the target state of transition tr.
-func (fl *Flat) To(tr int32) int32 { return fl.to[tr] }
+func (f *FST) To(tr int32) int32 { return f.to[tr] }

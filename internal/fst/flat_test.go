@@ -22,36 +22,32 @@ var flatTestPatterns = []string{
 	"(A^).*",
 }
 
-// TestFlatEquivalence cross-checks every Flat operation against the pointer
-// FST it was flattened from, on random sequences: the firing lists and
-// outputs against the Label methods, the fused Reach pass against the
-// pointer accept and finish matrices, the two-row CanAccept against Accepts,
-// and the run walk against the pointer run enumeration.
+// TestFlatEquivalence cross-checks every table operation of the FST against
+// the label-level graph it was built from, on random sequences: the shape,
+// the firing lists and outputs against the Label methods, the fused Reach
+// pass against the label-level accept and finish matrices, the two-row
+// CanAccept against Accepts, and the run walk against the label-level run
+// enumeration.
 func TestFlatEquivalence(t *testing.T) {
 	d := paperex.Dict()
 	rng := rand.New(rand.NewSource(11))
 	for _, pat := range flatTestPatterns {
 		f := fst.MustCompile(pat, d)
-		flat := f.Flatten()
-		if flat.NumStates() != f.NumStates() || flat.Initial() != f.Initial() ||
-			flat.NumTransitions() != f.NumTransitions() || flat.Dict() != d {
-			t.Fatalf("%q: flat shape differs from the FST", pat)
+		if f.Dict() != d {
+			t.Fatalf("%q: compiled against another dictionary", pat)
 		}
-		fst.CheckStepTable(t, pat, f) // the firing lists are complete and exact
+		fst.CheckStepTable(t, pat, f) // the shape, and the firing lists are complete and exact
 		lo := 0                       // flat index of state q's first transition
 		for q := 0; q < f.NumStates(); q++ {
-			if flat.IsFinal(q) != f.IsFinal(q) {
-				t.Fatalf("%q: IsFinal(%d) mismatch", pat, q)
-			}
 			trans := f.Transitions(q)
 			for item := dict.ItemID(1); int(item) <= d.Size(); item++ {
-				for _, fi := range flat.Firing(q, item) {
+				for _, fi := range f.Firing(q, item) {
 					tr := trans[int(fi)-lo]
-					if int(flat.To(fi)) != tr.To {
+					if int(f.To(fi)) != tr.To {
 						t.Fatalf("%q: transition target mismatch at state %d", pat, q)
 					}
 					want := tr.Label.Outputs(d, item)
-					single, set := flat.OutputsFor(fi, item)
+					single, set := f.OutputsFor(fi, item)
 					got := set
 					if single != dict.None {
 						got = []dict.ItemID{single}
@@ -62,6 +58,9 @@ func TestFlatEquivalence(t *testing.T) {
 				}
 			}
 			lo += len(trans)
+		}
+		if lo != f.NumTransitions() {
+			t.Fatalf("%q: %d transitions in the tables, %d in the graph", pat, f.NumTransitions(), lo)
 		}
 
 		for trial := 0; trial < 50; trial++ {
@@ -78,7 +77,7 @@ func TestFlatEquivalence(t *testing.T) {
 }
 
 // checkRuns asserts runs ≡ runs: the flat walker must report, in the same
-// order, exactly the pointer-FST oracle's accepting runs with ε positions
+// order, exactly the label-level oracle's accepting runs with ε positions
 // dropped, every output set cut down to its items frequent at sigma and runs
 // that lose a whole set removed. shared must never overstate the prefix a
 // run has in common with the one reported before it.
@@ -86,7 +85,7 @@ func checkRuns(t *testing.T, pat string, f *fst.FST, T []dict.ItemID, sigma int6
 	t.Helper()
 	d := f.Dict()
 	var want [][][]dict.ItemID
-	f.ForEachRun(T, func(outputs [][]dict.ItemID) bool {
+	f.ForEachLabelRun(T, func(outputs [][]dict.ItemID) bool {
 		run := [][]dict.ItemID{}
 		for _, set := range outputs {
 			if set == nil {
@@ -107,7 +106,7 @@ func checkRuns(t *testing.T, pat string, f *fst.FST, T []dict.ItemID, sigma int6
 		return true
 	})
 	var got [][][]dict.ItemID
-	f.Flatten().ForEachRun(T, sigma, func(outputs [][]dict.ItemID, shared int) bool {
+	f.ForEachRun(T, sigma, func(outputs [][]dict.ItemID, shared int) bool {
 		run := make([][]dict.ItemID, len(outputs))
 		for i, set := range outputs {
 			run[i] = append([]dict.ItemID(nil), set...)
@@ -126,24 +125,15 @@ func checkRuns(t *testing.T, pat string, f *fst.FST, T []dict.ItemID, sigma int6
 		return true
 	})
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%q sigma %d: flat runs %v, pointer runs %v (T=%v)", pat, sigma, got, want, T)
+		t.Fatalf("%q sigma %d: table runs %v, label-level runs %v (T=%v)", pat, sigma, got, want, T)
 	}
 	// Early stop: the walk ends with the call that returns false.
 	if len(want) > 1 {
 		calls := 0
-		f.Flatten().ForEachRun(T, sigma, func([][]dict.ItemID, int) bool { calls++; return false })
+		f.ForEachRun(T, sigma, func([][]dict.ItemID, int) bool { calls++; return false })
 		if calls != 1 {
 			t.Fatalf("%q: walk continued for %d calls after fn returned false", pat, calls)
 		}
-	}
-}
-
-// TestFlattenCached checks that Flatten builds once and returns the cached
-// Flat on every later call.
-func TestFlattenCached(t *testing.T) {
-	f := fst.MustCompile(paperex.PatternExpression, paperex.Dict())
-	if f.Flatten() != f.Flatten() {
-		t.Fatal("Flatten must return the same cached Flat")
 	}
 }
 
@@ -153,18 +143,18 @@ func TestCanAcceptEmpty(t *testing.T) {
 	d := paperex.Dict()
 	for _, pat := range []string{paperex.PatternExpression, ".*"} {
 		f := fst.MustCompile(pat, d)
-		if got, want := f.Flatten().CanAccept(nil), f.Accepts(nil); got != want {
+		if got, want := f.CanAccept(nil), f.Accepts(nil); got != want {
 			t.Errorf("%q: CanAccept(nil) = %v, want %v", pat, got, want)
 		}
 	}
 }
 
 // FuzzFlatEquivalence derives a sequence from the fuzz input and cross-checks
-// the flattened simulation primitives against the pointer FST on every test
-// pattern: CanAccept must agree with Accepts and the Reach matrices with
-// AcceptMatrix and FinishMatrix, and the flat run walker must enumerate the pointer FST's
-// runs (on a prefix of the input: loose patterns have a run per position
-// subset). Any divergence is a miscompiled flat table.
+// the table-driven simulation primitives against the label-level graph on
+// every test pattern: CanAccept must agree with Accepts and the Reach
+// matrices with AcceptMatrix and FinishMatrix, and the table run walker must
+// enumerate the label-level runs (on a prefix of the input: loose patterns
+// have a run per position subset). Any divergence is a miscompiled table.
 func FuzzFlatEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{})

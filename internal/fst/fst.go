@@ -3,17 +3,19 @@
 // runs on an input sequence T generate exactly the candidate subsequences
 // Gπ(T) of the subsequence predicate π described by the expression.
 //
-// States are numbered 0..NumStates-1. Every transition consumes one input
-// item; ε-transitions produced by the Thompson construction are eliminated at
-// compile time. A transition's Label describes both which input items it
-// matches and which output items it produces (possibly none, written ε).
+// Compile runs in two stages. The first builds the label-level automaton (a
+// graph): the Thompson construction, ε-elimination, trimming and the merging
+// of equivalent states. States are numbered 0..NumStates-1, and every
+// transition consumes one input item; its Label describes both which input
+// items it matches and which output items it produces (possibly none,
+// written ε). The second stage flattens that graph into the tables every
+// simulator runs on (flat.go), and the result is the one compiled form, FST.
 package fst
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/patex"
@@ -77,9 +79,6 @@ func (l Label) Outputs(d *dict.Dictionary, t dict.ItemID) []dict.ItemID {
 	}
 }
 
-// ProducesOutput reports whether the label can produce a non-ε output.
-func (l Label) ProducesOutput() bool { return l.Captured }
-
 // String renders the label in pattern-expression syntax (for debugging).
 func (l Label) String() string {
 	s := ""
@@ -106,55 +105,44 @@ type Transition struct {
 	Label Label
 }
 
-// FST is a compiled pattern expression: a finite state transducer over the
-// item vocabulary of a Dictionary.
-type FST struct {
-	dict      *dict.Dictionary
-	numStates int
-	initial   int
-	final     []bool
-	trans     [][]Transition // outgoing transitions per state
+// maxStates bounds the states the Thompson builder may create for one
+// expression, so that an expression past it fails before its automaton is
+// built. Nested repeats multiply: unbounded, `(.{0,60}){0,60}` compiles to
+// 3,601 states and takes 126 MB. The largest expression of the paper's Table
+// III needs 47 builder states, T3(10,20) 448.
+const maxStates = 1024
 
-	// flat caches the flattened simulation form (see Flatten); built at most
-	// once and immutable afterwards, so sharing an FST across goroutines stays
-	// safe.
-	flatOnce sync.Once
-	flat     *Flat
-}
+// ErrTooManyStates reports an expression whose automaton exceeds the state
+// bound of the compile stage.
+var ErrTooManyStates = fmt.Errorf("fst: expression needs more than %d automaton states", maxStates)
 
-// Dict returns the dictionary the FST was compiled against.
-func (f *FST) Dict() *dict.Dictionary { return f.dict }
-
-// NumStates returns the number of states.
-func (f *FST) NumStates() int { return f.numStates }
-
-// Initial returns the initial state.
-func (f *FST) Initial() int { return f.initial }
-
-// IsFinal reports whether state q is a final state.
-func (f *FST) IsFinal(q int) bool { return f.final[q] }
-
-// Transitions returns the outgoing transitions of state q. The returned slice
-// must not be modified.
-func (f *FST) Transitions(q int) []Transition { return f.trans[q] }
-
-// NumTransitions returns the total number of transitions.
-func (f *FST) NumTransitions() int {
-	n := 0
-	for _, ts := range f.trans {
-		n += len(ts)
-	}
-	return n
+// graph is the label-level automaton, the first stage of Compile: the
+// Thompson construction after ε-elimination, trimming and the merging of
+// equivalent states. The FST's tables are built from it, and it stays behind
+// them as the reference of Transitions.
+type graph struct {
+	initial int
+	final   []bool
+	trans   [][]Transition // outgoing transitions per state
 }
 
 // Compile parses the given pattern expression and compiles it for the
-// dictionary.
+// dictionary. An expression whose automaton would exceed the compile stage's
+// state bound fails with ErrTooManyStates.
 func Compile(expression string, d *dict.Dictionary) (*FST, error) {
 	ast, err := patex.Parse(expression)
 	if err != nil {
 		return nil, err
 	}
-	return CompileAST(ast, d)
+	b := &builder{dict: d}
+	start, end, err := b.compile(ast, false)
+	if err == nil {
+		err = b.err // the last states made may pass the bound
+	}
+	if err != nil {
+		return nil, err
+	}
+	return newFST(b.finish(start, end), d), nil
 }
 
 // MustCompile is Compile for tests and examples; it panics on error.
@@ -166,16 +154,6 @@ func MustCompile(expression string, d *dict.Dictionary) *FST {
 	return f
 }
 
-// CompileAST compiles a parsed pattern expression for the dictionary.
-func CompileAST(node patex.Node, d *dict.Dictionary) (*FST, error) {
-	b := &builder{dict: d}
-	start, end, err := b.compile(node, false)
-	if err != nil {
-		return nil, err
-	}
-	return b.finish(start, end), nil
-}
-
 // builder constructs a Thompson ε-NFA fragment and then eliminates ε
 // transitions.
 type builder struct {
@@ -183,9 +161,16 @@ type builder struct {
 	numState int
 	eps      [][]int        // ε edges per state
 	labeled  [][]Transition // labeled edges per state
+	err      error          // ErrTooManyStates once past maxStates
 }
 
+// newState adds a state. Past maxStates it records ErrTooManyStates, which
+// the next compile call returns, so at most a few states past the bound are
+// made.
 func (b *builder) newState() int {
+	if b.numState == maxStates {
+		b.err = ErrTooManyStates
+	}
 	b.numState++
 	b.eps = append(b.eps, nil)
 	b.labeled = append(b.labeled, nil)
@@ -205,6 +190,9 @@ func (b *builder) addLabeled(from, to int, l Label) {
 
 // compile returns the (start, end) states of the fragment for node.
 func (b *builder) compile(node patex.Node, captured bool) (int, int, error) {
+	if b.err != nil {
+		return 0, 0, b.err
+	}
 	switch t := node.(type) {
 	case *patex.ItemExpr:
 		return b.compileItem(t, captured)
@@ -315,8 +303,8 @@ func (b *builder) compileRepeat(r *patex.Repeat, captured bool) (int, int, error
 }
 
 // finish eliminates ε transitions, trims unreachable and dead states and
-// returns the final FST.
-func (b *builder) finish(start, end int) *FST {
+// returns the merged graph.
+func (b *builder) finish(start, end int) *graph {
 	n := b.numState
 	// ε-closures.
 	closure := make([][]int, n)
@@ -415,27 +403,25 @@ func (b *builder) finish(start, end int) *FST {
 			next++
 		}
 	}
-	f := &FST{
-		dict:      b.dict,
-		numStates: next,
-		initial:   id[start],
-		final:     make([]bool, next),
-		trans:     make([][]Transition, next),
+	g := &graph{
+		initial: id[start],
+		final:   make([]bool, next),
+		trans:   make([][]Transition, next),
 	}
 	for s := 0; s < n; s++ {
 		if id[s] < 0 {
 			continue
 		}
-		f.final[id[s]] = final[s]
+		g.final[id[s]] = final[s]
 		for _, tr := range trans[s] {
 			if id[tr.To] < 0 {
 				continue
 			}
-			f.trans[id[s]] = append(f.trans[id[s]], Transition{To: id[tr.To], Label: tr.Label})
+			g.trans[id[s]] = append(g.trans[id[s]], Transition{To: id[tr.To], Label: tr.Label})
 		}
 	}
-	f.mergeEquivalentStates()
-	return f
+	g.mergeEquivalentStates()
+	return g
 }
 
 // mergeEquivalentStates repeatedly merges states that are forward-equivalent:
@@ -445,17 +431,18 @@ func (b *builder) finish(start, end int) *FST {
 // FSTs (e.g. ".*" becomes a single self-loop), which both speeds up
 // simulation and makes "state change" a meaningful signal for the relevant-
 // position computation of D-SEQ.
-func (f *FST) mergeEquivalentStates() {
+func (g *graph) mergeEquivalentStates() {
 	for {
+		n := len(g.final)
 		// Group states by signature.
-		repr := make([]int, f.numStates)
+		repr := make([]int, n)
 		for i := range repr {
 			repr[i] = i
 		}
 		groups := map[string]int{}
 		merged := false
-		for q := 0; q < f.numStates; q++ {
-			sig := f.stateSignature(q)
+		for q := 0; q < n; q++ {
+			sig := g.stateSignature(q)
 			if first, ok := groups[sig]; ok {
 				repr[q] = first
 				merged = true
@@ -467,27 +454,27 @@ func (f *FST) mergeEquivalentStates() {
 			return
 		}
 		// Renumber surviving states.
-		id := make([]int, f.numStates)
+		id := make([]int, n)
 		next := 0
-		for q := 0; q < f.numStates; q++ {
+		for q := 0; q < n; q++ {
 			if repr[q] == q {
 				id[q] = next
 				next++
 			}
 		}
-		for q := 0; q < f.numStates; q++ {
+		for q := 0; q < n; q++ {
 			id[q] = id[repr[q]]
 		}
 		newFinal := make([]bool, next)
 		newTrans := make([][]Transition, next)
-		for q := 0; q < f.numStates; q++ {
+		for q := 0; q < n; q++ {
 			if repr[q] != q {
 				continue
 			}
 			nq := id[q]
-			newFinal[nq] = f.final[q]
+			newFinal[nq] = g.final[q]
 			seen := map[Transition]bool{}
-			for _, tr := range f.trans[q] {
+			for _, tr := range g.trans[q] {
 				nt := Transition{To: id[tr.To], Label: tr.Label}
 				if !seen[nt] {
 					seen[nt] = true
@@ -495,24 +482,23 @@ func (f *FST) mergeEquivalentStates() {
 				}
 			}
 		}
-		f.numStates = next
-		f.initial = id[f.initial]
-		f.final = newFinal
-		f.trans = newTrans
+		g.initial = id[g.initial]
+		g.final = newFinal
+		g.trans = newTrans
 	}
 }
 
 // stateSignature builds a canonical description of a state's finality and
 // outgoing transitions.
-func (f *FST) stateSignature(q int) string {
-	keys := make([]string, 0, len(f.trans[q])+1)
-	for _, tr := range f.trans[q] {
+func (g *graph) stateSignature(q int) string {
+	keys := make([]string, 0, len(g.trans[q])+1)
+	for _, tr := range g.trans[q] {
 		keys = append(keys, fmt.Sprintf("%d/%d/%d/%t/%t/%t/%t", tr.To,
 			tr.Label.Kind, tr.Label.Item, tr.Label.Exact, tr.Label.Generalize, tr.Label.ForceGen, tr.Label.Captured))
 	}
 	sort.Strings(keys)
 	prefix := "n:"
-	if f.final[q] {
+	if g.final[q] {
 		prefix = "f:"
 	}
 	return prefix + strings.Join(keys, "|")

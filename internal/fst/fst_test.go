@@ -104,7 +104,7 @@ func TestAcceptingRunsT5(t *testing.T) {
 	// a subset of Gπex(T5); their union must be exactly Gπex(T5).
 	wantSet := map[string]bool{"a1 a1 b": true, "a1 A b": true, "a1 b": true}
 	gotSet := map[string]bool{}
-	f.ForEachRun(T5, func(outputs [][]dict.ItemID) bool {
+	f.ForEachLabelRun(T5, func(outputs [][]dict.ItemID) bool {
 		var expand func(i int, cur []dict.ItemID)
 		expand = func(i int, cur []dict.ItemID) {
 			if i == len(outputs) {
@@ -267,7 +267,7 @@ func TestRunsGenerateCandidates(t *testing.T) {
 			want[d.DecodeString(c)] = true
 		}
 		got := map[string]bool{}
-		f.ForEachRun(T, func(outputs [][]dict.ItemID) bool {
+		f.ForEachLabelRun(T, func(outputs [][]dict.ItemID) bool {
 			var expand func(i int, cur []dict.ItemID)
 			expand = func(i int, cur []dict.ItemID) {
 				if i == len(outputs) {

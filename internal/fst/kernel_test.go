@@ -14,8 +14,9 @@ import (
 // the Reach pass built on them — is held here to a reference that shares none
 // of it: one Label.Matches test per transition, the loop the kernel replaced.
 
-// CheckStepTable compares the step table of f's Flat against per-transition
-// label matching, item by item: the firing list of every state, the three
+// CheckStepTable compares the tables of f against its label-level graph: the
+// state count, the initial and the final states, then, against
+// per-transition label matching item by item, the firing list of every state, the three
 // predecessor masks of every state (any, ε-output and output transitions),
 // and the class partition itself (two items share a class iff every label
 // treats them alike). Then the byte-sliced table: present iff a row is one
@@ -23,24 +24,31 @@ import (
 // the states its byte names.
 func CheckStepTable(t *testing.T, name string, f *FST) {
 	t.Helper()
-	fl, d := f.Flatten(), f.dict
-	w := fl.words
+	d, w := f.dict, f.words
+	if f.numStates != len(f.g.final) || f.initial != f.g.initial {
+		t.Fatalf("%s: tables of %d states from %d, graph of %d from %d", name, f.numStates, f.initial, len(f.g.final), f.g.initial)
+	}
+	for q, final := range f.g.final {
+		if f.IsFinal(q) != final {
+			t.Fatalf("%s: IsFinal(%d) = %v, graph says %v", name, q, !final, final)
+		}
+	}
 	classOfSig := map[string]int{}
 	sigOfClass := map[int]string{}
 	labels := map[Label]bool{}
 	for item := dict.ItemID(0); int(item) <= d.Size(); item++ {
 		var sig strings.Builder
-		want := make([]uint64, fl.numStates*2*w)  // predecessor masks, laid out like fl.pred
-		wantOut := make([]uint64, fl.numStates*w) // laid out like fl.outPred
+		want := make([]uint64, f.numStates*2*w)  // predecessor masks, laid out like f.pred
+		wantOut := make([]uint64, f.numStates*w) // laid out like f.outPred
 		tr := int32(0)
-		for q := 0; q < fl.numStates; q++ {
-			firing := fl.Firing(q, item)
-			for _, edge := range f.trans[q] {
+		for q := 0; q < f.numStates; q++ {
+			firing := f.Firing(q, item)
+			for _, edge := range f.g.trans[q] {
 				labels[Label{Kind: edge.Label.Kind, Item: edge.Label.Item, Exact: edge.Label.Exact}] = true
 				if edge.Label.Matches(d, item) {
 					sig.WriteByte('1')
 					if len(firing) == 0 || firing[0] != tr {
-						t.Fatalf("%s: Firing(%d, %d) = %v misses transition %d", name, q, item, fl.Firing(q, item), tr)
+						t.Fatalf("%s: Firing(%d, %d) = %v misses transition %d", name, q, item, f.Firing(q, item), tr)
 					}
 					firing = firing[1:]
 					cell := edge.To*2*w + q>>6
@@ -56,22 +64,22 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 				tr++
 			}
 			if len(firing) != 0 {
-				t.Fatalf("%s: Firing(%d, %d) = %v fires transitions that do not match", name, q, item, fl.Firing(q, item))
+				t.Fatalf("%s: Firing(%d, %d) = %v fires transitions that do not match", name, q, item, f.Firing(q, item))
 			}
 		}
-		got := fl.pred[fl.class(item)*2*w:][:len(want)]
+		got := f.pred[f.class(item)*2*w:][:len(want)]
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("%s: item %d: predecessor mask word %d = %#x, want %#x", name, item, i, got[i], want[i])
 			}
 		}
-		gotOut := fl.outPred[fl.class(item)*w:][:len(wantOut)]
+		gotOut := f.outPred[f.class(item)*w:][:len(wantOut)]
 		for i := range wantOut {
 			if gotOut[i] != wantOut[i] {
 				t.Fatalf("%s: item %d: output predecessor mask word %d = %#x, want %#x", name, item, i, gotOut[i], wantOut[i])
 			}
 		}
-		c := fl.class(item)
+		c := f.class(item)
 		if prev, ok := classOfSig[sig.String()]; ok && prev != c {
 			t.Fatalf("%s: item %d is matched like class %d but sits in class %d", name, item, prev, c)
 		}
@@ -80,35 +88,35 @@ func CheckStepTable(t *testing.T, name string, f *FST) {
 		}
 		classOfSig[sig.String()], sigOfClass[c] = c, sig.String()
 	}
-	classes := (len(fl.fireOff) - 1) / fl.numStates
+	classes := (len(f.fireOff) - 1) / f.numStates
 	if classes != len(sigOfClass) {
 		t.Fatalf("%s: %d classes built, %d in use", name, classes, len(sigOfClass))
 	}
 	if bound := len(labels); classes > d.Size()+1 || bound < 30 && classes > 1<<bound {
 		t.Fatalf("%s: %d classes exceed min(vocab+1 = %d, 2^%d labels)", name, classes, d.Size()+1, bound)
 	}
-	checkByteTab(t, name, fl, classes)
+	checkByteTab(t, name, f, classes)
 }
 
 // checkByteTab holds the byte-sliced table to the predecessor masks that
 // CheckStepTable has just checked.
-func checkByteTab(t *testing.T, name string, fl *Flat, classes int) {
+func checkByteTab(t *testing.T, name string, f *FST, classes int) {
 	t.Helper()
-	n, chunks := fl.numStates, (fl.numStates+7)/8
-	if want := fl.words == 1 && classes*chunks*3*256 <= maxByteTabWords; (fl.byteTab != nil) != want {
-		t.Fatalf("%s: %d states, %d classes: byte table built = %v, want %v", name, n, classes, fl.byteTab != nil, want)
+	n, chunks := f.numStates, (f.numStates+7)/8
+	if want := f.words == 1 && classes*chunks*3*256 <= maxByteTabWords; (f.byteTab != nil) != want {
+		t.Fatalf("%s: %d states, %d classes: byte table built = %v, want %v", name, n, classes, f.byteTab != nil, want)
 	}
-	if fl.byteTab == nil {
+	if f.byteTab == nil {
 		return
 	}
-	if len(fl.byteTab) != classes*3*chunks*256 || fl.byteKind != chunks*256 {
-		t.Fatalf("%s: byte table of %d words, kind %d; want %d, %d", name, len(fl.byteTab), fl.byteKind, classes*3*chunks*256, chunks*256)
+	if len(f.byteTab) != classes*3*chunks*256 || f.byteKind != chunks*256 {
+		t.Fatalf("%s: byte table of %d words, kind %d; want %d, %d", name, len(f.byteTab), f.byteKind, classes*3*chunks*256, chunks*256)
 	}
 	for c := 0; c < classes; c++ {
 		masks := [3]func(q int) uint64{
-			func(q int) uint64 { return fl.pred[(c*n+q)*2] },
-			func(q int) uint64 { return fl.pred[(c*n+q)*2+1] },
-			func(q int) uint64 { return fl.outPred[c*n+q] },
+			func(q int) uint64 { return f.pred[(c*n+q)*2] },
+			func(q int) uint64 { return f.pred[(c*n+q)*2+1] },
+			func(q int) uint64 { return f.outPred[c*n+q] },
 		}
 		for kind, mask := range masks {
 			for j := 0; j < chunks; j++ {
@@ -119,7 +127,7 @@ func checkByteTab(t *testing.T, name string, fl *Flat, classes int) {
 							want |= mask(q)
 						}
 					}
-					if got := fl.byteTab[(3*c+kind)*fl.byteKind+j*256+v]; got != want {
+					if got := f.byteTab[(3*c+kind)*f.byteKind+j*256+v]; got != want {
 						t.Fatalf("%s: byte table class %d kind %d chunk %d entry %#x = %#x, want %#x", name, c, kind, j, v, got, want)
 					}
 				}
@@ -129,15 +137,14 @@ func checkByteTab(t *testing.T, name string, fl *Flat, classes int) {
 }
 
 // CheckReach holds one fused Reach pass, the accept-only pass and CanAccept to
-// the pointer matrices: the verdict always, and every accept and finish row
+// the label-level matrices: the verdict always, and every accept and finish row
 // when the sequence is accepted (a rejected sequence's rows are never read) —
 // and then the Productive pass over those accept rows to ProductiveMatrix,
 // with accept = prod ∪ finish row by row. The buffers start dirty — the
 // passes must write every word themselves.
 func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	t.Helper()
-	fl := f.Flatten()
-	w := fl.words
+	w := f.words
 	accept := make([]uint64, (len(T)+1)*w)
 	finish := make([]uint64, (len(T)+1)*w)
 	alone := make([]uint64, (len(T)+1)*w)
@@ -146,24 +153,24 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 		accept[i], finish[i], alone[i], prod[i] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	}
 	ref, fref := f.AcceptMatrix(T), f.FinishMatrix(T)
-	want := ref[0][f.initial]
-	if got := fl.Reach(T, accept, finish); got != want {
+	want := ref[0][f.g.initial]
+	if got := f.Reach(T, accept, finish); got != want {
 		t.Fatalf("%s: Reach(%v) = %v, want %v", name, T, got, want)
 	}
-	if got := fl.Reach(T, alone, nil); got != want {
+	if got := f.Reach(T, alone, nil); got != want {
 		t.Fatalf("%s: Reach(%v) without finish = %v, want %v", name, T, got, want)
 	}
-	if got := fl.CanAccept(T); got != want {
+	if got := f.CanAccept(T); got != want {
 		t.Fatalf("%s: CanAccept(%v) = %v, want %v", name, T, got, want)
 	}
 	if !want {
 		return
 	}
-	fl.Productive(T, accept, prod)
+	f.Productive(T, accept, prod)
 	pref := f.ProductiveMatrix(T)
 	bit := func(rows []uint64, i, q int) bool { return rows[i*w+q>>6]&(1<<(uint(q)&63)) != 0 }
 	for i := 0; i <= len(T); i++ {
-		for q := 0; q < f.numStates; q++ {
+		for q := 0; q < len(f.g.final); q++ {
 			if bit(accept, i, q) != ref[i][q] || bit(alone, i, q) != ref[i][q] {
 				t.Fatalf("%s: accept[%d][%d] = %v/%v, want %v (T=%v)", name, i, q, bit(accept, i, q), bit(alone, i, q), ref[i][q], T)
 			}
@@ -261,10 +268,10 @@ func TestKernelMatchesLabelReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated expression %q does not compile: %v", expr, err)
 		}
-		switch fl := f.Flatten(); {
-		case fl.words > 1:
+		switch {
+		case f.words > 1:
 			wide++
-		case fl.byteTab == nil:
+		case f.byteTab == nil:
 			overCap++
 		default:
 			byteTab++
@@ -300,11 +307,11 @@ func manyItems(rng *rand.Rand, d *dict.Dictionary) string {
 // callers pay it once per input sequence.
 func TestCanAcceptDoesNotAllocate(t *testing.T) {
 	d := paperex.Dict()
-	fl := MustCompile(paperex.PatternExpression, d).Flatten()
+	f := MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
 	if n := testing.AllocsPerRun(100, func() {
 		for _, T := range db {
-			fl.CanAccept(T)
+			f.CanAccept(T)
 		}
 	}); n != 0 {
 		t.Fatalf("CanAccept allocates %.0f times per database pass, want 0", n)

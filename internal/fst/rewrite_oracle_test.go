@@ -14,7 +14,7 @@ import (
 // over generated DAG hierarchies × generated expressions, with and without
 // the leading and trailing .*: for every sequence T and every k ∈ K(T), the
 // pivot-k candidates of ρk(T) are those of T. Expressions whose final states
-// do not absorb the tail (fst.Flat.FinalsAbsorb) are the ones a cut tail
+// do not absorb the tail (fst.FST.FinalsAbsorb) are the ones a cut tail
 // would break.
 func TestRewriteKeepsPivotCandidates(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
@@ -37,7 +37,7 @@ func TestRewriteKeepsPivotCandidates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated expression %q does not compile: %v", expr, err)
 		}
-		absorbs := f.Flatten().FinalsAbsorb()
+		absorbs := f.FinalsAbsorb()
 		for _, sigma := range []int64{1, 3} {
 			s := pivot.NewSearcher(f, sigma, pivot.DefaultOptions())
 			for n := 0; n < 12; n++ {

@@ -6,20 +6,20 @@ import (
 	"seqmine/internal/dict"
 )
 
-// SigmaView is the frequency-filtered view of a Flat for one minimum support
+// SigmaView is the frequency-filtered view of an FST for one minimum support
 // threshold: every output set a transition can produce is pre-truncated to its
 // frequent items at construction time, so the per-transition "drop infrequent
 // outputs" filtering of the map-side kernels (pivot search, candidate
 // enumeration) costs nothing at simulation time. For frequency-sorted
 // dictionaries (every Builder-built dictionary) the truncation is a prefix cut
 // — output sets are sorted ascending and "is frequent" is one compare against
-// dict.MaxFrequentFid — so the filtered sets share the Flat's backing arrays
+// dict.MaxFrequentFid — so the filtered sets share the FST's backing arrays
 // and the view itself is cheap to build.
 //
 // A SigmaView is immutable and safe for concurrent use; obtain one with
-// Flat.Sigma, which builds it once per (Flat, sigma) pair and caches it.
+// FST.Sigma, which builds it once per (FST, sigma) pair and caches it.
 type SigmaView struct {
-	fl    *Flat
+	f     *FST
 	all   bool        // sigma <= 0: nothing is filtered
 	byFid bool        // frequency-sorted dict: frequent iff fid <= limit
 	limit dict.ItemID // largest frequent fid (byFid only)
@@ -30,54 +30,54 @@ type SigmaView struct {
 	// when all is set, in which case the dictionary's sets are used directly).
 	anc [][]dict.ItemID
 	// upTo holds the filtered output sets of outUpTo transitions, indexed like
-	// Flat.upTo; nil entries fall through to the unfiltered sets.
+	// FST.upTo; nil entries fall through to the unfiltered sets.
 	upTo [][][]dict.ItemID
 }
 
-// Sigma returns the frequency-filtered view of the flat FST for the given
+// Sigma returns the frequency-filtered view of the FST for the given
 // minimum support, building it on first use. sigma <= 0 yields the unfiltered
 // view (every output item passes), matching the sigma <= 0 behaviour of
 // EnumerateCandidates.
-func (fl *Flat) Sigma(sigma int64) *SigmaView {
+func (f *FST) Sigma(sigma int64) *SigmaView {
 	if sigma <= 0 {
 		sigma = 0
 	}
-	fl.sigmaMu.Lock()
-	defer fl.sigmaMu.Unlock()
-	if sv, ok := fl.sigmaViews[sigma]; ok {
+	f.sigmaMu.Lock()
+	defer f.sigmaMu.Unlock()
+	if sv, ok := f.sigmaViews[sigma]; ok {
 		return sv
 	}
-	sv := newSigmaView(fl, sigma)
-	if fl.sigmaViews == nil {
-		fl.sigmaViews = make(map[int64]*SigmaView)
+	sv := newSigmaView(f, sigma)
+	if f.sigmaViews == nil {
+		f.sigmaViews = make(map[int64]*SigmaView)
 	}
-	fl.sigmaViews[sigma] = sv
+	f.sigmaViews[sigma] = sv
 	return sv
 }
 
-func newSigmaView(fl *Flat, sigma int64) *SigmaView {
-	sv := &SigmaView{fl: fl, sigma: sigma}
+func newSigmaView(f *FST, sigma int64) *SigmaView {
+	sv := &SigmaView{f: f, sigma: sigma}
 	if sigma <= 0 {
 		sv.all = true
 		return sv
 	}
-	d := fl.dict
+	d := f.dict
 	if d.FrequencySorted() {
 		sv.byFid = true
 		sv.limit = d.MaxFrequentFid(sigma)
 	}
 	needAnc := false
-	for tr := 0; tr < len(fl.outKind); tr++ {
-		switch fl.outKind[tr] {
+	for tr := 0; tr < len(f.outKind); tr++ {
+		switch f.outKind[tr] {
 		case outAncestors:
 			needAnc = true
 		case outUpTo:
-			sets := make([][]dict.ItemID, len(fl.upTo[tr]))
-			for t, set := range fl.upTo[tr] {
+			sets := make([][]dict.ItemID, len(f.upTo[tr]))
+			for t, set := range f.upTo[tr] {
 				sets[t] = sv.truncate(set)
 			}
 			if sv.upTo == nil {
-				sv.upTo = make([][][]dict.ItemID, len(fl.outKind))
+				sv.upTo = make([][][]dict.ItemID, len(f.outKind))
 			}
 			sv.upTo[tr] = sets
 		}
@@ -106,7 +106,7 @@ func (sv *SigmaView) truncate(set []dict.ItemID) []dict.ItemID {
 	}
 	var out []dict.ItemID
 	for _, w := range set {
-		if sv.fl.dict.IsFrequent(w, sv.sigma) {
+		if sv.f.dict.IsFrequent(w, sv.sigma) {
 			out = append(out, w)
 		}
 	}
@@ -121,7 +121,7 @@ func (sv *SigmaView) Frequent(w dict.ItemID) bool {
 	if sv.byFid {
 		return w <= sv.limit
 	}
-	return sv.fl.dict.IsFrequent(w, sv.sigma)
+	return sv.f.dict.IsFrequent(w, sv.sigma)
 }
 
 // OutputsFor returns the frequency-filtered output set of transition tr for
@@ -129,10 +129,10 @@ func (sv *SigmaView) Frequent(w dict.ItemID) bool {
 // shared sorted set that must not be modified. ε transitions return
 // (None, nil, true); ok is false when the transition produces output but no
 // output item is frequent — such an edge cannot contribute Gσ candidates and
-// must be skipped. tr must be one of Flat.Firing(q, t).
+// must be skipped. tr must be one of FST.Firing(q, t).
 func (sv *SigmaView) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, set []dict.ItemID, ok bool) {
-	fl := sv.fl
-	switch fl.outKind[tr] {
+	f := sv.f
+	switch f.outKind[tr] {
 	case outNone:
 		return dict.None, nil, true
 	case outInput:
@@ -141,7 +141,7 @@ func (sv *SigmaView) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, se
 		}
 		return dict.None, nil, false
 	case outConst:
-		if w := fl.item[tr]; sv.Frequent(w) {
+		if w := f.item[tr]; sv.Frequent(w) {
 			return w, nil, true
 		}
 		return dict.None, nil, false
@@ -150,7 +150,7 @@ func (sv *SigmaView) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, se
 		if sv.anc != nil {
 			s = sv.anc[t]
 		} else {
-			s = fl.dict.Ancestors(t)
+			s = f.dict.Ancestors(t)
 		}
 		if len(s) == 0 {
 			return dict.None, nil, false
@@ -161,7 +161,7 @@ func (sv *SigmaView) OutputsFor(tr int32, t dict.ItemID) (single dict.ItemID, se
 		if sv.upTo != nil && sv.upTo[tr] != nil {
 			s = sv.upTo[tr][t]
 		} else {
-			s = fl.upTo[tr][t]
+			s = f.upTo[tr][t]
 		}
 		if len(s) == 0 {
 			return dict.None, nil, false

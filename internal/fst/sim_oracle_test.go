@@ -6,21 +6,23 @@ import (
 	"seqmine/internal/dict"
 )
 
-// The pointer-FST simulators below left the binary when every production
-// kernel moved onto fst.Flat; they stay here as the differential oracles the
-// flat walks are tested against, together with the slice-returning wrappers
-// over the flat candidate enumeration that only tests call.
+// The simulators below walk the label-level graph (f.g), one Label test per
+// transition, and never read the tables they check. They left the binary when
+// every production kernel moved onto the tables and stay here as the
+// differential oracles the table walks are tested against, together with the
+// slice-returning wrappers over the table-driven candidate enumeration that
+// only tests call.
 
-// enumerateLimited is the pointer-walking depth-first simulation over all
+// enumerateLimited is the label-level depth-first simulation over all
 // accepting runs, invoking emit for every (possibly duplicate) non-empty
 // candidate subsequence; returning false aborts the simulation. It is kept as
-// the differential oracle the flat enumeration is tested against.
+// the differential oracle the table-driven enumeration is tested against.
 func (f *FST) enumerateLimited(T []dict.ItemID, sigma int64, emit func([]dict.ItemID) bool) {
 	if len(T) == 0 {
 		return
 	}
 	reach := f.AcceptMatrix(T)
-	if !reach[0][f.initial] {
+	if !reach[0][f.g.initial] {
 		return
 	}
 	prefix := make([]dict.ItemID, 0, len(T))
@@ -31,7 +33,7 @@ func (f *FST) enumerateLimited(T []dict.ItemID, sigma int64, emit func([]dict.It
 			return
 		}
 		if pos == len(T) {
-			if f.final[q] && len(prefix) > 0 {
+			if f.g.final[q] && len(prefix) > 0 {
 				if !emit(prefix) {
 					stopped = true
 				}
@@ -39,7 +41,7 @@ func (f *FST) enumerateLimited(T []dict.ItemID, sigma int64, emit func([]dict.It
 			return
 		}
 		t := T[pos]
-		for _, tr := range f.trans[q] {
+		for _, tr := range f.g.trans[q] {
 			if stopped {
 				return
 			}
@@ -64,19 +66,19 @@ func (f *FST) enumerateLimited(T []dict.ItemID, sigma int64, emit func([]dict.It
 			}
 		}
 	}
-	rec(0, f.initial)
+	rec(0, f.g.initial)
 }
 
-// ForEachRun enumerates the accepting runs of the FST on T and calls fn for
-// each. The callback receives the per-position output sets (nil = ε) and may
+// ForEachLabelRun enumerates the accepting runs of the label-level graph on
+// T and calls fn for each. The callback receives the per-position output sets (nil = ε) and may
 // return false to stop enumeration early. The slice passed to fn is reused
 // between calls; callers must copy it if they retain it.
-func (f *FST) ForEachRun(T []dict.ItemID, fn func(outputs [][]dict.ItemID) bool) {
+func (f *FST) ForEachLabelRun(T []dict.ItemID, fn func(outputs [][]dict.ItemID) bool) {
 	if len(T) == 0 {
 		return
 	}
 	reach := f.AcceptMatrix(T)
-	if !reach[0][f.initial] {
+	if !reach[0][f.g.initial] {
 		return
 	}
 	outputs := make([][]dict.ItemID, len(T))
@@ -87,7 +89,7 @@ func (f *FST) ForEachRun(T []dict.ItemID, fn func(outputs [][]dict.ItemID) bool)
 			return
 		}
 		if pos == len(T) {
-			if f.final[q] {
+			if f.g.final[q] {
 				if !fn(outputs) {
 					stopped = true
 				}
@@ -95,7 +97,7 @@ func (f *FST) ForEachRun(T []dict.ItemID, fn func(outputs [][]dict.ItemID) bool)
 			return
 		}
 		t := T[pos]
-		for _, tr := range f.trans[q] {
+		for _, tr := range f.g.trans[q] {
 			if stopped {
 				return
 			}
@@ -107,14 +109,14 @@ func (f *FST) ForEachRun(T []dict.ItemID, fn func(outputs [][]dict.ItemID) bool)
 			outputs[pos] = nil
 		}
 	}
-	rec(0, f.initial)
+	rec(0, f.g.initial)
 }
 
 // CountAcceptingRuns returns |R(T)|, the number of accepting runs of the FST
 // on T. Mostly useful for analysis and tests.
 func (f *FST) CountAcceptingRuns(T []dict.ItemID) int {
 	n := 0
-	f.ForEachRun(T, func([][]dict.ItemID) bool {
+	f.ForEachLabelRun(T, func([][]dict.ItemID) bool {
 		n++
 		return true
 	})
@@ -129,13 +131,13 @@ func (f *FST) AcceptMatrix(T []dict.ItemID) [][]bool {
 	n := len(T)
 	m := make([][]bool, n+1)
 	for i := range m {
-		m[i] = make([]bool, f.numStates)
+		m[i] = make([]bool, len(f.g.final))
 	}
-	copy(m[n], f.final)
+	copy(m[n], f.g.final)
 	for i := n - 1; i >= 0; i-- {
 		t := T[i]
-		for q := 0; q < f.numStates; q++ {
-			for _, tr := range f.trans[q] {
+		for q := 0; q < len(f.g.final); q++ {
+			for _, tr := range f.g.trans[q] {
 				if m[i+1][tr.To] && tr.Label.Matches(f.dict, t) {
 					m[i][q] = true
 					break
@@ -148,17 +150,17 @@ func (f *FST) AcceptMatrix(T []dict.ItemID) [][]bool {
 
 // FinishMatrix is AcceptMatrix over ε-output transitions only: m[i][q] is true
 // iff T[i:] can be consumed from q into a final state without producing
-// output. The independent reference for the finish rows of Flat.Reach.
+// output. The independent reference for the finish rows of FST.Reach.
 func (f *FST) FinishMatrix(T []dict.ItemID) [][]bool {
 	n := len(T)
 	m := make([][]bool, n+1)
 	for i := range m {
-		m[i] = make([]bool, f.numStates)
+		m[i] = make([]bool, len(f.g.final))
 	}
-	copy(m[n], f.final)
+	copy(m[n], f.g.final)
 	for i := n - 1; i >= 0; i-- {
-		for q := 0; q < f.numStates; q++ {
-			for _, tr := range f.trans[q] {
+		for q := 0; q < len(f.g.final); q++ {
+			for _, tr := range f.g.trans[q] {
 				if !tr.Label.Captured && m[i+1][tr.To] && tr.Label.Matches(f.dict, T[i]) {
 					m[i][q] = true
 					break
@@ -169,8 +171,8 @@ func (f *FST) FinishMatrix(T []dict.ItemID) [][]bool {
 	return m
 }
 
-// ProductiveMatrix is the definition the prod rows of Flat.Productive are
-// held to, walked on the pointer FST: m[i][q] is true iff some path of
+// ProductiveMatrix is the definition the prod rows of FST.Productive are
+// held to, walked on the label-level graph: m[i][q] is true iff some path of
 // ε-output transitions from state q at position i reaches an output
 // transition whose target accepts the rest of T. The walk follows every such
 // path depth first, remembering the coordinates it has settled.
@@ -186,11 +188,11 @@ func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
 			return v
 		}
 		found := false
-		for _, tr := range f.trans[q] {
+		for _, tr := range f.g.trans[q] {
 			if !tr.Label.Matches(f.dict, T[pos]) {
 				continue
 			}
-			if tr.Label.ProducesOutput() && accept[pos+1][tr.To] || !tr.Label.ProducesOutput() && walk(pos+1, tr.To) {
+			if tr.Label.Captured && accept[pos+1][tr.To] || !tr.Label.Captured && walk(pos+1, tr.To) {
 				found = true
 				break
 			}
@@ -200,7 +202,7 @@ func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
 	}
 	m := make([][]bool, len(T)+1)
 	for i := range m {
-		m[i] = make([]bool, f.numStates)
+		m[i] = make([]bool, len(f.g.final))
 		for q := range m[i] {
 			m[i][q] = walk(i, q)
 		}
@@ -212,9 +214,9 @@ func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
 // whether T matches the subsequence constraint at all.
 func (f *FST) Accepts(T []dict.ItemID) bool {
 	if len(T) == 0 {
-		return f.final[f.initial]
+		return f.g.final[f.g.initial]
 	}
-	return f.AcceptMatrix(T)[0][f.initial]
+	return f.AcceptMatrix(T)[0][f.g.initial]
 }
 
 // EnumerateCandidates returns the distinct candidate subsequences generated by
@@ -222,10 +224,10 @@ func (f *FST) Accepts(T []dict.ItemID) bool {
 // document frequency below sigma are excluded, so the result is Gσπ(T); for
 // sigma <= 0 the result is the full Gπ(T). The empty subsequence is never
 // reported. Candidates are returned in lexicographic fid order. The
-// enumeration runs on the flat transition table (Flat.ForEachDistinctCandidate).
+// enumeration runs on the tables (FST.ForEachDistinctCandidate).
 func (f *FST) EnumerateCandidates(T []dict.ItemID, sigma int64) [][]dict.ItemID {
 	var out [][]dict.ItemID
-	f.Flatten().ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
+	f.ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
 		out = append(out, append([]dict.ItemID(nil), cand...))
 		return true
 	})
@@ -247,7 +249,7 @@ func (f *FST) CountCandidates(T []dict.ItemID, sigma int64) int {
 func (f *FST) CountCandidatesUpTo(T []dict.ItemID, sigma int64, limit int) (int, bool) {
 	n := 0
 	truncated := false
-	f.Flatten().ForEachDistinctCandidate(T, sigma, func([]dict.ItemID) bool {
+	f.ForEachDistinctCandidate(T, sigma, func([]dict.ItemID) bool {
 		n++
 		if limit > 0 && n >= limit {
 			truncated = true

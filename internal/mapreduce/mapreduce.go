@@ -15,7 +15,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
 	"time"
 
@@ -423,10 +422,4 @@ func HashString(s string) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// SortSlice sorts outputs with the given less function; a convenience for
-// callers that need deterministic result ordering.
-func SortSlice[O any](out []O, less func(a, b O) bool) {
-	sort.Slice(out, func(i, j int) bool { return less(out[i], out[j]) })
 }

@@ -163,14 +163,6 @@ func renderKV(kvs [][2]string) []string {
 	return out
 }
 
-func TestSortSlice(t *testing.T) {
-	s := []int{3, 1, 2}
-	mapreduce.SortSlice(s, func(a, b int) bool { return a < b })
-	if !reflect.DeepEqual(s, []int{1, 2, 3}) {
-		t.Errorf("SortSlice = %v", s)
-	}
-}
-
 func TestHashFunctions(t *testing.T) {
 	if mapreduce.HashUint64(1) == mapreduce.HashUint64(2) {
 		t.Error("HashUint64 collision on small integers")

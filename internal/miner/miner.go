@@ -80,8 +80,8 @@ func lessSeq(a, b []dict.ItemID) bool {
 
 // MineCount implements DESQ-COUNT: it enumerates Gσπ(T) for every input
 // sequence, sums the weights per candidate, and reports the candidates whose
-// support reaches sigma. The counting loop runs entirely on the flat FST form:
-// candidates are enumerated by Flat.ForEachDistinctCandidate (scratch-backed,
+// support reaches sigma. The counting loop runs entirely on the FST's tables:
+// candidates are enumerated by FST.ForEachDistinctCandidate (scratch-backed,
 // deduplicated per sequence) and aggregated in a pooled open-addressing table
 // over interned item slices, so steady-state counting allocates only arena
 // growth and the reported patterns.
@@ -91,7 +91,6 @@ func lessSeq(a, b []dict.ItemID) bool {
 // first before the sigma filter: one exact phase, the same answer. ctx is
 // checked every 1,024 sequences; a cancelled call returns nil.
 func MineCount(ctx context.Context, f *fst.FST, db []WeightedSequence, sigma int64, workers int) []Pattern {
-	fl := f.Flatten()
 	workers = max(1, min(workers, len(db)))
 	tabs := make([]*candTable, workers)
 	fanOut(workers, func(r int) {
@@ -109,7 +108,7 @@ func MineCount(ctx context.Context, f *fst.FST, db []WeightedSequence, sigma int
 				return
 			}
 			weight = ws.Weight
-			fl.ForEachDistinctCandidate(ws.Items, sigma, add)
+			f.ForEachDistinctCandidate(ws.Items, sigma, add)
 		}
 	})
 	var out []Pattern
@@ -261,10 +260,10 @@ type SplitStats struct {
 // subsequence S with fπ(S) >= sigma, subject to the pivot restriction in
 // opts.
 //
-// The implementation works entirely on the flattened FST form (fst.Flat): one
-// fst.Flat.Reach pass per sequence yields its accept and finish bitset
-// matrices (and rejects sequences without an accepting run) and one
-// fst.Flat.Productive pass its prod matrix, the snapshots that can still
+// The implementation works entirely on the FST's tables: one fst.FST.Reach
+// pass per sequence yields its accept and finish bitset matrices (and rejects
+// sequences without an accepting run) and one fst.FST.Productive pass its
+// prod matrix, the snapshots that can still
 // emit — the only ones a scan walks; simulation
 // snapshots are packed (pos, state) cells in int32 arrays, per-expansion
 // projected databases are flat int32 buffers, and all of it — the matrices of
@@ -310,17 +309,16 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 // newMiner returns the miner of f over db at sigma under opts, without shared
 // state, range or scratch: what layOut copies to every worker.
 func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) dfsMiner {
-	fl := f.Flatten()
 	d := f.Dict()
 	m := dfsMiner{
-		flat:  fl,
+		fst:   f,
 		dict:  d,
 		db:    db,
 		sigma: sigma,
 		opts:  opts,
-		words: fl.Words(),
+		words: f.Words(),
 	}
-	if n := fl.NumStates(); n > 1 {
+	if n := f.NumStates(); n > 1 {
 		m.stateBits = uint(bits.Len(uint(n - 1)))
 	}
 	// When fids are frequency-ordered (always true for built dictionaries),
@@ -441,7 +439,7 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 type seqCache struct {
 	accept    []uint64 // accepting-reachable coordinates (any outputs)
 	finish    []uint64 // reachable end-of-input via ε-output transitions only
-	prod      []uint64 // can still output an item (fst.Flat.Productive)
+	prod      []uint64 // can still output an item (fst.FST.Productive)
 	lastPivot int32    // last position that can produce the pivot item (-1 if none)
 }
 
@@ -521,7 +519,7 @@ var scratchPool = sync.Pool{New: func() any { return new(dfsScratch) }}
 // dfsMiner is one worker of a MineDFS call. The fields up to sh are the same
 // in every worker of the call; the rest is the worker's own.
 type dfsMiner struct {
-	flat  *fst.Flat
+	fst   *fst.FST
 	dict  *dict.Dictionary
 	db    []WeightedSequence
 	sigma int64
@@ -706,7 +704,7 @@ func (m *dfsMiner) stopped() bool {
 // collects the root projected database of the range.
 func (m *dfsMiner) setUp() {
 	sc := m.sc
-	initCell := int32(m.flat.Initial()) // pos 0 → cell = state
+	initCell := int32(m.fst.Initial()) // pos 0 → cell = state
 	used := m.base
 	for i := m.lo; i < m.hi; i++ {
 		if i&1023 == 1023 && m.stopped() {
@@ -716,10 +714,10 @@ func (m *dfsMiner) setUp() {
 		rows := (len(T) + 1) * m.words
 		c := seqCache{accept: m.sh.arena[used : used+rows], finish: m.sh.arena[used+rows : used+2*rows],
 			prod: m.sh.arena[used+2*rows : used+3*rows], lastPivot: -1}
-		if len(T) == 0 || !m.flat.Reach(T, c.accept, c.finish) {
+		if len(T) == 0 || !m.fst.Reach(T, c.accept, c.finish) {
 			continue
 		}
-		m.flat.Productive(T, c.accept, c.prod)
+		m.fst.Productive(T, c.accept, c.prod)
 		used += matrices * rows
 		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
 			c.lastPivot = int32(m.lastPivotPosition(T))
@@ -900,14 +898,14 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 			pos := int(cell >> sb)
 			t := T[pos]
 			nextRow, nextProd := c.accept[(pos+1)*W:], c.prod[(pos+1)*W:]
-			for _, tr := range m.flat.Firing(int(cell&mask), t) {
-				to := m.flat.To(tr)
+			for _, tr := range m.fst.Firing(int(cell&mask), t) {
+				to := m.fst.To(tr)
 				bit := uint64(1) << (uint32(to) & 63)
 				if nextRow[uint32(to)>>6]&bit == 0 {
 					continue // target cannot reach acceptance
 				}
 				nextCell := int32(pos+1)<<sb | to
-				single, set := m.flat.OutputsFor(tr, t)
+				single, set := m.fst.OutputsFor(tr, t)
 				if single != dict.None {
 					m.project(fr, single, seq, nextCell)
 				} else if set == nil {

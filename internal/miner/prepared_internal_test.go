@@ -17,20 +17,19 @@ import (
 func TestPreparedRetainsEveryMatrix(t *testing.T) {
 	d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(4)), 300, 8)
 	f := fst.MustCompile(paperex.PatternExpression, d)
-	fl := f.Flatten()
 	p := Prepare(context.Background(), f, seqs, 2)
 	words, accepted := 0, 0
 	for i, T := range seqs {
 		c := p.state.cache[i]
-		n := (len(T) + 1) * fl.Words()
+		n := (len(T) + 1) * f.Words()
 		accept, finish, prod := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		if !fl.Reach(T, accept, finish) {
+		if !f.Reach(T, accept, finish) {
 			if c.accept != nil || c.finish != nil || c.prod != nil {
 				t.Fatalf("sequence %d has no accepting run but keeps matrices", i)
 			}
 			continue
 		}
-		fl.Productive(T, accept, prod)
+		f.Productive(T, accept, prod)
 		if !slices.Equal(c.accept, accept) || !slices.Equal(c.finish, finish) || !slices.Equal(c.prod, prod) {
 			t.Fatalf("sequence %d: retained matrices differ from Reach and Productive", i)
 		}

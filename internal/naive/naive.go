@@ -79,13 +79,12 @@ func buildJob(f *fst.FST, sigma int64, variant Variant) mapreduce.Job[[]dict.Ite
 	if variant == SemiNaive {
 		genSigma = sigma
 	}
-	flat := f.Flatten()
 	job := mapreduce.Job[[]dict.ItemID, string, int64, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(string, int64)) {
-			// The flat enumerator deduplicates per sequence, so each distinct
+			// The enumerator deduplicates per sequence, so each distinct
 			// candidate is emitted exactly once — the same multiset of records
 			// EnumerateCandidates produced, without materializing the list.
-			flat.ForEachDistinctCandidate(T, genSigma, func(cand []dict.ItemID) bool {
+			f.ForEachDistinctCandidate(T, genSigma, func(cand []dict.ItemID) bool {
 				emit(EncodeSequence(cand), 1)
 				return true
 			})

@@ -21,8 +21,8 @@ var fuzzPatterns = []string{
 	"(A^).*",
 }
 
-// referenceGrid is the pre-refactor position–state grid on the pointer FST,
-// map backed: reachability and edge matching go label by label through
+// referenceGrid is the pre-refactor position–state grid on the label-level
+// graph, map backed: reachability and edge matching go label by label through
 // fst.Label, K(i, q) sets live in per-state maps, frequent-output filtering
 // runs per edge against the dictionary, and set union goes through fresh
 // slices. It exists purely as the differential oracle for the arena-backed
@@ -68,7 +68,7 @@ func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.Item
 					continue
 				}
 				merged := K
-				if tr.Label.ProducesOutput() {
+				if tr.Label.Captured {
 					var outs []dict.ItemID
 					for _, w := range tr.Label.Outputs(d, t) {
 						if sigma <= 0 || d.IsFrequent(w, sigma) {

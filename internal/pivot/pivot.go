@@ -6,11 +6,10 @@
 // determines the first and last relevant positions per pivot item, which are
 // the basis of the sequence rewriting ρk(T) of Sec. V-B.
 //
-// The grid runs entirely on the flattened FST form (fst.Flat): reachability is
-// the bitset accept matrix of fst.Flat.Reach, each coordinate walks only the
-// transitions that fire on its item (fst.Flat.Firing), frequent-output
-// filtering is precomputed per (FST, σ) in an
-// fst.SigmaView, and the per-state pivot sets K(i, q) live as (offset, length)
+// The grid runs entirely on the FST's tables: reachability is the bitset
+// accept matrix of fst.FST.Reach, each coordinate walks only the transitions
+// that fire on its item (fst.FST.Firing), frequent-output filtering is
+// precomputed per (FST, σ) in an fst.SigmaView, and the per-state pivot sets K(i, q) live as (offset, length)
 // regions of one pooled arena — steady-state analysis allocates only the
 // Analysis result itself.
 package pivot
@@ -159,7 +158,7 @@ func DefaultOptions() Options { return Options{UseGrid: true} }
 // Searcher performs pivot search for one compiled constraint and threshold.
 // It is safe for concurrent use.
 type Searcher struct {
-	flat  *fst.Flat
+	fst   *fst.FST
 	sv    *fst.SigmaView
 	sigma int64
 	opts  Options
@@ -167,8 +166,7 @@ type Searcher struct {
 
 // NewSearcher returns a Searcher for the constraint and minimum support.
 func NewSearcher(f *fst.FST, sigma int64, opts Options) *Searcher {
-	fl := f.Flatten()
-	return &Searcher{flat: fl, sv: fl.Sigma(sigma), sigma: sigma, opts: opts}
+	return &Searcher{fst: f, sv: f.Sigma(sigma), sigma: sigma, opts: opts}
 }
 
 // Analysis is the result of analyzing one input sequence.
@@ -212,7 +210,7 @@ func (s *Searcher) Analyze(T []dict.ItemID) *Analysis {
 func (s *Searcher) analyzeRuns(T []dict.ItemID) *Analysis {
 	a := &Analysis{n: len(T)}
 	var ms MergeScratch
-	s.flat.ForEachRun(T, s.sigma, func(outputs [][]dict.ItemID, _ int) bool {
+	s.fst.ForEachRun(T, s.sigma, func(outputs [][]dict.ItemID, _ int) bool {
 		a.Pivots = append(a.Pivots, ms.MergeAll(outputs)...)
 		return true
 	})
@@ -310,8 +308,8 @@ func (sc *gridScratch) unionInto(a, b []dict.ItemID) (int32, int32) {
 
 // analyzeGrid computes K(T) with the position–state grid: one forward pass
 // over the coordinates that lie on accepting runs, maintaining the pivot sets
-// K(i, q) and the relevance information per position. The pass walks the flat
-// transition table against the bitset accept matrix and keeps every K(i, q)
+// K(i, q) and the relevance information per position. The pass walks the
+// FST's transition table against the bitset accept matrix and keeps every K(i, q)
 // as a region of the pooled arena; ε edges propagate their source region
 // without copying.
 func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
@@ -320,13 +318,13 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	if n == 0 {
 		return a
 	}
-	fl := s.flat
-	words := fl.Words()
-	numStates := fl.NumStates()
+	f := s.fst
+	words := f.Words()
+	numStates := f.NumStates()
 	sc := gridPool.Get().(*gridScratch)
 	sc.prepare(n, words, numStates)
-	init := fl.Initial()
-	if !fl.Reach(T, sc.reach, nil) {
+	init := f.Initial()
+	if !f.Reach(T, sc.reach, nil) {
 		gridPool.Put(sc)
 		return a
 	}
@@ -342,8 +340,8 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 			if ko < 0 {
 				continue
 			}
-			for _, tr := range fl.Firing(q, t) {
-				to := int(fl.To(tr))
+			for _, tr := range f.Firing(q, t) {
+				to := int(f.To(tr))
 				if next[uint(to)>>6]&(1<<(uint(to)&63)) == 0 {
 					continue
 				}
@@ -384,7 +382,7 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	}
 
 	for q := 0; q < numStates; q++ {
-		if sc.curOff[q] < 0 || !fl.IsFinal(q) {
+		if sc.curOff[q] < 0 || !f.IsFinal(q) {
 			continue
 		}
 		region := sc.arena[sc.curOff[q] : sc.curOff[q]+sc.curLen[q]]
@@ -449,7 +447,7 @@ func unionSorted(a, b []dict.ItemID) []dict.ItemID {
 // aliases T's backing array.
 //
 // The tail is cut only when the FST's final states absorb any input
-// (fst.Flat.FinalsAbsorb). Otherwise a run on the cut sequence may end in a
+// (fst.FST.FinalsAbsorb). Otherwise a run on the cut sequence may end in a
 // final state that cannot consume the cut positions, and the partition would
 // count a candidate that T does not have.
 func (s *Searcher) Rewrite(T []dict.ItemID, a *Analysis, k dict.ItemID) []dict.ItemID {
@@ -460,7 +458,7 @@ func (s *Searcher) Rewrite(T []dict.ItemID, a *Analysis, k dict.ItemID) []dict.I
 	if first < 0 || last >= len(T) || first > last {
 		return T
 	}
-	if !s.flat.FinalsAbsorb() {
+	if !s.fst.FinalsAbsorb() {
 		return T[first:]
 	}
 	return T[first : last+1]

@@ -82,7 +82,7 @@ func TestMergeCommutativeAssociative(t *testing.T) {
 // bruteForcePivots computes K(T) from the candidate subsequences directly.
 func bruteForcePivots(f *fst.FST, T []dict.ItemID, sigma int64) []dict.ItemID {
 	set := map[dict.ItemID]bool{}
-	f.Flatten().ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
+	f.ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
 		set[dict.PivotOf(cand)] = true
 		return true
 	})
@@ -319,7 +319,7 @@ func FuzzRewriteKeepsPivotCandidates(f *testing.F) {
 
 func pivotCandidates(f *fst.FST, T []dict.ItemID, sigma int64, k dict.ItemID) map[string]bool {
 	out := map[string]bool{}
-	f.Flatten().ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
+	f.ForEachDistinctCandidate(T, sigma, func(cand []dict.ItemID) bool {
 		if dict.PivotOf(cand) == k {
 			out[f.Dict().DecodeString(cand)] = true
 		}

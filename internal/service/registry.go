@@ -119,16 +119,6 @@ func (r *Registry) CountOwned(owner string) int {
 	return n
 }
 
-// LoadFiles reads a database from a sequence file (and optional hierarchy
-// file) and registers it under name.
-func (r *Registry) LoadFiles(name, sequencesPath, hierarchyPath string) (uint64, error) {
-	db, err := seqdb.ReadFiles(sequencesPath, hierarchyPath)
-	if err != nil {
-		return 0, err
-	}
-	return r.Register(name, db)
-}
-
 // Acquire leases the named dataset for the duration of a query.
 func (r *Registry) Acquire(name string) (*Dataset, error) {
 	r.mu.RLock()

@@ -375,15 +375,9 @@ type Exchange struct {
 }
 
 // OpenExchange creates the local endpoint of job jobID at epoch 0. See
-// OpenExchangeEpoch.
+// OpenExchangeContext.
 func (n *Node) OpenExchange(jobID string, self int, peers []string) (*Exchange, error) {
-	return n.OpenExchangeEpoch(jobID, 0, self, peers)
-}
-
-// OpenExchangeEpoch creates the local endpoint of attempt epoch of job jobID.
-// See OpenExchangeContext.
-func (n *Node) OpenExchangeEpoch(jobID string, epoch, self int, peers []string) (*Exchange, error) {
-	return n.OpenExchangeContext(context.Background(), jobID, epoch, self, peers)
+	return n.OpenExchangeContext(context.Background(), jobID, 0, self, peers)
 }
 
 // OpenExchangeContext creates the local endpoint of attempt epoch of job

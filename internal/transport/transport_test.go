@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -430,9 +431,9 @@ func TestExchangeEpochsIsolated(t *testing.T) {
 			openWG.Add(1)
 			go func(epoch, p int) {
 				defer openWG.Done()
-				ex, err := nodes[p].OpenExchangeEpoch("job-epochs", epoch, p, addrs)
+				ex, err := nodes[p].OpenExchangeContext(context.Background(), "job-epochs", epoch, p, addrs)
 				if err != nil {
-					t.Errorf("epoch %d peer %d: OpenExchangeEpoch: %v", epoch, p, err)
+					t.Errorf("epoch %d peer %d: OpenExchangeContext: %v", epoch, p, err)
 					return
 				}
 				mu0.Lock()
@@ -517,9 +518,9 @@ func TestStaleEpochRejected(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			ex, err := nodes[p].OpenExchangeEpoch("job-stale", 2, p, addrs)
+			ex, err := nodes[p].OpenExchangeContext(context.Background(), "job-stale", 2, p, addrs)
 			if err != nil {
-				t.Errorf("peer %d: OpenExchangeEpoch: %v", p, err)
+				t.Errorf("peer %d: OpenExchangeContext: %v", p, err)
 				return
 			}
 			exs[p] = ex
@@ -533,7 +534,7 @@ func TestStaleEpochRejected(t *testing.T) {
 	defer exs[1].Close()
 
 	// A local open of an older epoch fails immediately.
-	if _, err := nodes[0].OpenExchangeEpoch("job-stale", 1, 0, addrs); err == nil {
+	if _, err := nodes[0].OpenExchangeContext(context.Background(), "job-stale", 1, 0, addrs); err == nil {
 		t.Fatal("opening a stale epoch should fail")
 	}
 

@@ -236,9 +236,8 @@ func PatternsAsMap(db *Database, ps []Pattern) map[string]int64 {
 // Table IV.
 func CountMatches(db *Database, c *Constraint) int {
 	n := 0
-	flat := c.fst.Flatten()
 	for _, T := range db.Sequences {
-		if flat.CanAccept(T) {
+		if c.fst.CanAccept(T) {
 			n++
 		}
 	}
