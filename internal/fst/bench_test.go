@@ -119,7 +119,7 @@ func BenchmarkReach(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, T := range fx.db {
 					n := (len(T) + 1) * fx.flat.Words()
-					fx.flat.Reach(T, buf[:n], buf[n:2*n])
+					fx.flat.Reach(T, buf[:n], buf[n:2*n], fx.flat.Words())
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(fx.db)), "ns/pos")
@@ -134,7 +134,7 @@ func (fx reachFixture) acceptRows() ([][]uint64, [][]dict.ItemID) {
 	var seqs [][]dict.ItemID
 	for _, T := range fx.db {
 		accept := make([]uint64, (len(T)+1)*fx.flat.Words())
-		if fx.flat.Reach(T, accept, nil) {
+		if fx.flat.Reach(T, accept, nil, fx.flat.Words()) {
 			rows, seqs = append(rows, accept), append(seqs, T)
 		}
 	}
@@ -152,7 +152,7 @@ func BenchmarkProductive(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j, T := range seqs {
-					fx.flat.Productive(T, rows[j], prod)
+					fx.flat.Productive(T, rows[j], prod, fx.flat.Words())
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(seqs)), "ns/pos")
@@ -168,7 +168,7 @@ func TestReachDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(20, func() {
 			for _, T := range fx.db {
 				n := (len(T) + 1) * fx.flat.Words()
-				fx.flat.Reach(T, buf[:n], buf[n:2*n])
+				fx.flat.Reach(T, buf[:n], buf[n:2*n], fx.flat.Words())
 			}
 		}); n != 0 {
 			t.Fatalf("%s: Reach allocates %.0f times per database pass, want 0", fx.name, n)
@@ -187,7 +187,7 @@ func TestProductiveDoesNotAllocate(t *testing.T) {
 		prod := fx.buffer()
 		if n := testing.AllocsPerRun(20, func() {
 			for j, T := range seqs {
-				fx.flat.Productive(T, rows[j], prod)
+				fx.flat.Productive(T, rows[j], prod, fx.flat.Words())
 			}
 		}); n != 0 {
 			t.Fatalf("%s: Productive allocates %.0f times per database pass, want 0", fx.name, n)

@@ -372,37 +372,38 @@ func (f *FST) Firing(q int, t dict.ItemID) []int32 {
 }
 
 // Reach is the one backward reachability pass every simulator starts from. It
-// fills accept with the accept matrix of T as bitset rows — bit q of row i
-// (accept[i*Words():]) is set iff T[i:] can be consumed from state q ending
-// in a final state — and reports whether the initial state accepts T. accept
-// holds either all len(T)+1 rows or, for a caller that only wants the
-// verdict, two rows that the pass alternates between. A non-nil finish (all
-// rows) receives the finishable matrix too: bit q of row i is set iff T[i:]
-// can be consumed from q into a final state over ε-output transitions only.
-// Every word of a row is written, so the buffers need not be zeroed; the pass
-// stops at the first position no state accepts from, and after a false
-// result the matrices are only partly filled. On the byte-sliced table the
-// finish rows are a second pass, run only for an accepted T.
-func (f *FST) Reach(T []dict.ItemID, accept, finish []uint64) bool {
+// fills accept with the accept matrix of T as bitset rows, row i at
+// accept[i*stride:] (a stride above Words() interleaves other rows) — bit q of
+// row i is set iff T[i:] can be consumed from state q ending in a final state
+// — and reports whether the initial state accepts T. accept holds either all
+// len(T)+1 rows or, for a caller that only wants the verdict, two rows that
+// the pass alternates between. A non-nil finish (all rows, same stride)
+// receives the finishable matrix too: bit q of row i is set iff T[i:] can be
+// consumed from q into a final state over ε-output transitions only. Every
+// word of a row is written, so the buffers need not be zeroed; the pass stops
+// at the first position no state accepts from, and after a false result the
+// matrices are only partly filled. On the byte-sliced table the finish rows
+// are a second pass, run only for an accepted T.
+func (f *FST) Reach(T []dict.ItemID, accept, finish []uint64, stride int) bool {
 	n, w := len(T), f.words
-	rowMask := -1 // row i lives at (i&rowMask)*w
-	if len(accept) < (n+1)*w {
+	rowMask := -1 // row i lives at (i&rowMask)*stride
+	if len(accept) < n*stride+w {
 		rowMask = 1
 	}
 	if f.byteTab != nil {
-		return f.reachBytes(T, accept, finish, rowMask)
+		return f.reachBytes(T, accept, finish, rowMask, stride)
 	}
-	copy(accept[(n&rowMask)*w:][:w], f.finalBits)
+	copy(accept[(n&rowMask)*stride:][:w], f.finalBits)
 	if finish != nil {
-		copy(finish[n*w:][:w], f.finalBits)
+		copy(finish[n*stride:][:w], f.finalBits)
 	}
 	for i := n - 1; i >= 0; i-- {
 		pred := f.pred[f.class(T[i])*2*w:]
-		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*w:][:w], accept[(i&rowMask)*w:][:w]) == 0 {
+		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*stride:][:w], accept[(i&rowMask)*stride:][:w]) == 0 {
 			return false
 		}
 		if finish != nil {
-			pullBack(pred[w:], 2*w, finish[(i+1)*w:][:w], finish[i*w:][:w])
+			pullBack(pred[w:], 2*w, finish[(i+1)*stride:][:w], finish[i*stride:][:w])
 		}
 	}
 	return accept[uint(f.initial)>>6]&(1<<(uint(f.initial)&63)) != 0
@@ -410,55 +411,55 @@ func (f *FST) Reach(T []dict.ItemID, accept, finish []uint64) bool {
 
 // reachBytes is Reach on the byte-sliced table, where every row is one word:
 // the accept pass, then — only for an accepted T — the finish pass.
-func (f *FST) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask int) bool {
+func (f *FST) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask, stride int) bool {
 	n := len(T)
-	accept[n&rowMask] = f.finalBits[0]
-	if f.pullBytes(T, accept, rowMask, 0) >= 0 {
+	accept[(n&rowMask)*stride] = f.finalBits[0]
+	if f.pullBytes(T, accept, rowMask, stride, 0) >= 0 {
 		return false
 	}
 	if finish != nil {
-		finish[n] = f.finalBits[0]
-		if i := f.pullBytes(T, finish, -1, 1); i > 0 {
-			clear(finish[:i]) // nothing precedes an empty row
+		finish[n*stride] = f.finalBits[0]
+		for i := f.pullBytes(T, finish, -1, stride, 1) - 1; i >= 0; i-- {
+			finish[i*stride] = 0 // nothing precedes an empty row
 		}
 	}
 	return accept[0]&(1<<uint(f.initial)) != 0
 }
 
 // pullBytes is one backward pass over T on the given kind of the byte-sliced
-// table, from row len(T) already in rows (row i lives at rows[i&rowMask]). It
-// stops at the first empty row and returns its position, -1 if there is none.
-func (f *FST) pullBytes(T []dict.ItemID, rows []uint64, rowMask, kind int) int {
+// table, from row len(T) already in rows (row i at rows[(i&rowMask)*stride]).
+// It stops at the first empty row and returns its position, -1 if none.
+func (f *FST) pullBytes(T []dict.ItemID, rows []uint64, rowMask, stride, kind int) int {
 	tab, classOf, k := f.byteTab, f.classOf, f.byteKind
-	x := rows[len(T)&rowMask]
+	x := rows[(len(T)&rowMask)*stride]
 	for i := len(T) - 1; i >= 0; i-- {
 		at := kind * k
 		if classOf != nil {
 			at += int(classOf[T[i]]) * 3 * k
 		}
 		if x = lookup(tab, at, x); x == 0 {
-			rows[i&rowMask] = 0
+			rows[(i&rowMask)*stride] = 0
 			return i
 		}
-		rows[i&rowMask] = x
+		rows[(i&rowMask)*stride] = x
 	}
 	return -1
 }
 
 // Productive fills prod, all len(T)+1 rows, from the accept matrix that a
-// successful Reach left in accept (all rows): bit q of row i is set iff an
-// ε-output path from state q at position i reaches an output transition whose
-// target accepts the rest of T — iff a run from there can still output an
-// item. It is one more backward pass,
+// successful Reach left in accept (all rows), both at the given stride: bit q
+// of row i is set iff an ε-output path from state q at position i reaches an
+// output transition whose target accepts the rest of T — iff a run from
+// there can still output an item. It is one more backward pass,
 //
 //	prod[n] = ∅,  prod[i] = pullBack_out(accept[i+1]) ∪ pullBack_ε(prod[i+1]),
 //
 // and accept = prod ∪ finish row by row: an accepting run either outputs
 // nothing or reaches its first output over ε-output transitions. Every word
-// of prod is written.
-func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64) {
+// of prod's rows is written.
+func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64, stride int) {
 	n, w := len(T), f.words
-	clear(prod[n*w:][:w])
+	clear(prod[n*stride:][:w])
 	if tab, classOf, k := f.byteTab, f.classOf, f.byteKind; tab != nil {
 		p := uint64(0)
 		for i := n - 1; i >= 0; i-- {
@@ -466,16 +467,16 @@ func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64) {
 			if classOf != nil {
 				at += int(classOf[T[i]]) * 3 * k
 			}
-			p = lookup(tab, at+k, accept[i+1]) | lookup(tab, at, p)
-			prod[i] = p
+			p = lookup(tab, at+k, accept[(i+1)*stride]) | lookup(tab, at, p)
+			prod[i*stride] = p
 		}
 		return
 	}
 	for i := n - 1; i >= 0; i-- {
 		c := f.class(T[i])
-		row := prod[i*w:][:w]
-		pullBack(f.outPred[c*w:], w, accept[(i+1)*w:][:w], row)
-		orPullBack(f.pred[c*2*w+w:], 2*w, prod[(i+1)*w:][:w], row)
+		row := prod[i*stride:][:w]
+		pullBack(f.outPred[c*w:], w, accept[(i+1)*stride:][:w], row)
+		orPullBack(f.pred[c*2*w+w:], 2*w, prod[(i+1)*stride:][:w], row)
 	}
 }
 
@@ -531,7 +532,7 @@ func (f *FST) CanAccept(T []dict.ItemID) bool {
 	if 2*f.words > len(stack) {
 		rows = make([]uint64, 2*f.words)
 	}
-	return f.Reach(T, rows[:2*f.words], nil)
+	return f.Reach(T, rows[:2*f.words], nil, f.words)
 }
 
 // OutputsFor returns the output set of transition tr for input item t, in one

@@ -3,6 +3,7 @@ package fst
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,7 +141,9 @@ func checkByteTab(t *testing.T, name string, f *FST, classes int) {
 // the label-level matrices: the verdict always, and every accept and finish row
 // when the sequence is accepted (a rejected sequence's rows are never read) —
 // and then the Productive pass over those accept rows to ProductiveMatrix,
-// with accept = prod ∪ finish row by row. The buffers start dirty — the
+// with accept = prod ∪ finish row by row. The same passes at stride
+// 3·Words(), into one block of interleaved accept | prod | finish rows (the
+// layout of DESQ-DFS), must give the same rows. The buffers start dirty — the
 // passes must write every word themselves.
 func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	t.Helper()
@@ -149,16 +152,23 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	finish := make([]uint64, (len(T)+1)*w)
 	alone := make([]uint64, (len(T)+1)*w)
 	prod := make([]uint64, (len(T)+1)*w)
+	block := make([]uint64, (len(T)+1)*3*w)
 	for i := range accept {
 		accept[i], finish[i], alone[i], prod[i] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
 	}
+	for i := range block {
+		block[i] = ^uint64(0)
+	}
 	ref, fref := f.AcceptMatrix(T), f.FinishMatrix(T)
 	want := ref[0][f.g.initial]
-	if got := f.Reach(T, accept, finish); got != want {
+	if got := f.Reach(T, accept, finish, w); got != want {
 		t.Fatalf("%s: Reach(%v) = %v, want %v", name, T, got, want)
 	}
-	if got := f.Reach(T, alone, nil); got != want {
+	if got := f.Reach(T, alone, nil, w); got != want {
 		t.Fatalf("%s: Reach(%v) without finish = %v, want %v", name, T, got, want)
+	}
+	if got := f.Reach(T, block, block[2*w:], 3*w); got != want {
+		t.Fatalf("%s: Reach(%v) at stride %d = %v, want %v", name, T, 3*w, got, want)
 	}
 	if got := f.CanAccept(T); got != want {
 		t.Fatalf("%s: CanAccept(%v) = %v, want %v", name, T, got, want)
@@ -166,10 +176,16 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	if !want {
 		return
 	}
-	f.Productive(T, accept, prod)
+	f.Productive(T, accept, prod, w)
+	f.Productive(T, block, block[w:], 3*w)
 	pref := f.ProductiveMatrix(T)
 	bit := func(rows []uint64, i, q int) bool { return rows[i*w+q>>6]&(1<<(uint(q)&63)) != 0 }
 	for i := 0; i <= len(T); i++ {
+		for k, rows := range [][]uint64{accept, prod, finish} {
+			if got := block[i*3*w+k*w:][:w]; !slices.Equal(got, rows[i*w:][:w]) {
+				t.Fatalf("%s: interleaved row %d, matrix %d = %#x, want %#x (T=%v)", name, i, k, got, rows[i*w:][:w], T)
+			}
+		}
 		for q := 0; q < len(f.g.final); q++ {
 			if bit(accept, i, q) != ref[i][q] || bit(alone, i, q) != ref[i][q] {
 				t.Fatalf("%s: accept[%d][%d] = %v/%v, want %v (T=%v)", name, i, q, bit(accept, i, q), bit(alone, i, q), ref[i][q], T)

@@ -2,13 +2,18 @@ package miner_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
+	"seqmine/internal/datagen"
 	"seqmine/internal/dict"
+	"seqmine/internal/experiments"
 	"seqmine/internal/fst"
 	"seqmine/internal/miner"
 	"seqmine/internal/paperex"
+	"seqmine/internal/seqdb"
 )
 
 func benchDatabase(n, maxLen int) (*dict.Dictionary, *fst.FST, []miner.WeightedSequence) {
@@ -83,6 +88,60 @@ func BenchmarkMineDFSPivot(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				miner.MineDFS(f, db, 5, miner.DFSOptions{Pivot: pivotItem, EarlyStopping: early})
 			}
+		})
+	}
+}
+
+// servedSigmas are the sigmas the serving benchmark's σ sweep asks for, on
+// 30,000 NYT-like sentences.
+var servedSigmas = []int64{8, 10, 12, 16, 20, 24, 32, 40, 48, 64, 80, 100}
+
+// nytFixture is the serving benchmark's database: 30,000 NYT-like sentences
+// of seed 1, generated once per test binary.
+var nytFixture = sync.OnceValue(func() *seqdb.Database {
+	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 30000, Seed: 1})
+	if err != nil {
+		panic(err)
+	}
+	return db
+})
+
+// servedExprs are N1–N3 of Table III, the expressions the service is
+// benchmarked on.
+var servedExprs = []string{experiments.N1Expr, experiments.N2Expr, experiments.N3Expr}
+
+// BenchmarkPreparedMine is the serving layer's miner: one Prepared per
+// expression over the NYT-like fixture, mined at every served sigma in turn
+// on two workers per op — the work behind a warm σ sweep's mine time.
+func BenchmarkPreparedMine(b *testing.B) {
+	ctx := context.Background()
+	db := nytFixture()
+	for i, expr := range servedExprs {
+		p := miner.Prepare(ctx, fst.MustCompile(expr, db.Dict), db.Sequences, 2)
+		b.Run(fmt.Sprintf("N%d", i+1), func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				for _, sigma := range servedSigmas {
+					p.Mine(ctx, sigma, 2, nil)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPrepare is the first query of an expression: Prepare over the
+// NYT-like fixture on two workers. It reports the MB the Prepared keeps.
+func BenchmarkPrepare(b *testing.B) {
+	ctx := context.Background()
+	db := nytFixture()
+	for i, expr := range servedExprs {
+		f := fst.MustCompile(expr, db.Dict)
+		b.Run(fmt.Sprintf("N%d", i+1), func(b *testing.B) {
+			var p *miner.Prepared
+			for n := 0; n < b.N; n++ {
+				p = miner.Prepare(ctx, f, db.Sequences, 2)
+			}
+			b.ReportMetric(float64(p.Bytes())/1e6, "MB")
 		})
 	}
 }

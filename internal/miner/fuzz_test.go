@@ -3,6 +3,7 @@ package miner_test
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -15,7 +16,9 @@ import (
 // hierarchy (every item takes up to two parents among the items before it),
 // up to 23 sequences of up to five items — empty ones included — and a
 // pattern expression over item expressions of every kind under concatenation,
-// alternation and repetition. Exhausted input reads as zeros.
+// alternation and repetition — one in eight with a leading {1,70} repetition,
+// whose automaton has more than 64 states and so rows of several words.
+// Exhausted input reads as zeros.
 func genCase(data []byte) (*dict.Dictionary, [][]dict.ItemID, string) {
 	next := func() int {
 		if len(data) == 0 {
@@ -78,7 +81,11 @@ func genCase(data []byte) (*dict.Dictionary, [][]dict.ItemID, string) {
 			return x + " " + y
 		}
 	}
-	return d, db, ".*" + expr(3) + ".*"
+	e := expr(3)
+	if next()%8 == 7 { // more than 64 states, rows of several words
+		e = "[" + expr(0) + "]{1,70} " + e
+	}
+	return d, db, ".*" + e + ".*"
 }
 
 // FuzzPreparedMatchesMineDFS takes a hierarchy, a database, an expression and
@@ -106,6 +113,75 @@ func FuzzPreparedMatchesMineDFS(f *testing.F) {
 			if got := p.Mine(ctx, sigma, 2, nil); !samePatterns(got, want) {
 				t.Fatalf("%q over %v at sigma %d:\n got %v\nwant %v", expr, db, sigma, got, want)
 			}
+		}
+	})
+}
+
+// withWeights gives every sequence of db a weight of 1–5 drawn from seed.
+func withWeights(db [][]dict.ItemID, seed int64) []miner.WeightedSequence {
+	rng := rand.New(rand.NewSource(seed))
+	ws := miner.Weighted(db)
+	for i := range ws {
+		ws[i].Weight = 1 + rng.Int63n(5)
+	}
+	return ws
+}
+
+// checkMatchesMineCount holds MineDFS to MineCount, which enumerates every
+// sequence's candidates and sums their weights and shares neither the scan
+// nor its supports: MineDFS on one and on two workers must return exactly
+// MineCount's patterns, and on every pivot partition, with and without early
+// stopping, exactly those of them whose largest item is the pivot. It returns
+// the number of patterns MineCount reports.
+func checkMatchesMineCount(t *testing.T, name string, f *fst.FST, db []miner.WeightedSequence, sigma int64) int {
+	t.Helper()
+	want := miner.MineCount(context.Background(), f, db, sigma, 1)
+	for _, workers := range []int{1, 2} {
+		if got := miner.MineDFS(f, db, sigma, miner.DFSOptions{Workers: workers}); !samePatterns(got, want) {
+			t.Fatalf("%s over %v at sigma %d on %d workers:\n got %v\nwant %v", name, db, sigma, workers, got, want)
+		}
+	}
+	for pivot := dict.ItemID(1); int(pivot) <= f.Dict().Size(); pivot++ {
+		var part []miner.Pattern
+		for _, p := range want {
+			if dict.PivotOf(p.Items) == pivot {
+				part = append(part, p)
+			}
+		}
+		for _, early := range []bool{false, true} {
+			got := miner.MineDFS(f, db, sigma, miner.DFSOptions{Pivot: pivot, EarlyStopping: early})
+			if !samePatterns(got, part) {
+				t.Fatalf("%s over %v at sigma %d, pivot %d, early stopping %v:\n got %v\nwant %v",
+					name, db, sigma, pivot, early, got, part)
+			}
+		}
+	}
+	return len(want)
+}
+
+// FuzzMineDFSMatchesMineCount takes a hierarchy, a database, an expression
+// and two thresholds from the fuzzer (genCase) and a seed for weights of 1–5
+// per sequence: at both thresholds, MineDFS must agree with MineCount
+// (checkMatchesMineCount) — the weighted supports DESQ-DFS counts in its scan
+// against an oracle that does not run it.
+func FuzzMineDFSMatchesMineCount(f *testing.F) {
+	f.Add([]byte{}, int64(1), uint8(1), uint8(2))
+	f.Add([]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, int64(2), uint8(3), uint8(6))
+	f.Add([]byte("a small hierarchy, a database and an expression from bytes"), int64(3), uint8(2), uint8(9))
+	f.Add([]byte("\xa4\xf9\xe5\xcfBU\xee\xb1\xe9\xe8\x00\x9a\xb5\a9[\xac\xb8\xb2\x17~|WW\xad\x02\xba\xa9\xa9m"+
+		"\xb9g\xd2\n\x15\r-\xd7\xf3\b\x1d\x90g_\xe0"), int64(4), uint8(1), uint8(4)) // 72 states
+	f.Fuzz(func(t *testing.T, data []byte, seed int64, s1, s2 uint8) {
+		if len(data) > 512 {
+			return
+		}
+		d, db, expr := genCase(data)
+		fm, err := fst.Compile(expr, d)
+		if err != nil || fm.NumStates() > 256 {
+			return
+		}
+		ws := withWeights(db, seed)
+		for _, sigma := range []int64{1 + int64(s1%16), 1 + int64(s2%16)} {
+			checkMatchesMineCount(t, expr, fm, ws, sigma)
 		}
 	})
 }

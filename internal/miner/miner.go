@@ -55,7 +55,7 @@ func SortPatterns(ps []Pattern) {
 		if ps[i].Freq != ps[j].Freq {
 			return ps[i].Freq > ps[j].Freq
 		}
-		return lessSeq(ps[i].Items, ps[j].Items)
+		return slices.Compare(ps[i].Items, ps[j].Items) < 0
 	})
 }
 
@@ -67,15 +67,6 @@ func PatternsToMap(d *dict.Dictionary, ps []Pattern) map[string]int64 {
 		out[d.DecodeString(p.Items)] = p.Freq
 	}
 	return out
-}
-
-func lessSeq(a, b []dict.ItemID) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // MineCount implements DESQ-COUNT: it enumerates Gσπ(T) for every input
@@ -261,13 +252,14 @@ type SplitStats struct {
 // opts.
 //
 // The implementation works entirely on the FST's tables: one fst.FST.Reach
-// pass per sequence yields its accept and finish bitset matrices (and rejects
-// sequences without an accepting run) and one fst.FST.Productive pass its
-// prod matrix, the snapshots that can still
-// emit — the only ones a scan walks; simulation
-// snapshots are packed (pos, state) cells in int32 arrays, per-expansion
-// projected databases are flat int32 buffers, and all of it — the matrices of
-// the whole database included, carved from one arena — is pooled scratch.
+// pass per sequence writes its accept and finish rows (and rejects sequences
+// without an accepting run) and one fst.FST.Productive pass its prod rows, the
+// snapshots that can still emit, into the sequence's one row block (seqCache);
+// one scan of a projected database yields the prefix's support and every
+// expansion's projected database and support. Snapshots are packed (pos,
+// state) cells in int32 arrays, projected databases flat int32 buffers, and
+// all of it — the row blocks of the whole database, carved from one arena —
+// is pooled scratch.
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
 // mining allocates only the reported patterns.
 //
@@ -374,24 +366,25 @@ func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int)
 	return p
 }
 
-// retainMatrices copies the matrices of the accepted sequences — the ranges'
+// retainMatrices copies the row blocks of the accepted sequences — the ranges'
 // root projected databases — out of the pooled arena, which reserves room for
 // every sequence, into one of the size they use, and points p's cache at them.
 func (p *Prepared) retainMatrices(sh *dfsShared) {
+	block := func(seq int32) int { return (len(p.m.db[seq].Items) + 1) * matrices * p.m.words }
 	n := 0
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
-			n += matrices * len(sh.cache[proj[0]].accept)
+			n += block(proj[0])
 		}
 	}
 	arena := make([]uint64, 0, n)
-	cache := make([]seqCache, len(sh.cache))
+	cache := slices.Repeat([]seqCache{{rows: -1, lastPivot: -1}}, len(sh.cache))
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
 			c := sh.cache[proj[0]]
-			rows, at := len(c.accept), len(arena)
-			arena = append(append(append(arena, c.accept...), c.finish...), c.prod...)
-			c.accept, c.finish, c.prod = arena[at:at+rows], arena[at+rows:at+2*rows], arena[at+2*rows:]
+			at := len(arena)
+			arena = append(arena, sh.arena[c.rows:c.rows+block(proj[0])]...)
+			c.rows = at
 			cache[proj[0]] = c
 		}
 	}
@@ -433,18 +426,20 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 	return out
 }
 
-// seqCache holds the per-sequence bitset matrices used during mining, all
-// slices of dfsShared.arena. Rows are words-sized bitsets over states; row i
-// covers the input suffix T[i:]. Sequences without an accepting run have none.
+// seqCache locates a sequence's row block in the arena: row i, for the suffix
+// T[i:], is three bitsets over states side by side — accept_i | prod_i |
+// finish_i — so a scan finds a cell's three bits in one place. accept: the
+// state reaches acceptance on T[i:]; prod: it can still output an item
+// (fst.FST.Productive); finish: it reaches the end of T in a final state over
+// ε-output transitions only.
 type seqCache struct {
-	accept    []uint64 // accepting-reachable coordinates (any outputs)
-	finish    []uint64 // reachable end-of-input via ε-output transitions only
-	prod      []uint64 // can still output an item (fst.FST.Productive)
-	lastPivot int32    // last position that can produce the pivot item (-1 if none)
+	rows      int   // arena offset of row 0; -1: no accepting run, no rows
+	lastPivot int32 // last position that can produce the pivot item (-1 if none)
 }
 
-// matrices is the number of a seqCache's matrices: accept, finish and prod.
-const matrices = 3
+// matrices is the number of bitsets in a row; prod starts prodAt·words and
+// finish finishAt·words words into it.
+const matrices, prodAt, finishAt = 3, 1, 2
 
 // maxStampCells caps the size of the epoch-stamped snapshot-dedup array (16MB
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
@@ -454,8 +449,8 @@ const maxStampCells = 1 << 22
 // build and its tasks only read: pooled with the dfsShared of a one-shot
 // MineDFS, a Prepared's own when it is kept.
 type dfsState struct {
-	arena  []uint64   // accept, finish and prod matrices of every accepted sequence
-	cache  []seqCache // per input sequence, slices of arena
+	arena  []uint64   // the row blocks of every accepted sequence
+	cache  []seqCache // per input sequence, its row block in arena
 	roots  []rootItem // the first items, largest projected database first
 	level1 []int32    // the roots' projected databases, back to back
 }
@@ -500,16 +495,21 @@ type dfsScratch struct {
 }
 
 // frame is the per-recursion-depth expansion scratch: the distinct expansion
-// items found at this depth and one projected-database buffer per item.
+// items found at this depth and one projected-database buffer per item, and
+// the prefix's support if it is reportable (see scan).
 type frame struct {
-	order []uint64 // packed (item<<32 | slot), sorted ascending by scan
-	exps  []expBuf
+	order      []uint64 // packed (item<<32 | slot), sorted ascending by scan
+	exps       []expBuf
+	reportable bool
+	support    int64
 }
 
 // expBuf accumulates the projected database of one expansion item as flat
-// int32 records: [seqIdx, snapCount, cell, cell, ...].
+// int32 records: [seqIdx, snapCount, cell, cell, ...], and the weight of the
+// sequences it holds.
 type expBuf struct {
 	buf      []int32
+	support  int64
 	lastSeq  int32
 	countIdx int32
 }
@@ -699,26 +699,26 @@ func (m *dfsMiner) stopped() bool {
 }
 
 // setUp runs one Reach and one Productive pass per sequence of the worker's
-// range, filling the sequence's matrices at the tail of the range's arena
-// region (the space is kept only if the sequence has an accepting run), and
-// collects the root projected database of the range.
+// range, writing the sequence's row block in place at the tail of the range's
+// arena region (the space is kept only if the sequence has an accepting run),
+// and collects the root projected database of the range.
 func (m *dfsMiner) setUp() {
 	sc := m.sc
 	initCell := int32(m.fst.Initial()) // pos 0 → cell = state
+	stride := matrices * m.words
 	used := m.base
 	for i := m.lo; i < m.hi; i++ {
 		if i&1023 == 1023 && m.stopped() {
 			return
 		}
 		T := m.db[i].Items
-		rows := (len(T) + 1) * m.words
-		c := seqCache{accept: m.sh.arena[used : used+rows], finish: m.sh.arena[used+rows : used+2*rows],
-			prod: m.sh.arena[used+2*rows : used+3*rows], lastPivot: -1}
-		if len(T) == 0 || !m.fst.Reach(T, c.accept, c.finish) {
+		block := m.sh.arena[used : used+(len(T)+1)*stride]
+		if len(T) == 0 || !m.fst.Reach(T, block, block[finishAt*m.words:], stride) {
 			continue
 		}
-		m.fst.Productive(T, c.accept, c.prod)
-		used += matrices * rows
+		m.fst.Productive(T, block, block[prodAt*m.words:], stride)
+		c := seqCache{rows: used, lastPivot: -1}
+		used += len(block)
 		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
 			c.lastPivot = int32(m.lastPivotPosition(T))
 		}
@@ -740,36 +740,11 @@ func (m *dfsMiner) lastPivotPosition(T []dict.ItemID) int {
 }
 
 // prefixSupport sums the weights of the sequences present in the projected
-// database (antimonotone pruning quantity).
+// database (antimonotone pruning quantity). Below the root, scan counts it.
 func (m *dfsMiner) prefixSupport(proj []int32) int64 {
 	var s int64
 	for i := 0; i < len(proj); i += 2 + int(proj[i+1]) {
 		s += m.db[proj[i]].Weight
-	}
-	return s
-}
-
-// completeSupport sums the weights of sequences for which the current prefix
-// is a complete candidate subsequence: some snapshot can reach the end of the
-// input in a final state without producing further output.
-func (m *dfsMiner) completeSupport(proj []int32) int64 {
-	var s int64
-	sb := m.stateBits
-	mask := int32(1)<<sb - 1
-	for i := 0; i < len(proj); {
-		seq := proj[i]
-		n := int(proj[i+1])
-		c := &m.sh.cache[seq]
-		for k := 0; k < n; k++ {
-			cell := proj[i+2+k]
-			pos := int(cell >> sb)
-			q := uint(cell & mask)
-			if c.finish[pos*m.words+int(q>>6)]&(1<<(q&63)) != 0 {
-				s += m.db[seq].Weight
-				break
-			}
-		}
-		i += 2 + n
 	}
 	return s
 }
@@ -808,21 +783,16 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 		return
 	}
 	sc := m.sc
-	if depth > 0 {
-		prefix := sc.prefix[:depth]
-		if m.opts.Pivot == dict.None || containsItem(prefix, m.opts.Pivot) {
-			if freq := m.completeSupport(proj); freq >= m.sigma {
-				m.out = append(m.out, Pattern{Items: append([]dict.ItemID(nil), prefix...), Freq: freq})
-			}
-		}
+	fr := m.scan(depth, proj)
+	if fr.reportable && fr.support >= m.sigma {
+		m.out = append(m.out, Pattern{Items: append([]dict.ItemID(nil), sc.prefix[:depth]...), Freq: fr.support})
 	}
 
 	// Recurse on sufficiently supported expansions, in ascending item order.
-	fr := m.scan(depth, proj)
 	for _, p := range fr.order {
 		w := dict.ItemID(p >> 32)
 		e := &fr.exps[uint32(p)]
-		if m.prefixSupport(e.buf) < m.sigma {
+		if e.support < m.sigma {
 			continue
 		}
 		sc.prefix = append(sc.prefix[:depth], w)
@@ -833,7 +803,9 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 // scan simulates every snapshot of proj, the projected database of the prefix
 // sc.prefix[:depth], one output item further and returns the depth's frame:
 // the distinct expansion items in ascending order, each with its projected
-// database.
+// database and support, and — if the prefix is reportable (non-empty and
+// holding any pivot) — its support: the weight of the sequences with a
+// snapshot of proj whose finish bit is set, checked before any filter.
 func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	sc := m.sc
 	for len(sc.frames) <= depth {
@@ -842,8 +814,10 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	fr := &sc.frames[depth]
 	fr.order = fr.order[:0]
 
-	hasPivot := m.opts.Pivot != dict.None && containsItem(sc.prefix[:depth], m.opts.Pivot)
+	hasPivot := m.opts.Pivot != dict.None && slices.Contains(sc.prefix[:depth], m.opts.Pivot)
 	earlyStop := m.opts.EarlyStopping && m.opts.Pivot != dict.None && !hasPivot
+	fr.reportable = depth > 0 && (m.opts.Pivot == dict.None || hasPivot)
+	fr.support = 0
 
 	sc.itemGen++
 	if sc.itemGen == 0 {
@@ -854,6 +828,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	sb := m.stateBits
 	mask := int32(1)<<sb - 1
 	W := m.words
+	stride := matrices * W
 
 	for pi, n := 0, 0; pi < len(proj); n++ {
 		if n&1023 == 1023 && m.stopped() {
@@ -864,7 +839,8 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 		snaps := proj[pi+2 : pi+2+nsn]
 		pi += 2 + nsn
 
-		c := &m.sh.cache[seq]
+		c := m.sh.cache[seq]
+		rows := m.sh.arena[c.rows:]
 		T := m.db[seq].Items
 
 		if sc.snapStamp != nil {
@@ -877,11 +853,18 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 			clear(sc.snapSeen)
 		}
 		sc.stack = sc.stack[:0]
+		complete := !fr.reportable
 		for _, cell := range snaps {
+			q := uint32(cell & mask)
+			row, bit := rows[int(cell>>sb)*stride+int(q>>6):], uint64(1)<<(q&63)
+			if !complete && row[finishAt*W]&bit != 0 {
+				fr.support += m.db[seq].Weight
+				complete = true
+			}
 			if earlyStop && c.lastPivot >= 0 && cell>>sb > c.lastPivot {
 				continue // this snapshot can no longer produce the pivot
 			}
-			if q := uint32(cell & mask); c.prod[int(cell>>sb)*W+int(q>>6)]&(1<<(q&63)) != 0 && m.markSnap(cell) {
+			if row[prodAt*W]&bit != 0 && m.markSnap(cell) {
 				sc.stack = append(sc.stack, cell)
 			}
 		}
@@ -897,11 +880,11 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 			sc.stack = sc.stack[:len(sc.stack)-1]
 			pos := int(cell >> sb)
 			t := T[pos]
-			nextRow, nextProd := c.accept[(pos+1)*W:], c.prod[(pos+1)*W:]
+			next := rows[(pos+1)*stride:]
 			for _, tr := range m.fst.Firing(int(cell&mask), t) {
 				to := m.fst.To(tr)
 				bit := uint64(1) << (uint32(to) & 63)
-				if nextRow[uint32(to)>>6]&bit == 0 {
+				if next[uint32(to)>>6]&bit == 0 {
 					continue // target cannot reach acceptance
 				}
 				nextCell := int32(pos+1)<<sb | to
@@ -909,7 +892,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 				if single != dict.None {
 					m.project(fr, single, seq, nextCell)
 				} else if set == nil {
-					if nextProd[uint32(to)>>6]&bit != 0 && m.markSnap(nextCell) {
+					if next[prodAt*W+int(uint32(to)>>6)]&bit != 0 && m.markSnap(nextCell) {
 						sc.stack = append(sc.stack, nextCell)
 					}
 				}
@@ -925,7 +908,8 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 }
 
 // project appends cell to sequence seq's snapshots in the projected database
-// of expansion item w at frame fr, opening the item's buffer on first use.
+// of expansion item w at frame fr, opening the item's buffer on first use and
+// the sequence's record, which adds its weight to the item's support.
 func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
 	if !m.expandable(w) {
 		return
@@ -940,6 +924,7 @@ func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
 			fr.exps = append(fr.exps, expBuf{})
 		}
 		fr.exps[slot].buf = fr.exps[slot].buf[:0]
+		fr.exps[slot].support = 0
 		fr.exps[slot].lastSeq = -1
 	}
 	e := &fr.exps[sc.itemSlot[w]]
@@ -947,16 +932,8 @@ func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
 		e.lastSeq = seq
 		e.countIdx = int32(len(e.buf) + 1)
 		e.buf = append(e.buf, seq, 0)
+		e.support += m.db[seq].Weight
 	}
 	e.buf = append(e.buf, cell)
 	e.buf[e.countIdx]++
-}
-
-func containsItem(seq []dict.ItemID, w dict.ItemID) bool {
-	for _, it := range seq {
-		if it == w {
-			return true
-		}
-	}
-	return false
 }

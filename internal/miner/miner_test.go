@@ -2,6 +2,7 @@ package miner_test
 
 import (
 	"context"
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -149,8 +150,11 @@ func randomDB(rng *rand.Rand, d *dict.Dictionary, numSeqs, maxLen int) [][]dict.
 }
 
 // TestMineDFSMatchesMineCountRandom is the central equivalence property:
-// DESQ-DFS and DESQ-COUNT agree on random databases for several constraints
-// and thresholds.
+// DESQ-DFS and DESQ-COUNT agree (checkMatchesMineCount: on one and two
+// workers and on every pivot partition) on random databases with weights of
+// 1–5 for several constraints and thresholds, and on generated hierarchies ×
+// databases × expressions (genCase), at least three of whose automata have
+// more than 64 states.
 func TestMineDFSMatchesMineCountRandom(t *testing.T) {
 	d := paperex.Dict()
 	patterns := []string{
@@ -161,18 +165,35 @@ func TestMineDFSMatchesMineCountRandom(t *testing.T) {
 		".*[(A^=)|(c)] .* (b).*",
 	}
 	rng := rand.New(rand.NewSource(42))
+	reported := 0
 	for _, pat := range patterns {
 		f := fst.MustCompile(pat, d)
 		for trial := 0; trial < 6; trial++ {
-			db := randomDB(rng, d, 12, 6)
-			for _, sigma := range []int64{1, 2, 3} {
-				want := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), sigma, 1))
-				got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("pattern %q sigma %d: DFS %v != COUNT %v (db=%v)", pat, sigma, got, want, db)
-				}
+			db := withWeights(randomDB(rng, d, 12, 6), rng.Int63())
+			for _, sigma := range []int64{1, 2, 3, 6} {
+				reported += checkMatchesMineCount(t, pat, f, db, sigma)
 			}
 		}
+	}
+	wide := 0
+	for trial := 0; trial < 60; trial++ {
+		data := make([]byte, 256)
+		rng.Read(data)
+		d, db, expr := genCase(data)
+		f, err := fst.Compile(expr, d)
+		if err != nil {
+			t.Fatalf("generated expression %q does not compile: %v", expr, err)
+		}
+		if f.Words() > 1 {
+			wide++
+		}
+		ws := withWeights(db, rng.Int63())
+		for _, sigma := range []int64{1, 3, 7} {
+			reported += checkMatchesMineCount(t, fmt.Sprintf("generated %q", expr), f, ws, sigma)
+		}
+	}
+	if wide < 3 || reported == 0 {
+		t.Fatalf("%d generated automata with more than 64 states (want ≥ 3), %d patterns reported", wide, reported)
 	}
 }
 

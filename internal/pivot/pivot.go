@@ -324,7 +324,7 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	sc := gridPool.Get().(*gridScratch)
 	sc.prepare(n, words, numStates)
 	init := f.Initial()
-	if !f.Reach(T, sc.reach, nil) {
+	if !f.Reach(T, sc.reach, nil, words) {
 		gridPool.Put(sc)
 		return a
 	}
