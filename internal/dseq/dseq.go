@@ -27,8 +27,10 @@ type Options struct {
 	// Rewrite enables sending rewritten (shortened) input sequences instead
 	// of the full sequences.
 	Rewrite bool
-	// EarlyStopping enables the local-mining heuristic that stops growing
-	// prefixes that can no longer contain the pivot item.
+	// EarlyStopping enables the exact early stopping of local mining: a
+	// prefix without the pivot item is grown only from the (position, state)
+	// cells that can still output the pivot, and only those count towards its
+	// children's supports (miner.DFSOptions.EarlyStopping).
 	EarlyStopping bool
 	// Aggregate merges identical (rewritten) sequences sent to the same
 	// partition by a map worker into a single weighted record.

@@ -317,8 +317,11 @@ func Fig9c(ds *Datasets) (Table, error) {
 // ---------------------------------------------------------------------------
 
 // Fig10a measures the effect of the position-state grid, sequence rewriting
-// and early stopping in D-SEQ (paper Fig. 10a). The horizontal line of the
-// paper's bars (start of the mine stage) corresponds to the map-time column.
+// and early stopping in D-SEQ (paper Fig. 10a). The "no stop" columns ablate
+// the per-cell rule: a prefix without the pivot is grown from, and counts
+// towards its children's supports, every productive cell rather than only
+// those that can still output the pivot. The horizontal line of the paper's
+// bars (start of the mine stage) corresponds to the map-time column.
 func Fig10a(ds *Datasets) (Table, error) {
 	variants := []struct {
 		name string

@@ -160,6 +160,26 @@ func BenchmarkProductive(b *testing.B) {
 	}
 }
 
+// BenchmarkPivotLive measures the pivot-live pass over the accept rows of the
+// fixtures' accepted sequences, for their most frequent item (fid 1) as the
+// pivot, in ns per position of those sequences.
+func BenchmarkPivotLive(b *testing.B) {
+	for _, fx := range reachFixtures(b) {
+		b.Run(fx.name, func(b *testing.B) {
+			rows, seqs := fx.acceptRows()
+			live := fx.buffer()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j, T := range seqs {
+					fx.flat.PivotLive(T, 1, rows[j], live, fx.flat.Words())
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(seqs)), "ns/pos")
+		})
+	}
+}
+
 // TestReachDoesNotAllocate pins BenchmarkReach's pass at zero allocations:
 // the matrices go into the caller's buffer.
 func TestReachDoesNotAllocate(t *testing.T) {
@@ -191,6 +211,25 @@ func TestProductiveDoesNotAllocate(t *testing.T) {
 			}
 		}); n != 0 {
 			t.Fatalf("%s: Productive allocates %.0f times per database pass, want 0", fx.name, n)
+		}
+	}
+}
+
+// TestPivotLiveDoesNotAllocate pins BenchmarkPivotLive's pass at zero
+// allocations: live goes into the caller's buffer.
+func TestPivotLiveDoesNotAllocate(t *testing.T) {
+	for _, fx := range reachFixtures(t) {
+		rows, seqs := fx.acceptRows()
+		if len(seqs) == 0 {
+			t.Fatalf("%s: no sequence accepted; the pin is vacuous", fx.name)
+		}
+		live := fx.buffer()
+		if n := testing.AllocsPerRun(20, func() {
+			for j, T := range seqs {
+				fx.flat.PivotLive(T, 1, rows[j], live, fx.flat.Words())
+			}
+		}); n != 0 {
+			t.Fatalf("%s: PivotLive allocates %.0f times per database pass, want 0", fx.name, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package fst
 
 import (
 	"math/bits"
+	"slices"
 	"sync"
 
 	"seqmine/internal/dict"
@@ -26,11 +27,11 @@ import (
 // sets of the states still live (Reach), and the DFS walks iterate only
 // transitions that fire (Firing).
 //
-// When a row is one word (≤ 64 states), Reach and Productive do not visit
-// live states one by one: a byte-sliced table (byteTab) holds the union of
-// the masks of every 8-state group's subsets, so a step is one probe per
-// byte of the row, at most ⌈states/8⌉, however many states are live. It is
-// exact, since a union distributes over the bytes.
+// When a row is one word (≤ 64 states), Reach, Productive and PivotLive do
+// not visit live states one by one: a byte-sliced table (byteTab) holds the
+// union of the masks of every 8-state group's subsets, so a step is one probe
+// per byte of the row, at most ⌈states/8⌉, however many states are live. It
+// is exact, since a union distributes over the bytes.
 //
 // The label-level graph the tables are built from stays behind them as the
 // reference of Transitions; no simulator reads it. An FST is immutable after
@@ -477,6 +478,45 @@ func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64, stride int) {
 		row := prod[i*stride:][:w]
 		pullBack(f.outPred[c*w:], w, accept[(i+1)*stride:][:w], row)
 		orPullBack(f.pred[c*2*w+w:], 2*w, prod[(i+1)*stride:][:w], row)
+	}
+}
+
+// PivotLive fills live, all len(T)+1 rows, from the accept matrix that a
+// successful Reach left in accept (all rows), both at the given stride: bit q
+// of row i is set iff an accepting run from state q at position i takes an
+// output transition at a position j >= i whose item T[j] has k among its
+// ancestors — iff a run from there can still output the pivot k (every output
+// of a transition is an ancestor of its input item). It is one more backward
+// pass,
+//
+//	live[n] = ∅,  live[i] = pullBack_any(live[i+1]) ∪ (k ∈ anc(T[i]) ? pullBack_out(accept[i+1]) : ∅),
+//
+// and live ⊆ prod row by row. Every word of live's rows is written.
+func (f *FST) PivotLive(T []dict.ItemID, k dict.ItemID, accept, live []uint64, stride int) {
+	n, w := len(T), f.words
+	clear(live[n*stride:][:w])
+	if tab, classOf, kind := f.byteTab, f.classOf, f.byteKind; tab != nil {
+		l := uint64(0)
+		for i := n - 1; i >= 0; i-- {
+			at := 0
+			if classOf != nil {
+				at = int(classOf[T[i]]) * 3 * kind
+			}
+			l = lookup(tab, at, l)
+			if slices.Contains(f.dict.Ancestors(T[i]), k) {
+				l |= lookup(tab, at+2*kind, accept[(i+1)*stride])
+			}
+			live[i*stride] = l
+		}
+		return
+	}
+	for i := n - 1; i >= 0; i-- {
+		c := f.class(T[i])
+		row := live[i*stride:][:w]
+		pullBack(f.pred[c*2*w:], 2*w, live[(i+1)*stride:][:w], row)
+		if slices.Contains(f.dict.Ancestors(T[i]), k) {
+			orPullBack(f.outPred[c*w:], w, accept[(i+1)*stride:][:w], row)
+		}
 	}
 }
 

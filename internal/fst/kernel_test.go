@@ -141,24 +141,20 @@ func checkByteTab(t *testing.T, name string, f *FST, classes int) {
 // the label-level matrices: the verdict always, and every accept and finish row
 // when the sequence is accepted (a rejected sequence's rows are never read) —
 // and then the Productive pass over those accept rows to ProductiveMatrix,
-// with accept = prod ∪ finish row by row. The same passes at stride
-// 3·Words(), into one block of interleaved accept | prod | finish rows (the
-// layout of DESQ-DFS), must give the same rows. The buffers start dirty — the
-// passes must write every word themselves.
+// with accept = prod ∪ finish row by row, and the PivotLive pass for every
+// pivot among the ancestors of T's items to PivotLiveMatrix (checkPivotLive).
+// The same passes at stride 4·Words(), into one block of interleaved accept |
+// prod | finish | live rows (the layout of DESQ-DFS under a pivot), must give
+// the same rows. The buffers start dirty — the passes must write every word
+// themselves.
 func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	t.Helper()
 	w := f.words
-	accept := make([]uint64, (len(T)+1)*w)
-	finish := make([]uint64, (len(T)+1)*w)
-	alone := make([]uint64, (len(T)+1)*w)
-	prod := make([]uint64, (len(T)+1)*w)
-	block := make([]uint64, (len(T)+1)*3*w)
-	for i := range accept {
-		accept[i], finish[i], alone[i], prod[i] = ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
-	}
-	for i := range block {
-		block[i] = ^uint64(0)
-	}
+	accept := dirtyRows(len(T), w)
+	finish := dirtyRows(len(T), w)
+	alone := dirtyRows(len(T), w)
+	prod := dirtyRows(len(T), w)
+	block := dirtyRows(len(T), 4*w)
 	ref, fref := f.AcceptMatrix(T), f.FinishMatrix(T)
 	want := ref[0][f.g.initial]
 	if got := f.Reach(T, accept, finish, w); got != want {
@@ -167,8 +163,8 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	if got := f.Reach(T, alone, nil, w); got != want {
 		t.Fatalf("%s: Reach(%v) without finish = %v, want %v", name, T, got, want)
 	}
-	if got := f.Reach(T, block, block[2*w:], 3*w); got != want {
-		t.Fatalf("%s: Reach(%v) at stride %d = %v, want %v", name, T, 3*w, got, want)
+	if got := f.Reach(T, block, block[2*w:], 4*w); got != want {
+		t.Fatalf("%s: Reach(%v) at stride %d = %v, want %v", name, T, 4*w, got, want)
 	}
 	if got := f.CanAccept(T); got != want {
 		t.Fatalf("%s: CanAccept(%v) = %v, want %v", name, T, got, want)
@@ -177,23 +173,22 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 		return
 	}
 	f.Productive(T, accept, prod, w)
-	f.Productive(T, block, block[w:], 3*w)
+	f.Productive(T, block, block[w:], 4*w)
 	pref := f.ProductiveMatrix(T)
-	bit := func(rows []uint64, i, q int) bool { return rows[i*w+q>>6]&(1<<(uint(q)&63)) != 0 }
 	for i := 0; i <= len(T); i++ {
 		for k, rows := range [][]uint64{accept, prod, finish} {
-			if got := block[i*3*w+k*w:][:w]; !slices.Equal(got, rows[i*w:][:w]) {
+			if got := block[i*4*w+k*w:][:w]; !slices.Equal(got, rows[i*w:][:w]) {
 				t.Fatalf("%s: interleaved row %d, matrix %d = %#x, want %#x (T=%v)", name, i, k, got, rows[i*w:][:w], T)
 			}
 		}
 		for q := 0; q < len(f.g.final); q++ {
-			if bit(accept, i, q) != ref[i][q] || bit(alone, i, q) != ref[i][q] {
-				t.Fatalf("%s: accept[%d][%d] = %v/%v, want %v (T=%v)", name, i, q, bit(accept, i, q), bit(alone, i, q), ref[i][q], T)
+			if bit(accept, w, i, q) != ref[i][q] || bit(alone, w, i, q) != ref[i][q] {
+				t.Fatalf("%s: accept[%d][%d] = %v/%v, want %v (T=%v)", name, i, q, bit(accept, w, i, q), bit(alone, w, i, q), ref[i][q], T)
 			}
-			if bit(finish, i, q) != fref[i][q] {
+			if bit(finish, w, i, q) != fref[i][q] {
 				t.Fatalf("%s: finish[%d][%d] = %v, want %v (T=%v)", name, i, q, !fref[i][q], fref[i][q], T)
 			}
-			if bit(prod, i, q) != pref[i][q] {
+			if bit(prod, w, i, q) != pref[i][q] {
 				t.Fatalf("%s: prod[%d][%d] = %v, want %v (T=%v)", name, i, q, !pref[i][q], pref[i][q], T)
 			}
 			if ref[i][q] != (pref[i][q] || fref[i][q]) {
@@ -201,6 +196,61 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 			}
 		}
 	}
+	pivots := map[dict.ItemID]bool{}
+	for _, item := range T {
+		for _, k := range f.dict.Ancestors(item) {
+			pivots[k] = true
+		}
+	}
+	for k := range pivots {
+		checkPivotLive(t, name, f, T, k, accept, prod, block)
+	}
+}
+
+// checkPivotLive holds the PivotLive pass for pivot k to PivotLiveMatrix, at
+// stride Words() over accept and in block's live rows (the accept | prod |
+// finish | live layout of CheckReach, its first three rows written), and
+// every live row to live ⊆ prod. T must be accepted, accept and prod its rows
+// at stride Words(). It returns the number of live cells.
+func checkPivotLive(t *testing.T, name string, f *FST, T []dict.ItemID, k dict.ItemID, accept, prod, block []uint64) (cells int) {
+	t.Helper()
+	w := f.words
+	live := dirtyRows(len(T), w)
+	f.PivotLive(T, k, accept, live, w)
+	f.PivotLive(T, k, block, block[3*w:], 4*w)
+	ref := f.PivotLiveMatrix(T, k)
+	for i := 0; i <= len(T); i++ {
+		if got := block[i*4*w+3*w:][:w]; !slices.Equal(got, live[i*w:][:w]) {
+			t.Fatalf("%s: pivot %d: interleaved live row %d = %#x, want %#x (T=%v)", name, k, i, got, live[i*w:][:w], T)
+		}
+		for q := 0; q < len(f.g.final); q++ {
+			if bit(live, w, i, q) != ref[i][q] {
+				t.Fatalf("%s: pivot %d: live[%d][%d] = %v, want %v (T=%v)", name, k, i, q, !ref[i][q], ref[i][q], T)
+			}
+			if ref[i][q] && !bit(prod, w, i, q) {
+				t.Fatalf("%s: pivot %d: live[%d][%d] set outside prod (T=%v)", name, k, i, q, T)
+			}
+			if ref[i][q] {
+				cells++
+			}
+		}
+	}
+	return cells
+}
+
+// dirtyRows returns the rows of a matrix over T of len n at the given stride,
+// every bit set.
+func dirtyRows(n, stride int) []uint64 {
+	rows := make([]uint64, (n+1)*stride)
+	for i := range rows {
+		rows[i] = ^uint64(0)
+	}
+	return rows
+}
+
+// bit reports bit q of row i of rows at the given stride.
+func bit(rows []uint64, stride, i, q int) bool {
+	return rows[i*stride+q>>6]&(1<<(uint(q)&63)) != 0
 }
 
 // randomDict builds a dictionary of n items over a random DAG hierarchy (every
@@ -260,13 +310,14 @@ func randomExpr(rng *rand.Rand, d *dict.Dictionary, depth int) string {
 	}
 }
 
-// TestKernelMatchesLabelReference runs the reference against the kernel over
-// random hierarchies × generated expressions, plus expressions wide enough
-// that a state set needs several words and alternations of so many distinct
-// items that a one-word FST's byte table would pass maxByteTabWords. Each of
-// the three step paths must be taken at least 3 times.
-func TestKernelMatchesLabelReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+// kernelCases calls check on generated automata: random hierarchies ×
+// generated expressions, plus expressions wide enough that a state set needs
+// several words and alternations of so many distinct items that a one-word
+// FST's byte table would pass maxByteTabWords. Each of the three step paths
+// must be taken at least 3 times.
+func kernelCases(t *testing.T, seed int64, check func(rng *rand.Rand, expr string, f *FST)) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	var byteTab, overCap, wide int
 	for trial := 0; trial < 60; trial++ {
 		d := randomDict(t, rng, 4+rng.Intn(30))
@@ -292,17 +343,65 @@ func TestKernelMatchesLabelReference(t *testing.T) {
 		default:
 			byteTab++
 		}
-		CheckStepTable(t, expr, f)
-		for s := 0; s < 25; s++ {
-			T := make([]dict.ItemID, rng.Intn(13))
-			for j := range T {
-				T[j] = dict.ItemID(1 + rng.Intn(d.Size()))
-			}
-			CheckReach(t, expr, f, T)
-		}
+		check(rng, expr, f)
 	}
 	if byteTab < 3 || overCap < 3 || wide < 3 {
 		t.Fatalf("automata per step path: %d byte table, %d one-word over the cap, %d multi-word; want ≥ 3 each", byteTab, overCap, wide)
+	}
+}
+
+// randomSeq draws a sequence of up to 12 items of f's dictionary.
+func randomSeq(rng *rand.Rand, f *FST) []dict.ItemID {
+	T := make([]dict.ItemID, rng.Intn(13))
+	for j := range T {
+		T[j] = dict.ItemID(1 + rng.Intn(f.dict.Size()))
+	}
+	return T
+}
+
+// TestKernelMatchesLabelReference runs the reference against the kernel over
+// the generated automata of kernelCases: the step table, and the backward
+// passes on random sequences.
+func TestKernelMatchesLabelReference(t *testing.T) {
+	kernelCases(t, 5, func(rng *rand.Rand, expr string, f *FST) {
+		CheckStepTable(t, expr, f)
+		for s := 0; s < 25; s++ {
+			CheckReach(t, expr, f, randomSeq(rng, f))
+		}
+	})
+}
+
+// TestPivotLiveMatchesRunOracle holds the live rows of PivotLive, for every
+// item of the dictionary as the pivot, to the label-level run walk of
+// PivotLiveMatrix, over the generated automata of kernelCases on random
+// accepted sequences. An item outside the ancestors of T's items must leave
+// every row empty.
+func TestPivotLiveMatchesRunOracle(t *testing.T) {
+	var seqs, live, empty int
+	kernelCases(t, 37, func(rng *rand.Rand, expr string, f *FST) {
+		w, checked := f.words, 0
+		for s := 0; s < 40 && checked < 4; s++ {
+			T := randomSeq(rng, f)
+			accept, prod, block := dirtyRows(len(T), w), dirtyRows(len(T), w), dirtyRows(len(T), 4*w)
+			if !f.Reach(T, accept, nil, w) {
+				continue
+			}
+			f.Reach(T, block, block[2*w:], 4*w)
+			f.Productive(T, accept, prod, w)
+			f.Productive(T, block, block[w:], 4*w)
+			for k := dict.ItemID(1); int(k) <= f.dict.Size(); k++ {
+				if checkPivotLive(t, expr, f, T, k, accept, prod, block) > 0 {
+					live++
+				} else {
+					empty++
+				}
+			}
+			checked++
+		}
+		seqs += checked
+	})
+	if live < 100 || empty < 100 {
+		t.Fatalf("%d sequences: %d pivots with live cells, %d without; the check is vacuous", seqs, live, empty)
 	}
 }
 

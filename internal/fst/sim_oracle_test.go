@@ -210,6 +210,46 @@ func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
 	return m
 }
 
+// PivotLiveMatrix is the definition the live rows of FST.PivotLive are held
+// to, walked on the label-level graph: m[i][q] is true iff an accepting run
+// from state q at position i takes an output transition at a position j >= i
+// whose item T[j] has k among its ancestors. The walk follows every
+// transition into an accepting target depth first, remembering the
+// coordinates it has settled.
+func (f *FST) PivotLiveMatrix(T []dict.ItemID, k dict.ItemID) [][]bool {
+	accept := f.AcceptMatrix(T)
+	settled := map[[2]int]bool{}
+	var walk func(pos, q int) bool
+	walk = func(pos, q int) bool {
+		if pos == len(T) {
+			return false
+		}
+		if v, ok := settled[[2]int{pos, q}]; ok {
+			return v
+		}
+		found := false
+		for _, tr := range f.g.trans[q] {
+			if !accept[pos+1][tr.To] || !tr.Label.Matches(f.dict, T[pos]) {
+				continue
+			}
+			if tr.Label.Captured && f.dict.HasAncestor(T[pos], k) || walk(pos+1, tr.To) {
+				found = true
+				break
+			}
+		}
+		settled[[2]int{pos, q}] = found
+		return found
+	}
+	m := make([][]bool, len(T)+1)
+	for i := range m {
+		m[i] = make([]bool, len(f.g.final))
+		for q := range m[i] {
+			m[i][q] = walk(i, q)
+		}
+	}
+	return m
+}
+
 // Accepts reports whether the FST has at least one accepting run for T, i.e.
 // whether T matches the subsequence constraint at all.
 func (f *FST) Accepts(T []dict.ItemID) bool {

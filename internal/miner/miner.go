@@ -218,10 +218,11 @@ type DFSOptions struct {
 	// expansion items <= Pivot are considered and only patterns that contain
 	// Pivot are reported. Zero disables the restriction.
 	Pivot dict.ItemID
-	// EarlyStopping enables the heuristic of Sec. V-C: input sequences are
-	// not used to grow prefixes that do not yet contain the pivot item beyond
-	// the last position at which the pivot can still be produced. It has no
-	// effect when Pivot is zero.
+	// EarlyStopping enables the early stopping of Sec. V-C, per (position,
+	// state) cell: a prefix that does not yet contain the pivot item is grown
+	// only from cells with an accepting run that can still output the pivot
+	// (fst.FST.PivotLive), and only such cells count towards its children's
+	// supports. It is exact, and has no effect when Pivot is zero.
 	EarlyStopping bool
 	// Workers > 1 mines on that many goroutines (see MineDFS), with the
 	// single-threaded result; <= 1 is single-threaded.
@@ -253,8 +254,10 @@ type SplitStats struct {
 //
 // The implementation works entirely on the FST's tables: one fst.FST.Reach
 // pass per sequence writes its accept and finish rows (and rejects sequences
-// without an accepting run) and one fst.FST.Productive pass its prod rows, the
-// snapshots that can still emit, into the sequence's one row block (seqCache);
+// without an accepting run), one fst.FST.Productive pass its prod rows, the
+// snapshots that can still emit, and under a pivot with early stopping one
+// fst.FST.PivotLive pass its live rows, the snapshots that can still emit the
+// pivot, into the sequence's one row block (seqCache);
 // one scan of a projected database yields the prefix's support and every
 // expansion's projected database and support. Snapshots are packed (pos,
 // state) cells in int32 arrays, projected databases flat int32 buffers, and
@@ -309,6 +312,11 @@ func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) d
 		sigma: sigma,
 		opts:  opts,
 		words: f.Words(),
+	}
+	m.earlyStop = opts.EarlyStopping && opts.Pivot != dict.None
+	m.stride = matrices * m.words
+	if m.earlyStop {
+		m.stride += m.words
 	}
 	if n := f.NumStates(); n > 1 {
 		m.stateBits = uint(bits.Len(uint(n - 1)))
@@ -370,7 +378,7 @@ func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int)
 // root projected databases — out of the pooled arena, which reserves room for
 // every sequence, into one of the size they use, and points p's cache at them.
 func (p *Prepared) retainMatrices(sh *dfsShared) {
-	block := func(seq int32) int { return (len(p.m.db[seq].Items) + 1) * matrices * p.m.words }
+	block := func(seq int32) int { return (len(p.m.db[seq].Items) + 1) * p.m.stride }
 	n := 0
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
@@ -378,7 +386,7 @@ func (p *Prepared) retainMatrices(sh *dfsShared) {
 		}
 	}
 	arena := make([]uint64, 0, n)
-	cache := slices.Repeat([]seqCache{{rows: -1, lastPivot: -1}}, len(sh.cache))
+	cache := slices.Repeat([]seqCache{{rows: -1}}, len(sh.cache))
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
 			c := sh.cache[proj[0]]
@@ -428,18 +436,18 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 
 // seqCache locates a sequence's row block in the arena: row i, for the suffix
 // T[i:], is three bitsets over states side by side — accept_i | prod_i |
-// finish_i — so a scan finds a cell's three bits in one place. accept: the
-// state reaches acceptance on T[i:]; prod: it can still output an item
-// (fst.FST.Productive); finish: it reaches the end of T in a final state over
-// ε-output transitions only.
+// finish_i — so a scan finds a cell's bits in one place, and a fourth, live_i,
+// under a pivot with early stopping. accept: the state reaches acceptance on
+// T[i:]; prod: it can still output an item (fst.FST.Productive); finish: it
+// reaches the end of T in a final state over ε-output transitions only; live:
+// it can still output the pivot (fst.FST.PivotLive).
 type seqCache struct {
-	rows      int   // arena offset of row 0; -1: no accepting run, no rows
-	lastPivot int32 // last position that can produce the pivot item (-1 if none)
+	rows int // arena offset of row 0; -1: no accepting run, no rows
 }
 
-// matrices is the number of bitsets in a row; prod starts prodAt·words and
-// finish finishAt·words words into it.
-const matrices, prodAt, finishAt = 3, 1, 2
+// matrices is the number of bitsets in a row without the live one; prod starts
+// prodAt·words, finish finishAt·words and live liveAt·words words into it.
+const matrices, prodAt, finishAt, liveAt = 3, 1, 2, 3
 
 // maxStampCells caps the size of the epoch-stamped snapshot-dedup array (16MB
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
@@ -527,6 +535,8 @@ type dfsMiner struct {
 	done  <-chan struct{} // opts.Context's, nil without one
 
 	words     int         // bitset words per matrix row
+	stride    int         // words per row of a row block: matrices·words, +words for live
+	earlyStop bool        // the rows hold live (opts.EarlyStopping under a pivot)
 	stateBits uint        // cell = pos<<stateBits | state
 	limit     dict.ItemID // expansion items must be <= limit (frequency ∧ pivot)
 	useLimit  bool
@@ -552,7 +562,7 @@ func (sh *dfsShared) layOut(m *dfsMiner, workers int) int {
 		*w = *m
 		w.lo, w.hi, w.base = r*len(m.db)/workers, (r+1)*len(m.db)/workers, need
 		for _, ws := range m.db[w.lo:w.hi] {
-			need += matrices * (len(ws.Items) + 1) * m.words
+			need += (len(ws.Items) + 1) * m.stride
 			maxLen = max(maxLen, len(ws.Items))
 		}
 	}
@@ -698,14 +708,15 @@ func (m *dfsMiner) stopped() bool {
 	}
 }
 
-// setUp runs one Reach and one Productive pass per sequence of the worker's
-// range, writing the sequence's row block in place at the tail of the range's
-// arena region (the space is kept only if the sequence has an accepting run),
-// and collects the root projected database of the range.
+// setUp runs one Reach, one Productive and, under early stopping, one
+// PivotLive pass per sequence of the worker's range, writing the sequence's
+// row block in place at the tail of the range's arena region (the space is
+// kept only if the sequence has an accepting run), and collects the root
+// projected database of the range.
 func (m *dfsMiner) setUp() {
 	sc := m.sc
 	initCell := int32(m.fst.Initial()) // pos 0 → cell = state
-	stride := matrices * m.words
+	stride := m.stride
 	used := m.base
 	for i := m.lo; i < m.hi; i++ {
 		if i&1023 == 1023 && m.stopped() {
@@ -717,26 +728,13 @@ func (m *dfsMiner) setUp() {
 			continue
 		}
 		m.fst.Productive(T, block, block[prodAt*m.words:], stride)
-		c := seqCache{rows: used, lastPivot: -1}
-		used += len(block)
-		if m.opts.EarlyStopping && m.opts.Pivot != dict.None {
-			c.lastPivot = int32(m.lastPivotPosition(T))
+		if m.earlyStop {
+			m.fst.PivotLive(T, m.opts.Pivot, block, block[liveAt*m.words:], stride)
 		}
-		m.sh.cache[i] = c
+		m.sh.cache[i] = seqCache{rows: used}
+		used += len(block)
 		sc.rootProj = append(sc.rootProj, int32(i), 1, initCell)
 	}
-}
-
-// lastPivotPosition returns the last position of T whose item has the pivot
-// among its ancestors, or -1. Every output of a transition is an ancestor of
-// its input item, so no later position can produce the pivot.
-func (m *dfsMiner) lastPivotPosition(T []dict.ItemID) int {
-	for i := len(T) - 1; i >= 0; i-- {
-		if m.dict.HasAncestor(T[i], m.opts.Pivot) {
-			return i
-		}
-	}
-	return -1
 }
 
 // prefixSupport sums the weights of the sequences present in the projected
@@ -805,7 +803,9 @@ func (m *dfsMiner) expand(depth int, proj []int32) {
 // the distinct expansion items in ascending order, each with its projected
 // database and support, and — if the prefix is reportable (non-empty and
 // holding any pivot) — its support: the weight of the sequences with a
-// snapshot of proj whose finish bit is set, checked before any filter.
+// snapshot of proj whose finish bit is set, checked before any filter. Under
+// early stopping, a prefix without the pivot walks only live cells and
+// projects a target that is not live into the pivot's child alone.
 func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	sc := m.sc
 	for len(sc.frames) <= depth {
@@ -815,7 +815,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	fr.order = fr.order[:0]
 
 	hasPivot := m.opts.Pivot != dict.None && slices.Contains(sc.prefix[:depth], m.opts.Pivot)
-	earlyStop := m.opts.EarlyStopping && m.opts.Pivot != dict.None && !hasPivot
+	earlyStop := m.earlyStop && !hasPivot
 	fr.reportable = depth > 0 && (m.opts.Pivot == dict.None || hasPivot)
 	fr.support = 0
 
@@ -828,7 +828,11 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 	sb := m.stateBits
 	mask := int32(1)<<sb - 1
 	W := m.words
-	stride := matrices * W
+	stride := m.stride
+	gateAt := prodAt * W // the row a cell must be in to be walked
+	if earlyStop {
+		gateAt = liveAt * W
+	}
 
 	for pi, n := 0, 0; pi < len(proj); n++ {
 		if n&1023 == 1023 && m.stopped() {
@@ -861,10 +865,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 				fr.support += m.db[seq].Weight
 				complete = true
 			}
-			if earlyStop && c.lastPivot >= 0 && cell>>sb > c.lastPivot {
-				continue // this snapshot can no longer produce the pivot
-			}
-			if row[prodAt*W]&bit != 0 && m.markSnap(cell) {
+			if row[gateAt]&bit != 0 && m.markSnap(cell) {
 				sc.stack = append(sc.stack, cell)
 			}
 		}
@@ -874,7 +875,9 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 		// twice is stored twice; the next level's markSnap drops the repeat.
 		// Only productive cells are pushed — a cell whose prod bit is clear
 		// projects nothing and leads only to such cells — so no popped cell
-		// sits at the end of T (prod's last row is empty).
+		// sits at the end of T (prod's last row is empty). Under early
+		// stopping only live cells are: one that is not cannot output the
+		// pivot, nor can any cell it leads to.
 		for len(sc.stack) > 0 {
 			cell := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
@@ -889,10 +892,18 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 				}
 				nextCell := int32(pos+1)<<sb | to
 				single, set := m.fst.OutputsFor(tr, t)
+				if earlyStop && next[liveAt*W+int(uint32(to)>>6)]&bit == 0 {
+					// The target cannot output the pivot any more: it
+					// supports only the child that adds the pivot now.
+					if single == m.opts.Pivot || slices.Contains(set, m.opts.Pivot) {
+						m.project(fr, m.opts.Pivot, seq, nextCell)
+					}
+					continue
+				}
 				if single != dict.None {
 					m.project(fr, single, seq, nextCell)
 				} else if set == nil {
-					if next[prodAt*W+int(uint32(to)>>6)]&bit != 0 && m.markSnap(nextCell) {
+					if next[gateAt+int(uint32(to)>>6)]&bit != 0 && m.markSnap(nextCell) {
 						sc.stack = append(sc.stack, nextCell)
 					}
 				}
