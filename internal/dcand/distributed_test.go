@@ -3,6 +3,7 @@ package dcand_test
 import (
 	"errors"
 	"io"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -17,6 +18,15 @@ import (
 	"seqmine/internal/paperex"
 	"seqmine/internal/transport"
 )
+
+// TestMain runs every test of the package — the distributed, spilling and
+// streaming suites included — with lent reduce groups poisoned on release
+// (mapreduce.PoisonOnRelease), so a D-CAND reducer that kept a lent value would
+// fail its oracle instead of silently reading a later group's data.
+func TestMain(m *testing.M) {
+	mapreduce.PoisonOnRelease(true)
+	os.Exit(m.Run())
+}
 
 // TestDCandMinePeerMatchesMine runs D-CAND across three processes' worth of
 // transport nodes on localhost — with a tiny spill threshold so the NFA

@@ -1,6 +1,7 @@
 package dseq_test
 
 import (
+	"os"
 	"reflect"
 	"sync"
 	"testing"
@@ -13,6 +14,15 @@ import (
 	"seqmine/internal/paperex"
 	"seqmine/internal/transport"
 )
+
+// TestMain runs every test of the package — the distributed, spilling and
+// streaming suites included — with lent reduce groups poisoned on release
+// (mapreduce.PoisonOnRelease), so a D-SEQ reducer that kept a lent value would
+// fail its oracle instead of silently reading a later group's data.
+func TestMain(m *testing.M) {
+	mapreduce.PoisonOnRelease(true)
+	os.Exit(m.Run())
+}
 
 // TestDSeqMinePeerMatchesMine runs D-SEQ across three processes' worth of
 // transport nodes on localhost and checks that the union of the per-peer

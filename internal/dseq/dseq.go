@@ -9,6 +9,8 @@ package dseq
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"seqmine/internal/dict"
 	"seqmine/internal/dminer"
@@ -49,7 +51,8 @@ type value = miner.WeightedSequence
 
 // codec is the wire encoding of one D-SEQ shuffle record: the pivot key and
 // each value as varints (weight, item count, items). The same encoding backs
-// the honest SizeOf estimate of in-process runs.
+// the honest SizeOf estimate of in-process runs. Groups decode through
+// groupDecoder, into one recycled item array per lent group.
 func codec() mapreduce.FrameCodec[dict.ItemID, value] {
 	return mapreduce.FrameCodec[dict.ItemID, value]{
 		AppendKey: func(buf []byte, k dict.ItemID) []byte {
@@ -68,32 +71,99 @@ func codec() mapreduce.FrameCodec[dict.ItemID, value] {
 			return buf
 		},
 		ReadValue: func(data []byte, pos int) (value, int, error) {
-			var v value
-			weight, pos, err := mapreduce.ReadUvarint(data, pos)
-			if err != nil {
-				return v, 0, err
-			}
-			n, pos, err := mapreduce.ReadUvarint(data, pos)
-			if err != nil {
-				return v, 0, err
-			}
-			if n > uint64(len(data)-pos) {
-				return v, 0, fmt.Errorf("dseq: sequence claims %d items in %d bytes", n, len(data)-pos)
-			}
-			v.Weight = int64(weight)
-			v.Items = make([]dict.ItemID, n)
-			for i := range v.Items {
-				w, np, err := mapreduce.ReadUvarint(data, pos)
-				if err != nil {
-					return v, 0, err
-				}
-				pos = np
-				v.Items[i] = dict.ItemID(w)
-			}
-			return v, pos, nil
+			var items []dict.ItemID
+			return readValue(data, pos, &items)
 		},
+		NewGroupDecoder: func() mapreduce.GroupDecoder[value] { return new(groupDecoder) },
 	}
 }
+
+// readValue decodes the value at pos, appending its items to *items; the
+// value's Items alias what it appended.
+func readValue(data []byte, pos int, items *[]dict.ItemID) (value, int, error) {
+	var v value
+	weight, pos, err := mapreduce.ReadUvarint(data, pos)
+	if err != nil {
+		return v, 0, err
+	}
+	n, pos, err := mapreduce.ReadUvarint(data, pos)
+	if err != nil {
+		return v, 0, err
+	}
+	if n > uint64(len(data)-pos) {
+		return v, 0, fmt.Errorf("dseq: sequence claims %d items in %d bytes", n, len(data)-pos)
+	}
+	start := len(*items)
+	*items = slices.Grow(*items, int(n)) // a no-op in groupDecoder, which grew up front
+	for i := uint64(0); i < n; i++ {
+		w, np, err := mapreduce.ReadUvarint(data, pos)
+		if err != nil {
+			return v, 0, err
+		}
+		pos = np
+		*items = append(*items, dict.ItemID(w))
+	}
+	v.Weight = int64(weight)
+	v.Items = (*items)[start:len(*items):len(*items)]
+	return v, pos, nil
+}
+
+// poisonItem overwrites released items under mapreduce.PoisonOnRelease: it is
+// no item of any dictionary, so a retained sequence mines to wrong output.
+const poisonItem = ^dict.ItemID(0)
+
+// groupDecoder decodes the sequences of lent groups into one item array,
+// which it reuses once the group is released. Every item takes at least one
+// encoded byte, so the array is grown once per encoded region, before its
+// first value, to hold as many items as the region has bytes: growing never
+// moves the items of values already decoded. An array outgrown during a loan
+// is kept until Release, so that poisoning reaches it too.
+type groupDecoder struct {
+	items    []dict.ItemID
+	outgrown [][]dict.ItemID
+}
+
+func (d *groupDecoder) Decode(vals []value, raw []byte, count int) ([]value, error) {
+	if count > len(raw) {
+		return vals, fmt.Errorf("dseq: %d sequences claimed in %d bytes", count, len(raw))
+	}
+	if cap(d.items)-len(d.items) < len(raw) {
+		if len(d.items) > 0 {
+			d.outgrown = append(d.outgrown, d.items)
+		}
+		d.items = make([]dict.ItemID, 0, max(2*cap(d.items), len(raw)))
+	}
+	pos := 0
+	for i := 0; i < count; i++ {
+		v, np, err := readValue(raw, pos, &d.items)
+		if err != nil {
+			return vals, err
+		}
+		pos = np
+		vals = append(vals, v)
+	}
+	if pos != len(raw) {
+		return vals, fmt.Errorf("dseq: %d trailing bytes after %d sequences", len(raw)-pos, count)
+	}
+	return vals, nil
+}
+
+func (d *groupDecoder) Release(poison bool) {
+	if poison {
+		for _, items := range append(d.outgrown, d.items) {
+			for i := range items {
+				items[i] = poisonItem
+			}
+		}
+	}
+	clear(d.outgrown)
+	d.outgrown, d.items = d.outgrown[:0], d.items[:0]
+}
+
+// seqCodec is the codec of every D-SEQ job. Sharing one lets the engine's
+// pooled leases keep their group decoders, and their item arrays, from job to
+// job.
+var seqCodec = codec()
 
 // recordSize is the exact single-record wire size of (k, v) — the honest
 // per-record contribution to ShuffleBytes.
@@ -120,9 +190,12 @@ func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapredu
 // buildJob assembles the one-round BSP job of D-SEQ.
 func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern] {
 	searcher := pivot.NewSearcher(f, sigma, pivot.Options{UseGrid: opts.UseGrid})
+	// One Analysis per map worker, reused sequence after sequence.
+	analyses := sync.Pool{New: func() any { return new(pivot.Analysis) }}
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{
 		Map: func(T []dict.ItemID, emit func(dict.ItemID, value)) {
-			analysis := searcher.Analyze(T)
+			analysis := searcher.AnalyzeInto(T, analyses.Get().(*pivot.Analysis))
+			defer analyses.Put(analysis)
 			for _, k := range analysis.Pivots {
 				rho := T
 				if opts.Rewrite {
@@ -143,8 +216,7 @@ func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID
 		Hash:   func(k dict.ItemID) uint64 { return mapreduce.HashUint64(uint64(k)) },
 		SizeOf: recordSize,
 	}
-	c := codec()
-	job.Codec = &c
+	job.Codec = &seqCodec
 	if opts.Aggregate {
 		job.Combine = dminer.GroupCombiner[dict.ItemID](
 			func(buf []byte, v value) []byte { return dict.AppendPackedKey(buf, v.Items) },

@@ -2,6 +2,7 @@ package dseq
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -46,4 +47,70 @@ func FuzzSequenceBatchCodec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzSequenceGroupDecode checks the group decoder against the codec's
+// ReadValue: on arbitrary bytes and counts, Decode accepts exactly what count
+// calls of ReadValue accept when they consume all of raw, with equal values.
+// One decoder serves every input, so each one decodes into the arrays of the
+// inputs before it; a second region in the same loan must leave the first
+// one's values intact, and Release must hand the values to nobody else.
+func FuzzSequenceGroupDecode(f *testing.F) {
+	c := codec()
+	var seed []byte
+	for _, v := range []value{{Items: []dict.ItemID{1, 2, 300}, Weight: 4}, {Items: nil, Weight: 1}, {Items: []dict.ItemID{7}, Weight: 2}} {
+		seed = c.AppendValue(seed, v)
+	}
+	f.Add(seed, uint16(3))
+	f.Add(seed, uint16(2))
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0x01, 0x02, 0x05}, uint16(1))
+	f.Add([]byte{0x01, 0x00}, uint16(0))
+	d := new(groupDecoder)
+	f.Fuzz(func(t *testing.T, raw []byte, count uint16) {
+		var want []value
+		pos, ok := 0, true
+		for i := 0; i < int(count) && ok; i++ {
+			v, np, err := c.ReadValue(raw, pos)
+			if ok = err == nil; ok {
+				want, pos = append(want, v), np
+			}
+		}
+		ok = ok && pos == len(raw)
+
+		lead := value{Items: []dict.ItemID{9}, Weight: 9}
+		got, err := d.Decode([]value{lead}, raw, int(count))
+		if (err == nil) != ok {
+			t.Fatalf("Decode(%x, %d): err %v, ReadValue accepts: %v", raw, count, err, ok)
+		}
+		if !ok {
+			d.Release(false)
+			return
+		}
+		if again, err := d.Decode(got, raw, int(count)); err != nil {
+			t.Fatalf("a second region of the same group failed: %v", err)
+		} else {
+			got = again
+		}
+		if len(got) != 1+2*len(want) || !equalValue(got[0], lead) {
+			t.Fatalf("Decode kept %d values with %v first, want %d after %v", len(got), got[0], 1+2*len(want), lead)
+		}
+		for i, v := range append(want, want...) {
+			if !equalValue(got[1+i], v) {
+				t.Fatalf("value %d: Decode %v, ReadValue %v", i, got[1+i], v)
+			}
+		}
+		d.Release(true)
+		for _, v := range got[1:] {
+			for _, w := range v.Items {
+				if w != poisonItem {
+					t.Fatalf("released item %d survived poisoning", w)
+				}
+			}
+		}
+	})
+}
+
+func equalValue(a, b value) bool {
+	return a.Weight == b.Weight && slices.Equal(a.Items, b.Items)
 }

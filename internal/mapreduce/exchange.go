@@ -36,13 +36,50 @@ type ByteExchange interface {
 // FrameCodec serializes the keys and values of one job for a wire transport.
 // Distributed algorithms (internal/dseq, internal/dcand) define one codec per
 // communicated value type. All Read functions take the buffer and a position
-// and return the decoded value with the next position.
+// and return the decoded value with the next position. A decoded key or value
+// must not alias data: the engine reuses the buffers it decodes from.
 type FrameCodec[K comparable, V any] struct {
 	AppendKey   func(buf []byte, k K) []byte
 	ReadKey     func(data []byte, pos int) (K, int, error)
 	AppendValue func(buf []byte, v V) []byte
 	ReadValue   func(data []byte, pos int) (V, int, error)
+	// NewGroupDecoder (optional) returns a decoder for whole groups, whose
+	// values may reference storage the decoder recycles. The engine keeps one
+	// per group it has lent to Job.Reduce. Without it, groups are decoded by
+	// ReadValue, one value at a time.
+	NewGroupDecoder func() GroupDecoder[V]
 }
+
+// GroupDecoder decodes the encoded values of key groups into storage it owns
+// and reuses: a decoded group is lent to Job.Reduce, and Release takes its
+// storage back once Reduce has returned.
+type GroupDecoder[V any] interface {
+	// Decode appends the count values encoded back to back in raw to vals.
+	// It accepts exactly what count calls of FrameCodec.ReadValue accept when
+	// they consume all of raw, and decodes equal values.
+	Decode(vals []V, raw []byte, count int) ([]V, error)
+	// Release ends the loan of every value decoded since the last Release,
+	// so that later Decode calls may overwrite their storage. With poison set,
+	// Release overwrites that storage right away (see PoisonOnRelease).
+	Release(poison bool)
+}
+
+// groupDecoder returns the codec's group decoder, or one that calls ReadValue
+// per value and owns no storage.
+func (c *FrameCodec[K, V]) groupDecoder() GroupDecoder[V] {
+	if c.NewGroupDecoder != nil {
+		return c.NewGroupDecoder()
+	}
+	return valueDecoder[K, V]{c}
+}
+
+type valueDecoder[K comparable, V any] struct{ c *FrameCodec[K, V] }
+
+func (d valueDecoder[K, V]) Decode(vals []V, raw []byte, count int) ([]V, error) {
+	return d.c.appendValues(vals, raw, count)
+}
+
+func (valueDecoder[K, V]) Release(bool) {}
 
 // EncodeBatch appends the wire form of one batch: key, value count, values.
 func (c FrameCodec[K, V]) EncodeBatch(buf []byte, b KeyBatch[K, V]) []byte {

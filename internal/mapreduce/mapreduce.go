@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"seqmine/internal/obs"
@@ -147,7 +148,10 @@ type Job[I any, K comparable, V any, O any] struct {
 	// worker before they are shuffled, mirroring MapReduce combiners.
 	Combine func(key K, values []V) []V
 	// Reduce processes one partition (all values of one key) and emits output
-	// records.
+	// records. The group is lent: values, and everything the values
+	// reference, are valid only during the call — the engine reuses their
+	// storage for later groups once Reduce returns. Emitted records must not
+	// alias them.
 	Reduce func(key K, values []V, emit func(O))
 	// Hash assigns keys to reduce workers. When nil, all keys go to a single
 	// reduce worker.
@@ -196,7 +200,7 @@ func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K
 	// with unbounded ones a peer that finishes mapping early starts sending.
 	acc := newShuffleAccumulator(runCtx, cfg.Shuffle, cfg.Obs, job.Codec, job.SizeOf)
 	acc.combine = job.Combine
-	defer acc.cleanup()
+	defer acc.release()
 	var recvDone chan error
 	if bx != nil {
 		recvDone = make(chan error, 1)
@@ -356,7 +360,12 @@ var errPeersNeedHash = errors.New("mapreduce: multi-peer jobs require a Hash fun
 // peers and workers shipped (the combiner contract, reduce∘combine == reduce,
 // keeps output identical).
 func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], metrics *Metrics) ([]O, error) {
-	groups := make(chan KeyBatch[K, V], cfg.ReduceWorkers)
+	type lentGroup struct {
+		key     K
+		values  []V
+		release func()
+	}
+	groups := make(chan lentGroup, cfg.ReduceWorkers)
 	outs := make([][]O, cfg.ReduceWorkers)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.ReduceWorkers; w++ {
@@ -366,11 +375,12 @@ func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], 
 			pprof.Do(cfg.Context, pprof.Labels("seqmine_stage", "reduce"), func(context.Context) {
 				emit := func(o O) { outs[w] = append(outs[w], o) }
 				for g := range groups {
-					vs := g.Values
+					vs := g.values
 					if job.Combine != nil && len(vs) > 1 {
-						vs = job.Combine(g.Key, vs)
+						vs = job.Combine(g.key, vs)
 					}
-					job.Reduce(g.Key, vs, emit)
+					job.Reduce(g.key, vs, emit)
+					g.release()
 				}
 			})
 		}(w)
@@ -381,15 +391,16 @@ func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], 
 	}
 	var feedErr error
 	pprof.Do(cfg.Context, pprof.Labels("seqmine_stage", "shuffle_merge"), func(context.Context) {
-		feedErr = feed(func(k K, vs []V) error {
+		feedErr = feed(func(k K, vs []V, release func()) error {
 			if err := cfg.Context.Err(); err != nil {
+				release()
 				return err // canceled: the caller discards the output
 			}
 			metrics.Partitions++
 			if int64(len(vs)) > metrics.MaxPartitionRecords {
 				metrics.MaxPartitionRecords = int64(len(vs))
 			}
-			groups <- KeyBatch[K, V]{Key: k, Values: vs}
+			groups <- lentGroup{key: k, values: vs, release: release}
 			return nil
 		})
 	})
@@ -403,6 +414,78 @@ func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], 
 		out = append(out, os...)
 	}
 	return out, nil
+}
+
+// typePools holds the process-wide pools of what the shuffle recycles from
+// job to job — send runs, accumulator storage, leases — one sync.Pool per
+// instantiated type, keyed by a nil pointer of that type.
+var typePools sync.Map
+
+// poolOf returns the process-wide pool of *T.
+func poolOf[T any]() *sync.Pool {
+	if p, ok := typePools.Load((*T)(nil)); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := typePools.LoadOrStore((*T)(nil), new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// lease is one key group lent to the reduce phase: the values handed to
+// Job.Reduce, the value buffer they are assembled in, and the group decoder
+// that owns what decoded values reference. release, bound once, takes it all
+// back when Reduce has returned. Leases are pooled process-wide; one keeps
+// its decoder for as long as it serves jobs of the same codec.
+type lease[K comparable, V any] struct {
+	values  []V
+	own     []V // reused group after group
+	codec   *FrameCodec[K, V]
+	dec     GroupDecoder[V]
+	pool    *sync.Pool
+	release func()
+}
+
+// lease returns an idle lease for the accumulator's codec, or a fresh one.
+func (a *shuffleAccumulator[K, V]) lease() *lease[K, V] {
+	l, ok := a.leases.Get().(*lease[K, V])
+	if !ok {
+		l = &lease[K, V]{pool: a.leases}
+		l.release = l.done
+	}
+	if l.codec != a.codec {
+		l.codec, l.dec = a.codec, nil
+		if a.codec != nil {
+			l.dec = a.codec.groupDecoder()
+		}
+	}
+	return l
+}
+
+// done ends the loan: the decoder may reuse its storage, the value buffer
+// waits for the next group. Under PoisonOnRelease both are overwritten first.
+func (l *lease[K, V]) done() {
+	poison := poisonLent.Load()
+	if poison {
+		clear(l.values)
+	}
+	if l.dec != nil {
+		l.dec.Release(poison)
+	}
+	l.values = nil
+	l.pool.Put(l)
+}
+
+// poisonLent is the switch of PoisonOnRelease.
+var poisonLent atomic.Bool
+
+// PoisonOnRelease is a test hook. While it is on, every group lent to
+// Job.Reduce is overwritten when Reduce returns — the values slice is zeroed
+// and each GroupDecoder is asked to poison what it decoded into — so a Reduce
+// (or anything it emits) that keeps a reference to a lent group reads garbage
+// and fails its test, instead of silently reading a later group's data. It
+// returns a function that restores the previous setting.
+func PoisonOnRelease(on bool) (restore func()) {
+	prev := poisonLent.Swap(on)
+	return func() { poisonLent.Store(prev) }
 }
 
 // HashUint64 is a convenience mixing function for integer keys

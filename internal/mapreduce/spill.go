@@ -4,14 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"compress/flate"
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -80,8 +79,8 @@ const (
 // written to a temp-file segment in the FrameCodec wire encoding, and the
 // reduce phase streams a k-way merge over the segments plus the final
 // in-memory run. add and addRaw are safe for concurrent use (the map workers'
-// hand-offs and the receiver both feed it); merge and cleanup are called after the
-// shuffle barrier, single-goroutine.
+// hand-offs and the receiver both feed it); walk, merge and release are called
+// after the shuffle barrier, single-goroutine.
 //
 // The accumulator holds two kinds of runs. Decoded batches (the ones this
 // peer owns itself, which are zero-copy Go values) group into mem. Encoded
@@ -106,24 +105,51 @@ type shuffleAccumulator[K comparable, V any] struct {
 	ctx     context.Context
 	segHist *obs.Histogram
 
-	mu       sync.Mutex
-	mem      map[K][]V
-	raw      map[string]*rawGroup
+	mu sync.Mutex
+	*runStore[K, V]
 	memBytes int64
 	dir      string // lazily created spill directory, removed by cleanup
 	segs     []*os.File
 
 	spilledBytes int64
-	buf          []byte // scratch encode buffer, reused across spills
+
+	// leases recycles the groups lent to the reduce phase (process-wide).
+	leases *sync.Pool
+}
+
+// runStore is the accumulator's storage: the current run's two group maps,
+// what a spill leaves for the next run — the value slices of the decoded
+// groups and the raw groups themselves, emptied, for the run's new keys —
+// and scratch. It outlives the job: release returns it to a process-wide
+// pool, so a job's runs start out grown.
+type runStore[K comparable, V any] struct {
+	mem       map[K][]V
+	raw       map[string]*rawGroup
+	spareVals [][]V
+	spareRaw  []*rawGroup
+	runKeys   []keyedRun[K]
+	keyArena  []byte
+	rawRun    []*rawGroup
+	buf       []byte // encode scratch of the segment writer
 }
 
 // rawGroup accumulates the still-encoded values one peer received for one
-// key: the value regions of every frame carrying that key, concatenated in
-// arrival order, plus the frame boundaries (spilling re-frames along them so
-// a segment frame never has to split an encoded value).
+// key: the key's encoding, the value regions of every frame carrying that key,
+// concatenated in arrival order, plus the frame boundaries (spilling re-frames
+// along them so a segment frame never has to split an encoded value).
 type rawGroup struct {
+	key    []byte
 	vals   []byte
 	chunks []rawChunk
+}
+
+// count returns the number of values the group holds.
+func (g *rawGroup) count() int {
+	n := 0
+	for _, c := range g.chunks {
+		n += c.count
+	}
+	return n
 }
 
 // rawChunk is one received frame's contribution to a rawGroup: count values
@@ -141,7 +167,12 @@ func newShuffleAccumulator[K comparable, V any](ctx context.Context, cfg Shuffle
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	a := &shuffleAccumulator[K, V]{codec: codec, cfg: cfg, mem: make(map[K][]V), ctx: ctx,
+	store, ok := poolOf[runStore[K, V]]().Get().(*runStore[K, V])
+	if !ok {
+		store = &runStore[K, V]{mem: make(map[K][]V), raw: make(map[string]*rawGroup)}
+	}
+	a := &shuffleAccumulator[K, V]{codec: codec, cfg: cfg, runStore: store, ctx: ctx,
+		leases: poolOf[lease[K, V]](),
 		// Nil registry → nil histogram → no-op observes.
 		segHist: reg.Histogram("seqmine_spill_segment_bytes",
 			"Size in bytes of shuffle spill segments written to disk.", obs.ByteBuckets)}
@@ -159,7 +190,12 @@ func newShuffleAccumulator[K comparable, V any](ctx context.Context, cfg Shuffle
 func (a *shuffleAccumulator[K, V]) add(b KeyBatch[K, V]) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.mem[b.Key] = append(a.mem[b.Key], b.Values...)
+	vs, ok := a.mem[b.Key]
+	if !ok && len(a.spareVals) > 0 {
+		vs = a.spareVals[len(a.spareVals)-1]
+		a.spareVals = a.spareVals[:len(a.spareVals)-1]
+	}
+	a.mem[b.Key] = append(vs, b.Values...)
 	if !a.cfg.Enabled() {
 		return nil
 	}
@@ -174,9 +210,9 @@ func (a *shuffleAccumulator[K, V]) add(b KeyBatch[K, V]) error {
 
 // addRaw appends one received wire frame to the current run without decoding
 // it: the frame's value bytes are appended to the group of its encoded-key
-// prefix. The group lookup allocates only on a key's first appearance (the
-// string conversion for the lookup itself does not escape). Buffered raw
-// bytes count toward the spill threshold at their exact wire size.
+// prefix. The group lookup allocates only on a key's first appearance in a
+// run (the string conversion for the lookup itself does not escape). Buffered
+// raw bytes count toward the spill threshold at their exact wire size.
 func (a *shuffleAccumulator[K, V]) addRaw(frame []byte) error {
 	h, err := a.codec.parseFrameHeader(frame)
 	if err != nil {
@@ -184,13 +220,16 @@ func (a *shuffleAccumulator[K, V]) addRaw(frame []byte) error {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.raw == nil {
-		a.raw = make(map[string]*rawGroup)
-	}
 	g, ok := a.raw[string(frame[:h.keyLen])]
 	if !ok {
-		g = &rawGroup{}
-		a.raw[string(frame[:h.keyLen])] = g
+		if n := len(a.spareRaw); n > 0 {
+			g = a.spareRaw[n-1]
+			a.spareRaw = a.spareRaw[:n-1]
+		} else {
+			g = &rawGroup{}
+		}
+		g.key = append(g.key, frame[:h.keyLen]...)
+		a.raw[string(g.key)] = g
 	}
 	g.vals = append(g.vals, frame[h.valsStart:]...)
 	g.chunks = append(g.chunks, rawChunk{end: len(g.vals), count: h.count})
@@ -223,7 +262,7 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 		a.dir = dir
 	}
 	memKeys := a.sortedRun()
-	rawKeys := a.sortedRawKeys()
+	rawRun := a.sortedRaw()
 
 	sink, err := newSegmentSink(a.dir, len(a.segs), a.cfg.CompressSpill)
 	if err != nil {
@@ -231,13 +270,13 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 	}
 	w := segmentWriter[K, V]{codec: a.codec, bw: sink.bw, vbuf: a.buf}
 	mi, ri := 0, 0
-	for mi < len(memKeys) || ri < len(rawKeys) {
+	for mi < len(memKeys) || ri < len(rawRun) {
 		// Two-pointer merge of the sorted runs. A key present in both is
 		// written as consecutive frames under the same key bytes, which the
 		// reduce merge reunites like any duplicate key.
-		writeMem, writeRaw := ri >= len(rawKeys), mi >= len(memKeys)
+		writeMem, writeRaw := ri >= len(rawRun), mi >= len(memKeys)
 		if !writeMem && !writeRaw {
-			c := bytes.Compare(memKeys[mi].keyBytes, []byte(rawKeys[ri]))
+			c := bytes.Compare(memKeys[mi].keyBytes, rawRun[ri].key)
 			writeMem, writeRaw = c <= 0, c >= 0
 		}
 		if writeMem {
@@ -253,9 +292,9 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 			}
 		}
 		if writeRaw {
-			ks := rawKeys[ri]
+			g := rawRun[ri]
 			ri++
-			if err := w.writeRawGroup(ks, a.raw[ks]); err != nil {
+			if err := w.writeRawGroup(g); err != nil {
 				sink.abort()
 				return fmt.Errorf("mapreduce: writing spill segment: %w", err)
 			}
@@ -269,69 +308,91 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 	a.segHist.Observe(float64(sink.cw.n))
 	obs.Observe(a.ctx, "mapreduce.spill", start, time.Since(start),
 		obs.Int("bytes", sink.cw.n), obs.Int("segment", int64(len(a.segs)-1)))
-	a.mem = make(map[K][]V, len(a.mem))
-	if a.raw != nil {
-		a.raw = make(map[string]*rawGroup, len(a.raw))
-	}
-	a.memBytes = 0
 	a.buf = w.vbuf // keep the grown scratch buffer for the next spill
+	a.recycleRun()
 	return nil
 }
 
-// sortedRawKeys returns the raw run's encoded keys in byte order (string
-// comparison and encoded-byte comparison agree).
-func (a *shuffleAccumulator[K, V]) sortedRawKeys() []string {
-	if len(a.raw) == 0 {
-		return nil
+// recycleRun empties the current run after it went to disk. The maps keep
+// their buckets, the value slices and raw groups wait for the next run's new
+// keys; no key survives, so every key of the next run is one of its own adds.
+func (a *shuffleAccumulator[K, V]) recycleRun() {
+	for _, vs := range a.mem {
+		if cap(vs) > 0 {
+			a.spareVals = append(a.spareVals, vs[:0])
+		}
 	}
-	keys := make([]string, 0, len(a.raw))
-	for ks := range a.raw {
-		keys = append(keys, ks)
+	clear(a.mem)
+	for _, g := range a.raw {
+		g.key, g.vals, g.chunks = g.key[:0], g.vals[:0], g.chunks[:0]
+		a.spareRaw = append(a.spareRaw, g)
 	}
-	sort.Strings(keys)
-	return keys
+	clear(a.raw)
+	a.memBytes = 0
 }
 
-// walk feeds every key group of a shuffle that never spilled to fn. The raw
-// run is first decoded into the decoded run, merging groups of keys present in
-// both: every group is decoded exactly once, after the barrier, into a slice
-// sized for its full value count.
-func (a *shuffleAccumulator[K, V]) walk(fn func(K, []V) error) error {
-	for ks, g := range a.raw {
-		a.buf = append(a.buf[:0], ks...)
-		k, _, err := a.codec.ReadKey(a.buf, 0)
+// sortedRaw returns the raw run's groups in encoded-key order. The slice is
+// scratch reused by the next call.
+func (a *shuffleAccumulator[K, V]) sortedRaw() []*rawGroup {
+	run := a.rawRun[:0]
+	for _, g := range a.raw {
+		run = append(run, g)
+	}
+	slices.SortFunc(run, func(x, y *rawGroup) int { return bytes.Compare(x.key, y.key) })
+	a.rawRun = run
+	return run
+}
+
+// groupFunc receives one key group from walk or merge. The group is lent:
+// values, and everything they reference, stay valid until release is called.
+type groupFunc[K comparable, V any] func(key K, values []V, release func()) error
+
+// walk feeds every key group of a shuffle that never spilled to fn. A raw
+// group is decoded after the values the decoded run holds for the same key:
+// every group is decoded exactly once, after the barrier, into a lent value
+// slice.
+func (a *shuffleAccumulator[K, V]) walk(fn groupFunc[K, V]) error {
+	for _, g := range a.raw {
+		k, _, err := a.codec.ReadKey(g.key, 0)
 		if err != nil {
 			return fmt.Errorf("mapreduce: decoding shuffled key: %w", err)
 		}
-		total := 0
-		for _, c := range g.chunks {
-			total += c.count
-		}
-		vs := a.mem[k]
-		if vs == nil && total > 0 {
-			vs = make([]V, 0, total)
-		}
-		vs, err = a.codec.appendValues(vs, g.vals, total)
+		l := a.lease()
+		vs, err := l.dec.Decode(append(l.own[:0], a.mem[k]...), g.vals, g.count())
 		if err != nil {
 			return fmt.Errorf("mapreduce: decoding shuffled values of key %v: %w", k, err)
 		}
-		a.mem[k] = vs
+		delete(a.mem, k)
+		l.own, l.values = vs, vs
+		if err := fn(k, vs, l.release); err != nil {
+			return err
+		}
 	}
-	a.raw = nil
 	for k, vs := range a.mem {
-		if err := fn(k, vs); err != nil {
+		l := a.lease()
+		l.values = vs
+		if err := fn(k, vs, l.release); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// The buffers of the segment write and read stacks come from pools: a job
+// writes and reads a few segments, and the buffers are far larger than what
+// goes through them between two spills.
+var (
+	segWriters      = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+	segFileReaders  = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
+	segFrameReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64<<10) }}
+)
+
 // segmentSink is the write stack of one spill segment file: buffered writes,
 // optionally DEFLATE-compressed, over a counting writer that measures the
 // bytes actually reaching disk (the SpilledBytes metric).
 type segmentSink struct {
 	f  *os.File
-	cw *spillCountingWriter
+	cw spillCountingWriter
 	fw *flate.Writer // nil without compression
 	bw *bufio.Writer
 }
@@ -342,53 +403,67 @@ func newSegmentSink(dir string, index int, compress bool) (*segmentSink, error) 
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: creating spill segment: %w", err)
 	}
-	s := &segmentSink{f: f, cw: &spillCountingWriter{w: f}}
-	var w io.Writer = s.cw
+	s := &segmentSink{f: f, cw: spillCountingWriter{w: f}}
+	var w io.Writer = &s.cw
 	if compress {
 		// BestSpeed: spill segments are written once and read once; cheap
 		// compression wins as soon as it beats the disk.
 		s.fw, _ = flate.NewWriter(w, flate.BestSpeed)
 		w = s.fw
 	}
-	s.bw = bufio.NewWriterSize(w, 256<<10)
+	s.bw = segWriters.Get().(*bufio.Writer)
+	s.bw.Reset(w)
 	return s, nil
 }
 
-// finish flushes every layer of the write stack. The file stays open for
-// read-back; the caller owns closing it.
+// finish flushes every layer of the write stack and returns its buffer to
+// the pool. The file stays open for read-back; the caller owns closing it.
 func (s *segmentSink) finish() error {
-	if err := s.bw.Flush(); err != nil {
-		s.f.Close()
-		return fmt.Errorf("mapreduce: flushing spill segment: %w", err)
-	}
-	if s.fw != nil {
-		if err := s.fw.Close(); err != nil {
-			s.f.Close()
-			return fmt.Errorf("mapreduce: closing compressed spill segment: %w", err)
+	err := s.bw.Flush()
+	if err != nil {
+		err = fmt.Errorf("mapreduce: flushing spill segment: %w", err)
+	} else if s.fw != nil {
+		if err = s.fw.Close(); err != nil {
+			err = fmt.Errorf("mapreduce: closing compressed spill segment: %w", err)
 		}
 	}
+	if err != nil {
+		s.abort()
+		return err
+	}
+	s.bw.Reset(nil)
+	segWriters.Put(s.bw)
 	return nil
 }
 
-// abort closes the file of a segment whose write failed.
+// abort closes the file of a segment whose write failed. Its buffer, which
+// may hold a failed write's error, is dropped.
 func (s *segmentSink) abort() { s.f.Close() }
 
 // openSegment rewinds a finished segment file and returns its read stack
-// (mirroring the write stack of newSegmentSink).
+// (mirroring the write stack of newSegmentSink). close returns the stack's
+// buffers to their pools.
 func openSegment[K comparable, V any](codec *FrameCodec[K, V], f *os.File, compress bool) (*segmentReader[K, V], error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("mapreduce: rewinding spill segment: %w", err)
 	}
-	var r io.Reader = bufio.NewReaderSize(f, 256<<10)
+	fileBuf := segFileReaders.Get().(*bufio.Reader)
+	fileBuf.Reset(f)
+	var src io.Reader = fileBuf
 	if compress {
-		r = flate.NewReader(r)
+		src = flate.NewReader(src)
 	}
-	return newSegmentReader(codec, bufio.NewReaderSize(r, 64<<10), maxSpillFrame), nil
+	frames := segFrameReaders.Get().(*bufio.Reader)
+	frames.Reset(src)
+	r := newSegmentReader(codec, frames, maxSpillFrame)
+	r.fileBuf = fileBuf
+	return r, nil
 }
 
 // keyedRun is one key of the current in-memory run with its encoded form,
-// the sort key of segments and of the merge. keyBytes aliases the run's key
-// arena (off and end locate it there while the arena is still growing).
+// the sort key of segments and of the merge. keyBytes aliases the
+// accumulator's key arena (off and end locate it there while the arena is
+// still growing).
 type keyedRun[K comparable] struct {
 	keyBytes []byte
 	off, end int
@@ -397,11 +472,11 @@ type keyedRun[K comparable] struct {
 
 // sortedRun returns the current in-memory run's keys sorted by encoded key
 // bytes — the order segments are written in and the merge consumes. All keys
-// encode into one arena (two allocations per run instead of one per key);
-// the returned keyBytes alias it.
+// encode into one arena; the arena and the returned slice are scratch reused
+// by the next call.
 func (a *shuffleAccumulator[K, V]) sortedRun() []keyedRun[K] {
-	keys := make([]keyedRun[K], 0, len(a.mem))
-	arena := []byte(nil)
+	keys := a.runKeys[:0]
+	arena := a.keyArena[:0]
 	for k := range a.mem {
 		off := len(arena)
 		arena = a.codec.AppendKey(arena, k)
@@ -410,7 +485,8 @@ func (a *shuffleAccumulator[K, V]) sortedRun() []keyedRun[K] {
 	for i := range keys {
 		keys[i].keyBytes = arena[keys[i].off:keys[i].end]
 	}
-	sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i].keyBytes, keys[j].keyBytes) < 0 })
+	slices.SortFunc(keys, func(x, y keyedRun[K]) int { return bytes.Compare(x.keyBytes, y.keyBytes) })
+	a.runKeys, a.keyArena = keys, arena
 	return keys
 }
 
@@ -427,24 +503,30 @@ func (a *shuffleAccumulator[K, V]) stats() (spilledBytes int64, spillCount int64
 // key is delivered exactly once with all of its values; fn therefore sees
 // the same groups an in-memory shuffle would have built, just one at a time.
 // Segment and raw-run entries stay encoded on the heap — ordering needs only
-// their key bytes — and are decoded exactly once, when the fully assembled
-// group is handed to fn.
-func (a *shuffleAccumulator[K, V]) merge(fn func(K, []V) error) error {
+// their key bytes — and are decoded exactly once, into a lent group, when the
+// fully assembled group is handed to fn. A segment frame goes back to its
+// reader as soon as its values are decoded.
+func (a *shuffleAccumulator[K, V]) merge(fn groupFunc[K, V]) error {
 	// Sort the final in-memory runs like segments.
 	memRun := a.sortedRun()
 	memNext := 0
-	rawRun := a.sortedRawKeys()
+	rawRun := a.sortedRaw()
 	rawNext := 0
 
-	h := &mergeHeap[K, V]{}
-	readers := make([]*segmentReader[K, V], len(a.segs))
-	for i, f := range a.segs {
+	readers := make([]*segmentReader[K, V], 0, len(a.segs))
+	defer func() {
+		for _, r := range readers {
+			r.close()
+		}
+	}()
+	for _, f := range a.segs {
 		r, err := openSegment(a.codec, f, a.cfg.CompressSpill)
 		if err != nil {
 			return err
 		}
-		readers[i] = r
+		readers = append(readers, r)
 	}
+	h := make(mergeHeap[K, V], 0, len(readers)+2)
 	// advance pushes source src's next entry onto the heap. Source index
 	// len(readers) is the decoded in-memory run, len(readers)+1 the raw one.
 	memSrc, rawSrc := len(readers), len(readers)+1
@@ -454,30 +536,25 @@ func (a *shuffleAccumulator[K, V]) merge(fn func(K, []V) error) error {
 			if memNext < len(memRun) {
 				e := memRun[memNext]
 				memNext++
-				heap.Push(h, mergeEntry[K, V]{keyBytes: e.keyBytes, key: e.key, hasKey: true, decoded: true, vals: a.mem[e.key], src: src})
+				h.push(mergeEntry[K, V]{keyBytes: e.keyBytes, key: e.key, decoded: true, vals: a.mem[e.key], src: src})
 			}
 			return nil
 		case rawSrc:
 			if rawNext < len(rawRun) {
-				ks := rawRun[rawNext]
+				g := rawRun[rawNext]
 				rawNext++
-				g := a.raw[ks]
-				count := 0
-				for _, c := range g.chunks {
-					count += c.count
-				}
-				heap.Push(h, mergeEntry[K, V]{keyBytes: []byte(ks), raw: g.vals, count: count, src: src})
+				h.push(mergeEntry[K, V]{keyBytes: g.key, raw: g.vals, count: g.count(), src: src})
 			}
 			return nil
 		}
-		keyBytes, vals, count, err := readers[src].nextRaw()
+		frame, fh, err := readers[src].next()
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("mapreduce: reading spill segment %d: %w", src, err)
 		}
-		heap.Push(h, mergeEntry[K, V]{keyBytes: keyBytes, raw: vals, count: count, src: src})
+		h.push(mergeEntry[K, V]{keyBytes: frame[:fh.keyLen], raw: frame[fh.valsStart:], count: fh.count, frame: frame, src: src})
 		return nil
 	}
 	for src := 0; src <= rawSrc; src++ {
@@ -487,71 +564,83 @@ func (a *shuffleAccumulator[K, V]) merge(fn func(K, []V) error) error {
 	}
 
 	var entries []mergeEntry[K, V] // reused across groups; contents are consumed by the end of each iteration
-	for h.Len() > 0 {
-		top := heap.Pop(h).(mergeEntry[K, V])
+	for len(h) > 0 {
+		top := h.pop()
 		if err := advance(top.src); err != nil {
 			return err
 		}
 		entries = append(entries[:0], top)
-		for h.Len() > 0 && bytes.Equal((*h)[0].keyBytes, top.keyBytes) {
-			next := heap.Pop(h).(mergeEntry[K, V])
+		for len(h) > 0 && bytes.Equal(h[0].keyBytes, top.keyBytes) {
+			next := h.pop()
 			entries = append(entries, next)
 			if err := advance(next.src); err != nil {
 				return err
 			}
 		}
-		key, values, err := a.assembleGroup(top.keyBytes, entries)
+		l := a.lease()
+		key, err := a.assembleGroup(l, top.keyBytes, entries)
 		if err != nil {
 			return err
 		}
-		if err := fn(key, values); err != nil {
+		for _, e := range entries {
+			if e.frame != nil {
+				readers[e.src].recycle(e.frame)
+			}
+		}
+		if err := fn(key, l.values, l.release); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// assembleGroup decodes one merged key group. The values slice is freshly
-// built per group (fn may hand it to a concurrent reducer) — except for the
-// common single-source decoded case, which stays zero-copy.
-func (a *shuffleAccumulator[K, V]) assembleGroup(keyBytes []byte, entries []mergeEntry[K, V]) (K, []V, error) {
+// assembleGroup decodes one merged key group into the lease l. The values
+// are decoded into the lease's own buffer — except for the common
+// single-source decoded case, which lends the run's slice as it is.
+func (a *shuffleAccumulator[K, V]) assembleGroup(l *lease[K, V], keyBytes []byte, entries []mergeEntry[K, V]) (K, error) {
 	var key K
 	gotKey := false
-	total := 0
 	for _, e := range entries {
 		if e.decoded {
-			total += len(e.vals)
-			if e.hasKey {
-				key = e.key
-				gotKey = true
-			}
-		} else {
-			total += e.count
+			key, gotKey = e.key, true
+			break
 		}
 	}
 	if !gotKey {
 		k, _, err := a.codec.ReadKey(keyBytes, 0)
 		if err != nil {
-			return key, nil, fmt.Errorf("mapreduce: decoding shuffled key: %w", err)
+			return key, fmt.Errorf("mapreduce: decoding shuffled key: %w", err)
 		}
 		key = k
 	}
 	if len(entries) == 1 && entries[0].decoded {
-		return key, entries[0].vals, nil
+		l.values = entries[0].vals
+		return key, nil
 	}
-	values := make([]V, 0, total)
+	values := l.own[:0]
 	for _, e := range entries {
 		if e.decoded {
 			values = append(values, e.vals...)
 			continue
 		}
 		var err error
-		values, err = a.codec.appendValues(values, e.raw, e.count)
+		values, err = l.dec.Decode(values, e.raw, e.count)
 		if err != nil {
-			return key, nil, fmt.Errorf("mapreduce: decoding shuffled values of key %v: %w", key, err)
+			return key, fmt.Errorf("mapreduce: decoding shuffled values of key %v: %w", key, err)
 		}
 	}
-	return key, values, nil
+	l.own, l.values = values, values
+	return key, nil
+}
+
+// release ends the job's use of the accumulator: it removes the spill
+// segments and returns the storage to its pool. Every lent group must have
+// been released.
+func (a *shuffleAccumulator[K, V]) release() {
+	a.cleanup()
+	a.recycleRun()
+	poolOf[runStore[K, V]]().Put(a.runStore)
+	a.runStore = nil
 }
 
 // cleanup removes the spill segments and their directory. Safe to call when
@@ -568,17 +657,18 @@ func (a *shuffleAccumulator[K, V]) cleanup() {
 }
 
 // mergeEntry is one run head on the merge heap. Decoded entries (the
-// in-memory decoded run) carry Go values; encoded entries (segments and the
-// in-memory raw run) carry the still-encoded value bytes, which only
-// assembleGroup decodes.
+// in-memory decoded run) carry their key and Go values; encoded entries
+// (segments and the in-memory raw run) carry the still-encoded value bytes,
+// which only assembleGroup decodes. frame is the segment reader's buffer the
+// entry aliases (nil for the in-memory runs).
 type mergeEntry[K comparable, V any] struct {
 	keyBytes []byte
 	key      K
-	hasKey   bool
 	decoded  bool
 	vals     []V    // decoded values (decoded == true)
 	raw      []byte // encoded values (decoded == false)
 	count    int    // number of encoded values in raw
+	frame    []byte
 	src      int
 }
 
@@ -586,21 +676,49 @@ type mergeEntry[K comparable, V any] struct {
 // broken by source so the merge is deterministic).
 type mergeHeap[K comparable, V any] []mergeEntry[K, V]
 
-func (h mergeHeap[K, V]) Len() int { return len(h) }
-func (h mergeHeap[K, V]) Less(i, j int) bool {
+func (h mergeHeap[K, V]) less(i, j int) bool {
 	if c := bytes.Compare(h[i].keyBytes, h[j].keyBytes); c != 0 {
 		return c < 0
 	}
 	return h[i].src < h[j].src
 }
-func (h mergeHeap[K, V]) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap[K, V]) Push(x any)   { *h = append(*h, x.(mergeEntry[K, V])) }
-func (h *mergeHeap[K, V]) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+
+func (h *mergeHeap[K, V]) push(e mergeEntry[K, V]) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !s.less(i, p) {
+			break
+		}
+		s[i], s[p] = s[p], s[i]
+		i = p
+	}
+}
+
+func (h *mergeHeap[K, V]) pop() mergeEntry[K, V] {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	s[0] = s[n]
+	s[n] = mergeEntry[K, V]{}
+	s = s[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if r := m + 1; r < n && s.less(r, m) {
+			m = r
+		}
+		if !s.less(m, i) {
+			break
+		}
+		s[i], s[m] = s[m], s[i]
+		i = m
+	}
+	*h = s
+	return top
 }
 
 // spillCountingWriter counts the bytes that reach the segment file.
@@ -628,13 +746,38 @@ type segmentWriter[K comparable, V any] struct {
 	bw       *bufio.Writer
 	vbuf     []byte // scratch for encoded values
 	maxFrame int    // 0 means maxSpillFrame
+	hdr      [binary.MaxVarintLen64]byte
 }
 
-func (w *segmentWriter[K, V]) writeKey(keyBytes []byte, values []V) error {
+// writeFrame writes one frame: the length prefix, the key, the value count
+// and the encoded values. A frame holds at most spillChunkBytes of buffered
+// values plus one record; a frame the reader's corruption guard would refuse
+// is rejected rather than written into an unreadable segment. (The wire
+// transport's default MaxFrame is the same bound, so such a record could not
+// shuffle remotely either.)
+func (w *segmentWriter[K, V]) writeFrame(key []byte, count int, vals []byte) error {
 	bound := w.maxFrame
 	if bound <= 0 {
 		bound = maxSpillFrame
 	}
+	frameLen := len(key) + UvarintLen(uint64(count)) + len(vals)
+	if frameLen > bound {
+		return fmt.Errorf("frame of %d encoded bytes exceeds the %d-byte spill frame bound", frameLen, bound)
+	}
+	if _, err := w.bw.Write(w.hdr[:binary.PutUvarint(w.hdr[:], uint64(frameLen))]); err != nil {
+		return err
+	}
+	if _, err := w.bw.Write(key); err != nil {
+		return err
+	}
+	if _, err := w.bw.Write(AppendUvarint(w.hdr[:0], uint64(count))); err != nil {
+		return err
+	}
+	_, err := w.bw.Write(vals)
+	return err
+}
+
+func (w *segmentWriter[K, V]) writeKey(keyBytes []byte, values []V) error {
 	vbuf := w.vbuf[:0]
 	count := 0
 	empty := len(values) == 0
@@ -643,31 +786,10 @@ func (w *segmentWriter[K, V]) writeKey(keyBytes []byte, values []V) error {
 			return nil
 		}
 		empty = false
-		frameLen := len(keyBytes) + UvarintLen(uint64(count)) + len(vbuf)
-		// A frame holds at most spillChunkBytes of buffered values plus one
-		// record; reject a frame the reader's corruption guard would refuse
-		// rather than write an unreadable segment. (The wire transport's
-		// default MaxFrame is the same bound, so such a record could not
-		// shuffle remotely either.)
-		if frameLen > bound {
-			return fmt.Errorf("frame of %d encoded bytes exceeds the %d-byte spill frame bound", frameLen, bound)
-		}
-		var hdr [binary.MaxVarintLen64]byte
-		if _, err := w.bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(frameLen))]); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(keyBytes); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(AppendUvarint(hdr[:0], uint64(count))); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(vbuf); err != nil {
-			return err
-		}
+		err := w.writeFrame(keyBytes, count, vbuf)
 		vbuf = vbuf[:0]
 		count = 0
-		return nil
+		return err
 	}
 	for _, v := range values {
 		vbuf = w.codec.AppendValue(vbuf, v)
@@ -686,13 +808,8 @@ func (w *segmentWriter[K, V]) writeKey(keyBytes []byte, values []V) error {
 
 // writeRawGroup spills one raw group as straight byte copies: frames are cut
 // along the group's received-frame boundaries (an encoded value is never
-// split), coalescing consecutive chunks up to spillChunkBytes per frame. key
-// is the group's encoded-key bytes (the raw map's key string).
-func (w *segmentWriter[K, V]) writeRawGroup(key string, g *rawGroup) error {
-	bound := w.maxFrame
-	if bound <= 0 {
-		bound = maxSpillFrame
-	}
+// split), coalescing consecutive chunks up to spillChunkBytes per frame.
+func (w *segmentWriter[K, V]) writeRawGroup(g *rawGroup) error {
 	start := 0
 	for i := 0; i < len(g.chunks); {
 		end := g.chunks[i].end
@@ -703,21 +820,7 @@ func (w *segmentWriter[K, V]) writeRawGroup(key string, g *rawGroup) error {
 			count += g.chunks[i].count
 			i++
 		}
-		frameLen := len(key) + UvarintLen(uint64(count)) + (end - start)
-		if frameLen > bound {
-			return fmt.Errorf("frame of %d encoded bytes exceeds the %d-byte spill frame bound", frameLen, bound)
-		}
-		var hdr [binary.MaxVarintLen64]byte
-		if _, err := w.bw.Write(hdr[:binary.PutUvarint(hdr[:], uint64(frameLen))]); err != nil {
-			return err
-		}
-		if _, err := w.bw.WriteString(key); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(AppendUvarint(hdr[:0], uint64(count))); err != nil {
-			return err
-		}
-		if _, err := w.bw.Write(g.vals[start:end]); err != nil {
+		if err := w.writeFrame(g.key, count, g.vals[start:end]); err != nil {
 			return err
 		}
 		start = end
@@ -733,6 +836,8 @@ type segmentReader[K comparable, V any] struct {
 	codec    *FrameCodec[K, V]
 	br       *bufio.Reader
 	maxFrame int
+	free     [][]byte      // frame buffers handed back by recycle
+	fileBuf  *bufio.Reader // openSegment's pooled file buffer under br
 }
 
 func newSegmentReader[K comparable, V any](codec *FrameCodec[K, V], br *bufio.Reader, maxFrame int) *segmentReader[K, V] {
@@ -743,24 +848,41 @@ func newSegmentReader[K comparable, V any](codec *FrameCodec[K, V], br *bufio.Re
 }
 
 // nextRaw returns the next frame's encoded key, still-encoded value bytes
-// and value count without decoding a single value — the form the k-way merge
-// orders and regroups in. The returned slices alias one fresh per-frame
-// buffer and stay valid after further reads. It returns io.EOF at a clean
-// end of the segment.
+// and value count without decoding a single value. The returned slices
+// alias the frame buffer of next. It returns io.EOF at a clean end of the
+// segment.
 func (r *segmentReader[K, V]) nextRaw() (keyBytes, vals []byte, count int, err error) {
-	frame, err := r.readFrame()
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	h, err := r.codec.parseFrameHeader(frame)
+	frame, h, err := r.next()
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	return frame[:h.keyLen], frame[h.valsStart:], h.count, nil
 }
 
-// readFrame reads one length-prefixed frame into a fresh buffer, guarding
-// against corrupt lengths. It returns io.EOF at a clean segment end.
+// next reads the next frame and parses its header — the form the k-way merge
+// orders and regroups in. The frame stays valid, whatever is read after it,
+// until it is passed to recycle. It returns io.EOF at a clean end of the
+// segment.
+func (r *segmentReader[K, V]) next() ([]byte, frameHeader, error) {
+	frame, err := r.readFrame()
+	if err != nil {
+		return nil, frameHeader{}, err
+	}
+	h, err := r.codec.parseFrameHeader(frame)
+	if err != nil {
+		return nil, frameHeader{}, err
+	}
+	return frame, h, nil
+}
+
+// recycle hands a frame returned by next back for reuse by later reads.
+func (r *segmentReader[K, V]) recycle(frame []byte) {
+	r.free = append(r.free, frame)
+}
+
+// readFrame reads one length-prefixed frame into a recycled or fresh
+// buffer, guarding against corrupt lengths. It returns io.EOF at a clean
+// segment end.
 func (r *segmentReader[K, V]) readFrame() ([]byte, error) {
 	n, err := binary.ReadUvarint(r.br)
 	if err == io.EOF {
@@ -772,7 +894,15 @@ func (r *segmentReader[K, V]) readFrame() ([]byte, error) {
 	if n == 0 || n > uint64(r.maxFrame) {
 		return nil, fmt.Errorf("frame length %d out of range (max %d)", n, r.maxFrame)
 	}
-	frame := make([]byte, n)
+	var frame []byte
+	if k := len(r.free); k > 0 {
+		frame = r.free[k-1]
+		r.free = r.free[:k-1]
+	}
+	if uint64(cap(frame)) < n {
+		frame = make([]byte, n)
+	}
+	frame = frame[:n]
 	if _, err := io.ReadFull(r.br, frame); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
@@ -780,6 +910,14 @@ func (r *segmentReader[K, V]) readFrame() ([]byte, error) {
 		return nil, fmt.Errorf("reading %d-byte frame: %w", n, err)
 	}
 	return frame, nil
+}
+
+// close returns the buffers of openSegment's read stack to their pools.
+func (r *segmentReader[K, V]) close() {
+	r.br.Reset(nil)
+	segFrameReaders.Put(r.br)
+	r.fileBuf.Reset(nil)
+	segFileReaders.Put(r.fileBuf)
 }
 
 // errShuffleNeedsCodec is returned when a multi-peer run, spilling or

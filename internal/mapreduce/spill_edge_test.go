@@ -145,12 +145,13 @@ func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 	}
 	got := map[string][]int{}
 	var order []string
-	err := acc.merge(func(k string, vs []int) error {
+	err := acc.merge(func(k string, vs []int, release func()) error {
 		if _, dup := got[k]; dup {
 			t.Fatalf("merge delivered key %q twice", k)
 		}
 		got[k] = append([]int(nil), vs...)
 		order = append(order, k)
+		release()
 		return nil
 	})
 	if err != nil {

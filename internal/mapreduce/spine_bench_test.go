@@ -132,7 +132,7 @@ func BenchmarkShuffleSpine(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := acc.merge(func(string, []int) error { return nil }); err != nil {
+			if err := acc.merge(func(_ string, _ []int, release func()) error { release(); return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -71,6 +71,8 @@ type sendPath[K comparable, V any] struct {
 	ctx     context.Context
 	occHist *obs.Histogram
 
+	runs *sync.Pool // of *sendRun[K, V], process-wide
+
 	senders sync.WaitGroup
 	err     atomic.Pointer[error] // first sender/flush error
 }
@@ -89,10 +91,39 @@ func (r *runStats) add(o runStats) {
 // worker touches it during the map phase; finish and fold read it after the
 // workers have joined.
 type sendBuffer[K comparable, V any] struct {
+	run   *sendRun[K, V]
+	bytes int64    // accounted size of run (bounded buffers only)
+	held  runStats // run once sealed: combined, not yet handed off
+	sent  runStats // everything handed off so far
+}
+
+// sendRun is what a send buffer fills and hands off: the buffered groups, and
+// the value slices of earlier fills kept for reuse. Keys are never kept — a
+// consumed run is cleared — so a key the combiner pruned to no values is still
+// a key of the run it was emitted into, and of no later one. Consumed runs go
+// back to a process-wide pool, so a job's buffers start out grown.
+type sendRun[K comparable, V any] struct {
 	groups map[K][]V
-	bytes  int64    // accounted size of groups (bounded buffers only)
-	held   runStats // groups once sealed: combined, not yet handed off
-	sent   runStats // everything handed off so far
+	spare  [][]V
+}
+
+// add appends v to k's group, starting a new group on a spare value slice.
+func (r *sendRun[K, V]) add(k K, v V) {
+	vs, ok := r.groups[k]
+	if !ok && len(r.spare) > 0 {
+		vs = r.spare[len(r.spare)-1]
+		r.spare = r.spare[:len(r.spare)-1]
+	}
+	r.groups[k] = append(vs, v)
+}
+
+// keep records a group's value slice for reuse once the run has been
+// consumed. seal calls it before combining: a combiner may compact in place
+// or return another slice, and only the one add grew is the run's to reuse.
+func (r *sendRun[K, V]) keep(vs []V) {
+	if cap(vs) > 0 {
+		r.spare = append(r.spare, vs[:0])
+	}
 }
 
 // destSendState is the per-destination half of the send path: the sender
@@ -104,16 +135,12 @@ type destSendState[K comparable, V any] struct {
 	// occupancy is the summed buffered bytes across the map workers' buffers
 	// toward this destination (the quantity SendBufferBytes bounds).
 	occupancy atomic.Int64
-	// free recycles the group maps of consumed runs back to the flush path
-	// (bounded; misses fall back to allocation).
-	free chan map[K][]V
-
 	// queue hands flushed runs to the sender goroutine (nil for this peer
 	// itself). Its small capacity absorbs scheduler jitter — the sender losing
 	// the CPU for a couple of timeslices must not stall the map workers.
 	// Hand-offs beyond a full queue block, so in-flight sender memory stays a
 	// small constant multiple of SendBufferBytes per peer.
-	queue chan map[K][]V
+	queue chan *sendRun[K, V]
 }
 
 // newSendPath prepares the buffers and starts one sender goroutine per remote
@@ -131,6 +158,7 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 		dests:   make([]*destSendState[K, V], npeers),
 		bufs:    make([][]sendBuffer[K, V], cfg.MapWorkers),
 		ctx:     cfg.Context,
+		runs:    poolOf[sendRun[K, V]](),
 		occHist: cfg.Obs.Histogram("seqmine_send_buffer_occupancy_bytes",
 			"Per-destination streaming send-buffer occupancy, observed at each flush.", obs.ByteBuckets),
 	}
@@ -140,16 +168,16 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 	for w := range s.bufs {
 		s.bufs[w] = make([]sendBuffer[K, V], len(s.dests))
 		for dst := range s.bufs[w] {
-			s.bufs[w][dst].groups = make(map[K][]V)
+			s.bufs[w][dst].run = s.getRun()
 		}
 	}
 	for p := range s.dests {
-		st := &destSendState[K, V]{owner: s, dst: p, free: make(chan map[K][]V, 8)}
+		st := &destSendState[K, V]{owner: s, dst: p}
 		s.dests[p] = st
 		if p == s.self {
 			continue
 		}
-		st.queue = make(chan map[K][]V, 4)
+		st.queue = make(chan *sendRun[K, V], 4)
 		s.senders.Add(1)
 		go pprof.Do(s.ctx, pprof.Labels("seqmine_stage", "shuffle_send", "peer", strconv.Itoa(p)),
 			func(context.Context) { st.runSender(bx, job.Codec) })
@@ -157,25 +185,20 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 	return s
 }
 
-// getGroups returns a recycled (empty) group map, or a fresh one.
-func (st *destSendState[K, V]) getGroups() map[K][]V {
-	select {
-	case g := <-st.free:
-		return g
-	default:
-		return make(map[K][]V)
+// getRun returns a recycled (empty) run, or a fresh one.
+func (s *sendPath[K, V]) getRun() *sendRun[K, V] {
+	if r, ok := s.runs.Get().(*sendRun[K, V]); ok {
+		return r
 	}
+	return &sendRun[K, V]{groups: make(map[K][]V)}
 }
 
-// putGroups recycles the map of a fully consumed run. It is cleared, not
-// reallocated: the buckets are reused by the next fill, and recycling never
-// retains shuffle data.
-func (st *destSendState[K, V]) putGroups(g map[K][]V) {
-	clear(g)
-	select {
-	case st.free <- g:
-	default:
-	}
+// putRun recycles a run that has been consumed or will never be sent, once
+// sealed. Its map is cleared, not reallocated: the buckets and the spare
+// value slices are reused by the next fill.
+func (s *sendPath[K, V]) putRun(r *sendRun[K, V]) {
+	clear(r.groups)
+	s.runs.Put(r)
 }
 
 // lost reports whether the run can no longer succeed — it was cancelled or a
@@ -200,18 +223,20 @@ func (s *sendPath[K, V]) add(b *sendBuffer[K, V], dst int, k K, v V) {
 			testSendBufferProbe(dst, occupancy)
 		}
 	}
-	b.groups[k] = append(b.groups[k], v)
+	b.run.add(k, v)
 }
 
 // seal combines what the buffer holds. A map worker seals its buffers when it
 // runs out of input, so the final combine is part of the (parallel) map phase;
 // finish hands the sealed runs off.
 func (s *sendPath[K, V]) seal(b *sendBuffer[K, V]) {
-	b.held = runStats{batches: int64(len(b.groups))}
-	for k, vs := range b.groups {
+	groups := b.run.groups
+	b.held = runStats{batches: int64(len(groups))}
+	for k, vs := range groups {
+		b.run.keep(vs)
 		if s.combine != nil {
 			vs = s.combine(k, vs)
-			b.groups[k] = vs
+			groups[k] = vs
 		}
 		b.held.records += int64(len(vs))
 		switch {
@@ -232,14 +257,14 @@ func (s *sendPath[K, V]) flush(b *sendBuffer[K, V], st *destSendState[K, V]) {
 	st.occupancy.Add(-b.bytes)
 	b.bytes = 0
 	if s.lost() {
-		clear(b.groups)
+		clear(b.run.groups)
 		return
 	}
 	s.seal(b)
 	if err := s.handOff(b, st); err != nil {
 		s.fail(err)
 	}
-	b.groups = st.getGroups()
+	b.run = s.getRun()
 }
 
 // handOff passes the buffer's sealed groups on, mid-map and after the map
@@ -247,19 +272,20 @@ func (s *sendPath[K, V]) flush(b *sendBuffer[K, V], st *destSendState[K, V]) {
 // destination's sender queue. A full queue blocks the hand-off until the
 // sender frees a slot or the run is cancelled — exactly the backpressure a slow
 // peer means for this map worker; the other workers own their buffers and keep
-// going. The group map belongs to the receiver afterwards.
+// going. The run belongs to the receiver afterwards; the accumulator copies
+// the values it is handed, so this peer's own runs are recycled at once.
 func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V]) error {
-	groups := b.groups
+	run := b.run
 	if st.queue == nil {
-		for k, vs := range groups {
+		for k, vs := range run.groups {
 			if err := s.acc.add(KeyBatch[K, V]{Key: k, Values: vs}); err != nil {
 				return err
 			}
 		}
-		st.putGroups(groups)
+		s.putRun(run)
 	} else {
 		select {
-		case st.queue <- groups:
+		case st.queue <- run:
 		case <-s.ctx.Done():
 			return s.ctx.Err()
 		}
@@ -270,25 +296,30 @@ func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V]) e
 
 // runSender encodes the peer's queued runs, one frame per key batch, and sends
 // them over the exchange until the queue is closed. It is the destination's
-// only writer, so one encode buffer serves the whole run. Once the run is lost
-// (a send failed, or it was cancelled) it keeps consuming but discards, so
-// hand-offs never block against a dead peer; the error surfaces after the
-// barrier.
+// only writer, so one encode buffer (pooled across jobs) serves the whole run.
+// Once the run is lost (a send failed, or it was cancelled) it keeps consuming
+// but discards, so hand-offs never block against a dead peer; the error
+// surfaces after the barrier.
 func (st *destSendState[K, V]) runSender(bx ByteExchange, codec *FrameCodec[K, V]) {
 	s := st.owner
 	defer s.senders.Done()
-	var frame []byte
-	for groups := range st.queue {
+	frames := poolOf[[]byte]()
+	frame, ok := frames.Get().(*[]byte)
+	if !ok {
+		frame = new([]byte)
+	}
+	defer frames.Put(frame)
+	for run := range st.queue {
 		if !s.lost() {
-			for k, vs := range groups {
-				frame = codec.EncodeBatch(frame[:0], KeyBatch[K, V]{Key: k, Values: vs})
-				if err := bx.Send(st.dst, frame); err != nil {
+			for k, vs := range run.groups {
+				*frame = codec.EncodeBatch((*frame)[:0], KeyBatch[K, V]{Key: k, Values: vs})
+				if err := bx.Send(st.dst, *frame); err != nil {
 					s.fail(err)
 					break
 				}
 			}
 		}
-		st.putGroups(groups)
+		s.putRun(run)
 	}
 }
 
@@ -300,12 +331,12 @@ func (s *sendPath[K, V]) finish() error {
 	for dst, st := range s.dests {
 		for w := range s.bufs {
 			b := &s.bufs[w][dst]
-			if len(b.groups) == 0 || s.lost() {
-				continue
-			}
-			if err := s.handOff(b, st); err != nil {
+			if len(b.run.groups) == 0 || s.lost() {
+				s.putRun(b.run) // sealed: its value slices are kept already
+			} else if err := s.handOff(b, st); err != nil {
 				s.fail(err)
 			}
+			b.run = nil // the receiver recycles what it was handed
 		}
 		if st.queue != nil {
 			close(st.queue)

@@ -34,7 +34,10 @@ func BenchmarkShuffleOverlapTCP(b *testing.B) {
 	}
 }
 
-// overlapCodec moves int keys and fixed-size byte payloads.
+// overlapCodec moves int keys and fixed-size byte payloads. Its payloads
+// alias the frame they were read from, which only a job that never spills
+// may do: received runs outlive the reduce phase, merged segment frames do
+// not.
 func overlapCodec() FrameCodec[int, []byte] {
 	return FrameCodec[int, []byte]{
 		AppendKey: func(buf []byte, k int) []byte { return AppendUvarint(buf, uint64(k)) },

@@ -31,6 +31,12 @@ type Forest struct {
 	items      []itemEntry // open addressing, over twice the distinct items
 	stateStamp []uint32    // per state
 	frames     []frame     // per recursion depth
+
+	// Early stopping under a pivot: live[q] is set iff a path from q
+	// outputs the pivot. indeg and topo are the scratch of markLive.
+	live  []bool
+	indeg []int32
+	topo  []int32
 }
 
 type itemEntry struct{ item, gen, slot uint32 }
@@ -105,6 +111,12 @@ func (f *Forest) addNFA(n *NFA, weight int64) {
 // once per candidate. When pivot is non-zero, only candidates containing the
 // pivot item are reported.
 //
+// Under a pivot, a prefix without it stops early, state by state: it is
+// grown only from the states that can still output the pivot, and a target
+// that cannot is projected only into the pivot's own child. Only those count
+// towards the children's supports, which stay exact for every extension that
+// can still gain the pivot. Once the prefix holds the pivot, every state counts.
+//
 // A projection lists the states a prefix can be in, grouped by automaton in
 // ascending order. Expanding scatters the target of every (label item,
 // target) pair leaving them into the item's buffer, like DESQ-DFS's
@@ -119,7 +131,45 @@ func (f *Forest) Mine(sigma int64, pivot dict.ItemID, emit func(miner.Pattern)) 
 		distinct := min(len(f.labels), int(slices.Max(f.labels))+1) // at most
 		f.items = grow(f.items, 2<<bits.Len(uint(distinct)))
 	}
-	f.expand(0, f.roots)
+	if pivot != dict.None {
+		f.markLive()
+	}
+	f.expand(0, f.roots, pivot == dict.None)
+}
+
+// markLive sets live[q] iff an edge on a path from q outputs the pivot, in
+// one pass over the states in reverse topological order (Kahn's order of the
+// whole forest; decoded states are numbered in discovery order, which is not
+// topological once suffixes are shared).
+func (f *Forest) markLive() {
+	n := len(f.final)
+	f.indeg = zeroed(f.indeg, n)
+	for _, t := range f.to {
+		f.indeg[t]++
+	}
+	f.topo = f.topo[:0]
+	for q, d := range f.indeg {
+		if d == 0 {
+			f.topo = append(f.topo, int32(q))
+		}
+	}
+	for head := 0; head < len(f.topo); head++ {
+		q := f.topo[head]
+		for _, t := range f.to[f.edgeOff[q]:f.edgeOff[q+1]] {
+			if f.indeg[t]--; f.indeg[t] == 0 {
+				f.topo = append(f.topo, t)
+			}
+		}
+	}
+	f.live = resize(f.live, n)
+	for i := len(f.topo) - 1; i >= 0; i-- {
+		q := f.topo[i]
+		live := false
+		for e := f.edgeOff[q]; e < f.edgeOff[q+1] && !live; e++ {
+			live = f.live[f.to[e]] || slices.Contains(f.label(e), f.pivot)
+		}
+		f.live[q] = live
+	}
 }
 
 // grow returns s, or if it is shorter than n a zeroed slice of max(n, 2·len(s)).
@@ -131,8 +181,10 @@ func grow[T any](s []T, n int) []T {
 }
 
 // expand reports the current prefix if the automata with a final state in proj
-// reach sigma, then grows it by every item whose projection does.
-func (f *Forest) expand(depth int, proj []int32) {
+// reach sigma, then grows it by every item whose projection does. withPivot
+// reports whether the prefix needs no pivot any more: it holds it, or there is
+// none.
+func (f *Forest) expand(depth int, proj []int32, withPivot bool) {
 	if f.gen++; f.gen == 0 {
 		clear(f.items)
 		clear(f.stateStamp)
@@ -151,6 +203,9 @@ func (f *Forest) expand(depth int, proj []int32) {
 			continue
 		}
 		f.stateStamp[q] = f.gen
+		if !withPivot && !f.live[q] {
+			continue // freq is not reported without the pivot
+		}
 		o := f.owner[q]
 		if f.final[q] && o != last {
 			freq += f.weight[o]
@@ -158,7 +213,15 @@ func (f *Forest) expand(depth int, proj []int32) {
 		}
 		for e := f.edgeOff[q]; e < f.edgeOff[q+1]; e++ {
 			to := f.to[e]
-			for _, w := range f.label(e) {
+			label := f.label(e)
+			if !withPivot && !f.live[to] {
+				i := slices.Index(label, f.pivot)
+				if i < 0 {
+					continue
+				}
+				label = label[i : i+1]
+			}
+			for _, w := range label {
 				i := int(uint64(w)*0x9e3779b97f4a7c15>>32) & mask
 				for f.items[i].gen == f.gen && f.items[i].item != uint32(w) {
 					i = (i + 1) & mask
@@ -181,7 +244,7 @@ func (f *Forest) expand(depth int, proj []int32) {
 			}
 		}
 	}
-	if freq >= f.sigma && depth > 0 && (f.pivot == dict.None || slices.Contains(f.prefix, f.pivot)) {
+	if freq >= f.sigma && depth > 0 && withPivot {
 		f.emit(miner.Pattern{Items: slices.Clone(f.prefix), Freq: freq})
 	}
 
@@ -189,8 +252,9 @@ func (f *Forest) expand(depth int, proj []int32) {
 	slices.Sort(fr.order)
 	for _, key := range fr.order {
 		if x := &fr.exps[uint32(key)]; x.support >= f.sigma {
-			f.prefix = append(f.prefix, dict.ItemID(key>>32))
-			f.expand(depth+1, x.states)
+			w := dict.ItemID(key >> 32)
+			f.prefix = append(f.prefix, w)
+			f.expand(depth+1, x.states, withPivot || w == f.pivot)
 			f.prefix = f.prefix[:len(f.prefix)-1]
 		}
 	}

@@ -80,8 +80,9 @@ func BenchmarkMerge(b *testing.B) {
 // TestSearcherAllocations pins the warm kernels on the fixture of
 // BenchmarkAnalyzeGrid and BenchmarkRewrite: a grid analysis allocates its
 // Analysis and, when T has pivots, the pivot slice and the one backing array
-// of the relevance ranges — the grid itself is pooled; a rewrite allocates
-// nothing (it aliases T).
+// of the relevance ranges — the grid itself is pooled; AnalyzeInto on a
+// reused Analysis allocates nothing, and neither does a rewrite (it aliases
+// T).
 func TestSearcherAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -105,6 +106,14 @@ func TestSearcherAllocations(t *testing.T) {
 		}
 	}); n > float64(want) {
 		t.Errorf("Analyze allocates %.0f times per database pass, want <= %d", n, want)
+	}
+	var reused pivot.Analysis
+	if n := testing.AllocsPerRun(20, func() {
+		for _, T := range db {
+			s.AnalyzeInto(T, &reused)
+		}
+	}); n != 0 {
+		t.Errorf("AnalyzeInto allocates %.0f times per database pass into a reused Analysis, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		for i, T := range db {

@@ -199,16 +199,28 @@ func (a *Analysis) Range(k dict.ItemID) (first, last int) {
 
 // Analyze computes K(T) and the per-pivot relevant-position ranges for T.
 func (s *Searcher) Analyze(T []dict.ItemID) *Analysis {
+	return s.AnalyzeInto(T, new(Analysis))
+}
+
+// AnalyzeInto is Analyze writing into a, whose storage it reuses: a caller
+// analyzing sequence after sequence keeps one Analysis and allocates nothing
+// once it has grown. Whatever a held before is overwritten.
+func (s *Searcher) AnalyzeInto(T []dict.ItemID, a *Analysis) *Analysis {
+	a.n = len(T)
+	a.Pivots, a.relFirst, a.relLast = a.Pivots[:0], a.relFirst[:0], a.relLast[:0]
 	if s.opts.UseGrid {
-		return s.analyzeGrid(T)
+		a.haveRel = true
+		s.analyzeGrid(T, a)
+	} else {
+		a.haveRel = false
+		s.analyzeRuns(T, a)
 	}
-	return s.analyzeRuns(T)
+	return a
 }
 
 // analyzeRuns computes K(T) by enumerating all accepting runs (no grid) and
 // applying Theorem 1 to each run's frequent output sets.
-func (s *Searcher) analyzeRuns(T []dict.ItemID) *Analysis {
-	a := &Analysis{n: len(T)}
+func (s *Searcher) analyzeRuns(T []dict.ItemID, a *Analysis) {
 	var ms MergeScratch
 	s.fst.ForEachRun(T, s.sigma, func(outputs [][]dict.ItemID, _ int) bool {
 		a.Pivots = append(a.Pivots, ms.MergeAll(outputs)...)
@@ -216,7 +228,6 @@ func (s *Searcher) analyzeRuns(T []dict.ItemID) *Analysis {
 	})
 	slices.Sort(a.Pivots)
 	a.Pivots = dedupSorted(a.Pivots)
-	return a
 }
 
 // gridScratch is the pooled per-call working memory of analyzeGrid: the bitset
@@ -312,11 +323,10 @@ func (sc *gridScratch) unionInto(a, b []dict.ItemID) (int32, int32) {
 // FST's transition table against the bitset accept matrix and keeps every K(i, q)
 // as a region of the pooled arena; ε edges propagate their source region
 // without copying.
-func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
-	a := &Analysis{n: len(T), haveRel: true}
+func (s *Searcher) analyzeGrid(T []dict.ItemID, a *Analysis) {
 	n := len(T)
 	if n == 0 {
-		return a
+		return
 	}
 	f := s.fst
 	words := f.Words()
@@ -326,7 +336,7 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	init := f.Initial()
 	if !f.Reach(T, sc.reach, nil, words) {
 		gridPool.Put(sc)
-		return a
+		return
 	}
 
 	sc.arena = append(sc.arena, dict.None)
@@ -391,13 +401,15 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 	slices.Sort(sc.pivots)
 	pivots := dedupSorted(sc.pivots)
 	if m := len(pivots); m > 0 {
-		a.Pivots = make([]dict.ItemID, m)
-		copy(a.Pivots, pivots)
+		a.Pivots = append(a.Pivots, pivots...)
 		// Relevant-position ranges per pivot: position i is relevant for pivot
 		// k if an accepting-run edge at i changes state or can output a
-		// frequent item <= k. Both range slices share one backing array.
-		rel := make([]int32, 2*m)
-		a.relFirst, a.relLast = rel[:m:m], rel[m:]
+		// frequent item <= k. Grown, both range slices share one backing array.
+		if cap(a.relFirst) < m || cap(a.relLast) < m {
+			rel := make([]int32, 2*m)
+			a.relFirst, a.relLast = rel[:0:m], rel[m:m]
+		}
+		a.relFirst, a.relLast = a.relFirst[:m], a.relLast[:m]
 		for idx, k := range a.Pivots {
 			first, last := -1, -1
 			for i := 0; i < n; i++ {
@@ -416,7 +428,6 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID) *Analysis {
 		}
 	}
 	gridPool.Put(sc)
-	return a
 }
 
 // unionSorted merges two sorted fid slices into a sorted duplicate-free slice.

@@ -208,7 +208,8 @@ func TestRewriteWithoutGridIsIdentity(t *testing.T) {
 }
 
 // TestAnalyzeMatchesBruteForce compares grid-based and run-based pivot search
-// against a brute-force computation from Gσπ(T) on random sequences.
+// against a brute-force computation from Gσπ(T) on random sequences, and
+// AnalyzeInto on a reused Analysis against a fresh Analyze.
 func TestAnalyzeMatchesBruteForce(t *testing.T) {
 	d := paperex.Dict()
 	patterns := []string{
@@ -222,6 +223,7 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 		f := fst.MustCompile(pat, d)
 		grid := pivot.NewSearcher(f, paperex.Sigma, pivot.DefaultOptions())
 		noGrid := pivot.NewSearcher(f, paperex.Sigma, pivot.Options{UseGrid: false})
+		var reused [2]pivot.Analysis
 		for trial := 0; trial < 150; trial++ {
 			n := rng.Intn(8)
 			T := make([]dict.ItemID, n)
@@ -239,6 +241,22 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 			}
 			if !reflect.DeepEqual(gotRuns, want) {
 				t.Fatalf("pattern %q T=%v: run pivots %v, want %v", pat, d.DecodeSequence(T), decode(d, gotRuns), decode(d, want))
+			}
+			// A reused Analysis must hold exactly what a fresh one does,
+			// whatever the sequence before left in it.
+			for i, s := range []*pivot.Searcher{grid, noGrid} {
+				fresh := s.Analyze(T)
+				got := s.AnalyzeInto(T, &reused[i])
+				if len(got.Pivots) != len(fresh.Pivots) || (len(fresh.Pivots) > 0 && !reflect.DeepEqual(got.Pivots, fresh.Pivots)) {
+					t.Fatalf("pattern %q T=%v: reused analysis pivots %v, fresh %v", pat, d.DecodeSequence(T), got.Pivots, fresh.Pivots)
+				}
+				for _, k := range append(fresh.Pivots, dict.ItemID(d.Size()+1)) {
+					gf, gl := got.Range(k)
+					ff, fl := fresh.Range(k)
+					if gf != ff || gl != fl {
+						t.Fatalf("pattern %q T=%v pivot %d: reused range [%d,%d], fresh [%d,%d]", pat, d.DecodeSequence(T), k, gf, gl, ff, fl)
+					}
+				}
 			}
 		}
 	}
