@@ -140,8 +140,10 @@ func TestDCandMinePeerRejectsCorruptNFA(t *testing.T) {
 		"torn":   {nfa: []byte{0x00, 0x01}}, // a label of one item, cut before the item
 		"cyclic": {nfa: []byte{0x00, 0x01, 0x01, 0x02, 0x01, 0x01, 0x00}, cyclic: true},
 	} {
-		// pivot 3, one value: weight 1, length-prefixed NFA bytes.
-		frame := append([]byte{0x03, 0x01, 0x01, byte(len(c.nfa))}, c.nfa...)
+		// A run of one record — pivot 3, one value: weight 1,
+		// length-prefixed NFA bytes — behind the record's length.
+		body := append([]byte{0x03, 0x01, 0x01, byte(len(c.nfa))}, c.nfa...)
+		frame := append([]byte{byte(len(body))}, body...)
 		for _, shuffle := range []mapreduce.ShuffleConfig{{}, {SpillThreshold: 1, SpillTmpDir: t.TempDir()}} {
 			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2, Shuffle: shuffle}
 			got, _, err := dcand.Mine(f, db, paperex.Sigma, dcand.DefaultOptions(), cfg, &tornPeer{frames: [][]byte{frame}})

@@ -17,12 +17,14 @@ type KeyBatch[K comparable, V any] struct {
 
 // ByteExchange is the peer-to-peer fabric of a multi-process run, implemented
 // by wire transports (internal/transport): it moves opaque frames between the
-// peers of one job. The engine runs one sender goroutine per remote peer, the
-// only writer toward that destination, and never sends to Self; Send must be
-// done with the frame when it returns. Recv is called from a single receiver
-// goroutine concurrently with the senders (so Send may apply backpressure
-// without risking deadlock) and returns io.EOF after every remote peer has
-// closed its sending side. No Send may follow CloseSend.
+// peers of one job. Every frame the engine sends is one sorted run (run.go).
+// The engine runs one sender goroutine per remote peer, the only writer
+// toward that destination, and never sends to Self; Send must be done with
+// the frame when it returns. Recv is called from a single receiver goroutine
+// concurrently with the senders (so Send may apply backpressure without
+// risking deadlock) and returns io.EOF after every remote peer has closed its
+// sending side; the frames it returns belong to the engine, which keeps them
+// as received runs. No Send may follow CloseSend.
 type ByteExchange interface {
 	NumPeers() int
 	Self() int
@@ -81,7 +83,8 @@ func (d valueDecoder[K, V]) Decode(vals []V, raw []byte, count int) ([]V, error)
 
 func (valueDecoder[K, V]) Release(bool) {}
 
-// EncodeBatch appends the wire form of one batch: key, value count, values.
+// EncodeBatch appends one batch as key, value count, values: the bytes of a
+// run record (run.go) after its length prefix.
 func (c FrameCodec[K, V]) EncodeBatch(buf []byte, b KeyBatch[K, V]) []byte {
 	buf = c.AppendKey(buf, b.Key)
 	buf = AppendUvarint(buf, uint64(len(b.Values)))
@@ -91,8 +94,8 @@ func (c FrameCodec[K, V]) EncodeBatch(buf []byte, b KeyBatch[K, V]) []byte {
 	return buf
 }
 
-// DecodeBatch decodes one frame produced by EncodeBatch. Trailing bytes are
-// an error. The engine itself never decodes a whole frame — received frames
+// DecodeBatch decodes one batch produced by EncodeBatch. Trailing bytes are
+// an error. The engine itself never decodes a whole record — received runs
 // stay encoded until the reduce callback — so this is the reference decoder
 // the codec tests and fuzz targets check encodings against.
 func (c FrameCodec[K, V]) DecodeBatch(frame []byte) (KeyBatch[K, V], error) {
@@ -126,47 +129,8 @@ func (c FrameCodec[K, V]) DecodeBatch(frame []byte) (KeyBatch[K, V], error) {
 	return b, nil
 }
 
-// frameHeader is the parsed prefix of one encoded batch frame: the encoded-key
-// length and the value count, located without decoding any value. valsStart is
-// the offset of the first encoded value byte. It is the unit the raw shuffle
-// spine works in — receive-side grouping, spill segments and the reduce merge
-// all operate on these (keyBytes, count, value-bytes) triples and only decode
-// values when a fully assembled group reaches the reduce callback.
-type frameHeader struct {
-	keyLen    int
-	count     int
-	valsStart int
-}
-
-// parseFrameHeader splits one batch frame into its encoded key, value count
-// and value-byte region. Values are not decoded; the only validation is the
-// structural minimum (every encoded value occupies at least one byte), so a
-// frame with corrupt value bytes surfaces its error at decode time.
-func (c FrameCodec[K, V]) parseFrameHeader(frame []byte) (frameHeader, error) {
-	var h frameHeader
-	_, keyLen, err := c.ReadKey(frame, 0)
-	if err != nil {
-		return h, err
-	}
-	count, pos, err := ReadUvarint(frame, keyLen)
-	if err != nil {
-		return h, err
-	}
-	if count > uint64(len(frame)-pos) {
-		return h, fmt.Errorf("mapreduce: batch claims %d values in %d bytes", count, len(frame)-pos)
-	}
-	if count == 0 && pos != len(frame) {
-		return h, fmt.Errorf("mapreduce: %d trailing bytes after empty batch", len(frame)-pos)
-	}
-	h.keyLen = keyLen
-	h.count = int(count)
-	h.valsStart = pos
-	return h, nil
-}
-
 // appendValues decodes count encoded values from raw into vals. The byte
-// region must hold exactly count values (the concatenation of one or more
-// frames' value regions of the same key).
+// region must hold exactly count values.
 func (c FrameCodec[K, V]) appendValues(vals []V, raw []byte, count int) ([]V, error) {
 	pos := 0
 	for i := 0; i < count; i++ {

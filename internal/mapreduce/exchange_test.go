@@ -1,10 +1,13 @@
 package mapreduce
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -236,9 +239,12 @@ func (r *recordingFabric) Send(dst int, frame []byte) error {
 
 // TestSentFramesAreEncodedBatches pins the wire format, which is what keeps
 // transport byte counts comparable across versions: on an unbounded shuffle
-// every map worker sends each of its keys owned by another peer as exactly one
-// frame, EncodeBatch of the key and its combined values — with and without a
-// combiner, so a batch carries one value or many.
+// every map worker hands each destination one run, sent as one payload (the
+// runs here are far below spillChunkBytes), and that payload is a sorted run
+// whose records are exactly the worker's combined groups for the
+// destination — each record's bytes after its length prefix are EncodeBatch
+// of one key and its combined values. With and without a combiner, so a
+// record carries one value or many.
 func TestSentFramesAreEncodedBatches(t *testing.T) {
 	inputs := spillInputs(60)
 	const peers, workers = 3, 2
@@ -259,12 +265,13 @@ func TestSentFramesAreEncodedBatches(t *testing.T) {
 			if errs[p] != nil {
 				t.Fatalf("peer %d: %v", p, errs[p])
 			}
-			want := map[int][]string{}
+			want, wantRuns := map[int][]string{}, map[int]int{}
 			for w := 0; w < workers; w++ {
 				groups := map[string][]int{}
 				for i := w; i < len(split); i += workers {
 					job.Map(split[i], func(k string, v int) { groups[k] = append(groups[k], v) })
 				}
+				dsts := map[int]bool{}
 				for k, vs := range groups {
 					if dst := int(job.Hash(k) % peers); dst != p {
 						if job.Combine != nil {
@@ -272,17 +279,117 @@ func TestSentFramesAreEncodedBatches(t *testing.T) {
 						}
 						frame := job.Codec.EncodeBatch(nil, KeyBatch[string, int]{Key: k, Values: vs})
 						want[dst] = append(want[dst], string(frame))
+						dsts[dst] = true
+					}
+				}
+				for dst := range dsts {
+					wantRuns[dst]++
+				}
+			}
+			got := map[int][]string{}
+			for dst, payloads := range recorders[p].sent {
+				if len(payloads) != wantRuns[dst] {
+					t.Errorf("combiner %v: peer %d sent %d payloads to peer %d, want one per map worker's run: %d",
+						job.Combine != nil, p, len(payloads), dst, wantRuns[dst])
+				}
+				for _, payload := range payloads {
+					r := &runReader[string, int]{codec: job.Codec, data: []byte(payload)}
+					var last []byte
+					for {
+						rec, err := r.next()
+						if err == io.EOF {
+							break
+						}
+						if err != nil {
+							t.Fatalf("combiner %v: peer %d sent a payload that is not a sorted run: %v", job.Combine != nil, p, err)
+						}
+						if bytes.Equal(rec.keyBytes, last) {
+							t.Errorf("combiner %v: peer %d sent a key twice in one run", job.Combine != nil, p)
+						}
+						last = rec.keyBytes
+						body := append(bytes.Clone(rec.keyBytes), AppendUvarint(nil, uint64(rec.count))...)
+						got[dst] = append(got[dst], string(append(body, rec.vals...)))
 					}
 				}
 			}
 			for dst := range want {
 				sort.Strings(want[dst])
-				sort.Strings(recorders[p].sent[dst])
+				sort.Strings(got[dst])
 			}
-			if !reflect.DeepEqual(recorders[p].sent, want) {
-				t.Errorf("combiner %v: peer %d sent frames that are not the encoded batches", job.Combine != nil, p)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("combiner %v: peer %d sent records that are not the encoded batches", job.Combine != nil, p)
 			}
 		}
+	}
+}
+
+// injectingFabric hands its peer the payloads in bad before anything its
+// fabric delivers.
+type injectingFabric struct {
+	ByteExchange
+	bad [][]byte
+}
+
+func (f *injectingFabric) Recv() ([]byte, error) {
+	if len(f.bad) > 0 {
+		p := f.bad[0]
+		f.bad = f.bad[1:]
+		return p, nil
+	}
+	return f.ByteExchange.Recv()
+}
+
+// TestRunRejectsCorruptRuns: a payload that is not a sorted run — a torn
+// record, a count larger than its bytes, keys out of encoded order — fails
+// the receiving peer's Run with an error, while the other peers of a 3-peer
+// fabric still complete their barrier and their run. No goroutine outlives
+// the runs, and the failed peer's spill directory is removed.
+func TestRunRejectsCorruptRuns(t *testing.T) {
+	codec := testCodec()
+	valid, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: "word000", Values: []int{1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted, err := encodeRun(&codec, 0,
+		KeyBatch[string, int]{Key: "word002", Values: []int{1}}, KeyBatch[string, int]{Key: "word001", Values: []int{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := codec.AppendKey(nil, "word000")
+	overCount := append(AppendUvarint(nil, uint64(len(key)+2)), key...)
+	overCount = append(overCount, 9, 1) // nine values claimed, one byte left
+	inputs := spillInputs(120)
+	job := spillWordCountJob()
+	for name, bad := range map[string][]byte{
+		"torn record":       valid[:len(valid)-1],
+		"count over bytes":  overCount,
+		"keys out of order": unsorted,
+	} {
+		t.Run(name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			group := newMemFabric(3)
+			group[0] = &injectingFabric{ByteExchange: group[0], bad: [][]byte{valid, bad}}
+			dirs := make([]string, len(group))
+			for p := range dirs {
+				dirs[p] = t.TempDir()
+			}
+			_, _, errs := runGroup(job, group, splitInputs(inputs, 3), func(p int) Config {
+				return Config{MapWorkers: 2, ReduceWorkers: 2,
+					Shuffle: ShuffleConfig{SpillThreshold: 64, SendBufferBytes: 128, SpillTmpDir: dirs[p]}}
+			})
+			if errs[0] == nil || !strings.Contains(errs[0].Error(), "received run") {
+				t.Errorf("peer 0 returned %v, want an error naming the received run", errs[0])
+			}
+			for p := 1; p < len(group); p++ {
+				if errs[p] != nil {
+					t.Errorf("peer %d failed: %v", p, errs[p])
+				}
+			}
+			if left, err := os.ReadDir(dirs[0]); err != nil || len(left) != 0 {
+				t.Errorf("peer 0 left %d entries in its spill directory (%v)", len(left), err)
+			}
+			waitForGoroutines(t, before)
+		})
 	}
 }
 

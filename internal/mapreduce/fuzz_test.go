@@ -1,27 +1,28 @@
 package mapreduce
 
 import (
-	"bufio"
 	"bytes"
+	"context"
 	"io"
+	"reflect"
 	"testing"
 )
 
-// FuzzSpillSegmentReader feeds arbitrary bytes to the spill-segment reader.
-// The reader must terminate with io.EOF or an error — never panic, spin, or
-// allocate beyond its frame bound — because the reduce phase trusts it to
-// fail cleanly on a corrupt or torn segment file.
+// FuzzSpillSegmentReader feeds arbitrary bytes to the run reader, as a
+// segment and as a run held in memory. Both must terminate with io.EOF or an
+// error — never panic, spin, or allocate beyond their record bound — because
+// the merge trusts them to fail cleanly on a corrupt or torn run, and they
+// must agree record for record.
 func FuzzSpillSegmentReader(f *testing.F) {
 	codec := testCodec()
 
-	// Seed with a well-formed two-frame segment and a few mutations.
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	w := segmentWriter[string, int]{codec: &codec, bw: bw}
-	_ = w.writeKey(codec.AppendKey(nil, "alpha"), []int{1, 2, 3})
-	_ = w.writeKey(codec.AppendKey(nil, "beta"), []int{300})
-	bw.Flush()
-	valid := buf.Bytes()
+	// Seed with a well-formed two-record run and a few mutations.
+	valid, err := encodeRun(&codec, 0,
+		KeyBatch[string, int]{Key: "beta", Values: []int{300}},
+		KeyBatch[string, int]{Key: "alpha", Values: []int{1, 2, 3}})
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
@@ -31,160 +32,168 @@ func FuzzSpillSegmentReader(f *testing.F) {
 
 	const maxFrame = 1 << 16
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(data)), maxFrame)
-		decFrames := 0
-		var decErr error
-		for {
-			keyBytes, batch, err := nextBatch(r)
-			if err != nil {
-				decErr = err
-				break
-			}
-			if len(keyBytes) == 0 {
-				t.Fatal("decoded frame with empty key bytes")
-			}
-			// A decoded batch must re-encode to a frame the codec accepts,
-			// i.e. the reader only ever yields self-consistent batches.
-			frame := codec.EncodeBatch(nil, batch)
-			if _, err := codec.DecodeBatch(frame); err != nil {
-				t.Fatalf("re-encoded batch does not decode: %v", err)
-			}
-			if decFrames++; decFrames > 1<<20 {
-				t.Fatal("reader yielded implausibly many frames")
-			}
+		type read struct {
+			records []record
+			err     error
 		}
-
-		// Raw-relay form: the same bytes through nextRaw (the k-way merge's
-		// path) must terminate too, and yield headers consistent with the
-		// frame they came from. The raw path validates only the frame header,
-		// so it may legally read past a value corruption that stops the
-		// decoded reader — but a cleanly decodable segment must raw-read
-		// cleanly to the same frame count.
-		rr := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(data)), maxFrame)
-		rawFrames := 0
-		var rawErr error
-		for {
-			keyBytes, vals, count, err := rr.nextRaw()
-			if err != nil {
-				rawErr = err
-				break
+		reads := map[string]read{}
+		for form, r := range runReaders(&codec, data, maxFrame) {
+			var got read
+			for {
+				rec, err := r.next()
+				if err != nil {
+					got.err = err
+					break
+				}
+				if len(rec.keyBytes) == 0 {
+					t.Fatalf("%s: record with empty key bytes", form)
+				}
+				if rec.count < 0 || rec.count > len(rec.vals) {
+					t.Fatalf("%s: record claims %d values in %d bytes", form, rec.count, len(rec.vals))
+				}
+				got.records = append(got.records, record{keyBytes: bytes.Clone(rec.keyBytes), count: rec.count, vals: bytes.Clone(rec.vals)})
+				if len(got.records) > len(data) {
+					t.Fatalf("%s: reader yielded more records than there are bytes", form)
+				}
 			}
-			if len(keyBytes) == 0 {
-				t.Fatal("raw frame with empty key bytes")
-			}
-			if count < 0 {
-				t.Fatalf("raw frame with negative count %d", count)
-			}
-			frame := append([]byte(nil), keyBytes...)
-			frame = AppendUvarint(frame, uint64(count))
-			frame = append(frame, vals...)
-			h, err := codec.parseFrameHeader(frame)
-			if err != nil {
-				t.Fatalf("reassembled raw frame does not parse: %v", err)
-			}
-			if h.keyLen != len(keyBytes) || h.count != count {
-				t.Fatalf("reassembled header (keyLen %d, count %d) != raw read (keyLen %d, count %d)",
-					h.keyLen, h.count, len(keyBytes), count)
-			}
-			if rawFrames++; rawFrames > 1<<20 {
-				t.Fatal("raw reader yielded implausibly many frames")
-			}
+			reads[form] = got
 		}
-		if decErr == io.EOF && (rawErr != io.EOF || rawFrames != decFrames) {
-			t.Fatalf("decoded read ended cleanly after %d frames, raw read gave %d frames, err %v",
-				decFrames, rawFrames, rawErr)
+		seg, mem := reads["segment"], reads["memory"]
+		if !reflect.DeepEqual(seg.records, mem.records) || (seg.err == io.EOF) != (mem.err == io.EOF) {
+			t.Fatalf("segment read %d records (%v), memory read %d (%v)", len(seg.records), seg.err, len(mem.records), mem.err)
 		}
-		if rawFrames < decFrames {
-			t.Fatalf("raw read stopped after %d frames, decoded read managed %d", rawFrames, decFrames)
+		if seg.err != io.EOF {
+			return
+		}
+		// A cleanly read run re-encodes, group by group, to a run that reads
+		// back to the same keys and values.
+		var batches []KeyBatch[string, int]
+		for _, rec := range seg.records {
+			k, _, err := codec.ReadKey(rec.keyBytes, 0)
+			if err != nil {
+				t.Fatalf("a checked record's key does not decode: %v", err)
+			}
+			vs, err := codec.appendValues(nil, rec.vals, rec.count)
+			if err != nil {
+				return // corrupt values surface when the group is decoded
+			}
+			batches = append(batches, KeyBatch[string, int]{Key: k, Values: vs})
+		}
+		re, err := encodeRun(&codec, 0, batches...)
+		if err != nil {
+			t.Fatalf("re-encoding: %v", err)
+		}
+		r := &runReader[string, int]{codec: &codec, data: re}
+		for _, want := range batches {
+			_, got, err := nextBatch(r)
+			if err != nil || got.Key != want.Key || len(got.Values) != len(want.Values) {
+				t.Fatalf("re-encoded run reads %+v, %v; want %+v", got, err, want)
+			}
 		}
 	})
 }
 
-// FuzzSpillSegmentRoundTrip writes fuzz-derived batches through the segment
-// writer and asserts the reader returns them byte-identically and in order.
+// FuzzSpillSegmentRoundTrip writes fuzz-derived groups through the run
+// writer and asserts both readers return them value for value: a group over
+// spillChunkBytes spans several records of the same key, and a group without
+// values is one zero-count record.
 func FuzzSpillSegmentRoundTrip(f *testing.F) {
 	f.Add("key", uint16(3), uint16(2))
 	f.Add("", uint16(1), uint16(0))
 	f.Add("a longer key with spaces", uint16(40), uint16(9))
+	f.Add("empty", uint16(0), uint16(1))
 	f.Fuzz(func(t *testing.T, key string, count uint16, stride uint16) {
 		codec := testCodec()
 		values := make([]int, int(count)%512)
 		for i := range values {
 			values[i] = i * int(stride)
 		}
-		if len(values) == 0 {
-			return // segment writer skips empty value sets by design
+		data, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: key, Values: values})
+		if err != nil {
+			t.Fatalf("encodeRun: %v", err)
 		}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		w := segmentWriter[string, int]{codec: &codec, bw: bw}
-		if err := w.writeKey(codec.AppendKey(nil, key), values); err != nil {
-			t.Fatalf("writeKey: %v", err)
+		for form, r := range runReaders(&codec, data, maxSpillFrame) {
+			got, records := []int{}, 0
+			for {
+				_, batch, err := nextBatch(r)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s: next: %v", form, err)
+				}
+				if batch.Key != key {
+					t.Fatalf("%s: key %q, want %q", form, batch.Key, key)
+				}
+				got = append(got, batch.Values...)
+				records++
+			}
+			if records == 0 || (len(values) == 0 && records != 1) {
+				t.Fatalf("%s: %d records for %d values", form, records, len(values))
+			}
+			if !reflect.DeepEqual(got, append([]int{}, values...)) {
+				t.Fatalf("%s: got %v, want %v", form, got, values)
+			}
 		}
-		bw.Flush()
+	})
+}
 
-		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(buf.Bytes())), maxSpillFrame)
-		var got []int
+// FuzzReceivedRun feeds arbitrary bytes through what a received payload
+// meets: the arrival check, then — twice over, as two runs — the k-way
+// merge that feeds reduce. Each input must end in an error or in groups
+// delivered once each, in encoded-key order, with every value the records
+// claim; it must never panic or allocate without bound.
+func FuzzReceivedRun(f *testing.F) {
+	codec := testCodec()
+	valid, err := encodeRun(&codec, 0,
+		KeyBatch[string, int]{Key: "beta"},
+		KeyBatch[string, int]{Key: "alpha", Values: []int{1, 2, 3}},
+		KeyBatch[string, int]{Key: "gamma", Values: []int{300}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add(append(valid[len(valid)/2:], valid[:len(valid)/2]...))
+	f.Add([]byte{0x03, 0x01, 'k', 0x09}) // a count larger than its bytes
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		acc := newShuffleAccumulator[string, int](context.Background(), ShuffleConfig{}, nil, &codec, nil)
+		defer acc.release()
+		for range 2 {
+			if err := acc.addRun(data); err != nil {
+				return
+			}
+		}
+		claimed := map[string]int{}
+		r := &runReader[string, int]{codec: &codec, data: data}
 		for {
-			_, batch, err := nextBatch(r)
-			if err == io.EOF {
+			rec, err := r.next()
+			if err != nil {
 				break
 			}
-			if err != nil {
-				t.Fatalf("next: %v", err)
+			if k, _, _ := codec.ReadKey(rec.keyBytes, 0); !bytes.Equal(codec.AppendKey(nil, k), rec.keyBytes) {
+				return // groups are keyed by their bytes: a non-canonical key is a key of its own
 			}
-			if batch.Key != key {
-				t.Fatalf("key %q, want %q", batch.Key, key)
-			}
-			got = append(got, batch.Values...)
+			claimed[string(rec.keyBytes)] += 2 * rec.count
 		}
-		if len(got) != len(values) {
-			t.Fatalf("got %d values, want %d", len(got), len(values))
-		}
-		for i := range got {
-			if got[i] != values[i] {
-				t.Fatalf("value %d: got %d want %d", i, got[i], values[i])
+		var last []byte
+		delivered := 0
+		err := acc.feed(func(k string, vs []int, release func()) error {
+			defer release()
+			kb := codec.AppendKey(nil, k)
+			if last != nil && bytes.Compare(kb, last) <= 0 {
+				t.Fatalf("key %x delivered after %x", kb, last)
 			}
-		}
-
-		// Raw-relay readback: the same segment through nextRaw must carry the
-		// same values, still encoded, with frame counts that sum to the
-		// original value count (writeKey may split a large batch across
-		// frames; each raw frame must decode independently).
-		rr := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(buf.Bytes())), maxSpillFrame)
-		var raw []int
-		rawCount := 0
-		for {
-			keyBytes, vals, count, err := rr.nextRaw()
-			if err == io.EOF {
-				break
+			last = kb
+			if len(vs) != claimed[string(kb)] {
+				t.Fatalf("key %q: %d values delivered, the records claim %d", k, len(vs), claimed[string(kb)])
 			}
-			if err != nil {
-				t.Fatalf("nextRaw: %v", err)
-			}
-			frame := append([]byte(nil), keyBytes...)
-			frame = AppendUvarint(frame, uint64(count))
-			frame = append(frame, vals...)
-			batch, err := codec.DecodeBatch(frame)
-			if err != nil {
-				t.Fatalf("raw frame does not decode: %v", err)
-			}
-			if batch.Key != key {
-				t.Fatalf("raw key %q, want %q", batch.Key, key)
-			}
-			if len(batch.Values) != count {
-				t.Fatalf("raw frame decoded %d values, header says %d", len(batch.Values), count)
-			}
-			raw = append(raw, batch.Values...)
-			rawCount += count
-		}
-		if rawCount != len(values) {
-			t.Fatalf("raw frame counts sum to %d, want %d", rawCount, len(values))
-		}
-		for i := range raw {
-			if raw[i] != values[i] {
-				t.Fatalf("raw value %d: got %d want %d", i, raw[i], values[i])
-			}
+			delivered++
+			return nil
+		})
+		if err == nil && delivered != len(claimed) {
+			t.Fatalf("%d groups delivered, the run holds %d keys", delivered, len(claimed))
 		}
 	})
 }

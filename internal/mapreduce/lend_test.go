@@ -12,8 +12,9 @@ import (
 )
 
 // lendingCases are the four ways a group reaches Reduce: decoded or still
-// encoded (a peer's own records or another peer's frames), and from the
-// in-memory walk or the k-way merge over spill segments.
+// encoded (a peer's own records or another peer's runs), and from runs held
+// in memory (the cases named walk) or spilled to segments (merge) — the one
+// k-way merge feeds both.
 func lendingCases(t *testing.T) []struct {
 	name  string
 	peers int
@@ -133,10 +134,11 @@ func intCodec() FrameCodec[int, int] {
 }
 
 // TestSpillMergeReduceAllocations pins the receive side of a warm job at
-// allocations per spill and per job, not per record or group: groups·perGroup
-// values are added three times, spilled twice, then merged with the final
-// in-memory run and reduced. Thirty-two times the records and four times the
-// groups must not add allocations.
+// allocations per spill and per job, not per record or group: the
+// groups·perGroup values are added three times, decoded as this peer's own
+// and encoded as a remote sender's run, spilled twice, then merged with the
+// final in-memory runs and reduced. Thirty-two times the records and four
+// times the groups must not add allocations.
 func TestSpillMergeReduceAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool is lossy under the race detector")
@@ -154,10 +156,19 @@ func TestSpillMergeReduceAllocations(t *testing.T) {
 		for i := range values {
 			values[i] = i + 1
 		}
+		remote := map[int][]int{}
+		for k := 0; k < groups; k++ {
+			remote[k] = values
+		}
+		var run []byte
+		var enc runEncoder[int, int]
+		if err := enc.writeRun(&codec, remote, func(p []byte) error { run = append(run, p...); return nil }); err != nil {
+			t.Fatal(err)
+		}
 		pass := func() {
 			acc := newShuffleAccumulator(cfg.Context, cfg.Shuffle, nil, &codec, func(int, int) int { return 2 })
-			for run := 0; run < 3; run++ {
-				if run > 0 {
+			for r := 0; r < 3; r++ {
+				if r > 0 {
 					acc.mu.Lock()
 					err := acc.spillLocked()
 					acc.mu.Unlock()
@@ -170,13 +181,16 @@ func TestSpillMergeReduceAllocations(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				if err := acc.addRun(run); err != nil {
+					t.Fatal(err)
+				}
 			}
 			var m Metrics
 			if _, err := reduce(cfg, job, acc, &m); err != nil {
 				t.Fatal(err)
 			}
-			if m.Partitions != int64(groups) || m.MaxPartitionRecords != int64(3*perGroup) {
-				t.Fatalf("reduced %d groups of up to %d values, want %d of %d", m.Partitions, m.MaxPartitionRecords, groups, 3*perGroup)
+			if m.Partitions != int64(groups) || m.MaxPartitionRecords != int64(6*perGroup) {
+				t.Fatalf("reduced %d groups of up to %d values, want %d of %d", m.Partitions, m.MaxPartitionRecords, groups, 6*perGroup)
 			}
 			acc.release()
 		}

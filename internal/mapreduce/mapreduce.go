@@ -173,8 +173,8 @@ type Job[I any, K comparable, V any, O any] struct {
 // the shuffle accumulator, zero-copy, and the outputs are the whole job's.
 // Otherwise every peer of bx calls Run with the same job over its own input
 // split; job.Hash and job.Codec are then mandatory, batches for other peers
-// are encoded by one sender goroutine per destination, received frames stay
-// encoded until the reduce callback, and the outputs are the local
+// are sent as sorted runs by one sender goroutine per destination, received
+// runs stay encoded until the reduce callback, and the outputs are the local
 // partitions' share of the job output.
 func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K, V, O], bx ByteExchange) ([]O, Metrics, error) {
 	cfg = cfg.normalized()
@@ -192,7 +192,7 @@ func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K
 	defer runSpan.End()
 
 	// The accumulator gathers the key batches this peer owns, its own and the
-	// frames the other peers send; it is bounded by the spill threshold. On a
+	// runs the other peers send; it is bounded by the spill threshold. On a
 	// wire exchange a receiver goroutine drains the exchange into it
 	// concurrently with the senders, so bounded transports can apply
 	// backpressure without deadlock. It starts before the map phase: peers
@@ -216,7 +216,7 @@ func Run[I any, K comparable, V any, O any](inputs []I, cfg Config, job Job[I, K
 					return
 				}
 				if accErr == nil { // after an error, keep draining so remote senders are not wedged
-					accErr = acc.addRaw(frame)
+					accErr = acc.addRun(frame)
 				}
 			}
 		})
@@ -350,15 +350,14 @@ func peersOf(bx ByteExchange) (self, npeers int) {
 var errPeersNeedHash = errors.New("mapreduce: multi-peer jobs require a Hash function")
 
 // reduce runs the one reduce loop: cfg.ReduceWorkers goroutines pull key
-// groups from one feeder through a bounded channel, so a heavy partition
-// occupies one worker while the others keep pulling. The feeder is the k-way
-// merge over the on-disk segments and the final in-memory run when the shuffle
-// spilled — this peer then never materializes its full partition set; memory
-// is bounded by the spill threshold plus the in-flight groups — and a walk of
-// the in-memory groups otherwise. Either way a job combiner runs once more
-// over each fully assembled group, merging the equal-key records different
-// peers and workers shipped (the combiner contract, reduce∘combine == reduce,
-// keeps output identical).
+// groups from the accumulator's k-way merge over the spill segments and the
+// final in-memory runs through a bounded channel, so a heavy partition
+// occupies one worker while the others keep pulling, and a peer that spilled
+// never materializes its full partition set: memory is bounded by the spill
+// threshold plus the in-flight groups. A job combiner runs once more over each
+// fully assembled group, merging the equal-key records different peers and
+// workers shipped (the combiner contract, reduce∘combine == reduce, keeps
+// output identical).
 func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], acc *shuffleAccumulator[K, V], metrics *Metrics) ([]O, error) {
 	type lentGroup struct {
 		key     K
@@ -385,13 +384,9 @@ func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], 
 			})
 		}(w)
 	}
-	feed := acc.walk
-	if acc.spilled() {
-		feed = acc.merge
-	}
 	var feedErr error
 	pprof.Do(cfg.Context, pprof.Labels("seqmine_stage", "shuffle_merge"), func(context.Context) {
-		feedErr = feed(func(k K, vs []V, release func()) error {
+		feedErr = acc.feed(func(k K, vs []V, release func()) error {
 			if err := cfg.Context.Err(); err != nil {
 				release()
 				return err // canceled: the caller discards the output

@@ -11,20 +11,16 @@ import (
 	"testing"
 )
 
-// TestSegmentReaderZeroRecordSegment: a segment that was finished without a
-// single frame (every buffered key drained to another segment, or a spill of
-// an empty run) must read back as an immediate clean io.EOF on both the
-// decoded and the raw paths, plain and compressed.
+// TestSegmentReaderZeroRecordSegment: a run without a single record (a
+// segment of an empty spill) must read back as an immediate clean io.EOF, in
+// both forms, plain and compressed.
 func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 	codec := testCodec()
 	t.Run("plain", func(t *testing.T) {
-		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(nil)), maxSpillFrame)
-		if _, _, err := nextBatch(r); err != io.EOF {
-			t.Fatalf("next on empty segment: %v, want io.EOF", err)
-		}
-		rr := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(nil)), maxSpillFrame)
-		if _, _, _, err := rr.nextRaw(); err != io.EOF {
-			t.Fatalf("nextRaw on empty segment: %v, want io.EOF", err)
+		for form, r := range runReaders(&codec, nil, maxSpillFrame) {
+			if _, _, err := nextBatch(r); err != io.EOF {
+				t.Fatalf("%s: next on empty run: %v, want io.EOF", form, err)
+			}
 		}
 	})
 	t.Run("compressed", func(t *testing.T) {
@@ -35,7 +31,7 @@ func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 		if err := fw.Close(); err != nil {
 			t.Fatal(err)
 		}
-		r := newSegmentReader(&codec, bufio.NewReader(flate.NewReader(bytes.NewReader(buf.Bytes()))), maxSpillFrame)
+		r := &runReader[string, int]{codec: &codec, br: bufio.NewReader(flate.NewReader(bytes.NewReader(buf.Bytes())))}
 		if _, _, err := nextBatch(r); err != io.EOF {
 			t.Fatalf("next on empty compressed segment: %v, want io.EOF", err)
 		}
@@ -46,20 +42,20 @@ func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 // region of the compressed byte stream. A DEFLATE stream cut before its final
 // block can never end cleanly, so the reader must surface an error — not a
 // silent io.EOF that would drop the tail of a spill — and must never yield a
-// frame that was not fully written.
+// record that was not fully written.
 func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 	codec := testCodec()
+	written := map[string][]int{"alpha": {1, 2, 3}, "beta": {300}, "gamma": {7, 8, 9, 10}}
+	run, err := encodeRun(&codec, 0,
+		KeyBatch[string, int]{Key: "beta", Values: written["beta"]},
+		KeyBatch[string, int]{Key: "alpha", Values: written["alpha"]},
+		KeyBatch[string, int]{Key: "gamma", Values: written["gamma"]})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	bw := bufio.NewWriter(fw)
-	w := segmentWriter[string, int]{codec: &codec, bw: bw}
-	written := map[string][]int{"alpha": {1, 2, 3}, "beta": {300}, "gamma": {7, 8, 9, 10}}
-	for _, k := range []string{"alpha", "beta", "gamma"} {
-		if err := w.writeKey(codec.AppendKey(nil, k), written[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	if _, err := fw.Write(run); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {
@@ -69,12 +65,12 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 
 	cuts := []int{0, 1, len(full) / 4, len(full) / 2, 3 * len(full) / 4, len(full) - 1}
 	for _, cut := range cuts {
-		r := newSegmentReader(&codec, bufio.NewReader(flate.NewReader(bytes.NewReader(full[:cut]))), maxSpillFrame)
+		r := &runReader[string, int]{codec: &codec, br: bufio.NewReader(flate.NewReader(bytes.NewReader(full[:cut])))}
 		frames := 0
 		for {
 			_, batch, err := nextBatch(r)
 			if err == io.EOF {
-				t.Fatalf("cut=%d: torn compressed segment ended with a clean io.EOF after %d frames", cut, frames)
+				t.Fatalf("cut=%d: torn compressed segment ended with a clean io.EOF after %d records", cut, frames)
 			}
 			if err != nil {
 				break // surfaced the tear; exactly what the reduce path needs
@@ -83,7 +79,7 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 				t.Fatalf("cut=%d: reader invented key %q", cut, batch.Key)
 			}
 			if frames++; frames > len(written) {
-				t.Fatalf("cut=%d: reader yielded more frames than were written", cut)
+				t.Fatalf("cut=%d: reader yielded more records than were written", cut)
 			}
 		}
 	}
@@ -91,11 +87,12 @@ func TestSegmentReaderTornCompressedSegment(t *testing.T) {
 
 // TestSpillCrossBufferRawChunksThreeFlushes drives the accumulator the way a
 // streaming shuffle does when one hot key keeps arriving across buffer
-// flushes: decoded self-owned batches and raw wire frames for the same key land
-// in three separate runs (two spilled, one left in memory). The merge must
-// deliver the key exactly once, with the per-spill external combine collapsing
-// each decoded run and the raw chunks preserved byte-for-byte in
-// segment-then-arrival order.
+// flushes: decoded self-owned batches and received runs for the same key land
+// in three separate generations (two spilled, one left in memory). The merge
+// must deliver the key exactly once, with the per-spill external combine
+// collapsing each decoded run, the received values preserved byte for byte,
+// and the order segment by segment, then the runs still in memory by
+// arrival: within a spill, received runs by arrival, then the decoded run.
 func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 	codec := testCodec()
 	acc := newShuffleAccumulator[string, int](context.Background(),
@@ -108,44 +105,64 @@ func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 		}
 		return []int{s}
 	}
-	frame := func(k string, vs ...int) []byte {
-		return codec.EncodeBatch(nil, KeyBatch[string, int]{Key: k, Values: vs})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	received := func(k string, vs ...int) {
+		t.Helper()
+		run, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: k, Values: vs})
+		must(err)
+		must(acc.addRun(run))
 	}
 	spill := func() {
 		acc.mu.Lock()
 		err := acc.spillLocked()
 		acc.mu.Unlock()
-		if err != nil {
-			t.Fatal(err)
-		}
+		must(err)
 	}
 
 	// Flush 1: two decoded batches (combine collapses them to [6] at spill
-	// time) plus a raw frame for the same key, and a raw-only key.
-	must := func(err error) {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	// time) plus a received run for the same key, and a received-only key.
 	must(acc.add(KeyBatch[string, int]{Key: "hot", Values: []int{1, 2}}))
 	must(acc.add(KeyBatch[string, int]{Key: "hot", Values: []int{3}}))
-	must(acc.addRaw(frame("hot", 10)))
-	must(acc.addRaw(frame("rawonly", 7, 8)))
+	received("hot", 10)
+	received("rawonly", 7, 8)
 	spill()
-	// Flush 2: the same key again, one decoded and one raw contribution.
+	// Flush 2: the same key again, one decoded and one received contribution.
 	must(acc.add(KeyBatch[string, int]{Key: "hot", Values: []int{4}}))
-	must(acc.addRaw(frame("hot", 20, 21)))
+	received("hot", 20, 21)
 	spill()
-	// Flush 3 stays in memory: a final raw chunk plus a decoded-only key.
-	must(acc.addRaw(frame("hot", 30)))
+	// Flush 3 stays in memory: a final received run plus a decoded-only key.
+	received("hot", 30)
 	must(acc.add(KeyBatch[string, int]{Key: "memonly", Values: []int{5}}))
 
 	if _, n := acc.stats(); n != 2 {
 		t.Fatalf("spill count = %d, want 2", n)
 	}
+	// A spill coalesces what all runs hold for a key into one record.
+	for i, f := range acc.segs {
+		r, err := openSegment(&codec, f, false)
+		must(err)
+		var keys []string
+		for {
+			_, b, err := nextBatch(&r)
+			if err == io.EOF {
+				break
+			}
+			must(err)
+			keys = append(keys, b.Key)
+		}
+		r.close()
+		if want := [][]string{{"hot", "rawonly"}, {"hot"}}[i]; !reflect.DeepEqual(keys, want) {
+			t.Fatalf("segment %d holds records %v, want one per key: %v", i, keys, want)
+		}
+	}
 	got := map[string][]int{}
 	var order []string
-	err := acc.merge(func(k string, vs []int, release func()) error {
+	err := acc.feed(func(k string, vs []int, release func()) error {
 		if _, dup := got[k]; dup {
 			t.Fatalf("merge delivered key %q twice", k)
 		}
@@ -158,9 +175,7 @@ func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string][]int{
-		// Segment order (seg 0, seg 1, in-memory runs), decoded-before-raw
-		// within a segment, arrival order within a raw group.
-		"hot":     {6, 10, 4, 20, 21, 30},
+		"hot":     {10, 6, 20, 21, 4, 30},
 		"rawonly": {7, 8},
 		"memonly": {5},
 	}

@@ -161,73 +161,92 @@ func TestSpillSingleHotKey(t *testing.T) {
 	}
 }
 
-// nextBatch reads a segment's next frame the way the k-way merge consumes it
-// (nextRaw, then the codec's key and value decoders) and returns the decoded
+// encodeRun writes batches, in the given order, as one run through the run
+// writer every sender and spill uses. Sorted runs need the batches in
+// encoded-key order: testCodec's keys sort by length first.
+func encodeRun[K comparable, V any](codec *FrameCodec[K, V], maxRecord int, batches ...KeyBatch[K, V]) ([]byte, error) {
+	var run []byte
+	w := runWriter[K, V]{maxRecord: maxRecord}
+	w.reset(codec, func(p []byte) error { run = append(run, p...); return nil })
+	for _, b := range batches {
+		w.openKey(codec.AppendKey(nil, b.Key))
+		if err := w.addValues(b.Values); err != nil {
+			return nil, err
+		}
+		if err := w.closeKey(); err != nil {
+			return nil, err
+		}
+	}
+	return run, w.end()
+}
+
+// runReaders returns the two readers of one run's bytes: as a segment (a
+// buffered stream) and as a received run held in memory.
+func runReaders[K comparable, V any](codec *FrameCodec[K, V], data []byte, maxFrame int) map[string]*runReader[K, V] {
+	return map[string]*runReader[K, V]{
+		"segment": {codec: codec, br: bufio.NewReader(bytes.NewReader(data)), maxFrame: maxFrame},
+		"memory":  {codec: codec, data: data, maxFrame: maxFrame},
+	}
+}
+
+// nextBatch reads a run's next record the way the k-way merge consumes it
+// (next, then the codec's key and value decoders) and returns the decoded
 // batch with its encoded key.
-func nextBatch[K comparable, V any](r *segmentReader[K, V]) ([]byte, KeyBatch[K, V], error) {
+func nextBatch[K comparable, V any](r *runReader[K, V]) ([]byte, KeyBatch[K, V], error) {
 	var b KeyBatch[K, V]
-	keyBytes, raw, count, err := r.nextRaw()
+	rec, err := r.next()
 	if err != nil {
 		return nil, b, err
 	}
-	if b.Key, _, err = r.codec.ReadKey(keyBytes, 0); err != nil {
+	if b.Key, _, err = r.codec.ReadKey(rec.keyBytes, 0); err != nil {
 		return nil, b, err
 	}
-	b.Values, err = r.codec.appendValues(make([]V, 0, count), raw, count)
-	return keyBytes, b, err
+	b.Values, err = r.codec.appendValues(make([]V, 0, rec.count), rec.vals, rec.count)
+	return rec.keyBytes, b, err
 }
 
 func TestSegmentWriterReaderRoundTrip(t *testing.T) {
 	codec := testCodec()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	w := segmentWriter[string, int]{codec: &codec, bw: bw}
 	batches := []KeyBatch[string, int]{
+		{Key: "beta", Values: []int{4}}, // a shorter key sorts first
 		{Key: "alpha", Values: []int{1, 2, 3}},
-		{Key: "beta", Values: []int{4}},
 		{Key: "gamma", Values: []int{5, 6}},
 	}
-	for _, b := range batches {
-		if err := w.writeKey(codec.AppendKey(nil, b.Key), b.Values); err != nil {
-			t.Fatalf("writeKey: %v", err)
-		}
+	data, err := encodeRun(&codec, 0, batches...)
+	if err != nil {
+		t.Fatalf("encodeRun: %v", err)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(buf.Bytes())), maxSpillFrame)
-	var got []KeyBatch[string, int]
-	for {
-		keyBytes, b, err := nextBatch(r)
-		if err == io.EOF {
-			break
+	for form, r := range runReaders(&codec, data, maxSpillFrame) {
+		var got []KeyBatch[string, int]
+		for {
+			keyBytes, b, err := nextBatch(r)
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: next: %v", form, err)
+			}
+			if !bytes.Equal(keyBytes, codec.AppendKey(nil, b.Key)) {
+				t.Errorf("%s: keyBytes mismatch for %q", form, b.Key)
+			}
+			got = append(got, b)
 		}
-		if err != nil {
-			t.Fatalf("next: %v", err)
+		if !reflect.DeepEqual(got, batches) {
+			t.Errorf("%s: round trip: got %+v want %+v", form, got, batches)
 		}
-		if !bytes.Equal(keyBytes, codec.AppendKey(nil, b.Key)) {
-			t.Errorf("keyBytes mismatch for %q", b.Key)
-		}
-		got = append(got, b)
-	}
-	if !reflect.DeepEqual(got, batches) {
-		t.Errorf("round trip: got %+v want %+v", got, batches)
 	}
 }
 
 func TestSegmentReaderCorrupt(t *testing.T) {
 	codec := testCodec()
-	valid := func() []byte {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		w := segmentWriter[string, int]{codec: &codec, bw: bw}
-		if err := w.writeKey(codec.AppendKey(nil, "k"), []int{7}); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		return buf.Bytes()
-	}()
+	valid, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: "k", Values: []int{7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsorted, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: "b", Values: []int{1}}, KeyBatch[string, int]{Key: "a", Values: []int{2}})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cases := map[string][]byte{
 		"truncated frame":    valid[:len(valid)-1],
@@ -236,47 +255,78 @@ func TestSegmentReaderCorrupt(t *testing.T) {
 		"garbage payload":    {0x03, 0xff, 0xff, 0xff},
 		"length then eof":    {0x10},
 		"overflowing varint": bytes.Repeat([]byte{0xff}, 12),
+		"keys out of order":  unsorted,
 	}
 	for name, data := range cases {
-		r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(data)), 1<<20)
-		for {
-			_, _, err := nextBatch(r)
-			if err == io.EOF {
-				t.Errorf("%s: reader reported a clean EOF on corrupt input", name)
-				break
-			}
-			if err != nil {
-				break // any non-EOF error is the expected outcome
+		for form, r := range runReaders(&codec, data, 1<<20) {
+			for {
+				_, _, err := nextBatch(r)
+				if err == io.EOF {
+					t.Errorf("%s, %s: reader reported a clean EOF on corrupt input", name, form)
+					break
+				}
+				if err != nil {
+					break // any non-EOF error is the expected outcome
+				}
 			}
 		}
 	}
 }
 
+// TestSegmentReaderDefaultMaxFrame: maxFrame <= 0 falls back to the package
+// default bound, maxSpillFrame, on both forms of a run.
 func TestSegmentReaderDefaultMaxFrame(t *testing.T) {
 	codec := testCodec()
-	// maxFrame <= 0 falls back to the package default bound.
-	r := newSegmentReader(&codec, bufio.NewReader(bytes.NewReader(nil)), 0)
-	if r.maxFrame != maxSpillFrame {
-		t.Errorf("default maxFrame = %d, want %d", r.maxFrame, maxSpillFrame)
+	big := make([]int, 3<<19) // 1.5 MiB of one-byte values: above 1 MiB, under the default
+	data, err := encodeRun(&codec, 0, KeyBatch[string, int]{Key: "k", Values: big})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := nextBatch(r); err != io.EOF {
-		t.Errorf("empty segment: err = %v, want io.EOF", err)
+	tooLong := AppendUvarint(nil, maxSpillFrame+1)
+	for _, maxFrame := range []int{0, -1} {
+		for form, r := range runReaders(&codec, data, maxFrame) {
+			n := 0
+			for {
+				_, b, err := nextBatch(r)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("maxFrame %d, %s: %v", maxFrame, form, err)
+				}
+				n += len(b.Values)
+			}
+			if n != len(big) {
+				t.Errorf("maxFrame %d, %s: read %d values, want %d", maxFrame, form, n, len(big))
+			}
+		}
+		for form, r := range runReaders(&codec, tooLong, maxFrame) {
+			if _, _, err := nextBatch(r); err == nil || err == io.EOF {
+				t.Errorf("maxFrame %d, %s: a record over maxSpillFrame gave %v, want an error", maxFrame, form, err)
+			}
+		}
+	}
+	for form, r := range runReaders(&codec, data, 1<<20) {
+		if _, _, err := nextBatch(r); err == nil || err == io.EOF {
+			t.Errorf("%s: a 1 MiB bound accepted a larger record (%v)", form, err)
+		}
+	}
+	for form, r := range runReaders(&codec, nil, 0) {
+		if _, _, err := nextBatch(r); err != io.EOF {
+			t.Errorf("%s: empty run: err = %v, want io.EOF", form, err)
+		}
 	}
 }
 
 func TestSegmentWriterRejectsOversizedFrame(t *testing.T) {
 	codec := testCodec()
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	// A 64-byte frame bound: a key whose values cannot fit must be rejected
-	// at write time, not produce a segment the reader would refuse.
-	w := segmentWriter[string, int]{codec: &codec, bw: bw, maxFrame: 64}
-	keyBytes := codec.AppendKey(nil, strings.Repeat("k", 80))
-	if err := w.writeKey(keyBytes, []int{1}); err == nil {
+	// A 64-byte record bound: a key whose values cannot fit must be rejected
+	// at write time, not produce a run the reader would refuse.
+	if _, err := encodeRun(&codec, 64, KeyBatch[string, int]{Key: strings.Repeat("k", 80), Values: []int{1}}); err == nil {
 		t.Fatal("expected an oversized-frame error")
 	}
-	// A frame under the bound still writes.
-	if err := w.writeKey(codec.AppendKey(nil, "ok"), []int{1, 2}); err != nil {
+	// A record under the bound still writes.
+	if _, err := encodeRun(&codec, 64, KeyBatch[string, int]{Key: "ok", Values: []int{1, 2}}); err != nil {
 		t.Fatalf("small frame: %v", err)
 	}
 }

@@ -6,133 +6,137 @@ import (
 	"testing"
 )
 
-// spineWorkload builds a fixed batch set (120 distinct keys, 400 batches) and
-// its encoded wire frames, the common currency of the shuffle spine stages.
-func spineWorkload() ([]KeyBatch[string, int], [][]byte) {
+// spineWorkload builds a fixed set of send runs (40 runs of 10 key batches
+// over 120 distinct keys) and their encoded forms, the common currency of
+// the shuffle spine stages.
+func spineWorkload() ([]map[string][]int, [][]byte) {
 	rng := rand.New(rand.NewSource(7))
 	codec := testCodec()
-	batches := make([]KeyBatch[string, int], 400)
-	frames := make([][]byte, len(batches))
-	for i := range batches {
-		vs := make([]int, rng.Intn(6)+1)
-		for j := range vs {
-			vs[j] = rng.Intn(1000)
+	var enc runEncoder[string, int]
+	groups := make([]map[string][]int, 40)
+	runs := make([][]byte, len(groups))
+	for i := range groups {
+		groups[i] = map[string][]int{}
+		for len(groups[i]) < 10 {
+			vs := make([]int, rng.Intn(6)+1)
+			for j := range vs {
+				vs[j] = rng.Intn(1000)
+			}
+			groups[i][fmt.Sprintf("key-%03d", rng.Intn(120))] = vs
 		}
-		batches[i] = KeyBatch[string, int]{Key: fmt.Sprintf("key-%03d", rng.Intn(120)), Values: vs}
-		frames[i] = codec.EncodeBatch(nil, batches[i])
+		if err := enc.writeRun(&codec, groups[i], func(p []byte) error {
+			runs[i] = append(runs[i], p...)
+			return nil
+		}); err != nil {
+			panic(err)
+		}
 	}
-	return batches, frames
+	return groups, runs
 }
 
-// TestEncodeBatchDoesNotAllocate pins the encode stage of BenchmarkShuffleSpine
-// at zero allocations per pass: a sender encodes every combined batch into one
-// reused frame buffer.
-func TestEncodeBatchDoesNotAllocate(t *testing.T) {
+// TestEncodeRunDoesNotAllocate pins the encode-run stage of
+// BenchmarkShuffleSpine at zero allocations per pass: a warm sender sorts and
+// writes every run it is handed with its one run encoder.
+func TestEncodeRunDoesNotAllocate(t *testing.T) {
 	codec := testCodec()
-	batches, _ := spineWorkload()
-	var buf []byte
-	if n := testing.AllocsPerRun(20, func() {
-		for _, batch := range batches {
-			buf = codec.EncodeBatch(buf[:0], batch)
+	groups, _ := spineWorkload()
+	var enc runEncoder[string, int]
+	sent := 0
+	send := func(p []byte) error { sent += len(p); return nil }
+	pass := func() {
+		for _, g := range groups {
+			if err := enc.writeRun(&codec, g, send); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}); n != 0 {
-		t.Fatalf("EncodeBatch allocates %.0f times per pass over %d batches, want 0", n, len(batches))
+	}
+	pass()
+	if n := testing.AllocsPerRun(20, pass); n != 0 {
+		t.Fatalf("writing %d runs allocates %.0f times per pass, want 0", len(groups), n)
 	}
 }
 
 // BenchmarkShuffleSpine measures the shuffle/reduce spine stage by stage with
-// allocations reported, to show the cost of the encoded-byte design: encode
-// into a reused buffer, receive-side grouping by encoded key without decoding,
-// the sort+spill of one full run, and the k-way merge over spilled segments
-// plus the final in-memory runs.
+// allocations reported: a sender's run encoding, the arrival check of
+// received runs, the spill of the merged runs, and the k-way merge over
+// spilled segments plus the final in-memory runs.
 func BenchmarkShuffleSpine(b *testing.B) {
 	codec := testCodec()
-	batches, frames := spineWorkload()
-
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		var buf []byte
-		for i := 0; i < b.N; i++ {
-			for _, batch := range batches {
-				buf = codec.EncodeBatch(buf[:0], batch)
+	groups, runs := spineWorkload()
+	add := func(acc *shuffleAccumulator[string, int], lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i%2 == 0 { // half the runs are this peer's own, decoded
+				for k, vs := range groups[i] {
+					if err := acc.add(KeyBatch[string, int]{Key: k, Values: vs}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			} else if err := acc.addRun(runs[i]); err != nil {
+				b.Fatal(err)
 			}
 		}
-	})
+	}
+	spill := func(acc *shuffleAccumulator[string, int]) {
+		acc.mu.Lock()
+		err := acc.spillLocked()
+		acc.mu.Unlock()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
 
-	b.Run("group-raw", func(b *testing.B) {
+	b.Run("encode-run", func(b *testing.B) {
 		b.ReportAllocs()
+		var enc runEncoder[string, int]
+		discard := func([]byte) error { return nil }
 		for i := 0; i < b.N; i++ {
-			acc := newShuffleAccumulator[string, int](nil, ShuffleConfig{}, nil, &codec, nil)
-			for _, f := range frames {
-				if err := acc.addRaw(f); err != nil {
+			for _, g := range groups {
+				if err := enc.writeRun(&codec, g, discard); err != nil {
 					b.Fatal(err)
 				}
 			}
 		}
 	})
 
-	b.Run("sort-spill", func(b *testing.B) {
+	b.Run("add-run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			acc := newShuffleAccumulator[string, int](nil, ShuffleConfig{}, nil, &codec, nil)
+			for _, run := range runs {
+				if err := acc.addRun(run); err != nil {
+					b.Fatal(err)
+				}
+			}
+			acc.release()
+		}
+	})
+
+	b.Run("spill", func(b *testing.B) {
 		dir := b.TempDir()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			acc := newShuffleAccumulator[string, int](nil,
 				ShuffleConfig{SpillThreshold: 1 << 30, SpillTmpDir: dir}, nil, &codec, nil)
-			for _, batch := range batches[:len(batches)/2] {
-				if err := acc.add(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, f := range frames[len(frames)/2:] {
-				if err := acc.addRaw(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-			acc.mu.Lock()
-			err := acc.spillLocked()
-			acc.mu.Unlock()
-			if err != nil {
-				b.Fatal(err)
-			}
-			acc.cleanup()
+			add(acc, 0, len(runs))
+			spill(acc)
+			acc.release()
 		}
 	})
 
 	b.Run("merge", func(b *testing.B) {
 		acc := newShuffleAccumulator[string, int](nil,
 			ShuffleConfig{SpillThreshold: 1 << 30, SpillTmpDir: b.TempDir()}, nil, &codec, nil)
-		defer acc.cleanup()
-		third := len(batches) / 3
-		fill := func(lo, hi int) {
-			for _, batch := range batches[lo:hi] {
-				if err := acc.add(batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, f := range frames[lo:hi] {
-				if err := acc.addRaw(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		fill(0, third)
-		acc.mu.Lock()
-		if err := acc.spillLocked(); err != nil {
-			acc.mu.Unlock()
-			b.Fatal(err)
-		}
-		acc.mu.Unlock()
-		fill(third, 2*third)
-		acc.mu.Lock()
-		if err := acc.spillLocked(); err != nil {
-			acc.mu.Unlock()
-			b.Fatal(err)
-		}
-		acc.mu.Unlock()
-		fill(2*third, len(batches)) // final runs stay in memory
+		defer acc.release()
+		third := len(runs) / 3
+		add(acc, 0, third)
+		spill(acc)
+		add(acc, third, 2*third)
+		spill(acc)
+		add(acc, 2*third, len(runs)) // the final runs stay in memory
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := acc.merge(func(_ string, _ []int, release func()) error { release(); return nil }); err != nil {
+			if err := acc.feed(func(_ string, _ []int, release func()) error { release(); return nil }); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -294,29 +294,26 @@ func (s *sendPath[K, V]) handOff(b *sendBuffer[K, V], st *destSendState[K, V]) e
 	return nil
 }
 
-// runSender encodes the peer's queued runs, one frame per key batch, and sends
-// them over the exchange until the queue is closed. It is the destination's
-// only writer, so one encode buffer (pooled across jobs) serves the whole run.
-// Once the run is lost (a send failed, or it was cancelled) it keeps consuming
-// but discards, so hand-offs never block against a dead peer; the error
-// surfaces after the barrier.
+// runSender writes the peer's queued runs as sorted runs (run.go) and sends
+// each one over the exchange, one payload per spillChunkBytes, until the
+// queue is closed. It is the destination's only writer, so one run encoder
+// (pooled across jobs) serves the whole job. Once the job is lost (a send
+// failed, or it was cancelled) it keeps consuming but discards, so hand-offs
+// never block against a dead peer; the error surfaces after the barrier.
 func (st *destSendState[K, V]) runSender(bx ByteExchange, codec *FrameCodec[K, V]) {
 	s := st.owner
 	defer s.senders.Done()
-	frames := poolOf[[]byte]()
-	frame, ok := frames.Get().(*[]byte)
+	encoders := poolOf[runEncoder[K, V]]()
+	enc, ok := encoders.Get().(*runEncoder[K, V])
 	if !ok {
-		frame = new([]byte)
+		enc = new(runEncoder[K, V])
 	}
-	defer frames.Put(frame)
+	defer encoders.Put(enc)
+	send := func(payload []byte) error { return bx.Send(st.dst, payload) }
 	for run := range st.queue {
 		if !s.lost() {
-			for k, vs := range run.groups {
-				*frame = codec.EncodeBatch((*frame)[:0], KeyBatch[K, V]{Key: k, Values: vs})
-				if err := bx.Send(st.dst, *frame); err != nil {
-					s.fail(err)
-					break
-				}
+			if err := enc.writeRun(codec, run.groups, send); err != nil {
+				s.fail(err)
 			}
 		}
 		s.putRun(run)

@@ -8,7 +8,7 @@ import (
 	"io"
 )
 
-// Wire protocol, version 3. Every ordered peer pair (i -> j) of a job
+// Wire protocol, version 4. Every ordered peer pair (i -> j) of a job
 // attempt uses one TCP connection, opened by i. The dialer starts with a
 // handshake:
 //
@@ -30,10 +30,17 @@ import (
 //
 // All varints are unsigned LEB128. The end frame is the shuffle barrier: a
 // receiver that has seen the end frame of every remote peer knows its
-// partitions are complete.
+// partitions are complete. The transport does not look into a payload; the
+// engine's is a sorted run of group records (internal/mapreduce, run.go):
+//
+//	(uvarint len | key | uvarint count | values)*   in encoded-key order
+//
+// cut at about 1 MiB per payload. Version 3 carried one key group per frame,
+// without the record length; the bump makes a stale peer's handshake fail
+// instead of its frames being misread.
 const (
 	protocolMagic   = "SQX1"
-	protocolVersion = byte(3)
+	protocolVersion = byte(4)
 
 	frameData = byte(1)
 	frameEnd  = byte(2)

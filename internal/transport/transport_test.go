@@ -233,21 +233,31 @@ func TestSinglePeerExchangeIsImmediatelyDone(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsGarbage: the node drops a connection whose opening is
+// not a handshake of this protocol version — garbage, or a version-3 peer,
+// whose per-key frames would be misread as sorted runs — without an ack.
 func TestHandshakeRejectsGarbage(t *testing.T) {
 	nodes, addrs := testCluster(t, 1)
 	_ = nodes
-	conn, err := net.Dial("tcp", addrs[0])
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("GET / HTTP/1.1\r\n\r\n")); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 16)
-	if n, err := conn.Read(buf); err == nil {
-		t.Fatalf("expected the node to drop a garbage connection, read %d bytes", n)
+	v3 := appendHandshake(nil, "stale-job", 1, 0, nil)
+	v3[len(protocolMagic)] = 3
+	for name, opening := range map[string][]byte{
+		"http":      []byte("GET / HTTP/1.1\r\n\r\n"),
+		"version 3": v3,
+	} {
+		conn, err := net.Dial("tcp", addrs[0])
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		if _, err := conn.Write(opening); err != nil {
+			t.Fatalf("%s: write: %v", name, err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 16)
+		if n, err := conn.Read(buf); err == nil {
+			t.Errorf("%s: expected the node to drop the connection, read %d bytes", name, n)
+		}
+		conn.Close()
 	}
 }
 
