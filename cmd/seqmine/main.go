@@ -5,16 +5,27 @@
 //
 //	seqmine -data data/nyt/sequences.txt -hierarchy data/nyt/hierarchy.txt \
 //	        -pattern ".*ENTITY (VERB+ NOUN+? PREP?) ENTITY.*" -sigma 10 -algorithm dseq
+//
+// With -cluster it coordinates a dseq or dcand job over running
+// seqmine-worker processes instead of mining in this process:
+//
+//	seqmine -cluster http://localhost:9090,http://localhost:9091,http://localhost:9092 \
+//	        -data data/nyt/sequences.txt -hierarchy data/nyt/hierarchy.txt \
+//	        -pattern "(.){2,4}" -sigma 100 -algorithm dcand
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
-	"seqmine"
+	"seqmine/internal/fst"
 	"seqmine/internal/obs"
+	"seqmine/internal/plan"
+	"seqmine/internal/seqdb"
+	"seqmine/internal/service"
 )
 
 func main() {
@@ -23,12 +34,13 @@ func main() {
 	pattern := flag.String("pattern", "", "pattern expression, e.g. \".*(A)[(.^)|.]*(b).*\"")
 	sigma := flag.Int64("sigma", 2, "minimum support threshold")
 	algorithm := flag.String("algorithm", "dseq", "algorithm: dfs, count, dseq, dcand, naive, seminaive")
-	workers := flag.Int("workers", 0, "number of workers (0 = all CPUs)")
-	opts := seqmine.DefaultOptions()
-	opts.Knobs.BindFlags(flag.CommandLine)
+	var eo service.ExecOptions
+	flag.IntVar(&eo.Workers, "workers", 0, "number of workers (0 = all CPUs)")
+	eo.Knobs.BindFlags(flag.CommandLine)
 	clusterWorkers := flag.String("cluster", "", "comma-separated seqmine-worker control URLs: run dseq/dcand on this cluster with the fault-tolerant scheduler instead of in-process")
 	top := flag.Int("top", 25, "print only the top-k frequent sequences (0 = all)")
 	showMetrics := flag.Bool("metrics", true, "print shuffle/runtime metrics for distributed algorithms")
+	traceOut := flag.String("trace-out", "", "write the run's trace (on a cluster, merged with every worker's spans) as Chrome trace-event JSON to this file")
 	logLevel := flag.String("log-level", "info", "minimum structured-log level: debug, info, warn, error or off")
 	flag.Parse()
 
@@ -44,49 +56,62 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	algos := map[string]seqmine.Algorithm{
-		"dfs":       seqmine.SequentialDFS,
-		"count":     seqmine.SequentialCount,
-		"dseq":      seqmine.DSeq,
-		"dcand":     seqmine.DCand,
-		"naive":     seqmine.Naive,
-		"seminaive": seqmine.SemiNaive,
-	}
-	algo, ok := algos[strings.ToLower(*algorithm)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "seqmine: unknown algorithm %q\n", *algorithm)
+	if eo.Algorithm, err = plan.ParseAlgorithm(*algorithm); err != nil {
+		fmt.Fprintf(os.Stderr, "seqmine: %v\n", err)
 		os.Exit(2)
 	}
 
-	db, err := seqmine.ReadDatabaseFiles(*data, *hierarchy)
+	db, err := seqdb.ReadFiles(*data, *hierarchy)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Printf("loaded %d sequences, %d dictionary items\n", db.NumSequences(), db.Dict.Size())
 
-	opts.Algorithm = algo
-	opts.Workers = *workers
-	for _, u := range strings.Split(*clusterWorkers, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			opts.ClusterWorkers = append(opts.ClusterWorkers, u)
-		}
-	}
-	result, err := seqmine.Mine(db, *pattern, *sigma, opts)
+	f, err := fst.Compile(*pattern, db.Dict)
 	if err != nil {
 		fatal(err)
 	}
+	var urls []string
+	for _, u := range strings.Split(*clusterWorkers, ",") {
+		if u = strings.TrimSpace(u); u != "" {
+			urls = append(urls, u)
+		}
+	}
+	if len(urls) > 0 {
+		eo.Cluster = &service.ClusterOptions{Workers: urls, Expression: *pattern}
+	}
+	// The run records under one root span; on a cluster the coordinator folds
+	// every worker's spans into the same recorder and trace.
+	rec := obs.NewRecorder("seqmine", 0)
+	ctx, span := obs.StartSpan(obs.WithRecorder(context.Background(), rec), "seqmine.mine")
+	patterns, m, stats, err := service.Execute(ctx, f, db, *sigma, eo)
+	span.End()
+	if err != nil {
+		fatal(err)
+	}
+	if *traceOut != "" {
+		buf, err := obs.ChromeTrace(rec.TraceSpans(span.TraceID()))
+		if err == nil {
+			err = os.WriteFile(*traceOut, buf, 0o644)
+		}
+		if err != nil {
+			fatal(fmt.Errorf("writing trace: %w", err))
+		}
+		fmt.Printf("trace %s written to %s\n", span.TraceID(), *traceOut)
+	}
 
-	fmt.Printf("%d frequent sequences (algorithm %s, sigma %d)\n", len(result.Patterns), algo, *sigma)
-	limit := len(result.Patterns)
+	fmt.Printf("%d frequent sequences (algorithm %s, sigma %d)\n", len(patterns), eo.Algorithm, *sigma)
+	limit := len(patterns)
 	if *top > 0 && *top < limit {
 		limit = *top
 	}
-	for _, p := range result.Patterns[:limit] {
-		fmt.Printf("%8d  %s\n", p.Freq, seqmine.DecodePattern(db, p))
+	for _, p := range patterns[:limit] {
+		fmt.Printf("%8d  %s\n", p.Freq, db.Dict.DecodeString(p.Items))
 	}
-	if *showMetrics && result.Metrics.ShuffleRecords > 0 {
-		m := result.Metrics
+	if !*showMetrics {
+		return
+	}
+	if m.ShuffleRecords > 0 {
 		fmt.Printf("map time %v, reduce time %v, shuffle %d records / %d bytes over %d partitions\n",
 			m.MapTime, m.ReduceTime, m.ShuffleRecords, m.ShuffleBytes, m.Partitions)
 		if m.StreamedBatches > 0 {
@@ -95,6 +120,12 @@ func main() {
 		if m.SpillCount > 0 {
 			fmt.Printf("spilled %d bytes in %d segments\n", m.SpilledBytes, m.SpillCount)
 		}
+	}
+	if c := stats.Cluster; c != nil {
+		fmt.Printf("scheduler: %d tasks, %d attempts, %d retries, %d dead workers\n",
+			c.Tasks, c.Attempts, c.Retries, c.DeadWorkers)
+		fmt.Printf("dataset store: %d hits, %d misses, %d bytes pushed\n",
+			c.StoreHits, c.StoreMisses, c.StorePutBytes)
 	}
 }
 

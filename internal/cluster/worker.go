@@ -221,14 +221,18 @@ func validateSpec(spec JobSpec) error {
 }
 
 // partitionSplit selects the sequences of the given partitions (sequence i
-// belongs to partition i mod numPartitions), in stable input order.
+// belongs to partition i mod numPartitions), in stable input order. A
+// partition p >= len(seqs) is empty, so the selection is sized by the input,
+// never by the spec's numPartitions.
 func partitionSplit(seqs [][]dict.ItemID, numPartitions int, partitions []int) [][]dict.ItemID {
 	if len(partitions) == 0 {
 		return nil
 	}
-	want := make([]bool, numPartitions)
+	want := make([]bool, min(numPartitions, len(seqs)))
 	for _, p := range partitions {
-		want[p] = true
+		if p < len(want) {
+			want[p] = true
+		}
 	}
 	var split [][]dict.ItemID
 	for i, seq := range seqs {

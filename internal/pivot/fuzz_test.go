@@ -84,7 +84,7 @@ func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.Item
 					if minOutput[i] == dict.None || outs[0] < minOutput[i] {
 						minOutput[i] = outs[0]
 					}
-					merged = Merge(K, outs)
+					merged = oracleMerge(K, outs)
 				} else if q != to {
 					stateChange[i] = true
 				}
@@ -177,4 +177,44 @@ func FuzzPivotEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// oracleMerge is U ⊕ Q by its definition (Sec. V-A) for non-empty sorted
+// sets, computed with the oracle's own union.
+func oracleMerge(u, q []dict.ItemID) []dict.ItemID {
+	var a, b []dict.ItemID
+	for _, w := range u {
+		if w >= q[0] {
+			a = append(a, w)
+		}
+	}
+	for _, w := range q {
+		if w >= u[0] {
+			b = append(b, w)
+		}
+	}
+	return unionSorted(a, b)
+}
+
+// unionSorted merges two sorted fid slices into a sorted duplicate-free
+// slice: the oracle's own union, independent of the searcher's.
+func unionSorted(a, b []dict.ItemID) []dict.ItemID {
+	out := make([]dict.ItemID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

@@ -39,7 +39,8 @@ func Merge(u, q []dict.ItemID) []dict.ItemID {
 	if len(q) > 0 {
 		minQ = q[0]
 	}
-	return unionSorted(suffixFrom(u, minQ), suffixFrom(q, minU))
+	a, b := suffixFrom(u, minQ), suffixFrom(q, minU)
+	return appendUnion(make([]dict.ItemID, 0, len(a)+len(b)), a, b)
 }
 
 // suffixFrom returns the suffix of the sorted set s whose items are >= min.
@@ -120,8 +121,10 @@ func AppendMerge(dst, u, q []dict.ItemID) []dict.ItemID {
 	return appendUnion(dst, suffixFrom(u, q[0]), suffixFrom(q, u[0]))
 }
 
-// appendUnion appends the sorted duplicate-free union of a and b to dst. dst
-// must not overlap the elements of a or b.
+// appendUnion appends the sorted duplicate-free union of a and b to dst. a
+// and b may lie in dst's backing array below len(dst): appending never
+// touches existing elements, and a reallocation leaves them intact in the old
+// array.
 func appendUnion(dst, a, b []dict.ItemID) []dict.ItemID {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -291,30 +294,12 @@ func (sc *gridScratch) mergeInto(off, n int32, outs []dict.ItemID) (int32, int32
 	return sc.unionInto(suffixFrom(u, outs[0]), suffixFrom(outs, minU))
 }
 
-// unionInto appends the sorted duplicate-free union of a and b to the arena
-// and returns the new region. Reading a and b while appending is safe even
-// when they alias the arena: the arena is append only, so a reallocation
-// leaves the source regions intact in the old backing array.
+// unionInto appends the sorted duplicate-free union of a and b, which may be
+// regions of the arena, to the arena and returns the new region.
 func (sc *gridScratch) unionInto(a, b []dict.ItemID) (int32, int32) {
-	start := int32(len(sc.arena))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			sc.arena = append(sc.arena, a[i])
-			i++
-		case a[i] > b[j]:
-			sc.arena = append(sc.arena, b[j])
-			j++
-		default:
-			sc.arena = append(sc.arena, a[i])
-			i++
-			j++
-		}
-	}
-	sc.arena = append(sc.arena, a[i:]...)
-	sc.arena = append(sc.arena, b[j:]...)
-	return start, int32(len(sc.arena)) - start
+	start := len(sc.arena)
+	sc.arena = appendUnion(sc.arena, a, b)
+	return int32(start), int32(len(sc.arena) - start)
 }
 
 // analyzeGrid computes K(T) with the position–state grid: one forward pass
@@ -428,29 +413,6 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID, a *Analysis) {
 		}
 	}
 	gridPool.Put(sc)
-}
-
-// unionSorted merges two sorted fid slices into a sorted duplicate-free slice.
-func unionSorted(a, b []dict.ItemID) []dict.ItemID {
-	out := make([]dict.ItemID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }
 
 // Rewrite returns ρk(T): the input sequence restricted to the range between

@@ -116,9 +116,9 @@ func (k Knobs) RetryBudget() int {
 }
 
 // BindFlags declares the knobs' command-line flags on fs, storing into k.
-// seqmine, seqmined and seqmine-worker all call it, so a flag has one name,
-// one default and one help text everywhere; each usage string names the
-// POST /mine field that overrides the flag per query.
+// seqmine and seqmined both call it, so a flag has one name, one default and
+// one help text everywhere; each usage string names the POST /mine field that
+// overrides the flag per query.
 func (k *Knobs) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&k.SpillThreshold, "spill-threshold", 0, `shuffle bytes a peer holds in memory before spilling sorted runs to disk (distributed algorithms; 0 = never spill; per query: "spill_threshold_bytes", negative = in memory)`)
 	fs.StringVar(&k.SpillTmpDir, "spill-dir", "", "directory for shuffle spill segments of this process (default: system temp dir)")

@@ -49,8 +49,16 @@ type MineRequest struct {
 	plan.Knobs
 }
 
-// toPlan validates the request's algorithm and assembles the query plan.
+// maxRequestWorkers bounds POST /mine's "workers": the engine starts that many
+// map and reduce goroutines and sizes per-worker buffers by it.
+const maxRequestWorkers = 1024
+
+// toPlan validates the request's algorithm and worker count and assembles
+// the query plan.
 func (r MineRequest) toPlan() (plan.Plan, error) {
+	if r.Workers > maxRequestWorkers {
+		return plan.Plan{}, fmt.Errorf("workers %d exceeds the limit of %d", r.Workers, maxRequestWorkers)
+	}
 	algo, err := plan.ParseAlgorithm(r.Algorithm)
 	return plan.Plan{
 		Algorithm: algo,

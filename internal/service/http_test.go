@@ -208,6 +208,8 @@ func TestHTTPErrors(t *testing.T) {
 			service.MineRequest{Dataset: "ex", Pattern: "(.)", Sigma: 0}, http.StatusBadRequest},
 		{"bad pattern", http.MethodPost, "/mine",
 			service.MineRequest{Dataset: "ex", Pattern: "(((", Sigma: 1}, http.StatusBadRequest},
+		{"workers past the bound", http.MethodPost, "/mine",
+			service.MineRequest{Dataset: "ex", Pattern: "(.)", Sigma: 1, Algorithm: "dseq", Workers: 100_000_000}, http.StatusBadRequest},
 		{"pattern past the state bound", http.MethodPost, "/mine",
 			service.MineRequest{Dataset: "ex", Pattern: "(.{0,60}){0,60}", Sigma: 1}, http.StatusBadRequest},
 		{"dataset without body fields", http.MethodPut, "/datasets/x",

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Chaos smoke test: run a distributed D-SEQ job across three seqmine-worker
-# processes and SIGKILL one of them mid-job. The task-based scheduler must
+# processes (seqmine -cluster) and SIGKILL one of them mid-job. The
+# task-based scheduler must
 #
 #   1. declare the killed worker dead and retry the attempt on the two
 #      survivors under a fresh epoch (non-zero retry metrics),
@@ -8,9 +9,9 @@
 #   3. ship zero sequence bytes on the retry (the dataset store already
 #      holds the bundle on the survivors).
 #
-# The submit client also writes the job's merged trace as Chrome trace-event
-# JSON (-trace-out). Set CHAOS_ARTIFACT_DIR to keep the trace of the passing
-# round (CI uploads it as a workflow artifact).
+# The coordinating seqmine -cluster run also writes the job's merged trace
+# as Chrome trace-event JSON (-trace-out). Set CHAOS_ARTIFACT_DIR to keep
+# the trace of the passing round (CI uploads it as a workflow artifact).
 #
 # The kill lands on a wall-clock timer, so a freakishly fast job could finish
 # before it; the run is retried a few times and fails only if no round
@@ -86,7 +87,7 @@ for round in 1 2 3; do
     (sleep 0.25; kill -9 "$W3" 2>/dev/null || true) &
     killer=$!
     set +e
-    "$workdir/bin/seqmine-worker" -submit -workers "$workers" \
+    "$workdir/bin/seqmine" -cluster "$workers" \
         -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
         -pattern "$pattern" -sigma "$sigma" -algorithm dseq -top 0 -task-retries 3 \
         -trace-out "$workdir/trace.json" \

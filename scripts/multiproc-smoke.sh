@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Multi-process smoke test: run a small D-CAND (and D-SEQ) job across three
-# seqmine-worker processes over the TCP shuffle transport and verify that the
-# pattern set is identical to the single-process in-process engine.
+# seqmine-worker processes over the TCP shuffle transport (coordinated by
+# seqmine -cluster) and verify that the pattern set is identical to the
+# single-process in-process engine.
 #
 # Used by CI (.github/workflows/ci.yml) and runnable locally:
 #
@@ -55,7 +56,7 @@ for algo in dcand dseq; do
         grep -E '^ +[0-9]+  ' | sort >"$workdir/single-$algo.txt"
 
     echo "== $algo: 3-process cluster run"
-    "$workdir/bin/seqmine-worker" -submit -workers "$workers" \
+    "$workdir/bin/seqmine" -cluster "$workers" \
         -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
         -pattern "$pattern" -sigma "$sigma" -algorithm "$algo" -top 0 -metrics=false |
         grep -E '^ +[0-9]+  ' | sort >"$workdir/multi-$algo.txt"

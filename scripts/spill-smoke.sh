@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Spill + streaming smoke test: mine a generated dataset whose shuffle
 # footprint dwarfs a few-KB spill threshold, both in a single process and
-# across three seqmine-worker processes, and verify that
+# across three seqmine-worker processes (seqmine -cluster), and verify that
 #
 #   1. the spilling runs produce a pattern set identical to the in-memory
 #      reference run,
@@ -87,7 +87,7 @@ for algo in dseq dcand; do
     echo "== $algo: single process spilled $spilled bytes"
 
     echo "== $algo: 3-process cluster run with -spill-threshold $threshold"
-    "$workdir/bin/seqmine-worker" -submit -workers "$workers" \
+    "$workdir/bin/seqmine" -cluster "$workers" \
         -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
         -pattern "$pattern" -sigma "$sigma" -algorithm "$algo" -top 0 \
         -spill-threshold "$threshold" >"$workdir/multi-$algo.out"
@@ -96,7 +96,7 @@ for algo in dseq dcand; do
         echo "$algo: multi-process spilling pattern set differs from the in-memory run" >&2
         exit 1
     fi
-    spilled=$(sed -n 's/^spilled \([0-9]*\) bytes in \([0-9]*\) segments across the cluster$/\1/p' "$workdir/multi-$algo.out")
+    spilled=$(sed -n 's/^spilled \([0-9]*\) bytes in \([0-9]*\) segments$/\1/p' "$workdir/multi-$algo.out")
     if [ -z "$spilled" ] || [ "$spilled" -eq 0 ]; then
         echo "$algo: cluster run did not spill (threshold $threshold) — smoke test is vacuous" >&2
         cat "$workdir/multi-$algo.out" >&2
@@ -123,7 +123,7 @@ for algo in dseq dcand; do
     echo "== $algo: single process streamed $streamed batches"
 
     echo "== $algo: 3-process streaming cluster run with -send-buffer $sendbuf"
-    "$workdir/bin/seqmine-worker" -submit -workers "$workers" \
+    "$workdir/bin/seqmine" -cluster "$workers" \
         -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
         -pattern "$pattern" -sigma "$sigma" -algorithm "$algo" -top 0 \
         -send-buffer "$sendbuf" >"$workdir/stream-multi-$algo.out"
@@ -132,7 +132,7 @@ for algo in dseq dcand; do
         echo "$algo: multi-process streaming pattern set differs from the barrier-mode run" >&2
         exit 1
     fi
-    streamed=$(sed -n 's/^streamed \([0-9]*\) batches across the cluster.*$/\1/p' "$workdir/stream-multi-$algo.out")
+    streamed=$(sed -n 's/^streamed \([0-9]*\) batches (shuffle time .*$/\1/p' "$workdir/stream-multi-$algo.out")
     if [ -z "$streamed" ] || [ "$streamed" -eq 0 ]; then
         echo "$algo: cluster run did not stream (send buffer $sendbuf) — smoke test is vacuous" >&2
         cat "$workdir/stream-multi-$algo.out" >&2
