@@ -150,7 +150,7 @@ func BenchmarkAlgorithms_N1(b *testing.B) {
 	ds := benchDatasets(b)
 	algos := []seqmine.Algorithm{seqmine.SequentialDFS, seqmine.DSeq, seqmine.DCand, seqmine.SemiNaive}
 	for _, algo := range algos {
-		b.Run(algo.String(), func(b *testing.B) {
+		b.Run(string(algo), func(b *testing.B) {
 			b.ReportAllocs()
 			opts := benchOptions(algo)
 			for i := 0; i < b.N; i++ {
@@ -214,7 +214,7 @@ func BenchmarkAlgorithms_T3(b *testing.B) {
 	expr := experiments.T3Expr(1, 5)
 	algos := []seqmine.Algorithm{seqmine.SequentialDFS, seqmine.DSeq, seqmine.DCand}
 	for _, algo := range algos {
-		b.Run(algo.String(), func(b *testing.B) {
+		b.Run(string(algo), func(b *testing.B) {
 			b.ReportAllocs()
 			opts := benchOptions(algo)
 			for i := 0; i < b.N; i++ {

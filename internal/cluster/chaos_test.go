@@ -82,13 +82,14 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 	runChaos := func(t *testing.T, closers *[]func()) {
 		// Two healthy workers plus one that dies shortly into its first run.
 		urls := make([]string, 0, 3)
+		var log runLog
 		for i := 0; i < 2; i++ {
 			node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			*closers = append(*closers, func() { node.Close() })
-			srv := httptest.NewServer(cluster.NewWorker(node).Handler())
+			srv := httptest.NewServer(log.wrap(cluster.NewWorker(node).Handler()))
 			*closers = append(*closers, srv.Close)
 			urls = append(urls, srv.URL)
 		}
@@ -129,8 +130,8 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 		if !found {
 			t.Errorf("dead workers %v do not include the killed worker %s", res.DeadWorkers, chaos.srv.URL)
 		}
-		if res.Tasks != 3 || len(res.PerWorker) != 2 {
-			t.Errorf("%d tasks on a winning gang of %d, want 3 tasks on the 2 survivors", res.Tasks, len(res.PerWorker))
+		if gang := log.take(res.Attempts - 1); res.Tasks != 3 || len(gang) != 2 {
+			t.Errorf("%d tasks on a winning gang of %d, want 3 tasks on the 2 survivors", res.Tasks, len(gang))
 		}
 	}
 	var closers []func()
@@ -321,8 +322,9 @@ func TestHearsayDoesNotEvictHealthyWorker(t *testing.T) {
 		return false
 	}
 	urls := make([]string, len(workers))
+	var log runLog
 	for i, w := range workers {
-		srv := httptest.NewServer(w.handler(gangHasDying))
+		srv := httptest.NewServer(log.wrap(w.handler(gangHasDying)))
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
@@ -332,9 +334,15 @@ func TestHearsayDoesNotEvictHealthyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}
-	if !reflect.DeepEqual(res.DeadWorkers, []string{urls[2]}) || res.Retries != 1 || len(res.PerWorker) != 2 {
+	gang := log.take(res.Attempts - 1)
+	if !reflect.DeepEqual(res.DeadWorkers, []string{urls[2]}) || res.Retries != 1 || len(gang) != 2 {
 		t.Errorf("dead workers %v, retries %d, gang of %d; want only %s dead, 1 retry, gang of 2",
-			res.DeadWorkers, res.Retries, len(res.PerWorker), urls[2])
+			res.DeadWorkers, res.Retries, len(gang), urls[2])
+	}
+	for _, run := range gang {
+		if len(run.spec.DataPeers) != 2 {
+			t.Errorf("worker %d ran the winning attempt with %d data peers, want 2", run.spec.Peer, len(run.spec.DataPeers))
+		}
 	}
 }
 
@@ -350,10 +358,10 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 		t.Fatalf("first Mine: %v", err)
 	}
 	if first.StoreMisses != 3 || first.StorePutBytes == 0 {
-		t.Fatalf("first run should push the bundle to all 3 workers: %+v", storeStats(first))
+		t.Fatalf("first run should push the bundle to all 3 workers: %+v", first.Stats)
 	}
 	if first.StoreHits != 0 {
-		t.Fatalf("first run should not hit the store: %+v", storeStats(first))
+		t.Fatalf("first run should not hit the store: %+v", first.Stats)
 	}
 
 	second, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
@@ -361,7 +369,7 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 		t.Fatalf("second Mine: %v", err)
 	}
 	if second.StoreHits != 3 || second.StoreMisses != 0 || second.StorePutBytes != 0 {
-		t.Errorf("resubmission should ship zero sequence bytes: %+v", storeStats(second))
+		t.Errorf("resubmission should ship zero sequence bytes: %+v", second.Stats)
 	}
 	if !reflect.DeepEqual(first.Patterns, second.Patterns) {
 		t.Error("resubmission produced different patterns")
@@ -374,13 +382,62 @@ func TestCoordinatorResubmissionShipsNoBytes(t *testing.T) {
 		t.Fatalf("third Mine: %v", err)
 	}
 	if third.StoreMisses != 0 || third.StorePutBytes != 0 {
-		t.Errorf("a fresh coordinator should still hit the worker stores: %+v", storeStats(third))
+		t.Errorf("a fresh coordinator should still hit the worker stores: %+v", third.Stats)
 	}
 }
 
-func storeStats(r *cluster.Result) map[string]int64 {
-	return map[string]int64{
-		"hits": int64(r.StoreHits), "misses": int64(r.StoreMisses), "put_bytes": r.StorePutBytes,
+// TestRetryOnWarmWorkersShipsNoBytes is the in-process twin of the dataset
+// store check of scripts/chaos-smoke.sh: on workers that already hold the
+// bundle, a job whose first attempt fails — one worker dies as its /run
+// arrives — is retried on the survivors and still ships zero bundle bytes.
+func TestRetryOnWarmWorkersShipsNoBytes(t *testing.T) {
+	db := paperDatabase(t)
+	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
+	want := inProcess(t, plan.AlgoDSeq, f, db, paperex.Sigma)
+
+	// The last worker answers everything with 503 from its first /run after
+	// armed is set: a process killed before it could open its exchange.
+	var armed, killed atomic.Bool
+	wrapped := 0
+	dieOnArmedRun := func(inner http.Handler) http.Handler {
+		if wrapped++; wrapped < 3 {
+			return inner
+		}
+		return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			if armed.Load() && r.Method == http.MethodPost && r.URL.Path == "/run" {
+				killed.Store(true)
+			}
+			if killed.Load() {
+				http.Error(rw, "killed", http.StatusServiceUnavailable)
+				return
+			}
+			inner.ServeHTTP(rw, r)
+		})
+	}
+	urls := startWrappedWorkers(t, 3, dieOnArmedRun)
+	coord := &cluster.Coordinator{Workers: urls, HeartbeatInterval: 50 * time.Millisecond}
+
+	warm, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
+	if err != nil {
+		t.Fatalf("warm-up Mine: %v", err)
+	}
+	if warm.StoreMisses != 3 || warm.Retries != 0 {
+		t.Fatalf("warm-up should push the bundle to all 3 workers without retries: %+v", warm.Stats)
+	}
+
+	armed.Store(true)
+	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
+	if err != nil {
+		t.Fatalf("Mine with a dying worker: %v", err)
+	}
+	if !reflect.DeepEqual(res.Patterns, want) {
+		t.Errorf("patterns after the retry differ from the single-process run (%d vs %d)", len(res.Patterns), len(want))
+	}
+	if res.Retries < 1 || res.StorePutBytes != 0 || res.StoreMisses != 0 {
+		t.Errorf("a retried job on warm workers should retry and ship no bundle bytes: %+v", res.Stats)
+	}
+	if !reflect.DeepEqual(res.DeadWorkers, []string{urls[2]}) {
+		t.Errorf("dead workers %v, want only %s", res.DeadWorkers, urls[2])
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"seqmine/internal/miner"
 	"seqmine/internal/obs"
 	"seqmine/internal/plan"
-	"seqmine/internal/transport"
 )
 
 // JobSpec is the unit of work POSTed to one worker: everything the worker
@@ -65,11 +64,11 @@ type JobSpec struct {
 	// owns).
 	Partitions []int `json:"partitions"`
 	// Plan is the query plan by value, exactly as the coordinator received
-	// it: the algorithm (plan.AlgoDSeq or plan.AlgoDCand) and the shuffle
-	// bounds configure this worker's engine; the scheduler
-	// policy rides along unused. The plan's two process-local fields (Workers,
-	// SpillTmpDir) do not serialize, so the worker sizes its own engine and
-	// spills into its own -spill-dir.
+	// it: the algorithm (one plan.Algorithm.Clustered admits) and the shuffle
+	// bounds configure this worker's engine; the scheduler policy rides along
+	// unused. The plan's two process-local fields (Workers, SpillTmpDir) do
+	// not serialize, so the worker sizes its own engine and spills into its
+	// own -spill-dir.
 	Plan plan.Plan `json:"plan"`
 }
 
@@ -83,12 +82,6 @@ type JobResult struct {
 	// Metrics is the worker-local engine execution; ShuffleBytes is the
 	// actual bytes the worker wrote to its shuffle sockets.
 	Metrics mapreduce.Metrics `json:"metrics"`
-	// WireBytesIn is the actual bytes the worker read from its shuffle
-	// sockets.
-	WireBytesIn int64 `json:"wire_bytes_in"`
-	// PeerStats breaks the shuffle traffic down per remote peer, including
-	// the streaming shuffle's per-destination batch counter.
-	PeerStats []transport.PeerStats `json:"peer_stats"`
 	// Spans are the worker-local trace spans of this run's trace (the run
 	// itself, its engine stages, and transport sends/receives), shipped back
 	// so the coordinator can merge one end-to-end trace. Empty when the

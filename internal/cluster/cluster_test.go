@@ -1,10 +1,17 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"seqmine/internal/cluster"
@@ -43,6 +50,61 @@ func startWrappedWorkers(t *testing.T, n int, wrap func(http.Handler) http.Handl
 		urls[i] = srv.URL
 	}
 	return urls
+}
+
+// runLog records the /run requests a set of workers answered with 200: the
+// spec and the worker's own result, so a test can check each gang member's
+// share of a job.
+type runLog struct {
+	mu   sync.Mutex
+	runs []loggedRun
+}
+
+type loggedRun struct {
+	spec   cluster.JobSpec
+	result cluster.JobResult
+}
+
+// wrap serves inner through the log.
+func (l *runLog) wrap(inner http.Handler) http.Handler {
+	return http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/run" {
+			inner.ServeHTTP(rw, r)
+			return
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			return
+		}
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var run loggedRun
+		if rec.Code == http.StatusOK && json.Unmarshal(body, &run.spec) == nil &&
+			json.Unmarshal(rec.Body.Bytes(), &run.result) == nil {
+			l.mu.Lock()
+			l.runs = append(l.runs, run)
+			l.mu.Unlock()
+		}
+		maps.Copy(rw.Header(), rec.Header())
+		rw.WriteHeader(rec.Code)
+		_, _ = rw.Write(rec.Body.Bytes())
+	})
+}
+
+// take returns the runs of attempt epoch logged since the last take, and
+// forgets every run logged so far.
+func (l *runLog) take(epoch int) []loggedRun {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var out []loggedRun
+	for _, run := range l.runs {
+		if run.spec.Epoch == epoch {
+			out = append(out, run)
+		}
+	}
+	l.runs = nil
+	return out
 }
 
 func paperDatabase(t *testing.T) *seqdb.Database {
@@ -86,15 +148,13 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 		if got, wantM := miner.PatternsToMap(db.Dict, res.Patterns), miner.PatternsToMap(db.Dict, want); !reflect.DeepEqual(got, wantM) {
 			t.Errorf("distributed D-CAND = %v, want %v", got, wantM)
 		}
-		// ShuffleBytes must be real traffic: everything written was read.
+		// ShuffleBytes must be real traffic (that everything written was read
+		// is the transport's own TestExchangeThreePeers).
 		if res.Metrics.ShuffleBytes <= 0 {
 			t.Errorf("ShuffleBytes = %d, want > 0", res.Metrics.ShuffleBytes)
 		}
 		if !res.Metrics.RemoteShuffle {
 			t.Error("metrics should be marked RemoteShuffle")
-		}
-		if res.Metrics.ShuffleBytes != res.WireBytesIn {
-			t.Errorf("bytes written %d != bytes read %d", res.Metrics.ShuffleBytes, res.WireBytesIn)
 		}
 	})
 
@@ -107,17 +167,33 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 		if got, wantM := miner.PatternsToMap(db.Dict, res.Patterns), miner.PatternsToMap(db.Dict, want); !reflect.DeepEqual(got, wantM) {
 			t.Errorf("distributed D-SEQ = %v, want %v", got, wantM)
 		}
-		if res.Metrics.ShuffleBytes != res.WireBytesIn {
-			t.Errorf("bytes written %d != bytes read %d", res.Metrics.ShuffleBytes, res.WireBytesIn)
-		}
 	})
 }
 
+// TestCoordinatorRejectsBadAlgorithm: an algorithm that cannot run on a
+// cluster, and the unresolved empty name, fail before the coordinator probes
+// or pushes a dataset bundle or posts a job spec. The scripted workers would
+// hold the bundle and answer every spec with success, so a late check could
+// not fail the job at all.
 func TestCoordinatorRejectsBadAlgorithm(t *testing.T) {
 	db := paperDatabase(t)
-	coord := &cluster.Coordinator{Workers: startWorkers(t, 2)}
-	if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoNaive}); err == nil {
-		t.Fatal("expected an error for a non-distributable algorithm")
+	var touched atomic.Int32
+	w := (&scriptedWorker{addr: "peer-0"}).handler(func([]string) bool { return false })
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/datasets/") || r.URL.Path == "/run" {
+			touched.Add(1)
+		}
+		w.ServeHTTP(rw, r)
+	}))
+	t.Cleanup(srv.Close)
+	coord := &cluster.Coordinator{Workers: []string{srv.URL}}
+	for _, algo := range []plan.Algorithm{plan.AlgoDFS, plan.AlgoCount, plan.AlgoNaive, plan.AlgoSemiNaive, ""} {
+		if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: algo}); err == nil {
+			t.Errorf("algorithm %q: expected an error, the job cannot run on a cluster", algo)
+		}
+	}
+	if n := touched.Load(); n != 0 {
+		t.Errorf("%d dataset or run requests reached the worker before the algorithm was rejected", n)
 	}
 }
 
@@ -189,7 +265,8 @@ func TestCoordinatorSpillMatchesInProcess(t *testing.T) {
 	const expr, sigma = "[.*(.)]{1,3}.*", int64(20)
 	f := fst.MustCompile(expr, db.Dict)
 
-	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
+	var log runLog
+	coord := &cluster.Coordinator{Workers: startWrappedWorkers(t, 3, log.wrap)}
 	opts := plan.Plan{Algorithm: plan.AlgoDSeq}
 	opts.SpillThreshold = 2048
 	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
@@ -209,9 +286,13 @@ func TestCoordinatorSpillMatchesInProcess(t *testing.T) {
 		if res.Metrics.SpilledBytes == 0 || res.Metrics.SpillCount == 0 {
 			t.Errorf("%s: expected cluster-wide spilling, got %+v", algo, res.Metrics)
 		}
-		for p, r := range res.PerWorker {
-			if r.Metrics.SpilledBytes == 0 {
-				t.Errorf("%s: worker %d did not spill", algo, p)
+		gang := log.take(res.Attempts - 1)
+		if len(gang) != 3 {
+			t.Errorf("%s: %d workers answered the winning attempt, want 3", algo, len(gang))
+		}
+		for _, run := range gang {
+			if run.result.Metrics.SpilledBytes == 0 {
+				t.Errorf("%s: worker %d did not spill", algo, run.spec.Peer)
 			}
 		}
 	}
@@ -241,7 +322,8 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 	const expr, sigma = "[.*(.)]{1,3}.*", int64(20)
 	f := fst.MustCompile(expr, db.Dict)
 
-	coord := &cluster.Coordinator{Workers: startWorkers(t, 3)}
+	var log runLog
+	coord := &cluster.Coordinator{Workers: startWrappedWorkers(t, 3, log.wrap)}
 	variants := map[string]plan.Plan{}
 	var streaming plan.Plan
 	streaming.SendBufferBytes = 1024
@@ -269,9 +351,13 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 			if res.Metrics.StreamedBatches == 0 {
 				t.Errorf("%s/%s: expected streamed batches, got %+v", algo, name, res.Metrics)
 			}
-			for p, r := range res.PerWorker {
-				if r.Metrics.StreamedBatches == 0 {
-					t.Errorf("%s/%s: worker %d streamed no batches", algo, name, p)
+			gang := log.take(res.Attempts - 1)
+			if len(gang) != 3 {
+				t.Errorf("%s/%s: %d workers answered the winning attempt, want 3", algo, name, len(gang))
+			}
+			for _, run := range gang {
+				if run.result.Metrics.StreamedBatches == 0 {
+					t.Errorf("%s/%s: worker %d streamed no batches", algo, name, run.spec.Peer)
 				}
 			}
 			if opts.SpillThreshold > 0 && res.Metrics.SpilledBytes == 0 {

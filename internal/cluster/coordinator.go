@@ -79,11 +79,6 @@ const maxBundleCache = 8
 
 // Result is the merged outcome of a distributed mining job.
 type Result struct {
-	// TraceID is the distributed trace this job ran under (empty when the
-	// Mine context carried no recorder). The coordinator's recorder then
-	// holds the merged end-to-end trace: its own scheduler spans plus the
-	// winning attempt's worker spans.
-	TraceID obs.TraceID
 	// Patterns is the complete frequent-sequence set, sorted like the
 	// single-process miners sort it.
 	Patterns []miner.Pattern
@@ -92,34 +87,31 @@ type Result struct {
 	// ShuffleBytes is the total bytes written to shuffle sockets by the
 	// winning attempt.
 	Metrics mapreduce.Metrics
-	// WireBytesIn is the total bytes read from shuffle sockets by the
-	// winning attempt; it equals Metrics.ShuffleBytes when every frame
-	// arrived.
-	WireBytesIn int64
-	// PerWorker holds each gang member's own result for the winning attempt
-	// (index = peer within the attempt's gang).
-	PerWorker []JobResult
+	Stats
+}
 
+// Stats is the scheduler's and the dataset store's account of one job. The
+// service layer reports it as a query's metrics.exec.cluster.
+type Stats struct {
 	// Tasks is the number of per-partition tasks the job was decomposed
 	// into: one per worker live at the start.
-	Tasks int
+	Tasks int `json:"tasks"`
 	// Attempts is the number of attempts launched (>= 1); the last one won,
-	// under epoch Attempts-1.
-	Attempts int
-	// Retries is the number of attempts relaunched after a failure.
-	Retries int
+	// under epoch Attempts-1. Retries is the number of attempts relaunched
+	// after a failure.
+	Attempts int `json:"attempts"`
+	Retries  int `json:"retries"`
 	// DeadWorkers are the control URLs of pool members declared dead during
 	// the job.
-	DeadWorkers []string
-
+	DeadWorkers []string `json:"dead_workers"`
 	// StoreHits counts workers that already held the dataset bundle;
 	// StoreMisses counts workers the bundle had to be pushed to, and
 	// StorePutBytes is the total bundle bytes shipped. A resubmission
 	// against an already-pushed dataset reports StoreMisses == 0 and
 	// StorePutBytes == 0: the job moved no sequence bytes.
-	StoreHits     int
-	StoreMisses   int
-	StorePutBytes int64
+	StoreHits     int   `json:"store_hits"`
+	StoreMisses   int   `json:"store_misses"`
+	StorePutBytes int64 `json:"store_put_bytes"`
 }
 
 // workerRef is the scheduler's view of one pool member.
@@ -147,14 +139,17 @@ func (w *workerRef) markDead() bool {
 }
 
 // Mine runs one distributed job over the database with the scheduler
-// described on Coordinator. p is the query plan: its Algorithm must be
-// plan.AlgoDSeq or plan.AlgoDCand, its retry budget drives the scheduler,
-// and the whole plan is shipped to the workers in every JobSpec.
+// described on Coordinator. p is the query plan: its Algorithm must run on a
+// cluster (plan.Algorithm.Clustered), its retry budget drives the scheduler,
+// and the whole plan is shipped to the workers in every JobSpec. A job that
+// cannot run fails before any worker is contacted.
 func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression string, sigma int64, p plan.Plan) (*Result, error) {
-	if len(c.Workers) == 0 {
+	switch {
+	case !p.Algorithm.Clustered():
+		return nil, fmt.Errorf("cluster: algorithm %q cannot run on a worker cluster (want %s or %s)", p.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)
+	case len(c.Workers) == 0:
 		return nil, fmt.Errorf("cluster: no workers configured")
-	}
-	if db == nil || db.Dict == nil {
+	case db == nil || db.Dict == nil:
 		return nil, fmt.Errorf("cluster: nil database")
 	}
 	client := c.Client
@@ -206,7 +201,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{TraceID: mineSpan.TraceID()}
+	res := &Result{}
 	var pushMu sync.Mutex
 	var pushWG sync.WaitGroup
 	for _, ws := range live {
@@ -732,7 +727,6 @@ func (s *scheduler) onHeartbeatDeath(ws *workerRef) {
 // merge folds the winning attempt into the job result.
 func (s *scheduler) merge(a *attempt) *Result {
 	res := s.res
-	res.PerWorker = a.results
 	res.Metrics.RemoteShuffle = true
 	// Fold the workers' span records into the coordinator's recorder: the
 	// merged trace then covers the scheduler, every gang member's run (the
@@ -745,7 +739,6 @@ func (s *scheduler) merge(a *attempt) *Result {
 	}
 	for _, r := range a.results {
 		res.Patterns = append(res.Patterns, r.Patterns...)
-		res.WireBytesIn += r.WireBytesIn
 		m := r.Metrics
 		if m.MapTime > res.Metrics.MapTime {
 			res.Metrics.MapTime = m.MapTime

@@ -68,20 +68,20 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	}
 
 	rec := obs.NewRecorder("coordinator", 0)
-	ctx := obs.WithRecorder(context.Background(), rec)
+	ctx, caller := obs.StartSpan(obs.WithRecorder(context.Background(), rec), "test.job")
 	coord := &cluster.Coordinator{Workers: urls, Obs: obs.NewRegistry()}
 	res, err := coord.Mine(ctx, db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
+	caller.End()
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
 	}
 	if res.Retries == 0 || res.Attempts < 2 {
 		t.Fatalf("the flaky worker should force a retry, got attempts=%d retries=%d", res.Attempts, res.Retries)
 	}
-	if res.TraceID == "" {
-		t.Fatal("Result.TraceID is empty with a recorder on the context")
-	}
 
-	spans := rec.TraceSpans(res.TraceID)
+	// The job runs under the caller's trace.
+	trace := caller.TraceID()
+	spans := rec.TraceSpans(trace)
 	if len(spans) == 0 {
 		t.Fatal("no spans recorded for the job's trace")
 	}
@@ -89,8 +89,8 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	procs := map[string]map[string]bool{} // span name -> set of processes
 	epochs := map[string]bool{}
 	for _, sp := range spans {
-		if sp.Trace != res.TraceID {
-			t.Fatalf("span %s/%s carries trace %s, want %s", sp.Name, sp.Span, sp.Trace, res.TraceID)
+		if sp.Trace != trace {
+			t.Fatalf("span %s/%s carries trace %s, want %s", sp.Name, sp.Span, sp.Trace, trace)
 		}
 		byName[sp.Name]++
 		if procs[sp.Name] == nil {

@@ -114,34 +114,17 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 		patterns []miner.Pattern
 		metrics  mapreduce.Metrics
 	)
-	switch spec.Plan.Algorithm {
-	case plan.AlgoDSeq:
-		patterns, metrics, err = dseq.Mine(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
-	case plan.AlgoDCand:
+	// validateSpec admitted D-SEQ and D-CAND only.
+	if spec.Plan.Algorithm == plan.AlgoDCand {
 		patterns, metrics, err = dcand.Mine(f, split, spec.Sigma, dcand.DefaultOptions(), cfg, bx)
-	default:
-		err = permanentError{fmt.Errorf("cluster: algorithm %q cannot run distributed (want %s or %s)", spec.Plan.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)}
+	} else {
+		patterns, metrics, err = dseq.Mine(f, split, spec.Sigma, dseq.DefaultOptions(), cfg, bx)
 	}
 	if err != nil {
 		return nil, err
 	}
-	// Copy the streaming shuffle's per-destination counter onto the
-	// transport's per-peer stats rows, so the job result reports one
-	// per-peer breakdown.
-	stats := bx.Stats()
-	for _, sp := range metrics.StreamPeers {
-		if sp.Peer >= 0 && sp.Peer < len(stats) {
-			stats[sp.Peer].StreamedBatches = sp.StreamedBatches
-		}
-	}
 	w.observeStages(string(spec.Plan.Algorithm), metrics)
-	result = &JobResult{
-		Epoch:       spec.Epoch,
-		Patterns:    patterns,
-		Metrics:     metrics,
-		WireBytesIn: bx.WireBytesIn(),
-		PeerStats:   stats,
-	}
+	result = &JobResult{Epoch: spec.Epoch, Patterns: patterns, Metrics: metrics}
 	// End the run span before collecting, so the shipped batch includes it
 	// (plus any spans of earlier attempts of the same trace this worker
 	// recorded — that is how a retried job's full history reaches the
@@ -155,10 +138,11 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 }
 
 // engineConfig is the worker's engine configuration for a job: the plan's
-// shuffle bounds verbatim, spilling into this worker's own directory. The
-// engine's parallelism is left at its default (all of this worker's CPUs).
+// engine, spilling into this worker's own directory. The plan's Workers never
+// travels, so the engine's parallelism is its default (all of this worker's
+// CPUs).
 func (w *Worker) engineConfig(ctx context.Context, p plan.Plan) mapreduce.Config {
-	cfg := mapreduce.Config{Context: ctx, Obs: w.Obs, Shuffle: p.ShuffleConfig}
+	cfg := p.Engine(ctx, w.Obs)
 	cfg.Shuffle.SpillTmpDir = w.SpillDir
 	return cfg
 }
@@ -191,8 +175,8 @@ func (w *Worker) observeStages(algorithm string, m mapreduce.Metrics) {
 		"Job attempts completed by this worker.", "algorithm", algorithm).Inc()
 }
 
-// validateSpec rejects malformed job specs up front (permanent errors the
-// coordinator must not retry).
+// validateSpec rejects malformed job specs up front, before the worker opens
+// the attempt's exchange (permanent errors the coordinator must not retry).
 func validateSpec(spec JobSpec) error {
 	if spec.JobID == "" {
 		return fmt.Errorf("cluster: empty job id")
@@ -202,6 +186,9 @@ func validateSpec(spec JobSpec) error {
 	}
 	if spec.Peer < 0 || spec.Peer >= len(spec.DataPeers) {
 		return fmt.Errorf("cluster: peer %d out of range for %d data peers", spec.Peer, len(spec.DataPeers))
+	}
+	if !spec.Plan.Algorithm.Clustered() {
+		return fmt.Errorf("cluster: algorithm %q cannot run on a worker cluster (want %s or %s)", spec.Plan.Algorithm, plan.AlgoDSeq, plan.AlgoDCand)
 	}
 	if spec.Sigma <= 0 {
 		return fmt.Errorf("cluster: minimum support must be positive, got %d", spec.Sigma)

@@ -71,13 +71,20 @@ func postRun(t *testing.T, srv *httptest.Server, spec cluster.JobSpec) (int, str
 
 // TestWorkerRejectsMalformedSpecs: permanent errors must come back as HTTP
 // 400 so the coordinator does not burn its retry budget on them, and a
-// missing dataset as 404 so it re-pushes instead.
+// missing dataset as 404 so it re-pushes instead. Every rejection comes
+// before the worker opens the attempt's exchange: the job's exchange is held
+// open on the node meanwhile, so a worker that reached OpenExchangeContext
+// would answer 500.
 func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 	w, srv, id := startWorkerWithStore(t)
 	addr := w.Node().Addr()
 	valid := cluster.JobSpec{
 		JobID: "job-w", Plan: plan.Plan{Algorithm: plan.AlgoDSeq}, Peer: 0, DataPeers: []string{addr},
 		Expression: "(.)", Sigma: 1, DatasetID: id, NumPartitions: 1, Partitions: []int{0},
+	}
+	held, err := w.Node().OpenExchange(valid.JobID, valid.Epoch, valid.DataPeers)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	cases := []struct {
@@ -95,6 +102,8 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 		{"bad expression", func(s *cluster.JobSpec) { s.Expression = "((" }, http.StatusBadRequest},
 		{"expression past the state bound", func(s *cluster.JobSpec) { s.Expression = "(.{0,60}){0,60}" }, http.StatusBadRequest},
 		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoNaive }, http.StatusBadRequest},
+		{"sequential algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoDFS }, http.StatusBadRequest},
+		{"unresolved empty algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = "" }, http.StatusBadRequest},
 		{"unknown dataset", func(s *cluster.JobSpec) { s.DatasetID = "sha256-feed" }, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -112,6 +121,7 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 	}
 
 	// The valid spec itself runs (single-peer gang).
+	held.Close()
 	status, msg := postRun(t, srv, valid)
 	if status != http.StatusOK {
 		t.Fatalf("valid spec: status %d (%s)", status, msg)

@@ -16,7 +16,7 @@ import (
 // BenchmarkDCandMap_T3 measures one full map-phase pass — flat run walk,
 // per-pivot trie insertion, minimize (or not) and serialize, per sequence —
 // over the AMZN-F T3 workload of pivot's BenchmarkPivotAnalyze_T3: the
-// per-sequence kernel behind BenchmarkAlgorithms_T3/D-CAND.
+// per-sequence kernel behind BenchmarkAlgorithms_T3/dcand.
 func BenchmarkDCandMap_T3(b *testing.B) {
 	ds, err := experiments.Generate(experiments.Scale{
 		NYTSentences: 1, AmazonCustomers: 500, ClueWebSentences: 1, Workers: 2, Seed: 1,

@@ -121,19 +121,6 @@ type Metrics struct {
 	// it, and it leaves with the [benchmark] PR that drops
 	// mapreduce.overflow_segments.
 	SendOverflowSegments int64
-	// StreamPeers breaks StreamedBatches down per destination peer (remote
-	// destinations only; empty in barrier mode). The cluster worker copies
-	// the counter into the per-peer transport stats of its job result.
-	StreamPeers []PeerStreamStats `json:"stream_peers,omitempty"`
-}
-
-// PeerStreamStats is the streaming shuffle's activity toward one destination
-// peer.
-type PeerStreamStats struct {
-	// Peer is the destination's peer index.
-	Peer int `json:"peer"`
-	// StreamedBatches counts key batches flushed toward the peer.
-	StreamedBatches int64 `json:"streamed_batches"`
 }
 
 // Total returns the total wall-clock time of the job.

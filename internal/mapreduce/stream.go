@@ -355,12 +355,8 @@ func (s *sendPath[K, V]) fold(metrics *Metrics) {
 		}
 		metrics.ShuffleRecords += sent.records
 		metrics.ShuffleBytes += sent.sizeBytes
-		if !s.bounded {
-			continue
-		}
-		metrics.StreamedBatches += sent.batches
-		if dst != s.self && sent.batches > 0 {
-			metrics.StreamPeers = append(metrics.StreamPeers, PeerStreamStats{Peer: dst, StreamedBatches: sent.batches})
+		if s.bounded {
+			metrics.StreamedBatches += sent.batches
 		}
 	}
 }

@@ -168,7 +168,7 @@ func t3Workload(b *testing.B) (*fst.FST, [][]dict.ItemID) {
 
 // BenchmarkPivotAnalyze_T3 measures one full map-phase pivot analysis pass
 // (grid and run-enumeration ablation) over the AMZN-F T3 workload — the
-// per-sequence kernel behind BenchmarkAlgorithms_T3/D-SEQ.
+// per-sequence kernel behind BenchmarkAlgorithms_T3/dseq.
 func BenchmarkPivotAnalyze_T3(b *testing.B) {
 	f, db := t3Workload(b)
 	for _, cfg := range []struct {

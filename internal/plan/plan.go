@@ -12,11 +12,13 @@
 package plan
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"strings"
 
 	"seqmine/internal/mapreduce"
+	"seqmine/internal/obs"
 )
 
 // Algorithm names a mining backend. The string values double as the wire
@@ -32,7 +34,8 @@ const (
 	AlgoSemiNaive Algorithm = "seminaive"
 )
 
-// ParseAlgorithm validates an algorithm name; the empty string selects DSeq.
+// ParseAlgorithm validates an algorithm name, ignoring case. It is the one
+// place the default is decided: the empty string selects AlgoDSeq.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch a := Algorithm(strings.ToLower(s)); a {
 	case "":
@@ -43,6 +46,10 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return "", fmt.Errorf("unknown algorithm %q", s)
 	}
 }
+
+// Clustered reports whether a runs on a worker cluster: only D-SEQ and
+// D-CAND do. The empty name is not resolved here; ParseAlgorithm resolves it.
+func (a Algorithm) Clustered() bool { return a == AlgoDSeq || a == AlgoDCand }
 
 // DefaultTaskRetries is the cluster scheduler's built-in retry budget, used
 // when neither the query nor the daemon sets TaskRetries.
@@ -67,7 +74,8 @@ type Knobs struct {
 
 // Plan is one query's complete execution plan: what to run plus the knobs.
 type Plan struct {
-	// Algorithm selects the backend miner; empty means D-SEQ.
+	// Algorithm selects the backend miner; empty means D-SEQ (see
+	// ParseAlgorithm).
 	Algorithm Algorithm `json:"algorithm,omitempty"`
 	// Workers bounds the worker pool mining the query in this process; 0 uses
 	// all CPUs. It is never serialized: cluster workers size their own
@@ -77,6 +85,13 @@ type Plan struct {
 	Shards int `json:"shards,omitempty"`
 
 	Knobs
+}
+
+// Engine is the BSP engine configuration of the plan: Workers map and reduce
+// workers (0 = all CPUs) and the plan's shuffle bounds, cancelled by ctx and
+// reporting into reg.
+func (p Plan) Engine(ctx context.Context, reg *obs.Registry) mapreduce.Config {
+	return mapreduce.Config{MapWorkers: p.Workers, ReduceWorkers: p.Workers, Shuffle: p.ShuffleConfig, Context: ctx, Obs: reg}
 }
 
 // Merge returns k with every unset knob taken from the defaults d. It is the

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"context"
 	"flag"
 	"io"
 	"os"
@@ -92,6 +93,27 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("quantum"); err == nil {
 		t.Error("an unknown algorithm must be rejected")
+	}
+}
+
+// TestClustered: D-SEQ and D-CAND run on a worker cluster, nothing else does,
+// and the empty name is not resolved to the default by the predicate.
+func TestClustered(t *testing.T) {
+	for _, a := range []Algorithm{"", AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive, "bogus"} {
+		if got, want := a.Clustered(), a == AlgoDSeq || a == AlgoDCand; got != want {
+			t.Errorf("%q.Clustered() = %v, want %v", a, got, want)
+		}
+	}
+}
+
+// TestEngine: the plan's worker count sizes both engine phases and its
+// shuffle bounds pass through verbatim.
+func TestEngine(t *testing.T) {
+	p := Plan{Workers: 3, Knobs: knobs(4096, 256, 1)}
+	ctx := context.Background()
+	cfg := p.Engine(ctx, nil)
+	if cfg.MapWorkers != 3 || cfg.ReduceWorkers != 3 || cfg.Shuffle != p.ShuffleConfig || cfg.Context != ctx {
+		t.Errorf("Engine = %+v, want 3 map and reduce workers and the plan's shuffle bounds", cfg)
 	}
 }
 

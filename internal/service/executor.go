@@ -60,8 +60,8 @@ type ClusterOptions struct {
 	Workers []string
 	// Expression is the pattern expression shipped to the workers, which
 	// compile it against the dataset dictionary themselves. Service.Mine
-	// fills it in from the query; direct Execute callers must set it (the
-	// compiled FST cannot be sent over the wire).
+	// always sets it to the query's expression; direct Execute callers must
+	// set it (the compiled FST cannot be sent over the wire).
 	Expression string
 }
 
@@ -78,7 +78,7 @@ const (
 // it.
 type preparedSource func(ctx context.Context, workers int) (p *miner.Prepared, built bool, err error)
 
-// DefaultExecOptions mirrors seqmine.DefaultOptions: D-SEQ, every knob unset.
+// DefaultExecOptions is seqmine.DefaultOptions: D-SEQ, every knob unset.
 func DefaultExecOptions() ExecOptions {
 	return ExecOptions{Plan: plan.Plan{Algorithm: AlgoDSeq}}
 }
@@ -102,30 +102,15 @@ type ExecStats struct {
 	// result-cache hit and Execute outside a Service have no such state.
 	Prepared  string  `json:"prepared"`
 	PrepareMS float64 `json:"prepare_ms,omitempty"`
-	// Cluster carries the scheduler's attempt/retry and dataset-store
-	// accounting for cluster-executed queries (nil otherwise).
+	// Cluster is the job's own account of a cluster-executed query: tasks,
+	// attempts, retries, dead workers and dataset-store traffic (nil
+	// otherwise).
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
-// ClusterStats is the fault-tolerance and dataset-store accounting of one
-// cluster-executed query.
-type ClusterStats struct {
-	// Tasks is the number of per-partition tasks of the job.
-	Tasks int `json:"tasks"`
-	// Attempts is the number of attempts launched (>= 1); Retries counts
-	// relaunches after failures.
-	Attempts int `json:"attempts"`
-	Retries  int `json:"retries"`
-	// DeadWorkers is how many pool members were declared dead during the
-	// job.
-	DeadWorkers int `json:"dead_workers"`
-	// StoreHits / StoreMisses / StorePutBytes describe the dataset-store
-	// traffic: a resubmission against an already-pushed dataset reports
-	// zero misses and zero put bytes.
-	StoreHits     int   `json:"store_hits"`
-	StoreMisses   int   `json:"store_misses"`
-	StorePutBytes int64 `json:"store_put_bytes"`
-}
+// ClusterStats is the scheduler's and the dataset store's account of one
+// cluster-executed query; see cluster.Stats.
+type ClusterStats = cluster.Stats
 
 // Execute runs one mining job. The sequential backends (dfs, count) mine the
 // whole database on Workers goroutines with the miner's own parallelism (see
@@ -158,15 +143,27 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 		}
 		return nil, mapreduce.Metrics{}, ExecStats{}, err
 	}
-	if sigma <= 0 {
-		return fail(fmt.Errorf("minimum support must be positive, got %d", sigma))
-	}
-	if err := ctx.Err(); err != nil {
+	algo, err := plan.ParseAlgorithm(string(opts.Algorithm))
+	switch {
+	case err != nil:
 		return fail(err)
+	case sigma <= 0:
+		return fail(fmt.Errorf("minimum support must be positive, got %d", sigma))
+	case opts.Cluster != nil && opts.Cluster.Expression == "":
+		return fail(fmt.Errorf("cluster execution requires the pattern expression"))
+	case ctx.Err() != nil:
+		return fail(ctx.Err())
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
+	opts.Algorithm = algo
+	if opts.Workers <= 0 {
+		opts.Workers = runtime.NumCPU()
+	}
+	run := mineDistributed
+	switch {
+	case opts.Cluster != nil:
+		run = mineCluster
+	case algo == AlgoDFS, algo == AlgoCount:
+		run = mineSequential
 	}
 	type jobResult struct {
 		patterns []miner.Pattern
@@ -177,17 +174,7 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	ch := make(chan jobResult, 1)
 	go func() {
 		var r jobResult
-		// mineCluster and mineDistributed each check alone which algorithms
-		// they run: a cluster rejects the rest rather than silently running
-		// them locally.
-		switch a := opts.Algorithm; {
-		case opts.Cluster != nil:
-			r.patterns, r.metrics, r.stats, r.err = mineCluster(ctx, db, sigma, opts)
-		case a == AlgoDFS, a == AlgoCount:
-			r.patterns, r.stats, r.err = mineSequential(ctx, f, db, sigma, a, workers, prepared)
-		default:
-			r.patterns, r.metrics, r.stats, r.err = mineDistributed(ctx, f, db, sigma, opts, workers)
-		}
+		r.patterns, r.metrics, r.stats, r.err = run(ctx, f, db, sigma, opts, prepared)
 		if r.stats.Prepared == "" {
 			r.stats.Prepared = PreparedNone
 		}
@@ -204,94 +191,66 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	}
 }
 
-// mineDistributed runs one of the BSP algorithms whole-database and rejects
-// any other algorithm name. The context is threaded into the engine for
-// cooperative cancellation and trace-span recording (the mapreduce.run span
-// and its stage children parent under the caller's service.mine span when the
-// context carries a recorder).
-func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, workers int) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
-	cfg := mapreduce.Config{
-		MapWorkers:    workers,
-		ReduceWorkers: workers,
-		Shuffle:       opts.ShuffleConfig,
-		Context:       ctx,
-		Obs:           opts.Obs,
-	}
+// mineDistributed runs one of the BSP algorithms whole-database on the
+// in-process engine. The context is threaded into the engine for cooperative
+// cancellation and trace-span recording (the mapreduce.run span and its stage
+// children parent under the caller's service.mine span when the context
+// carries a recorder).
+func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, _ preparedSource) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
+	cfg := opts.Engine(ctx, opts.Obs)
 	var (
 		patterns []miner.Pattern
 		metrics  mapreduce.Metrics
 		err      error
 	)
 	switch opts.Algorithm {
-	case "", AlgoDSeq:
-		patterns, metrics, err = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 	case AlgoDCand:
 		patterns, metrics, err = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg, nil)
 	case AlgoNaive:
 		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.Naive, cfg)
 	case AlgoSemiNaive:
 		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.SemiNaive, cfg)
-	default:
-		err = fmt.Errorf("unknown algorithm %q", opts.Algorithm)
+	default: // AlgoDSeq: execute admitted no other name
+		patterns, metrics, err = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 	}
 	if err != nil {
 		return nil, metrics, ExecStats{}, err
 	}
-	return patterns, metrics, ExecStats{Shards: 1, SplitStats: miner.SplitStats{Workers: workers}}, nil
+	return patterns, metrics, ExecStats{Shards: 1, SplitStats: miner.SplitStats{Workers: opts.Workers}}, nil
 }
 
 // mineCluster fans a distributed backend out across worker processes: the
 // coordinator splits the database over the configured workers, which shuffle
 // among themselves over the TCP transport and return their pivot partitions'
 // patterns. The merged metrics report real socket traffic as ShuffleBytes.
-func mineCluster(ctx context.Context, db *seqdb.Database, sigma int64, opts ExecOptions) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
-	p := opts.Plan
-	switch p.Algorithm {
-	case "":
-		p.Algorithm = AlgoDSeq
-	case AlgoDSeq, AlgoDCand:
-	default:
-		return nil, mapreduce.Metrics{}, ExecStats{}, fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", p.Algorithm, AlgoDSeq, AlgoDCand)
-	}
-	if opts.Cluster.Expression == "" {
-		return nil, mapreduce.Metrics{}, ExecStats{}, fmt.Errorf("cluster execution requires the pattern expression")
-	}
+// The coordinator rejects an algorithm that cannot run on a cluster.
+func mineCluster(ctx context.Context, _ *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, _ preparedSource) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	coord := &cluster.Coordinator{Workers: opts.Cluster.Workers, Obs: opts.Obs}
-	res, err := coord.Mine(ctx, db, opts.Cluster.Expression, sigma, p)
+	res, err := coord.Mine(ctx, db, opts.Cluster.Expression, sigma, opts.Plan)
 	if err != nil {
 		return nil, mapreduce.Metrics{}, ExecStats{}, err
 	}
-	stats := ExecStats{
-		Shards: len(opts.Cluster.Workers),
-		Cluster: &ClusterStats{
-			Tasks:         res.Tasks,
-			Attempts:      res.Attempts,
-			Retries:       res.Retries,
-			DeadWorkers:   len(res.DeadWorkers),
-			StoreHits:     res.StoreHits,
-			StoreMisses:   res.StoreMisses,
-			StorePutBytes: res.StorePutBytes,
-		},
-	}
-	return res.Patterns, res.Metrics, stats, nil
+	stats := res.Stats // a copy: a caller keeping the stats does not pin the patterns
+	return res.Patterns, res.Metrics, ExecStats{Shards: len(opts.Cluster.Workers), Cluster: &stats}, nil
 }
 
 // mineSequential runs DESQ-DFS or DESQ-COUNT over the whole database on
 // workers goroutines; the parallelism is the miner's own (miner.MineDFS). A dfs
 // query with a prepared source mines the source's state at sigma instead of
 // setting the database up again.
-func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, algo Algorithm, workers int, prepared preparedSource) ([]miner.Pattern, ExecStats, error) {
+func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, prepared preparedSource) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
+	workers := opts.Workers
 	stats := ExecStats{Shards: 1}
 	var patterns []miner.Pattern
 	switch {
-	case algo == AlgoCount:
+	case opts.Algorithm == AlgoCount:
 		patterns = miner.MineCount(ctx, f, miner.Weighted(db.Sequences), sigma, workers)
 		stats.Workers = max(1, min(workers, len(db.Sequences)))
 	case prepared != nil:
 		start := time.Now()
 		p, built, err := prepared(ctx, workers)
 		if err != nil {
-			return nil, ExecStats{}, err
+			return nil, mapreduce.Metrics{}, ExecStats{}, err
 		}
 		stats.Prepared = PreparedHit
 		if built {
@@ -303,7 +262,7 @@ func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma i
 		patterns = miner.MineDFS(f, miner.Weighted(db.Sequences), sigma, miner.DFSOptions{Workers: workers, Context: ctx, Split: &stats.SplitStats})
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, ExecStats{}, err
+		return nil, mapreduce.Metrics{}, ExecStats{}, err
 	}
-	return patterns, stats, nil
+	return patterns, mapreduce.Metrics{}, stats, nil
 }

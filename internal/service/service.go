@@ -330,13 +330,19 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	if opts.Obs == nil {
 		opts.Obs = s.cfg.Obs
 	}
-	if opts.Cluster != nil && opts.Cluster.Expression == "" {
-		// The workers compile the expression themselves; copy the options so
-		// the caller's struct is not mutated.
+	if opts.Cluster != nil {
+		// The workers compile the query's own expression, whatever the caller
+		// left in the field: the answer is cached under q.Expression. Copy the
+		// options so the caller's struct is not mutated.
 		withExpr := *opts.Cluster
 		withExpr.Expression = q.Expression
 		opts.Cluster = &withExpr
 	}
+	algo, err := plan.ParseAlgorithm(string(opts.Algorithm))
+	if err != nil {
+		return nil, fail(err)
+	}
+	opts.Algorithm = algo
 
 	timeout := q.Timeout
 	if timeout <= 0 {
@@ -358,9 +364,6 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 		Expression: q.Expression,
 		Algorithm:  opts.Algorithm,
 		Sigma:      q.Sigma,
-	}
-	if m.Algorithm == "" {
-		m.Algorithm = AlgoDSeq
 	}
 	span.SetAttr("algorithm", string(m.Algorithm))
 

@@ -294,21 +294,6 @@ func (n *Node) release(jobID string, epoch int, ex *Exchange) {
 	}
 }
 
-// PeerStats is the per-peer traffic of one Exchange. Bytes are real socket
-// bytes including protocol overhead.
-type PeerStats struct {
-	Addr      string `json:"addr"`
-	BytesOut  int64  `json:"bytes_out"`
-	FramesOut int64  `json:"frames_out"`
-	BytesIn   int64  `json:"bytes_in"`
-	FramesIn  int64  `json:"frames_in"`
-	// StreamedBatches is the streaming shuffle's per-destination counter (key
-	// batches flushed toward this peer). It is an engine-level count: the
-	// transport does not fill it itself — the cluster worker copies it in from
-	// the engine metrics after a run.
-	StreamedBatches int64 `json:"streamed_batches,omitempty"`
-}
-
 // PeerError is the failure of one peer's connection within an exchange. It
 // names the peer so a scheduler can turn the death into a targeted task
 // failure (mark that worker dead, re-execute) instead of an anonymous global
@@ -326,6 +311,9 @@ func (e *PeerError) Error() string {
 
 func (e *PeerError) Unwrap() error { return e.Err }
 
+// peerCounters is one peer's traffic within an exchange: real socket bytes
+// including protocol overhead, and frames. The transport.send and
+// transport.recv spans report them.
 type peerCounters struct {
 	bytesOut, framesOut, bytesIn, framesIn atomic.Int64
 }
@@ -761,21 +749,6 @@ func (e *Exchange) WireBytesOut() int64 { return e.wireOut.Load() }
 
 // WireBytesIn returns the bytes actually read from the inbound sockets.
 func (e *Exchange) WireBytesIn() int64 { return e.wireIn.Load() }
-
-// Stats returns a per-peer traffic snapshot (this peer's own row is zero).
-func (e *Exchange) Stats() []PeerStats {
-	out := make([]PeerStats, len(e.peers))
-	for i := range e.peers {
-		out[i] = PeerStats{
-			Addr:      e.peers[i],
-			BytesOut:  e.stats[i].bytesOut.Load(),
-			FramesOut: e.stats[i].framesOut.Load(),
-			BytesIn:   e.stats[i].bytesIn.Load(),
-			FramesIn:  e.stats[i].framesIn.Load(),
-		}
-	}
-	return out
-}
 
 // Close tears down every connection of the exchange and releases its job id.
 // It is idempotent and safe to call while Sends or Recvs are blocked.

@@ -135,9 +135,8 @@ func TestExchangeThreePeers(t *testing.T) {
 		if ex.WireBytesOut() <= 0 {
 			t.Errorf("peer %d reports no wire bytes out", p)
 		}
-		stats := ex.Stats()
-		if stats[p].BytesOut != 0 || stats[p].BytesIn != 0 {
-			t.Errorf("peer %d counts self traffic: %+v", p, stats[p])
+		if self := &ex.stats[p]; self.bytesOut.Load() != 0 || self.bytesIn.Load() != 0 {
+			t.Errorf("peer %d counts self traffic: %d bytes out, %d in", p, self.bytesOut.Load(), self.bytesIn.Load())
 		}
 	}
 	if out != in {

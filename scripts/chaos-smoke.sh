@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # Chaos smoke test: run a distributed D-SEQ job across three seqmine-worker
-# processes (seqmine -cluster) and SIGKILL one of them mid-job. The
-# task-based scheduler must
+# processes (seqmine -cluster) and SIGKILL one of them mid-job. A warm-up
+# job on the fresh workers first pushes the dataset bundle into every
+# worker's store. The killed job's task-based scheduler must then
 #
 #   1. declare the killed worker dead and retry the attempt on the two
 #      survivors under a fresh epoch (non-zero retry metrics),
 #   2. produce a pattern set byte-identical to the single-process run,
-#   3. ship zero sequence bytes on the retry (the dataset store already
-#      holds the bundle on the survivors).
+#   3. ship zero sequence bytes (its "dataset store:" line reads
+#      "0 misses, 0 bytes pushed": the survivors already hold the bundle).
 #
 # The coordinating seqmine -cluster run also writes the job's merged trace
 # as Chrome trace-event JSON (-trace-out). Set CHAOS_ARTIFACT_DIR to keep
@@ -83,6 +84,17 @@ for round in 1 2 3; do
     wait_healthy 19591
     wait_healthy 19592
 
+    echo "== round $round: warm-up job pushes the dataset bundle to every worker"
+    if ! "$workdir/bin/seqmine" -cluster "$workers" \
+        -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
+        -pattern "$pattern" -sigma "$sigma" -algorithm dseq -top 1 \
+        >"$workdir/warmup.out" 2>"$workdir/warmup.err"; then
+        echo "round $round: warm-up job failed:" >&2
+        cat "$workdir/warmup.err" >&2
+        exit 1
+    fi
+    sed -n 's/^\(dataset store: .*\)$/   warm-up \1/p' "$workdir/warmup.out"
+
     echo "== round $round: submitting job, SIGKILLing worker 3 mid-job"
     (sleep 0.25; kill -9 "$W3" 2>/dev/null || true) &
     killer=$!
@@ -112,6 +124,15 @@ for round in 1 2 3; do
         exit 1
     fi
     echo "== round $round: $(wc -l <"$workdir/single.txt") patterns identical after the kill"
+
+    store=$(sed -n 's/^dataset store: \(.*\)$/\1/p' "$workdir/chaos.out")
+    case "$store" in
+    *" 0 misses, 0 bytes pushed") ;;
+    *)
+        echo "round $round: the job pushed the bundle to workers that held it: dataset store: $store" >&2
+        exit 1
+        ;;
+    esac
 
     retries=$(sed -n 's/^scheduler: .* \([0-9][0-9]*\) retries.*$/\1/p' "$workdir/chaos.out")
     dead=$(sed -n 's/^scheduler: .* \([0-9][0-9]*\) dead workers.*$/\1/p' "$workdir/chaos.out")

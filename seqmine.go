@@ -30,7 +30,6 @@ package seqmine
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"seqmine/internal/datagen"
 	"seqmine/internal/dict"
@@ -64,44 +63,25 @@ type Pattern = miner.Pattern
 // shuffle volume, partition counts).
 type Metrics = mapreduce.Metrics
 
-// Algorithm selects the mining algorithm.
-type Algorithm int
+// Algorithm names a mining algorithm. Its values are the names the seqmined
+// HTTP API and the CLIs accept; the empty name selects D-SEQ.
+type Algorithm = plan.Algorithm
 
 const (
 	// SequentialDFS is the sequential DESQ-DFS pattern-growth miner.
-	SequentialDFS Algorithm = iota
+	SequentialDFS = plan.AlgoDFS
 	// SequentialCount is the sequential DESQ-COUNT miner (enumerate and
 	// count).
-	SequentialCount
+	SequentialCount = plan.AlgoCount
 	// DSeq is the distributed algorithm with sequence representation.
-	DSeq
+	DSeq = plan.AlgoDSeq
 	// DCand is the distributed algorithm with candidate (NFA) representation.
-	DCand
+	DCand = plan.AlgoDCand
 	// Naive is the distributed word-count style baseline over all candidates.
-	Naive
+	Naive = plan.AlgoNaive
 	// SemiNaive is Naive restricted to candidates of frequent items.
-	SemiNaive
+	SemiNaive = plan.AlgoSemiNaive
 )
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case SequentialDFS:
-		return "DESQ-DFS"
-	case SequentialCount:
-		return "DESQ-COUNT"
-	case DSeq:
-		return "D-SEQ"
-	case DCand:
-		return "D-CAND"
-	case Naive:
-		return "Naive"
-	case SemiNaive:
-		return "SemiNaive"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
-	}
-}
 
 // Knobs are the execution knobs shared by every layer of the system — the
 // shuffle bounds (SpillThreshold, SpillTmpDir, SendBufferBytes,
@@ -111,32 +91,30 @@ func (a Algorithm) String() string {
 // barrier with the scheduler's built-in retry budget.
 type Knobs = plan.Knobs
 
-// Options configures Mine.
-type Options struct {
-	// Algorithm selects the miner (default D-SEQ).
-	Algorithm Algorithm
-	// Workers is the parallelism of every algorithm (map and reduce workers
-	// of the distributed ones, mining goroutines of DFS and Count); 0 uses
-	// all CPUs.
-	Workers int
-	// ClusterWorkers, when non-empty, runs the distributed algorithms
-	// (DSeq, DCand) across these seqmine-worker processes (control URLs)
-	// with the fault-tolerant cluster scheduler instead of the in-process
-	// engine: the input is pushed once per worker into the shared dataset
-	// store and failed attempts are retried on the surviving workers.
-	ClusterWorkers []string
+// Options configures Mine, MineConstraint and Service.Mine; it is the service
+// layer's own query plan, so the library, the daemon and the CLIs run the
+// same struct. Its fields:
+//   - Algorithm selects the miner (empty: D-SEQ).
+//   - Workers is the parallelism of every algorithm (map and reduce workers
+//     of the distributed ones, mining goroutines of DFS and Count); 0 uses
+//     all CPUs.
+//   - Knobs tune the execution; through Service.Mine, unset knobs inherit
+//     the service's defaults (ServiceOptions.Knobs).
+//   - Cluster, when non-nil, runs D-SEQ or D-CAND across seqmine-worker
+//     processes (see ClusterOptions) instead of the in-process engine.
+type Options = service.ExecOptions
 
-	// Knobs tune the execution; through Service.Mine, unset knobs inherit
-	// the service's defaults (ServiceOptions.Knobs).
-	Knobs
-}
+// ClusterOptions runs a query across seqmine-worker processes with the
+// fault-tolerant cluster scheduler: Workers are their control URLs; the input
+// is pushed once per worker into the shared dataset store and failed attempts
+// are retried on the surviving workers. Mine and Service.Mine ship the
+// query's own expression, whatever Expression holds.
+type ClusterOptions = service.ClusterOptions
 
 // DefaultOptions returns the recommended configuration: D-SEQ with one
 // worker per CPU. (The paper's enhancements — grid, rewriting, early
 // stopping, NFA minimization and aggregation — are always on.)
-func DefaultOptions() Options {
-	return Options{Algorithm: DSeq}
-}
+func DefaultOptions() Options { return service.DefaultExecOptions() }
 
 // Result is the outcome of a mining run.
 type Result struct {
@@ -195,28 +173,18 @@ func Mine(db *Database, expression string, sigma int64, opts Options) (*Result, 
 // DESQ-DFS and DESQ-COUNT mine on opts.Workers goroutines and return exactly
 // the single-threaded result.
 func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Result, error) {
-	eo := opts.query()
-	if eo.Cluster != nil {
-		eo.Cluster.Expression = c.expression
+	if opts.Cluster != nil {
+		// The workers compile the constraint's own expression; copy the
+		// options so the caller's struct is not mutated.
+		withExpr := *opts.Cluster
+		withExpr.Expression = c.expression
+		opts.Cluster = &withExpr
 	}
-	patterns, metrics, _, err := service.Execute(context.Background(), c.fst, db, sigma, eo)
+	patterns, metrics, _, err := service.Execute(context.Background(), c.fst, db, sigma, opts)
 	if err != nil {
 		return nil, fmt.Errorf("seqmine: %w", err)
 	}
 	return &Result{Patterns: patterns, Metrics: metrics}, nil
-}
-
-// query assembles the service layer's query plan from the options.
-func (o Options) query() service.ExecOptions {
-	eo := service.ExecOptions{Plan: plan.Plan{
-		Algorithm: o.Algorithm.serviceName(),
-		Workers:   o.Workers,
-		Knobs:     o.Knobs,
-	}}
-	if len(o.ClusterWorkers) > 0 {
-		eo.Cluster = &service.ClusterOptions{Workers: o.ClusterWorkers}
-	}
-	return eo
 }
 
 // DecodePattern renders a mined pattern as a space-separated string of item
@@ -252,38 +220,10 @@ type QueryMetrics = service.QueryMetrics
 // served, cache hit rate, per-dataset info).
 type ServiceMetrics = service.Snapshot
 
-// ServiceOptions configures NewService.
-type ServiceOptions struct {
-	// CacheSize is the capacity (entries) of the compiled-pattern cache;
-	// 0 means 128.
-	CacheSize int
-	// Workers bounds each query's worker pool when the query does not set
-	// its own; 0 uses all CPUs.
-	Workers int
-	// MaxConcurrent bounds the number of queries mining at once; 0 means
-	// unbounded. Excess queries wait in the bounded admission queue
-	// (QueueDepth) and past that are shed with an overload error.
-	MaxConcurrent int
-	// QueueDepth is the admission queue bound: how many queries may wait for
-	// a mining slot before the service sheds load. 0 defaults to
-	// 4×MaxConcurrent; negative means no waiting room. Ignored when
-	// MaxConcurrent is 0.
-	QueueDepth int
-	// ResultCacheSize is the capacity (entries) of the mined-result cache,
-	// keyed by (dataset generation, expression, sigma, algorithm); 0 disables
-	// result caching.
-	ResultCacheSize int
-	// DefaultTimeout is the per-query deadline applied when the caller's
-	// context has none; 0 means no default deadline.
-	DefaultTimeout time.Duration
-	// ClusterWorkers are the control URLs of a default worker cluster for
-	// queries that request distributed execution.
-	ClusterWorkers []string
-	// Knobs are the service-wide defaults of the execution knobs: a query's
-	// unset knobs (0, "", false) inherit them, a negative per-query value
-	// turns the feature off regardless.
-	Knobs
-}
+// ServiceOptions configures NewService: cache sizes, the default worker
+// count, admission bounds, the default timeout and cluster, and the default
+// Knobs every query's unset knobs inherit. It is the service layer's Config.
+type ServiceOptions = service.Config
 
 // Service is a long-lived, concurrency-safe mining service: it holds named
 // datasets, caches compiled FSTs across queries (with singleflight
@@ -296,16 +236,7 @@ type Service struct {
 
 // NewService creates a mining service.
 func NewService(opts ServiceOptions) *Service {
-	return &Service{inner: service.New(service.Config{
-		CacheSize:       opts.CacheSize,
-		Workers:         opts.Workers,
-		MaxConcurrent:   opts.MaxConcurrent,
-		QueueDepth:      opts.QueueDepth,
-		ResultCacheSize: opts.ResultCacheSize,
-		DefaultTimeout:  opts.DefaultTimeout,
-		ClusterWorkers:  opts.ClusterWorkers,
-		Knobs:           opts.Knobs,
-	})}
+	return &Service{inner: service.New(opts)}
 }
 
 // RegisterDatabase adds (or replaces) a database under the given name.
@@ -334,7 +265,7 @@ func (s *Service) Mine(ctx context.Context, dataset, expression string, sigma in
 		Dataset:    dataset,
 		Expression: expression,
 		Sigma:      sigma,
-		Options:    opts.query(),
+		Options:    opts,
 	})
 	if err != nil {
 		return nil, QueryMetrics{}, err
@@ -359,26 +290,6 @@ func clonePatterns(ps []Pattern) []Pattern {
 
 // Metrics returns a snapshot of the service's aggregate metrics.
 func (s *Service) Metrics() ServiceMetrics { return s.inner.Metrics() }
-
-// serviceName maps the Algorithm enum to the service layer's wire names.
-func (a Algorithm) serviceName() service.Algorithm {
-	switch a {
-	case SequentialDFS:
-		return service.AlgoDFS
-	case SequentialCount:
-		return service.AlgoCount
-	case DSeq:
-		return service.AlgoDSeq
-	case DCand:
-		return service.AlgoDCand
-	case Naive:
-		return service.AlgoNaive
-	case SemiNaive:
-		return service.AlgoSemiNaive
-	default:
-		return service.Algorithm(fmt.Sprintf("algorithm(%d)", int(a)))
-	}
-}
 
 // GenerateNYTLike generates the synthetic NYT-like text corpus (see the
 // datagen package) with the given number of sentences and seed.

@@ -2,16 +2,19 @@ package seqmine_test
 
 import (
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"seqmine"
+	"seqmine/internal/cluster"
 	"seqmine/internal/datagen"
 	"seqmine/internal/dict"
 	"seqmine/internal/fst"
 	"seqmine/internal/paperex"
+	"seqmine/internal/transport"
 )
 
 // runningExampleDB builds the paper's running example through the public API.
@@ -59,28 +62,9 @@ func TestMineErrors(t *testing.T) {
 		t.Error("expected error for non-positive sigma")
 	}
 	opts := seqmine.DefaultOptions()
-	opts.Algorithm = seqmine.Algorithm(99)
+	opts.Algorithm = seqmine.Algorithm("bogus")
 	if _, err := seqmine.Mine(db, "(b)", 1, opts); err == nil {
 		t.Error("expected error for unknown algorithm")
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	names := map[seqmine.Algorithm]string{
-		seqmine.SequentialDFS:   "DESQ-DFS",
-		seqmine.SequentialCount: "DESQ-COUNT",
-		seqmine.DSeq:            "D-SEQ",
-		seqmine.DCand:           "D-CAND",
-		seqmine.Naive:           "Naive",
-		seqmine.SemiNaive:       "SemiNaive",
-	}
-	for a, want := range names {
-		if a.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(a), a.String(), want)
-		}
-	}
-	if seqmine.Algorithm(42).String() == "" {
-		t.Error("unknown algorithm should still render")
 	}
 }
 
@@ -296,5 +280,68 @@ func TestServiceMineReturnsCallersOwnPatterns(t *testing.T) {
 	}
 	if got := seqmine.PatternsAsMap(db, second.Patterns); !reflect.DeepEqual(got, want) {
 		t.Errorf("after the caller edited its answer the cache serves %v, want %v", got, want)
+	}
+}
+
+// startWorkers brings up n cluster workers, each with its own shuffle node,
+// and returns their control URLs.
+func startWorkers(t *testing.T, n int) []string {
+	t.Helper()
+	urls := make([]string, n)
+	for i := range urls {
+		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		srv := httptest.NewServer(cluster.NewWorker(node).Handler())
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	return urls
+}
+
+// TestClusterMinesTheQueryExpression: a cluster query mines its own
+// expression on the workers, whatever the caller left in
+// ClusterOptions.Expression — Service.Mine caches the answer under the
+// query's expression — and the caller's ClusterOptions stay untouched.
+func TestClusterMinesTheQueryExpression(t *testing.T) {
+	db := runningExampleDB(t)
+	const stale = "(.)"
+	staleAnswer, err := seqmine.Mine(db, stale, paperex.Sigma, seqmine.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := paperex.ExpectedFrequent()
+	if reflect.DeepEqual(seqmine.PatternsAsMap(db, staleAnswer.Patterns), want) {
+		t.Fatal("the stale expression must have another answer than the query's")
+	}
+
+	svc := seqmine.NewService(seqmine.ServiceOptions{ResultCacheSize: 8})
+	if err := svc.RegisterDatabase("ex", db); err != nil {
+		t.Fatal(err)
+	}
+	opts := seqmine.DefaultOptions()
+	opts.Cluster = &seqmine.ClusterOptions{Workers: startWorkers(t, 2), Expression: stale}
+	res, qm, err := svc.Mine(context.Background(), "ex", paperex.PatternExpression, paperex.Sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqmine.PatternsAsMap(db, res.Patterns); !reflect.DeepEqual(got, want) {
+		t.Errorf("Service.Mine on the cluster = %v, want the query's answer %v", got, want)
+	}
+	if c := qm.Exec.Cluster; c == nil || c.Attempts != 1 || c.Tasks != 2 {
+		t.Errorf("cluster stats = %+v, want one attempt of 2 tasks", c)
+	}
+
+	res, err = seqmine.Mine(db, paperex.PatternExpression, paperex.Sigma, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := seqmine.PatternsAsMap(db, res.Patterns); !reflect.DeepEqual(got, want) {
+		t.Errorf("Mine on the cluster = %v, want the query's answer %v", got, want)
+	}
+	if opts.Cluster.Expression != stale {
+		t.Errorf("the caller's ClusterOptions were changed to %q", opts.Cluster.Expression)
 	}
 }
