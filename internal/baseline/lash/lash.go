@@ -63,16 +63,6 @@ func Mine(d *dict.Dictionary, db [][]dict.ItemID, sigma int64, c Constraint, cfg
 	return out, metrics, nil
 }
 
-// MineSequential mines the whole database on a single core (no partitioning).
-func MineSequential(d *dict.Dictionary, db [][]dict.ItemID, sigma int64, c Constraint) []miner.Pattern {
-	if c.MinLength <= 0 {
-		c.MinLength = 1
-	}
-	out := minePartition(d, db, sigma, c, dict.None)
-	miner.SortPatterns(out)
-	return out
-}
-
 // outputsOf returns the possible subsequence items for input item t: t itself
 // (if frequent) plus, with hierarchy generalization, its frequent ancestors,
 // optionally restricted to items <= pivot.

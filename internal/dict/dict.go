@@ -205,17 +205,6 @@ func (d *Dictionary) MeanAncestors() float64 {
 	return float64(total) / float64(d.Size())
 }
 
-// NumFrequent returns the number of items with document frequency >= sigma.
-func (d *Dictionary) NumFrequent(sigma int64) int {
-	n := 0
-	for fid := ItemID(1); int(fid) < len(d.names); fid++ {
-		if d.docFreq[fid] >= sigma {
-			n++
-		}
-	}
-	return n
-}
-
 // EncodeSequence converts item names to fids. Unknown items yield an error.
 func (d *Dictionary) EncodeSequence(items []string) ([]ItemID, error) {
 	out := make([]ItemID, len(items))

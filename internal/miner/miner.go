@@ -239,11 +239,12 @@ type DFSOptions struct {
 type SplitStats struct {
 	// Workers is the number of goroutines that mined.
 	Workers int `json:"workers"`
-	// Tasks is the number of first-level subtrees a parallel MineDFS or a
-	// Prepared.Mine mined as tasks, and LargestTaskShare the largest one's
-	// projected database as a fraction of all of theirs: near 1, one subtree
-	// bounds the call. Both are 0 for MineCount and for a single-threaded
-	// MineDFS.
+	// Tasks is the number of subtrees a call mined as tasks — a parallel
+	// MineDFS's first items, a Prepared.Mine's (first, second) item pairs —
+	// and LargestTaskShare the largest one's projected database as a fraction
+	// of all of theirs: near 1, one subtree bounds the call. Both are 0 for
+	// MineCount, for a single-threaded MineDFS and for a Prepared.Mine whose
+	// answer holds only one-item patterns, if any.
 	Tasks            int     `json:"tasks"`
 	LargestTaskShare float64 `json:"largest_task_share"`
 }
@@ -280,7 +281,7 @@ func MineDFS(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) []
 	sh.layOut(&m, workers)
 	var out []Pattern
 	if workers > 1 {
-		if sh.prepare(&sh.dfsState) {
+		if sh.prepare() {
 			out = sh.mine(&sh.dfsState, &split)
 		}
 	} else {
@@ -338,28 +339,32 @@ func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) d
 
 // Prepared is the part of DESQ-DFS over one FST and one unweighted database
 // that does not depend on sigma, kept: the weight-1 view of the sequences, the
-// matrices of the accepted ones at the size they use, and every first item's
+// matrices of the accepted ones at the size they use, every first item's
+// support as a one-item pattern, and every (first, second) item pair's
 // projected database with its support. It is immutable: any number of Mine
 // calls at any sigma may run on it at once.
 type Prepared struct {
-	m     dfsMiner // the template of every Mine call's workers; m.sh is &state
-	state dfsState
-	cells int // the position×state space of the longest sequence
-	bytes int64
+	m       dfsMiner // the template of every Mine call's workers; m.sh is &state
+	state   dfsState // its prefixes are the item pairs
+	singles []node   // every first item with its support as a one-item pattern, no database
+	cells   int      // the position×state space of the longest sequence
+	bytes   int64
 }
 
 // Prepare builds the Prepared of f over seqs on workers goroutines: the
 // range-parallel set-up, root scan and merge of a parallel MineDFS, with the
-// root scan's frequency cut open (sigma 1). An item's projected database does
-// not depend on which other items pass the cut, so a first item that reaches a
-// later sigma has exactly the one a root scan cut at that sigma would give it.
-// ctx is checked every 1,024 sequences; a cancelled call returns nil.
+// root scan's frequency cut open (sigma 1), then the depth-1 scan of every
+// first item, cut open too (see keepPairs). An item's projected database does
+// not depend on which other items pass the cut, so a first item or a pair that
+// reaches a later sigma has exactly the one a scan cut at that sigma would give
+// it. ctx is checked every 1,024 sequences and before every first item's scan;
+// a cancelled call returns nil.
 func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int) *Prepared {
 	p := &Prepared{m: newMiner(f, Weighted(seqs), 1, DFSOptions{})}
 	p.m.done = ctx.Done()
 	sh := sharedPool.Get().(*dfsShared)
 	p.cells = sh.layOut(&p.m, max(1, min(workers, len(seqs))))
-	ok := sh.prepare(&p.state)
+	ok := sh.prepare() && p.keepPairs(sh)
 	if ok {
 		p.retainMatrices(sh)
 	}
@@ -369,9 +374,55 @@ func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int)
 	}
 	p.m.sh, p.m.done = &p.state, nil
 	st := &p.state
-	p.bytes = int64(8*cap(st.arena) + 4*cap(st.level1) + cap(st.roots)*int(unsafe.Sizeof(rootItem{})) +
+	p.bytes = int64(8*cap(st.arena) + 4*cap(st.projs) + (cap(st.prefixes)+cap(p.singles))*int(unsafe.Sizeof(node{})) +
 		len(seqs)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{})))
 	return p
+}
+
+// keepPairs is level 2 of a Prepare: sh's workers pull the first items sh
+// merged from one counter and scan each one's projected database at sigma 1.
+// p keeps every first item's support as a one-item pattern (the scan counts
+// it), and every (first, second) item pair with its projected database and
+// support, largest database first, in one buffer of the size they use.
+// False: cancelled.
+func (p *Prepared) keepPairs(sh *dfsShared) bool {
+	singles := make([]node, len(sh.prefixes))
+	pairs := make([][]node, len(sh.miners))
+	projs := make([][]int32, len(sh.miners)) // a pair's buf stays valid when projs[r] moves
+	sh.pull(len(sh.prefixes), func(sh *dfsShared, r, i int) {
+		w, first := &sh.miners[r], sh.prefixes[i].items[0]
+		w.sc.prefix = append(w.sc.prefix[:0], first)
+		fr := w.scan(1, sh.prefixes[i].buf)
+		singles[i] = node{items: sh.prefixes[i].items, support: fr.support}
+		for _, o := range fr.order {
+			e := &fr.exps[uint32(o)]
+			projs[r] = append(projs[r], e.buf...)
+			pairs[r] = append(pairs[r], node{items: [2]dict.ItemID{first, dict.ItemID(o >> 32)},
+				buf: projs[r][len(projs[r])-len(e.buf):], support: e.support})
+		}
+	})
+	if sh.miners[0].stopped() {
+		return false
+	}
+	p.singles = singles
+	st := &p.state
+	count, total := 0, 0
+	for r := range pairs {
+		count, total = count+len(pairs[r]), total+len(projs[r])
+	}
+	st.prefixes = make([]node, 0, count)
+	for _, part := range pairs {
+		st.prefixes = append(st.prefixes, part...)
+	}
+	slices.SortFunc(st.prefixes, func(a, b node) int { return cmp.Compare(len(b.buf), len(a.buf)) })
+	st.projs = make([]int32, 0, total)
+	for i := range st.prefixes {
+		n := &st.prefixes[i]
+		off := len(st.projs)
+		st.projs = append(st.projs, n.buf...)
+		n.buf = st.projs[off:]
+	}
+	return true
 }
 
 // retainMatrices copies the row blocks of the accepted sequences — the ranges'
@@ -403,9 +454,10 @@ func (p *Prepared) retainMatrices(sh *dfsShared) {
 func (p *Prepared) Bytes() int64 { return p.bytes }
 
 // Mine returns what MineDFS(f, Weighted(seqs), sigma, DFSOptions{}) returns,
-// order included: the first items whose support reaches sigma are the tasks,
-// largest first, of up to workers goroutines with pooled scratch of their own
-// over p's read-only state. split, when non-nil, receives how the call was
+// order included: the one-item patterns come from the kept supports, and the
+// item pairs whose support reaches sigma are the tasks, largest first, of up
+// to workers goroutines with pooled scratch of their own over p's read-only
+// state. split, when non-nil, receives how the call was
 // divided. ctx is checked before every task and at every prefix; a cancelled
 // call returns nil.
 func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *SplitStats) []Pattern {
@@ -419,6 +471,11 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 	sh.miners = slices.Grow(sh.miners[:0], workers)[:workers]
 	for r := range sh.miners {
 		sh.miners[r] = m
+	}
+	for _, n := range p.singles {
+		if n.support >= sigma && m.expandable(n.items[0]) {
+			sh.miners[0].out = append(sh.miners[0].out, Pattern{Items: []dict.ItemID{n.items[0]}, Freq: n.support})
+		}
 	}
 	sh.arm(p.cells)
 	st := SplitStats{Workers: workers}
@@ -457,30 +514,39 @@ const maxStampCells = 1 << 22
 // build and its tasks only read: pooled with the dfsShared of a one-shot
 // MineDFS, a Prepared's own when it is kept.
 type dfsState struct {
-	arena  []uint64   // the row blocks of every accepted sequence
-	cache  []seqCache // per input sequence, its row block in arena
-	roots  []rootItem // the first items, largest projected database first
-	level1 []int32    // the roots' projected databases, back to back
+	arena    []uint64   // the row blocks of every accepted sequence
+	cache    []seqCache // per input sequence, its row block in arena
+	prefixes []node     // the tasks' prefixes (first items or item pairs), largest projected database first
+	projs    []int32    // their projected databases, back to back
 }
 
-// dfsShared is the pooled state of one call: a MineDFS's dfsState — written
-// range by range during the set-up and by the calling goroutine alone during
-// the merge, read-only while the tasks run; idle under a Prepared.Mine — and
-// the call's workers and tasks.
+// dfsShared is the pooled state of one call: a MineDFS's or a Prepare's
+// dfsState — written range by range during the set-up and by the calling
+// goroutine alone during the merge, read-only while the tasks or the level-2
+// scans run; idle under a Prepared.Mine — and the call's workers and tasks.
 type dfsShared struct {
 	dfsState
 	miners []dfsMiner   // one per worker; worker r sets up db[lo:hi)
-	tasks  []rootItem   // the roots that reach the call's sigma, in their order
+	tasks  []node       // the prefixes that reach the call's sigma, in their order
 	next   atomic.Int64 // index of the next task to pull
 }
 
-// rootItem is a first item with a projected database: one range's part of
-// it, a buffer of that range's root frame, or once merged all of it, in
-// level1, with the weight of the sequences in it.
-type rootItem struct {
-	item    dict.ItemID
+// node is a prefix of one or two items with a projected database and the
+// weight of the sequences in it. A first item has one range's part of its
+// database, a buffer of that range's root frame, until the merge gives it all
+// of it, in projs.
+type node struct {
+	items   [2]dict.ItemID // items[1] is dict.None for a one-item prefix
 	buf     []int32
 	support int64
+}
+
+// prefix returns n's items.
+func (n *node) prefix() []dict.ItemID {
+	if n.items[1] == dict.None {
+		return n.items[:1]
+	}
+	return n.items[:]
 }
 
 var sharedPool = sync.Pool{New: func() any { return new(dfsShared) }}
@@ -612,8 +678,9 @@ func (sh *dfsShared) release() {
 
 // prepare is the half of the parallel miner that sigma enters only through the
 // root scan's frequency cut: every worker's set-up and root scan of its range
-// in sh, then the merge of the ranges' first items into dst. False: cancelled.
-func (sh *dfsShared) prepare(dst *dfsState) bool {
+// in sh, then the merge of the ranges' first items into sh's prefixes.
+// False: cancelled.
+func (sh *dfsShared) prepare() bool {
 	fanOut(len(sh.miners), func(r int) {
 		w := &sh.miners[r]
 		w.setUp()
@@ -628,74 +695,82 @@ func (sh *dfsShared) prepare(dst *dfsState) bool {
 
 	// Merge the ranges' first items: sorted by item, ties in range order, an
 	// item's projected database is its run of buffers copied back to back into
-	// level1 (sized up front, so that it does not move), its support the sum of
+	// projs (sized up front, so that it does not move), its support the sum of
 	// theirs. Merged roots overwrite the ranges' roots already read.
-	dst.roots = dst.roots[:0]
+	roots := sh.prefixes[:0]
 	total := 0
 	for r := range sh.miners {
 		fr := &sh.miners[r].sc.frames[0]
 		for _, p := range fr.order {
 			buf := fr.exps[uint32(p)].buf
-			dst.roots = append(dst.roots, rootItem{item: dict.ItemID(p >> 32), buf: buf})
+			roots = append(roots, node{items: [2]dict.ItemID{dict.ItemID(p >> 32)}, buf: buf})
 			total += len(buf)
 		}
 	}
-	slices.SortStableFunc(dst.roots, func(a, b rootItem) int { return cmp.Compare(a.item, b.item) })
-	dst.level1 = slices.Grow(dst.level1[:0], total)
-	merged := dst.roots[:0]
-	for i := 0; i < len(dst.roots); {
-		root := rootItem{item: dst.roots[i].item}
-		off := len(dst.level1)
-		for ; i < len(dst.roots) && dst.roots[i].item == root.item; i++ {
-			root.support += m.prefixSupport(dst.roots[i].buf)
-			dst.level1 = append(dst.level1, dst.roots[i].buf...)
+	slices.SortStableFunc(roots, func(a, b node) int { return cmp.Compare(a.items[0], b.items[0]) })
+	sh.projs = slices.Grow(sh.projs[:0], total)
+	merged := roots[:0]
+	for i := 0; i < len(roots); {
+		root := node{items: roots[i].items}
+		off := len(sh.projs)
+		for ; i < len(roots) && roots[i].items == root.items; i++ {
+			root.support += m.prefixSupport(roots[i].buf)
+			sh.projs = append(sh.projs, roots[i].buf...)
 		}
-		root.buf = dst.level1[off:]
+		root.buf = sh.projs[off:]
 		merged = append(merged, root)
 	}
-	dst.roots = merged
-	slices.SortFunc(dst.roots, func(a, b rootItem) int { return cmp.Compare(len(b.buf), len(a.buf)) })
+	sh.prefixes = merged
+	slices.SortFunc(sh.prefixes, func(a, b node) int { return cmp.Compare(len(b.buf), len(a.buf)) })
 	return true
 }
 
-// mine is the half that depends on sigma: the roots of st whose support
-// reaches it (and that pass the workers' frequency and pivot cut) are tasks,
-// pulled in st's order, largest first, from one counter by sh's workers, which
-// share only st, read-only. SortPatterns is a total order on distinct
-// patterns, so the concatenated outputs sort to the single-threaded result.
+// mine is the half that depends on sigma: the prefixes of st whose support
+// reaches it (and whose items pass the workers' frequency and pivot cut) are
+// tasks, pulled in st's order, largest first, from one counter by sh's
+// workers, which share only st, read-only, and add to what the workers hold.
+// SortPatterns is a total order on distinct patterns, so the concatenated
+// outputs sort to the single-threaded result.
 func (sh *dfsShared) mine(st *dfsState, split *SplitStats) []Pattern {
 	m := &sh.miners[0]
 	tasks, total := sh.tasks[:0], 0
-	for _, root := range st.roots {
-		if root.support >= m.sigma && m.expandable(root.item) {
-			tasks = append(tasks, root)
-			total += len(root.buf)
+	for _, n := range st.prefixes {
+		if n.support >= m.sigma && m.expandable(n.items[0]) && (n.items[1] == dict.None || m.expandable(n.items[1])) {
+			tasks = append(tasks, n)
+			total += len(n.buf)
 		}
 	}
 	sh.tasks = tasks
-	if len(tasks) == 0 {
-		return nil
+	if len(tasks) > 0 {
+		split.Tasks = len(tasks)
+		split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(total)
+		sh.pull(len(tasks), func(sh *dfsShared, r, i int) {
+			w, t := &sh.miners[r], &sh.tasks[i]
+			w.sc.prefix = append(w.sc.prefix[:0], t.prefix()...)
+			w.expand(len(w.sc.prefix), t.buf)
+		})
 	}
-	split.Tasks = len(tasks)
-	split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(total)
-
-	sh.next.Store(0)
-	fanOut(min(len(sh.miners), len(tasks)), func(r int) {
-		w := &sh.miners[r]
-		for !w.stopped() {
-			i := int(sh.next.Add(1)) - 1
-			if i >= len(tasks) {
-				return
-			}
-			w.sc.prefix = append(w.sc.prefix[:0], tasks[i].item)
-			w.expand(1, tasks[i].buf)
-		}
-	})
 	out := m.out
 	for r := 1; r < len(sh.miners); r++ {
 		out = append(out, sh.miners[r].out...)
 	}
 	return out
+}
+
+// pull runs do(sh, r, i) for every i < n on up to n of sh's workers, worker r
+// pulling the next i from one counter until none is left or the call is
+// cancelled.
+func (sh *dfsShared) pull(n int, do func(sh *dfsShared, r, i int)) {
+	sh.next.Store(0)
+	fanOut(min(len(sh.miners), n), func(r int) {
+		for !sh.miners[r].stopped() {
+			i := int(sh.next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			do(sh, r, i)
+		}
+	})
 }
 
 // stopped reports whether the call's context has been cancelled.

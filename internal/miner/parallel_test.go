@@ -63,8 +63,9 @@ func checkParallel(t *testing.T, name string, f *fst.FST, db []miner.WeightedSeq
 // workers — returns exactly MineDFS(f, Weighted(db), sigma, DFSOptions{}),
 // order included, when mined on 1, 2 and 8 workers at the sigmas in descending
 // and then in ascending order, and again from four goroutines at different
-// sigmas at once; and that MineCount gives the same answers. It returns the
-// number of patterns the sigmas report together.
+// sigmas at once, with one task per kept item pair that reaches sigma; and
+// that MineCount gives the same answers. It returns the number of patterns the
+// sigmas report together.
 func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, sigmas []int64) int {
 	t.Helper()
 	ctx := context.Background()
@@ -99,8 +100,13 @@ func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, si
 				if w := max(1, min(workers, len(db))); split.Workers != w {
 					t.Errorf("%s: split.Workers = %d, want %d", name, split.Workers, w)
 				}
-				if len(got) > 0 && (split.Tasks == 0 || split.LargestTaskShare <= 0 || split.LargestTaskShare > 1) {
-					t.Errorf("%s sigma %d: %d patterns from split %+v", name, sigma, len(got), split)
+				// The tasks are the kept item pairs that reach sigma: some
+				// whenever a pattern of two or more items is reported.
+				multi := slices.ContainsFunc(got, func(p miner.Pattern) bool { return len(p.Items) > 1 })
+				if pairs := p.PairsReaching(sigma); split.Tasks != pairs || multi && split.Tasks == 0 ||
+					(split.Tasks > 0) != (split.LargestTaskShare > 0) || split.LargestTaskShare > 1 {
+					t.Errorf("%s sigma %d: %d patterns (two or more items: %v) and %d pairs reaching sigma from split %+v",
+						name, sigma, len(got), multi, pairs, split)
 				}
 			}
 		}

@@ -6,6 +6,9 @@ import (
 	"seqmine/internal/dict"
 )
 
+// NumEdges returns the number of edges.
+func (n *NFA) NumEdges() int { return len(n.to) }
+
 // Accepted enumerates the distinct item sequences accepted by the NFA, in
 // lexicographic order: the language the tests compare automata by.
 func (n *NFA) Accepted() [][]dict.ItemID {

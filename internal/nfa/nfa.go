@@ -69,9 +69,6 @@ type NFA struct {
 // NumStates returns the number of states.
 func (n *NFA) NumStates() int { return len(n.final) }
 
-// NumEdges returns the number of edges.
-func (n *NFA) NumEdges() int { return len(n.to) }
-
 // cmpLabel orders labels by the little-endian byte encoding of their items —
 // the historical edge order, which serialized outputs depend on
 // byte-for-byte. Lexicographic LE-byte order equals numeric order of the

@@ -267,3 +267,6 @@ func TestChromeTraceUnknownProc(t *testing.T) {
 		t.Errorf("spans without a Proc label should land in an \"unknown\" process: %s", buf)
 	}
 }
+
+// NewTraceID mints a fresh trace id.
+func NewTraceID() TraceID { return TraceID(newID()) }

@@ -390,6 +390,3 @@ func newID() string {
 // NewSpanID mints a fresh span id for callers that assemble SpanRecords by
 // hand (e.g. the transport's receive side).
 func NewSpanID() SpanID { return SpanID(newID()) }
-
-// NewTraceID mints a fresh trace id.
-func NewTraceID() TraceID { return TraceID(newID()) }

@@ -91,7 +91,8 @@ type ExecStats struct {
 	// Candidates is always 0; it leaves with the [benchmark] PR that stops reading it.
 	Candidates int `json:"candidates"`
 	// SplitStats is how the miner divided the work in this process: workers,
-	// and for a parallel dfs its first-level tasks and the largest one's share.
+	// and for a parallel dfs its tasks (first items of a one-shot MineDFS, item
+	// pairs of a prepared state) and the largest one's share.
 	// Zero for a cluster run, whose workers size their own engines.
 	miner.SplitStats
 	// Prepared says what the query reused of the work sigma does not change:

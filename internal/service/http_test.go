@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"seqmine/internal/paperex"
@@ -234,6 +235,41 @@ func TestHTTPErrors(t *testing.T) {
 		if errResp.Error == "" {
 			t.Errorf("%s: missing error message in body", tc.name)
 		}
+	}
+}
+
+// TestClusterRejectsSequentialAlgorithmOverHTTP: a cluster-bound dfs query
+// answers 400 whether or not the result cache holds the same in-process
+// query's answer, and reaches no worker either way.
+func TestClusterRejectsSequentialAlgorithmOverHTTP(t *testing.T) {
+	var contacted atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		contacted.Add(1)
+		http.Error(w, "unexpected request", http.StatusInternalServerError)
+	}))
+	t.Cleanup(worker.Close)
+	srv := httptest.NewServer(service.NewHandler(service.New(service.Config{ResultCacheSize: 8})))
+	t.Cleanup(srv.Close)
+	putExampleDataset(t, srv, "ex")
+
+	local := service.MineRequest{Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: "dfs"}
+	if resp := doJSON(t, http.MethodPost, srv.URL+"/mine", local, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("in-process dfs query: status %d", resp.StatusCode)
+	}
+	for _, sigma := range []int64{paperex.Sigma, paperex.Sigma + 1} { // cached, not cached
+		req := local
+		req.Sigma, req.ClusterWorkers = sigma, []string{worker.URL}
+		var errResp struct {
+			Error string `json:"error"`
+		}
+		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", req, &errResp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(errResp.Error, "cannot run on a worker cluster") {
+			t.Errorf("cluster-bound dfs query at sigma %d: status %d, error %q; want 400 naming the cluster",
+				sigma, resp.StatusCode, errResp.Error)
+		}
+	}
+	if n := contacted.Load(); n != 0 {
+		t.Errorf("the worker received %d requests, want 0", n)
 	}
 }
 

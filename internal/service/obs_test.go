@@ -1,6 +1,7 @@
 package service_test
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -89,13 +90,14 @@ func TestMineJoinsRemoteTrace(t *testing.T) {
 	srv, rec := newObsServer(t)
 	putExampleDataset(t, srv, "ex")
 
-	parent := obs.NewTraceID()
+	_, caller := obs.StartSpan(obs.WithRecorder(context.Background(), obs.NewRecorder("caller", 1)), "caller")
+	parent := caller.TraceID()
 	body := `{"dataset":"ex","pattern":"` + paperex.PatternExpression + `","sigma":2}`
 	req, err := http.NewRequest(http.MethodPost, srv.URL+"/mine", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(obs.TraceHeader, string(parent)+"-"+string(obs.NewSpanID()))
+	req.Header.Set(obs.TraceHeader, string(parent)+"-"+string(caller.ID()))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -193,7 +195,7 @@ func TestMetricsPrometheusOverHTTP(t *testing.T) {
 }
 
 // TestExecuteSpanSaysHowTheQueryWasSplit: a dfs query on two workers reports
-// its workers, first-level tasks and the largest task's share in the exec
+// its workers, tasks and the largest task's share in the exec
 // block of the response metrics and, identically, on its service.execute span.
 func TestExecuteSpanSaysHowTheQueryWasSplit(t *testing.T) {
 	srv, rec := newObsServer(t)

@@ -342,6 +342,11 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	if err != nil {
 		return nil, fail(err)
 	}
+	// Before the result cache: a cached in-process answer must not make a
+	// cluster-bound query for a sequential algorithm succeed.
+	if opts.Cluster != nil && !algo.Clustered() {
+		return nil, fail(fmt.Errorf("algorithm %q cannot run on a worker cluster (want %s or %s)", algo, plan.AlgoDSeq, plan.AlgoDCand))
+	}
 	opts.Algorithm = algo
 
 	timeout := q.Timeout

@@ -747,9 +747,6 @@ func (e *Exchange) Err() error {
 // sockets so far.
 func (e *Exchange) WireBytesOut() int64 { return e.wireOut.Load() }
 
-// WireBytesIn returns the bytes actually read from the inbound sockets.
-func (e *Exchange) WireBytesIn() int64 { return e.wireIn.Load() }
-
 // Close tears down every connection of the exchange and releases its job id.
 // It is idempotent and safe to call while Sends or Recvs are blocked.
 func (e *Exchange) Close() error {

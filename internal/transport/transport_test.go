@@ -601,3 +601,6 @@ func TestPeerErrorIdentifiesDeadPeer(t *testing.T) {
 		}
 	}
 }
+
+// WireBytesIn returns the bytes actually read from e's inbound sockets.
+func (e *Exchange) WireBytesIn() int64 { return e.wireIn.Load() }
