@@ -2,7 +2,7 @@
 // (Sec. VII) on scaled-down synthetic datasets, one benchmark per table or
 // figure, plus component micro-benchmarks. The experiment harness itself
 // lives in internal/experiments; cmd/experiments runs the same harness and
-// prints the full tables (see EXPERIMENTS.md).
+// prints the full tables (see README.md and DESIGN.md's component table).
 //
 // Run with:
 //
@@ -50,13 +50,14 @@ func benchDatasets(b *testing.B) *experiments.Datasets {
 	return benchData
 }
 
-// runTable is the common driver: it executes the experiment b.N times and
-// fails the benchmark if the experiment reports an inconsistency.
-func runTable(b *testing.B, f func(*experiments.Datasets) (experiments.Table, error)) {
+// runTable executes the experiment b.N times, each on a new suite so every
+// iteration mines its runs, and fails the benchmark if the experiment reports
+// an inconsistency.
+func runTable(b *testing.B, f func(*experiments.Suite) (experiments.Table, error)) {
 	ds := benchDatasets(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tab, err := f(ds)
+		tab, err := f(experiments.NewSuite(ds))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,9 +70,7 @@ func runTable(b *testing.B, f func(*experiments.Datasets) (experiments.Table, er
 // --- Table II: dataset and hierarchy characteristics -----------------------
 
 func BenchmarkTableII_DatasetStats(b *testing.B) {
-	runTable(b, func(ds *experiments.Datasets) (experiments.Table, error) {
-		return experiments.TableII(ds), nil
-	})
+	runTable(b, experiments.TableII)
 }
 
 // --- Table III: example constraints and found frequent sequences -----------

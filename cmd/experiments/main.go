@@ -1,6 +1,6 @@
 // Command experiments runs the evaluation harness that regenerates every
-// table and figure of the paper on the synthetic datasets (see EXPERIMENTS.md
-// for results and discussion).
+// table and figure of the paper on the synthetic datasets (see README.md, and
+// DESIGN.md for the harness and its run table).
 //
 // Example:
 //

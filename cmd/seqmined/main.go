@@ -44,7 +44,7 @@ func main() {
 	queueDepth := flag.Int("queue-depth", 0, "queries that may wait for a mining slot before shedding with 429 (0 = 4x the in-flight bound, negative = no waiting room)")
 	resultCache := flag.Int("result-cache", 1024, "result cache capacity (entries), keyed by dataset generation, pattern, sigma and algorithm (0 = disabled)")
 	apiKeys := flag.String("api-keys", "", "JSON file of API keys ([{\"key\":...,\"tenant\":...,\"max_inflight\":...,\"max_datasets\":...}]); empty = no authentication")
-	catalogDir := flag.String("catalog-dir", "", "persistent dataset catalog directory: registrations survive restarts and may be shared by replicas (empty = in-memory only)")
+	catalogDir := flag.String("catalog-dir", "", "persistent dataset catalog directory: registrations survive restarts; one daemon at a time may open it (empty = in-memory only)")
 	timeout := flag.Duration("timeout", 0, "default per-query deadline (0 = none)")
 	clusterWorkers := flag.String("cluster", "", "comma-separated seqmine-worker control URLs used by queries with \"distributed\": true")
 	var knobs plan.Knobs // the daemon defaults; queries override them per request

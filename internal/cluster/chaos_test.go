@@ -105,10 +105,8 @@ func TestChaosKillWorkerMidShuffle(t *testing.T) {
 		*closers = append(*closers, chaos.srv.Close)
 		urls = append(urls, chaos.srv.URL)
 
-		coord := &cluster.Coordinator{
-			Workers:           urls,
-			HeartbeatInterval: 100 * time.Millisecond,
-		}
+		coord := &cluster.Coordinator{Workers: urls}
+		coord.SetHeartbeat(100*time.Millisecond, 0)
 		opts := plan.Plan{Algorithm: plan.AlgoDSeq}
 		res, err := coord.Mine(context.Background(), db, expr, sigma, opts)
 		if err != nil {
@@ -328,7 +326,8 @@ func TestHearsayDoesNotEvictHealthyWorker(t *testing.T) {
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
 	}
-	coord := &cluster.Coordinator{Workers: urls, HeartbeatInterval: time.Hour}
+	coord := &cluster.Coordinator{Workers: urls}
+	coord.SetHeartbeat(time.Hour, 0)
 	res, err := coord.Mine(context.Background(), paperDatabase(t), paperex.PatternExpression, paperex.Sigma,
 		plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
@@ -415,7 +414,8 @@ func TestRetryOnWarmWorkersShipsNoBytes(t *testing.T) {
 		})
 	}
 	urls := startWrappedWorkers(t, 3, dieOnArmedRun)
-	coord := &cluster.Coordinator{Workers: urls, HeartbeatInterval: 50 * time.Millisecond}
+	coord := &cluster.Coordinator{Workers: urls}
+	coord.SetHeartbeat(50*time.Millisecond, 0)
 
 	warm, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {
@@ -498,11 +498,8 @@ func TestHeartbeatDetectsStalledWorker(t *testing.T) {
 	t.Cleanup(srv.Close)
 	urls = append(urls, srv.URL)
 
-	coord := &cluster.Coordinator{
-		Workers:           urls,
-		HeartbeatInterval: 50 * time.Millisecond,
-		HeartbeatMisses:   2,
-	}
+	coord := &cluster.Coordinator{Workers: urls}
+	coord.SetHeartbeat(50*time.Millisecond, 2)
 	start := time.Now()
 	res, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	if err != nil {

@@ -40,13 +40,6 @@ type Coordinator struct {
 	// requests run for the duration of an attempt, so a client with a short
 	// Timeout will abort long jobs.
 	Client *http.Client
-	// HeartbeatInterval is how often busy workers are health-probed during a
-	// job; 0 means 500ms.
-	HeartbeatInterval time.Duration
-	// HeartbeatMisses is how many consecutive failed probes declare a worker
-	// dead (its running attempt is then aborted and retried without it);
-	// 0 means 3.
-	HeartbeatMisses int
 	// Obs, when non-nil, receives scheduler metrics: task-attempt durations
 	// (seqmine_task_attempt_seconds) and heartbeat round-trip times
 	// (seqmine_heartbeat_rtt_seconds).
@@ -57,7 +50,21 @@ type Coordinator struct {
 	// cluster.task spans, propagated to the workers via the X-Seqmine-Trace
 	// header.
 	Log *obs.Logger
+
+	// heartbeatInterval and heartbeatMisses replace heartbeatPeriod and
+	// heartbeatDeadAfter when non-zero; only tests set them.
+	heartbeatInterval time.Duration
+	heartbeatMisses   int
 }
+
+const (
+	// heartbeatPeriod is how often busy workers are health-probed during a
+	// job.
+	heartbeatPeriod = 500 * time.Millisecond
+	// heartbeatDeadAfter is how many consecutive failed probes declare a
+	// worker dead: its running attempt is then aborted and retried without it.
+	heartbeatDeadAfter = 3
+)
 
 // bundleRef caches one database's encoded bundle so resubmissions skip
 // re-encoding (the network already skips re-shipping via the store probe).
@@ -381,17 +388,17 @@ func (a *attempt) heartbeatDeath() *workerRef {
 }
 
 func (s *scheduler) heartbeatInterval() time.Duration {
-	if s.coord.HeartbeatInterval > 0 {
-		return s.coord.HeartbeatInterval
+	if s.coord.heartbeatInterval > 0 {
+		return s.coord.heartbeatInterval
 	}
-	return 500 * time.Millisecond
+	return heartbeatPeriod
 }
 
 func (s *scheduler) heartbeatMisses() int {
-	if s.coord.HeartbeatMisses > 0 {
-		return s.coord.HeartbeatMisses
+	if s.coord.heartbeatMisses > 0 {
+		return s.coord.heartbeatMisses
 	}
-	return 3
+	return heartbeatDeadAfter
 }
 
 // run launches attempts until one succeeds, the retry budget is exhausted,

@@ -2,7 +2,9 @@
 // figure of the paper's evaluation (Sec. VII) on the synthetic datasets of
 // the datagen package. Each experiment returns a Table whose rows mirror the
 // series reported in the paper; cmd/experiments and the benchmarks in
-// bench_test.go are thin wrappers around these functions.
+// bench_test.go are thin wrappers around these functions. The experiments
+// read their mining runs from a Suite's run table, which mines each run once
+// and checks that every algorithm answers a query with the same patterns.
 //
 // Absolute numbers differ from the paper (single machine, scaled-down
 // synthetic data); the harness targets the qualitative shape: which
@@ -84,10 +86,6 @@ type Constraint struct {
 	Sigma int64
 	// Dataset is one of "NYT", "AMZN", "AMZN-F", "CW".
 	Dataset string
-	// Loose marks constraints with very high candidate counts for which the
-	// naive baselines (and, for the MLlib setting, D-CAND) are skipped, like
-	// the OOM entries of the paper.
-	Loose bool
 }
 
 // DB returns the dataset the constraint is evaluated on.
@@ -149,13 +147,7 @@ func NYTConstraints(s Scale) []Constraint {
 	// Minimum supports are scaled to the synthetic corpus size (the paper
 	// uses 10–1000 on 50M sentences).
 	f := float64(s.NYTSentences) / 10000.0
-	sig := func(base float64) int64 {
-		v := int64(base * f)
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
+	sig := func(base float64) int64 { return scaledSigma(base, f) }
 	return []Constraint{
 		{Name: fmt.Sprintf("N1(%d)", sig(5)), Expression: N1Expr, Sigma: sig(5), Dataset: "NYT"},
 		{Name: fmt.Sprintf("N2(%d)", sig(10)), Expression: N2Expr, Sigma: sig(10), Dataset: "NYT"},
@@ -168,13 +160,7 @@ func NYTConstraints(s Scale) []Constraint {
 // AmazonConstraints returns the scaled recommendation constraints A1–A4.
 func AmazonConstraints(s Scale) []Constraint {
 	f := float64(s.AmazonCustomers) / 6000.0
-	sig := func(base float64) int64 {
-		v := int64(base * f)
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
+	sig := func(base float64) int64 { return scaledSigma(base, f) }
 	return []Constraint{
 		{Name: fmt.Sprintf("A1(%d)", sig(20)), Expression: A1Expr, Sigma: sig(20), Dataset: "AMZN"},
 		{Name: fmt.Sprintf("A2(%d)", sig(5)), Expression: A2Expr, Sigma: sig(5), Dataset: "AMZN"},
@@ -188,19 +174,19 @@ func AmazonConstraints(s Scale) []Constraint {
 func TraditionalConstraints(s Scale) []Constraint {
 	fa := float64(s.AmazonCustomers) / 6000.0
 	fc := float64(s.ClueWebSentences) / 10000.0
-	sig := func(base, f float64) int64 {
-		v := int64(base * f)
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
+	sig := scaledSigma
 	return []Constraint{
-		{Name: fmt.Sprintf("T3(%d,1,5)", sig(25, fa)), Expression: T3Expr(1, 5), Sigma: sig(25, fa), Dataset: "AMZN-F", Loose: true},
-		{Name: fmt.Sprintf("T3(%d,1,5)", sig(100, fa)), Expression: T3Expr(1, 5), Sigma: sig(100, fa), Dataset: "AMZN-F", Loose: true},
-		{Name: fmt.Sprintf("T2(%d,0,5)", sig(20, fc)), Expression: T2Expr(0, 5), Sigma: sig(20, fc), Dataset: "CW", Loose: true},
-		{Name: fmt.Sprintf("T1(%d,5)", sig(100, fa)), Expression: T1Expr(5), Sigma: sig(100, fa), Dataset: "AMZN", Loose: true},
+		{Name: fmt.Sprintf("T3(%d,1,5)", sig(25, fa)), Expression: T3Expr(1, 5), Sigma: sig(25, fa), Dataset: "AMZN-F"},
+		{Name: fmt.Sprintf("T3(%d,1,5)", sig(100, fa)), Expression: T3Expr(1, 5), Sigma: sig(100, fa), Dataset: "AMZN-F"},
+		{Name: fmt.Sprintf("T2(%d,0,5)", sig(20, fc)), Expression: T2Expr(0, 5), Sigma: sig(20, fc), Dataset: "CW"},
+		{Name: fmt.Sprintf("T1(%d,5)", sig(100, fa)), Expression: T1Expr(5), Sigma: sig(100, fa), Dataset: "AMZN"},
 	}
+}
+
+// scaledSigma scales a minimum support the paper states for its full-size
+// data by the fraction f of that size, keeping at least 2.
+func scaledSigma(base, f float64) int64 {
+	return max(int64(base*f), 2)
 }
 
 // Table is a rendered experiment result.

@@ -140,8 +140,10 @@ type Job[I any, K comparable, V any, O any] struct {
 	// storage for later groups once Reduce returns. Emitted records must not
 	// alias them.
 	Reduce func(key K, values []V, emit func(O))
-	// Hash assigns keys to reduce workers. When nil, all keys go to a single
-	// reduce worker.
+	// Hash assigns keys to peers: with more than one peer, a key belongs to
+	// peer Hash(key) modulo the peer count, and Hash is then required. A
+	// single process never calls it — its ReduceWorkers all take groups from
+	// one queue, whatever the key.
 	Hash func(K) uint64
 	// SizeOf estimates the serialized size of one key/value pair in bytes for
 	// the shuffle-size metric. When nil, every record counts one byte.

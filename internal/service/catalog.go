@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"seqmine/internal/cluster"
 	"seqmine/internal/seqdb"
@@ -27,11 +28,16 @@ import (
 //
 // On open, the journal is replayed (last record per name wins) and compacted.
 // A daemon that restarts re-registers every cataloged dataset from the local
-// bundle files — no re-PUT needed — and N stateless replicas pointed at one
-// catalog directory all serve the same datasets.
+// bundle files — no re-PUT needed.
+//
+// One Catalog at a time may hold a directory. Compaction renames a new
+// journal over the old one, so a second opener would keep appending to the
+// unlinked file and its registrations would be lost; OpenCatalog therefore
+// takes an exclusive lock on catalog.lock, released by Close or process exit.
 type Catalog struct {
 	dir     string
 	bundles *cluster.BundleDir
+	lock    *os.File
 
 	mu      sync.Mutex
 	journal *os.File
@@ -58,8 +64,8 @@ type journalRecord struct {
 const journalName = "catalog.journal"
 
 // OpenCatalog opens (creating if needed) a catalog directory, replays its
-// journal and compacts it.
-func OpenCatalog(dir string) (*Catalog, error) {
+// journal and compacts it. It fails while another Catalog holds dir.
+func OpenCatalog(dir string) (_ *Catalog, err error) {
 	if dir == "" {
 		return nil, fmt.Errorf("service: catalog directory must not be empty")
 	}
@@ -67,7 +73,20 @@ func OpenCatalog(dir string) (*Catalog, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Catalog{dir: dir, bundles: bundles}
+	lock, err := os.OpenFile(filepath.Join(dir, "catalog.lock"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(lock.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("service: catalog directory %s is held by another open catalog: %w", dir, err)
+	}
+	defer func() {
+		if err != nil {
+			lock.Close()
+		}
+	}()
+	c := &Catalog{dir: dir, bundles: bundles, lock: lock}
 	path := filepath.Join(dir, journalName)
 	if f, err := os.Open(path); err == nil {
 		c.entries, err = replayJournal(f)
@@ -265,7 +284,8 @@ func (c *Catalog) Entries() []CatalogEntry {
 // Dir returns the catalog directory.
 func (c *Catalog) Dir() string { return c.dir }
 
-// Close closes the journal. Further Put/Delete calls fail.
+// Close closes the journal and releases the directory. Further Put/Delete
+// calls fail.
 func (c *Catalog) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -274,5 +294,8 @@ func (c *Catalog) Close() error {
 	}
 	err := c.journal.Close()
 	c.journal = nil
+	if lerr := c.lock.Close(); err == nil {
+		err = lerr
+	}
 	return err
 }

@@ -62,6 +62,38 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCatalogSecondOpenFails: a second catalog over a held directory would
+// append to a journal the first one's compaction unlinks, so it must fail at
+// open, naming the directory; once the first closes, the directory reopens
+// with everything the first registered.
+func TestCatalogSecondOpenFails(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2, err := OpenCatalog(dir); err == nil || !strings.Contains(err.Error(), dir) {
+		if c2 != nil {
+			c2.Close()
+		}
+		t.Fatalf("second open of a held directory: err = %v, want an error naming %s", err, dir)
+	}
+	if _, err := c1.Put("x", catalogDB(t), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c3, err := OpenCatalog(dir)
+	if err != nil {
+		t.Fatalf("reopen after close: %v", err)
+	}
+	defer c3.Close()
+	if entries := c3.Entries(); len(entries) != 1 || entries[0].Name != "x" {
+		t.Fatalf("reopened entries = %+v, want x", entries)
+	}
+}
+
 func TestCatalogReplaceKeepsLatest(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCatalog(dir)
