@@ -1,6 +1,7 @@
 package dseq
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
@@ -9,44 +10,68 @@ import (
 	"seqmine/internal/mapreduce"
 )
 
-// FuzzSequenceBatchCodec checks the D-SEQ shuffle codec: arbitrary frames
-// must fail cleanly, and decoded frames must re-encode to the same bytes.
+// FuzzSequenceBatchCodec checks the D-SEQ shuffle codec on whole records, as
+// the reducer decodes them (decodeRecord): arbitrary records must fail
+// cleanly, and decoded records must re-encode to the same values.
 func FuzzSequenceBatchCodec(f *testing.F) {
 	c := codec()
-	seed := c.EncodeBatch(nil, mapreduce.KeyBatch[dict.ItemID, value]{
-		Key: 7,
-		Values: []value{
-			{Items: []dict.ItemID{1, 2, 300}, Weight: 4},
-			{Items: nil, Weight: 1},
-		},
-	})
-	f.Add(seed)
+	f.Add(encodeRecord(c, 7, []value{{Items: []dict.ItemID{1, 2, 300}, Weight: 4}, {Items: nil, Weight: 1}}))
 	f.Add([]byte{})
 	f.Add([]byte{0x07, 0x01, 0x01, 0xff})
+	d := new(groupDecoder)
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		b, err := c.DecodeBatch(frame)
+		defer d.Release(false)
+		k, vs, err := decodeRecord(c, d, frame)
 		if err != nil {
 			return
 		}
-		// A decodable frame must survive a re-encode/re-decode round trip
+		// A decodable record must survive a re-encode/re-decode round trip
 		// structurally (byte equality would be too strong: the reader
 		// tolerates non-canonical varints).
-		re := c.EncodeBatch(nil, b)
-		b2, err := c.DecodeBatch(re)
+		re := encodeRecord(c, k, vs)
+		k2, vs2, err := decodeRecord(c, d, re)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v (frame %x)", err, re)
 		}
-		if !reflect.DeepEqual(b, b2) {
-			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", b2, b)
+		if k2 != k || !reflect.DeepEqual(vs2, vs) {
+			t.Fatalf("round trip mismatch:\n got %d %+v\nwant %d %+v", k2, vs2, k, vs)
 		}
 		// The honest SizeOf must equal the actual encoding of each record.
-		for _, v := range b.Values {
-			single := c.EncodeBatch(nil, mapreduce.KeyBatch[dict.ItemID, value]{Key: b.Key, Values: []value{v}})
-			if got := recordSize(b.Key, v); got != len(single) {
+		for _, v := range vs {
+			single := encodeRecord(c, k, []value{v})
+			if got := recordSize(k, v); got != len(single) {
 				t.Fatalf("recordSize = %d, actual encoding = %d bytes", got, len(single))
 			}
 		}
 	})
+}
+
+// encodeRecord returns the bytes of one shuffle record of key k after its
+// length prefix: the key, the number of values, the values.
+func encodeRecord(c mapreduce.FrameCodec[dict.ItemID, value], k dict.ItemID, vs []value) []byte {
+	buf := mapreduce.AppendUvarint(c.AppendKey(nil, k), uint64(len(vs)))
+	for _, v := range vs {
+		buf = c.AppendValue(buf, v)
+	}
+	return buf
+}
+
+// decodeRecord decodes the bytes of one record through d, the group decoder
+// the engine lends D-SEQ's groups from. Trailing bytes are an error.
+func decodeRecord(c mapreduce.FrameCodec[dict.ItemID, value], d *groupDecoder, frame []byte) (dict.ItemID, []value, error) {
+	k, pos, err := c.ReadKey(frame, 0)
+	if err != nil {
+		return k, nil, err
+	}
+	count, pos, err := mapreduce.ReadUvarint(frame, pos)
+	if err != nil {
+		return k, nil, err
+	}
+	if count > uint64(len(frame)-pos) {
+		return k, nil, fmt.Errorf("%d sequences claimed in %d bytes", count, len(frame)-pos)
+	}
+	vs, err := d.Decode(nil, frame[pos:], int(count))
+	return k, vs, err
 }
 
 // FuzzSequenceGroupDecode checks the group decoder against the codec's

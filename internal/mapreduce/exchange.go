@@ -83,52 +83,6 @@ func (d valueDecoder[K, V]) Decode(vals []V, raw []byte, count int) ([]V, error)
 
 func (valueDecoder[K, V]) Release(bool) {}
 
-// EncodeBatch appends one batch as key, value count, values: the bytes of a
-// run record (run.go) after its length prefix.
-func (c FrameCodec[K, V]) EncodeBatch(buf []byte, b KeyBatch[K, V]) []byte {
-	buf = c.AppendKey(buf, b.Key)
-	buf = AppendUvarint(buf, uint64(len(b.Values)))
-	for _, v := range b.Values {
-		buf = c.AppendValue(buf, v)
-	}
-	return buf
-}
-
-// DecodeBatch decodes one batch produced by EncodeBatch. Trailing bytes are
-// an error. The engine itself never decodes a whole record — received runs
-// stay encoded until the reduce callback — so this is the reference decoder
-// the codec tests and fuzz targets check encodings against.
-func (c FrameCodec[K, V]) DecodeBatch(frame []byte) (KeyBatch[K, V], error) {
-	var b KeyBatch[K, V]
-	k, pos, err := c.ReadKey(frame, 0)
-	if err != nil {
-		return b, err
-	}
-	b.Key = k
-	count, pos, err := ReadUvarint(frame, pos)
-	if err != nil {
-		return b, err
-	}
-	// Every value occupies at least one byte, so a count larger than the
-	// remaining payload is corrupt (and would otherwise allocate unboundedly).
-	if count > uint64(len(frame)-pos) {
-		return b, fmt.Errorf("mapreduce: batch claims %d values in %d bytes", count, len(frame)-pos)
-	}
-	b.Values = make([]V, 0, count)
-	for i := uint64(0); i < count; i++ {
-		v, np, err := c.ReadValue(frame, pos)
-		if err != nil {
-			return b, fmt.Errorf("mapreduce: decoding a value of key %v: %w", k, err)
-		}
-		pos = np
-		b.Values = append(b.Values, v)
-	}
-	if pos != len(frame) {
-		return b, fmt.Errorf("mapreduce: %d trailing bytes after batch", len(frame)-pos)
-	}
-	return b, nil
-}
-
 // appendValues decodes count encoded values from raw into vals. The byte
 // region must hold exactly count values.
 func (c FrameCodec[K, V]) appendValues(vals []V, raw []byte, count int) ([]V, error) {

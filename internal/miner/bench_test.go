@@ -2,7 +2,6 @@ package miner_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -110,18 +109,48 @@ var nytFixture = sync.OnceValue(func() *seqdb.Database {
 // benchmarked on.
 var servedExprs = []string{experiments.N1Expr, experiments.N2Expr, experiments.N3Expr}
 
-// BenchmarkPreparedMine is the serving layer's miner: one Prepared per
-// expression over the NYT-like fixture, mined at every served sigma in turn
-// on two workers per op — the work behind a warm σ sweep's mine time.
+// amznFixture is one AMZN-F-like draw of the size the D-SEQ workloads mine:
+// 2,500 customers of seed 1000, with a forest hierarchy.
+var amznFixture = sync.OnceValue(func() *seqdb.Database {
+	db, err := datagen.Amazon(datagen.AmazonConfig{NumCustomers: 2500, Seed: 1000, Forest: true})
+	if err != nil {
+		panic(err)
+	}
+	return db
+})
+
+// preparedCase is one row of the Prepared benchmarks: an expression over a
+// database, mined at its sigmas.
+type preparedCase struct {
+	name   string
+	db     func() *seqdb.Database
+	expr   string
+	sigmas []int64
+}
+
+// preparedCases are N1–N3 over the NYT-like fixture at the served sigmas, and
+// a loose one, T3(1,5) at sigma 31 over the AMZN-like draw, whose item
+// triples would outweigh the rest of its Prepared, which therefore keeps
+// level 2.
+var preparedCases = []preparedCase{
+	{"N1", nytFixture, servedExprs[0], servedSigmas},
+	{"N2", nytFixture, servedExprs[1], servedSigmas},
+	{"N3", nytFixture, servedExprs[2], servedSigmas},
+	{"T3", amznFixture, experiments.T3Expr(1, 5), []int64{31}},
+}
+
+// BenchmarkPreparedMine is the serving layer's miner: one Prepared per case,
+// mined at every sigma of the case in turn on two workers per op — for N1–N3
+// the work behind a warm σ sweep's mine time.
 func BenchmarkPreparedMine(b *testing.B) {
 	ctx := context.Background()
-	db := nytFixture()
-	for i, expr := range servedExprs {
-		p := miner.Prepare(ctx, fst.MustCompile(expr, db.Dict), db.Sequences, 2)
-		b.Run(fmt.Sprintf("N%d", i+1), func(b *testing.B) {
+	for _, c := range preparedCases {
+		db := c.db()
+		p := miner.Prepare(ctx, fst.MustCompile(c.expr, db.Dict), db.Sequences, 2)
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for n := 0; n < b.N; n++ {
-				for _, sigma := range servedSigmas {
+				for _, sigma := range c.sigmas {
 					p.Mine(ctx, sigma, 2, nil)
 				}
 			}
@@ -129,14 +158,14 @@ func BenchmarkPreparedMine(b *testing.B) {
 	}
 }
 
-// BenchmarkPrepare is the first query of an expression: Prepare over the
-// NYT-like fixture on two workers. It reports the MB the Prepared keeps.
+// BenchmarkPrepare is the first query of an expression: Prepare of every case
+// on two workers. It reports the MB the Prepared keeps.
 func BenchmarkPrepare(b *testing.B) {
 	ctx := context.Background()
-	db := nytFixture()
-	for i, expr := range servedExprs {
-		f := fst.MustCompile(expr, db.Dict)
-		b.Run(fmt.Sprintf("N%d", i+1), func(b *testing.B) {
+	for _, c := range preparedCases {
+		db := c.db()
+		f := fst.MustCompile(c.expr, db.Dict)
+		b.Run(c.name, func(b *testing.B) {
 			var p *miner.Prepared
 			for n := 0; n < b.N; n++ {
 				p = miner.Prepare(ctx, f, db.Sequences, 2)

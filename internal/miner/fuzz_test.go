@@ -88,15 +88,27 @@ func genCase(data []byte) (*dict.Dictionary, [][]dict.ItemID, string) {
 	return d, db, ".*" + e + ".*"
 }
 
+// keptDepthSeeds are genCase inputs whose Prepared keeps prefixes of each
+// depth that sigma 2 reaches: three items, under the bound, and two, where the
+// triples' databases would outweigh the rest of the Prepared.
+var keptDepthSeeds = map[int][]byte{
+	3: []byte("\x5a\x07\x22\xc5\x68\xc3\x9a\xdc\xf3\x68\x7c\x0f\xe8\xfd\x6e\x42\x66\xe7\x44\x0b\x9f\x1f\xc7\x06\x21" +
+		"\xdb\x39\xbc\xff\x64\x93\xdc\xe5\x3b\xeb\xfa\x6c\xef"), // .*[(.^)]{1,70} (i0^).*
+	2: []byte("\x8f\x85\x07\x39\xdf\xc3\x65\x10\xb1\xe7\xbb\x16\x95\x41\x81\x64\x28\x5c\x44\x63\x1b\x4b\x1a" +
+		"\x7c\x57\x98\xec\xb2\xd9\x76\xc1\xa3\x67\x9a\x82\x7b\xf0\xe8\xc6\x62\x56\x7e\x40\x2b\xcc\x13"), // .*[[[(i0^)]*|[(.)|(.)]]|(.)].*
+}
+
 // FuzzPreparedMatchesMineDFS takes a hierarchy, a database, an expression and
 // two thresholds from the fuzzer (genCase): one Prepared, built on two
 // workers and mined at both thresholds — the second call sees whatever the
 // first left in the pools — must return exactly the single-threaded MineDFS
-// result each time.
+// result each time. Its seeds include one per kept depth (keptDepthSeeds).
 func FuzzPreparedMatchesMineDFS(f *testing.F) {
 	f.Add([]byte{}, uint8(1), uint8(2))
 	f.Add([]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, uint8(2), uint8(1))
 	f.Add([]byte("a small hierarchy, a database and an expression from bytes"), uint8(3), uint8(1))
+	f.Add(keptDepthSeeds[3], uint8(1), uint8(2))
+	f.Add(keptDepthSeeds[2], uint8(2), uint8(1))
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte, s1, s2 uint8) {
 		if len(data) > 512 {

@@ -14,6 +14,7 @@ package miner
 import (
 	"cmp"
 	"context"
+	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -240,11 +241,11 @@ type SplitStats struct {
 	// Workers is the number of goroutines that mined.
 	Workers int `json:"workers"`
 	// Tasks is the number of subtrees a call mined as tasks — a parallel
-	// MineDFS's first items, a Prepared.Mine's (first, second) item pairs —
-	// and LargestTaskShare the largest one's projected database as a fraction
-	// of all of theirs: near 1, one subtree bounds the call. Both are 0 for
-	// MineCount, for a single-threaded MineDFS and for a Prepared.Mine whose
-	// answer holds only one-item patterns, if any.
+	// MineDFS's first items, a Prepared.Mine's item triples (item pairs where
+	// the Prepared kept level 2) — and LargestTaskShare the largest one's
+	// projected database as a fraction of all of theirs: near 1, one subtree
+	// bounds the call. Both are 0 for MineCount, for a single-threaded MineDFS
+	// and for a Prepared.Mine that sigma leaves no such prefix.
 	Tasks            int     `json:"tasks"`
 	LargestTaskShare float64 `json:"largest_task_share"`
 }
@@ -339,89 +340,113 @@ func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) d
 
 // Prepared is the part of DESQ-DFS over one FST and one unweighted database
 // that does not depend on sigma, kept: the weight-1 view of the sequences, the
-// matrices of the accepted ones at the size they use, every first item's
-// support as a one-item pattern, and every (first, second) item pair's
-// projected database with its support. It is immutable: any number of Mine
-// calls at any sigma may run on it at once.
+// matrices of the accepted ones at the size they use, the support of every
+// one- and two-item prefix as a pattern, and every three-item prefix's
+// projected database with its support — or, when those databases would
+// outweigh the rest (see keepLevel), every two-item prefix's instead. It is
+// immutable: any number of Mine calls at any sigma may run on it at once.
 type Prepared struct {
-	m       dfsMiner // the template of every Mine call's workers; m.sh is &state
-	state   dfsState // its prefixes are the item pairs
-	singles []node   // every first item with its support as a one-item pattern, no database
-	cells   int      // the position×state space of the longest sequence
-	bytes   int64
+	m     dfsMiner // the template of every Mine call's workers; m.sh is &state
+	state dfsState // its prefixes are the item triples (or pairs), the tasks
+	kept  []node   // every shorter prefix with its support as a pattern, no database
+	cells int      // the position×state space of the longest sequence
+	bytes int64
 }
+
+// keptDepth is the length of the prefixes a Prepared keeps with their
+// projected databases, unless keepLevel's bound stops it one level short.
+const keptDepth = 3
 
 // Prepare builds the Prepared of f over seqs on workers goroutines: the
 // range-parallel set-up, root scan and merge of a parallel MineDFS, with the
-// root scan's frequency cut open (sigma 1), then the depth-1 scan of every
-// first item, cut open too (see keepPairs). An item's projected database does
-// not depend on which other items pass the cut, so a first item or a pair that
-// reaches a later sigma has exactly the one a scan cut at that sigma would give
-// it. ctx is checked every 1,024 sequences and before every first item's scan;
-// a cancelled call returns nil.
+// root scan's frequency cut open (sigma 1), then one keepLevel pass per level
+// below the first items, cut open too. An item's projected database does not
+// depend on which other items pass the cut, so a prefix that reaches a later
+// sigma has exactly the one a scan cut at that sigma would give it. ctx is
+// checked every 1,024 sequences and before every prefix's scan; a cancelled
+// call returns nil.
 func Prepare(ctx context.Context, f *fst.FST, seqs [][]dict.ItemID, workers int) *Prepared {
 	p := &Prepared{m: newMiner(f, Weighted(seqs), 1, DFSOptions{})}
 	p.m.done = ctx.Done()
 	sh := sharedPool.Get().(*dfsShared)
 	p.cells = sh.layOut(&p.m, max(1, min(workers, len(seqs))))
-	ok := sh.prepare() && p.keepPairs(sh)
+	ok := sh.prepare()
 	if ok {
 		p.retainMatrices(sh)
+	}
+	for depth := 1; ok && depth < keptDepth; depth++ {
+		ok = p.keepLevel(sh, depth)
 	}
 	sh.release()
 	if !ok {
 		return nil
 	}
 	p.m.sh, p.m.done = &p.state, nil
-	st := &p.state
-	p.bytes = int64(8*cap(st.arena) + 4*cap(st.projs) + (cap(st.prefixes)+cap(p.singles))*int(unsafe.Sizeof(node{})) +
-		len(seqs)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{})))
 	return p
 }
 
-// keepPairs is level 2 of a Prepare: sh's workers pull the first items sh
-// merged from one counter and scan each one's projected database at sigma 1.
-// p keeps every first item's support as a one-item pattern (the scan counts
-// it), and every (first, second) item pair with its projected database and
-// support, largest database first, in one buffer of the size they use.
-// False: cancelled.
-func (p *Prepared) keepPairs(sh *dfsShared) bool {
-	singles := make([]node, len(sh.prefixes))
-	pairs := make([][]node, len(sh.miners))
-	projs := make([][]int32, len(sh.miners)) // a pair's buf stays valid when projs[r] moves
-	sh.pull(len(sh.prefixes), func(sh *dfsShared, r, i int) {
-		w, first := &sh.miners[r], sh.prefixes[i].items[0]
-		w.sc.prefix = append(w.sc.prefix[:0], first)
-		fr := w.scan(1, sh.prefixes[i].buf)
-		singles[i] = node{items: sh.prefixes[i].items, support: fr.support}
+// keepLevel scans, at sigma 1, every prefix of the given depth — the first
+// items sh merged at depth 1, p's kept prefixes after that — on sh's workers,
+// which pull them from one counter. p keeps each one's support as a pattern
+// (the scan counts it) and, in place of the scanned level, every child prefix
+// with its support, largest projected database first, the databases in one
+// buffer of the size they use. A level below the second is kept only if its
+// databases and nodes take no more bytes than the Prepared holds without it:
+// the pass stops once their running total exceeds that, and p stays as it
+// was. The total is the same on any number of workers, and so is the depth p
+// keeps. False: cancelled.
+func (p *Prepared) keepLevel(sh *dfsShared, depth int) bool {
+	from, budget := &sh.dfsState, int64(math.MaxInt64)
+	if depth > 1 {
+		from, budget = &p.state, p.bytes
+	}
+	var used atomic.Int64
+	kept := make([]node, len(from.prefixes))
+	children := make([][]node, len(sh.miners))
+	projs := make([][]int32, len(sh.miners)) // worker r's children's databases, at their offsets
+	sh.pull(len(from.prefixes), func(sh *dfsShared, r, i int) {
+		w, n := &sh.miners[r], &from.prefixes[i]
+		w.sc.prefix = append(w.sc.prefix[:0], n.prefix()...)
+		fr := w.scan(depth, from.db(n))
+		kept[i] = node{items: n.items, support: fr.support}
+		size := 0
 		for _, o := range fr.order {
 			e := &fr.exps[uint32(o)]
+			child := node{items: n.items, off: len(projs[r]), support: e.support}
+			child.items[depth] = dict.ItemID(o >> 32)
 			projs[r] = append(projs[r], e.buf...)
-			pairs[r] = append(pairs[r], node{items: [2]dict.ItemID{first, dict.ItemID(o >> 32)},
-				buf: projs[r][len(projs[r])-len(e.buf):], support: e.support})
+			child.end = len(projs[r])
+			children[r] = append(children[r], child)
+			size += 4*len(e.buf) + int(unsafe.Sizeof(node{}))
+		}
+		if used.Add(int64(size)) > budget {
+			sh.next.Store(int64(len(from.prefixes))) // the workers pull nothing more
 		}
 	})
 	if sh.miners[0].stopped() {
 		return false
 	}
-	p.singles = singles
+	if used.Load() > budget {
+		return true
+	}
+	p.kept = append(append(make([]node, 0, len(p.kept)+len(kept)), p.kept...), kept...)
 	st := &p.state
 	count, total := 0, 0
-	for r := range pairs {
-		count, total = count+len(pairs[r]), total+len(projs[r])
+	for r := range children {
+		count, total = count+len(children[r]), total+len(projs[r])
 	}
-	st.prefixes = make([]node, 0, count)
-	for _, part := range pairs {
-		st.prefixes = append(st.prefixes, part...)
+	st.prefixes, st.projs = make([]node, 0, count), make([]int32, 0, total)
+	for r := range children {
+		base := len(st.projs)
+		st.projs = append(st.projs, projs[r]...)
+		for _, n := range children[r] {
+			n.off, n.end = base+n.off, base+n.end
+			st.prefixes = append(st.prefixes, n)
+		}
 	}
-	slices.SortFunc(st.prefixes, func(a, b node) int { return cmp.Compare(len(b.buf), len(a.buf)) })
-	st.projs = make([]int32, 0, total)
-	for i := range st.prefixes {
-		n := &st.prefixes[i]
-		off := len(st.projs)
-		st.projs = append(st.projs, n.buf...)
-		n.buf = st.projs[off:]
-	}
+	slices.SortFunc(st.prefixes, func(a, b node) int { return cmp.Compare(b.words(), a.words()) })
+	p.bytes = int64(8*cap(st.arena) + 4*cap(st.projs) + (cap(st.prefixes)+cap(p.kept))*int(unsafe.Sizeof(node{})) +
+		len(p.m.db)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{})))
 	return true
 }
 
@@ -454,12 +479,12 @@ func (p *Prepared) retainMatrices(sh *dfsShared) {
 func (p *Prepared) Bytes() int64 { return p.bytes }
 
 // Mine returns what MineDFS(f, Weighted(seqs), sigma, DFSOptions{}) returns,
-// order included: the one-item patterns come from the kept supports, and the
-// item pairs whose support reaches sigma are the tasks, largest first, of up
-// to workers goroutines with pooled scratch of their own over p's read-only
-// state. split, when non-nil, receives how the call was
-// divided. ctx is checked before every task and at every prefix; a cancelled
-// call returns nil.
+// order included: the patterns shorter than p's deepest prefixes come from
+// the kept supports, and the deepest prefixes that sigma reaches are the
+// tasks, largest first, of up to workers goroutines with pooled scratch of
+// their own over p's read-only state. split, when non-nil, receives how the
+// call was divided. ctx is checked before every task and at every prefix; a
+// cancelled call returns nil.
 func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *SplitStats) []Pattern {
 	m := p.m
 	m.sigma, m.done = sigma, ctx.Done()
@@ -472,9 +497,9 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 	for r := range sh.miners {
 		sh.miners[r] = m
 	}
-	for _, n := range p.singles {
-		if n.support >= sigma && m.expandable(n.items[0]) {
-			sh.miners[0].out = append(sh.miners[0].out, Pattern{Items: []dict.ItemID{n.items[0]}, Freq: n.support})
+	for i := range p.kept {
+		if n := &p.kept[i]; m.reaches(n) {
+			sh.miners[0].out = append(sh.miners[0].out, Pattern{Items: slices.Clone(n.prefix()), Freq: n.support})
 		}
 	}
 	sh.arm(p.cells)
@@ -516,37 +541,51 @@ const maxStampCells = 1 << 22
 type dfsState struct {
 	arena    []uint64   // the row blocks of every accepted sequence
 	cache    []seqCache // per input sequence, its row block in arena
-	prefixes []node     // the tasks' prefixes (first items or item pairs), largest projected database first
+	prefixes []node     // the tasks' prefixes (first items, or a Prepared's deepest), largest projected database first
 	projs    []int32    // their projected databases, back to back
 }
 
 // dfsShared is the pooled state of one call: a MineDFS's or a Prepare's
 // dfsState — written range by range during the set-up and by the calling
-// goroutine alone during the merge, read-only while the tasks or the level-2
+// goroutine alone during the merge, read-only while the tasks or keepLevel's
 // scans run; idle under a Prepared.Mine — and the call's workers and tasks.
 type dfsShared struct {
 	dfsState
 	miners []dfsMiner   // one per worker; worker r sets up db[lo:hi)
 	tasks  []node       // the prefixes that reach the call's sigma, in their order
+	parts  []part       // the merge's input
 	next   atomic.Int64 // index of the next task to pull
 }
 
-// node is a prefix of one or two items with a projected database and the
-// weight of the sequences in it. A first item has one range's part of its
-// database, a buffer of that range's root frame, until the merge gives it all
-// of it, in projs.
+// node is a prefix of one to three items with the weight of the sequences in
+// its projected database, projs[off:end] of the dfsState that holds it — or,
+// kept as a pattern, with its support and no database.
 type node struct {
-	items   [2]dict.ItemID // items[1] is dict.None for a one-item prefix
-	buf     []int32
-	support int64
+	items    [keptDepth]dict.ItemID // dict.None after the prefix's last item
+	off, end int
+	support  int64
+}
+
+// words is the length of n's projected database.
+func (n *node) words() int { return n.end - n.off }
+
+// db returns the projected database of n, one of st's prefixes.
+func (st *dfsState) db(n *node) []int32 { return st.projs[n.off:n.end] }
+
+// part is one range's share of a first item's projected database, a buffer of
+// the range's root frame, until the merge copies it into projs.
+type part struct {
+	item dict.ItemID
+	buf  []int32
 }
 
 // prefix returns n's items.
 func (n *node) prefix() []dict.ItemID {
-	if n.items[1] == dict.None {
-		return n.items[:1]
+	k := 1
+	for k < len(n.items) && n.items[k] != dict.None {
+		k++
 	}
-	return n.items[:]
+	return n.items[:k]
 }
 
 var sharedPool = sync.Pool{New: func() any { return new(dfsShared) }}
@@ -672,7 +711,6 @@ func (sh *dfsShared) release() {
 	}
 	// The pool must not keep the caller's database or a Prepared alive.
 	clear(sh.miners)
-	clear(sh.tasks)
 	sharedPool.Put(sh)
 }
 
@@ -694,34 +732,33 @@ func (sh *dfsShared) prepare() bool {
 	}
 
 	// Merge the ranges' first items: sorted by item, ties in range order, an
-	// item's projected database is its run of buffers copied back to back into
-	// projs (sized up front, so that it does not move), its support the sum of
-	// theirs. Merged roots overwrite the ranges' roots already read.
-	roots := sh.prefixes[:0]
+	// item's projected database is its run of parts copied back to back into
+	// projs, its support the sum of theirs.
+	parts := sh.parts[:0]
 	total := 0
 	for r := range sh.miners {
 		fr := &sh.miners[r].sc.frames[0]
 		for _, p := range fr.order {
 			buf := fr.exps[uint32(p)].buf
-			roots = append(roots, node{items: [2]dict.ItemID{dict.ItemID(p >> 32)}, buf: buf})
+			parts = append(parts, part{item: dict.ItemID(p >> 32), buf: buf})
 			total += len(buf)
 		}
 	}
-	slices.SortStableFunc(roots, func(a, b node) int { return cmp.Compare(a.items[0], b.items[0]) })
+	slices.SortStableFunc(parts, func(a, b part) int { return cmp.Compare(a.item, b.item) })
 	sh.projs = slices.Grow(sh.projs[:0], total)
-	merged := roots[:0]
-	for i := 0; i < len(roots); {
-		root := node{items: roots[i].items}
-		off := len(sh.projs)
-		for ; i < len(roots) && roots[i].items == root.items; i++ {
-			root.support += m.prefixSupport(roots[i].buf)
-			sh.projs = append(sh.projs, roots[i].buf...)
+	sh.prefixes = sh.prefixes[:0]
+	for i := 0; i < len(parts); {
+		root := node{items: [keptDepth]dict.ItemID{parts[i].item}, off: len(sh.projs)}
+		for ; i < len(parts) && parts[i].item == root.items[0]; i++ {
+			root.support += m.prefixSupport(parts[i].buf)
+			sh.projs = append(sh.projs, parts[i].buf...)
 		}
-		root.buf = sh.projs[off:]
-		merged = append(merged, root)
+		root.end = len(sh.projs)
+		sh.prefixes = append(sh.prefixes, root)
 	}
-	sh.prefixes = merged
-	slices.SortFunc(sh.prefixes, func(a, b node) int { return cmp.Compare(len(b.buf), len(a.buf)) })
+	clear(parts) // they point into the workers' pooled frames
+	sh.parts = parts[:0]
+	slices.SortFunc(sh.prefixes, func(a, b node) int { return cmp.Compare(b.words(), a.words()) })
 	return true
 }
 
@@ -734,20 +771,20 @@ func (sh *dfsShared) prepare() bool {
 func (sh *dfsShared) mine(st *dfsState, split *SplitStats) []Pattern {
 	m := &sh.miners[0]
 	tasks, total := sh.tasks[:0], 0
-	for _, n := range st.prefixes {
-		if n.support >= m.sigma && m.expandable(n.items[0]) && (n.items[1] == dict.None || m.expandable(n.items[1])) {
-			tasks = append(tasks, n)
-			total += len(n.buf)
+	for i := range st.prefixes {
+		if n := &st.prefixes[i]; m.reaches(n) {
+			tasks = append(tasks, *n)
+			total += n.words()
 		}
 	}
 	sh.tasks = tasks
 	if len(tasks) > 0 {
 		split.Tasks = len(tasks)
-		split.LargestTaskShare = float64(len(tasks[0].buf)) / float64(total)
+		split.LargestTaskShare = float64(tasks[0].words()) / float64(total)
 		sh.pull(len(tasks), func(sh *dfsShared, r, i int) {
 			w, t := &sh.miners[r], &sh.tasks[i]
 			w.sc.prefix = append(w.sc.prefix[:0], t.prefix()...)
-			w.expand(len(w.sc.prefix), t.buf)
+			w.expand(len(w.sc.prefix), w.sh.db(t)) // w.sh is st
 		})
 	}
 	out := m.out
@@ -820,6 +857,20 @@ func (m *dfsMiner) prefixSupport(proj []int32) int64 {
 		s += m.db[proj[i]].Weight
 	}
 	return s
+}
+
+// reaches reports whether the prefix of n is one the miner's sigma reaches:
+// n's support at least sigma and every item expandable.
+func (m *dfsMiner) reaches(n *node) bool {
+	if n.support < m.sigma {
+		return false
+	}
+	for _, w := range n.prefix() {
+		if !m.expandable(w) {
+			return false
+		}
+	}
+	return true
 }
 
 // expandable reports whether output item w may grow the prefix.

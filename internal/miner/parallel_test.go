@@ -63,9 +63,9 @@ func checkParallel(t *testing.T, name string, f *fst.FST, db []miner.WeightedSeq
 // workers — returns exactly MineDFS(f, Weighted(db), sigma, DFSOptions{}),
 // order included, when mined on 1, 2 and 8 workers at the sigmas in descending
 // and then in ascending order, and again from four goroutines at different
-// sigmas at once, with one task per kept item pair that reaches sigma; and
-// that MineCount gives the same answers. It returns the number of patterns the
-// sigmas report together.
+// sigmas at once, with one task per deepest kept prefix that reaches sigma;
+// and that MineCount gives the same answers. It returns the number of
+// patterns the sigmas report together.
 func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, sigmas []int64) int {
 	t.Helper()
 	ctx := context.Background()
@@ -100,13 +100,14 @@ func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, si
 				if w := max(1, min(workers, len(db))); split.Workers != w {
 					t.Errorf("%s: split.Workers = %d, want %d", name, split.Workers, w)
 				}
-				// The tasks are the kept item pairs that reach sigma: some
-				// whenever a pattern of two or more items is reported.
-				multi := slices.ContainsFunc(got, func(p miner.Pattern) bool { return len(p.Items) > 1 })
-				if pairs := p.PairsReaching(sigma); split.Tasks != pairs || multi && split.Tasks == 0 ||
+				// The tasks are the deepest kept prefixes that reach sigma:
+				// some whenever a pattern at least as long as them is reported.
+				tasks, depth := p.TasksReaching(sigma)
+				long := slices.ContainsFunc(got, func(p miner.Pattern) bool { return len(p.Items) >= depth })
+				if split.Tasks != tasks || long && split.Tasks == 0 ||
 					(split.Tasks > 0) != (split.LargestTaskShare > 0) || split.LargestTaskShare > 1 {
-					t.Errorf("%s sigma %d: %d patterns (two or more items: %v) and %d pairs reaching sigma from split %+v",
-						name, sigma, len(got), multi, pairs, split)
+					t.Errorf("%s sigma %d: %d patterns (of %d items or more: %v) and %d kept prefixes reaching sigma from split %+v",
+						name, sigma, len(got), depth, long, tasks, split)
 				}
 			}
 		}
@@ -246,6 +247,16 @@ func TestParallelEdgeInputs(t *testing.T) {
 		if checkPrepared(t, "unsorted dictionary "+expr, fst.MustCompile(expr, unsorted), redb, []int64{1, 2, 3, 100}) == 0 {
 			t.Errorf("unsorted dictionary %s: no patterns", expr)
 		}
+	}
+
+	// The bound: one generated case keeps triples, one pairs.
+	for want, data := range keptDepthSeeds {
+		d, db, expr := genCase(data)
+		f := fst.MustCompile(expr, d)
+		if tasks, depth := miner.Prepare(context.Background(), f, db, 2).TasksReaching(2); depth != want || tasks == 0 {
+			t.Errorf("generated %q: %d tasks of depth %d at sigma 2, want some of depth %d", expr, tasks, depth, want)
+		}
+		checkPrepared(t, fmt.Sprintf("generated %q keeping depth %d", expr, want), f, db, []int64{1, 2, 3})
 	}
 
 	var split miner.SplitStats

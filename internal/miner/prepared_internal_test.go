@@ -2,6 +2,7 @@ package miner
 
 import (
 	"context"
+	"fmt"
 	"maps"
 	"math/rand"
 	"runtime"
@@ -70,123 +71,186 @@ func TestPreparedRetainsEveryMatrix(t *testing.T) {
 	}
 }
 
-// TestPreparedKeepsLevel2: whatever the number of workers Prepare runs on, a
-// Prepared keeps for every first item exactly what a one-worker root scan and
-// a depth-1 scan of the item's projected database, both cut at sigma 1,
-// yield: the item's support as a one-item pattern, and every (first,
-// second) item pair's projected database and support — largest database
-// first, back to back in one buffer of exactly their size — and Bytes counts
-// every word of it.
-func TestPreparedKeepsLevel2(t *testing.T) {
-	d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(4)), 300, 8)
-	checked := [2]int{} // one-item supports and pairs
-	for _, expr := range []string{paperex.PatternExpression, "[.*(.)]{1,3}.*"} {
-		f := fst.MustCompile(expr, d)
-		wantSingles, wantPairs := depthOneScans(f, seqs)
-		for _, support := range wantSingles {
-			if support > 0 {
-				checked[0]++
-			}
-		}
-		checked[1] += len(wantPairs)
+// TestPreparedKeepsLevel3: whatever the number of workers Prepare runs on, a
+// Prepared keeps exactly what one worker's root scan and scans of every first
+// item and every item pair, all cut at sigma 1, yield: the support of every
+// one- and two-item prefix as a pattern, and every item triple's projected
+// database and support — largest database first, back to back in one buffer
+// of exactly their size — unless those databases and nodes take more bytes
+// than the Prepared holds without them; then it keeps the pairs' databases
+// and supports in their place, and only the first items' supports as
+// patterns. Bytes counts every word of it, and the suite reaches both depths.
+func TestPreparedKeepsLevel3(t *testing.T) {
+	reached := map[int]int{} // kept depth → cases
+	checked := 0             // kept supports and databases compared
+	for _, c := range []struct {
+		maxLen int
+		expr   string
+	}{
+		{8, paperex.PatternExpression}, {8, "[.*(.)]{1,3}.*"}, {8, ".*(A^)[.{0,1}(.)]{1,2}.*"},
+		// Longer sequences: the loose expression's triples outweigh the rest.
+		{12, ".*(A^)[.{0,1}(.)]{1,2}.*"}, {12, "[.*(.)]{1,3}.*"},
+	} {
+		d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(4)), 300, c.maxLen)
+		expr := fmt.Sprintf("%s over sequences of up to %d items", c.expr, c.maxLen)
+		f := fst.MustCompile(c.expr, d)
+		level2, level3 := levelScans(f, seqs, 2), levelScans(f, seqs, 3)
+		var depths []int
 		for _, workers := range []int{1, 2, 3} {
 			p := Prepare(context.Background(), f, seqs, workers)
-			singles := map[dict.ItemID]int64{}
-			for _, n := range p.singles {
-				singles[n.items[0]] = n.support
+			_, depth := p.TasksReaching(1)
+			want := level3
+			if depth == 2 {
+				want = level2
 			}
-			if !maps.Equal(singles, wantSingles) {
-				t.Errorf("%s on %d workers: one-item supports %v, want %v", expr, workers, singles, wantSingles)
+			depths = append(depths, depth)
+			kept := map[[keptDepth]dict.ItemID]int64{}
+			for _, n := range p.kept {
+				kept[n.items] = n.support
+			}
+			if !maps.Equal(kept, want.kept) {
+				t.Errorf("%s on %d workers: kept supports %v, want %v", expr, workers, kept, want.kept)
 			}
 			st := &p.state
-			if len(st.prefixes) != len(wantPairs) {
-				t.Fatalf("%s on %d workers: %d pairs, want %d", expr, workers, len(st.prefixes), len(wantPairs))
+			if len(st.prefixes) != len(want.deepest) {
+				t.Fatalf("%s on %d workers: %d prefixes of %d items, want %d", expr, workers, len(st.prefixes), depth, len(want.deepest))
 			}
+			for i := range st.prefixes {
+				n := &st.prefixes[i]
+				w, ok := want.deepest[n.items]
+				if !ok || n.support != w.support || !slices.Equal(st.db(n), w.db) {
+					t.Fatalf("%s on %d workers: prefix %v has support %d and database %v, want %v (kept: %v)",
+						expr, workers, n.items, n.support, st.db(n), w, ok)
+				}
+				if i > 0 && n.words() > st.prefixes[i-1].words() {
+					t.Errorf("%s on %d workers: prefix %d's database is larger than prefix %d's", expr, workers, i, i-1)
+				}
+			}
+			// The databases tile projs, which has exactly their size.
+			tiles := slices.SortedFunc(slices.Values(st.prefixes), func(a, b node) int { return a.off - b.off })
 			end := 0
-			for i, n := range st.prefixes {
-				want, ok := wantPairs[n.items]
-				if !ok || n.support != want.support || !slices.Equal(n.buf, want.buf) {
-					t.Fatalf("%s on %d workers: pair %v has support %d and database %v, want %v (kept: %v)",
-						expr, workers, n.items, n.support, n.buf, want, ok)
+			for _, n := range tiles {
+				if n.off != end {
+					t.Fatalf("%s on %d workers: prefix %v's database starts at %d, the previous one ends at %d", expr, workers, n.items, n.off, end)
 				}
-				if i > 0 && len(n.buf) > len(st.prefixes[i-1].buf) {
-					t.Errorf("%s on %d workers: pair %d's database is larger than pair %d's", expr, workers, i, i-1)
-				}
-				if len(n.buf) > 0 && &n.buf[0] != &st.projs[end] {
-					t.Fatalf("%s on %d workers: pair %d's database does not follow pair %d's in projs", expr, workers, i, i-1)
-				}
-				end += len(n.buf)
+				end = n.end
 			}
-			if end != len(st.projs) || cap(st.projs) != end || cap(st.prefixes) != len(st.prefixes) || cap(p.singles) != len(p.singles) {
-				t.Errorf("%s on %d workers: databases of %d words in projs of len %d cap %d; %d/%d pairs, %d/%d singles",
-					expr, workers, end, len(st.projs), cap(st.projs), len(st.prefixes), cap(st.prefixes), len(p.singles), cap(p.singles))
+			if end != len(st.projs) || cap(st.projs) != end || cap(st.prefixes) != len(st.prefixes) || cap(p.kept) != len(p.kept) {
+				t.Errorf("%s on %d workers: databases of %d words in projs of len %d cap %d; %d/%d prefixes, %d/%d kept",
+					expr, workers, end, len(st.projs), cap(st.projs), len(st.prefixes), cap(st.prefixes), len(p.kept), cap(p.kept))
 			}
-			want := 8*len(st.arena) + 4*end + (len(st.prefixes)+len(p.singles))*int(unsafe.Sizeof(node{})) +
-				len(seqs)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{}))
-			if p.Bytes() != int64(want) || cap(st.arena) != len(st.arena) {
-				t.Errorf("%s on %d workers: Bytes() = %d, want %d", expr, workers, p.Bytes(), want)
+			bytes := func(l levelScan) int64 {
+				return int64(8*len(st.arena) + l.bytes + (len(l.deepest)+len(l.kept))*int(unsafe.Sizeof(node{})) +
+					len(seqs)*int(unsafe.Sizeof(seqCache{})+unsafe.Sizeof(WeightedSequence{})))
 			}
+			if p.Bytes() != bytes(want) || cap(st.arena) != len(st.arena) {
+				t.Errorf("%s on %d workers: Bytes() = %d, want %d", expr, workers, p.Bytes(), bytes(want))
+			}
+			// The bound: the triples' databases and nodes against the level-2
+			// Prepared's bytes.
+			triples := int64(level3.bytes + len(level3.deepest)*int(unsafe.Sizeof(node{})))
+			if over := triples > bytes(level2); over != (depth == 2) {
+				t.Errorf("%s on %d workers: triples take %d bytes against %d kept at level 2, yet the Prepared keeps depth %d",
+					expr, workers, triples, bytes(level2), depth)
+			}
+			checked += len(p.kept) + len(st.prefixes)
 		}
+		if slices.Min(depths) != slices.Max(depths) {
+			t.Errorf("%s: kept depths %v on 1, 2 and 3 workers", expr, depths)
+		}
+		reached[depths[0]]++
 	}
-	if checked[0] == 0 || checked[1] < 2 {
-		t.Fatalf("%d one-item supports and %d pairs; the check is vacuous", checked[0], checked[1])
+	if checked < 10 || reached[2] == 0 || reached[3] == 0 {
+		t.Fatalf("%d kept supports and databases, kept depths %v; the check is vacuous", checked, reached)
 	}
 }
 
-// depthOneScans runs the reference for TestPreparedKeepsLevel2 on one worker:
-// the root scan of f over seqs and the depth-1 scan of every first item's
-// projected database, cut at sigma 1. It returns the first items' supports as
-// one-item patterns and every pair with a copy of its database.
-func depthOneScans(f *fst.FST, seqs [][]dict.ItemID) (map[dict.ItemID]int64, map[[2]dict.ItemID]node) {
+// levelScan is the reference of TestPreparedKeepsLevel3 for one depth: the
+// support of every shorter prefix as a pattern, every prefix of the depth with
+// a copy of its database and its support, and the bytes of those databases.
+type levelScan struct {
+	kept    map[[keptDepth]dict.ItemID]int64
+	deepest map[[keptDepth]dict.ItemID]prefixDB
+	bytes   int
+}
+
+// prefixDB is a prefix's projected database and support in the reference.
+type prefixDB struct {
+	db      []int32
+	support int64
+}
+
+// levelScans runs the reference on one worker: the root scan of f over seqs
+// and the scan of every prefix shorter than depth, cut at sigma 1.
+func levelScans(f *fst.FST, seqs [][]dict.ItemID, depth int) levelScan {
 	m := newMiner(f, Weighted(seqs), 1, DFSOptions{})
 	sh := sharedPool.Get().(*dfsShared)
 	defer sh.release()
 	sh.layOut(&m, 1)
 	w := &sh.miners[0]
 	w.setUp()
-	root := w.scan(0, w.sc.rootProj)
-	firsts := map[dict.ItemID][]int32{}
-	for _, o := range root.order {
-		firsts[dict.ItemID(o>>32)] = slices.Clone(root.exps[uint32(o)].buf)
-	}
-	singles, pairs := map[dict.ItemID]int64{}, map[[2]dict.ItemID]node{}
-	for first, proj := range firsts {
-		w.sc.prefix = append(w.sc.prefix[:0], first)
-		fr := w.scan(1, proj)
-		singles[first] = fr.support
+	out := levelScan{kept: map[[keptDepth]dict.ItemID]int64{}, deepest: map[[keptDepth]dict.ItemID]prefixDB{}}
+	var walk func(items [keptDepth]dict.ItemID, n prefixDB, at int)
+	walk = func(items [keptDepth]dict.ItemID, n prefixDB, at int) {
+		if at == depth {
+			out.deepest[items] = n
+			out.bytes += 4 * len(n.db)
+			return
+		}
+		w.sc.prefix = append(w.sc.prefix[:0], items[:at]...)
+		fr := w.scan(at, n.db)
+		if at > 0 {
+			out.kept[items] = fr.support
+		}
+		children := map[[keptDepth]dict.ItemID]prefixDB{}
 		for _, o := range fr.order {
 			e := &fr.exps[uint32(o)]
-			items := [2]dict.ItemID{first, dict.ItemID(o >> 32)}
-			pairs[items] = node{items: items, buf: slices.Clone(e.buf), support: e.support}
+			child := items
+			child[at] = dict.ItemID(o >> 32)
+			children[child] = prefixDB{db: slices.Clone(e.buf), support: e.support}
+		}
+		for child, n := range children {
+			walk(child, n, at+1)
 		}
 	}
-	return singles, pairs
+	walk([keptDepth]dict.ItemID{}, prefixDB{db: w.sc.rootProj}, 0)
+	return out
 }
 
-// TestPrepareCancelledAtLevel2: a context cancelled after Prepare's root scan
-// and merge, as its level-2 pass starts, stops that pass — keepPairs reports
-// false, so Prepare returns nil — and leaves no goroutine behind.
+// TestPrepareCancelledAtLevel2: a context cancelled after Prepare's root
+// scan and merge, as its level-2 pass starts, or after that pass, as the
+// level-3 pass starts, stops the pass — keepLevel reports false, so Prepare
+// returns nil — and leaves no goroutine behind.
 func TestPrepareCancelledAtLevel2(t *testing.T) {
 	d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(4)), 3000, 8)
 	f := fst.MustCompile("[.*(.)]{1,3}.*", d)
 	for _, workers := range []int{1, 2, 3} {
-		before := runtime.NumGoroutine()
-		ctx, cancel := context.WithCancel(context.Background())
-		p := &Prepared{m: newMiner(f, Weighted(seqs), 1, DFSOptions{})}
-		p.m.done = ctx.Done()
-		sh := sharedPool.Get().(*dfsShared)
-		p.cells = sh.layOut(&p.m, workers)
-		if !sh.prepare() || len(sh.prefixes) == 0 {
-			t.Fatalf("%d workers: the root scan failed or found no first item", workers)
-		}
-		cancel()
-		if p.keepPairs(sh) {
-			t.Errorf("%d workers: the level-2 pass ran to its end under a cancelled context", workers)
-		}
-		sh.release()
-		for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("%d workers: %d goroutines before, %d after a cancelled level-2 pass", workers, before, runtime.NumGoroutine())
+		for depth := 1; depth < keptDepth; depth++ {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			p := &Prepared{m: newMiner(f, Weighted(seqs), 1, DFSOptions{})}
+			p.m.done = ctx.Done()
+			sh := sharedPool.Get().(*dfsShared)
+			p.cells = sh.layOut(&p.m, workers)
+			if !sh.prepare() || len(sh.prefixes) == 0 {
+				t.Fatalf("%d workers: the root scan failed or found no first item", workers)
+			}
+			p.retainMatrices(sh)
+			for above := 1; above < depth; above++ {
+				if !p.keepLevel(sh, above) || len(p.state.prefixes) == 0 {
+					t.Fatalf("%d workers: the level-%d pass failed or kept no prefix", workers, above+1)
+				}
+			}
+			cancel()
+			if p.keepLevel(sh, depth) {
+				t.Errorf("%d workers: the level-%d pass ran to its end under a cancelled context", workers, depth+1)
+			}
+			sh.release()
+			for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d workers: %d goroutines before, %d after a cancelled level-%d pass",
+						workers, before, runtime.NumGoroutine(), depth+1)
+				}
 			}
 		}
 	}
