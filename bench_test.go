@@ -193,9 +193,8 @@ func BenchmarkSpanOverhead(b *testing.B) {
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := mapreduce.Config{
-				MapWorkers:    benchScale.Workers,
-				ReduceWorkers: benchScale.Workers,
-				Context:       mode.ctx,
+				Workers: benchScale.Workers,
+				Context: mode.ctx,
 			}
 			for i := 0; i < b.N; i++ {
 				if _, _, err := dseq.Mine(f, ds.NYT.Sequences, 3, dseq.DefaultOptions(), cfg, nil); err != nil {

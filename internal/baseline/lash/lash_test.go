@@ -58,7 +58,7 @@ func TestLashSimpleExample(t *testing.T) {
 // with the equivalent pattern expression, with and without hierarchy.
 func TestLashMatchesDSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	for trial := 0; trial < 4; trial++ {
 		d, db := paperex.RandomDatabase(rng, 25, 6)
 		for _, hier := range []bool{true, false} {
@@ -104,7 +104,7 @@ func TestLashOnAmazonData(t *testing.T) {
 	}
 	c := lash.Constraint{MaxGap: 1, MaxLength: 3, MinLength: 2, Hierarchy: true}
 	want := miner.PatternsToMap(db.Dict, lash.MineSequential(db.Dict, db.Sequences, 10, c))
-	got, metrics, err := lash.Mine(db.Dict, db.Sequences, 10, c, mapreduce.Config{MapWorkers: 4, ReduceWorkers: 4})
+	got, metrics, err := lash.Mine(db.Dict, db.Sequences, 10, c, mapreduce.Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestLashRewriteDropsIrrelevantItems(t *testing.T) {
 	d := paperex.Dict()
 	db := paperex.DB(d)
 	c := lash.Constraint{MaxGap: 1, MaxLength: 3, MinLength: 2, Hierarchy: true}
-	_, metrics, err := lash.Mine(d, db, 2, c, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1})
+	_, metrics, err := lash.Mine(d, db, 2, c, mapreduce.Config{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ func TestPrefixSpanMaxLength(t *testing.T) {
 // equivalent T1 pattern expression on random databases.
 func TestPrefixSpanMatchesDSeq(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	for trial := 0; trial < 4; trial++ {
 		d, db := paperex.RandomDatabase(rng, 20, 5)
 		f := fst.MustCompile("[.*(.)]{1,3}.*", d) // T1 with lambda = 3

@@ -31,25 +31,18 @@ import (
 // BSP round; a worker death fails only that attempt, and the scheduler
 // relaunches it under a fresh epoch on the surviving workers. The input
 // database travels through the workers' shared dataset store, pushed at most
-// once per worker per dataset.
+// once per worker per dataset. Control requests go through http.DefaultClient
+// and log lines to obs.DefaultLogger(); a recorder on the Mine context
+// receives cluster.mine / cluster.attempt / cluster.task spans, propagated to
+// the workers via the X-Seqmine-Trace header.
 type Coordinator struct {
 	// Workers are the control URLs of the worker processes
 	// ("http://host:port"), one per pool member.
 	Workers []string
-	// Client issues the control requests; nil uses http.DefaultClient. Job
-	// requests run for the duration of an attempt, so a client with a short
-	// Timeout will abort long jobs.
-	Client *http.Client
 	// Obs, when non-nil, receives scheduler metrics: task-attempt durations
 	// (seqmine_task_attempt_seconds) and heartbeat round-trip times
 	// (seqmine_heartbeat_rtt_seconds).
 	Obs *obs.Registry
-	// Log receives structured liveness and scheduling log lines; nil falls
-	// back to obs.DefaultLogger() (which may itself be silent). A recorder on
-	// the Mine context additionally receives cluster.mine / cluster.attempt /
-	// cluster.task spans, propagated to the workers via the X-Seqmine-Trace
-	// header.
-	Log *obs.Logger
 
 	// heartbeatInterval and heartbeatMisses replace heartbeatPeriod and
 	// heartbeatDeadAfter when non-zero; only tests set them.
@@ -159,14 +152,6 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 	case db == nil || db.Dict == nil:
 		return nil, fmt.Errorf("cluster: nil database")
 	}
-	client := c.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	log := c.Log
-	if log == nil {
-		log = obs.DefaultLogger()
-	}
 	ctx, mineSpan := obs.StartSpan(ctx, "cluster.mine",
 		obs.String("algorithm", string(p.Algorithm)), obs.Int("sigma", sigma),
 		obs.Int("workers", int64(len(c.Workers))))
@@ -185,7 +170,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		go func(i int) {
 			defer probeWG.Done()
 			var health HealthResponse
-			if err := getJSON(ctx, client, pool[i].url+"/healthz", &health); err != nil {
+			if err := getJSON(ctx, http.DefaultClient, pool[i].url+"/healthz", &health); err != nil {
 				probeErrs[i] = err
 				return
 			}
@@ -215,7 +200,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		pushWG.Add(1)
 		go func(ws *workerRef) {
 			defer pushWG.Done()
-			hit, putBytes, err := ensureDataset(ctx, client, ws.url, datasetID, data)
+			hit, putBytes, err := ensureDataset(ctx, ws.url, datasetID, data)
 			pushMu.Lock()
 			defer pushMu.Unlock()
 			if err != nil {
@@ -249,7 +234,6 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 	}
 	sched := &scheduler{
 		coord:     c,
-		client:    client,
 		ctx:       ctx,
 		pool:      pool,
 		jobID:     jobID,
@@ -260,7 +244,7 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		sigma:     sigma,
 		plan:      p,
 		res:       res,
-		log:       log,
+		log:       obs.DefaultLogger(),
 		attemptHist: c.Obs.Histogram("seqmine_task_attempt_seconds",
 			"Duration of cluster job attempts (gang launch to last member response).",
 			obs.DurationBuckets, "algorithm", string(p.Algorithm)),
@@ -309,8 +293,8 @@ func bundleFor(ctx context.Context, db *seqdb.Database) ([]byte, string, error) 
 
 // ensureDataset makes one worker hold the bundle: a cheap presence probe,
 // then a PUT only on miss. Returns whether the probe hit.
-func ensureDataset(ctx context.Context, client *http.Client, baseURL, id string, data []byte) (hit bool, putBytes int64, err error) {
-	probeErr := getJSON(ctx, client, baseURL+"/datasets/"+id, &struct{}{})
+func ensureDataset(ctx context.Context, baseURL, id string, data []byte) (hit bool, putBytes int64, err error) {
+	probeErr := getJSON(ctx, http.DefaultClient, baseURL+"/datasets/"+id, &struct{}{})
 	if probeErr == nil {
 		return true, 0, nil
 	}
@@ -323,7 +307,7 @@ func ensureDataset(ctx context.Context, client *http.Client, baseURL, id string,
 		return false, 0, err
 	}
 	req.Header.Set("Content-Type", "application/octet-stream")
-	if err := doJSON(client, req, &struct{}{}); err != nil {
+	if err := doJSON(http.DefaultClient, req, &struct{}{}); err != nil {
 		return false, 0, err
 	}
 	return false, int64(len(data)), nil
@@ -335,10 +319,9 @@ func ensureDataset(ctx context.Context, client *http.Client, baseURL, id string,
 
 // scheduler drives one job's attempts to completion.
 type scheduler struct {
-	coord  *Coordinator
-	client *http.Client
-	ctx    context.Context
-	pool   []*workerRef
+	coord *Coordinator
+	ctx   context.Context
+	pool  []*workerRef
 
 	jobID     string
 	numTasks  int
@@ -448,7 +431,7 @@ func (s *scheduler) run() (*Result, error) {
 					obs.Int("epoch", int64(a.epoch)), obs.String("error", a.err.Error()))
 			}
 			if a.repush != nil {
-				hit, putBytes, err := ensureDataset(s.ctx, s.client, a.repush.url, s.datasetID, s.bundle)
+				hit, putBytes, err := ensureDataset(s.ctx, a.repush.url, s.datasetID, s.bundle)
 				if err != nil {
 					if a.repush.markDead() {
 						s.addDeadWorker(a.repush)
@@ -551,9 +534,12 @@ func (s *scheduler) launch() error {
 				tctx, tspan := obs.StartSpan(actx, "cluster.task",
 					obs.Int("peer", int64(gi)), obs.String("worker", gang[gi].url),
 					obs.Int("epoch", int64(epoch)), obs.Int("partitions", int64(len(spec.Partitions))))
-				err := postJSON(tctx, s.client, gang[gi].url+"/run", spec, &a.results[gi])
+				err := postJSON(tctx, http.DefaultClient, gang[gi].url+"/run", spec, &a.results[gi])
 				if err != nil {
 					tspan.SetAttr("error", err.Error())
+					// The gang shares one shuffle: the others would wait out
+					// the transport's open timeout for a member that left it.
+					acancel()
 				}
 				tspan.End()
 				errs[gi] = err
@@ -589,15 +575,17 @@ func (s *scheduler) classify(a *attempt, errs []error) {
 		if err == nil {
 			continue
 		}
-		if a.err == nil {
+		var herr *httpStatusError
+		// Our own cancellation (a member's failure, a heartbeat abort or
+		// shutdown) is not a death, and not the cause when there is another.
+		canceled := !errors.As(err, &herr) && errors.Is(err, context.Canceled)
+		if a.err == nil || !canceled && errors.Is(a.err, context.Canceled) {
 			a.err = fmt.Errorf("worker %d (%s): %w", gi, a.gang[gi].url, err)
 		}
-		var herr *httpStatusError
-		if !errors.As(err, &herr) {
-			if errors.Is(err, context.Canceled) {
-				// Our own cancellation (heartbeat abort or shutdown), not a death.
-				continue
-			}
+		if canceled {
+			continue
+		}
+		if herr == nil {
 			// Transport-level failure: the worker itself is unreachable.
 			if a.failed == nil {
 				a.failed = a.gang[gi]

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -76,6 +77,25 @@ func TestBundleDecodeRejectsCorruption(t *testing.T) {
 		if _, err := DecodeBundle(d); err == nil {
 			t.Errorf("%s: DecodeBundle accepted corrupt input", name)
 		}
+	}
+}
+
+// TestBundleDecodeRejectsUnorderedDictionary: a bundle carries its
+// dictionary's Save text, so a dictionary whose frequencies rise with fid is
+// refused with the item that breaks the order, while the same items in
+// frequency order decode.
+func TestBundleDecodeRejectsUnorderedDictionary(t *testing.T) {
+	bundle := func(dictText string) []byte {
+		data := binary.AppendUvarint([]byte(bundleMagic), uint64(len(dictText)))
+		data = append(data, dictText...)
+		return binary.AppendUvarint(data, 1)
+	}
+	if _, err := DecodeBundle(append(bundle("x\t2\ny\t1\n"), 1, 2)); err != nil {
+		t.Fatalf("ordered dictionary: %v", err)
+	}
+	_, err := DecodeBundle(append(bundle("x\t1\ny\t2\n"), 1, 2))
+	if err == nil || !strings.Contains(err.Error(), `"y"`) {
+		t.Fatalf("rising frequency: error %v, want one naming item \"y\"", err)
 	}
 }
 

@@ -47,9 +47,7 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	urls := make([]string, n)
 	workers := make([]*cluster.Worker, n)
 	for i := 0; i < n; i++ {
-		// A short open timeout so attempt 0's healthy members give up on the
-		// flaky peer's exchange quickly instead of waiting out the default.
-		node, err := transport.NewNode("127.0.0.1:0", transport.Config{OpenTimeout: 2 * time.Second})
+		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
@@ -70,10 +68,17 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	rec := obs.NewRecorder("coordinator", 0)
 	ctx, caller := obs.StartSpan(obs.WithRecorder(context.Background(), rec), "test.job")
 	coord := &cluster.Coordinator{Workers: urls, Obs: obs.NewRegistry()}
+	start := time.Now()
 	res, err := coord.Mine(ctx, db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: plan.AlgoDSeq})
 	caller.End()
 	if err != nil {
 		t.Fatalf("Mine: %v", err)
+	}
+	// The flaky worker fails before it opens its exchange: its failure must
+	// cancel the rest of attempt 0's gang, which would otherwise wait out the
+	// transport's 60 s open timeout for it.
+	if took := time.Since(start); took > 30*time.Second {
+		t.Errorf("Mine took %v: attempt 0's gang waited for the flaky worker's exchange", took)
 	}
 	if res.Retries == 0 || res.Attempts < 2 {
 		t.Fatalf("the flaky worker should force a retry, got attempts=%d retries=%d", res.Attempts, res.Retries)

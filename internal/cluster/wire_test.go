@@ -69,8 +69,8 @@ func TestPlanSurvivesJobSpec(t *testing.T) {
 	if cfg.Shuffle != wantShuffle {
 		t.Errorf("worker engine shuffle config = %+v, want %+v", cfg.Shuffle, wantShuffle)
 	}
-	if cfg.MapWorkers != 0 || cfg.ReduceWorkers != 0 {
-		t.Errorf("worker engine parallelism = %d/%d, want the worker's own default (0)", cfg.MapWorkers, cfg.ReduceWorkers)
+	if cfg.Workers != 0 {
+		t.Errorf("worker engine parallelism = %d, want the worker's own default (0)", cfg.Workers)
 	}
 }
 

@@ -28,7 +28,7 @@ func TestDCandRunningExample(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	got, metrics := mine(t, f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+	got, metrics := mine(t, f, db, paperex.Sigma, dcand.DefaultOptions(), mapreduce.Config{Workers: 2})
 	if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 		t.Errorf("D-CAND = %v, want %v", m, paperex.ExpectedFrequent())
 	}
@@ -52,7 +52,7 @@ func TestDCandAggregationReducesShuffle(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		db = append(db, t5)
 	}
-	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
+	cfg := mapreduce.Config{Workers: 1}
 	withAgg := dcand.DefaultOptions()
 	noAgg := dcand.Options{Minimize: true, Aggregate: false}
 	res1, m1 := mine(t, f, db, 2, withAgg, cfg)
@@ -84,7 +84,7 @@ func TestDCandMinimizeReducesShuffle(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		db = append(db, t1)
 	}
-	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
+	cfg := mapreduce.Config{Workers: 1}
 	res1, m1 := mine(t, f, db, paperex.Sigma, dcand.Options{Minimize: true, Aggregate: false}, cfg)
 	res2, m2 := mine(t, f, db, paperex.Sigma, dcand.Options{Minimize: false, Aggregate: false}, cfg)
 	if !reflect.DeepEqual(miner.PatternsToMap(d, res1), miner.PatternsToMap(d, res2)) {
@@ -103,7 +103,7 @@ func TestDCandOptionCombinations(t *testing.T) {
 	for _, minimize := range []bool{false, true} {
 		for _, agg := range []bool{false, true} {
 			opts := dcand.Options{Minimize: minimize, Aggregate: agg}
-			got, _ := mine(t, f, db, paperex.Sigma, opts, mapreduce.Config{MapWorkers: 3, ReduceWorkers: 2})
+			got, _ := mine(t, f, db, paperex.Sigma, opts, mapreduce.Config{Workers: 3})
 			if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 				t.Errorf("options %+v: %v, want %v", opts, m, want)
 			}
@@ -138,7 +138,7 @@ func TestDCandMatchesSequential(t *testing.T) {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, workers := range []int{1, 4} {
 					got, _ := mine(t, f, db, sigma, dcand.DefaultOptions(),
-						mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers})
+						mapreduce.Config{Workers: workers})
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("pattern %q sigma %d workers %d: D-CAND %v != sequential %v",
 							pat, sigma, workers, m, want)
@@ -168,7 +168,7 @@ func TestDCandSpillEquivalence(t *testing.T) {
 	}
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 
 	want, wantMetrics := mine(t, f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	if len(want) == 0 {
@@ -206,7 +206,7 @@ func TestDCandStreamingEquivalence(t *testing.T) {
 	}
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	want, _ := mine(t, f, db.Sequences, sigma, dcand.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")

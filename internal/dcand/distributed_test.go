@@ -51,7 +51,7 @@ func TestDCandMinePeerMatchesMine(t *testing.T) {
 		addrs[i] = node.Addr()
 	}
 
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+	cfg := mapreduce.Config{Workers: 2,
 		Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
 	var (
 		wg       sync.WaitGroup
@@ -145,7 +145,7 @@ func TestDCandMinePeerRejectsCorruptNFA(t *testing.T) {
 		body := append([]byte{0x03, 0x01, 0x01, byte(len(c.nfa))}, c.nfa...)
 		frame := append([]byte{byte(len(body))}, body...)
 		for _, shuffle := range []mapreduce.ShuffleConfig{{}, {SpillThreshold: 1, SpillTmpDir: t.TempDir()}} {
-			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2, Shuffle: shuffle}
+			cfg := mapreduce.Config{Workers: 2, Shuffle: shuffle}
 			got, _, err := dcand.Mine(f, db, paperex.Sigma, dcand.DefaultOptions(), cfg, &tornPeer{frames: [][]byte{frame}})
 			if err == nil {
 				t.Fatalf("%s: Mine accepted the frame and returned %v", name, got)

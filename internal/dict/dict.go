@@ -4,10 +4,12 @@
 // frequency-based item encoding.
 //
 // Items are identified by ItemID values called fids ("frequency ids"): fid 1 is
-// the most frequent item, fid 2 the second most frequent, and so on. The total
-// order used for item-based partitioning in the paper ("w1 < w2 iff f(w1) >
-// f(w2)") therefore coincides with the numeric order of fids: the pivot item of
-// a sequence is simply its maximum fid.
+// the most frequent item, fid 2 the second most frequent, and so on. Every
+// Dictionary keeps this order — Builder assigns it and Load rejects a file that
+// breaks it — so the total order used for item-based partitioning in the paper
+// ("w1 < w2 iff f(w1) > f(w2)") coincides with the numeric order of fids: the
+// pivot item of a sequence is simply its maximum fid, and an item is frequent
+// iff its fid is at most MaxFrequentFid(sigma).
 package dict
 
 import (
@@ -30,7 +32,7 @@ type ItemID uint32
 const None ItemID = 0
 
 // Dictionary is an immutable vocabulary with hierarchy and document
-// frequencies. Build one with a Builder.
+// frequencies, non-increasing in fid. Build one with a Builder.
 type Dictionary struct {
 	names     []string // index = fid; names[0] == ""
 	fidByName map[string]ItemID
@@ -38,11 +40,6 @@ type Dictionary struct {
 	children  [][]ItemID
 	ancestors [][]ItemID // reflexive-transitive parents, sorted ascending
 	docFreq   []int64    // f(w, D): number of input sequences that contain w or a descendant of w
-
-	// freqSorted records whether docFreq is non-increasing in fid. Builder
-	// output always is; Load output is whenever the file was written by Save.
-	// When it holds, IsFrequent(w, sigma) reduces to w <= MaxFrequentFid(sigma).
-	freqSorted bool
 }
 
 // Size returns the number of items in the dictionary.
@@ -91,16 +88,9 @@ func (d *Dictionary) IsFrequent(fid ItemID, sigma int64) bool {
 	return d.DocFreq(fid) >= sigma
 }
 
-// FrequencySorted reports whether document frequencies are non-increasing in
-// fid. This holds for every Builder-built dictionary (fids are assigned by
-// descending frequency) and is verified once at load time for dictionaries
-// read from files. When it holds, the frequent-item test is a single integer
-// comparison against MaxFrequentFid.
-func (d *Dictionary) FrequencySorted() bool { return d.freqSorted }
-
 // MaxFrequentFid returns the largest fid w with DocFreq(w) >= sigma, so that
 // IsFrequent(w, sigma) iff w <= MaxFrequentFid(sigma); it returns None when no
-// item is frequent. Only meaningful when FrequencySorted reports true.
+// item is frequent.
 func (d *Dictionary) MaxFrequentFid(sigma int64) ItemID {
 	lo, hi := 1, d.Size()
 	for lo <= hi {
@@ -164,17 +154,6 @@ func (d *Dictionary) AncestorsUpTo(t, w ItemID) []ItemID {
 	for _, a := range d.ancestors[t] {
 		if d.HasAncestor(a, w) {
 			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Leaves returns all items without children.
-func (d *Dictionary) Leaves() []ItemID {
-	var out []ItemID
-	for fid := ItemID(1); int(fid) < len(d.names); fid++ {
-		if len(d.children[fid]) == 0 {
-			out = append(out, fid)
 		}
 	}
 	return out
@@ -253,7 +232,8 @@ func (d *Dictionary) Save(w io.Writer) error {
 }
 
 // Load reads a dictionary previously written by Save. Item order in the file
-// determines fids (first line = fid 1).
+// determines fids (first line = fid 1), so the frequencies must not rise from
+// one line to the next.
 func Load(r io.Reader) (*Dictionary, error) {
 	type entry struct {
 		name    string
@@ -275,6 +255,9 @@ func Load(r io.Reader) (*Dictionary, error) {
 		freq, err := strconv.ParseInt(parts[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("dict: bad frequency in line %q: %v", line, err)
+		}
+		if n := len(entries); n > 0 && freq > entries[n-1].freq {
+			return nil, fmt.Errorf("dict: item %q has frequency %d, above the %d of the item before it", parts[0], freq, entries[n-1].freq)
 		}
 		e := entry{name: parts[0], freq: freq}
 		if len(parts) >= 3 && parts[2] != "" {
@@ -356,13 +339,6 @@ func (d *Dictionary) computeAncestors() error {
 	for fid := ItemID(1); int(fid) < n; fid++ {
 		if err := visit(fid); err != nil {
 			return err
-		}
-	}
-	d.freqSorted = true
-	for fid := 2; fid < n; fid++ {
-		if d.docFreq[fid] > d.docFreq[fid-1] {
-			d.freqSorted = false
-			break
 		}
 	}
 	return nil

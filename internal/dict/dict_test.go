@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -174,6 +175,16 @@ func TestLoadRejectsCycle(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsRisingFrequency: fids are frequency ranks, so a file whose
+// frequency rises with the line is refused, naming the first offending item.
+func TestLoadRejectsRisingFrequency(t *testing.T) {
+	const text = "x\t3\ny\t3\nz\t4\tx\nw\t5\n"
+	_, err := dict.Load(bytes.NewReader([]byte(text)))
+	if err == nil || !strings.Contains(err.Error(), `"z"`) {
+		t.Fatalf("Load of a rising frequency: error %v, want one naming item \"z\"", err)
+	}
+}
+
 func TestLoadRejectsUnknownParent(t *testing.T) {
 	const text = "x\t1\tmissing\n"
 	if _, err := dict.Load(bytes.NewReader([]byte(text))); err == nil {
@@ -189,10 +200,6 @@ func TestHierarchyStats(t *testing.T) {
 	// a1 and a2 have one proper ancestor each; 2/7 total.
 	if got := d.MeanAncestors(); got < 0.28 || got > 0.29 {
 		t.Errorf("MeanAncestors = %f", got)
-	}
-	leaves := d.Leaves()
-	if len(leaves) != 6 {
-		t.Errorf("Leaves = %v, want 6 items (all but A)", leaves)
 	}
 	if d.NumFrequent(2) != 5 {
 		t.Errorf("NumFrequent(2) = %d, want 5", d.NumFrequent(2))
@@ -325,13 +332,10 @@ func TestBuilderRandomFrequencies(t *testing.T) {
 }
 
 // TestMaxFrequentFid pins the single-compare frequent-item test the flattened
-// miner hot path relies on: for a Builder-built (frequency-sorted) dictionary,
+// miner hot path relies on: for a Builder-built dictionary,
 // IsFrequent(w, sigma) must hold exactly for w <= MaxFrequentFid(sigma).
 func TestMaxFrequentFid(t *testing.T) {
 	d := buildRunningExample(t)
-	if !d.FrequencySorted() {
-		t.Fatal("Builder-built dictionary must report FrequencySorted")
-	}
 	for sigma := int64(0); sigma <= 5; sigma++ {
 		limit := d.MaxFrequentFid(sigma)
 		for w := dict.ItemID(1); int(w) <= d.Size(); w++ {

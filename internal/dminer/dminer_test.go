@@ -45,7 +45,7 @@ func countJob(sigma int64) mapreduce.Job[int, int, int64, miner.Pattern] {
 var countInputs = []int{3, 1, 2, 3, 3, 2, 1, 3}
 
 func TestMineLocalSortsPatterns(t *testing.T) {
-	out, metrics, err := Mine(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+	out, metrics, err := Mine(countInputs, mapreduce.Config{Workers: 2,
 		Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 4}}, countJob(2), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func (soloFabric) WireBytesOut() int64    { return 0 }
 
 func TestMinePeerSinglePeer(t *testing.T) {
 	job := countJob(2)
-	out, metrics, err := Mine(countInputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, job, soloFabric{})
+	out, metrics, err := Mine(countInputs, mapreduce.Config{Workers: 2}, job, soloFabric{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func TestDSeqMinePeerMatchesMine(t *testing.T) {
 					local []miner.Pattern
 					m     mapreduce.Metrics
 				)
-				local, m, err = dseq.Mine(f, split, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, bx)
+				local, m, err = dseq.Mine(f, split, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{Workers: 2}, bx)
 				mu.Lock()
 				union = append(union, local...)
 				wireOut += m.ShuffleBytes

@@ -28,7 +28,7 @@ func TestDSeqRunningExample(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	got, metrics := mine(t, f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+	got, metrics := mine(t, f, db, paperex.Sigma, dseq.DefaultOptions(), mapreduce.Config{Workers: 2})
 	if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
 		t.Errorf("D-SEQ = %v, want %v", m, paperex.ExpectedFrequent())
 	}
@@ -47,7 +47,7 @@ func TestDSeqRewriteReducesShuffle(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
+	cfg := mapreduce.Config{Workers: 1}
 	withRewrite := dseq.DefaultOptions()
 	withRewrite.Aggregate = false
 	noRewrite := withRewrite
@@ -94,7 +94,7 @@ func TestDSeqRewriteKeepsTailFinalsCannotAbsorb(t *testing.T) {
 	for _, rewrite := range []bool{true, false} {
 		opts := dseq.DefaultOptions()
 		opts.Rewrite = rewrite
-		got, _ := mine(t, f, db, 2, opts, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+		got, _ := mine(t, f, db, 2, opts, mapreduce.Config{Workers: 2})
 		if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 			t.Errorf("rewrite %v: D-SEQ = %v, want %v", rewrite, m, want)
 		}
@@ -105,7 +105,7 @@ func TestDSeqOptionCombinations(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	cfg := mapreduce.Config{MapWorkers: 3, ReduceWorkers: 3}
+	cfg := mapreduce.Config{Workers: 3}
 	want := paperex.ExpectedFrequent()
 	for _, grid := range []bool{false, true} {
 		for _, rewrite := range []bool{false, true} {
@@ -150,7 +150,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 				want := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{}))
 				for _, workers := range []int{1, 4} {
 					got, _ := mine(t, f, db, sigma, dseq.DefaultOptions(),
-						mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers})
+						mapreduce.Config{Workers: workers})
 					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 						t.Fatalf("pattern %q sigma %d workers %d: D-SEQ %v != sequential %v",
 							pat, sigma, workers, m, want)
@@ -158,7 +158,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 				}
 				// Ablation variants must not change the result either.
 				minimal := dseq.Options{UseGrid: false, Rewrite: false, EarlyStopping: false, Aggregate: false}
-				got, _ := mine(t, f, db, sigma, minimal, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2})
+				got, _ := mine(t, f, db, sigma, minimal, mapreduce.Config{Workers: 2})
 				if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 					t.Fatalf("pattern %q sigma %d minimal options: %v != %v", pat, sigma, m, want)
 				}
@@ -186,7 +186,7 @@ func TestDSeqSpillEquivalence(t *testing.T) {
 	}
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 
 	want, wantMetrics := mine(t, f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	if len(want) == 0 {
@@ -224,7 +224,7 @@ func TestDSeqStreamingEquivalence(t *testing.T) {
 	}
 	f := fst.MustCompile("[.*(.)]{1,3}.*", db.Dict)
 	const sigma = 30
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	want, _ := mine(t, f, db.Sequences, sigma, dseq.DefaultOptions(), cfg)
 	if len(want) == 0 {
 		t.Fatal("reference run found no patterns; the equivalence test is vacuous")

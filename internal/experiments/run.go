@@ -86,7 +86,7 @@ func lashAlgo(c lash.Constraint) algo {
 // query's pattern expression (T1).
 func prefixSpanAlgo(maxLength int) algo {
 	return algo{"PrefixSpan", func(_ *fst.FST, db *seqdb.Database, sigma int64, cfg mapreduce.Config) ([]miner.Pattern, mapreduce.Metrics, error) {
-		opts := prefixspan.Options{MaxLength: maxLength, Workers: cfg.MapWorkers}
+		opts := prefixspan.Options{MaxLength: maxLength, Workers: cfg.Workers}
 		return prefixspan.Mine(db.Dict, db.Sequences, sigma, opts), mapreduce.Metrics{}, nil
 	}}
 }
@@ -157,7 +157,7 @@ func (s *Suite) run(a algo, q query, workers int) (*run, error) {
 		s.fsts[fk] = f
 	}
 	start := time.Now()
-	patterns, metrics, err := a.mine(f, q.db, q.sigma, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers})
+	patterns, metrics, err := a.mine(f, q.db, q.sigma, mapreduce.Config{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.name, err)
 	}

@@ -10,24 +10,20 @@ import (
 // threshold: every output set a transition can produce is pre-truncated to its
 // frequent items at construction time, so the per-transition "drop infrequent
 // outputs" filtering of the map-side kernels (pivot search, candidate
-// enumeration) costs nothing at simulation time. For frequency-sorted
-// dictionaries (every Builder-built dictionary) the truncation is a prefix cut
-// — output sets are sorted ascending and "is frequent" is one compare against
-// dict.MaxFrequentFid — so the filtered sets share the FST's backing arrays
-// and the view itself is cheap to build.
+// enumeration) costs nothing at simulation time. Fids are frequency-ordered,
+// so the truncation is a prefix cut — output sets are sorted ascending and "is
+// frequent" is one compare against dict.MaxFrequentFid — and the filtered sets
+// share the FST's backing arrays, which keeps the view cheap to build.
 //
 // A SigmaView is immutable and safe for concurrent use; obtain one with
 // FST.Sigma, which builds it once per (FST, sigma) pair and caches it.
 type SigmaView struct {
 	f     *FST
-	all   bool        // sigma <= 0: nothing is filtered
-	byFid bool        // frequency-sorted dict: frequent iff fid <= limit
-	limit dict.ItemID // largest frequent fid (byFid only)
-	sigma int64
+	limit dict.ItemID // largest frequent fid; every fid when sigma <= 0
 
 	// anc holds, per input item, the filtered ancestor set used by
 	// outAncestors transitions; nil when the FST has no such transition (or
-	// when all is set, in which case the dictionary's sets are used directly).
+	// when sigma <= 0, in which case the dictionary's sets are used directly).
 	anc [][]dict.ItemID
 	// upTo holds the filtered output sets of outUpTo transitions, indexed like
 	// FST.upTo; nil entries fall through to the unfiltered sets.
@@ -56,16 +52,12 @@ func (f *FST) Sigma(sigma int64) *SigmaView {
 }
 
 func newSigmaView(f *FST, sigma int64) *SigmaView {
-	sv := &SigmaView{f: f, sigma: sigma}
+	sv := &SigmaView{f: f, limit: ^dict.ItemID(0)}
 	if sigma <= 0 {
-		sv.all = true
 		return sv
 	}
 	d := f.dict
-	if d.FrequencySorted() {
-		sv.byFid = true
-		sv.limit = d.MaxFrequentFid(sigma)
-	}
+	sv.limit = d.MaxFrequentFid(sigma)
 	needAnc := false
 	for tr := 0; tr < len(f.outKind); tr++ {
 		switch f.outKind[tr] {
@@ -92,37 +84,15 @@ func newSigmaView(f *FST, sigma int64) *SigmaView {
 	return sv
 }
 
-// truncate filters a sorted output set down to its frequent items. For
-// frequency-sorted dictionaries this is a prefix cut sharing the input's
-// backing array; otherwise a filtered copy is built (once, at view build).
+// truncate cuts a sorted output set down to its frequent items: a prefix
+// sharing the input's backing array.
 func (sv *SigmaView) truncate(set []dict.ItemID) []dict.ItemID {
-	if set == nil {
-		return nil
-	}
-	if sv.byFid {
-		limit := sv.limit
-		cut := sort.Search(len(set), func(i int) bool { return set[i] > limit })
-		return set[:cut:cut]
-	}
-	var out []dict.ItemID
-	for _, w := range set {
-		if sv.f.dict.IsFrequent(w, sv.sigma) {
-			out = append(out, w)
-		}
-	}
-	return out
+	cut := sort.Search(len(set), func(i int) bool { return set[i] > sv.limit })
+	return set[:cut:cut]
 }
 
 // Frequent reports whether output item w survives the view's threshold.
-func (sv *SigmaView) Frequent(w dict.ItemID) bool {
-	if sv.all {
-		return true
-	}
-	if sv.byFid {
-		return w <= sv.limit
-	}
-	return sv.f.dict.IsFrequent(w, sv.sigma)
-}
+func (sv *SigmaView) Frequent(w dict.ItemID) bool { return w <= sv.limit }
 
 // OutputsFor returns the frequency-filtered output set of transition tr for
 // input item t, in one of two forms: a single output item (set == nil) or a

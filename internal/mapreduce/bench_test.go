@@ -33,7 +33,7 @@ func BenchmarkWordCount(b *testing.B) {
 	lines := benchLines(2000)
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			cfg := mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}
+			cfg := mapreduce.Config{Workers: workers}
 			for i := 0; i < b.N; i++ {
 				if _, _, err := mapreduce.Run(lines, cfg, wordCountJob(), nil); err != nil {
 					b.Fatal(err)
@@ -65,7 +65,7 @@ func BenchmarkCombine(b *testing.B) {
 		}
 		lines[i] = strings.Join(parts, " ")
 	}
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	b.Run("with-combiner", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

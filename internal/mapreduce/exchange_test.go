@@ -61,11 +61,11 @@ func runAlone(t testing.TB, inputs []string, cfg Config, job Job[string, string,
 
 func TestRunExchangeMultiPeerLoopback(t *testing.T) {
 	job := spillWordCountJob()
-	want, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, wordCountInputs, Config{Workers: 2}, job)
 	sort.Strings(want)
 
 	got, _, errs := runGroup(job, newMemFabric(3), splitInputs(wordCountInputs, 3), func(int) Config {
-		return Config{MapWorkers: 2, ReduceWorkers: 2}
+		return Config{Workers: 2}
 	})
 	for p, err := range errs {
 		if err != nil {
@@ -95,7 +95,7 @@ func TestRunPeersRequireCodec(t *testing.T) {
 	if _, _, err := Run(wordCountInputs, Config{}, job, newMemFabric(2)[0]); !errors.Is(err, errShuffleNeedsCodec) {
 		t.Fatalf("codec-less multi-peer run: err = %v, want %v", err, errShuffleNeedsCodec)
 	}
-	got, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	got, _ := runAlone(t, wordCountInputs, Config{Workers: 2}, job)
 	sort.Strings(got)
 	if want := wantOutput(job, wordCountInputs); !reflect.DeepEqual(got, want) {
 		t.Errorf("codec-less run alone = %v, want %v", got, want)
@@ -196,12 +196,12 @@ func testCodec() FrameCodec[string, int] {
 // the fabric counted as written, and RemoteShuffle says so.
 func TestRunExchangeOverFrameFabric(t *testing.T) {
 	job := spillWordCountJob()
-	want, _ := runAlone(t, wordCountInputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, wordCountInputs, Config{Workers: 2}, job)
 	sort.Strings(want)
 
 	group := newMemFabric(3)
 	got, metrics, errs := runGroup(job, group, splitInputs(wordCountInputs, len(group)), func(int) Config {
-		return Config{MapWorkers: 2, ReduceWorkers: 2}
+		return Config{Workers: 2}
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("frame-fabric output differs:\n got %v\nwant %v", got, want)
@@ -259,7 +259,7 @@ func TestSentFramesAreEncodedBatches(t *testing.T) {
 			group[p] = recorders[p]
 		}
 		_, _, errs := runGroup(job, group, splits, func(int) Config {
-			return Config{MapWorkers: workers, ReduceWorkers: 2}
+			return Config{Workers: workers}
 		})
 		for p, split := range splits {
 			if errs[p] != nil {
@@ -374,7 +374,7 @@ func TestRunRejectsCorruptRuns(t *testing.T) {
 				dirs[p] = t.TempDir()
 			}
 			_, _, errs := runGroup(job, group, splitInputs(inputs, 3), func(p int) Config {
-				return Config{MapWorkers: 2, ReduceWorkers: 2,
+				return Config{Workers: 2,
 					Shuffle: ShuffleConfig{SpillThreshold: 64, SendBufferBytes: 128, SpillTmpDir: dirs[p]}}
 			})
 			if errs[0] == nil || !strings.Contains(errs[0].Error(), "received run") {

@@ -21,7 +21,7 @@ func lendingCases(t *testing.T) []struct {
 	cfg   Config
 } {
 	spill := func() Config {
-		return Config{MapWorkers: 2, ReduceWorkers: 2,
+		return Config{Workers: 2,
 			Shuffle: ShuffleConfig{SpillThreshold: 256, SendBufferBytes: 64, SpillTmpDir: t.TempDir()}}
 	}
 	return []struct {
@@ -29,9 +29,9 @@ func lendingCases(t *testing.T) []struct {
 		peers int
 		cfg   Config
 	}{
-		{"alone/walk", 1, Config{MapWorkers: 2, ReduceWorkers: 2}},
+		{"alone/walk", 1, Config{Workers: 2}},
 		{"alone/merge", 1, spill()},
-		{"peers/walk", 3, Config{MapWorkers: 2, ReduceWorkers: 2}},
+		{"peers/walk", 3, Config{Workers: 2}},
 		{"peers/merge", 3, spill()},
 	}
 }
@@ -149,7 +149,7 @@ func TestSpillMergeReduceAllocations(t *testing.T) {
 		Reduce: func(_ int, vs []int, _ func(int)) { reduced.Add(int64(len(vs))) },
 		Codec:  &codec,
 	}
-	cfg := Config{MapWorkers: 1, ReduceWorkers: 2,
+	cfg := Config{Workers: 2,
 		Shuffle: ShuffleConfig{SpillThreshold: 1 << 40, SpillTmpDir: t.TempDir()}}.normalized()
 	allocs := func(groups, perGroup int) float64 {
 		values := make([]int, perGroup)
@@ -228,7 +228,7 @@ func TestSendPathFlushAllocations(t *testing.T) {
 		SizeOf: func(int, int) int { return 1 },
 		Codec:  &codec,
 	}
-	cfg := Config{MapWorkers: 1, Shuffle: ShuffleConfig{SendBufferBytes: keys * perKey}}.normalized()
+	cfg := Config{Workers: 1, Shuffle: ShuffleConfig{SendBufferBytes: keys * perKey}}.normalized()
 	acc := newShuffleAccumulator(cfg.Context, cfg.Shuffle, nil, &codec, nil)
 	defer acc.release()
 	sp := newSendPath(cfg, job, acc, nil)

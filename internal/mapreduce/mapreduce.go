@@ -25,10 +25,9 @@ import (
 // Config controls the parallelism of a job. The zero value uses one worker
 // per available CPU for both stages and keeps the shuffle in memory.
 type Config struct {
-	// MapWorkers is the number of concurrent map tasks ("executor cores").
-	MapWorkers int
-	// ReduceWorkers is the number of concurrent reduce tasks.
-	ReduceWorkers int
+	// Workers is the number of concurrent map tasks ("executor cores") and,
+	// after the barrier, of concurrent reduce tasks.
+	Workers int
 	// Shuffle bounds the memory of the shuffle: past Shuffle.SpillThreshold
 	// buffered bytes, partitions spill to sorted temp-file segments that the
 	// reduce phase merge-streams (receive side), and with
@@ -62,11 +61,8 @@ type Config struct {
 }
 
 func (c Config) normalized() Config {
-	if c.MapWorkers <= 0 {
-		c.MapWorkers = runtime.NumCPU()
-	}
-	if c.ReduceWorkers <= 0 {
-		c.ReduceWorkers = runtime.NumCPU()
+	if c.Workers <= 0 {
+		c.Workers = runtime.NumCPU()
 	}
 	if c.Context == nil {
 		c.Context = context.Background()
@@ -142,7 +138,7 @@ type Job[I any, K comparable, V any, O any] struct {
 	Reduce func(key K, values []V, emit func(O))
 	// Hash assigns keys to peers: with more than one peer, a key belongs to
 	// peer Hash(key) modulo the peer count, and Hash is then required. A
-	// single process never calls it — its ReduceWorkers all take groups from
+	// single process never calls it — its reduce workers all take groups from
 	// one queue, whatever the key.
 	Hash func(K) uint64
 	// SizeOf estimates the serialized size of one key/value pair in bytes for
@@ -257,9 +253,9 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 	npeers := len(sp.dests)
 
 	mapStart := time.Now()
-	emitted := make([]int64, cfg.MapWorkers)
+	emitted := make([]int64, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.MapWorkers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -273,7 +269,7 @@ func runMapShuffle[I any, K comparable, V any, O any](inputs []I, cfg Config, jo
 				}
 				sp.add(&bufs[dst], dst, k, v)
 			}
-			for i := w; i < len(inputs) && ctx.Err() == nil; i += cfg.MapWorkers {
+			for i := w; i < len(inputs) && ctx.Err() == nil; i += cfg.Workers {
 				job.Map(inputs[i], emit)
 			}
 			emitted[w] = n
@@ -338,7 +334,7 @@ func peersOf(bx ByteExchange) (self, npeers int) {
 // consistently across the peers.
 var errPeersNeedHash = errors.New("mapreduce: multi-peer jobs require a Hash function")
 
-// reduce runs the one reduce loop: cfg.ReduceWorkers goroutines pull key
+// reduce runs the one reduce loop: cfg.Workers goroutines pull key
 // groups from the accumulator's k-way merge over the spill segments and the
 // final in-memory runs through a bounded channel, so a heavy partition
 // occupies one worker while the others keep pulling, and a peer that spilled
@@ -353,10 +349,10 @@ func reduce[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V, O], 
 		values  []V
 		release func()
 	}
-	groups := make(chan lentGroup, cfg.ReduceWorkers)
-	outs := make([][]O, cfg.ReduceWorkers)
+	groups := make(chan lentGroup, cfg.Workers)
+	outs := make([][]O, cfg.Workers)
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.ReduceWorkers; w++ {
+	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

@@ -57,7 +57,7 @@ func TestWordCount(t *testing.T) {
 		"the quick dog",
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
-		out, metrics := runAlone(t, lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
+		out, metrics := runAlone(t, lines, mapreduce.Config{Workers: workers}, wordCountJob())
 		got := map[string]string{}
 		for _, kv := range out {
 			got[kv[0]] = kv[1]
@@ -90,7 +90,7 @@ func TestCombinerReducesShuffle(t *testing.T) {
 	for i := range lines {
 		lines[i] = "alpha beta"
 	}
-	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
+	cfg := mapreduce.Config{Workers: 1}
 	_, with := runAlone(t, lines, cfg, wordCountJob())
 	job := wordCountJob()
 	job.Combine = nil
@@ -110,7 +110,7 @@ func TestNilHashAndSize(t *testing.T) {
 	job := wordCountJob()
 	job.Hash = nil
 	job.SizeOf = nil
-	out, metrics := runAlone(t, []string{"a b a"}, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 4}, job)
+	out, metrics := runAlone(t, []string{"a b a"}, mapreduce.Config{Workers: 2}, job)
 	if len(out) != 2 {
 		t.Errorf("expected 2 outputs, got %v", out)
 	}
@@ -143,10 +143,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 			lines[i] = strings.Join(parts, " ")
 		}
-		ref, _ := runAlone(t, lines, mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}, wordCountJob())
+		ref, _ := runAlone(t, lines, mapreduce.Config{Workers: 1}, wordCountJob())
 		refSorted := renderKV(ref)
 		for _, workers := range []int{2, 3, 8} {
-			got, _ := runAlone(t, lines, mapreduce.Config{MapWorkers: workers, ReduceWorkers: workers}, wordCountJob())
+			got, _ := runAlone(t, lines, mapreduce.Config{Workers: workers}, wordCountJob())
 			if !reflect.DeepEqual(renderKV(got), refSorted) {
 				t.Fatalf("trial %d workers %d: %v != %v", trial, workers, renderKV(got), refSorted)
 			}

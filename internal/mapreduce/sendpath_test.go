@@ -113,7 +113,7 @@ func TestSendPathMatchesOracle(t *testing.T) {
 		for _, buffer := range []int64{-1, 0, 3, 64, 512, 1 << 20} {
 			for _, threshold := range []int64{0, 300} {
 				name := fmt.Sprintf("workers=%d buffer=%d threshold=%d", workers, buffer, threshold)
-				cfg := Config{MapWorkers: workers, ReduceWorkers: workers,
+				cfg := Config{Workers: workers,
 					Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillThreshold: threshold, SpillTmpDir: t.TempDir()}}
 				got, metrics := runAlone(t, inputs, cfg, job)
 				sort.Strings(got)
@@ -174,7 +174,7 @@ func TestReduceCancel(t *testing.T) {
 				}
 			}
 			dir := t.TempDir()
-			cfg := Config{MapWorkers: 2, ReduceWorkers: 2, Context: ctx,
+			cfg := Config{Workers: 2, Context: ctx,
 				Shuffle: ShuffleConfig{SpillThreshold: threshold, SpillTmpDir: dir}}
 			out, metrics, err := Run(inputs, cfg, job, nil)
 			if !errors.Is(err, context.Canceled) || out != nil {
@@ -224,7 +224,7 @@ func TestMetricsContract(t *testing.T) {
 				}
 				remote := group[0] != nil
 				out, metrics, errs := runGroup(job, group, splits, func(int) Config {
-					return Config{MapWorkers: workers, ReduceWorkers: workers, Shuffle: sc}
+					return Config{Workers: workers, Shuffle: sc}
 				})
 				for p, err := range errs {
 					if err != nil {
@@ -369,7 +369,7 @@ func TestSendPathLeavesNoGoroutines(t *testing.T) {
 					}()
 				}
 				_, _, errs := runGroup(j, group, splitInputs(inputs, 2), func(p int) Config {
-					cfg := Config{MapWorkers: workers, ReduceWorkers: 2,
+					cfg := Config{Workers: workers,
 						Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
 					if p == 0 {
 						cfg.Context = ctx
@@ -425,7 +425,7 @@ func TestBlockedHandOffObservesCancel(t *testing.T) {
 			defer cancel()
 			gate := make(chan struct{})
 			ex := &gatedExchange{ByteExchange: newMemFabric(2)[0], gate: gate}
-			cfg := Config{MapWorkers: 6, Context: ctx, Shuffle: ShuffleConfig{SendBufferBytes: buffer}}
+			cfg := Config{Workers: 6, Context: ctx, Shuffle: ShuffleConfig{SendBufferBytes: buffer}}
 			sp := newSendPath(cfg, job, newShuffleAccumulator(ctx, cfg.Shuffle, nil, job.Codec, job.SizeOf), ex)
 			done := make(chan error, 1)
 			go func() {

@@ -58,7 +58,7 @@ func (c ShuffleConfig) Streaming() bool { return c.SendBufferBytes > 0 }
 
 const (
 	// maxSpillFrame bounds one run record on read-back (corruption guard).
-	// It matches the TCP transport's default MaxFrame: a record too large to
+	// It matches the TCP transport's frame bound: a record too large to
 	// spill would not fit the wire shuffle either. The run writer enforces it
 	// up front — a single encoded record near this size is rejected with a
 	// clear error instead of producing an unreadable run.

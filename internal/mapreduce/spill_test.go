@@ -40,7 +40,7 @@ func spillInputs(lines int) []string {
 
 func TestRunSpillEquivalence(t *testing.T) {
 	inputs := spillInputs(300)
-	cfg := Config{MapWorkers: 3, ReduceWorkers: 3}
+	cfg := Config{Workers: 3}
 	want, wantMetrics := runAlone(t, inputs, cfg, spillWordCountJob())
 	sort.Strings(want)
 	if wantMetrics.SpilledBytes != 0 || wantMetrics.SpillCount != 0 {
@@ -74,11 +74,11 @@ func TestRunSpillEquivalence(t *testing.T) {
 func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 	inputs := spillInputs(200)
 	job := spillWordCountJob()
-	want, _ := runAlone(t, inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, inputs, Config{Workers: 2}, job)
 	sort.Strings(want)
 
 	out, metrics, errs := runGroup(job, newMemFabric(3), splitInputs(inputs, 3), func(int) Config {
-		return Config{MapWorkers: 2, ReduceWorkers: 2,
+		return Config{Workers: 2,
 			Shuffle: ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir()}}
 	})
 	var spilled int64
@@ -102,7 +102,7 @@ func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 // fixture.
 func TestSpillCompression(t *testing.T) {
 	inputs := spillInputs(300)
-	cfg := Config{MapWorkers: 3, ReduceWorkers: 3}
+	cfg := Config{Workers: 3}
 	want, _ := runAlone(t, inputs, cfg, spillWordCountJob())
 	sort.Strings(want)
 
@@ -147,7 +147,7 @@ func TestSpillSingleHotKey(t *testing.T) {
 		lines = append(lines, "hot")
 	}
 	job.Combine = nil // keep every record so the hot key has 4000 values
-	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
+	cfg := Config{Workers: 2,
 		Shuffle: ShuffleConfig{SpillThreshold: 128, SpillTmpDir: t.TempDir()}}
 	out, metrics := runAlone(t, lines, cfg, job)
 	if len(out) != 1 || out[0] != "hot=4000" {
@@ -346,10 +346,10 @@ func TestSpillPreservesEmptyValueKeys(t *testing.T) {
 		emit(fmt.Sprintf("%s/%d", k, len(vs)))
 	}
 	inputs := spillInputs(200)
-	want, _ := runAlone(t, inputs, Config{MapWorkers: 2, ReduceWorkers: 2}, job)
+	want, _ := runAlone(t, inputs, Config{Workers: 2}, job)
 	sort.Strings(want)
 
-	cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
+	cfg := Config{Workers: 2,
 		Shuffle: ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
 	got, metrics := runAlone(t, inputs, cfg, job)
 	sort.Strings(got)

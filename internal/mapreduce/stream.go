@@ -149,14 +149,14 @@ func newSendPath[I any, K comparable, V any, O any](cfg Config, job Job[I, K, V,
 	self, npeers := peersOf(bx)
 	s := &sendPath[K, V]{
 		bounded: cfg.Shuffle.Streaming(),
-		share:   cfg.Shuffle.SendBufferBytes / int64(cfg.MapWorkers),
+		share:   cfg.Shuffle.SendBufferBytes / int64(cfg.Workers),
 		combine: job.Combine,
 		sizeOf:  job.SizeOf,
 		wire:    bx != nil,
 		self:    self,
 		acc:     acc,
 		dests:   make([]*destSendState[K, V], npeers),
-		bufs:    make([][]sendBuffer[K, V], cfg.MapWorkers),
+		bufs:    make([][]sendBuffer[K, V], cfg.Workers),
 		ctx:     cfg.Context,
 		runs:    poolOf[sendRun[K, V]](),
 		occHist: cfg.Obs.Histogram("seqmine_send_buffer_occupancy_bytes",

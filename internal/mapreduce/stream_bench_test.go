@@ -133,7 +133,7 @@ func runOverlapJob(b *testing.B, jobID string, sc ShuffleConfig) {
 			// One map worker: the contrast under test is whether the shuffle
 			// (sender, remote accumulate) can use the remaining cores while
 			// the map core is busy.
-			cfg := Config{MapWorkers: 1, ReduceWorkers: 2, Shuffle: sc}
+			cfg := Config{Workers: 1, Shuffle: sc}
 			out, _, err := Run(inputs, cfg, job, bx)
 			errs[p] = err
 			counts[p] = len(out)
@@ -156,7 +156,7 @@ func runOverlapJob(b *testing.B, jobID string, sc ShuffleConfig) {
 // shuffle under map-worker parallelism: many map workers emitting tiny
 // records toward two destinations. Before the send buffers were sharded per
 // map worker, every emit to one destination serialized on a single mutex, so
-// this benchmark scaled inversely with MapWorkers; with per-worker shards the
+// this benchmark scaled inversely with Workers; with per-worker shards the
 // emits are contention-free and only flush handoffs synchronize.
 func BenchmarkStreamEmitContention(b *testing.B) {
 	codec := overlapCodec()
@@ -178,7 +178,7 @@ func BenchmarkStreamEmitContention(b *testing.B) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := Config{MapWorkers: workers, ReduceWorkers: 2,
+			cfg := Config{Workers: workers,
 				Shuffle: ShuffleConfig{SendBufferBytes: 32 << 10, SpillTmpDir: b.TempDir()}}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

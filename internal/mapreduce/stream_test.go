@@ -16,7 +16,7 @@ import (
 // tiny send buffer so even the small word-count inputs flush many times.
 func streamingConfig(t *testing.T, sendBuffer int64) Config {
 	t.Helper()
-	return Config{MapWorkers: 3, ReduceWorkers: 3,
+	return Config{Workers: 3,
 		Shuffle: ShuffleConfig{SendBufferBytes: sendBuffer, SpillTmpDir: t.TempDir()}}
 }
 
@@ -73,7 +73,7 @@ func TestStreamingMultiPeerLoopback(t *testing.T) {
 	want := wantOutput(job, inputs)
 
 	out, metrics, errs := runGroup(job, newMemFabric(3), splitInputs(inputs, 3), func(int) Config {
-		return Config{MapWorkers: 2, ReduceWorkers: 2,
+		return Config{Workers: 2,
 			Shuffle: ShuffleConfig{SendBufferBytes: 256, SpillTmpDir: t.TempDir()}}
 	})
 	var streamed int64
@@ -106,7 +106,7 @@ func TestStreamingWithSpillAndCompression(t *testing.T) {
 		sc := base
 		sc.CompressSpill = compress
 		sc.SpillTmpDir = t.TempDir()
-		cfg := Config{MapWorkers: 3, ReduceWorkers: 3, Shuffle: sc}
+		cfg := Config{Workers: 3, Shuffle: sc}
 		got, metrics := runAlone(t, inputs, cfg, job)
 		sort.Strings(got)
 		if !reflect.DeepEqual(got, want) {
@@ -170,7 +170,7 @@ func TestStreamingBackpressureBlocks(t *testing.T) {
 	// fill every queue, then let the senders drain.
 	time.AfterFunc(400*time.Millisecond, func() { close(gate) })
 	out, metrics, errs := runGroup(job, group, splitInputs(inputs, 2), func(p int) Config {
-		return Config{MapWorkers: workers, ReduceWorkers: 2,
+		return Config{Workers: workers,
 			Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: dirs[p]}}
 	})
 	for p := range group {
@@ -285,7 +285,7 @@ func TestRunExchangeCancel(t *testing.T) {
 				// Peer 0 maps everything and is canceled; peer 1 only reduces.
 				_, metrics, errs = runGroup(canceling, newMemFabric(2), [][]string{inputs, nil},
 					func(p int) Config {
-						cfg := Config{MapWorkers: 2, ReduceWorkers: 2,
+						cfg := Config{Workers: 2,
 							Shuffle: ShuffleConfig{SendBufferBytes: buffer, SpillTmpDir: t.TempDir()}}
 						if p == 0 {
 							cfg.Context = ctx
@@ -333,7 +333,7 @@ func TestStreamEmitShardedByWorker(t *testing.T) {
 	const bufCap = 1 << 10
 	max := probeMaxOccupancy(t)
 
-	cfg := Config{MapWorkers: 8, ReduceWorkers: 2,
+	cfg := Config{Workers: 8,
 		Shuffle: ShuffleConfig{SendBufferBytes: bufCap, SpillTmpDir: t.TempDir()}}
 	got, metrics := runAlone(t, inputs, cfg, job)
 	sort.Strings(got)

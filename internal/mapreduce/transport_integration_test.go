@@ -87,7 +87,7 @@ func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 				return
 			}
 			defer bx.Close()
-			local, _, err := mapreduce.Run(inputs, mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}, job, bx)
+			local, _, err := mapreduce.Run(inputs, mapreduce.Config{Workers: 2}, job, bx)
 			mu.Lock()
 			out = append(out, local...)
 			if err != nil {
@@ -111,13 +111,14 @@ func TestRunExchangeManyKeysOverTransport(t *testing.T) {
 	}
 }
 
-// TestRunExchangeSkewedOwnershipSpills pins every key on peer 0 and gives the
-// transport a one-frame inbox, the pathological shape that used to require an
-// unbounded self-delivery queue (the PR 2 workaround): peer 0 receives its
-// own data plus everything the other peers send, with no room to buffer
-// inbound frames. With the spill buffer bounding self-delivery instead, the
-// job must complete — without deadlocking and with peer 0's memory bounded by
-// the spill threshold — and produce the same groups as an in-memory run.
+// TestRunExchangeSkewedOwnershipSpills pins every key on peer 0 and streams
+// the shuffle one record per frame, so the other peers send peer 0 several
+// times more frames than the transport's inbox holds: the pathological shape
+// that used to require an unbounded self-delivery queue.
+// Peer 0 receives its own data plus everything the other peers send, with its
+// inbox full. With the spill buffer bounding self-delivery instead, the job
+// must complete — without deadlocking and with peer 0's memory bounded by the
+// spill threshold — and produce the same groups as an in-memory run.
 func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 	const (
 		npeers = 3
@@ -126,7 +127,7 @@ func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 	nodes := make([]*transport.Node, npeers)
 	addrs := make([]string, npeers)
 	for i := range nodes {
-		node, err := transport.NewNode("127.0.0.1:0", transport.Config{InboxFrames: 1})
+		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
@@ -187,8 +188,8 @@ func TestRunExchangeSkewedOwnershipSpills(t *testing.T) {
 				return
 			}
 			defer bx.Close()
-			cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
-				Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 256, SpillTmpDir: t.TempDir()}}
+			cfg := mapreduce.Config{Workers: 2, Shuffle: mapreduce.ShuffleConfig{
+				SpillThreshold: 256, SendBufferBytes: 8, SpillTmpDir: t.TempDir()}}
 			local, metrics, err := mapreduce.Run(inputs, cfg, job, bx)
 			mu.Lock()
 			out = append(out, local...)

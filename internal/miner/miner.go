@@ -323,14 +323,11 @@ func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) d
 	if n := f.NumStates(); n > 1 {
 		m.stateBits = uint(bits.Len(uint(n - 1)))
 	}
-	// When fids are frequency-ordered (always true for built dictionaries),
-	// the frequent-item and pivot checks collapse into one integer compare.
-	if d.FrequencySorted() {
-		m.useLimit = true
-		m.limit = d.MaxFrequentFid(sigma)
-		if opts.Pivot != dict.None && opts.Pivot < m.limit {
-			m.limit = opts.Pivot
-		}
+	// Fids are frequency-ordered, so the frequent-item and pivot checks
+	// collapse into one integer compare.
+	m.limit = d.MaxFrequentFid(sigma)
+	if opts.Pivot != dict.None && opts.Pivot < m.limit {
+		m.limit = opts.Pivot
 	}
 	if opts.Context != nil {
 		m.done = opts.Context.Done()
@@ -488,9 +485,7 @@ func (p *Prepared) Bytes() int64 { return p.bytes }
 func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *SplitStats) []Pattern {
 	m := p.m
 	m.sigma, m.done = sigma, ctx.Done()
-	if m.useLimit {
-		m.limit = m.dict.MaxFrequentFid(sigma)
-	}
+	m.limit = m.dict.MaxFrequentFid(sigma)
 	workers = max(1, min(workers, len(m.db)))
 	sh := sharedPool.Get().(*dfsShared)
 	sh.miners = slices.Grow(sh.miners[:0], workers)[:workers]
@@ -644,8 +639,7 @@ type dfsMiner struct {
 	earlyStop bool        // the rows hold live (opts.EarlyStopping under a pivot)
 	stateBits uint        // cell = pos<<stateBits | state
 	limit     dict.ItemID // expansion items must be <= limit (frequency ∧ pivot)
-	useLimit  bool
-	sh        *dfsState // arena and cache
+	sh        *dfsState   // arena and cache
 
 	lo, hi int // the sequence range this worker sets up
 	base   int // where the range's matrices start in the arena
@@ -874,13 +868,7 @@ func (m *dfsMiner) reaches(n *node) bool {
 }
 
 // expandable reports whether output item w may grow the prefix.
-func (m *dfsMiner) expandable(w dict.ItemID) bool {
-	if m.useLimit {
-		return w <= m.limit
-	}
-	return m.dict.IsFrequent(w, m.sigma) &&
-		(m.opts.Pivot == dict.None || w <= m.opts.Pivot)
-}
+func (m *dfsMiner) expandable(w dict.ItemID) bool { return w <= m.limit }
 
 // markSnap records a simulation cell as visited for the current sequence and
 // reports whether it was new.

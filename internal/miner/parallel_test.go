@@ -225,28 +225,16 @@ func TestParallelEdgeInputs(t *testing.T) {
 		checkPrepared(t, c.name, fst.MustCompile(c.expr, d), c.db, []int64{c.sigma, 1, 2, 100})
 	}
 
-	// A dictionary whose fids are not frequency-ordered: the miners test items
-	// against sigma one by one, the Prepared's root scan against sigma 1.
+	// A dictionary whose fids are not frequency-ordered never reaches a miner:
+	// the miners compare fids against MaxFrequentFid, and Load refuses one.
 	var saved bytes.Buffer
 	if err := d.Save(&saved); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(saved.String()), "\n")
 	slices.Reverse(lines)
-	unsorted, err := dict.Load(strings.NewReader(strings.Join(lines, "\n")))
-	if err != nil || unsorted.FrequencySorted() {
-		t.Fatalf("reversed dictionary: err %v, frequency-sorted %v", err, err == nil && unsorted.FrequencySorted())
-	}
-	redb := make([][]dict.ItemID, len(db))
-	for i, T := range db {
-		if redb[i], err = unsorted.EncodeSequence(d.DecodeSequence(T)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, expr := range []string{paperex.PatternExpression, "[.*(.)]{1,3}.*"} {
-		if checkPrepared(t, "unsorted dictionary "+expr, fst.MustCompile(expr, unsorted), redb, []int64{1, 2, 3, 100}) == 0 {
-			t.Errorf("unsorted dictionary %s: no patterns", expr)
-		}
+	if _, err := dict.Load(strings.NewReader(strings.Join(lines, "\n"))); err == nil {
+		t.Error("Load accepted the reversed dictionary, whose frequencies rise with fid")
 	}
 
 	// The bound: one generated case keeps triples, one pairs.

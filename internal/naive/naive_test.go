@@ -45,7 +45,7 @@ func TestNaiveRunningExample(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2}
+	cfg := mapreduce.Config{Workers: 2}
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
 		got, metrics := mine(t, f, db, paperex.Sigma, variant, cfg)
 		if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, paperex.ExpectedFrequent()) {
@@ -61,7 +61,7 @@ func TestSemiNaiveShufflesLess(t *testing.T) {
 	d := paperex.Dict()
 	f := fst.MustCompile(paperex.PatternExpression, d)
 	db := paperex.DB(d)
-	cfg := mapreduce.Config{MapWorkers: 1, ReduceWorkers: 1}
+	cfg := mapreduce.Config{Workers: 1}
 	_, naiveMetrics := mine(t, f, db, paperex.Sigma, naive.Naive, cfg)
 	_, semiMetrics := mine(t, f, db, paperex.Sigma, naive.SemiNaive, cfg)
 	// T2 and T4 generate candidates with infrequent items which SEMI-NAIVE
@@ -88,7 +88,7 @@ func TestVariantString(t *testing.T) {
 func TestNaiveMatchesSequential(t *testing.T) {
 	patterns := []string{paperex.PatternExpression, "[.*(.)]{1,3}.*"}
 	rng := rand.New(rand.NewSource(13))
-	cfg := mapreduce.Config{MapWorkers: 4, ReduceWorkers: 4}
+	cfg := mapreduce.Config{Workers: 4}
 	for _, pat := range patterns {
 		for trial := 0; trial < 4; trial++ {
 			d, db := paperex.RandomDatabase(rng, 20, 6)
@@ -116,7 +116,7 @@ func TestNaiveStreamingEquivalence(t *testing.T) {
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
 		want, _ := mine(t, f, db, paperex.Sigma, variant, mapreduce.Config{})
-		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+		cfg := mapreduce.Config{Workers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SendBufferBytes: 32, SpillTmpDir: t.TempDir()}}
 		got, metrics, err := naive.Mine(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {
@@ -139,7 +139,7 @@ func TestNaiveSpillEquivalence(t *testing.T) {
 	db := paperex.DB(d)
 	for _, variant := range []naive.Variant{naive.Naive, naive.SemiNaive} {
 		want, _ := mine(t, f, db, paperex.Sigma, variant, mapreduce.Config{})
-		cfg := mapreduce.Config{MapWorkers: 2, ReduceWorkers: 2,
+		cfg := mapreduce.Config{Workers: 2,
 			Shuffle: mapreduce.ShuffleConfig{SpillThreshold: 1, SpillTmpDir: t.TempDir()}}
 		got, metrics, err := naive.Mine(f, db, paperex.Sigma, variant, cfg)
 		if err != nil {

@@ -61,27 +61,17 @@ func (l Level) String() string {
 type Logger struct {
 	mu    sync.Mutex
 	w     io.Writer
-	level atomic.Int32
+	level Level
 }
 
 // NewLogger builds a logger writing to w at the given level.
 func NewLogger(w io.Writer, level Level) *Logger {
-	l := &Logger{w: w}
-	l.level.Store(int32(level))
-	return l
-}
-
-// SetLevel adjusts the logger's level at runtime. Safe on nil.
-func (l *Logger) SetLevel(level Level) {
-	if l == nil {
-		return
-	}
-	l.level.Store(int32(level))
+	return &Logger{w: w, level: level}
 }
 
 // Enabled reports whether lines at level would be written. Safe on nil.
 func (l *Logger) Enabled(level Level) bool {
-	return l != nil && level >= Level(l.level.Load()) && level < LevelOff
+	return l != nil && level >= l.level && level < LevelOff
 }
 
 // Debug logs at debug level. Safe on nil.

@@ -381,15 +381,13 @@ func TestLoggerLevelsAndFormat(t *testing.T) {
 		!strings.Contains(lines[0], `state="now dead"`) {
 		t.Fatalf("bad line format: %s", lines[0])
 	}
-	l.SetLevel(LevelOff)
-	l.Error("dropped")
-	if strings.Contains(buf.String(), "dropped") {
+
+	if NewLogger(&buf, LevelOff).Enabled(LevelError) {
 		t.Fatalf("LevelOff still logs")
 	}
 
 	var nilLogger *Logger
 	nilLogger.Info("safe")
-	nilLogger.SetLevel(LevelDebug)
 	if nilLogger.Enabled(LevelError) {
 		t.Fatalf("nil logger claims enabled")
 	}

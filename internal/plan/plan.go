@@ -91,7 +91,7 @@ type Plan struct {
 // workers (0 = all CPUs) and the plan's shuffle bounds, cancelled by ctx and
 // reporting into reg.
 func (p Plan) Engine(ctx context.Context, reg *obs.Registry) mapreduce.Config {
-	return mapreduce.Config{MapWorkers: p.Workers, ReduceWorkers: p.Workers, Shuffle: p.ShuffleConfig, Context: ctx, Obs: reg}
+	return mapreduce.Config{Workers: p.Workers, Shuffle: p.ShuffleConfig, Context: ctx, Obs: reg}
 }
 
 // Merge returns k with every unset knob taken from the defaults d. It is the

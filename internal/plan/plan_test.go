@@ -112,7 +112,7 @@ func TestEngine(t *testing.T) {
 	p := Plan{Workers: 3, Knobs: knobs(4096, 256, 1)}
 	ctx := context.Background()
 	cfg := p.Engine(ctx, nil)
-	if cfg.MapWorkers != 3 || cfg.ReduceWorkers != 3 || cfg.Shuffle != p.ShuffleConfig || cfg.Context != ctx {
+	if cfg.Workers != 3 || cfg.Shuffle != p.ShuffleConfig || cfg.Context != ctx {
 		t.Errorf("Engine = %+v, want 3 map and reduce workers and the plan's shuffle bounds", cfg)
 	}
 }

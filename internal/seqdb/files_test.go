@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"seqmine/internal/dict"
 	"seqmine/internal/paperex"
 	"seqmine/internal/seqdb"
 )
@@ -57,32 +56,5 @@ func TestReadFiles(t *testing.T) {
 	}
 	if _, err := seqdb.ReadFiles(seqPath, filepath.Join(t.TempDir(), "absent.txt")); err == nil {
 		t.Fatal("missing hierarchy file accepted")
-	}
-}
-
-func TestCompact(t *testing.T) {
-	seqs := [][]dict.ItemID{{1, 2, 3}, nil, {4}, {5, 6}}
-	out := seqdb.Compact(seqs)
-	if len(out) != len(seqs) {
-		t.Fatalf("len = %d, want %d", len(out), len(seqs))
-	}
-	for i := range seqs {
-		if len(out[i]) != len(seqs[i]) {
-			t.Fatalf("sequence %d: len %d, want %d", i, len(out[i]), len(seqs[i]))
-		}
-		for j := range seqs[i] {
-			if out[i][j] != seqs[i][j] {
-				t.Fatalf("sequence %d item %d = %d, want %d", i, j, out[i][j], seqs[i][j])
-			}
-		}
-	}
-	// Sub-slices are capacity-capped so appends cannot clobber a neighbor.
-	if cap(out[0]) != len(out[0]) {
-		t.Fatalf("sub-slice capacity %d leaks past its end (len %d)", cap(out[0]), len(out[0]))
-	}
-	// The output is a copy: mutating the input must not change it.
-	seqs[0][0] = 99
-	if out[0][0] != 1 {
-		t.Fatal("Compact aliases its input")
 	}
 }

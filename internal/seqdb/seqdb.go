@@ -62,24 +62,6 @@ func Build(raw [][]string, hierarchy Hierarchy) (*Database, error) {
 	return db, nil
 }
 
-// Compact re-lays arbitrary sequences into one contiguous backing array,
-// returning sub-slices of it. Useful to restore scan locality after a
-// database was assembled sequence by sequence (e.g. decoded from the wire).
-func Compact(seqs [][]dict.ItemID) [][]dict.ItemID {
-	total := 0
-	for _, s := range seqs {
-		total += len(s)
-	}
-	backing := make([]dict.ItemID, 0, total)
-	out := make([][]dict.ItemID, len(seqs))
-	for i, s := range seqs {
-		start := len(backing)
-		backing = append(backing, s...)
-		out[i] = backing[start:len(backing):len(backing)]
-	}
-	return out
-}
-
 // NumSequences returns the number of input sequences.
 func (db *Database) NumSequences() int { return len(db.Sequences) }
 

@@ -39,7 +39,7 @@ type datasetEntry struct {
 // Release exactly once when done.
 type Dataset struct {
 	Name string
-	// Gen is the registration generation, unique per Register call. It keys
+	// Gen is the registration generation, unique per RegisterOwned call. It keys
 	// compiled-pattern cache entries so that replacing a dataset under the
 	// same name cannot serve stale FSTs.
 	Gen uint64
@@ -72,14 +72,9 @@ func NewRegistry() *Registry {
 	return &Registry{entries: make(map[string]*datasetEntry)}
 }
 
-// Register adds (or replaces) a database under the given name and returns its
+// RegisterOwned adds (or replaces) a database under the given name, records
+// its owning tenant for quota accounting and deletion policy, and returns its
 // generation number.
-func (r *Registry) Register(name string, db *seqdb.Database) (uint64, error) {
-	return r.RegisterOwned(name, db, "")
-}
-
-// RegisterOwned is Register with an owning tenant recorded for quota
-// accounting and deletion policy.
 func (r *Registry) RegisterOwned(name string, db *seqdb.Database, owner string) (uint64, error) {
 	if name == "" {
 		return 0, fmt.Errorf("dataset name must not be empty")

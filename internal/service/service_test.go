@@ -291,7 +291,7 @@ func TestDatasetReplacement(t *testing.T) {
 func TestRegistryLifecycle(t *testing.T) {
 	reg := service.NewRegistry()
 	db := exampleDB(t)
-	gen1, err := reg.Register("a", db)
+	gen1, err := reg.RegisterOwned("a", db, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRegistryLifecycle(t *testing.T) {
 		t.Errorf("List = %+v, want one dataset with 1 active query", infos)
 	}
 	// Replacement bumps the generation; the old lease stays valid.
-	gen2, err := reg.Register("a", db)
+	gen2, err := reg.RegisterOwned("a", db, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,10 +324,10 @@ func TestRegistryLifecycle(t *testing.T) {
 	if _, err := reg.Acquire("a"); err == nil {
 		t.Error("Acquire after Unregister should fail")
 	}
-	if _, err := reg.Register("", db); err == nil {
+	if _, err := reg.RegisterOwned("", db, ""); err == nil {
 		t.Error("empty dataset name should be rejected")
 	}
-	if _, err := reg.Register("x", nil); err == nil {
+	if _, err := reg.RegisterOwned("x", nil, ""); err == nil {
 		t.Error("nil database should be rejected")
 	}
 }

@@ -47,46 +47,30 @@ type Config struct {
 	// Advertise is the address other peers should dial, when it differs from
 	// the listener's address (e.g. listening on ":9101" behind a hostname).
 	Advertise string
-	// HandshakeTimeout bounds connection setup (dial, handshake, ack);
-	// default 10s.
-	HandshakeTimeout time.Duration
-	// DialRetryWindow is how long an Exchange keeps retrying to reach a peer
-	// that refuses connections (it may not have started yet); default 20s.
-	DialRetryWindow time.Duration
-	// AdoptTimeout is how long an accepted connection waits for its job to
-	// be opened locally before it is dropped; default 60s.
-	AdoptTimeout time.Duration
-	// OpenTimeout is how long an Exchange waits for every remote peer to
-	// connect before the job fails; default 60s.
-	OpenTimeout time.Duration
-	// MaxFrame bounds the payload of one frame; default 64 MiB.
-	MaxFrame int
-	// InboxFrames bounds the number of buffered inbound frames per Exchange
-	// (the backpressure window); default 256.
-	InboxFrames int
+
+	// adoptTimeout replaces the package's adoptTimeout when non-zero; only
+	// tests set it.
+	adoptTimeout time.Duration
 }
 
-func (c Config) withDefaults() Config {
-	if c.HandshakeTimeout <= 0 {
-		c.HandshakeTimeout = 10 * time.Second
-	}
-	if c.DialRetryWindow <= 0 {
-		c.DialRetryWindow = 20 * time.Second
-	}
-	if c.AdoptTimeout <= 0 {
-		c.AdoptTimeout = 60 * time.Second
-	}
-	if c.OpenTimeout <= 0 {
-		c.OpenTimeout = 60 * time.Second
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = 64 << 20
-	}
-	if c.InboxFrames <= 0 {
-		c.InboxFrames = 256
-	}
-	return c
-}
+const (
+	// handshakeTimeout bounds connection setup (dial, handshake, ack).
+	handshakeTimeout = 10 * time.Second
+	// dialRetryWindow is how long an Exchange keeps retrying to reach a peer
+	// that refuses connections (it may not have started yet).
+	dialRetryWindow = 20 * time.Second
+	// adoptTimeout is how long an accepted connection waits for its job to
+	// be opened locally before it is dropped.
+	adoptTimeout = 60 * time.Second
+	// openTimeout is how long an Exchange waits for every remote peer to
+	// connect before the job fails.
+	openTimeout = 60 * time.Second
+	// maxFrame bounds the payload of one frame.
+	maxFrame = 64 << 20
+	// inboxFrames bounds the number of buffered inbound frames per Exchange
+	// (the backpressure window).
+	inboxFrames = 256
+)
 
 // Node owns a process's shuffle listener and the set of open exchanges.
 type Node struct {
@@ -125,7 +109,7 @@ func NewNode(addr string, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
 	n := &Node{
-		cfg:  cfg.withDefaults(),
+		cfg:  cfg,
 		ln:   ln,
 		done: make(chan struct{}),
 		jobs: map[string]*jobFamily{},
@@ -199,7 +183,7 @@ func (n *Node) handleInbound(conn net.Conn) {
 	defer n.wg.Done()
 	cr := &countingReader{r: conn}
 	br := bufio.NewReader(cr)
-	_ = conn.SetDeadline(time.Now().Add(n.cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	jobID, sender, epoch, trace, err := readHandshake(br)
 	if err != nil {
 		conn.Close()
@@ -241,7 +225,11 @@ func (n *Node) handleInbound(conn net.Conn) {
 	}
 	_ = conn.SetDeadline(time.Time{})
 
-	timer := time.NewTimer(n.cfg.AdoptTimeout)
+	adopt := adoptTimeout
+	if n.cfg.adoptTimeout > 0 {
+		adopt = n.cfg.adoptTimeout
+	}
+	timer := time.NewTimer(adopt)
 	defer timer.Stop()
 	select {
 	case <-entry.ready:
@@ -405,7 +393,7 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, epoch, sel
 		self:       self,
 		peers:      append([]string(nil), peers...),
 		outs:       make([]*outConn, len(peers)),
-		inbox:      make(chan []byte, n.cfg.InboxFrames),
+		inbox:      make(chan []byte, inboxFrames),
 		stats:      make([]peerCounters, len(peers)),
 		ins:        make([]net.Conn, len(peers)),
 		failed:     make(chan struct{}),
@@ -483,12 +471,11 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, epoch, sel
 // dialPeer establishes the outbound connection to peer p, retrying while the
 // peer process may still be starting.
 func (e *Exchange) dialPeer(p int) error {
-	cfg := e.node.cfg
-	deadline := time.Now().Add(cfg.DialRetryWindow)
+	deadline := time.Now().Add(dialRetryWindow)
 	var conn net.Conn
 	for {
 		var err error
-		conn, err = net.DialTimeout("tcp", e.peers[p], cfg.HandshakeTimeout)
+		conn, err = net.DialTimeout("tcp", e.peers[p], handshakeTimeout)
 		if err == nil {
 			break
 		}
@@ -503,7 +490,7 @@ func (e *Exchange) dialPeer(p int) error {
 	}
 	cw := &countingWriter{w: conn, sinks: []*atomic.Int64{&e.wireOut, &e.stats[p].bytesOut}}
 	bw := bufio.NewWriter(cw)
-	_ = conn.SetDeadline(time.Now().Add(cfg.HandshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := bw.Write(appendHandshake(nil, e.jobID, e.self, e.epoch, e.traceWire)); err != nil {
 		conn.Close()
 		return err
@@ -531,13 +518,13 @@ func (e *Exchange) dialPeer(p int) error {
 // watchAdoption fails the exchange if the remote peers do not all connect
 // within the open timeout.
 func (e *Exchange) watchAdoption() {
-	timer := time.NewTimer(e.node.cfg.OpenTimeout)
+	timer := time.NewTimer(openTimeout)
 	defer timer.Stop()
 	select {
 	case <-e.allAdopted:
 	case <-e.closedCh:
 	case <-timer.C:
-		e.fail(fmt.Errorf("transport: job %q: not all peers connected within %v", e.jobID, e.node.cfg.OpenTimeout))
+		e.fail(fmt.Errorf("transport: job %q: not all peers connected within %v", e.jobID, openTimeout))
 	}
 }
 
@@ -600,7 +587,7 @@ func (e *Exchange) recordRecvSpan(sender int, trace []byte, start time.Time) {
 // which is the EOF signal of Recv.
 func (e *Exchange) readLoop(sender int, br *bufio.Reader, trace []byte, started time.Time) {
 	for {
-		payload, end, err := readFrame(br, e.node.cfg.MaxFrame)
+		payload, end, err := readFrame(br, maxFrame)
 		if err != nil {
 			e.fail(&PeerError{Peer: sender, Err: fmt.Errorf("receiving: %w", err)})
 			return

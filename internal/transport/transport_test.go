@@ -19,12 +19,7 @@ func testCluster(t *testing.T, n int) ([]*Node, []string) {
 	nodes := make([]*Node, n)
 	addrs := make([]string, n)
 	for i := range nodes {
-		node, err := NewNode("127.0.0.1:0", Config{
-			HandshakeTimeout: 5 * time.Second,
-			DialRetryWindow:  5 * time.Second,
-			AdoptTimeout:     10 * time.Second,
-			OpenTimeout:      10 * time.Second,
-		})
+		node, err := NewNode("127.0.0.1:0", Config{})
 		if err != nil {
 			t.Fatalf("NewNode: %v", err)
 		}
@@ -263,7 +258,7 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 // TestUnadoptedJobEntryIsDropped: a handshaken connection for a job that is
 // never opened locally must not leak its entry in the node's jobs map.
 func TestUnadoptedJobEntryIsDropped(t *testing.T) {
-	node, err := NewNode("127.0.0.1:0", Config{AdoptTimeout: 200 * time.Millisecond})
+	node, err := NewNode("127.0.0.1:0", Config{adoptTimeout: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatalf("NewNode: %v", err)
 	}
