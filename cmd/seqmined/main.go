@@ -102,7 +102,6 @@ func main() {
 		DefaultTimeout:  *timeout,
 		ClusterWorkers:  clusterURLs,
 		Knobs:           knobs,
-		Obs:             obs.NewRegistry(),
 		Recorder:        obs.NewRecorder("seqmined", *traceBuffer),
 	})
 	if catalog != nil {

@@ -257,7 +257,9 @@ func TestCoordinatorCancelReleases(t *testing.T) {
 // /run fails with a 500 naming peer accuse while the gang contains a dying
 // worker, and returns an empty result otherwise; a dying worker goes down as
 // it answers its first /run (503 on every request afterwards, /healthz
-// included, like a process mid-kill).
+// included, like a process mid-kill). gangHasDying reports only once the
+// dying worker is down: the others fail because it died, so no failure can
+// cancel its /run before that /run has taken it down.
 type scriptedWorker struct {
 	addr   string // the advertised shuffle address, never dialled
 	accuse int
@@ -265,7 +267,7 @@ type scriptedWorker struct {
 	down   atomic.Bool
 }
 
-func (w *scriptedWorker) handler(gangHasDying func(dataPeers []string) bool) http.Handler {
+func (w *scriptedWorker) handler(gangHasDying func(ctx context.Context, dataPeers []string) bool) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, r *http.Request) {
 		_ = json.NewEncoder(rw).Encode(cluster.HealthResponse{Status: "ok", DataAddr: w.addr})
@@ -280,7 +282,7 @@ func (w *scriptedWorker) handler(gangHasDying func(dataPeers []string) bool) htt
 			return
 		}
 		w.down.Store(w.dying)
-		if gangHasDying(spec.DataPeers) {
+		if gangHasDying(r.Context(), spec.DataPeers) {
 			rw.WriteHeader(http.StatusInternalServerError)
 			fmt.Fprintf(rw, `{"error":"transport: peer %d failed: receiving: EOF","failed_peer":%d}`, w.accuse, w.accuse)
 			return
@@ -309,10 +311,13 @@ func TestHearsayDoesNotEvictHealthyWorker(t *testing.T) {
 		{addr: "peer-1", accuse: 2},
 		{addr: "peer-2", accuse: 0, dying: true},
 	}
-	gangHasDying := func(dataPeers []string) bool {
+	gangHasDying := func(ctx context.Context, dataPeers []string) bool {
 		for _, addr := range dataPeers {
 			for _, w := range workers {
 				if w.addr == addr && w.dying {
+					for !w.down.Load() && ctx.Err() == nil {
+						time.Sleep(time.Millisecond)
+					}
 					return true
 				}
 			}

@@ -178,7 +178,7 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 func TestCoordinatorRejectsBadAlgorithm(t *testing.T) {
 	db := paperDatabase(t)
 	var touched atomic.Int32
-	w := (&scriptedWorker{addr: "peer-0"}).handler(func([]string) bool { return false })
+	w := (&scriptedWorker{addr: "peer-0"}).handler(func(context.Context, []string) bool { return false })
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/datasets/") || r.URL.Path == "/run" {
 			touched.Add(1)

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -242,13 +244,72 @@ func TestWorkerPrometheusOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	stats, err := obs.ValidateExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("worker exposition invalid: %v", err)
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("Content-Type = %q, want text/plain exposition", ct)
 	}
-	for _, want := range []string{"seqmine_worker_stage_seconds_count", "seqmine_worker_jobs_total"} {
-		if stats.SeriesByName[want] == 0 {
-			t.Errorf("worker exposition lacks %s (series: %v)", want, stats.SeriesByName)
+	expo, _ := io.ReadAll(resp.Body)
+	values := map[string]int64{}
+	for _, e := range w.Obs.Snapshot() {
+		values[e.Name] += e.Value
+	}
+	for _, want := range []string{"seqmine_worker_stage_seconds", "seqmine_worker_jobs_total"} {
+		if values[want] == 0 || !strings.Contains(string(expo), "\n"+want) {
+			t.Errorf("worker registry lacks a populated %s (series: %v):\n%s", want, values, expo)
+		}
+	}
+}
+
+// TestWorkerFamiliesAreDocumented runs a spilling, streaming job on two
+// workers: every family in their registries has a row in DESIGN.md's family
+// table.
+func TestWorkerFamiliesAreDocumented(t *testing.T) {
+	b, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `seqmine_"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			documented["seqmine_"+name] = true
+		}
+	}
+
+	var workers []*cluster.Worker
+	var urls []string
+	for i := 0; i < 2; i++ {
+		node, err := transport.NewNode("127.0.0.1:0", transport.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { node.Close() })
+		w := cluster.NewWorker(node)
+		w.Obs, w.SpillDir = obs.NewRegistry(), t.TempDir()
+		srv := httptest.NewServer(w.Handler())
+		t.Cleanup(srv.Close)
+		workers, urls = append(workers, w), append(urls, srv.URL)
+	}
+	p := plan.Plan{Algorithm: plan.AlgoDSeq}
+	p.SpillThreshold, p.SendBufferBytes = 1, 1
+	coord := &cluster.Coordinator{Workers: urls}
+	if _, err := coord.Mine(context.Background(), paperDatabase(t), paperex.PatternExpression, paperex.Sigma, p); err != nil {
+		t.Fatalf("Mine: %v", err)
+	}
+
+	seen := map[string]bool{}
+	for _, w := range workers {
+		for _, e := range w.Obs.Snapshot() {
+			seen[e.Name] = true
+		}
+	}
+	for _, name := range []string{"seqmine_spill_segment_bytes", "seqmine_send_buffer_occupancy_bytes", "seqmine_worker_stage_seconds"} {
+		if !seen[name] {
+			t.Errorf("%s is missing after a spilling, streaming job", name)
+		}
+	}
+	for name := range seen {
+		if !documented[name] {
+			t.Errorf("%s has no row in DESIGN.md's family table", name)
 		}
 	}
 }

@@ -119,9 +119,6 @@ type Metrics struct {
 	SendOverflowSegments int64
 }
 
-// Total returns the total wall-clock time of the job.
-func (m Metrics) Total() time.Duration { return m.MapTime + m.ReduceTime }
-
 // Job describes a one-round BSP computation. I is the input record type, K
 // the partition key, V the communicated value and O the output type.
 type Job[I any, K comparable, V any, O any] struct {

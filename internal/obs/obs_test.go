@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -290,6 +291,33 @@ func TestExpositionEscaping(t *testing.T) {
 	}
 	if _, err := ValidateExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("escaped exposition rejected: %v\n%s", err, buf.String())
+	}
+}
+
+// TestExpositionOfEveryKind: WritePrometheus over labelled counters, gauges
+// and histograms, two series each, is valid exposition with every sample.
+func TestExpositionOfEveryKind(t *testing.T) {
+	reg := NewRegistry()
+	for _, algo := range []string{"dfs", "dseq"} {
+		reg.Counter("seqmine_kind_total", "counter", "algorithm", algo).Add(3)
+		reg.Gauge("seqmine_kind_inflight", "gauge", "algorithm", algo).Set(-2)
+		reg.Histogram("seqmine_kind_seconds", "histogram", []float64{0.5, 2}, "algorithm", algo).Observe(1)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := ValidateExposition(&buf)
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	want := map[string]int{"seqmine_kind_total": 2, "seqmine_kind_inflight": 2,
+		"seqmine_kind_seconds_bucket": 6, "seqmine_kind_seconds_sum": 2, "seqmine_kind_seconds_count": 2}
+	if !reflect.DeepEqual(stats.SeriesByName, want) || stats.Samples != 14 {
+		t.Errorf("samples = %d %v, want 14 %v", stats.Samples, stats.SeriesByName, want)
+	}
+	if stats.MaxByName["seqmine_kind_total"] != 3 || stats.MaxByName["seqmine_kind_inflight"] != -2 {
+		t.Errorf("values = %v", stats.MaxByName)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"slices"
 	"strings"
 
 	"seqmine/internal/mapreduce"
@@ -34,17 +35,20 @@ const (
 	AlgoSemiNaive Algorithm = "seminaive"
 )
 
+// Algorithms lists every backend ParseAlgorithm accepts.
+var Algorithms = []Algorithm{AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive}
+
 // ParseAlgorithm validates an algorithm name, ignoring case. It is the one
 // place the default is decided: the empty string selects AlgoDSeq.
 func ParseAlgorithm(s string) (Algorithm, error) {
-	switch a := Algorithm(strings.ToLower(s)); a {
-	case "":
+	a := Algorithm(strings.ToLower(s))
+	if a == "" {
 		return AlgoDSeq, nil
-	case AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive:
-		return a, nil
-	default:
+	}
+	if !slices.Contains(Algorithms, a) {
 		return "", fmt.Errorf("unknown algorithm %q", s)
 	}
+	return a, nil
 }
 
 // Clustered reports whether a runs on a worker cluster: only D-SEQ and

@@ -52,13 +52,10 @@ type admission struct {
 
 	mu         sync.Mutex
 	queued     int           // queries waiting for a slot
-	queuedMax  int           // high watermark of queued (since start)
 	avgServeNS float64       // EWMA of query service time, for Retry-After
 	minRetry   time.Duration // floor of the Retry-After hint
 
-	admitted, shedQueue, shedTenant int64
-
-	// registry instruments (nil-safe).
+	// The gate's account: its registry instruments.
 	inflightGauge  *obs.Gauge
 	queueGauge     *obs.Gauge
 	queueMaxGauge  *obs.Gauge
@@ -103,9 +100,6 @@ func newAdmission(maxInFlight, queueDepth int, reg *obs.Registry) *admission {
 func (a *admission) acquire(ctx context.Context, tenant *Tenant) (func(), error) {
 	if !tenant.acquire() {
 		oe := a.shed("tenant_quota")
-		a.mu.Lock()
-		a.shedTenant++
-		a.mu.Unlock()
 		a.shedTenantCtr.Inc()
 		return nil, oe
 	}
@@ -127,16 +121,14 @@ func (a *admission) acquire(ctx context.Context, tenant *Tenant) (func(), error)
 	// Queue, bounded.
 	a.mu.Lock()
 	if a.queued >= a.queueDepth {
-		a.shedQueue++
 		a.mu.Unlock()
 		releaseTenant()
 		a.shedQueueCtr.Inc()
 		return nil, a.shed("queue_full")
 	}
 	a.queued++
-	if a.queued > a.queuedMax {
-		a.queuedMax = a.queued
-		a.queueMaxGauge.Set(int64(a.queuedMax))
+	if int64(a.queued) > a.queueMaxGauge.Value() {
+		a.queueMaxGauge.Set(int64(a.queued))
 	}
 	a.queueGauge.Set(int64(a.queued))
 	a.mu.Unlock()
@@ -168,9 +160,6 @@ func (a *admission) releaser(releaseTenant func()) func() {
 }
 
 func (a *admission) admit(waited time.Duration) {
-	a.mu.Lock()
-	a.admitted++
-	a.mu.Unlock()
 	a.admittedCtr.Inc()
 	a.inflightGauge.Add(1)
 	a.waitHist.Observe(waited.Seconds())
@@ -211,7 +200,8 @@ func (a *admission) shed(reason string) *OverloadError {
 	return &OverloadError{Reason: reason, RetryAfter: retry}
 }
 
-// admissionStats is the point-in-time accounting of the admission gate.
+// admissionStats is the point-in-time accounting of the admission gate: its
+// bounds and queue, and its counts as the registry holds them.
 type admissionStats struct {
 	MaxInFlight   int   `json:"max_inflight"`
 	QueueDepth    int   `json:"queue_depth"`
@@ -224,14 +214,15 @@ type admissionStats struct {
 
 func (a *admission) stats() admissionStats {
 	a.mu.Lock()
-	defer a.mu.Unlock()
+	queued := a.queued
+	a.mu.Unlock()
 	s := admissionStats{
 		QueueDepth:    a.queueDepth,
-		Queued:        a.queued,
-		QueuedMax:     a.queuedMax,
-		Admitted:      a.admitted,
-		ShedQueueFull: a.shedQueue,
-		ShedTenant:    a.shedTenant,
+		Queued:        queued,
+		QueuedMax:     int(a.queueMaxGauge.Value()),
+		Admitted:      a.admittedCtr.Value(),
+		ShedQueueFull: a.shedQueueCtr.Value(),
+		ShedTenant:    a.shedTenantCtr.Value(),
 	}
 	if a.slots != nil {
 		s.MaxInFlight = cap(a.slots)

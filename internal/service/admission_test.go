@@ -4,10 +4,12 @@ import (
 	"context"
 	"testing"
 	"time"
+
+	"seqmine/internal/obs"
 )
 
 func TestAdmissionUnboundedAdmitsEverything(t *testing.T) {
-	a := newAdmission(0, 0, nil)
+	a := newAdmission(0, 0, obs.NewRegistry())
 	for i := 0; i < 100; i++ {
 		release, err := a.acquire(context.Background(), nil)
 		if err != nil {
@@ -21,7 +23,7 @@ func TestAdmissionUnboundedAdmitsEverything(t *testing.T) {
 }
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
-	a := newAdmission(1, -1, nil) // one slot, no waiting room
+	a := newAdmission(1, -1, obs.NewRegistry()) // one slot, no waiting room
 	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +57,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 }
 
 func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
-	a := newAdmission(1, 2, nil)
+	a := newAdmission(1, 2, obs.NewRegistry())
 	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -96,7 +98,7 @@ func TestAdmissionQueueAdmitsWhenSlotFrees(t *testing.T) {
 }
 
 func TestAdmissionQueueHonorsContext(t *testing.T) {
-	a := newAdmission(1, 2, nil)
+	a := newAdmission(1, 2, obs.NewRegistry())
 	release, err := a.acquire(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +115,7 @@ func TestAdmissionQueueHonorsContext(t *testing.T) {
 }
 
 func TestAdmissionTenantQuota(t *testing.T) {
-	a := newAdmission(8, 8, nil)
+	a := newAdmission(8, 8, obs.NewRegistry())
 	tenant := &Tenant{Name: "acme", maxInFlight: 2}
 	r1, err := a.acquire(context.Background(), tenant)
 	if err != nil {
@@ -150,7 +152,7 @@ func TestAdmissionTenantQuota(t *testing.T) {
 }
 
 func TestRetryAfterScalesWithLoad(t *testing.T) {
-	a := newAdmission(1, -1, nil)
+	a := newAdmission(1, -1, obs.NewRegistry())
 	// Teach the EWMA a 5s service time: the next shed should price the wait
 	// accordingly instead of the 1s floor.
 	a.done(5 * time.Second)

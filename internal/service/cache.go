@@ -37,21 +37,13 @@ const preparedBudget = 64 << 20
 type fstCache struct {
 	entries *lru.Cache[cacheKey, *cacheEntry]
 
-	mu     sync.Mutex // guards every entry's prepared fields and the accounting below
-	budget int64      // preparedBudget; tests lower it
-	preparedStats
-	// registry mirrors of the five (nil-safe).
-	prepEntriesGauge, prepBytesGauge             *obs.Gauge
-	prepHitsCtr, prepBuildsCtr, prepEvictionsCtr *obs.Counter
-}
-
-// preparedStats is the prepared-state accounting of the compiled-pattern cache.
-type preparedStats struct {
-	PreparedEntries   int    `json:"prepared_entries"` // entries holding a state
-	PreparedBytes     int64  `json:"prepared_bytes"`   // sum of their Bytes(), <= budget
-	PreparedHits      uint64 `json:"prepared_hits"`
-	PreparedBuilds    uint64 `json:"prepared_builds"`
-	PreparedEvictions uint64 `json:"prepared_evictions"` // dropped for the budget or with an LRU victim
+	mu              sync.Mutex // guards every entry's prepared fields and the two sums below
+	budget          int64      // preparedBudget; tests lower it
+	preparedEntries int        // entries holding a state
+	preparedBytes   int64      // sum of their Bytes(), <= budget
+	// The prepared states' account: the two sums as gauges, and the counters.
+	entriesGauge, bytesGauge         *obs.Gauge
+	hitsCtr, buildsCtr, evictionsCtr *obs.Counter
 }
 
 type cacheEntry struct {
@@ -66,12 +58,12 @@ func newFSTCache(capacity int, reg *obs.Registry) *fstCache {
 		capacity = 128
 	}
 	c := &fstCache{
-		budget:           preparedBudget,
-		prepEntriesGauge: reg.Gauge("seqmine_prepared_entries", "Compiled-pattern cache entries holding a prepared DESQ-DFS state."),
-		prepBytesGauge:   reg.Gauge("seqmine_prepared_bytes", "Bytes of prepared DESQ-DFS states retained."),
-		prepHitsCtr:      reg.Counter("seqmine_prepared_hits_total", "dfs queries that mined a prepared state built by an earlier or concurrent query."),
-		prepBuildsCtr:    reg.Counter("seqmine_prepared_builds_total", "Prepared DESQ-DFS states built."),
-		prepEvictionsCtr: reg.Counter("seqmine_prepared_evictions_total", "Prepared DESQ-DFS states dropped for the byte budget or with an evicted entry."),
+		budget:       preparedBudget,
+		entriesGauge: reg.Gauge("seqmine_prepared_entries", "Compiled-pattern cache entries holding a prepared DESQ-DFS state."),
+		bytesGauge:   reg.Gauge("seqmine_prepared_bytes", "Bytes of prepared DESQ-DFS states retained."),
+		hitsCtr:      reg.Counter("seqmine_prepared_hits_total", "dfs queries that mined a prepared state built by an earlier or concurrent query."),
+		buildsCtr:    reg.Counter("seqmine_prepared_builds_total", "Prepared DESQ-DFS states built."),
+		evictionsCtr: reg.Counter("seqmine_prepared_evictions_total", "Prepared DESQ-DFS states dropped for the byte budget or with an evicted entry."),
 	}
 	c.entries = lru.New(capacity, func(_ cacheKey, e *cacheEntry) {
 		c.mu.Lock()
@@ -116,8 +108,8 @@ func (c *fstCache) prepared(ctx context.Context, key cacheKey, f *fst.FST, seqs 
 		}
 		c.mu.Lock()
 		if p := e.prep; p != nil {
-			c.prepHit()
 			c.mu.Unlock()
+			c.hitsCtr.Inc()
 			return p, false, nil
 		}
 		fl := e.prepFlight
@@ -129,9 +121,7 @@ func (c *fstCache) prepared(ctx context.Context, key cacheKey, f *fst.FST, seqs 
 		c.mu.Unlock()
 		if p, retry, err := fl.Wait(ctx); !retry {
 			if err == nil {
-				c.mu.Lock()
-				c.prepHit()
-				c.mu.Unlock()
+				c.hitsCtr.Inc()
 			}
 			return p, false, err
 		}
@@ -149,8 +139,7 @@ func (c *fstCache) prepare(ctx context.Context, e *cacheEntry, f *fst.FST, seqs 
 	}
 	c.mu.Lock()
 	if p != nil {
-		c.PreparedBuilds++
-		c.prepBuildsCtr.Inc()
+		c.buildsCtr.Inc()
 	}
 	var fl *lru.Flight[*miner.Prepared]
 	if e != nil {
@@ -166,21 +155,15 @@ func (c *fstCache) prepare(ctx context.Context, e *cacheEntry, f *fst.FST, seqs 
 	return p, p != nil, err
 }
 
-// prepHit counts one query served a state it did not build. Callers hold c.mu.
-func (c *fstCache) prepHit() {
-	c.PreparedHits++
-	c.prepHitsCtr.Inc()
-}
-
 // retain puts p, which fits the budget, on e and takes the prepared states of
 // the least recently used other entries until the sum fits too. Callers hold
 // c.mu.
 func (c *fstCache) retain(e *cacheEntry, p *miner.Prepared) {
 	e.prep = p
-	c.PreparedEntries++
-	c.PreparedBytes += p.Bytes()
+	c.preparedEntries++
+	c.preparedBytes += p.Bytes()
 	c.entries.Walk(func(_ cacheKey, v *cacheEntry) bool {
-		if c.PreparedBytes <= c.budget {
+		if c.preparedBytes <= c.budget {
 			return false
 		}
 		if v != e {
@@ -188,8 +171,8 @@ func (c *fstCache) retain(e *cacheEntry, p *miner.Prepared) {
 		}
 		return true
 	})
-	c.prepEntriesGauge.Set(int64(c.PreparedEntries))
-	c.prepBytesGauge.Set(c.PreparedBytes)
+	c.entriesGauge.Set(int64(c.preparedEntries))
+	c.bytesGauge.Set(c.preparedBytes)
 }
 
 // dropPrepared takes e's prepared state, if it has one, off the books; evicted
@@ -199,15 +182,14 @@ func (c *fstCache) dropPrepared(e *cacheEntry, evicted bool) {
 	if e.prep == nil {
 		return
 	}
-	c.PreparedEntries--
-	c.PreparedBytes -= e.prep.Bytes()
+	c.preparedEntries--
+	c.preparedBytes -= e.prep.Bytes()
 	e.prep = nil
 	if evicted {
-		c.PreparedEvictions++
-		c.prepEvictionsCtr.Inc()
+		c.evictionsCtr.Inc()
 	}
-	c.prepEntriesGauge.Set(int64(c.PreparedEntries))
-	c.prepBytesGauge.Set(c.PreparedBytes)
+	c.entriesGauge.Set(int64(c.preparedEntries))
+	c.bytesGauge.Set(c.preparedBytes)
 }
 
 // invalidateDataset drops every cached FST belonging to the named dataset
@@ -221,18 +203,4 @@ func (c *fstCache) invalidateDataset(name string) {
 		e.gone = true
 		c.dropPrepared(e, false)
 	}
-}
-
-// fstCacheStats is a snapshot of the compiled-pattern cache's entry counters
-// and prepared-state accounting.
-type fstCacheStats struct {
-	lru.Stats
-	preparedStats
-}
-
-func (c *fstCache) stats() fstCacheStats {
-	st := c.entries.Stats()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return fstCacheStats{Stats: st, preparedStats: c.preparedStats}
 }

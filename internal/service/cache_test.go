@@ -13,7 +13,6 @@ import (
 
 	"seqmine/internal/fst"
 	"seqmine/internal/miner"
-	"seqmine/internal/obs"
 	"seqmine/internal/paperex"
 	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
@@ -52,7 +51,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	if _, hit, _ := c.get(context.Background(), key("p2"), compile); hit {
 		t.Fatal("p2 should have been evicted")
 	}
-	st := c.stats()
+	st := c.entries.Stats()
 	if st.Evictions != 2 { // p2 evicted by p3, then p3 or p1 evicted by p2's re-insert
 		t.Errorf("evictions = %d, want 2", st.Evictions)
 	}
@@ -98,7 +97,7 @@ func TestCacheSingleflight(t *testing.T) {
 	if got := compiles.Load(); got != 1 {
 		t.Errorf("compile ran %d times, want 1 (singleflight)", got)
 	}
-	st := c.stats()
+	st := c.entries.Stats()
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want 1", st.Misses)
 	}
@@ -114,7 +113,7 @@ func TestCacheErrorNotCached(t *testing.T) {
 	if _, _, err := c.get(context.Background(), key("bad"), bad); err == nil {
 		t.Fatal("expected compile error")
 	}
-	if st := c.stats(); st.Size != 0 {
+	if st := c.entries.Stats(); st.Size != 0 {
 		t.Errorf("failed compile must not be cached, size = %d", st.Size)
 	}
 	// A later attempt compiles again (and may succeed).
@@ -131,7 +130,7 @@ func TestCacheInvalidateDataset(t *testing.T) {
 	c.get(context.Background(), cacheKey{dataset: "a", generation: 1, expression: "p"}, compile)
 	c.get(context.Background(), cacheKey{dataset: "b", generation: 1, expression: "p"}, compile)
 	c.invalidateDataset("a")
-	if st := c.stats(); st.Size != 1 {
+	if st := c.entries.Stats(); st.Size != 1 {
 		t.Fatalf("size after invalidate = %d, want 1", st.Size)
 	}
 	if _, hit, _ := c.get(context.Background(), cacheKey{dataset: "b", generation: 1, expression: "p"}, compile); !hit {
@@ -145,9 +144,8 @@ func TestCacheInvalidateDataset(t *testing.T) {
 // TestCacheAccountingExact drives one fixed query sequence — hits, a shared
 // flight, LRU evictions in both caches, a prepared-budget eviction and a
 // dataset replacement — with and without a result cache, and checks every
-// field of the compiled_pattern_cache, result_cache and admission blocks of
-// GET /metrics and the result-cache and prepared-state series against values
-// worked out by hand. Prepared-state sizes come from miner.Prepare.
+// count of the two LRUs, the admission block of GET /metrics, and the
+// result-cache and prepared-state series against values worked out by hand. Prepared-state sizes come from miner.Prepare.
 func TestCacheAccountingExact(t *testing.T) {
 	const e1, e2 = "[.*(.)]{1,3}.*", "[.*(.)]{1,2}.*"
 	random := func(seed int64) *seqdb.Database {
@@ -163,8 +161,7 @@ func TestCacheAccountingExact(t *testing.T) {
 
 	for _, resultCache := range []int{2, 0} {
 		t.Run(fmt.Sprintf("result cache %d", resultCache), func(t *testing.T) {
-			reg := obs.NewRegistry()
-			svc := New(Config{CacheSize: 3, MaxConcurrent: 1, QueueDepth: 4, ResultCacheSize: resultCache, Obs: reg})
+			svc := New(Config{CacheSize: 3, MaxConcurrent: 1, QueueDepth: 4, ResultCacheSize: resultCache})
 			svc.cache.budget = budget
 			for name, db := range map[string]*seqdb.Database{"d0": d0, "d1": d1, "d2": d2} {
 				if _, err := svc.RegisterDataset(name, db); err != nil {
@@ -204,8 +201,7 @@ func TestCacheAccountingExact(t *testing.T) {
 			for i := 1; i <= 2; i++ {
 				go func() { _, err := svc.Mine(context.Background(), q); done <- err }()
 				await(t, "the query to wait", func() bool {
-					m := svc.Metrics()
-					return m.Admission.Queued+int(m.ResultCache.SharedIn) == i
+					return svc.Metrics().Admission.Queued+int(svc.results.Stats().SharedIn) == i
 				})
 			}
 			svc.adm.done(0)
@@ -229,8 +225,7 @@ func TestCacheAccountingExact(t *testing.T) {
 				fst, results, admission map[string]float64
 				series                  series
 			}{
-				fst: map[string]float64{"size": 2, "capacity": 3, "hits": 2, "shared_inflight": 0, "misses": 6, "evictions": 2,
-					"prepared_entries": 1, "prepared_bytes": float64(b1new), "prepared_hits": 1, "prepared_builds": 5, "prepared_evictions": 3},
+				fst:     map[string]float64{"size": 2, "capacity": 3, "hits": 2, "shared_inflight": 0, "misses": 6, "evictions": 2},
 				results: map[string]float64{"size": 2, "capacity": 2, "hits": 1, "shared_inflight": 1, "misses": 8, "evictions": 5},
 				admission: map[string]float64{"max_inflight": 1, "queue_depth": 4, "queued": 0, "queued_max": 1, "admitted": 9,
 					"shed_queue_full": 0, "shed_tenant_quota": 0},
@@ -239,7 +234,7 @@ func TestCacheAccountingExact(t *testing.T) {
 					"seqmine_prepared_builds_total": 5, "seqmine_prepared_evictions_total": 3},
 			}
 			if resultCache == 0 { // every repeat mines: more FST and prepared hits, more admissions
-				want.fst["hits"], want.fst["prepared_hits"] = 4, 3
+				want.fst["hits"] = 4
 				for k := range want.results {
 					want.results[k] = 0
 				}
@@ -249,31 +244,31 @@ func TestCacheAccountingExact(t *testing.T) {
 				delete(want.series, "seqmine_result_cache_misses_total")
 			}
 
-			b, err := json.Marshal(svc.Metrics())
-			if err != nil {
-				t.Fatal(err)
+			// The LRUs keep their own counts; the JSON of GET /metrics carries
+			// the admission block and the registry.
+			asMap := func(v any) map[string]float64 {
+				b, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var m map[string]float64
+				if err := json.Unmarshal(b, &m); err != nil {
+					t.Fatal(err)
+				}
+				return m
 			}
-			var got struct {
-				Fst       map[string]float64  `json:"compiled_pattern_cache"`
-				Results   map[string]float64  `json:"result_cache"`
-				Admission map[string]float64  `json:"admission"`
-				Queries   int                 `json:"queries"`
-				Registry  []obs.SnapshotEntry `json:"registry"`
-			}
-			if err := json.Unmarshal(b, &got); err != nil {
-				t.Fatal(err)
-			}
+			snap := svc.Metrics()
 			for name, c := range map[string][2]map[string]float64{
-				"compiled_pattern_cache": {got.Fst, want.fst},
-				"result_cache":           {got.Results, want.results},
-				"admission":              {got.Admission, want.admission},
+				"compiled-pattern LRU": {asMap(svc.cache.entries.Stats()), want.fst},
+				"result LRU":           {asMap(svc.results.Stats()), want.results},
+				"admission":            {asMap(snap.Admission), want.admission},
 			} {
 				if !reflect.DeepEqual(c[0], c[1]) {
 					t.Errorf("%s = %v\n want %v", name, c[0], c[1])
 				}
 			}
 			gotSeries := series{}
-			for _, e := range got.Registry {
+			for _, e := range snap.Registry {
 				if strings.HasPrefix(e.Name, "seqmine_result_cache_") || strings.HasPrefix(e.Name, "seqmine_prepared_") {
 					gotSeries[e.Name] = e.Value
 				}
@@ -281,8 +276,11 @@ func TestCacheAccountingExact(t *testing.T) {
 			if !reflect.DeepEqual(gotSeries, want.series) {
 				t.Errorf("series = %v\n want %v", gotSeries, want.series)
 			}
-			if got.Queries != 10 {
-				t.Errorf("queries = %d, want 10", got.Queries)
+			if st := svc.cache.account(); st.entries != 1 || st.bytes != b1new {
+				t.Errorf("prepared sums = %d entries, %d bytes; want 1, %d", st.entries, st.bytes, b1new)
+			}
+			if got, _ := Series(snap.Registry, "seqmine_queries_total"); got != 10 {
+				t.Errorf("queries = %d, want 10", got)
 			}
 		})
 	}

@@ -106,8 +106,9 @@ type errorResponse struct {
 //	PUT    /datasets/{name}      register a dataset (paths or inline data)
 //	GET    /datasets/{name}      one dataset's info
 //	DELETE /datasets/{name}      unregister a dataset
-//	GET    /metrics              aggregate service metrics (JSON; add
-//	                             ?format=prometheus for text exposition)
+//	GET    /metrics              admission, datasets and the metrics
+//	                             registry (JSON; add ?format=prometheus for
+//	                             the registry as text exposition)
 //	GET    /debug/trace/{id}     one recorded trace as Chrome trace-event JSON
 //	GET    /healthz              liveness probe
 //
@@ -130,7 +131,7 @@ func NewHandler(s *Service) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("format") == "prometheus" {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = s.cfg.Obs.WritePrometheus(w)
+			_ = s.metrics.WritePrometheus(w)
 			return
 		}
 		writeJSON(w, http.StatusOK, s.Metrics())

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strconv"
 	"strings"
@@ -19,7 +20,7 @@ import (
 func newObsServer(t *testing.T) (*httptest.Server, *obs.Recorder) {
 	t.Helper()
 	rec := obs.NewRecorder("seqmined-test", 0)
-	svc := service.New(service.Config{Obs: obs.NewRegistry(), Recorder: rec})
+	svc := service.New(service.Config{Recorder: rec})
 	srv := httptest.NewServer(service.NewHandler(svc))
 	t.Cleanup(srv.Close)
 	return srv, rec
@@ -115,9 +116,10 @@ func TestMineJoinsRemoteTrace(t *testing.T) {
 	}
 }
 
-// TestMetricsPrometheusOverHTTP pins the exposition acceptance criterion:
-// after a query, GET /metrics?format=prometheus is valid exposition text with
-// populated stage-latency histograms, while the default stays JSON.
+// TestMetricsPrometheusOverHTTP: after a query, GET /metrics?format=prometheus
+// serves text exposition of the service's registry, with populated
+// stage-latency histograms and exactly the admission series, and the JSON
+// default carries the same series.
 func TestMetricsPrometheusOverHTTP(t *testing.T) {
 	srv, _ := newObsServer(t)
 	putExampleDataset(t, srv, "ex")
@@ -136,61 +138,44 @@ func TestMetricsPrometheusOverHTTP(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Errorf("Content-Type = %q, want text/plain exposition", ct)
 	}
-	stats, err := obs.ValidateExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition invalid: %v", err)
-	}
-	for _, want := range []string{"seqmine_query_stage_seconds_count", "seqmine_queries_total"} {
-		if stats.SeriesByName[want] == 0 {
-			t.Errorf("exposition missing %s (series: %v)", want, stats.SeriesByName)
-		}
-	}
-	// The admission gate exports exactly these samples, one series per
-	// question (no second gauge of the slots in use).
-	admission := map[string]int{}
-	for name, n := range stats.SeriesByName {
-		if strings.HasPrefix(name, "seqmine_admission_") || name == "seqmine_active_queries" {
-			admission[name] = n
-		}
-	}
-	histogram := len(obs.DurationBuckets) + 1 // the buckets and +Inf
-	if want := map[string]int{
-		"seqmine_admission_inflight":                   1,
-		"seqmine_admission_queue_depth":                1,
-		"seqmine_admission_queue_depth_max":            1,
-		"seqmine_admission_admitted_total":             1,
-		"seqmine_admission_shed_total":                 2, // reason="queue_full", "tenant_quota"
-		"seqmine_admission_wait_seconds_bucket":        histogram,
-		"seqmine_admission_wait_seconds_sum":           1,
-		"seqmine_admission_wait_seconds_count":         1,
-		"seqmine_admission_retry_after_seconds_bucket": histogram,
-		"seqmine_admission_retry_after_seconds_sum":    1,
-		"seqmine_admission_retry_after_seconds_count":  1,
-	}; !reflect.DeepEqual(admission, want) {
-		t.Errorf("admission samples = %v, want %v", admission, want)
-	}
+	expo, _ := io.ReadAll(resp.Body)
 
-	// The JSON default now carries the same series in flattened form.
 	jsonResp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jsonResp.Body.Close()
 	b, _ := io.ReadAll(jsonResp.Body)
-	var snap struct {
-		Registry []obs.SnapshotEntry `json:"registry"`
-	}
+	var snap service.Snapshot
 	if err := json.Unmarshal(b, &snap); err != nil {
 		t.Fatalf("GET /metrics: %v", err)
 	}
-	found := false
-	for _, e := range snap.Registry {
-		if e.Name == "seqmine_query_stage_seconds" && e.Value > 0 {
-			found = true
+	for _, name := range []string{"seqmine_query_stage_seconds", "seqmine_queries_total"} {
+		if n, _ := service.Series(snap.Registry, name); n == 0 {
+			t.Errorf("JSON registry lacks a populated %s: %s", name, b)
+		}
+		if !strings.Contains(string(expo), "\n"+name) {
+			t.Errorf("exposition lacks %s:\n%s", name, expo)
 		}
 	}
-	if !found {
-		t.Errorf("JSON metrics registry lacks populated stage histograms: %s", b)
+	// The admission gate exports exactly these series, one per question (no
+	// second gauge of the slots in use).
+	admission := map[string]int{}
+	for _, e := range snap.Registry {
+		if strings.HasPrefix(e.Name, "seqmine_admission_") || e.Name == "seqmine_active_queries" {
+			admission[e.Name+" "+e.Type]++
+		}
+	}
+	if want := map[string]int{
+		"seqmine_admission_inflight gauge":                1,
+		"seqmine_admission_queue_depth gauge":             1,
+		"seqmine_admission_queue_depth_max gauge":         1,
+		"seqmine_admission_admitted_total counter":        1,
+		"seqmine_admission_shed_total counter":            2, // reason="queue_full", "tenant_quota"
+		"seqmine_admission_wait_seconds histogram":        1,
+		"seqmine_admission_retry_after_seconds histogram": 1,
+	}; !reflect.DeepEqual(admission, want) {
+		t.Errorf("admission series = %v, want %v", admission, want)
 	}
 }
 
@@ -234,8 +219,8 @@ func TestExecuteSpanSaysHowTheQueryWasSplit(t *testing.T) {
 // TestQuerySaysWhatItReused: the exec block of the response metrics and the
 // service.execute span say whether a query built the prepared DESQ-DFS state
 // (with prepare_ms), mined one an earlier query built, or has none; cache_hit
-// keeps meaning the FST alone; and /metrics totals the states kept, in JSON and
-// as seqmine_prepared_* series.
+// keeps meaning the FST alone; and /metrics counts the states kept as
+// seqmine_prepared_* series.
 func TestQuerySaysWhatItReused(t *testing.T) {
 	srv, rec := newObsServer(t)
 	putExampleDataset(t, srv, "ex")
@@ -276,28 +261,105 @@ func TestQuerySaysWhatItReused(t *testing.T) {
 		}
 	}
 
-	var snap struct {
-		Cache    map[string]float64  `json:"compiled_pattern_cache"`
-		Registry []obs.SnapshotEntry `json:"registry"`
-	}
+	var snap service.Snapshot
 	if resp := doJSON(t, http.MethodGet, srv.URL+"/metrics", nil, &snap); resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET /metrics: status %d", resp.StatusCode)
-	}
-	if c := snap.Cache; c["prepared_entries"] != 1 || c["prepared_bytes"] <= 0 || c["prepared_builds"] != 1 ||
-		c["prepared_hits"] != 2 || c["prepared_evictions"] != 0 || c["size"] != 1 || c["misses"] != 1 {
-		t.Errorf("compiled_pattern_cache = %v", c)
 	}
 	series := map[string]obs.SnapshotEntry{}
 	for _, e := range snap.Registry {
 		series[e.Name] = e
 	}
-	for name, want := range map[string]int64{"seqmine_prepared_entries": 1, "seqmine_prepared_bytes": int64(snap.Cache["prepared_bytes"]),
+	if e := series["seqmine_prepared_bytes"]; e.Type != "gauge" || e.Value <= 0 {
+		t.Errorf("seqmine_prepared_bytes = %+v, want a positive gauge", e)
+	}
+	for name, want := range map[string]int64{"seqmine_prepared_entries": 1,
 		"seqmine_prepared_builds_total": 1, "seqmine_prepared_hits_total": 2, "seqmine_prepared_evictions_total": 0} {
 		if e, ok := series[name]; !ok || e.Value != want {
 			t.Errorf("registry series %s = %+v (present %v), want %d", name, e, ok, want)
 		}
 	}
-	if typ := series["seqmine_prepared_bytes"].Type; typ != "gauge" {
-		t.Errorf("seqmine_prepared_bytes is a %q, want a gauge", typ)
+}
+
+// documentedFamilies reads the seqmine_* family table of DESIGN.md: the first
+// cell of every row that names a family.
+func documentedFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	b, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `seqmine_"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			rows["seqmine_"+name] = true
+		}
+	}
+	return rows
+}
+
+// TestEveryFamilyIsDocumented: a new service lists every family it resolves in
+// New before its first query, and after in-process queries that spill and
+// stream, a failed query and a cluster query, every family in its registry has
+// a row in DESIGN.md's family table.
+func TestEveryFamilyIsDocumented(t *testing.T) {
+	svc := service.New(service.Config{ResultCacheSize: 8, MaxConcurrent: 2})
+	families := func() map[string]bool {
+		got := map[string]bool{}
+		for _, e := range svc.Metrics().Registry {
+			got[e.Name] = true
+		}
+		return got
+	}
+	before := families()
+	for _, name := range []string{
+		"seqmine_queries_total", "seqmine_query_errors_total", "seqmine_query_stage_seconds",
+		"seqmine_result_cache_hits_total", "seqmine_result_cache_misses_total",
+		"seqmine_admission_inflight", "seqmine_admission_queue_depth", "seqmine_admission_queue_depth_max",
+		"seqmine_admission_admitted_total", "seqmine_admission_shed_total",
+		"seqmine_admission_wait_seconds", "seqmine_admission_retry_after_seconds",
+		"seqmine_prepared_entries", "seqmine_prepared_bytes", "seqmine_prepared_hits_total",
+		"seqmine_prepared_builds_total", "seqmine_prepared_evictions_total",
+	} {
+		if !before[name] {
+			t.Errorf("%s is missing before the first query", name)
+		}
+	}
+
+	if _, err := svc.RegisterDataset("rnd", randomClusterDB(t)); err != nil {
+		t.Fatal(err)
+	}
+	const expr = "[.*(.)]{1,3}.*"
+	mine := func(opts service.ExecOptions) {
+		t.Helper()
+		if _, err := svc.Mine(context.Background(), service.Query{Dataset: "rnd", Expression: expr, Sigma: 3, Options: opts}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spilling := service.DefaultExecOptions()
+	spilling.Algorithm = service.AlgoDCand
+	spilling.SendBufferBytes, spilling.SpillThreshold, spilling.SpillTmpDir = 64, 256, t.TempDir()
+	mine(spilling)
+	dfs := service.DefaultExecOptions()
+	dfs.Algorithm = service.AlgoDFS
+	mine(dfs)
+	clustered := service.DefaultExecOptions()
+	clustered.Cluster = &service.ClusterOptions{Workers: startClusterWorkers(t, 2)}
+	mine(clustered)
+	if _, err := svc.Mine(context.Background(), service.Query{Dataset: "nope", Expression: expr, Sigma: 3}); err == nil {
+		t.Fatal("a query of an unknown dataset succeeded")
+	}
+
+	documented := documentedFamilies(t)
+	after := families()
+	for _, name := range []string{"seqmine_spill_segment_bytes", "seqmine_send_buffer_occupancy_bytes", "seqmine_task_attempt_seconds"} {
+		if !after[name] {
+			t.Errorf("%s is missing after the queries meant to register it", name)
+		}
+	}
+	for name := range after {
+		if !documented[name] {
+			t.Errorf("%s has no row in DESIGN.md's family table", name)
+		}
 	}
 }

@@ -38,6 +38,21 @@ func await(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// account is the prepared-state account of a compiled-pattern cache: the two
+// sums it budgets by and its three counters.
+type account struct {
+	entries                 int
+	bytes                   int64
+	builds, hits, evictions int64
+}
+
+func (c *fstCache) account() account {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return account{c.preparedEntries, c.preparedBytes,
+		c.buildsCtr.Value(), c.hitsCtr.Value(), c.evictionsCtr.Value()}
+}
+
 // building reports whether a prepared-state build of key is in flight.
 func (c *fstCache) building(key cacheKey) bool {
 	e, ok := c.entries.Lookup(key)
@@ -59,7 +74,7 @@ func dfsQuery(dataset, expr string, sigma int64, workers int) Query {
 func cancelledPrepare(t *testing.T) {
 	db, expr := slowToPrepare()
 	f := fst.MustCompile(expr, db.Dict)
-	c := newFSTCache(4, nil)
+	c := newFSTCache(4, obs.NewRegistry())
 	key := cacheKey{dataset: "slow", generation: 1, expression: expr}
 	if _, _, err := c.get(context.Background(), key, func() (*fst.FST, error) { return f, nil }); err != nil {
 		t.Fatal(err)
@@ -79,7 +94,7 @@ func cancelledPrepare(t *testing.T) {
 		t.Fatalf("cancelled query returned %v, want context.Canceled", err)
 	}
 	held := (<-done).Sub(start)
-	if st := c.stats(); st.PreparedEntries != 0 || st.PreparedBytes != 0 || st.PreparedBuilds != 0 || c.building(key) {
+	if st := c.account(); st.entries != 0 || st.bytes != 0 || st.builds != 0 || c.building(key) {
 		t.Errorf("a cancelled build left %+v, building %v", st, c.building(key))
 	}
 	waitForGoroutines(t, before)
@@ -103,7 +118,7 @@ func cancelledPrepare(t *testing.T) {
 	if err != nil || stats.Prepared != PreparedHit || stats.PrepareMS != 0 {
 		t.Errorf("query at another sigma: err %v, exec = %+v, want a hit", err, stats)
 	}
-	if st := c.stats(); st.PreparedEntries != 1 || st.PreparedBuilds != 1 || st.PreparedHits != 1 {
+	if st := c.account(); st.entries != 1 || st.builds != 1 || st.hits != 1 {
 		t.Errorf("after build and hit: %+v", st)
 	}
 }
@@ -117,13 +132,13 @@ func TestWaiterLeavesOnItsOwnDeadline(t *testing.T) {
 	}
 	t.Run("compiled pattern", func(t *testing.T) {
 		f := testFST(t)
-		c := newFSTCache(4, nil)
+		c := newFSTCache(4, obs.NewRegistry())
 		release, owner := make(chan struct{}), make(chan error, 1)
 		go func() {
 			_, _, err := c.get(context.Background(), key("p"), func() (*fst.FST, error) { <-release; return f, nil })
 			owner <- err
 		}()
-		await(t, "the compile to start", func() bool { return c.stats().Misses == 1 })
+		await(t, "the compile to start", func() bool { return c.entries.Stats().Misses == 1 })
 		ctx, cancel := short()
 		defer cancel()
 		if _, _, err := c.get(ctx, key("p"), nil); !errors.Is(err, context.DeadlineExceeded) {
@@ -161,7 +176,7 @@ func TestWaiterLeavesOnItsOwnDeadline(t *testing.T) {
 	t.Run("prepared state", func(t *testing.T) {
 		db, expr := slowToPrepare()
 		f := fst.MustCompile(expr, db.Dict)
-		c := newFSTCache(4, nil)
+		c := newFSTCache(4, obs.NewRegistry())
 		k := key(expr)
 		c.get(context.Background(), k, func() (*fst.FST, error) { return f, nil })
 		owner := make(chan *miner.Prepared, 1)
@@ -176,8 +191,8 @@ func TestWaiterLeavesOnItsOwnDeadline(t *testing.T) {
 		if !errors.Is(err, context.DeadlineExceeded) || !c.building(k) {
 			t.Errorf("waiter returned %v with the build in flight: %v; want its own deadline during the build", err, c.building(k))
 		}
-		if p := <-owner; p == nil || c.stats().PreparedEntries != 1 {
-			t.Errorf("owner built %v, cache %+v", p, c.stats())
+		if p := <-owner; p == nil || c.account().entries != 1 {
+			t.Errorf("owner built %v, cache %+v", p, c.account())
 		}
 	})
 }
@@ -191,7 +206,7 @@ func TestWaiterOutlivesCancelledOwner(t *testing.T) {
 	want := miner.MineDFS(f, miner.Weighted(db.Sequences), slowSigma, miner.DFSOptions{})
 
 	t.Run("prepared state", func(t *testing.T) {
-		c := newFSTCache(4, nil)
+		c := newFSTCache(4, obs.NewRegistry())
 		k := key(expr)
 		c.get(context.Background(), k, func() (*fst.FST, error) { return f, nil })
 		ownerCtx, cancel := context.WithCancel(context.Background())
@@ -223,7 +238,7 @@ func TestWaiterOutlivesCancelledOwner(t *testing.T) {
 		if got := w.p.Mine(context.Background(), slowSigma, 2, nil); !reflect.DeepEqual(got, want) {
 			t.Errorf("waiter's state mines %d patterns, want %d", len(got), len(want))
 		}
-		if st := c.stats(); st.PreparedBuilds != 1 || st.PreparedEntries != 1 || c.building(k) {
+		if st := c.account(); st.builds != 1 || st.entries != 1 || c.building(k) {
 			t.Errorf("cache after the take-over: %+v", st)
 		}
 	})
@@ -260,7 +275,10 @@ func TestWaiterOutlivesCancelledOwner(t *testing.T) {
 		if resp, err := svc.Mine(context.Background(), q); err != nil || !resp.Metrics.ResultCacheHit || resp.Metrics.Exec.Prepared != PreparedNone {
 			t.Errorf("repeat of the waiter's query: %+v, err %v, want a result-cache hit that reused no state", resp, err)
 		}
-		await(t, "the owner's slot to come back", func() bool { return svc.Metrics().ActiveQueries == 0 })
+		await(t, "the owner's slot to come back", func() bool {
+			n, _ := Series(svc.Metrics().Registry, "seqmine_admission_inflight")
+			return n == 0
+		})
 	})
 }
 
@@ -276,8 +294,7 @@ func TestPreparedBudget(t *testing.T) {
 		d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(seed)), n, 8)
 		return &seqdb.Database{Dict: d, Sequences: seqs}
 	}
-	reg := obs.NewRegistry()
-	svc := New(Config{Obs: reg})
+	svc := New(Config{})
 	dbs := map[string]*seqdb.Database{}
 	for i := 0; i < 3; i++ {
 		dbs[fmt.Sprintf("ds%d", i)] = small(int64(i), 300)
@@ -291,25 +308,21 @@ func TestPreparedBudget(t *testing.T) {
 	one := miner.Prepare(context.Background(), fst.MustCompile(expr, dbs["ds0"].Dict), dbs["ds0"].Sequences, 1).Bytes()
 	svc.cache.budget = 5 * one / 2 // two states of the small datasets, not three, not the big one's
 
-	scrape := func(entries int, builds, hits, evictions uint64) {
+	scrape := func(entries int, builds, hits, evictions int64) {
 		t.Helper()
-		st := svc.Metrics().Cache
-		if st.PreparedBytes > svc.cache.budget || st.PreparedBytes < int64(entries)*one/2 {
-			t.Errorf("prepared_bytes = %d with %d entries, budget %d", st.PreparedBytes, entries, svc.cache.budget)
+		st := svc.cache.account()
+		if st.bytes > svc.cache.budget || st.bytes < int64(entries)*one/2 {
+			t.Errorf("prepared_bytes = %d with %d entries, budget %d", st.bytes, entries, svc.cache.budget)
 		}
-		if st.PreparedEntries != entries || st.PreparedBuilds != builds || st.PreparedHits != hits || st.PreparedEvictions != evictions {
+		if st.entries != entries || st.builds != builds || st.hits != hits || st.evictions != evictions {
 			t.Errorf("cache = %+v, want %d entries, %d builds, %d hits, %d evictions", st, entries, builds, hits, evictions)
 		}
-		mirror := map[string]int64{}
-		for _, e := range reg.Snapshot() {
-			mirror[e.Name] = e.Value
-		}
 		for name, want := range map[string]int64{
-			"seqmine_prepared_entries": int64(st.PreparedEntries), "seqmine_prepared_bytes": st.PreparedBytes,
-			"seqmine_prepared_builds_total": int64(st.PreparedBuilds), "seqmine_prepared_hits_total": int64(st.PreparedHits),
-			"seqmine_prepared_evictions_total": int64(st.PreparedEvictions),
+			"seqmine_prepared_entries": int64(st.entries), "seqmine_prepared_bytes": st.bytes,
+			"seqmine_prepared_builds_total": st.builds, "seqmine_prepared_hits_total": st.hits,
+			"seqmine_prepared_evictions_total": st.evictions,
 		} {
-			if got, ok := mirror[name]; !ok || got != want {
+			if got, ok := Series(svc.metrics.Snapshot(), name); !ok || got != want {
 				t.Errorf("%s = %v (registered %v), want %v", name, got, ok, want)
 			}
 		}
@@ -342,7 +355,7 @@ func TestPreparedBudget(t *testing.T) {
 	mine("big", 50, PreparedBuilt, false) // over the budget on its own
 	mine("big", 90, PreparedBuilt, true)
 	scrape(2, 6, 1, 2)
-	if st := svc.Metrics().Cache; st.Size != 4 {
+	if st := svc.cache.entries.Stats(); st.Size != 4 {
 		t.Errorf("compiled-pattern cache holds %d entries, want all 4 FSTs", st.Size)
 	}
 

@@ -51,10 +51,11 @@ func TestResultCacheByteIdentical(t *testing.T) {
 	if first.Dict != second.Dict {
 		t.Fatal("cached response carries a different dictionary")
 	}
-	snap := svc.Metrics()
-	if snap.ResultCacheHits != 1 || snap.ResultCache.Hits != 1 || snap.ResultCache.Misses != 1 {
-		t.Fatalf("snapshot = hits %d / cache %+v, want exactly one hit and one miss",
-			snap.ResultCacheHits, snap.ResultCache)
+	reg := svc.Metrics().Registry
+	hits, _ := service.Series(reg, "seqmine_result_cache_hits_total")
+	misses, _ := service.Series(reg, "seqmine_result_cache_misses_total")
+	if hits != 1 || misses != 1 {
+		t.Fatalf("result cache = %d hits, %d misses; want exactly one of each", hits, misses)
 	}
 	// A different sigma is a different answer: must not hit.
 	q := exampleQuery()
@@ -132,8 +133,8 @@ func TestResultCacheSingleflightThroughService(t *testing.T) {
 			t.Fatalf("response %d differs from response 0", i)
 		}
 	}
-	if snap := svc.Metrics(); snap.ResultCache.Misses != 1 {
-		t.Fatalf("result cache misses = %d, want exactly 1 (singleflight)", snap.ResultCache.Misses)
+	if misses, _ := service.Series(svc.Metrics().Registry, "seqmine_result_cache_misses_total"); misses != 1 {
+		t.Fatalf("result cache misses = %d, want exactly 1 (singleflight)", misses)
 	}
 }
 

@@ -10,8 +10,9 @@
 //   - a query executor that runs the sequential backends with the miner's
 //     own parallelism and drives the BSP engine for the distributed ones,
 //     under a per-query context deadline;
-//   - per-query and aggregate metrics (compile/mine time, cache hit rate,
-//     patterns found) in the idiom of mapreduce.Metrics.
+//   - per-query metrics (compile/mine time, cache hits, patterns found) in the
+//     idiom of mapreduce.Metrics, and one service-wide account of the same
+//     events in an obs.Registry.
 //
 // The seqmined daemon (cmd/seqmined) exposes this over HTTP; the root
 // seqmine package re-exports it for library users.
@@ -76,13 +77,6 @@ type Config struct {
 	// (shuffle bounds, retry policy): a query's
 	// unset knobs inherit them (plan.Knobs.Merge).
 	plan.Knobs
-	// Obs is the metrics registry the service's instruments live on:
-	// query/error counters, the seqmine_query_stage_seconds stage-latency
-	// histograms, and — because Mine threads it into the executor and the
-	// cluster coordinator — the engine's spill/streaming histograms and the
-	// scheduler's attempt/heartbeat histograms. Nil disables registry
-	// metrics; the JSON Snapshot counters are unaffected.
-	Obs *obs.Registry
 	// Recorder receives trace spans of queries whose context carries no
 	// recorder of its own; the HTTP handler serves recorded traces at
 	// GET /debug/trace/{trace_id}. Nil leaves tracing to the caller's
@@ -98,7 +92,44 @@ type Service struct {
 	cache   *fstCache
 	results *lru.Cache[resultKey, cachedResult] // nil when ResultCacheSize <= 0
 	adm     *admission
-	agg     aggregator
+	inst    instruments
+	// metrics is the service's one account: its own series and, through
+	// Mine's ExecOptions.Obs, the engine's and the scheduler's. Metrics and
+	// both views of GET /metrics render it.
+	metrics *obs.Registry
+}
+
+// instruments are the service's own registry series, resolved once in New so
+// that serving a query only adds to atomics.
+type instruments struct {
+	queries                             map[Algorithm]*obs.Counter
+	errors                              *obs.Counter
+	resultHits, resultMisses            *obs.Counter // nil without a result cache
+	queueStage, compileStage, mineStage *obs.Histogram
+}
+
+func newInstruments(reg *obs.Registry, resultCache bool) instruments {
+	stage := func(name string) *obs.Histogram {
+		return reg.Histogram("seqmine_query_stage_seconds",
+			"Wall-clock duration of query-serving stages.", obs.DurationBuckets, "stage", name)
+	}
+	m := instruments{
+		queries:      map[Algorithm]*obs.Counter{},
+		errors:       reg.Counter("seqmine_query_errors_total", "Queries that returned an error."),
+		queueStage:   stage("queue"),
+		compileStage: stage("compile"),
+		mineStage:    stage("mine"),
+	}
+	for _, a := range plan.Algorithms {
+		m.queries[a] = reg.Counter("seqmine_queries_total", "Queries served successfully.", "algorithm", string(a))
+	}
+	if resultCache {
+		m.resultHits = reg.Counter("seqmine_result_cache_hits_total",
+			"Queries served from the result cache (including shared in-flight answers).")
+		m.resultMisses = reg.Counter("seqmine_result_cache_misses_total",
+			"Queries that missed the result cache and mined.")
+	}
+	return m
 }
 
 // ErrQuotaExceeded is returned (wrapped) when a tenant's dataset quota is
@@ -115,12 +146,15 @@ func New(cfg Config) *Service {
 	if queueDepth == 0 && cfg.MaxConcurrent > 0 {
 		queueDepth = 4 * cfg.MaxConcurrent
 	}
+	metrics := obs.NewRegistry()
 	return &Service{
 		cfg:     cfg,
 		reg:     NewRegistry(),
-		cache:   newFSTCache(cfg.CacheSize, cfg.Obs),
+		cache:   newFSTCache(cfg.CacheSize, metrics),
 		results: newResultCache(cfg.ResultCacheSize),
-		adm:     newAdmission(cfg.MaxConcurrent, queueDepth, cfg.Obs),
+		adm:     newAdmission(cfg.MaxConcurrent, queueDepth, metrics),
+		inst:    newInstruments(metrics, cfg.ResultCacheSize > 0),
+		metrics: metrics,
 	}
 }
 
@@ -328,7 +362,7 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 	}
 	opts.Knobs = opts.Knobs.Merge(s.cfg.Knobs)
 	if opts.Obs == nil {
-		opts.Obs = s.cfg.Obs
+		opts.Obs = s.metrics
 	}
 	if opts.Cluster != nil {
 		// The workers compile the query's own expression, whatever the caller
@@ -380,10 +414,7 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 		sigma: q.Sigma, algorithm: m.Algorithm}
 	lookupStart := time.Now()
 	res, shared, err := s.results.Get(ctx, rkey, func() (cachedResult, error) {
-		if s.results != nil {
-			s.cfg.Obs.Counter("seqmine_result_cache_misses_total",
-				"Queries that missed the result cache and mined.").Inc()
-		}
+		s.inst.resultMisses.Inc()
 		return s.mine(ctx, ds, q, opts, &m) // takes over the dataset lease
 	})
 	if shared {
@@ -397,14 +428,11 @@ func (s *Service) Mine(ctx context.Context, q Query) (*Response, error) {
 		m.CacheHit = true // the FST never needed compiling either
 		m.Exec.Prepared = PreparedNone
 		m.MineTime = time.Since(lookupStart)
-		s.cfg.Obs.Counter("seqmine_result_cache_hits_total",
-			"Queries served from the result cache (including shared in-flight answers).").Inc()
+		s.inst.resultHits.Inc()
 		span.SetAttr("result_cache_hit", "true")
 	}
 	m.Patterns = len(res.patterns)
-	s.agg.record(m)
-	s.cfg.Obs.Counter("seqmine_queries_total",
-		"Queries served successfully.", "algorithm", string(m.Algorithm)).Inc()
+	s.inst.queries[m.Algorithm].Inc()
 	span.SetAttrInt("patterns", int64(m.Patterns))
 	return &Response{Patterns: res.patterns, Dict: res.dict, Metrics: m, TraceID: span.TraceID()}, nil
 }
@@ -421,17 +449,15 @@ func (s *Service) mine(ctx context.Context, ds *Dataset, q Query, opts ExecOptio
 		ds.Release()
 		return cachedResult{}, err
 	}
-	s.stageHist("queue").Observe(time.Since(admitStart).Seconds())
-	s.agg.addActive(1)
+	s.inst.queueStage.Observe(time.Since(admitStart).Seconds())
 	served := time.Now()
 
-	// The admission slot, active counter and dataset lease are held for the
-	// true lifetime of the mining work: a query abandoned on deadline keeps
-	// its resources until the background goroutine finishes, so MaxConcurrent
-	// genuinely bounds concurrent mining.
+	// The admission slot and dataset lease are held for the true lifetime of
+	// the mining work: a query abandoned on deadline keeps its resources until
+	// the background goroutine finishes, so MaxConcurrent genuinely bounds
+	// concurrent mining.
 	cleanup := func() {
 		ds.Release()
-		s.agg.addActive(-1)
 		s.adm.done(time.Since(served))
 		release()
 	}
@@ -443,7 +469,7 @@ func (s *Service) mine(ctx context.Context, ds *Dataset, q Query, opts ExecOptio
 	})
 	m.CompileTime = time.Since(compileStart)
 	m.CacheHit = hit
-	s.stageHist("compile").Observe(m.CompileTime.Seconds())
+	s.inst.compileStage.Observe(m.CompileTime.Seconds())
 	obs.Observe(ctx, "service.compile", compileStart, m.CompileTime,
 		obs.String("cache_hit", strconv.FormatBool(hit)))
 	if err != nil {
@@ -457,7 +483,7 @@ func (s *Service) mine(ctx context.Context, ds *Dataset, q Query, opts ExecOptio
 			return s.cache.prepared(ctx, key, f, ds.DB.Sequences, workers)
 		})
 	m.MineTime = time.Since(mineStart)
-	s.stageHist("mine").Observe(m.MineTime.Seconds())
+	s.inst.mineStage.Observe(m.MineTime.Seconds())
 	attrs := []obs.Attr{obs.String("algorithm", string(m.Algorithm)),
 		obs.Int("workers", int64(exec.Workers)), obs.Int("tasks", int64(exec.Tasks)),
 		obs.String("largest_task_share", strconv.FormatFloat(exec.LargestTaskShare, 'f', 3, 64)),
@@ -474,13 +500,6 @@ func (s *Service) mine(ctx context.Context, ds *Dataset, q Query, opts ExecOptio
 	return cachedResult{patterns: patterns, dict: ds.DB.Dict}, nil
 }
 
-// stageHist returns the stage-latency histogram series for one serving
-// stage ("compile" or "mine"); nil (a no-op) without a registry.
-func (s *Service) stageHist(stage string) *obs.Histogram {
-	return s.cfg.Obs.Histogram("seqmine_query_stage_seconds",
-		"Wall-clock duration of query-serving stages.", obs.DurationBuckets, "stage", stage)
-}
-
 // Decode renders a mined pattern against the named dataset's current
 // dictionary.
 func (s *Service) Decode(dataset string, p miner.Pattern) (string, error) {
@@ -492,19 +511,13 @@ func (s *Service) Decode(dataset string, p miner.Pattern) (string, error) {
 	return ds.DB.Dict.DecodeString(p.Items), nil
 }
 
-// Metrics returns a snapshot of the aggregate service metrics.
+// Metrics returns the JSON view of GET /metrics: the admission gate, the
+// datasets and the service's registry.
 func (s *Service) Metrics() Snapshot {
-	snap := s.agg.snapshot()
-	snap.Cache = s.cache.stats()
-	snap.ResultCache = s.results.Stats()
-	snap.Admission = s.adm.stats()
-	snap.Datasets = s.reg.List()
-	snap.Registry = s.cfg.Obs.Snapshot()
-	return snap
+	return Snapshot{Admission: s.adm.stats(), Datasets: s.reg.List(), Registry: s.metrics.Snapshot()}
 }
 
 func (s *Service) fail(err error) error {
-	s.agg.incErrors()
-	s.cfg.Obs.Counter("seqmine_query_errors_total", "Queries that returned an error.").Inc()
+	s.inst.errors.Inc()
 	return err
 }

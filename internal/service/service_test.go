@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,18 +156,8 @@ func TestCacheHitMetrics(t *testing.T) {
 	if !second.Metrics.CacheHit {
 		t.Error("repeated identical query must hit the compiled-pattern cache")
 	}
-	snap := svc.Metrics()
-	if snap.Queries != 2 || snap.CacheHits != 1 {
-		t.Errorf("aggregate queries=%d cacheHits=%d, want 2 and 1", snap.Queries, snap.CacheHits)
-	}
-	if snap.Cache.Misses != 1 || snap.Cache.Hits != 1 {
-		t.Errorf("cache stats = %+v, want 1 miss and 1 hit", snap.Cache)
-	}
-	if snap.CacheHitRate != 0.5 {
-		t.Errorf("cache hit rate = %v, want 0.5", snap.CacheHitRate)
-	}
-	if snap.PatternsFound != uint64(len(first.Patterns)+len(second.Patterns)) {
-		t.Errorf("patterns found = %d, want %d", snap.PatternsFound, len(first.Patterns)*2)
+	if n, _ := service.Series(svc.Metrics().Registry, "seqmine_queries_total", "algorithm", "dseq"); n != 2 {
+		t.Errorf("seqmine_queries_total{algorithm=dseq} = %d, want 2", n)
 	}
 }
 
@@ -186,6 +177,7 @@ func TestConcurrentQueries(t *testing.T) {
 	const n = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
+	var compiled atomic.Int64 // responses that compiled their FST
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -206,6 +198,9 @@ func TestConcurrentQueries(t *testing.T) {
 			if got := miner.PatternsToMap(resp.Dict, resp.Patterns); !reflect.DeepEqual(got, want) {
 				errs <- fmt.Errorf("query %d (%s): got %v, want %v", i, opts.Algorithm, got, want)
 			}
+			if !resp.Metrics.CacheHit {
+				compiled.Add(1)
+			}
 		}(i)
 	}
 	wg.Wait()
@@ -213,12 +208,11 @@ func TestConcurrentQueries(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	snap := svc.Metrics()
-	if snap.Cache.Misses != 1 {
-		t.Errorf("distinct expression compiled %d times, want 1 (singleflight + cache)", snap.Cache.Misses)
+	if got := compiled.Load(); got != 1 {
+		t.Errorf("distinct expression compiled %d times, want 1 (singleflight + cache)", got)
 	}
-	if snap.Queries != n {
-		t.Errorf("queries = %d, want %d", snap.Queries, n)
+	if got, _ := service.Series(svc.Metrics().Registry, "seqmine_queries_total"); got != n {
+		t.Errorf("queries = %d, want %d", got, n)
 	}
 }
 
@@ -251,8 +245,8 @@ func TestQueryValidation(t *testing.T) {
 			t.Errorf("Mine(%+v) should fail", q)
 		}
 	}
-	if snap := svc.Metrics(); snap.Errors != uint64(len(cases)) {
-		t.Errorf("error counter = %d, want %d", snap.Errors, len(cases))
+	if got, _ := service.Series(svc.Metrics().Registry, "seqmine_query_errors_total"); got != int64(len(cases)) {
+		t.Errorf("error counter = %d, want %d", got, len(cases))
 	}
 }
 
@@ -412,8 +406,9 @@ func TestServiceDefaultKnobs(t *testing.T) {
 // TestStreamingThroughService exercises the streaming pipelined shuffle
 // end-to-end through the service layer: a query-level send buffer (with and
 // without compressed spill) must produce byte-identical patterns for every
-// distributed backend, with streaming metrics reported and aggregated into
-// the service totals.
+// distributed backend, with streaming metrics reported per query and the
+// engine's spill segments and send-buffer flushes counted in the service's
+// registry.
 func TestStreamingThroughService(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d, seqs := paperex.RandomDatabase(rng, 300, 9)
@@ -424,6 +419,7 @@ func TestStreamingThroughService(t *testing.T) {
 	}
 	const pat = "[.*(.)]{1,3}.*"
 	const sigma = 10
+	var segments int64 // spill segments the responses report
 	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoSemiNaive} {
 		base := service.DefaultExecOptions()
 		base.Algorithm = algo
@@ -450,14 +446,16 @@ func TestStreamingThroughService(t *testing.T) {
 		if got.Metrics.MapReduce.StreamedBatches == 0 {
 			t.Errorf("%s: expected streaming metrics, got %+v", algo, got.Metrics.MapReduce)
 		}
+		segments += ref.Metrics.MapReduce.SpillCount + got.Metrics.MapReduce.SpillCount
 	}
 
-	// The aggregate snapshot must total the per-query spill/stream activity.
-	snap := svc.Metrics()
-	if snap.StreamedBatches == 0 {
-		t.Error("GET /metrics totals: StreamedBatches not aggregated")
+	// The service's registry saw every segment the responses report, and
+	// the send buffers' flushes.
+	reg := svc.Metrics().Registry
+	if n, _ := service.Series(reg, "seqmine_spill_segment_bytes"); segments == 0 || n != segments {
+		t.Errorf("seqmine_spill_segment_bytes counts %d segments, the responses %d", n, segments)
 	}
-	if snap.SpilledBytes == 0 || snap.SpillCount == 0 {
-		t.Error("GET /metrics totals: spill metrics not aggregated")
+	if n, _ := service.Series(reg, "seqmine_send_buffer_occupancy_bytes"); n == 0 {
+		t.Error("seqmine_send_buffer_occupancy_bytes observed no flush")
 	}
 }

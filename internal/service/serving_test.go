@@ -16,7 +16,6 @@ import (
 
 	"seqmine/internal/datagen"
 	"seqmine/internal/experiments"
-	"seqmine/internal/obs"
 	"seqmine/internal/paperex"
 )
 
@@ -84,6 +83,16 @@ func TestMineShedsOverHTTP(t *testing.T) {
 	if snap := svc.Metrics(); snap.Admission.ShedQueueFull != 1 {
 		t.Fatalf("admission stats = %+v, want 1 queue-full shed", snap.Admission)
 	}
+	// The exposition renders the service's own registry.
+	expo, err := http.Get(srv.URL + "/metrics?format=prometheus")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer expo.Body.Close()
+	text, _ := io.ReadAll(expo.Body)
+	if !strings.Contains(string(text), `seqmine_admission_shed_total{reason="queue_full"} 1`) {
+		t.Errorf("exposition lacks the shed:\n%s", text)
+	}
 }
 
 // TestOverloadContractOverHTTP drives a service with two mining slots and a
@@ -92,11 +101,11 @@ func TestMineShedsOverHTTP(t *testing.T) {
 // contract, not the answers: every response is a 200 whose patterns and
 // total are byte-identical to the unloaded answer, or a 429 with a
 // whole-second Retry-After of at least 1; some request sheds; every shed the
-// clients saw is counted; and the Prometheus exposition validates with the
-// queue watermark within its bound and the shedding visible.
+// clients saw is counted; and the registry behind GET /metrics holds the
+// queue watermark within its bound and the shedding.
 func TestOverloadContractOverHTTP(t *testing.T) {
 	const slots, queue, clients = 2, 4, 16
-	svc := New(Config{MaxConcurrent: slots, QueueDepth: queue, ResultCacheSize: 0, Obs: obs.NewRegistry()})
+	svc := New(Config{MaxConcurrent: slots, QueueDepth: queue, ResultCacheSize: 0})
 	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 400, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -199,16 +208,16 @@ func TestOverloadContractOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	stats, err := obs.ValidateExposition(resp.Body)
-	if err != nil {
-		t.Fatalf("exposition invalid: %v", err)
+	resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/plain") {
+		t.Errorf("GET /metrics?format=prometheus: status %d, Content-Type %q", resp.StatusCode, ct)
 	}
-	if got, present := stats.MaxByName["seqmine_admission_queue_depth_max"]; !present || got > queue {
-		t.Errorf("seqmine_admission_queue_depth_max = %g (present %v), want <= %d", got, present, queue)
+	reg := svc.Metrics().Registry
+	if got, present := Series(reg, "seqmine_admission_queue_depth_max"); !present || got > queue {
+		t.Errorf("seqmine_admission_queue_depth_max = %d (present %v), want <= %d", got, present, queue)
 	}
-	if got := stats.MaxByName["seqmine_admission_shed_total"]; got < 1 {
-		t.Errorf("seqmine_admission_shed_total = %g, want >= 1", got)
+	if got, _ := Series(reg, "seqmine_admission_shed_total", "reason", "queue_full"); got != sheds {
+		t.Errorf("seqmine_admission_shed_total{reason=queue_full} = %d, want the %d sheds the clients saw", got, sheds)
 	}
 }
 

@@ -336,9 +336,6 @@ type Exchange struct {
 	traceWire []byte
 	openedAt  time.Time
 
-	wireOut atomic.Int64
-	wireIn  atomic.Int64
-
 	mu         sync.Mutex
 	ins        []net.Conn // adopted inbound connections, index per peer
 	adopted    int
@@ -488,7 +485,7 @@ func (e *Exchange) dialPeer(p int) error {
 		case <-time.After(100 * time.Millisecond):
 		}
 	}
-	cw := &countingWriter{w: conn, sinks: []*atomic.Int64{&e.wireOut, &e.stats[p].bytesOut}}
+	cw := &countingWriter{w: conn, n: &e.stats[p].bytesOut}
 	bw := bufio.NewWriter(cw)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if _, err := bw.Write(appendHandshake(nil, e.jobID, e.self, e.epoch, e.traceWire)); err != nil {
@@ -545,7 +542,7 @@ func (e *Exchange) adoptInbound(sender int, conn net.Conn, br *bufio.Reader, cr 
 		close(e.allAdopted)
 	}
 	e.mu.Unlock()
-	cr.attach(&e.wireIn, &e.stats[sender].bytesIn)
+	cr.attach(&e.stats[sender].bytesIn)
 	go e.readLoop(sender, br, trace, time.Now())
 }
 
@@ -732,7 +729,13 @@ func (e *Exchange) Err() error {
 
 // WireBytesOut returns the bytes actually written to this peer's outbound
 // sockets so far.
-func (e *Exchange) WireBytesOut() int64 { return e.wireOut.Load() }
+func (e *Exchange) WireBytesOut() int64 {
+	var n int64
+	for p := range e.stats {
+		n += e.stats[p].bytesOut.Load()
+	}
+	return n
+}
 
 // Close tears down every connection of the exchange and releases its job id.
 // It is idempotent and safe to call while Sends or Recvs are blocked.
@@ -786,48 +789,42 @@ func (e *Exchange) writeFailed(p int, op string, err error) error {
 	return e.Err()
 }
 
-// countingWriter forwards writes and adds the written byte counts to its
-// sinks. It sits directly on the socket, below the buffered writer, so the
-// counts are bytes that actually reached the kernel.
+// countingWriter forwards writes and adds the written byte counts to n. It
+// sits directly on the socket, below the buffered writer, so the count is
+// bytes that actually reached the kernel.
 type countingWriter struct {
-	w     io.Writer
-	sinks []*atomic.Int64
+	w io.Writer
+	n *atomic.Int64
 }
 
 func (c *countingWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	for _, s := range c.sinks {
-		s.Add(int64(n))
-	}
+	c.n.Add(int64(n))
 	return n, err
 }
 
 // countingReader forwards reads and counts bytes. Before attach it counts
 // locally (the handshake is read before the owning exchange is known); attach
-// transfers the running count into the sinks and routes further reads there.
-// attach must not race with Read — the handshake reader has finished before
-// the read loop starts.
+// transfers the running count into the peer's counter and routes further
+// reads there. attach must not race with Read — the handshake reader has
+// finished before the read loop starts.
 type countingReader struct {
-	r     io.Reader
-	n     int64
-	sinks []*atomic.Int64
+	r    io.Reader
+	n    int64
+	sink *atomic.Int64
 }
 
 func (c *countingReader) Read(p []byte) (int, error) {
 	n, err := c.r.Read(p)
-	if c.sinks == nil {
+	if c.sink == nil {
 		c.n += int64(n)
 	} else {
-		for _, s := range c.sinks {
-			s.Add(int64(n))
-		}
+		c.sink.Add(int64(n))
 	}
 	return n, err
 }
 
-func (c *countingReader) attach(sinks ...*atomic.Int64) {
-	for _, s := range sinks {
-		s.Add(c.n)
-	}
-	c.sinks = sinks
+func (c *countingReader) attach(sink *atomic.Int64) {
+	sink.Add(c.n)
+	c.sink = sink
 }

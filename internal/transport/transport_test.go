@@ -79,7 +79,9 @@ func runExchangePeer(t *testing.T, node *Node, jobID string, self int, addrs []s
 func TestExchangeThreePeers(t *testing.T) {
 	nodes, addrs := testCluster(t, 3)
 
-	const frames = 50
+	// Peer p sends frames(p) to each other peer, so no two peers send the
+	// same number of bytes.
+	frames := func(p int) int { return 50 * (p + 1) }
 	recvd := make([][]string, 3)
 	exs := make([]*Exchange, 3)
 	var wg sync.WaitGroup
@@ -87,7 +89,7 @@ func TestExchangeThreePeers(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			recvd[p], exs[p] = runExchangePeer(t, nodes[p], "job-3peer", p, addrs, frames)
+			recvd[p], exs[p] = runExchangePeer(t, nodes[p], "job-3peer", p, addrs, frames(p))
 		}(p)
 	}
 	wg.Wait()
@@ -102,7 +104,7 @@ func TestExchangeThreePeers(t *testing.T) {
 			if src == p {
 				continue
 			}
-			for f := 0; f < frames; f++ {
+			for f := 0; f < frames(src); f++ {
 				want = append(want, fmt.Sprintf("job-3peer:%d->%d:%d", src, p, f))
 			}
 		}
@@ -136,6 +138,18 @@ func TestExchangeThreePeers(t *testing.T) {
 	}
 	if out != in {
 		t.Errorf("wire bytes out %d != wire bytes in %d", out, in)
+	}
+	// Per peer: what p wrote is what the others read from p.
+	for p, ex := range exs {
+		var readFromP int64
+		for q := range exs {
+			if q != p {
+				readFromP += exs[q].stats[p].bytesIn.Load()
+			}
+		}
+		if ex.WireBytesOut() != readFromP {
+			t.Errorf("peer %d wrote %d wire bytes, its peers read %d from it", p, ex.WireBytesOut(), readFromP)
+		}
 	}
 	for _, ex := range exs {
 		ex.Close()
@@ -598,4 +612,10 @@ func TestPeerErrorIdentifiesDeadPeer(t *testing.T) {
 }
 
 // WireBytesIn returns the bytes actually read from e's inbound sockets.
-func (e *Exchange) WireBytesIn() int64 { return e.wireIn.Load() }
+func (e *Exchange) WireBytesIn() int64 {
+	var n int64
+	for p := range e.stats {
+		n += e.stats[p].bytesIn.Load()
+	}
+	return n
+}

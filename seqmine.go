@@ -216,8 +216,8 @@ func CountMatches(db *Database, c *Constraint) int {
 // time, cache hit, how the work was split).
 type QueryMetrics = service.QueryMetrics
 
-// ServiceMetrics is a snapshot of a service's aggregate metrics (queries
-// served, cache hit rate, per-dataset info).
+// ServiceMetrics is the JSON view of a service's metrics: the admission
+// gate, the registered datasets and the service's metrics registry.
 type ServiceMetrics = service.Snapshot
 
 // ServiceOptions configures NewService: cache sizes, the default worker
@@ -288,7 +288,7 @@ func clonePatterns(ps []Pattern) []Pattern {
 	return out
 }
 
-// Metrics returns a snapshot of the service's aggregate metrics.
+// Metrics returns a snapshot of the service's metrics.
 func (s *Service) Metrics() ServiceMetrics { return s.inner.Metrics() }
 
 // GenerateNYTLike generates the synthetic NYT-like text corpus (see the

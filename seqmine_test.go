@@ -236,9 +236,14 @@ func TestServiceMine(t *testing.T) {
 		}
 	}
 
-	m := svc.Metrics()
-	if m.Queries != 2 || m.CacheHits != 1 {
-		t.Errorf("service metrics: queries=%d cacheHits=%d, want 2 and 1", m.Queries, m.CacheHits)
+	var queries int64
+	for _, e := range svc.Metrics().Registry {
+		if e.Name == "seqmine_queries_total" {
+			queries += e.Value
+		}
+	}
+	if queries != 2 {
+		t.Errorf("service metrics: seqmine_queries_total = %d, want 2", queries)
 	}
 	if !svc.RemoveDataset("ex") {
 		t.Error("RemoveDataset should report the dataset existed")
