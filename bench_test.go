@@ -147,7 +147,7 @@ func BenchmarkFig13_MLlibSetting(b *testing.B) {
 // selective N1 constraint (NYT-like data) through the public API.
 func BenchmarkAlgorithms_N1(b *testing.B) {
 	ds := benchDatasets(b)
-	algos := []seqmine.Algorithm{seqmine.SequentialDFS, seqmine.DSeq, seqmine.DCand, seqmine.SemiNaive}
+	algos := []seqmine.Algorithm{seqmine.SequentialDFS, seqmine.DSeq, seqmine.DCand}
 	for _, algo := range algos {
 		b.Run(string(algo), func(b *testing.B) {
 			b.ReportAllocs()

@@ -33,7 +33,7 @@ func main() {
 	hierarchy := flag.String("hierarchy", "", "path to the hierarchy file (optional)")
 	pattern := flag.String("pattern", "", "pattern expression, e.g. \".*(A)[(.^)|.]*(b).*\"")
 	sigma := flag.Int64("sigma", 2, "minimum support threshold")
-	algorithm := flag.String("algorithm", "dseq", "algorithm: dfs, count, dseq, dcand, naive, seminaive")
+	algorithm := flag.String("algorithm", "dseq", "algorithm: dfs, dseq or dcand")
 	var eo service.ExecOptions
 	flag.IntVar(&eo.Workers, "workers", 0, "number of workers (0 = all CPUs)")
 	eo.Knobs.BindFlags(flag.CommandLine)

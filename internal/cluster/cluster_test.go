@@ -171,7 +171,8 @@ func TestCoordinatorMatchesInProcess(t *testing.T) {
 }
 
 // TestCoordinatorRejectsBadAlgorithm: an algorithm that cannot run on a
-// cluster, and the unresolved empty name, fail before the coordinator probes
+// cluster — dfs, and the names no backend serves (count, naive, seminaive) —
+// and the unresolved empty name fail before the coordinator probes
 // or pushes a dataset bundle or posts a job spec. The scripted workers would
 // hold the bundle and answer every spec with success, so a late check could
 // not fail the job at all.
@@ -187,7 +188,7 @@ func TestCoordinatorRejectsBadAlgorithm(t *testing.T) {
 	}))
 	t.Cleanup(srv.Close)
 	coord := &cluster.Coordinator{Workers: []string{srv.URL}}
-	for _, algo := range []plan.Algorithm{plan.AlgoDFS, plan.AlgoCount, plan.AlgoNaive, plan.AlgoSemiNaive, ""} {
+	for _, algo := range []plan.Algorithm{plan.AlgoDFS, "count", "naive", "seminaive", ""} {
 		if _, err := coord.Mine(context.Background(), db, paperex.PatternExpression, paperex.Sigma, plan.Plan{Algorithm: algo}); err == nil {
 			t.Errorf("algorithm %q: expected an error, the job cannot run on a cluster", algo)
 		}

@@ -103,7 +103,7 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 		{"partition out of range", func(s *cluster.JobSpec) { s.Partitions = []int{3} }, http.StatusBadRequest},
 		{"bad expression", func(s *cluster.JobSpec) { s.Expression = "((" }, http.StatusBadRequest},
 		{"expression past the state bound", func(s *cluster.JobSpec) { s.Expression = "(.{0,60}){0,60}" }, http.StatusBadRequest},
-		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoNaive }, http.StatusBadRequest},
+		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = "naive" }, http.StatusBadRequest},
 		{"sequential algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = plan.AlgoDFS }, http.StatusBadRequest},
 		{"unresolved empty algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = "" }, http.StatusBadRequest},
 		{"unknown dataset", func(s *cluster.JobSpec) { s.DatasetID = "sha256-feed" }, http.StatusNotFound},

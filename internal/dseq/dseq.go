@@ -23,9 +23,6 @@ import (
 // Options toggles the individual enhancements of D-SEQ; they correspond to
 // the ablation study of Fig. 10a.
 type Options struct {
-	// UseGrid enables the position–state grid during pivot search. Without
-	// it, pivots are found by enumerating all accepting runs.
-	UseGrid bool
 	// Rewrite enables sending rewritten (shortened) input sequences instead
 	// of the full sequences.
 	Rewrite bool
@@ -41,7 +38,7 @@ type Options struct {
 
 // DefaultOptions enables all enhancements.
 func DefaultOptions() Options {
-	return Options{UseGrid: true, Rewrite: true, EarlyStopping: true, Aggregate: true}
+	return Options{Rewrite: true, EarlyStopping: true, Aggregate: true}
 }
 
 // value is the communicated record: a (possibly rewritten) input sequence
@@ -189,7 +186,7 @@ func Mine(f *fst.FST, db [][]dict.ItemID, sigma int64, opts Options, cfg mapredu
 
 // buildJob assembles the one-round BSP job of D-SEQ.
 func buildJob(f *fst.FST, sigma int64, opts Options) mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern] {
-	searcher := pivot.NewSearcher(f, sigma, pivot.Options{UseGrid: opts.UseGrid})
+	searcher := pivot.NewSearcher(f, sigma, pivot.Options{})
 	// One Analysis per map worker, reused sequence after sequence.
 	analyses := sync.Pool{New: func() any { return new(pivot.Analysis) }}
 	job := mapreduce.Job[[]dict.ItemID, dict.ItemID, value, miner.Pattern]{

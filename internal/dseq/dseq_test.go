@@ -107,15 +107,13 @@ func TestDSeqOptionCombinations(t *testing.T) {
 	db := paperex.DB(d)
 	cfg := mapreduce.Config{Workers: 3}
 	want := paperex.ExpectedFrequent()
-	for _, grid := range []bool{false, true} {
-		for _, rewrite := range []bool{false, true} {
-			for _, early := range []bool{false, true} {
-				for _, agg := range []bool{false, true} {
-					opts := dseq.Options{UseGrid: grid, Rewrite: rewrite, EarlyStopping: early, Aggregate: agg}
-					got, _ := mine(t, f, db, paperex.Sigma, opts, cfg)
-					if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
-						t.Errorf("options %+v: %v, want %v", opts, m, want)
-					}
+	for _, rewrite := range []bool{false, true} {
+		for _, early := range []bool{false, true} {
+			for _, agg := range []bool{false, true} {
+				opts := dseq.Options{Rewrite: rewrite, EarlyStopping: early, Aggregate: agg}
+				got, _ := mine(t, f, db, paperex.Sigma, opts, cfg)
+				if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
+					t.Errorf("options %+v: %v, want %v", opts, m, want)
 				}
 			}
 		}
@@ -157,7 +155,7 @@ func TestDSeqMatchesSequential(t *testing.T) {
 					}
 				}
 				// Ablation variants must not change the result either.
-				minimal := dseq.Options{UseGrid: false, Rewrite: false, EarlyStopping: false, Aggregate: false}
+				minimal := dseq.Options{Rewrite: false, EarlyStopping: false, Aggregate: false}
 				got, _ := mine(t, f, db, sigma, minimal, mapreduce.Config{Workers: 2})
 				if m := miner.PatternsToMap(d, got); !reflect.DeepEqual(m, want) {
 					t.Fatalf("pattern %q sigma %d minimal options: %v != %v", pat, sigma, m, want)

@@ -45,34 +45,6 @@ func BenchmarkMineDFS(b *testing.B) {
 	}
 }
 
-// BenchmarkMineCount measures the enumerate-and-count miner (DESQ-COUNT).
-func BenchmarkMineCount(b *testing.B) {
-	_, f, db := benchDatabase(500, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		miner.MineCount(context.Background(), f, db, 5, 1)
-	}
-}
-
-// TestMineCountAllocations pins a warm sequential MineCount on the fixture of
-// BenchmarkMineCount, which reports no pattern: the table comes from the pool
-// and every sequence's candidates from the pooled walk, so what is left is the
-// fixed cost of the call — the table slice and the fan-out's closures.
-func TestMineCountAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool is lossy under the race detector")
-	}
-	_, f, db := benchDatabase(500, 10)
-	ctx := context.Background()
-	if n := len(miner.MineCount(ctx, f, db, 5, 1)); n != 0 {
-		t.Fatalf("%d patterns at sigma 5; the fixed cost below assumes none", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { miner.MineCount(ctx, f, db, 5, 1) }); n > 4 {
-		t.Errorf("MineCount over %d sequences allocates %.0f times per call, want <= 4", len(db), n)
-	}
-}
-
 // BenchmarkMineDFSPivot measures pivot-restricted local mining as used by the
 // D-SEQ reduce phase, with and without early stopping.
 func BenchmarkMineDFSPivot(b *testing.B) {

@@ -2,8 +2,10 @@ package miner_test
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"seqmine/internal/dict"
@@ -139,15 +141,47 @@ func withWeights(db [][]dict.ItemID, seed int64) []miner.WeightedSequence {
 	return ws
 }
 
-// checkMatchesMineCount holds MineDFS to MineCount, which enumerates every
+// mineCount is DESQ-COUNT, the oracle MineDFS is held to: it enumerates
+// Gσπ(T) for every sequence T (fst.FST.ForEachDistinctCandidate), sums the
+// sequences' weights per candidate in a map, and reports the candidates whose
+// support reaches sigma, sorted by miner.SortPatterns.
+func mineCount(f *fst.FST, db []miner.WeightedSequence, sigma int64) []miner.Pattern {
+	counts := map[string]*miner.Pattern{}
+	var key []byte
+	for _, ws := range db {
+		f.ForEachDistinctCandidate(ws.Items, sigma, func(cand []dict.ItemID) bool {
+			key = key[:0]
+			for _, w := range cand {
+				key = binary.AppendUvarint(key, uint64(w))
+			}
+			p := counts[string(key)]
+			if p == nil {
+				p = &miner.Pattern{Items: slices.Clone(cand)}
+				counts[string(key)] = p
+			}
+			p.Freq += ws.Weight
+			return true
+		})
+	}
+	var out []miner.Pattern
+	for _, p := range counts {
+		if p.Freq >= sigma {
+			out = append(out, *p)
+		}
+	}
+	miner.SortPatterns(out)
+	return out
+}
+
+// checkMatchesMineCount holds MineDFS to mineCount, which enumerates every
 // sequence's candidates and sums their weights and shares neither the scan
 // nor its supports: MineDFS on one and on two workers must return exactly
-// MineCount's patterns, and on every pivot partition, with and without early
+// mineCount's patterns, and on every pivot partition, with and without early
 // stopping, exactly those of them whose largest item is the pivot. It returns
-// the number of patterns MineCount reports.
+// the number of patterns mineCount reports.
 func checkMatchesMineCount(t *testing.T, name string, f *fst.FST, db []miner.WeightedSequence, sigma int64) int {
 	t.Helper()
-	want := miner.MineCount(context.Background(), f, db, sigma, 1)
+	want := mineCount(f, db, sigma)
 	for _, workers := range []int{1, 2} {
 		if got := miner.MineDFS(f, db, sigma, miner.DFSOptions{Workers: workers}); !samePatterns(got, want) {
 			t.Fatalf("%s over %v at sigma %d on %d workers:\n got %v\nwant %v", name, db, sigma, workers, got, want)
@@ -173,7 +207,7 @@ func checkMatchesMineCount(t *testing.T, name string, f *fst.FST, db []miner.Wei
 
 // FuzzMineDFSMatchesMineCount takes a hierarchy, a database, an expression
 // and two thresholds from the fuzzer (genCase) and a seed for weights of 1–5
-// per sequence: at both thresholds, MineDFS must agree with MineCount
+// per sequence: at both thresholds, MineDFS must agree with DESQ-COUNT
 // (checkMatchesMineCount) — the weighted supports DESQ-DFS counts in its scan
 // against an oracle that does not run it.
 func FuzzMineDFSMatchesMineCount(f *testing.F) {

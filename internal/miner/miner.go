@@ -1,14 +1,11 @@
-// Package miner implements the sequential mining algorithms of the DESQ
+// Package miner implements DESQ-DFS, the sequential miner of the DESQ
 // framework that the distributed algorithms of the paper build on:
-//
-//   - MineCount (DESQ-COUNT): enumerate the candidate subsequences of every
-//     input sequence and count them. Simple, but exponential in the worst
-//     case; used as the reference implementation and by the naive distributed
-//     baselines.
-//   - MineDFS (DESQ-DFS): pattern-growth mining with projected databases of
-//     FST snapshots. This is the local miner used by D-SEQ (Sec. V-C) and the
-//     sequential baseline of Table V. It supports pivot-restricted mining and
-//     the early-stopping heuristic of the paper.
+// pattern-growth mining with projected databases of FST snapshots. It is the
+// local miner used by D-SEQ (Sec. V-C) and the sequential baseline of
+// Table V, and supports pivot-restricted mining and the early-stopping
+// heuristic of the paper. DESQ-COUNT, which enumerates and counts every
+// sequence's candidate subsequences, is the oracle the package's tests hold
+// MineDFS to.
 package miner
 
 import (
@@ -70,63 +67,6 @@ func PatternsToMap(d *dict.Dictionary, ps []Pattern) map[string]int64 {
 	return out
 }
 
-// MineCount implements DESQ-COUNT: it enumerates Gσπ(T) for every input
-// sequence, sums the weights per candidate, and reports the candidates whose
-// support reaches sigma. The counting loop runs entirely on the FST's tables:
-// candidates are enumerated by FST.ForEachDistinctCandidate (scratch-backed,
-// deduplicated per sequence) and aggregated in a pooled open-addressing table
-// over interned item slices, so steady-state counting allocates only arena
-// growth and the reported patterns.
-//
-// With workers > 1 the database is counted on that many contiguous sequence
-// ranges, one goroutine and one table each, and the tables are summed into the
-// first before the sigma filter: one exact phase, the same answer. ctx is
-// checked every 1,024 sequences; a cancelled call returns nil.
-func MineCount(ctx context.Context, f *fst.FST, db []WeightedSequence, sigma int64, workers int) []Pattern {
-	workers = max(1, min(workers, len(db)))
-	tabs := make([]*candTable, workers)
-	fanOut(workers, func(r int) {
-		tab := candPool.Get().(*candTable)
-		tab.reset()
-		tabs[r] = tab
-		var weight int64
-		add := func(cand []dict.ItemID) bool {
-			i, _ := tab.intern(cand)
-			tab.entries[i].count += weight
-			return true
-		}
-		for i, ws := range db[r*len(db)/workers : (r+1)*len(db)/workers] {
-			if i&1023 == 1023 && ctx.Err() != nil {
-				return
-			}
-			weight = ws.Weight
-			f.ForEachDistinctCandidate(ws.Items, sigma, add)
-		}
-	})
-	var out []Pattern
-	if ctx.Err() == nil {
-		tab := tabs[0]
-		for _, other := range tabs[1:] {
-			for _, e := range other.entries {
-				i, _ := tab.intern(other.arena[e.off : e.off+e.n])
-				tab.entries[i].count += e.count
-			}
-		}
-		for i := range tab.entries {
-			e := &tab.entries[i]
-			if e.count >= sigma {
-				items := append([]dict.ItemID(nil), tab.arena[e.off:e.off+e.n]...)
-				out = append(out, Pattern{Items: items, Freq: e.count})
-			}
-		}
-		SortPatterns(out)
-	}
-	for _, tab := range tabs {
-		candPool.Put(tab)
-	}
-	return out
-}
-
 // fanOut runs fn(0) … fn(n-1) on n goroutines, the caller's being the first,
 // and returns when all of them have.
 func fanOut(n int, fn func(r int)) {
@@ -140,77 +80,6 @@ func fanOut(n int, fn func(r int)) {
 	}
 	fn(0)
 	wg.Wait()
-}
-
-// candTable is an open-addressing hash table from candidate item sequences to
-// weighted counts. Candidates are interned back-to-back in one arena and slots
-// hold entry indices, so lookups and counting allocate nothing beyond arena
-// growth; keys are hashed with dict.HashItems.
-type candTable struct {
-	arena   []dict.ItemID
-	entries []candEntry
-	slots   []int32 // entry index + 1; 0 = empty
-}
-
-type candEntry struct {
-	off, n int32
-	hash   uint64
-	count  int64
-}
-
-var candPool = sync.Pool{New: func() any { return new(candTable) }}
-
-func (ct *candTable) reset() {
-	ct.arena = ct.arena[:0]
-	ct.entries = ct.entries[:0]
-	if len(ct.slots) == 0 {
-		ct.slots = make([]int32, 256)
-	} else {
-		clear(ct.slots)
-	}
-}
-
-// intern returns the entry index of cand, inserting a zero-count entry (and
-// copying the items into the arena) when absent. The second result reports
-// whether a new entry was created.
-func (ct *candTable) intern(cand []dict.ItemID) (int, bool) {
-	h := dict.HashItems(cand)
-	mask := uint64(len(ct.slots) - 1)
-	i := h & mask
-	for {
-		s := ct.slots[i]
-		if s == 0 {
-			break
-		}
-		e := &ct.entries[s-1]
-		if e.hash == h && slices.Equal(ct.arena[e.off:e.off+e.n], cand) {
-			return int(s - 1), false
-		}
-		i = (i + 1) & mask
-	}
-	idx := len(ct.entries)
-	off := int32(len(ct.arena))
-	ct.arena = append(ct.arena, cand...)
-	ct.entries = append(ct.entries, candEntry{off: off, n: int32(len(cand)), hash: h})
-	ct.slots[i] = int32(idx + 1)
-	if 4*len(ct.entries) >= 3*len(ct.slots) {
-		ct.grow()
-	}
-	return idx, true
-}
-
-// grow doubles the slot table and reinserts the live entries.
-func (ct *candTable) grow() {
-	size := 2 * len(ct.slots)
-	ct.slots = make([]int32, size)
-	mask := uint64(size - 1)
-	for idx := range ct.entries {
-		i := ct.entries[idx].hash & mask
-		for ct.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		ct.slots[i] = int32(idx + 1)
-	}
 }
 
 // DFSOptions configures MineDFS.
@@ -244,8 +113,8 @@ type SplitStats struct {
 	// MineDFS's first items, a Prepared.Mine's item triples (item pairs where
 	// the Prepared kept level 2) — and LargestTaskShare the largest one's
 	// projected database as a fraction of all of theirs: near 1, one subtree
-	// bounds the call. Both are 0 for MineCount, for a single-threaded MineDFS
-	// and for a Prepared.Mine that sigma leaves no such prefix.
+	// bounds the call. Both are 0 for a single-threaded MineDFS and for a
+	// Prepared.Mine that sigma leaves no such prefix.
 	Tasks            int     `json:"tasks"`
 	LargestTaskShare float64 `json:"largest_task_share"`
 }

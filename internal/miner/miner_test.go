@@ -1,7 +1,6 @@
 package miner_test
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"math/rand"
@@ -23,9 +22,9 @@ func runningExample(t *testing.T) (*dict.Dictionary, *fst.FST, [][]dict.ItemID) 
 
 func TestMineCountRunningExample(t *testing.T) {
 	d, f, db := runningExample(t)
-	got := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), paperex.Sigma, 1))
+	got := miner.PatternsToMap(d, mineCount(f, miner.Weighted(db), paperex.Sigma))
 	if !reflect.DeepEqual(got, paperex.ExpectedFrequent()) {
-		t.Errorf("MineCount = %v, want %v", got, paperex.ExpectedFrequent())
+		t.Errorf("DESQ-COUNT = %v, want %v", got, paperex.ExpectedFrequent())
 	}
 }
 
@@ -41,7 +40,7 @@ func TestMineDFSSigmaOne(t *testing.T) {
 	// With sigma=1 every candidate of every sequence is frequent; DESQ-DFS and
 	// DESQ-COUNT must agree exactly.
 	d, f, db := runningExample(t)
-	want := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, miner.Weighted(db), 1, 1))
+	want := miner.PatternsToMap(d, mineCount(f, miner.Weighted(db), 1))
 	got := miner.PatternsToMap(d, miner.MineDFS(f, miner.Weighted(db), 1, miner.DFSOptions{}))
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("sigma=1 mismatch:\n got %v\nwant %v", got, want)
@@ -97,9 +96,9 @@ func TestMineDFSWeighted(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("weighted MineDFS = %v, want %v", got, want)
 	}
-	gotCount := miner.PatternsToMap(d, miner.MineCount(context.Background(), f, weighted, paperex.Sigma, 1))
+	gotCount := miner.PatternsToMap(d, mineCount(f, weighted, paperex.Sigma))
 	if !reflect.DeepEqual(gotCount, want) {
-		t.Errorf("weighted MineCount = %v, want %v", gotCount, want)
+		t.Errorf("weighted DESQ-COUNT = %v, want %v", gotCount, want)
 	}
 }
 

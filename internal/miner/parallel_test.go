@@ -29,8 +29,7 @@ func samePatterns(a, b []miner.Pattern) bool {
 }
 
 // checkParallel asserts that MineDFS on every worker count of parallelWorkers
-// returns exactly the single-threaded result for opts, and — without a pivot
-// restriction — that MineCount on one and on several workers does too.
+// returns exactly the single-threaded result for opts.
 func checkParallel(t *testing.T, name string, f *fst.FST, db []miner.WeightedSequence, sigma int64, opts miner.DFSOptions) []miner.Pattern {
 	t.Helper()
 	opts.Workers = 1
@@ -49,13 +48,6 @@ func checkParallel(t *testing.T, name string, f *fst.FST, db []miner.WeightedSeq
 			t.Errorf("%s: %d patterns from split %+v", name, len(want), split)
 		}
 	}
-	if opts.Pivot == dict.None {
-		for _, workers := range append([]int{1}, parallelWorkers...) {
-			if got := miner.MineCount(context.Background(), f, db, sigma, workers); !samePatterns(got, want) {
-				t.Fatalf("%s sigma %d: MineCount on %d workers\n got %v\nwant %v", name, sigma, workers, got, want)
-			}
-		}
-	}
 	return want
 }
 
@@ -64,8 +56,8 @@ func checkParallel(t *testing.T, name string, f *fst.FST, db []miner.WeightedSeq
 // order included, when mined on 1, 2 and 8 workers at the sigmas in descending
 // and then in ascending order, and again from four goroutines at different
 // sigmas at once, with one task per deepest kept prefix that reaches sigma;
-// and that MineCount gives the same answers. It returns the number of
-// patterns the sigmas report together.
+// and that DESQ-COUNT (mineCount) gives the same answers. It returns the
+// number of patterns the sigmas report together.
 func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, sigmas []int64) int {
 	t.Helper()
 	ctx := context.Background()
@@ -74,8 +66,8 @@ func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, si
 	for _, sigma := range sigmas {
 		want[sigma] = miner.MineDFS(f, miner.Weighted(db), sigma, miner.DFSOptions{})
 		reported += len(want[sigma])
-		if got := miner.MineCount(ctx, f, miner.Weighted(db), sigma, 1); !samePatterns(got, want[sigma]) {
-			t.Fatalf("%s sigma %d: MineCount\n got %v\nwant %v", name, sigma, got, want[sigma])
+		if got := mineCount(f, miner.Weighted(db), sigma); !samePatterns(got, want[sigma]) {
+			t.Fatalf("%s sigma %d: DESQ-COUNT\n got %v\nwant %v", name, sigma, got, want[sigma])
 		}
 	}
 	order := slices.Clone(sigmas)
@@ -131,9 +123,9 @@ func checkPrepared(t *testing.T, name string, f *fst.FST, db [][]dict.ItemID, si
 
 // TestParallelMatchesSequential is the equivalence property of the parallel
 // miners: on the running example and on random databases, with weights of one
-// and above, unrestricted and per pivot with early stopping, MineDFS and
-// MineCount on 2, 3 and 8 workers return the single-threaded MineDFS result,
-// order included — and so does one Prepared of every unweighted database at
+// and above, unrestricted and per pivot with early stopping, MineDFS on 2, 3
+// and 8 workers returns the single-threaded MineDFS result, order included —
+// and so does one Prepared of every unweighted database at
 // every sigma (checkPrepared), also over random DAG hierarchies with generated
 // expressions (genCase).
 func TestParallelMatchesSequential(t *testing.T) {
@@ -334,7 +326,7 @@ func TestSequentialMineDFSAllocatesOnlyPatterns(t *testing.T) {
 	}
 }
 
-// TestMinersObserveCancellation: a cancelled context makes both miners return
+// TestMinersObserveCancellation: a cancelled context makes MineDFS return
 // nil, at once when it is cancelled on entry and well before the mining would
 // have ended when it is cancelled mid-run, on one worker and on several.
 func TestMinersObserveCancellation(t *testing.T) {
@@ -350,9 +342,6 @@ func TestMinersObserveCancellation(t *testing.T) {
 	miners := map[string]func(ctx context.Context, workers int) []miner.Pattern{
 		"MineDFS": func(ctx context.Context, workers int) []miner.Pattern {
 			return miner.MineDFS(f, db, 2, miner.DFSOptions{Workers: workers, Context: ctx})
-		},
-		"MineCount": func(ctx context.Context, workers int) []miner.Pattern {
-			return miner.MineCount(ctx, f, db, 2, workers)
 		},
 	}
 	for name, mine := range miners {

@@ -21,6 +21,22 @@ var fuzzPatterns = []string{
 	"(A^).*",
 }
 
+// analyzeRuns is the run-enumeration pivot search, the "no grid" ablation of
+// Fig. 10a: it computes K(T) by enumerating every accepting run of f on T
+// (fst.FST.ForEachRun) and applying Theorem 1 to each run's frequent output
+// sets. It shares the ⊕ fold with D-CAND's map but nothing with the grid, so
+// it is the grid's reference for K(T).
+func analyzeRuns(f *fst.FST, sigma int64, T []dict.ItemID) []dict.ItemID {
+	var ms MergeScratch
+	var pivots []dict.ItemID
+	f.ForEachRun(T, sigma, func(outputs [][]dict.ItemID, _ int) bool {
+		pivots = append(pivots, ms.MergeAll(outputs)...)
+		return true
+	})
+	slices.Sort(pivots)
+	return dedupSorted(pivots)
+}
+
 // referenceGrid is the pre-refactor position–state grid on the label-level
 // graph, map backed: reachability and edge matching go label by label through
 // fst.Label, K(i, q) sets live in per-state maps, frequent-output filtering
@@ -125,7 +141,7 @@ func referenceGrid(f *fst.FST, sigma int64, T []dict.ItemID) (pivots []dict.Item
 }
 
 // FuzzPivotEquivalence derives a sequence from the fuzz input and cross-checks
-// the arena-backed flat grid against the run-enumeration path and the
+// the arena-backed flat grid against the run enumeration (analyzeRuns) and the
 // map-backed pre-refactor grid on every test pattern: the three must agree on
 // K(T), and the two grids on every relevant-position range. Any divergence is
 // a bug in the flat grid's edge walk, arena merging or relevance summary.
@@ -150,15 +166,13 @@ func FuzzPivotEquivalence(f *testing.F) {
 			T[i] = dict.ItemID(int(c)%d.Size() + 1)
 		}
 		for i, fm := range fsts {
-			grid := NewSearcher(fm, sigma, Options{UseGrid: true})
-			runs := NewSearcher(fm, sigma, Options{UseGrid: false})
-			a := grid.Analyze(T)
+			a := NewSearcher(fm, sigma, Options{}).Analyze(T)
 			wantPivots, wantRanges := referenceGrid(fm, sigma, T)
 			if !reflect.DeepEqual(a.Pivots, wantPivots) && !(len(a.Pivots) == 0 && len(wantPivots) == 0) {
 				t.Fatalf("%q σ=%d T=%v: grid pivots %v, reference %v",
 					fuzzPatterns[i], sigma, T, a.Pivots, wantPivots)
 			}
-			runPivots := runs.Analyze(T).Pivots
+			runPivots := analyzeRuns(fm, sigma, T)
 			if !reflect.DeepEqual(a.Pivots, runPivots) && !(len(a.Pivots) == 0 && len(runPivots) == 0) {
 				t.Fatalf("%q σ=%d T=%v: grid pivots %v, run enumeration %v",
 					fuzzPatterns[i], sigma, T, a.Pivots, runPivots)

@@ -145,31 +145,25 @@ func appendUnion(dst, a, b []dict.ItemID) []dict.ItemID {
 	return append(dst, b[j:]...)
 }
 
-// Options configures a Searcher.
-type Options struct {
-	// UseGrid enables the position–state grid (memoized simulation). When
-	// false, pivot items are computed by enumerating all accepting runs and
-	// applying Theorem 1 per run — the "no grid" ablation of Fig. 10a. The
-	// grid is also required for computing relevant-position ranges; without
-	// it Rewrite returns the input unchanged.
-	UseGrid bool
-}
+// Options is never read: a Searcher always runs the grid. It, DefaultOptions
+// and NewSearcher's third argument leave with the [benchmark] PR that stops
+// passing them.
+type Options struct{}
 
-// DefaultOptions enables the grid.
-func DefaultOptions() Options { return Options{UseGrid: true} }
+// DefaultOptions is the zero Options; see Options.
+func DefaultOptions() Options { return Options{} }
 
 // Searcher performs pivot search for one compiled constraint and threshold.
 // It is safe for concurrent use.
 type Searcher struct {
-	fst   *fst.FST
-	sv    *fst.SigmaView
-	sigma int64
-	opts  Options
+	fst *fst.FST
+	sv  *fst.SigmaView
 }
 
-// NewSearcher returns a Searcher for the constraint and minimum support.
-func NewSearcher(f *fst.FST, sigma int64, opts Options) *Searcher {
-	return &Searcher{fst: f, sv: f.Sigma(sigma), sigma: sigma, opts: opts}
+// NewSearcher returns a Searcher for the constraint and minimum support. The
+// Options are ignored; see Options.
+func NewSearcher(f *fst.FST, sigma int64, _ Options) *Searcher {
+	return &Searcher{fst: f, sv: f.Sigma(sigma)}
 }
 
 // Analysis is the result of analyzing one input sequence.
@@ -178,8 +172,7 @@ type Analysis struct {
 	// Gσπ(T), sorted ascending.
 	Pivots []dict.ItemID
 
-	n       int
-	haveRel bool
+	n int
 	// relFirst/relLast hold the relevant-position range per pivot, indexed
 	// parallel to Pivots.
 	relFirst []int32
@@ -187,12 +180,8 @@ type Analysis struct {
 }
 
 // Range returns the first and last relevant position (0-based, inclusive) of
-// the analyzed sequence for pivot k. When relevance information is not
-// available (grid disabled or k not a pivot), it returns the full range.
+// the analyzed sequence for pivot k, or the full range when k is not a pivot.
 func (a *Analysis) Range(k dict.ItemID) (first, last int) {
-	if !a.haveRel {
-		return 0, a.n - 1
-	}
 	i, ok := slices.BinarySearch(a.Pivots, k)
 	if !ok || i >= len(a.relFirst) {
 		return 0, a.n - 1
@@ -211,26 +200,8 @@ func (s *Searcher) Analyze(T []dict.ItemID) *Analysis {
 func (s *Searcher) AnalyzeInto(T []dict.ItemID, a *Analysis) *Analysis {
 	a.n = len(T)
 	a.Pivots, a.relFirst, a.relLast = a.Pivots[:0], a.relFirst[:0], a.relLast[:0]
-	if s.opts.UseGrid {
-		a.haveRel = true
-		s.analyzeGrid(T, a)
-	} else {
-		a.haveRel = false
-		s.analyzeRuns(T, a)
-	}
+	s.analyzeGrid(T, a)
 	return a
-}
-
-// analyzeRuns computes K(T) by enumerating all accepting runs (no grid) and
-// applying Theorem 1 to each run's frequent output sets.
-func (s *Searcher) analyzeRuns(T []dict.ItemID, a *Analysis) {
-	var ms MergeScratch
-	s.fst.ForEachRun(T, s.sigma, func(outputs [][]dict.ItemID, _ int) bool {
-		a.Pivots = append(a.Pivots, ms.MergeAll(outputs)...)
-		return true
-	})
-	slices.Sort(a.Pivots)
-	a.Pivots = dedupSorted(a.Pivots)
 }
 
 // gridScratch is the pooled per-call working memory of analyzeGrid: the bitset
@@ -424,7 +395,7 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID, a *Analysis) {
 // final state that cannot consume the cut positions, and the partition would
 // count a candidate that T does not have.
 func (s *Searcher) Rewrite(T []dict.ItemID, a *Analysis, k dict.ItemID) []dict.ItemID {
-	if a == nil || !a.haveRel || len(T) == 0 {
+	if a == nil || len(T) == 0 {
 		return T
 	}
 	first, last := a.Range(k)

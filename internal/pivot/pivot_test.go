@@ -108,20 +108,21 @@ func TestAnalyzeRunningExample(t *testing.T) {
 		{},          // T4 (all candidates contain a2)
 		{"a1"},      // T5
 	}
-	for _, useGrid := range []bool{true, false} {
-		s := pivot.NewSearcher(f, paperex.Sigma, pivot.Options{UseGrid: useGrid})
-		for i, T := range db {
-			a := s.Analyze(T)
-			wantPivots := fids(d, want[i]...)
-			if len(wantPivots) == 0 {
-				wantPivots = nil
-			}
-			var got []dict.ItemID
-			if len(a.Pivots) > 0 {
-				got = a.Pivots
+	s := pivot.NewSearcher(f, paperex.Sigma, pivot.DefaultOptions())
+	for i, T := range db {
+		wantPivots := fids(d, want[i]...)
+		if len(wantPivots) == 0 {
+			wantPivots = nil
+		}
+		for name, got := range map[string][]dict.ItemID{
+			"grid": s.Analyze(T).Pivots,
+			"runs": pivot.AnalyzeRuns(f, paperex.Sigma, T),
+		} {
+			if len(got) == 0 {
+				got = nil
 			}
 			if !reflect.DeepEqual(got, wantPivots) {
-				t.Errorf("grid=%v: K(T%d) = %v, want %v", useGrid, i+1, decode(d, got), want[i])
+				t.Errorf("%s: K(T%d) = %v, want %v", name, i+1, decode(d, got), want[i])
 			}
 		}
 	}
@@ -196,20 +197,10 @@ func TestRewriteRunningExample(t *testing.T) {
 	}
 }
 
-func TestRewriteWithoutGridIsIdentity(t *testing.T) {
-	d := paperex.Dict()
-	f := fst.MustCompile(paperex.PatternExpression, d)
-	db := paperex.DB(d)
-	s := pivot.NewSearcher(f, paperex.Sigma, pivot.Options{UseGrid: false})
-	a := s.Analyze(db[1])
-	if got := d.DecodeString(s.Rewrite(db[1], a, d.MustFid("a1"))); got != d.DecodeString(db[1]) {
-		t.Errorf("rewrite without grid should be the identity, got %q", got)
-	}
-}
-
-// TestAnalyzeMatchesBruteForce compares grid-based and run-based pivot search
-// against a brute-force computation from Gσπ(T) on random sequences, and
-// AnalyzeInto on a reused Analysis against a fresh Analyze.
+// TestAnalyzeMatchesBruteForce compares the grid and the run enumeration
+// (AnalyzeRuns) against a brute-force computation of K(T) from Gσπ(T) on
+// random sequences, and AnalyzeInto on a reused Analysis against a fresh
+// Analyze.
 func TestAnalyzeMatchesBruteForce(t *testing.T) {
 	d := paperex.Dict()
 	patterns := []string{
@@ -222,8 +213,7 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 	for _, pat := range patterns {
 		f := fst.MustCompile(pat, d)
 		grid := pivot.NewSearcher(f, paperex.Sigma, pivot.DefaultOptions())
-		noGrid := pivot.NewSearcher(f, paperex.Sigma, pivot.Options{UseGrid: false})
-		var reused [2]pivot.Analysis
+		var reused pivot.Analysis
 		for trial := 0; trial < 150; trial++ {
 			n := rng.Intn(8)
 			T := make([]dict.ItemID, n)
@@ -235,7 +225,7 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 				want = nil
 			}
 			gotGrid := grid.Analyze(T).Pivots
-			gotRuns := noGrid.Analyze(T).Pivots
+			gotRuns := pivot.AnalyzeRuns(f, paperex.Sigma, T)
 			if !reflect.DeepEqual(gotGrid, want) {
 				t.Fatalf("pattern %q T=%v: grid pivots %v, want %v", pat, d.DecodeSequence(T), decode(d, gotGrid), decode(d, want))
 			}
@@ -244,18 +234,16 @@ func TestAnalyzeMatchesBruteForce(t *testing.T) {
 			}
 			// A reused Analysis must hold exactly what a fresh one does,
 			// whatever the sequence before left in it.
-			for i, s := range []*pivot.Searcher{grid, noGrid} {
-				fresh := s.Analyze(T)
-				got := s.AnalyzeInto(T, &reused[i])
-				if len(got.Pivots) != len(fresh.Pivots) || (len(fresh.Pivots) > 0 && !reflect.DeepEqual(got.Pivots, fresh.Pivots)) {
-					t.Fatalf("pattern %q T=%v: reused analysis pivots %v, fresh %v", pat, d.DecodeSequence(T), got.Pivots, fresh.Pivots)
-				}
-				for _, k := range append(fresh.Pivots, dict.ItemID(d.Size()+1)) {
-					gf, gl := got.Range(k)
-					ff, fl := fresh.Range(k)
-					if gf != ff || gl != fl {
-						t.Fatalf("pattern %q T=%v pivot %d: reused range [%d,%d], fresh [%d,%d]", pat, d.DecodeSequence(T), k, gf, gl, ff, fl)
-					}
+			fresh := grid.Analyze(T)
+			got := grid.AnalyzeInto(T, &reused)
+			if len(got.Pivots) != len(fresh.Pivots) || (len(fresh.Pivots) > 0 && !reflect.DeepEqual(got.Pivots, fresh.Pivots)) {
+				t.Fatalf("pattern %q T=%v: reused analysis pivots %v, fresh %v", pat, d.DecodeSequence(T), got.Pivots, fresh.Pivots)
+			}
+			for _, k := range append(fresh.Pivots, dict.ItemID(d.Size()+1)) {
+				gf, gl := got.Range(k)
+				ff, fl := fresh.Range(k)
+				if gf != ff || gl != fl {
+					t.Fatalf("pattern %q T=%v pivot %d: reused range [%d,%d], fresh [%d,%d]", pat, d.DecodeSequence(T), k, gf, gl, ff, fl)
 				}
 			}
 		}

@@ -27,16 +27,17 @@ import (
 type Algorithm string
 
 const (
-	AlgoDFS       Algorithm = "dfs"
-	AlgoCount     Algorithm = "count"
-	AlgoDSeq      Algorithm = "dseq"
-	AlgoDCand     Algorithm = "dcand"
-	AlgoNaive     Algorithm = "naive"
-	AlgoSemiNaive Algorithm = "seminaive"
+	AlgoDFS   Algorithm = "dfs"
+	AlgoDSeq  Algorithm = "dseq"
+	AlgoDCand Algorithm = "dcand"
 )
 
-// Algorithms lists every backend ParseAlgorithm accepts.
-var Algorithms = []Algorithm{AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive}
+// Algorithms lists every backend ParseAlgorithm accepts: DESQ-DFS, D-SEQ and
+// D-CAND. The paper's other algorithms — DESQ-COUNT and the NAIVE and
+// SEMI-NAIVE baselines — return the same patterns more slowly and are not
+// served; DESQ-COUNT is miner's test oracle, and internal/experiments runs
+// the baselines for Fig. 9.
+var Algorithms = []Algorithm{AlgoDFS, AlgoDSeq, AlgoDCand}
 
 // ParseAlgorithm validates an algorithm name, ignoring case. It is the one
 // place the default is decided: the empty string selects AlgoDSeq.
@@ -46,7 +47,11 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 		return AlgoDSeq, nil
 	}
 	if !slices.Contains(Algorithms, a) {
-		return "", fmt.Errorf("unknown algorithm %q", s)
+		names := make([]string, len(Algorithms))
+		for i, alg := range Algorithms {
+			names[i] = string(alg)
+		}
+		return "", fmt.Errorf("unknown algorithm %q (accepted: %s)", s, strings.Join(names, ", "))
 	}
 	return a, nil
 }
@@ -66,7 +71,7 @@ const DefaultTaskRetries = 2
 type Knobs struct {
 	// ShuffleConfig bounds the distributed backends' shuffle: when it spills
 	// to disk and whether it streams through bounded send buffers. The
-	// sequential backends (dfs, count) do not shuffle and ignore it.
+	// sequential backend (dfs) does not shuffle and ignores it.
 	mapreduce.ShuffleConfig
 
 	// TaskRetries is the cluster scheduler's retry budget: how many failed

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -85,21 +86,27 @@ func withDir(k Knobs, dir string) Knobs {
 }
 
 func TestParseAlgorithm(t *testing.T) {
-	for in, want := range map[string]Algorithm{"": AlgoDSeq, "DFS": AlgoDFS, "count": AlgoCount,
-		"dseq": AlgoDSeq, "DCand": AlgoDCand, "naive": AlgoNaive, "SemiNaive": AlgoSemiNaive} {
+	for in, want := range map[string]Algorithm{"": AlgoDSeq, "DFS": AlgoDFS, "dseq": AlgoDSeq, "DCand": AlgoDCand} {
 		if got, err := ParseAlgorithm(in); err != nil || got != want {
 			t.Errorf("ParseAlgorithm(%q) = %q, %v; want %q", in, got, err, want)
 		}
 	}
-	if _, err := ParseAlgorithm("quantum"); err == nil {
-		t.Error("an unknown algorithm must be rejected")
+	// DESQ-COUNT and the NAIVE baselines are not served: they are refused
+	// like any unknown name, and the error lists what is accepted.
+	for _, in := range []string{"quantum", "count", "naive", "SemiNaive"} {
+		if _, err := ParseAlgorithm(in); err == nil || !strings.Contains(err.Error(), "(accepted: dfs, dseq, dcand)") {
+			t.Errorf("ParseAlgorithm(%q) = %v; want an error naming dfs, dseq, dcand", in, err)
+		}
+	}
+	if !slices.Equal(Algorithms, []Algorithm{AlgoDFS, AlgoDSeq, AlgoDCand}) {
+		t.Errorf("Algorithms = %v, want [dfs dseq dcand]", Algorithms)
 	}
 }
 
 // TestClustered: D-SEQ and D-CAND run on a worker cluster, nothing else does,
 // and the empty name is not resolved to the default by the predicate.
 func TestClustered(t *testing.T) {
-	for _, a := range []Algorithm{"", AlgoDFS, AlgoCount, AlgoDSeq, AlgoDCand, AlgoNaive, AlgoSemiNaive, "bogus"} {
+	for _, a := range []Algorithm{"", AlgoDFS, "count", AlgoDSeq, AlgoDCand, "naive", "seminaive", "bogus"} {
 		if got, want := a.Clustered(), a == AlgoDSeq || a == AlgoDCand; got != want {
 			t.Errorf("%q.Clustered() = %v, want %v", a, got, want)
 		}

@@ -212,8 +212,8 @@ func TestCacheAccountingExact(t *testing.T) {
 				}
 			} // one of them rebuilt b1: d0 loses its state for the budget
 
-			mine(query("d0", e2, 5, AlgoCount))                         // FST LRU evicts d0/e1, stateless
-			mine(query("d1", e2, 5, AlgoCount))                         // FST LRU evicts d2/e1 with its state
+			mine(query("d0", e2, 5, AlgoDSeq))                          // FST LRU evicts d0/e1, stateless
+			mine(query("d1", e2, 5, AlgoDSeq))                          // FST LRU evicts d2/e1 with its state
 			if _, err := svc.RegisterDataset("d1", d1new); err != nil { // drops d1/e1 and its state
 				t.Fatal(err)
 			}

@@ -2,8 +2,10 @@ package service_test
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"seqmine/internal/cluster"
@@ -145,20 +147,30 @@ func TestServiceMineCluster(t *testing.T) {
 }
 
 // TestExecuteClusterRejectsOtherAlgorithms: only dseq/dcand can run on a
-// cluster; every other algorithm must error rather than silently running
-// locally.
+// cluster; dfs and the names the service does not run (count, naive,
+// seminaive) must error rather than silently running locally, and reach no
+// worker.
 func TestExecuteClusterRejectsOtherAlgorithms(t *testing.T) {
 	db := randomClusterDB(t)
 	f, err := fst.Compile("[.*(.)]{1,3}.*", db.Dict)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []service.Algorithm{service.AlgoNaive, service.AlgoSemiNaive, service.AlgoDFS, service.AlgoCount} {
+	var touched atomic.Int32
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		touched.Add(1)
+		http.Error(w, "unexpected request", http.StatusInternalServerError)
+	}))
+	t.Cleanup(worker.Close)
+	for _, algo := range []service.Algorithm{service.AlgoDFS, "count", "naive", "seminaive"} {
 		opts := service.DefaultExecOptions()
 		opts.Algorithm = algo
-		opts.Cluster = &service.ClusterOptions{Workers: []string{"http://127.0.0.1:1"}, Expression: "[.*(.)]{1,3}.*"}
+		opts.Cluster = &service.ClusterOptions{Workers: []string{worker.URL}, Expression: "[.*(.)]{1,3}.*"}
 		if _, _, _, err := service.Execute(context.Background(), f, db, 2, opts); err == nil {
 			t.Errorf("expected an error for %s on a cluster", algo)
 		}
+	}
+	if n := touched.Load(); n != 0 {
+		t.Errorf("%d requests reached the worker before the algorithm was rejected", n)
 	}
 }

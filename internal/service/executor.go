@@ -12,7 +12,6 @@ import (
 	"seqmine/internal/fst"
 	"seqmine/internal/mapreduce"
 	"seqmine/internal/miner"
-	"seqmine/internal/naive"
 	"seqmine/internal/obs"
 	"seqmine/internal/plan"
 	"seqmine/internal/seqdb"
@@ -23,12 +22,9 @@ import (
 type Algorithm = plan.Algorithm
 
 const (
-	AlgoDFS       = plan.AlgoDFS
-	AlgoCount     = plan.AlgoCount
-	AlgoDSeq      = plan.AlgoDSeq
-	AlgoDCand     = plan.AlgoDCand
-	AlgoNaive     = plan.AlgoNaive
-	AlgoSemiNaive = plan.AlgoSemiNaive
+	AlgoDFS   = plan.AlgoDFS
+	AlgoDSeq  = plan.AlgoDSeq
+	AlgoDCand = plan.AlgoDCand
 )
 
 // ExecOptions configures one query's execution: the query plan by value (see
@@ -99,7 +95,7 @@ type ExecStats struct {
 	// "hit" — a dfs query mined the prepared DESQ-DFS state an earlier or
 	// concurrent query of the same (dataset generation, expression) built;
 	// "built" — it built that state itself, in PrepareMS milliseconds of its
-	// mine time; "none" — count, the distributed backends, the cluster, a
+	// mine time; "none" — the distributed backends, the cluster, a
 	// result-cache hit and Execute outside a Service have no such state.
 	Prepared  string  `json:"prepared"`
 	PrepareMS float64 `json:"prepare_ms,omitempty"`
@@ -113,11 +109,11 @@ type ExecStats struct {
 // cluster-executed query; see cluster.Stats.
 type ClusterStats = cluster.Stats
 
-// Execute runs one mining job. The sequential backends (dfs, count) mine the
-// whole database on Workers goroutines with the miner's own parallelism (see
-// miner.MineDFS) and return the single-threaded miner's result. The
-// distributed backends (dseq, dcand, naive, seminaive) partition by pivot item
-// and run on the in-process BSP engine with Workers map/reduce workers.
+// Execute runs one mining job. The sequential backend (dfs) mines the whole
+// database on Workers goroutines with the miner's own parallelism (see
+// miner.MineDFS) and returns the single-threaded miner's result. The
+// distributed backends (dseq, dcand) partition by pivot item and run on the
+// in-process BSP engine with Workers map/reduce workers.
 //
 // Cancellation: the job runs in a goroutine and the call returns ctx.Err()
 // as soon as the context is done. The sequential miners check the context
@@ -163,7 +159,7 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	switch {
 	case opts.Cluster != nil:
 		run = mineCluster
-	case algo == AlgoDFS, algo == AlgoCount:
+	case algo == AlgoDFS:
 		run = mineSequential
 	}
 	type jobResult struct {
@@ -192,7 +188,7 @@ func execute(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, o
 	}
 }
 
-// mineDistributed runs one of the BSP algorithms whole-database on the
+// mineDistributed runs D-SEQ or D-CAND whole-database on the
 // in-process engine. The context is threaded into the engine for cooperative
 // cancellation and trace-span recording (the mapreduce.run span and its stage
 // children parent under the caller's service.mine span when the context
@@ -204,14 +200,9 @@ func mineDistributed(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma 
 		metrics  mapreduce.Metrics
 		err      error
 	)
-	switch opts.Algorithm {
-	case AlgoDCand:
+	if opts.Algorithm == AlgoDCand {
 		patterns, metrics, err = dcand.Mine(f, db.Sequences, sigma, dcand.DefaultOptions(), cfg, nil)
-	case AlgoNaive:
-		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.Naive, cfg)
-	case AlgoSemiNaive:
-		patterns, metrics, err = naive.Mine(f, db.Sequences, sigma, naive.SemiNaive, cfg)
-	default: // AlgoDSeq: execute admitted no other name
+	} else { // AlgoDSeq: execute admitted no other name
 		patterns, metrics, err = dseq.Mine(f, db.Sequences, sigma, dseq.DefaultOptions(), cfg, nil)
 	}
 	if err != nil {
@@ -235,19 +226,15 @@ func mineCluster(ctx context.Context, _ *fst.FST, db *seqdb.Database, sigma int6
 	return res.Patterns, res.Metrics, ExecStats{Shards: len(opts.Cluster.Workers), Cluster: &stats}, nil
 }
 
-// mineSequential runs DESQ-DFS or DESQ-COUNT over the whole database on
-// workers goroutines; the parallelism is the miner's own (miner.MineDFS). A dfs
-// query with a prepared source mines the source's state at sigma instead of
-// setting the database up again.
+// mineSequential runs DESQ-DFS over the whole database on workers goroutines;
+// the parallelism is the miner's own (miner.MineDFS). A query with a prepared
+// source mines the source's state at sigma instead of setting the database up
+// again.
 func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma int64, opts ExecOptions, prepared preparedSource) ([]miner.Pattern, mapreduce.Metrics, ExecStats, error) {
 	workers := opts.Workers
 	stats := ExecStats{Shards: 1}
 	var patterns []miner.Pattern
-	switch {
-	case opts.Algorithm == AlgoCount:
-		patterns = miner.MineCount(ctx, f, miner.Weighted(db.Sequences), sigma, workers)
-		stats.Workers = max(1, min(workers, len(db.Sequences)))
-	case prepared != nil:
+	if prepared != nil {
 		start := time.Now()
 		p, built, err := prepared(ctx, workers)
 		if err != nil {
@@ -259,7 +246,7 @@ func mineSequential(ctx context.Context, f *fst.FST, db *seqdb.Database, sigma i
 			stats.PrepareMS = float64(time.Since(start)) / float64(time.Millisecond)
 		}
 		patterns = p.Mine(ctx, sigma, workers, &stats.SplitStats)
-	default:
+	} else {
 		patterns = miner.MineDFS(f, miner.Weighted(db.Sequences), sigma, miner.DFSOptions{Workers: workers, Context: ctx, Split: &stats.SplitStats})
 	}
 	if err := ctx.Err(); err != nil {

@@ -15,7 +15,7 @@ import (
 	"seqmine/internal/seqdb"
 )
 
-// TestCancelledSequentialQueryReleasesPromptly: a dfs or count query that is
+// TestCancelledSequentialQueryReleasesPromptly: a dfs query that is
 // cancelled 10 ms in returns the context's error, and its mining goroutine —
 // which holds the admission slot and the dataset lease until onDone — ends
 // well before the mining would have, leaving no goroutine behind. (Under the
@@ -28,7 +28,7 @@ func TestCancelledSequentialQueryReleasesPromptly(t *testing.T) {
 	for _, c := range []struct {
 		algo    Algorithm
 		workers int
-	}{{AlgoDFS, 1}, {AlgoDFS, 2}, {AlgoCount, 2}} {
+	}{{AlgoDFS, 1}, {AlgoDFS, 2}} {
 		t.Run(fmt.Sprintf("%s-%d", c.algo, c.workers), func(t *testing.T) {
 			opts := ExecOptions{Plan: plan.Plan{Algorithm: c.algo, Workers: c.workers}}
 			start := time.Now()

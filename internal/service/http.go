@@ -27,7 +27,7 @@ type MineRequest struct {
 	Dataset   string `json:"dataset"`
 	Pattern   string `json:"pattern"`
 	Sigma     int64  `json:"sigma"`
-	Algorithm string `json:"algorithm,omitempty"` // dfs|count|dseq|dcand|naive|seminaive; default dseq
+	Algorithm string `json:"algorithm,omitempty"` // dfs|dseq|dcand; default dseq
 	Workers   int    `json:"workers,omitempty"`
 	// Shards is ignored; it leaves with the [benchmark] PR that stops sending it.
 	Shards    int   `json:"shards,omitempty"`

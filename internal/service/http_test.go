@@ -86,7 +86,7 @@ func TestMineEndToEnd(t *testing.T) {
 	putExampleDataset(t, srv, "ex")
 
 	want := paperex.ExpectedFrequent()
-	for _, algo := range []string{"dfs", "count", "dseq", "dcand"} {
+	for _, algo := range []string{"dfs", "dseq", "dcand"} {
 		var out service.MineResponse
 		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
 			Dataset:   "ex",
@@ -189,8 +189,33 @@ func TestDatasetLifecycleOverHTTP(t *testing.T) {
 }
 
 func TestHTTPErrors(t *testing.T) {
-	srv, _ := newTestServer(t)
+	srv, svc := newTestServer(t)
 	putExampleDataset(t, srv, "ex")
+
+	// The algorithms the service does not run are refused by name, before
+	// the pattern is compiled or the query counted: the next query of the
+	// same pattern compiles it, and no series carries a refused name.
+	for _, algo := range []string{"count", "naive", "seminaive"} {
+		var errResp struct {
+			Error string `json:"error"`
+		}
+		resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
+			Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: algo,
+		}, &errResp)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(errResp.Error, "dfs, dseq, dcand") {
+			t.Errorf("algorithm %q: status %d, error %q; want 400 naming dfs, dseq, dcand", algo, resp.StatusCode, errResp.Error)
+		}
+		if _, ok := service.Series(svc.Metrics().Registry, "seqmine_queries_total", "algorithm", algo); ok {
+			t.Errorf("seqmine_queries_total has a series for the refused algorithm %q", algo)
+		}
+	}
+	var out service.MineResponse
+	resp := doJSON(t, http.MethodPost, srv.URL+"/mine", service.MineRequest{
+		Dataset: "ex", Pattern: paperex.PatternExpression, Sigma: paperex.Sigma, Algorithm: "dseq",
+	}, &out)
+	if resp.StatusCode != http.StatusOK || out.Metrics.CacheHit {
+		t.Errorf("first served query: status %d, cache_hit %v; want 200 compiling its pattern", resp.StatusCode, out.Metrics.CacheHit)
+	}
 
 	cases := []struct {
 		name   string

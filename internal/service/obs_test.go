@@ -233,7 +233,6 @@ func TestQuerySaysWhatItReused(t *testing.T) {
 		{"dfs", 2, service.PreparedBuilt, false},
 		{"dfs", 3, service.PreparedHit, true},
 		{"dfs", 1, service.PreparedHit, true},
-		{"count", 2, service.PreparedNone, true},
 		{"dseq", 2, service.PreparedNone, true},
 	} {
 		var out service.MineResponse

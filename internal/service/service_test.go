@@ -56,7 +56,7 @@ func mineViaService(t *testing.T, svc *service.Service, algo service.Algorithm, 
 }
 
 // TestWorkersMatchSequential is the exactness property of the executor's
-// sequential backends: dfs and count on 1, 2 and 4 workers must return the
+// sequential backend: dfs on 1, 2 and 4 workers must return the
 // single-threaded miner's patterns in the single-threaded miner's order, and
 // say how the query was split.
 func TestWorkersMatchSequential(t *testing.T) {
@@ -82,40 +82,37 @@ func TestWorkersMatchSequential(t *testing.T) {
 			f := fst.MustCompile(pat, fx.db.Dict)
 			for _, sigma := range fx.sigmas {
 				want := miner.MineDFS(f, miner.Weighted(fx.db.Sequences), sigma, miner.DFSOptions{})
-				for _, algo := range []service.Algorithm{service.AlgoDFS, service.AlgoCount} {
-					for _, workers := range []int{1, 2, 4} {
-						opts := service.DefaultExecOptions()
-						opts.Algorithm = algo
-						opts.Workers = workers
-						resp, err := svc.Mine(context.Background(), service.Query{
-							Dataset: fx.name, Expression: pat, Sigma: sigma, Options: opts,
-						})
-						if err != nil {
-							t.Fatalf("%s %q sigma %d %s workers %d: %v", fx.name, pat, sigma, algo, workers, err)
-						}
-						if len(want) == 0 && len(resp.Patterns) == 0 {
-							continue
-						}
-						if !reflect.DeepEqual(resp.Patterns, want) {
-							t.Errorf("%s %q sigma %d %s workers %d:\n got %v\nwant %v", fx.name, pat, sigma, algo, workers, resp.Patterns, want)
-						}
-						exec := resp.Metrics.Exec
-						if exec.Shards != 1 || exec.Candidates != 0 || exec.Workers != workers {
-							t.Errorf("%s workers %d: exec = %+v", algo, workers, exec)
-						}
-						// Through a Service dfs mines a prepared state by tasks on
-						// any number of workers: its deepest kept prefixes, of at
-						// most three items, so there are some whenever a pattern of
-						// three or more items is reported; count has none.
-						long := slices.ContainsFunc(want, func(p miner.Pattern) bool { return len(p.Items) >= 3 })
-						if exec.LargestTaskShare > 1 || (exec.Tasks > 0) != (exec.LargestTaskShare > 0) ||
-							algo == service.AlgoDFS && long && exec.Tasks == 0 || algo == service.AlgoCount && exec.Tasks > 0 {
-							t.Errorf("%s workers %d: exec = %+v, want a share in (0, 1] with tasks, and tasks for dfs when a pattern has three items or more (%v), none for count",
-								algo, workers, exec, long)
-						}
-						if algo == service.AlgoDFS && long {
-							longTasks++
-						}
+				for _, workers := range []int{1, 2, 4} {
+					opts := service.DefaultExecOptions()
+					opts.Algorithm = service.AlgoDFS
+					opts.Workers = workers
+					resp, err := svc.Mine(context.Background(), service.Query{
+						Dataset: fx.name, Expression: pat, Sigma: sigma, Options: opts,
+					})
+					if err != nil {
+						t.Fatalf("%s %q sigma %d workers %d: %v", fx.name, pat, sigma, workers, err)
+					}
+					if len(want) == 0 && len(resp.Patterns) == 0 {
+						continue
+					}
+					if !reflect.DeepEqual(resp.Patterns, want) {
+						t.Errorf("%s %q sigma %d workers %d:\n got %v\nwant %v", fx.name, pat, sigma, workers, resp.Patterns, want)
+					}
+					exec := resp.Metrics.Exec
+					if exec.Shards != 1 || exec.Candidates != 0 || exec.Workers != workers {
+						t.Errorf("workers %d: exec = %+v", workers, exec)
+					}
+					// Through a Service dfs mines a prepared state by tasks on
+					// any number of workers: its deepest kept prefixes, of at
+					// most three items, so there are some whenever a pattern of
+					// three or more items is reported.
+					long := slices.ContainsFunc(want, func(p miner.Pattern) bool { return len(p.Items) >= 3 })
+					if exec.LargestTaskShare > 1 || (exec.Tasks > 0) != (exec.LargestTaskShare > 0) || long && exec.Tasks == 0 {
+						t.Errorf("workers %d: exec = %+v, want a share in (0, 1] with tasks, and tasks when a pattern has three items or more (%v)",
+							workers, exec, long)
+					}
+					if long {
+						longTasks++
 					}
 				}
 			}
@@ -126,12 +123,12 @@ func TestWorkersMatchSequential(t *testing.T) {
 	}
 }
 
-// TestDistributedBackends runs every BSP backend through the service on the
+// TestDistributedBackends runs both BSP backends through the service on the
 // running example and checks against the paper's expected result.
 func TestDistributedBackends(t *testing.T) {
 	svc, _ := newTestService(t, service.Config{})
 	want := paperex.ExpectedFrequent()
-	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoNaive, service.AlgoSemiNaive} {
+	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand} {
 		got := mineViaService(t, svc, algo, paperex.Sigma)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s = %v, want %v", algo, got, want)
@@ -163,17 +160,16 @@ func TestCacheHitMetrics(t *testing.T) {
 
 // TestConcurrentQueries exercises the service from many goroutines (run
 // under -race): a mix of algorithms and worker counts against the same
-// dataset, every result checked against the sequential reference, and the
+// dataset, every result checked against the paper's expected result, and the
 // compiled-pattern cache must compile each distinct expression exactly once.
 func TestConcurrentQueries(t *testing.T) {
 	// The queue is sized for the whole burst: this test is about FST-cache
 	// singleflight and cross-algorithm agreement, not load shedding (the
 	// default queue of 4×MaxConcurrent would shed part of it).
-	svc, db := newTestService(t, service.Config{MaxConcurrent: 4, QueueDepth: 24})
-	f := fst.MustCompile(paperex.PatternExpression, db.Dict)
-	want := miner.PatternsToMap(db.Dict, miner.MineCount(context.Background(), f, miner.Weighted(db.Sequences), paperex.Sigma, 1))
+	svc, _ := newTestService(t, service.Config{MaxConcurrent: 4, QueueDepth: 24})
+	want := paperex.ExpectedFrequent()
 
-	algos := []service.Algorithm{service.AlgoDFS, service.AlgoCount, service.AlgoDSeq, service.AlgoDCand}
+	algos := []service.Algorithm{service.AlgoDFS, service.AlgoDSeq, service.AlgoDCand}
 	const n = 24
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -340,7 +336,7 @@ func TestSpillThresholdThroughService(t *testing.T) {
 	}
 	const pat = "[.*(.)]{1,3}.*"
 	const sigma = 10
-	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoSemiNaive} {
+	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand} {
 		base := service.DefaultExecOptions()
 		base.Algorithm = algo
 		ref, err := svc.Mine(context.Background(), service.Query{Dataset: "rnd", Expression: pat, Sigma: sigma, Options: base})
@@ -420,7 +416,7 @@ func TestStreamingThroughService(t *testing.T) {
 	const pat = "[.*(.)]{1,3}.*"
 	const sigma = 10
 	var segments int64 // spill segments the responses report
-	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand, service.AlgoSemiNaive} {
+	for _, algo := range []service.Algorithm{service.AlgoDSeq, service.AlgoDCand} {
 		base := service.DefaultExecOptions()
 		base.Algorithm = algo
 		ref, err := svc.Mine(context.Background(), service.Query{Dataset: "rnd", Expression: pat, Sigma: sigma, Options: base})

@@ -4,10 +4,9 @@
 // (Renz-Wieland, Bertsch, Gemulla; ICDE 2019): subsequence constraints are
 // stated in the DESQ pattern-expression language (regular expressions with
 // capture groups, item hierarchies and generalization), and mining can run
-// either sequentially (DESQ-DFS / DESQ-COUNT) or distributed over a bulk
-// synchronous parallel engine with one round of communication using the
-// D-SEQ and D-CAND algorithms of the paper (plus the NAIVE and SEMI-NAIVE
-// baselines).
+// either sequentially (DESQ-DFS) or distributed over a bulk synchronous
+// parallel engine with one round of communication using the D-SEQ and D-CAND
+// algorithms of the paper.
 //
 // A minimal end-to-end use looks like this:
 //
@@ -70,17 +69,10 @@ type Algorithm = plan.Algorithm
 const (
 	// SequentialDFS is the sequential DESQ-DFS pattern-growth miner.
 	SequentialDFS = plan.AlgoDFS
-	// SequentialCount is the sequential DESQ-COUNT miner (enumerate and
-	// count).
-	SequentialCount = plan.AlgoCount
 	// DSeq is the distributed algorithm with sequence representation.
 	DSeq = plan.AlgoDSeq
 	// DCand is the distributed algorithm with candidate (NFA) representation.
 	DCand = plan.AlgoDCand
-	// Naive is the distributed word-count style baseline over all candidates.
-	Naive = plan.AlgoNaive
-	// SemiNaive is Naive restricted to candidates of frequent items.
-	SemiNaive = plan.AlgoSemiNaive
 )
 
 // Knobs are the execution knobs shared by every layer of the system — the
@@ -96,8 +88,7 @@ type Knobs = plan.Knobs
 // same struct. Its fields:
 //   - Algorithm selects the miner (empty: D-SEQ).
 //   - Workers is the parallelism of every algorithm (map and reduce workers
-//     of the distributed ones, mining goroutines of DFS and Count); 0 uses
-//     all CPUs.
+//     of the distributed ones, mining goroutines of DFS); 0 uses all CPUs.
 //   - Knobs tune the execution; through Service.Mine, unset knobs inherit
 //     the service's defaults (ServiceOptions.Knobs).
 //   - Cluster, when non-nil, runs D-SEQ or D-CAND across seqmine-worker
@@ -170,8 +161,8 @@ func Mine(db *Database, expression string, sigma int64, opts Options) (*Result, 
 
 // MineConstraint mines the database with a previously compiled constraint.
 // The backend dispatch is shared with the service layer (internal/service):
-// DESQ-DFS and DESQ-COUNT mine on opts.Workers goroutines and return exactly
-// the single-threaded result.
+// DESQ-DFS mines on opts.Workers goroutines and returns exactly the
+// single-threaded result.
 func MineConstraint(db *Database, c *Constraint, sigma int64, opts Options) (*Result, error) {
 	if opts.Cluster != nil {
 		// The workers compile the constraint's own expression; copy the
