@@ -122,8 +122,8 @@ func main() {
 		}
 	}
 	if c := stats.Cluster; c != nil {
-		fmt.Printf("scheduler: %d tasks, %d attempts, %d retries, %d dead workers\n",
-			c.Tasks, c.Attempts, c.Retries, len(c.DeadWorkers))
+		fmt.Printf("scheduler: %d attempts, %d retries, %d dead workers\n",
+			c.Attempts, c.Retries, len(c.DeadWorkers))
 		fmt.Printf("dataset store: %d hits, %d misses, %d bytes pushed\n",
 			c.StoreHits, c.StoreMisses, c.StorePutBytes)
 	}

@@ -92,15 +92,20 @@ func (l *runLog) wrap(inner http.Handler) http.Handler {
 	})
 }
 
-// take returns the runs of attempt epoch logged since the last take, and
-// forgets every run logged so far.
-func (l *runLog) take(epoch int) []loggedRun {
+// take returns the runs of the winning attempt logged since the last take,
+// and forgets every run logged so far. The winning attempt is the one the
+// last logged run belongs to: the scheduler launches an attempt only after
+// every request of the previous one has ended.
+func (l *runLog) take() []loggedRun {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []loggedRun
-	for _, run := range l.runs {
-		if run.spec.Epoch == epoch {
-			out = append(out, run)
+	if len(l.runs) > 0 {
+		last := l.runs[len(l.runs)-1].spec.JobID
+		for _, run := range l.runs {
+			if run.spec.JobID == last {
+				out = append(out, run)
+			}
 		}
 	}
 	l.runs = nil
@@ -287,7 +292,7 @@ func TestCoordinatorSpillMatchesInProcess(t *testing.T) {
 		if res.Metrics.SpilledBytes == 0 || res.Metrics.SpillCount == 0 {
 			t.Errorf("%s: expected cluster-wide spilling, got %+v", algo, res.Metrics)
 		}
-		gang := log.take(res.Attempts - 1)
+		gang := log.take()
 		if len(gang) != 3 {
 			t.Errorf("%s: %d workers answered the winning attempt, want 3", algo, len(gang))
 		}
@@ -312,7 +317,7 @@ func TestWorkerNodeAccessor(t *testing.T) {
 
 // TestCoordinatorStreamingMatchesInProcess runs a 3-worker distributed job
 // with the streaming pipelined shuffle (a tiny per-peer send buffer, plus a
-// compressed-spill variant): the merged pattern set must be byte-identical
+// spilling variant): the merged pattern set must be byte-identical
 // to the in-memory single-process barrier run, and the workers must report
 // streamed batches.
 func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
@@ -331,8 +336,7 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 	variants["streaming"] = streaming
 	everything := streaming
 	everything.SpillThreshold = 2048
-	everything.CompressSpill = true
-	variants["streaming+spill+deflate"] = everything
+	variants["streaming+spill"] = everything
 
 	for _, algo := range []plan.Algorithm{plan.AlgoDSeq, plan.AlgoDCand} {
 		want := inProcess(t, algo, f, db, sigma)
@@ -352,7 +356,7 @@ func TestCoordinatorStreamingMatchesInProcess(t *testing.T) {
 			if res.Metrics.StreamedBatches == 0 {
 				t.Errorf("%s/%s: expected streamed batches, got %+v", algo, name, res.Metrics)
 			}
-			gang := log.take(res.Attempts - 1)
+			gang := log.take()
 			if len(gang) != 3 {
 				t.Errorf("%s/%s: %d workers answered the winning attempt, want 3", algo, name, len(gang))
 			}

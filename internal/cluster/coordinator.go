@@ -27,9 +27,10 @@ import (
 
 // Coordinator schedules mining jobs across a pool of worker processes. One
 // job runs as a sequence of attempts, one in flight at a time: each attempt
-// gang-schedules every per-partition task over the live workers and runs one
-// BSP round; a worker death fails only that attempt, and the scheduler
-// relaunches it under a fresh epoch on the surviving workers. The input
+// runs one BSP round over a gang of the live workers, every member mining its
+// share of the input by peer index; a worker death fails only that attempt,
+// and the scheduler relaunches it under a fresh attempt id on the surviving
+// workers, which re-split the whole input among themselves. The input
 // database travels through the workers' shared dataset store, pushed at most
 // once per worker per dataset. Control requests go through http.DefaultClient
 // and log lines to obs.DefaultLogger(); a recorder on the Mine context
@@ -93,12 +94,8 @@ type Result struct {
 // Stats is the scheduler's and the dataset store's account of one job. The
 // service layer reports it as a query's metrics.exec.cluster.
 type Stats struct {
-	// Tasks is the number of per-partition tasks the job was decomposed
-	// into: one per worker live at the start.
-	Tasks int `json:"tasks"`
-	// Attempts is the number of attempts launched (>= 1); the last one won,
-	// under epoch Attempts-1. Retries is the number of attempts relaunched
-	// after a failure.
+	// Attempts is the number of attempts launched (>= 1); the last one won.
+	// Retries is the number of attempts relaunched after a failure.
 	Attempts int `json:"attempts"`
 	Retries  int `json:"retries"`
 	// DeadWorkers are the control URLs of pool members declared dead during
@@ -223,21 +220,10 @@ func (c *Coordinator) Mine(ctx context.Context, db *seqdb.Database, expression s
 		return nil, fmt.Errorf("cluster: no worker accepted the dataset bundle")
 	}
 
-	// One per-partition task per live worker. The partition count is fixed
-	// for the whole job, so task identity survives gang changes across
-	// attempts: a retry on fewer survivors gives some of them several tasks.
-	res.Tasks = len(live)
-
-	jobID, err := newJobID()
-	if err != nil {
-		return nil, err
-	}
 	sched := &scheduler{
 		coord:     c,
 		ctx:       ctx,
 		pool:      pool,
-		jobID:     jobID,
-		numTasks:  res.Tasks,
 		datasetID: datasetID,
 		bundle:    data,
 		expr:      expression,
@@ -323,8 +309,6 @@ type scheduler struct {
 	ctx   context.Context
 	pool  []*workerRef
 
-	jobID     string
-	numTasks  int
 	datasetID string
 	bundle    []byte
 	expr      string
@@ -345,9 +329,10 @@ type scheduler struct {
 	current *attempt // the latest attempt launched
 }
 
-// attempt is one gang execution of all tasks.
+// attempt is one gang execution of the job.
 type attempt struct {
-	epoch  int
+	id     string // the attempt's JobSpec.JobID
+	n      int    // attempt number, 0 for the first
 	gang   []*workerRef
 	cancel context.CancelFunc
 
@@ -421,14 +406,14 @@ func (s *scheduler) run() (*Result, error) {
 				return nil, s.ctx.Err()
 			}
 			if a.permanent {
-				s.log.Error("job failed permanently", obs.String("job", s.jobID),
-					obs.Int("epoch", int64(a.epoch)), obs.String("error", a.err.Error()))
+				s.log.Error("job failed permanently", obs.String("job", a.id),
+					obs.Int("attempt", int64(a.n)), obs.String("error", a.err.Error()))
 				return nil, fmt.Errorf("cluster: %w", a.err)
 			}
 			if a.failed != nil && a.failed.markDead() {
 				s.addDeadWorker(a.failed)
 				s.log.Warn("worker removed from pool", obs.String("worker", a.failed.url),
-					obs.Int("epoch", int64(a.epoch)), obs.String("error", a.err.Error()))
+					obs.Int("attempt", int64(a.n)), obs.String("error", a.err.Error()))
 			}
 			if a.repush != nil {
 				hit, putBytes, err := ensureDataset(s.ctx, a.repush.url, s.datasetID, s.bundle)
@@ -442,14 +427,14 @@ func (s *scheduler) run() (*Result, error) {
 				}
 			}
 			if s.res.Retries >= maxRetries {
-				s.log.Error("retry budget exhausted", obs.String("job", s.jobID),
+				s.log.Error("retry budget exhausted", obs.String("job", a.id),
 					obs.Int("attempts", int64(s.res.Attempts)), obs.String("error", a.err.Error()))
 				return nil, fmt.Errorf("cluster: job failed after %d attempts (%d retries): %w",
 					s.res.Attempts, s.res.Retries, a.err)
 			}
 			s.res.Retries++
-			s.log.Warn("attempt failed, retrying", obs.String("job", s.jobID),
-				obs.Int("epoch", int64(a.epoch)), obs.Int("retries", int64(s.res.Retries)),
+			s.log.Warn("attempt failed, retrying", obs.String("job", a.id),
+				obs.Int("attempt", int64(a.n)), obs.Int("retries", int64(s.res.Retries)),
 				obs.String("error", a.err.Error()))
 			if err := s.launch(); err != nil {
 				return nil, fmt.Errorf("cluster: relaunching after %w: %v", a.err, err)
@@ -460,9 +445,9 @@ func (s *scheduler) run() (*Result, error) {
 	}
 }
 
-// latestEpoch is the most recently launched attempt epoch (-1 before the
-// first launch); the heartbeat loop stamps it onto its log lines.
-func (s *scheduler) latestEpoch() int {
+// latestAttempt is the number of the most recently launched attempt (-1
+// before the first launch); the heartbeat loop stamps it onto its log lines.
+func (s *scheduler) latestAttempt() int {
 	s.smu.Lock()
 	defer s.smu.Unlock()
 	return s.res.Attempts - 1
@@ -474,19 +459,22 @@ func (s *scheduler) addDeadWorker(ws *workerRef) {
 	s.smu.Unlock()
 }
 
-// launch starts one attempt over the currently live workers: every task is
-// assigned to a gang member (rotated by epoch so a straggler gets different
-// partitions on the next attempt) and each member is POSTed its spec.
+// launch starts one attempt over the currently live workers under a fresh
+// attempt id: each gang member is POSTed its spec and mines its share of the
+// input by peer index.
 func (s *scheduler) launch() error {
 	gang := liveWorkers(s.pool)
 	if len(gang) == 0 {
 		return fmt.Errorf("no live workers remain")
 	}
-	// Attempt k runs under epoch k. The heartbeat loop reads the latest epoch
-	// for its log lines, so the counter is guarded even though only the run
-	// loop launches.
+	id, err := newJobID()
+	if err != nil {
+		return err
+	}
+	// The heartbeat loop reads the latest attempt number for its log lines,
+	// so the counter is guarded even though only the run loop launches.
 	s.smu.Lock()
-	epoch := s.res.Attempts
+	n := s.res.Attempts
 	s.res.Attempts++
 	s.smu.Unlock()
 
@@ -494,21 +482,16 @@ func (s *scheduler) launch() error {
 	for i, ws := range gang {
 		dataPeers[i] = ws.dataAddr
 	}
-	parts := make([][]int, len(gang))
-	for task := 0; task < s.numTasks; task++ {
-		gi := (task + epoch) % len(gang)
-		parts[gi] = append(parts[gi], task)
-	}
 
-	sctx, aspan := obs.StartSpan(s.ctx, "cluster.attempt",
-		obs.Int("epoch", int64(epoch)), obs.Int("gang", int64(len(gang))))
+	sctx, aspan := obs.StartSpan(s.ctx, "cluster.attempt", obs.String("job", id),
+		obs.Int("attempt", int64(n)), obs.Int("gang", int64(len(gang))))
 	actx, acancel := context.WithCancel(sctx)
-	a := &attempt{epoch: epoch, gang: gang, cancel: acancel, results: make([]JobResult, len(gang))}
+	a := &attempt{id: id, n: n, gang: gang, cancel: acancel, results: make([]JobResult, len(gang))}
 	s.smu.Lock()
 	s.current = a
 	s.smu.Unlock()
-	s.log.Info("attempt launched", obs.String("job", s.jobID), obs.Int("epoch", int64(epoch)),
-		obs.Int("gang", int64(len(gang))), obs.Int("tasks", int64(s.numTasks)))
+	s.log.Info("attempt launched", obs.String("job", id), obs.Int("attempt", int64(n)),
+		obs.Int("gang", int64(len(gang))))
 
 	go func() {
 		started := time.Now()
@@ -517,23 +500,19 @@ func (s *scheduler) launch() error {
 		var wg sync.WaitGroup
 		for gi := range gang {
 			spec := JobSpec{
-				JobID:         s.jobID,
-				Epoch:         epoch,
-				Peer:          gi,
-				DataPeers:     dataPeers,
-				Expression:    s.expr,
-				Sigma:         s.sigma,
-				DatasetID:     s.datasetID,
-				NumPartitions: s.numTasks,
-				Partitions:    parts[gi],
-				Plan:          s.plan,
+				JobID:      id,
+				Peer:       gi,
+				DataPeers:  dataPeers,
+				Expression: s.expr,
+				Sigma:      s.sigma,
+				DatasetID:  s.datasetID,
+				Plan:       s.plan,
 			}
 			wg.Add(1)
 			go func(gi int, spec JobSpec) {
 				defer wg.Done()
 				tctx, tspan := obs.StartSpan(actx, "cluster.task",
-					obs.Int("peer", int64(gi)), obs.String("worker", gang[gi].url),
-					obs.Int("epoch", int64(epoch)), obs.Int("partitions", int64(len(spec.Partitions))))
+					obs.Int("peer", int64(gi)), obs.String("worker", gang[gi].url))
 				err := postJSON(tctx, http.DefaultClient, gang[gi].url+"/run", spec, &a.results[gi])
 				if err != nil {
 					tspan.SetAttr("error", err.Error())
@@ -682,20 +661,20 @@ func (s *scheduler) heartbeatLoop(ctx context.Context) {
 					ws.alive = false
 				}
 				ws.mu.Unlock()
-				epoch := int64(s.latestEpoch())
+				n := int64(s.latestAttempt())
 				switch {
 				case dead:
 					s.log.Warn("worker declared dead", obs.String("worker", ws.url),
-						obs.Int("misses", int64(misses)), obs.Int("epoch", epoch),
+						obs.Int("misses", int64(misses)), obs.Int("attempt", n),
 						obs.String("error", err.Error()))
 					s.onHeartbeatDeath(ws)
 				case err != nil:
 					s.log.Debug("worker heartbeat missed", obs.String("worker", ws.url),
-						obs.Int("misses", int64(misses)), obs.Int("epoch", epoch),
+						obs.Int("misses", int64(misses)), obs.Int("attempt", n),
 						obs.String("error", err.Error()))
 				case recovered:
 					s.log.Info("worker heartbeat recovered", obs.String("worker", ws.url),
-						obs.Int("epoch", epoch))
+						obs.Int("attempt", n))
 				}
 			}(ws)
 		}

@@ -17,8 +17,8 @@ import (
 // path. A database is serialized once into an immutable, content-addressed
 // bundle (dictionary text plus varint-encoded sequences); its id is the
 // SHA-256 of the bundle bytes. Workers hold decoded bundles in a small LRU
-// keyed by id, and job specs reference the id plus a partition assignment
-// instead of inlining the split — so a resubmission or a retry against an
+// keyed by id, and job specs reference the id plus the worker's peer index
+// instead of inlining its share — so a resubmission or a retry against an
 // already-pushed dataset ships zero sequence bytes.
 
 // bundleMagic versions the bundle encoding.

@@ -91,7 +91,7 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	}
 	byName := map[string]int{}
 	procs := map[string]map[string]bool{} // span name -> set of processes
-	epochs := map[string]bool{}
+	attempts := map[string]bool{}
 	for _, sp := range spans {
 		if sp.Trace != trace {
 			t.Fatalf("span %s/%s carries trace %s, want %s", sp.Name, sp.Span, sp.Trace, trace)
@@ -103,8 +103,8 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 		procs[sp.Name][sp.Proc] = true
 		if sp.Name == "cluster.attempt" {
 			for _, a := range sp.Attrs {
-				if a.Key == "epoch" {
-					epochs[a.Value] = true
+				if a.Key == "attempt" {
+					attempts[a.Value] = true
 				}
 			}
 		}
@@ -113,8 +113,8 @@ func TestTraceSpansWholeCluster(t *testing.T) {
 	if byName["cluster.mine"] != 1 {
 		t.Errorf("cluster.mine spans = %d, want exactly 1", byName["cluster.mine"])
 	}
-	if byName["cluster.attempt"] < 2 || len(epochs) < 2 {
-		t.Errorf("want attempt spans from >= 2 epochs, got %d spans over epochs %v", byName["cluster.attempt"], epochs)
+	if byName["cluster.attempt"] < 2 || len(attempts) < 2 {
+		t.Errorf("want spans of >= 2 attempts, got %d spans over attempts %v", byName["cluster.attempt"], attempts)
 	}
 	if byName["cluster.task"] < 2*n-1 {
 		// Attempt 0 posts to all n workers (the flaky one fails fast), the

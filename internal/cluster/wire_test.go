@@ -8,7 +8,6 @@ import (
 	"reflect"
 	"testing"
 
-	"seqmine/internal/dict"
 	"seqmine/internal/plan"
 )
 
@@ -71,21 +70,5 @@ func TestPlanSurvivesJobSpec(t *testing.T) {
 	}
 	if cfg.Workers != 0 {
 		t.Errorf("worker engine parallelism = %d, want the worker's own default (0)", cfg.Workers)
-	}
-}
-
-// TestPartitionSplitSizedByInput: sequence i belongs to partition i mod n, so
-// a spec's partition count beyond the input selects the same sequences
-// without allocating by that count; the small case pins the modular split.
-func TestPartitionSplitSizedByInput(t *testing.T) {
-	seqs := [][]dict.ItemID{{1}, {2}, {3}, {4}, {5}}
-	if got, want := partitionSplit(seqs, 1<<40, []int{0, 2}), [][]dict.ItemID{{1}, {3}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("partitions {0, 2} of 1<<40 = %v, want sequences 0 and 2", got)
-	}
-	if got := partitionSplit(seqs, 1<<40, []int{7, 1 << 39}); got != nil {
-		t.Errorf("partitions past the input = %v, want none", got)
-	}
-	if got, want := partitionSplit(seqs, 2, []int{1}), [][]dict.ItemID{{2}, {4}}; !reflect.DeepEqual(got, want) {
-		t.Errorf("partition 1 of 2 = %v, want %v", got, want)
 	}
 }

@@ -33,7 +33,7 @@ var ErrUnknownDataset = errors.New("cluster: unknown dataset")
 
 // Worker executes job specs against a process-wide transport node and a
 // dataset store. One Worker serves any number of concurrent jobs (each
-// attempt is isolated by its job id and epoch on the node).
+// attempt is isolated by its job id on the node).
 type Worker struct {
 	node *transport.Node
 
@@ -63,11 +63,11 @@ func NewWorker(node *transport.Node) *Worker {
 func (w *Worker) Node() *transport.Node { return w.node }
 
 // Run executes one job spec: it resolves the dataset from the store, compiles
-// the expression against its dictionary, selects the spec's partitions as the
-// local split, opens the attempt's exchange on the node and runs the
-// requested miner. Cancelling ctx aborts the run cooperatively (the engine
-// stops at input granularity and the exchange is torn down), so a superseded
-// attempt releases its CPU promptly.
+// the expression against its dictionary, selects the peer's share of the
+// sequences as the local split, opens the attempt's exchange on the node and
+// runs the requested miner. Cancelling ctx aborts the run cooperatively (the
+// engine stops at input granularity and the exchange is torn down), so a
+// superseded attempt releases its CPU promptly.
 func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -76,8 +76,8 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 		ctx = obs.WithRecorder(ctx, w.Rec)
 	}
 	ctx, span := obs.StartSpan(ctx, "worker.run",
-		obs.String("job", spec.JobID), obs.Int("epoch", int64(spec.Epoch)),
-		obs.Int("peer", int64(spec.Peer)), obs.String("algorithm", string(spec.Plan.Algorithm)))
+		obs.String("job", spec.JobID), obs.Int("peer", int64(spec.Peer)),
+		obs.String("algorithm", string(spec.Plan.Algorithm)))
 	defer func() {
 		if err != nil {
 			span.SetAttr("error", err.Error())
@@ -95,9 +95,12 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 	if err != nil {
 		return nil, permanentError{fmt.Errorf("cluster: compiling %q: %w", spec.Expression, err)}
 	}
-	split := partitionSplit(db.Sequences, spec.NumPartitions, spec.Partitions)
+	var split [][]dict.ItemID
+	for i := spec.Peer; i < len(db.Sequences); i += len(spec.DataPeers) {
+		split = append(split, db.Sequences[i])
+	}
 
-	bx, err := w.node.OpenExchangeContext(ctx, spec.JobID, spec.Epoch, spec.Peer, spec.DataPeers)
+	bx, err := w.node.OpenExchangeContext(ctx, spec.JobID, spec.Peer, spec.DataPeers)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +127,7 @@ func (w *Worker) Run(ctx context.Context, spec JobSpec) (result *JobResult, err 
 		return nil, err
 	}
 	w.observeStages(string(spec.Plan.Algorithm), metrics)
-	result = &JobResult{Epoch: spec.Epoch, Patterns: patterns, Metrics: metrics}
+	result = &JobResult{Patterns: patterns, Metrics: metrics}
 	// End the run span before collecting, so the shipped batch includes it
 	// (plus any spans of earlier attempts of the same trace this worker
 	// recorded — that is how a retried job's full history reaches the
@@ -181,9 +184,6 @@ func validateSpec(spec JobSpec) error {
 	if spec.JobID == "" {
 		return fmt.Errorf("cluster: empty job id")
 	}
-	if spec.Epoch < 0 {
-		return fmt.Errorf("cluster: negative epoch %d", spec.Epoch)
-	}
 	if spec.Peer < 0 || spec.Peer >= len(spec.DataPeers) {
 		return fmt.Errorf("cluster: peer %d out of range for %d data peers", spec.Peer, len(spec.DataPeers))
 	}
@@ -196,38 +196,7 @@ func validateSpec(spec JobSpec) error {
 	if spec.DatasetID == "" {
 		return fmt.Errorf("cluster: empty dataset id")
 	}
-	if spec.NumPartitions < 1 {
-		return fmt.Errorf("cluster: NumPartitions %d out of range", spec.NumPartitions)
-	}
-	for _, p := range spec.Partitions {
-		if p < 0 || p >= spec.NumPartitions {
-			return fmt.Errorf("cluster: partition %d out of range for %d partitions", p, spec.NumPartitions)
-		}
-	}
 	return nil
-}
-
-// partitionSplit selects the sequences of the given partitions (sequence i
-// belongs to partition i mod numPartitions), in stable input order. A
-// partition p >= len(seqs) is empty, so the selection is sized by the input,
-// never by the spec's numPartitions.
-func partitionSplit(seqs [][]dict.ItemID, numPartitions int, partitions []int) [][]dict.ItemID {
-	if len(partitions) == 0 {
-		return nil
-	}
-	want := make([]bool, min(numPartitions, len(seqs)))
-	for _, p := range partitions {
-		if p < len(want) {
-			want[p] = true
-		}
-	}
-	var split [][]dict.ItemID
-	for i, seq := range seqs {
-		if want[i%numPartitions] {
-			split = append(split, seq)
-		}
-	}
-	return split
 }
 
 // Handler returns the worker's control API:

@@ -82,9 +82,9 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 	addr := w.Node().Addr()
 	valid := cluster.JobSpec{
 		JobID: "job-w", Plan: plan.Plan{Algorithm: plan.AlgoDSeq}, Peer: 0, DataPeers: []string{addr},
-		Expression: "(.)", Sigma: 1, DatasetID: id, NumPartitions: 1, Partitions: []int{0},
+		Expression: "(.)", Sigma: 1, DatasetID: id,
 	}
-	held, err := w.Node().OpenExchange(valid.JobID, valid.Epoch, valid.DataPeers)
+	held, err := w.Node().OpenExchange(valid.JobID, valid.Peer, valid.DataPeers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,9 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 		status int
 	}{
 		{"empty job id", func(s *cluster.JobSpec) { s.JobID = "" }, http.StatusBadRequest},
-		{"negative epoch", func(s *cluster.JobSpec) { s.Epoch = -1 }, http.StatusBadRequest},
 		{"peer out of range", func(s *cluster.JobSpec) { s.Peer = 5 }, http.StatusBadRequest},
 		{"non-positive sigma", func(s *cluster.JobSpec) { s.Sigma = 0 }, http.StatusBadRequest},
 		{"empty dataset id", func(s *cluster.JobSpec) { s.DatasetID = "" }, http.StatusBadRequest},
-		{"zero partition count", func(s *cluster.JobSpec) { s.NumPartitions = 0 }, http.StatusBadRequest},
-		{"partition out of range", func(s *cluster.JobSpec) { s.Partitions = []int{3} }, http.StatusBadRequest},
 		{"bad expression", func(s *cluster.JobSpec) { s.Expression = "((" }, http.StatusBadRequest},
 		{"expression past the state bound", func(s *cluster.JobSpec) { s.Expression = "(.{0,60}){0,60}" }, http.StatusBadRequest},
 		{"bad algorithm", func(s *cluster.JobSpec) { s.Plan.Algorithm = "naive" }, http.StatusBadRequest},
@@ -132,26 +129,39 @@ func TestWorkerRejectsMalformedSpecs(t *testing.T) {
 
 // TestWorkerRejectsUnknownSpecFields: a spec carrying a field this worker
 // does not know — a coordinator/worker version skew, e.g. a retired ablation
-// toggle or knob, or the coordinator-side spill directory — is a permanent 400 naming
-// the field, never a silently ignored option.
+// toggle or knob, a retired attempt epoch or partition assignment, or the
+// coordinator-side spill directory — is a permanent 400 naming the field,
+// never a silently ignored option.
 func TestWorkerRejectsUnknownSpecFields(t *testing.T) {
 	_, srv, id := startWorkerWithStore(t)
-	for _, field := range []string{"use_grid", "spill_tmp_dir", "send_buffer_max_bytes", "prefilter",
-		"speculative_after_ms", "task_partitions"} {
-		body := `{"job_id":"job-u","peer":0,"data_peers":["x"],"expression":"(.)","sigma":1,"dataset_id":"` + id +
-			`","num_partitions":1,"partitions":[0],"plan":{"algorithm":"dseq","` + field + `":true}}`
-		resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var je struct {
-			Error string `json:"error"`
-		}
-		_ = json.NewDecoder(resp.Body).Decode(&je)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(je.Error, field) {
-			t.Errorf("%s: status %d, error %q; want 400 naming the field", field, resp.StatusCode, je.Error)
-		}
+	for _, tc := range []struct{ field, spec, plan string }{
+		{field: "use_grid", plan: `,"use_grid":true`},
+		{field: "spill_tmp_dir", plan: `,"spill_tmp_dir":"/tmp"`},
+		{field: "send_buffer_max_bytes", plan: `,"send_buffer_max_bytes":1024`},
+		{field: "prefilter", plan: `,"prefilter":true`},
+		{field: "speculative_after_ms", plan: `,"speculative_after_ms":100`},
+		{field: "task_partitions", plan: `,"task_partitions":4`},
+		{field: "compress_spill", plan: `,"compress_spill":true`},
+		{field: "epoch", spec: `,"epoch":1`},
+		{field: "num_partitions", spec: `,"num_partitions":1`},
+		{field: "partitions", spec: `,"partitions":[0]`},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			body := `{"job_id":"job-u","peer":0,"data_peers":["x"],"expression":"(.)","sigma":1,"dataset_id":"` + id + `"` +
+				tc.spec + `,"plan":{"algorithm":"dseq"` + tc.plan + `}}`
+			resp, err := http.Post(srv.URL+"/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var je struct {
+				Error string `json:"error"`
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&je)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(je.Error, `"`+tc.field+`"`) {
+				t.Errorf("status %d, error %q; want 400 naming the field", resp.StatusCode, je.Error)
+			}
+		})
 	}
 }
 
@@ -319,7 +329,7 @@ func TestWorkerRunUnknownDatasetTyped(t *testing.T) {
 	w, _, _ := startWorkerWithStore(t)
 	_, err := w.Run(context.Background(), cluster.JobSpec{
 		JobID: "job-x", Plan: plan.Plan{Algorithm: plan.AlgoDSeq}, Peer: 0, DataPeers: []string{w.Node().Addr()},
-		Expression: "(.)", Sigma: 1, DatasetID: "sha256-missing", NumPartitions: 1, Partitions: []int{0},
+		Expression: "(.)", Sigma: 1, DatasetID: "sha256-missing",
 	})
 	if !errors.Is(err, cluster.ErrUnknownDataset) {
 		t.Fatalf("err = %v, want ErrUnknownDataset", err)

@@ -197,7 +197,7 @@ func TestDCandSpillEquivalence(t *testing.T) {
 }
 
 // TestDCandStreamingEquivalence asserts the streaming pipelined shuffle (tiny
-// send buffers, with and without spill + compression) produces byte-identical
+// send buffers, with and without spill) produces byte-identical
 // patterns to the barrier run.
 func TestDCandStreamingEquivalence(t *testing.T) {
 	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 300, Seed: 7})
@@ -213,9 +213,8 @@ func TestDCandStreamingEquivalence(t *testing.T) {
 	}
 
 	cases := map[string]mapreduce.ShuffleConfig{
-		"streaming":               {SendBufferBytes: 512},
-		"streaming+spill":         {SendBufferBytes: 512, SpillThreshold: 1024},
-		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, CompressSpill: true},
+		"streaming":       {SendBufferBytes: 512},
+		"streaming+spill": {SendBufferBytes: 512, SpillThreshold: 1024},
 	}
 	for name, sc := range cases {
 		sc.SpillTmpDir = t.TempDir()

@@ -104,14 +104,6 @@ func (d *Dictionary) MaxFrequentFid(sigma int64) ItemID {
 	return ItemID(hi)
 }
 
-// Parents returns the direct generalizations of an item.
-func (d *Dictionary) Parents(fid ItemID) []ItemID {
-	if !d.Contains(fid) {
-		return nil
-	}
-	return d.parents[fid]
-}
-
 // Children returns the direct specializations of an item.
 func (d *Dictionary) Children(fid ItemID) []ItemID {
 	if !d.Contains(fid) {

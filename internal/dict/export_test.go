@@ -10,3 +10,11 @@ func (d *Dictionary) NumFrequent(sigma int64) int {
 	}
 	return n
 }
+
+// Parents returns the direct generalizations of an item.
+func (d *Dictionary) Parents(fid ItemID) []ItemID {
+	if !d.Contains(fid) {
+		return nil
+	}
+	return d.parents[fid]
+}

@@ -213,7 +213,7 @@ func TestDSeqSpillEquivalence(t *testing.T) {
 }
 
 // TestDSeqStreamingEquivalence asserts the streaming pipelined shuffle (tiny
-// send buffers, with and without spill + compression) produces byte-identical
+// send buffers, with and without spill) produces byte-identical
 // patterns to the barrier run.
 func TestDSeqStreamingEquivalence(t *testing.T) {
 	db, err := datagen.NYT(datagen.NYTConfig{NumSentences: 300, Seed: 7})
@@ -229,9 +229,8 @@ func TestDSeqStreamingEquivalence(t *testing.T) {
 	}
 
 	cases := map[string]mapreduce.ShuffleConfig{
-		"streaming":               {SendBufferBytes: 512},
-		"streaming+spill":         {SendBufferBytes: 512, SpillThreshold: 1024},
-		"streaming+spill+deflate": {SendBufferBytes: 512, SpillThreshold: 1024, CompressSpill: true},
+		"streaming":       {SendBufferBytes: 512},
+		"streaming+spill": {SendBufferBytes: 512, SpillThreshold: 1024},
 	}
 	for name, sc := range cases {
 		sc.SpillTmpDir = t.TempDir()

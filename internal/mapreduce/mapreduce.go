@@ -105,8 +105,7 @@ type Metrics struct {
 	MaxPartitionRecords int64
 	// SpilledBytes is the number of shuffle bytes this peer wrote to on-disk
 	// spill segments, the receive side's sorted runs (0 when the whole shuffle
-	// fit in memory). With ShuffleConfig.CompressSpill it is the compressed
-	// on-disk size.
+	// fit in memory).
 	SpilledBytes int64
 	// SpillCount is the number of spill segments written.
 	SpillCount int64

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
@@ -44,9 +43,6 @@ type ShuffleConfig struct {
 	// the buffers never fill: everything is handed off once, after the map
 	// phase (barrier mode).
 	SendBufferBytes int64 `json:"send_buffer_bytes,omitempty"`
-	// CompressSpill compresses spill segments with DEFLATE.
-	// Metrics.SpilledBytes then reports the compressed on-disk size.
-	CompressSpill bool `json:"compress_spill,omitempty"`
 }
 
 // Enabled reports whether the configuration asks for spilling.
@@ -212,7 +208,7 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 		}
 		a.dir = dir
 	}
-	sink, err := newSegmentSink(a.dir, len(a.segs), a.cfg.CompressSpill)
+	sink, err := newSegmentSink(a.dir, len(a.segs))
 	if err != nil {
 		return err
 	}
@@ -242,17 +238,14 @@ func (a *shuffleAccumulator[K, V]) spillLocked() error {
 	}
 	if err != nil {
 		w.flush = nil
-		sink.abort()
+		sink.f.Close()
 		return fmt.Errorf("mapreduce: writing spill segment: %w", err)
 	}
-	if err := sink.finish(); err != nil {
-		return err
-	}
 	a.segs = append(a.segs, sink.f)
-	a.spilledBytes += sink.cw.n
-	a.segHist.Observe(float64(sink.cw.n))
+	a.spilledBytes += sink.n
+	a.segHist.Observe(float64(sink.n))
 	obs.Observe(a.ctx, "mapreduce.spill", start, time.Since(start),
-		obs.Int("bytes", sink.cw.n), obs.Int("segment", int64(len(a.segs)-1)))
+		obs.Int("bytes", sink.n), obs.Int("segment", int64(len(a.segs)-1)))
 	a.recycleRun()
 	return nil
 }
@@ -291,67 +284,37 @@ func (a *shuffleAccumulator[K, V]) feed(fn func(key K, values []V, release func(
 // the buffers are far larger than what goes through them between two spills.
 var segReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 256<<10) }}
 
-// segmentSink is the write stack of one spill segment file: optionally
-// DEFLATE-compressed writes over a counting writer that measures the bytes
-// actually reaching disk (the SpilledBytes metric). The run writer buffers
-// above it.
+// segmentSink is one spill segment file being written. It counts the bytes
+// that reach the file (the SpilledBytes metric); the run writer buffers
+// above it. The file stays open for read-back.
 type segmentSink struct {
-	f  *os.File
-	cw spillCountingWriter
-	fw *flate.Writer // nil without compression
-	w  io.Writer     // fw, or cw without compression
+	f *os.File
+	n int64
 }
 
 // newSegmentSink creates one segment file under dir.
-func newSegmentSink(dir string, index int, compress bool) (*segmentSink, error) {
+func newSegmentSink(dir string, index int) (*segmentSink, error) {
 	f, err := os.CreateTemp(dir, fmt.Sprintf("seg-%04d-*.run", index))
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: creating spill segment: %w", err)
 	}
-	s := &segmentSink{f: f, cw: spillCountingWriter{w: f}}
-	s.w = &s.cw
-	if compress {
-		// BestSpeed: spill segments are written once and read once; cheap
-		// compression wins as soon as it beats the disk.
-		s.fw, _ = flate.NewWriter(&s.cw, flate.BestSpeed)
-		s.w = s.fw
-	}
-	return s, nil
+	return &segmentSink{f: f}, nil
 }
 
 func (s *segmentSink) write(p []byte) error {
-	_, err := s.w.Write(p)
+	n, err := s.f.Write(p)
+	s.n += int64(n)
 	return err
 }
 
-// finish closes the compressor, if any. The file stays open for read-back;
-// the caller owns closing it.
-func (s *segmentSink) finish() error {
-	if s.fw == nil {
-		return nil
-	}
-	if err := s.fw.Close(); err != nil {
-		s.abort()
-		return fmt.Errorf("mapreduce: closing compressed spill segment: %w", err)
-	}
-	return nil
-}
-
-// abort closes the file of a segment whose write failed.
-func (s *segmentSink) abort() { s.f.Close() }
-
 // openSegment rewinds a finished segment file and returns its reader, whose
 // close returns the read buffer to its pool.
-func openSegment[K comparable, V any](codec *FrameCodec[K, V], f *os.File, compress bool) (runReader[K, V], error) {
+func openSegment[K comparable, V any](codec *FrameCodec[K, V], f *os.File) (runReader[K, V], error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return runReader[K, V]{}, fmt.Errorf("mapreduce: rewinding spill segment: %w", err)
 	}
-	var src io.Reader = f
-	if compress {
-		src = flate.NewReader(f)
-	}
 	br := segReaders.Get().(*bufio.Reader)
-	br.Reset(src)
+	br.Reset(f)
 	return runReader[K, V]{codec: codec, br: br}, nil
 }
 
@@ -398,7 +361,7 @@ func (a *shuffleAccumulator[K, V]) merge(segs []*os.File, fn func([]mergeEntry[K
 		}
 	}()
 	for _, f := range segs {
-		r, err := openSegment(a.codec, f, a.cfg.CompressSpill)
+		r, err := openSegment(a.codec, f)
 		if err != nil {
 			return err
 		}
@@ -567,18 +530,6 @@ func (h *mergeHeap[K, V]) pop() mergeEntry[K, V] {
 	}
 	*h = s
 	return top
-}
-
-// spillCountingWriter counts the bytes that reach the segment file.
-type spillCountingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *spillCountingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }
 
 // errShuffleNeedsCodec is returned when a multi-peer run, spilling or

@@ -1,9 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
-	"bytes"
-	"compress/flate"
 	"context"
 	"io"
 	"reflect"
@@ -12,8 +9,7 @@ import (
 )
 
 // TestSegmentReaderZeroRecordSegment: a run without a single record (a
-// segment of an empty spill) must read back as an immediate clean io.EOF, in
-// both forms, plain and compressed.
+// segment of an empty spill) must read back as an immediate clean io.EOF.
 func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 	codec := testCodec()
 	t.Run("plain", func(t *testing.T) {
@@ -23,66 +19,6 @@ func TestSegmentReaderZeroRecordSegment(t *testing.T) {
 			}
 		}
 	})
-	t.Run("compressed", func(t *testing.T) {
-		// A compressed zero-record segment is not zero bytes: it is a valid
-		// empty DEFLATE stream, which must still yield a clean io.EOF.
-		var buf bytes.Buffer
-		fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		r := &runReader[string, int]{codec: &codec, br: bufio.NewReader(flate.NewReader(bytes.NewReader(buf.Bytes())))}
-		if _, _, err := nextBatch(r); err != io.EOF {
-			t.Fatalf("next on empty compressed segment: %v, want io.EOF", err)
-		}
-	})
-}
-
-// TestSegmentReaderTornCompressedSegment tears a compressed segment at every
-// region of the compressed byte stream. A DEFLATE stream cut before its final
-// block can never end cleanly, so the reader must surface an error — not a
-// silent io.EOF that would drop the tail of a spill — and must never yield a
-// record that was not fully written.
-func TestSegmentReaderTornCompressedSegment(t *testing.T) {
-	codec := testCodec()
-	written := map[string][]int{"alpha": {1, 2, 3}, "beta": {300}, "gamma": {7, 8, 9, 10}}
-	run, err := encodeRun(&codec, 0,
-		KeyBatch[string, int]{Key: "beta", Values: written["beta"]},
-		KeyBatch[string, int]{Key: "alpha", Values: written["alpha"]},
-		KeyBatch[string, int]{Key: "gamma", Values: written["gamma"]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	fw, _ := flate.NewWriter(&buf, flate.BestSpeed)
-	if _, err := fw.Write(run); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-
-	cuts := []int{0, 1, len(full) / 4, len(full) / 2, 3 * len(full) / 4, len(full) - 1}
-	for _, cut := range cuts {
-		r := &runReader[string, int]{codec: &codec, br: bufio.NewReader(flate.NewReader(bytes.NewReader(full[:cut])))}
-		frames := 0
-		for {
-			_, batch, err := nextBatch(r)
-			if err == io.EOF {
-				t.Fatalf("cut=%d: torn compressed segment ended with a clean io.EOF after %d records", cut, frames)
-			}
-			if err != nil {
-				break // surfaced the tear; exactly what the reduce path needs
-			}
-			if _, ok := written[batch.Key]; !ok {
-				t.Fatalf("cut=%d: reader invented key %q", cut, batch.Key)
-			}
-			if frames++; frames > len(written) {
-				t.Fatalf("cut=%d: reader yielded more records than were written", cut)
-			}
-		}
-	}
 }
 
 // TestSpillCrossBufferRawChunksThreeFlushes drives the accumulator the way a
@@ -144,7 +80,7 @@ func TestSpillCrossBufferRawChunksThreeFlushes(t *testing.T) {
 	}
 	// A spill coalesces what all runs hold for a key into one record.
 	for i, f := range acc.segs {
-		r, err := openSegment(&codec, f, false)
+		r, err := openSegment(&codec, f)
 		must(err)
 		var keys []string
 		for {

@@ -96,39 +96,6 @@ func TestRunExchangeSpillMultiPeerLoopback(t *testing.T) {
 	}
 }
 
-// TestSpillCompression runs the same spilling job with and without DEFLATE
-// segments: the output must be identical and the compressed run's
-// SpilledBytes — the on-disk size — must be smaller on the redundant
-// fixture.
-func TestSpillCompression(t *testing.T) {
-	inputs := spillInputs(300)
-	cfg := Config{Workers: 3}
-	want, _ := runAlone(t, inputs, cfg, spillWordCountJob())
-	sort.Strings(want)
-
-	var plain, compressed Metrics
-	for _, compress := range []bool{false, true} {
-		cfg.Shuffle = ShuffleConfig{SpillThreshold: 512, SpillTmpDir: t.TempDir(), CompressSpill: compress}
-		got, metrics := runAlone(t, inputs, cfg, spillWordCountJob())
-		sort.Strings(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("compression=%v: spilled output differs from in-memory output", compress)
-		}
-		if metrics.SpillCount == 0 || metrics.SpilledBytes == 0 {
-			t.Fatalf("compression=%v: expected spilling, got %+v", compress, metrics)
-		}
-		if compress {
-			compressed = metrics
-		} else {
-			plain = metrics
-		}
-	}
-	if compressed.SpilledBytes >= plain.SpilledBytes {
-		t.Errorf("compressed spill (%d bytes) is not smaller than plain spill (%d bytes)",
-			compressed.SpilledBytes, plain.SpilledBytes)
-	}
-}
-
 func TestSpillRequiresCodec(t *testing.T) {
 	job := wordCountJob() // no codec
 	cfg := Config{Shuffle: ShuffleConfig{SpillThreshold: 1}}

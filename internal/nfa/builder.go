@@ -46,9 +46,6 @@ func NewBuilder() *Builder {
 	return b
 }
 
-// Empty reports whether no path has been added yet.
-func (b *Builder) Empty() bool { return len(b.nodes) == 1 && !b.nodes[0].final }
-
 // Reset returns the Builder to the empty state while keeping its storage.
 func (b *Builder) Reset() {
 	b.nodes = append(b.nodes[:0], trieNode{first: -1, last: -1, sibling: -1})

@@ -40,3 +40,6 @@ func (n *NFA) Accepted() [][]dict.ItemID {
 	sort.Slice(out, func(i, j int) bool { return lessSeq(out[i], out[j]) })
 	return out
 }
+
+// Empty reports whether no path has been added to b yet.
+func (b *Builder) Empty() bool { return len(b.nodes) == 1 && !b.nodes[0].final }

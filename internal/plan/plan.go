@@ -104,13 +104,12 @@ func (p Plan) Engine(ctx context.Context, reg *obs.Registry) mapreduce.Config {
 }
 
 // Merge returns k with every unset knob taken from the defaults d. It is the
-// one precedence rule of the system (query > daemon default > built-in): 0,
-// "" and false inherit d's value, anything else wins. A negative value is
+// one precedence rule of the system (query > daemon default > built-in): 0
+// and "" inherit d's value, anything else wins. A negative value is
 // therefore never overwritten, and every consumer reads <= 0 as "off", so
 // negative forces spilling, streaming or retries off regardless of d. Merge
 // is idempotent and chains.
 func (k Knobs) Merge(d Knobs) Knobs {
-	k.CompressSpill = k.CompressSpill || d.CompressSpill
 	inherit(&k.SpillThreshold, d.SpillThreshold)
 	inherit(&k.SpillTmpDir, d.SpillTmpDir)
 	inherit(&k.SendBufferBytes, d.SendBufferBytes)
@@ -147,6 +146,5 @@ func (k *Knobs) BindFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&k.SpillThreshold, "spill-threshold", 0, `shuffle bytes a peer holds in memory before spilling sorted runs to disk (distributed algorithms; 0 = never spill; per query: "spill_threshold_bytes", negative = in memory)`)
 	fs.StringVar(&k.SpillTmpDir, "spill-dir", "", "directory for shuffle spill segments of this process (default: system temp dir)")
 	fs.Int64Var(&k.SendBufferBytes, "send-buffer", 0, `per-peer streaming send-buffer bytes: map workers stream the shuffle while mapping instead of after a barrier (distributed algorithms; 0 = barrier mode; per query: "send_buffer_bytes", negative = barrier)`)
-	fs.BoolVar(&k.CompressSpill, "compress-spill", false, `DEFLATE-compress shuffle spill segments (per query: "compress_spill")`)
 	fs.IntVar(&k.TaskRetries, "task-retries", 0, `cluster runs: failed attempts relaunched on surviving workers (0 = built-in 2, negative = no retries; per query: "task_retries")`)
 }

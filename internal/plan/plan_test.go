@@ -48,14 +48,6 @@ func TestMerge(t *testing.T) {
 			query: knobs(-1, -1, -1), defaults: daemon,
 			want:    withDir(knobs(-1, -1, -1), "/daemon/spill"),
 			retries: 0},
-		{name: "booleans are OR-ed: the daemon default switches them on",
-			defaults: Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			want:     Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			retries:  DefaultTaskRetries},
-		{name: "booleans are OR-ed: the query switches them on",
-			query:   Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			want:    Knobs{ShuffleConfig: mapreduce.ShuffleConfig{CompressSpill: true}},
-			retries: DefaultTaskRetries},
 		{name: "the query's own spill directory wins",
 			query: withDir(Knobs{}, "/query"), defaults: daemon,
 			want:   withDir(daemon, "/query"),
@@ -136,14 +128,13 @@ func TestBindFlags(t *testing.T) {
 		t.Errorf("flag defaults = %+v, want the zero Knobs", k)
 	}
 	err := fs.Parse([]string{"-spill-threshold", "4096", "-spill-dir", "/tmp/s",
-		"-send-buffer", "256", "-compress-spill",
-		"-task-retries", "-1"})
+		"-send-buffer", "256", "-task-retries", "-1"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Knobs{
 		ShuffleConfig: mapreduce.ShuffleConfig{SpillThreshold: 4096, SpillTmpDir: "/tmp/s",
-			SendBufferBytes: 256, CompressSpill: true},
+			SendBufferBytes: 256},
 		TaskRetries: -1,
 	}
 	if k != want {
@@ -151,7 +142,7 @@ func TestBindFlags(t *testing.T) {
 	}
 	// Retired knobs: all three CLIs bind exactly these flags, so they all
 	// reject the old names.
-	for _, retired := range []string{"-prefilter", "-send-buffer-max", "-speculative-after", "-task-partitions"} {
+	for _, retired := range []string{"-prefilter", "-send-buffer-max", "-speculative-after", "-task-partitions", "-compress-spill"} {
 		if err := fs.Parse([]string{retired}); err == nil {
 			t.Errorf("the retired flag %s must be rejected", retired)
 		}

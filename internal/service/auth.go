@@ -51,14 +51,6 @@ type Tenant struct {
 	inflight atomic.Int64
 }
 
-// InFlight returns the tenant's currently admitted queries.
-func (t *Tenant) InFlight() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.inflight.Load()
-}
-
 // acquire takes one in-flight slot, reporting false when the tenant is at its
 // quota. A nil tenant (unauthenticated deployment) always admits.
 func (t *Tenant) acquire() bool {

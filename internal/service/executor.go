@@ -99,7 +99,7 @@ type ExecStats struct {
 	// result-cache hit and Execute outside a Service have no such state.
 	Prepared  string  `json:"prepared"`
 	PrepareMS float64 `json:"prepare_ms,omitempty"`
-	// Cluster is the job's own account of a cluster-executed query: tasks,
+	// Cluster is the job's own account of a cluster-executed query:
 	// attempts, retries, dead workers and dataset-store traffic (nil
 	// otherwise).
 	Cluster *ClusterStats `json:"cluster,omitempty"`

@@ -22,3 +22,11 @@ next:
 	}
 	return v, ok
 }
+
+// InFlight returns the tenant's currently admitted queries.
+func (t *Tenant) InFlight() int64 {
+	if t == nil {
+		return 0
+	}
+	return t.inflight.Load()
+}

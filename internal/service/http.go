@@ -42,10 +42,9 @@ type MineRequest struct {
 	Distributed bool `json:"distributed,omitempty"`
 	// Knobs are the per-query overrides of the daemon defaults, under the
 	// field names plan.Knobs declares (spill_threshold_bytes,
-	// send_buffer_bytes, compress_spill, task_retries):
-	// 0 / absent inherits the daemon default (the flag of the same name), a
-	// negative number forces the feature off for this query, and the boolean
-	// is OR-ed with the daemon default.
+	// send_buffer_bytes, task_retries): 0 / absent inherits the daemon
+	// default (the flag of the same name), and a negative number forces the
+	// feature off for this query.
 	plan.Knobs
 }
 

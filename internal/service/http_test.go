@@ -427,7 +427,7 @@ func TestMineStreamingOverHTTP(t *testing.T) {
 	}
 }
 
-// TestMineClusterSchedulerOverHTTP drives the task-based cluster scheduler
+// TestMineClusterSchedulerOverHTTP drives the gang-attempt cluster scheduler
 // through the wire API: attempt/retry counters and dataset-store accounting
 // must appear per query, GET /metrics must count the attempts, and a resubmission
 // must hit the workers' dataset stores instead of re-shipping sequences.
@@ -466,7 +466,7 @@ func TestMineClusterSchedulerOverHTTP(t *testing.T) {
 	if cs == nil {
 		t.Fatal("cluster query response carries no ClusterStats")
 	}
-	if cs.Attempts < 1 || cs.Tasks != 3 || cs.StoreMisses != 3 || cs.StorePutBytes == 0 {
+	if cs.Attempts < 1 || cs.StoreMisses != 3 || cs.StorePutBytes == 0 {
 		t.Errorf("first cluster run stats = %+v", cs)
 	}
 

@@ -14,9 +14,9 @@ import (
 // ignored — unlike the internal coordinator→worker job spec. That covers the
 // retired knobs "send_buffer_max_bytes" (the adaptive-buffer bound),
 // "prefilter", "shards" (the two-phase executor's partition count),
-// "speculative_after_ms" (speculative attempts) and "task_partitions" (tasks
-// per cluster job): old clients may keep sending them, and they no longer
-// reach the plan.)
+// "speculative_after_ms" (speculative attempts), "task_partitions" (tasks
+// per cluster job) and "compress_spill" (DEFLATE spill segments): old clients
+// may keep sending them, and they no longer reach the plan.)
 func TestMineRequestGolden(t *testing.T) {
 	const body = `{
 		"dataset": "nyt", "pattern": "(.){2,4}", "sigma": 100,
@@ -48,7 +48,6 @@ func TestMineRequestGolden(t *testing.T) {
 			ShuffleConfig: mapreduce.ShuffleConfig{
 				SpillThreshold:  4096,
 				SendBufferBytes: 256,
-				CompressSpill:   true,
 			},
 			TaskRetries: -1,
 		},

@@ -89,7 +89,6 @@ var planFieldsOutsideResultKey = map[string]string{
 	"SpillThreshold":  "where the shuffle buffers; the reduce loop sees the same groups",
 	"SpillTmpDir":     "a directory",
 	"SendBufferBytes": "when the shuffle sends; partial combines merge like batches from different peers",
-	"CompressSpill":   "segment encoding on disk",
 	"TaskRetries":     "scheduler policy",
 }
 

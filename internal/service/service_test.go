@@ -400,8 +400,8 @@ func TestServiceDefaultKnobs(t *testing.T) {
 }
 
 // TestStreamingThroughService exercises the streaming pipelined shuffle
-// end-to-end through the service layer: a query-level send buffer (with and
-// without compressed spill) must produce byte-identical patterns for every
+// end-to-end through the service layer: a query-level send buffer (with a
+// spill threshold) must produce byte-identical patterns for every
 // distributed backend, with streaming metrics reported per query and the
 // engine's spill segments and send-buffer flushes counted in the service's
 // registry.
@@ -430,7 +430,6 @@ func TestStreamingThroughService(t *testing.T) {
 		streaming := base
 		streaming.SendBufferBytes = 256
 		streaming.SpillThreshold = 512
-		streaming.CompressSpill = true
 		streaming.SpillTmpDir = t.TempDir()
 		got, err := svc.Mine(context.Background(), service.Query{Dataset: "rnd", Expression: pat, Sigma: sigma, Options: streaming})
 		if err != nil {

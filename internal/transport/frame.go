@@ -8,18 +8,18 @@ import (
 	"io"
 )
 
-// Wire protocol, version 4. Every ordered peer pair (i -> j) of a job
+// Wire protocol, version 5. Every ordered peer pair (i -> j) of a job
 // attempt uses one TCP connection, opened by i. The dialer starts with a
 // handshake:
 //
 //	magic "SQX1" | version byte | uvarint len(jobID) | jobID | uvarint sender
-//	| uvarint epoch | uvarint len(trace) | trace
+//	| uvarint len(trace) | trace
 //
 // and the acceptor answers with a single ack byte (the protocol version).
-// The epoch is the job's attempt number: a retried job reuses its job id
-// with a higher epoch, and the acceptor refuses connections from epochs older
-// than the newest one it has opened locally, so frames of a dead attempt can
-// never mix into its successor's shuffle. The trace field carries the dialer's distributed-tracing context
+// The job id names one attempt: a scheduler retrying a job opens the retry
+// under a fresh id, so a zombie sender of a dead attempt names an id no open
+// exchange has, and its connection is parked until the adopt timeout drops
+// it. The trace field carries the dialer's distributed-tracing context
 // (internal/obs wire form: 8 bytes trace id + 8 bytes parent span id) so the
 // receive side of a shuffle stream can be recorded under the same trace as
 // the sender; it is empty when the dialer traces nothing. After the
@@ -35,12 +35,12 @@ import (
 //
 //	(uvarint len | key | uvarint count | values)*   in encoded-key order
 //
-// cut at about 1 MiB per payload. Version 3 carried one key group per frame,
-// without the record length; the bump makes a stale peer's handshake fail
-// instead of its frames being misread.
+// cut at about 1 MiB per payload. Version 4 carried one more varint, an
+// attempt number, after the sender index; the bump makes a stale peer's
+// handshake fail instead of that varint being misread as the trace length.
 const (
 	protocolMagic   = "SQX1"
-	protocolVersion = byte(4)
+	protocolVersion = byte(5)
 
 	frameData = byte(1)
 	frameEnd  = byte(2)
@@ -54,77 +54,65 @@ const (
 	maxTraceLen = 64
 	// maxPeerIndex bounds the sender index claimed in a handshake.
 	maxPeerIndex = 1 << 20
-	// maxEpoch bounds the attempt epoch claimed in a handshake. Far above any
-	// real retry budget; merely keeps a garbage handshake from smuggling an
-	// absurd epoch into the per-job epoch tracking.
-	maxEpoch = 1 << 20
 )
 
 // appendHandshake appends the dialer's opening message. trace is the obs
 // wire-form trace context (possibly empty).
-func appendHandshake(buf []byte, jobID string, sender, epoch int, trace []byte) []byte {
+func appendHandshake(buf []byte, jobID string, sender int, trace []byte) []byte {
 	buf = append(buf, protocolMagic...)
 	buf = append(buf, protocolVersion)
 	buf = binary.AppendUvarint(buf, uint64(len(jobID)))
 	buf = append(buf, jobID...)
 	buf = binary.AppendUvarint(buf, uint64(sender))
-	buf = binary.AppendUvarint(buf, uint64(epoch))
 	buf = binary.AppendUvarint(buf, uint64(len(trace)))
 	buf = append(buf, trace...)
 	return buf
 }
 
 // readHandshake reads and validates a dialer's opening message.
-func readHandshake(br *bufio.Reader) (jobID string, sender, epoch int, trace []byte, err error) {
+func readHandshake(br *bufio.Reader) (jobID string, sender int, trace []byte, err error) {
 	head := make([]byte, len(protocolMagic)+1)
 	if _, err := io.ReadFull(br, head); err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading handshake: %w", err)
+		return "", 0, nil, fmt.Errorf("transport: reading handshake: %w", err)
 	}
 	if string(head[:len(protocolMagic)]) != protocolMagic {
-		return "", 0, 0, nil, errors.New("transport: bad handshake magic")
+		return "", 0, nil, errors.New("transport: bad handshake magic")
 	}
 	if head[len(protocolMagic)] != protocolVersion {
-		return "", 0, 0, nil, fmt.Errorf("transport: protocol version %d, want %d", head[len(protocolMagic)], protocolVersion)
+		return "", 0, nil, fmt.Errorf("transport: protocol version %d, want %d", head[len(protocolMagic)], protocolVersion)
 	}
 	n, err := binary.ReadUvarint(br)
 	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading job id length: %w", err)
+		return "", 0, nil, fmt.Errorf("transport: reading job id length: %w", err)
 	}
 	if n == 0 || n > maxJobIDLen {
-		return "", 0, 0, nil, fmt.Errorf("transport: job id length %d out of range", n)
+		return "", 0, nil, fmt.Errorf("transport: job id length %d out of range", n)
 	}
 	id := make([]byte, n)
 	if _, err := io.ReadFull(br, id); err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading job id: %w", err)
+		return "", 0, nil, fmt.Errorf("transport: reading job id: %w", err)
 	}
 	s, err := binary.ReadUvarint(br)
 	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading sender index: %w", err)
+		return "", 0, nil, fmt.Errorf("transport: reading sender index: %w", err)
 	}
 	if s >= maxPeerIndex {
-		return "", 0, 0, nil, fmt.Errorf("transport: sender index %d out of range", s)
-	}
-	e, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading epoch: %w", err)
-	}
-	if e >= maxEpoch {
-		return "", 0, 0, nil, fmt.Errorf("transport: epoch %d out of range", e)
+		return "", 0, nil, fmt.Errorf("transport: sender index %d out of range", s)
 	}
 	tn, err := binary.ReadUvarint(br)
 	if err != nil {
-		return "", 0, 0, nil, fmt.Errorf("transport: reading trace length: %w", err)
+		return "", 0, nil, fmt.Errorf("transport: reading trace length: %w", err)
 	}
 	if tn > maxTraceLen {
-		return "", 0, 0, nil, fmt.Errorf("transport: trace context length %d out of range", tn)
+		return "", 0, nil, fmt.Errorf("transport: trace context length %d out of range", tn)
 	}
 	if tn > 0 {
 		trace = make([]byte, tn)
 		if _, err := io.ReadFull(br, trace); err != nil {
-			return "", 0, 0, nil, fmt.Errorf("transport: reading trace context: %w", err)
+			return "", 0, nil, fmt.Errorf("transport: reading trace context: %w", err)
 		}
 	}
-	return string(id), int(s), int(e), trace, nil
+	return string(id), int(s), trace, nil
 }
 
 // writeFrame writes one data frame.

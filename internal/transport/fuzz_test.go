@@ -60,30 +60,30 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 // FuzzReadHandshake feeds arbitrary bytes into the handshake reader and
-// checks that well-formed handshakes round-trip, including the v3 trace
-// field in its empty, 16-byte, and arbitrary (bounded) forms.
+// checks that well-formed version-5 handshakes round-trip, including the
+// trace field in its empty, 16-byte, and arbitrary (bounded) forms, and that
+// the same handshake stamped with version 4 is refused.
 func FuzzReadHandshake(f *testing.F) {
-	f.Add([]byte{}, "job", uint16(0), uint16(0), []byte{})
-	f.Add([]byte("SQX1"), "a", uint16(7), uint16(1), []byte{})
-	f.Add(appendHandshake(nil, "fuzz-seed", 2, 3, nil), "fuzz-seed", uint16(2), uint16(3), []byte{})
+	f.Add([]byte{}, "job", uint16(0), []byte{})
+	f.Add([]byte("SQX1"), "a", uint16(7), []byte{})
+	f.Add(appendHandshake(nil, "fuzz-seed", 2, nil), "fuzz-seed", uint16(2), []byte{})
 	trace16 := bytes.Repeat([]byte{0xab}, 16)
-	f.Add(appendHandshake(nil, "traced", 1, 0, trace16), "traced", uint16(1), uint16(0), trace16)
-	f.Fuzz(func(t *testing.T, data []byte, jobID string, sender, epoch uint16, trace []byte) {
+	f.Add(appendHandshake(nil, "traced", 1, trace16), "traced", uint16(1), trace16)
+	f.Fuzz(func(t *testing.T, data []byte, jobID string, sender uint16, trace []byte) {
 		// Arbitrary input must not panic.
-		_, _, _, _, _ = readHandshake(bufio.NewReader(bytes.NewReader(data)))
+		_, _, _, _ = readHandshake(bufio.NewReader(bytes.NewReader(data)))
 
 		// Round trip for any valid job id and bounded trace field.
 		if jobID == "" || len(jobID) > maxJobIDLen || len(trace) > maxTraceLen {
 			return
 		}
-		hs := appendHandshake(nil, jobID, int(sender), int(epoch), trace)
-		gotJob, gotSender, gotEpoch, gotTrace, err := readHandshake(bufio.NewReader(bytes.NewReader(hs)))
+		hs := appendHandshake(nil, jobID, int(sender), trace)
+		gotJob, gotSender, gotTrace, err := readHandshake(bufio.NewReader(bytes.NewReader(hs)))
 		if err != nil {
-			t.Fatalf("readHandshake(appendHandshake(%q, %d, %d, %d-byte trace)): %v", jobID, sender, epoch, len(trace), err)
+			t.Fatalf("readHandshake(appendHandshake(%q, %d, %d-byte trace)): %v", jobID, sender, len(trace), err)
 		}
-		if gotJob != jobID || gotSender != int(sender) || gotEpoch != int(epoch) {
-			t.Fatalf("handshake round trip: got (%q, %d, %d), want (%q, %d, %d)",
-				gotJob, gotSender, gotEpoch, jobID, sender, epoch)
+		if gotJob != jobID || gotSender != int(sender) {
+			t.Fatalf("handshake round trip: got (%q, %d), want (%q, %d)", gotJob, gotSender, jobID, sender)
 		}
 		if len(trace) == 0 {
 			if len(gotTrace) != 0 {
@@ -91,6 +91,11 @@ func FuzzReadHandshake(f *testing.F) {
 			}
 		} else if !bytes.Equal(gotTrace, trace) {
 			t.Fatalf("trace round trip: got %x, want %x", gotTrace, trace)
+		}
+
+		hs[len(protocolMagic)] = 4
+		if _, _, _, err := readHandshake(bufio.NewReader(bytes.NewReader(hs))); err == nil {
+			t.Fatalf("a version-4 handshake for %q was accepted", jobID)
 		}
 	})
 }

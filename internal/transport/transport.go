@@ -4,7 +4,7 @@
 //
 // A process runs one Node, which owns a listening socket for the lifetime of
 // the process and demultiplexes inbound peer connections onto per-attempt
-// Exchanges by the (job id, epoch) pair carried in the connection handshake.
+// Exchanges by the job id carried in the connection handshake.
 // An Exchange implements mapreduce.ByteExchange: every ordered peer pair uses
 // one connection (opened by the sender), frames destined to a peer are
 // streamed as they are produced, and an end frame per connection forms the
@@ -15,12 +15,11 @@
 // connection fails the whole exchange (every blocked Send/Recv returns the
 // error). The error is a *PeerError naming the peer whose connection broke,
 // so a scheduler above the fabric (internal/cluster) can treat the death as
-// one task's failure — mark that worker dead, re-execute the attempt —
-// instead of a global abort. Re-execution is what the epoch in the handshake
-// exists for: a restarted attempt reuses its job id with a higher epoch, each
-// epoch gets its own Exchange, and the Node refuses connections from epochs
-// older than the newest one opened locally, so a zombie sender from a dead
-// attempt can never leak frames into the restarted shuffle.
+// one attempt's failure — mark that worker dead, re-execute the attempt —
+// instead of a global abort. A re-executed attempt opens its Exchange under a
+// fresh job id, so a zombie sender from a dead attempt names an id no open
+// Exchange has: the Node parks its connection and drops it after the adopt
+// timeout, and its frames never reach the restarted shuffle.
 //
 // The Exchange counts the actual bytes written to and read from its sockets
 // (handshake, data and end frames; the one-byte handshake ack is excluded),
@@ -80,22 +79,15 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
-	jobs   map[string]*jobFamily
+	jobs   map[string]*jobEntry
 	closed bool
-}
-
-// jobFamily is the per-job-id state of the node: one entry per attempt epoch
-// plus the newest epoch opened locally, which gates stale senders. The family
-// is dropped once its last entry is released, so job ids do not accumulate.
-type jobFamily struct {
-	epochs  map[int]*jobEntry
-	maxOpen int  // newest epoch opened locally via OpenExchange
-	anyOpen bool // whether maxOpen is meaningful
 }
 
 // jobEntry connects inbound connections to the local Exchange of one job
 // attempt. The ready channel is closed once ex is set, so connections that
-// arrive before the attempt is opened locally can wait.
+// arrive before the attempt is opened locally can wait. The entry is dropped
+// when its Exchange closes, or when no Exchange opened it within the adopt
+// timeout, so job ids do not accumulate.
 type jobEntry struct {
 	ready chan struct{}
 	ex    *Exchange
@@ -112,7 +104,7 @@ func NewNode(addr string, cfg Config) (*Node, error) {
 		cfg:  cfg,
 		ln:   ln,
 		done: make(chan struct{}),
-		jobs: map[string]*jobFamily{},
+		jobs: map[string]*jobEntry{},
 	}
 	n.wg.Add(1)
 	go n.acceptLoop()
@@ -146,17 +138,15 @@ func (n *Node) Close() error {
 	n.closed = true
 	close(n.done)
 	jobs := n.jobs
-	n.jobs = map[string]*jobFamily{}
+	n.jobs = map[string]*jobEntry{}
 	n.mu.Unlock()
 
 	err := n.ln.Close()
-	for _, fam := range jobs {
-		for _, entry := range fam.epochs {
-			select {
-			case <-entry.ready:
-				entry.ex.Close()
-			default:
-			}
+	for _, entry := range jobs {
+		select {
+		case <-entry.ready:
+			entry.ex.Close()
+		default:
 		}
 	}
 	n.wg.Wait()
@@ -177,14 +167,14 @@ func (n *Node) acceptLoop() {
 
 // handleInbound validates a peer connection's handshake and hands it to the
 // attempt's Exchange, waiting (bounded) for the attempt to be opened locally.
-// Connections from epochs older than the newest locally-opened epoch of the
-// job are refused outright, before the ack: they belong to a dead attempt.
+// A connection whose attempt is never opened here — a zombie of a dead
+// attempt, or a made-up id — is dropped after the adopt timeout.
 func (n *Node) handleInbound(conn net.Conn) {
 	defer n.wg.Done()
 	cr := &countingReader{r: conn}
 	br := bufio.NewReader(cr)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	jobID, sender, epoch, trace, err := readHandshake(br)
+	jobID, sender, trace, err := readHandshake(br)
 	if err != nil {
 		conn.Close()
 		return
@@ -196,31 +186,18 @@ func (n *Node) handleInbound(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	fam, ok := n.jobs[jobID]
-	if !ok {
-		fam = &jobFamily{epochs: map[int]*jobEntry{}}
-		n.jobs[jobID] = fam
-	}
-	if fam.anyOpen && epoch < fam.maxOpen {
-		// A newer attempt of this job is (or was) open here; the sender is a
-		// zombie of a superseded attempt and must not deliver frames.
-		n.mu.Unlock()
-		conn.Close()
-		return
-	}
-	entry, ok := fam.epochs[epoch]
+	entry, ok := n.jobs[jobID]
 	if !ok {
 		entry = &jobEntry{ready: make(chan struct{})}
-		fam.epochs[epoch] = entry
+		n.jobs[jobID] = entry
 	}
 	n.mu.Unlock()
 
-	// Ack only now that the connection is bound to its attempt's entry: the
-	// dialer's OpenExchange returns on the ack, and a newer epoch opened here
-	// after that must not mistake this connection for a zombie.
+	// Ack once the connection is bound to its attempt's entry, so a dialer
+	// that holds the ack knows the node tracks its connection.
 	if _, err := conn.Write([]byte{protocolVersion}); err != nil {
 		conn.Close()
-		n.dropIfUnopened(jobID, epoch, entry)
+		n.dropIfUnopened(jobID, entry)
 		return
 	}
 	_ = conn.SetDeadline(time.Time{})
@@ -236,7 +213,7 @@ func (n *Node) handleInbound(conn net.Conn) {
 		entry.ex.adoptInbound(sender, conn, br, cr, trace)
 	case <-timer.C:
 		conn.Close()
-		n.dropIfUnopened(jobID, epoch, entry)
+		n.dropIfUnopened(jobID, entry)
 	case <-n.done:
 		conn.Close()
 	}
@@ -246,39 +223,26 @@ func (n *Node) handleInbound(conn net.Conn) {
 // ids of abandoned attempts (a peer dialing a worker whose own job setup
 // failed, or garbage connections with made-up job ids) do not accumulate in
 // the jobs map for the life of the node.
-func (n *Node) dropIfUnopened(jobID string, epoch int, entry *jobEntry) {
+func (n *Node) dropIfUnopened(jobID string, entry *jobEntry) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fam, ok := n.jobs[jobID]
-	if !ok {
+	if n.jobs[jobID] != entry {
 		return
 	}
-	if cur, ok := fam.epochs[epoch]; ok && cur == entry {
-		select {
-		case <-entry.ready:
-			// Opened locally; Exchange.Close releases it.
-		default:
-			delete(fam.epochs, epoch)
-			if len(fam.epochs) == 0 {
-				delete(n.jobs, jobID)
-			}
-		}
+	select {
+	case <-entry.ready:
+		// Opened locally; Exchange.Close releases it.
+	default:
+		delete(n.jobs, jobID)
 	}
 }
 
-// release removes a finished attempt so the job id can eventually be reused.
-func (n *Node) release(jobID string, epoch int, ex *Exchange) {
+// release removes a finished attempt so the job id can be reused.
+func (n *Node) release(jobID string, ex *Exchange) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	fam, ok := n.jobs[jobID]
-	if !ok {
-		return
-	}
-	if entry, ok := fam.epochs[epoch]; ok && entry.ex == ex {
-		delete(fam.epochs, epoch)
-		if len(fam.epochs) == 0 {
-			delete(n.jobs, jobID)
-		}
+	if entry, ok := n.jobs[jobID]; ok && entry.ex == ex {
+		delete(n.jobs, jobID)
 	}
 }
 
@@ -321,7 +285,6 @@ type outConn struct {
 type Exchange struct {
 	node  *Node
 	jobID string
-	epoch int
 	self  int
 	peers []string
 
@@ -347,32 +310,28 @@ type Exchange struct {
 	allAdopted chan struct{} // closed when every remote peer connected
 }
 
-// OpenExchange creates the local endpoint of job jobID at epoch 0. See
-// OpenExchangeContext.
+// OpenExchange creates the local endpoint of job jobID without a trace
+// context. See OpenExchangeContext.
 func (n *Node) OpenExchange(jobID string, self int, peers []string) (*Exchange, error) {
-	return n.OpenExchangeContext(context.Background(), jobID, 0, self, peers)
+	return n.OpenExchangeContext(context.Background(), jobID, self, peers)
 }
 
-// OpenExchangeContext creates the local endpoint of attempt epoch of job
+// OpenExchangeContext creates the local endpoint of the job attempt named
 // jobID. peers lists the shuffle address of every participant in peer order;
 // self is this process's index in it. The call dials every remote peer
 // (retrying while the peer starts up) and returns once all outbound
 // connections are established; inbound connections attach as the remote
-// peers open their side. Opening an epoch makes the node refuse inbound
-// connections of older epochs of the same job, and an attempt to open an
-// epoch older than one already opened fails: a scheduler retrying a job must
-// use a fresh, strictly higher epoch.
+// peers open their side. An id names one attempt: it may be open at most once
+// on a node at a time, and a scheduler retrying a job opens the retry under a
+// fresh id.
 //
 // When ctx carries an obs trace context, the exchange propagates it in the
 // handshake to every peer and records per-peer transport.send/transport.recv
 // spans into ctx's recorder. ctx does not control the exchange's lifetime —
 // callers cancel via Close, typically through context.AfterFunc.
-func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, epoch, self int, peers []string) (*Exchange, error) {
+func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, self int, peers []string) (*Exchange, error) {
 	if jobID == "" || len(jobID) > maxJobIDLen {
 		return nil, fmt.Errorf("transport: job id length %d out of range", len(jobID))
-	}
-	if epoch < 0 || epoch >= maxEpoch {
-		return nil, fmt.Errorf("transport: epoch %d out of range", epoch)
 	}
 	if self < 0 || self >= len(peers) {
 		return nil, fmt.Errorf("transport: self index %d out of range for %d peers", self, len(peers))
@@ -386,7 +345,6 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, epoch, sel
 	e := &Exchange{
 		node:       n,
 		jobID:      jobID,
-		epoch:      epoch,
 		self:       self,
 		peers:      append([]string(nil), peers...),
 		outs:       make([]*outConn, len(peers)),
@@ -406,32 +364,19 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, epoch, sel
 		n.mu.Unlock()
 		return nil, errors.New("transport: node is closed")
 	}
-	fam, ok := n.jobs[jobID]
-	if !ok {
-		fam = &jobFamily{epochs: map[int]*jobEntry{}}
-		n.jobs[jobID] = fam
-	}
-	if fam.anyOpen && epoch < fam.maxOpen {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: job %q epoch %d is stale (epoch %d already opened)", jobID, epoch, fam.maxOpen)
-	}
-	entry, ok := fam.epochs[epoch]
+	entry, ok := n.jobs[jobID]
 	if !ok {
 		entry = &jobEntry{ready: make(chan struct{})}
-		fam.epochs[epoch] = entry
+		n.jobs[jobID] = entry
 	}
 	select {
 	case <-entry.ready:
 		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: job %q epoch %d is already open on this node", jobID, epoch)
+		return nil, fmt.Errorf("transport: job %q is already open on this node", jobID)
 	default:
 	}
 	entry.ex = e
 	close(entry.ready)
-	if !fam.anyOpen || epoch > fam.maxOpen {
-		fam.anyOpen = true
-		fam.maxOpen = epoch
-	}
 	n.mu.Unlock()
 
 	if len(peers) == 1 {
@@ -488,7 +433,7 @@ func (e *Exchange) dialPeer(p int) error {
 	cw := &countingWriter{w: conn, n: &e.stats[p].bytesOut}
 	bw := bufio.NewWriter(cw)
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
-	if _, err := bw.Write(appendHandshake(nil, e.jobID, e.self, e.epoch, e.traceWire)); err != nil {
+	if _, err := bw.Write(appendHandshake(nil, e.jobID, e.self, e.traceWire)); err != nil {
 		conn.Close()
 		return err
 	}
@@ -571,7 +516,6 @@ func (e *Exchange) recordRecvSpan(sender int, trace []byte, start time.Time) {
 		DurationNS:  int64(time.Since(start)),
 		Attrs: []obs.Attr{
 			obs.String("job", e.jobID),
-			obs.Int("epoch", int64(e.epoch)),
 			obs.Int("sender", int64(sender)),
 			obs.Int("bytes_in", e.stats[sender].bytesIn.Load()),
 			obs.Int("frames_in", e.stats[sender].framesIn.Load()),
@@ -685,7 +629,6 @@ func (e *Exchange) recordSendSpan(peer int, sendErr error) {
 	}
 	attrs := []obs.Attr{
 		obs.String("job", e.jobID),
-		obs.Int("epoch", int64(e.epoch)),
 		obs.Int("dst", int64(peer)),
 		obs.Int("bytes_out", e.stats[peer].bytesOut.Load()),
 		obs.Int("frames_out", e.stats[peer].framesOut.Load()),
@@ -761,7 +704,7 @@ func (e *Exchange) Close() error {
 			conn.Close()
 		}
 	}
-	e.node.release(e.jobID, e.epoch, e)
+	e.node.release(e.jobID, e)
 	return nil
 }
 

@@ -1,13 +1,13 @@
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,16 +242,16 @@ func TestSinglePeerExchangeIsImmediatelyDone(t *testing.T) {
 }
 
 // TestHandshakeRejectsGarbage: the node drops a connection whose opening is
-// not a handshake of this protocol version — garbage, or a version-3 peer,
-// whose per-key frames would be misread as sorted runs — without an ack.
+// not a handshake of this protocol version — garbage, or a version-4 peer,
+// whose attempt number would be misread as the trace length — without an ack.
 func TestHandshakeRejectsGarbage(t *testing.T) {
 	nodes, addrs := testCluster(t, 1)
 	_ = nodes
-	v3 := appendHandshake(nil, "stale-job", 1, 0, nil)
-	v3[len(protocolMagic)] = 3
+	v4 := appendHandshake(nil, "stale-job", 1, nil)
+	v4[len(protocolMagic)] = 4
 	for name, opening := range map[string][]byte{
 		"http":      []byte("GET / HTTP/1.1\r\n\r\n"),
-		"version 3": v3,
+		"version 4": v4,
 	} {
 		conn, err := net.Dial("tcp", addrs[0])
 		if err != nil {
@@ -283,7 +283,7 @@ func TestUnadoptedJobEntryIsDropped(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer conn.Close()
-	if _, err := conn.Write(appendHandshake(nil, "ghost-job", 1, 0, nil)); err != nil {
+	if _, err := conn.Write(appendHandshake(nil, "ghost-job", 1, nil)); err != nil {
 		t.Fatalf("write handshake: %v", err)
 	}
 	ack := make([]byte, 1)
@@ -432,144 +432,110 @@ func TestAbruptPeerDisconnectFailsLivePeers(t *testing.T) {
 	}
 }
 
-// TestExchangeEpochsIsolated runs two epochs of the same job id concurrently
-// (a retry opening while a zombie of the failed attempt still runs): frames
-// must never cross epochs.
-func TestExchangeEpochsIsolated(t *testing.T) {
-	nodes, addrs := testCluster(t, 2)
-
-	// Open the epochs in scheduler order — the failed attempt (epoch 0)
-	// exists on every worker before its retry (epoch 1) opens; both then run
-	// concurrently.
-	exs := make(map[[2]int]*Exchange)
-	for _, epoch := range []int{0, 1} {
-		var openWG sync.WaitGroup
-		var mu0 sync.Mutex
-		for p := range nodes {
-			openWG.Add(1)
-			go func(epoch, p int) {
-				defer openWG.Done()
-				ex, err := nodes[p].OpenExchangeContext(context.Background(), "job-epochs", epoch, p, addrs)
-				if err != nil {
-					t.Errorf("epoch %d peer %d: OpenExchangeContext: %v", epoch, p, err)
-					return
-				}
-				mu0.Lock()
-				exs[[2]int{epoch, p}] = ex
-				mu0.Unlock()
-			}(epoch, p)
+// TestZombieAttemptIsolated: a retried job opens attempt B under a fresh id
+// once attempt A has closed. A zombie sender of A that dials in afterwards is
+// acked and parked, but none of its frames reach B, and the node drops its
+// connection after the adopt timeout without leaving a goroutine behind.
+func TestZombieAttemptIsolated(t *testing.T) {
+	const adopt = 300 * time.Millisecond
+	nodes := make([]*Node, 2)
+	addrs := make([]string, 2)
+	for i := range nodes {
+		node, err := NewNode("127.0.0.1:0", Config{adoptTimeout: adopt})
+		if err != nil {
+			t.Fatalf("NewNode: %v", err)
 		}
-		openWG.Wait()
+		defer node.Close()
+		nodes[i], addrs[i] = node, node.Addr()
+	}
+	before := runtime.NumGoroutine()
+
+	// runAttempt opens id on both nodes, has each peer send 10 frames tagged
+	// with id to the other, and returns what each peer received.
+	runAttempt := func(id string) [][]string {
+		got := make([][]string, 2)
+		var wg sync.WaitGroup
+		for p := range nodes {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				frames, ex := runExchangePeer(t, nodes[p], id, p, addrs, 10)
+				if ex != nil {
+					ex.Close()
+				}
+				got[p] = frames
+			}(p)
+		}
+		wg.Wait()
 		if t.Failed() {
 			t.FailNow()
 		}
+		return got
 	}
+	runAttempt("attempt-a")
 
-	results := make(map[int][][]string)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, epoch := range []int{0, 1} {
-		for p := range nodes {
-			wg.Add(1)
-			go func(epoch, p int) {
-				defer wg.Done()
-				ex := exs[[2]int{epoch, p}]
-				defer ex.Close()
-				recvErr := make(chan []string, 1)
-				go func() {
-					var got []string
-					for {
-						frame, err := ex.Recv()
-						if err != nil {
-							recvErr <- got
-							return
-						}
-						got = append(got, string(frame))
-					}
-				}()
-				for f := 0; f < 10; f++ {
-					msg := fmt.Sprintf("e%d:%d", epoch, f)
-					if err := ex.Send(1-p, []byte(msg)); err != nil {
-						t.Errorf("epoch %d peer %d: Send: %v", epoch, p, err)
-					}
-				}
-				if err := ex.CloseSend(); err != nil {
-					t.Errorf("epoch %d peer %d: CloseSend: %v", epoch, p, err)
-				}
-				got := <-recvErr
-				mu.Lock()
-				results[epoch] = append(results[epoch], got)
-				mu.Unlock()
-			}(epoch, p)
-		}
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	for epoch, peerFrames := range results {
-		want := fmt.Sprintf("e%d:", epoch)
-		n := 0
-		for _, frames := range peerFrames {
-			for _, f := range frames {
-				n++
-				if f[:len(want)] != want {
-					t.Errorf("epoch %d received foreign frame %q", epoch, f)
-				}
-			}
-		}
-		if n != 20 {
-			t.Errorf("epoch %d received %d frames, want 20", epoch, n)
-		}
-	}
-}
-
-// TestStaleEpochRejected: once a newer epoch of a job is open on a node,
-// opening (or connecting as) an older epoch must be refused.
-func TestStaleEpochRejected(t *testing.T) {
-	nodes, addrs := testCluster(t, 2)
-
-	// Open epoch 2 on both peers and complete the handshake mesh.
-	exs := make([]*Exchange, 2)
-	var wg sync.WaitGroup
-	for p := range nodes {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			ex, err := nodes[p].OpenExchangeContext(context.Background(), "job-stale", 2, p, addrs)
-			if err != nil {
-				t.Errorf("peer %d: OpenExchangeContext: %v", p, err)
-				return
-			}
-			exs[p] = ex
-		}(p)
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	defer exs[0].Close()
-	defer exs[1].Close()
-
-	// A local open of an older epoch fails immediately.
-	if _, err := nodes[0].OpenExchangeContext(context.Background(), "job-stale", 1, 0, addrs); err == nil {
-		t.Fatal("opening a stale epoch should fail")
-	}
-
-	// A zombie sender handshaking with an older epoch is cut off before the
-	// ack — the acceptor acks only a connection it has bound to an attempt —
-	// so the zombie's own OpenExchange fails in the dial.
-	conn, err := net.Dial("tcp", addrs[1])
+	// The zombie dials node 1 as peer 0 of the closed attempt A.
+	zombie, err := net.Dial("tcp", addrs[1])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
-	defer conn.Close()
-	if _, err := conn.Write(appendHandshake(nil, "job-stale", 0, 1, nil)); err != nil {
+	defer zombie.Close()
+	parked := time.Now() // the node's adopt timer starts later, at its ack
+	if _, err := zombie.Write(appendHandshake(nil, "attempt-a", 0, nil)); err != nil {
 		t.Fatalf("write handshake: %v", err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("stale-epoch connection: read = %v, want EOF without an ack", err)
+	if _, err := io.ReadFull(zombie, make([]byte, 1)); err != nil {
+		t.Fatalf("read ack: %v", err)
+	}
+	var frames []byte
+	for f := 0; f < 10; f++ {
+		frames = append(frames, frameData, 6)
+		frames = append(frames, "zombie"...)
+	}
+	if _, err := zombie.Write(append(frames, frameEnd)); err != nil {
+		t.Fatalf("zombie write: %v", err)
+	}
+
+	for p, recvd := range runAttempt("attempt-b") {
+		if len(recvd) != 10 {
+			t.Errorf("peer %d of attempt B received %d frames, want 10", p, len(recvd))
+		}
+		for _, f := range recvd {
+			if !strings.HasPrefix(f, "attempt-b:") {
+				t.Errorf("peer %d of attempt B received foreign frame %q", p, f)
+			}
+		}
+	}
+
+	// The node closes the connection with the zombie's frames unread, so the
+	// read sees EOF or a reset; only the deadline means it is still open.
+	_ = zombie.SetReadDeadline(time.Now().Add(10 * time.Second))
+	var timeout net.Error
+	if _, err := zombie.Read(make([]byte, 1)); err == nil || errors.As(err, &timeout) && timeout.Timeout() {
+		t.Fatalf("zombie connection: read = %v, want it closed by the node", err)
+	}
+	if waited := time.Since(parked); waited < adopt {
+		t.Errorf("zombie connection dropped after %v, before the %v adopt timeout", waited, adopt)
+	}
+
+	// The handler closes the zombie's connection before it drops the entry,
+	// so both settle shortly after the read above.
+	entries := func() (n int) {
+		for _, node := range nodes {
+			node.mu.Lock()
+			n += len(node.jobs)
+			node.mu.Unlock()
+		}
+		return n
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > before || entries() > 0 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d job entries left; goroutines %d -> %d\n%s", entries(), before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -2,10 +2,10 @@
 # Chaos smoke test: run a distributed D-SEQ job across three seqmine-worker
 # processes (seqmine -cluster) and SIGKILL one of them mid-job. A warm-up
 # job on the fresh workers first pushes the dataset bundle into every
-# worker's store. The killed job's task-based scheduler must then
+# worker's store. The killed job's gang scheduler must then
 #
 #   1. declare the killed worker dead and retry the attempt on the two
-#      survivors under a fresh epoch (non-zero retry metrics),
+#      survivors under a fresh attempt id (non-zero retry metrics),
 #   2. produce a pattern set byte-identical to the single-process run,
 #   3. ship zero sequence bytes (its "dataset store:" line reads
 #      "0 misses, 0 bytes pushed": the survivors already hold the bundle).

@@ -6,9 +6,9 @@
 #   1. the spilling runs produce a pattern set identical to the in-memory
 #      reference run,
 #   2. data actually spilled (SpilledBytes > 0), so the test is not vacuous,
-#   3. the streaming pipelined shuffle (tiny -send-buffer, with compressed
-#      spill) produces the same pattern set as barrier mode, single-process
-#      and on the 3-worker cluster, and actually streamed batches.
+#   3. the streaming pipelined shuffle (tiny -send-buffer, with spill)
+#      produces the same pattern set as barrier mode, single-process and on
+#      the 3-worker cluster, and actually streamed batches.
 #
 # Used by CI (.github/workflows/ci.yml) and runnable locally:
 #
@@ -104,10 +104,10 @@ for algo in dseq dcand; do
     fi
     echo "== $algo: cluster spilled $spilled bytes; $(wc -l <"$workdir/ref-$algo.txt") patterns identical across all three runs"
 
-    echo "== $algo: single-process streaming run with -send-buffer $sendbuf (+compressed spill)"
+    echo "== $algo: single-process streaming run with -send-buffer $sendbuf (+spill)"
     "$workdir/bin/seqmine" -data "$workdir/data/sequences.txt" -hierarchy "$workdir/data/hierarchy.txt" \
         -pattern "$pattern" -sigma "$sigma" -algorithm "$algo" -top 0 \
-        -send-buffer "$sendbuf" -spill-threshold "$threshold" -compress-spill \
+        -send-buffer "$sendbuf" -spill-threshold "$threshold" \
         -spill-dir "$workdir/spill" >"$workdir/stream-$algo.out"
     grep -E '^ +[0-9]+  ' "$workdir/stream-$algo.out" | sort >"$workdir/stream-$algo.txt"
     if ! diff -u "$workdir/ref-$algo.txt" "$workdir/stream-$algo.txt"; then

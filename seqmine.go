@@ -76,8 +76,8 @@ const (
 )
 
 // Knobs are the execution knobs shared by every layer of the system — the
-// shuffle bounds (SpillThreshold, SpillTmpDir, SendBufferBytes,
-// CompressSpill) and the cluster scheduler's TaskRetries. They are declared
+// shuffle bounds (SpillThreshold, SpillTmpDir, SendBufferBytes) and the
+// cluster scheduler's TaskRetries. They are declared
 // once, in internal/plan, under the same names the CLIs' flags and the
 // daemon's POST /mine fields use; the zero value mines in memory behind the phase
 // barrier with the scheduler's built-in retry budget.

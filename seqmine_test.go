@@ -334,8 +334,8 @@ func TestClusterMinesTheQueryExpression(t *testing.T) {
 	if got := seqmine.PatternsAsMap(db, res.Patterns); !reflect.DeepEqual(got, want) {
 		t.Errorf("Service.Mine on the cluster = %v, want the query's answer %v", got, want)
 	}
-	if c := qm.Exec.Cluster; c == nil || c.Attempts != 1 || c.Tasks != 2 {
-		t.Errorf("cluster stats = %+v, want one attempt of 2 tasks", c)
+	if c := qm.Exec.Cluster; c == nil || c.Attempts != 1 || c.StoreMisses+c.StoreHits != 2 {
+		t.Errorf("cluster stats = %+v, want one attempt on 2 workers", c)
 	}
 
 	res, err = seqmine.Mine(db, paperex.PatternExpression, paperex.Sigma, opts)
