@@ -276,6 +276,7 @@ func (w *Worker) Handler() http.Handler {
 			writeJSONError(rw, http.StatusBadRequest, fmt.Errorf("invalid JSON body: %w", err))
 			return
 		}
+		obs.DefaultLogger().Info("run started", obs.String("job", spec.JobID), obs.Int("peer", int64(spec.Peer)))
 		ctx := obs.ExtractHeader(obs.WithRecorder(r.Context(), w.Rec), r.Header)
 		result, err := w.Run(ctx, spec)
 		if err != nil {

@@ -73,9 +73,9 @@ type reachFixture struct {
 }
 
 // reachFixtures are the running example's expression on random sequences
-// over its vocabulary, and a dot-only loose constraint, T2(0,5), on
-// ClueWeb-like sentences: every state of the second is live at most
-// positions.
+// over its vocabulary, and two dot-only loose constraints on ClueWeb-like
+// sentences, whose states are live at most positions: T2(0,5), with packed
+// rows (6 states), and T3(1,5), without (10 states).
 func reachFixtures(tb testing.TB) []reachFixture {
 	d, db := benchSequences(200, 12)
 	cw, err := datagen.ClueWeb(datagen.ClueWebConfig{NumSentences: 200, Seed: 1})
@@ -85,17 +85,18 @@ func reachFixtures(tb testing.TB) []reachFixture {
 	return []reachFixture{
 		{"paperex", fst.MustCompile(paperex.PatternExpression, d), db},
 		{"T2(0,5)-clueweb", fst.MustCompile(experiments.T2Expr(0, 5), cw.Dict), cw.Sequences},
+		{"T3(1,5)-clueweb", fst.MustCompile(experiments.T3Expr(1, 5), cw.Dict), cw.Sequences},
 	}
 }
 
-// buffer returns a never-zeroed buffer for the accept and finish (or prod)
-// matrices of the fixture's longest sequence.
+// buffer returns a never-zeroed buffer for the row block, with live rows, of
+// the fixture's longest sequence; it holds its accept matrix too.
 func (fx reachFixture) buffer() []uint64 {
 	n := 0
 	for _, T := range fx.db {
 		n = max(n, len(T))
 	}
-	return make([]uint64, 2*(n+1)*fx.flat.Words())
+	return make([]uint64, (n+1)*fx.flat.RowLayout(true).Stride)
 }
 
 // positions is the number of items in the sequences of db.
@@ -107,19 +108,17 @@ func positions(db [][]dict.ItemID) int {
 	return n
 }
 
-// BenchmarkReach measures the backward reachability pass — accept and finish
-// matrices, the per-sequence set-up of DESQ-DFS — into a reused, never-zeroed
-// buffer, in ns per sequence position.
+// BenchmarkReach measures the backward reachability pass — the accept
+// matrix, the first pass of every simulator but DESQ-DFS — into a reused,
+// never-zeroed buffer, in ns per sequence position.
 func BenchmarkReach(b *testing.B) {
 	for _, fx := range reachFixtures(b) {
 		b.Run(fx.name, func(b *testing.B) {
 			buf := fx.buffer()
 			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				for _, T := range fx.db {
-					n := (len(T) + 1) * fx.flat.Words()
-					fx.flat.Reach(T, buf[:n], buf[n:2*n], fx.flat.Words())
+					fx.flat.Reach(T, buf)
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(fx.db)), "ns/pos")
@@ -127,68 +126,38 @@ func BenchmarkReach(b *testing.B) {
 	}
 }
 
-// acceptRows returns the all-rows accept matrix of each accepted sequence of
-// the fixture, and those sequences.
-func (fx reachFixture) acceptRows() ([][]uint64, [][]dict.ItemID) {
-	var rows [][]uint64
-	var seqs [][]dict.ItemID
-	for _, T := range fx.db {
-		accept := make([]uint64, (len(T)+1)*fx.flat.Words())
-		if fx.flat.Reach(T, accept, nil, fx.flat.Words()) {
-			rows, seqs = append(rows, accept), append(seqs, T)
+// rowsPivots are the pivots BenchmarkRows and its allocation pins pass:
+// none (no live rows) and the most frequent item, fid 1.
+var rowsPivots = map[string]dict.ItemID{"no-pivot": dict.None, "pivot": 1}
+
+// BenchmarkRows measures the one pass DESQ-DFS sets a sequence up with — its
+// row block, with live rows under a pivot — into a reused, never-zeroed
+// buffer, in ns per sequence position.
+func BenchmarkRows(b *testing.B) {
+	for _, fx := range reachFixtures(b) {
+		for name, k := range rowsPivots {
+			b.Run(fx.name+"/"+name, func(b *testing.B) {
+				buf := fx.buffer()
+				b.ReportAllocs()
+				for b.Loop() {
+					for _, T := range fx.db {
+						fx.flat.Rows(T, k, buf)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(fx.db)), "ns/pos")
+			})
 		}
-	}
-	return rows, seqs
-}
-
-// BenchmarkProductive measures the productive pass over the accept rows of
-// the fixtures' accepted sequences, in ns per position of those sequences.
-func BenchmarkProductive(b *testing.B) {
-	for _, fx := range reachFixtures(b) {
-		b.Run(fx.name, func(b *testing.B) {
-			rows, seqs := fx.acceptRows()
-			prod := fx.buffer()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, T := range seqs {
-					fx.flat.Productive(T, rows[j], prod, fx.flat.Words())
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(seqs)), "ns/pos")
-		})
-	}
-}
-
-// BenchmarkPivotLive measures the pivot-live pass over the accept rows of the
-// fixtures' accepted sequences, for their most frequent item (fid 1) as the
-// pivot, in ns per position of those sequences.
-func BenchmarkPivotLive(b *testing.B) {
-	for _, fx := range reachFixtures(b) {
-		b.Run(fx.name, func(b *testing.B) {
-			rows, seqs := fx.acceptRows()
-			live := fx.buffer()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j, T := range seqs {
-					fx.flat.PivotLive(T, 1, rows[j], live, fx.flat.Words())
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*positions(seqs)), "ns/pos")
-		})
 	}
 }
 
 // TestReachDoesNotAllocate pins BenchmarkReach's pass at zero allocations:
-// the matrices go into the caller's buffer.
+// the matrix goes into the caller's buffer.
 func TestReachDoesNotAllocate(t *testing.T) {
 	for _, fx := range reachFixtures(t) {
 		buf := fx.buffer()
 		if n := testing.AllocsPerRun(20, func() {
 			for _, T := range fx.db {
-				n := (len(T) + 1) * fx.flat.Words()
-				fx.flat.Reach(T, buf[:n], buf[n:2*n], fx.flat.Words())
+				fx.flat.Reach(T, buf)
 			}
 		}); n != 0 {
 			t.Fatalf("%s: Reach allocates %.0f times per database pass, want 0", fx.name, n)
@@ -196,40 +165,40 @@ func TestReachDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestProductiveDoesNotAllocate pins BenchmarkProductive's pass at zero
-// allocations: prod goes into the caller's buffer.
+// TestProductiveDoesNotAllocate pins BenchmarkRows's pass without a pivot —
+// accept, prod and finish rows — at zero allocations: the block goes into the
+// caller's buffer.
 func TestProductiveDoesNotAllocate(t *testing.T) {
-	for _, fx := range reachFixtures(t) {
-		rows, seqs := fx.acceptRows()
-		if len(seqs) == 0 {
-			t.Fatalf("%s: no sequence accepted; the pin is vacuous", fx.name)
-		}
-		prod := fx.buffer()
-		if n := testing.AllocsPerRun(20, func() {
-			for j, T := range seqs {
-				fx.flat.Productive(T, rows[j], prod, fx.flat.Words())
-			}
-		}); n != 0 {
-			t.Fatalf("%s: Productive allocates %.0f times per database pass, want 0", fx.name, n)
-		}
-	}
+	testRowsDoNotAllocate(t, "no-pivot")
 }
 
-// TestPivotLiveDoesNotAllocate pins BenchmarkPivotLive's pass at zero
-// allocations: live goes into the caller's buffer.
+// TestPivotLiveDoesNotAllocate pins BenchmarkRows's pass under a pivot — the
+// same rows plus live — at zero allocations: the block goes into the caller's
+// buffer.
 func TestPivotLiveDoesNotAllocate(t *testing.T) {
+	testRowsDoNotAllocate(t, "pivot")
+}
+
+// testRowsDoNotAllocate checks that Rows under rowsPivots[name] allocates
+// nothing per pass over each fixture, one that accepts some sequence.
+func testRowsDoNotAllocate(t *testing.T, name string) {
+	k := rowsPivots[name]
 	for _, fx := range reachFixtures(t) {
-		rows, seqs := fx.acceptRows()
-		if len(seqs) == 0 {
+		buf, accepted := fx.buffer(), 0
+		for _, T := range fx.db {
+			if fx.flat.Rows(T, k, buf) {
+				accepted++
+			}
+		}
+		if accepted == 0 {
 			t.Fatalf("%s: no sequence accepted; the pin is vacuous", fx.name)
 		}
-		live := fx.buffer()
 		if n := testing.AllocsPerRun(20, func() {
-			for j, T := range seqs {
-				fx.flat.PivotLive(T, 1, rows[j], live, fx.flat.Words())
+			for _, T := range fx.db {
+				fx.flat.Rows(T, k, buf)
 			}
 		}); n != 0 {
-			t.Fatalf("%s: PivotLive allocates %.0f times per database pass, want 0", fx.name, n)
+			t.Fatalf("%s, %s: Rows allocates %.0f times per database pass, want 0", fx.name, name, n)
 		}
 	}
 }

@@ -141,7 +141,7 @@ func (f *FST) ForEachDistinctCandidate(T []dict.ItemID, sigma int64, emit func(c
 func (sc *enumScratch) accepts(f *FST, T []dict.ItemID) bool {
 	need := (len(T) + 1) * f.words
 	sc.reach = slices.Grow(sc.reach[:0], need)[:need]
-	return f.Reach(T, sc.reach, nil, f.words)
+	return f.Reach(T, sc.reach)
 }
 
 func (w *enumWalk) rec(pos, q int) {

@@ -27,11 +27,11 @@ import (
 // sets of the states still live (Reach), and the DFS walks iterate only
 // transitions that fire (Firing).
 //
-// When a row is one word (≤ 64 states), Reach, Productive and PivotLive do
-// not visit live states one by one: a byte-sliced table (byteTab) holds the
-// union of the masks of every 8-state group's subsets, so a step is one probe
-// per byte of the row, at most ⌈states/8⌉, however many states are live. It
-// is exact, since a union distributes over the bytes.
+// When a row is one word (≤ 64 states), Reach and Rows do not visit live
+// states one by one: a byte-sliced table (byteTab) holds the union of the
+// masks of every 8-state group's subsets, so a step is one probe per byte of
+// the row, at most ⌈states/8⌉, however many states are live. It is exact,
+// since a union distributes over the bytes.
 //
 // The label-level graph the tables are built from stays behind them as the
 // reference of Transitions; no simulator reads it. An FST is immutable after
@@ -372,152 +372,178 @@ func (f *FST) Firing(q int, t dict.ItemID) []int32 {
 	return f.fire[f.fireOff[cell]:f.fireOff[cell+1]]
 }
 
-// Reach is the one backward reachability pass every simulator starts from. It
-// fills accept with the accept matrix of T as bitset rows, row i at
-// accept[i*stride:] (a stride above Words() interleaves other rows) — bit q of
-// row i is set iff T[i:] can be consumed from state q ending in a final state
-// — and reports whether the initial state accepts T. accept holds either all
-// len(T)+1 rows or, for a caller that only wants the verdict, two rows that
-// the pass alternates between. A non-nil finish (all rows, same stride)
-// receives the finishable matrix too: bit q of row i is set iff T[i:] can be
-// consumed from q into a final state over ε-output transitions only. Every
-// word of a row is written, so the buffers need not be zeroed; the pass stops
-// at the first position no state accepts from, and after a false result the
-// matrices are only partly filled. On the byte-sliced table the finish rows
-// are a second pass, run only for an accepted T.
-func (f *FST) Reach(T []dict.ItemID, accept, finish []uint64, stride int) bool {
+// Reach is the backward reachability pass every simulator but DESQ-DFS (see
+// Rows) starts from. It fills accept with the accept matrix of T as bitset rows of Words() words —
+// bit q of row i is set iff T[i:] can be consumed from state q ending in a
+// final state — and reports whether the initial state accepts T. accept holds
+// either all len(T)+1 rows or, for a caller that only wants the verdict, two
+// rows that the pass alternates between. Every word of a row is written, so
+// the buffer need not be zeroed; the pass stops at the first position no
+// state accepts from, and after a false result the matrix is only partly
+// filled.
+func (f *FST) Reach(T []dict.ItemID, accept []uint64) bool {
 	n, w := len(T), f.words
-	rowMask := -1 // row i lives at (i&rowMask)*stride
-	if len(accept) < n*stride+w {
+	rowMask := -1 // row i lives at (i&rowMask)*w
+	if len(accept) < (n+1)*w {
 		rowMask = 1
 	}
 	if f.byteTab != nil {
-		return f.reachBytes(T, accept, finish, rowMask, stride)
+		x := f.finalBits[0]
+		accept[n&rowMask] = x
+		for i := n - 1; i >= 0; i-- {
+			if x = lookup(f.byteTab, f.byteClass(T[i]), x); x == 0 {
+				return false
+			}
+			accept[i&rowMask] = x
+		}
+		return x&(1<<uint(f.initial)) != 0
 	}
-	copy(accept[(n&rowMask)*stride:][:w], f.finalBits)
-	if finish != nil {
-		copy(finish[n*stride:][:w], f.finalBits)
-	}
+	copy(accept[(n&rowMask)*w:][:w], f.finalBits)
 	for i := n - 1; i >= 0; i-- {
 		pred := f.pred[f.class(T[i])*2*w:]
-		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*stride:][:w], accept[(i&rowMask)*stride:][:w]) == 0 {
+		if pullBack(pred, 2*w, accept[((i+1)&rowMask)*w:][:w], accept[(i&rowMask)*w:][:w]) == 0 {
 			return false
-		}
-		if finish != nil {
-			pullBack(pred[w:], 2*w, finish[(i+1)*stride:][:w], finish[i*stride:][:w])
 		}
 	}
 	return accept[uint(f.initial)>>6]&(1<<(uint(f.initial)&63)) != 0
 }
 
-// reachBytes is Reach on the byte-sliced table, where every row is one word:
-// the accept pass, then — only for an accepted T — the finish pass.
-func (f *FST) reachBytes(T []dict.ItemID, accept, finish []uint64, rowMask, stride int) bool {
-	n := len(T)
-	accept[(n&rowMask)*stride] = f.finalBits[0]
-	if f.pullBytes(T, accept, rowMask, stride, 0) >= 0 {
-		return false
+// byteClass returns where item t's class starts in the byte-sliced table.
+func (f *FST) byteClass(t dict.ItemID) int {
+	if f.classOf == nil {
+		return 0
 	}
-	if finish != nil {
-		finish[n*stride] = f.finalBits[0]
-		for i := f.pullBytes(T, finish, -1, stride, 1) - 1; i >= 0; i-- {
-			finish[i*stride] = 0 // nothing precedes an empty row
-		}
-	}
-	return accept[0]&(1<<uint(f.initial)) != 0
+	return int(f.classOf[t]) * 3 * f.byteKind
 }
 
-// pullBytes is one backward pass over T on the given kind of the byte-sliced
-// table, from row len(T) already in rows (row i at rows[(i&rowMask)*stride]).
-// It stops at the first empty row and returns its position, -1 if none.
-func (f *FST) pullBytes(T []dict.ItemID, rows []uint64, rowMask, stride, kind int) int {
-	tab, classOf, k := f.byteTab, f.classOf, f.byteKind
-	x := rows[(len(T)&rowMask)*stride]
-	for i := len(T) - 1; i >= 0; i-- {
-		at := kind * k
-		if classOf != nil {
-			at += int(classOf[T[i]]) * 3 * k
-		}
-		if x = lookup(tab, at, x); x == 0 {
-			rows[(i&rowMask)*stride] = 0
-			return i
-		}
-		rows[(i&rowMask)*stride] = x
-	}
-	return -1
+// The matrices of a row block (see Rows), in the order they sit in a row.
+const (
+	Accept = iota
+	Prod
+	Finish
+	Live
+)
+
+// RowLayout is where Rows puts the matrices of a row block: bit q of matrix m
+// in row i is bit Shift[m] + q%64 of block[i*Stride + Word[m] + q/64]. Accept
+// is always bit q%64 of word q/64. An FST of at most 8 states on the
+// byte-sliced table has packed rows: one word per position, accept, prod,
+// finish and live in its four low bytes and T[i] in its high 32 bits (0 in
+// the last row). Every other FST has a bitset of Words() words per matrix,
+// accept | prod | finish, then live when the block holds it.
+type RowLayout struct {
+	Stride      int
+	Packed      bool
+	Word, Shift [Live + 1]int
 }
 
-// Productive fills prod, all len(T)+1 rows, from the accept matrix that a
-// successful Reach left in accept (all rows), both at the given stride: bit q
-// of row i is set iff an ε-output path from state q at position i reaches an
-// output transition whose target accepts the rest of T — iff a run from
-// there can still output an item. It is one more backward pass,
+// maxPackedStates is the most states a packed row holds: a byte per matrix.
+const maxPackedStates = 8
+
+// RowLayout returns the layout of f's row blocks, with live rows or without.
+func (f *FST) RowLayout(live bool) RowLayout {
+	if f.byteTab != nil && f.numStates <= maxPackedStates {
+		return RowLayout{Stride: 1, Packed: true, Shift: [Live + 1]int{0, 8, 16, 24}}
+	}
+	w := f.words
+	l := RowLayout{Stride: 3 * w, Word: [Live + 1]int{0, w, 2 * w, 3 * w}}
+	if live {
+		l.Stride += w
+	}
+	return l
+}
+
+// Rows is the one backward pass DESQ-DFS sets a sequence up with. It writes
+// the row block of T into block, len(T)+1 rows at the layout RowLayout(k !=
+// dict.None) gives, and reports whether the initial state accepts T. Bit q of
+// row i, for the suffix T[i:], is set
 //
-//	prod[n] = ∅,  prod[i] = pullBack_out(accept[i+1]) ∪ pullBack_ε(prod[i+1]),
+//   - in accept iff T[i:] can be consumed from state q into a final state;
+//   - in finish iff it can be over ε-output transitions only;
+//   - in prod iff an ε-output path from q reaches an output transition whose
+//     target accepts the rest of T — iff a run from there can still output
+//     an item;
+//   - in live, for a pivot k, iff an accepting run from q takes an output
+//     transition at a position j >= i whose item T[j] has k among its
+//     ancestors — iff it can still output k, since every output of a
+//     transition is an ancestor of its input item.
 //
-// and accept = prod ∪ finish row by row: an accepting run either outputs
-// nothing or reaches its first output over ε-output transitions. Every word
-// of prod's rows is written.
-func (f *FST) Productive(T []dict.ItemID, accept, prod []uint64, stride int) {
-	n, w := len(T), f.words
-	clear(prod[n*stride:][:w])
-	if tab, classOf, k := f.byteTab, f.classOf, f.byteKind; tab != nil {
-		p := uint64(0)
-		for i := n - 1; i >= 0; i-- {
-			at := k
-			if classOf != nil {
-				at += int(classOf[T[i]]) * 3 * k
+// One loop fills all four from row i+1:
+//
+//	accept[n] = F,  accept[i] = pullBack_any(accept[i+1])
+//	finish[n] = F,  finish[i] = pullBack_ε(finish[i+1])
+//	prod[n] = ∅,    prod[i] = pullBack_out(accept[i+1]) ∪ pullBack_ε(prod[i+1])
+//	live[n] = ∅,    live[i] = pullBack_any(live[i+1]) ∪ (k ∈ anc(T[i]) ? pullBack_out(accept[i+1]) : ∅)
+//
+// so accept = prod ∪ finish and live ⊆ prod row by row. Every word of a
+// written row is written, so the block need not be zeroed; the pass stops at
+// the first empty accept row, and after a false result the block is only
+// partly written.
+func (f *FST) Rows(T []dict.ItemID, k dict.ItemID, block []uint64) bool {
+	if f.byteTab == nil {
+		return f.pullRows(T, k, block)
+	}
+	tab, kind := f.byteTab, f.byteKind
+	l := f.RowLayout(k != dict.None)
+	a, p, fin, live, t := f.finalBits[0], uint64(0), f.finalBits[0], uint64(0), dict.None
+	for i := len(T); ; i-- {
+		if l.Packed {
+			block[i] = a | p<<8 | fin<<16 | live<<24 | uint64(t)<<32
+		} else {
+			row := block[i*l.Stride:][:l.Stride]
+			row[Accept], row[Prod], row[Finish] = a, p, fin
+			if k != dict.None {
+				row[Live] = live
 			}
-			p = lookup(tab, at+k, accept[(i+1)*stride]) | lookup(tab, at, p)
-			prod[i*stride] = p
 		}
-		return
+		if i == 0 {
+			return a&(1<<uint(f.initial)) != 0
+		}
+		t = T[i-1]
+		at := f.byteClass(t)
+		out := lookup(tab, at+2*kind, a)
+		if k != dict.None {
+			live = lookup(tab, at, live)
+			if slices.Contains(f.dict.Ancestors(t), k) {
+				live |= out
+			}
+		}
+		p = out | lookup(tab, at+kind, p)
+		fin = lookup(tab, at+kind, fin)
+		if a = lookup(tab, at, a); a == 0 {
+			return false
+		}
+	}
+}
+
+// pullRows is Rows on the pullBack path, a bitset of Words() words per
+// matrix.
+func (f *FST) pullRows(T []dict.ItemID, k dict.ItemID, block []uint64) bool {
+	n, w, stride := len(T), f.words, f.RowLayout(k != dict.None).Stride
+	row := func(i, m int) []uint64 { return block[i*stride+m*w:][:w] }
+	copy(row(n, Accept), f.finalBits)
+	clear(row(n, Prod))
+	copy(row(n, Finish), f.finalBits)
+	if k != dict.None {
+		clear(row(n, Live))
 	}
 	for i := n - 1; i >= 0; i-- {
 		c := f.class(T[i])
-		row := prod[i*stride:][:w]
-		pullBack(f.outPred[c*w:], w, accept[(i+1)*stride:][:w], row)
-		orPullBack(f.pred[c*2*w+w:], 2*w, prod[(i+1)*stride:][:w], row)
-	}
-}
-
-// PivotLive fills live, all len(T)+1 rows, from the accept matrix that a
-// successful Reach left in accept (all rows), both at the given stride: bit q
-// of row i is set iff an accepting run from state q at position i takes an
-// output transition at a position j >= i whose item T[j] has k among its
-// ancestors — iff a run from there can still output the pivot k (every output
-// of a transition is an ancestor of its input item). It is one more backward
-// pass,
-//
-//	live[n] = ∅,  live[i] = pullBack_any(live[i+1]) ∪ (k ∈ anc(T[i]) ? pullBack_out(accept[i+1]) : ∅),
-//
-// and live ⊆ prod row by row. Every word of live's rows is written.
-func (f *FST) PivotLive(T []dict.ItemID, k dict.ItemID, accept, live []uint64, stride int) {
-	n, w := len(T), f.words
-	clear(live[n*stride:][:w])
-	if tab, classOf, kind := f.byteTab, f.classOf, f.byteKind; tab != nil {
-		l := uint64(0)
-		for i := n - 1; i >= 0; i-- {
-			at := 0
-			if classOf != nil {
-				at = int(classOf[T[i]]) * 3 * kind
-			}
-			l = lookup(tab, at, l)
+		all, eps, out := f.pred[c*2*w:], f.pred[c*2*w+w:], f.outPred[c*w:]
+		if k != dict.None {
+			pullBack(all, 2*w, row(i+1, Live), row(i, Live))
 			if slices.Contains(f.dict.Ancestors(T[i]), k) {
-				l |= lookup(tab, at+2*kind, accept[(i+1)*stride])
+				orPullBack(out, w, row(i+1, Accept), row(i, Live))
 			}
-			live[i*stride] = l
 		}
-		return
-	}
-	for i := n - 1; i >= 0; i-- {
-		c := f.class(T[i])
-		row := live[i*stride:][:w]
-		pullBack(f.pred[c*2*w:], 2*w, live[(i+1)*stride:][:w], row)
-		if slices.Contains(f.dict.Ancestors(T[i]), k) {
-			orPullBack(f.outPred[c*w:], w, accept[(i+1)*stride:][:w], row)
+		pullBack(out, w, row(i+1, Accept), row(i, Prod))
+		orPullBack(eps, 2*w, row(i+1, Prod), row(i, Prod))
+		pullBack(eps, 2*w, row(i+1, Finish), row(i, Finish))
+		if pullBack(all, 2*w, row(i+1, Accept), row(i, Accept)) == 0 {
+			return false
 		}
 	}
+	return block[uint(f.initial)>>6]&(1<<(uint(f.initial)&63)) != 0
 }
 
 // lookup is one backward step on the kind of the byte-sliced table that
@@ -572,7 +598,7 @@ func (f *FST) CanAccept(T []dict.ItemID) bool {
 	if 2*f.words > len(stack) {
 		rows = make([]uint64, 2*f.words)
 	}
-	return f.Reach(T, rows[:2*f.words], nil, f.words)
+	return f.Reach(T, rows[:2*f.words])
 }
 
 // OutputsFor returns the output set of transition tr for input item t, in one

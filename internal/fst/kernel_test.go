@@ -3,7 +3,6 @@ package fst
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
@@ -137,62 +136,35 @@ func checkByteTab(t *testing.T, name string, f *FST, classes int) {
 	}
 }
 
-// CheckReach holds one fused Reach pass, the accept-only pass and CanAccept to
-// the label-level matrices: the verdict always, and every accept and finish row
-// when the sequence is accepted (a rejected sequence's rows are never read) —
-// and then the Productive pass over those accept rows to ProductiveMatrix,
-// with accept = prod ∪ finish row by row, and the PivotLive pass for every
-// pivot among the ancestors of T's items to PivotLiveMatrix (checkPivotLive).
-// The same passes at stride 4·Words(), into one block of interleaved accept |
-// prod | finish | live rows (the layout of DESQ-DFS under a pivot), must give
-// the same rows. The buffers start dirty — the passes must write every word
-// themselves.
+// CheckReach holds the Reach pass, its two-row form and CanAccept to the
+// label-level accept matrix — the verdict always, every row when the sequence
+// is accepted (a rejected sequence's rows are never read) — and then the Rows
+// pass, decoded through its RowLayout (checkRows): without a pivot, and with
+// every pivot among the ancestors of T's items. The buffers start dirty — the
+// passes must write every word themselves.
 func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 	t.Helper()
 	w := f.words
-	accept := dirtyRows(len(T), w)
-	finish := dirtyRows(len(T), w)
-	alone := dirtyRows(len(T), w)
-	prod := dirtyRows(len(T), w)
-	block := dirtyRows(len(T), 4*w)
-	ref, fref := f.AcceptMatrix(T), f.FinishMatrix(T)
+	accept, two := dirtyRows(len(T), w), dirtyRows(1, w)
+	ref := f.AcceptMatrix(T)
 	want := ref[0][f.g.initial]
-	if got := f.Reach(T, accept, finish, w); got != want {
+	if got := f.Reach(T, accept); got != want {
 		t.Fatalf("%s: Reach(%v) = %v, want %v", name, T, got, want)
 	}
-	if got := f.Reach(T, alone, nil, w); got != want {
-		t.Fatalf("%s: Reach(%v) without finish = %v, want %v", name, T, got, want)
-	}
-	if got := f.Reach(T, block, block[2*w:], 4*w); got != want {
-		t.Fatalf("%s: Reach(%v) at stride %d = %v, want %v", name, T, 4*w, got, want)
+	if got := f.Reach(T, two); got != want {
+		t.Fatalf("%s: Reach(%v) over two rows = %v, want %v", name, T, got, want)
 	}
 	if got := f.CanAccept(T); got != want {
 		t.Fatalf("%s: CanAccept(%v) = %v, want %v", name, T, got, want)
 	}
+	checkRows(t, name, f, T, dict.None)
 	if !want {
 		return
 	}
-	f.Productive(T, accept, prod, w)
-	f.Productive(T, block, block[w:], 4*w)
-	pref := f.ProductiveMatrix(T)
 	for i := 0; i <= len(T); i++ {
-		for k, rows := range [][]uint64{accept, prod, finish} {
-			if got := block[i*4*w+k*w:][:w]; !slices.Equal(got, rows[i*w:][:w]) {
-				t.Fatalf("%s: interleaved row %d, matrix %d = %#x, want %#x (T=%v)", name, i, k, got, rows[i*w:][:w], T)
-			}
-		}
 		for q := 0; q < len(f.g.final); q++ {
-			if bit(accept, w, i, q) != ref[i][q] || bit(alone, w, i, q) != ref[i][q] {
-				t.Fatalf("%s: accept[%d][%d] = %v/%v, want %v (T=%v)", name, i, q, bit(accept, w, i, q), bit(alone, w, i, q), ref[i][q], T)
-			}
-			if bit(finish, w, i, q) != fref[i][q] {
-				t.Fatalf("%s: finish[%d][%d] = %v, want %v (T=%v)", name, i, q, !fref[i][q], fref[i][q], T)
-			}
-			if bit(prod, w, i, q) != pref[i][q] {
-				t.Fatalf("%s: prod[%d][%d] = %v, want %v (T=%v)", name, i, q, !pref[i][q], pref[i][q], T)
-			}
-			if ref[i][q] != (pref[i][q] || fref[i][q]) {
-				t.Fatalf("%s: accept[%d][%d] = %v, but prod %v and finish %v (T=%v)", name, i, q, ref[i][q], pref[i][q], fref[i][q], T)
+			if bit(accept, w, i, q) != ref[i][q] {
+				t.Fatalf("%s: accept[%d][%d] = %v, want %v (T=%v)", name, i, q, !ref[i][q], ref[i][q], T)
 			}
 		}
 	}
@@ -203,39 +175,68 @@ func CheckReach(t *testing.T, name string, f *FST, T []dict.ItemID) {
 		}
 	}
 	for k := range pivots {
-		checkPivotLive(t, name, f, T, k, accept, prod, block)
+		checkRows(t, name, f, T, k)
 	}
 }
 
-// checkPivotLive holds the PivotLive pass for pivot k to PivotLiveMatrix, at
-// stride Words() over accept and in block's live rows (the accept | prod |
-// finish | live layout of CheckReach, its first three rows written), and
-// every live row to live ⊆ prod. T must be accepted, accept and prod its rows
-// at stride Words(). It returns the number of live cells.
-func checkPivotLive(t *testing.T, name string, f *FST, T []dict.ItemID, k dict.ItemID, accept, prod, block []uint64) (cells int) {
+// checkRows holds the Rows pass of T for pivot k (dict.None: no live rows)
+// to the label-level references, decoding its block through RowLayout: the
+// verdict always; for an accepted T every row's accept and finish bits to
+// AcceptMatrix and FinishMatrix, prod to ProductiveMatrix with accept = prod ∪
+// finish, live to PivotLiveMatrix with live ⊆ prod, and a packed row's item
+// to T[i] (0 in the last row). It returns the number of live cells.
+func checkRows(t *testing.T, name string, f *FST, T []dict.ItemID, k dict.ItemID) (live int) {
 	t.Helper()
-	w := f.words
-	live := dirtyRows(len(T), w)
-	f.PivotLive(T, k, accept, live, w)
-	f.PivotLive(T, k, block, block[3*w:], 4*w)
-	ref := f.PivotLiveMatrix(T, k)
+	l := f.RowLayout(k != dict.None)
+	if want := f.byteTab != nil && f.numStates <= 8; l.Packed != want {
+		t.Fatalf("%s: %d states, byte table %v: packed rows %v, want %v", name, f.numStates, f.byteTab != nil, l.Packed, want)
+	}
+	block := dirtyRows(len(T), l.Stride)
+	ref := f.AcceptMatrix(T)
+	got, want := f.Rows(T, k, block), ref[0][f.g.initial]
+	if got != want {
+		t.Fatalf("%s: Rows(%v, %d) = %v, want %v", name, T, k, got, want)
+	}
+	if !got {
+		return 0
+	}
+	refs := [Live + 1][][]bool{ref, f.ProductiveMatrix(T), f.FinishMatrix(T), nil}
+	if k != dict.None {
+		refs[Live] = f.PivotLiveMatrix(T, k)
+	}
 	for i := 0; i <= len(T); i++ {
-		if got := block[i*4*w+3*w:][:w]; !slices.Equal(got, live[i*w:][:w]) {
-			t.Fatalf("%s: pivot %d: interleaved live row %d = %#x, want %#x (T=%v)", name, k, i, got, live[i*w:][:w], T)
+		if l.Packed {
+			item := dict.None
+			if i < len(T) {
+				item = T[i]
+			}
+			if got := dict.ItemID(block[i] >> 32); got != item {
+				t.Fatalf("%s: packed row %d holds item %d, want %d (T=%v)", name, i, got, item, T)
+			}
 		}
 		for q := 0; q < len(f.g.final); q++ {
-			if bit(live, w, i, q) != ref[i][q] {
-				t.Fatalf("%s: pivot %d: live[%d][%d] = %v, want %v (T=%v)", name, k, i, q, !ref[i][q], ref[i][q], T)
+			for m, r := range refs {
+				if r != nil && rowBit(block, l, i, m, q) != r[i][q] {
+					t.Fatalf("%s: pivot %d: matrix %d row %d state %d = %v, want %v (T=%v)", name, k, m, i, q, !r[i][q], r[i][q], T)
+				}
 			}
-			if ref[i][q] && !bit(prod, w, i, q) {
-				t.Fatalf("%s: pivot %d: live[%d][%d] set outside prod (T=%v)", name, k, i, q, T)
+			if ref[i][q] != (refs[Prod][i][q] || refs[Finish][i][q]) {
+				t.Fatalf("%s: accept[%d][%d] = %v, but prod %v and finish %v (T=%v)", name, i, q, ref[i][q], refs[Prod][i][q], refs[Finish][i][q], T)
 			}
-			if ref[i][q] {
-				cells++
+			if k != dict.None && refs[Live][i][q] {
+				if !refs[Prod][i][q] {
+					t.Fatalf("%s: pivot %d: live[%d][%d] set outside prod (T=%v)", name, k, i, q, T)
+				}
+				live++
 			}
 		}
 	}
-	return cells
+	return live
+}
+
+// rowBit reports bit q of matrix m in row i of a row block at layout l.
+func rowBit(block []uint64, l RowLayout, i, m, q int) bool {
+	return block[i*l.Stride+l.Word[m]+q>>6]>>(l.Shift[m]+q&63)&1 != 0
 }
 
 // dirtyRows returns the rows of a matrix over T of len n at the given stride,
@@ -314,11 +315,12 @@ func randomExpr(rng *rand.Rand, d *dict.Dictionary, depth int) string {
 // generated expressions, plus expressions wide enough that a state set needs
 // several words and alternations of so many distinct items that a one-word
 // FST's byte table would pass maxByteTabWords. Each of the three step paths
-// must be taken at least 3 times.
+// must be taken at least 3 times, and the byte table with packed rows (at
+// most 8 states) and without.
 func kernelCases(t *testing.T, seed int64, check func(rng *rand.Rand, expr string, f *FST)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	var byteTab, overCap, wide int
+	var packed, byteTab, overCap, wide int
 	for trial := 0; trial < 60; trial++ {
 		d := randomDict(t, rng, 4+rng.Intn(30))
 		expr := ".*" + randomExpr(rng, d, 4) + ".*"
@@ -340,13 +342,16 @@ func kernelCases(t *testing.T, seed int64, check func(rng *rand.Rand, expr strin
 			wide++
 		case f.byteTab == nil:
 			overCap++
+		case f.RowLayout(false).Packed:
+			packed++
 		default:
 			byteTab++
 		}
 		check(rng, expr, f)
 	}
-	if byteTab < 3 || overCap < 3 || wide < 3 {
-		t.Fatalf("automata per step path: %d byte table, %d one-word over the cap, %d multi-word; want ≥ 3 each", byteTab, overCap, wide)
+	if packed < 3 || byteTab < 3 || overCap < 3 || wide < 3 {
+		t.Fatalf("automata per step path: %d byte table with packed rows, %d without, %d one-word over the cap, %d multi-word; want ≥ 3 each",
+			packed, byteTab, overCap, wide)
 	}
 }
 
@@ -371,26 +376,22 @@ func TestKernelMatchesLabelReference(t *testing.T) {
 	})
 }
 
-// TestPivotLiveMatchesRunOracle holds the live rows of PivotLive, for every
-// item of the dictionary as the pivot, to the label-level run walk of
-// PivotLiveMatrix, over the generated automata of kernelCases on random
-// accepted sequences. An item outside the ancestors of T's items must leave
-// every row empty.
+// TestPivotLiveMatchesRunOracle holds the live rows of Rows, for every item
+// of the dictionary as the pivot, to the label-level run walk of
+// PivotLiveMatrix (checkRows), over the generated automata of kernelCases on
+// random accepted sequences. An item outside the ancestors of T's items must
+// leave every row empty.
 func TestPivotLiveMatchesRunOracle(t *testing.T) {
 	var seqs, live, empty int
 	kernelCases(t, 37, func(rng *rand.Rand, expr string, f *FST) {
-		w, checked := f.words, 0
+		checked := 0
 		for s := 0; s < 40 && checked < 4; s++ {
 			T := randomSeq(rng, f)
-			accept, prod, block := dirtyRows(len(T), w), dirtyRows(len(T), w), dirtyRows(len(T), 4*w)
-			if !f.Reach(T, accept, nil, w) {
+			if !f.CanAccept(T) {
 				continue
 			}
-			f.Reach(T, block, block[2*w:], 4*w)
-			f.Productive(T, accept, prod, w)
-			f.Productive(T, block, block[w:], 4*w)
 			for k := dict.ItemID(1); int(k) <= f.dict.Size(); k++ {
-				if checkPivotLive(t, expr, f, T, k, accept, prod, block) > 0 {
+				if checkRows(t, expr, f, T, k) > 0 {
 					live++
 				} else {
 					empty++

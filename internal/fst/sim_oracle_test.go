@@ -171,7 +171,7 @@ func (f *FST) FinishMatrix(T []dict.ItemID) [][]bool {
 	return m
 }
 
-// ProductiveMatrix is the definition the prod rows of FST.Productive are
+// ProductiveMatrix is the definition the prod rows of FST.Rows are
 // held to, walked on the label-level graph: m[i][q] is true iff some path of
 // ε-output transitions from state q at position i reaches an output
 // transition whose target accepts the rest of T. The walk follows every such
@@ -210,7 +210,7 @@ func (f *FST) ProductiveMatrix(T []dict.ItemID) [][]bool {
 	return m
 }
 
-// PivotLiveMatrix is the definition the live rows of FST.PivotLive are held
+// PivotLiveMatrix is the definition the live rows of FST.Rows are held
 // to, walked on the label-level graph: m[i][q] is true iff an accepting run
 // from state q at position i takes an output transition at a position j >= i
 // whose item T[j] has k among its ancestors. The walk follows every

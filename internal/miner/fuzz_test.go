@@ -100,17 +100,75 @@ var keptDepthSeeds = map[int][]byte{
 		"\x7c\x57\x98\xec\xb2\xd9\x76\xc1\xa3\x67\x9a\x82\x7b\xf0\xe8\xc6\x62\x56\x7e\x40\x2b\xcc\x13"), // .*[[[(i0^)]*|[(.)|(.)]]|(.)].*
 }
 
+// tenStates is a genCase input whose automaton has 10 states, one word per
+// row on the byte-sliced table but too many states for packed rows:
+// .*[[[(.)]{1,3}]{1,3}|(.)].* over seven sequences, six of them accepted.
+var tenStates = []byte("\x17\x5c\x4f\x51\x3c\x7a\x1a\xc6\xbb\x01\xc1\x46\xf7\xb5\x14\xa3\x70\xd1\x19\xa7" +
+	"\x58\x67\x02\x72\x13\x92\xd1\x8b\xb9\xc3\x79\x2e\x52\x0d\xe6\xe0\xdc\xa0\x5c\x52\xd4\xe2\xee\x44" +
+	"\x0e\x6a\x4f\xb3\x43\x24\xdf\x31\xe3\x94\x9a\x97\x6a\x61\x23")
+
+// fuzzSeed is a seed of the two fuzzers below: a genCase input, the weight
+// seed (FuzzMineDFSMatchesMineCount only) and two thresholds.
+type fuzzSeed struct {
+	data   []byte
+	seed   int64
+	s1, s2 uint8
+}
+
+// The seeds of FuzzPreparedMatchesMineDFS and of FuzzMineDFSMatchesMineCount.
+var (
+	preparedSeeds = []fuzzSeed{
+		{[]byte{}, 0, 1, 2},
+		{[]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, 0, 2, 1},
+		{[]byte("a small hierarchy, a database and an expression from bytes"), 0, 3, 1},
+		{keptDepthSeeds[3], 0, 1, 2},
+		{keptDepthSeeds[2], 0, 2, 1},
+		{tenStates, 0, 1, 2},
+	}
+	mineCountSeeds = []fuzzSeed{
+		{[]byte{}, 1, 1, 2},
+		{[]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, 2, 3, 6},
+		{[]byte("a small hierarchy, a database and an expression from bytes"), 3, 2, 9},
+		{[]byte("\xa4\xf9\xe5\xcfBU\xee\xb1\xe9\xe8\x00\x9a\xb5\a9[\xac\xb8\xb2\x17~|WW\xad\x02\xba\xa9\xa9m" +
+			"\xb9g\xd2\n\x15\r-\xd7\xf3\b\x1d\x90g_\xe0"), 4, 1, 4}, // 72 states
+		{tenStates, 5, 1, 2},
+	}
+)
+
+// TestFuzzSeedsCrossTheEightStateLine: each fuzzer's seeds hold automata on
+// both sides of the line that decides the row layout (fst.RowLayout) — packed
+// rows at most 8 states, one bitset per matrix above — and one of 9 to 64
+// states, whose rows are one word on the byte-sliced table but not packed.
+func TestFuzzSeedsCrossTheEightStateLine(t *testing.T) {
+	for name, seeds := range map[string][]fuzzSeed{"FuzzPreparedMatchesMineDFS": preparedSeeds, "FuzzMineDFSMatchesMineCount": mineCountSeeds} {
+		var packed, oneWord int
+		for _, seed := range seeds {
+			d, _, expr := genCase(seed.data)
+			fm, err := fst.Compile(expr, d)
+			if err != nil {
+				t.Fatalf("%s: seed expression %q does not compile: %v", name, expr, err)
+			}
+			if fm.RowLayout(false).Packed {
+				packed++
+			} else if fm.Words() == 1 {
+				oneWord++
+			}
+		}
+		if packed == 0 || oneWord == 0 || packed == len(seeds) {
+			t.Errorf("%s: %d seeds, %d with packed rows, %d of 9–64 states", name, len(seeds), packed, oneWord)
+		}
+	}
+}
+
 // FuzzPreparedMatchesMineDFS takes a hierarchy, a database, an expression and
 // two thresholds from the fuzzer (genCase): one Prepared, built on two
 // workers and mined at both thresholds — the second call sees whatever the
 // first left in the pools — must return exactly the single-threaded MineDFS
 // result each time. Its seeds include one per kept depth (keptDepthSeeds).
 func FuzzPreparedMatchesMineDFS(f *testing.F) {
-	f.Add([]byte{}, uint8(1), uint8(2))
-	f.Add([]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, uint8(2), uint8(1))
-	f.Add([]byte("a small hierarchy, a database and an expression from bytes"), uint8(3), uint8(1))
-	f.Add(keptDepthSeeds[3], uint8(1), uint8(2))
-	f.Add(keptDepthSeeds[2], uint8(2), uint8(1))
+	for _, s := range preparedSeeds {
+		f.Add(s.data, s.s1, s.s2)
+	}
 	ctx := context.Background()
 	f.Fuzz(func(t *testing.T, data []byte, s1, s2 uint8) {
 		if len(data) > 512 {
@@ -211,11 +269,9 @@ func checkMatchesMineCount(t *testing.T, name string, f *fst.FST, db []miner.Wei
 // (checkMatchesMineCount) — the weighted supports DESQ-DFS counts in its scan
 // against an oracle that does not run it.
 func FuzzMineDFSMatchesMineCount(f *testing.F) {
-	f.Add([]byte{}, int64(1), uint8(1), uint8(2))
-	f.Add([]byte{5, 0, 1, 0, 2, 0, 1, 1, 9, 3, 0, 1, 2, 4, 3, 2, 1, 2, 3, 1, 7, 7, 7, 7}, int64(2), uint8(3), uint8(6))
-	f.Add([]byte("a small hierarchy, a database and an expression from bytes"), int64(3), uint8(2), uint8(9))
-	f.Add([]byte("\xa4\xf9\xe5\xcfBU\xee\xb1\xe9\xe8\x00\x9a\xb5\a9[\xac\xb8\xb2\x17~|WW\xad\x02\xba\xa9\xa9m"+
-		"\xb9g\xd2\n\x15\r-\xd7\xf3\b\x1d\x90g_\xe0"), int64(4), uint8(1), uint8(4)) // 72 states
+	for _, s := range mineCountSeeds {
+		f.Add(s.data, s.seed, s.s1, s.s2)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, seed int64, s1, s2 uint8) {
 		if len(data) > 512 {
 			return

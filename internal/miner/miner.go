@@ -91,8 +91,8 @@ type DFSOptions struct {
 	// EarlyStopping enables the early stopping of Sec. V-C, per (position,
 	// state) cell: a prefix that does not yet contain the pivot item is grown
 	// only from cells with an accepting run that can still output the pivot
-	// (fst.FST.PivotLive), and only such cells count towards its children's
-	// supports. It is exact, and has no effect when Pivot is zero.
+	// (the live rows of fst.FST.Rows), and only such cells count towards its
+	// children's supports. It is exact, and has no effect when Pivot is zero.
 	EarlyStopping bool
 	// Workers > 1 mines on that many goroutines (see MineDFS), with the
 	// single-threaded result; <= 1 is single-threaded.
@@ -123,17 +123,15 @@ type SplitStats struct {
 // subsequence S with fπ(S) >= sigma, subject to the pivot restriction in
 // opts.
 //
-// The implementation works entirely on the FST's tables: one fst.FST.Reach
-// pass per sequence writes its accept and finish rows (and rejects sequences
-// without an accepting run), one fst.FST.Productive pass its prod rows, the
-// snapshots that can still emit, and under a pivot with early stopping one
-// fst.FST.PivotLive pass its live rows, the snapshots that can still emit the
-// pivot, into the sequence's one row block (seqCache);
-// one scan of a projected database yields the prefix's support and every
-// expansion's projected database and support. Snapshots are packed (pos,
-// state) cells in int32 arrays, projected databases flat int32 buffers, and
-// all of it — the row blocks of the whole database, carved from one arena —
-// is pooled scratch.
+// The implementation works entirely on the FST's tables: one fst.FST.Rows
+// pass per sequence writes its row block (seqCache) — accept, finish and prod
+// rows, the snapshots that can still emit, and under a pivot with early
+// stopping live rows, the snapshots that can still emit the pivot — and
+// rejects sequences without an accepting run; one scan of a projected
+// database yields the prefix's support and every expansion's projected
+// database and support. Snapshots are packed (pos, state) cells in int32
+// arrays, projected databases flat int32 buffers, and all of it — the row
+// blocks of the whole database, carved from one arena — is pooled scratch.
 // D-SEQ's reducer calls MineDFS once per pivot partition, so steady-state
 // mining allocates only the reported patterns.
 //
@@ -182,13 +180,9 @@ func newMiner(f *fst.FST, db []WeightedSequence, sigma int64, opts DFSOptions) d
 		db:    db,
 		sigma: sigma,
 		opts:  opts,
-		words: f.Words(),
 	}
 	m.earlyStop = opts.EarlyStopping && opts.Pivot != dict.None
-	m.stride = matrices * m.words
-	if m.earlyStop {
-		m.stride += m.words
-	}
+	m.rows = f.RowLayout(m.earlyStop)
 	if n := f.NumStates(); n > 1 {
 		m.stateBits = uint(bits.Len(uint(n - 1)))
 	}
@@ -320,7 +314,7 @@ func (p *Prepared) keepLevel(sh *dfsShared, depth int) bool {
 // root projected databases — out of the pooled arena, which reserves room for
 // every sequence, into one of the size they use, and points p's cache at them.
 func (p *Prepared) retainMatrices(sh *dfsShared) {
-	block := func(seq int32) int { return (len(p.m.db[seq].Items) + 1) * p.m.stride }
+	block := func(seq int32) int { return (len(p.m.db[seq].Items) + 1) * p.m.rows.Stride }
 	n := 0
 	for r := range sh.miners {
 		for proj := sh.miners[r].sc.rootProj; len(proj) > 0; proj = proj[3:] {
@@ -380,20 +374,19 @@ func (p *Prepared) Mine(ctx context.Context, sigma int64, workers int, split *Sp
 	return out
 }
 
-// seqCache locates a sequence's row block in the arena: row i, for the suffix
-// T[i:], is three bitsets over states side by side — accept_i | prod_i |
-// finish_i — so a scan finds a cell's bits in one place, and a fourth, live_i,
-// under a pivot with early stopping. accept: the state reaches acceptance on
-// T[i:]; prod: it can still output an item (fst.FST.Productive); finish: it
-// reaches the end of T in a final state over ε-output transitions only; live:
-// it can still output the pivot (fst.FST.PivotLive).
+// seqCache locates a sequence's row block in the arena, written by
+// fst.FST.Rows: row i, for the suffix T[i:], holds accept_i, prod_i and
+// finish_i side by side, and live_i under a pivot with early stopping, so a
+// scan finds a cell's bits in one place. accept: the state reaches acceptance
+// on T[i:]; prod: it can still output an item; finish: it reaches the end of T
+// in a final state over ε-output transitions only; live: it can still output
+// the pivot. On an automaton of at most 8 states a row is one word that also
+// holds T[i] (fst.RowLayout), so with the weight kept here a scan reads
+// nothing of the sequence itself.
 type seqCache struct {
-	rows int // arena offset of row 0; -1: no accepting run, no rows
+	rows   int   // arena offset of row 0; -1: no accepting run, no rows
+	weight int64 // the sequence's weight
 }
-
-// matrices is the number of bitsets in a row without the live one; prod starts
-// prodAt·words, finish finishAt·words and live liveAt·words words into it.
-const matrices, prodAt, finishAt, liveAt = 3, 1, 2, 3
 
 // maxStampCells caps the size of the epoch-stamped snapshot-dedup array (16MB
 // of uint32 stamps); larger position×state spaces fall back to a hash set.
@@ -503,12 +496,11 @@ type dfsMiner struct {
 	opts  DFSOptions
 	done  <-chan struct{} // opts.Context's, nil without one
 
-	words     int         // bitset words per matrix row
-	stride    int         // words per row of a row block: matrices·words, +words for live
-	earlyStop bool        // the rows hold live (opts.EarlyStopping under a pivot)
-	stateBits uint        // cell = pos<<stateBits | state
-	limit     dict.ItemID // expansion items must be <= limit (frequency ∧ pivot)
-	sh        *dfsState   // arena and cache
+	rows      fst.RowLayout // where a row of a row block holds each matrix (and the item)
+	earlyStop bool          // the rows hold live (opts.EarlyStopping under a pivot)
+	stateBits uint          // cell = pos<<stateBits | state
+	limit     dict.ItemID   // expansion items must be <= limit (frequency ∧ pivot)
+	sh        *dfsState     // arena and cache
 
 	lo, hi int // the sequence range this worker sets up
 	base   int // where the range's matrices start in the arena
@@ -530,7 +522,7 @@ func (sh *dfsShared) layOut(m *dfsMiner, workers int) int {
 		*w = *m
 		w.lo, w.hi, w.base = r*len(m.db)/workers, (r+1)*len(m.db)/workers, need
 		for _, ws := range m.db[w.lo:w.hi] {
-			need += (len(ws.Items) + 1) * m.stride
+			need += (len(ws.Items) + 1) * m.rows.Stride
 			maxLen = max(maxLen, len(ws.Items))
 		}
 	}
@@ -683,30 +675,29 @@ func (m *dfsMiner) stopped() bool {
 	}
 }
 
-// setUp runs one Reach, one Productive and, under early stopping, one
-// PivotLive pass per sequence of the worker's range, writing the sequence's
-// row block in place at the tail of the range's arena region (the space is
-// kept only if the sequence has an accepting run), and collects the root
-// projected database of the range.
+// setUp runs one Rows pass per sequence of the worker's range, writing the
+// sequence's row block in place at the tail of the range's arena region (the
+// space is kept only if the sequence has an accepting run), and collects the
+// root projected database of the range.
 func (m *dfsMiner) setUp() {
 	sc := m.sc
 	initCell := int32(m.fst.Initial()) // pos 0 → cell = state
-	stride := m.stride
+	stride := m.rows.Stride
 	used := m.base
+	live := dict.None // the pivot of the live rows, if the block holds them
+	if m.earlyStop {
+		live = m.opts.Pivot
+	}
 	for i := m.lo; i < m.hi; i++ {
 		if i&1023 == 1023 && m.stopped() {
 			return
 		}
 		T := m.db[i].Items
 		block := m.sh.arena[used : used+(len(T)+1)*stride]
-		if len(T) == 0 || !m.fst.Reach(T, block, block[finishAt*m.words:], stride) {
+		if len(T) == 0 || !m.fst.Rows(T, live, block) {
 			continue
 		}
-		m.fst.Productive(T, block, block[prodAt*m.words:], stride)
-		if m.earlyStop {
-			m.fst.PivotLive(T, m.opts.Pivot, block, block[liveAt*m.words:], stride)
-		}
-		m.sh.cache[i] = seqCache{rows: used}
+		m.sh.cache[i] = seqCache{rows: used, weight: m.db[i].Weight}
 		used += len(block)
 		sc.rootProj = append(sc.rootProj, int32(i), 1, initCell)
 	}
@@ -810,11 +801,14 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 
 	sb := m.stateBits
 	mask := int32(1)<<sb - 1
-	W := m.words
-	stride := m.stride
-	gateAt := prodAt * W // the row a cell must be in to be walked
+	stride, packed := m.rows.Stride, m.rows.Packed
+	// Matrix x of the cell (pos, q) is bit q%64+xS of rows[pos*stride+q/64+xW];
+	// accept is bit q%64 of word q/64.
+	finW, finS := m.rows.Word[fst.Finish], uint32(m.rows.Shift[fst.Finish])
+	liveW, liveS := m.rows.Word[fst.Live], uint32(m.rows.Shift[fst.Live])
+	gateW, gateS := m.rows.Word[fst.Prod], uint32(m.rows.Shift[fst.Prod]) // the matrix a cell must be in to be walked
 	if earlyStop {
-		gateAt = liveAt * W
+		gateW, gateS = liveW, liveS
 	}
 
 	for pi, n := 0, 0; pi < len(proj); n++ {
@@ -828,7 +822,10 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 
 		c := m.sh.cache[seq]
 		rows := m.sh.arena[c.rows:]
-		T := m.db[seq].Items
+		var T []dict.ItemID // packed rows hold the items themselves
+		if !packed {
+			T = m.db[seq].Items
+		}
 
 		if sc.snapStamp != nil {
 			sc.snapGen++
@@ -843,12 +840,12 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 		complete := !fr.reportable
 		for _, cell := range snaps {
 			q := uint32(cell & mask)
-			row, bit := rows[int(cell>>sb)*stride+int(q>>6):], uint64(1)<<(q&63)
-			if !complete && row[finishAt*W]&bit != 0 {
-				fr.support += m.db[seq].Weight
+			row, b := rows[int(cell>>sb)*stride+int(q>>6):], q&63
+			if !complete && row[finW]&(1<<(b+finS)) != 0 {
+				fr.support += c.weight
 				complete = true
 			}
-			if row[gateAt]&bit != 0 && m.markSnap(cell) {
+			if row[gateW]&(1<<(b+gateS)) != 0 && m.markSnap(cell) {
 				sc.stack = append(sc.stack, cell)
 			}
 		}
@@ -865,33 +862,38 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 			cell := sc.stack[len(sc.stack)-1]
 			sc.stack = sc.stack[:len(sc.stack)-1]
 			pos := int(cell >> sb)
-			t := T[pos]
+			var t dict.ItemID
+			if packed { // one word per row, the item in its high half
+				t = dict.ItemID(rows[pos] >> 32)
+			} else {
+				t = T[pos]
+			}
 			next := rows[(pos+1)*stride:]
 			for _, tr := range m.fst.Firing(int(cell&mask), t) {
 				to := m.fst.To(tr)
-				bit := uint64(1) << (uint32(to) & 63)
-				if next[uint32(to)>>6]&bit == 0 {
+				at, b := next[uint32(to)>>6:], uint32(to)&63
+				if at[0]&(1<<b) == 0 {
 					continue // target cannot reach acceptance
 				}
 				nextCell := int32(pos+1)<<sb | to
 				single, set := m.fst.OutputsFor(tr, t)
-				if earlyStop && next[liveAt*W+int(uint32(to)>>6)]&bit == 0 {
+				if earlyStop && at[liveW]&(1<<(b+liveS)) == 0 {
 					// The target cannot output the pivot any more: it
 					// supports only the child that adds the pivot now.
 					if single == m.opts.Pivot || slices.Contains(set, m.opts.Pivot) {
-						m.project(fr, m.opts.Pivot, seq, nextCell)
+						m.project(fr, m.opts.Pivot, seq, c.weight, nextCell)
 					}
 					continue
 				}
 				if single != dict.None {
-					m.project(fr, single, seq, nextCell)
+					m.project(fr, single, seq, c.weight, nextCell)
 				} else if set == nil {
-					if next[gateAt+int(uint32(to)>>6)]&bit != 0 && m.markSnap(nextCell) {
+					if at[gateW]&(1<<(b+gateS)) != 0 && m.markSnap(nextCell) {
 						sc.stack = append(sc.stack, nextCell)
 					}
 				}
 				for _, w := range set {
-					m.project(fr, w, seq, nextCell)
+					m.project(fr, w, seq, c.weight, nextCell)
 				}
 			}
 		}
@@ -904,7 +906,7 @@ func (m *dfsMiner) scan(depth int, proj []int32) *frame {
 // project appends cell to sequence seq's snapshots in the projected database
 // of expansion item w at frame fr, opening the item's buffer on first use and
 // the sequence's record, which adds its weight to the item's support.
-func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
+func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq int32, weight int64, cell int32) {
 	if !m.expandable(w) {
 		return
 	}
@@ -926,7 +928,7 @@ func (m *dfsMiner) project(fr *frame, w dict.ItemID, seq, cell int32) {
 		e.lastSeq = seq
 		e.countIdx = int32(len(e.buf) + 1)
 		e.buf = append(e.buf, seq, 0)
-		e.support += m.db[seq].Weight
+		e.support += weight
 	}
 	e.buf = append(e.buf, cell)
 	e.buf[e.countIdx]++

@@ -17,57 +17,69 @@ import (
 )
 
 // TestPreparedRetainsEveryMatrix: a Prepared keeps the row block of every
-// accepted sequence — (len+1) rows of accept | prod | finish, Words() words
-// each, the ones Reach and Productive compute — in one arena of exactly that
-// size; a rejected sequence keeps no rows, and Bytes counts all of it.
+// accepted sequence — (len+1) rows of accept, prod and finish at the FST's
+// RowLayout, the ones Rows computes, and the item in a packed row — in one
+// arena of exactly that size; a rejected sequence keeps no rows, and Bytes
+// counts all of it. The rows are decoded through the layout, on an automaton
+// with packed rows and one of more than 8 states without.
 func TestPreparedRetainsEveryMatrix(t *testing.T) {
 	d, seqs := paperex.RandomDatabase(rand.New(rand.NewSource(4)), 300, 8)
-	f := fst.MustCompile(paperex.PatternExpression, d)
-	p := Prepare(context.Background(), f, seqs, 2)
-	w := f.Words()
-	words, accepted := 0, 0
-	var blocks [][2]int // offset and length of every retained row block
-	for i, T := range seqs {
-		c := p.state.cache[i]
-		n := (len(T) + 1) * w
-		accept, finish, prod := make([]uint64, n), make([]uint64, n), make([]uint64, n)
-		if !f.Reach(T, accept, finish, w) {
-			if c.rows != -1 {
-				t.Fatalf("sequence %d has no accepting run but keeps rows at %d", i, c.rows)
+	for _, expr := range []string{paperex.PatternExpression, ".*(A^)[.{0,2}(.)]{1,3}.*"} {
+		f := fst.MustCompile(expr, d)
+		l := f.RowLayout(false)
+		if l.Packed != (f.NumStates() <= 8) {
+			t.Fatalf("%s: %d states, packed rows %v", expr, f.NumStates(), l.Packed)
+		}
+		p := Prepare(context.Background(), f, seqs, 2)
+		words, accepted := 0, 0
+		var blocks [][2]int // offset and length of every retained row block
+		for i, T := range seqs {
+			c := p.state.cache[i]
+			n := (len(T) + 1) * l.Stride
+			want := make([]uint64, n)
+			if !f.Rows(T, dict.None, want) {
+				if c.rows != -1 {
+					t.Fatalf("%s: sequence %d has no accepting run but keeps rows at %d", expr, i, c.rows)
+				}
+				continue
 			}
-			continue
-		}
-		f.Productive(T, accept, prod, w)
-		if c.rows < 0 || c.rows+matrices*n > len(p.state.arena) {
-			t.Fatalf("sequence %d: rows at %d outside the arena of %d words", i, c.rows, len(p.state.arena))
-		}
-		block := p.state.arena[c.rows:][:matrices*n]
-		for r := 0; r <= len(T); r++ {
-			row := block[r*matrices*w:]
-			if !slices.Equal(row[:w], accept[r*w:][:w]) || !slices.Equal(row[prodAt*w:][:w], prod[r*w:][:w]) ||
-				!slices.Equal(row[finishAt*w:][:w], finish[r*w:][:w]) {
-				t.Fatalf("sequence %d row %d: retained rows differ from Reach and Productive", i, r)
+			if c.rows < 0 || c.rows+n > len(p.state.arena) {
+				t.Fatalf("%s: sequence %d: rows at %d outside the arena of %d words", expr, i, c.rows, len(p.state.arena))
 			}
+			block := p.state.arena[c.rows:][:n]
+			for r := 0; r <= len(T); r++ {
+				if l.Packed && r < len(T) && dict.ItemID(block[r]>>32) != T[r] {
+					t.Fatalf("%s: sequence %d row %d holds item %d, want %d", expr, i, r, block[r]>>32, T[r])
+				}
+				for _, m := range []int{fst.Accept, fst.Prod, fst.Finish} {
+					for q := 0; q < f.NumStates(); q++ {
+						at, shift := r*l.Stride+l.Word[m]+q>>6, l.Shift[m]+q&63
+						if block[at]>>shift&1 != want[at]>>shift&1 {
+							t.Fatalf("%s: sequence %d row %d: matrix %d, state %d differs from Rows", expr, i, r, m, q)
+						}
+					}
+				}
+			}
+			accepted++
+			words += n
+			blocks = append(blocks, [2]int{c.rows, n})
 		}
-		accepted++
-		words += matrices * n
-		blocks = append(blocks, [2]int{c.rows, matrices * n})
-	}
-	if accepted == 0 || accepted == len(seqs) {
-		t.Fatalf("%d of %d sequences accepted; the check is vacuous", accepted, len(seqs))
-	}
-	if len(p.state.arena) != words {
-		t.Errorf("arena holds %d words, the matrices %d", len(p.state.arena), words)
-	}
-	slices.SortFunc(blocks, func(a, b [2]int) int { return a[0] - b[0] })
-	for i, end := 0, 0; i < len(blocks); i++ {
-		if blocks[i][0] != end {
-			t.Fatalf("row block %d starts at %d, the previous one ends at %d", i, blocks[i][0], end)
+		if accepted == 0 || accepted == len(seqs) {
+			t.Fatalf("%s: %d of %d sequences accepted; the check is vacuous", expr, accepted, len(seqs))
 		}
-		end += blocks[i][1]
-	}
-	if p.Bytes() < int64(8*words) {
-		t.Errorf("Bytes() = %d, less than the %d bytes of matrices", p.Bytes(), 8*words)
+		if len(p.state.arena) != words {
+			t.Errorf("%s: arena holds %d words, the matrices %d", expr, len(p.state.arena), words)
+		}
+		slices.SortFunc(blocks, func(a, b [2]int) int { return a[0] - b[0] })
+		for i, end := 0, 0; i < len(blocks); i++ {
+			if blocks[i][0] != end {
+				t.Fatalf("%s: row block %d starts at %d, the previous one ends at %d", expr, i, blocks[i][0], end)
+			}
+			end += blocks[i][1]
+		}
+		if p.Bytes() < int64(8*words) {
+			t.Errorf("%s: Bytes() = %d, less than the %d bytes of matrices", expr, p.Bytes(), 8*words)
+		}
 	}
 }
 

@@ -192,15 +192,11 @@ func (r *Registry) instrument(name, help, typ string, buckets []float64, labels 
 	if !validMetricName(name) || len(labels)%2 != 0 {
 		return nil
 	}
-	attrs := make([]Attr, 0, len(labels)/2)
-	for i := 0; i+1 < len(labels); i += 2 {
-		if !validLabelName(labels[i]) {
-			return nil
-		}
-		attrs = append(attrs, Attr{Key: labels[i], Value: labels[i+1]})
+	var buf [128]byte
+	key, ok := appendSeriesKey(buf[:0], labels)
+	if !ok {
+		return nil
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-	key := seriesKey(attrs)
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -216,8 +212,13 @@ func (r *Registry) instrument(name, help, typ string, buckets []float64, labels 
 	if f.typ != typ {
 		return nil // type conflict: refuse rather than corrupt the exposition
 	}
-	s := f.series[key]
+	s := f.series[string(key)] // a lookup that converts key allocates nothing
 	if s == nil {
+		attrs := make([]Attr, 0, len(labels)/2)
+		for i := 0; i < len(labels); i += 2 {
+			attrs = append(attrs, Attr{Key: labels[i], Value: labels[i+1]})
+		}
+		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
 		s = &series{labels: attrs}
 		switch typ {
 		case "counter":
@@ -229,21 +230,36 @@ func (r *Registry) instrument(name, help, typ string, buckets []float64, labels 
 			h.counts = make([]atomic.Int64, len(f.buckets))
 			s.inst = h
 		}
-		f.series[key] = s
-		f.order = append(f.order, key)
+		f.series[string(key)] = s
+		f.order = append(f.order, string(key))
 	}
 	return s
 }
 
-func seriesKey(attrs []Attr) string {
-	var b strings.Builder
-	for _, a := range attrs {
-		b.WriteString(a.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(a.Value))
-		b.WriteByte(',')
+// appendSeriesKey appends the key of the series of the given label pairs to
+// buf — key="value", pairs in key order — or reports a label name that is not
+// valid. It allocates nothing while buf has room and the pairs are at most 8,
+// so the lookup of an existing series does not allocate.
+func appendSeriesKey(buf []byte, labels []string) ([]byte, bool) {
+	order := make([]int, 0, 8) // the pairs' indexes in key order, by insertion
+	for i := 0; i < len(labels); i += 2 {
+		if !validLabelName(labels[i]) {
+			return nil, false
+		}
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && labels[order[j-1]] > labels[i]; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
-	return b.String()
+	for _, i := range order {
+		buf = append(buf, labels[i]...)
+		buf = append(buf, '=')
+		buf = strconv.AppendQuote(buf, labels[i+1])
+		buf = append(buf, ',')
+	}
+	return buf, true
 }
 
 func validMetricName(s string) bool {

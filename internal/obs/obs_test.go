@@ -220,6 +220,24 @@ func TestRegistryCounterGauge(t *testing.T) {
 	}
 }
 
+// TestRegistryLookupDoesNotAllocate pins the lookup of an existing series at
+// zero allocations, whatever order its label pairs come in: the spill, send
+// and scheduler paths resolve their histograms once per job.
+func TestRegistryLookupDoesNotAllocate(t *testing.T) {
+	reg := NewRegistry()
+	h := reg.Histogram("seqmine_test_seconds", "h", ByteBuckets, "peer", "1", "algorithm", "dseq")
+	c := reg.Counter("seqmine_test_total", "c", "algorithm", "dseq")
+	g := reg.Gauge("seqmine_test_bytes", "g")
+	if n := testing.AllocsPerRun(100, func() {
+		if reg.Histogram("seqmine_test_seconds", "h", ByteBuckets, "algorithm", "dseq", "peer", "1") != h ||
+			reg.Counter("seqmine_test_total", "c", "algorithm", "dseq") != c || reg.Gauge("seqmine_test_bytes", "g") != g {
+			t.Fatal("get-or-create returned a new instrument for an existing series")
+		}
+	}); n != 0 {
+		t.Fatalf("looking up three existing series allocates %.0f times, want 0", n)
+	}
+}
+
 func TestRegistryNilAndInvalid(t *testing.T) {
 	var reg *Registry
 	reg.Counter("x", "").Inc()

@@ -21,15 +21,6 @@ func Parse(input string) (Node, error) {
 	return node, nil
 }
 
-// MustParse is Parse for tests and examples; it panics on error.
-func MustParse(input string) Node {
-	n, err := Parse(input)
-	if err != nil {
-		panic("patex: " + err.Error())
-	}
-	return n
-}
-
 type parser struct {
 	input string
 	pos   int

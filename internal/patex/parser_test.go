@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// MustParse is Parse for the tests; it panics on error.
+func MustParse(input string) Node {
+	n, err := Parse(input)
+	if err != nil {
+		panic("patex: " + err.Error())
+	}
+	return n
+}
+
 func TestParseRunningExample(t *testing.T) {
 	n, err := Parse(".*(A)[(.^).*]*(b).*")
 	if err != nil {

@@ -290,7 +290,7 @@ func (s *Searcher) analyzeGrid(T []dict.ItemID, a *Analysis) {
 	sc := gridPool.Get().(*gridScratch)
 	sc.prepare(n, words, numStates)
 	init := f.Initial()
-	if !f.Reach(T, sc.reach, nil, words) {
+	if !f.Reach(T, sc.reach) {
 		gridPool.Put(sc)
 		return
 	}

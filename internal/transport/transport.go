@@ -327,8 +327,10 @@ func (n *Node) OpenExchange(jobID string, self int, peers []string) (*Exchange, 
 //
 // When ctx carries an obs trace context, the exchange propagates it in the
 // handshake to every peer and records per-peer transport.send/transport.recv
-// spans into ctx's recorder. ctx does not control the exchange's lifetime —
-// callers cancel via Close, typically through context.AfterFunc.
+// spans into ctx's recorder. Cancelling ctx stops the dialing, and the call
+// returns an error that wraps ctx's. Once the call has returned, ctx does not
+// control the exchange's lifetime — callers cancel via Close, typically
+// through context.AfterFunc.
 func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, self int, peers []string) (*Exchange, error) {
 	if jobID == "" || len(jobID) > maxJobIDLen {
 		return nil, fmt.Errorf("transport: job id length %d out of range", len(jobID))
@@ -395,7 +397,7 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, self int, 
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			if err := e.dialPeer(p); err != nil {
+			if err := e.dialPeer(ctx, p); err != nil {
 				dialErrs <- fmt.Errorf("transport: connecting to peer %d (%s): %w", p, peers[p], err)
 			}
 		}(p)
@@ -411,13 +413,14 @@ func (n *Node) OpenExchangeContext(ctx context.Context, jobID string, self int, 
 }
 
 // dialPeer establishes the outbound connection to peer p, retrying while the
-// peer process may still be starting.
-func (e *Exchange) dialPeer(p int) error {
+// peer process may still be starting, until ctx is cancelled.
+func (e *Exchange) dialPeer(ctx context.Context, p int) error {
 	deadline := time.Now().Add(dialRetryWindow)
+	dialer := net.Dialer{Timeout: handshakeTimeout}
 	var conn net.Conn
 	for {
 		var err error
-		conn, err = net.DialTimeout("tcp", e.peers[p], handshakeTimeout)
+		conn, err = dialer.DialContext(ctx, "tcp", e.peers[p])
 		if err == nil {
 			break
 		}
@@ -427,6 +430,8 @@ func (e *Exchange) dialPeer(p int) error {
 		select {
 		case <-e.closedCh:
 			return errors.New("transport: exchange closed while dialing")
+		case <-ctx.Done():
+			return ctx.Err()
 		case <-time.After(100 * time.Millisecond):
 		}
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -267,6 +268,59 @@ func TestHandshakeRejectsGarbage(t *testing.T) {
 		}
 		conn.Close()
 	}
+}
+
+// TestOpenExchangeCancelledWhileDialing: while its peers refuse connections,
+// OpenExchangeContext keeps dialing for up to dialRetryWindow; cancelling its
+// context must end the call with the context's error within 200 ms, leaving
+// no goroutine and no job entry behind.
+func TestOpenExchangeCancelledWhileDialing(t *testing.T) {
+	nodes, _ := testCluster(t, 1)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	refusing := l.Addr().String() // nothing listens there once l is closed
+	l.Close()
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		ex, err := nodes[0].OpenExchangeContext(ctx, "refused", 0, []string{nodes[0].Addr(), refusing, refusing})
+		if ex != nil {
+			ex.Close()
+		}
+		done <- err
+	}()
+	time.Sleep(150 * time.Millisecond) // the dialers are refused and waiting to retry
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if lag := time.Since(cancelled); lag > 200*time.Millisecond {
+			t.Errorf("OpenExchangeContext returned %v after the cancellation", lag)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("OpenExchangeContext returned %v, want %v", err, context.Canceled)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OpenExchangeContext still dialing 5 s after its context was cancelled")
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > before || jobEntries(nodes[0]) > 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("%d job entries left; goroutines %d -> %d\n%s", jobEntries(nodes[0]), before, runtime.NumGoroutine(), buf[:n])
+		}
+	}
+}
+
+// jobEntries returns the number of jobs node holds an entry for.
+func jobEntries(node *Node) int {
+	node.mu.Lock()
+	defer node.mu.Unlock()
+	return len(node.jobs)
 }
 
 // TestUnadoptedJobEntryIsDropped: a handshaken connection for a job that is

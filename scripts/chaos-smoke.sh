@@ -14,10 +14,11 @@
 # as Chrome trace-event JSON (-trace-out). Set CHAOS_ARTIFACT_DIR to keep
 # the trace of the passing round (CI uploads it as a workflow artifact).
 #
-# The kill lands on a wall-clock timer, so a freakishly fast job could finish
-# before it; the run is retried a few times and fails only if no round
-# observes a retry. Used by CI (.github/workflows/ci.yml) and runnable
-# locally:
+# The kill lands once worker 3 logs that the job's /run has begun
+# (msg="run started"), so the attempt is under way whatever the host's speed;
+# should the job still finish first, the run is retried a few times and fails
+# only if no round observes a retry. Used by CI (.github/workflows/ci.yml) and
+# runnable locally:
 #
 #	./scripts/chaos-smoke.sh
 set -euo pipefail
@@ -36,9 +37,8 @@ echo "== building binaries"
 go build -o "$workdir/bin/" ./cmd/seqgen ./cmd/seqmine ./cmd/seqmine-worker
 
 echo "== generating dataset"
-# Large enough that a distributed job comfortably outlives the kill delay
-# below — the shuffle-spine and hot-path optimizations keep shortening the
-# job, and a job that finishes before the kill lands exercises nothing.
+# Large enough that a distributed job outlives the moment worker 3 starts it
+# by far: a job that finishes before the kill lands exercises nothing.
 "$workdir/bin/seqgen" -dataset nyt -n 6000 -seed 7 -out "$workdir/data"
 
 pattern='[.*(.)]{1,3}.*'
@@ -95,8 +95,18 @@ for round in 1 2 3; do
     fi
     sed -n 's/^\(dataset store: .*\)$/   warm-up \1/p' "$workdir/warmup.out"
 
-    echo "== round $round: submitting job, SIGKILLing worker 3 mid-job"
-    (sleep 0.25; kill -9 "$W3" 2>/dev/null || true) &
+    echo "== round $round: submitting job, SIGKILLing worker 3 once its /run begins"
+    w3log="$workdir/worker-19592.log"
+    started=$(grep -c 'msg="run started"' "$w3log" || true) # the warm-up's
+    (
+        for _ in $(seq 1 3000); do # polls every 10 ms for up to 30 s
+            if [ "$(grep -c 'msg="run started"' "$w3log" || true)" -gt "$started" ]; then
+                kill -9 "$W3" 2>/dev/null || true
+                exit 0
+            fi
+            sleep 0.01
+        done
+    ) &
     killer=$!
     set +e
     "$workdir/bin/seqmine" -cluster "$workers" \
@@ -106,6 +116,7 @@ for round in 1 2 3; do
         >"$workdir/chaos.out" 2>"$workdir/chaos.err"
     status=$?
     set -e
+    kill "$killer" 2>/dev/null || true
     wait "$killer" 2>/dev/null || true
 
     kill "$W1" "$W2" 2>/dev/null || true
